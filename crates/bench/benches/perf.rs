@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use deeprest_adapt::{AdaptConfig, AdaptivePipeline};
 use deeprest_core::adapt::{OnlineUpdater, TrainSegment, UpdateConfig};
 use deeprest_core::{DeepRest, DeepRestConfig, FeatureSpace, TraceSynthesizer};
@@ -224,6 +224,28 @@ fn bench_streaming_step(c: &mut Criterion) {
             fault::with_plan(plan, || {
                 let mut predictor = model.stream_predictor();
                 b.iter(|| predictor.step(&x));
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_pool_dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool");
+    group.sample_size(30);
+    // Dispatch latency of a fan-out whose chunks do nothing: publish the
+    // job, claim every chunk, wait for the helpers. This is the floor
+    // under every `batched_step` figure below. Read the mean: the min is
+    // the case where the caller claimed every chunk before a helper looked.
+    for threads in [2usize, 4] {
+        let pool = Pool::with_threads(threads);
+        let mut items = vec![0u8; threads];
+        let id = format!("{threads}t");
+        group.bench_with_input(BenchmarkId::new("fan_out_empty", &id), &id, |b, _| {
+            b.iter(|| {
+                pool.for_each_mut(&mut items, |_, v| {
+                    black_box(v);
+                })
             });
         });
     }
@@ -687,6 +709,7 @@ criterion_group!(
     bench_joint_training_epoch,
     bench_expert_inference,
     bench_streaming_step,
+    bench_pool_dispatch,
     bench_batched_serving,
     bench_gemm_batch,
     bench_gru_step,

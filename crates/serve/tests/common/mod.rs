@@ -53,6 +53,48 @@ pub fn trained(windows: usize) -> (DeepRest, Interner, WindowedTraces, MetricsRe
     (model, i, traces, metrics)
 }
 
+/// Fits a model wide enough to be served in two shards at two threads:
+/// `components` services, each driven by its own API at its own phase,
+/// giving `2 * components` experts (the predictor shards at 8 per shard).
+pub fn trained_wide(
+    windows: usize,
+    components: usize,
+    threads: usize,
+) -> (DeepRest, Interner, WindowedTraces, MetricsRegistry) {
+    let mut i = Interner::new();
+    let mut traces = WindowedTraces::with_windows(WINDOW_SECS, windows);
+    let mut metrics = MetricsRegistry::new();
+    for c in 0..components {
+        let name = format!("Svc{c}");
+        let svc = i.intern(&name);
+        let op = i.intern(&format!("op{c}"));
+        let api = i.intern(&format!("/api{c}"));
+        let mut cpu = TimeSeries::zeros(0);
+        let mut mem = TimeSeries::zeros(0);
+        for t in 0..windows {
+            let count = 2 + (t * (c + 3)) % 9;
+            for _ in 0..count {
+                traces.windows[t].push(Trace::new(api, SpanNode::leaf(svc, op)));
+            }
+            cpu.push(1.5 + (0.8 + 0.2 * c as f64) * count as f64);
+            mem.push(48.0 + 0.4 * count as f64);
+        }
+        metrics.insert(MetricKey::new(&name, ResourceKind::Cpu), cpu);
+        metrics.insert(MetricKey::new(&name, ResourceKind::Memory), mem);
+    }
+    let config = DeepRestConfig {
+        hidden_dim: 8,
+        epochs: 1,
+        subseq_len: 12,
+        batch_size: 3,
+        ..DeepRestConfig::default()
+    }
+    .with_seed(7)
+    .with_threads(threads);
+    let (model, _) = DeepRest::fit(&traces, &metrics, &i, config);
+    (model, i, traces, metrics)
+}
+
 /// Flattens windowed traces into an in-order arrival stream, spacing the
 /// traces of window `t` evenly inside `[t, t+1) * window_secs`.
 pub fn stream_of(windowed: &WindowedTraces) -> Vec<TimestampedTrace> {

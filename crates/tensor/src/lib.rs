@@ -34,8 +34,11 @@
 //! assert_eq!(store.grad(w).data(), &[2.0, 3.0]); // dL/dw = x^T
 //! ```
 
-// `deny` rather than `forbid`: the runtime-detected AVX2 path in `kernel`
-// carries the crate's only `#[allow(unsafe_code)]`, scoped to that module.
+// `deny` rather than `forbid`: two places carry scoped
+// `#[allow(unsafe_code)]`s — `kernel` (the runtime-detected AVX2 path and
+// its dispatch sites) and `pool::engine` (handing a stack-borrowed job to
+// the persistent helper threads). Each `unsafe` there has its `// SAFETY:`
+// argument beside it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
