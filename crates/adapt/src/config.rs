@@ -12,9 +12,8 @@ use crate::drift::DriftConfig;
 /// (update geometry, replay, drift thresholds, calibration).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct AdaptConfig {
-    /// Serving configuration (windowing, sanity thresholds, control
-    /// cadence) — identical semantics to a plain `deeprest-serve`
-    /// pipeline.
+    /// Serving configuration (windowing, sanity thresholds, step retries,
+    /// control cadence) of the shared `deeprest-serve` stages.
     pub serve: ServeConfig,
     /// Incremental-update geometry and optimizer settings.
     pub update: UpdateConfig,

@@ -1,6 +1,7 @@
 //! The typed failure surface of the adaptive pipeline.
 
 use deeprest_core::adapt::UpdateError;
+use deeprest_serve::ServeError;
 
 /// Failure of an [`AdaptivePipeline`](crate::AdaptivePipeline) operation.
 ///
@@ -11,6 +12,10 @@ use deeprest_core::adapt::UpdateError;
 /// for the outcome.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AdaptError {
+    /// A shared serving stage failed, with exactly the plain pipeline's
+    /// semantics: an unconsumed arrival ([`ServeError::Ingest`]) or a
+    /// parked window ([`ServeError::Step`]/[`ServeError::PoisonedState`]).
+    Serve(ServeError),
     /// The streaming predictor could not be (re)built or reattached: the
     /// carried state disagrees with the model's geometry.
     Predictor(String),
@@ -28,6 +33,7 @@ pub enum AdaptError {
 impl std::fmt::Display for AdaptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::Serve(err) => write!(f, "{err}"),
             Self::Predictor(m) => write!(f, "predictor state mismatch: {m}"),
             Self::Sanity(m) => write!(f, "sanity state mismatch: {m}"),
             Self::Adapter(m) => write!(f, "adapter state mismatch: {m}"),
@@ -43,6 +49,12 @@ impl std::fmt::Display for AdaptError {
 }
 
 impl std::error::Error for AdaptError {}
+
+impl From<ServeError> for AdaptError {
+    fn from(err: ServeError) -> Self {
+        Self::Serve(err)
+    }
+}
 
 /// Convenience: the update outcome recorded after each cadence firing.
 pub type UpdateOutcome = Result<deeprest_core::adapt::UpdateStats, UpdateError>;

@@ -1,5 +1,6 @@
-//! DeepRest online continual learning: the adaptive counterpart of the
-//! `deeprest-serve` streaming pipeline.
+//! DeepRest online continual learning: the `deeprest-serve` streaming
+//! stages over an owned, mutable model, plus an adapt step after each
+//! window.
 //!
 //! The paper's estimator is trained once and then served frozen; under
 //! workload drift its intervals go stale — coverage degrades, the sanity
@@ -7,11 +8,13 @@
 //! offline retrain. This crate closes the loop **online**, deterministically,
 //! as four cooperating stages around an owned, mutable model:
 //!
-//! * **observe** — [`AdaptivePipeline`] serves exactly like
-//!   [`deeprest_serve::Pipeline`] (same windowing, same O(1) incremental
-//!   step via `detach`/`attach` of the packed predictor state, same causal
-//!   sanity alerts) while sealing every `segment_len` served-and-observed
-//!   windows into a `(features, targets)` training segment;
+//! * **observe** — [`AdaptivePipeline`] drives the very
+//!   [`deeprest_serve::WindowStages`] a [`deeprest_serve::Pipeline`] drives
+//!   (windowing, the healed O(1) incremental step — via `detach`/`attach`
+//!   of the packed predictor state — quarantine, causal sanity alerts,
+//!   sink delivery), and seals every `segment_len` served-and-observed
+//!   windows into a `(features, targets)` training segment from the
+//!   observations the scoring stage looked up;
 //! * **detect** — a per-expert CUSUM on raw δ-interval coverage misses
 //!   ([`DriftDetector`]) flags drifting experts windows before the sanity
 //!   check would alert;
@@ -33,8 +36,9 @@
 //! `adapter` envelope, and a mid-adaptation restore continues
 //! bit-identically to the uninterrupted run.
 //!
-//! With [`AdaptConfig::enabled`] off every adaptive stage is skipped and
-//! the pipeline reproduces the frozen model's serving outputs bit for bit.
+//! With [`AdaptConfig::enabled`] off a window runs the shared stages and
+//! nothing else: the pipeline is a plain serving pipeline over an owned
+//! model, bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,12 @@
 //! The adaptive serving pipeline: observe → detect → adapt → recalibrate.
 //!
-//! [`AdaptivePipeline`] is the continual-learning counterpart of
-//! [`deeprest_serve::Pipeline`]: the same watermark windowing, incremental
-//! inference and causal sanity alerting, but the model is **owned and
-//! mutable** — between windows the pipeline seals `(features, targets)`
-//! segments from what it just served and scored, and on a fixed cadence
+//! [`AdaptivePipeline`] runs the very stages [`deeprest_serve::Pipeline`]
+//! runs — one [`WindowStages`] does the windowing, healed inference step,
+//! quarantine, sanity scoring and alert delivery for both — around a model
+//! that is **owned and mutable**. This module adds only what is adaptive:
+//! it widens the raw intervals by the conformal scale before scoring, feeds
+//! drift and calibration statistics and stages `(features, targets)`
+//! segments from what the scoring stage observed, and on a fixed cadence
 //! folds them (mixed with deterministic replay samples) back into the
 //! model through [`OnlineUpdater`].
 //!
@@ -29,30 +31,29 @@
 //!
 //! # Fail-safety
 //!
-//! Update failures never reach serving: an injected `adapt.update` fault
-//! rejects the step before any mutation, and a poisoned parameter after
-//! the step (`adapt.update.poison`, or a genuine numeric blow-up) rolls
-//! the store back bit-for-bit. Either way the packed serving state is
-//! still valid and the pipeline keeps serving from the pre-update
-//! parameters; the outcome is recorded in
-//! [`last_update`](AdaptivePipeline::last_update), not thrown.
+//! Serving failures are the shared stages': a contained step panic rolls
+//! back and retries, a persistently failing window is parked behind
+//! [`AdaptError::Serve`] with nothing adaptive touched. Update failures
+//! never reach serving: an injected `adapt.update` fault rejects the step
+//! before any mutation, and a poisoned parameter after the step
+//! (`adapt.update.poison`, or a genuine numeric blow-up) rolls the store
+//! back bit-for-bit. Either way the packed serving state is still valid and
+//! the pipeline keeps serving from the pre-update parameters; the outcome
+//! is recorded in [`last_update`](AdaptivePipeline::last_update), not thrown.
 //!
 //! # Frozen mode
 //!
-//! With [`AdaptConfig::enabled`] off the pipeline performs no updates, no
-//! calibration and no drift tracking: its outputs are bit-identical to a
-//! plain [`deeprest_serve::Pipeline`] over the same stream.
+//! With [`AdaptConfig::enabled`] off a window runs the shared stages and
+//! returns: the pipeline *is* a plain [`deeprest_serve::Pipeline`] over an
+//! owned model.
 
 use deeprest_core::adapt::{OnlineUpdater, TrainSegment};
 use deeprest_core::stream::{DetachedPredictor, PointEstimate, StreamPredictor, StreamSnapshot};
 use deeprest_core::{DeepRest, ExpertKey};
 use deeprest_metrics::MetricsRegistry;
-use deeprest_serve::sanity::OnlineSanity;
-use deeprest_serve::{
-    contributing_apis, Alert, Checkpoint, ControlTick, ObservationSource, WindowOutput,
-};
+use deeprest_serve::{AlertSink, Checkpoint, ControlTick, WindowOutput, WindowStages};
 use deeprest_telemetry as telemetry;
-use deeprest_trace::stream::{SealedWindow, WindowAssembler};
+use deeprest_trace::stream::SealedWindow;
 use deeprest_trace::window::TimestampedTrace;
 use deeprest_trace::Interner;
 use serde::{Deserialize, Serialize};
@@ -117,28 +118,25 @@ struct AdapterEnvelope {
     state: AdapterState,
 }
 
-/// Owning, self-adapting counterpart of [`deeprest_serve::Pipeline`] —
-/// see the module docs.
-pub struct AdaptivePipeline {
+/// The carried predictor state between windows.
+enum Carried {
+    /// Packed weights and hidden state, valid for the current parameters.
+    Packed(DetachedPredictor),
+    /// Hidden state only: a model update made the packed weights stale, so
+    /// the next window repacks from this against the adapted parameters.
+    Stale(StreamSnapshot),
+}
+
+/// The owned model and everything that adapts it — all of the pipeline
+/// that is not the shared serving stages.
+struct Adapter {
     model: DeepRest,
-    source: Interner,
-    observations: MetricsRegistry,
     config: AdaptConfig,
-    keys: Vec<ExpertKey>,
-    is_delta: Vec<bool>,
-    contributing: Vec<Vec<String>>,
-    assembler: WindowAssembler,
-    /// Packed serving state between windows. Invariant: exactly one of
-    /// `detached` / `resume` is `Some` (`resume` right after a model
-    /// update invalidated the packed weights, `detached` otherwise).
-    detached: Option<DetachedPredictor>,
-    resume: Option<StreamSnapshot>,
-    sanity: OnlineSanity,
+    carried: Carried,
     updater: OnlineUpdater,
     replay: ReplayBuffer,
     drift: DriftDetector,
     calib: Calibrator,
-    quarantined: Vec<bool>,
     /// Current-segment staging arenas (fixed size, reused).
     cur_xs: Vec<f32>,
     cur_targets: Vec<f32>,
@@ -153,14 +151,16 @@ pub struct AdaptivePipeline {
     updates_suspended: bool,
     updates_skipped_suspended: u64,
     last_update: Option<UpdateOutcome>,
-    last_control: usize,
-    position: usize,
-    /// Sealed windows awaiting processing (drained in order).
-    pending: Vec<SealedWindow>,
-    ready: Vec<WindowOutput>,
     /// Replay-sampling arenas (capacity `replay_capacity`, reused).
     sample_scratch: Vec<usize>,
     sample_out: Vec<usize>,
+}
+
+/// Owning, self-adapting counterpart of [`deeprest_serve::Pipeline`] —
+/// see the module docs.
+pub struct AdaptivePipeline {
+    stages: WindowStages,
+    adapter: Adapter,
 }
 
 impl AdaptivePipeline {
@@ -173,53 +173,20 @@ impl AdaptivePipeline {
         observations: MetricsRegistry,
         config: AdaptConfig,
     ) -> Self {
-        let keys = model.expert_keys();
-        let experts = keys.len();
-        let nominal = f64::from(model.config().delta);
-        let seg_len = config.update.segment_len;
-        let dim = model.feature_space().dim();
-        let detached = Some(model.stream_predictor().detach());
-        let updater = OnlineUpdater::new(&model, config.update);
+        let mut stages = WindowStages::new(&model, source, config.serve);
+        stages.set_observations(observations);
         Self {
-            sanity: OnlineSanity::new(config.serve.sanity, experts),
-            is_delta: keys
-                .iter()
-                .map(|k| model.expert_is_delta(k).unwrap_or(false))
-                .collect(),
-            contributing: contributing_apis(&model, &keys, config.serve.api_threshold),
-            assembler: WindowAssembler::new(config.serve.window_secs, config.serve.lateness_secs),
-            detached,
-            resume: None,
-            updater,
-            replay: ReplayBuffer::new(config.replay_capacity.max(1)),
-            drift: DriftDetector::new(nominal, config.drift, experts),
-            calib: Calibrator::new(nominal, config.calibration, experts),
-            quarantined: vec![false; experts],
-            cur_xs: vec![0.0; seg_len * dim],
-            cur_targets: vec![0.0; experts * seg_len],
-            cur_len: 0,
-            cur_start: 0,
-            cur_observed: true,
-            prev_actual: vec![None; experts],
-            segments_sealed: 0,
-            segments_since_update: 0,
-            updates_run: 0,
-            updates_failed: 0,
-            updates_suspended: false,
-            updates_skipped_suspended: 0,
-            last_update: None,
-            last_control: 0,
-            position: 0,
-            pending: Vec::new(),
-            ready: Vec::new(),
-            sample_scratch: Vec::with_capacity(config.replay_capacity.max(1)),
-            sample_out: Vec::with_capacity(config.replay_capacity.max(1)),
-            keys,
-            source: source.clone(),
-            observations,
-            config,
-            model,
+            stages,
+            adapter: Adapter::new(model, config),
         }
+    }
+
+    /// Attaches an alert sink; every fired alert is delivered to every
+    /// sink (and also returned in [`WindowOutput::alerts`]).
+    #[must_use]
+    pub fn with_sink(mut self, sink: impl AlertSink + 'static) -> Self {
+        self.stages.add_sink(sink);
+        self
     }
 
     /// The live (possibly adapted) model — read-only; feed its
@@ -227,48 +194,59 @@ impl AdaptivePipeline {
     /// [`poll_control`](Self::poll_control) snapshots for what-if queries
     /// that reflect everything learned so far.
     pub fn model(&self) -> &DeepRest {
-        &self.model
+        &self.adapter.model
     }
 
     /// Expert keys, in the order estimates and scores are reported.
     pub fn keys(&self) -> &[ExpertKey] {
-        &self.keys
+        self.stages.keys()
     }
 
     /// Number of windows sealed and served so far.
     pub fn position(&self) -> usize {
-        self.position
+        self.adapter.position()
+    }
+
+    /// How many traces arrived beyond the lateness bound (counted, never
+    /// silently lost).
+    pub fn late_dropped(&self) -> u64 {
+        self.stages.late_dropped()
+    }
+
+    /// Number of sealed windows parked behind a step failure.
+    pub fn pending_windows(&self) -> usize {
+        self.stages.pending_windows()
     }
 
     /// The configuration the pipeline runs with.
     pub fn config(&self) -> &AdaptConfig {
-        &self.config
+        &self.adapter.config
     }
 
     /// Per-expert drift watch flags (in [`keys`](Self::keys) order).
     pub fn drift_watching(&self) -> &[bool] {
-        &self.drift.state().watching
+        &self.adapter.drift.state().watching
     }
 
     /// Empirical raw-interval coverage over everything observed, if any.
     pub fn raw_coverage(&self) -> Option<f64> {
-        self.calib.raw_coverage()
+        self.adapter.calib.raw_coverage()
     }
 
     /// Outcome of the most recent update attempt (`None` before the first
     /// cadence firing). Failures here never interrupt serving.
     pub fn last_update(&self) -> Option<&UpdateOutcome> {
-        self.last_update.as_ref()
+        self.adapter.last_update.as_ref()
     }
 
     /// Successful updates applied so far.
     pub fn updates_run(&self) -> u64 {
-        self.updates_run
+        self.adapter.updates_run
     }
 
     /// Update attempts rejected by a fault or rolled back.
     pub fn updates_failed(&self) -> u64 {
-        self.updates_failed
+        self.adapter.updates_failed
     }
 
     /// Suspends model updates (the overload ladder's rung 2). Serving
@@ -278,8 +256,8 @@ impl AdaptivePipeline {
     /// accumulating; due firings are skipped and counted
     /// (`adapt.update.suspended`). Idempotent.
     pub fn suspend_updates(&mut self) {
-        if !self.updates_suspended {
-            self.updates_suspended = true;
+        if !self.adapter.updates_suspended {
+            self.adapter.updates_suspended = true;
             if telemetry::enabled() {
                 telemetry::counter("adapt.updates.suspend", 1);
             }
@@ -290,8 +268,8 @@ impl AdaptivePipeline {
     /// A deferred due update runs at the next segment seal, not here, so
     /// resuming is cheap and never blocks the caller. Idempotent.
     pub fn resume_updates(&mut self) {
-        if self.updates_suspended {
-            self.updates_suspended = false;
+        if self.adapter.updates_suspended {
+            self.adapter.updates_suspended = false;
             if telemetry::enabled() {
                 telemetry::counter("adapt.updates.resume", 1);
             }
@@ -300,18 +278,18 @@ impl AdaptivePipeline {
 
     /// Whether model updates are currently suspended.
     pub fn updates_suspended(&self) -> bool {
-        self.updates_suspended
+        self.adapter.updates_suspended
     }
 
     /// Cadence firings skipped while suspended (typed counter, mirrored
     /// on `adapt.update.suspended`).
     pub fn updates_skipped_suspended(&self) -> u64 {
-        self.updates_skipped_suspended
+        self.adapter.updates_skipped_suspended
     }
 
     /// Replay segments currently buffered.
     pub fn replay_len(&self) -> usize {
-        self.replay.len()
+        self.adapter.replay.len()
     }
 
     /// Feeds one arrival; returns the outputs of every window the
@@ -320,14 +298,13 @@ impl AdaptivePipeline {
     ///
     /// # Errors
     ///
-    /// Only state-mismatch errors ([`AdaptError::Predictor`]) surface
-    /// here; update failures are contained (see
+    /// [`AdaptError::Serve`] with exactly the plain pipeline's semantics:
+    /// an ingest fault leaves the arrival unconsumed, a step failure parks
+    /// the window for the next call. Update failures are contained (see
     /// [`last_update`](Self::last_update)).
     pub fn ingest(&mut self, t: TimestampedTrace) -> Result<Vec<WindowOutput>, AdaptError> {
-        let sealed = self.assembler.push(t);
-        self.pending.extend(sealed);
-        self.drain_pending()?;
-        Ok(std::mem::take(&mut self.ready))
+        self.stages.push(t)?;
+        self.drain()
     }
 
     /// Seals and processes everything still buffered (end of stream).
@@ -336,287 +313,21 @@ impl AdaptivePipeline {
     ///
     /// Same as [`ingest`](Self::ingest).
     pub fn flush(&mut self) -> Result<Vec<WindowOutput>, AdaptError> {
-        let sealed = self.assembler.flush();
-        self.pending.extend(sealed);
-        self.drain_pending()?;
-        Ok(std::mem::take(&mut self.ready))
+        self.stages.seal_all();
+        self.drain()
+    }
+
+    fn drain(&mut self) -> Result<Vec<WindowOutput>, AdaptError> {
+        self.stages
+            .drain(|stages, w| self.adapter.window(stages, w))
     }
 
     /// Polls the control-loop hook — same cadence semantics as
     /// [`deeprest_serve::Pipeline::poll_control`], but the snapshot forks
     /// the *adapted* model's live state.
     pub fn poll_control(&mut self) -> Option<ControlTick> {
-        let interval = self.config.serve.control_interval;
-        if interval == 0 || self.position < self.last_control + interval {
-            return None;
-        }
-        let predictor = self.snapshot_predictor().ok()?;
-        self.last_control = self.position;
-        if telemetry::enabled() {
-            telemetry::counter("adapt.control.tick", 1);
-        }
-        Some(ControlTick {
-            window: self.position,
-            predictor,
-        })
-    }
-
-    fn drain_pending(&mut self) -> Result<(), AdaptError> {
-        while !self.pending.is_empty() {
-            let w = self.pending.remove(0);
-            match self.process_window(&w) {
-                Ok(out) => self.ready.push(out),
-                Err(err) => {
-                    self.pending.insert(0, w);
-                    return Err(err);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A snapshot of the carried hidden state, whichever form it is
-    /// currently held in.
-    fn snapshot_predictor(&mut self) -> Result<StreamSnapshot, AdaptError> {
-        if let Some(snap) = &self.resume {
-            return Ok(snap.clone());
-        }
-        match self.detached.take() {
-            Some(d) => {
-                let pred =
-                    StreamPredictor::attach(&self.model, d).map_err(AdaptError::Predictor)?;
-                let snap = pred.snapshot();
-                self.detached = Some(pred.detach());
-                Ok(snap)
-            }
-            None => Err(AdaptError::Predictor(
-                "pipeline holds neither packed state nor a resume snapshot".to_owned(),
-            )),
-        }
-    }
-
-    fn process_window(&mut self, w: &SealedWindow) -> Result<WindowOutput, AdaptError> {
-        let _span = telemetry::span("adapt.window");
-        let x = self.model.window_features(&w.traces, &self.source);
-
-        // Serve: one O(1) attach of the packed state (or one repack right
-        // after a model update), one incremental step, detach.
-        let mut pred = match self.detached.take() {
-            Some(d) => StreamPredictor::attach(&self.model, d).map_err(AdaptError::Predictor)?,
-            None => {
-                let snap = self.resume.take().ok_or_else(|| {
-                    AdaptError::Predictor(
-                        "pipeline holds neither packed state nor a resume snapshot".to_owned(),
-                    )
-                })?;
-                StreamPredictor::restore(&self.model, &snap).map_err(AdaptError::Predictor)?
-            }
-        };
-        let raw = pred.step(&x);
-        self.position = pred.position();
-        self.detached = Some(pred.detach());
-
-        // Recalibrate: widen each expert's interval by its conformal
-        // scale (computed from *past* windows only — causal). Scale 1.0
-        // is a bitwise no-op, so a cold or frozen pipeline reproduces the
-        // raw estimates exactly.
-        let estimates: Vec<PointEstimate> = if self.config.enabled {
-            (0..raw.len())
-                .map(|e| {
-                    let s = self.calib.scale(e, self.drift.watching(e));
-                    Calibrator::apply(&raw[e], s)
-                })
-                .collect()
-        } else {
-            raw.clone()
-        };
-
-        // Quarantine guard — identical semantics to the serve pipeline.
-        for (e, est) in estimates.iter().enumerate() {
-            let finite = est.expected.is_finite() && est.lower.is_finite() && est.upper.is_finite();
-            if !finite && !self.quarantined[e] {
-                self.quarantined[e] = true;
-                telemetry::counter("adapt.quarantined", 1);
-            } else if finite && self.quarantined[e] {
-                self.quarantined[e] = false;
-            }
-        }
-
-        // Observe: score the calibrated intervals, feed the drift CUSUM
-        // and calibration rings from the raw ones, and stage training
-        // targets for the current segment.
-        let seg_len = self.config.update.segment_len;
-        let dim = self.model.feature_space().dim();
-        if self.config.enabled && self.cur_len < seg_len {
-            self.cur_xs[self.cur_len * dim..(self.cur_len + 1) * dim].copy_from_slice(&x);
-        }
-        let mut scores = Vec::with_capacity(self.keys.len());
-        let mut alerts = Vec::new();
-        for (e, key) in self.keys.iter().enumerate() {
-            if self.quarantined[e] {
-                scores.push(f64::NAN);
-                if self.config.enabled {
-                    self.cur_observed = false;
-                }
-                continue;
-            }
-            let Some(actual) = self.observations.observe(key, w.index) else {
-                scores.push(f64::NAN);
-                if self.config.enabled {
-                    self.cur_observed = false;
-                }
-                continue;
-            };
-            let outcome = self
-                .sanity
-                .observe(e, actual, &estimates[e], self.is_delta[e]);
-            scores.push(outcome.score);
-            if outcome.alerting {
-                if telemetry::enabled() {
-                    telemetry::counter("adapt.alerts", 1);
-                }
-                alerts.push(Alert {
-                    component: key.component.clone(),
-                    resource: key.resource,
-                    window: w.index,
-                    score: outcome.score,
-                    deviation_pct: outcome.deviation_pct,
-                    contributing_apis: self.contributing[e].clone(),
-                });
-            }
-            if self.config.enabled {
-                // Cumulative resources are estimated as increments: put the
-                // observation into the experts' output space before scoring
-                // interval coverage (mirrors the sanity scorer's encoding).
-                let prev = self.prev_actual[e].unwrap_or(actual);
-                let in_space = if self.is_delta[e] {
-                    (actual - prev).max(0.0)
-                } else {
-                    actual
-                };
-                let covered = self.calib.observe_raw(e, in_space, &raw[e]);
-                let was = self.drift.watching(e);
-                let watching = self.drift.observe(e, covered);
-                if watching && !was && telemetry::enabled() {
-                    telemetry::counter("adapt.drift.watch", 1);
-                }
-                let t = self.cur_len.min(seg_len - 1);
-                self.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
-                self.prev_actual[e] = Some(actual);
-            }
-        }
-
-        // Adapt: seal the segment when full; on the cadence, fold replay
-        // plus the fresh segment back into the model.
-        if self.config.enabled {
-            self.cur_len += 1;
-            if self.cur_len == seg_len {
-                self.seal_segment(w.index + 1)?;
-            }
-        }
-
-        Ok(WindowOutput {
-            window: w.index,
-            trace_count: w.traces.len(),
-            estimates,
-            scores,
-            alerts,
-        })
-    }
-
-    /// Seals the staged segment (window `next_start` begins the next one)
-    /// and runs the update when the cadence is due.
-    fn seal_segment(&mut self, next_start: usize) -> Result<(), AdaptError> {
-        self.segments_sealed += 1;
-        let complete = self.cur_observed;
-        if complete {
-            self.segments_since_update += 1;
-            let due = self.segments_since_update
-                >= self
-                    .config
-                    .effective_update_every(self.drift.any_watching());
-            if due && self.updates_suspended {
-                // Overload rung 2: the cadence firing is skipped (counted,
-                // never silent) and the due-pressure is kept, so the first
-                // seal after resume runs the deferred update.
-                self.updates_skipped_suspended += 1;
-                if telemetry::enabled() {
-                    telemetry::counter("adapt.update.suspended", 1);
-                }
-            } else if due {
-                self.run_update()?;
-                self.segments_since_update = 0;
-            }
-            // The fresh segment enters the replay buffer *after* the
-            // update sampled from it, so one update never stages the same
-            // windows twice.
-            self.replay
-                .push_copy(self.cur_start, &self.cur_xs, &self.cur_targets);
-        } else if telemetry::enabled() {
-            telemetry::counter("adapt.segment.dropped", 1);
-        }
-        self.cur_len = 0;
-        self.cur_start = next_start;
-        self.cur_observed = true;
-        Ok(())
-    }
-
-    /// One cadence firing: deterministic replay sample + the fresh
-    /// segment → one analytic update step, with calibration-aware
-    /// gradient modulation. Failures leave the model bit-identical to the
-    /// pre-update state and are recorded, never thrown.
-    fn run_update(&mut self) -> Result<(), AdaptError> {
-        // Snapshot the carried hidden state first: if the update lands,
-        // the packed weights are stale and serving resumes (with one
-        // repack) from this snapshot against the adapted model.
-        let snap = self.snapshot_predictor()?;
-
-        let draw = self.updates_run + self.updates_failed;
-        self.replay.sample_into(
-            self.config.sample_seed,
-            draw,
-            self.config.update.replay_slots,
-            &mut self.sample_scratch,
-            &mut self.sample_out,
-        );
-        let seg_len = self.config.update.segment_len;
-        let mut segments: Vec<TrainSegment<'_>> = Vec::with_capacity(self.sample_out.len() + 1);
-        for &i in &self.sample_out {
-            let s = &self.replay.segments()[i];
-            segments.push(TrainSegment {
-                xs: &s.xs,
-                targets: &s.targets,
-            });
-        }
-        segments.push(TrainSegment {
-            xs: &self.cur_xs[..seg_len * self.model.feature_space().dim()],
-            targets: &self.cur_targets,
-        });
-
-        self.updater
-            .set_modulation(self.calib.gradient_modulation());
-        let outcome = self.updater.update(&mut self.model, &segments);
-        drop(segments);
-        match &outcome {
-            Ok(_) => {
-                self.updates_run += 1;
-                // Invalidate the packed weights; the next window rebuilds
-                // from the snapshot against the adapted parameters.
-                self.detached = None;
-                self.resume = Some(snap);
-            }
-            Err(err) => {
-                // Rejected before mutation or rolled back bit-for-bit:
-                // the packed state is still exactly the serving model.
-                self.updates_failed += 1;
-                if telemetry::enabled() {
-                    telemetry::counter("adapt.update.failed", 1);
-                }
-                let _ = err;
-            }
-        }
-        self.last_update = Some(outcome);
-        Ok(())
+        self.stages
+            .poll_control(self.adapter.position(), || self.adapter.snapshot())
     }
 
     /// Captures the full adaptive state as a standard serve
@@ -627,44 +338,35 @@ impl AdaptivePipeline {
     ///
     /// # Errors
     ///
-    /// [`AdaptError::Codec`] when serialization fails,
-    /// [`AdaptError::Predictor`] when the carried state is unreadable.
-    pub fn checkpoint(&mut self) -> Result<Checkpoint, AdaptError> {
-        let predictor = self.snapshot_predictor()?;
+    /// [`AdaptError::Codec`] when serialization fails.
+    pub fn checkpoint(&self) -> Result<Checkpoint, AdaptError> {
+        let a = &self.adapter;
         let envelope = AdapterEnvelope {
-            model: self
+            model: a
                 .model
                 .to_json()
                 .map_err(|e| AdaptError::Codec(e.to_string()))?,
             state: AdapterState {
-                replay: self.replay.segments().to_vec(),
-                drift: self.drift.state().clone(),
-                calibration: self.calib.state().clone(),
-                cur_xs: self.cur_xs.clone(),
-                cur_targets: self.cur_targets.clone(),
-                cur_len: self.cur_len,
-                cur_start: self.cur_start,
-                cur_observed: self.cur_observed,
-                prev_actual: self.prev_actual.clone(),
-                segments_sealed: self.segments_sealed,
-                segments_since_update: self.segments_since_update,
-                updates_run: self.updates_run,
-                updates_failed: self.updates_failed,
-                updates_suspended: self.updates_suspended,
-                updates_skipped_suspended: self.updates_skipped_suspended,
+                replay: a.replay.segments().to_vec(),
+                drift: a.drift.state().clone(),
+                calibration: a.calib.state().clone(),
+                cur_xs: a.cur_xs.clone(),
+                cur_targets: a.cur_targets.clone(),
+                cur_len: a.cur_len,
+                cur_start: a.cur_start,
+                cur_observed: a.cur_observed,
+                prev_actual: a.prev_actual.clone(),
+                segments_sealed: a.segments_sealed,
+                segments_since_update: a.segments_since_update,
+                updates_run: a.updates_run,
+                updates_failed: a.updates_failed,
+                updates_suspended: a.updates_suspended,
+                updates_skipped_suspended: a.updates_skipped_suspended,
             },
         };
-        Ok(Checkpoint {
-            assembler: self.assembler.clone(),
-            predictor,
-            sanity: self.sanity.state().clone(),
-            pending: self.pending.clone(),
-            ready: self.ready.clone(),
-            last_control: self.last_control,
-            adapter: Some(
-                serde_json::to_string(&envelope).map_err(|e| AdaptError::Codec(e.to_string()))?,
-            ),
-        })
+        let adapter =
+            serde_json::to_string(&envelope).map_err(|e| AdaptError::Codec(e.to_string()))?;
+        Ok(self.stages.checkpoint(a.snapshot(), Some(adapter)))
     }
 
     /// Rebuilds an adaptive pipeline from a [`checkpoint`](Self::checkpoint),
@@ -684,81 +386,252 @@ impl AdaptivePipeline {
         config: AdaptConfig,
         checkpoint: &Checkpoint,
     ) -> Result<Self, AdaptError> {
-        let adapter = checkpoint
+        let envelope = checkpoint
             .adapter
             .as_deref()
             .ok_or(AdaptError::MissingAdapterState)?;
         let envelope: AdapterEnvelope =
-            serde_json::from_str(adapter).map_err(|e| AdaptError::Codec(e.to_string()))?;
+            serde_json::from_str(envelope).map_err(|e| AdaptError::Codec(e.to_string()))?;
         let model =
             DeepRest::from_json(&envelope.model).map_err(|e| AdaptError::Codec(e.to_string()))?;
+        let mut stages = WindowStages::restore(&model, source, config.serve, checkpoint)
+            .map_err(AdaptError::Sanity)?;
+        stages.set_observations(observations);
+
+        let mut adapter = Adapter::new(model, config);
         let st = envelope.state;
-        let keys = model.expert_keys();
-        let experts = keys.len();
+        let got = (st.cur_xs.len(), st.cur_targets.len(), st.prev_actual.len());
+        let a = &adapter;
+        let want = (a.cur_xs.len(), a.cur_targets.len(), a.prev_actual.len());
+        if got != want {
+            return Err(AdaptError::Adapter(format!(
+                "segment arenas (xs, targets, prev) = {got:?} do not match geometry {want:?}"
+            )));
+        }
+        let experts = adapter.prev_actual.len();
+        let nominal = f64::from(adapter.model.config().delta);
+        adapter.carried = Carried::Packed(
+            StreamPredictor::restore(&adapter.model, &checkpoint.predictor)
+                .map_err(AdaptError::Predictor)?
+                .detach(),
+        );
+        adapter.drift = DriftDetector::restore(nominal, config.drift, st.drift, experts)
+            .map_err(AdaptError::Adapter)?;
+        adapter.calib = Calibrator::restore(nominal, config.calibration, st.calibration, experts)
+            .map_err(AdaptError::Adapter)?;
+        adapter.replay = ReplayBuffer::restore(config.replay_capacity.max(1), st.replay);
+        adapter.cur_xs = st.cur_xs;
+        adapter.cur_targets = st.cur_targets;
+        adapter.cur_len = st.cur_len;
+        adapter.cur_start = st.cur_start;
+        adapter.cur_observed = st.cur_observed;
+        adapter.prev_actual = st.prev_actual;
+        adapter.segments_sealed = st.segments_sealed;
+        adapter.segments_since_update = st.segments_since_update;
+        adapter.updates_run = st.updates_run;
+        adapter.updates_failed = st.updates_failed;
+        adapter.updates_suspended = st.updates_suspended;
+        adapter.updates_skipped_suspended = st.updates_skipped_suspended;
+        Ok(Self { stages, adapter })
+    }
+}
+
+impl Adapter {
+    fn new(model: DeepRest, config: AdaptConfig) -> Self {
+        let experts = model.expert_count();
         let nominal = f64::from(model.config().delta);
         let seg_len = config.update.segment_len;
         let dim = model.feature_space().dim();
-        if st.cur_xs.len() != seg_len * dim
-            || st.cur_targets.len() != experts * seg_len
-            || st.prev_actual.len() != experts
-        {
-            return Err(AdaptError::Adapter(format!(
-                "segment arenas ({} xs, {} targets, {} prev) do not match geometry \
-                 ({seg_len} windows × {dim} features, {experts} experts)",
-                st.cur_xs.len(),
-                st.cur_targets.len(),
-                st.prev_actual.len()
-            )));
-        }
-        let pred = StreamPredictor::restore(&model, &checkpoint.predictor)
-            .map_err(AdaptError::Predictor)?;
-        let detached = Some(pred.detach());
-        let sanity = OnlineSanity::restore(config.serve.sanity, checkpoint.sanity.clone(), experts)
-            .map_err(AdaptError::Sanity)?;
-        let drift = DriftDetector::restore(nominal, config.drift, st.drift, experts)
-            .map_err(AdaptError::Adapter)?;
-        let calib = Calibrator::restore(nominal, config.calibration, st.calibration, experts)
-            .map_err(AdaptError::Adapter)?;
-        let updater = OnlineUpdater::new(&model, config.update);
-        Ok(Self {
-            sanity,
-            is_delta: keys
-                .iter()
-                .map(|k| model.expert_is_delta(k).unwrap_or(false))
-                .collect(),
-            contributing: contributing_apis(&model, &keys, config.serve.api_threshold),
-            assembler: checkpoint.assembler.clone(),
-            detached,
-            resume: None,
-            updater,
-            replay: ReplayBuffer::restore(config.replay_capacity.max(1), st.replay),
-            drift,
-            calib,
-            quarantined: vec![false; experts],
-            cur_xs: st.cur_xs,
-            cur_targets: st.cur_targets,
-            cur_len: st.cur_len,
-            cur_start: st.cur_start,
-            cur_observed: st.cur_observed,
-            prev_actual: st.prev_actual,
-            segments_sealed: st.segments_sealed,
-            segments_since_update: st.segments_since_update,
-            updates_run: st.updates_run,
-            updates_failed: st.updates_failed,
-            updates_suspended: st.updates_suspended,
-            updates_skipped_suspended: st.updates_skipped_suspended,
+        let capacity = config.replay_capacity.max(1);
+        Self {
+            carried: Carried::Packed(model.stream_predictor().detach()),
+            updater: OnlineUpdater::new(&model, config.update),
+            replay: ReplayBuffer::new(capacity),
+            drift: DriftDetector::new(nominal, config.drift, experts),
+            calib: Calibrator::new(nominal, config.calibration, experts),
+            cur_xs: vec![0.0; seg_len * dim],
+            cur_targets: vec![0.0; experts * seg_len],
+            cur_len: 0,
+            cur_start: 0,
+            cur_observed: true,
+            prev_actual: vec![None; experts],
+            segments_sealed: 0,
+            segments_since_update: 0,
+            updates_run: 0,
+            updates_failed: 0,
+            updates_suspended: false,
+            updates_skipped_suspended: 0,
             last_update: None,
-            last_control: checkpoint.last_control,
-            position: checkpoint.predictor.position,
-            pending: checkpoint.pending.clone(),
-            ready: checkpoint.ready.clone(),
-            sample_scratch: Vec::with_capacity(config.replay_capacity.max(1)),
-            sample_out: Vec::with_capacity(config.replay_capacity.max(1)),
-            keys,
-            source: source.clone(),
-            observations,
+            sample_scratch: Vec::with_capacity(capacity),
+            sample_out: Vec::with_capacity(capacity),
             config,
             model,
-        })
+        }
+    }
+
+    fn position(&self) -> usize {
+        match &self.carried {
+            Carried::Packed(d) => d.position(),
+            Carried::Stale(snap) => snap.position,
+        }
+    }
+
+    /// The carried hidden state, whichever form it is currently held in.
+    fn snapshot(&self) -> StreamSnapshot {
+        match &self.carried {
+            Carried::Packed(d) => d.snapshot(),
+            Carried::Stale(snap) => snap.clone(),
+        }
+    }
+
+    /// One sealed window: the shared serving stages, then — only when
+    /// adaptation is enabled — recalibration before scoring and the
+    /// observe/seal/update step after it.
+    fn window(
+        &mut self,
+        stages: &mut WindowStages,
+        w: &SealedWindow,
+    ) -> Result<WindowOutput, AdaptError> {
+        // Serve: one O(1) attach of the packed state (or one repack right
+        // after a model update), the shared healed step, detach — which
+        // overwrites the placeholder left behind here.
+        let placeholder = Carried::Stale(StreamSnapshot::default());
+        let mut pred = match std::mem::replace(&mut self.carried, placeholder) {
+            Carried::Packed(d) => StreamPredictor::attach(&self.model, d),
+            Carried::Stale(snap) => StreamPredictor::restore(&self.model, &snap),
+        }
+        .map_err(AdaptError::Predictor)?;
+        let stepped = stages.step(&self.model, &mut pred, w);
+        self.carried = Carried::Packed(pred.detach());
+        let (x, raw) = stepped?;
+        if !self.config.enabled {
+            return Ok(stages.score(w, raw));
+        }
+
+        // Recalibrate: widen each expert's interval by its conformal
+        // scale (computed from *past* windows only — causal). Scale 1.0
+        // is a bitwise no-op, so a cold pipeline reproduces the raw
+        // estimates exactly.
+        let estimates: Vec<PointEstimate> = (0..raw.len())
+            .map(|e| {
+                let s = self.calib.scale(e, self.drift.watching(e));
+                Calibrator::apply(&raw[e], s)
+            })
+            .collect();
+        let out = stages.score(w, estimates);
+
+        // Observe: feed the drift CUSUM and calibration rings from the
+        // raw intervals, and stage training targets for the current
+        // segment, from what the scoring stage looked up.
+        let seg_len = self.config.update.segment_len;
+        let dim = self.model.feature_space().dim();
+        if self.cur_len < seg_len {
+            self.cur_xs[self.cur_len * dim..(self.cur_len + 1) * dim].copy_from_slice(&x);
+        }
+        for (e, observed) in stages.observed().iter().enumerate() {
+            let Some(actual) = *observed else {
+                self.cur_observed = false;
+                continue;
+            };
+            // Cumulative resources are estimated as increments: put the
+            // observation into the experts' output space before scoring
+            // interval coverage (mirrors the sanity scorer's encoding).
+            let prev = self.prev_actual[e].unwrap_or(actual);
+            let in_space = if stages.is_delta()[e] {
+                (actual - prev).max(0.0)
+            } else {
+                actual
+            };
+            let covered = self.calib.observe_raw(e, in_space, &raw[e]);
+            let was = self.drift.watching(e);
+            let watching = self.drift.observe(e, covered);
+            if watching && !was && telemetry::enabled() {
+                telemetry::counter("adapt.drift.watch", 1);
+            }
+            let t = self.cur_len.min(seg_len - 1);
+            self.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
+            self.prev_actual[e] = Some(actual);
+        }
+
+        // Adapt: seal the segment when full; on the cadence, fold replay
+        // plus the fresh segment back into the model.
+        self.cur_len += 1;
+        if self.cur_len == seg_len {
+            self.seal_segment(w.index + 1);
+        }
+        Ok(out)
+    }
+
+    /// Seals the staged segment (window `next_start` begins the next one)
+    /// and runs the update when the cadence is due.
+    fn seal_segment(&mut self, next_start: usize) {
+        self.segments_sealed += 1;
+        if self.cur_observed {
+            self.segments_since_update += 1;
+            let due = self.segments_since_update
+                >= self
+                    .config
+                    .effective_update_every(self.drift.any_watching());
+            if due && self.updates_suspended {
+                // Overload rung 2: the cadence firing is skipped (counted,
+                // never silent) and the due-pressure is kept, so the first
+                // seal after resume runs the deferred update.
+                self.updates_skipped_suspended += 1;
+                if telemetry::enabled() {
+                    telemetry::counter("adapt.update.suspended", 1);
+                }
+            } else if due {
+                self.run_update();
+                self.segments_since_update = 0;
+            }
+            // The fresh segment enters the replay buffer *after* the
+            // update sampled from it, so one update never stages the same
+            // windows twice.
+            self.replay
+                .push_copy(self.cur_start, &self.cur_xs, &self.cur_targets);
+        } else if telemetry::enabled() {
+            telemetry::counter("adapt.segment.dropped", 1);
+        }
+        self.cur_len = 0;
+        self.cur_start = next_start;
+        self.cur_observed = true;
+    }
+
+    /// One cadence firing: deterministic replay sample + the fresh
+    /// segment → one analytic update step, with calibration-aware
+    /// gradient modulation. Failures leave the model bit-identical to the
+    /// pre-update state and are recorded, never thrown.
+    fn run_update(&mut self) {
+        let draw = self.updates_run + self.updates_failed;
+        self.replay.sample_into(
+            self.config.sample_seed,
+            draw,
+            self.config.update.replay_slots,
+            &mut self.sample_scratch,
+            &mut self.sample_out,
+        );
+        let segment = |xs, targets| TrainSegment { xs, targets };
+        let sampled = self.sample_out.iter().map(|&i| &self.replay.segments()[i]);
+        let segments: Vec<TrainSegment<'_>> = sampled
+            .map(|s| segment(&s.xs, &s.targets))
+            .chain([segment(&self.cur_xs, &self.cur_targets)])
+            .collect();
+
+        self.updater
+            .set_modulation(self.calib.gradient_modulation());
+        let outcome = self.updater.update(&mut self.model, &segments);
+        if outcome.is_ok() {
+            self.updates_run += 1;
+            // The hidden state outlives the update; the packed weights do not.
+            self.carried = Carried::Stale(self.snapshot());
+        } else {
+            // Rejected before mutation or rolled back bit-for-bit: the
+            // packed state is still exactly the serving model.
+            self.updates_failed += 1;
+            if telemetry::enabled() {
+                telemetry::counter("adapt.update.failed", 1);
+            }
+        }
+        self.last_update = Some(outcome);
     }
 }

@@ -166,3 +166,31 @@ fn restoring_a_plain_serve_checkpoint_is_a_typed_error() {
         )),
     }
 }
+
+#[test]
+fn late_arrival_is_counted_and_changes_nothing() {
+    let (model, interner, traces, metrics) = trained(48);
+    let stream = stream_of(&traces);
+    let config = adapt_config();
+    let (_, expected) = run_adaptive(clone_model(&model), &interner, &metrics, &stream, config);
+
+    // Halfway through, replay the very first arrival: it is far older than
+    // the 2 s lateness bound, so it must be dropped — counted, not served.
+    let cut = stream.len() / 2;
+    let mut pipeline =
+        AdaptivePipeline::new(clone_model(&model), &interner, metrics.clone(), config);
+    let mut outputs = Vec::new();
+    for t in &stream[..cut] {
+        outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
+    }
+    assert_eq!(pipeline.late_dropped(), 0);
+    let late = pipeline.ingest(stream[0].clone()).expect("late ingest");
+    assert!(late.is_empty(), "a late arrival seals nothing");
+    assert_eq!(pipeline.late_dropped(), 1);
+    for t in &stream[cut..] {
+        outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
+    }
+    outputs.extend(pipeline.flush().expect("flush"));
+    assert_eq!(pipeline.late_dropped(), 1);
+    assert_outputs_bitwise_equal(&outputs, &expected);
+}

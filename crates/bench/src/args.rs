@@ -1,4 +1,4 @@
-//! Minimal command-line argument parsing shared by all experiment binaries.
+//! Minimal command-line argument parsing shared by all experiments.
 
 /// Parsed experiment options.
 #[derive(Clone, Debug)]
@@ -27,7 +27,7 @@ pub struct Args {
     /// Telemetry sink spec (`off`, `memory`, `jsonl`, `jsonl:<path>`).
     /// `None` defers to the `DEEPREST_TELEMETRY` env var. The bare
     /// `on`/`1`/`jsonl` forms resolve to `<out>/telemetry.jsonl` when
-    /// installed by [`Args::parse`].
+    /// installed by [`Args::install_telemetry`].
     pub telemetry: Option<String>,
     /// Output directory for JSON result dumps.
     pub out: String,
@@ -52,17 +52,9 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`, exiting with usage on malformed input, and
-    /// installs the telemetry sink when `--telemetry` was given (the bare
-    /// `on`/`1`/`jsonl` forms write to `<out>/telemetry.jsonl`).
-    pub fn parse() -> Self {
-        let args = Self::parse_from(std::env::args().skip(1));
-        args.install_telemetry();
-        args
-    }
-
-    /// Resolves and installs the `--telemetry` spec, if any. Separate from
-    /// parsing so [`Args::parse_from`] stays side-effect free for tests.
+    /// Resolves and installs the `--telemetry` spec, if any (the bare
+    /// `on`/`1`/`jsonl` forms write to `<out>/telemetry.jsonl`). Separate
+    /// from parsing so [`Args::parse_from`] stays side-effect free for tests.
     pub fn install_telemetry(&self) {
         let Some(spec) = &self.telemetry else { return };
         // Route the bare "enable" spellings into the run's output directory

@@ -1,4 +1,16 @@
-//! `deeprest` — operator-facing sizing and diagnostics CLI.
+//! `deeprest` — the experiment runner and operator-facing sizing and
+//! diagnostics CLI.
+//!
+//! # `deeprest experiment`
+//!
+//! Reproduces one table/figure of the paper, or all of them in paper
+//! order; prints paper-style rows and dumps JSON into `--out` (flags: see
+//! the `deeprest_bench` crate docs):
+//!
+//! ```text
+//! deeprest experiment fig12 --seed 17 --out target/experiments
+//! deeprest experiment all                 # everything behind EXPERIMENTS.md
+//! ```
 //!
 //! # `deeprest capacity`
 //!
@@ -46,6 +58,8 @@
 
 use std::time::Instant;
 
+use deeprest_bench::experiments::EXPERIMENTS;
+use deeprest_bench::Args;
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_scale::{
@@ -512,20 +526,37 @@ fn run_scale(raw: Vec<String>) {
     }
 }
 
+fn run_experiment(mut args: impl Iterator<Item = String>) {
+    let id = args.next().unwrap_or_default();
+    let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == id) else {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "deeprest experiment: unknown id `{id}`; valid ids: {}",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    };
+    let args = Args::parse_from(args);
+    args.install_telemetry();
+    run(&args);
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
+        Some("experiment") => run_experiment(args),
         Some("capacity") => run_capacity(args.collect()),
         Some("scale") => run_scale(args.collect()),
         Some("--help" | "-h" | "help") | None => {
-            eprintln!("usage: deeprest capacity [--quick] [--experts N,N,..] [--threads N]");
+            eprintln!("usage: deeprest experiment <id|all> [--seed N] [--out DIR] ...");
+            eprintln!("       deeprest capacity [--quick] [--experts N,N,..] [--threads N]");
             eprintln!("                         [--window-secs S] [--assert-speedup R] [--json]");
             eprintln!("       deeprest scale    [--quick] [--scenario NAME|all] [--json]");
             eprintln!("                         [--assert-better-than-reactive]");
             std::process::exit(if std::env::args().len() > 1 { 0 } else { 2 });
         }
         Some(other) => {
-            eprintln!("deeprest: unknown subcommand `{other}` (try `deeprest capacity` or `deeprest scale`)");
+            eprintln!("deeprest: unknown subcommand `{other}` (try `deeprest experiment`, `deeprest capacity` or `deeprest scale`)");
             std::process::exit(2);
         }
     }

@@ -1,12 +1,13 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§5-§6).
 //!
-//! Each figure/table has a dedicated binary in `src/bin/` (see DESIGN.md's
-//! per-experiment index). All binaries share this harness: it builds the
+//! Each figure/table is an id of `deeprest experiment <id>` (the table in
+//! [`experiments`]; see DESIGN.md's per-experiment index). All experiments
+//! share this harness: it builds the
 //! simulated application, generates the 7-day application-learning workload
 //! (Fig. 9), trains DeepRest and the three baselines, runs queries through
 //! all four estimators uniformly, and prints paper-style rows plus ASCII
-//! sparkline "figures". Every binary accepts:
+//! sparkline "figures". Every id accepts:
 //!
 //! ```text
 //! --seed N             master seed                        (default 17)

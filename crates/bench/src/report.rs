@@ -1,4 +1,4 @@
-//! Terminal and JSON reporting for the experiment binaries.
+//! Terminal and JSON reporting for the experiments.
 
 use std::collections::BTreeMap;
 use std::io::Write;

@@ -90,7 +90,7 @@ pub struct PointEstimate {
 /// The layout is expert-ordered (not shard-ordered), so snapshots are
 /// portable across thread counts: a checkpoint taken at
 /// `DEEPREST_THREADS=1` restores bit-identically into a 4-thread serve.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamSnapshot {
     /// Number of windows already consumed (the index of the next window).
     pub position: usize,
@@ -528,17 +528,7 @@ impl<'m> StreamPredictor<'m> {
     /// bit-identical continuation. Snapshots are expert-ordered and thus
     /// portable across shard/thread counts.
     pub fn snapshot(&self) -> StreamSnapshot {
-        let h = self.model.config.hidden_dim;
-        let mut hidden = Vec::with_capacity(self.model.experts.len());
-        for s in &self.shards {
-            for le in 0..s.count {
-                hidden.push(s.hidden[le * h..(le + 1) * h].to_vec());
-            }
-        }
-        StreamSnapshot {
-            position: self.position,
-            hidden,
-        }
+        snapshot_shards(&self.shards, self.model.config.hidden_dim, self.position)
     }
 
     /// Rebuilds a predictor from a [`snapshot`](Self::snapshot).
@@ -641,8 +631,8 @@ impl<'m> StreamPredictor<'m> {
 }
 
 /// Packed serving state of a [`StreamPredictor`] with the model borrow
-/// released — see [`StreamPredictor::detach`]. Opaque: the only thing to
-/// do with one is [`StreamPredictor::attach`] it again.
+/// released — see [`StreamPredictor::detach`]. Opaque apart from its
+/// carried state: [`StreamPredictor::attach`] it again to step.
 pub struct DetachedPredictor {
     slab: ExpertSlab,
     shards: Vec<Shard>,
@@ -653,6 +643,31 @@ pub struct DetachedPredictor {
     experts: usize,
     hidden_dim: usize,
     input_dim: usize,
+}
+
+impl DetachedPredictor {
+    /// Number of windows consumed so far (the index of the next window).
+    pub fn position(&self) -> usize {
+        self.position
+    }
+
+    /// The carried state, exactly as [`StreamPredictor::snapshot`] of the
+    /// attached predictor would report it — readable without a model, so
+    /// an owner holding only the detached form can checkpoint infallibly.
+    pub fn snapshot(&self) -> StreamSnapshot {
+        snapshot_shards(&self.shards, self.hidden_dim, self.position)
+    }
+}
+
+/// Expert-ordered copy of the shards' carried hidden state.
+fn snapshot_shards(shards: &[Shard], hidden_dim: usize, position: usize) -> StreamSnapshot {
+    let mut hidden = Vec::with_capacity(shards.iter().map(|s| s.count).sum());
+    for s in shards {
+        for le in 0..s.count {
+            hidden.push(s.hidden[le * hidden_dim..(le + 1) * hidden_dim].to_vec());
+        }
+    }
+    StreamSnapshot { position, hidden }
 }
 
 /// The tape-based per-expert stepper the batched [`StreamPredictor`]

@@ -18,11 +18,14 @@
 //!   deficit-round-robin [`sched::FairScheduler`] and protected by the
 //!   [`overload`] degradation ladder (counted shedding → frozen
 //!   adaptation → per-tenant circuit breakers).
-//! * [`Pipeline`] — the serving loop: watermark-based window sealing
-//!   (via [`deeprest_trace::stream::WindowAssembler`]), per-window feature
+//! * [`WindowStages`] — the serving loop's stages, each written once:
+//!   watermark-based window sealing (via
+//!   [`deeprest_trace::stream::WindowAssembler`]), per-window feature
 //!   extraction, stateful O(1)-per-window inference (via
-//!   [`deeprest_core::stream::StreamPredictor`]), and the causal sanity
-//!   check.
+//!   [`deeprest_core::stream::StreamPredictor`]) with rollback-retry, the
+//!   causal sanity check with alert delivery, the control-tick cadence.
+//!   [`Pipeline`] drives them over a borrowed model; `deeprest-adapt`'s
+//!   `AdaptivePipeline` drives the same stages over an owned, mutable one.
 //! * [`sanity`] — the causal (online) re-derivation of the batch
 //!   δ-interval sanity score.
 //! * [`Alert`] / [`AlertSink`] — structured live alerts (component,
@@ -38,7 +41,7 @@
 //! * [`replay`] — loading recorded Jaeger documents/JSONL as arrival
 //!   streams.
 //!
-//! The pipeline is *self-healing*: contained step panics and transient
+//! The stages are *self-healing*: contained step panics and transient
 //! numeric poison roll back to the pre-step snapshot and retry
 //! bit-identically, persistently failing windows are parked and resumed in
 //! order once the fault clears, non-finite outputs quarantine single
@@ -80,7 +83,7 @@ pub use error::ServeError;
 pub use overload::{OverloadConfig, OverloadController, OverloadLevel};
 pub use pipeline::{
     batch_reference, contributing_apis, Checkpoint, ControlTick, ObservationSource, Pipeline,
-    WindowOutput,
+    WindowOutput, WindowStages,
 };
 pub use queue::{Accepted, IngestQueue, OverflowPolicy, PushRejected};
 pub use sched::{FairScheduler, SchedConfig};

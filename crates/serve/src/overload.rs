@@ -12,8 +12,9 @@
 //!    outputs bit-identical to an unloaded run.
 //! 2. **Freeze** ([`OverloadLevel::Frozen`]) — adaptive model updates are
 //!    suspended (the registry fires its overload hook; see
-//!    `AdaptivePipeline::suspend_updates`) and serving continues frozen,
-//!    which is already bit-exact.
+//!    `AdaptivePipeline::suspend_updates`) and serving continues on the
+//!    same [`WindowStages`](crate::WindowStages) with the model held
+//!    still, so it stays bit-exact.
 //! 3. **Circuit breaker** (per tenant, [`CircuitBreaker`]) — a tenant
 //!    that stays over its admission quotas for
 //!    [`BreakerConfig::trip_rounds`] consecutive rounds is quarantined:

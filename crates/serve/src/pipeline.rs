@@ -1,9 +1,14 @@
 //! The online estimation pipeline: watermark windowing → incremental
 //! inference → causal sanity alerts, with JSON checkpoint/restore.
 //!
+//! Every per-window stage is written once, on [`WindowStages`], and takes
+//! the model and predictor as arguments: [`Pipeline`] drives one with a
+//! borrowed model and a live [`StreamPredictor`], `deeprest-adapt`'s
+//! `AdaptivePipeline` with an owned, mutable model — frozen, nothing else.
+//!
 //! # Self-healing
 //!
-//! The pipeline treats its own failures the way it treats anomalies: detect,
+//! The stages treat their own failures the way they treat anomalies: detect,
 //! contain, keep serving. Each sealed window is processed against a pre-step
 //! snapshot of the predictor state (the in-process last-known-good):
 //!
@@ -14,7 +19,7 @@
 //!   that never faulted;
 //! * **non-finite hidden state** after a step (persistent numeric poison)
 //!   also rolls back; when retries are exhausted the sealed window is
-//!   *parked* — kept in the pipeline — and a typed
+//!   *parked* — kept in the queue — and a typed
 //!   [`ServeError::PoisonedState`] is returned. Once the fault clears, the
 //!   next ingest drains the parked windows in order, bit-identically;
 //! * **non-finite outputs with finite hidden state** quarantine just the
@@ -29,6 +34,7 @@
 //!
 //! Outputs are never lost to an error return: windows processed before a
 //! failure stay buffered and are handed back on the next successful call.
+//! Arrivals beyond the lateness bound are counted (`serve.late_dropped`).
 
 use std::panic::AssertUnwindSafe;
 
@@ -147,21 +153,13 @@ impl Checkpoint {
     }
 }
 
-/// The online serving pipeline around one trained model.
-///
-/// Feed timestamped traces with [`ingest`](Pipeline::ingest); each sealed
-/// window costs one incremental inference step (O(1) in stream history,
-/// allocation-free after warm-up) and yields a [`WindowOutput`]. For the
-/// same sealed windows the estimates are bit-identical to the batch
-/// [`DeepRest::estimate_from_traces`] path — [`batch_reference`] re-derives
-/// the full expected output sequence for cross-checking.
-pub struct Pipeline<'m> {
-    model: &'m DeepRest,
+/// The model-independent streaming state and the stages that advance it:
+/// what [`Pipeline`] and `deeprest-adapt`'s `AdaptivePipeline` both drive.
+pub struct WindowStages {
     /// The name table incoming traces were produced with (symbols are
     /// translated into the model's space per window).
     source: Interner,
     assembler: WindowAssembler,
-    predictor: StreamPredictor<'m>,
     sanity: OnlineSanity,
     keys: Vec<ExpertKey>,
     is_delta: Vec<bool>,
@@ -170,8 +168,8 @@ pub struct Pipeline<'m> {
     observations: Option<Box<dyn ObservationSource>>,
     sinks: Vec<Box<dyn AlertSink>>,
     config: ServeConfig,
-    /// Sealed windows awaiting (re-)processing, oldest first. Non-empty
-    /// only while a step failure parks windows.
+    /// Sealed windows awaiting (re-)processing, oldest first; outlive a
+    /// call only while a step failure parks them.
     pending: Vec<SealedWindow>,
     /// Outputs produced but not yet returned to the caller.
     ready: Vec<WindowOutput>,
@@ -180,50 +178,68 @@ pub struct Pipeline<'m> {
     /// Experts currently quarantined for non-finite outputs; cleared
     /// automatically when an expert's outputs are finite again.
     quarantined: Vec<bool>,
+    /// What the scoring stage looked up for the last scored window.
+    observed: Vec<Option<f64>>,
 }
 
-impl<'m> Pipeline<'m> {
-    /// Creates a pipeline streaming into `model`. `source` is the name
-    /// table the incoming traces use (clone of the producer's interner).
-    pub fn new(model: &'m DeepRest, source: &Interner, config: ServeConfig) -> Self {
+impl WindowStages {
+    /// Fresh stages for a stream into `model`. `source` is the name table
+    /// the incoming traces use (clone of the producer's interner).
+    pub fn new(model: &DeepRest, source: &Interner, config: ServeConfig) -> Self {
         let keys = model.expert_keys();
-        let sanity = OnlineSanity::new(config.sanity, keys.len());
         Self {
+            source: source.clone(),
             assembler: WindowAssembler::new(config.window_secs, config.lateness_secs),
-            predictor: model.stream_predictor(),
-            sanity,
+            sanity: OnlineSanity::new(config.sanity, keys.len()),
             is_delta: keys
                 .iter()
                 .map(|k| model.expert_is_delta(k).unwrap_or(false))
                 .collect(),
             contributing: contributing_apis(model, &keys, config.api_threshold),
-            quarantined: vec![false; keys.len()],
-            keys,
-            model,
-            source: source.clone(),
             observations: None,
             sinks: Vec::new(),
             config,
             pending: Vec::new(),
             ready: Vec::new(),
             last_control: 0,
+            quarantined: vec![false; keys.len()],
+            observed: vec![None; keys.len()],
+            keys,
         }
     }
 
-    /// Attaches the observed-utilization source the sanity check scores
-    /// against. Without one the pipeline only predicts (no alerts).
-    #[must_use]
-    pub fn with_observations(mut self, obs: impl ObservationSource + 'static) -> Self {
-        self.observations = Some(Box::new(obs));
-        self
+    /// Rebuilds the stages from a [`checkpoint`](Self::checkpoint); its
+    /// predictor snapshot and adapter envelope are the caller's to restore.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the sanity state disagrees with the model.
+    pub fn restore(
+        model: &DeepRest,
+        source: &Interner,
+        config: ServeConfig,
+        checkpoint: &Checkpoint,
+    ) -> Result<Self, String> {
+        let mut stages = Self::new(model, source, config);
+        stages.sanity =
+            OnlineSanity::restore(config.sanity, checkpoint.sanity.clone(), stages.keys.len())?;
+        stages.assembler = checkpoint.assembler.clone();
+        stages.pending = checkpoint.pending.clone();
+        stages.ready = checkpoint.ready.clone();
+        stages.last_control = checkpoint.last_control;
+        Ok(stages)
     }
 
-    /// Attaches an alert sink; every fired [`Alert`] is delivered to every
-    /// sink (and also returned in [`WindowOutput::alerts`]).
-    #[must_use]
-    pub fn with_sink(mut self, sink: impl AlertSink + 'static) -> Self {
+    /// Sets the observed-utilization source the sanity check scores
+    /// against. Without one the stages only predict (no scores, no alerts).
+    pub fn set_observations(&mut self, obs: impl ObservationSource + 'static) {
+        self.observations = Some(Box::new(obs));
+    }
+
+    /// Adds an alert sink; every fired [`Alert`] is delivered to every sink
+    /// (and also returned in [`WindowOutput::alerts`]).
+    pub fn add_sink(&mut self, sink: impl AlertSink + 'static) {
         self.sinks.push(Box::new(sink));
-        self
     }
 
     /// Expert keys, in the order `estimates`/`scores` are reported.
@@ -231,29 +247,35 @@ impl<'m> Pipeline<'m> {
         &self.keys
     }
 
-    /// Number of windows sealed and estimated so far.
-    pub fn position(&self) -> usize {
-        self.predictor.position()
+    /// Per-expert flags (in [`keys`](Self::keys) order): whether the expert
+    /// estimates a cumulative resource as per-window increments.
+    pub fn is_delta(&self) -> &[bool] {
+        &self.is_delta
     }
 
-    /// How many traces arrived beyond the lateness bound (counted, never
-    /// silently lost).
+    /// How many traces arrived beyond the lateness bound.
     pub fn late_dropped(&self) -> u64 {
         self.assembler.late_dropped()
     }
 
-    /// Feeds one arrival; returns the outputs of every window the
-    /// advancing watermark sealed (often none, sometimes several),
-    /// including any outputs buffered by an earlier error return.
+    /// Number of sealed windows parked behind a step failure.
+    pub fn pending_windows(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Per expert, what [`score`](Self::score) observed for the last window;
+    /// `None` where it scored nothing (quarantined, no measurement, no source).
+    pub fn observed(&self) -> &[Option<f64>] {
+        &self.observed
+    }
+
+    /// Queues one arrival: every window the advancing watermark seals
+    /// becomes pending; a late arrival is counted and dropped.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Ingest`] means the arrival was **not** consumed and
-    /// may be retried verbatim. Step errors
-    /// ([`ServeError::Step`]/[`ServeError::PoisonedState`]) mean the
-    /// arrival *was* consumed: the failing sealed window is parked and
-    /// retried on the next call, so no window is lost or reordered.
-    pub fn ingest(&mut self, t: TimestampedTrace) -> Result<Vec<WindowOutput>, ServeError> {
+    /// [`ServeError::Ingest`]: the arrival was **not** consumed.
+    pub fn push(&mut self, t: TimestampedTrace) -> Result<(), ServeError> {
         // Fault probe: `serve.ingest` fails the arrival before any state
         // changes, so the caller can retry it verbatim.
         if fault::fail_point("serve.ingest") {
@@ -271,65 +293,32 @@ impl<'m> Pipeline<'m> {
             telemetry::counter("serve.late_dropped", late);
         }
         self.pending.extend(sealed);
-        self.drain_pending()?;
-        Ok(std::mem::take(&mut self.ready))
+        Ok(())
     }
 
-    /// Seals and processes everything still buffered (end of stream).
+    /// Seals everything still buffered (end of stream) into pending.
+    pub fn seal_all(&mut self) {
+        self.pending.extend(self.assembler.flush());
+    }
+
+    /// Runs `process` over the pending windows in order and hands back every
+    /// output produced so far, including any an earlier error return buffered.
     ///
     /// # Errors
     ///
-    /// Same step-error semantics as [`ingest`](Self::ingest): the failing
-    /// window stays parked and is retried on the next call.
-    pub fn flush(&mut self) -> Result<Vec<WindowOutput>, ServeError> {
-        let sealed = self.assembler.flush();
-        self.pending.extend(sealed);
-        self.drain_pending()?;
-        Ok(std::mem::take(&mut self.ready))
-    }
-
-    /// Number of sealed windows parked behind a step failure.
-    pub fn pending_windows(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Per-expert quarantine flags (in [`keys`](Self::keys) order): `true`
-    /// while an expert's last outputs were non-finite and it is excluded
-    /// from sanity scoring. Flags clear automatically when outputs are
-    /// finite again.
-    pub fn quarantined(&self) -> &[bool] {
-        &self.quarantined
-    }
-
-    /// Polls the control-loop hook: yields a [`ControlTick`] when at least
-    /// [`ServeConfig::control_interval`] windows have been sealed since the
-    /// previous tick (and the interval is non-zero). Call after every
-    /// [`ingest`](Self::ingest)/[`flush`](Self::flush); at most one tick is
-    /// due per call even if several intervals elapsed at once — the
-    /// controller acts on the *current* state, stale intermediate ticks
-    /// would only re-decide with older information.
-    pub fn poll_control(&mut self) -> Option<ControlTick> {
-        let interval = self.config.control_interval;
-        let position = self.predictor.position();
-        if interval == 0 || position < self.last_control + interval {
-            return None;
-        }
-        self.last_control = position;
-        if telemetry::enabled() {
-            telemetry::counter("serve.control.tick", 1);
-        }
-        Some(ControlTick {
-            window: position,
-            predictor: self.predictor.snapshot(),
-        })
-    }
-
-    /// Processes parked windows in order; on failure the failing window is
-    /// put back at the front so a later call retries it bit-identically.
-    fn drain_pending(&mut self) -> Result<(), ServeError> {
+    /// The first error `process` returns; the failing window goes back to
+    /// the front, so a later call retries it bit-identically.
+    pub fn drain<E>(
+        &mut self,
+        mut process: impl FnMut(&mut Self, &SealedWindow) -> Result<WindowOutput, E>,
+    ) -> Result<Vec<WindowOutput>, E> {
         while !self.pending.is_empty() {
             let w = self.pending.remove(0);
-            match self.process_window(&w) {
+            let _span = telemetry::span("serve.predict");
+            if telemetry::enabled() {
+                telemetry::counter("serve.window.sealed", 1);
+            }
+            match process(self, &w) {
                 Ok(out) => self.ready.push(out),
                 Err(err) => {
                     self.pending.insert(0, w);
@@ -337,66 +326,61 @@ impl<'m> Pipeline<'m> {
                 }
             }
         }
-        Ok(())
+        Ok(std::mem::take(&mut self.ready))
     }
 
-    /// Runs the inference step for one window with panic containment and
-    /// rollback-retry from the pre-step snapshot.
-    fn step_healed(
-        &mut self,
+    /// Extracts the window's features and runs the inference step with
+    /// panic containment and rollback-retry from the pre-step snapshot.
+    /// Returns the features with the raw estimates; on error `predictor` is
+    /// back at its pre-step state.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Step`] / [`ServeError::PoisonedState`] when the step
+    /// kept failing through [`ServeConfig::step_retries`] retries.
+    pub fn step<'m>(
+        &self,
+        model: &'m DeepRest,
+        predictor: &mut StreamPredictor<'m>,
         w: &SealedWindow,
-        x: &[f32],
-    ) -> Result<Vec<PointEstimate>, ServeError> {
+    ) -> Result<(Vec<f32>, Vec<PointEstimate>), ServeError> {
+        let x = model.window_features(&w.traces, &self.source);
         // The pre-step snapshot *is* the last-known-good state at window
         // granularity: `step` is pure given (state, features), so retrying
         // from it after a transient fault is bit-identical to never having
         // faulted.
-        let snapshot = self.predictor.snapshot();
-        let mut last_err = None;
-        for attempt in 0..=self.config.step_retries {
-            if attempt > 0 {
-                telemetry::counter("serve.step.retried", 1);
-            }
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.predictor.step(x)));
-            match outcome {
-                Ok(estimates) => {
-                    if self.predictor.hidden_is_finite() {
-                        return Ok(estimates);
-                    }
-                    // Persistent numeric poison in the carried state: every
-                    // future step would be garbage. Roll back and retry —
-                    // the poison may have been transient (injected fault,
-                    // cosmic-ray bitflip); if it persists, park the window.
-                    last_err = Some(ServeError::PoisonedState {
-                        window: w.index,
-                        experts: self.predictor.hidden_nonfinite_experts(),
-                    });
-                }
-                Err(payload) => {
-                    last_err = Some(ServeError::Step {
-                        window: w.index,
-                        message: panic_text(payload.as_ref()),
-                    });
-                }
-            }
+        let snapshot = predictor.snapshot();
+        let mut attempt = 0;
+        loop {
+            let failure = match std::panic::catch_unwind(AssertUnwindSafe(|| predictor.step(&x))) {
+                Ok(estimates) if predictor.hidden_is_finite() => return Ok((x, estimates)),
+                // Persistent numeric poison in the carried state: every
+                // future step would be garbage. Roll back and retry — the
+                // poison may have been transient (injected fault, cosmic-ray
+                // bitflip); if it persists, park the window.
+                Ok(_) => ServeError::PoisonedState {
+                    window: w.index,
+                    experts: predictor.hidden_nonfinite_experts(),
+                },
+                Err(payload) => ServeError::Step {
+                    window: w.index,
+                    message: panic_text(payload.as_ref()),
+                },
+            };
             telemetry::counter("serve.step.rolled_back", 1);
-            self.predictor =
-                StreamPredictor::restore(self.model, &snapshot).map_err(ServeError::Restore)?;
+            *predictor = StreamPredictor::restore(model, &snapshot).map_err(ServeError::Restore)?;
+            if attempt == self.config.step_retries {
+                return Err(failure);
+            }
+            attempt += 1;
+            telemetry::counter("serve.step.retried", 1);
         }
-        Err(last_err.unwrap_or_else(|| ServeError::Step {
-            window: w.index,
-            message: "step failed with no recorded error".to_owned(),
-        }))
     }
 
-    fn process_window(&mut self, w: &SealedWindow) -> Result<WindowOutput, ServeError> {
-        let _span = telemetry::span("serve.predict");
-        if telemetry::enabled() {
-            telemetry::counter("serve.window.sealed", 1);
-        }
-        let x = self.model.window_features(&w.traces, &self.source);
-        let mut estimates = self.step_healed(w, &x)?;
-
+    /// Turns one window's estimates into its [`WindowOutput`]: quarantine
+    /// guard, causal sanity scoring against the observation source, alert
+    /// construction and sink delivery.
+    pub fn score(&mut self, w: &SealedWindow, mut estimates: Vec<PointEstimate>) -> WindowOutput {
         // Fault probe: `serve.step.output` corrupts the *outputs* of one
         // expert (payload = expert index) or all, with healthy hidden
         // state — the case quarantine exists for.
@@ -431,11 +415,12 @@ impl<'m> Pipeline<'m> {
         if let Some(obs) = &mut self.observations {
             scores.reserve(self.keys.len());
             for (e, key) in self.keys.iter().enumerate() {
-                if self.quarantined[e] {
-                    scores.push(f64::NAN);
-                    continue;
-                }
-                let Some(actual) = obs.observe(key, w.index) else {
+                self.observed[e] = if self.quarantined[e] {
+                    None
+                } else {
+                    obs.observe(key, w.index)
+                };
+                let Some(actual) = self.observed[e] else {
                     scores.push(f64::NAN);
                     continue;
                 };
@@ -462,28 +447,174 @@ impl<'m> Pipeline<'m> {
                 }
             }
         }
-        Ok(WindowOutput {
+        WindowOutput {
             window: w.index,
             trace_count: w.traces.len(),
             estimates,
             scores,
             alerts,
+        }
+    }
+
+    /// The control-loop cadence: yields a [`ControlTick`] carrying
+    /// `snapshot()` when at least [`ServeConfig::control_interval`] (if
+    /// non-zero) windows have been sealed since the previous tick.
+    pub fn poll_control(
+        &mut self,
+        position: usize,
+        snapshot: impl FnOnce() -> StreamSnapshot,
+    ) -> Option<ControlTick> {
+        let interval = self.config.control_interval;
+        if interval == 0 || position < self.last_control + interval {
+            return None;
+        }
+        self.last_control = position;
+        if telemetry::enabled() {
+            telemetry::counter("serve.control.tick", 1);
+        }
+        Some(ControlTick {
+            window: position,
+            predictor: snapshot(),
         })
+    }
+
+    /// Assembles a [`Checkpoint`] around the caller's predictor snapshot
+    /// and adapter envelope — parked windows and undelivered outputs
+    /// included, so a restore loses nothing.
+    pub fn checkpoint(&self, predictor: StreamSnapshot, adapter: Option<String>) -> Checkpoint {
+        Checkpoint {
+            assembler: self.assembler.clone(),
+            predictor,
+            sanity: self.sanity.state().clone(),
+            pending: self.pending.clone(),
+            ready: self.ready.clone(),
+            last_control: self.last_control,
+            adapter,
+        }
+    }
+}
+
+/// The online serving pipeline around one trained model.
+///
+/// Feed timestamped traces with [`ingest`](Pipeline::ingest); each sealed
+/// window costs one incremental inference step (O(1) in stream history,
+/// allocation-free after warm-up) and yields a [`WindowOutput`]. For the
+/// same sealed windows the estimates are bit-identical to the batch
+/// [`DeepRest::estimate_from_traces`] path — [`batch_reference`] re-derives
+/// the full expected output sequence for cross-checking.
+pub struct Pipeline<'m> {
+    model: &'m DeepRest,
+    predictor: StreamPredictor<'m>,
+    stages: WindowStages,
+}
+
+impl<'m> Pipeline<'m> {
+    /// Creates a pipeline streaming into `model`. `source` is the name
+    /// table the incoming traces use (clone of the producer's interner).
+    pub fn new(model: &'m DeepRest, source: &Interner, config: ServeConfig) -> Self {
+        Self {
+            model,
+            predictor: model.stream_predictor(),
+            stages: WindowStages::new(model, source, config),
+        }
+    }
+
+    /// Attaches the observed-utilization source the sanity check scores
+    /// against. Without one the pipeline only predicts (no alerts).
+    #[must_use]
+    pub fn with_observations(mut self, obs: impl ObservationSource + 'static) -> Self {
+        self.stages.set_observations(obs);
+        self
+    }
+
+    /// Attaches an alert sink; every fired [`Alert`] is delivered to every
+    /// sink (and also returned in [`WindowOutput::alerts`]).
+    #[must_use]
+    pub fn with_sink(mut self, sink: impl AlertSink + 'static) -> Self {
+        self.stages.add_sink(sink);
+        self
+    }
+
+    /// Expert keys, in the order `estimates`/`scores` are reported.
+    pub fn keys(&self) -> &[ExpertKey] {
+        self.stages.keys()
+    }
+
+    /// Number of windows sealed and estimated so far.
+    pub fn position(&self) -> usize {
+        self.predictor.position()
+    }
+
+    /// How many traces arrived beyond the lateness bound (counted, never
+    /// silently lost).
+    pub fn late_dropped(&self) -> u64 {
+        self.stages.late_dropped()
+    }
+
+    /// Feeds one arrival; returns the outputs of every window the
+    /// advancing watermark sealed (often none, sometimes several),
+    /// including any outputs buffered by an earlier error return.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Ingest`] means the arrival was **not** consumed and
+    /// may be retried verbatim. Step errors
+    /// ([`ServeError::Step`]/[`ServeError::PoisonedState`]) mean the
+    /// arrival *was* consumed: the failing sealed window is parked and
+    /// retried on the next call, so no window is lost or reordered.
+    pub fn ingest(&mut self, t: TimestampedTrace) -> Result<Vec<WindowOutput>, ServeError> {
+        self.stages.push(t)?;
+        self.drain()
+    }
+
+    /// Seals and processes everything still buffered (end of stream).
+    ///
+    /// # Errors
+    ///
+    /// Same step-error semantics as [`ingest`](Self::ingest): the failing
+    /// window stays parked and is retried on the next call.
+    pub fn flush(&mut self) -> Result<Vec<WindowOutput>, ServeError> {
+        self.stages.seal_all();
+        self.drain()
+    }
+
+    fn drain(&mut self) -> Result<Vec<WindowOutput>, ServeError> {
+        self.stages.drain(|stages, w| {
+            let (_, estimates) = stages.step(self.model, &mut self.predictor, w)?;
+            Ok(stages.score(w, estimates))
+        })
+    }
+
+    /// Number of sealed windows parked behind a step failure.
+    pub fn pending_windows(&self) -> usize {
+        self.stages.pending_windows()
+    }
+
+    /// Per-expert quarantine flags (in [`keys`](Self::keys) order): `true`
+    /// while an expert's last outputs were non-finite and it is excluded
+    /// from sanity scoring. Flags clear automatically when outputs are
+    /// finite again.
+    pub fn quarantined(&self) -> &[bool] {
+        &self.stages.quarantined
+    }
+
+    /// Polls the control-loop hook: yields a [`ControlTick`] when at least
+    /// [`ServeConfig::control_interval`] windows have been sealed since the
+    /// previous tick (and the interval is non-zero). Call after every
+    /// [`ingest`](Self::ingest)/[`flush`](Self::flush); at most one tick is
+    /// due per call even if several intervals elapsed at once — the
+    /// controller acts on the *current* state, stale intermediate ticks
+    /// would only re-decide with older information.
+    pub fn poll_control(&mut self) -> Option<ControlTick> {
+        self.stages
+            .poll_control(self.predictor.position(), || self.predictor.snapshot())
     }
 
     /// Captures the pipeline's full streaming state for crash recovery —
     /// including windows parked by a step failure and outputs not yet
     /// handed to the caller, so a restore loses nothing.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            assembler: self.assembler.clone(),
-            predictor: self.predictor.snapshot(),
-            sanity: self.sanity.state().clone(),
-            pending: self.pending.clone(),
-            ready: self.ready.clone(),
-            last_control: self.last_control,
-            adapter: None,
-        }
+        self.stages.checkpoint(self.predictor.snapshot(), None)
     }
 
     /// Rebuilds a pipeline from a [`checkpoint`](Self::checkpoint),
@@ -501,34 +632,16 @@ impl<'m> Pipeline<'m> {
         config: ServeConfig,
         checkpoint: Checkpoint,
     ) -> Result<Self, String> {
-        let keys = model.expert_keys();
-        let predictor = StreamPredictor::restore(model, &checkpoint.predictor)?;
-        let sanity = OnlineSanity::restore(config.sanity, checkpoint.sanity, keys.len())?;
         Ok(Self {
-            assembler: checkpoint.assembler,
-            predictor,
-            sanity,
-            is_delta: keys
-                .iter()
-                .map(|k| model.expert_is_delta(k).unwrap_or(false))
-                .collect(),
-            contributing: contributing_apis(model, &keys, config.api_threshold),
-            quarantined: vec![false; keys.len()],
-            keys,
             model,
-            source: source.clone(),
-            observations: None,
-            sinks: Vec::new(),
-            config,
-            pending: checkpoint.pending,
-            ready: checkpoint.ready,
-            last_control: checkpoint.last_control,
+            predictor: StreamPredictor::restore(model, &checkpoint.predictor)?,
+            stages: WindowStages::restore(model, source, config, &checkpoint)?,
         })
     }
 
     /// The configuration the pipeline runs with.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.stages.config
     }
 }
 
@@ -582,8 +695,7 @@ fn deliver_with_retry(config: &ServeConfig, sink: &mut dyn AlertSink, alert: &Al
 
 /// Per-expert contributing APIs (mask attribution above `threshold`), in
 /// `keys` order — the `contributing_apis` field every [`Alert`] for that
-/// expert carries. Public so the `deeprest-adapt` pipeline builds alerts
-/// identical to this crate's.
+/// expert carries.
 pub fn contributing_apis(model: &DeepRest, keys: &[ExpertKey], threshold: f64) -> Vec<Vec<String>> {
     keys.iter()
         .map(|key| {

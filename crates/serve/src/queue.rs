@@ -305,18 +305,6 @@ impl<T> IngestQueue<T> {
             .collect()
     }
 
-    /// Enqueues one item, applying the overflow policy when full. Returns
-    /// `false` (and discards the item) if the queue is closed.
-    ///
-    /// Deprecated bool shim kept for one release: the `false` case
-    /// conflates "closed" with nothing else a caller can distinguish, and
-    /// the discarded item is unrecoverable. Use
-    /// [`push_typed`](Self::push_typed) instead.
-    #[deprecated(note = "use `push_typed` (typed accept/reject) instead")]
-    pub fn push(&self, item: T) -> bool {
-        self.push_typed(item).is_ok()
-    }
-
     /// Dequeues the oldest item, blocking until one arrives. Returns `None`
     /// once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
@@ -366,16 +354,6 @@ impl<T> IngestQueue<T> {
     /// Returns `true` when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// How many items the `DropOldest` policy evicted.
-    ///
-    /// Deprecated alias for [`dropped_overflow`](Self::dropped_overflow);
-    /// close-time discards are counted separately in
-    /// [`dropped_closed`](Self::dropped_closed).
-    #[deprecated(note = "use `dropped_overflow` / `dropped_closed`")]
-    pub fn dropped(&self) -> u64 {
-        self.dropped_overflow()
     }
 
     /// How many items the `DropOldest` policy evicted to admit newer ones
@@ -563,19 +541,6 @@ mod tests {
         // The buffered item still drains.
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_bool_shim_matches_typed_semantics() {
-        let q = IngestQueue::new(2, OverflowPolicy::DropOldest);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert!(q.push(3), "DropOldest push succeeds by evicting");
-        assert_eq!(q.dropped(), 1);
-        q.close();
-        assert!(!q.push(4), "closed queue must reject producers");
-        assert_eq!(q.dropped_closed(), 1);
     }
 
     #[test]

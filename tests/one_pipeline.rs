@@ -1,0 +1,214 @@
+//! Tier-1 smoke of the serving contract: the plain and the adaptive
+//! pipeline run the same per-window stages, and both resume from a
+//! checkpoint bit-identically. The exhaustive versions live beside the
+//! crates (`crates/adapt/tests/{frozen_equivalence,determinism}.rs`).
+
+use deeprest::adapt::{AdaptConfig, AdaptivePipeline};
+use deeprest::core::{DeepRest, DeepRestConfig};
+use deeprest::metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
+use deeprest::serve::{Checkpoint, CollectSink, Pipeline, ServeConfig, WindowOutput};
+use deeprest::trace::window::{TimestampedTrace, WindowedTraces};
+use deeprest::trace::{Interner, SpanNode, Trace};
+
+const WINDOWS: usize = 48;
+
+struct Fixture {
+    model: DeepRest,
+    interner: Interner,
+    /// What the pipelines score against: the training series with a CPU
+    /// spike over windows 30..34, so the sanity check has something to say.
+    observed: MetricsRegistry,
+    stream: Vec<TimestampedTrace>,
+}
+
+/// One API driving CPU and memory on one component with a period-16 load.
+fn fixture() -> Fixture {
+    let mut interner = Interner::new();
+    let frontend = interner.intern("Frontend");
+    let read = interner.intern("read");
+    let api = interner.intern("/read");
+    let mut traces = WindowedTraces::with_windows(1.0, WINDOWS);
+    let (mut cpu, mut mem, mut spiked) = (
+        TimeSeries::zeros(0),
+        TimeSeries::zeros(0),
+        TimeSeries::zeros(0),
+    );
+    let mut stream = Vec::new();
+    for t in 0..WINDOWS {
+        let count = (3 + ((t % 16) as i32 - 8).unsigned_abs()) as usize;
+        for j in 0..count {
+            let trace = Trace::new(api, SpanNode::leaf(frontend, read));
+            traces.windows[t].push(trace.clone());
+            stream.push(TimestampedTrace {
+                at_secs: t as f64 + (j as f64 + 0.5) / count as f64,
+                trace,
+            });
+        }
+        let usage = 2.0 + 1.5 * count as f64;
+        cpu.push(usage);
+        spiked.push(if (30..34).contains(&t) {
+            usage * 4.0
+        } else {
+            usage
+        });
+        mem.push(64.0 + 0.5 * count as f64);
+    }
+    let cpu_key = MetricKey::new("Frontend", ResourceKind::Cpu);
+    let mut metrics = MetricsRegistry::new();
+    metrics.insert(cpu_key.clone(), cpu);
+    metrics.insert(MetricKey::new("Frontend", ResourceKind::Memory), mem);
+    let config = DeepRestConfig {
+        hidden_dim: 12,
+        epochs: 3,
+        subseq_len: 16,
+        batch_size: 4,
+        ..DeepRestConfig::default()
+    }
+    .with_seed(7);
+    let (model, _) = DeepRest::fit(&traces, &metrics, &interner, config);
+    let mut observed = metrics;
+    observed.insert(cpu_key, spiked);
+    Fixture {
+        model,
+        interner,
+        observed,
+        stream,
+    }
+}
+
+fn serve_config() -> ServeConfig {
+    ServeConfig::default()
+        .with_window_secs(1.0)
+        .with_lateness_secs(2.0)
+}
+
+fn adapt_config() -> AdaptConfig {
+    AdaptConfig {
+        serve: serve_config(),
+        ..AdaptConfig::default()
+    }
+}
+
+fn owned(model: &DeepRest) -> DeepRest {
+    DeepRest::from_json(&model.to_json().expect("serialize model")).expect("round-trip model")
+}
+
+/// Every float of every output as its bit pattern, alerts included.
+fn bits(outputs: &[WindowOutput]) -> Vec<(usize, usize, Vec<u64>, String)> {
+    outputs
+        .iter()
+        .map(|o| {
+            let floats = o
+                .estimates
+                .iter()
+                .flat_map(|e| [e.expected, e.lower, e.upper])
+                .chain(o.scores.iter().copied())
+                .chain(o.alerts.iter().flat_map(|a| [a.score, a.deviation_pct]))
+                .map(f64::to_bits)
+                .collect();
+            (o.window, o.trace_count, floats, format!("{:?}", o.alerts))
+        })
+        .collect()
+}
+
+#[test]
+fn frozen_adaptive_pipeline_is_the_plain_pipeline() {
+    let f = fixture();
+    let (plain_sink, frozen_sink) = (CollectSink::new(), CollectSink::new());
+    let mut plain = Pipeline::new(&f.model, &f.interner, serve_config())
+        .with_observations(f.observed.clone())
+        .with_sink(plain_sink.clone());
+    let mut frozen = AdaptivePipeline::new(
+        owned(&f.model),
+        &f.interner,
+        f.observed.clone(),
+        adapt_config().frozen(),
+    )
+    .with_sink(frozen_sink.clone());
+    let (mut expected, mut outputs) = (Vec::new(), Vec::new());
+    for t in &f.stream {
+        expected.extend(plain.ingest(t.clone()).expect("plain ingest"));
+        outputs.extend(frozen.ingest(t.clone()).expect("frozen ingest"));
+    }
+    expected.extend(plain.flush().expect("plain flush"));
+    outputs.extend(frozen.flush().expect("frozen flush"));
+
+    assert_eq!(expected.len(), WINDOWS);
+    assert!(
+        expected.iter().any(|o| !o.alerts.is_empty()),
+        "the spike must alert, or alert equality is vacuous"
+    );
+    assert_eq!(bits(&outputs), bits(&expected));
+    assert_eq!(frozen_sink.snapshot(), plain_sink.snapshot());
+    assert_eq!(frozen.updates_run(), 0);
+}
+
+#[test]
+fn adaptive_checkpoint_between_updates_resumes_bit_identically() {
+    let f = fixture();
+    let config = adapt_config();
+    let run = |cut: Option<usize>| {
+        let mut pipeline =
+            AdaptivePipeline::new(owned(&f.model), &f.interner, f.observed.clone(), config);
+        let (mut outputs, mut mid_segment_after_first_update) = (Vec::new(), None);
+        for (i, t) in f.stream.iter().enumerate() {
+            if pipeline.updates_run() == 1 && pipeline.position() % 8 == 3 {
+                mid_segment_after_first_update.get_or_insert(i);
+            }
+            if cut == Some(i) {
+                let json = pipeline
+                    .checkpoint()
+                    .expect("checkpoint")
+                    .to_json()
+                    .expect("serialize checkpoint");
+                let checkpoint = Checkpoint::from_json(&json).expect("parse checkpoint");
+                pipeline =
+                    AdaptivePipeline::restore(&f.interner, f.observed.clone(), config, &checkpoint)
+                        .expect("restore");
+            }
+            outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
+        }
+        outputs.extend(pipeline.flush().expect("flush"));
+        let model = pipeline.model().to_json().expect("adapted model");
+        (
+            outputs,
+            pipeline.updates_run(),
+            model,
+            mid_segment_after_first_update,
+        )
+    };
+    let (expected, updates, model, cut) = run(None);
+    assert!(updates >= 2, "the stream must adapt");
+    assert!(
+        cut.is_some(),
+        "no arrival falls mid-segment between updates"
+    );
+    let (outputs, resumed_updates, resumed_model, _) = run(cut);
+    assert_eq!(bits(&outputs), bits(&expected));
+    assert_eq!(resumed_updates, updates);
+    assert_eq!(resumed_model, model);
+}
+
+#[test]
+fn plain_checkpoint_resumes_bit_identically() {
+    let f = fixture();
+    let run = |cut: Option<usize>| {
+        let mut pipeline = Pipeline::new(&f.model, &f.interner, serve_config())
+            .with_observations(f.observed.clone());
+        let mut outputs = Vec::new();
+        for (i, t) in f.stream.iter().enumerate() {
+            if cut == Some(i) {
+                let json = pipeline.checkpoint().to_json().expect("serialize");
+                assert!(!json.contains("adapter"));
+                let checkpoint = Checkpoint::from_json(&json).expect("parse");
+                pipeline = Pipeline::restore(&f.model, &f.interner, serve_config(), checkpoint)
+                    .expect("restore")
+                    .with_observations(f.observed.clone());
+            }
+            outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
+        }
+        outputs.extend(pipeline.flush().expect("flush"));
+        outputs
+    };
+    assert_eq!(bits(&run(Some(f.stream.len() / 2))), bits(&run(None)));
+}
