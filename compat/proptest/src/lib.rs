@@ -250,7 +250,7 @@ pub mod collection {
         }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

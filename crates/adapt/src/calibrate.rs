@@ -229,7 +229,7 @@ impl Calibrator {
 
     /// The per-quantile gradient modulation `[median, lower, upper]` for
     /// the next online update (the order of
-    /// [`deeprest_nn::loss::quantiles_for`]): each tail's factor is its
+    /// `deeprest_nn::loss::quantiles_for`): each tail's factor is its
     /// empirical miss rate over the nominal tail mass `(1 − δ)/2`,
     /// clamped to `[1/max_modulation, max_modulation]`; the median is
     /// never modulated. With no observations every factor is exactly

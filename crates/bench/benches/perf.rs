@@ -284,9 +284,7 @@ fn multi_expert(experts: usize, windows: usize) -> (Interner, WindowedTraces, Me
 fn bench_batched_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving");
     group.sample_size(20);
-    // The batched multi-expert step across the expert-count axis, plus the
-    // retained per-expert tape stepper as the speedup baseline at the
-    // capacity tool's reference point (64 experts).
+    // The batched multi-expert step across the expert-count axis.
     for experts in [16usize, 64, 256] {
         let (interner, traces, metrics) = multi_expert(experts, 48);
         let cfg = DeepRestConfig {
@@ -304,12 +302,6 @@ fn bench_batched_serving(c: &mut Criterion) {
             let mut predictor = model.stream_predictor();
             b.iter(|| predictor.step(&x));
         });
-        if experts == 64 {
-            group.bench_with_input(BenchmarkId::new("per_expert_step", &id), &id, |b, _| {
-                let mut predictor = model.per_expert_predictor();
-                b.iter(|| predictor.step(&x));
-            });
-        }
     }
     group.finish();
 }

@@ -17,21 +17,19 @@
 //! Answers the provisioning question for online serving: *how many experts
 //! can one box advance at the scrape-window rate?* For each expert count it
 //! trains a synthetic multi-component model, then times the batched
-//! [`StreamPredictor`](deeprest_core::stream::StreamPredictor) against the
-//! tape-based per-expert baseline on identical window features:
+//! [`StreamPredictor`](deeprest_core::stream::StreamPredictor) step on its
+//! window features:
 //!
 //! ```text
 //! deeprest capacity                       # full sweep: 16, 64, 256 experts
 //! deeprest capacity --quick               # CI smoke: 64 experts, tiny model
 //! deeprest capacity --experts 32,128     # custom sweep
-//! deeprest capacity --assert-speedup 1.0  # exit 1 if batched < 1.0x baseline
 //! deeprest capacity --json                # machine-readable rows
 //! ```
 //!
 //! Reported per expert count:
 //!
-//! * `batched w/s`, `per-expert w/s` — full-model window steps per second
-//!   for each path, and their ratio (`speedup`);
+//! * `windows/s` — full-model window steps per second;
 //! * `experts/core` — experts one core sustains at the scrape-window rate:
 //!   `experts × window_secs / (step_secs × threads)`;
 //! * `KiB/expert` — resident packed weights + carried state per expert
@@ -73,8 +71,6 @@ struct CapacityArgs {
     experts: Vec<usize>,
     /// Tiny model + short timing loops (the CI smoke configuration).
     quick: bool,
-    /// Exit non-zero when batched/per-expert falls below this ratio.
-    assert_speedup: Option<f64>,
     /// Emit one JSON object per row instead of the table.
     json: bool,
     /// Worker threads (defaults to `DEEPREST_THREADS` / available cores).
@@ -93,7 +89,6 @@ impl Default for CapacityArgs {
         Self {
             experts: vec![16, 64, 256],
             quick: false,
-            assert_speedup: None,
             json: false,
             threads: None,
             window_secs: 30.0,
@@ -122,13 +117,6 @@ impl CapacityArgs {
                         .collect();
                 }
                 "--quick" => out.quick = true,
-                "--assert-speedup" => {
-                    out.assert_speedup = Some(
-                        value("--assert-speedup")
-                            .parse()
-                            .expect("--assert-speedup f64"),
-                    );
-                }
                 "--json" => out.json = true,
                 "--threads" => {
                     out.threads = Some(value("--threads").parse().expect("--threads usize"));
@@ -196,8 +184,7 @@ fn windows_per_sec(xs: &[Vec<f32>], warm: usize, steps: usize, mut f: impl FnMut
 struct Row {
     experts: usize,
     shards: usize,
-    batched_wps: f64,
-    per_expert_wps: f64,
+    windows_per_sec: f64,
     bytes_per_expert: f64,
     experts_per_core: f64,
     /// Multi-tenant sizing (only with `--tenants N`, N > 1): rounds/sec
@@ -235,16 +222,12 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
     let mut batched = model.stream_predictor();
     let shards = batched.shard_count();
     let state_bytes = batched.state_bytes();
-    let batched_wps = windows_per_sec(&xs, warm, steps, |x| {
+    let wps = windows_per_sec(&xs, warm, steps, |x| {
         batched.step(x);
-    });
-    let mut reference = model.per_expert_predictor();
-    let per_expert_wps = windows_per_sec(&xs, warm, steps, |x| {
-        reference.step(x);
     });
 
     let threads = model_threads(args);
-    let step_secs = 1.0 / batched_wps;
+    let step_secs = 1.0 / wps;
 
     // Multi-tenant sizing: N co-resident tenants share the trained
     // weights but carry independent hidden state; one round steps them
@@ -272,8 +255,7 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
     Row {
         experts,
         shards,
-        batched_wps,
-        per_expert_wps,
+        windows_per_sec: wps,
         bytes_per_expert: state_bytes as f64 / experts as f64,
         experts_per_core: experts as f64 * args.window_secs / (step_secs * threads as f64),
         tenant_rounds_per_sec,
@@ -314,15 +296,8 @@ fn run_capacity(raw: Vec<String>) {
             };
             println!(
                 "{{\"experts\":{},\"shards\":{},\"batched_windows_per_sec\":{:.1},\
-                 \"per_expert_windows_per_sec\":{:.1},\"speedup\":{:.3},\
                  \"experts_per_core\":{:.1},\"bytes_per_expert\":{:.1}{tenant_fields}}}",
-                r.experts,
-                r.shards,
-                r.batched_wps,
-                r.per_expert_wps,
-                r.batched_wps / r.per_expert_wps,
-                r.experts_per_core,
-                r.bytes_per_expert
+                r.experts, r.shards, r.windows_per_sec, r.experts_per_core, r.bytes_per_expert
             );
         }
     } else {
@@ -332,23 +307,15 @@ fn run_capacity(raw: Vec<String>) {
             args.window_secs
         );
         println!(
-            "{:>8}  {:>6}  {:>12}  {:>14}  {:>7}  {:>12}  {:>10}",
-            "experts",
-            "shards",
-            "batched w/s",
-            "per-expert w/s",
-            "speedup",
-            "experts/core",
-            "KiB/expert"
+            "{:>8}  {:>6}  {:>12}  {:>12}  {:>10}",
+            "experts", "shards", "windows/s", "experts/core", "KiB/expert"
         );
         for r in &rows {
             println!(
-                "{:>8}  {:>6}  {:>12.1}  {:>14.1}  {:>6.2}x  {:>12.3e}  {:>10.1}",
+                "{:>8}  {:>6}  {:>12.1}  {:>12.3e}  {:>10.1}",
                 r.experts,
                 r.shards,
-                r.batched_wps,
-                r.per_expert_wps,
-                r.batched_wps / r.per_expert_wps,
+                r.windows_per_sec,
                 r.experts_per_core,
                 r.bytes_per_expert / 1024.0
             );
@@ -359,20 +326,6 @@ fn run_capacity(raw: Vec<String>) {
                 );
             }
         }
-    }
-
-    if let Some(min) = args.assert_speedup {
-        for r in &rows {
-            let speedup = r.batched_wps / r.per_expert_wps;
-            if speedup < min {
-                eprintln!(
-                    "capacity: FAIL — {} experts: batched is {speedup:.2}x per-expert (< {min}x)",
-                    r.experts
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("capacity: PASS — batched ≥ {min}x per-expert at every expert count");
     }
 }
 
@@ -550,7 +503,7 @@ fn main() {
         Some("--help" | "-h" | "help") | None => {
             eprintln!("usage: deeprest experiment <id|all> [--seed N] [--out DIR] ...");
             eprintln!("       deeprest capacity [--quick] [--experts N,N,..] [--threads N]");
-            eprintln!("                         [--window-secs S] [--assert-speedup R] [--json]");
+            eprintln!("                         [--window-secs S] [--json]");
             eprintln!("       deeprest scale    [--quick] [--scenario NAME|all] [--json]");
             eprintln!("                         [--assert-better-than-reactive]");
             std::process::exit(if std::env::args().len() > 1 { 0 } else { 2 });

@@ -22,23 +22,6 @@ pub enum OptimizerKind {
     },
 }
 
-/// Which engine runs the training hot path.
-///
-/// Both engines produce bit-for-bit identical parameters, losses and
-/// estimates at any thread count; the choice only trades wall-clock time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TrainingBackend {
-    /// Tape-free analytic BPTT over the packed expert slab
-    /// ([`deeprest_nn::AnalyticTrainer`]): batched GEMV/GEMM kernels, zero
-    /// warm allocations. The default.
-    #[default]
-    Analytic,
-    /// The general autodiff tape, one graph per subsequence. Retained as
-    /// the differential-testing oracle the analytic engine is proven
-    /// against.
-    Tape,
-}
-
 /// Hyperparameters of the DeepRest estimator.
 ///
 /// The paper trains with "the same hyperparameter setting" for every
@@ -97,10 +80,6 @@ pub struct DeepRestConfig {
     /// `deeprest_telemetry::set_sink` — untouched.
     #[serde(default)]
     pub telemetry: Option<String>,
-    /// Training engine (see [`TrainingBackend`]); models serialized before
-    /// this field existed deserialize to the analytic default.
-    #[serde(default)]
-    pub backend: TrainingBackend,
     /// When set, only build experts for these `(component, resource)` pairs
     /// (the paper's discussion focuses on six components; restricting the
     /// expert swarm keeps CPU-only experiment runs fast). `None` builds one
@@ -125,7 +104,6 @@ impl Default for DeepRestConfig {
             seed: 7,
             threads: None,
             telemetry: None,
-            backend: TrainingBackend::Analytic,
             scope: None,
         }
     }
@@ -188,12 +166,6 @@ impl DeepRestConfig {
         self.telemetry = Some(spec.into());
         self
     }
-
-    /// Builder: selects the training engine.
-    pub fn with_backend(mut self, backend: TrainingBackend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -217,21 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn backend_field_defaults_on_old_configs() {
-        // A config serialized before the backend existed must deserialize
-        // to the analytic default.
-        let json = serde_json::to_string(&DeepRestConfig {
-            backend: TrainingBackend::Tape,
-            ..DeepRestConfig::default()
-        })
-        .unwrap();
-        assert!(json.contains("\"backend\""), "field must serialize");
-        let stripped = json
-            .replace("\"backend\":\"Tape\",", "")
-            .replace(",\"backend\":\"Tape\"", "");
-        assert!(!stripped.contains("\"backend\""), "strip failed: {json}");
-        let c: DeepRestConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(c.backend, TrainingBackend::Analytic);
+    fn stale_backend_key_is_ignored_and_not_written_back() {
+        // Configs (and model JSON) written while the training engine was a
+        // user-set option carry a `"backend"` key; it must still load, and
+        // a round trip must drop it.
+        let current = serde_json::to_string(&DeepRestConfig::default()).unwrap();
+        assert!(!current.contains("\"backend\""));
+        let old = current.replacen('{', "{\"backend\":\"Tape\",", 1);
+        let c: DeepRestConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&c).unwrap(), current);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use deeprest_nn::{
     Adam, AnalyticTrainer, ExpertSpec, GruCell, Linear, Sgd, TrainerConfig as NnTrainerConfig,
 };
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{GradBuffer, Graph, ParamId, ParamStore, Pool, Tensor, Var};
+use deeprest_tensor::{ParamId, ParamStore, Pool, Tensor};
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::Interner;
 use deeprest_workload::ApiTraffic;
@@ -25,6 +25,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::stream::{StreamPredictor, StreamSnapshot};
 use crate::{DeepRestConfig, FeatureSpace, OptimizerKind, TraceSynthesizer};
 
 /// The identity of one expert: the `(component, resource)` it estimates.
@@ -103,7 +104,7 @@ impl PredictedSeries {
 /// Predictions for all experts.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Estimates {
-    map: BTreeMap<ExpertKey, PredictedSeries>,
+    pub(crate) map: BTreeMap<ExpertKey, PredictedSeries>,
 }
 
 impl Estimates {
@@ -394,8 +395,9 @@ impl DeepRest {
             experts,
             store,
         };
-        let ((epoch_losses, expert_losses), training_secs) =
-            telemetry::timed("fit.train", || model.train(&xs, &targets));
+        let ((epoch_losses, expert_losses), training_secs) = telemetry::timed("fit.train", || {
+            model.train_epochs(&xs, &targets, model.config.epochs)
+        });
 
         let report = TrainReport {
             epoch_losses,
@@ -424,40 +426,18 @@ impl DeepRest {
         }
     }
 
-    /// Joint training over all experts (quantile loss, Eq. 6). Returns the
-    /// per-epoch mean loss plus the same series split by expert (keyed by
-    /// the expert's display name).
-    fn train(
-        &mut self,
-        xs: &[Vec<f32>],
-        targets: &[Vec<f32>],
-    ) -> (Vec<f32>, BTreeMap<String, Vec<f32>>) {
-        self.train_epochs(xs, targets, self.config.epochs)
-    }
-
-    /// Runs `epochs` optimizer epochs on the configured backend. Both
-    /// backends shuffle, batch, fold, clip and step identically, and their
-    /// gradients are bit-for-bit equal (`deeprest-nn`'s
-    /// `prop_analytic_train` proves it), so the trained parameters do not
-    /// depend on the backend choice — only wall-clock time does.
-    fn train_epochs(
-        &mut self,
-        xs: &[Vec<f32>],
-        targets: &[Vec<f32>],
-        epochs: usize,
-    ) -> (Vec<f32>, BTreeMap<String, Vec<f32>>) {
-        match self.config.backend {
-            crate::TrainingBackend::Analytic => self.train_analytic(xs, targets, epochs),
-            crate::TrainingBackend::Tape => self.train_tape(xs, targets, epochs),
-        }
-    }
-
-    /// The analytic engine: tape-free truncated BPTT over the packed expert
+    /// Joint training over all experts (quantile loss, Eq. 6): `epochs`
+    /// optimizer epochs of tape-free truncated BPTT over the packed expert
     /// slab ([`AnalyticTrainer`]), batching gate GEMMs across experts and
     /// sharding expert ranges over the pool. Gradients fold in subsequence
     /// order, so training is bit-identical at any thread count, and every
     /// arena is preallocated — a warm step performs zero allocations.
-    fn train_analytic(
+    ///
+    /// Returns the per-epoch mean loss plus the same series split by expert
+    /// (keyed by the expert's display name). The test-only autodiff tape in
+    /// `oracle.rs` shuffles, batches, folds, clips and steps identically;
+    /// its unit tests prove the trained parameters bit-for-bit equal.
+    fn train_epochs(
         &mut self,
         xs: &[Vec<f32>],
         targets: &[Vec<f32>],
@@ -562,251 +542,6 @@ impl DeepRest {
         (epoch_losses, expert_losses)
     }
 
-    /// The tape backend: one autodiff graph per subsequence, retained as
-    /// the differential-testing oracle for the analytic engine.
-    ///
-    /// Batches fan out across the pool at subsequence granularity: each
-    /// batch position owns a persistent [`JobSlot`] whose graph arena and
-    /// [`GradBuffer`] are reused every batch; the buffers are folded into
-    /// the shared store in subsequence order, so training is bit-identical
-    /// at any thread count, and after warm-up each step performs zero
-    /// kernel allocations.
-    fn train_tape(
-        &mut self,
-        xs: &[Vec<f32>],
-        targets: &[Vec<f32>],
-        epochs: usize,
-    ) -> (Vec<f32>, BTreeMap<String, Vec<f32>>) {
-        let t = xs.len();
-        let len = self.config.subseq_len.max(2);
-        let starts: Vec<usize> = (0..t).step_by(len).collect();
-        let quantiles = quantiles_for(self.config.delta);
-        let pool = self.pool();
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e37_79b9);
-
-        let mut sgd;
-        let mut adam;
-        enum Opt<'a> {
-            S(&'a mut Sgd),
-            A(&'a mut Adam),
-        }
-        let mut opt = match self.config.optimizer {
-            OptimizerKind::Sgd { lr, momentum } => {
-                sgd = Sgd::new(lr, momentum);
-                Opt::S(&mut sgd)
-            }
-            OptimizerKind::Adam { lr } => {
-                adam = Adam::new(lr);
-                Opt::A(&mut adam)
-            }
-        };
-
-        let xs_tensors: Vec<Tensor> = xs.iter().map(|x| Tensor::vector(x.clone())).collect();
-        let mut epoch_losses = Vec::with_capacity(epochs);
-        let e_count = self.experts.len();
-        let expert_names: Vec<String> = self.experts.iter().map(|e| format!("{}", e.key)).collect();
-        let mut expert_epoch_losses: Vec<Vec<f32>> = vec![Vec::with_capacity(epochs); e_count];
-
-        // One persistent slot per batch position: each slot owns a tape
-        // arena (with its recycled scratch pool), a private gradient buffer
-        // and the per-subsequence reduction state. Slots live across batches
-        // and epochs, so after the shapes have been seen once the whole
-        // forward + backward of a subsequence performs zero kernel
-        // allocations — every buffer is drawn from the slot's pool.
-        let arena_cap = len * e_count * 24;
-        let mut slots: Vec<JobSlot> = (0..self.config.batch_size.max(1).min(starts.len()))
-            .map(|_| JobSlot {
-                graph: Graph::with_capacity(arena_cap),
-                buf: GradBuffer::zeros_like(&self.store),
-                terms: Vec::new(),
-                mask_sums: Vec::new(),
-                expert_sums: vec![0.0f32; e_count],
-                loss_sum: 0.0,
-                n_terms: 0,
-            })
-            .collect();
-        let mut order = Vec::with_capacity(starts.len());
-
-        for _epoch in 0..epochs {
-            order.clear();
-            order.extend_from_slice(&starts);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f32;
-            let mut epoch_terms = 0usize;
-            let mut epoch_expert_sums = vec![0.0f32; e_count];
-
-            for batch in order.chunks(self.config.batch_size.max(1)) {
-                self.store.zero_grads();
-                // Forward + backward every subsequence concurrently, each
-                // into its slot's private gradient buffer.
-                let scale = 1.0 / batch.len() as f32;
-                let this = &*self;
-                pool.for_each_mut(&mut slots[..batch.len()], |i, slot| {
-                    let g = &mut slot.graph;
-                    g.reset();
-                    slot.buf.zero();
-                    slot.terms.clear();
-                    slot.mask_sums.clear();
-                    slot.expert_sums.fill(0.0);
-                    let start = batch[i];
-                    let end = (start + len).min(t);
-                    let fwd = this.forward(g, &xs_tensors[start..end]);
-                    for (step, row) in fwd.outputs.iter().enumerate() {
-                        for (e, &y_var) in row.iter().enumerate() {
-                            let y = targets[e][start + step];
-                            let term = g.pinball_fill(y_var, y, &quantiles);
-                            slot.expert_sums[e] += g.value(term).data()[0];
-                            slot.terms.push(term);
-                        }
-                    }
-                    slot.n_terms = slot.terms.len();
-                    let total = g.add_n(&slot.terms);
-                    let mut loss = g.scale(total, 1.0 / slot.n_terms as f32);
-                    if this.config.mask_l1 > 0.0 && this.config.api_mask {
-                        // L1 pressure on σ(m): suppress irrelevant paths.
-                        let dim = this.features.dim().max(1);
-                        slot.mask_sums
-                            .extend(fwd.mask_sig.iter().map(|&m| g.sum_all(m)));
-                        let mask_total = g.add_n(&slot.mask_sums);
-                        let penalty = g.scale(
-                            mask_total,
-                            this.config.mask_l1 / (dim * this.experts.len()) as f32,
-                        );
-                        loss = g.add(loss, penalty);
-                    }
-                    let scaled = g.scale(loss, scale);
-                    slot.loss_sum = g.value(loss).data()[0] * slot.n_terms as f32;
-                    g.backward_into(scaled, &mut slot.buf);
-                });
-
-                // Fold gradients in subsequence order, then one step.
-                for slot in &slots[..batch.len()] {
-                    self.store.absorb(&slot.buf);
-                    epoch_loss += slot.loss_sum;
-                    epoch_terms += slot.n_terms;
-                    for (acc, s) in epoch_expert_sums.iter_mut().zip(slot.expert_sums.iter()) {
-                        *acc += s;
-                    }
-                }
-                self.store.clip_grad_norm(self.config.grad_clip);
-                match &mut opt {
-                    Opt::S(o) => o.step_with(&mut self.store, &pool),
-                    Opt::A(o) => o.step_with(&mut self.store, &pool),
-                }
-            }
-            epoch_losses.push(epoch_loss / epoch_terms.max(1) as f32);
-            // Each training step contributes exactly one pinball term per
-            // expert, so every expert saw `epoch_terms / e_count` terms.
-            let per_expert_terms = (epoch_terms / e_count.max(1)).max(1) as f32;
-            for (e, sum) in epoch_expert_sums.iter().enumerate() {
-                expert_epoch_losses[e].push(sum / per_expert_terms);
-            }
-            if telemetry::enabled() {
-                telemetry::counter("train.epochs", 1);
-                telemetry::gauge("train.epoch_loss", f64::from(*epoch_losses.last().unwrap()));
-                for (name, series) in expert_names.iter().zip(expert_epoch_losses.iter()) {
-                    telemetry::gauge(
-                        format!("train.loss.{name}"),
-                        f64::from(*series.last().unwrap()),
-                    );
-                }
-            }
-        }
-        let expert_losses = expert_names.into_iter().zip(expert_epoch_losses).collect();
-        (epoch_losses, expert_losses)
-    }
-
-    /// Unrolls all experts in lockstep over `xs`. `outputs[t][e]` is the
-    /// three-quantile output var of expert `e` at step `t`; `mask_sig[e]` is
-    /// the expert's sigmoid mask node (reused by the training regularizer).
-    ///
-    /// [`crate::stream::StreamPredictor::step`] (batched) and
-    /// [`crate::stream::PerExpertPredictor::step`] (tape oracle) both
-    /// mirror one iteration of this unroll with carried hidden state; any
-    /// change to the op sequence here must be replicated in both to
-    /// preserve streaming/batch bit-identity.
-    fn forward(&self, g: &mut Graph, xs: &[Tensor]) -> Forward {
-        let e_count = self.experts.len();
-        let hidden = self.config.hidden_dim;
-
-        // Bind parameters once per graph.
-        let mask_sig: Vec<Var> = self
-            .experts
-            .iter()
-            .map(|ex| {
-                if self.config.api_mask {
-                    let m = g.param(&self.store, ex.mask);
-                    g.sigmoid(m)
-                } else {
-                    // Ablation: an all-ones mask (features pass unchanged).
-                    g.constant_fill(self.features.dim(), 1, 1.0)
-                }
-            })
-            .collect();
-        let gru_bound: Vec<_> = self
-            .experts
-            .iter()
-            .map(|ex| ex.gru.bind(g, &self.store))
-            .collect();
-        let alpha_masked: Vec<Var> = self
-            .experts
-            .iter()
-            .enumerate()
-            .map(|(i, ex)| {
-                let a = g.param(&self.store, ex.alpha);
-                // Zero out the self entry: Eq. 3 sums over (c',r') ≠ (c,r).
-                g.mask_out(a, i)
-            })
-            .collect();
-        let head_bound: Vec<_> = self
-            .experts
-            .iter()
-            .map(|ex| ex.head.bind(g, &self.store))
-            .collect();
-        let skip_bound: Vec<Option<_>> = self
-            .experts
-            .iter()
-            .map(|ex| ex.skip.as_ref().map(|s| s.bind(g, &self.store)))
-            .collect();
-
-        let mut h: Vec<Var> = (0..e_count).map(|_| g.constant_zeros(hidden, 1)).collect();
-        let mut outputs = Vec::with_capacity(xs.len());
-
-        let mut masked_x: Vec<Var> = Vec::with_capacity(e_count);
-        for x in xs {
-            let xv = g.constant_copy(x);
-            masked_x.clear();
-            for e in 0..e_count {
-                let masked = g.mul(mask_sig[e], xv);
-                h[e] = gru_bound[e].step(g, masked, h[e]);
-                masked_x.push(masked);
-            }
-            // Cross-component attention: a_e = H_t · (α_e ⊙ self_mask).
-            let hmat = g.concat_cols(&h);
-            let row: Vec<Var> = (0..e_count)
-                .map(|e| {
-                    let att = if self.config.attention {
-                        g.matmul(hmat, alpha_masked[e])
-                    } else {
-                        // Ablation: no cross-expert information flow.
-                        g.constant_zeros(hidden, 1)
-                    };
-                    let cat = g.concat_rows(&[att, h[e]]);
-                    let y = head_bound[e].forward(g, cat);
-                    match &skip_bound[e] {
-                        Some(skip) => {
-                            let lin = skip.forward(g, masked_x[e]);
-                            g.add(y, lin)
-                        }
-                        None => y,
-                    }
-                })
-                .collect();
-            outputs.push(row);
-        }
-        Forward { outputs, mask_sig }
-    }
-
     /// Continued training on freshly collected data: runs `epochs` extra
     /// optimizer epochs against `traces`/`metrics` without rebuilding the
     /// model. The existing feature space, expert swarm and per-expert
@@ -818,9 +553,8 @@ impl DeepRest {
     ///
     /// This drives the periodic-retraining loop (§6): keep serving from
     /// the model while folding in the latest windows, paying only the
-    /// incremental training cost. Runs on the configured
-    /// [`crate::TrainingBackend`] — on the analytic engine the step reuses
-    /// the same packed slab machinery as a full fit.
+    /// incremental training cost — the step reuses the same packed slab
+    /// machinery as a full fit.
     ///
     /// Returns the per-epoch mean losses and the per-expert split, like
     /// [`TrainReport::epoch_losses`] / [`TrainReport::expert_losses`].
@@ -842,9 +576,23 @@ impl DeepRest {
             "fit_incremental: traces and metrics must cover the same windows"
         );
         let _span = telemetry::span("fit.incremental");
+        let (xs, targets) = self.training_inputs(traces, metrics, interner);
+        self.train_epochs(&xs, &targets, epochs)
+    }
+
+    /// Normalized features and per-expert targets for training this model
+    /// on `traces`/`metrics`: symbols translated into the model's space,
+    /// cumulative resources delta-encoded, targets normalized with the
+    /// scalers fitted during application learning.
+    pub(crate) fn training_inputs(
+        &self,
+        traces: &WindowedTraces,
+        metrics: &MetricsRegistry,
+        interner: &Interner,
+    ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let translated = self.translate_traces(traces, interner);
         let xs = self.features.extract_all_normalized(&translated);
-        let targets: Vec<Vec<f32>> = self
+        let targets = self
             .experts
             .iter()
             .map(|ex| {
@@ -859,7 +607,7 @@ impl DeepRest {
                 raw.iter().map(|&v| ex.scaler.transform(v) as f32).collect()
             })
             .collect();
-        self.train_epochs(&xs, &targets, epochs)
+        (xs, targets)
     }
 
     /// Mode 2 (§3, Fig. 4): estimates expected utilization for *real* traces
@@ -870,6 +618,11 @@ impl DeepRest {
     /// traces from any producer (or any simulator run) are accepted. Names
     /// never observed during application learning translate to unmatched
     /// sentinels and simply contribute no features.
+    ///
+    /// Like every `estimate_*` query this steps a
+    /// [`StreamPredictor`] over the windows, so the `stream.*` telemetry and
+    /// the `stream.step` / `stream.hidden` fault probes apply. A query is
+    /// not a healed serve step: an injected panic unwinds to the caller.
     pub fn estimate_from_traces(&self, traces: &WindowedTraces, interner: &Interner) -> Estimates {
         let translated = self.translate_traces(traces, interner);
         let xs = self.features.extract_all_normalized(&translated);
@@ -918,45 +671,21 @@ impl DeepRest {
     /// [`estimate_traffic`]: Self::estimate_traffic
     pub fn estimate_what_if(
         &self,
-        snap: &crate::stream::StreamSnapshot,
+        snap: &StreamSnapshot,
         traffic: &ApiTraffic,
         seed: u64,
     ) -> Result<Estimates, String> {
         let _span = telemetry::span("estimate.what_if");
-        let mut predictor = crate::stream::StreamPredictor::restore(self, snap)?;
+        let predictor = StreamPredictor::restore(self, snap)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let api_syms = TraceSynthesizer::resolve_endpoints(traffic, &self.interner);
-        let t = traffic.window_count();
-
-        let e_count = self.experts.len();
-        let mut expected = vec![Vec::with_capacity(t); e_count];
-        let mut lower = vec![Vec::with_capacity(t); e_count];
-        let mut upper = vec![Vec::with_capacity(t); e_count];
-        for w in 0..t {
+        let rows = (0..traffic.window_count()).map(|w| {
             let traces = self
                 .synthesizer
                 .synthesize_window(traffic.window(w), &api_syms, &mut rng);
-            let x = self.features.extract_normalized(&traces);
-            for (e, point) in predictor.step(&x).into_iter().enumerate() {
-                expected[e].push(point.expected);
-                lower[e].push(point.lower);
-                upper[e].push(point.upper);
-            }
-        }
-
-        let mut map = BTreeMap::new();
-        for (e, expert) in self.experts.iter().enumerate() {
-            map.insert(
-                expert.key.clone(),
-                PredictedSeries {
-                    expected: TimeSeries::from_values(std::mem::take(&mut expected[e])),
-                    lower: TimeSeries::from_values(std::mem::take(&mut lower[e])),
-                    upper: TimeSeries::from_values(std::mem::take(&mut upper[e])),
-                    is_delta: expert.is_delta,
-                },
-            );
-        }
-        Ok(Estimates { map })
+            self.features.extract_normalized(&traces)
+        });
+        Ok(self.run_stream(predictor, rows))
     }
 
     /// Rewrites query traces into the model's symbol space.
@@ -1003,82 +732,51 @@ impl DeepRest {
             .collect()
     }
 
-    /// Runs the forward pass (no gradients) over normalized features,
-    /// chunked into training-length subsequences with fresh hidden state —
-    /// the same regime the model was trained under.
-    ///
-    /// The chunk boundaries (`subseq_len.max(2)`) and the per-output
-    /// postprocessing (scaler inverse + quantile-crossing guard) are
-    /// mirrored by [`crate::stream::StreamPredictor::step`] and its
-    /// [`crate::stream::PerExpertPredictor`] oracle; changes here must be
-    /// replicated there.
+    /// Runs the forward pass (no gradients) over normalized features from
+    /// a cold start: a fresh [`StreamPredictor`] stepped over the rows. The
+    /// predictor resets its hidden state every `subseq_len.max(2)` windows
+    /// — the regime the model was trained under — so batch estimation *is*
+    /// streaming from position 0.
     fn predict(&self, xs: &[Vec<f32>]) -> Estimates {
         let _span = telemetry::span("estimate.predict");
-        let t = xs.len();
-        let len = self.config.subseq_len.max(2);
-        let xs_tensors: Vec<Tensor> = xs.iter().map(|x| Tensor::vector(x.clone())).collect();
+        self.run_stream(self.stream_predictor(), xs.iter())
+    }
 
-        // Fan the independent subsequence chunks out across the pool;
-        // workers reuse one tape arena, and chunk outputs are concatenated
-        // in chunk order, so estimates are thread-count invariant.
-        let starts: Vec<usize> = (0..t).step_by(len).collect();
-        let arena_cap = len * self.experts.len() * 24;
-        let chunks: Vec<Vec<Vec<[f32; 3]>>> = self.pool().map_reuse(
-            starts.len(),
-            || Graph::with_capacity(arena_cap),
-            |g, i| {
-                g.reset();
-                let start = starts[i];
-                let end = (start + len).min(t);
-                let fwd = self.forward(g, &xs_tensors[start..end]);
-                fwd.outputs
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|&y_var| {
-                                let v = g.value(y_var).data();
-                                [v[0], v[1], v[2]]
-                            })
-                            .collect()
-                    })
-                    .collect()
-            },
-        );
-        let mut raw: Vec<Vec<[f32; 3]>> = vec![Vec::with_capacity(t); self.experts.len()];
-        for chunk in &chunks {
-            for row in chunk {
-                for (e, v) in row.iter().enumerate() {
-                    raw[e].push(*v);
-                }
+    /// Steps `predictor` once per feature row and collects every expert's
+    /// points into its series — the one stepping loop behind all three
+    /// `estimate_*` entry points.
+    fn run_stream<X: AsRef<[f32]>>(
+        &self,
+        mut predictor: StreamPredictor<'_>,
+        rows: impl ExactSizeIterator<Item = X>,
+    ) -> Estimates {
+        let t = rows.len();
+        let mut series: Vec<[Vec<f64>; 3]> = (0..self.experts.len())
+            .map(|_| std::array::from_fn(|_| Vec::with_capacity(t)))
+            .collect();
+        for x in rows {
+            for ([expected, lower, upper], point) in
+                series.iter_mut().zip(predictor.step(x.as_ref()))
+            {
+                expected.push(point.expected);
+                lower.push(point.lower);
+                upper.push(point.upper);
             }
         }
-
-        let mut map = BTreeMap::new();
-        for (e, expert) in self.experts.iter().enumerate() {
-            let mut expected = Vec::with_capacity(t);
-            let mut lower = Vec::with_capacity(t);
-            let mut upper = Vec::with_capacity(t);
-            for v in &raw[e] {
-                let exp = expert.scaler.inverse(f64::from(v[0])).max(0.0);
-                let lo = expert.scaler.inverse(f64::from(v[1])).max(0.0);
-                let up = expert.scaler.inverse(f64::from(v[2])).max(0.0);
-                // Guard against quantile crossing.
-                let lo2 = lo.min(exp).min(up);
-                let up2 = up.max(exp).max(lo);
-                expected.push(exp.clamp(lo2, up2));
-                lower.push(lo2);
-                upper.push(up2);
-            }
-            map.insert(
-                expert.key.clone(),
-                PredictedSeries {
+        let map = self
+            .experts
+            .iter()
+            .zip(series)
+            .map(|(expert, [expected, lower, upper])| {
+                let predicted = PredictedSeries {
                     expected: TimeSeries::from_values(expected),
                     lower: TimeSeries::from_values(lower),
                     upper: TimeSeries::from_values(upper),
                     is_delta: expert.is_delta,
-                },
-            );
-        }
+                };
+                (expert.key.clone(), predicted)
+            })
+            .collect();
         Estimates { map }
     }
 
@@ -1212,29 +910,6 @@ impl DeepRest {
     fn expert(&self, key: &ExpertKey) -> Option<&Expert> {
         self.experts.iter().find(|e| &e.key == key)
     }
-}
-
-/// Persistent per-batch-position training state: one tape arena (owning a
-/// recycled scratch pool), one private gradient buffer, and the reusable
-/// reduction vectors for one subsequence. Slots survive across batches and
-/// epochs so steady-state training draws every tensor from recycled
-/// capacity.
-struct JobSlot {
-    graph: Graph,
-    buf: GradBuffer,
-    terms: Vec<Var>,
-    mask_sums: Vec<Var>,
-    expert_sums: Vec<f32>,
-    loss_sum: f32,
-    n_terms: usize,
-}
-
-/// The result of one unrolled forward pass.
-struct Forward {
-    /// `outputs[t][e]`: three-quantile output of expert `e` at step `t`.
-    outputs: Vec<Vec<Var>>,
-    /// Per-expert sigmoid mask nodes.
-    mask_sig: Vec<Var>,
 }
 
 fn delta_encode(values: &[f64]) -> Vec<f64> {

@@ -22,8 +22,9 @@
 //!   (§4.3, δ-confidence intervals).
 //! * [`stream`] — stepwise (streaming) inference: a [`stream::StreamPredictor`]
 //!   carries per-expert GRU hidden state across windows so online serving
-//!   costs one GRU step + attention + head per window, bit-identical to the
-//!   batch path.
+//!   costs one GRU step + attention + head per window. It is the crate's
+//!   only inference implementation: the batch `estimate_*` queries step a
+//!   fresh predictor over their rows.
 //! * [`sanity`] — application sanity checks (§5.4): per-window deviation
 //!   from the expected interval, ensembled across resources, turned into
 //!   interpretable alerts; detects ransomware and cryptojacking.
@@ -45,11 +46,13 @@ mod config;
 mod estimator;
 mod features;
 pub mod interpret;
+#[cfg(test)]
+mod oracle;
 pub mod sanity;
 pub mod stream;
 mod synthesizer;
 
-pub use config::{DeepRestConfig, OptimizerKind, TrainingBackend};
+pub use config::{DeepRestConfig, OptimizerKind};
 pub use estimator::{DeepRest, Estimates, ExpertKey, PhaseSeconds, PredictedSeries, TrainReport};
 pub use features::FeatureSpace;
 pub use synthesizer::TraceSynthesizer;

@@ -1,19 +1,20 @@
-//! Stepwise (streaming) inference over a trained [`DeepRest`] model.
+//! Stepwise (streaming) inference over a trained [`DeepRest`] model — the
+//! crate's one forward pass.
 //!
-//! The batch path ([`DeepRest::estimate_from_traces`]) re-runs the GRU over
-//! the whole feature history. For online serving that is O(history) per new
-//! window; this module exposes the same computation as an O(1)-per-window
-//! step: a [`StreamPredictor`] carries every expert's GRU hidden state
-//! across windows and advances all experts by exactly one GRU step +
-//! attention + head when a new window's features arrive.
+//! A [`StreamPredictor`] carries every expert's GRU hidden state across
+//! windows and advances all experts by exactly one GRU step + attention +
+//! head when a new window's features arrive: O(1) per window for online
+//! serving. The batch queries ([`DeepRest::estimate_from_traces`],
+//! [`DeepRest::estimate_traffic`], [`DeepRest::estimate_what_if`]) are the
+//! same computation — each steps a predictor over its feature rows.
 //!
 //! # Batched stepping
 //!
 //! [`StreamPredictor::step`] is tape-free and batched: all experts' GRU
 //! gate weights are packed once into contiguous
-//! [`ExpertSlab`](deeprest_nn::ExpertSlab) storage, expert state is
+//! [`ExpertSlab`] storage, expert state is
 //! sharded across the worker pool (contiguous expert ranges, at least
-//! [`MIN_EXPERTS_PER_SHARD`] experts per shard), and one window advances as
+//! `MIN_EXPERTS_PER_SHARD` experts per shard), and one window advances as
 //!
 //! 1. per shard (parallel): mask the input, then three batched GEMVs over
 //!    the packed gate stacks advance the shard's hidden states in place;
@@ -25,18 +26,17 @@
 //!    the scalar postprocessing.
 //!
 //! Per-shard scratch comes from a private
-//! [`BufferPool`](deeprest_tensor::BufferPool) arena, so after the first
+//! [`BufferPool`] arena, so after the first
 //! window steady-state serving performs zero kernel allocations at any
 //! thread count.
 //!
 //! # Bit-identity contract
 //!
-//! The batch predictor chunks the feature sequence into `subseq_len.max(2)`
-//! subsequences and starts each chunk from a fresh zero hidden state (the
-//! regime the model was trained under). [`StreamPredictor::step`]
-//! replicates that regime by resetting its carried state at the same chunk
-//! boundaries, and performs the exact per-element float operations of one
-//! iteration of the batch unroll:
+//! The model is trained on `subseq_len.max(2)`-window subsequences that
+//! each start from a zero hidden state, so [`StreamPredictor::step`] resets
+//! its carried state at the same chunk boundaries. Within a chunk it
+//! performs the exact per-element float operations of the op-by-op
+//! formulation (Eq. 1–4 on the autodiff tape):
 //!
 //! * stacking gate weight matrices vertically leaves every per-row dot
 //!   unchanged (same terms, same kernel lane order);
@@ -48,15 +48,16 @@
 //!   the serial hidden gather, so the shard count (and therefore
 //!   `DEEPREST_THREADS`) cannot move a single rounding.
 //!
-//! The retained tape-based [`PerExpertPredictor`] is the oracle:
-//! `crates/core/tests/batched_stream.rs` proves `step` bit-identical to it
-//! (and to the batch path) across expert counts, shard counts, and
-//! quarantine scenarios.
+//! That tape formulation is kept as a test-only oracle in
+//! `crates/core/src/oracle.rs` (`#[cfg(test)]`): its unit tests prove
+//! `step` bit-identical to the tape's chunked unroll across expert counts
+//! and shard plans; `crates/core/tests/batched_stream.rs` covers shard
+//! portability, quarantine isolation and the zero-allocation invariant.
 
 use deeprest_fault as fault;
 use deeprest_nn::ExpertSlab;
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{kernel, BufferPool, Graph, Pool, Tensor, Var};
+use deeprest_tensor::{kernel, BufferPool, Pool};
 use deeprest_trace::{Interner, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -205,9 +206,8 @@ impl Shard {
     }
 }
 
-/// The batch predictor's output postprocessing, shared verbatim by both
-/// streaming paths: denormalize, clamp negatives, guard against quantile
-/// crossing.
+/// Output postprocessing: denormalize, clamp negatives, guard against
+/// quantile crossing.
 fn postprocess(expert: &Expert, v: &[f32]) -> PointEstimate {
     let exp = expert.scaler.inverse(f64::from(v[0])).max(0.0);
     let lo = expert.scaler.inverse(f64::from(v[1])).max(0.0);
@@ -253,12 +253,6 @@ impl DeepRest {
     /// Starts a streaming predictor at position 0 with zero hidden state.
     pub fn stream_predictor(&self) -> StreamPredictor<'_> {
         StreamPredictor::new(self)
-    }
-
-    /// Starts the tape-based per-expert reference stepper — the batched
-    /// predictor's bit-identity oracle and the capacity tool's baseline.
-    pub fn per_expert_predictor(&self) -> PerExpertPredictor<'_> {
-        PerExpertPredictor::new(self)
     }
 
     /// Extracts the normalized feature vector for one window of query
@@ -407,12 +401,11 @@ impl<'m> StreamPredictor<'m> {
     /// Advances every expert by one window and returns the denormalized
     /// `(expected, lower, upper)` estimates in expert order.
     ///
-    /// Mirrors one iteration of the batch unroll (see `DeepRest::forward`)
-    /// with the carried hidden state as the recurrence input, plus the
-    /// batch predictor's chunk-boundary reset and output postprocessing —
-    /// any change to either must be replicated here (and in
-    /// [`PerExpertPredictor::step`]) to preserve streaming/batch
-    /// bit-identity.
+    /// One iteration of the Eq. 1–4 unroll with the carried hidden state
+    /// as the recurrence input, a reset to zero state at every
+    /// `subseq_len.max(2)` chunk boundary (the training regime), and the
+    /// output postprocessing. The test-only tape in `oracle.rs` is the
+    /// reference for every float this produces.
     ///
     /// # Panics
     ///
@@ -428,8 +421,8 @@ impl<'m> StreamPredictor<'m> {
         let e_count = self.model.experts.len();
         let h = self.model.config.hidden_dim;
 
-        // The batch predictor starts every `subseq_len.max(2)` chunk from
-        // a fresh zero hidden state; replicate those boundaries exactly.
+        // Training starts every `subseq_len.max(2)` chunk from a fresh zero
+        // hidden state; inference keeps the same boundaries.
         let len = self.model.config.subseq_len.max(2);
         if self.position.is_multiple_of(len) {
             for s in &mut self.shards {
@@ -670,146 +663,6 @@ fn snapshot_shards(shards: &[Shard], hidden_dim: usize, position: usize) -> Stre
     StreamSnapshot { position, hidden }
 }
 
-/// The tape-based per-expert stepper the batched [`StreamPredictor`]
-/// replaced, retained as its bit-identity oracle and as the
-/// `deeprest capacity` tool's per-expert baseline. Loops over experts and
-/// re-binds every parameter into a one-window tape per step — correct, but
-/// O(experts) small GEMVs and parameter copies per window.
-///
-/// Not a serving surface: it emits no telemetry and carries no fault
-/// probes or snapshot support.
-pub struct PerExpertPredictor<'m> {
-    model: &'m DeepRest,
-    // One window's tape: ~24 nodes per expert for the single step (the
-    // batch path's arena budget of `len * experts * 24` covers a whole
-    // `len`-step chunk of the same shapes).
-    graph: Graph,
-    hidden: Vec<Tensor>,
-    x_buf: Tensor,
-    position: usize,
-}
-
-impl<'m> PerExpertPredictor<'m> {
-    fn new(model: &'m DeepRest) -> Self {
-        let e_count = model.experts.len();
-        let hidden_dim = model.config.hidden_dim;
-        Self {
-            model,
-            graph: Graph::with_capacity(e_count * 24),
-            hidden: (0..e_count).map(|_| Tensor::zeros(hidden_dim, 1)).collect(),
-            x_buf: Tensor::zeros(model.features.dim().max(1), 1),
-            position: 0,
-        }
-    }
-
-    /// Number of windows consumed so far (the index of the next window).
-    pub fn position(&self) -> usize {
-        self.position
-    }
-
-    /// Advances every expert by one window on a fresh tape — the exact op
-    /// sequence of one batch-unroll iteration, one expert at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the model's feature dimension.
-    pub fn step(&mut self, x: &[f32]) -> Vec<PointEstimate> {
-        let model = self.model;
-        let dim = model.features.dim();
-        assert_eq!(
-            x.len(),
-            dim,
-            "PerExpertPredictor::step: feature dim mismatch (got {}, model has {dim})",
-            x.len()
-        );
-        let e_count = model.experts.len();
-        let hidden_dim = model.config.hidden_dim;
-
-        let len = model.config.subseq_len.max(2);
-        if self.position.is_multiple_of(len) {
-            for h in &mut self.hidden {
-                h.fill_zero();
-            }
-        }
-
-        self.x_buf.data_mut().copy_from_slice(x);
-        let g = &mut self.graph;
-        g.reset();
-
-        // Bind parameters in the same order as the batch forward().
-        let mask_sig: Vec<Var> = model
-            .experts
-            .iter()
-            .map(|ex| {
-                if model.config.api_mask {
-                    let m = g.param(&model.store, ex.mask);
-                    g.sigmoid(m)
-                } else {
-                    g.constant_fill(dim, 1, 1.0)
-                }
-            })
-            .collect();
-        let gru_bound: Vec<_> = model
-            .experts
-            .iter()
-            .map(|ex| ex.gru.bind(g, &model.store))
-            .collect();
-        let alpha_masked: Vec<Var> = model
-            .experts
-            .iter()
-            .enumerate()
-            .map(|(i, ex)| {
-                let a = g.param(&model.store, ex.alpha);
-                g.mask_out(a, i)
-            })
-            .collect();
-        let head_bound: Vec<_> = model
-            .experts
-            .iter()
-            .map(|ex| ex.head.bind(g, &model.store))
-            .collect();
-        let skip_bound: Vec<Option<_>> = model
-            .experts
-            .iter()
-            .map(|ex| ex.skip.as_ref().map(|s| s.bind(g, &model.store)))
-            .collect();
-
-        // One unroll iteration with the carried state as constants.
-        let xv = g.constant_copy(&self.x_buf);
-        let mut h: Vec<Var> = self.hidden.iter().map(|t| g.constant_copy(t)).collect();
-        let mut masked_x: Vec<Var> = Vec::with_capacity(e_count);
-        for e in 0..e_count {
-            let masked = g.mul(mask_sig[e], xv);
-            h[e] = gru_bound[e].step(g, masked, h[e]);
-            masked_x.push(masked);
-        }
-        let hmat = g.concat_cols(&h);
-        let mut out = Vec::with_capacity(e_count);
-        for (e, expert) in model.experts.iter().enumerate() {
-            let att = if model.config.attention {
-                g.matmul(hmat, alpha_masked[e])
-            } else {
-                g.constant_zeros(hidden_dim, 1)
-            };
-            let cat = g.concat_rows(&[att, h[e]]);
-            let y = head_bound[e].forward(g, cat);
-            let y = match &skip_bound[e] {
-                Some(skip) => {
-                    let lin = skip.forward(g, masked_x[e]);
-                    g.add(y, lin)
-                }
-                None => y,
-            };
-            out.push(postprocess(expert, g.value(y).data()));
-        }
-        for (e, hv) in h.iter().enumerate() {
-            self.hidden[e].copy_from(self.graph.value(*hv));
-        }
-        self.position += 1;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,19 +732,6 @@ mod tests {
             }
         }
         assert_eq!(stream.position(), 128);
-    }
-
-    /// The batched step and the retained tape-based per-expert stepper
-    /// must agree bitwise window for window.
-    #[test]
-    fn batched_matches_per_expert_reference_bitwise() {
-        let (i, traces, model) = trained(96);
-        let mut batched = model.stream_predictor();
-        let mut reference = model.per_expert_predictor();
-        for (t, window) in traces.windows.iter().enumerate() {
-            let x = model.window_features(window, &i);
-            assert_eq!(batched.step(&x), reference.step(&x), "window {t}");
-        }
     }
 
     /// Checkpoint mid-stream (off a chunk boundary), restore, resume:

@@ -1,4 +1,4 @@
-//! The steady-state allocation invariant of the training engine.
+//! The steady-state allocation invariants of training and batch estimation.
 //!
 //! Training draws every tensor — node values, gradients, constant payloads,
 //! loss targets — from per-slot recycled buffer pools. The kernel layer
@@ -91,16 +91,34 @@ fn steady_state_training_epochs_allocate_nothing() {
     }
 }
 
+/// Batch estimation steps one `StreamPredictor` over the rows: its shard
+/// arenas fill on the first window and are reused for every later one, so
+/// the kernel allocation count is independent of the query length.
 #[test]
-fn prediction_reuses_worker_arenas() {
-    let (i, traces, metrics) = tiny_dataset(64);
-    let (model, _) = DeepRest::fit(&traces, &metrics, &i, config(1, 1));
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        let _ = model.estimate_from_traces(&traces, &i);
-    });
-    // Prediction fans chunks over pooled workers that reset one shared
-    // graph: every chunk after a worker's first must reuse its arena.
-    assert!(sink.counter("kernel.scratch_reuse") > 0);
-    assert!(sink.counter("graph.arena_reuse") >= 1);
+fn batch_prediction_allocations_do_not_grow_with_windows() {
+    let (i, long, metrics) = tiny_dataset(128);
+    let mut short = WindowedTraces::with_windows(1.0, 32);
+    short.windows.clone_from_slice(&long.windows[..32]);
+    for threads in [1, 2] {
+        let (model, _) = DeepRest::fit(&long, &metrics, &i, config(1, threads));
+        let kernel_allocs = |traces: &WindowedTraces| {
+            let sink = Arc::new(MemorySink::new());
+            telemetry::with_sink(sink.clone(), || {
+                let _ = model.estimate_from_traces(traces, &i);
+            });
+            assert_eq!(sink.counter("stream.steps"), traces.len() as u64);
+            sink.counter("kernel.alloc")
+        };
+        let allocs_short = kernel_allocs(&short);
+        assert!(
+            allocs_short > 0,
+            "the first window fills the arenas (threads = {threads})"
+        );
+        assert_eq!(
+            kernel_allocs(&long),
+            allocs_short,
+            "a 128-window query must allocate exactly as often as a 32-window one \
+             (threads = {threads})"
+        );
+    }
 }

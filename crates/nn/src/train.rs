@@ -15,8 +15,9 @@
 //!
 //! # Bit-identity with the tape oracle
 //!
-//! The tape path is retained (`crates/core`'s `TrainingBackend::Tape`) as a
-//! differential-testing oracle, and this engine reproduces its accumulated
+//! The tape formulation is kept as a test-only differential oracle (here in
+//! `tests/prop_analytic_train.rs`; at model level in `crates/core`'s
+//! `#[cfg(test)]` `oracle.rs`), and this engine reproduces its accumulated
 //! gradients *bit for bit*:
 //!
 //! * Every contraction calls the same lane-blocked kernels on the same

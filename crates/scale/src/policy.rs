@@ -121,7 +121,7 @@ impl ScalePolicy for TargetUtilizationPolicy {
 /// [`deeprest_baselines::ReactiveScaling`] implements and unit-tests —
 /// `ceil(current × observed / target)` inside a relative deadband — reused
 /// here in the controller-owned actuation discipline (the standalone
-/// baseline carries its own cooldown; under the [`ScaleController`] the
+/// baseline carries its own cooldown; under the [`crate::ScaleController`] the
 /// cooldown is applied once, centrally, so both policies face identical
 /// rate limits).
 #[derive(Clone, Copy, Debug)]

@@ -4,7 +4,7 @@
 //! applications. Each tenant gets its own bounded [`IngestQueue`], a
 //! [`PriorityClass`], and per-round admission quotas (arrivals and
 //! estimated bytes); a deterministic deficit-round-robin
-//! [`FairScheduler`](crate::sched::FairScheduler) drains the queues into
+//! [`FairScheduler`] drains the queues into
 //! the per-tenant pipelines in a reproducible order, and an
 //! [`OverloadController`] walks the degradation ladder when the aggregate
 //! backlog grows (see [`crate::overload`] for the ladder).

@@ -1,5 +1,7 @@
 //! A panic raised inside a sharded step reaches [`ServeError::Step`] with
-//! its own message, whichever pool thread ran the chunk that raised it.
+//! its own message, whichever pool thread ran the chunk that raised it —
+//! and reaches the caller of a batch query, which steps the same predictor
+//! without the pipeline's healing, as that same panic.
 //!
 //! Alone in its binary: `always("pool.worker")` is process-wide while
 //! armed and would strike any other test that trains or serves meanwhile.
@@ -37,4 +39,16 @@ fn persistent_step_panic_surfaces_its_own_message_at_two_threads() {
         });
         assert_eq!(message, format!("deeprest-fault: injected panic at {site}"));
     }
+
+    // A batch estimate is a query, not a healed serve step: nothing catches
+    // or retries, so even a one-shot fault unwinds out of it unchanged.
+    let plan = Arc::new(FaultPlan::new(17).once("stream.step", 3));
+    let payload = fault::with_plan(plan, || {
+        std::panic::catch_unwind(|| model.estimate_from_traces(&traces, &interner))
+    })
+    .expect_err("the fourth window's step probe must unwind out of the query");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some("deeprest-fault: injected panic at stream.step")
+    );
 }

@@ -557,7 +557,7 @@ fn gemm_partial_cols(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], 
 /// The output is produced in `LANES`-wide column blocks; each block carries
 /// a `[k-lane][column]` register tile so that every output element observes
 /// exactly the contract accumulation order (term `kk` in lane `kk % LANES`,
-/// reduced by [`reduce`]). Blocks are walked column-outer / row-inner so one
+/// reduced by `reduce`). Blocks are walked column-outer / row-inner so one
 /// block's slab of `b` (`k * LANES` floats) stays cache-resident across
 /// every row of `a`; when `b` is large enough for its strided slab rows to
 /// thrash cache sets, the slab is first packed contiguously (a value copy —
@@ -784,8 +784,8 @@ fn gemm_tn_partial_rows(out: &mut [f32], a: &[f32], k: usize, m: usize, b: &[f32
 /// `matmul/nn` ~3×). Instead each `LANES`-wide block of `a`'s columns is
 /// contracted directly from the strided operand — per row of `a` that is
 /// one contiguous `LANES`-float load, so the walk streams `a` row-major
-/// once per block. The accumulation order is the shared [`gemm_tn_block`]
-/// tile (term `kk` in lane `kk % LANES`, tree [`reduce`]), so the bits are
+/// once per block. The accumulation order is the shared `gemm_tn_block`
+/// tile (term `kk` in lane `kk % LANES`, tree `reduce`), so the bits are
 /// identical to [`gemm_tn_into`]'s packed path and to [`gemm_into`] on a
 /// materialized transpose.
 pub fn gemv_t_into(out: &mut [f32], a: &[f32], k: usize, m: usize, x: &[f32]) {
@@ -795,7 +795,7 @@ pub fn gemv_t_into(out: &mut [f32], a: &[f32], k: usize, m: usize, x: &[f32]) {
 /// Accumulating transposed GEMV: `out[i] += (a^T * x)[i]`.
 ///
 /// Each contribution carries exactly the bits of the corresponding
-/// [`gemv_t_into`] element (the shared [`gemm_tn_block`] tile and tail), so
+/// [`gemv_t_into`] element (the shared `gemm_tn_block` tile and tail), so
 /// `gemv_t_acc_into(out, ..)` is bit-identical to `gemv_t_into(tmp, ..)`
 /// followed by `out[i] += tmp[i]` — without the temporary. This is the
 /// analytic training backward's accumulation primitive for

@@ -92,7 +92,7 @@ pub enum ImportError {
     DanglingParent(String),
     /// A trace has no root span (or a reference cycle).
     NoRoot(String),
-    /// A span tree exceeds [`MAX_SPAN_DEPTH`] (cycle through duplicate ids
+    /// A span tree exceeds `MAX_SPAN_DEPTH` (cycle through duplicate ids
     /// or an adversarial document).
     TooDeep(String),
     /// Duplicate span ids inflate the tree beyond the trace's span count.

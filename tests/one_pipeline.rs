@@ -1,7 +1,9 @@
 //! Tier-1 smoke of the serving contract: the plain and the adaptive
-//! pipeline run the same per-window stages, and both resume from a
-//! checkpoint bit-identically. The exhaustive versions live beside the
-//! crates (`crates/adapt/tests/{frozen_equivalence,determinism}.rs`).
+//! pipeline run the same per-window stages, both resume from a checkpoint
+//! bit-identically, and a batch estimate is a what-if from a cold stream.
+//! The exhaustive versions live beside the crates
+//! (`crates/adapt/tests/{frozen_equivalence,determinism}.rs`,
+//! `crates/core/src/oracle.rs`).
 
 use deeprest::adapt::{AdaptConfig, AdaptivePipeline};
 use deeprest::core::{DeepRest, DeepRestConfig};
@@ -9,6 +11,7 @@ use deeprest::metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest::serve::{Checkpoint, CollectSink, Pipeline, ServeConfig, WindowOutput};
 use deeprest::trace::window::{TimestampedTrace, WindowedTraces};
 use deeprest::trace::{Interner, SpanNode, Trace};
+use deeprest::workload::ApiTraffic;
 
 const WINDOWS: usize = 48;
 
@@ -211,4 +214,36 @@ fn plain_checkpoint_resumes_bit_identically() {
         outputs
     };
     assert_eq!(bits(&run(Some(f.stream.len() / 2))), bits(&run(None)));
+}
+
+/// `estimate_traffic` and `estimate_what_if` step the same predictor over
+/// the same rows, so a what-if continued from a position-0 snapshot is the
+/// batch estimate — across a chunk-boundary reset (40 windows, subseq 16).
+#[test]
+fn estimate_traffic_is_a_what_if_from_a_cold_snapshot() {
+    let f = fixture();
+    let rates = (0..40).map(|w| vec![3.0 + (w % 7) as f64]).collect();
+    let traffic = ApiTraffic::new(vec!["/read".into()], 8, rates);
+    let batch = f.model.estimate_traffic(&traffic, 5);
+    let cold = f.model.stream_predictor().snapshot();
+    assert_eq!(cold.position, 0);
+    let what_if = f
+        .model
+        .estimate_what_if(&cold, &traffic, 5)
+        .expect("cold snapshot fits its own model");
+    assert_eq!(batch.len(), 2);
+    assert_eq!(what_if.len(), batch.len());
+    let series_bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for ((key, a), (what_if_key, b)) in batch.iter().zip(what_if.iter()) {
+        assert_eq!(key, what_if_key);
+        assert_eq!(a.is_delta, b.is_delta);
+        for (sa, sb) in [
+            (&a.expected, &b.expected),
+            (&a.lower, &b.lower),
+            (&a.upper, &b.upper),
+        ] {
+            assert_eq!(sa.len(), 40);
+            assert_eq!(series_bits(sa), series_bits(sb), "{key}");
+        }
+    }
 }
