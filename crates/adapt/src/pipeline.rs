@@ -119,6 +119,9 @@ struct AdapterEnvelope {
 }
 
 /// The carried predictor state between windows.
+// One value per pipeline, swapped every window: boxing the packed variant
+// would put an allocation on each window's detach.
+#[allow(clippy::large_enum_variant)]
 enum Carried {
     /// Packed weights and hidden state, valid for the current parameters.
     Packed(DetachedPredictor),

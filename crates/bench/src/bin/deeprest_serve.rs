@@ -242,19 +242,23 @@ fn main() {
     }
 
     if let Some(dir) = &args.checkpoint {
-        let store = CheckpointStore::new(dir);
-        store
-            .save(&pipeline.checkpoint())
-            .expect("write checkpoint");
-        println!(
-            "serve: checkpoint written to {}",
-            store.latest_path().display()
-        );
+        write_checkpoint(dir, &pipeline.checkpoint());
     }
 
     if args.assert_batch {
         assert_against_batch(&session, &config, &outputs);
     }
+}
+
+/// Persists `checkpoint` through the CRC-framed store under `dir` and
+/// prints where it landed.
+fn write_checkpoint<T: serde::Serialize>(dir: &str, checkpoint: &T) {
+    let store = CheckpointStore::new(dir);
+    store.save(checkpoint).expect("write checkpoint");
+    println!(
+        "serve: checkpoint written to {}",
+        store.latest_path().display()
+    );
 }
 
 /// Multi-tenant replay: the same stream as `--tenants N` tenant
@@ -310,6 +314,10 @@ fn run_multi_tenant(session: &Session, config: ServeConfig, args: &ServeArgs) {
         registry.round(),
         registry.overload_level()
     );
+
+    if let Some(dir) = &args.checkpoint {
+        write_checkpoint(dir, &registry.checkpoint());
+    }
 
     if args.assert_batch {
         for t in 0..args.tenants {

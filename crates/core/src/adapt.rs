@@ -24,8 +24,7 @@
 //!   the snapshot bit-for-bit and surfaces a typed [`UpdateError`].
 
 use deeprest_fault as fault;
-use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{AnalyticTrainer, ExpertSpec, Sgd, TrainerConfig};
+use deeprest_nn::{AnalyticTrainer, Sgd};
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::Pool;
 use serde::{Deserialize, Serialize};
@@ -183,36 +182,8 @@ impl OnlineUpdater {
         let experts = model.experts.len();
         assert!(experts > 0, "OnlineUpdater: model has no experts");
         let dim = model.features.dim();
-        let mcfg = model.config();
-        let specs: Vec<ExpertSpec> = model
-            .experts
-            .iter()
-            .map(|ex| ExpertSpec {
-                mask: ex.mask,
-                cell: ex.gru,
-                alpha: ex.alpha,
-                head: ex.head,
-                skip: ex.skip,
-            })
-            .collect();
         let slots = cfg.segment_slots();
-        let trainer_cfg = TrainerConfig {
-            input_dim: dim,
-            hidden_dim: mcfg.hidden_dim,
-            max_steps: cfg.segment_len,
-            batch_slots: slots,
-            api_mask: mcfg.api_mask,
-            attention: mcfg.attention,
-            penalty: (mcfg.mask_l1 > 0.0 && mcfg.api_mask)
-                .then(|| mcfg.mask_l1 / (dim.max(1) * experts) as f32),
-            quantiles: quantiles_for(mcfg.delta),
-            modulation: [1.0; 3],
-        };
-        let pool = match mcfg.threads {
-            Some(n) => Pool::with_threads(n),
-            None => Pool::global(),
-        };
-        let trainer = AnalyticTrainer::new(&model.store, specs, trainer_cfg, &pool);
+        let (trainer, pool) = model.trainer(cfg.segment_len, slots);
         let total = slots * cfg.segment_len;
         let ids: Vec<deeprest_tensor::ParamId> = model.store.ids().collect();
         let backup = ids

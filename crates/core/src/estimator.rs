@@ -12,9 +12,7 @@ use std::time::Instant;
 
 use deeprest_metrics::{MetricKey, MetricsRegistry, MinMaxScaler, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{
-    Adam, AnalyticTrainer, ExpertSpec, GruCell, Linear, Sgd, TrainerConfig as NnTrainerConfig,
-};
+use deeprest_nn::{Adam, AnalyticTrainer, ExpertSpec, GruCell, Linear, Sgd, TrainerConfig};
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::{ParamId, ParamStore, Pool, Tensor};
 use deeprest_trace::window::WindowedTraces;
@@ -426,6 +424,43 @@ impl DeepRest {
         }
     }
 
+    /// The swarm's parameter handles in expert order — what the packed slab
+    /// (serving and training alike) is built from.
+    pub(crate) fn expert_specs(&self) -> Vec<ExpertSpec> {
+        self.experts
+            .iter()
+            .map(|ex| ExpertSpec {
+                mask: ex.mask,
+                cell: ex.gru,
+                alpha: ex.alpha,
+                head: ex.head,
+                skip: ex.skip,
+            })
+            .collect()
+    }
+
+    /// An [`AnalyticTrainer`] over this model's swarm and the pool it runs
+    /// on. The model contributes the architecture (`api_mask`, `attention`,
+    /// mask-L1 penalty, δ-quantiles); the caller only the batch geometry.
+    pub(crate) fn trainer(&self, max_steps: usize, batch_slots: usize) -> (AnalyticTrainer, Pool) {
+        let dim = self.features.dim();
+        let config = TrainerConfig {
+            input_dim: dim,
+            hidden_dim: self.config.hidden_dim,
+            max_steps,
+            batch_slots,
+            api_mask: self.config.api_mask,
+            attention: self.config.attention,
+            penalty: (self.config.mask_l1 > 0.0 && self.config.api_mask)
+                .then(|| self.config.mask_l1 / (dim.max(1) * self.experts.len()) as f32),
+            quantiles: quantiles_for(self.config.delta),
+            modulation: [1.0; 3],
+        };
+        let pool = self.pool();
+        let trainer = AnalyticTrainer::new(&self.store, self.expert_specs(), config, &pool);
+        (trainer, pool)
+    }
+
     /// Joint training over all experts (quantile loss, Eq. 6): `epochs`
     /// optimizer epochs of tape-free truncated BPTT over the packed expert
     /// slab ([`AnalyticTrainer`]), batching gate GEMMs across experts and
@@ -446,7 +481,6 @@ impl DeepRest {
         let t = xs.len();
         let len = self.config.subseq_len.max(2);
         let starts: Vec<usize> = (0..t).step_by(len).collect();
-        let pool = self.pool();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e37_79b9);
 
         let mut sgd;
@@ -468,31 +502,8 @@ impl DeepRest {
 
         let e_count = self.experts.len();
         let expert_names: Vec<String> = self.experts.iter().map(|e| format!("{}", e.key)).collect();
-        let specs: Vec<ExpertSpec> = self
-            .experts
-            .iter()
-            .map(|ex| ExpertSpec {
-                mask: ex.mask,
-                cell: ex.gru,
-                alpha: ex.alpha,
-                head: ex.head,
-                skip: ex.skip,
-            })
-            .collect();
-        let dim = self.features.dim().max(1);
-        let trainer_cfg = NnTrainerConfig {
-            input_dim: self.features.dim(),
-            hidden_dim: self.config.hidden_dim,
-            max_steps: len,
-            batch_slots: self.config.batch_size.max(1).min(starts.len()),
-            api_mask: self.config.api_mask,
-            attention: self.config.attention,
-            penalty: (self.config.mask_l1 > 0.0 && self.config.api_mask)
-                .then(|| self.config.mask_l1 / (dim * e_count) as f32),
-            quantiles: quantiles_for(self.config.delta),
-            modulation: [1.0; 3],
-        };
-        let mut trainer = AnalyticTrainer::new(&self.store, specs, trainer_cfg, &pool);
+        let batch_slots = self.config.batch_size.max(1).min(starts.len());
+        let (mut trainer, pool) = self.trainer(len, batch_slots);
 
         let mut epoch_losses = Vec::with_capacity(epochs);
         let mut expert_epoch_losses: Vec<Vec<f32>> = vec![Vec::with_capacity(epochs); e_count];

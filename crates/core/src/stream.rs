@@ -10,20 +10,23 @@
 //!
 //! # Batched stepping
 //!
-//! [`StreamPredictor::step`] is tape-free and batched: all experts' GRU
-//! gate weights are packed once into contiguous
-//! [`ExpertSlab`] storage, expert state is
-//! sharded across the worker pool (contiguous expert ranges, at least
-//! `MIN_EXPERTS_PER_SHARD` experts per shard), and one window advances as
+//! [`StreamPredictor::step`] is tape-free and batched. Every value the
+//! forward reads — gate stacks, `σ(mask)`, attention columns, head and skip
+//! weights — is packed once into a [`deeprest_nn::ExpertSlab`], which also
+//! plans the shards (contiguous expert ranges, one per pool worker) and owns
+//! the forward arithmetic; training steps the very same calls. What lives
+//! here is the serving state around them: the carried hidden vectors (reset
+//! at chunk boundaries), the `H_t` matrix, fault probes, telemetry and the
+//! output postprocessing. One window advances as
 //!
-//! 1. per shard (parallel): mask the input, then three batched GEMVs over
-//!    the packed gate stacks advance the shard's hidden states in place;
-//! 2. serial barrier: the hidden columns are gathered into one
+//! 1. per shard (parallel): `mask_into`, then `step_range` — three batched
+//!    GEMVs over the packed gate stacks advance the shard's hidden states in
+//!    place;
+//! 2. serial barrier: `gather_hidden` scatters the hidden columns into one
 //!    `(hidden, experts)` matrix;
-//! 3. per shard (parallel): cross-expert attention for the whole shard as
-//!    **one** GEMM against the shard's packed attention columns, then one
-//!    batched head GEMV (plus one batched skip GEMV when configured) and
-//!    the scalar postprocessing.
+//! 3. per shard (parallel): `heads` — cross-expert attention for the whole
+//!    shard as **one** GEMM, one batched head GEMV (plus one batched skip
+//!    GEMV when configured) — then the scalar postprocessing.
 //!
 //! Per-shard scratch comes from a private
 //! [`BufferPool`] arena, so after the first
@@ -34,19 +37,12 @@
 //!
 //! The model is trained on `subseq_len.max(2)`-window subsequences that
 //! each start from a zero hidden state, so [`StreamPredictor::step`] resets
-//! its carried state at the same chunk boundaries. Within a chunk it
-//! performs the exact per-element float operations of the op-by-op
-//! formulation (Eq. 1–4 on the autodiff tape):
-//!
-//! * stacking gate weight matrices vertically leaves every per-row dot
-//!   unchanged (same terms, same kernel lane order);
-//! * computing attention for `count` experts as one GEMM produces, per
-//!   output element, the bits of the per-expert GEMV — the kernel contract
-//!   fixes every element's accumulation order regardless of how many
-//!   columns ride in one call;
-//! * sharding never splits a contraction: experts are data-parallel until
-//!   the serial hidden gather, so the shard count (and therefore
-//!   `DEEPREST_THREADS`) cannot move a single rounding.
+//! its carried state at the same chunk boundaries. Within a chunk the slab
+//! forward performs the exact per-element float operations of the op-by-op
+//! formulation (Eq. 1–4 on the autodiff tape; see the `deeprest_nn::slab`
+//! module docs for why), and sharding never splits a contraction: experts
+//! are data-parallel until the serial hidden gather, so the shard count
+//! (and therefore `DEEPREST_THREADS`) cannot move a single rounding.
 //!
 //! That tape formulation is kept as a test-only oracle in
 //! `crates/core/src/oracle.rs` (`#[cfg(test)]`): its unit tests prove
@@ -57,17 +53,12 @@
 use deeprest_fault as fault;
 use deeprest_nn::ExpertSlab;
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{kernel, BufferPool, Pool};
+use deeprest_tensor::{BufferPool, Pool};
 use deeprest_trace::{Interner, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::estimator::Expert;
 use crate::DeepRest;
-
-/// Smallest expert range worth its own shard (and worker thread): below
-/// this the per-window fan-out overhead outweighs the parallel work, so
-/// small models run single-sharded on the caller's thread.
-const MIN_EXPERTS_PER_SHARD: usize = 8;
 
 /// One window's `(expected, lower, upper)` estimate for one expert, after
 /// denormalization and the quantile-crossing guard — the streaming
@@ -99,37 +90,15 @@ pub struct StreamSnapshot {
     pub hidden: Vec<Vec<f32>>,
 }
 
-/// One contiguous expert range with everything its worker needs packed
-/// locally: carried hidden states, precomputed mask activations, attention
-/// columns, head/skip weights, and a private scratch arena. Shards never
-/// read each other's state; the only cross-shard dataflow is the serial
-/// hidden gather between the two parallel phases.
+/// The serving state of one of the slab's shards (same index, same expert
+/// range). Shards never read each other's state; the only cross-shard
+/// dataflow is the serial hidden gather between the two parallel phases.
 struct Shard {
-    /// First expert (global index) in this shard.
-    lo: usize,
-    /// Number of experts in this shard.
-    count: usize,
     /// Carried hidden states, `count * hidden_dim`, packed per expert.
     hidden: Vec<f32>,
     /// Masked inputs of the current window, `count * input_dim` (written
     /// in phase one, read again by the skip path in phase two).
     masked: Vec<f32>,
-    /// Precomputed `σ(mask)` per expert (`count * input_dim`), or all ones
-    /// when the API mask is disabled — same function of the same stored
-    /// values the tape applied per step, so the bits match.
-    mask_sig: Vec<f32>,
-    /// Attention weight columns `(experts, count)`: column `c` is expert
-    /// `lo + c`'s `α` with its self entry zeroed (the tape's `mask_out`).
-    alpha_cols: Vec<f32>,
-    /// Packed head weights, per expert `(3, 2 * hidden_dim)` row-major.
-    head_w: Vec<f32>,
-    /// Packed head biases, per expert 3 values.
-    head_b: Vec<f32>,
-    /// Packed skip weights `(3, input_dim)` per expert; empty when the
-    /// linear skip is disabled.
-    skip_w: Vec<f32>,
-    /// Packed skip biases, per expert 3 values; empty without skip.
-    skip_b: Vec<f32>,
     /// Finished estimates for this shard's experts, in expert order.
     out: Vec<PointEstimate>,
     /// Private scratch arena: all per-window buffers are taken from (and
@@ -138,71 +107,9 @@ struct Shard {
 }
 
 impl Shard {
-    /// Phase one: mask the window's features per expert and advance the
-    /// shard's hidden states by one batched GRU step.
-    fn advance(&mut self, slab: &ExpertSlab, x: &[f32]) {
-        let d = slab.input_dim();
-        for e in 0..self.count {
-            let sig = &self.mask_sig[e * d..(e + 1) * d];
-            let masked = &mut self.masked[e * d..(e + 1) * d];
-            for i in 0..d {
-                // The tape's `mul(mask_sig, x)` elementwise product.
-                masked[i] = sig[i] * x[i];
-            }
-        }
-        slab.step_range(
-            self.lo,
-            self.count,
-            &self.masked,
-            &mut self.hidden,
-            &mut self.scratch,
-        );
-    }
-
-    /// Phase two: attention (one GEMM for the whole shard), head and skip
-    /// (batched GEMVs), and per-expert output postprocessing.
-    fn heads(&mut self, experts: &[Expert], hmat: &[f32], h: usize, attention: bool) {
-        let count = self.count;
-        let e_count = experts.len();
-        let two_h = 2 * h;
-        // `BufferPool::take` hands the buffer back zeroed, which is exactly
-        // the disabled-attention constant the tape used.
-        let mut att = self.scratch.take(h * count);
-        if attention && count > 0 {
-            kernel::gemm_into(&mut att, hmat, h, e_count, &self.alpha_cols, count);
-        }
-        // cat_e = [att_e ; h_e] — the tape's concat_rows, as a gather from
-        // the GEMM's column-strided output.
-        let mut cat = self.scratch.take(count * two_h);
-        for e in 0..count {
-            for r in 0..h {
-                cat[e * two_h + r] = att[r * count + e];
-                cat[e * two_h + h + r] = self.hidden[e * h + r];
-            }
-        }
-        let mut y = self.scratch.take(count * 3);
-        kernel::gemv_batch_into(&mut y, &self.head_w, 3, two_h, &cat, count);
-        for (yv, b) in y.iter_mut().zip(self.head_b.iter()) {
-            *yv += b;
-        }
-        if !self.skip_w.is_empty() {
-            let d = self.mask_sig.len() / count.max(1);
-            let mut lin = self.scratch.take(count * 3);
-            kernel::gemv_batch_into(&mut lin, &self.skip_w, 3, d, &self.masked, count);
-            for (lv, b) in lin.iter_mut().zip(self.skip_b.iter()) {
-                *lv += b;
-            }
-            for (yv, lv) in y.iter_mut().zip(lin.iter()) {
-                *yv += lv;
-            }
-            self.scratch.put(lin);
-        }
-        for e in 0..count {
-            self.out[e] = postprocess(&experts[self.lo + e], &y[e * 3..(e + 1) * 3]);
-        }
-        self.scratch.put(y);
-        self.scratch.put(cat);
-        self.scratch.put(att);
+    /// The carried hidden vectors, one `h`-slice per expert of the shard.
+    fn hidden_rows(&self, h: usize) -> impl Iterator<Item = &[f32]> {
+        (0..self.out.len()).map(move |c| &self.hidden[c * h..(c + 1) * h])
     }
 }
 
@@ -234,18 +141,14 @@ fn postprocess(expert: &Expert, v: &[f32]) -> PointEstimate {
 /// pool. Per-shard scratch arenas make warm steps allocation-free.
 pub struct StreamPredictor<'m> {
     model: &'m DeepRest,
-    /// All experts' GRU gate weights, packed once.
+    /// Every value the forward reads, packed once, plus the shard plan.
     slab: ExpertSlab,
-    /// Expert state, sharded into contiguous ranges.
+    /// Serving state per slab shard.
     shards: Vec<Shard>,
     /// The gathered `(hidden_dim, experts)` matrix of post-step hidden
     /// columns (the tape's `concat_cols`), rebuilt serially every window.
     hmat: Vec<f32>,
     pool: Pool,
-    /// Batched kernel invocations per window — a constant of the model
-    /// configuration, emitted as the `stream.step.kernel_ops` gauge so
-    /// serving tests can assert the O(1) step cost.
-    step_kernel_ops: f64,
     position: usize,
 }
 
@@ -268,99 +171,39 @@ impl DeepRest {
 
 impl<'m> StreamPredictor<'m> {
     fn new(model: &'m DeepRest) -> Self {
-        let e_count = model.experts.len();
         let h = model.config.hidden_dim;
         let d = model.features.dim();
-        let cells: Vec<_> = model.experts.iter().map(|ex| ex.gru).collect();
-        let slab = ExpertSlab::pack(&model.store, &cells);
         let pool = model.pool();
-
-        // Shard plan: at most one shard per pool thread, each at least
-        // MIN_EXPERTS_PER_SHARD wide, so tiny models stay single-sharded
-        // (and run inline on the caller's thread).
-        let shard_count = pool
-            .threads()
-            .min(e_count.div_ceil(MIN_EXPERTS_PER_SHARD))
-            .max(1);
-        let chunk = e_count.div_ceil(shard_count).max(1);
-        let has_skip = model.experts.iter().all(|ex| ex.skip.is_some());
-        debug_assert!(
-            has_skip || model.experts.iter().all(|ex| ex.skip.is_none()),
-            "experts must uniformly have or lack the linear skip"
+        let slab = ExpertSlab::pack(
+            &model.store,
+            &model.expert_specs(),
+            model.config.api_mask,
+            model.config.attention,
+            pool.threads(),
         );
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut lo = 0;
-        while lo < e_count {
-            let count = chunk.min(e_count - lo);
-            let mut mask_sig = Vec::with_capacity(count * d);
-            let mut alpha_cols = vec![0.0f32; e_count * count];
-            let mut head_w = Vec::with_capacity(count * 3 * 2 * h);
-            let mut head_b = Vec::with_capacity(count * 3);
-            let mut skip_w = Vec::new();
-            let mut skip_b = Vec::new();
-            for (c, ex) in model.experts[lo..lo + count].iter().enumerate() {
-                if model.config.api_mask {
-                    // The tape computed σ(mask) from the stored values on
-                    // every step; the same function of the same values is
-                    // computed once here — identical bits, once.
-                    mask_sig.extend(
-                        model
-                            .store
-                            .value(ex.mask)
-                            .data()
-                            .iter()
-                            .map(|&x| 1.0 / (1.0 + (-x).exp())),
-                    );
-                } else {
-                    mask_sig.extend(std::iter::repeat_n(1.0f32, d));
-                }
-                let alpha = model.store.value(ex.alpha).data();
-                for (k, &a) in alpha.iter().enumerate() {
-                    alpha_cols[k * count + c] = a;
-                }
-                // The tape's mask_out: an expert never attends to itself.
-                alpha_cols[(lo + c) * count + c] = 0.0;
-                head_w.extend_from_slice(model.store.value(ex.head.w).data());
-                head_b.extend_from_slice(model.store.value(ex.head.b).data());
-                if let Some(skip) = &ex.skip {
-                    skip_w.extend_from_slice(model.store.value(skip.w).data());
-                    skip_b.extend_from_slice(model.store.value(skip.b).data());
-                }
-            }
-            shards.push(Shard {
-                lo,
-                count,
-                hidden: vec![0.0; count * h],
-                masked: vec![0.0; count * d],
-                mask_sig,
-                alpha_cols,
-                head_w,
-                head_b,
-                skip_w,
-                skip_b,
+        let shards = slab
+            .shards()
+            .iter()
+            .map(|range| Shard {
+                hidden: vec![0.0; range.len() * h],
+                masked: vec![0.0; range.len() * d],
                 out: vec![
                     PointEstimate {
                         expected: 0.0,
                         lower: 0.0,
                         upper: 0.0
                     };
-                    count
+                    range.len()
                 ],
                 scratch: BufferPool::new(),
-            });
-            lo += count;
-        }
-        // 3 batched gate GEMVs + 1 attention GEMM + 1 head GEMV (+ 1 skip
-        // GEMV) per shard per window; fixed by the model configuration.
-        let per_shard = 3 + usize::from(model.config.attention) + 1 + usize::from(has_skip);
-        let step_kernel_ops = (shards.len() * per_shard) as f64;
+            })
+            .collect();
         Self {
             model,
+            hmat: vec![0.0; h * model.experts.len()],
             slab,
             shards,
-            hmat: vec![0.0; h * e_count],
             pool,
-            step_kernel_ops,
             position: 0,
         }
     }
@@ -376,26 +219,16 @@ impl<'m> StreamPredictor<'m> {
     }
 
     /// Resident bytes of packed weights and carried state per expert —
-    /// the `deeprest capacity` tool's memory figure. Counts the gate
-    /// slab, mask/attention/head/skip packs, hidden state, and the
-    /// gathered hidden matrix; excludes transient scratch.
+    /// the `deeprest capacity` tool's memory figure. Counts the packed
+    /// slab, hidden state, masked inputs and the gathered hidden matrix;
+    /// excludes transient scratch.
     pub fn state_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f32>();
         let shard_f32s: usize = self
             .shards
             .iter()
-            .map(|s| {
-                s.hidden.len()
-                    + s.masked.len()
-                    + s.mask_sig.len()
-                    + s.alpha_cols.len()
-                    + s.head_w.len()
-                    + s.head_b.len()
-                    + s.skip_w.len()
-                    + s.skip_b.len()
-            })
+            .map(|s| s.hidden.len() + s.masked.len())
             .sum();
-        self.slab.bytes() + (shard_f32s + self.hmat.len()) * f
+        self.slab.bytes() + (shard_f32s + self.hmat.len()) * std::mem::size_of::<f32>()
     }
 
     /// Advances every expert by one window and returns the denormalized
@@ -445,21 +278,44 @@ impl<'m> StreamPredictor<'m> {
             pool,
             ..
         } = self;
-        let attention = model.config.attention;
         let experts = &model.experts;
+        let plan = slab.shards();
 
-        pool.for_each_mut(shards, |_, s| s.advance(slab, x));
-        // Serial barrier: gather every expert's hidden column into the
-        // shared (hidden, experts) matrix — the tape's concat_cols.
-        for s in shards.iter() {
-            for le in 0..s.count {
-                let e = s.lo + le;
-                for r in 0..h {
-                    hmat[r * e_count + e] = s.hidden[le * h + r];
-                }
-            }
+        pool.for_each_mut(shards, |i, s| {
+            slab.mask_into(plan[i].clone(), x, &mut s.masked);
+            slab.step_range(
+                plan[i].clone(),
+                &s.masked,
+                &mut s.hidden,
+                &mut s.scratch,
+                None,
+            );
+        });
+        // Serial barrier: every expert's hidden column into the shared
+        // (hidden, experts) matrix.
+        for (range, s) in plan.iter().zip(shards.iter()) {
+            slab.gather_hidden(range.clone(), &s.hidden, hmat);
         }
-        pool.for_each_mut(shards, |_, s| s.heads(experts, hmat, h, attention));
+        pool.for_each_mut(shards, |i, s| {
+            let count = plan[i].len();
+            let mut cat = s.scratch.take(count * 2 * h);
+            let mut y = s.scratch.take(count * 3);
+            slab.heads(
+                i,
+                hmat,
+                &s.hidden,
+                &s.masked,
+                &mut cat,
+                &mut y,
+                &mut s.scratch,
+            );
+            let experts = &experts[plan[i].clone()];
+            for ((out, expert), v) in s.out.iter_mut().zip(experts).zip(y.chunks_exact(3)) {
+                *out = postprocess(expert, v);
+            }
+            s.scratch.put(y);
+            s.scratch.put(cat);
+        });
 
         let mut out = Vec::with_capacity(e_count);
         for s in self.shards.iter() {
@@ -469,18 +325,19 @@ impl<'m> StreamPredictor<'m> {
         // expert (payload = expert index) or all experts, modeling a
         // numeric blow-up that persists across windows.
         if let Some(payload) = fault::armed("stream.hidden") {
-            for s in &mut self.shards {
-                for le in 0..s.count {
-                    let e = s.lo + le;
+            for (range, s) in self.slab.shards().iter().zip(&mut self.shards) {
+                for (c, e) in range.clone().enumerate() {
                     if payload == fault::PAYLOAD_ALL || payload == e as u64 {
-                        s.hidden[le * h..(le + 1) * h].fill(f32::NAN);
+                        s.hidden[c * h..(c + 1) * h].fill(f32::NAN);
                     }
                 }
             }
         }
         if telemetry::enabled() {
             telemetry::counter("stream.steps", 1);
-            telemetry::gauge("stream.step.kernel_ops", self.step_kernel_ops);
+            // A constant of the model configuration: serving tests assert
+            // the O(1) step cost on it.
+            telemetry::gauge("stream.step.kernel_ops", self.slab.kernel_ops() as f64);
             telemetry::gauge("stream.batch.shards", self.shards.len() as f64);
             telemetry::gauge("stream.batch.experts", e_count as f64);
         }
@@ -502,18 +359,13 @@ impl<'m> StreamPredictor<'m> {
     /// values (empty when [`hidden_is_finite`](Self::hidden_is_finite)).
     pub fn hidden_nonfinite_experts(&self) -> Vec<usize> {
         let h = self.model.config.hidden_dim;
-        let mut bad = Vec::new();
-        for s in &self.shards {
-            for le in 0..s.count {
-                if s.hidden[le * h..(le + 1) * h]
-                    .iter()
-                    .any(|v| !v.is_finite())
-                {
-                    bad.push(s.lo + le);
-                }
-            }
-        }
-        bad
+        self.shards
+            .iter()
+            .flat_map(|s| s.hidden_rows(h))
+            .enumerate()
+            .filter(|(_, hidden)| hidden.iter().any(|v| !v.is_finite()))
+            .map(|(e, _)| e)
+            .collect()
     }
 
     /// Captures the carried state for crash recovery; feed to
@@ -550,10 +402,10 @@ impl<'m> StreamPredictor<'m> {
         }
         let mut p = Self::new(model);
         p.position = snap.position;
+        let mut carried = snap.hidden.iter();
         for s in &mut p.shards {
-            for le in 0..s.count {
-                s.hidden[le * hidden_dim..(le + 1) * hidden_dim]
-                    .copy_from_slice(&snap.hidden[s.lo + le]);
+            for (c, src) in (0..s.out.len()).zip(&mut carried) {
+                s.hidden[c * hidden_dim..(c + 1) * hidden_dim].copy_from_slice(src);
             }
         }
         Ok(p)
@@ -573,7 +425,6 @@ impl<'m> StreamPredictor<'m> {
             shards: self.shards,
             hmat: self.hmat,
             pool: self.pool,
-            step_kernel_ops: self.step_kernel_ops,
             position: self.position,
             experts: self.model.experts.len(),
             hidden_dim: self.model.config.hidden_dim,
@@ -617,7 +468,6 @@ impl<'m> StreamPredictor<'m> {
             shards: d.shards,
             hmat: d.hmat,
             pool: d.pool,
-            step_kernel_ops: d.step_kernel_ops,
             position: d.position,
         })
     }
@@ -631,7 +481,6 @@ pub struct DetachedPredictor {
     shards: Vec<Shard>,
     hmat: Vec<f32>,
     pool: Pool,
-    step_kernel_ops: f64,
     position: usize,
     experts: usize,
     hidden_dim: usize,
@@ -654,12 +503,11 @@ impl DetachedPredictor {
 
 /// Expert-ordered copy of the shards' carried hidden state.
 fn snapshot_shards(shards: &[Shard], hidden_dim: usize, position: usize) -> StreamSnapshot {
-    let mut hidden = Vec::with_capacity(shards.iter().map(|s| s.count).sum());
-    for s in shards {
-        for le in 0..s.count {
-            hidden.push(s.hidden[le * hidden_dim..(le + 1) * hidden_dim].to_vec());
-        }
-    }
+    let hidden = shards
+        .iter()
+        .flat_map(|s| s.hidden_rows(hidden_dim))
+        .map(<[f32]>::to_vec)
+        .collect();
     StreamSnapshot { position, hidden }
 }
 

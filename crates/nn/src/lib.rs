@@ -53,5 +53,5 @@ pub mod train;
 pub use gru::{BoundGruCell, GruCell};
 pub use linear::{BoundLinear, Linear};
 pub use optim::{Adam, Sgd};
-pub use slab::ExpertSlab;
-pub use train::{AnalyticTrainer, ExpertSpec, SlotStats, TrainerConfig};
+pub use slab::{ExpertSlab, ExpertSpec};
+pub use train::{AnalyticTrainer, SlotStats, TrainerConfig};

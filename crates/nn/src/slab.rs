@@ -1,43 +1,123 @@
-//! Packed multi-expert GRU weights for the batched serving hot loop.
+//! The packed expert swarm: every value the forward pass reads, packed
+//! once, plus the forward itself.
 //!
-//! Per-expert serving binds nine GRU parameters into a tape and issues nine
-//! small GEMVs per expert per window. [`ExpertSlab`] instead packs every
-//! expert's gate weights once, into three contiguous slabs laid out for the
-//! batched kernels:
+//! The tape formulation binds nine GRU parameters, a mask, an attention
+//! vector and a head per expert and issues a dozen small GEMVs per expert
+//! per window. [`ExpertSlab`] instead packs every expert's values out of
+//! the [`ParamStore`] into contiguous slabs laid out for the batched
+//! kernels:
 //!
 //! ```text
-//! w    : per expert  [W_z; W_k; W_h]   one (3·hidden, input) stack
-//! u_zk : per expert  [U_z; U_k]        one (2·hidden, hidden) stack
-//! u_h  : per expert  U_h               one (hidden, hidden) matrix
-//! bias : per expert  [b_z; b_k; b_h]   3·hidden values
+//! w          : per expert  [W_z; W_k; W_h]   one (3·hidden, input) stack
+//! u_zk       : per expert  [U_z; U_k]        one (2·hidden, hidden) stack
+//! u_h        : per expert  U_h               one (hidden, hidden) matrix
+//! bias       : per expert  [b_z; b_k; b_h]   3·hidden values
+//! mask_sig   : per expert  σ(m)              input values (ones when unmasked)
+//! alpha_cols : per shard   (experts, count)  column c = α of expert lo + c,
+//!                                            self entry zeroed
+//! head_w/b   : per expert  (3, 2·hidden) + 3
+//! skip_w/b   : per expert  (3, input) + 3    (empty without the skip path)
 //! ```
 //!
-//! [`ExpertSlab::step_range`] then advances a contiguous range of experts
-//! with three [`deeprest_tensor::kernel::gemv_batch_into`] calls plus two
-//! fused elementwise passes — instead of `9 × experts` parameter copies and
-//! tape nodes.
+//! and plans the shards (contiguous expert ranges, one per worker) the
+//! attention columns are grouped by. One window of Eq. 1–4 is then three
+//! calls per shard, all over flat slices the caller owns:
+//!
+//! 1. [`ExpertSlab::mask_into`] — `x̃ = σ(m) ⊙ x` for a range of experts;
+//! 2. [`ExpertSlab::step_range`] — one GRU step for the range as three
+//!    [`deeprest_tensor::kernel::gemv_batch_into`] calls plus two fused
+//!    elementwise passes, optionally stashing `z`/`k`/`h̃` for a backward;
+//! 3. [`ExpertSlab::heads`] — cross-expert attention as **one** GEMM
+//!    against the shard's columns, concat, one batched head GEMV (plus one
+//!    batched skip GEMV) → the three raw quantile outputs per expert.
+//!
+//! Between 2 and 3 the caller gathers every shard's hidden columns into
+//! `H_t` ([`ExpertSlab::gather_hidden`]) — the only cross-shard dataflow.
+//! Serving (`deeprest-core`'s `StreamPredictor`) and training
+//! ([`crate::AnalyticTrainer`]) both run exactly this sequence; what they
+//! add is state (carried hidden vs. per-timestep stashes), never forward
+//! arithmetic.
 //!
 //! **Bit-identity.** Vertically stacking weight matrices does not change
 //! any per-row dot product: row `i` of `[W_z; W_k; W_h] · x` is exactly row
 //! `i mod hidden` of the corresponding unstacked GEMV, contracted in the
-//! same kernel lane order against the same operand. The elementwise gate
+//! same kernel lane order against the same operand. Attention for `count`
+//! experts as one GEMM produces, per output element, the bits of the
+//! per-expert GEMV (the kernel contract fixes every element's accumulation
+//! order regardless of how many columns ride in one call). The elementwise
 //! math reproduces the tape ops verbatim (`act((wx + uh) + b)` for the
 //! fused gates, `(z·h) + ((1-z)·h̃)` for the output mix, `k·h` for the
-//! reset product), so a slab step is bit-for-bit the tape step. The
-//! equivalence is asserted by this module's tests and end-to-end by
-//! `crates/core/tests/batched_stream.rs`.
+//! reset product, `(W·cat + b) + (S·x̃ + b_s)` for the output), and a shard
+//! never splits a contraction, so the forward is bit-for-bit the tape's at
+//! any shard plan. Asserted by this module's tests, `tests/
+//! prop_analytic_train.rs`, and `deeprest-core`'s `oracle` unit tests.
 
-use deeprest_tensor::kernel::gemv_batch_into;
-use deeprest_tensor::{BufferPool, ParamStore};
+use std::ops::Range;
 
-use crate::GruCell;
+use deeprest_tensor::kernel::{gemm_into, gemv_batch_into};
+use deeprest_tensor::{BufferPool, ParamId, ParamStore};
 
-/// Contiguous per-expert GRU gate weights; see the [module docs](self).
+use crate::{GruCell, Linear};
+
+/// One shard per started group of this many experts (capped by the worker
+/// count): below it the per-window fan-out overhead outweighs the parallel
+/// work, so small swarms run single-sharded on the caller's thread.
+const MIN_EXPERTS_PER_SHARD: usize = 8;
+
+/// Parameter handles of one expert, in the estimator's architecture:
+/// sigmoid feature mask → GRU → cross-expert attention → quantile head,
+/// with an optional linear skip path from the masked features.
+#[derive(Clone, Copy, Debug)]
+pub struct ExpertSpec {
+    /// Mask logits `m^{c,r}`, shape `(input_dim, 1)`. Ignored (mask treated
+    /// as all-ones) when the slab is packed with `api_mask` off.
+    pub mask: ParamId,
+    /// Recurrent core.
+    pub cell: GruCell,
+    /// Attention weights over all experts, shape `(experts, 1)`; the self
+    /// entry is masked out. Ignored when `attention` is off.
+    pub alpha: ParamId,
+    /// Output head mapping `(a_t || h_t)` to the three quantile outputs.
+    pub head: Linear,
+    /// Optional skip path from the masked features to the outputs. Must be
+    /// uniformly present or absent across experts.
+    pub skip: Option<Linear>,
+}
+
+/// The shard plan: `experts` split into contiguous, non-empty ranges, one
+/// per worker but never more than one per started group of 8 experts
+/// (`MIN_EXPERTS_PER_SHARD`).
+pub fn plan_shards(experts: usize, threads: usize) -> Vec<Range<usize>> {
+    let shards = threads.min(experts.div_ceil(MIN_EXPERTS_PER_SHARD)).max(1);
+    let chunk = experts.div_ceil(shards).max(1);
+    (0..experts)
+        .step_by(chunk)
+        .map(|lo| lo..(lo + chunk).min(experts))
+        .collect()
+}
+
+/// Caller-owned arenas [`ExpertSlab::step_range`] records the gate
+/// activations into (`count · hidden_dim` each): update gate `z`, reset
+/// gate `k` and candidate `h̃` — what a closed-form backward consumes.
+pub struct GateStash<'a> {
+    /// Update gate `z`.
+    pub z: &'a mut [f32],
+    /// Reset gate `k`.
+    pub k: &'a mut [f32],
+    /// Candidate state `h̃`.
+    pub ht: &'a mut [f32],
+}
+
+/// The packed expert swarm; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct ExpertSlab {
     experts: usize,
     input_dim: usize,
     hidden_dim: usize,
+    api_mask: bool,
+    attention: bool,
+    has_skip: bool,
+    shards: Vec<Range<usize>>,
     /// Per expert: `[W_z; W_k; W_h]`, row-major `(3·hidden, input)`.
     w: Vec<f32>,
     /// Per expert: `[U_z; U_k]`, row-major `(2·hidden, hidden)`.
@@ -46,82 +126,133 @@ pub struct ExpertSlab {
     u_h: Vec<f32>,
     /// Per expert: `[b_z; b_k; b_h]`, `3·hidden` values.
     bias: Vec<f32>,
+    /// Per expert: `σ(mask)` (`input` values), all ones without the API
+    /// mask — the function the tape applied per step, computed once.
+    mask_sig: Vec<f32>,
+    /// Per shard, back to back: `(experts, count)` row-major, column `c`
+    /// holding expert `lo + c`'s `α` with its self entry zeroed (the tape's
+    /// `mask_out`). Empty without attention.
+    alpha_cols: Vec<f32>,
+    /// Per expert: head weights `(3, 2·hidden)` row-major.
+    head_w: Vec<f32>,
+    /// Per expert: 3 head biases.
+    head_b: Vec<f32>,
+    /// Per expert: skip weights `(3, input)`; empty without the skip path.
+    skip_w: Vec<f32>,
+    /// Per expert: 3 skip biases; empty without the skip path.
+    skip_b: Vec<f32>,
 }
 
 impl ExpertSlab {
-    /// Packs the current values of every cell's nine parameters out of
-    /// `store`. The slab is a value snapshot: it does not track later
-    /// parameter updates (serving packs once per loaded model).
+    /// Packs the current values of every expert's parameters out of
+    /// `store` and plans shards for `threads` workers. The slab is a value
+    /// snapshot: it does not track later parameter updates (serving packs
+    /// once per loaded model, training [`repack`](Self::repack)s after
+    /// every optimizer step).
+    ///
+    /// `api_mask` off packs an all-ones mask; `attention` off packs no
+    /// attention columns and [`heads`](Self::heads) concatenates zeros.
     ///
     /// # Panics
     ///
-    /// Panics if the cells do not share one `(input_dim, hidden_dim)`.
-    pub fn pack(store: &ParamStore, cells: &[GruCell]) -> Self {
-        let input_dim = cells.first().map_or(0, GruCell::input_dim);
-        let hidden_dim = cells.first().map_or(0, GruCell::hidden_dim);
-        let (e, d, h) = (cells.len(), input_dim, hidden_dim);
+    /// Panics if the experts do not share one `(input_dim, hidden_dim)` or
+    /// mix skip-path presence.
+    pub fn pack(
+        store: &ParamStore,
+        specs: &[ExpertSpec],
+        api_mask: bool,
+        attention: bool,
+        threads: usize,
+    ) -> Self {
+        let e = specs.len();
+        let d = specs.first().map_or(0, |s| s.cell.input_dim());
+        let h = specs.first().map_or(0, |s| s.cell.hidden_dim());
+        let has_skip = specs.first().is_some_and(|s| s.skip.is_some());
+        let skip_len = if has_skip { e } else { 0 };
         let mut slab = Self {
             experts: e,
             input_dim: d,
             hidden_dim: h,
-            w: Vec::with_capacity(e * 3 * h * d),
-            u_zk: Vec::with_capacity(e * 2 * h * h),
-            u_h: Vec::with_capacity(e * h * h),
-            bias: Vec::with_capacity(e * 3 * h),
+            api_mask,
+            attention,
+            has_skip,
+            shards: plan_shards(e, threads),
+            w: vec![0.0; e * 3 * h * d],
+            u_zk: vec![0.0; e * 2 * h * h],
+            u_h: vec![0.0; e * h * h],
+            bias: vec![0.0; e * 3 * h],
+            mask_sig: vec![1.0; e * d],
+            alpha_cols: vec![0.0; if attention { e * e } else { 0 }],
+            head_w: vec![0.0; e * 3 * 2 * h],
+            head_b: vec![0.0; e * 3],
+            skip_w: vec![0.0; skip_len * 3 * d],
+            skip_b: vec![0.0; skip_len * 3],
         };
-        for cell in cells {
-            assert_eq!(
-                (cell.input_dim(), cell.hidden_dim()),
-                (d, h),
-                "ExpertSlab::pack: cells must share one shape"
-            );
-            for id in [cell.wz, cell.wk, cell.wh] {
-                slab.w.extend_from_slice(store.value(id).data());
-            }
-            for id in [cell.uz, cell.uk] {
-                slab.u_zk.extend_from_slice(store.value(id).data());
-            }
-            slab.u_h.extend_from_slice(store.value(cell.uh).data());
-            for id in [cell.bz, cell.bk, cell.bh] {
-                slab.bias.extend_from_slice(store.value(id).data());
-            }
-        }
+        slab.repack(store, specs);
         slab
     }
 
-    /// Refreshes the packed slabs in place from the current parameter
-    /// values, reusing the existing allocations. Training repacks after
-    /// every optimizer step; a warm repack performs zero heap allocations.
+    /// Refreshes every packed value in place from the current parameter
+    /// values; performs no heap allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `cells` does not match the packed expert count or shape.
-    pub fn repack(&mut self, store: &ParamStore, cells: &[GruCell]) {
+    /// Panics if `specs` does not match the packed expert count, shape or
+    /// skip-path presence.
+    pub fn repack(&mut self, store: &ParamStore, specs: &[ExpertSpec]) {
         assert_eq!(
-            cells.len(),
+            specs.len(),
             self.experts,
-            "ExpertSlab::repack: expert count changed"
+            "ExpertSlab: expert count changed"
         );
-        let (d, h) = (self.input_dim, self.hidden_dim);
-        self.w.clear();
-        self.u_zk.clear();
-        self.u_h.clear();
-        self.bias.clear();
-        for cell in cells {
+        let (e_total, d, h) = (self.experts, self.input_dim, self.hidden_dim);
+        let mut shard = 0;
+        for (e, spec) in specs.iter().enumerate() {
+            let cell = &spec.cell;
             assert_eq!(
                 (cell.input_dim(), cell.hidden_dim()),
                 (d, h),
-                "ExpertSlab::repack: cells must share the packed shape"
+                "ExpertSlab: experts must share one shape"
             );
-            for id in [cell.wz, cell.wk, cell.wh] {
-                self.w.extend_from_slice(store.value(id).data());
+            assert_eq!(
+                spec.skip.is_some(),
+                self.has_skip,
+                "ExpertSlab: skip path must be uniform across experts"
+            );
+            let value = |id| store.value(id).data();
+            for (g, id) in [cell.wz, cell.wk, cell.wh].into_iter().enumerate() {
+                self.w[(e * 3 + g) * h * d..][..h * d].copy_from_slice(value(id));
             }
-            for id in [cell.uz, cell.uk] {
-                self.u_zk.extend_from_slice(store.value(id).data());
+            for (g, id) in [cell.uz, cell.uk].into_iter().enumerate() {
+                self.u_zk[(e * 2 + g) * h * h..][..h * h].copy_from_slice(value(id));
             }
-            self.u_h.extend_from_slice(store.value(cell.uh).data());
-            for id in [cell.bz, cell.bk, cell.bh] {
-                self.bias.extend_from_slice(store.value(id).data());
+            self.u_h[e * h * h..][..h * h].copy_from_slice(value(cell.uh));
+            for (g, id) in [cell.bz, cell.bk, cell.bh].into_iter().enumerate() {
+                self.bias[(e * 3 + g) * h..][..h].copy_from_slice(value(id));
+            }
+            if self.api_mask {
+                for (o, &m) in self.mask_sig[e * d..][..d].iter_mut().zip(value(spec.mask)) {
+                    *o = sigmoid(m);
+                }
+            }
+            if self.attention {
+                while self.shards[shard].end <= e {
+                    shard += 1;
+                }
+                let Range { start: lo, end: hi } = self.shards[shard];
+                let (count, c) = (hi - lo, e - lo);
+                let cols = &mut self.alpha_cols[e_total * lo..e_total * hi];
+                for (k, &a) in value(spec.alpha).iter().enumerate() {
+                    cols[k * count + c] = a;
+                }
+                // The tape's `mask_out`: an expert never attends to itself.
+                cols[e * count + c] = 0.0;
+            }
+            self.head_w[e * 6 * h..][..6 * h].copy_from_slice(value(spec.head.w));
+            self.head_b[e * 3..][..3].copy_from_slice(value(spec.head.b));
+            if let Some(skip) = &spec.skip {
+                self.skip_w[e * 3 * d..][..3 * d].copy_from_slice(value(skip.w));
+                self.skip_b[e * 3..][..3].copy_from_slice(value(skip.b));
             }
         }
     }
@@ -141,20 +272,67 @@ impl ExpertSlab {
         self.hidden_dim
     }
 
-    /// Total bytes of packed weight storage (the capacity tool's
-    /// bytes-per-expert numerator).
+    /// Whether the experts carry the linear skip path.
+    pub fn has_skip(&self) -> bool {
+        self.has_skip
+    }
+
+    /// The planned shards: contiguous expert ranges covering `0..experts`.
+    pub fn shards(&self) -> &[Range<usize>] {
+        &self.shards
+    }
+
+    /// Batched kernel invocations of one window's forward: 3 gate GEMVs +
+    /// 1 attention GEMM + 1 head GEMV (+ 1 skip GEMV) per shard — a
+    /// constant of the packed configuration.
+    pub fn kernel_ops(&self) -> usize {
+        self.shards.len() * (4 + usize::from(self.attention) + usize::from(self.has_skip))
+    }
+
+    /// Total bytes of packed storage (the capacity tool's bytes-per-expert
+    /// numerator).
     pub fn bytes(&self) -> usize {
-        (self.w.len() + self.u_zk.len() + self.u_h.len() + self.bias.len())
+        [
+            &self.w,
+            &self.u_zk,
+            &self.u_h,
+            &self.bias,
+            &self.mask_sig,
+            &self.alpha_cols,
+            &self.head_w,
+            &self.head_b,
+            &self.skip_w,
+            &self.skip_b,
+        ]
+        .iter()
+        .map(|v| v.len())
+        .sum::<usize>()
             * std::mem::size_of::<f32>()
     }
 
-    /// Advances experts `lo..lo + count` by one GRU step, in place.
+    /// Eq. 1 for `range`: writes `x̃_e = σ(m_e) ⊙ x` (the tape's
+    /// `mul(mask_sig, x)`) packed per expert into `masked`
+    /// (`range.len() · input_dim`).
+    pub fn mask_into(&self, range: Range<usize>, x: &[f32], masked: &mut [f32]) {
+        let d = self.input_dim;
+        debug_assert_eq!(masked.len(), range.len() * d, "ExpertSlab: bad masked slab");
+        for (c, e) in range.enumerate() {
+            let row = &mut masked[c * d..(c + 1) * d];
+            for ((o, &m), &xi) in row.iter_mut().zip(self.mask_of(e)).zip(x) {
+                *o = m * xi;
+            }
+        }
+    }
+
+    /// Eq. 2 for `range`: advances the experts by one GRU step, in place.
     ///
-    /// `xs` holds the experts' (masked) input vectors packed per expert
+    /// `xs` holds the experts' masked input vectors packed per expert
     /// (`count · input_dim`); `hidden` their carried states
-    /// (`count · hidden_dim`), overwritten with the new states. Scratch is
-    /// drawn from `scratch` and returned before the call ends, so a warm
-    /// pool makes the step allocation-free.
+    /// (`count · hidden_dim`), overwritten with the new states. With a
+    /// `stash` the gate activations of the step land in the caller's
+    /// arenas; without one they live in scratch. Scratch is drawn from
+    /// `scratch` and returned before the call ends, so a warm pool makes
+    /// the step allocation-free.
     ///
     /// Exactly three batched GEMV calls; bit-identical to `count`
     /// invocations of [`crate::BoundGruCell::step`] (see the
@@ -162,29 +340,40 @@ impl ExpertSlab {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on range or slab-length mismatch.
+    /// Panics (in debug builds) on range, slab or arena length mismatch.
     pub fn step_range(
         &self,
-        lo: usize,
-        count: usize,
+        range: Range<usize>,
         xs: &[f32],
         hidden: &mut [f32],
         scratch: &mut BufferPool,
+        stash: Option<GateStash<'_>>,
     ) {
         let (d, h) = (self.input_dim, self.hidden_dim);
-        debug_assert!(
-            lo + count <= self.experts,
-            "ExpertSlab: range out of bounds"
-        );
+        let (lo, count) = (range.start, range.len());
+        debug_assert!(range.end <= self.experts, "ExpertSlab: range out of bounds");
         debug_assert_eq!(xs.len(), count * d, "ExpertSlab: bad input slab");
         debug_assert_eq!(hidden.len(), count * h, "ExpertSlab: bad hidden slab");
+
+        let mut lent = None;
+        let GateStash { z, k, ht } = match stash {
+            Some(stash) => stash,
+            None => {
+                let [z, k, ht] = lent.insert([(); 3].map(|()| scratch.take(count * h)));
+                GateStash { z, k, ht }
+            }
+        };
+        debug_assert!(
+            [z.len(), k.len(), ht.len()] == [count * h; 3],
+            "ExpertSlab: bad gate arena"
+        );
 
         // wx = [W_z; W_k; W_h] · x̃ and uzk = [U_z; U_k] · h_{t-1} for every
         // expert in the range: two batched GEMVs over the packed stacks.
         let mut wx = scratch.take(count * 3 * h);
         gemv_batch_into(
             &mut wx,
-            &self.w[lo * 3 * h * d..(lo + count) * 3 * h * d],
+            &self.w[lo * 3 * h * d..range.end * 3 * h * d],
             3 * h,
             d,
             xs,
@@ -193,7 +382,7 @@ impl ExpertSlab {
         let mut uzk = scratch.take(count * 2 * h);
         gemv_batch_into(
             &mut uzk,
-            &self.u_zk[lo * 2 * h * h..(lo + count) * 2 * h * h],
+            &self.u_zk[lo * 2 * h * h..range.end * 2 * h * h],
             2 * h,
             h,
             hidden,
@@ -203,7 +392,6 @@ impl ExpertSlab {
         // Gates and reset product, elementwise per expert:
         //   z = σ((wx_z + uh_z) + b_z), k = σ((wx_k + uh_k) + b_k),
         //   gated = k ⊙ h_{t-1}.
-        let mut z = scratch.take(count * h);
         let mut gated = scratch.take(count * h);
         for e in 0..count {
             let wx_e = &wx[e * 3 * h..];
@@ -214,6 +402,7 @@ impl ExpertSlab {
                 let zi = sigmoid((wx_e[i] + uzk_e[i]) + b_e[i]);
                 let ki = sigmoid((wx_e[h + i] + uzk_e[h + i]) + b_e[h + i]);
                 z[e * h + i] = zi;
+                k[e * h + i] = ki;
                 gated[e * h + i] = ki * h_e[i];
             }
         }
@@ -222,7 +411,7 @@ impl ExpertSlab {
         let mut uh = scratch.take(count * h);
         gemv_batch_into(
             &mut uh,
-            &self.u_h[lo * h * h..(lo + count) * h * h],
+            &self.u_h[lo * h * h..range.end * h * h],
             h,
             h,
             &gated,
@@ -234,119 +423,115 @@ impl ExpertSlab {
             let wx_e = &wx[e * 3 * h..];
             let b_e = &self.bias[(lo + e) * 3 * h..];
             for i in 0..h {
-                let ht = ((wx_e[2 * h + i] + uh[e * h + i]) + b_e[2 * h + i]).tanh();
+                let hti = ((wx_e[2 * h + i] + uh[e * h + i]) + b_e[2 * h + i]).tanh();
                 let zi = z[e * h + i];
                 let hp = hidden[e * h + i];
-                hidden[e * h + i] = (zi * hp) + ((1.0 - zi) * ht);
+                ht[e * h + i] = hti;
+                hidden[e * h + i] = (zi * hp) + ((1.0 - zi) * hti);
             }
         }
 
         scratch.put(uh);
         scratch.put(gated);
-        scratch.put(z);
         scratch.put(uzk);
         scratch.put(wx);
+        for buf in lent.into_iter().flatten() {
+            scratch.put(buf);
+        }
     }
 
-    /// [`ExpertSlab::step_range`] with gate-activation stashing: in addition
-    /// to advancing `hidden`, writes the update gate `z`, reset gate `k`,
-    /// and candidate `h̃` of every expert in the range into the caller's
-    /// arenas (`count · hidden_dim` each). The analytic training engine's
-    /// forward pass records these per timestep so the closed-form backward
-    /// can consume them without a tape.
+    /// Scatters `range`'s hidden states (`count · hidden_dim`, packed per
+    /// expert) into their columns of the `(hidden_dim, experts)` matrix
+    /// `hmat` — the tape's `concat_cols`. Every shard gathers into the same
+    /// `hmat` before any shard runs [`heads`](Self::heads).
+    pub fn gather_hidden(&self, range: Range<usize>, hidden: &[f32], hmat: &mut [f32]) {
+        let (e_total, h) = (self.experts, self.hidden_dim);
+        debug_assert_eq!(hidden.len(), range.len() * h, "ExpertSlab: bad hidden slab");
+        debug_assert_eq!(hmat.len(), h * e_total, "ExpertSlab: bad hidden matrix");
+        for (c, e) in range.enumerate() {
+            for r in 0..h {
+                hmat[r * e_total + e] = hidden[c * h + r];
+            }
+        }
+    }
+
+    /// Eq. 3–4 for shard `shard`: attention over the gathered `hmat` as one
+    /// GEMM against the shard's columns, `cat_e = [a_e ; h_e]` (the tape's
+    /// `concat_rows`), one batched head GEMV and — with the skip path — one
+    /// batched skip GEMV over the shard's `masked` inputs.
     ///
-    /// The arithmetic is line-for-line [`ExpertSlab::step_range`] — every
-    /// kernel call, association, and activation expression is identical, so
-    /// the advanced `hidden` carries exactly the same bits (asserted by this
-    /// module's tests and the analytic-vs-tape proptests in
-    /// `tests/prop_analytic_train.rs`).
+    /// Writes `cat` (`count · 2·hidden_dim`, kept for the head backward)
+    /// and the raw quantile outputs `y` (`count · 3`), associated exactly
+    /// as the tape's add chain: `(W·cat + b) + (S·x̃ + b_s)`. `hidden` is
+    /// the shard's post-step state; `masked` is only read with the skip
+    /// path.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on range, slab, or arena length mismatch.
-    #[allow(clippy::too_many_arguments)] // flat arena slices, one per stashed gate
-    pub fn step_range_stash(
+    /// Panics (in debug builds) on slab length mismatch.
+    #[allow(clippy::too_many_arguments)] // flat caller-owned slabs, one per operand
+    pub fn heads(
         &self,
-        lo: usize,
-        count: usize,
-        xs: &[f32],
-        hidden: &mut [f32],
+        shard: usize,
+        hmat: &[f32],
+        hidden: &[f32],
+        masked: &[f32],
+        cat: &mut [f32],
+        y: &mut [f32],
         scratch: &mut BufferPool,
-        z_out: &mut [f32],
-        k_out: &mut [f32],
-        ht_out: &mut [f32],
     ) {
-        let (d, h) = (self.input_dim, self.hidden_dim);
-        debug_assert!(
-            lo + count <= self.experts,
-            "ExpertSlab: range out of bounds"
-        );
-        debug_assert_eq!(xs.len(), count * d, "ExpertSlab: bad input slab");
+        let (e_total, d, h) = (self.experts, self.input_dim, self.hidden_dim);
+        let Range { start: lo, end: hi } = self.shards[shard];
+        let count = hi - lo;
+        let two_h = 2 * h;
         debug_assert_eq!(hidden.len(), count * h, "ExpertSlab: bad hidden slab");
-        debug_assert_eq!(z_out.len(), count * h, "ExpertSlab: bad z arena");
-        debug_assert_eq!(k_out.len(), count * h, "ExpertSlab: bad k arena");
-        debug_assert_eq!(ht_out.len(), count * h, "ExpertSlab: bad h̃ arena");
+        debug_assert_eq!(cat.len(), count * two_h, "ExpertSlab: bad concat slab");
+        debug_assert_eq!(y.len(), count * 3, "ExpertSlab: bad output slab");
 
-        let mut wx = scratch.take(count * 3 * h);
-        gemv_batch_into(
-            &mut wx,
-            &self.w[lo * 3 * h * d..(lo + count) * 3 * h * d],
-            3 * h,
-            d,
-            xs,
-            count,
-        );
-        let mut uzk = scratch.take(count * 2 * h);
-        gemv_batch_into(
-            &mut uzk,
-            &self.u_zk[lo * 2 * h * h..(lo + count) * 2 * h * h],
-            2 * h,
-            h,
-            hidden,
-            count,
-        );
-
-        let mut gated = scratch.take(count * h);
-        for e in 0..count {
-            let wx_e = &wx[e * 3 * h..];
-            let uzk_e = &uzk[e * 2 * h..];
-            let b_e = &self.bias[(lo + e) * 3 * h..];
-            let h_e = &hidden[e * h..(e + 1) * h];
-            for i in 0..h {
-                let zi = sigmoid((wx_e[i] + uzk_e[i]) + b_e[i]);
-                let ki = sigmoid((wx_e[h + i] + uzk_e[h + i]) + b_e[h + i]);
-                z_out[e * h + i] = zi;
-                k_out[e * h + i] = ki;
-                gated[e * h + i] = ki * h_e[i];
+        // `take` hands the buffer back zeroed — exactly the constant the
+        // tape concatenates when attention is disabled.
+        let mut att = scratch.take(h * count);
+        if self.attention {
+            // a_e = H_t · α_e for the whole shard: one GEMM whose
+            // per-element dots are bit-identical to the per-expert GEMV
+            // against the same `H_t` rows and masked α column.
+            let cols = &self.alpha_cols[e_total * lo..e_total * hi];
+            gemm_into(&mut att, hmat, h, e_total, cols, count);
+        }
+        for c in 0..count {
+            for r in 0..h {
+                cat[c * two_h + r] = att[r * count + c];
+                cat[c * two_h + h + r] = hidden[c * h + r];
             }
         }
+        scratch.put(att);
 
-        let mut uh = scratch.take(count * h);
         gemv_batch_into(
-            &mut uh,
-            &self.u_h[lo * h * h..(lo + count) * h * h],
-            h,
-            h,
-            &gated,
+            y,
+            &self.head_w[lo * 3 * two_h..hi * 3 * two_h],
+            3,
+            two_h,
+            cat,
             count,
         );
-
-        for e in 0..count {
-            let wx_e = &wx[e * 3 * h..];
-            let b_e = &self.bias[(lo + e) * 3 * h..];
-            for i in 0..h {
-                let ht = ((wx_e[2 * h + i] + uh[e * h + i]) + b_e[2 * h + i]).tanh();
-                let zi = z_out[e * h + i];
-                let hp = hidden[e * h + i];
-                ht_out[e * h + i] = ht;
-                hidden[e * h + i] = (zi * hp) + ((1.0 - zi) * ht);
-            }
+        for (yv, b) in y.iter_mut().zip(&self.head_b[lo * 3..hi * 3]) {
+            *yv += b;
         }
-
-        scratch.put(uh);
-        scratch.put(gated);
-        scratch.put(uzk);
-        scratch.put(wx);
+        if self.has_skip {
+            let mut lin = scratch.take(count * 3);
+            gemv_batch_into(
+                &mut lin,
+                &self.skip_w[lo * 3 * d..hi * 3 * d],
+                3,
+                d,
+                masked,
+                count,
+            );
+            for ((yv, lv), b) in y.iter_mut().zip(&lin).zip(&self.skip_b[lo * 3..hi * 3]) {
+                *yv += lv + b;
+            }
+            scratch.put(lin);
+        }
     }
 
     /// Expert `e`'s packed `[W_z; W_k; W_h]` stack, row-major
@@ -369,10 +554,34 @@ impl ExpertSlab {
         &self.u_h[e * blk..(e + 1) * blk]
     }
 
-    /// Expert `e`'s packed `[b_z; b_k; b_h]` biases (`3·hidden` values).
-    pub fn bias_of(&self, e: usize) -> &[f32] {
-        let blk = 3 * self.hidden_dim;
-        &self.bias[e * blk..(e + 1) * blk]
+    /// Expert `e`'s packed `σ(mask)` (`input` values).
+    pub fn mask_of(&self, e: usize) -> &[f32] {
+        &self.mask_sig[e * self.input_dim..(e + 1) * self.input_dim]
+    }
+
+    /// Expert `e`'s head weights, row-major `(3, 2·hidden)`.
+    pub fn head_w_of(&self, e: usize) -> &[f32] {
+        let blk = 6 * self.hidden_dim;
+        &self.head_w[e * blk..(e + 1) * blk]
+    }
+
+    /// Expert `e`'s skip weights, row-major `(3, input)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics without the skip path.
+    pub fn skip_w_of(&self, e: usize) -> &[f32] {
+        let blk = 3 * self.input_dim;
+        &self.skip_w[e * blk..(e + 1) * blk]
+    }
+
+    /// The attention weights shard `shard`'s experts put on expert
+    /// `target` (`count` values, self entry zero) — row `target` of the
+    /// shard's packed columns, which is how the attention backward reads
+    /// `α` without a second, row-major pack.
+    pub fn alpha_toward(&self, shard: usize, target: usize) -> &[f32] {
+        let Range { start: lo, end: hi } = self.shards[shard];
+        &self.alpha_cols[self.experts * lo + target * (hi - lo)..][..hi - lo]
     }
 }
 
@@ -389,123 +598,217 @@ mod tests {
     use deeprest_tensor::{Graph, Tensor};
     use rand::SeedableRng;
 
-    fn cells(n: usize, input: usize, hidden: usize) -> (ParamStore, Vec<GruCell>) {
+    /// `n` experts in the estimator's registration order.
+    fn swarm(n: usize, input: usize, hidden: usize, skip: bool) -> (ParamStore, Vec<ExpertSpec>) {
         let mut store = ParamStore::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let cells = (0..n)
-            .map(|i| GruCell::new(&mut store, &format!("e{i}"), input, hidden, &mut rng))
+        let specs = (0..n)
+            .map(|i| ExpertSpec {
+                mask: store.add(
+                    format!("e{i}.mask"),
+                    Tensor::rand_uniform(input, 1, -3.0, 3.0, &mut rng),
+                ),
+                cell: GruCell::new(&mut store, &format!("e{i}"), input, hidden, &mut rng),
+                alpha: store.add(
+                    format!("e{i}.alpha"),
+                    Tensor::rand_uniform(n, 1, 0.0, 0.02, &mut rng),
+                ),
+                head: Linear::new(&mut store, &format!("e{i}.head"), 2 * hidden, 3, &mut rng),
+                skip: skip
+                    .then(|| Linear::new(&mut store, &format!("e{i}.skip"), input, 3, &mut rng)),
+            })
             .collect();
-        (store, cells)
+        (store, specs)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The 8-expert floor bounds the shard *count* (`⌈E/8⌉`: a swarm of up
+    /// to 8 experts is never split), not every shard's width — 9 experts on
+    /// 2 threads is a 5 + 4 split — so the width check below is balance.
+    #[test]
+    fn shard_plan_is_contiguous_nonempty_and_bounded() {
+        for experts in [1usize, 7, 8, 9, 17, 64, 256] {
+            for threads in [1usize, 2, 3, 4, 64] {
+                let plan = plan_shards(experts, threads);
+                let tag = format!("{experts} experts / {threads} threads: {plan:?}");
+                assert_eq!(
+                    plan.len(),
+                    threads.min(experts.div_ceil(MIN_EXPERTS_PER_SHARD)),
+                    "{tag}"
+                );
+                assert_eq!(plan[0].start, 0, "{tag}");
+                assert_eq!(plan.last().unwrap().end, experts, "{tag}");
+                assert!(plan.windows(2).all(|p| p[0].end == p[1].start), "{tag}");
+                assert!(plan.iter().all(|r| !r.is_empty()), "{tag}");
+                // Balanced: no shard is wider than the first, and only the
+                // last may be narrower.
+                let width = plan[0].len();
+                assert!(
+                    plan[..plan.len() - 1].iter().all(|r| r.len() == width),
+                    "{tag}"
+                );
+                assert!(plan.last().unwrap().len() <= width, "{tag}");
+            }
+        }
+        assert!(plan_shards(0, 4).is_empty());
     }
 
     /// The hard contract: a slab step over any expert range carries exactly
-    /// the bits of the tape step, across several windows of carried state.
+    /// the bits of the tape step across several windows of carried state —
+    /// with or without a stash — and the stashed `z`/`k`/`h̃` are the tape's
+    /// gate node values.
     #[test]
-    fn step_range_is_bit_identical_to_tape_step() {
+    fn step_range_is_bit_identical_to_tape_step_with_and_without_stash() {
         let (n, d, h) = (5, 7, 6);
-        let (store, cells) = cells(n, d, h);
-        let slab = ExpertSlab::pack(&store, &cells);
+        let (store, specs) = swarm(n, d, h, false);
+        let slab = ExpertSlab::pack(&store, &specs, true, true, 1);
         assert_eq!(slab.experts(), n);
 
-        let xs: Vec<Vec<f32>> = (0..4)
-            .map(|t| (0..d).map(|i| ((t * d + i) as f32 * 0.3).sin()).collect())
-            .collect();
-
-        // Reference: per-expert tape stepping.
         let mut g = Graph::new();
-        let bound: Vec<_> = cells.iter().map(|c| c.bind(&mut g, &store)).collect();
+        let bound: Vec<_> = specs.iter().map(|s| s.cell.bind(&mut g, &store)).collect();
         let mut href: Vec<Tensor> = (0..n).map(|_| Tensor::zeros(h, 1)).collect();
         // Slab under test, advanced in two uneven ranges per window.
-        let mut hslab = vec![0.0f32; n * h];
-        let mut scratch = BufferPool::new();
-
-        for x in &xs {
-            for (e, b) in bound.iter().enumerate() {
-                let xv = g.constant(Tensor::vector(x.clone()));
-                let hv = g.constant_copy(&href[e]);
-                let next = b.step(&mut g, xv, hv);
-                href[e].copy_from(g.value(next));
-            }
-            let mut xslab = Vec::new();
-            for _ in 0..n {
-                xslab.extend_from_slice(x);
-            }
-            let split = 2 * h; // experts [0, 2) then [2, n)
-            let (lo_h, hi_h) = hslab.split_at_mut(split);
-            slab.step_range(0, 2, &xslab[..2 * d], lo_h, &mut scratch);
-            slab.step_range(2, n - 2, &xslab[2 * d..], hi_h, &mut scratch);
-            for e in 0..n {
-                for i in 0..h {
-                    assert_eq!(
-                        hslab[e * h + i].to_bits(),
-                        href[e].data()[i].to_bits(),
-                        "expert {e} element {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The stash variant must advance the hidden state with exactly the
-    /// bits of the plain step and record the gate activations the step
-    /// itself computed.
-    #[test]
-    fn step_range_stash_matches_plain_step_bitwise() {
-        let (n, d, h) = (4, 5, 6);
-        let (store, cells) = cells(n, d, h);
-        let slab = ExpertSlab::pack(&store, &cells);
-        let mut scratch = BufferPool::new();
-
         let mut h_plain = vec![0.0f32; n * h];
         let mut h_stash = vec![0.0f32; n * h];
-        let mut z = vec![0.0f32; n * h];
-        let mut k = vec![0.0f32; n * h];
-        let mut ht = vec![0.0f32; n * h];
-        for t in 0..3 {
-            let xs: Vec<f32> = (0..n * d)
-                .map(|i| ((t * 31 + i) as f32 * 0.2).sin())
-                .collect();
-            slab.step_range(0, n, &xs, &mut h_plain, &mut scratch);
-            slab.step_range_stash(
-                0,
-                n,
-                &xs,
-                &mut h_stash,
-                &mut scratch,
-                &mut z,
-                &mut k,
-                &mut ht,
+        let (mut z, mut k, mut ht) = (
+            vec![0.0f32; n * h],
+            vec![0.0f32; n * h],
+            vec![0.0f32; n * h],
+        );
+        let mut scratch = BufferPool::new();
+
+        for t in 0..4 {
+            let x: Vec<f32> = (0..d).map(|i| ((t * d + i) as f32 * 0.3).sin()).collect();
+            let xslab = x.repeat(n);
+            for (lo, hi) in [(0, 2), (2, n)] {
+                slab.step_range(
+                    lo..hi,
+                    &xslab[lo * d..hi * d],
+                    &mut h_plain[lo * h..hi * h],
+                    &mut scratch,
+                    None,
+                );
+                slab.step_range(
+                    lo..hi,
+                    &xslab[lo * d..hi * d],
+                    &mut h_stash[lo * h..hi * h],
+                    &mut scratch,
+                    Some(GateStash {
+                        z: &mut z[lo * h..hi * h],
+                        k: &mut k[lo * h..hi * h],
+                        ht: &mut ht[lo * h..hi * h],
+                    }),
+                );
+            }
+            assert_eq!(
+                bits(&h_plain),
+                bits(&h_stash),
+                "window {t}: stash moved the state"
             );
-            for i in 0..n * h {
-                assert_eq!(h_stash[i].to_bits(), h_plain[i].to_bits(), "t={t} i={i}");
-                // h = z ⊙ h_prev + (1-z) ⊙ h̃ must reassemble from the
-                // stashed activations (sanity that the right values landed).
-                assert!(z[i] > 0.0 && z[i] < 1.0, "z out of sigmoid range");
-                assert!(k[i] > 0.0 && k[i] < 1.0, "k out of sigmoid range");
-                assert!(ht[i].abs() <= 1.0, "h̃ out of tanh range");
+
+            for (e, spec) in specs.iter().enumerate() {
+                // The tape step's own gate nodes, op for op.
+                let cell = &spec.cell;
+                let xv = g.constant(Tensor::vector(x.clone()));
+                let hv = g.constant_copy(&href[e]);
+                let gate = |g: &mut Graph, [w, u, b]: [ParamId; 3], operand| {
+                    let (w, u, b) = (g.param(&store, w), g.param(&store, u), g.param(&store, b));
+                    (g.matmul(w, xv), g.matmul(u, operand), b)
+                };
+                let (wx, uh, b) = gate(&mut g, [cell.wz, cell.uz, cell.bz], hv);
+                let z_ref = g.gate_sigmoid(wx, uh, b);
+                let (wx, uh, b) = gate(&mut g, [cell.wk, cell.uk, cell.bk], hv);
+                let k_ref = g.gate_sigmoid(wx, uh, b);
+                let gated = g.mul(k_ref, hv);
+                let (wx, uh, b) = gate(&mut g, [cell.wh, cell.uh, cell.bh], gated);
+                let ht_ref = g.gate_tanh(wx, uh, b);
+                let next = bound[e].step(&mut g, xv, hv);
+                href[e].copy_from(g.value(next));
+
+                let at = e * h..(e + 1) * h;
+                assert_eq!(
+                    bits(&h_plain[at.clone()]),
+                    bits(href[e].data()),
+                    "h, expert {e}"
+                );
+                assert_eq!(
+                    bits(&z[at.clone()]),
+                    bits(g.value(z_ref).data()),
+                    "z, expert {e}"
+                );
+                assert_eq!(
+                    bits(&k[at.clone()]),
+                    bits(g.value(k_ref).data()),
+                    "k, expert {e}"
+                );
+                assert_eq!(bits(&ht[at]), bits(g.value(ht_ref).data()), "h̃, expert {e}");
             }
         }
     }
 
+    /// Mask → step → gather → heads over a two-shard plan equals the
+    /// one-shard plan bit for bit, and a repack tracks updated parameters
+    /// exactly like a fresh pack.
     #[test]
-    fn repack_tracks_updated_parameters() {
-        let (n, d, h) = (3, 4, 5);
-        let (mut store, cells) = cells(n, d, h);
-        let mut slab = ExpertSlab::pack(&store, &cells);
-        // Perturb one weight of every cell, repack, and check a step sees it.
-        for cell in &cells {
-            store.value_mut(cell.wz).data_mut()[0] += 1.0;
+    fn forward_is_shard_plan_invariant_and_repack_matches_fresh_pack() {
+        let (n, d, h) = (10, 4, 5);
+        let (mut store, specs) = swarm(n, d, h, true);
+        let forward = |slab: &ExpertSlab| {
+            let x: Vec<f32> = (0..d).map(|i| (i as f32 * 0.7).cos()).collect();
+            let mut scratch = BufferPool::new();
+            let mut masked = vec![0.0f32; n * d];
+            let mut hidden = vec![0.0f32; n * h];
+            let mut hmat = vec![0.0f32; h * n];
+            for r in slab.shards() {
+                let (xs, hs) = (
+                    &mut masked[r.start * d..r.end * d],
+                    &mut hidden[r.start * h..r.end * h],
+                );
+                slab.mask_into(r.clone(), &x, xs);
+                slab.step_range(r.clone(), xs, hs, &mut scratch, None);
+                slab.gather_hidden(r.clone(), hs, &mut hmat);
+            }
+            let mut y = vec![0.0f32; n * 3];
+            for (s, r) in slab.shards().iter().enumerate() {
+                let mut cat = vec![0.0f32; r.len() * 2 * h];
+                slab.heads(
+                    s,
+                    &hmat,
+                    &hidden[r.start * h..r.end * h],
+                    &masked[r.start * d..r.end * d],
+                    &mut cat,
+                    &mut y[r.start * 3..r.end * 3],
+                    &mut scratch,
+                );
+            }
+            bits(&y)
+        };
+
+        let mut one = ExpertSlab::pack(&store, &specs, true, true, 1);
+        let mut two = ExpertSlab::pack(&store, &specs, true, true, 4);
+        assert_eq!((one.shards().len(), two.shards().len()), (1, 2));
+        assert_eq!(one.kernel_ops(), 6);
+        assert_eq!(two.kernel_ops(), 12);
+        assert_eq!(forward(&one), forward(&two));
+
+        // Perturb one value of every packed family, repack, compare with a
+        // fresh pack.
+        let before = forward(&one);
+        for spec in &specs {
+            let skip = spec.skip.as_ref().unwrap();
+            for id in [spec.mask, spec.cell.wz, spec.alpha, spec.head.b, skip.w] {
+                store.value_mut(id).data_mut()[0] += 0.5;
+            }
         }
-        slab.repack(&store, &cells);
-        let fresh = ExpertSlab::pack(&store, &cells);
-        let xs = vec![0.25f32; n * d];
-        let (mut ha, mut hb) = (vec![0.0f32; n * h], vec![0.0f32; n * h]);
-        let mut scratch = BufferPool::new();
-        slab.step_range(0, n, &xs, &mut ha, &mut scratch);
-        fresh.step_range(0, n, &xs, &mut hb, &mut scratch);
-        for i in 0..n * h {
-            assert_eq!(ha[i].to_bits(), hb[i].to_bits(), "i={i}");
-        }
+        one.repack(&store, &specs);
+        two.repack(&store, &specs);
+        let fresh = forward(&ExpertSlab::pack(&store, &specs, true, true, 4));
+        assert_ne!(fresh, before);
+        assert_eq!(forward(&one), fresh);
+        assert_eq!(forward(&two), fresh);
     }
 
     #[test]
@@ -513,17 +816,17 @@ mod tests {
         use deeprest_telemetry::{self as telemetry, MemorySink};
         use std::sync::Arc;
 
-        let (store, cells) = cells(3, 4, 8);
-        let slab = ExpertSlab::pack(&store, &cells);
+        let (store, specs) = swarm(3, 4, 8, false);
+        let slab = ExpertSlab::pack(&store, &specs, true, true, 1);
         let xs = vec![0.5f32; 3 * 4];
         let mut hidden = vec![0.0f32; 3 * 8];
         let mut scratch = BufferPool::new();
         let sink = Arc::new(MemorySink::new());
         telemetry::with_sink(sink.clone(), || {
-            slab.step_range(0, 3, &xs, &mut hidden, &mut scratch);
+            slab.step_range(0..3, &xs, &mut hidden, &mut scratch, None);
             let warm = sink.counter("kernel.alloc");
             for _ in 0..10 {
-                slab.step_range(0, 3, &xs, &mut hidden, &mut scratch);
+                slab.step_range(0..3, &xs, &mut hidden, &mut scratch, None);
             }
             assert_eq!(
                 sink.counter("kernel.alloc"),
@@ -535,21 +838,21 @@ mod tests {
     }
 
     #[test]
-    fn bytes_accounts_all_packed_weights() {
+    fn bytes_accounts_all_packed_values() {
         let (n, d, h) = (2, 3, 4);
-        let (store, cells) = cells(n, d, h);
-        let slab = ExpertSlab::pack(&store, &cells);
-        let per_expert = 3 * h * d + 2 * h * h + h * h + 3 * h;
+        let (store, specs) = swarm(n, d, h, true);
+        let slab = ExpertSlab::pack(&store, &specs, true, true, 1);
+        let gates = 3 * h * d + 2 * h * h + h * h + 3 * h;
+        let per_expert = gates + d + n + (6 * h + 3) + (3 * d + 3);
         assert_eq!(slab.bytes(), n * per_expert * 4);
     }
 
     #[test]
     #[should_panic(expected = "share one shape")]
     fn pack_rejects_mixed_shapes() {
-        let mut store = ParamStore::new();
+        let (mut store, mut specs) = swarm(2, 3, 4, false);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let a = GruCell::new(&mut store, "a", 3, 4, &mut rng);
-        let b = GruCell::new(&mut store, "b", 3, 5, &mut rng);
-        ExpertSlab::pack(&store, &[a, b]);
+        specs[1].cell = GruCell::new(&mut store, "b", 3, 5, &mut rng);
+        ExpertSlab::pack(&store, &specs, true, true, 1);
     }
 }

@@ -4,10 +4,12 @@
 //! walks them one by one in the reverse sweep. This module replaces that hot
 //! path with hand-derived truncated-BPTT over the packed [`ExpertSlab`]:
 //!
-//! * **Forward** — [`ExpertSlab::step_range_stash`] advances a whole shard of
-//!   experts per timestep with three batched GEMVs, stashing the gate
-//!   activations `z`, `k`, `h̃` (and the hidden states) into preallocated
-//!   strided arenas instead of tape nodes.
+//! * **Forward** — the slab's own forward (`mask_into` → `step_range` →
+//!   `gather_hidden` → `heads`, the calls serving steps), run per timestep
+//!   over a whole shard of experts, with [`GateStash`] arenas handed to the
+//!   GRU step so the gate activations `z`, `k`, `h̃` (and the hidden states)
+//!   land in preallocated strided arenas instead of tape nodes. Nothing of
+//!   the forward is restated here.
 //! * **Backward** — closed-form GRU gate gradients consume the stashed
 //!   activations with batched GEMV/GEMM kernels (including the accumulate
 //!   variants `gemv_t_acc_into` / `gemm_nt_acc_into`), walking timesteps in
@@ -43,37 +45,10 @@
 //! `crates/core/tests/determinism.rs` holds it end to end.
 
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::kernel::{
-    gemm_into, gemm_nt_acc_into, gemv_batch_into, gemv_t_acc_into, gemv_t_into,
-};
-use deeprest_tensor::{BufferPool, ParamId, ParamStore, Pool};
+use deeprest_tensor::kernel::{gemm_nt_acc_into, gemv_t_acc_into, gemv_t_into};
+use deeprest_tensor::{BufferPool, ParamStore, Pool};
 
-use crate::slab::ExpertSlab;
-use crate::{GruCell, Linear};
-
-/// Below this many experts per shard the fan-out overhead beats the win
-/// (mirrors the serving-side shard plan in `deeprest-core::stream`).
-const MIN_EXPERTS_PER_SHARD: usize = 8;
-
-/// Parameter handles of one expert, in the estimator's architecture:
-/// sigmoid feature mask → GRU → cross-expert attention → quantile head,
-/// with an optional linear skip path from the masked features.
-#[derive(Clone, Copy, Debug)]
-pub struct ExpertSpec {
-    /// Mask logits `m^{c,r}`, shape `(input_dim, 1)`. Ignored (no gradient,
-    /// mask treated as all-ones) when the trainer's `api_mask` is off.
-    pub mask: ParamId,
-    /// Recurrent core.
-    pub cell: GruCell,
-    /// Attention weights over all experts, shape `(experts, 1)`; the self
-    /// entry is masked out. Ignored when `attention` is off.
-    pub alpha: ParamId,
-    /// Output head mapping `(a_t || h_t)` to the three quantile outputs.
-    pub head: Linear,
-    /// Optional skip path from the masked features to the outputs. Must be
-    /// uniformly present or absent across experts.
-    pub skip: Option<Linear>,
-}
+use crate::slab::{ExpertSlab, ExpertSpec, GateStash};
 
 /// Static configuration of an [`AnalyticTrainer`].
 #[derive(Clone, Copy, Debug)]
@@ -119,17 +94,12 @@ pub struct SlotStats {
     pub expert_sums: Vec<f32>,
 }
 
-/// One contiguous expert range owned by a worker.
-#[derive(Clone, Copy, Debug)]
-struct Shard {
-    lo: usize,
-    count: usize,
-}
-
 /// Per-(batch position, shard) state: activation stashes, gradient arenas
 /// and scratch. Everything is allocated once at trainer construction; a warm
 /// training step performs zero heap allocations.
 struct ShardJob {
+    /// Index into the slab's shard plan, and that shard's expert range.
+    shard: usize,
     lo: usize,
     count: usize,
     /// Subsequence start/window count for the current batch.
@@ -163,10 +133,8 @@ struct ShardJob {
     // Per-timestep work buffers.
     xbuf: Vec<f32>,
     hidden: Vec<f32>,
-    att: Vec<f32>,
     cat: Vec<f32>,
     ybuf: Vec<f32>,
-    sbuf: Vec<f32>,
     gcat: Vec<f32>,
     dzkh: Vec<f32>,
     zpre: Vec<f32>,
@@ -179,14 +147,17 @@ struct ShardJob {
 }
 
 impl ShardJob {
-    fn new(shard: Shard, e_total: usize, cfg: &TrainerConfig, has_skip: bool) -> Self {
+    fn new(shard: usize, slab: &ExpertSlab, cfg: &TrainerConfig) -> Self {
         let (d, h, t) = (cfg.input_dim, cfg.hidden_dim, cfg.max_steps);
-        let c = shard.count;
+        let e_total = slab.experts();
+        let range = slab.shards()[shard].clone();
+        let c = range.len();
         let att_len = if cfg.attention { t * c * h } else { 0 };
-        let skip_w_len = if has_skip { c * 3 * d } else { 0 };
-        let skip_b_len = if has_skip { c * 3 } else { 0 };
+        let skip_w_len = if slab.has_skip() { c * 3 * d } else { 0 };
+        let skip_b_len = if slab.has_skip() { c * 3 } else { 0 };
         Self {
-            lo: shard.lo,
+            shard,
+            lo: range.start,
             count: c,
             start: 0,
             steps: 0,
@@ -213,10 +184,8 @@ impl ShardJob {
             gskip_b: vec![0.0; skip_b_len],
             xbuf: vec![0.0; c * d],
             hidden: vec![0.0; c * h],
-            att: vec![0.0; h * c],
             cat: vec![0.0; c * 2 * h],
             ybuf: vec![0.0; c * 3],
-            sbuf: vec![0.0; skip_b_len],
             gcat: vec![0.0; 2 * h],
             dzkh: vec![0.0; 3 * h],
             zpre: vec![0.0; h],
@@ -259,26 +228,15 @@ impl ShardJob {
     }
 }
 
-/// The analytic trainer: owns the packed slab, the per-step value packs and
-/// every per-worker arena. One instance serves a whole `fit` — arenas are
-/// allocated at construction and reused by every batch of every epoch.
+/// The analytic trainer: owns the packed slab and every per-worker arena.
+/// One instance serves a whole `fit` — arenas are allocated at construction
+/// and reused by every batch of every epoch.
 pub struct AnalyticTrainer {
     cfg: TrainerConfig,
     specs: Vec<ExpertSpec>,
-    cells: Vec<GruCell>,
+    /// Every forward value, repacked from the store after each optimizer
+    /// step; its shard plan is the trainer's worker partition.
     slab: ExpertSlab,
-    shards: Vec<Shard>,
-    /// `expert → (shard index, local index)`.
-    expert_loc: Vec<(usize, usize)>,
-    has_skip: bool,
-    // Value packs, refreshed from the store after every optimizer step.
-    mask_sig: Vec<f32>,
-    alpha_rows: Vec<f32>,
-    alpha_cols: Vec<Vec<f32>>,
-    head_w: Vec<f32>,
-    head_b: Vec<f32>,
-    skip_w: Vec<f32>,
-    skip_b: Vec<f32>,
     jobs: Vec<ShardJob>,
     /// Per batch slot: `H_t` gathered across shards, `[t][element][expert]`.
     hmats: Vec<Vec<f32>>,
@@ -288,9 +246,9 @@ pub struct AnalyticTrainer {
 }
 
 impl AnalyticTrainer {
-    /// Builds the trainer: packs the slab, plans expert shards over `pool`'s
-    /// worker count, and allocates every arena for `cfg.batch_slots`
-    /// persistent batch positions.
+    /// Builds the trainer: packs the slab (which plans expert shards over
+    /// `pool`'s worker count) and allocates every arena for
+    /// `cfg.batch_slots` persistent batch positions.
     ///
     /// # Panics
     ///
@@ -303,51 +261,15 @@ impl AnalyticTrainer {
     ) -> Self {
         let e = specs.len();
         assert!(e > 0, "AnalyticTrainer: no experts");
-        let has_skip = specs[0].skip.is_some();
-        assert!(
-            specs.iter().all(|s| s.skip.is_some() == has_skip),
-            "AnalyticTrainer: skip path must be uniform across experts"
-        );
-        let cells: Vec<GruCell> = specs.iter().map(|s| s.cell).collect();
-        let slab = ExpertSlab::pack(store, &cells);
+        let slab = ExpertSlab::pack(store, &specs, cfg.api_mask, cfg.attention, pool.threads());
+        let shard_count = slab.shards().len();
 
-        let shard_count = pool.threads().min(e.div_ceil(MIN_EXPERTS_PER_SHARD)).max(1);
-        let chunk = e.div_ceil(shard_count);
-        let shards: Vec<Shard> = (0..shard_count)
-            .map(|s| {
-                let lo = (s * chunk).min(e);
-                Shard {
-                    lo,
-                    count: ((s + 1) * chunk).min(e) - lo,
-                }
-            })
-            .filter(|s| s.count > 0)
-            .collect();
-        let mut expert_loc = vec![(0usize, 0usize); e];
-        for (si, shard) in shards.iter().enumerate() {
-            for c in 0..shard.count {
-                expert_loc[shard.lo + c] = (si, c);
-            }
-        }
-
-        let (d, h, t) = (cfg.input_dim, cfg.hidden_dim, cfg.max_steps);
+        let (h, t) = (cfg.hidden_dim, cfg.max_steps);
         let jobs = (0..cfg.batch_slots)
-            .flat_map(|_| shards.iter().map(|&s| ShardJob::new(s, e, &cfg, has_skip)))
+            .flat_map(|_| (0..shard_count).map(|s| ShardJob::new(s, &slab, &cfg)))
             .collect();
-        let mut trainer = Self {
+        Self {
             specs,
-            cells,
-            slab,
-            shards,
-            expert_loc,
-            has_skip,
-            mask_sig: vec![0.0; e * d],
-            alpha_rows: vec![0.0; if cfg.attention { e * e } else { 0 }],
-            alpha_cols: Vec::new(),
-            head_w: vec![0.0; e * 3 * 2 * h],
-            head_b: vec![0.0; e * 3],
-            skip_w: vec![0.0; if has_skip { e * 3 * d } else { 0 }],
-            skip_b: vec![0.0; if has_skip { e * 3 } else { 0 }],
             jobs,
             hmats: (0..cfg.batch_slots).map(|_| vec![0.0; t * h * e]).collect(),
             g_att_all: (0..cfg.batch_slots)
@@ -360,17 +282,9 @@ impl AnalyticTrainer {
                     expert_sums: vec![0.0; e],
                 })
                 .collect(),
+            slab,
             cfg,
-        };
-        if trainer.cfg.attention {
-            trainer.alpha_cols = trainer
-                .shards
-                .iter()
-                .map(|s| vec![0.0; e * s.count])
-                .collect();
         }
-        trainer.refresh(store);
-        trainer
     }
 
     /// Replaces the per-quantile gradient modulation for subsequent
@@ -385,47 +299,11 @@ impl AnalyticTrainer {
         self.cfg.modulation
     }
 
-    /// Re-reads every parameter value out of `store`: repacks the GRU slab
-    /// in place and refreshes the mask/attention/head value packs. Call
-    /// after each optimizer step; a warm refresh performs no allocations.
+    /// Re-reads every parameter value out of `store` (an in-place
+    /// [`ExpertSlab::repack`]). Call after each optimizer step; performs no
+    /// allocations.
     pub fn refresh(&mut self, store: &ParamStore) {
-        let e = self.specs.len();
-        let (d, h) = (self.cfg.input_dim, self.cfg.hidden_dim);
-        self.slab.repack(store, &self.cells);
-        for (i, spec) in self.specs.iter().enumerate() {
-            let msig = &mut self.mask_sig[i * d..(i + 1) * d];
-            if self.cfg.api_mask {
-                // The tape's `Graph::sigmoid` expression, verbatim.
-                for (o, &x) in msig.iter_mut().zip(store.value(spec.mask).data()) {
-                    *o = 1.0 / (1.0 + (-x).exp());
-                }
-            } else {
-                msig.fill(1.0);
-            }
-            self.head_w[i * 6 * h..(i + 1) * 6 * h]
-                .copy_from_slice(store.value(spec.head.w).data());
-            self.head_b[i * 3..(i + 1) * 3].copy_from_slice(store.value(spec.head.b).data());
-            if let Some(skip) = &spec.skip {
-                self.skip_w[i * 3 * d..(i + 1) * 3 * d].copy_from_slice(store.value(skip.w).data());
-                self.skip_b[i * 3..(i + 1) * 3].copy_from_slice(store.value(skip.b).data());
-            }
-            if self.cfg.attention {
-                let row = &mut self.alpha_rows[i * e..(i + 1) * e];
-                row.copy_from_slice(store.value(spec.alpha).data());
-                // Self-exclusion: the tape's `mask_out(α, i)`.
-                row[i] = 0.0;
-            }
-        }
-        if self.cfg.attention {
-            for (s, shard) in self.shards.iter().enumerate() {
-                let cols = &mut self.alpha_cols[s];
-                for kk in 0..e {
-                    for c in 0..shard.count {
-                        cols[kk * shard.count + c] = self.alpha_rows[(shard.lo + c) * e + kk];
-                    }
-                }
-            }
-        }
+        self.slab.repack(store, &self.specs);
     }
 
     /// Runs forward + backward for one optimizer batch of subsequence
@@ -451,7 +329,6 @@ impl AnalyticTrainer {
         let nb = batch.len();
         assert!(nb <= self.cfg.batch_slots, "run_batch: batch too large");
         let e_total = self.specs.len();
-        let shard_count = self.shards.len();
         let h = self.cfg.hidden_dim;
         let t_total = xs.len();
         // Backward seed of the batch-mean scale node: `1.0 · scale`.
@@ -461,23 +338,12 @@ impl AnalyticTrainer {
             cfg,
             specs,
             slab,
-            shards,
-            expert_loc,
-            has_skip,
-            mask_sig,
-            alpha_rows,
-            alpha_cols,
-            head_w,
-            head_b,
-            skip_w,
-            skip_b,
             jobs,
             hmats,
             g_att_all,
             stats,
-            ..
         } = self;
-        let has_skip = *has_skip;
+        let shard_count = slab.shards().len();
 
         for (b, &start) in batch.iter().enumerate() {
             let steps = (start + cfg.max_steps).min(t_total) - start;
@@ -489,24 +355,19 @@ impl AnalyticTrainer {
 
         // Phase A — forward: advance every shard through its subsequence,
         // stashing gate activations and hidden states per timestep.
-        pool.for_each_mut(active, |_, job| {
-            forward_stash(job, cfg, slab, mask_sig, xs);
-        });
+        pool.for_each_mut(active, |_, job| forward_stash(job, slab, xs));
 
         // Serial: gather the per-timestep hidden matrix `H_t` (rows =
         // elements, cols = experts) across shards for each batch position.
-        for b in 0..nb {
-            let hmat = &mut hmats[b];
-            for s in 0..shard_count {
-                let job = &active[b * shard_count + s];
+        for (b, hmat) in hmats.iter_mut().enumerate().take(nb) {
+            for job in &active[b * shard_count..(b + 1) * shard_count] {
+                let span = job.count * h;
                 for t in 0..job.steps {
-                    for c in 0..job.count {
-                        let src = &job.h[(t * job.count + c) * h..][..h];
-                        let e = job.lo + c;
-                        for (r, &v) in src.iter().enumerate() {
-                            hmat[t * h * e_total + r * e_total + e] = v;
-                        }
-                    }
+                    slab.gather_hidden(
+                        job.lo..job.lo + job.count,
+                        &job.h[t * span..(t + 1) * span],
+                        &mut hmat[t * h * e_total..(t + 1) * h * e_total],
+                    );
                 }
             }
         }
@@ -515,15 +376,8 @@ impl AnalyticTrainer {
         // terms and the full output-stage backward, timestep-descending.
         {
             let hmats = &*hmats;
-            let alpha_cols = &*alpha_cols;
             pool.for_each_mut(active, |i, job| {
-                let b = i / shard_count;
-                let s = i % shard_count;
-                let acols: &[f32] = if cfg.attention { &alpha_cols[s] } else { &[] };
-                heads_sweep(
-                    job, cfg, e_total, has_skip, &hmats[b], acols, mask_sig, head_w, head_b,
-                    skip_w, skip_b, xs, targets,
-                );
+                heads_sweep(job, cfg, slab, &hmats[i / shard_count], xs, targets);
             });
         }
 
@@ -550,35 +404,15 @@ impl AnalyticTrainer {
         {
             let g_att_all = &*g_att_all;
             pool.for_each_mut(active, |i, job| {
-                let b = i / shard_count;
-                gru_sweep(
-                    job,
-                    cfg,
-                    e_total,
-                    has_skip,
-                    slab,
-                    mask_sig,
-                    alpha_rows,
-                    skip_w,
-                    &g_att_all[b],
-                    xs,
-                );
+                gru_sweep(job, cfg, slab, &g_att_all[i / shard_count], xs);
             });
         }
 
         // Serial fold + statistics, in the tape's subsequence order.
         for b in 0..nb {
             let b_jobs = &active[b * shard_count..(b + 1) * shard_count];
-            fold_gradients(store, specs, cfg, has_skip, b_jobs, e_total);
-            slot_stats(
-                &mut stats[b],
-                cfg,
-                mask_sig,
-                expert_loc,
-                b_jobs,
-                shards,
-                e_total,
-            );
+            fold_gradients(store, specs, cfg, b_jobs);
+            slot_stats(&mut stats[b], cfg, slab, b_jobs);
         }
         if telemetry::enabled() {
             telemetry::counter("train.analytic.batches", 1);
@@ -587,131 +421,73 @@ impl AnalyticTrainer {
     }
 }
 
-/// Phase A body: masked inputs → slab step → stash, for one job.
-fn forward_stash(
-    job: &mut ShardJob,
-    cfg: &TrainerConfig,
-    slab: &ExpertSlab,
-    mask_sig: &[f32],
-    xs: &[Vec<f32>],
-) {
-    let (d, h) = (cfg.input_dim, cfg.hidden_dim);
-    let (lo, count) = (job.lo, job.count);
+/// Phase A body: the slab forward's first two calls per timestep (masked
+/// inputs → GRU step), stashing gates and hidden states, for one job.
+fn forward_stash(job: &mut ShardJob, slab: &ExpertSlab, xs: &[Vec<f32>]) {
+    let range = job.lo..job.lo + job.count;
+    let span = job.count * slab.hidden_dim();
     for t in 0..job.steps {
-        let x = &xs[job.start + t];
-        for c in 0..count {
-            let msig = &mask_sig[(lo + c) * d..][..d];
-            let row = &mut job.xbuf[c * d..(c + 1) * d];
-            for ((o, &m), &xi) in row.iter_mut().zip(msig).zip(x.iter()) {
-                // The tape's `mul(mask_sig, x)`, elementwise.
-                *o = m * xi;
-            }
-        }
-        let span = count * h;
-        slab.step_range_stash(
-            lo,
-            count,
+        let at = t * span..(t + 1) * span;
+        slab.mask_into(range.clone(), &xs[job.start + t], &mut job.xbuf);
+        slab.step_range(
+            range.clone(),
             &job.xbuf,
             &mut job.hidden,
             &mut job.scratch,
-            &mut job.z[t * span..(t + 1) * span],
-            &mut job.k[t * span..(t + 1) * span],
-            &mut job.ht[t * span..(t + 1) * span],
+            Some(GateStash {
+                z: &mut job.z[at.clone()],
+                k: &mut job.k[at.clone()],
+                ht: &mut job.ht[at.clone()],
+            }),
         );
-        job.h[t * span..(t + 1) * span].copy_from_slice(&job.hidden);
+        job.h[at].copy_from_slice(&job.hidden);
     }
 }
 
-/// Phase B body: the whole output stage (attention, concat, head, skip,
-/// pinball) forward *and* backward for one job, timestep-descending. Head
-/// and skip parameter gradients accumulate here; the attention-head and
-/// carried-state gradients are stashed for phase C.
-#[allow(clippy::too_many_arguments)] // flat value packs, one per parameter group
+/// Phase B body: the output stage for one job, timestep-descending — the
+/// slab forward's [`ExpertSlab::heads`], then the pinball terms and the
+/// whole output-stage backward. Head and skip parameter gradients
+/// accumulate here; the attention-head and carried-state gradients are
+/// stashed for phase C.
 fn heads_sweep(
     job: &mut ShardJob,
     cfg: &TrainerConfig,
-    e_total: usize,
-    has_skip: bool,
+    slab: &ExpertSlab,
     hmat_b: &[f32],
-    alpha_cols: &[f32],
-    mask_sig: &[f32],
-    head_w: &[f32],
-    head_b: &[f32],
-    skip_w: &[f32],
-    skip_b: &[f32],
     xs: &[Vec<f32>],
     targets: &[Vec<f32>],
 ) {
     let (d, h) = (cfg.input_dim, cfg.hidden_dim);
     let (lo, count) = (job.lo, job.count);
+    let (e_total, has_skip) = (slab.experts(), slab.has_skip());
     let two_h = 2 * h;
     for t in (0..job.steps).rev() {
         let hmat_t = &hmat_b[t * h * e_total..(t + 1) * h * e_total];
-        if cfg.attention {
-            // a_e = H_t · α_e for the whole shard: one GEMM, whose
-            // per-element dots are bit-identical to the tape's per-expert
-            // GEMV against the same `H_t` rows and masked α columns.
-            gemm_into(&mut job.att, hmat_t, h, e_total, alpha_cols, count);
-        } else {
-            job.att.fill(0.0);
-        }
-        for c in 0..count {
-            let cat = &mut job.cat[c * two_h..(c + 1) * two_h];
-            let h_t = &job.h[(t * count + c) * h..][..h];
-            for r in 0..h {
-                cat[r] = job.att[r * count + c];
-                cat[h + r] = h_t[r];
-            }
-        }
         if has_skip {
-            for c in 0..count {
-                let msig = &mask_sig[(lo + c) * d..][..d];
-                let row = &mut job.xbuf[c * d..(c + 1) * d];
-                let x = &xs[job.start + t];
-                for ((o, &m), &xi) in row.iter_mut().zip(msig).zip(x.iter()) {
-                    *o = m * xi;
-                }
-            }
+            slab.mask_into(lo..lo + count, &xs[job.start + t], &mut job.xbuf);
         }
-        // Quantile heads for the shard: batched GEMVs (per-item dispatch
-        // identical to the tape's per-expert `matmul`).
-        gemv_batch_into(
+        slab.heads(
+            job.shard,
+            hmat_t,
+            &job.h[t * count * h..(t + 1) * count * h],
+            &job.xbuf,
+            &mut job.cat,
             &mut job.ybuf,
-            &head_w[lo * 3 * two_h..(lo + count) * 3 * two_h],
-            3,
-            two_h,
-            &job.cat,
-            count,
+            &mut job.scratch,
         );
-        if has_skip {
-            gemv_batch_into(
-                &mut job.sbuf,
-                &skip_w[lo * 3 * d..(lo + count) * 3 * d],
-                3,
-                d,
-                &job.xbuf,
-                count,
-            );
-        }
         for c in 0..count {
             let e = lo + c;
             let target = targets[e][job.start + t];
             let mut term = 0.0f32;
             let gy = &mut job.g_y[(t * count + c) * 3..][..3];
-            for q in 0..3 {
-                // `y = (W·cat + b) + (S·x̃ + b_s)`, associating exactly as
-                // the tape's add chain.
-                let mut y = job.ybuf[c * 3 + q] + head_b[e * 3 + q];
-                if has_skip {
-                    y += job.sbuf[c * 3 + q] + skip_b[e * 3 + q];
-                }
+            for (q, g) in gy.iter_mut().enumerate() {
                 let qv = cfg.quantiles[q];
-                let u = target - y;
+                let u = target - job.ybuf[c * 3 + q];
                 term += if u >= 0.0 { qv * u } else { (qv - 1.0) * u };
                 // Pinball backward: the upstream seed is known a priori
                 // (`s2` per term), so the gradient is emitted in the same
                 // sweep, scaled by the per-quantile modulation.
-                gy[q] = job.s2 * crate::loss::pinball_grad(u, qv, cfg.modulation[q]);
+                *g = job.s2 * crate::loss::pinball_grad(u, qv, cfg.modulation[q]);
             }
             job.terms[t * count + c] = term;
         }
@@ -744,13 +520,7 @@ fn heads_sweep(
             }
             // g_cat = Wᵀ·g_y; the top half feeds the attention backward,
             // the bottom half joins the carried-state gradient in phase C.
-            gemv_t_into(
-                &mut job.gcat,
-                &head_w[e * 3 * two_h..(e + 1) * 3 * two_h],
-                3,
-                two_h,
-                gy,
-            );
+            gemv_t_into(&mut job.gcat, slab.head_w_of(e), 3, two_h, gy);
             job.g_hh[(t * count + c) * h..][..h].copy_from_slice(&job.gcat[h..two_h]);
             if cfg.attention {
                 job.g_att[(t * count + c) * h..][..h].copy_from_slice(&job.gcat[..h]);
@@ -777,21 +547,16 @@ fn heads_sweep(
 /// Phase C body: the closed-form GRU backward for one job. Per expert,
 /// timesteps descend; every accumulation replays the tape's reverse-sweep
 /// operand order (see the module docs).
-#[allow(clippy::too_many_arguments)] // flat value packs, one per parameter group
 fn gru_sweep(
     job: &mut ShardJob,
     cfg: &TrainerConfig,
-    e_total: usize,
-    has_skip: bool,
     slab: &ExpertSlab,
-    mask_sig: &[f32],
-    alpha_rows: &[f32],
-    skip_w: &[f32],
     g_att_b: &[f32],
     xs: &[Vec<f32>],
 ) {
     let (d, h) = (cfg.input_dim, cfg.hidden_dim);
     let (lo, count) = (job.lo, job.count);
+    let e_total = slab.experts();
     for c in 0..count {
         let e = lo + c;
         job.dh.fill(0.0);
@@ -809,18 +574,21 @@ fn gru_sweep(
                 // (k = 1 dot), reproduced literally.
                 for (r, o) in job.dh.iter_mut().enumerate() {
                     let mut acc = 0.0f32;
-                    for e2 in (0..e_total).rev() {
-                        let p = g_att_b[(t * e_total + e2) * h + r] * alpha_rows[e2 * e_total + e];
-                        acc += p + 0.0;
+                    for (s, shard) in slab.shards().iter().enumerate().rev() {
+                        let alpha = slab.alpha_toward(s, e);
+                        for (e2, &a) in shard.clone().zip(alpha).rev() {
+                            let p = g_att_b[(t * e_total + e2) * h + r] * a;
+                            acc += p + 0.0;
+                        }
                     }
                     *o += acc;
                 }
             }
             // g_x̃: skip path first (output stage), GRU gates appended below.
-            if has_skip {
+            if slab.has_skip() {
                 gemv_t_into(
                     &mut job.gx,
-                    &skip_w[e * 3 * d..(e + 1) * 3 * d],
+                    slab.skip_w_of(e),
                     3,
                     d,
                     &job.g_y[(t * count + c) * 3..][..3],
@@ -893,10 +661,7 @@ fn gru_sweep(
             // Weight gradients: one stacked rank-1 update per family, with
             // per-gate rows in the slab's pack order.
             let x = &xs[job.start + t];
-            let msig = &mask_sig[e * d..(e + 1) * d];
-            for ((o, &m), &xi) in job.xbuf[..d].iter_mut().zip(msig).zip(x.iter()) {
-                *o = m * xi;
-            }
+            slab.mask_into(e..e + 1, x, &mut job.xbuf[..d]);
             gemm_nt_acc_into(
                 &mut job.gw[c * 3 * h * d..(c + 1) * 3 * h * d],
                 &job.dzkh,
@@ -934,9 +699,11 @@ fn gru_sweep(
         }
         if cfg.api_mask {
             // The mask-sigmoid node's σ' applies once, after all fan-in.
-            for i in 0..d {
-                let s = mask_sig[e * d + i];
-                job.gmask[c * d + i] = (job.gmask[c * d + i] * s) * (1.0 - s);
+            for (g, &s) in job.gmask[c * d..(c + 1) * d]
+                .iter_mut()
+                .zip(slab.mask_of(e))
+            {
+                *g = (*g * s) * (1.0 - s);
             }
         }
     }
@@ -949,9 +716,7 @@ fn fold_gradients(
     store: &mut ParamStore,
     specs: &[ExpertSpec],
     cfg: &TrainerConfig,
-    has_skip: bool,
     b_jobs: &[ShardJob],
-    _e_total: usize,
 ) {
     let (d, h) = (cfg.input_dim, cfg.hidden_dim);
     for job in b_jobs {
@@ -979,8 +744,7 @@ fn fold_gradients(
             }
             store.grad_add_slice(spec.head.w, &job.ghead_w[c * 6 * h..(c + 1) * 6 * h]);
             store.grad_add_slice(spec.head.b, &job.ghead_b[c * 3..(c + 1) * 3]);
-            if has_skip {
-                let skip = spec.skip.as_ref().expect("uniform skip");
+            if let Some(skip) = &spec.skip {
                 store.grad_add_slice(skip.w, &job.gskip_w[c * 3 * d..(c + 1) * 3 * d]);
                 store.grad_add_slice(skip.b, &job.gskip_b[c * 3..(c + 1) * 3]);
             }
@@ -992,15 +756,8 @@ fn fold_gradients(
 /// fold orders: pinball terms timestep-ascending then expert-ascending
 /// (`add_n` copies the first part), the optional mask penalty, and
 /// `loss_sum = loss · n_terms`.
-fn slot_stats(
-    stats: &mut SlotStats,
-    cfg: &TrainerConfig,
-    mask_sig: &[f32],
-    expert_loc: &[(usize, usize)],
-    b_jobs: &[ShardJob],
-    _shards: &[Shard],
-    e_total: usize,
-) {
+fn slot_stats(stats: &mut SlotStats, cfg: &TrainerConfig, slab: &ExpertSlab, b_jobs: &[ShardJob]) {
+    let e_total = slab.experts();
     let steps = b_jobs.first().map_or(0, |j| j.steps);
     let n_terms = steps * e_total;
     stats.n_terms = n_terms;
@@ -1008,26 +765,28 @@ fn slot_stats(
     let mut total = 0.0f32;
     let mut first = true;
     for t in 0..steps {
-        for (e, &(s, c)) in expert_loc.iter().enumerate() {
-            let v = b_jobs[s].terms[t * b_jobs[s].count + c];
-            stats.expert_sums[e] += v;
-            if first {
-                total = v;
-                first = false;
-            } else {
-                total += v;
+        // Jobs are in shard order, so this walks experts ascending.
+        for job in b_jobs {
+            let terms = &job.terms[t * job.count..(t + 1) * job.count];
+            for (sum, &v) in stats.expert_sums[job.lo..].iter_mut().zip(terms) {
+                *sum += v;
+                if first {
+                    total = v;
+                    first = false;
+                } else {
+                    total += v;
+                }
             }
         }
     }
     let mut loss = total * (1.0 / n_terms as f32);
     if let Some(cpen) = cfg.penalty {
-        let d = cfg.input_dim;
         // `add_n` over per-expert `sum_all(σ(m))` scalars: copy the first,
         // add the rest; each inner sum folds ascending from 0.0 like
         // `Tensor::sum`.
         let mut mask_total = 0.0f32;
         for e in 0..e_total {
-            let s: f32 = mask_sig[e * d..(e + 1) * d].iter().sum();
+            let s: f32 = slab.mask_of(e).iter().sum();
             if e == 0 {
                 mask_total = s;
             } else {

@@ -117,12 +117,6 @@ pub struct ScaleCheckpoint {
     pub estimate_errors: u64,
     /// Decision trace so far.
     pub decisions: Vec<DecisionRecord>,
-    /// Opaque continual-learning adapter state for scale loops driven by
-    /// an adaptive (`deeprest-adapt`) serving pipeline. `None` for
-    /// frozen-model loops, and omitted from the JSON so pre-adaptation
-    /// checkpoints round-trip byte-identically.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub adapter: Option<String>,
 }
 
 /// The closed loop for one `(scenario, policy)` pair.
@@ -233,7 +227,6 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
             replica_windows: self.replica_windows.clone(),
             estimate_errors: self.estimate_errors,
             decisions: self.decisions.clone(),
-            adapter: None,
         })
     }
 

@@ -3,8 +3,11 @@
 //! A checkpoint that can be corrupted by the very crash it exists to
 //! survive is worse than none: a half-written JSON file resumes as
 //! garbage state (or a panic) instead of a typed refusal. This module
-//! frames [`Checkpoint`] JSON in a versioned, checksummed envelope and
-//! writes it atomically:
+//! frames a checkpoint's JSON — a single pipeline's
+//! [`Checkpoint`](crate::pipeline::Checkpoint), the multi-tenant
+//! [`MultiTenantCheckpoint`](crate::tenant::MultiTenantCheckpoint), any
+//! serializable payload — in a versioned, checksummed envelope and writes
+//! it atomically:
 //!
 //! * **Framing** — magic `DRCK`, format version, payload length, CRC32
 //!   (IEEE) of the payload, then the JSON payload. A file truncated at
@@ -26,9 +29,7 @@ use std::path::{Path, PathBuf};
 
 use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
-
-use crate::pipeline::Checkpoint;
-use crate::tenant::MultiTenantCheckpoint;
+use serde::{Deserialize, Serialize};
 
 /// File magic identifying a framed DeepRest checkpoint.
 pub const MAGIC: [u8; 4] = *b"DRCK";
@@ -202,29 +203,16 @@ impl CheckpointStore {
         self.dir.join("prev.drck")
     }
 
-    /// Atomically writes `checkpoint`, rotating the previous newest file
-    /// to `prev.drck`.
+    /// Atomically writes `checkpoint` as framed JSON, rotating the previous
+    /// newest file to `prev.drck`.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure and
     /// [`CheckpointError::Payload`] if the checkpoint fails to serialize.
-    pub fn save(&self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
-        let json = checkpoint
-            .to_json()
+    pub fn save<T: Serialize>(&self, checkpoint: &T) -> Result<(), CheckpointError> {
+        let json = serde_json::to_string(checkpoint)
             .map_err(|e| CheckpointError::Payload(e.to_string()))?;
-        self.save_json(&json)
-    }
-
-    /// Atomically writes an arbitrary JSON payload in the same `DRCK`
-    /// frame, with the same rotation and fault probes as
-    /// [`save`](Self::save). The multi-tenant front end persists its
-    /// [`MultiTenantCheckpoint`] through this path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save_json(&self, json: &str) -> Result<(), CheckpointError> {
         let mut frame = encode_frame(json.as_bytes());
         // Fault probe: `serve.ckpt.write` truncates the frame at the
         // injected byte offset, modeling a crash mid-write. Rotation has
@@ -249,94 +237,58 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Loads the newest checkpoint that validates: `latest.drck`, falling
-    /// back to `prev.drck` when the newest is corrupt or missing. The
-    /// fallback is counted on `serve.ckpt.fallback`.
+    /// Loads the newest checkpoint whose frame validates, as a `T`:
+    /// `latest.drck`, falling back to `prev.drck` when the newest is
+    /// corrupt or missing. The fallback is counted on
+    /// `serve.ckpt.fallback`.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::NoCheckpoint`] carrying both files'
-    /// rejection reasons when neither validates.
-    pub fn load_latest(&self) -> Result<Checkpoint, CheckpointError> {
-        let json = self.load_latest_json()?;
-        Checkpoint::from_json(&json).map_err(|e| CheckpointError::Payload(e.to_string()))
-    }
-
-    /// Loads the newest validating frame's JSON payload (`latest.drck`,
-    /// falling back to `prev.drck`), without interpreting it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::NoCheckpoint`] carrying both files'
-    /// rejection reasons when neither validates.
-    pub fn load_latest_json(&self) -> Result<String, CheckpointError> {
-        let latest_err = match load_json_file(&self.latest_path()) {
-            Ok(json) => return Ok(json),
-            Err(err) => err,
+    /// rejection reasons when neither validates, and
+    /// [`CheckpointError::Payload`] when the newest valid frame does not
+    /// hold a `T`.
+    pub fn load_latest<T: Deserialize>(&self) -> Result<T, CheckpointError> {
+        let json = match read_frame(&self.latest_path()) {
+            Ok(json) => json,
+            Err(latest_err) => match read_frame(&self.prev_path()) {
+                Ok(json) => {
+                    telemetry::counter("serve.ckpt.fallback", 1);
+                    json
+                }
+                Err(prev_err) => {
+                    return Err(CheckpointError::NoCheckpoint {
+                        latest: latest_err.to_string(),
+                        prev: prev_err.to_string(),
+                    })
+                }
+            },
         };
-        match load_json_file(&self.prev_path()) {
-            Ok(json) => {
-                telemetry::counter("serve.ckpt.fallback", 1);
-                Ok(json)
-            }
-            Err(prev_err) => Err(CheckpointError::NoCheckpoint {
-                latest: latest_err.to_string(),
-                prev: prev_err.to_string(),
-            }),
-        }
-    }
-
-    /// Atomically writes a [`MultiTenantCheckpoint`] (tenant pipelines,
-    /// queued arrivals, scheduler deficits, breaker states, ladder rung)
-    /// in the framed, rotated format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure and
-    /// [`CheckpointError::Payload`] if the checkpoint fails to serialize.
-    pub fn save_tenants(&self, checkpoint: &MultiTenantCheckpoint) -> Result<(), CheckpointError> {
-        let json = checkpoint
-            .to_json()
-            .map_err(|e| CheckpointError::Payload(e.to_string()))?;
-        self.save_json(&json)
-    }
-
-    /// Loads the newest validating [`MultiTenantCheckpoint`] with the
-    /// same latest/prev fallback as [`load_latest`](Self::load_latest).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::NoCheckpoint`] when neither file
-    /// validates, [`CheckpointError::Payload`] when the payload is not a
-    /// multi-tenant checkpoint.
-    pub fn load_latest_tenants(&self) -> Result<MultiTenantCheckpoint, CheckpointError> {
-        let json = self.load_latest_json()?;
-        MultiTenantCheckpoint::from_json(&json).map_err(|e| CheckpointError::Payload(e.to_string()))
+        parse(&json)
     }
 }
 
-/// Reads and validates one framed checkpoint file.
+/// Reads and validates one framed checkpoint file as a `T`.
 ///
 /// # Errors
 ///
 /// Returns the frame or payload defect as a typed [`CheckpointError`].
-pub fn load_file(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    let json = load_json_file(path)?;
-    Checkpoint::from_json(&json).map_err(|e| CheckpointError::Payload(e.to_string()))
+pub fn load_file<T: Deserialize>(path: &Path) -> Result<T, CheckpointError> {
+    parse(&read_frame(path)?)
 }
 
-/// Reads and validates one framed file, returning its JSON payload.
-///
-/// # Errors
-///
-/// Returns the frame defect as a typed [`CheckpointError`].
-pub fn load_json_file(path: &Path) -> Result<String, CheckpointError> {
+/// Reads one framed file and returns its validated JSON payload.
+fn read_frame(path: &Path) -> Result<String, CheckpointError> {
     let bytes = std::fs::read(path)
         .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
     let payload = decode_frame(&bytes)?;
     std::str::from_utf8(payload)
         .map(str::to_owned)
         .map_err(|e| CheckpointError::Payload(format!("payload is not UTF-8: {e}")))
+}
+
+fn parse<T: Deserialize>(json: &str) -> Result<T, CheckpointError> {
+    serde_json::from_str(json).map_err(|e| CheckpointError::Payload(e.to_string()))
 }
 
 fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {

@@ -9,9 +9,10 @@
 //!
 //! * [`queue`] — bounded ingest queues decoupling collectors from the
 //!   pipeline, with blocking or drop-oldest backpressure and typed
-//!   accept/reject pushes. Single-tenant embedders use one queue in front
-//!   of one [`Pipeline`]; the multi-tenant front end gives every tenant
-//!   its own.
+//!   accept/reject pushes: the plain [`BoundedQueue`], and the
+//!   [`IngestQueue`] that shares one with a producer thread. Single-tenant
+//!   embedders use one shared queue in front of one [`Pipeline`]; the
+//!   multi-tenant front end owns a plain one per tenant.
 //! * [`tenant`] — the multi-tenant front end: a
 //!   [`TenantRegistry`] with per-tenant bounded queues, priority classes
 //!   and per-round byte/window quotas, drained by the deterministic
@@ -31,7 +32,9 @@
 //! * [`Alert`] / [`AlertSink`] — structured live alerts (component,
 //!   resource, window, score, contributing APIs) with pluggable delivery.
 //! * [`Checkpoint`] / [`CheckpointStore`] — checkpoint/restore of the full
-//!   streaming state for crash recovery, framed with a version header and
+//!   streaming state (one pipeline's, or the registry's
+//!   [`MultiTenantCheckpoint`]: the store is generic over the payload) for
+//!   crash recovery, framed with a version header and
 //!   CRC32 and written atomically (temp file + rename) with latest/prev
 //!   rotation, so a crash mid-write is a typed [`CheckpointError`] and a
 //!   one-checkpoint fallback, never garbage state.
@@ -85,7 +88,7 @@ pub use pipeline::{
     batch_reference, contributing_apis, Checkpoint, ControlTick, ObservationSource, Pipeline,
     WindowOutput, WindowStages,
 };
-pub use queue::{Accepted, IngestQueue, OverflowPolicy, PushRejected};
+pub use queue::{Accepted, BoundedQueue, IngestQueue, OverflowPolicy, PushRejected};
 pub use sched::{FairScheduler, SchedConfig};
 pub use tenant::{
     AdmitRejected, MultiTenantCheckpoint, PriorityClass, TenantConfig, TenantId, TenantRegistry,

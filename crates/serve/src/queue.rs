@@ -7,6 +7,10 @@
 //! block the producer until the consumer catches up, or drop the oldest
 //! buffered arrival (counted, never silent).
 //!
+//! The queue proper is [`BoundedQueue`] (`&mut self`, no synchronization);
+//! [`IngestQueue`] shares one between threads and adds the blocking
+//! operations.
+//!
 //! Every admission outcome is typed: [`IngestQueue::push_typed`] returns
 //! `Result<Accepted, PushRejected<T>>`, so a caller can tell a blocking
 //! wait from an eviction from a closed-queue rejection, and rejected items
@@ -66,18 +70,178 @@ impl<T> PushRejected<T> {
     }
 }
 
-struct Inner<T> {
+/// The queue proper: a bounded FIFO with an overflow policy, typed
+/// admission outcomes and drop counters, behind `&mut self`. An exclusive
+/// owner (the multi-tenant registry's per-tenant queues) uses it directly;
+/// [`IngestQueue`] wraps it in a mutex and condvars for a producer thread.
+///
+/// Never holds more than `capacity` items; `serve.queue_depth` gauges the
+/// depth after every push and pop.
+#[derive(Debug)]
+pub struct BoundedQueue<T> {
     buf: VecDeque<T>,
+    capacity: usize,
+    policy: OverflowPolicy,
     closed: bool,
     dropped_overflow: u64,
     dropped_closed: u64,
+}
+
+impl<T> BoundedQueue<T> {
+    /// Creates a queue holding at most `capacity` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
+        assert!(capacity > 0, "BoundedQueue: capacity must be positive");
+        Self {
+            buf: VecDeque::with_capacity(capacity.min(4096)),
+            capacity,
+            policy,
+            closed: false,
+            dropped_overflow: 0,
+            dropped_closed: 0,
+        }
+    }
+
+    /// The queue's overflow policy.
+    pub fn policy(&self) -> OverflowPolicy {
+        self.policy
+    }
+
+    /// Enqueues one item without ever waiting.
+    ///
+    /// A closed queue rejects with [`PushRejected::Closed`]; a full
+    /// [`OverflowPolicy::Block`] queue rejects with [`PushRejected::Full`]
+    /// (backpressure, not a drop); a full [`OverflowPolicy::DropOldest`]
+    /// queue evicts (and counts) its oldest item. Rejections hand the item
+    /// back.
+    pub fn try_push(&mut self, item: T) -> Result<Accepted, PushRejected<T>> {
+        if self.closed {
+            self.dropped_closed += 1;
+            telemetry::counter("serve.queue.dropped.closed", 1);
+            return Err(PushRejected::Closed(item));
+        }
+        let mut evicted = 0u64;
+        if self.is_full() {
+            match self.policy {
+                OverflowPolicy::Block => return Err(PushRejected::Full(item)),
+                OverflowPolicy::DropOldest => {
+                    self.buf.pop_front();
+                    self.dropped_overflow += 1;
+                    evicted = 1;
+                    telemetry::counter("serve.queue.dropped.overflow", 1);
+                }
+            }
+        }
+        self.buf.push_back(item);
+        telemetry::gauge("serve.queue_depth", self.buf.len() as f64);
+        Ok(if evicted > 0 {
+            Accepted::Displaced { evicted }
+        } else {
+            Accepted::Enqueued
+        })
+    }
+
+    /// Dequeues the oldest item, if any.
+    pub fn try_pop(&mut self) -> Option<T> {
+        let item = self.buf.pop_front();
+        if item.is_some() {
+            telemetry::gauge("serve.queue_depth", self.buf.len() as f64);
+        }
+        item
+    }
+
+    /// Current number of buffered items.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Returns `true` when nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Whether a push would overflow.
+    pub fn is_full(&self) -> bool {
+        self.buf.len() >= self.capacity
+    }
+
+    /// The buffered items, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.buf.iter()
+    }
+
+    /// How many items the `DropOldest` policy evicted to admit newer ones
+    /// (telemetry: `serve.queue.dropped.overflow`).
+    pub fn dropped_overflow(&self) -> u64 {
+        self.dropped_overflow
+    }
+
+    /// How many pushes were rejected because the queue was already closed
+    /// (telemetry: `serve.queue.dropped.closed`). Pushes hand the item
+    /// back, so a "drop" here only becomes a real loss if the caller
+    /// discards it.
+    pub fn dropped_closed(&self) -> u64 {
+        self.dropped_closed
+    }
+
+    /// Closes the queue: pushes are rejected, what remains still drains.
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Whether [`close`](Self::close) has been called.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Clones the buffered items (through `f`, oldest first) plus the drop
+    /// counters, for checkpointing.
+    pub fn snapshot_with<U: Serialize + Deserialize>(
+        &self,
+        f: impl FnMut(&T) -> U,
+    ) -> QueueSnapshot<U> {
+        QueueSnapshot {
+            items: self.buf.iter().map(f).collect(),
+            dropped_overflow: self.dropped_overflow,
+            dropped_closed: self.dropped_closed,
+        }
+    }
+
+    /// Rebuilds a queue from a snapshot, restoring buffered items (through
+    /// `f`, oldest first) and drop counters. Items beyond `capacity` are
+    /// evicted oldest-first and counted, exactly as live overflow would.
+    pub fn from_snapshot_with<U: Serialize + Deserialize>(
+        capacity: usize,
+        policy: OverflowPolicy,
+        snapshot: QueueSnapshot<U>,
+        mut f: impl FnMut(U) -> T,
+    ) -> Self {
+        let mut queue = Self::new(capacity, policy);
+        queue.dropped_overflow = snapshot.dropped_overflow;
+        queue.dropped_closed = snapshot.dropped_closed;
+        for item in snapshot.items {
+            if queue.is_full() {
+                queue.buf.pop_front();
+                queue.dropped_overflow += 1;
+                telemetry::counter("serve.queue.dropped.overflow", 1);
+            }
+            queue.buf.push_back(f(item));
+        }
+        queue
+    }
+}
+
+struct Inner<T> {
+    queue: BoundedQueue<T>,
     // Waiter counts, guarded by the same mutex the waiters atomically
     // release inside `Condvar::wait`: a producer/consumer increments
     // before waiting and decrements after waking, so a peer that mutates
-    // `buf` under the lock sees an exact count and can skip the condvar
+    // the queue under the lock sees an exact count and can skip the condvar
     // signal entirely when nobody is parked. Signalling an empty condvar
-    // is far from free (a pthread call per push/pop), and the
-    // single-threaded drain path never needs it.
+    // is far from free (a pthread call per push/pop).
     waiting_consumers: usize,
     waiting_producers: usize,
 }
@@ -97,25 +261,11 @@ fn lock_recovering<T>(mutex: &Mutex<Inner<T>>) -> MutexGuard<'_, Inner<T>> {
     })
 }
 
-/// [`lock_recovering`], but through exclusive access: `Mutex::get_mut`
-/// borrows the contents without locking, which is safe because `&mut`
-/// proves no other thread can hold or wait on the mutex.
-fn get_mut_recovering<T>(mutex: &mut Mutex<Inner<T>>) -> &mut Inner<T> {
-    mutex.get_mut().unwrap_or_else(|poisoned| {
-        telemetry::counter("serve.queue.poison_recovered", 1);
-        poisoned.into_inner()
-    })
-}
-
-/// A bounded MPSC-style queue (any number of producers, any number of
-/// consumers) with blocking pop and a configurable overflow policy.
-///
-/// The queue never holds more than `capacity` items; `serve.queue_depth`
-/// gauges the depth after every push.
+/// A [`BoundedQueue`] shared between threads (any number of producers, any
+/// number of consumers): adds blocking push and pop on top of the same
+/// admission rules, counters and telemetry.
 pub struct IngestQueue<T> {
     inner: Mutex<Inner<T>>,
-    capacity: usize,
-    policy: OverflowPolicy,
     nonempty: Condvar,
     nonfull: Condvar,
 }
@@ -127,201 +277,72 @@ impl<T> IngestQueue<T> {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
-        assert!(capacity > 0, "IngestQueue: capacity must be positive");
         Self {
             inner: Mutex::new(Inner {
-                buf: VecDeque::with_capacity(capacity.min(4096)),
-                closed: false,
-                dropped_overflow: 0,
-                dropped_closed: 0,
+                queue: BoundedQueue::new(capacity, policy),
                 waiting_consumers: 0,
                 waiting_producers: 0,
             }),
-            capacity,
-            policy,
             nonempty: Condvar::new(),
             nonfull: Condvar::new(),
         }
-    }
-
-    /// Maximum number of buffered items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The queue's overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
     }
 
     /// Enqueues one item, applying the overflow policy when full.
     ///
     /// Under [`OverflowPolicy::Block`] this waits for the consumer; under
     /// [`OverflowPolicy::DropOldest`] it evicts (and counts) the oldest
-    /// buffered items. A closed queue rejects with
+    /// buffered item. A closed queue rejects with
     /// [`PushRejected::Closed`], returning the item to the caller.
     pub fn push_typed(&self, item: T) -> Result<Accepted, PushRejected<T>> {
         let mut inner = lock_recovering(&self.inner);
         let mut waited = false;
-        let mut evicted = 0u64;
-        while inner.buf.len() >= self.capacity && !inner.closed {
-            match self.policy {
-                OverflowPolicy::Block => {
-                    waited = true;
-                    inner.waiting_producers += 1;
-                    inner = self
-                        .nonfull
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    inner.waiting_producers -= 1;
-                }
-                OverflowPolicy::DropOldest => {
-                    inner.buf.pop_front();
-                    inner.dropped_overflow += 1;
-                    evicted += 1;
-                    telemetry::counter("serve.queue.dropped.overflow", 1);
-                }
-            }
+        while inner.queue.policy() == OverflowPolicy::Block
+            && inner.queue.is_full()
+            && !inner.queue.is_closed()
+        {
+            waited = true;
+            inner.waiting_producers += 1;
+            inner = self
+                .nonfull
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+            inner.waiting_producers -= 1;
         }
-        if inner.closed {
-            inner.dropped_closed += 1;
-            telemetry::counter("serve.queue.dropped.closed", 1);
-            return Err(PushRejected::Closed(item));
-        }
-        inner.buf.push_back(item);
-        telemetry::gauge("serve.queue_depth", inner.buf.len() as f64);
-        let wake = inner.waiting_consumers > 0;
-        drop(inner);
-        if wake {
-            self.nonempty.notify_one();
-        }
-        Ok(if evicted > 0 {
-            Accepted::Displaced { evicted }
-        } else if waited {
+        let accepted = self.admit(inner, item)?;
+        Ok(if waited {
             Accepted::EnqueuedAfterWait
         } else {
-            Accepted::Enqueued
+            accepted
         })
     }
 
-    /// Enqueues one item without ever blocking.
-    ///
-    /// A full [`OverflowPolicy::Block`] queue rejects with
-    /// [`PushRejected::Full`] instead of waiting; a full
-    /// [`OverflowPolicy::DropOldest`] queue evicts exactly one item, as
-    /// [`push_typed`](Self::push_typed) would.
+    /// Enqueues one item without ever blocking — see
+    /// [`BoundedQueue::try_push`].
     pub fn try_push(&self, item: T) -> Result<Accepted, PushRejected<T>> {
-        let mut inner = lock_recovering(&self.inner);
-        if inner.closed {
-            inner.dropped_closed += 1;
-            telemetry::counter("serve.queue.dropped.closed", 1);
-            return Err(PushRejected::Closed(item));
-        }
-        let mut evicted = 0u64;
-        if inner.buf.len() >= self.capacity {
-            match self.policy {
-                OverflowPolicy::Block => return Err(PushRejected::Full(item)),
-                OverflowPolicy::DropOldest => {
-                    inner.buf.pop_front();
-                    inner.dropped_overflow += 1;
-                    evicted = 1;
-                    telemetry::counter("serve.queue.dropped.overflow", 1);
-                }
-            }
-        }
-        inner.buf.push_back(item);
-        telemetry::gauge("serve.queue_depth", inner.buf.len() as f64);
+        self.admit(lock_recovering(&self.inner), item)
+    }
+
+    /// Pushes under the held lock, then wakes a parked consumer.
+    fn admit(
+        &self,
+        mut inner: MutexGuard<'_, Inner<T>>,
+        item: T,
+    ) -> Result<Accepted, PushRejected<T>> {
+        let accepted = inner.queue.try_push(item)?;
         let wake = inner.waiting_consumers > 0;
         drop(inner);
         if wake {
             self.nonempty.notify_one();
         }
-        Ok(if evicted > 0 {
-            Accepted::Displaced { evicted }
-        } else {
-            Accepted::Enqueued
-        })
-    }
-
-    /// [`try_push`](Self::try_push) through exclusive access: no lock, no
-    /// condvar signalling. `&mut self` proves no other thread holds the
-    /// queue, so nobody can be parked on either condvar and the mutex can
-    /// be bypassed entirely (`Mutex::get_mut`). The multi-tenant registry
-    /// owns its per-tenant queues exclusively and admits thousands of
-    /// arrivals per round through this path.
-    pub fn try_push_mut(&mut self, item: T) -> Result<Accepted, PushRejected<T>> {
-        let capacity = self.capacity;
-        let policy = self.policy;
-        let inner = get_mut_recovering(&mut self.inner);
-        if inner.closed {
-            inner.dropped_closed += 1;
-            telemetry::counter("serve.queue.dropped.closed", 1);
-            return Err(PushRejected::Closed(item));
-        }
-        let mut evicted = 0u64;
-        if inner.buf.len() >= capacity {
-            match policy {
-                OverflowPolicy::Block => return Err(PushRejected::Full(item)),
-                OverflowPolicy::DropOldest => {
-                    inner.buf.pop_front();
-                    inner.dropped_overflow += 1;
-                    evicted = 1;
-                    telemetry::counter("serve.queue.dropped.overflow", 1);
-                }
-            }
-        }
-        inner.buf.push_back(item);
-        telemetry::gauge("serve.queue_depth", inner.buf.len() as f64);
-        Ok(if evicted > 0 {
-            Accepted::Displaced { evicted }
-        } else {
-            Accepted::Enqueued
-        })
-    }
-
-    /// [`try_pop`](Self::try_pop) through exclusive access — see
-    /// [`try_push_mut`](Self::try_push_mut) for why no lock or signal is
-    /// needed.
-    pub fn try_pop_mut(&mut self) -> Option<T> {
-        let inner = get_mut_recovering(&mut self.inner);
-        let item = inner.buf.pop_front();
-        if item.is_some() {
-            telemetry::gauge("serve.queue_depth", inner.buf.len() as f64);
-        }
-        item
-    }
-
-    /// [`len`](Self::len) through exclusive access (no lock).
-    pub fn len_mut(&mut self) -> usize {
-        get_mut_recovering(&mut self.inner).buf.len()
-    }
-
-    /// [`peek_map`](Self::peek_map) through exclusive access (no lock).
-    pub fn peek_map_mut<U>(&mut self, mut f: impl FnMut(&T) -> U) -> Vec<U> {
-        get_mut_recovering(&mut self.inner)
-            .buf
-            .iter()
-            .map(&mut f)
-            .collect()
+        Ok(accepted)
     }
 
     /// Dequeues the oldest item, blocking until one arrives. Returns `None`
     /// once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
         let mut inner = lock_recovering(&self.inner);
-        loop {
-            if let Some(item) = inner.buf.pop_front() {
-                telemetry::gauge("serve.queue_depth", inner.buf.len() as f64);
-                let wake = inner.waiting_producers > 0;
-                drop(inner);
-                if wake {
-                    self.nonfull.notify_one();
-                }
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
+        while inner.queue.is_empty() && !inner.queue.is_closed() {
             inner.waiting_consumers += 1;
             inner = self
                 .nonempty
@@ -329,26 +350,28 @@ impl<T> IngestQueue<T> {
                 .unwrap_or_else(PoisonError::into_inner);
             inner.waiting_consumers -= 1;
         }
+        self.take(inner)
     }
 
     /// Dequeues the oldest item without blocking.
     pub fn try_pop(&self) -> Option<T> {
-        let mut inner = lock_recovering(&self.inner);
-        let item = inner.buf.pop_front();
-        if item.is_some() {
-            telemetry::gauge("serve.queue_depth", inner.buf.len() as f64);
-            let wake = inner.waiting_producers > 0;
-            drop(inner);
-            if wake {
-                self.nonfull.notify_one();
-            }
+        self.take(lock_recovering(&self.inner))
+    }
+
+    /// Pops under the held lock, then wakes a parked producer.
+    fn take(&self, mut inner: MutexGuard<'_, Inner<T>>) -> Option<T> {
+        let item = inner.queue.try_pop()?;
+        let wake = inner.waiting_producers > 0;
+        drop(inner);
+        if wake {
+            self.nonfull.notify_one();
         }
-        item
+        Some(item)
     }
 
     /// Current number of buffered items.
     pub fn len(&self) -> usize {
-        lock_recovering(&self.inner).buf.len()
+        lock_recovering(&self.inner).queue.len()
     }
 
     /// Returns `true` when nothing is buffered.
@@ -356,77 +379,27 @@ impl<T> IngestQueue<T> {
         self.len() == 0
     }
 
-    /// How many items the `DropOldest` policy evicted to admit newer ones
-    /// (telemetry: `serve.queue.dropped.overflow`).
+    /// See [`BoundedQueue::dropped_overflow`].
     pub fn dropped_overflow(&self) -> u64 {
-        lock_recovering(&self.inner).dropped_overflow
+        lock_recovering(&self.inner).queue.dropped_overflow()
     }
 
-    /// How many pushes were rejected because the queue was already closed
-    /// (telemetry: `serve.queue.dropped.closed`). Typed pushes hand the
-    /// item back, so a "drop" here only becomes a real loss if the caller
-    /// discards it.
+    /// See [`BoundedQueue::dropped_closed`].
     pub fn dropped_closed(&self) -> u64 {
-        lock_recovering(&self.inner).dropped_closed
-    }
-
-    /// Maps `f` over the buffered items (oldest first) under the lock,
-    /// without removing them. The fair scheduler uses this to snapshot
-    /// per-arrival costs without cloning the arrivals.
-    pub fn peek_map<U>(&self, mut f: impl FnMut(&T) -> U) -> Vec<U> {
-        let inner = lock_recovering(&self.inner);
-        inner.buf.iter().map(&mut f).collect()
+        lock_recovering(&self.inner).queue.dropped_closed()
     }
 
     /// Closes the queue: producers are rejected, blocked producers and
     /// consumers wake, consumers drain what remains.
     pub fn close(&self) {
-        lock_recovering(&self.inner).closed = true;
+        lock_recovering(&self.inner).queue.close();
         self.nonempty.notify_all();
         self.nonfull.notify_all();
     }
 
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
-        lock_recovering(&self.inner).closed
-    }
-}
-
-impl<T: Clone + Serialize + Deserialize> IngestQueue<T> {
-    /// Clones the buffered items front-to-back plus the drop counters, for
-    /// checkpointing. The snapshot observes one consistent lock-held state.
-    pub fn snapshot(&self) -> QueueSnapshot<T> {
-        let inner = lock_recovering(&self.inner);
-        QueueSnapshot {
-            items: inner.buf.iter().cloned().collect(),
-            dropped_overflow: inner.dropped_overflow,
-            dropped_closed: inner.dropped_closed,
-        }
-    }
-
-    /// Rebuilds a queue from a snapshot, restoring buffered items (oldest
-    /// first) and drop counters. Items beyond `capacity` are evicted
-    /// oldest-first and counted, exactly as live overflow would.
-    pub fn from_snapshot(
-        capacity: usize,
-        policy: OverflowPolicy,
-        snapshot: QueueSnapshot<T>,
-    ) -> Self {
-        let queue = Self::new(capacity, policy);
-        {
-            let mut inner = lock_recovering(&queue.inner);
-            inner.dropped_overflow = snapshot.dropped_overflow;
-            inner.dropped_closed = snapshot.dropped_closed;
-            for item in snapshot.items {
-                if inner.buf.len() >= capacity {
-                    inner.buf.pop_front();
-                    inner.dropped_overflow += 1;
-                    telemetry::counter("serve.queue.dropped.overflow", 1);
-                }
-                inner.buf.push_back(item);
-            }
-        }
-        queue
+        lock_recovering(&self.inner).queue.is_closed()
     }
 }
 
@@ -449,24 +422,83 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn fifo_order_and_depth() {
-        let q = IngestQueue::new(4, OverflowPolicy::Block);
-        assert_eq!(q.push_typed(1), Ok(Accepted::Enqueued));
-        assert_eq!(q.push_typed(2), Ok(Accepted::Enqueued));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
+    /// The non-blocking surface the plain queue and the shared wrapper
+    /// must agree on.
+    trait NonBlocking {
+        fn with(capacity: usize, policy: OverflowPolicy) -> Self;
+        /// The producer's push: `push_typed` on the wrapper (which never
+        /// has to wait in the scenarios below), `try_push` on the core.
+        fn push(&mut self, item: i32) -> Result<Accepted, PushRejected<i32>>;
+        fn try_push(&mut self, item: i32) -> Result<Accepted, PushRejected<i32>>;
+        fn try_pop(&mut self) -> Option<i32>;
+        fn len(&mut self) -> usize;
+        /// `(dropped_overflow, dropped_closed)`.
+        fn dropped(&mut self) -> (u64, u64);
+        fn close(&mut self);
     }
 
-    #[test]
-    fn drop_oldest_bounds_depth_and_counts() {
-        let q = IngestQueue::new(3, OverflowPolicy::DropOldest);
+    impl NonBlocking for BoundedQueue<i32> {
+        fn with(capacity: usize, policy: OverflowPolicy) -> Self {
+            Self::new(capacity, policy)
+        }
+        fn push(&mut self, item: i32) -> Result<Accepted, PushRejected<i32>> {
+            BoundedQueue::try_push(self, item)
+        }
+        fn try_push(&mut self, item: i32) -> Result<Accepted, PushRejected<i32>> {
+            BoundedQueue::try_push(self, item)
+        }
+        fn try_pop(&mut self) -> Option<i32> {
+            BoundedQueue::try_pop(self)
+        }
+        fn len(&mut self) -> usize {
+            BoundedQueue::len(self)
+        }
+        fn dropped(&mut self) -> (u64, u64) {
+            (self.dropped_overflow(), self.dropped_closed())
+        }
+        fn close(&mut self) {
+            BoundedQueue::close(self);
+        }
+    }
+
+    impl NonBlocking for IngestQueue<i32> {
+        fn with(capacity: usize, policy: OverflowPolicy) -> Self {
+            Self::new(capacity, policy)
+        }
+        fn push(&mut self, item: i32) -> Result<Accepted, PushRejected<i32>> {
+            self.push_typed(item)
+        }
+        fn try_push(&mut self, item: i32) -> Result<Accepted, PushRejected<i32>> {
+            IngestQueue::try_push(self, item)
+        }
+        fn try_pop(&mut self) -> Option<i32> {
+            IngestQueue::try_pop(self)
+        }
+        fn len(&mut self) -> usize {
+            IngestQueue::len(self)
+        }
+        fn dropped(&mut self) -> (u64, u64) {
+            (self.dropped_overflow(), self.dropped_closed())
+        }
+        fn close(&mut self) {
+            IngestQueue::close(self);
+        }
+    }
+
+    fn nonblocking_contract<Q: NonBlocking>() {
+        // FIFO order and depth.
+        let mut q = Q::with(4, OverflowPolicy::Block);
+        assert_eq!(q.push(1), Ok(Accepted::Enqueued));
+        assert_eq!(q.push(2), Ok(Accepted::Enqueued));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop(), None);
+
+        // DropOldest bounds the depth and counts every eviction.
+        let mut q = Q::with(3, OverflowPolicy::DropOldest);
         for v in 0..10 {
-            let accepted = q
-                .push_typed(v)
-                .expect("DropOldest never rejects while open");
+            let accepted = q.push(v).expect("DropOldest never rejects while open");
             if v < 3 {
                 assert_eq!(accepted, Accepted::Enqueued);
             } else {
@@ -474,12 +506,49 @@ mod tests {
             }
             assert!(q.len() <= 3, "queue exceeded its bound");
         }
-        assert_eq!(q.dropped_overflow(), 7);
-        assert_eq!(q.dropped_closed(), 0);
+        assert_eq!(q.dropped(), (7, 0));
         // The newest three survive.
-        assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), Some(8));
-        assert_eq!(q.pop(), Some(9));
+        assert_eq!(
+            [q.try_pop(), q.try_pop(), q.try_pop()],
+            [Some(7), Some(8), Some(9)]
+        );
+
+        // A full Block queue hands the item back: backpressure, not a
+        // drop, so nothing is counted.
+        let mut q = Q::with(1, OverflowPolicy::Block);
+        assert_eq!(q.try_push(1), Ok(Accepted::Enqueued));
+        assert_eq!(q.try_push(2), Err(PushRejected::Full(2)));
+        assert_eq!(q.dropped(), (0, 0));
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_push(2), Ok(Accepted::Enqueued));
+
+        // A full DropOldest queue displaces exactly one.
+        let mut q = Q::with(1, OverflowPolicy::DropOldest);
+        assert_eq!(q.try_push(1), Ok(Accepted::Enqueued));
+        assert_eq!(q.try_push(2), Ok(Accepted::Displaced { evicted: 1 }));
+        assert_eq!(q.dropped(), (1, 0));
+        assert_eq!(q.try_pop(), Some(2));
+
+        // Closed rejections are counted separately; what is buffered
+        // still drains.
+        let mut q = Q::with(4, OverflowPolicy::DropOldest);
+        q.push(1).unwrap();
+        q.close();
+        assert_eq!(q.push(2), Err(PushRejected::Closed(2)));
+        assert_eq!(q.try_push(3), Err(PushRejected::Closed(3)));
+        assert_eq!(q.dropped(), (0, 2));
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), None);
+    }
+
+    #[test]
+    fn plain_queue_honours_the_nonblocking_contract() {
+        nonblocking_contract::<BoundedQueue<i32>>();
+    }
+
+    #[test]
+    fn shared_queue_honours_the_nonblocking_contract() {
+        nonblocking_contract::<IngestQueue<i32>>();
     }
 
     #[test]
@@ -509,55 +578,20 @@ mod tests {
     }
 
     #[test]
-    fn try_push_full_block_queue_hands_item_back() {
-        let q = IngestQueue::new(1, OverflowPolicy::Block);
-        assert_eq!(q.try_push(1), Ok(Accepted::Enqueued));
-        assert_eq!(q.try_push(2), Err(PushRejected::Full(2)));
-        // The rejection is backpressure, not a drop: nothing is counted.
-        assert_eq!(q.dropped_overflow(), 0);
-        assert_eq!(q.dropped_closed(), 0);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(2), Ok(Accepted::Enqueued));
-    }
-
-    #[test]
-    fn try_push_full_drop_oldest_displaces() {
-        let q = IngestQueue::new(1, OverflowPolicy::DropOldest);
-        assert_eq!(q.try_push(1), Ok(Accepted::Enqueued));
-        assert_eq!(q.try_push(2), Ok(Accepted::Displaced { evicted: 1 }));
-        assert_eq!(q.dropped_overflow(), 1);
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn closed_rejections_are_counted_separately() {
-        let q = IngestQueue::new(4, OverflowPolicy::DropOldest);
-        q.push_typed(1).unwrap();
-        q.close();
-        assert_eq!(q.push_typed(2), Err(PushRejected::Closed(2)));
-        assert_eq!(q.try_push(3), Err(PushRejected::Closed(3)));
-        assert_eq!(q.dropped_closed(), 2);
-        assert_eq!(q.dropped_overflow(), 0);
-        // The buffered item still drains.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn snapshot_round_trips_contents_and_counters() {
-        let q = IngestQueue::new(3, OverflowPolicy::DropOldest);
+        let mut q = BoundedQueue::new(3, OverflowPolicy::DropOldest);
         for v in 0..5 {
-            q.push_typed(v).unwrap();
+            q.try_push(v).unwrap();
         }
-        let snap = q.snapshot();
+        let snap = q.snapshot_with(|&v| v);
         assert_eq!(snap.items, vec![2, 3, 4]);
         assert_eq!(snap.dropped_overflow, 2);
-        let restored = IngestQueue::from_snapshot(3, OverflowPolicy::DropOldest, snap);
+        let mut restored =
+            BoundedQueue::from_snapshot_with(3, OverflowPolicy::DropOldest, snap, |v| v);
         assert_eq!(restored.dropped_overflow(), 2);
-        assert_eq!(restored.pop(), Some(2));
-        assert_eq!(restored.pop(), Some(3));
-        assert_eq!(restored.pop(), Some(4));
-        assert!(restored.is_empty());
+        assert_eq!(restored.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(restored.try_pop(), Some(2));
+        assert_eq!(restored.len(), 2);
     }
 
     #[test]

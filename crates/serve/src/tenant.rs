@@ -1,7 +1,7 @@
 //! Multi-tenant admission control and serving.
 //!
 //! A [`TenantRegistry`] fronts one serving process for many tenant
-//! applications. Each tenant gets its own bounded [`IngestQueue`], a
+//! applications. Each tenant gets its own [`BoundedQueue`], a
 //! [`PriorityClass`], and per-round admission quotas (arrivals and
 //! estimated bytes); a deterministic deficit-round-robin
 //! [`FairScheduler`] drains the queues into
@@ -30,8 +30,6 @@
 //!   (0 items under `PAYLOAD_ALL`), modeling budget exhaustion; work is
 //!   conserved and drained on later rounds.
 
-use std::collections::VecDeque;
-
 use deeprest_core::DeepRest;
 use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
@@ -45,7 +43,7 @@ use crate::overload::{
     BreakerPhase, BreakerState, CircuitBreaker, OverloadConfig, OverloadController, OverloadLevel,
 };
 use crate::pipeline::{Checkpoint, Pipeline, WindowOutput};
-use crate::queue::{Accepted, IngestQueue, OverflowPolicy, PushRejected, QueueSnapshot};
+use crate::queue::{Accepted, BoundedQueue, OverflowPolicy, PushRejected, QueueSnapshot};
 use crate::sched::{FairScheduler, RoundPlan, SchedConfig, SchedState};
 
 /// Index of a tenant within its registry (assigned by
@@ -289,14 +287,17 @@ pub struct FlushOutcome {
     pub errors: Vec<TenantError>,
 }
 
+/// A queued arrival with its scheduling cost, computed once at admission
+/// so the per-round cost snapshot never re-walks a buffered span tree.
+struct Queued {
+    arrival: TimestampedTrace,
+    cost: u64,
+}
+
 struct Tenant<'m> {
     config: TenantConfig,
-    queue: IngestQueue<TimestampedTrace>,
-    /// Scheduling cost of each queued arrival, kept in lockstep with
-    /// `queue` (same order, same length) by every push/pop/shed site. The
-    /// per-round cost snapshot reads this mirror instead of re-walking
-    /// every buffered span tree under the queue's interior mutability.
-    costs: VecDeque<u64>,
+    /// Owned exclusively by the registry: no lock, no condvar.
+    queue: BoundedQueue<Queued>,
     pipeline: Pipeline<'m>,
     breaker: CircuitBreaker,
     stats: TenantStats,
@@ -311,12 +312,6 @@ struct Tenant<'m> {
 impl Tenant<'_> {
     fn depth(&self) -> usize {
         self.queue.len() + usize::from(self.retry.is_some())
-    }
-
-    /// [`depth`](Self::depth) on the registry's exclusive hot path: the
-    /// registry owns its queues, so the length read needs no lock.
-    fn depth_mut(&mut self) -> usize {
-        self.queue.len_mut() + usize::from(self.retry.is_some())
     }
 }
 
@@ -437,8 +432,7 @@ impl<'m> TenantRegistry<'m> {
         let id = self.sched.register_tenant();
         self.weights.push(config.priority.weight());
         self.tenants.push(Tenant {
-            queue: IngestQueue::new(config.queue_capacity.max(1), config.overflow),
-            costs: VecDeque::new(),
+            queue: BoundedQueue::new(config.queue_capacity.max(1), config.overflow),
             pipeline: Pipeline::new(model, source, serve),
             breaker: CircuitBreaker::new(self.overload.config().breaker),
             stats: TenantStats::default(),
@@ -555,14 +549,8 @@ impl<'m> TenantRegistry<'m> {
             count_rejection(&tenant.config.name, "byte_quota");
             return Err(AdmitRejected::ByteQuota(arrival));
         }
-        match tenant.queue.try_push_mut(arrival) {
+        match tenant.queue.try_push(Queued { arrival, cost }) {
             Ok(accepted) => {
-                if let Accepted::Displaced { evicted } = accepted {
-                    for _ in 0..evicted {
-                        tenant.costs.pop_front();
-                    }
-                }
-                tenant.costs.push_back(cost);
                 tenant.round_arrivals += 1;
                 tenant.round_bytes += bytes;
                 tenant.stats.admitted += 1;
@@ -575,12 +563,12 @@ impl<'m> TenantRegistry<'m> {
             Err(PushRejected::Full(back)) => {
                 tenant.stats.rejected_queue += 1;
                 count_rejection(&tenant.config.name, "queue_full");
-                Err(AdmitRejected::QueueFull(back))
+                Err(AdmitRejected::QueueFull(back.arrival))
             }
             Err(PushRejected::Closed(back)) => {
                 tenant.stats.rejected_queue += 1;
                 count_rejection(&tenant.config.name, "queue_closed");
-                Err(AdmitRejected::QueueClosed(back))
+                Err(AdmitRejected::QueueClosed(back.arrival))
             }
         }
     }
@@ -598,7 +586,7 @@ impl<'m> TenantRegistry<'m> {
         };
 
         // 1. Ladder.
-        let depth: usize = self.tenants.iter_mut().map(Tenant::depth_mut).sum();
+        let depth: usize = self.tenants.iter().map(Tenant::depth).sum();
         let previous = self.overload.level();
         let level = self.overload.observe(depth);
         if level != previous {
@@ -629,8 +617,8 @@ impl<'m> TenantRegistry<'m> {
             });
         }
 
-        // 4. Plan the round from a snapshot of queued costs (the cached
-        // cost mirrors, into buffers reused across rounds).
+        // 4. Plan the round from a snapshot of queued costs (into buffers
+        // reused across rounds).
         let mut costs = std::mem::take(&mut self.cost_scratch);
         costs.resize_with(self.tenants.len(), Vec::new);
         for (c, tenant) in costs.iter_mut().zip(self.tenants.iter()) {
@@ -638,7 +626,7 @@ impl<'m> TenantRegistry<'m> {
             if let Some(r) = &tenant.retry {
                 c.push(arrival_cost(r));
             }
-            c.extend(tenant.costs.iter().copied());
+            c.extend(tenant.queue.iter().map(|q| q.cost));
         }
         let mut plan = std::mem::take(&mut self.plan_scratch);
         self.sched
@@ -656,17 +644,8 @@ impl<'m> TenantRegistry<'m> {
                 continue;
             }
             let tenant = &mut self.tenants[t];
-            let arrival = match tenant.retry.take() {
-                Some(r) => Some(r),
-                None => {
-                    let popped = tenant.queue.try_pop_mut();
-                    if popped.is_some() {
-                        tenant.costs.pop_front();
-                    }
-                    popped
-                }
-            };
-            let Some(arrival) = arrival else {
+            let retry = tenant.retry.take();
+            let Some(arrival) = retry.or_else(|| tenant.queue.try_pop().map(|q| q.arrival)) else {
                 continue;
             };
             // Under fault injection an ingest can fail without consuming
@@ -730,11 +709,10 @@ impl<'m> TenantRegistry<'m> {
         for t in order {
             let tenant = &mut self.tenants[t];
             let keep = ((tenant.config.queue_capacity as f64) * watermark).floor() as usize;
-            while tenant.queue.len_mut() > keep {
-                if tenant.queue.try_pop_mut().is_none() {
+            while tenant.queue.len() > keep {
+                if tenant.queue.try_pop().is_none() {
                     break;
                 }
-                tenant.costs.pop_front();
                 tenant.stats.shed += 1;
                 shed += 1;
                 if telemetry::enabled() {
@@ -752,7 +730,7 @@ impl<'m> TenantRegistry<'m> {
     pub fn flush(&mut self) -> FlushOutcome {
         let mut outcome = FlushOutcome::default();
         loop {
-            let queued: usize = self.tenants.iter_mut().map(Tenant::depth_mut).sum();
+            let queued: usize = self.tenants.iter().map(Tenant::depth).sum();
             if queued == 0 {
                 break;
             }
@@ -795,7 +773,7 @@ impl<'m> TenantRegistry<'m> {
                     config: tenant.config.clone(),
                     serve: *tenant.pipeline.config(),
                     pipeline: tenant.pipeline.checkpoint(),
-                    queue: tenant.queue.snapshot(),
+                    queue: tenant.queue.snapshot_with(|q| q.arrival.clone()),
                     retry: tenant.retry.clone(),
                     breaker: tenant.breaker.state(),
                     stats: tenant.stats,
@@ -844,17 +822,19 @@ impl<'m> TenantRegistry<'m> {
         for ((model, source), tc) in models.into_iter().zip(checkpoint.tenants) {
             let pipeline = Pipeline::restore(model, source, tc.serve, tc.pipeline)
                 .map_err(ServeError::Restore)?;
-            let mut queue = IngestQueue::from_snapshot(
+            // Costs are derived state: recomputed from the restored arrivals
+            // rather than persisted.
+            let queue = BoundedQueue::from_snapshot_with(
                 tc.config.queue_capacity.max(1),
                 tc.config.overflow,
                 tc.queue,
+                |arrival| Queued {
+                    cost: arrival_cost(&arrival),
+                    arrival,
+                },
             );
-            // The cost mirror is derived state: rebuild it from the
-            // restored queue contents rather than persisting it.
-            let costs: VecDeque<u64> = queue.peek_map_mut(arrival_cost).into();
             tenants.push(Tenant {
                 queue,
-                costs,
                 pipeline,
                 breaker: CircuitBreaker::restore(breaker_config, tc.breaker),
                 stats: tc.stats,

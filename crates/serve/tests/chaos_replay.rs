@@ -17,8 +17,8 @@ use deeprest_core::ExpertKey;
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::MetricsRegistry;
 use deeprest_serve::{
-    CheckpointError, CheckpointStore, CollectSink, ObservationSource, Pipeline, ServeConfig,
-    ServeError, WindowOutput,
+    Checkpoint, CheckpointError, CheckpointStore, CollectSink, ObservationSource, Pipeline,
+    ServeConfig, ServeError, WindowOutput,
 };
 use deeprest_telemetry::{self as telemetry, MemorySink};
 use deeprest_trace::window::TimestampedTrace;
@@ -403,7 +403,7 @@ fn truncated_checkpoint_falls_back_to_previous_good_and_resumes_bit_exact() {
 
     // The newest file is corrupt — and is refused with a typed error, at
     // whatever offset the truncation landed.
-    let err = deeprest_serve::checkpoint::load_file(&store.latest_path())
+    let err = deeprest_serve::checkpoint::load_file::<Checkpoint>(&store.latest_path())
         .expect_err("truncated checkpoint must be refused");
     assert!(
         matches!(

@@ -18,8 +18,8 @@ use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_serve::overload::{BreakerConfig, BreakerPhase};
 use deeprest_serve::tenant::TenantOutput;
 use deeprest_serve::{
-    CheckpointStore, OverloadConfig, OverloadLevel, Pipeline, PriorityClass, SchedConfig,
-    ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
+    CheckpointStore, MultiTenantCheckpoint, OverloadConfig, OverloadLevel, Pipeline, PriorityClass,
+    SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
 };
 use deeprest_telemetry::{self as telemetry, MemorySink};
 use deeprest_trace::window::TimestampedTrace;
@@ -434,8 +434,8 @@ fn mid_overload_checkpoint_resume_is_bit_exact() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(&dir);
     let checkpoint = registry.checkpoint();
-    store.save_tenants(&checkpoint).expect("save");
-    let loaded = store.load_latest_tenants().expect("load");
+    store.save(&checkpoint).expect("save");
+    let loaded: MultiTenantCheckpoint = store.load_latest().expect("load");
     assert_eq!(
         loaded.to_json().expect("loaded json"),
         checkpoint.to_json().expect("saved json"),

@@ -247,3 +247,63 @@ fn estimate_traffic_is_a_what_if_from_a_cold_snapshot() {
         }
     }
 }
+
+/// Training and serving read one packed swarm, so a stale or mis-ranged
+/// pack would show up as a float that depends on the thread count (the
+/// shard plan) or on whether the model was reloaded between training and
+/// serving. Ten experts split into two shards on four threads.
+#[test]
+fn one_pack_trains_and_serves_identically_across_threads_and_reload() {
+    const COMPONENTS: usize = 5;
+    let mut interner = Interner::new();
+    let mut traces = WindowedTraces::with_windows(1.0, WINDOWS);
+    let mut metrics = MetricsRegistry::new();
+    for c in 0..COMPONENTS {
+        let name = format!("Svc{c}");
+        let (svc, op) = (interner.intern(&name), interner.intern(&format!("op{c}")));
+        let api = interner.intern(&format!("/api{c}"));
+        let (mut cpu, mut mem) = (TimeSeries::zeros(0), TimeSeries::zeros(0));
+        for t in 0..WINDOWS {
+            let count = 2 + (t * (c + 3)) % 9;
+            for _ in 0..count {
+                traces.windows[t].push(Trace::new(api, SpanNode::leaf(svc, op)));
+            }
+            cpu.push(1.5 + (0.8 + 0.2 * c as f64) * count as f64);
+            mem.push(48.0 + 0.4 * count as f64);
+        }
+        metrics.insert(MetricKey::new(&name, ResourceKind::Cpu), cpu);
+        metrics.insert(MetricKey::new(&name, ResourceKind::Memory), mem);
+    }
+
+    let run = |threads: usize, reload: bool| {
+        let config = DeepRestConfig {
+            hidden_dim: 8,
+            epochs: 1,
+            subseq_len: 12,
+            batch_size: 3,
+            ..DeepRestConfig::default()
+        }
+        .with_seed(7)
+        .with_threads(threads);
+        let (mut model, _) = DeepRest::fit(&traces, &metrics, &interner, config);
+        model.fit_incremental(&traces, &metrics, &interner, 1);
+        if reload {
+            model = owned(&model);
+        }
+        assert_eq!(model.stream_predictor().shard_count(), threads.min(2));
+        let estimates = model.estimate_from_traces(&traces, &interner);
+        assert_eq!(estimates.len(), 2 * COMPONENTS);
+        estimates
+            .iter()
+            .flat_map(|(_, s)| [&s.expected, &s.lower, &s.upper])
+            .flat_map(|s| s.values().iter().map(|v| v.to_bits()))
+            .collect::<Vec<u64>>()
+    };
+    let reference = run(1, false);
+    assert_eq!(run(4, false), reference, "threads 1 vs 4");
+    assert_eq!(
+        run(4, true),
+        reference,
+        "model reloaded between fit and estimate"
+    );
+}
