@@ -3,7 +3,8 @@
 //! The build environment has no access to crates.io, so this workspace
 //! vendors a minimal wall-clock benchmark harness with criterion's
 //! spelling: [`Criterion`], [`BenchmarkId`], benchmark groups with
-//! `sample_size` / `bench_function` / `bench_with_input` / `finish`,
+//! `sample_size` / `throughput` / `bench_function` / `bench_with_input` /
+//! `finish`,
 //! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros.
 //!
@@ -61,6 +62,14 @@ impl BenchmarkId {
     }
 }
 
+/// How much input one iteration of a group's benchmarks processes; printed
+/// as a rate beside the times.
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    /// Bytes per iteration, reported as MB/s (10^6 bytes) of the mean time.
+    Bytes(u64),
+}
+
 /// The benchmark driver handed to `criterion_group!` targets.
 pub struct Criterion {
     sample_size: usize,
@@ -79,6 +88,7 @@ impl Criterion {
             _criterion: self,
             name: name.into(),
             sample_size: 20,
+            throughput: None,
         }
     }
 
@@ -87,7 +97,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(name.to_string(), self.sample_size, f);
+        run_benchmark(name.to_string(), self.sample_size, None, f);
         self
     }
 }
@@ -97,9 +107,16 @@ pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets the input size of the benchmarks that follow in this group.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, samples: usize) -> &mut Self {
         self.sample_size = samples;
@@ -111,7 +128,12 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(format!("{}/{}", self.name, name), self.sample_size, f);
+        run_benchmark(
+            format!("{}/{}", self.name, name),
+            self.sample_size,
+            self.throughput,
+            f,
+        );
         self
     }
 
@@ -125,9 +147,12 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        run_benchmark(format!("{}/{}", self.name, id.id), self.sample_size, |b| {
-            f(b, input)
-        });
+        run_benchmark(
+            format!("{}/{}", self.name, id.id),
+            self.sample_size,
+            self.throughput,
+            |b| f(b, input),
+        );
         self
     }
 
@@ -193,7 +218,12 @@ fn passes_filter(id: &str) -> bool {
     }
 }
 
-fn run_benchmark<F: FnMut(&mut Bencher)>(id: String, sample_size: usize, mut f: F) {
+fn run_benchmark<F: FnMut(&mut Bencher)>(
+    id: String,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    mut f: F,
+) {
     if !passes_filter(&id) {
         return;
     }
@@ -213,8 +243,13 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: String, sample_size: usize, mut f: 
         .iter()
         .copied()
         .fold(f64::INFINITY, f64::min);
+    let rate = match throughput {
+        // bytes / ns = GB/s.
+        Some(Throughput::Bytes(bytes)) => format!("  {:.1} MB/s", bytes as f64 / mean_ns * 1e3),
+        None => String::new(),
+    };
     println!(
-        "bench {id:<56} mean {:>12}  min {:>12}  ({samples} samples x {} iters)",
+        "bench {id:<56} mean {:>12}  min {:>12}  ({samples} samples x {} iters){rate}",
         format_ns(mean_ns),
         format_ns(min_ns),
         bencher.iters_per_sample,

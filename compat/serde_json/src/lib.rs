@@ -159,15 +159,22 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Arrays and objects may nest this deep (upstream's recursion limit): the
+/// parser recurses per level, and unbounded input would overflow the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
@@ -229,14 +236,28 @@ impl<'a> Parser<'a> {
             b't' => self.eat_keyword("true").map(|()| Value::Bool(true)),
             b'f' => self.eat_keyword("false").map(|()| Value::Bool(false)),
             b'"' => self.string().map(Value::String),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected `{}` at byte {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        if self.depth >= RECURSION_LIMIT {
+            return Err(Error::custom(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -335,6 +356,9 @@ impl<'a> Parser<'a> {
                                 // Surrogate pair.
                                 self.eat_keyword("\\u")?;
                                 let lo = self.hex4()?;
+                                if !(0xdc00..0xe000).contains(&lo) {
+                                    return Err(Error::custom("unpaired surrogate in \\u escape"));
+                                }
                                 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
                             } else {
                                 hi
@@ -566,6 +590,33 @@ mod tests {
         assert_eq!(obj.get("s").unwrap().as_str().unwrap(), "a\nA😀");
         assert_eq!(obj.get("n").unwrap().as_i64().unwrap(), -4);
         assert_eq!(obj.get("f").unwrap().as_f64().unwrap(), 250.0);
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT - 1)).is_ok());
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_err());
+        // Deep enough to overflow the stack of an unbounded recursive parser.
+        let bomb = format!(r#"{{"data":[],"x":{}}}"#, nested(200_000));
+        assert!(from_str::<Value>(&bomb).is_err());
+        let objects = format!("{}1{}", r#"{"k":"#.repeat(200_000), "}".repeat(200_000));
+        assert!(from_str::<Value>(&objects).is_err());
+        // Depth is nesting, not a count of containers.
+        let wide = format!("[{}[]]", "[],".repeat(1_000));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        // A high surrogate must be followed by a low one...
+        assert!(from_str::<Value>(r#""\ud800\u0041""#).is_err());
+        assert!(from_str::<Value>(r#""\ud800\ud800""#).is_err());
+        assert!(from_str::<Value>(r#""\ud800x""#).is_err());
+        // ...and a low one must follow a high one.
+        assert!(from_str::<Value>(r#""\udc00""#).is_err());
+        let v: Value = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "😀");
     }
 
     #[test]

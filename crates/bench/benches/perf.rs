@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deeprest_adapt::{AdaptConfig, AdaptivePipeline};
 use deeprest_core::adapt::{OnlineUpdater, TrainSegment, UpdateConfig};
 use deeprest_core::{DeepRest, DeepRestConfig, FeatureSpace, TraceSynthesizer};
@@ -19,9 +19,12 @@ use deeprest_scale::{
 use deeprest_serve::{
     OverloadConfig, Pipeline, SchedConfig, ServeConfig, TenantConfig, TenantRegistry,
 };
+use deeprest_sim::apps;
+use deeprest_sim::engine::{simulate, SimConfig};
 use deeprest_tensor::{kernel, linalg, Graph, ParamStore, Pool, Tensor};
 use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
-use deeprest_trace::{Interner, SpanNode, Trace};
+use deeprest_trace::{jaeger, Interner, SpanNode, Trace};
+use deeprest_workload::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -666,6 +669,45 @@ fn bench_multi_tenant_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// `jaeger::import_timestamped_counted` into a warm name table, on the two
+/// document shapes of the end-to-end replays: one scrape window of the social
+/// network at its daily peak (several hundred multi-span traces, ~3 MB), and
+/// eight single-span traces (~6 KB).
+fn bench_jaeger_import(c: &mut Criterion) {
+    let mut group = c.benchmark_group("trace");
+    group.sample_size(20);
+    let app = apps::social_network();
+    let traffic = WorkloadSpec::new(480.0, app.default_mix())
+        .with_days(1)
+        .with_windows_per_day(96)
+        .with_seed(17)
+        .generate();
+    let sim = simulate(&app, &traffic, &SimConfig::default().with_seed(17));
+    let peak = sim
+        .traces
+        .windows
+        .iter()
+        .max_by_key(|w| w.len())
+        .expect("a simulated day has windows");
+    let dense = jaeger::export(peak, &sim.interner);
+    // Four single-span services called twice each.
+    let (wide_names, wide_traces, _) = multi_expert(8, 1);
+    let wide = jaeger::export(&wide_traces.windows[0], &wide_names);
+    for (name, doc) in [("dense", &dense), ("wide", &wide)] {
+        let mut names = Interner::new();
+        jaeger::import(doc, &mut names).expect("exported document imports");
+        group.throughput(Throughput::Bytes(doc.len() as u64));
+        group.bench_function(&format!("jaeger_import/{name}"), |b| {
+            b.iter(|| {
+                let stats = jaeger::import_timestamped_counted(black_box(doc), &mut names)
+                    .expect("exported document imports");
+                stats.traces.len() + stats.malformed_dropped
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_scale_control_interval(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
     group.sample_size(20);
@@ -710,6 +752,7 @@ criterion_group!(
     bench_pca,
     bench_adapt,
     bench_multi_tenant_step,
+    bench_jaeger_import,
     bench_scale_control_interval
 );
 criterion_main!(benches);

@@ -8,32 +8,47 @@
 //! them to [`crate::Trace`]-based tooling — and doubles as a serialization
 //! format for simulator output.
 //!
-//! Only the fields DeepRest consumes are modeled: service name, operation
-//! name and parent-child structure. Timestamps/durations/tags are ignored
-//! on import and emitted as zeros on export.
+//! Only the fields DeepRest consumes are read on import: service name,
+//! operation name, parent-child structure and `startTime` (a trace arrives
+//! at its earliest span start). Durations, tags, logs and anything else are
+//! validated as JSON and skipped. [`export`] writes zeros for both times.
+//!
+//! The two directions are built differently. [`export`] serializes the
+//! `JaegerDoc` structs through serde. Import is the serving path's first
+//! stage and runs on every scrape window, so it has its own single-pass
+//! parser (the `ingest` submodule) that never builds a document tree; the
+//! serde derive of the same structs survives under `cfg(test)` as the oracle
+//! the parser is differenced against.
 
 use std::collections::HashMap;
 
-use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use serde::Deserialize;
+use serde::Serialize;
 
 use crate::window::TimestampedTrace;
 use crate::{Interner, SpanNode, Sym, Trace};
 
+mod ingest;
+#[cfg(test)]
+mod oracle;
+
 /// Maximum span-tree depth accepted on import. Real microservice call
 /// trees are a few dozen levels at most; anything deeper is either a
 /// reference cycle routed through duplicate span ids or an adversarial
-/// document, and would otherwise risk unbounded recursion in [`build`].
+/// document, and would otherwise risk unbounded recursion in the tree build.
 const MAX_SPAN_DEPTH: usize = 512;
 
 /// Top-level Jaeger API response shape.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 struct JaegerDoc {
     data: Vec<JaegerTrace>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 struct JaegerTrace {
     #[serde(rename = "traceID")]
     trace_id: String,
@@ -41,7 +56,8 @@ struct JaegerTrace {
     processes: HashMap<String, JaegerProcess>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 struct JaegerSpan {
     #[serde(rename = "traceID")]
     trace_id: String,
@@ -59,7 +75,8 @@ struct JaegerSpan {
     duration: u64,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 struct JaegerRef {
     #[serde(rename = "refType")]
     ref_type: String,
@@ -67,7 +84,8 @@ struct JaegerRef {
     span_id: String,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
+#[cfg_attr(test, derive(Deserialize))]
 struct JaegerProcess {
     #[serde(rename = "serviceName")]
     service_name: String,
@@ -135,15 +153,12 @@ pub struct ImportStats {
     pub malformed_dropped: usize,
 }
 
-/// Exports traces as a Jaeger-API-shaped JSON document. Each trace's API
-/// endpoint is encoded as the root span's operation prefix is *not* altered;
-/// the endpoint name is stored as the trace-level `traceID` suffix comment
-/// convention is avoided — instead the API endpoint becomes a synthetic
-/// root-span tag-free operation on a process named `__api__`.
+/// Exports traces as a Jaeger-API-shaped JSON document.
 ///
-/// Concretely: a synthetic parent span `(service "__api__", operation =
-/// endpoint)` wraps each real root, so the import side can recover the
-/// endpoint without a side channel.
+/// A trace's API endpoint has no field of its own in the Jaeger shape, so a
+/// synthetic parent span `(service "__api__", operation = endpoint)` wraps
+/// each real root: the import side recovers the endpoint from it without a
+/// side channel, and span names are left unaltered.
 pub fn export(traces: &[Trace], interner: &Interner) -> String {
     let mut doc = JaegerDoc { data: Vec::new() };
     for (ti, trace) in traces.iter().enumerate() {
@@ -293,144 +308,41 @@ pub fn import_timestamped_counted(
     json: &str,
     interner: &mut Interner,
 ) -> Result<ImportStats, ImportError> {
-    // Fault probe: `trace.parse` forces the document-level parse error path.
-    let effective = if fault::fail_point("trace.parse") {
-        "deeprest-fault: injected parse error"
-    } else {
-        json
-    };
-    let doc: JaegerDoc = serde_json::from_str(effective).map_err(ImportError::Json)?;
-    let mut traces = Vec::with_capacity(doc.data.len());
     let mut malformed_dropped = 0usize;
-    for jt in doc.data {
-        match import_one(&jt, interner) {
-            Ok(t) => traces.push(t),
-            Err(err) => {
-                malformed_dropped += 1;
-                telemetry::counter("trace.malformed_dropped", 1);
-                if telemetry::enabled() {
-                    telemetry::counter(format!("trace.malformed_dropped.{}", err.kind()), 1);
-                }
-            }
-        }
-    }
+    let traces = ingest::import_doc(json, interner, |err| {
+        malformed_dropped += 1;
+        telemetry::counter("trace.malformed_dropped", 1);
+        telemetry::counter(err.counter_name(), 1);
+    })?;
     Ok(ImportStats {
         traces,
         malformed_dropped,
     })
 }
 
+/// Prefix of the per-kind drop counters.
+const DROP_COUNTER_PREFIX: &str = "trace.malformed_dropped.";
+
 impl ImportError {
-    /// A short stable label for the error class — used as the
-    /// `trace.malformed_dropped.*` telemetry counter suffix and stable for
-    /// matching in tests and supervisors.
+    /// A short stable label for the error class — the suffix of the
+    /// `trace.malformed_dropped.*` telemetry counter and stable for matching
+    /// in tests and supervisors.
     pub fn kind(&self) -> &'static str {
+        &self.counter_name()[DROP_COUNTER_PREFIX.len()..]
+    }
+
+    /// `trace.malformed_dropped.<kind>`, spelled out so that counting a
+    /// dropped trace never formats a name.
+    fn counter_name(&self) -> &'static str {
         match self {
-            ImportError::Json(_) => "json",
-            ImportError::UnknownProcess(_) => "unknown_process",
-            ImportError::DanglingParent(_) => "dangling_parent",
-            ImportError::NoRoot(_) => "no_root",
-            ImportError::TooDeep(_) => "too_deep",
-            ImportError::Oversized(_) => "oversized",
+            ImportError::Json(_) => "trace.malformed_dropped.json",
+            ImportError::UnknownProcess(_) => "trace.malformed_dropped.unknown_process",
+            ImportError::DanglingParent(_) => "trace.malformed_dropped.dangling_parent",
+            ImportError::NoRoot(_) => "trace.malformed_dropped.no_root",
+            ImportError::TooDeep(_) => "trace.malformed_dropped.too_deep",
+            ImportError::Oversized(_) => "trace.malformed_dropped.oversized",
         }
     }
-}
-
-/// Imports a single trace; any defect fails only this trace.
-fn import_one(jt: &JaegerTrace, interner: &mut Interner) -> Result<TimestampedTrace, ImportError> {
-    // Fault probe: `trace.span` marks this trace malformed.
-    if fault::fail_point("trace.span") {
-        return Err(ImportError::NoRoot(format!(
-            "{} (injected trace.span fault)",
-            jt.trace_id
-        )));
-    }
-    // Resolve span table and child lists.
-    let mut children: HashMap<&str, Vec<&JaegerSpan>> = HashMap::new();
-    let mut roots: Vec<&JaegerSpan> = Vec::new();
-    let ids: std::collections::HashSet<&str> =
-        jt.spans.iter().map(|s| s.span_id.as_str()).collect();
-    for span in &jt.spans {
-        match span.references.iter().find(|r| r.ref_type == "CHILD_OF") {
-            Some(parent) => {
-                if !ids.contains(parent.span_id.as_str()) {
-                    return Err(ImportError::DanglingParent(span.span_id.clone()));
-                }
-                children
-                    .entry(parent.span_id.as_str())
-                    .or_default()
-                    .push(span);
-            }
-            None => roots.push(span),
-        }
-    }
-    let root = roots
-        .first()
-        .ok_or_else(|| ImportError::NoRoot(jt.trace_id.clone()))?;
-
-    let service = |span: &JaegerSpan| -> Result<String, ImportError> {
-        jt.processes
-            .get(&span.process_id)
-            .map(|p| p.service_name.clone())
-            .ok_or_else(|| ImportError::UnknownProcess(span.process_id.clone()))
-    };
-
-    // Endpoint convention: synthetic __api__ root or the root itself.
-    let (api_name, real_roots): (String, Vec<&JaegerSpan>) = if service(root)? == "__api__" {
-        let kids = children
-            .get(root.span_id.as_str())
-            .cloned()
-            .unwrap_or_default();
-        (root.operation_name.clone(), kids)
-    } else {
-        (root.operation_name.clone(), vec![root])
-    };
-    let api = interner.intern(&api_name);
-
-    let real_root = real_roots
-        .first()
-        .ok_or_else(|| ImportError::NoRoot(jt.trace_id.clone()))?;
-    // Duplicate span ids can make the children map expand the same subtree
-    // under several parents; a tree that honestly mirrors the document can
-    // never hold more nodes than the document holds spans.
-    let mut budget = jt.spans.len();
-    let tree = build(real_root, &children, jt, interner, 0, &mut budget)?;
-    let start_micros = jt.spans.iter().map(|s| s.start_time).min().unwrap_or(0);
-    Ok(TimestampedTrace {
-        at_secs: start_micros as f64 / 1e6,
-        trace: Trace::new(api, tree),
-    })
-}
-
-fn build(
-    span: &JaegerSpan,
-    children: &HashMap<&str, Vec<&JaegerSpan>>,
-    jt: &JaegerTrace,
-    interner: &mut Interner,
-    depth: usize,
-    budget: &mut usize,
-) -> Result<SpanNode, ImportError> {
-    if depth >= MAX_SPAN_DEPTH {
-        return Err(ImportError::TooDeep(jt.trace_id.clone()));
-    }
-    if *budget == 0 {
-        return Err(ImportError::Oversized(jt.trace_id.clone()));
-    }
-    *budget -= 1;
-    let process = jt
-        .processes
-        .get(&span.process_id)
-        .ok_or_else(|| ImportError::UnknownProcess(span.process_id.clone()))?;
-    let component = interner.intern(&process.service_name);
-    let operation = interner.intern(&span.operation_name);
-    let mut node = SpanNode::leaf(component, operation);
-    if let Some(kids) = children.get(span.span_id.as_str()) {
-        for kid in kids {
-            node.children
-                .push(build(kid, children, jt, interner, depth + 1, budget)?);
-        }
-    }
-    Ok(node)
 }
 
 #[cfg(test)]
@@ -598,6 +510,38 @@ mod tests {
         // Either the expansion fit the budget (fine) or it was dropped —
         // but with 2×2 duplication over 5 spans the budget must trip.
         assert_eq!(stats.malformed_dropped, 1);
+    }
+
+    #[test]
+    fn dropped_traces_count_under_static_names() {
+        for (err, kind) in [
+            (ImportError::Json(serde_json::Error::custom("x")), "json"),
+            (
+                ImportError::UnknownProcess(String::new()),
+                "unknown_process",
+            ),
+            (
+                ImportError::DanglingParent(String::new()),
+                "dangling_parent",
+            ),
+            (ImportError::NoRoot(String::new()), "no_root"),
+            (ImportError::TooDeep(String::new()), "too_deep"),
+            (ImportError::Oversized(String::new()), "oversized"),
+        ] {
+            assert_eq!(err.kind(), kind);
+            assert_eq!(err.counter_name(), format!("{DROP_COUNTER_PREFIX}{kind}"));
+        }
+        let json = r#"{"data":[{"traceID":"bad","spans":[
+            {"traceID":"bad","spanID":"2","operationName":"find","processID":"p1",
+             "references":[{"refType":"CHILD_OF","spanID":"ghost"}]}
+        ],"processes":{"p1":{"serviceName":"Mongo"}}}]}"#;
+        let sink = std::sync::Arc::new(telemetry::MemorySink::new());
+        telemetry::with_sink(sink.clone(), || {
+            let stats = import_timestamped_counted(json, &mut Interner::new()).expect("parses");
+            assert_eq!(stats.malformed_dropped, 1);
+        });
+        assert_eq!(sink.counter("trace.malformed_dropped"), 1);
+        assert_eq!(sink.counter("trace.malformed_dropped.dangling_parent"), 1);
     }
 
     #[test]

@@ -8,9 +8,65 @@
 //! good document drops exactly that trace — the valid subset is conserved,
 //! imported completely and counted exactly.
 
-use deeprest_trace::jaeger::import_timestamped_counted;
+use deeprest_trace::jaeger::{import_timestamped_counted, ImportError};
 use deeprest_trace::Interner;
 use proptest::prelude::*;
+
+/// `import_timestamped_counted` on a document whose one trace carries
+/// `extra` as an unread field of its span.
+fn import_with_span_field(extra: &str) -> Result<usize, ImportError> {
+    let json = format!(
+        r#"{{"data":[{{"traceID":"t","spans":[{{"traceID":"t","spanID":"1","operationName":"op","processID":"p","tags":{extra}}}],"processes":{{"p":{{"serviceName":"S"}}}}}}]}}"#
+    );
+    import_timestamped_counted(&json, &mut Interner::new()).map(|stats| stats.traces.len())
+}
+
+/// Nesting deep enough to overflow the stack of a parser that recurses per
+/// level without a bound: a typed error, in a skipped field as anywhere.
+#[test]
+fn absurd_nesting_is_a_typed_error_not_a_stack_overflow() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let bomb = format!(r#"{{"data":[],"x":{}}}"#, nested(200_000));
+    let result = import_timestamped_counted(&bomb, &mut Interner::new());
+    assert!(matches!(result, Err(ImportError::Json(_))));
+    assert!(matches!(
+        import_with_span_field(&nested(200_000)),
+        Err(ImportError::Json(_))
+    ));
+    // Real tag values nest a few levels and are skipped.
+    assert_eq!(import_with_span_field(&nested(100)).expect("imports"), 1);
+}
+
+/// A `\u` escape naming half a surrogate pair is not text: a typed error
+/// wherever the string sits (this used to panic in debug builds and decode
+/// to a garbage scalar in release ones).
+#[test]
+fn unpaired_surrogates_are_typed_errors() {
+    for bad in [
+        r#""\ud800\u0041""#,
+        r#""\ud800\ud800""#,
+        r#""\ud800""#,
+        r#""\udc00""#,
+        r#""\udfff\ud800""#,
+    ] {
+        assert!(
+            matches!(import_with_span_field(bad), Err(ImportError::Json(_))),
+            "{bad} in a skipped field"
+        );
+        let json = format!(
+            r#"{{"data":[{{"traceID":"t","spans":[{{"traceID":"t","spanID":"1","operationName":{bad},"processID":"p"}}],"processes":{{"p":{{"serviceName":"S"}}}}}}]}}"#
+        );
+        let result = import_timestamped_counted(&json, &mut Interner::new());
+        assert!(
+            matches!(result, Err(ImportError::Json(_))),
+            "{bad} as a name"
+        );
+    }
+    assert_eq!(
+        import_with_span_field(r#""\ud83d\ude00""#).expect("a whole pair"),
+        1
+    );
+}
 
 /// One syntactically valid Jaeger trace: a parent chain of `spans` spans
 /// across two known processes, with arbitrary (possibly absurd) start
