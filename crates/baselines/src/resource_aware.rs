@@ -3,13 +3,16 @@
 use std::collections::BTreeMap;
 
 use deeprest_metrics::{MetricKey, MinMaxScaler, TimeSeries};
-use deeprest_nn::loss::mse_loss;
-use deeprest_nn::{Adam, GruCell, Linear};
-use deeprest_tensor::{Graph, ParamStore, Tensor};
+use deeprest_nn::loss::quantiles_for;
+use deeprest_nn::{Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
+use deeprest_tensor::{BufferPool, ParamStore, Pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{BaselineEstimator, LearnData, QueryData};
+
+/// Inputs per window: previous-day utilization, then the sin/cos clock.
+const INPUT_DIM: usize = 3;
 
 /// A recurrent network per `(component, resource)` trained on *historical
 /// utilization only*: the input at window `t` is the utilization one day
@@ -18,6 +21,12 @@ use crate::{BaselineEstimator, LearnData, QueryData};
 /// paper): "no matter how sophisticated they are in capturing the usage in
 /// the past, they are unable to consider the API traffic the application
 /// owner expects to serve."
+///
+/// Each network is the estimator's own expert with everything API-aware
+/// switched off — no feature mask, no cross-expert attention, no skip path —
+/// packed alone in an [`ExpertSlab`] and trained by the [`AnalyticTrainer`]
+/// under the same pinball objective; the median head is the forecast. What
+/// makes it the baseline is its input, not its engine.
 ///
 /// At query time it rolls forward from the last learning day, feeding its
 /// own predictions back autoregressively — so it keeps forecasting the
@@ -39,14 +48,13 @@ pub struct ResourceAwareDl {
 #[derive(Debug)]
 struct Fitted {
     windows_per_day: usize,
-    store: ParamStore,
-    models: BTreeMap<MetricKey, PerResource>,
+    models: BTreeMap<MetricKey, Forecaster>,
 }
 
+/// One trained single-expert model.
 #[derive(Debug)]
-struct PerResource {
-    gru: GruCell,
-    head: Linear,
+struct Forecaster {
+    slab: ExpertSlab,
     scaler: MinMaxScaler,
     /// Normalized utilization of the last learning day (the seed input for
     /// query-time rollout).
@@ -65,16 +73,109 @@ impl Default for ResourceAwareDl {
     }
 }
 
+/// Input at time-of-day `w`: previous-day utilization + clock encoding.
+fn input(prev_day_util: f32, w: usize, windows_per_day: usize) -> [f32; INPUT_DIM] {
+    let phase = 2.0 * std::f32::consts::PI * w as f32 / windows_per_day as f32;
+    [prev_day_util, phase.sin(), phase.cos()]
+}
+
 impl ResourceAwareDl {
     /// Creates an unfitted instance with default hyperparameters.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Input at time-of-day `w`: previous-day utilization + clock encoding.
-    fn input(prev_day_util: f32, w: usize, windows_per_day: usize) -> Tensor {
-        let phase = 2.0 * std::f32::consts::PI * w as f32 / windows_per_day as f32;
-        Tensor::vector(vec![prev_day_util, phase.sin(), phase.cos()])
+    /// Trains the `index`-th model on one utilization series: day `d` is
+    /// the input and day `d + 1` the target, one optimizer step per day
+    /// pair in calendar order.
+    fn fit_one(&self, index: usize, values: &[f64], wpd: usize) -> Forecaster {
+        let scaler = MinMaxScaler::fit(values);
+        let norm: Vec<f32> = values.iter().map(|&v| scaler.transform(v) as f32).collect();
+        let steps = (norm.len() / wpd - 1) * wpd;
+        let xs: Vec<Vec<f32>> = (0..steps)
+            .map(|t| input(norm[t], t % wpd, wpd).to_vec())
+            .collect();
+        let targets = [norm[wpd..wpd + steps].to_vec()];
+
+        let h = self.hidden_dim;
+        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(index as u64));
+        let mut store = ParamStore::new();
+        // Mask and attention are packed off, so their handles are never
+        // read: one empty parameter stands in for both.
+        let off = store.add("off", Tensor::zeros(0, 0));
+        let spec = ExpertSpec {
+            mask: off,
+            cell: GruCell::new(&mut store, "gru", INPUT_DIM, h, &mut rng),
+            alpha: off,
+            head: Linear::new(&mut store, "head", 2 * h, 3, &mut rng),
+            skip: None,
+        };
+        let config = TrainerConfig {
+            input_dim: INPUT_DIM,
+            hidden_dim: h,
+            max_steps: wpd,
+            batch_slots: 1,
+            api_mask: false,
+            attention: false,
+            penalty: None,
+            quantiles: quantiles_for(0.90),
+            modulation: [1.0; 3],
+        };
+        // One expert is one shard: the model itself runs serially, the
+        // models fan out (see `fit`).
+        let pool = Pool::with_threads(1);
+        let mut trainer = AnalyticTrainer::new(&store, vec![spec], config, &pool);
+        let mut opt = Adam::new(self.lr);
+        for _epoch in 0..self.epochs {
+            for start in (0..steps).step_by(wpd) {
+                store.zero_grads();
+                trainer.run_batch(&mut store, &pool, &xs, &targets, &[start]);
+                store.clip_grad_norm(5.0);
+                opt.step(&mut store);
+                trainer.refresh(&store);
+            }
+        }
+        Forecaster {
+            slab: ExpertSlab::pack(&store, &[spec], false, false, 1),
+            scaler,
+            last_day: norm[norm.len() - wpd..].to_vec(),
+        }
+    }
+}
+
+impl Forecaster {
+    /// Forecasts `windows` windows past the last learning day, one day at a
+    /// time: fresh hidden state per day (as trained), each day's median
+    /// outputs becoming the next day's inputs.
+    fn rollout(&self, windows: usize, wpd: usize) -> Vec<f64> {
+        let h = self.slab.hidden_dim();
+        let mut scratch = BufferPool::new();
+        let (mut hidden, mut cat, mut y) = (vec![0.0f32; h], vec![0.0f32; 2 * h], [0.0f32; 3]);
+        let mut prev_day = self.last_day.clone();
+        let mut out = Vec::with_capacity(windows);
+        while out.len() < windows {
+            hidden.fill(0.0);
+            let day: Vec<f32> = (0..wpd)
+                .map(|w| {
+                    // With the mask off `x̃ = x`, and with attention off
+                    // `heads` never reads `H_t` (here the hidden state
+                    // itself: one expert, one column).
+                    let x = input(prev_day[w], w, wpd);
+                    self.slab
+                        .step_range(0..1, &x, &mut hidden, &mut scratch, None);
+                    self.slab
+                        .heads(0, &hidden, &hidden, &x, &mut cat, &mut y, &mut scratch);
+                    y[0]
+                })
+                .collect();
+            out.extend(
+                day.iter()
+                    .take(windows - out.len())
+                    .map(|&v| self.scaler.inverse(f64::from(v)).max(0.0)),
+            );
+            prev_day = day;
+        }
+        out
     }
 }
 
@@ -83,93 +184,33 @@ impl BaselineEstimator for ResourceAwareDl {
         "resrc-aware-dl"
     }
 
+    /// # Panics
+    ///
+    /// Panics on fewer than two whole learning days: a history-only
+    /// forecaster has no (input day, target day) pair to learn from.
     fn fit(&mut self, data: &LearnData<'_>) {
         let windows_per_day = data.traffic.windows_per_day();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut store = ParamStore::new();
-        let mut models = BTreeMap::new();
-
-        // Register all models first, then train them jointly (they do not
-        // interact, but a single optimizer pass keeps the loop simple).
-        for (key, series) in data.metrics.iter() {
-            let scaler = MinMaxScaler::fit(series.values());
-            let norm: Vec<f32> = series
-                .values()
-                .iter()
-                .map(|&v| scaler.transform(v) as f32)
-                .collect();
-            let name = format!("{key}");
-            let gru = GruCell::new(&mut store, &name, 3, self.hidden_dim, &mut rng);
-            let head = Linear::new(
-                &mut store,
-                &format!("{name}.head"),
-                self.hidden_dim,
-                1,
-                &mut rng,
-            );
-            let last_day = norm[norm.len().saturating_sub(windows_per_day)..].to_vec();
-            models.insert(
-                key.clone(),
-                PerResource {
-                    gru,
-                    head,
-                    scaler,
-                    last_day,
-                },
-            );
-        }
-
-        // Training pairs: day d as input, day d+1 as target.
         let total = data.metrics.window_count().expect("metrics present");
         let days = total / windows_per_day;
-        let mut opt = Adam::new(self.lr);
-        let norm_series: BTreeMap<MetricKey, Vec<f32>> = data
-            .metrics
-            .iter()
-            .map(|(key, series)| {
-                let scaler = models[key].scaler;
+        assert!(
+            days >= 2,
+            "ResourceAwareDl: fit needs at least 2 whole learning days, got {days}"
+        );
+        // The models share nothing, so they train side by side; each is a
+        // pure function of (seed, index, series), whatever the pool width.
+        let series: Vec<(&MetricKey, &TimeSeries)> = data.metrics.iter().collect();
+        let models = Pool::global()
+            .map(series.len(), |i| {
+                let (key, values) = series[i];
                 (
                     key.clone(),
-                    series
-                        .values()
-                        .iter()
-                        .map(|&v| scaler.transform(v) as f32)
-                        .collect(),
+                    self.fit_one(i, values.values(), windows_per_day),
                 )
             })
+            .into_iter()
             .collect();
-
-        for _epoch in 0..self.epochs {
-            for d in 0..days.saturating_sub(1) {
-                store.zero_grads();
-                let mut g = Graph::with_capacity(4096);
-                let mut losses = Vec::new();
-                for (key, model) in &models {
-                    let norm = &norm_series[key];
-                    let gru = model.gru.bind(&mut g, &store);
-                    let head = model.head.bind(&mut g, &store);
-                    let mut h = g.constant(Tensor::zeros(self.hidden_dim, 1));
-                    for w in 0..windows_per_day {
-                        let x = Self::input(norm[d * windows_per_day + w], w, windows_per_day);
-                        let xv = g.constant(x);
-                        h = gru.step(&mut g, xv, h);
-                        let y = head.forward(&mut g, h);
-                        let target = norm[(d + 1) * windows_per_day + w];
-                        losses.push(mse_loss(&mut g, y, Tensor::scalar(target)));
-                    }
-                }
-                let n = losses.len();
-                let total_loss = g.add_n(&losses);
-                let loss = g.scale(total_loss, 1.0 / n as f32);
-                g.backward(loss, &mut store);
-                store.clip_grad_norm(5.0);
-                opt.step(&mut store);
-            }
-        }
-
         self.state = Some(Fitted {
             windows_per_day,
-            store,
             models,
         });
     }
@@ -180,37 +221,12 @@ impl BaselineEstimator for ResourceAwareDl {
             .as_ref()
             .expect("ResourceAwareDl: estimate called before fit");
         let windows = query.traffic.window_count();
-        let wpd = fitted.windows_per_day;
-
         fitted
             .models
             .iter()
             .map(|(key, model)| {
-                let mut out = Vec::with_capacity(windows);
-                let mut prev_day = model.last_day.clone();
-                let mut produced = 0;
-                while produced < windows {
-                    let mut g = Graph::with_capacity(2048);
-                    let gru = model.gru.bind(&mut g, &fitted.store);
-                    let head = model.head.bind(&mut g, &fitted.store);
-                    let mut h = g.constant(Tensor::zeros(self.hidden_dim, 1));
-                    let mut day_out = Vec::with_capacity(wpd);
-                    for w in 0..wpd {
-                        if produced + w >= windows + wpd {
-                            break;
-                        }
-                        let xv = g.constant(Self::input(prev_day[w % prev_day.len()], w, wpd));
-                        h = gru.step(&mut g, xv, h);
-                        let y = head.forward(&mut g, h);
-                        day_out.push(g.value(y).data()[0]);
-                    }
-                    for &v in day_out.iter().take(windows - produced) {
-                        out.push(model.scaler.inverse(f64::from(v)).max(0.0));
-                    }
-                    produced = out.len();
-                    prev_day = day_out;
-                }
-                (key.clone(), TimeSeries::from_values(out))
+                let forecast = model.rollout(windows, fitted.windows_per_day);
+                (key.clone(), TimeSeries::from_values(forecast))
             })
             .collect()
     }
@@ -310,6 +326,60 @@ mod tests {
             traffic: &traffic,
             traces: None,
             interner: None,
+        });
+    }
+
+    /// `fit` trains on the process pool: the same seed must give the same
+    /// bits every time, at whatever `DEEPREST_THREADS` the suite runs under.
+    #[test]
+    fn repeated_fits_are_bit_identical() {
+        let (traffic, mut metrics) = setup(4, 8);
+        // A second, different series, so there is more than one model to
+        // spread over the pool.
+        let ramp: Vec<f64> = (0..32)
+            .map(|t| 3.0 + (t % 8) as f64 * (1.0 + 0.1 * t as f64))
+            .collect();
+        metrics.insert(
+            MetricKey::new("D", ResourceKind::Memory),
+            TimeSeries::from_values(ramp),
+        );
+        let traces = WindowedTraces::with_windows(1.0, 32);
+        let interner = Interner::new();
+        let query = traffic.slice(0..20);
+        let forecast_bits = || {
+            let mut b = ResourceAwareDl::new();
+            b.fit(&LearnData {
+                traffic: &traffic,
+                traces: &traces,
+                metrics: &metrics,
+                interner: &interner,
+            });
+            let est = b.estimate(&QueryData {
+                traffic: &query,
+                traces: None,
+                interner: None,
+            });
+            assert_eq!(est.len(), 2);
+            est.values()
+                .flat_map(|series| series.values().iter().map(|v| v.to_bits()))
+                .collect::<Vec<u64>>()
+        };
+        let first = forecast_bits();
+        assert_eq!(first.len(), 2 * 20);
+        assert_eq!(first, forecast_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 whole learning days, got 1")]
+    fn fit_rejects_a_single_learning_day() {
+        let (traffic, metrics) = setup(1, 16);
+        let traces = WindowedTraces::with_windows(1.0, 16);
+        let interner = Interner::new();
+        ResourceAwareDl::new().fit(&LearnData {
+            traffic: &traffic,
+            traces: &traces,
+            metrics: &metrics,
+            interner: &interner,
         });
     }
 }

@@ -1,6 +1,6 @@
 //! Criterion micro/macro benchmarks backing the paper's §6 scalability
 //! discussion: feature extraction, trace synthesis, expert training and
-//! inference cost, and the autodiff primitives underneath.
+//! inference cost, and the kernels underneath.
 
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ use deeprest_serve::{
 };
 use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, SimConfig};
-use deeprest_tensor::{kernel, linalg, Graph, ParamStore, Pool, Tensor};
+use deeprest_tensor::{kernel, linalg, ParamStore, Pool, Tensor};
 use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
 use deeprest_trace::{jaeger, Interner, SpanNode, Trace};
 use deeprest_workload::WorkloadSpec;
@@ -345,61 +345,13 @@ fn bench_gemm_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gru_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nn_primitives");
-    group.sample_size(30);
-    for hidden in [32usize, 128] {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let cell = GruCell::new(&mut store, "g", 64, hidden, &mut rng);
-        group.bench_with_input(
-            BenchmarkId::new("gru_single_step", hidden),
-            &hidden,
-            |b, &hidden| {
-                let mut g = Graph::with_capacity(64);
-                let x_val = Tensor::full(64, 1, 0.25);
-                b.iter(|| {
-                    // Rebind and step on a reset arena: the per-step cost
-                    // the truncated-BPTT unroll pays 48 times per graph.
-                    g.reset();
-                    let bound = cell.bind(&mut g, &store);
-                    let h0 = g.constant(Tensor::zeros(hidden, 1));
-                    let x = g.constant(x_val.clone());
-                    let h1 = bound.step(&mut g, x, h0);
-                    g.value(h1).sum()
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("gru_unroll_48", hidden),
-            &hidden,
-            |b, &hidden| {
-                b.iter(|| {
-                    let mut g = Graph::with_capacity(2048);
-                    let bound = cell.bind(&mut g, &store);
-                    let mut h = g.constant(Tensor::zeros(hidden, 1));
-                    for t in 0..48 {
-                        let x = g.constant(Tensor::full(64, 1, t as f32 / 48.0));
-                        h = bound.step(&mut g, x, h);
-                    }
-                    g.value(h).sum()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_backward(c: &mut Criterion) {
     let mut group = c.benchmark_group("autodiff");
     group.sample_size(20);
     // The unit of training work: one 48-step truncated-BPTT subsequence
-    // (forward + backward) for a 64-feature, 64-hidden expert. Since the
-    // analytic engine replaced the tape on the training hot path, the
-    // headline entry measures what training actually runs — the full
+    // (forward + backward) for a 64-feature, 64-hidden expert — the full
     // estimator step (mask → GRU → head → pinball) through
-    // `AnalyticTrainer` — while the retained tape oracle keeps its own
-    // entry as the speedup baseline.
+    // `AnalyticTrainer`.
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(4);
     let mask = store.add("e.mask", Tensor::rand_uniform(64, 1, -1.0, 1.0, &mut rng));
@@ -436,31 +388,15 @@ fn bench_backward(c: &mut Criterion) {
             stats[0].loss_sum
         });
     });
-    group.bench_function("gru48_tape_oracle", |b| {
-        b.iter(|| {
-            let mut store = store.clone();
-            let mut g = Graph::with_capacity(4096);
-            let bound = cell.bind(&mut g, &store);
-            let mut h = g.constant(Tensor::zeros(64, 1));
-            for t in 0..48 {
-                let x = g.constant(Tensor::full(64, 1, t as f32 / 48.0));
-                h = bound.step(&mut g, x, h);
-            }
-            let sq = g.square(h);
-            let loss = g.sum_all(sq);
-            g.backward(loss, &mut store);
-            store.grad_norm()
-        });
-    });
     group.finish();
 }
 
 /// The expert-sharded analytic epoch across the worker pool at paper-ish
 /// swarm scale: 64 experts (32 components × CPU+memory), hidden 32 — four
-/// threads get eight-expert shards with enough work per dispatch to
-/// amortize the pool's scoped-thread spawns. This is the multi-core
-/// scaling axis the tape path lacked (`joint_training_epoch`'s flat
-/// thread curve), measured on a training-dominated fit.
+/// threads get sixteen-expert shards with enough work per dispatch to
+/// amortize the hand-off to the pool's persistent helpers. This is the
+/// multi-core scaling axis of training, measured on a
+/// training-dominated fit.
 fn bench_analytic_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("training");
     group.sample_size(10);
@@ -746,7 +682,6 @@ criterion_group!(
     bench_pool_dispatch,
     bench_batched_serving,
     bench_gemm_batch,
-    bench_gru_step,
     bench_backward,
     bench_analytic_training,
     bench_pca,

@@ -6,9 +6,9 @@
 //! (`deeprest_nn::AnalyticTrainer`, behind `DeepRest::fit`). Both are
 //! hand-batched over the packed expert slab; this module keeps the
 //! straightforward formulation they were derived from — Eq. 1–4 and 6
-//! written op by op on the general reverse-mode tape
-//! (`deeprest_tensor::Graph`) — so the unit tests below can prove the two
-//! agree bit for bit:
+//! written op by op on the general reverse-mode tape (`deeprest_tape::Graph`,
+//! a dev-dependency) — so the unit tests below can prove the two agree bit
+//! for bit:
 //!
 //! * [`DeepRest::fit_tape`] ≡ [`DeepRest::fit`]: training trajectory,
 //!   trained parameters and `estimate_traffic` bits, SGD and Adam, any
@@ -21,8 +21,9 @@ use std::collections::BTreeMap;
 use deeprest_metrics::{MetricsRegistry, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
 use deeprest_nn::{Adam, Sgd};
+use deeprest_tape::{BoundGruCell, BoundLinear, GradBuffer, Graph, Var};
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{GradBuffer, Graph, Tensor, Var};
+use deeprest_tensor::Tensor;
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::Interner;
 use rand::rngs::StdRng;
@@ -72,11 +73,9 @@ impl DeepRest {
     /// batches, folds, clips and steps exactly like `train_epochs`.
     ///
     /// Batches fan out across the pool at subsequence granularity: each
-    /// batch position owns a persistent [`JobSlot`] whose graph arena and
-    /// [`GradBuffer`] are reused every batch; the buffers are folded into
-    /// the shared store in subsequence order, so training is bit-identical
-    /// at any thread count, and after warm-up each step performs zero
-    /// kernel allocations.
+    /// batch position owns a persistent [`JobSlot`] whose [`GradBuffer`] is
+    /// reused every batch; the buffers are folded into the shared store in
+    /// subsequence order, so training is bit-identical at any thread count.
     fn train_tape(
         &mut self,
         xs: &[Vec<f32>],
@@ -113,16 +112,10 @@ impl DeepRest {
         let expert_names: Vec<String> = self.experts.iter().map(|e| format!("{}", e.key)).collect();
         let mut expert_epoch_losses: Vec<Vec<f32>> = vec![Vec::with_capacity(epochs); e_count];
 
-        // One persistent slot per batch position: each slot owns a tape
-        // arena (with its recycled scratch pool), a private gradient buffer
-        // and the per-subsequence reduction state. Slots live across batches
-        // and epochs, so after the shapes have been seen once the whole
-        // forward + backward of a subsequence performs zero kernel
-        // allocations — every buffer is drawn from the slot's pool.
-        let arena_cap = len * e_count * 24;
+        // One persistent slot per batch position: a private gradient buffer
+        // and the per-subsequence reduction state.
         let mut slots: Vec<JobSlot> = (0..self.config.batch_size.max(1).min(starts.len()))
             .map(|_| JobSlot {
-                graph: Graph::with_capacity(arena_cap),
                 buf: GradBuffer::zeros_like(&self.store),
                 terms: Vec::new(),
                 mask_sums: Vec::new(),
@@ -148,8 +141,7 @@ impl DeepRest {
                 let scale = 1.0 / batch.len() as f32;
                 let this = &*self;
                 pool.for_each_mut(&mut slots[..batch.len()], |i, slot| {
-                    let g = &mut slot.graph;
-                    g.reset();
+                    let g = &mut Graph::new();
                     slot.buf.zero();
                     slot.terms.clear();
                     slot.mask_sums.clear();
@@ -187,7 +179,7 @@ impl DeepRest {
 
                 // Fold gradients in subsequence order, then one step.
                 for slot in &slots[..batch.len()] {
-                    self.store.absorb(&slot.buf);
+                    slot.buf.absorb_into(&mut self.store);
                     epoch_loss += slot.loss_sum;
                     epoch_terms += slot.n_terms;
                     for (acc, s) in epoch_expert_sums.iter_mut().zip(slot.expert_sums.iter()) {
@@ -249,7 +241,7 @@ impl DeepRest {
         let gru_bound: Vec<_> = self
             .experts
             .iter()
-            .map(|ex| ex.gru.bind(g, &self.store))
+            .map(|ex| BoundGruCell::bind(g, &self.store, ex.gru.param_ids()))
             .collect();
         let alpha_masked: Vec<Var> = self
             .experts
@@ -264,12 +256,16 @@ impl DeepRest {
         let head_bound: Vec<_> = self
             .experts
             .iter()
-            .map(|ex| ex.head.bind(g, &self.store))
+            .map(|ex| BoundLinear::bind(g, &self.store, ex.head.w, ex.head.b))
             .collect();
         let skip_bound: Vec<Option<_>> = self
             .experts
             .iter()
-            .map(|ex| ex.skip.as_ref().map(|s| s.bind(g, &self.store)))
+            .map(|ex| {
+                ex.skip
+                    .as_ref()
+                    .map(|s| BoundLinear::bind(g, &self.store, s.w, s.b))
+            })
             .collect();
 
         let mut h: Vec<Var> = (0..e_count).map(|_| g.constant_zeros(hidden, 1)).collect();
@@ -321,32 +317,27 @@ impl DeepRest {
         let len = self.config.subseq_len.max(2);
         let xs_tensors: Vec<Tensor> = xs.iter().map(|x| Tensor::vector(x.clone())).collect();
 
-        // Fan the independent subsequence chunks out across the pool;
-        // workers reuse one tape arena, and chunk outputs are concatenated
-        // in chunk order, so estimates are thread-count invariant.
+        // Fan the independent subsequence chunks out across the pool; chunk
+        // outputs are concatenated in chunk order, so estimates are
+        // thread-count invariant.
         let starts: Vec<usize> = (0..t).step_by(len).collect();
-        let arena_cap = len * self.experts.len() * 24;
-        let chunks: Vec<Vec<Vec<[f32; 3]>>> = self.pool().map_reuse(
-            starts.len(),
-            || Graph::with_capacity(arena_cap),
-            |g, i| {
-                g.reset();
-                let start = starts[i];
-                let end = (start + len).min(t);
-                let fwd = self.forward(g, &xs_tensors[start..end]);
-                fwd.outputs
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|&y_var| {
-                                let v = g.value(y_var).data();
-                                [v[0], v[1], v[2]]
-                            })
-                            .collect()
-                    })
-                    .collect()
-            },
-        );
+        let chunks: Vec<Vec<Vec<[f32; 3]>>> = self.pool().map(starts.len(), |i| {
+            let g = &mut Graph::new();
+            let start = starts[i];
+            let end = (start + len).min(t);
+            let fwd = self.forward(g, &xs_tensors[start..end]);
+            fwd.outputs
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|&y_var| {
+                            let v = g.value(y_var).data();
+                            [v[0], v[1], v[2]]
+                        })
+                        .collect()
+                })
+                .collect()
+        });
         let mut raw: Vec<Vec<[f32; 3]>> = vec![Vec::with_capacity(t); self.experts.len()];
         for chunk in &chunks {
             for row in chunk {
@@ -386,13 +377,9 @@ impl DeepRest {
     }
 }
 
-/// Persistent per-batch-position training state: one tape arena (owning a
-/// recycled scratch pool), one private gradient buffer, and the reusable
-/// reduction vectors for one subsequence. Slots survive across batches and
-/// epochs so steady-state training draws every tensor from recycled
-/// capacity.
+/// Persistent per-batch-position training state: one private gradient
+/// buffer and the reusable reduction vectors for one subsequence.
 struct JobSlot {
-    graph: Graph,
     buf: GradBuffer,
     terms: Vec<Var>,
     mask_sums: Vec<Var>,

@@ -1,7 +1,6 @@
 //! Gated recurrent unit following Eq. 2 of the paper.
 
-use deeprest_telemetry as telemetry;
-use deeprest_tensor::{Graph, ParamId, ParamStore, Var};
+use deeprest_tensor::{ParamId, ParamStore};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -15,6 +14,9 @@ use crate::init;
 /// h̃_t = tanh(W_h·x̃_t + U_h·(k_t ⊙ h_{t-1}) + b_h)
 /// h_t = z_t ⊙ h_{t-1} + (1 - z_t) ⊙ h̃_t
 /// ```
+///
+/// Holds parameter handles only: the recurrence itself runs packed, for a
+/// whole range of experts at once, in [`crate::ExpertSlab::step_range`].
 ///
 /// The `U` matrices and biases are independent of the input feature space —
 /// the paper calls them the "application-independent part" and uses them for
@@ -107,85 +109,19 @@ impl GruCell {
         [self.uz, self.uk, self.uh, self.bz, self.bk, self.bh]
     }
 
-    /// Inserts all nine parameters into `graph` once, returning reusable
-    /// handles for unrolling over many time steps.
-    pub fn bind(&self, graph: &mut Graph, store: &ParamStore) -> BoundGruCell {
-        BoundGruCell {
-            wz: graph.param(store, self.wz),
-            uz: graph.param(store, self.uz),
-            bz: graph.param(store, self.bz),
-            wk: graph.param(store, self.wk),
-            uk: graph.param(store, self.uk),
-            bk: graph.param(store, self.bk),
-            wh: graph.param(store, self.wh),
-            uh: graph.param(store, self.uh),
-            bh: graph.param(store, self.bh),
-        }
-    }
-}
-
-/// A [`GruCell`] bound into a specific graph.
-#[derive(Clone, Copy, Debug)]
-pub struct BoundGruCell {
-    wz: Var,
-    uz: Var,
-    bz: Var,
-    wk: Var,
-    uk: Var,
-    bk: Var,
-    wh: Var,
-    uh: Var,
-    bh: Var,
-}
-
-impl BoundGruCell {
-    /// Advances the recurrence one step: `h_t = GRU(x_t, h_{t-1})` per Eq. 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `(input_dim, 1)` or `h_prev` is not
-    /// `(hidden_dim, 1)`.
-    pub fn step(&self, g: &mut Graph, x: Var, h_prev: Var) -> Var {
-        // Fused gate nodes (`gate_sigmoid`/`gate_tanh`/`lerp`) keep the
-        // tape at 11 nodes per step with bit-identical values and gradients
-        // versus the unfused add/activation chain. Training no longer runs
-        // through here — [`crate::AnalyticTrainer`] replays this exact op
-        // sequence tape-free over the packed slab — so this graph step now
-        // serves prediction and the differential-testing oracle the
-        // analytic engine is proven against.
-        let tape_before = g.len();
-        let z = {
-            let wx = g.matmul(self.wz, x);
-            let uh = g.matmul(self.uz, h_prev);
-            g.gate_sigmoid(wx, uh, self.bz)
-        };
-        let k = {
-            let wx = g.matmul(self.wk, x);
-            let uh = g.matmul(self.uk, h_prev);
-            g.gate_sigmoid(wx, uh, self.bk)
-        };
-        let h_tilde = {
-            let gated = g.mul(k, h_prev);
-            let wx = g.matmul(self.wh, x);
-            let uh = g.matmul(self.uh, gated);
-            g.gate_tanh(wx, uh, self.bh)
-        };
-        let h = g.lerp(z, h_prev, h_tilde);
-        if telemetry::enabled() {
-            // `gru.steps`/`gru.step.tape_nodes` count graph-built steps
-            // only: prediction, streaming inference and the tape oracle.
-            // Analytic-backend training emits `train.analytic.batches`
-            // instead and records no tape nodes at all.
-            telemetry::counter("gru.steps", 1);
-            telemetry::counter("gru.step.tape_nodes", (g.len() - tape_before) as u64);
-        }
-        h
+    /// All nine parameter handles, gate by gate:
+    /// `[W_z, U_z, b_z, W_k, U_k, b_k, W_h, U_h, b_h]`.
+    pub fn param_ids(&self) -> [ParamId; 9] {
+        [
+            self.wz, self.uz, self.bz, self.wk, self.uk, self.bk, self.wh, self.uh, self.bh,
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deeprest_tape::{BoundGruCell, Graph};
     use deeprest_tensor::Tensor;
     use rand::SeedableRng;
 
@@ -200,7 +136,7 @@ mod tests {
     fn hidden_state_stays_bounded() {
         let (store, cell) = cell(3, 4);
         let mut g = Graph::new();
-        let bound = cell.bind(&mut g, &store);
+        let bound = BoundGruCell::bind(&mut g, &store, cell.param_ids());
         let mut h = g.constant(Tensor::zeros(4, 1));
         for t in 0..50 {
             let x = g.constant(Tensor::vector(vec![t as f32, 1.0, -1.0]));
@@ -214,7 +150,7 @@ mod tests {
     fn zero_input_zero_state_is_fixed_by_biases_only() {
         let (store, cell) = cell(2, 3);
         let mut g = Graph::new();
-        let bound = cell.bind(&mut g, &store);
+        let bound = BoundGruCell::bind(&mut g, &store, cell.param_ids());
         let h0 = g.constant(Tensor::zeros(3, 1));
         let x = g.constant(Tensor::zeros(2, 1));
         let h1 = bound.step(&mut g, x, h0);
@@ -226,7 +162,7 @@ mod tests {
     fn gradients_reach_all_nine_parameters() {
         let (mut store, cell) = cell(2, 3);
         let mut g = Graph::new();
-        let bound = cell.bind(&mut g, &store);
+        let bound = BoundGruCell::bind(&mut g, &store, cell.param_ids());
         let mut h = g.constant(Tensor::zeros(3, 1));
         for _ in 0..3 {
             let x = g.constant(Tensor::vector(vec![1.0, -0.5]));
@@ -235,9 +171,7 @@ mod tests {
         let sq = g.square(h);
         let l = g.sum_all(sq);
         g.backward(l, &mut store);
-        for id in [
-            cell.wz, cell.uz, cell.bz, cell.wk, cell.uk, cell.bk, cell.wh, cell.uh, cell.bh,
-        ] {
+        for id in cell.param_ids() {
             assert!(
                 store.grad(id).norm() > 0.0,
                 "no gradient for {}",
@@ -252,7 +186,7 @@ mod tests {
         let (mut store, cell) = cell(1, 2);
         *store.value_mut(cell.bz) = Tensor::vector(vec![50.0, 50.0]);
         let mut g = Graph::new();
-        let bound = cell.bind(&mut g, &store);
+        let bound = BoundGruCell::bind(&mut g, &store, cell.param_ids());
         let mut h = g.constant(Tensor::vector(vec![0.7, -0.3]));
         for _ in 0..10 {
             let x = g.constant(Tensor::vector(vec![5.0]));

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use deeprest_tensor::{Graph, ParamId, ParamStore, Var};
+use deeprest_tensor::{ParamId, ParamStore};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -8,8 +8,8 @@ use crate::init;
 
 /// A fully connected layer `y = W·x + b`.
 ///
-/// Holds parameter handles only; see [`Linear::bind`] for running forward
-/// passes.
+/// Holds parameter handles only: the values live in the [`ParamStore`] and
+/// the forward runs on [`crate::ExpertSlab`], which packs them.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct Linear {
     /// Weight matrix handle, shape `(out_dim, in_dim)`.
@@ -51,38 +51,12 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
-
-    /// Inserts the parameters into `graph` once, returning reusable handles.
-    pub fn bind(&self, graph: &mut Graph, store: &ParamStore) -> BoundLinear {
-        BoundLinear {
-            w: graph.param(store, self.w),
-            b: graph.param(store, self.b),
-        }
-    }
-}
-
-/// A [`Linear`] layer bound into a specific graph.
-#[derive(Clone, Copy, Debug)]
-pub struct BoundLinear {
-    w: Var,
-    b: Var,
-}
-
-impl BoundLinear {
-    /// Computes `W·x + b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not an `(in_dim, 1)` column vector.
-    pub fn forward(&self, graph: &mut Graph, x: Var) -> Var {
-        let wx = graph.matmul(self.w, x);
-        graph.add(wx, self.b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deeprest_tape::{BoundLinear, Graph};
     use deeprest_tensor::Tensor;
     use rand::SeedableRng;
 
@@ -96,7 +70,7 @@ mod tests {
         *store.value_mut(layer.b) = Tensor::vector(vec![0.5, -0.5, 0.0]);
 
         let mut g = Graph::new();
-        let bound = layer.bind(&mut g, &store);
+        let bound = BoundLinear::bind(&mut g, &store, layer.w, layer.b);
         let x = g.constant(Tensor::vector(vec![2.0, 3.0]));
         let y = bound.forward(&mut g, x);
         assert_eq!(g.value(y).data(), &[2.5, 2.5, 5.0]);
@@ -108,7 +82,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let layer = Linear::new(&mut store, "l", 2, 2, &mut rng);
         let mut g = Graph::new();
-        let bound = layer.bind(&mut g, &store);
+        let bound = BoundLinear::bind(&mut g, &store, layer.w, layer.b);
         let x = g.constant(Tensor::vector(vec![1.0, -1.0]));
         let y = bound.forward(&mut g, x);
         let l = g.sum_all(y);
@@ -123,7 +97,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let layer = Linear::new(&mut store, "l", 1, 1, &mut rng);
         let mut g = Graph::new();
-        let bound = layer.bind(&mut g, &store);
+        let bound = BoundLinear::bind(&mut g, &store, layer.w, layer.b);
         let x1 = g.constant(Tensor::scalar(2.0));
         let x2 = g.constant(Tensor::scalar(5.0));
         let y1 = bound.forward(&mut g, x1);

@@ -1,7 +1,5 @@
 //! Quantile-regression loss helpers (Eqs. 5-6 of the paper).
 
-use deeprest_tensor::{Graph, Tensor, Var};
-
 /// The three quantiles evaluated by each expert head for a confidence level
 /// `delta` (Eq. 6): median, lower limit `(1-δ)/2` and upper limit
 /// `δ + (1-δ)/2`.
@@ -15,23 +13,6 @@ pub fn quantiles_for(delta: f32) -> [f32; 3] {
         "quantiles_for: delta must be in (0, 1), got {delta}"
     );
     [0.5, (1.0 - delta) / 2.0, delta + (1.0 - delta) / 2.0]
-}
-
-/// Records the per-time-step expert loss of Eq. 6: the pinball loss of the
-/// three-row prediction `(expected, lower, upper)` against the scalar ground
-/// truth `y`, at the quantiles of [`quantiles_for`]. The target column is
-/// drawn from the graph's recycled scratch pool, so per-step loss terms are
-/// allocation-free in steady state.
-pub fn expert_quantile_loss(g: &mut Graph, pred: Var, y: f32, delta: f32) -> Var {
-    g.pinball_fill(pred, y, &quantiles_for(delta))
-}
-
-/// Records a mean-squared-error loss against a constant target (used by the
-/// `resrc-aware DL` baseline and the quantile-head ablation).
-pub fn mse_loss(g: &mut Graph, pred: Var, target: Tensor) -> Var {
-    let delta = g.sub_const(pred, target);
-    let sq = g.square(delta);
-    g.mean_all(sq)
 }
 
 /// Scalar pinball loss value (no autodiff), for evaluation code.
@@ -59,7 +40,8 @@ pub fn pinball_grad(u: f32, quantile: f32, modulation: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deeprest_tensor::ParamStore;
+    use deeprest_tape::Graph;
+    use deeprest_tensor::{ParamStore, Tensor};
 
     #[test]
     fn quantiles_match_paper_delta_090() {
@@ -99,7 +81,7 @@ mod tests {
             let pv = g.param(&store, p);
             let mut terms = Vec::new();
             for &s in &samples {
-                terms.push(expert_quantile_loss(&mut g, pv, s, 0.90));
+                terms.push(g.pinball_fill(pv, s, &quantiles_for(0.90)));
             }
             let total = g.add_n(&terms);
             let loss = g.scale(total, 1.0 / samples.len() as f32);
@@ -121,7 +103,7 @@ mod tests {
         let p = store.add("p", Tensor::vector(vec![0.5, 0.9, 0.1]));
         let mut g = Graph::new();
         let pv = g.param(&store, p);
-        let l = expert_quantile_loss(&mut g, pv, 0.5, 0.90);
+        let l = g.pinball_fill(pv, 0.5, &quantiles_for(0.90));
         // Median head: u = 0 → 0. Lower: u = -0.4 → (0.05-1)(-0.4) = 0.38.
         // Upper: u = 0.4 → 0.95·0.4 = 0.38.
         assert!((g.value(l).data()[0] - 0.76).abs() < 1e-6);
@@ -154,7 +136,7 @@ mod tests {
         let p = store.add("p", Tensor::vector(vec![0.0, 0.0, 0.0]));
         let mut g = Graph::new();
         let pv = g.param(&store, p);
-        let l = expert_quantile_loss(&mut g, pv, 0.0, 0.90);
+        let l = g.pinball_fill(pv, 0.0, &quantiles_for(0.90));
         assert_eq!(g.value(l).data()[0], 0.0);
         g.backward(l, &mut store);
         // Expected −q per row, with q as the f32 arithmetic of
@@ -203,19 +185,5 @@ mod tests {
         assert!(g_full < 0.0 && g_half < 0.0);
         let g_over = pinball_grad(-1.0, 0.95, 0.25);
         assert_eq!(g_over, 0.25 * (1.0 - 0.95));
-    }
-
-    #[test]
-    fn mse_loss_matches_hand_computation() {
-        let mut store = ParamStore::new();
-        let p = store.add("p", Tensor::vector(vec![1.0, 3.0]));
-        let mut g = Graph::new();
-        let pv = g.param(&store, p);
-        let l = mse_loss(&mut g, pv, Tensor::vector(vec![0.0, 1.0]));
-        // ((1-0)² + (3-1)²) / 2 = 2.5.
-        assert!((g.value(l).data()[0] - 2.5).abs() < 1e-6);
-        g.backward(l, &mut store);
-        // d/dp = 2(p - t)/n = [1, 2].
-        assert_eq!(store.grad(p).data(), &[1.0, 2.0]);
     }
 }

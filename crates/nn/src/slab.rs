@@ -335,7 +335,7 @@ impl ExpertSlab {
     /// the step allocation-free.
     ///
     /// Exactly three batched GEMV calls; bit-identical to `count`
-    /// invocations of [`crate::BoundGruCell::step`] (see the
+    /// invocations of the tape's `BoundGruCell::step` (see the
     /// [module docs](self)).
     ///
     /// # Panics
@@ -595,7 +595,8 @@ fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deeprest_tensor::{Graph, Tensor};
+    use deeprest_tape::{BoundGruCell, Graph};
+    use deeprest_tensor::Tensor;
     use rand::SeedableRng;
 
     /// `n` experts in the estimator's registration order.
@@ -668,7 +669,10 @@ mod tests {
         assert_eq!(slab.experts(), n);
 
         let mut g = Graph::new();
-        let bound: Vec<_> = specs.iter().map(|s| s.cell.bind(&mut g, &store)).collect();
+        let bound: Vec<_> = specs
+            .iter()
+            .map(|s| BoundGruCell::bind(&mut g, &store, s.cell.param_ids()))
+            .collect();
         let mut href: Vec<Tensor> = (0..n).map(|_| Tensor::zeros(h, 1)).collect();
         // Slab under test, advanced in two uneven ranges per window.
         let mut h_plain = vec![0.0f32; n * h];

@@ -17,8 +17,9 @@
 //!
 //! # Bit-identity with the tape oracle
 //!
-//! The tape formulation is kept as a test-only differential oracle (here in
-//! `tests/prop_analytic_train.rs`; at model level in `crates/core`'s
+//! The tape formulation is kept as a test-only differential oracle (the
+//! dev-dependency `deeprest-tape`; driven here by
+//! `tests/prop_analytic_train.rs` and at model level by `crates/core`'s
 //! `#[cfg(test)]` `oracle.rs`), and this engine reproduces its accumulated
 //! gradients *bit for bit*:
 //!
@@ -29,11 +30,11 @@
 //!   timesteps descending, and within a gradient slot the exact operand
 //!   order of the tape's node sequence (e.g. the carried-state gradient is
 //!   `g⊙z`, then `+ (U_hᵀd_h̃)⊙k`-path, then `+ U_kᵀd_k`, then `+ U_zᵀd_z`).
-//! * The tape normalizes `-0.0` partial sums when a [`deeprest_tensor::GradBuffer`]
-//!   slot (zero-initialized) absorbs them; the engine's zero-initialized
-//!   arenas folded through [`deeprest_tensor::ParamStore::grad_add_slice`]
-//!   perform the same normalization, and a zero's sign is the only thing
-//!   that can differ mid-chain (IEEE-754 `x + ±0.0 = x` for `x ≠ 0`).
+//! * The tape normalizes `-0.0` partial sums when a zero-initialized
+//!   `GradBuffer` slot absorbs them; the engine's zero-initialized arenas
+//!   folded through [`deeprest_tensor::ParamStore::grad_add_slice`] perform
+//!   the same normalization, and a zero's sign is the only thing that can
+//!   differ mid-chain (IEEE-754 `x + ±0.0 = x` for `x ≠ 0`).
 //! * Sharding never splits a contraction: experts are data-parallel except
 //!   for the attention term, whose cross-expert sums are computed per expert
 //!   from a serially gathered global arena in a fixed expert-descending

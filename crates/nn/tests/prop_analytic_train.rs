@@ -12,7 +12,8 @@
 
 use deeprest_nn::loss::quantiles_for;
 use deeprest_nn::{Adam, AnalyticTrainer, ExpertSpec, GruCell, Linear, TrainerConfig};
-use deeprest_tensor::{GradBuffer, Graph, ParamStore, Pool, Tensor, Var};
+use deeprest_tape::{BoundGruCell, BoundLinear, GradBuffer, Graph, Var};
+use deeprest_tensor::{ParamStore, Pool, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,7 +150,10 @@ fn tape_run(setup: &Setup, store: &mut ParamStore) -> Vec<(f32, usize, Vec<f32>)
                 }
             })
             .collect();
-        let gru_bound: Vec<_> = specs.iter().map(|s| s.cell.bind(&mut g, store)).collect();
+        let gru_bound: Vec<_> = specs
+            .iter()
+            .map(|s| BoundGruCell::bind(&mut g, store, s.cell.param_ids()))
+            .collect();
         let alpha_masked: Vec<Var> = specs
             .iter()
             .enumerate()
@@ -158,10 +162,17 @@ fn tape_run(setup: &Setup, store: &mut ParamStore) -> Vec<(f32, usize, Vec<f32>)
                 g.mask_out(a, i)
             })
             .collect();
-        let head_bound: Vec<_> = specs.iter().map(|s| s.head.bind(&mut g, store)).collect();
+        let head_bound: Vec<_> = specs
+            .iter()
+            .map(|s| BoundLinear::bind(&mut g, store, s.head.w, s.head.b))
+            .collect();
         let skip_bound: Vec<_> = specs
             .iter()
-            .map(|s| s.skip.as_ref().map(|l| l.bind(&mut g, store)))
+            .map(|s| {
+                s.skip
+                    .as_ref()
+                    .map(|l| BoundLinear::bind(&mut g, store, l.w, l.b))
+            })
             .collect();
 
         let mut h: Vec<Var> = (0..e_count).map(|_| g.constant_zeros(hidden, 1)).collect();
@@ -223,7 +234,7 @@ fn tape_run(setup: &Setup, store: &mut ParamStore) -> Vec<(f32, usize, Vec<f32>)
         stats.push((loss_sum, n_terms, expert_sums));
     }
     for buf in &bufs {
-        store.absorb(buf);
+        buf.absorb_into(store);
     }
     stats
 }

@@ -2,7 +2,8 @@
 //! randomly generated computation graphs must match central finite
 //! differences, and the pinball loss must recover empirical quantiles.
 
-use deeprest_tensor::{Graph, ParamStore, Tensor};
+use deeprest_tape::Graph;
+use deeprest_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
 
 fn small_value() -> impl Strategy<Value = f32> {

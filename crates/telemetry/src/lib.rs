@@ -2,9 +2,10 @@
 //! inference pipeline.
 //!
 //! DeepRest is itself an observability system — it learns from traces and
-//! metrics — yet its own hot loops (tape construction, truncated-BPTT
-//! fan-out, optimizer steps) would otherwise be a black box. This crate is
-//! the event substrate the rest of the workspace instruments itself with:
+//! metrics — yet its own hot loops (the packed per-window step, the
+//! trainer's shard fan-out, optimizer steps) would otherwise be a black
+//! box. This crate is the event substrate the rest of the workspace
+//! instruments itself with:
 //!
 //! * **Events** — three shapes cover everything the pipeline emits:
 //!   [`Event::Span`] (a named scope with wall-clock duration),
@@ -12,8 +13,8 @@
 //!   (a point-in-time measurement).
 //! * **Sinks** — a pluggable [`Sink`] receives events: the implicit no-op
 //!   sink (telemetry disabled, the default), [`MemorySink`] (aggregates
-//!   in memory; powers invariant tests like "a GRU step records exactly 11
-//!   tape nodes"), and [`JsonlSink`] (appends one JSON object per event to
+//!   in memory; powers invariant tests like "a warm slab step draws every
+//!   buffer from the pool"), and [`JsonlSink`] (appends one JSON object per event to
 //!   a file — the `telemetry.jsonl` the bench harness emits).
 //! * **Selection** — the process-wide sink comes from the
 //!   `DEEPREST_TELEMETRY` environment variable on first use, or from an
@@ -22,7 +23,7 @@
 //!
 //! # Overhead budget
 //!
-//! Instrumentation sits on real hot paths (the autodiff arena push, the
+//! Instrumentation sits on real hot paths (the scratch-buffer take, the
 //! pool dispatch), so the disabled path must be nearly free: every probe
 //! starts with [`enabled`], a single relaxed atomic load plus a branch.
 //! No clock is read, no string is formatted and no lock is taken unless a

@@ -17,11 +17,11 @@ impl ParamId {
 
 /// Owns trainable parameter tensors and their accumulated gradients.
 ///
-/// Graphs are short-lived (one per training subsequence in truncated BPTT)
-/// while parameters persist for the lifetime of a model, so parameters live
-/// here rather than on the tape. [`crate::Graph::param`] copies a parameter's
-/// current value into a graph as a leaf, and [`crate::Graph::backward`]
-/// accumulates the resulting gradient back into this store.
+/// Parameters persist for the lifetime of a model while everything a
+/// training step computes is transient, so they live here: layers hold
+/// [`ParamId`]s, a trainer accumulates gradients into the store
+/// ([`ParamStore::grad_add_slice`]) and an optimizer updates the values in
+/// place ([`ParamStore::par_update`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParamStore {
     values: Vec<Tensor>,
@@ -123,11 +123,10 @@ impl ParamStore {
     /// Adds a raw gradient slice elementwise into the slot for `id`.
     ///
     /// The analytic training engine accumulates gradients in flat per-shard
-    /// arenas rather than [`GradBuffer`]s; this is its fold entry point.
-    /// Callers must fold arenas in a fixed order (batch position, then
-    /// shard, then expert) independent of the thread schedule — the same
-    /// contract [`ParamStore::absorb`] relies on — so accumulated gradients
-    /// are bit-for-bit identical at any thread count.
+    /// arenas; this is its fold entry point. Callers must fold arenas in a
+    /// fixed order (batch position, then shard, then expert) independent of
+    /// the thread schedule, so accumulated gradients are bit-for-bit
+    /// identical at any thread count.
     ///
     /// # Panics
     ///
@@ -158,63 +157,7 @@ impl ParamStore {
         }
         norm
     }
-}
 
-impl Default for ParamStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A detached, parameter-shaped gradient accumulator.
-///
-/// Parallel training runs backward passes for many subsequences
-/// concurrently; each pass writes into its own `GradBuffer` (no shared
-/// mutable state), and the buffers are then folded into the owning
-/// [`ParamStore`] in a fixed order via [`ParamStore::absorb`]. Because the
-/// reduction order is the subsequence order — not the thread schedule —
-/// accumulated gradients are bit-for-bit identical at any thread count.
-#[derive(Clone, Debug)]
-pub struct GradBuffer {
-    grads: Vec<Tensor>,
-}
-
-impl GradBuffer {
-    /// A zeroed buffer with one gradient slot per parameter of `store`.
-    pub fn zeros_like(store: &ParamStore) -> Self {
-        Self {
-            grads: store
-                .values
-                .iter()
-                .map(|v| Tensor::zeros(v.rows(), v.cols()))
-                .collect(),
-        }
-    }
-
-    /// Adds `g` into the slot for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the originating store or shapes
-    /// differ.
-    pub fn add(&mut self, id: ParamId, g: &Tensor) {
-        self.grads[id.0].add_assign(g);
-    }
-
-    /// The accumulated gradient for `id`.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.grads[id.0]
-    }
-
-    /// Resets every slot to zero, keeping allocations.
-    pub fn zero(&mut self) {
-        for g in &mut self.grads {
-            g.fill_zero();
-        }
-    }
-}
-
-impl ParamStore {
     /// All accumulated gradients, indexed by [`ParamId::index`].
     pub fn grads(&self) -> &[Tensor] {
         &self.grads
@@ -232,22 +175,11 @@ impl ParamStore {
         let grads = &self.grads;
         pool.for_each_mut(&mut self.values, |i, v| f(i, v, &grads[i]));
     }
+}
 
-    /// Folds a [`GradBuffer`] into this store's accumulated gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` was built from a store with a different parameter
-    /// layout.
-    pub fn absorb(&mut self, buf: &GradBuffer) {
-        assert_eq!(
-            self.grads.len(),
-            buf.grads.len(),
-            "ParamStore::absorb: buffer layout mismatch"
-        );
-        for (g, b) in self.grads.iter_mut().zip(buf.grads.iter()) {
-            g.add_assign(b);
-        }
+impl Default for ParamStore {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

@@ -1,19 +1,21 @@
-//! Recycled scratch buffers backing the graph's zero-allocation steady
-//! state.
+//! Recycled scratch buffers backing the zero-allocation steady state of
+//! the hot loops.
 //!
-//! Training builds one tape per BPTT subsequence, resets it, and builds the
-//! next with the same node shapes. Instead of allocating a fresh `Vec<f32>`
-//! per node value (and per backward-pass gradient), the graph draws buffers
-//! from a [`BufferPool`] and returns them on [`Graph::reset`](crate::Graph::reset),
-//! so after the first pass warm-up every take is a reuse.
+//! The packed forward (`deeprest-nn`'s `ExpertSlab::step_range`/`heads`,
+//! stepped once per served window and once per training timestep) needs a
+//! handful of gate and attention temporaries per call, and the optimizers
+//! one moment tensor per parameter. Instead of allocating a fresh
+//! `Vec<f32>` each time, callers own a [`BufferPool`], take buffers from it
+//! and put them back before returning, so after the first call every take
+//! is a reuse.
 //!
 //! The free lists are bucketed by exact length: a take is served only by a
 //! recycled buffer of the requested size, never by resizing a mismatched
-//! one. For a workload that repeats a fixed shape sequence (exactly what a
-//! training loop over same-length subsequences does) this converges after a
-//! single pass — pass one allocates every distinct buffer once, and every
-//! later pass finds each size in its bucket — and it makes the steady state
-//! provable without reasoning about which buffer lands at which site.
+//! one. For a workload that repeats a fixed shape sequence (exactly what
+//! stepping one packed model does) this converges after a single pass —
+//! pass one allocates every distinct buffer once, and every later pass
+//! finds each size in its bucket — and it makes the steady state provable
+//! without reasoning about which buffer lands at which site.
 //!
 //! Telemetry:
 //! * `kernel.alloc` — a take found no recycled buffer of the requested
@@ -58,24 +60,12 @@ impl BufferPool {
         Tensor::from_vec(rows, cols, self.take(rows * cols))
     }
 
-    /// Takes a pooled copy of `src`.
-    pub fn take_copy(&mut self, src: &Tensor) -> Tensor {
-        let mut buf = self.take(src.len());
-        buf.copy_from_slice(src.data());
-        Tensor::from_vec(src.rows(), src.cols(), buf)
-    }
-
     /// Returns a buffer to the pool for reuse by takes of the same length.
     pub fn put(&mut self, buf: Vec<f32>) {
         // Zero-capacity buffers are not worth tracking.
         if buf.capacity() > 0 {
             self.free.entry(buf.len()).or_default().push(buf);
         }
-    }
-
-    /// Returns a tensor's backing buffer to the pool for reuse.
-    pub fn put_tensor(&mut self, t: Tensor) {
-        self.put(t.into_data());
     }
 
     /// Number of buffers currently recycled and idle.
@@ -115,11 +105,11 @@ mod tests {
             let mut pool = BufferPool::new();
             // Warm-up: one allocation.
             let t = pool.take_tensor(3, 2);
-            pool.put_tensor(t);
+            pool.put(t.into_data());
             // Steady state: ten reuse cycles of the same shape.
             for _ in 0..10 {
                 let t = pool.take_tensor(3, 2);
-                pool.put_tensor(t);
+                pool.put(t.into_data());
             }
         });
         assert_eq!(sink.counter("kernel.alloc"), 1);
@@ -132,12 +122,12 @@ mod tests {
         telemetry::with_sink(sink.clone(), || {
             let mut pool = BufferPool::new();
             let t = pool.take_tensor(2, 1);
-            pool.put_tensor(t);
+            pool.put(t.into_data());
             // A different size misses its bucket and allocates fresh; the
             // recycled size-2 buffer is untouched and still serves its own
             // size afterwards.
             let big = pool.take_tensor(64, 64);
-            pool.put_tensor(big);
+            pool.put(big.into_data());
             let _ = pool.take_tensor(2, 1);
         });
         assert_eq!(sink.counter("kernel.alloc"), 2);

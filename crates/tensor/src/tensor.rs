@@ -151,7 +151,7 @@ impl Tensor {
 
     /// Applies `f` to every element, writing into `out` (which is resized to
     /// `self`'s shape, reusing its allocation). The output-reusing twin of
-    /// [`Tensor::map`], used by the graph's pooled-scratch node evaluation.
+    /// [`Tensor::map`].
     pub fn map_into(&self, out: &mut Self, f: impl Fn(f32) -> f32) {
         out.reshape_to(self.rows, self.cols);
         for (o, &v) in out.data.iter_mut().zip(self.data.iter()) {

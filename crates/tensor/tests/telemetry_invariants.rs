@@ -1,11 +1,11 @@
 //! Telemetry-backed invariants of the execution engine: behavior that used
-//! to be invisible (arena reuse, pool fan-out) asserted through the
+//! to be invisible (pool fan-out, kernel dispatch) asserted through the
 //! in-memory sink.
 
 use std::sync::Arc;
 
 use deeprest_telemetry::{self as telemetry, MemorySink};
-use deeprest_tensor::{Graph, ParamStore, Pool, Tensor};
+use deeprest_tensor::{Pool, Tensor};
 
 #[test]
 fn pool_dispatch_counts_workers_and_chunks() {
@@ -51,48 +51,6 @@ fn map_reuse_dispatch_matches_ceil_rule() {
     assert_eq!(sink.gauges("pool.chunk_size"), vec![4.0]);
 }
 
-/// Builds a small forward pass on `g` and returns the scalar loss var.
-fn forward(
-    g: &mut Graph,
-    store: &ParamStore,
-    id: deeprest_tensor::ParamId,
-) -> deeprest_tensor::Var {
-    let w = g.param(store, id);
-    let x = g.constant(Tensor::vector(vec![0.4, -0.7]));
-    let prod = g.mul(w, x);
-    let sq = g.square(prod);
-    g.sum_all(sq)
-}
-
-#[test]
-fn reused_arena_never_regrows() {
-    let mut store = ParamStore::new();
-    let id = store.add("w", Tensor::vector(vec![1.0, -2.0]));
-
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        // Pre-size the arena like the training loop does, then run many
-        // forward/backward passes through `reset`.
-        let mut g = Graph::with_capacity(16);
-        for _ in 0..10 {
-            g.reset();
-            let loss = forward(&mut g, &store, id);
-            g.backward(loss, &mut store);
-        }
-    });
-    assert_eq!(
-        sink.counter("graph.arena_grow"),
-        0,
-        "a pre-sized, reset arena must never reallocate"
-    );
-    assert_eq!(sink.counter("graph.arena_reuse"), 10);
-    assert_eq!(sink.counter("graph.backward.runs"), 10);
-    // Every pass records the same tape length.
-    let nodes = sink.gauges("graph.backward.tape_nodes");
-    assert_eq!(nodes.len(), 10);
-    assert!(nodes.windows(2).all(|w| w[0] == w[1]));
-}
-
 #[test]
 fn matmul_dispatch_counters_split_gemv_from_gemm() {
     let sink = Arc::new(MemorySink::new());
@@ -130,49 +88,4 @@ fn sparse_gemv_dispatch_is_counted() {
     });
     assert_eq!(sink.counter("kernel.sparse_hits"), 1);
     assert_eq!(sink.counter("kernel.gemv"), 2);
-}
-
-#[test]
-fn steady_state_graph_rebuild_performs_zero_kernel_allocations() {
-    let mut store = ParamStore::new();
-    let id = store.add("w", Tensor::vector(vec![1.0, -2.0]));
-
-    // Warm up outside the sink: the first passes populate the graph's
-    // scratch pool and let the LIFO buffer-site mapping settle.
-    let mut g = Graph::with_capacity(16);
-    for _ in 0..3 {
-        g.reset();
-        let loss = forward(&mut g, &store, id);
-        g.backward(loss, &mut store);
-    }
-
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        for _ in 0..10 {
-            g.reset();
-            let loss = forward(&mut g, &store, id);
-            g.backward(loss, &mut store);
-        }
-    });
-    assert_eq!(
-        sink.counter("kernel.alloc"),
-        0,
-        "a warmed-up rebuild loop must draw every buffer from the pool"
-    );
-    assert!(sink.counter("kernel.scratch_reuse") > 0);
-}
-
-#[test]
-fn undersized_arena_growth_is_visible() {
-    let mut store = ParamStore::new();
-    let id = store.add("w", Tensor::vector(vec![1.0, -2.0]));
-
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        // Zero-capacity arena: the first pass must grow at least once.
-        let mut g = Graph::new();
-        let loss = forward(&mut g, &store, id);
-        g.backward(loss, &mut store);
-    });
-    assert!(sink.counter("graph.arena_grow") >= 1);
 }

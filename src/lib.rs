@@ -4,8 +4,9 @@
 //! Chow et al.). It re-exports every workspace crate under one namespace so
 //! examples and downstream users need a single dependency:
 //!
-//! * [`tensor`] — dense tensors + reverse-mode autodiff.
-//! * [`nn`] — layers (Linear, GRU), optimizers, losses.
+//! * [`tensor`] — dense tensors, deterministic kernels, the worker pool.
+//! * [`nn`] — layers (Linear, GRU), the packed expert forward and its
+//!   analytic trainer, optimizers, losses.
 //! * [`trace`] — distributed-tracing data model (spans, topologies, paths).
 //! * [`metrics`] — resource telemetry time-series and evaluation metrics.
 //! * [`workload`] — API traffic generation (scales, mixes, shapes).

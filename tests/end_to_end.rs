@@ -3,7 +3,7 @@
 //! on a small-but-real configuration.
 
 use deeprest::baselines::{
-    BaselineEstimator, ComponentAwareScaling, LearnData, QueryData, SimpleScaling,
+    BaselineEstimator, ComponentAwareScaling, LearnData, QueryData, ResourceAwareDl, SimpleScaling,
 };
 use deeprest::core::sanity::{self, SanityConfig};
 use deeprest::core::{interpret, DeepRest, DeepRestConfig};
@@ -93,7 +93,7 @@ fn deeprest_beats_flow_blind_baselines_on_composition_shift() {
     // DeepRest, mode 1.
     let deeprest_est = f.model.estimate_traffic(&query, 7);
 
-    // The scaling baselines.
+    // The baselines.
     let learn_data = LearnData {
         traffic: &f.learn_traffic,
         traces: &f.learn.traces,
@@ -104,6 +104,8 @@ fn deeprest_beats_flow_blind_baselines_on_composition_shift() {
     simple.fit(&learn_data);
     let mut comp_aware = ComponentAwareScaling::new();
     comp_aware.fit(&learn_data);
+    let mut resrc_dl = ResourceAwareDl::new();
+    resrc_dl.fit(&learn_data);
     let q = QueryData {
         traffic: &query,
         traces: None,
@@ -111,6 +113,7 @@ fn deeprest_beats_flow_blind_baselines_on_composition_shift() {
     };
     let simple_est = simple.estimate(&q);
     let comp_est = comp_aware.estimate(&q);
+    let resrc_est = resrc_dl.estimate(&q);
 
     // The paper's Fig. 11 story on the write path: reads must not inflate
     // write IOps. Simple scaling is flow-blind and overestimates; DeepRest
@@ -131,6 +134,15 @@ fn deeprest_beats_flow_blind_baselines_on_composition_shift() {
     assert!(
         m_deeprest < m_comp,
         "DeepRest {m_deeprest:.1}% must beat component-aware {m_comp:.1}% on write IOps"
+    );
+
+    // The history-only forecaster never sees the query: it keeps
+    // forecasting the learning days' write rate under read-dominated
+    // traffic.
+    let m_resrc = mape(actual, &resrc_est[&iops]);
+    assert!(
+        m_deeprest < m_resrc,
+        "DeepRest {m_deeprest:.1}% must beat resrc-aware DL {m_resrc:.1}% on write IOps"
     );
 }
 
