@@ -168,8 +168,11 @@ pub struct AdaptivePipeline {
 
 impl AdaptivePipeline {
     /// Creates an adaptive pipeline owning `model`. `source` is the name
-    /// table incoming traces use; `observations` supplies both the sanity
-    /// check's ground truth and the online-training targets.
+    /// table incoming traces use, cloned as it is now (to serve names
+    /// interned later, [`checkpoint`](Self::checkpoint) and
+    /// [`restore`](Self::restore) against the grown table); `observations`
+    /// supplies both the sanity check's ground truth and the
+    /// online-training targets.
     pub fn new(
         model: DeepRest,
         source: &Interner,

@@ -72,14 +72,6 @@ pub struct DeepRestConfig {
     /// time for cores.
     #[serde(default)]
     pub threads: Option<usize>,
-    /// Telemetry sink spec, applied when `fit`/`fit_transferred` starts:
-    /// `"memory"`, `"jsonl:<path>"`, `"1"`/`"on"`/`"jsonl"` (JSONL at
-    /// `telemetry.jsonl`), or `"off"`/`"0"`/`"none"` to force-disable.
-    /// `None` (the default) leaves the process-wide choice — the
-    /// `DEEPREST_TELEMETRY` env var or an explicit
-    /// `deeprest_telemetry::set_sink` — untouched.
-    #[serde(default)]
-    pub telemetry: Option<String>,
     /// When set, only build experts for these `(component, resource)` pairs
     /// (the paper's discussion focuses on six components; restricting the
     /// expert swarm keeps CPU-only experiment runs fast). `None` builds one
@@ -103,7 +95,6 @@ impl Default for DeepRestConfig {
             mask_l1: 2e-3,
             seed: 7,
             threads: None,
-            telemetry: None,
             scope: None,
         }
     }
@@ -159,13 +150,6 @@ impl DeepRestConfig {
         self.threads = Some(threads);
         self
     }
-
-    /// Builder: selects the telemetry sink for training/inference runs
-    /// (see [`DeepRestConfig::telemetry`] for the accepted specs).
-    pub fn with_telemetry(mut self, spec: impl Into<String>) -> Self {
-        self.telemetry = Some(spec.into());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +173,22 @@ mod tests {
     }
 
     #[test]
-    fn stale_backend_key_is_ignored_and_not_written_back() {
-        // Configs (and model JSON) written while the training engine was a
-        // user-set option carry a `"backend"` key; it must still load, and
-        // a round trip must drop it.
+    fn stale_keys_are_ignored_and_not_written_back() {
+        // Configs (and model JSON) written while the training engine and
+        // the telemetry sink were user-set options carry a `"backend"` or
+        // a `"telemetry"` key; they must still load, and a round trip must
+        // drop the key.
         let current = serde_json::to_string(&DeepRestConfig::default()).unwrap();
-        assert!(!current.contains("\"backend\""));
-        let old = current.replacen('{', "{\"backend\":\"Tape\",", 1);
-        let c: DeepRestConfig = serde_json::from_str(&old).unwrap();
-        assert_eq!(serde_json::to_string(&c).unwrap(), current);
+        for stale in [
+            "\"backend\":\"Tape\"",
+            "\"telemetry\":null",
+            "\"telemetry\":\"jsonl:t.jsonl\"",
+        ] {
+            assert!(!current.contains(&stale[..stale.find(':').unwrap()]));
+            let old = current.replacen('{', &format!("{{{stale},"), 1);
+            let c: DeepRestConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(serde_json::to_string(&c).unwrap(), current, "{stale}");
+        }
     }
 
     #[test]

@@ -253,15 +253,6 @@ impl DeepRest {
             "fit: traces and metrics must cover the same windows"
         );
 
-        // A sink spec on the config takes effect for this run (and, being
-        // process-global, anything after it). Invalid specs are reported
-        // and ignored: telemetry must never fail a fit.
-        if let Some(spec) = &config.telemetry {
-            if let Err(err) = telemetry::install(spec) {
-                eprintln!("deeprest: ignoring telemetry spec {spec:?}: {err}");
-            }
-        }
-
         let (features, feature_space_secs) =
             telemetry::timed("fit.feature_space", || FeatureSpace::construct(traces));
         let (synthesizer, synthesis_secs) =

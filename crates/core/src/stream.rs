@@ -57,6 +57,12 @@ use deeprest_tensor::{BufferPool, Pool};
 use deeprest_trace::{Interner, Trace};
 use serde::{Deserialize, Serialize};
 
+/// Reads the message out of a panic that unwound from
+/// [`StreamPredictor::step`]: the pool re-raises a failed chunk's own
+/// payload, so callers that contain the step decode it with the pool's
+/// decoder.
+pub use deeprest_tensor::pool::panic_message;
+
 use crate::estimator::Expert;
 use crate::DeepRest;
 

@@ -10,13 +10,27 @@
 //! recovers to bit-identical output once the fault clears or terminates
 //! with a typed error — never a panic, never silent divergence.
 //!
+//! # Scopes
+//!
+//! [`with_plan`] arms a plan on the *calling thread* for the duration of a
+//! closure — the exact pattern `deeprest-telemetry` uses for sinks: no
+//! lock, no process-wide state, so tests at default parallelism each run
+//! under their own plan and an unscoped thread beside them is never
+//! struck. A scope covers the thread that opened it and the chunks it fans
+//! out over `deeprest_tensor::pool`, which hands the publishing thread's
+//! scope to its helpers with [`capture`] / [`Scope::enter`]; the caller and
+//! its helpers share one set of hit counters, fresh per `with_plan`. A
+//! thread spawned by hand inside a scope does **not** inherit it. A probe
+//! on an unscoped thread consults the process-wide plan ([`set_plan`],
+//! `DEEPREST_FAULTS`), which is what the binaries use.
+//!
 //! # Overhead budget
 //!
 //! Probes sit on real hot paths, so the disabled path must be nearly free:
 //! every probe starts with [`enabled`], a single relaxed atomic load plus a
-//! branch — the exact pattern `deeprest-telemetry` uses. No string is
-//! compared, no lock is taken and no hash is computed unless a plan is
-//! installed. The `serving/window_step_faulty` Criterion bench pins the
+//! branch when no plan is armed anywhere. No string is compared, no
+//! thread-local is touched, no lock is taken and no hash is computed. The
+//! `serving/window_step_faulty` Criterion bench pins the
 //! armed-but-not-firing overhead; the disabled overhead is held under the
 //! 5% regression gate of `serving/window_step`.
 //!
@@ -24,7 +38,7 @@
 //!
 //! A [`FaultSpec`] arms one probe site for a *hit window*: the probe's
 //! `from_hit..until_hit` invocations (per-site hit counters start at 0 when
-//! the plan is installed). Within the window an optional probability `p`
+//! the plan is armed). Within the window an optional probability `p`
 //! (seeded, hash-based, deterministic for a given `(seed, site, hit)`)
 //! decides each firing. With single-threaded serving the probe sequence is
 //! deterministic, so a plan replays identically run after run; concurrent
@@ -56,8 +70,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, Once, PoisonError, RwLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Once, PoisonError, RwLock};
 
 use deeprest_telemetry as telemetry;
 
@@ -82,8 +97,9 @@ pub struct FaultSpec {
 
 /// A seeded, deterministic set of [`FaultSpec`]s. Build with the
 /// fluent methods ([`once`](Self::once), [`always`](Self::always),
-/// [`window`](Self::window), [`prob`](Self::prob)), then install globally
-/// with [`set_plan`] or scope it over a closure with [`with_plan`].
+/// [`window`](Self::window), [`prob`](Self::prob)), then arm it on the
+/// calling thread over a closure with [`with_plan`], or process-wide with
+/// [`set_plan`].
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -224,42 +240,64 @@ pub fn parse_plan(spec: &str, seed: u64) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-/// An installed plan plus its per-spec hit counters.
+/// An armed plan plus its per-spec hit counters.
 struct Armed {
     plan: Arc<FaultPlan>,
     hits: Vec<AtomicU64>,
 }
 
-/// Global injection state: 0 = uninitialized (env not yet consulted),
-/// 1 = disabled, 2 = a plan is installed.
-static STATE: AtomicU8 = AtomicU8::new(0);
-static ENV_INIT: Once = Once::new();
-static ARMED: RwLock<Option<Armed>> = RwLock::new(None);
-/// Serializes [`with_plan`] scopes so concurrently running tests cannot
-/// observe each other's faults.
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
-
-const UNINIT: u8 = 0;
-const DISABLED: u8 = 1;
-const ENABLED: u8 = 2;
-
-/// Whether a fault plan is installed. This is the fast path every probe
-/// takes: one relaxed atomic load and a branch when injection is off.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        DISABLED => false,
-        ENABLED => true,
-        _ => init_from_env(),
+impl Armed {
+    fn new(plan: Arc<FaultPlan>) -> Arc<Self> {
+        let hits = plan.specs.iter().map(|_| AtomicU64::new(0)).collect();
+        Arc::new(Self { plan, hits })
     }
 }
 
-/// Consults `DEEPREST_FAULTS` once and installs the parsed plan. Called
-/// lazily by the first probe; calling it eagerly is harmless. Returns the
-/// resulting enabled state.
+/// Everything a probe needs to decide "could anything fire" in one word:
+/// [`ENV_PENDING`] | [`GLOBAL`] | [`SCOPE`] × (scopes live on any thread).
+/// Zero means the environment was consulted, no process-wide plan is armed
+/// and no scope is live, which is what the fast path tests for. The word
+/// publishes no data (plans travel through `ARMED`'s lock and through
+/// thread-locals), so every access is `Relaxed`.
+static STATE: AtomicUsize = AtomicUsize::new(ENV_PENDING);
+static ENV_INIT: Once = Once::new();
+/// The process-wide plan.
+static ARMED: RwLock<Option<Arc<Armed>>> = RwLock::new(None);
+
+thread_local! {
+    /// The plan armed on this thread, innermost scope only: each
+    /// [`Scope::enter`] keeps the one it displaced on its own stack frame.
+    static SCOPED: RefCell<Option<Arc<Armed>>> = const { RefCell::new(None) };
+}
+
+/// `DEEPREST_FAULTS` has not been consulted yet.
+const ENV_PENDING: usize = 1;
+/// A process-wide plan is armed.
+const GLOBAL: usize = 2;
+/// One live scope; the bits from here up count them.
+const SCOPE: usize = 4;
+
+/// Whether a probe on this thread could fire. This is the fast path every
+/// probe takes: one relaxed atomic load and a branch when no plan is armed
+/// anywhere.
+#[inline]
+pub fn enabled() -> bool {
+    STATE.load(Ordering::Relaxed) != 0 && enabled_slow()
+}
+
+/// The process-wide plan (consulting the environment if that is still
+/// pending), or a scope on this thread.
+fn enabled_slow() -> bool {
+    init_from_env()
+        || (STATE.load(Ordering::Relaxed) >= SCOPE && SCOPED.with(|s| s.borrow().is_some()))
+}
+
+/// Consults `DEEPREST_FAULTS` once and arms the parsed plan process-wide.
+/// Called lazily by the first probe; calling it eagerly is harmless.
+/// Returns whether a process-wide plan is armed.
 pub fn init_from_env() -> bool {
     ENV_INIT.call_once(|| {
-        if STATE.load(Ordering::Relaxed) != UNINIT {
+        if STATE.load(Ordering::Relaxed) & ENV_PENDING == 0 {
             return;
         }
         let spec = std::env::var("DEEPREST_FAULTS").unwrap_or_default();
@@ -279,60 +317,69 @@ pub fn init_from_env() -> bool {
             }
         }
     });
-    STATE.load(Ordering::Relaxed) == ENABLED
+    STATE.load(Ordering::Relaxed) & GLOBAL != 0
 }
 
-/// Installs `plan` as the process-wide fault plan (`None` disables
-/// injection), resetting every hit counter to zero.
+/// Arms `plan` process-wide (`None` disarms), with every hit counter at
+/// zero. Threads inside a [`with_plan`] scope keep their own plan.
 pub fn set_plan(plan: Option<Arc<FaultPlan>>) {
-    let armed = plan.map(|plan| {
-        let hits = plan.specs.iter().map(|_| AtomicU64::new(0)).collect();
-        Armed { plan, hits }
+    let global = if plan.is_some() { GLOBAL } else { 0 };
+    *ARMED.write().unwrap_or_else(PoisonError::into_inner) = plan.map(Armed::new);
+    // Clearing ENV_PENDING makes an explicit choice stick (see
+    // `init_from_env`); ENV_INIT itself must stay untouched, set_plan runs
+    // inside its closure.
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |state| {
+        Some(state & !(ENV_PENDING | GLOBAL) | global)
     });
-    let state = if armed.is_some() { ENABLED } else { DISABLED };
-    *ARMED.write().unwrap_or_else(PoisonError::into_inner) = armed;
-    STATE.store(state, Ordering::Relaxed);
 }
 
-/// Runs `f` with `plan` installed, restoring the previous state afterwards
-/// (also on unwind). Scopes are serialized process-wide so concurrently
-/// running tests cannot pollute each other's fault schedules.
+/// Runs `f` with `plan` armed on the calling thread, hit counters at zero:
+/// every probe on this thread, and in every chunk it fans out over the
+/// kernel pool, consults `plan` until `f` returns or unwinds. Other threads
+/// are unaffected and nothing is locked, so concurrently running tests
+/// using this helper neither wait for nor strike each other. Scopes nest;
+/// the innermost wins.
 pub fn with_plan<T>(plan: Arc<FaultPlan>, f: impl FnOnce() -> T) -> T {
-    let _guard = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let previous = ARMED
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .map(|a| Arc::clone(&a.plan));
-    set_plan(Some(plan));
-    struct Restore(Option<Arc<FaultPlan>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_plan(self.0.take());
-        }
-    }
-    let _restore = Restore(previous);
-    f()
+    Scope(Some(Armed::new(plan))).enter(f)
 }
 
-/// Runs `f` with injection explicitly disabled (hit counters of any
-/// restored plan are reset on exit). Serialized like [`with_plan`].
-pub fn without_faults<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let previous = ARMED
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .map(|a| Arc::clone(&a.plan));
-    set_plan(None);
-    struct Restore(Option<Arc<FaultPlan>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_plan(self.0.take());
-        }
+/// A thread's armed plan, detached so another thread can run part of the
+/// same work under it and advance the same hit counters: [`capture`] on the
+/// thread that owns the work, [`Scope::enter`] on the thread that helps.
+/// The kernel pool does this for every fan-out; code that spawns its own
+/// threads inside a [`with_plan`] must do the same, because a new thread
+/// starts unscoped.
+pub struct Scope(Option<Arc<Armed>>);
+
+/// The calling thread's scope (empty when it is in none). With no scope
+/// live on any thread this is one relaxed load and reads no thread-local.
+#[inline]
+pub fn capture() -> Scope {
+    if STATE.load(Ordering::Relaxed) < SCOPE {
+        return Scope(None);
     }
-    let _restore = Restore(previous);
-    f()
+    Scope(SCOPED.with(|s| s.borrow().clone()))
+}
+
+impl Scope {
+    /// Runs `f` inside this scope on the calling thread, restoring what the
+    /// thread had before when `f` returns or unwinds. Entering an empty
+    /// scope runs `f` with the thread as it is.
+    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
+        let Some(armed) = &self.0 else { return f() };
+        // Restores on unwind too: a pool helper outlives every scope it
+        // ever entered, and must leave each one clean.
+        struct Restore(Option<Arc<Armed>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                STATE.fetch_sub(SCOPE, Ordering::Relaxed);
+                SCOPED.with(|s| s.replace(self.0.take()));
+            }
+        }
+        let _restore = Restore(SCOPED.with(|s| s.replace(Some(Arc::clone(armed)))));
+        STATE.fetch_add(SCOPE, Ordering::Relaxed);
+        f()
+    }
 }
 
 /// SplitMix64: the deterministic per-hit probability hash.
@@ -354,7 +401,7 @@ fn site_hash(site: &str) -> u64 {
 
 /// The general probe: when a spec matching `site` is armed for this hit,
 /// returns its payload. Each call advances every matching spec's hit
-/// counter by one. The slow path only runs when a plan is installed.
+/// counter by one. The slow path only runs when a plan is armed.
 pub fn armed(site: &str) -> Option<u64> {
     if !enabled() {
         return None;
@@ -362,10 +409,13 @@ pub fn armed(site: &str) -> Option<u64> {
     armed_slow(site)
 }
 
+/// Consults the plan armed on this thread (read without a lock), else the
+/// process-wide one.
 #[cold]
 fn armed_slow(site: &str) -> Option<u64> {
-    let guard = ARMED.read().unwrap_or_else(PoisonError::into_inner);
-    let state = guard.as_ref()?;
+    let state = capture()
+        .0
+        .or_else(|| ARMED.read().unwrap_or_else(PoisonError::into_inner).clone())?;
     let mut fired = None;
     for (i, spec) in state.plan.specs.iter().enumerate() {
         if spec.site != site {
@@ -454,14 +504,43 @@ mod tests {
 
     #[test]
     fn disabled_probes_never_fire() {
-        without_faults(|| {
-            assert!(!fail_point("x"));
-            assert_eq!(armed("x"), None);
-            assert_eq!(truncate_point("x", 10), 10);
-            let mut v = [1.0f32];
-            poison_f32s("x", &mut v);
-            assert_eq!(v[0], 1.0);
+        // Unscoped, beside siblings that each arm a plan of their own.
+        assert!(!fail_point("x"));
+        assert_eq!(armed("x"), None);
+        assert_eq!(truncate_point("x", 10), 10);
+        let mut v = [1.0f32];
+        poison_f32s("x", &mut v);
+        assert_eq!(v[0], 1.0);
+    }
+
+    #[test]
+    fn a_scope_belongs_to_its_thread_and_shares_hits_with_whoever_enters_it() {
+        let plan = Arc::new(FaultPlan::new(0).window("site", 1, 3));
+        with_plan(plan, || {
+            assert!(!fail_point("site"), "hit 0");
+            let scope = capture();
+            std::thread::scope(|threads| {
+                threads.spawn(|| {
+                    // A thread spawned by hand starts unscoped...
+                    assert!(!fail_point("site"));
+                    // ...and inside the captured scope advances the
+                    // owner's hit counters, not a copy.
+                    assert!(scope.enter(|| fail_point("site")), "hit 1");
+                    assert!(!fail_point("site"));
+                });
+            });
+            assert!(fail_point("site"), "hit 2");
+            assert!(!fail_point("site"), "hit 3");
         });
+    }
+
+    #[test]
+    fn a_panicking_scope_leaves_the_thread_clean() {
+        let plan = Arc::new(FaultPlan::new(0).always("boom"));
+        let caught = std::panic::catch_unwind(|| with_plan(plan, || maybe_panic("boom")));
+        assert!(caught.is_err());
+        assert!(capture().0.is_none());
+        maybe_panic("boom");
     }
 
     #[test]

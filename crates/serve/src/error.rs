@@ -13,7 +13,9 @@ use crate::checkpoint::CheckpointError;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// Ingesting an arrival failed before any pipeline state changed; the
-    /// arrival was not consumed and may be retried verbatim.
+    /// arrival was not consumed. After a transient failure it may be
+    /// retried verbatim; a trace naming a symbol the pipeline's name table
+    /// does not hold needs the pipeline restored against the grown table.
     Ingest(String),
     /// The inference step for one window kept failing (worker panic caught
     /// and retried from the pre-step snapshot, without success). The sealed

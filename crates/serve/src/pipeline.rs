@@ -38,14 +38,14 @@
 
 use std::panic::AssertUnwindSafe;
 
-use deeprest_core::stream::{PointEstimate, StreamPredictor, StreamSnapshot};
+use deeprest_core::stream::{panic_message, PointEstimate, StreamPredictor, StreamSnapshot};
 use deeprest_core::{interpret, DeepRest, ExpertKey};
 use deeprest_fault as fault;
 use deeprest_metrics::MetricsRegistry;
 use deeprest_telemetry as telemetry;
 use deeprest_trace::stream::{SealedWindow, WindowAssembler};
 use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
-use deeprest_trace::Interner;
+use deeprest_trace::{Interner, Sym, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::alert::{Alert, AlertSink, SinkError};
@@ -184,7 +184,10 @@ pub struct WindowStages {
 
 impl WindowStages {
     /// Fresh stages for a stream into `model`. `source` is the name table
-    /// the incoming traces use (clone of the producer's interner).
+    /// the incoming traces use, cloned as it is now: a trace carrying a
+    /// name interned later is refused by [`push`](Self::push). To serve a
+    /// table that has grown, take a [`checkpoint`](Self::checkpoint) and
+    /// [`restore`](Self::restore) it against the grown table.
     pub fn new(model: &DeepRest, source: &Interner, config: ServeConfig) -> Self {
         let keys = model.expert_keys();
         Self {
@@ -274,7 +277,10 @@ impl WindowStages {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Ingest`]: the arrival was **not** consumed.
+    /// [`ServeError::Ingest`]: the arrival was **not** consumed. Besides the
+    /// injected fault, that is a trace naming a symbol the stages' name
+    /// table does not hold (see [`new`](Self::new)); it is counted as
+    /// `serve.ingest.unknown_symbol`.
     pub fn push(&mut self, t: TimestampedTrace) -> Result<(), ServeError> {
         // Fault probe: `serve.ingest` fails the arrival before any state
         // changes, so the caller can retry it verbatim.
@@ -282,6 +288,19 @@ impl WindowStages {
             return Err(ServeError::Ingest(
                 "deeprest-fault: injected ingest failure".to_owned(),
             ));
+        }
+        // Feature extraction resolves every symbol through `source`, after
+        // the window has left `pending` and outside the step's panic
+        // containment: an out-of-table symbol has to stop here.
+        if let Some(sym) = unknown_symbol(&t.trace, self.source.len()) {
+            telemetry::counter("serve.ingest.unknown_symbol", 1);
+            return Err(ServeError::Ingest(format!(
+                "trace names symbol #{} but the pipeline's name table holds {} names (interned \
+                 after the pipeline was built?); checkpoint() and restore() against the grown \
+                 table to serve it",
+                sym.index(),
+                self.source.len()
+            )));
         }
         if telemetry::enabled() {
             telemetry::counter("serve.ingest.spans", t.trace.span_count() as u64);
@@ -364,7 +383,7 @@ impl WindowStages {
                 },
                 Err(payload) => ServeError::Step {
                     window: w.index,
-                    message: panic_text(payload.as_ref()),
+                    message: panic_message(payload.as_ref()),
                 },
             };
             telemetry::counter("serve.step.rolled_back", 1);
@@ -510,7 +529,9 @@ pub struct Pipeline<'m> {
 
 impl<'m> Pipeline<'m> {
     /// Creates a pipeline streaming into `model`. `source` is the name
-    /// table the incoming traces use (clone of the producer's interner).
+    /// table the incoming traces use, cloned as it is now; to serve names
+    /// interned later, [`checkpoint`](Self::checkpoint) and
+    /// [`restore`](Self::restore) against the grown table.
     pub fn new(model: &'m DeepRest, source: &Interner, config: ServeConfig) -> Self {
         Self {
             model,
@@ -557,8 +578,10 @@ impl<'m> Pipeline<'m> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Ingest`] means the arrival was **not** consumed and
-    /// may be retried verbatim. Step errors
+    /// [`ServeError::Ingest`] means the arrival was **not** consumed: an
+    /// injected fault (retry it verbatim) or a trace naming a symbol
+    /// interned after the pipeline's name table was taken (restore against
+    /// the grown table first). Step errors
     /// ([`ServeError::Step`]/[`ServeError::PoisonedState`]) mean the
     /// arrival *was* consumed: the failing sealed window is parked and
     /// retried on the next call, so no window is lost or reordered.
@@ -645,15 +668,14 @@ impl<'m> Pipeline<'m> {
     }
 }
 
-/// Extracts the human-readable message from a caught panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
+/// The highest symbol `trace` names, if a table of `names` entries does
+/// not cover it.
+fn unknown_symbol(trace: &Trace, names: usize) -> Option<Sym> {
+    let mut highest = trace.api;
+    trace
+        .root
+        .visit(&mut |span| highest = highest.max(span.component).max(span.operation));
+    (highest.index() >= names).then_some(highest)
 }
 
 /// Delivers one alert to one sink with capped exponential backoff inside a

@@ -5,14 +5,18 @@
 //! nothing ever panics out of the pipeline.
 //!
 //! Fault schedules come from the `deeprest-fault` crate and are fully
-//! deterministic. The CI chaos-smoke job re-runs this suite under a seed
-//! matrix via `DEEPREST_CHAOS_SEED`.
+//! deterministic, and each is armed on its test's own thread (and the
+//! chunks that thread fans out), so the cases run side by side. The CI
+//! chaos-smoke job re-runs this suite under a seed matrix via
+//! `DEEPREST_CHAOS_SEED`.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{assert_outputs_bitwise_equal, stream_of, trained, WINDOW_SECS};
+use common::{
+    assert_outputs_bitwise_equal, deploy_mid_stream, stream_of, trained, trained_wide, WINDOW_SECS,
+};
 use deeprest_core::ExpertKey;
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::MetricsRegistry;
@@ -341,6 +345,54 @@ fn ingest_fault_is_typed_and_retryable() {
     assert_outputs_bitwise_equal(&outputs, &expected);
 }
 
+/// A trace naming a component deployed after the pipeline cloned the
+/// producer's name table is refused with a typed,
+/// counted error before any state changes, nothing sealed so far is lost,
+/// and a restore against the grown table carries on as if the pipeline had
+/// been built against it.
+#[test]
+fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
+    let (model, interner, traces, metrics) = trained(24);
+    let mut stream = stream_of(&traces);
+    let (grown, at) = deploy_mid_stream(&interner, &mut stream);
+    let expected = baseline(&model, &grown, &metrics, &stream);
+
+    let sink = Arc::new(MemorySink::new());
+    let outputs = telemetry::with_sink(sink.clone(), || {
+        let mut pipeline =
+            Pipeline::new(&model, &interner, serve_config()).with_observations(metrics.clone());
+        let mut outputs = Vec::new();
+        for t in &stream[..at] {
+            outputs.extend(pipeline.ingest(t.clone()).expect("known names"));
+        }
+        let before = pipeline.checkpoint().to_json().expect("checkpoint");
+        match pipeline.ingest(stream[at].clone()) {
+            Err(ServeError::Ingest(msg)) => {
+                assert!(msg.contains("symbol #4"), "{msg}");
+                assert!(msg.contains("holds 3 names"), "{msg}");
+                assert!(msg.contains("restore()"), "{msg}");
+            }
+            other => panic!("expected a typed ingest error, got {other:?}"),
+        }
+        assert_eq!(
+            pipeline.checkpoint().to_json().expect("checkpoint"),
+            before,
+            "a refused arrival must leave the pipeline untouched"
+        );
+
+        let mut pipeline = Pipeline::restore(&model, &grown, serve_config(), pipeline.checkpoint())
+            .expect("restore against the grown table")
+            .with_observations(metrics.clone());
+        for t in &stream[at..] {
+            outputs.extend(pipeline.ingest(t.clone()).expect("grown table"));
+        }
+        outputs.extend(pipeline.flush().expect("flush"));
+        outputs
+    });
+    assert_eq!(sink.counter("serve.ingest.unknown_symbol"), 1);
+    assert_outputs_bitwise_equal(&outputs, &expected);
+}
+
 #[test]
 fn replay_parse_fault_is_a_typed_error() {
     let mut i = deeprest_trace::Interner::new();
@@ -470,4 +522,47 @@ fn checkpoint_round_trip_survives_parked_windows() {
             .expect("drain parked windows after restore"),
     );
     assert_outputs_bitwise_equal(&outputs, &expected);
+}
+
+/// A panic raised inside a sharded step reaches [`ServeError::Step`] with
+/// its own message, whichever pool thread ran the chunk that raised it —
+/// and reaches the caller of a batch query, which steps the same predictor
+/// without the pipeline's healing, as that same panic.
+#[test]
+fn persistent_step_panic_surfaces_its_own_message_at_two_threads() {
+    // 10 experts at 2 threads: the step fans out over two shards, so a
+    // `pool.worker` panic is raised inside a chunk, not on the way in.
+    let (model, interner, traces, _) = trained_wide(24, 5, 2);
+    assert_eq!(model.stream_predictor().shard_count(), 2);
+    let stream = stream_of(&traces);
+    let config = ServeConfig::default()
+        .with_window_secs(WINDOW_SECS)
+        .with_lateness_secs(2.0);
+    for site in ["pool.worker", "stream.step"] {
+        let plan = Arc::new(FaultPlan::new(17).always(site));
+        let message = fault::with_plan(plan, || {
+            let mut pipeline = Pipeline::new(&model, &interner, config);
+            stream
+                .iter()
+                .find_map(|t| match pipeline.ingest(t.clone()) {
+                    Err(ServeError::Step { message, .. }) => Some(message),
+                    Ok(_) => None,
+                    Err(other) => panic!("unexpected error: {other}"),
+                })
+                .expect("a persistent step fault must surface as ServeError::Step")
+        });
+        assert_eq!(message, format!("deeprest-fault: injected panic at {site}"));
+    }
+
+    // A batch estimate is a query, not a healed serve step: nothing catches
+    // or retries, so even a one-shot fault unwinds out of it unchanged.
+    let plan = Arc::new(FaultPlan::new(17).once("stream.step", 3));
+    let payload = fault::with_plan(plan, || {
+        std::panic::catch_unwind(|| model.estimate_from_traces(&traces, &interner))
+    })
+    .expect_err("the fourth window's step probe must unwind out of the query");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some("deeprest-fault: injected panic at stream.step")
+    );
 }

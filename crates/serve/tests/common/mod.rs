@@ -111,6 +111,26 @@ pub fn stream_of(windowed: &WindowedTraces) -> Vec<TimestampedTrace> {
     out
 }
 
+/// A component deployed mid-stream: its names enter a copy of the
+/// producer's table only now, and one trace that calls it is spliced into
+/// the middle of `stream`. Returns the grown table and the trace's position.
+pub fn deploy_mid_stream(
+    interner: &Interner,
+    stream: &mut Vec<TimestampedTrace>,
+) -> (Interner, usize) {
+    let mut grown = interner.clone();
+    let deployed = SpanNode::leaf(grown.intern("Deployed"), grown.intern("warmUp"));
+    let at = stream.len() / 2;
+    let TimestampedTrace { at_secs, trace } = &stream[at];
+    let root = SpanNode::with_children(trace.root.component, trace.root.operation, vec![deployed]);
+    let newcomer = TimestampedTrace {
+        at_secs: *at_secs,
+        trace: Trace::new(trace.api, root),
+    };
+    stream.insert(at, newcomer);
+    (grown, at)
+}
+
 /// Bitwise equality of two output sequences: every float is compared via
 /// `to_bits`, so `NAN` score slots compare equal and any rounding drift
 /// fails the test.

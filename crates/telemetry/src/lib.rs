@@ -16,24 +16,37 @@
 //!   in memory; powers invariant tests like "a warm slab step draws every
 //!   buffer from the pool"), and [`JsonlSink`] (appends one JSON object per event to
 //!   a file — the `telemetry.jsonl` the bench harness emits).
-//! * **Selection** — the process-wide sink comes from the
-//!   `DEEPREST_TELEMETRY` environment variable on first use, or from an
-//!   explicit [`install`]/[`set_sink`] call (the `--telemetry` flag of the
-//!   experiment binaries and `DeepRestConfig::telemetry` route here).
+//! * **Selection** — a probe delivers to the sink scoped on its thread by
+//!   [`with_sink`], and otherwise to the process-wide default, which comes
+//!   from the `DEEPREST_TELEMETRY` environment variable on first use or
+//!   from an explicit [`install`]/[`set_sink`] call (the `--telemetry` flag
+//!   of the binaries routes there).
+//!
+//! # Scopes
+//!
+//! [`with_sink`] installs a sink on the *calling thread* for the duration
+//! of a closure: no lock, no process-wide state, so any number of threads
+//! (tests at default parallelism) each measure under their own sink while
+//! unscoped threads beside them keep the process-wide default. A scope
+//! covers the thread that opened it and the chunks it fans out over
+//! `deeprest_tensor::pool`, which hands the publishing thread's scope to
+//! its helpers with [`capture`] / [`Scope::enter`] for exactly the chunks
+//! of that fan-out (nested fan-outs included). A thread spawned by hand
+//! inside a scope does **not** inherit it; capture and enter explicitly.
 //!
 //! # Overhead budget
 //!
 //! Instrumentation sits on real hot paths (the scratch-buffer take, the
 //! pool dispatch), so the disabled path must be nearly free: every probe
-//! starts with [`enabled`], a single relaxed atomic load plus a branch.
-//! No clock is read, no string is formatted and no lock is taken unless a
-//! sink is installed. The Criterion benches (`joint_training_epoch`,
-//! `expert_inference`) hold the disabled-mode regression under 2%.
+//! starts with [`enabled`], a single relaxed atomic load plus a branch
+//! when nothing is installed anywhere. No clock is read, no string is
+//! formatted, no thread-local is touched and no lock is taken. The
+//! Criterion benches (`joint_training_epoch`, `expert_inference`) hold
+//! the disabled-mode regression under 2%.
 //!
 //! # Spec strings
 //!
-//! `DEEPREST_TELEMETRY`, `--telemetry` and `DeepRestConfig::telemetry` all
-//! accept the same spec:
+//! `DEEPREST_TELEMETRY` and `--telemetry` accept the same spec:
 //!
 //! | spec                        | sink                                  |
 //! |-----------------------------|---------------------------------------|
@@ -66,8 +79,9 @@ mod sinks;
 pub use sinks::{JsonlSink, MemorySink};
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, Once, PoisonError, RwLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A telemetry event name: a dotted lowercase path such as
@@ -121,45 +135,53 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Global telemetry state: 0 = uninitialized (env not yet consulted),
-/// 1 = disabled, 2 = enabled (a sink is installed).
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// Everything a probe needs to decide "is anyone listening" in one word:
+/// [`ENV_PENDING`] | [`GLOBAL`] | [`SCOPE`] × (scopes live on any thread).
+/// Zero means the environment was consulted, no process-wide sink is
+/// installed and no scope is live, which is what the fast path tests for.
+/// The word publishes no data (the sinks travel through `SINK`'s lock and
+/// through thread-locals), so every access is `Relaxed`.
+static STATE: AtomicUsize = AtomicUsize::new(ENV_PENDING);
 static ENV_INIT: Once = Once::new();
+/// The process-wide default sink.
 static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
-/// Serializes [`with_sink`] scopes so concurrently running tests cannot
-/// observe each other's events.
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
 thread_local! {
-    /// Nesting depth of [`with_sink`] on this thread. Only the outermost
-    /// scope takes [`SCOPE_LOCK`]; nested scopes ride on the already-held
-    /// lock (a plain `Mutex` is not re-entrant).
-    static SCOPE_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The sink scoped on this thread, innermost scope only: each
+    /// [`Scope::enter`] keeps the one it displaced on its own stack frame.
+    static SCOPED: RefCell<Option<Arc<dyn Sink>>> = const { RefCell::new(None) };
 }
 
-const UNINIT: u8 = 0;
-const DISABLED: u8 = 1;
-const ENABLED: u8 = 2;
+/// `DEEPREST_TELEMETRY` has not been consulted yet.
+const ENV_PENDING: usize = 1;
+/// A process-wide sink is installed.
+const GLOBAL: usize = 2;
+/// One live scope; the bits from here up count them.
+const SCOPE: usize = 4;
 
-/// Whether a sink is installed. This is the fast path every probe takes:
-/// one relaxed atomic load and a branch when telemetry is off.
+/// Whether an event emitted here and now would reach a sink. This is the
+/// fast path every probe takes: one relaxed atomic load and a branch when
+/// nothing is installed anywhere.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        DISABLED => false,
-        ENABLED => true,
-        _ => init_from_env(),
-    }
+    STATE.load(Ordering::Relaxed) != 0 && enabled_slow()
 }
 
-/// Consults `DEEPREST_TELEMETRY` once and installs the selected sink.
-/// Called lazily by the first probe; calling it eagerly is harmless.
-/// Returns the resulting enabled state.
+/// The process-wide sink (consulting the environment if that is still
+/// pending), or a scope on this thread.
+fn enabled_slow() -> bool {
+    init_from_env()
+        || (STATE.load(Ordering::Relaxed) >= SCOPE && SCOPED.with(|s| s.borrow().is_some()))
+}
+
+/// Consults `DEEPREST_TELEMETRY` once and installs the selected sink as
+/// the process-wide default. Called lazily by the first probe; calling it
+/// eagerly is harmless. Returns whether a process-wide sink is installed.
 pub fn init_from_env() -> bool {
     ENV_INIT.call_once(|| {
         // An explicit set_sink/install may have raced ahead of the first
         // probe; never override it.
-        if STATE.load(Ordering::Relaxed) != UNINIT {
+        if STATE.load(Ordering::Relaxed) & ENV_PENDING == 0 {
             return;
         }
         let spec = std::env::var("DEEPREST_TELEMETRY").unwrap_or_default();
@@ -168,24 +190,30 @@ pub fn init_from_env() -> bool {
             set_sink(None);
         }
     });
-    STATE.load(Ordering::Relaxed) == ENABLED
+    STATE.load(Ordering::Relaxed) & GLOBAL != 0
 }
 
-/// Installs `sink` as the process-wide event receiver (`None` disables
-/// telemetry). Replaces any previously installed sink.
+/// Installs `sink` as the process-wide default event receiver (`None`
+/// removes it). Replaces any previously installed default; threads inside
+/// a [`with_sink`] scope keep delivering to their scope.
 pub fn set_sink(sink: Option<Arc<dyn Sink>>) {
-    let state = if sink.is_some() { ENABLED } else { DISABLED };
-    *lock_write() = sink;
-    // Leaving UNINIT is what makes an explicit choice stick: the env-init
-    // closure refuses to override a non-UNINIT state. Must not touch
-    // ENV_INIT here — set_sink runs inside its closure via install(), and
-    // a re-entrant Once::call_once deadlocks.
-    STATE.store(state, Ordering::Relaxed);
+    let global = if sink.is_some() { GLOBAL } else { 0 };
+    *SINK.write().unwrap_or_else(PoisonError::into_inner) = sink;
+    // Clearing ENV_PENDING is what makes an explicit choice stick: the
+    // env-init closure refuses to override it. Must not touch ENV_INIT
+    // here: set_sink runs inside its closure via install(), and a
+    // re-entrant Once::call_once deadlocks.
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |state| {
+        Some(state & !(ENV_PENDING | GLOBAL) | global)
+    });
 }
 
-/// The currently installed sink, if any.
+/// The sink an event emitted on this thread reaches: the thread's scope if
+/// it is in one (read without a lock), the process-wide default otherwise.
 pub fn current_sink() -> Option<Arc<dyn Sink>> {
-    lock_read().clone()
+    capture()
+        .0
+        .or_else(|| SINK.read().unwrap_or_else(PoisonError::into_inner).clone())
 }
 
 /// Parses a spec string (see the [module docs](self)) and installs the
@@ -223,30 +251,51 @@ pub fn install(spec: &str) -> Result<(), String> {
     }
 }
 
-/// Runs `f` with `sink` installed, restoring the previous sink afterwards.
-/// Scopes are serialized process-wide, so concurrently running tests using
-/// this helper cannot pollute each other's measurements.
+/// Runs `f` with `sink` scoped on the calling thread: every probe on this
+/// thread, and in every chunk it fans out over the kernel pool, delivers to
+/// `sink` until `f` returns or unwinds. Other threads are unaffected and
+/// nothing is locked, so concurrently running tests using this helper
+/// neither wait for nor see each other. Scopes nest; the innermost wins.
 pub fn with_sink<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
-    let outermost = SCOPE_DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth == 0
-    });
-    let _guard = outermost.then(|| SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner));
-    let previous = current_sink();
-    set_sink(Some(sink));
-    // Restore on unwind too, so one panicking test cannot leave its sink
-    // installed for the rest of the process. Declared after `_guard` so it
-    // runs (restore + depth decrement) before the lock releases.
-    struct Restore(Option<Arc<dyn Sink>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_sink(self.0.take());
-            SCOPE_DEPTH.with(|d| d.set(d.get() - 1));
-        }
+    Scope(Some(sink)).enter(f)
+}
+
+/// A thread's telemetry scope, detached so another thread can run part of
+/// the same work inside it: [`capture`] on the thread that owns the work,
+/// [`Scope::enter`] on the thread that helps. The kernel pool does this for
+/// every fan-out; code that spawns its own threads inside a [`with_sink`]
+/// must do the same, because a new thread starts unscoped.
+pub struct Scope(Option<Arc<dyn Sink>>);
+
+/// The calling thread's scope (empty when it is in none). With no scope
+/// live on any thread this is one relaxed load and reads no thread-local.
+#[inline]
+pub fn capture() -> Scope {
+    if STATE.load(Ordering::Relaxed) < SCOPE {
+        return Scope(None);
     }
-    let _restore = Restore(previous);
-    f()
+    Scope(SCOPED.with(|s| s.borrow().clone()))
+}
+
+impl Scope {
+    /// Runs `f` inside this scope on the calling thread, restoring what the
+    /// thread had before when `f` returns or unwinds. Entering an empty
+    /// scope runs `f` with the thread as it is.
+    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
+        let Some(sink) = &self.0 else { return f() };
+        // Restores on unwind too: a pool helper outlives every scope it
+        // ever entered, and must leave each one clean.
+        struct Restore(Option<Arc<dyn Sink>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                STATE.fetch_sub(SCOPE, Ordering::Relaxed);
+                SCOPED.with(|s| s.replace(self.0.take()));
+            }
+        }
+        let _restore = Restore(SCOPED.with(|s| s.replace(Some(Arc::clone(sink)))));
+        STATE.fetch_add(SCOPE, Ordering::Relaxed);
+        f()
+    }
 }
 
 /// Advances a monotonic counter.
@@ -323,17 +372,9 @@ impl Drop for SpanGuard {
 }
 
 fn record(event: Event) {
-    if let Some(sink) = lock_read().as_ref() {
+    if let Some(sink) = current_sink() {
         sink.record(event);
     }
-}
-
-fn lock_read() -> std::sync::RwLockReadGuard<'static, Option<Arc<dyn Sink>>> {
-    SINK.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_write() -> std::sync::RwLockWriteGuard<'static, Option<Arc<dyn Sink>>> {
-    SINK.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -383,13 +424,44 @@ mod tests {
 
     #[test]
     fn install_spec_variants() {
-        let _guard = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let previous = current_sink();
+        // The one test here that touches the process-wide default; its
+        // siblings are scoped (and shadow it) or assert nothing about it.
         install("memory").unwrap();
         assert!(enabled());
         install("off").unwrap();
         assert!(!enabled());
-        set_sink(previous);
+    }
+
+    #[test]
+    fn a_scope_belongs_to_its_thread_and_to_whoever_enters_it() {
+        let sink = Arc::new(MemorySink::new());
+        with_sink(sink.clone(), || {
+            let scope = capture();
+            std::thread::scope(|threads| {
+                // A thread spawned by hand starts unscoped...
+                threads.spawn(|| {
+                    counter("unscoped", 1);
+                    // ...until it enters the captured scope, for that long.
+                    scope.enter(|| counter("entered", 1));
+                    counter("unscoped", 1);
+                });
+            });
+            counter("owner", 1);
+        });
+        assert_eq!(sink.counter("unscoped"), 0);
+        assert_eq!(sink.counter("entered"), 1);
+        assert_eq!(sink.counter("owner"), 1);
+        assert_eq!(sink.event_count(), 2);
+    }
+
+    #[test]
+    fn a_panicking_scope_leaves_the_thread_clean() {
+        let sink = Arc::new(MemorySink::new());
+        let caught = std::panic::catch_unwind(|| with_sink(sink.clone(), || panic!("boom")));
+        assert!(caught.is_err());
+        assert!(capture().0.is_none());
+        counter("after", 1);
+        assert_eq!(sink.event_count(), 0);
     }
 
     #[test]

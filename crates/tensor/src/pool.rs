@@ -26,7 +26,12 @@
 //! from many threads at once) cannot deadlock: every waiter waits only for
 //! chunks some thread is already running. Because chunks never read state
 //! belonging to the thread that runs them, results do not depend on who
-//! claimed what.
+//! claimed what. What a chunk does inherit is the publishing thread's
+//! telemetry and fault-injection scopes (`telemetry::with_sink`,
+//! `fault::with_plan`): the job descriptor carries them and a helper enters
+//! them for the duration of each chunk it runs, so a scope covers exactly
+//! the work its thread fans out, nested fan-outs included, and nothing else
+//! a helper does before or after.
 //!
 //! Helpers are process-lifetime threads shared by every [`Pool`] value,
 //! spawned lazily up to the largest `threads − 1` any fan-out has needed and
@@ -78,7 +83,7 @@ impl std::fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 /// Extracts the human-readable payload from a caught panic.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -340,6 +345,10 @@ mod engine {
         caller: Thread,
         /// The lowest-indexed chunk that panicked, if any.
         failed: Mutex<Option<ChunkPanic>>,
+        /// The publishing thread's telemetry and fault scopes (empty, and
+        /// captured without reading a thread-local, when no scope is live).
+        sink: telemetry::Scope,
+        plan: fault::Scope,
     }
 
     impl Job {
@@ -397,8 +406,16 @@ mod engine {
     // SAFETY: a `JobRef` is only dereferenced while its job is published or
     // has a claimed, unfinished chunk, both of which `fan_out` outlives.
     // Every field of `Job` reached through it is `Sync`: atomics, a mutex,
-    // a `Thread` handle, and a pointer to a `Sync` closure.
+    // a `Thread` handle, two scopes (`Arc`s of `Sync` data), and a pointer
+    // to a `Sync` closure.
     unsafe impl Send for JobRef {}
+
+    /// The two fields above whose `Sync` is another crate's to keep.
+    const _: fn() = || {
+        fn sync<T: Sync>() {}
+        sync::<telemetry::Scope>();
+        sync::<fault::Scope>();
+    };
 
     struct Registry {
         /// Jobs that may still have unclaimed chunks.
@@ -472,6 +489,8 @@ mod engine {
             pending: AtomicUsize::new(n_chunks),
             caller: std::thread::current(),
             failed: Mutex::new(None),
+            sink: telemetry::capture(),
+            plan: fault::capture(),
         };
         let bomb = AbortOnUnwind;
         publish(&job);
@@ -570,7 +589,10 @@ mod engine {
         let n_chunks = job.n_chunks;
         let caller = job.caller.clone();
         loop {
-            job.run(c, true);
+            // Inside the publisher's scopes: the chunk's probes, and any
+            // fan-out it publishes in turn, see the sink and the plan (hit
+            // counters included) the caller's own chunks see.
+            job.sink.enter(|| job.plan.enter(|| job.run(c, true)));
             // Claim before completing: while `c` is unfinished the job is
             // certainly alive, and if the claim succeeds the new chunk
             // keeps it alive past the decrement.
@@ -781,6 +803,37 @@ mod tests {
             // The fault window has passed: the pool serves again.
             assert_eq!(Pool::with_threads(1).try_map(8, |i| i).unwrap().len(), 8);
         });
+    }
+
+    #[test]
+    fn helpers_run_chunks_inside_the_callers_scopes() {
+        use std::sync::Arc;
+        let sink = Arc::new(deeprest_telemetry::MemorySink::new());
+        // Hits 0..4 pass, every later one fires.
+        let plan = Arc::new(deeprest_fault::FaultPlan::new(0).window("pool.worker", 4, u64::MAX));
+        let pool = Pool::with_threads(4);
+        deeprest_telemetry::with_sink(sink.clone(), || {
+            deeprest_fault::with_plan(plan, || {
+                // Chunks meet at the barrier two at a time, so a helper
+                // runs at least one of them...
+                let meet = std::sync::Barrier::new(2);
+                pool.for_each(4, |_| {
+                    meet.wait();
+                });
+                assert!(sink.counter("pool.chunks.helper") > 0);
+                // ...and advanced the caller's own hit counters when it
+                // did: the next fan-out starts at hit 4, so every one of
+                // its chunks is struck, whichever thread runs it.
+                let err = pool.try_map(4, |i| i).expect_err("hits 4..8 all fire");
+                assert_eq!((err.lo, err.hi), (0, 1), "{err}");
+            })
+        });
+        assert_eq!(sink.counter("fault.injected.pool.worker"), 4);
+        assert_eq!(
+            sink.counter("pool.chunks.helper") + sink.counter("pool.chunks.caller"),
+            8,
+            "both fan-outs counted every chunk in the caller's sink"
+        );
     }
 
     #[test]

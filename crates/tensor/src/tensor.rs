@@ -149,16 +149,6 @@ impl Tensor {
         )
     }
 
-    /// Applies `f` to every element, writing into `out` (which is resized to
-    /// `self`'s shape, reusing its allocation). The output-reusing twin of
-    /// [`Tensor::map`].
-    pub fn map_into(&self, out: &mut Self, f: impl Fn(f32) -> f32) {
-        out.reshape_to(self.rows, self.cols);
-        for (o, &v) in out.data.iter_mut().zip(self.data.iter()) {
-            *o = f(v);
-        }
-    }
-
     /// Applies `f` elementwise to `self` and `other`.
     ///
     /// # Panics
@@ -173,24 +163,6 @@ impl Tensor {
             .map(|(&a, &b)| f(a, b))
             .collect();
         Self::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Applies `f` elementwise to `self` and `other`, writing into `out`
-    /// (resized to `self`'s shape, reusing its allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and `other` differ in shape.
-    pub fn zip_map_into(&self, other: &Self, out: &mut Self, f: impl Fn(f32, f32) -> f32) {
-        self.assert_same_shape(other, "zip_map_into");
-        out.reshape_to(self.rows, self.cols);
-        for (o, (&a, &b)) in out
-            .data
-            .iter_mut()
-            .zip(self.data.iter().zip(other.data.iter()))
-        {
-            *o = f(a, b);
-        }
     }
 
     /// Copies `src`'s shape and contents into `self`, reusing the backing
@@ -678,17 +650,6 @@ mod tests {
         assert_eq!(out.shape(), (2, 2));
         assert_eq!(out.data(), a.matmul(&b).data());
         assert_eq!(out.data.capacity(), cap, "must reuse the allocation");
-    }
-
-    #[test]
-    fn map_and_zip_map_into_match_allocating_forms() {
-        let a = Tensor::from_vec(2, 2, vec![1.0, -2.0, 3.0, -4.0]);
-        let b = Tensor::from_vec(2, 2, vec![0.5, 0.5, 2.0, 2.0]);
-        let mut out = Tensor::zeros(1, 1);
-        a.map_into(&mut out, |v| v * 2.0);
-        assert_eq!(out, a.map(|v| v * 2.0));
-        a.zip_map_into(&b, &mut out, |x, y| x * y);
-        assert_eq!(out, a.mul(&b));
     }
 
     #[test]
