@@ -62,10 +62,29 @@ fn bench_feature_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("feature_extraction");
     group.sample_size(20);
     for dim in [16usize, 64, 256] {
-        let (_, traces, _) = synthetic(dim, 32);
+        let (interner, traces, metrics) = synthetic(dim, 32);
         let space = FeatureSpace::construct(&traces);
         group.bench_with_input(BenchmarkId::new("window", dim), &dim, |b, _| {
             b.iter(|| space.extract(traces.window(7)));
+        });
+        // The path serving runs: the same window as a producer that interned
+        // the same names back to front wrote it, read through the per-call
+        // symbol memo. Next to `window/*` it shows what translation costs.
+        let config = DeepRestConfig::default().with_hidden(4).with_epochs(1);
+        let (model, _) = DeepRest::fit(&traces, &metrics, &interner, config);
+        let names: Vec<&str> = interner.iter().map(|(_, name)| name).collect();
+        let mut source = Interner::new();
+        for name in names.iter().rev() {
+            source.intern(name);
+        }
+        let document = jaeger::export(traces.window(7), &interner);
+        let window = jaeger::import(&document, &mut source).expect("exported document imports");
+        assert_eq!(
+            model.window_features(&window, &source),
+            model.window_features(traces.window(7), &interner)
+        );
+        group.bench_with_input(BenchmarkId::new("translated", dim), &dim, |b, _| {
+            b.iter(|| model.window_features(black_box(&window), &source));
         });
     }
     group.finish();

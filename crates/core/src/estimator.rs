@@ -551,7 +551,7 @@ impl DeepRest {
     /// fitted during application learning, so the loss stays on the
     /// original scale), and cumulative resources are delta-encoded exactly
     /// as in [`DeepRest::fit`]. Query traces may come from any producer:
-    /// symbols are translated into the model's own space first.
+    /// `interner` is the table that names them.
     ///
     /// This drives the periodic-retraining loop (§6): keep serving from
     /// the model while folding in the latest windows, paying only the
@@ -583,17 +583,16 @@ impl DeepRest {
     }
 
     /// Normalized features and per-expert targets for training this model
-    /// on `traces`/`metrics`: symbols translated into the model's space,
-    /// cumulative resources delta-encoded, targets normalized with the
-    /// scalers fitted during application learning.
+    /// on `traces`/`metrics`: symbols read through `interner`, cumulative
+    /// resources delta-encoded, targets normalized with the scalers fitted
+    /// during application learning.
     pub(crate) fn training_inputs(
         &self,
         traces: &WindowedTraces,
         metrics: &MetricsRegistry,
         interner: &Interner,
     ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-        let translated = self.translate_traces(traces, interner);
-        let xs = self.features.extract_all_normalized(&translated);
+        let xs = self.feature_rows(traces, interner);
         let targets = self
             .experts
             .iter()
@@ -616,19 +615,17 @@ impl DeepRest {
     /// collected from the production environment (the sanity-check input).
     ///
     /// `interner` is the name table the query traces were produced with;
-    /// symbols are translated into the model's own symbol space first, so
-    /// traces from any producer (or any simulator run) are accepted. Names
-    /// never observed during application learning translate to unmatched
-    /// sentinels and simply contribute no features.
+    /// feature extraction reads their symbols through it, so traces from
+    /// any producer (or any simulator run) are accepted as they are. Names
+    /// never observed during application learning match no path and simply
+    /// contribute no features.
     ///
     /// Like every `estimate_*` query this steps a
     /// [`StreamPredictor`] over the windows, so the `stream.*` telemetry and
     /// the `stream.step` / `stream.hidden` fault probes apply. A query is
     /// not a healed serve step: an injected panic unwinds to the caller.
     pub fn estimate_from_traces(&self, traces: &WindowedTraces, interner: &Interner) -> Estimates {
-        let translated = self.translate_traces(traces, interner);
-        let xs = self.features.extract_all_normalized(&translated);
-        self.predict(&xs)
+        self.predict(&self.feature_rows(traces, interner))
     }
 
     /// Mode 1 (§3, Fig. 4): estimates the resources needed to serve
@@ -641,7 +638,7 @@ impl DeepRest {
     /// application learning.
     pub fn estimate_traffic(&self, traffic: &ApiTraffic, seed: u64) -> Estimates {
         let synthetic = self.synthesizer.synthesize(traffic, &self.interner, seed);
-        // Synthetic traces are already in the model's symbol space.
+        // Synthetic traces are already in the model's numbering.
         let xs = self.features.extract_all_normalized(&synthetic);
         self.predict(&xs)
     }
@@ -690,48 +687,11 @@ impl DeepRest {
         Ok(self.run_stream(predictor, rows))
     }
 
-    /// Rewrites query traces into the model's symbol space.
-    fn translate_traces(&self, traces: &WindowedTraces, from: &Interner) -> WindowedTraces {
-        let mut out = WindowedTraces::with_windows(traces.window_secs, traces.len());
-        for (t, window) in traces.windows.iter().enumerate() {
-            out.windows[t] = self.translate_window(window, from);
-        }
-        out
-    }
-
-    /// Rewrites one window of query traces into the model's symbol space —
-    /// the per-window unit [`translate_traces`](Self::translate_traces)
-    /// iterates, shared with the streaming path so both translate
-    /// identically.
-    pub(crate) fn translate_window(
-        &self,
-        window: &[deeprest_trace::Trace],
-        from: &Interner,
-    ) -> Vec<deeprest_trace::Trace> {
-        fn map_span(
-            span: &deeprest_trace::SpanNode,
-            to: &Interner,
-            from: &Interner,
-        ) -> deeprest_trace::SpanNode {
-            deeprest_trace::SpanNode {
-                component: to.translate(from, span.component),
-                operation: to.translate(from, span.operation),
-                children: span
-                    .children
-                    .iter()
-                    .map(|c| map_span(c, to, from))
-                    .collect(),
-            }
-        }
-        window
-            .iter()
-            .map(|tr| {
-                deeprest_trace::Trace::new(
-                    self.interner.translate(from, tr.api),
-                    map_span(&tr.root, &self.interner, from),
-                )
-            })
-            .collect()
+    /// [`window_features`](Self::window_features) of every window: the batch
+    /// queries and training read traces exactly as serving does.
+    fn feature_rows(&self, traces: &WindowedTraces, from: &Interner) -> Vec<Vec<f32>> {
+        let windows = traces.windows.iter();
+        windows.map(|w| self.window_features(w, from)).collect()
     }
 
     /// Runs the forward pass (no gradients) over normalized features from
@@ -902,11 +862,11 @@ impl DeepRest {
     ///
     /// # Errors
     ///
-    /// Returns the underlying `serde_json` error on malformed input.
+    /// Returns the underlying `serde_json` error on malformed input,
+    /// including a feature or name table that cannot be indexed (see
+    /// [`FeatureSpace`]'s and [`Interner`]'s `Deserialize`).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut model: DeepRest = serde_json::from_str(json)?;
-        model.features.rebuild_lookup();
-        Ok(model)
+        serde_json::from_str(json)
     }
 
     fn expert(&self, key: &ExpertKey) -> Option<&Expert> {
@@ -1148,6 +1108,63 @@ mod tests {
             e2.get(&k).unwrap().expected.values()
         );
         assert!(back.parameter_count() > 0);
+        assert_eq!(back.to_json().unwrap(), json);
+
+        // The loaded model is complete as it is: the same traces from a
+        // producer that numbers the names differently (and knows one more)
+        // give the same bits as on the model that was saved.
+        let mut other = Interner::new();
+        let (ghost, api) = (other.intern("Ghost"), other.intern("/read"));
+        let (read, f) = (other.intern("read"), other.intern("Frontend"));
+        let mut query = WindowedTraces::with_windows(1.0, 24);
+        for t in 0..24 {
+            for _ in 0..traces.window(t).len() {
+                query.windows[t].push(Trace::new(api, SpanNode::leaf(f, read)));
+            }
+            query.windows[t].push(Trace::new(api, SpanNode::leaf(ghost, read)));
+            let (x1, x2) = (
+                model.window_features(query.window(t), &other),
+                back.window_features(query.window(t), &other),
+            );
+            assert_eq!(x1, model.window_features(traces.window(t), &i));
+            assert_eq!(x1[0].to_bits(), x2[0].to_bits());
+        }
+        let e3 = back.estimate_from_traces(&query, &other);
+        for (key, series) in model.estimate_from_traces(&query, &other).iter() {
+            let loaded = e3.get(key).unwrap();
+            assert_eq!(series.expected.values(), loaded.expected.values());
+            assert_eq!(series.lower.values(), loaded.lower.values());
+            assert_eq!(series.upper.values(), loaded.upper.values());
+        }
+    }
+
+    #[test]
+    fn from_json_refuses_tables_it_cannot_index() {
+        let (i, traces, metrics) = tiny_dataset(16);
+        let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+        let json = model.to_json().unwrap();
+        for (good, bad, expect) in [
+            (r#""paths":[[1]]"#, r#""paths":[[]]"#, "path 0 is empty"),
+            (
+                r#""paths":[[1]]"#,
+                r#""paths":[[1,1]]"#,
+                "has no parent path",
+            ),
+            (
+                r#""paths":[[1]]"#,
+                r#""paths":[[1],[1]]"#,
+                "scale differ in length",
+            ),
+            (
+                r#"["Frontend","read","/read"]"#,
+                r#"["read","read","/read"]"#,
+                "appears twice",
+            ),
+        ] {
+            assert!(json.contains(good), "{good} not in {json}");
+            let err = DeepRest::from_json(&json.replace(good, bad)).expect_err(bad);
+            assert!(err.to_string().contains(expect), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -64,6 +64,7 @@ use serde::{Deserialize, Serialize};
 pub use deeprest_tensor::pool::panic_message;
 
 use crate::estimator::Expert;
+use crate::features::translating;
 use crate::DeepRest;
 
 /// One window's `(expected, lower, upper)` estimate for one expert, after
@@ -165,13 +166,19 @@ impl DeepRest {
     }
 
     /// Extracts the normalized feature vector for one window of query
-    /// traces — the per-window unit of the batch
-    /// [`estimate_from_traces`](Self::estimate_from_traces) pipeline
-    /// (symbol translation + Alg. 2 path counting + normalization), so
-    /// streaming features are bit-identical to the batch extraction.
+    /// traces named by `from` — the per-window unit of the batch
+    /// [`estimate_from_traces`](Self::estimate_from_traces) pipeline: one
+    /// walk of the traces as they arrived, symbols read through a per-call
+    /// `from` → model memo, Alg. 2 path counting, normalization. Streaming
+    /// features are bit-identical to the batch extraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a walked span names a symbol outside `from`.
     pub fn window_features(&self, window: &[Trace], from: &Interner) -> Vec<f32> {
-        let translated = self.translate_window(window, from);
-        self.features.extract_normalized(&translated)
+        let mut sym = translating(&self.interner, from);
+        self.features
+            .normalize(self.features.extract_with(window, &mut sym))
     }
 }
 

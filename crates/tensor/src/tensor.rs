@@ -50,11 +50,6 @@ impl Tensor {
         Self::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
-    /// Creates a tensor filled with ones.
-    pub fn ones(rows: usize, cols: usize) -> Self {
-        Self::from_vec(rows, cols, vec![1.0; rows * cols])
-    }
-
     /// Creates a tensor filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
         Self::from_vec(rows, cols, vec![value; rows * cols])
@@ -175,7 +170,7 @@ impl Tensor {
     /// Reshapes in place to `(rows, cols)`, growing or shrinking the backing
     /// buffer as needed (new elements are zero). Existing capacity is
     /// reused; contents are unspecified unless the caller overwrites them.
-    pub fn reshape_to(&mut self, rows: usize, cols: usize) {
+    fn reshape_to(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
@@ -188,15 +183,6 @@ impl Tensor {
     /// Panics if the shapes differ.
     pub fn add(&self, other: &Self) -> Self {
         self.zip_map(other, |a, b| a + b)
-    }
-
-    /// Elementwise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn sub(&self, other: &Self) -> Self {
-        self.zip_map(other, |a, b| a - b)
     }
 
     /// Hadamard (elementwise) product.
@@ -313,18 +299,6 @@ impl Tensor {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_nt(&self, other: &Self) -> Self {
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        self.matmul_nt_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_nt`] writing into `out` (resized in place, reusing
-    /// its allocation). Bit-identical to the allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_nt_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols,
             other.cols,
@@ -332,12 +306,12 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        out.reshape_to(self.rows, other.rows);
         if other.rows == 1 {
             telemetry::counter("kernel.gemv", 1);
         } else {
             telemetry::counter("kernel.gemm", 1);
         }
+        let mut out = Tensor::zeros(self.rows, other.rows);
         kernel::gemm_nt_into(
             &mut out.data,
             &self.data,
@@ -346,6 +320,7 @@ impl Tensor {
             &other.data,
             other.rows,
         );
+        out
     }
 
     /// Matrix product with transposed left operand: `self^T * other`,
@@ -362,18 +337,6 @@ impl Tensor {
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_tn(&self, other: &Self) -> Self {
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] writing into `out` (resized in place, reusing
-    /// its allocation). Bit-identical to the allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn matmul_tn_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.rows,
             other.rows,
@@ -381,12 +344,12 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        out.reshape_to(self.cols, other.cols);
         if other.cols == 1 {
             telemetry::counter("kernel.gemv", 1);
         } else {
             telemetry::counter("kernel.gemm", 1);
         }
+        let mut out = Tensor::zeros(self.cols, other.cols);
         kernel::gemm_tn_into(
             &mut out.data,
             &self.data,
@@ -395,6 +358,7 @@ impl Tensor {
             &other.data,
             other.cols,
         );
+        out
     }
 
     /// Matrix transpose.
@@ -435,20 +399,6 @@ impl Tensor {
     /// Smallest element; positive infinity for an empty tensor.
     pub fn min(&self) -> f32 {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Dot product between two tensors of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn dot(&self, other: &Self) -> f32 {
-        self.assert_same_shape(other, "dot");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| a * b)
-            .sum()
     }
 
     /// Stacks column vectors vertically into one longer column vector.
@@ -602,9 +552,7 @@ mod tests {
         let a = Tensor::vector(vec![1.0, 2.0]);
         let b = Tensor::vector(vec![3.0, -4.0]);
         assert_eq!(a.add(&b).data(), &[4.0, -2.0]);
-        assert_eq!(a.sub(&b).data(), &[-2.0, 6.0]);
         assert_eq!(a.mul(&b).data(), &[3.0, -8.0]);
-        assert_eq!(a.dot(&b), -5.0);
     }
 
     #[test]

@@ -1,4 +1,15 @@
 //! String interning for component, operation and API names.
+//!
+//! An [`Interner`] that exists is complete: the name → symbol index is built
+//! as names are interned and rebuilt by `Deserialize` from the serialised
+//! `names` list (a table that repeats a name is refused there), so
+//! [`Interner::get`], [`Interner::intern`] and [`Interner::translate`]
+//! answer the same on a loaded table as on the one that was saved.
+//!
+//! Two producers number the same names differently. [`Interner::translate`]
+//! is the bridge: one name lookup that carries a symbol of another table
+//! into this one. Feature extraction calls it once per *distinct* source
+//! symbol (it memoises the answers) and never rewrites a trace.
 
 use std::collections::HashMap;
 
@@ -36,11 +47,31 @@ impl Sym {
 ///
 /// Trace producers and consumers share one interner so that symbol equality
 /// means name equality.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Interner {
     names: Vec<String>,
+    /// `names` inverted; derived, so only `names` is written out.
     #[serde(skip)]
     lookup: HashMap<String, u32>,
+}
+
+impl Deserialize for Interner {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            names: Vec<String>,
+        }
+        let mut table = Self::new();
+        for name in Wire::from_value(value)?.names {
+            if table.get(&name).is_some() {
+                return Err(serde::Error::custom(format!(
+                    "Interner: name {name:?} appears twice"
+                )));
+            }
+            table.intern(&name);
+        }
+        Ok(table)
+    }
 }
 
 impl Interner {
@@ -51,7 +82,6 @@ impl Interner {
 
     /// Interns `name`, returning its symbol (existing or new).
     pub fn intern(&mut self, name: &str) -> Sym {
-        self.rebuild_lookup_if_needed();
         if let Some(&id) = self.lookup.get(name) {
             return Sym(id);
         }
@@ -66,17 +96,7 @@ impl Interner {
 
     /// Looks up an already-interned name without inserting.
     pub fn get(&self, name: &str) -> Option<Sym> {
-        if self.lookup.len() == self.names.len() {
-            self.lookup.get(name).map(|&id| Sym(id))
-        } else {
-            // Deserialized interner: the lookup map is skipped by serde, so
-            // fall back to a scan (interners are small; callers that care
-            // re-intern once, which rebuilds the map).
-            self.names
-                .iter()
-                .position(|n| n == name)
-                .map(|i| Sym(i as u32))
-        }
+        self.lookup.get(name).map(|&id| Sym(id))
     }
 
     /// Resolves a symbol back to its name.
@@ -112,17 +132,6 @@ impl Interner {
     /// seen the name.
     pub fn translate(&self, from: &Interner, sym: Sym) -> Sym {
         self.get(from.resolve(sym)).unwrap_or(Sym::UNKNOWN)
-    }
-
-    fn rebuild_lookup_if_needed(&mut self) {
-        if self.lookup.len() != self.names.len() {
-            self.lookup = self
-                .names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.clone(), i as u32))
-                .collect();
-        }
     }
 }
 
@@ -165,5 +174,47 @@ mod tests {
         i.intern("b");
         let names: Vec<&str> = i.iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn a_loaded_table_answers_as_the_one_saved() {
+        let mut saved = Interner::new();
+        for name in ["Frontend", "Mongo", "find"] {
+            saved.intern(name);
+        }
+        let json = serde_json::to_string(&saved).unwrap();
+        let mut loaded: Interner = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
+
+        // Another producer's numbering of an overlapping name set.
+        let mut other = Interner::new();
+        for name in ["find", "Ghost", "Frontend"] {
+            other.intern(name);
+        }
+        for (sym, name) in saved.iter() {
+            assert_eq!(loaded.get(name), Some(sym));
+        }
+        assert_eq!(loaded.get("Ghost"), None);
+        for (sym, _) in other.iter() {
+            assert_eq!(loaded.translate(&other, sym), saved.translate(&other, sym));
+        }
+        assert_eq!(loaded.translate(&other, Sym(1)), Sym::UNKNOWN);
+        for name in ["Mongo", "Ghost"] {
+            assert_eq!(loaded.intern(name), saved.intern(name));
+        }
+        assert_eq!(loaded.len(), 4);
+    }
+
+    #[test]
+    fn tables_the_index_cannot_represent_are_errors() {
+        for (json, expect) in [
+            (r#"{"names":["a","b","a"]}"#, "\"a\" appears twice"),
+            (r#"{"names":["",""]}"#, "appears twice"),
+            (r#"{"names":["a",7]}"#, ""),
+            (r#"{}"#, ""),
+        ] {
+            let err = serde_json::from_str::<Interner>(json).expect_err(json);
+            assert!(err.to_string().contains(expect), "{json}: {err}");
+        }
     }
 }

@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::window::TimestampedTrace;
+use crate::window::{window_index, TimestampedTrace};
 use crate::Trace;
 
 /// One window the assembler has sealed: its index in the stream (window `t`
@@ -125,16 +125,14 @@ impl WindowAssembler {
     /// Feeds one arrival. Returns every window the advancing watermark
     /// sealed, in index order (possibly empty windows in between).
     pub fn push(&mut self, t: TimestampedTrace) -> Vec<SealedWindow> {
-        if !t.at_secs.is_finite() || t.at_secs < 0.0 {
-            self.late_dropped += 1;
-            return Vec::new();
-        }
         let t_at = t.at_secs;
-        let idx = (t_at / self.window_secs) as usize;
-        if idx < self.next_seal {
-            self.late_dropped += 1;
-            return Vec::new();
-        }
+        let idx = match window_index(t_at, self.window_secs) {
+            Some(idx) if idx >= self.next_seal => idx,
+            _ => {
+                self.late_dropped += 1;
+                return Vec::new();
+            }
+        };
         match self.open.binary_search_by_key(&idx, |w| w.index) {
             Ok(pos) => self.open[pos].entries.push(t),
             Err(pos) => self.open.insert(
@@ -273,14 +271,21 @@ mod tests {
         let mut i = Interner::new();
         let a = mk(&mut i, "/a");
         let b = mk(&mut i, "/b");
+        // Stamps no window covers sit between the valid ones: both sides
+        // must leave them out (the assembler counts them).
         let stamped = vec![
+            at(f64::NAN, &b),
             at(0.5, &a),
             at(4.9, &b),
+            at(f64::NEG_INFINITY, &a),
             at(5.0, &a),
+            at(-2.5, &a),
             at(12.0, &b),
+            at(f64::INFINITY, &b),
             at(14.9, &a),
         ];
         let batch = partition(stamped.clone(), 5.0, 3);
+        assert_eq!(batch.trace_count(), 5);
         let mut asm = WindowAssembler::new(5.0, 0.0);
         let mut sealed = Vec::new();
         for s in stamped {
@@ -297,7 +302,7 @@ mod tests {
             let stream_keys: Vec<_> = w.traces.iter().map(Trace::canonical_key).collect();
             assert_eq!(batch_keys, stream_keys, "window {}", w.index);
         }
-        assert_eq!(asm.late_dropped(), 0);
+        assert_eq!(asm.late_dropped(), 4);
     }
 
     #[test]

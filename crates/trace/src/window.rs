@@ -86,6 +86,13 @@ impl WindowedTraces {
     }
 }
 
+/// The index of the window that covers an arrival stamped `at_secs`, or
+/// `None` for a stamp no window covers (NaN, ±∞, negative). The batch
+/// [`partition`] and the streaming assembler both place arrivals with this.
+pub(crate) fn window_index(at_secs: f64, window_secs: f64) -> Option<usize> {
+    (at_secs.is_finite() && at_secs >= 0.0).then(|| (at_secs / window_secs) as usize)
+}
+
 /// Partitions timestamped traces into windows of `window_secs`, producing
 /// exactly `window_count` windows; traces falling outside are discarded.
 ///
@@ -100,12 +107,9 @@ pub fn partition(
     assert!(window_secs > 0.0, "partition: window_secs must be positive");
     let mut out = WindowedTraces::with_windows(window_secs, window_count);
     for t in traces {
-        if t.at_secs < 0.0 {
-            continue;
-        }
-        let idx = (t.at_secs / window_secs) as usize;
-        if idx < window_count {
-            out.windows[idx].push(t.trace);
+        match window_index(t.at_secs, window_secs) {
+            Some(idx) if idx < window_count => out.windows[idx].push(t.trace),
+            _ => {}
         }
     }
     out
