@@ -13,11 +13,12 @@ use deeprest_serve::ServeError;
 #[derive(Clone, Debug, PartialEq)]
 pub enum AdaptError {
     /// A shared serving stage failed, with exactly the plain pipeline's
-    /// semantics: an unconsumed arrival ([`ServeError::Ingest`]) or a
-    /// parked window ([`ServeError::Step`]/[`ServeError::PoisonedState`]).
+    /// semantics: an unconsumed arrival ([`ServeError::Ingest`] to retry,
+    /// [`ServeError::UnknownSymbol`] to drop) or a parked window
+    /// ([`ServeError::Step`]/[`ServeError::PoisonedState`]).
     Serve(ServeError),
-    /// The streaming predictor could not be (re)built or reattached: the
-    /// carried state disagrees with the model's geometry.
+    /// The stream's carried state could not be restored: the checkpointed
+    /// snapshot disagrees with the model's geometry.
     Predictor(String),
     /// The sanity scorer's checkpointed state disagrees with the model.
     Sanity(String),

@@ -3,7 +3,11 @@
 //! [`AdaptivePipeline`] runs the very stages [`deeprest_serve::Pipeline`]
 //! runs — one [`WindowStages`] does the windowing, healed inference step,
 //! quarantine, sanity scoring and alert delivery for both — around a model
-//! that is **owned and mutable**. This module adds only what is adaptive:
+//! that is **owned and mutable**. The stream's
+//! [`CarriedState`] sits beside the model, by value, across the pipeline's
+//! own updates: it holds hidden vectors and no weights, the model repacks
+//! its slab inside every update, and each window's step is handed the model
+//! as it is then. This module adds only what is adaptive:
 //! it widens the raw intervals by the conformal scale before scoring, feeds
 //! drift and calibration statistics and stages `(features, targets)`
 //! segments from what the scoring stage observed, and on a fixed cadence
@@ -37,9 +41,9 @@
 //! never reach serving: an injected `adapt.update` fault rejects the step
 //! before any mutation, and a poisoned parameter after the step
 //! (`adapt.update.poison`, or a genuine numeric blow-up) rolls the store
-//! back bit-for-bit. Either way the packed serving state is still valid and
-//! the pipeline keeps serving from the pre-update parameters; the outcome
-//! is recorded in [`last_update`](AdaptivePipeline::last_update), not thrown.
+//! and its pack back bit-for-bit. Either way the pipeline keeps serving
+//! from the pre-update parameters; the outcome is recorded in
+//! [`last_update`](AdaptivePipeline::last_update), not thrown.
 //!
 //! # Frozen mode
 //!
@@ -48,7 +52,7 @@
 //! owned model.
 
 use deeprest_core::adapt::{OnlineUpdater, TrainSegment};
-use deeprest_core::stream::{DetachedPredictor, PointEstimate, StreamPredictor, StreamSnapshot};
+use deeprest_core::stream::{CarriedState, PointEstimate};
 use deeprest_core::{DeepRest, ExpertKey};
 use deeprest_metrics::MetricsRegistry;
 use deeprest_serve::{AlertSink, Checkpoint, ControlTick, WindowOutput, WindowStages};
@@ -118,24 +122,13 @@ struct AdapterEnvelope {
     state: AdapterState,
 }
 
-/// The carried predictor state between windows.
-// One value per pipeline, swapped every window: boxing the packed variant
-// would put an allocation on each window's detach.
-#[allow(clippy::large_enum_variant)]
-enum Carried {
-    /// Packed weights and hidden state, valid for the current parameters.
-    Packed(DetachedPredictor),
-    /// Hidden state only: a model update made the packed weights stale, so
-    /// the next window repacks from this against the adapted parameters.
-    Stale(StreamSnapshot),
-}
-
 /// The owned model and everything that adapts it — all of the pipeline
 /// that is not the shared serving stages.
 struct Adapter {
     model: DeepRest,
     config: AdaptConfig,
-    carried: Carried,
+    /// The stream's hidden state and position, stepped against `model`.
+    carried: CarriedState,
     updater: OnlineUpdater,
     replay: ReplayBuffer,
     drift: DriftDetector,
@@ -210,7 +203,7 @@ impl AdaptivePipeline {
 
     /// Number of windows sealed and served so far.
     pub fn position(&self) -> usize {
-        self.adapter.position()
+        self.adapter.carried.position()
     }
 
     /// How many traces arrived beyond the lateness bound (counted, never
@@ -332,8 +325,7 @@ impl AdaptivePipeline {
     /// [`deeprest_serve::Pipeline::poll_control`], but the snapshot forks
     /// the *adapted* model's live state.
     pub fn poll_control(&mut self) -> Option<ControlTick> {
-        self.stages
-            .poll_control(self.adapter.position(), || self.adapter.snapshot())
+        self.stages.poll_control(&self.adapter.carried)
     }
 
     /// Captures the full adaptive state as a standard serve
@@ -372,7 +364,7 @@ impl AdaptivePipeline {
         };
         let adapter =
             serde_json::to_string(&envelope).map_err(|e| AdaptError::Codec(e.to_string()))?;
-        Ok(self.stages.checkpoint(a.snapshot(), Some(adapter)))
+        Ok(self.stages.checkpoint(&a.carried, Some(adapter)))
     }
 
     /// Rebuilds an adaptive pipeline from a [`checkpoint`](Self::checkpoint),
@@ -416,11 +408,8 @@ impl AdaptivePipeline {
         }
         let experts = adapter.prev_actual.len();
         let nominal = f64::from(adapter.model.config().delta);
-        adapter.carried = Carried::Packed(
-            StreamPredictor::restore(&adapter.model, &checkpoint.predictor)
-                .map_err(AdaptError::Predictor)?
-                .detach(),
-        );
+        adapter.carried = CarriedState::restore(&adapter.model, &checkpoint.predictor)
+            .map_err(AdaptError::Predictor)?;
         adapter.drift = DriftDetector::restore(nominal, config.drift, st.drift, experts)
             .map_err(AdaptError::Adapter)?;
         adapter.calib = Calibrator::restore(nominal, config.calibration, st.calibration, experts)
@@ -450,7 +439,7 @@ impl Adapter {
         let dim = model.feature_space().dim();
         let capacity = config.replay_capacity.max(1);
         Self {
-            carried: Carried::Packed(model.stream_predictor().detach()),
+            carried: CarriedState::new(&model),
             updater: OnlineUpdater::new(&model, config.update),
             replay: ReplayBuffer::new(capacity),
             drift: DriftDetector::new(nominal, config.drift, experts),
@@ -475,21 +464,6 @@ impl Adapter {
         }
     }
 
-    fn position(&self) -> usize {
-        match &self.carried {
-            Carried::Packed(d) => d.position(),
-            Carried::Stale(snap) => snap.position,
-        }
-    }
-
-    /// The carried hidden state, whichever form it is currently held in.
-    fn snapshot(&self) -> StreamSnapshot {
-        match &self.carried {
-            Carried::Packed(d) => d.snapshot(),
-            Carried::Stale(snap) => snap.clone(),
-        }
-    }
-
     /// One sealed window: the shared serving stages, then — only when
     /// adaptation is enabled — recalibration before scoring and the
     /// observe/seal/update step after it.
@@ -498,18 +472,7 @@ impl Adapter {
         stages: &mut WindowStages,
         w: &SealedWindow,
     ) -> Result<WindowOutput, AdaptError> {
-        // Serve: one O(1) attach of the packed state (or one repack right
-        // after a model update), the shared healed step, detach — which
-        // overwrites the placeholder left behind here.
-        let placeholder = Carried::Stale(StreamSnapshot::default());
-        let mut pred = match std::mem::replace(&mut self.carried, placeholder) {
-            Carried::Packed(d) => StreamPredictor::attach(&self.model, d),
-            Carried::Stale(snap) => StreamPredictor::restore(&self.model, &snap),
-        }
-        .map_err(AdaptError::Predictor)?;
-        let stepped = stages.step(&self.model, &mut pred, w);
-        self.carried = Carried::Packed(pred.detach());
-        let (x, raw) = stepped?;
+        let (x, raw) = stages.step(&self.model, &mut self.carried, w)?;
         if !self.config.enabled {
             return Ok(stages.score(w, raw));
         }
@@ -628,11 +591,9 @@ impl Adapter {
         let outcome = self.updater.update(&mut self.model, &segments);
         if outcome.is_ok() {
             self.updates_run += 1;
-            // The hidden state outlives the update; the packed weights do not.
-            self.carried = Carried::Stale(self.snapshot());
         } else {
-            // Rejected before mutation or rolled back bit-for-bit: the
-            // packed state is still exactly the serving model.
+            // Rejected before mutation or rolled back bit-for-bit, pack
+            // included: the next window serves the pre-update model.
             self.updates_failed += 1;
             if telemetry::enabled() {
                 telemetry::counter("adapt.update.failed", 1);

@@ -314,7 +314,7 @@ fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
         }
         let before = pipeline.checkpoint().expect("checkpoint");
         match pipeline.ingest(stream[at].clone()) {
-            Err(AdaptError::Serve(ServeError::Ingest(msg))) => {
+            Err(AdaptError::Serve(ServeError::UnknownSymbol(msg))) => {
                 assert!(msg.contains("symbol #4"), "{msg}");
                 assert!(msg.contains("holds 3 names"), "{msg}");
             }

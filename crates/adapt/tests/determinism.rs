@@ -2,8 +2,8 @@
 //!
 //! * the whole trajectory — serving outputs *and* adapted parameters — is
 //!   bit-identical across worker thread counts;
-//! * a mid-adaptation checkpoint/restore (mid-segment, between updates)
-//!   resumes bit-identically to the uninterrupted run;
+//! * a mid-adaptation checkpoint/restore (mid-segment between updates, or
+//!   right behind one) resumes bit-identically to the uninterrupted run;
 //! * the adapter envelope survives `CheckpointStore`'s framed, CRC-checked
 //!   persistence unchanged.
 
@@ -78,40 +78,56 @@ fn mid_adaptation_checkpoint_resume_is_bit_identical() {
         "needs real updates to be a test"
     );
 
-    // Interrupted run: checkpoint mid-stream — after the first update has
-    // adapted the model, inside a partially-staged segment — then restore
-    // from the serialized bytes and continue.
-    let cut = stream.len() / 2 + 3;
-    let mut first = AdaptivePipeline::new(clone_model(&model), &interner, metrics.clone(), config);
-    let mut outputs = Vec::new();
-    for t in &stream[..cut] {
-        outputs.extend(first.ingest(t.clone()).expect("ingest"));
-    }
-    assert!(
-        first.updates_run() >= 1,
-        "the cut must land after at least one applied update"
-    );
-    let checkpoint = first.checkpoint().expect("checkpoint");
-    let json = checkpoint.to_json().expect("serialize checkpoint");
-    drop(first);
+    // Two cuts. Mid-stream: after the first update has adapted the model,
+    // inside a partially-staged segment. And right behind an update: the
+    // arrival whose window ran one is the last before the checkpoint, so
+    // the first window after the restore is the first to step the updated
+    // parameters.
+    let mut probe = AdaptivePipeline::new(clone_model(&model), &interner, metrics.clone(), config);
+    let behind_update = stream
+        .iter()
+        .position(|t| {
+            probe.ingest(t.clone()).expect("probe ingest");
+            probe.updates_run() == 1
+        })
+        .expect("needs an update to cut behind")
+        + 1;
+    for cut in [stream.len() / 2 + 3, behind_update] {
+        // Interrupted run: checkpoint at the cut, then restore from the
+        // serialized bytes and continue.
+        let mut first =
+            AdaptivePipeline::new(clone_model(&model), &interner, metrics.clone(), config);
+        let mut outputs = Vec::new();
+        for t in &stream[..cut] {
+            outputs.extend(first.ingest(t.clone()).expect("ingest"));
+        }
+        assert!(
+            first.updates_run() >= 1,
+            "the cut must land after at least one applied update"
+        );
+        let checkpoint = first.checkpoint().expect("checkpoint");
+        let json = checkpoint.to_json().expect("serialize checkpoint");
+        drop(first);
 
-    let restored_ckpt = Checkpoint::from_json(&json).expect("parse checkpoint");
-    let mut resumed = AdaptivePipeline::restore(&interner, metrics.clone(), config, &restored_ckpt)
-        .expect("restore");
-    for t in &stream[cut..] {
-        outputs.extend(resumed.ingest(t.clone()).expect("resumed ingest"));
-    }
-    outputs.extend(resumed.flush().expect("resumed flush"));
+        let restored_ckpt = Checkpoint::from_json(&json).expect("parse checkpoint");
+        let mut resumed =
+            AdaptivePipeline::restore(&interner, metrics.clone(), config, &restored_ckpt)
+                .expect("restore");
+        for t in &stream[cut..] {
+            outputs.extend(resumed.ingest(t.clone()).expect("resumed ingest"));
+        }
+        outputs.extend(resumed.flush().expect("resumed flush"));
 
-    assert_outputs_bitwise_equal(&outputs, &expected);
-    assert_eq!(resumed.updates_run(), reference.updates_run());
-    assert_eq!(resumed.updates_failed(), reference.updates_failed());
-    assert_eq!(resumed.replay_len(), reference.replay_len());
-    assert_eq!(
-        resumed.model().to_json().expect("resumed model"),
-        reference.model().to_json().expect("reference model"),
-        "the resumed trajectory must land on bit-identical parameters"
-    );
+        assert_outputs_bitwise_equal(&outputs, &expected);
+        assert_eq!(resumed.updates_run(), reference.updates_run());
+        assert_eq!(resumed.updates_failed(), reference.updates_failed());
+        assert_eq!(resumed.replay_len(), reference.replay_len());
+        assert_eq!(
+            resumed.model().to_json().expect("resumed model"),
+            reference.model().to_json().expect("reference model"),
+            "the resumed trajectory must land on bit-identical parameters"
+        );
+    }
 }
 
 #[test]

@@ -122,21 +122,23 @@ impl ResourceAwareDl {
             modulation: [1.0; 3],
         };
         // One expert is one shard: the model itself runs serially, the
-        // models fan out (see `fit`).
+        // models fan out (see `fit`). The one slab is trained on here and
+        // rolled out on afterwards.
         let pool = Pool::with_threads(1);
-        let mut trainer = AnalyticTrainer::new(&store, vec![spec], config, &pool);
+        let mut slab = ExpertSlab::pack(&store, &[spec], false, false, pool.threads());
+        let mut trainer = AnalyticTrainer::new(&slab, config);
         let mut opt = Adam::new(self.lr);
         for _epoch in 0..self.epochs {
             for start in (0..steps).step_by(wpd) {
                 store.zero_grads();
-                trainer.run_batch(&mut store, &pool, &xs, &targets, &[start]);
+                trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[start]);
                 store.clip_grad_norm(5.0);
                 opt.step(&mut store);
-                trainer.refresh(&store);
+                slab.repack(&store);
             }
         }
         Forecaster {
-            slab: ExpertSlab::pack(&store, &[spec], false, false, 1),
+            slab,
             scaler,
             last_day: norm[norm.len() - wpd..].to_vec(),
         }

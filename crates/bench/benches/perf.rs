@@ -11,7 +11,7 @@ use deeprest_core::{DeepRest, DeepRestConfig, FeatureSpace, TraceSynthesizer};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{AnalyticTrainer, ExpertSpec, GruCell, Linear, TrainerConfig};
+use deeprest_nn::{AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
 use deeprest_scale::{
     ScaleLoop, ScaleLoopConfig, Scenario, ScenarioKind, TargetUtilizationPolicy,
     PROACTIVE_TARGET_UTILIZATION,
@@ -24,7 +24,7 @@ use deeprest_sim::engine::{simulate, SimConfig};
 use deeprest_tensor::{kernel, linalg, ParamStore, Pool, Tensor};
 use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
 use deeprest_trace::{jaeger, Interner, SpanNode, Trace};
-use deeprest_workload::WorkloadSpec;
+use deeprest_workload::{ApiTraffic, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -248,6 +248,21 @@ fn bench_streaming_step(c: &mut Criterion) {
                 b.iter(|| predictor.step(&x));
             });
         });
+        // What a further stream of the same model costs to start (a tenant,
+        // a restored pipeline), and what a controller pays per hypothesis:
+        // fork the live stream's state, run four synthetic windows on it.
+        group.bench_with_input(BenchmarkId::new("predictor_new", dim), &dim, |b, _| {
+            b.iter(|| model.stream_predictor().position());
+        });
+        group.bench_with_input(BenchmarkId::new("what_if_fork", dim), &dim, |b, _| {
+            let mut live = model.stream_predictor();
+            live.step(&x);
+            let traffic = ApiTraffic::new(vec!["/api".into()], 4, vec![vec![8.0]; 4]);
+            b.iter(|| {
+                let fork = model.estimate_what_if(&live.snapshot(), &traffic, 3);
+                fork.expect("snapshot of this model").len()
+            });
+        });
     }
     group.finish();
 }
@@ -400,10 +415,11 @@ fn bench_backward(c: &mut Criterion) {
         };
         let pool = Pool::with_threads(1);
         let mut store = store.clone();
-        let mut trainer = AnalyticTrainer::new(&store, vec![spec], cfg, &pool);
+        let slab = ExpertSlab::pack(&store, &[spec], true, true, pool.threads());
+        let mut trainer = AnalyticTrainer::new(&slab, cfg);
         b.iter(|| {
             store.zero_grads();
-            let stats = trainer.run_batch(&mut store, &pool, &xs, &targets, &[0]);
+            let stats = trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[0]);
             stats[0].loss_sum
         });
     });

@@ -185,7 +185,12 @@ struct Row {
     experts: usize,
     shards: usize,
     windows_per_sec: f64,
-    bytes_per_expert: f64,
+    /// The model's packed weights: resident once, whatever the number of
+    /// streams stepping it.
+    pack_bytes: usize,
+    /// What each stream of the model holds for itself: hidden state,
+    /// masked inputs and the gathered hidden matrix.
+    stream_bytes: usize,
     experts_per_core: f64,
     /// Multi-tenant sizing (only with `--tenants N`, N > 1): rounds/sec
     /// where one round advances every tenant's predictor by one window,
@@ -221,7 +226,11 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
     let (warm, steps) = if args.quick { (8, 40) } else { (16, 200) };
     let mut batched = model.stream_predictor();
     let shards = batched.shard_count();
-    let state_bytes = batched.state_bytes();
+    // `state_bytes` is the pack plus this stream's own f32s: per expert one
+    // hidden vector, one masked input vector and one column of `H_t`.
+    let (hidden, dim) = (model.config().hidden_dim, model.feature_space().dim());
+    let stream_bytes = experts * (2 * hidden + dim) * std::mem::size_of::<f32>();
+    let pack_bytes = batched.state_bytes() - stream_bytes;
     let wps = windows_per_sec(&xs, warm, steps, |x| {
         batched.step(x);
     });
@@ -229,9 +238,9 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
     let threads = model_threads(args);
     let step_secs = 1.0 / wps;
 
-    // Multi-tenant sizing: N co-resident tenants share the trained
-    // weights but carry independent hidden state; one round steps them
-    // all by one window (the registry's drain pattern).
+    // Multi-tenant sizing: N co-resident tenants share the model's pack
+    // and carry independent hidden state; one round steps them all by one
+    // window (the registry's drain pattern).
     let (tenant_rounds_per_sec, tenants_per_core) = if args.tenants > 1 {
         let mut predictors: Vec<_> = (0..args.tenants)
             .map(|_| model.stream_predictor())
@@ -256,7 +265,8 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
         experts,
         shards,
         windows_per_sec: wps,
-        bytes_per_expert: state_bytes as f64 / experts as f64,
+        pack_bytes,
+        stream_bytes,
         experts_per_core: experts as f64 * args.window_secs / (step_secs * threads as f64),
         tenant_rounds_per_sec,
         tenants_per_core,
@@ -294,10 +304,12 @@ fn run_capacity(raw: Vec<String>) {
                 ),
                 _ => String::new(),
             };
+            let (pack, stream) = (r.pack_bytes, r.stream_bytes);
             println!(
                 "{{\"experts\":{},\"shards\":{},\"batched_windows_per_sec\":{:.1},\
-                 \"experts_per_core\":{:.1},\"bytes_per_expert\":{:.1}{tenant_fields}}}",
-                r.experts, r.shards, r.windows_per_sec, r.experts_per_core, r.bytes_per_expert
+                 \"experts_per_core\":{:.1},\"pack_bytes\":{pack},\"stream_bytes\":{stream}\
+                 {tenant_fields}}}",
+                r.experts, r.shards, r.windows_per_sec, r.experts_per_core
             );
         }
     } else {
@@ -307,22 +319,22 @@ fn run_capacity(raw: Vec<String>) {
             args.window_secs
         );
         println!(
-            "{:>8}  {:>6}  {:>12}  {:>12}  {:>10}",
-            "experts", "shards", "windows/s", "experts/core", "KiB/expert"
+            "{:>8}  {:>6}  {:>12}  {:>12}  {:>10}  {:>10}",
+            "experts", "shards", "windows/s", "experts/core", "pack KiB", "KiB/stream"
         );
         for r in &rows {
+            let kib = |bytes: usize| bytes as f64 / 1024.0;
+            let (pack, stream) = (kib(r.pack_bytes), kib(r.stream_bytes));
             println!(
-                "{:>8}  {:>6}  {:>12.1}  {:>12.3e}  {:>10.1}",
-                r.experts,
-                r.shards,
-                r.windows_per_sec,
-                r.experts_per_core,
-                r.bytes_per_expert / 1024.0
+                "{:>8}  {:>6}  {:>12.1}  {:>12.3e}  {pack:>10.1}  {stream:>10.1}",
+                r.experts, r.shards, r.windows_per_sec, r.experts_per_core
             );
             if let (Some(rps), Some(per_core)) = (r.tenant_rounds_per_sec, r.tenants_per_core) {
+                let resident = kib(r.pack_bytes + args.tenants * r.stream_bytes);
                 println!(
-                    "{:>8}  {} tenants: {:.1} rounds/s, {:.3e} tenants/core",
-                    "", args.tenants, rps, per_core
+                    "{:>8}  {} tenants: {rps:.1} rounds/s, {per_core:.3e} tenants/core, \
+                     {resident:.1} KiB resident",
+                    "", args.tenants
                 );
             }
         }

@@ -1,14 +1,17 @@
 //! Online incremental update engine for the continual-learning loop.
 //!
-//! [`OnlineUpdater`] owns a persistent [`AnalyticTrainer`] over the live
-//! expert swarm and applies micro-batches of sealed serving windows to the
-//! model between predictor lifetimes — the `deeprest-adapt` crate drives it
-//! from the streaming pipeline (observe → detect → adapt → recalibrate).
+//! [`OnlineUpdater`] keeps a persistent [`AnalyticTrainer`] (arenas sized
+//! for the live expert swarm) and applies micro-batches of sealed serving
+//! windows to the model between windows — the `deeprest-adapt` crate drives
+//! it from the streaming pipeline (observe → detect → adapt → recalibrate).
+//! It trains on the model's own packed slab and repacks it before it
+//! returns, so whoever steps the model next reads the updated (or rolled
+//! back) parameters.
 //!
 //! Design constraints, matching the rest of the system:
 //!
 //! * **Bit-determinism** — one update is a single `zero_grads → run_batch →
-//!   clip → SGD step → refresh` round on the analytic engine, which is
+//!   clip → SGD step → repack` round on the analytic engine, which is
 //!   bit-identical across `DEEPREST_THREADS` by construction. The optimizer
 //!   is plain SGD with zero momentum, so the *only* mutable training state
 //!   is the parameter values themselves — checkpointing the model params
@@ -21,12 +24,12 @@
 //! * **Fail-safe mutation** — parameters are snapshotted before the step;
 //!   an injected `adapt.update` fault or a non-finite parameter after the
 //!   step (e.g. the `adapt.update.poison` probe) rolls the store back to
-//!   the snapshot bit-for-bit and surfaces a typed [`UpdateError`].
+//!   the snapshot bit-for-bit, repacks, and surfaces a typed
+//!   [`UpdateError`].
 
 use deeprest_fault as fault;
 use deeprest_nn::{AnalyticTrainer, Sgd};
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::Pool;
 use serde::{Deserialize, Serialize};
 
 use crate::estimator::DeepRest;
@@ -147,7 +150,6 @@ impl std::error::Error for UpdateError {}
 pub struct OnlineUpdater {
     trainer: AnalyticTrainer,
     sgd: Sgd,
-    pool: Pool,
     cfg: UpdateConfig,
     experts: usize,
     dim: usize,
@@ -183,7 +185,6 @@ impl OnlineUpdater {
         assert!(experts > 0, "OnlineUpdater: model has no experts");
         let dim = model.features.dim();
         let slots = cfg.segment_slots();
-        let (trainer, pool) = model.trainer(cfg.segment_len, slots);
         let total = slots * cfg.segment_len;
         let ids: Vec<deeprest_tensor::ParamId> = model.store.ids().collect();
         let backup = ids
@@ -191,9 +192,8 @@ impl OnlineUpdater {
             .map(|&id| vec![0.0f32; model.store.value(id).data().len()])
             .collect();
         Self {
-            trainer,
+            trainer: model.trainer(cfg.segment_len, slots),
             sgd: Sgd::new(cfg.lr, 0.0),
-            pool,
             cfg,
             experts,
             dim,
@@ -297,12 +297,14 @@ impl OnlineUpdater {
         }
 
         model.store.zero_grads();
+        let pool = model.pool();
         let staged = segments.len() * seg_len;
         let (mut loss_sum, mut terms) = (0.0f32, 0usize);
         {
             let stats = self.trainer.run_batch(
+                &model.slab,
                 &mut model.store,
-                &self.pool,
+                &pool,
                 &self.xs[..staged],
                 &self.targets,
                 &self.batch,
@@ -313,7 +315,7 @@ impl OnlineUpdater {
             }
         }
         model.store.clip_grad_norm(self.cfg.grad_clip);
-        self.sgd.step_with(&mut model.store, &self.pool);
+        self.sgd.step_with(&mut model.store, &pool);
 
         // Post-step validation: an injected parameter poison (or a numeric
         // blow-up that slipped past the optimizer's gradient sanitizer)
@@ -330,12 +332,15 @@ impl OnlineUpdater {
             for (buf, &id) in self.backup.iter().zip(self.ids.iter()) {
                 model.store.value_mut(id).data_mut().copy_from_slice(buf);
             }
-            self.trainer.refresh(&model.store);
+        }
+        // The store was written: stepped, or stepped and rolled back. The
+        // pack follows it either way.
+        model.slab.repack(&model.store);
+        if poisoned > 0 {
             telemetry::counter("adapt.rollback", 1);
             return Err(UpdateError::PoisonedRolledBack { tensors: poisoned });
         }
 
-        self.trainer.refresh(&model.store);
         if telemetry::enabled() {
             telemetry::counter("adapt.update.steps", 1);
             telemetry::gauge(

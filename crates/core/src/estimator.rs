@@ -12,7 +12,9 @@ use std::time::Instant;
 
 use deeprest_metrics::{MetricKey, MetricsRegistry, MinMaxScaler, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{Adam, AnalyticTrainer, ExpertSpec, GruCell, Linear, Sgd, TrainerConfig};
+use deeprest_nn::{
+    Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, Sgd, TrainerConfig,
+};
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::{ParamId, ParamStore, Pool, Tensor};
 use deeprest_trace::window::WindowedTraces;
@@ -180,7 +182,7 @@ pub struct TrainReport {
 
 /// The trained DeepRest model: feature space, trace synthesizer and the
 /// expert swarm with its shared parameter store.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct DeepRest {
     pub(crate) config: DeepRestConfig,
     pub(crate) features: FeatureSpace,
@@ -188,6 +190,69 @@ pub struct DeepRest {
     pub(crate) interner: Interner,
     pub(crate) experts: Vec<Expert>,
     pub(crate) store: ParamStore,
+    /// The one packed copy of `store`'s values, sharded for
+    /// [`pool`](Self::pool): what every predictor, what-if fork and trainer
+    /// of this model steps. Derived, so it is never written out; it is
+    /// packed where the model is put together and repacked wherever `store`
+    /// is written (`train_epochs`, `OnlineUpdater::update`), so it always
+    /// is the parameters.
+    #[serde(skip)]
+    pub(crate) slab: ExpertSlab,
+}
+
+/// What a [`DeepRest`] is made of and written out as: everything but the
+/// pack.
+#[derive(Deserialize)]
+struct ModelParts {
+    config: DeepRestConfig,
+    features: FeatureSpace,
+    synthesizer: TraceSynthesizer,
+    interner: Interner,
+    experts: Vec<Expert>,
+    store: ParamStore,
+}
+
+impl Deserialize for DeepRest {
+    /// Reads the serialised parts and packs them. Expert handles that do
+    /// not fit the store or the feature space are an error here, not an
+    /// out-of-bounds read at the first step.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let parts = ModelParts::from_value(value)?;
+        let refuse = |why: String| serde::Error::custom(format!("DeepRest: {why}"));
+        // The slab takes its shape from the first expert and `check` holds
+        // every other expert to it; streams take theirs from here.
+        let shape = (parts.features.dim(), parts.config.hidden_dim);
+        let first = parts.experts.first().map(|ex| &ex.gru);
+        if first.map(|cell| (cell.input_dim(), cell.hidden_dim())) != Some(shape) {
+            return Err(refuse(format!(
+                "the first expert is not shaped (features, hidden_dim) = {shape:?}"
+            )));
+        }
+        let (api_mask, attention) = (parts.config.api_mask, parts.config.attention);
+        ExpertSlab::check(
+            &parts.store,
+            &expert_specs(&parts.experts),
+            api_mask,
+            attention,
+        )
+        .map_err(refuse)?;
+        Ok(Self::assemble(parts))
+    }
+}
+
+/// The swarm's parameter handles in expert order — what the slab is packed
+/// from.
+fn expert_specs(experts: &[Expert]) -> Vec<ExpertSpec> {
+    experts
+        .iter()
+        .map(|ex| ExpertSpec {
+            mask: ex.mask,
+            cell: ex.gru,
+            alpha: ex.alpha,
+            head: ex.head,
+            skip: ex.skip,
+        })
+        .collect()
 }
 
 impl DeepRest {
@@ -376,14 +441,14 @@ impl DeepRest {
                 (expert_count, targets, experts, store)
             });
 
-        let mut model = Self {
+        let mut model = Self::assemble(ModelParts {
             config,
             features,
             synthesizer,
             interner: interner.clone(),
             experts,
             store,
-        };
+        });
         let ((epoch_losses, expert_losses), training_secs) = telemetry::timed("fit.train", || {
             model.train_epochs(&xs, &targets, model.config.epochs)
         });
@@ -406,34 +471,38 @@ impl DeepRest {
         (model, report)
     }
 
-    /// The worker pool this model fans training and prediction out over:
-    /// [`DeepRestConfig::threads`] when set, the process-wide pool otherwise.
-    pub(crate) fn pool(&self) -> Pool {
-        match self.config.threads {
-            Some(n) => Pool::with_threads(n),
-            None => Pool::global(),
+    /// Puts a model together from its parts — fitted or read back — and
+    /// packs its slab: the one place a model comes into being, so a model
+    /// that exists has its pack.
+    fn assemble(parts: ModelParts) -> Self {
+        let slab = ExpertSlab::pack(
+            &parts.store,
+            &expert_specs(&parts.experts),
+            parts.config.api_mask,
+            parts.config.attention,
+            pool_of(&parts.config).threads(),
+        );
+        Self {
+            config: parts.config,
+            features: parts.features,
+            synthesizer: parts.synthesizer,
+            interner: parts.interner,
+            experts: parts.experts,
+            store: parts.store,
+            slab,
         }
     }
 
-    /// The swarm's parameter handles in expert order — what the packed slab
-    /// (serving and training alike) is built from.
-    pub(crate) fn expert_specs(&self) -> Vec<ExpertSpec> {
-        self.experts
-            .iter()
-            .map(|ex| ExpertSpec {
-                mask: ex.mask,
-                cell: ex.gru,
-                alpha: ex.alpha,
-                head: ex.head,
-                skip: ex.skip,
-            })
-            .collect()
+    /// The worker pool this model fans training and prediction out over:
+    /// [`DeepRestConfig::threads`] when set, the process-wide pool otherwise.
+    pub(crate) fn pool(&self) -> Pool {
+        pool_of(&self.config)
     }
 
-    /// An [`AnalyticTrainer`] over this model's swarm and the pool it runs
-    /// on. The model contributes the architecture (`api_mask`, `attention`,
-    /// mask-L1 penalty, δ-quantiles); the caller only the batch geometry.
-    pub(crate) fn trainer(&self, max_steps: usize, batch_slots: usize) -> (AnalyticTrainer, Pool) {
+    /// An [`AnalyticTrainer`] for this model's slab. The model contributes
+    /// the architecture (`api_mask`, `attention`, mask-L1 penalty,
+    /// δ-quantiles); the caller only the batch geometry.
+    pub(crate) fn trainer(&self, max_steps: usize, batch_slots: usize) -> AnalyticTrainer {
         let dim = self.features.dim();
         let config = TrainerConfig {
             input_dim: dim,
@@ -447,9 +516,7 @@ impl DeepRest {
             quantiles: quantiles_for(self.config.delta),
             modulation: [1.0; 3],
         };
-        let pool = self.pool();
-        let trainer = AnalyticTrainer::new(&self.store, self.expert_specs(), config, &pool);
-        (trainer, pool)
+        AnalyticTrainer::new(&self.slab, config)
     }
 
     /// Joint training over all experts (quantile loss, Eq. 6): `epochs`
@@ -494,7 +561,7 @@ impl DeepRest {
         let e_count = self.experts.len();
         let expert_names: Vec<String> = self.experts.iter().map(|e| format!("{}", e.key)).collect();
         let batch_slots = self.config.batch_size.max(1).min(starts.len());
-        let (mut trainer, pool) = self.trainer(len, batch_slots);
+        let (mut trainer, pool) = (self.trainer(len, batch_slots), self.pool());
 
         let mut epoch_losses = Vec::with_capacity(epochs);
         let mut expert_epoch_losses: Vec<Vec<f32>> = vec![Vec::with_capacity(epochs); e_count];
@@ -509,7 +576,8 @@ impl DeepRest {
 
             for batch in order.chunks(self.config.batch_size.max(1)) {
                 self.store.zero_grads();
-                let stats = trainer.run_batch(&mut self.store, &pool, xs, targets, batch);
+                let stats =
+                    trainer.run_batch(&self.slab, &mut self.store, &pool, xs, targets, batch);
                 for slot in stats {
                     epoch_loss += slot.loss_sum;
                     epoch_terms += slot.n_terms;
@@ -522,7 +590,7 @@ impl DeepRest {
                     Opt::S(o) => o.step_with(&mut self.store, &pool),
                     Opt::A(o) => o.step_with(&mut self.store, &pool),
                 }
-                trainer.refresh(&self.store);
+                self.slab.repack(&self.store);
             }
             epoch_losses.push(epoch_loss / epoch_terms.max(1) as f32);
             let per_expert_terms = (epoch_terms / e_count.max(1)).max(1) as f32;
@@ -874,6 +942,14 @@ impl DeepRest {
     }
 }
 
+/// The pool a model configured with `config` runs on.
+fn pool_of(config: &DeepRestConfig) -> Pool {
+    match config.threads {
+        Some(n) => Pool::with_threads(n),
+        None => Pool::global(),
+    }
+}
+
 fn delta_encode(values: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(values.len());
     let mut prev = values.first().copied().unwrap_or(0.0);
@@ -914,6 +990,18 @@ mod tests {
         metrics.insert(MetricKey::new("Frontend", ResourceKind::Cpu), cpu);
         metrics.insert(MetricKey::new("Frontend", ResourceKind::Memory), mem);
         (i, traces, metrics)
+    }
+
+    /// The first `len` learning windows as one flat update segment
+    /// (`TrainSegment`'s `xs`, `targets`).
+    fn first_segment(
+        model: &DeepRest,
+        (i, traces, metrics): &(Interner, WindowedTraces, MetricsRegistry),
+        len: usize,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (xs, targets) = model.training_inputs(traces, metrics, i);
+        let targets = targets.iter().flat_map(|t| t[..len].iter().copied());
+        (xs[..len].concat(), targets.collect())
     }
 
     fn quick_config() -> DeepRestConfig {
@@ -1164,6 +1252,154 @@ mod tests {
             assert!(json.contains(good), "{good} not in {json}");
             let err = DeepRest::from_json(&json.replace(good, bad)).expect_err(bad);
             assert!(err.to_string().contains(expect), "{bad}: {err}");
+        }
+    }
+
+    /// Model JSON is outside input: expert handles the store cannot serve
+    /// are an error out of `from_json`, which packs, not a panic.
+    #[test]
+    fn from_json_refuses_experts_it_cannot_pack() {
+        let (i, traces, metrics) = tiny_dataset(16);
+        let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+        let corrupt = |damage: &dyn Fn(&mut DeepRest)| {
+            let mut broken = model.clone();
+            damage(&mut broken);
+            let err = DeepRest::from_json(&broken.to_json().unwrap()).expect_err("must refuse");
+            err.to_string()
+        };
+        let err = corrupt(&|m| m.config.hidden_dim += 1);
+        assert!(err.contains("the first expert is not shaped"), "{err}");
+        let err = corrupt(&|m| m.experts[1].head.w = m.experts[1].head.b);
+        assert!(err.contains("expert 1: parameter"), "{err}");
+        let err = corrupt(&|m| m.store = ParamStore::new());
+        assert!(err.contains("expert 0") && err.contains("None"), "{err}");
+        let err = corrupt(&|m| m.experts[0].skip = None);
+        assert!(err.contains("skip path must be uniform"), "{err}");
+    }
+
+    /// "The pack is θ, always": after everything that writes or copies the
+    /// parameters, the model's slab equals a fresh pack of its store, bit
+    /// for bit.
+    #[test]
+    fn the_pack_is_the_parameters_after_every_writer() {
+        use crate::adapt::{OnlineUpdater, TrainSegment, UpdateConfig, UpdateError};
+        use deeprest_fault::{self as fault, FaultPlan};
+        use std::sync::Arc;
+
+        let data = tiny_dataset(64);
+        let (i, traces, metrics) = &data;
+        let fit = || DeepRest::fit(traces, metrics, i, quick_config().with_epochs(2)).0;
+        // One online update over the first segment of the learning data,
+        // with `poison` armed or not.
+        let update = |poison: bool| {
+            let mut model = fit();
+            let cfg = UpdateConfig::default();
+            let (xs, targets) = first_segment(&model, &data, cfg.segment_len);
+            let segments = [TrainSegment {
+                xs: &xs,
+                targets: &targets,
+            }];
+            let mut updater = OnlineUpdater::new(&model, cfg);
+            let plan = FaultPlan::new(3).once("adapt.update.poison", 0);
+            let outcome = match poison {
+                true => fault::with_plan(Arc::new(plan), || updater.update(&mut model, &segments)),
+                false => updater.update(&mut model, &segments),
+            };
+            let rolled_back = matches!(outcome, Err(UpdateError::PoisonedRolledBack { .. }));
+            assert_eq!(rolled_back, poison, "{outcome:?}");
+            model
+        };
+        let writers: [(&str, &dyn Fn() -> DeepRest); 7] = [
+            ("fit", &fit),
+            ("fit_transferred", &|| {
+                let cfg = quick_config().with_epochs(2).with_seed(5);
+                DeepRest::fit_transferred(traces, metrics, i, cfg, &fit()).0
+            }),
+            ("fit_incremental", &|| {
+                let mut model = fit();
+                model.fit_incremental(traces, metrics, i, 1);
+                model
+            }),
+            ("update", &|| update(false)),
+            ("update rolled back", &|| update(true)),
+            ("from_json(to_json)", &|| {
+                DeepRest::from_json(&update(false).to_json().unwrap()).unwrap()
+            }),
+            ("clone", &|| update(false).clone()),
+        ];
+        let as_fitted = format!("{:?}", fit().slab);
+        for (writer, build) in writers {
+            let model = build();
+            let fresh = ExpertSlab::pack(
+                &model.store,
+                model.slab.specs(),
+                model.config.api_mask,
+                model.config.attention,
+                model.pool().threads(),
+            );
+            let packed = format!("{:?}", model.slab);
+            assert_eq!(packed, format!("{fresh:?}"), "after {writer}");
+            // The writers that train leave other parameters than `fit` did,
+            // so an equal pack is not a pack nobody touched.
+            let moved = !matches!(writer, "fit" | "update rolled back");
+            assert_eq!(packed != as_fitted, moved, "after {writer}");
+        }
+    }
+
+    /// A stream carried across an online update steps the updated
+    /// parameters: it agrees bit for bit with a what-if forked from its
+    /// snapshot right after the update — asked of a copy of the model read
+    /// back from JSON, whose pack was made from the written parameters and
+    /// has seen no update.
+    #[test]
+    fn state_carried_across_an_update_agrees_with_a_fork_taken_after_it() {
+        use crate::adapt::{OnlineUpdater, TrainSegment, UpdateConfig};
+        use crate::stream::CarriedState;
+
+        let data = tiny_dataset(64);
+        let (i, traces, metrics) = &data;
+        let (mut model, _) = DeepRest::fit(traces, metrics, i, quick_config().with_epochs(2));
+        let cfg = UpdateConfig::default();
+        let (xs, targets) = first_segment(&model, &data, cfg.segment_len);
+        let mut carried = CarriedState::new(&model);
+        for x in xs.chunks(model.features.dim()) {
+            carried.step(&model, x);
+        }
+        let before = model.to_json().unwrap();
+        let segment = TrainSegment {
+            xs: &xs,
+            targets: &targets,
+        };
+        OnlineUpdater::new(&model, cfg)
+            .update(&mut model, &[segment])
+            .expect("update");
+        assert_ne!(model.to_json().unwrap(), before, "the update must move θ");
+
+        let (traffic, seed) = (
+            ApiTraffic::new(vec!["/read".into()], 8, vec![vec![6.0]; 5]),
+            11,
+        );
+        let reread = DeepRest::from_json(&model.to_json().unwrap()).unwrap();
+        let fork = reread
+            .estimate_what_if(&carried.snapshot(), &traffic, seed)
+            .unwrap();
+        // The rows `estimate_what_if` synthesizes, stepped on the carried
+        // state itself.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let apis = TraceSynthesizer::resolve_endpoints(&traffic, &model.interner);
+        for w in 0..traffic.window_count() {
+            let window = model
+                .synthesizer
+                .synthesize_window(traffic.window(w), &apis, &mut rng);
+            let x = model.features.extract_normalized(&window);
+            for (point, key) in carried.step(&model, &x).iter().zip(model.expert_keys()) {
+                let forked = fork.get(&key).unwrap();
+                assert_eq!(
+                    [point.expected, point.lower, point.upper].map(f64::to_bits),
+                    [&forked.expected, &forked.lower, &forked.upper].map(|s| s.get(w).to_bits()),
+                    "window {w}, {key}"
+                );
+            }
         }
     }
 

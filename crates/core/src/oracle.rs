@@ -210,6 +210,9 @@ impl DeepRest {
                 }
             }
         }
+        // The tape wrote the store directly; the analytic forward reads
+        // the pack.
+        self.slab.repack(&self.store);
         let expert_losses = expert_names.into_iter().zip(expert_epoch_losses).collect();
         (epoch_losses, expert_losses)
     }

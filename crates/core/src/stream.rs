@@ -1,23 +1,39 @@
 //! Stepwise (streaming) inference over a trained [`DeepRest`] model — the
 //! crate's one forward pass.
 //!
-//! A [`StreamPredictor`] carries every expert's GRU hidden state across
-//! windows and advances all experts by exactly one GRU step + attention +
-//! head when a new window's features arrive: O(1) per window for online
-//! serving. The batch queries ([`DeepRest::estimate_from_traces`],
+//! A stream carries every expert's GRU hidden state across windows and
+//! advances all experts by exactly one GRU step + attention + head when a
+//! new window's features arrive: O(1) per window for online serving. The
+//! batch queries ([`DeepRest::estimate_from_traces`],
 //! [`DeepRest::estimate_traffic`], [`DeepRest::estimate_what_if`]) are the
 //! same computation — each steps a predictor over its feature rows.
 //!
+//! # Who owns what
+//!
+//! Every value the forward reads — gate stacks, `σ(mask)`, attention
+//! columns, head and skip weights — is packed into the model's one
+//! [`deeprest_nn::ExpertSlab`], which also plans the shards (contiguous
+//! expert ranges, one per pool worker) and owns the forward arithmetic;
+//! training steps the very same calls. The model packs it when it comes
+//! into being and repacks it wherever it writes its parameters, so a stream
+//! owns no weights at all. What a stream owns is [`CarriedState`]: the
+//! hidden vectors (reset at chunk boundaries), this window's masked inputs
+//! and outputs, the `H_t` matrix, per-shard scratch and the position.
+//! Starting a stream, restoring one from a snapshot, forking a what-if off
+//! one and rolling one back therefore copy hidden vectors and nothing else,
+//! and any number of streams of one model share its pack.
+//!
+//! A [`CarriedState`] is stepped against a model handed in at the step, so
+//! an owner of a *mutable* model (`deeprest-adapt`'s pipeline) keeps it by
+//! value across its own updates: the next step reads whatever parameters
+//! the model holds then. [`StreamPredictor`] is the same state bound to a
+//! borrowed model, for everyone whose model stands still.
+//!
 //! # Batched stepping
 //!
-//! [`StreamPredictor::step`] is tape-free and batched. Every value the
-//! forward reads — gate stacks, `σ(mask)`, attention columns, head and skip
-//! weights — is packed once into a [`deeprest_nn::ExpertSlab`], which also
-//! plans the shards (contiguous expert ranges, one per pool worker) and owns
-//! the forward arithmetic; training steps the very same calls. What lives
-//! here is the serving state around them: the carried hidden vectors (reset
-//! at chunk boundaries), the `H_t` matrix, fault probes, telemetry and the
-//! output postprocessing. One window advances as
+//! [`CarriedState::step`] is tape-free and batched. Around the slab's calls
+//! it adds fault probes, telemetry and the output postprocessing. One window
+//! advances as
 //!
 //! 1. per shard (parallel): `mask_into`, then `step_range` — three batched
 //!    GEMVs over the packed gate stacks advance the shard's hidden states in
@@ -36,8 +52,8 @@
 //! # Bit-identity contract
 //!
 //! The model is trained on `subseq_len.max(2)`-window subsequences that
-//! each start from a zero hidden state, so [`StreamPredictor::step`] resets
-//! its carried state at the same chunk boundaries. Within a chunk the slab
+//! each start from a zero hidden state, so [`CarriedState::step`] resets
+//! its hidden state at the same chunk boundaries. Within a chunk the slab
 //! forward performs the exact per-element float operations of the op-by-op
 //! formulation (Eq. 1–4 on the autodiff tape; see the `deeprest_nn::slab`
 //! module docs for why), and sharding never splits a contraction: experts
@@ -51,14 +67,13 @@
 //! portability, quarantine isolation and the zero-allocation invariant.
 
 use deeprest_fault as fault;
-use deeprest_nn::ExpertSlab;
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{BufferPool, Pool};
+use deeprest_tensor::BufferPool;
 use deeprest_trace::{Interner, Trace};
 use serde::{Deserialize, Serialize};
 
 /// Reads the message out of a panic that unwound from
-/// [`StreamPredictor::step`]: the pool re-raises a failed chunk's own
+/// [`CarriedState::step`]: the pool re-raises a failed chunk's own
 /// payload, so callers that contain the step decode it with the pool's
 /// decoder.
 pub use deeprest_tensor::pool::panic_message;
@@ -71,7 +86,7 @@ use crate::DeepRest;
 /// denormalization and the quantile-crossing guard — the streaming
 /// counterpart of one element of a
 /// [`PredictedSeries`](crate::PredictedSeries).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PointEstimate {
     /// Median (expected) utilization.
     pub expected: f64,
@@ -81,7 +96,7 @@ pub struct PointEstimate {
     pub upper: f64,
 }
 
-/// Serializable snapshot of a [`StreamPredictor`]'s carried state: the
+/// Serializable snapshot of a [`CarriedState`]: the
 /// stream position (window index) plus every expert's hidden vector.
 /// Together with the model JSON this is everything needed to resume a
 /// stream after a crash with bit-identical continuation.
@@ -97,7 +112,7 @@ pub struct StreamSnapshot {
     pub hidden: Vec<Vec<f32>>,
 }
 
-/// The serving state of one of the slab's shards (same index, same expert
+/// The carried state of one of the slab's shards (same index, same expert
 /// range). Shards never read each other's state; the only cross-shard
 /// dataflow is the serial hidden gather between the two parallel phases.
 struct Shard {
@@ -111,13 +126,6 @@ struct Shard {
     /// Private scratch arena: all per-window buffers are taken from (and
     /// returned to) this pool, so warm steps allocate nothing.
     scratch: BufferPool,
-}
-
-impl Shard {
-    /// The carried hidden vectors, one `h`-slice per expert of the shard.
-    fn hidden_rows(&self, h: usize) -> impl Iterator<Item = &[f32]> {
-        (0..self.out.len()).map(move |c| &self.hidden[c * h..(c + 1) * h])
-    }
 }
 
 /// Output postprocessing: denormalize, clamp negatives, guard against
@@ -135,34 +143,39 @@ fn postprocess(expert: &Expert, v: &[f32]) -> PointEstimate {
     }
 }
 
-/// Stateful O(1)-per-window inference over a trained model.
+/// Everything one stream carries from window to window — and everything a
+/// stream owns; see the [module docs](self). Step it against the model it
+/// was started on ([`step`](Self::step)); the weights it reads are that
+/// model's, as they are at the step.
+pub struct CarriedState {
+    /// One per shard of the model's slab.
+    shards: Vec<Shard>,
+    /// The gathered `(hidden_dim, experts)` matrix of post-step hidden
+    /// columns (the tape's `concat_cols`), rebuilt serially every window.
+    hmat: Vec<f32>,
+    hidden_dim: usize,
+    position: usize,
+}
+
+/// Stateful O(1)-per-window inference over a trained model: a
+/// [`CarriedState`] bound to the model it steps.
 ///
 /// Create with [`DeepRest::stream_predictor`], feed per-window normalized
 /// features (from [`DeepRest::window_features`]) to [`step`](Self::step),
 /// and get back one [`PointEstimate`] per expert in
 /// [`DeepRest::expert_keys`] order.
-///
-/// All experts advance together: weights are packed into contiguous slabs
-/// at construction and every window runs a fixed number of batched kernel
-/// calls (see the [module docs](self)), sharded across the model's worker
-/// pool. Per-shard scratch arenas make warm steps allocation-free.
 pub struct StreamPredictor<'m> {
     model: &'m DeepRest,
-    /// Every value the forward reads, packed once, plus the shard plan.
-    slab: ExpertSlab,
-    /// Serving state per slab shard.
-    shards: Vec<Shard>,
-    /// The gathered `(hidden_dim, experts)` matrix of post-step hidden
-    /// columns (the tape's `concat_cols`), rebuilt serially every window.
-    hmat: Vec<f32>,
-    pool: Pool,
-    position: usize,
+    carried: CarriedState,
 }
 
 impl DeepRest {
     /// Starts a streaming predictor at position 0 with zero hidden state.
     pub fn stream_predictor(&self) -> StreamPredictor<'_> {
-        StreamPredictor::new(self)
+        StreamPredictor {
+            model: self,
+            carried: CarriedState::new(self),
+        }
     }
 
     /// Extracts the normalized feature vector for one window of query
@@ -182,41 +195,26 @@ impl DeepRest {
     }
 }
 
-impl<'m> StreamPredictor<'m> {
-    fn new(model: &'m DeepRest) -> Self {
+impl CarriedState {
+    /// Zero hidden state at position 0, shaped for `model`'s shard plan.
+    pub fn new(model: &DeepRest) -> Self {
         let h = model.config.hidden_dim;
         let d = model.features.dim();
-        let pool = model.pool();
-        let slab = ExpertSlab::pack(
-            &model.store,
-            &model.expert_specs(),
-            model.config.api_mask,
-            model.config.attention,
-            pool.threads(),
-        );
-        let shards = slab
+        let shards = model
+            .slab
             .shards()
             .iter()
             .map(|range| Shard {
                 hidden: vec![0.0; range.len() * h],
                 masked: vec![0.0; range.len() * d],
-                out: vec![
-                    PointEstimate {
-                        expected: 0.0,
-                        lower: 0.0,
-                        upper: 0.0
-                    };
-                    range.len()
-                ],
+                out: vec![PointEstimate::default(); range.len()],
                 scratch: BufferPool::new(),
             })
             .collect();
         Self {
-            model,
-            hmat: vec![0.0; h * model.experts.len()],
-            slab,
             shards,
-            pool,
+            hmat: vec![0.0; h * model.experts.len()],
+            hidden_dim: h,
             position: 0,
         }
     }
@@ -226,26 +224,17 @@ impl<'m> StreamPredictor<'m> {
         self.position
     }
 
-    /// Number of shards the expert state is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Whether this state is laid out for `model`'s shard plan and shape.
+    fn fits(&self, model: &DeepRest) -> bool {
+        let (h, d) = (model.config.hidden_dim, model.features.dim());
+        let laid_out = self.shards.iter().map(|s| (s.hidden.len(), s.masked.len()));
+        let planned = model.slab.shards().iter();
+        (self.hidden_dim, self.hmat.len()) == (h, h * model.experts.len())
+            && laid_out.eq(planned.map(|range| (range.len() * h, range.len() * d)))
     }
 
-    /// Resident bytes of packed weights and carried state per expert —
-    /// the `deeprest capacity` tool's memory figure. Counts the packed
-    /// slab, hidden state, masked inputs and the gathered hidden matrix;
-    /// excludes transient scratch.
-    pub fn state_bytes(&self) -> usize {
-        let shard_f32s: usize = self
-            .shards
-            .iter()
-            .map(|s| s.hidden.len() + s.masked.len())
-            .sum();
-        self.slab.bytes() + (shard_f32s + self.hmat.len()) * std::mem::size_of::<f32>()
-    }
-
-    /// Advances every expert by one window and returns the denormalized
-    /// `(expected, lower, upper)` estimates in expert order.
+    /// Advances every expert of `model` by one window and returns the
+    /// denormalized `(expected, lower, upper)` estimates in expert order.
     ///
     /// One iteration of the Eq. 1–4 unroll with the carried hidden state
     /// as the recurrence input, a reset to zero state at every
@@ -255,21 +244,26 @@ impl<'m> StreamPredictor<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the model's feature dimension.
-    pub fn step(&mut self, x: &[f32]) -> Vec<PointEstimate> {
-        let dim = self.model.features.dim();
+    /// Panics if `x.len()` differs from the model's feature dimension, or
+    /// the state was started on a model of another shape or shard plan.
+    pub fn step(&mut self, model: &DeepRest, x: &[f32]) -> Vec<PointEstimate> {
+        let dim = model.features.dim();
         assert_eq!(
             x.len(),
             dim,
             "StreamPredictor::step: feature dim mismatch (got {}, model has {dim})",
             x.len()
         );
-        let e_count = self.model.experts.len();
-        let h = self.model.config.hidden_dim;
+        assert!(
+            self.fits(model),
+            "StreamPredictor::step: carried state was not started on this model's geometry"
+        );
+        let e_count = model.experts.len();
+        let h = model.config.hidden_dim;
 
         // Training starts every `subseq_len.max(2)` chunk from a fresh zero
         // hidden state; inference keeps the same boundaries.
-        let len = self.model.config.subseq_len.max(2);
+        let len = model.config.subseq_len.max(2);
         if self.position.is_multiple_of(len) {
             for s in &mut self.shards {
                 s.hidden.fill(0.0);
@@ -283,15 +277,8 @@ impl<'m> StreamPredictor<'m> {
         // out of the phase fan-outs below and are handled the same way.
         fault::maybe_panic("stream.step");
 
-        let Self {
-            model,
-            slab,
-            shards,
-            hmat,
-            pool,
-            ..
-        } = self;
-        let experts = &model.experts;
+        let Self { shards, hmat, .. } = self;
+        let (slab, experts, pool) = (&model.slab, &model.experts, model.pool());
         let plan = slab.shards();
 
         pool.for_each_mut(shards, |i, s| {
@@ -331,14 +318,14 @@ impl<'m> StreamPredictor<'m> {
         });
 
         let mut out = Vec::with_capacity(e_count);
-        for s in self.shards.iter() {
+        for s in shards.iter() {
             out.extend_from_slice(&s.out);
         }
         // Fault probe: `stream.hidden` poisons the carried state of one
         // expert (payload = expert index) or all experts, modeling a
         // numeric blow-up that persists across windows.
         if let Some(payload) = fault::armed("stream.hidden") {
-            for (range, s) in self.slab.shards().iter().zip(&mut self.shards) {
+            for (range, s) in plan.iter().zip(shards.iter_mut()) {
                 for (c, e) in range.clone().enumerate() {
                     if payload == fault::PAYLOAD_ALL || payload == e as u64 {
                         s.hidden[c * h..(c + 1) * h].fill(f32::NAN);
@@ -350,8 +337,8 @@ impl<'m> StreamPredictor<'m> {
             telemetry::counter("stream.steps", 1);
             // A constant of the model configuration: serving tests assert
             // the O(1) step cost on it.
-            telemetry::gauge("stream.step.kernel_ops", self.slab.kernel_ops() as f64);
-            telemetry::gauge("stream.batch.shards", self.shards.len() as f64);
+            telemetry::gauge("stream.step.kernel_ops", slab.kernel_ops() as f64);
+            telemetry::gauge("stream.batch.shards", plan.len() as f64);
             telemetry::gauge("stream.batch.experts", e_count as f64);
         }
         self.position += 1;
@@ -359,169 +346,125 @@ impl<'m> StreamPredictor<'m> {
     }
 
     /// Whether every carried hidden value is finite. A `false` here means
-    /// the predictor's state is poisoned: every future step would emit
-    /// NaN, so callers should restore from a known-good snapshot rather
-    /// than keep stepping.
+    /// the state is poisoned: every future step would emit NaN, so callers
+    /// should restore from a known-good snapshot rather than keep stepping.
     pub fn hidden_is_finite(&self) -> bool {
         self.shards
             .iter()
             .all(|s| s.hidden.iter().all(|v| v.is_finite()))
     }
 
+    /// The carried hidden vectors, one per expert in expert order.
+    fn hidden_rows(&self) -> impl Iterator<Item = &[f32]> {
+        let h = self.hidden_dim;
+        self.shards
+            .iter()
+            .flat_map(move |s| (0..s.out.len()).map(move |c| &s.hidden[c * h..(c + 1) * h]))
+    }
+
     /// Indices of experts whose carried hidden state contains non-finite
     /// values (empty when [`hidden_is_finite`](Self::hidden_is_finite)).
     pub fn hidden_nonfinite_experts(&self) -> Vec<usize> {
-        let h = self.model.config.hidden_dim;
-        self.shards
-            .iter()
-            .flat_map(|s| s.hidden_rows(h))
+        self.hidden_rows()
             .enumerate()
             .filter(|(_, hidden)| hidden.iter().any(|v| !v.is_finite()))
             .map(|(e, _)| e)
             .collect()
     }
 
-    /// Captures the carried state for crash recovery; feed to
-    /// [`restore`](Self::restore) (with the same model) to resume with
-    /// bit-identical continuation. Snapshots are expert-ordered and thus
-    /// portable across shard/thread counts.
+    /// Captures the carried state for crash recovery or a what-if fork;
+    /// feed to [`restore`](Self::restore) (with the same model) to resume
+    /// with bit-identical continuation. Snapshots are expert-ordered and
+    /// thus portable across shard/thread counts.
     pub fn snapshot(&self) -> StreamSnapshot {
-        snapshot_shards(&self.shards, self.model.config.hidden_dim, self.position)
+        StreamSnapshot {
+            position: self.position,
+            hidden: self.hidden_rows().map(<[f32]>::to_vec).collect(),
+        }
     }
 
-    /// Rebuilds a predictor from a [`snapshot`](Self::snapshot).
+    /// Rebuilds the state from a [`snapshot`](Self::snapshot), laid out
+    /// for `model`'s shard plan: copies the hidden vectors, nothing else.
     ///
     /// # Errors
     ///
     /// Returns a message when the snapshot's shape disagrees with the
     /// model (wrong expert count or hidden dimension) — the snapshot was
     /// taken against a different model.
-    pub fn restore(model: &'m DeepRest, snap: &StreamSnapshot) -> Result<Self, String> {
-        let e_count = model.experts.len();
-        if snap.hidden.len() != e_count {
+    pub fn restore(model: &DeepRest, snap: &StreamSnapshot) -> Result<Self, String> {
+        let (e_count, hidden_dim) = (model.experts.len(), model.config.hidden_dim);
+        if snap.hidden.len() != e_count || snap.hidden.iter().any(|hv| hv.len() != hidden_dim) {
+            let dims: Vec<usize> = snap.hidden.iter().map(Vec::len).collect();
             return Err(format!(
-                "snapshot has {} hidden states, model has {e_count} experts",
-                snap.hidden.len()
+                "snapshot holds hidden states of dims {dims:?}, model has {e_count} experts of \
+                 hidden_dim {hidden_dim}"
             ));
         }
-        let hidden_dim = model.config.hidden_dim;
-        for (e, hv) in snap.hidden.iter().enumerate() {
-            if hv.len() != hidden_dim {
-                return Err(format!(
-                    "snapshot hidden state {e} has dim {}, model has hidden_dim {hidden_dim}",
-                    hv.len()
-                ));
-            }
-        }
-        let mut p = Self::new(model);
-        p.position = snap.position;
+        let mut state = Self::new(model);
+        state.position = snap.position;
         let mut carried = snap.hidden.iter();
-        for s in &mut p.shards {
+        for s in &mut state.shards {
             for (c, src) in (0..s.out.len()).zip(&mut carried) {
                 s.hidden[c * hidden_dim..(c + 1) * hidden_dim].copy_from_slice(src);
             }
         }
-        Ok(p)
+        Ok(state)
+    }
+}
+
+impl<'m> StreamPredictor<'m> {
+    /// Number of windows consumed so far (the index of the next window).
+    pub fn position(&self) -> usize {
+        self.carried.position
     }
 
-    /// Releases the model borrow, keeping the packed weights, shard plan
-    /// and carried state as an opaque [`DetachedPredictor`].
-    ///
-    /// This is the continual-learning hand-off: an owner of a mutable
-    /// model (`deeprest-adapt`'s pipeline) cannot hold a live predictor
-    /// across its own mutation points, but repacking the slab every window
-    /// would dwarf the step cost. `detach`/[`attach`](Self::attach) move
-    /// the packed state out and back in O(1) — no repack, no copy.
-    pub fn detach(self) -> DetachedPredictor {
-        DetachedPredictor {
-            slab: self.slab,
-            shards: self.shards,
-            hmat: self.hmat,
-            pool: self.pool,
-            position: self.position,
-            experts: self.model.experts.len(),
-            hidden_dim: self.model.config.hidden_dim,
-            input_dim: self.model.features.dim(),
-        }
+    /// Number of shards the expert state is partitioned into.
+    pub fn shard_count(&self) -> usize {
+        self.carried.shards.len()
     }
 
-    /// Reattaches a [`DetachedPredictor`] to `model`, restoring a live
-    /// predictor without repacking.
+    /// Resident bytes behind this stream — the `deeprest capacity` tool's
+    /// memory figure: the model's packed slab (one per model, shared by
+    /// all its streams) plus this stream's own hidden state, masked inputs
+    /// and gathered hidden matrix; excludes transient scratch.
+    pub fn state_bytes(&self) -> usize {
+        let shards = self.carried.shards.iter();
+        let own: usize = shards.map(|s| s.hidden.len() + s.masked.len()).sum();
+        self.model.slab.bytes() + (own + self.carried.hmat.len()) * std::mem::size_of::<f32>()
+    }
+
+    /// [`CarriedState::step`] against the bound model.
     ///
-    /// The packed weights are *values copied at pack time*: the caller
-    /// must reattach to the same model with unchanged parameters, or the
-    /// steps will silently serve stale weights. After mutating the model
-    /// (an online update), discard the detached state and rebuild via
-    /// [`StreamPredictor::restore`] from a [`snapshot`](Self::snapshot)
-    /// instead — that is the only repack an adaptation cycle pays.
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the model's feature dimension.
+    pub fn step(&mut self, x: &[f32]) -> Vec<PointEstimate> {
+        self.carried.step(self.model, x)
+    }
+
+    /// See [`CarriedState::hidden_is_finite`].
+    pub fn hidden_is_finite(&self) -> bool {
+        self.carried.hidden_is_finite()
+    }
+
+    /// See [`CarriedState::hidden_nonfinite_experts`].
+    pub fn hidden_nonfinite_experts(&self) -> Vec<usize> {
+        self.carried.hidden_nonfinite_experts()
+    }
+
+    /// See [`CarriedState::snapshot`].
+    pub fn snapshot(&self) -> StreamSnapshot {
+        self.carried.snapshot()
+    }
+
+    /// A predictor over `model` resumed from a [`snapshot`](Self::snapshot).
     ///
     /// # Errors
     ///
-    /// Returns a message when the detached state's geometry (expert count,
-    /// hidden or feature dimension) disagrees with `model`.
-    pub fn attach(model: &'m DeepRest, d: DetachedPredictor) -> Result<Self, String> {
-        if d.experts != model.experts.len()
-            || d.hidden_dim != model.config.hidden_dim
-            || d.input_dim != model.features.dim()
-        {
-            return Err(format!(
-                "detached predictor geometry ({} experts, h={}, d={}) does not match the model \
-                 ({} experts, h={}, d={})",
-                d.experts,
-                d.hidden_dim,
-                d.input_dim,
-                model.experts.len(),
-                model.config.hidden_dim,
-                model.features.dim()
-            ));
-        }
-        Ok(Self {
-            model,
-            slab: d.slab,
-            shards: d.shards,
-            hmat: d.hmat,
-            pool: d.pool,
-            position: d.position,
-        })
+    /// See [`CarriedState::restore`].
+    pub fn restore(model: &'m DeepRest, snap: &StreamSnapshot) -> Result<Self, String> {
+        CarriedState::restore(model, snap).map(|carried| Self { model, carried })
     }
-}
-
-/// Packed serving state of a [`StreamPredictor`] with the model borrow
-/// released — see [`StreamPredictor::detach`]. Opaque apart from its
-/// carried state: [`StreamPredictor::attach`] it again to step.
-pub struct DetachedPredictor {
-    slab: ExpertSlab,
-    shards: Vec<Shard>,
-    hmat: Vec<f32>,
-    pool: Pool,
-    position: usize,
-    experts: usize,
-    hidden_dim: usize,
-    input_dim: usize,
-}
-
-impl DetachedPredictor {
-    /// Number of windows consumed so far (the index of the next window).
-    pub fn position(&self) -> usize {
-        self.position
-    }
-
-    /// The carried state, exactly as [`StreamPredictor::snapshot`] of the
-    /// attached predictor would report it — readable without a model, so
-    /// an owner holding only the detached form can checkpoint infallibly.
-    pub fn snapshot(&self) -> StreamSnapshot {
-        snapshot_shards(&self.shards, self.hidden_dim, self.position)
-    }
-}
-
-/// Expert-ordered copy of the shards' carried hidden state.
-fn snapshot_shards(shards: &[Shard], hidden_dim: usize, position: usize) -> StreamSnapshot {
-    let hidden = shards
-        .iter()
-        .flat_map(|s| s.hidden_rows(hidden_dim))
-        .map(<[f32]>::to_vec)
-        .collect();
-    StreamSnapshot { position, hidden }
 }
 
 #[cfg(test)]

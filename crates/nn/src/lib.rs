@@ -16,16 +16,17 @@
 //! Layers store [`deeprest_tensor::ParamId`]s, not tensors: the values live
 //! in a [`deeprest_tensor::ParamStore`]. To run a forward pass, describe
 //! each expert with an [`ExpertSpec`] and *pack* the swarm into an
-//! [`ExpertSlab`] — one value snapshot laid out for the batched kernels —
-//! then step it over caller-owned slices; to train, hand the same specs to
-//! an [`AnalyticTrainer`], which accumulates gradients into the store for an
+//! [`ExpertSlab`] — one value copy laid out for the batched kernels, kept
+//! next to the store and repacked wherever the store is written — then step
+//! it over caller-owned slices; to train, hand the same slab to an
+//! [`AnalyticTrainer`], which accumulates gradients into the store for an
 //! optimizer to apply. The reverse-mode tape both are proven bit-identical
 //! to lives in the dev-only `deeprest-tape` crate.
 //!
 //! # Examples
 //!
 //! One expert (no mask, no attention), one training step, then a forward
-//! through the refreshed pack:
+//! through the repacked slab:
 //!
 //! ```
 //! use deeprest_nn::loss::quantiles_for;
@@ -59,13 +60,14 @@
 //!     modulation: [1.0; 3],
 //! };
 //! let pool = Pool::with_threads(1);
-//! let mut trainer = AnalyticTrainer::new(&store, vec![spec], config, &pool);
-//! let stats = trainer.run_batch(&mut store, &pool, &xs, &targets, &[0]);
+//! let mut slab = ExpertSlab::pack(&store, &[spec], false, false, pool.threads());
+//! let mut trainer = AnalyticTrainer::new(&slab, config);
+//! let stats = trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[0]);
 //! assert_eq!(stats[0].n_terms, 5);
 //! Adam::new(0.01).step(&mut store);
+//! slab.repack(&store);
 //!
 //! // Forward: one GRU step, then the three quantile outputs.
-//! let slab = ExpertSlab::pack(&store, &[spec], false, false, 1);
 //! let (mut hidden, mut cat, mut y) = (vec![0.0; h], vec![0.0; 2 * h], [0.0; 3]);
 //! let mut scratch = BufferPool::new();
 //! slab.step_range(0..1, &xs[0], &mut hidden, &mut scratch, None);

@@ -38,6 +38,15 @@
 //! add is state (carried hidden vs. per-timestep stashes), never forward
 //! arithmetic.
 //!
+//! **Ownership.** A slab is a value copy of the parameters, so it lives
+//! next to them: whoever owns the [`ParamStore`] owns its one slab
+//! (`deeprest-core`'s model; the resrc-aware baseline's forecaster), packs
+//! it once, and calls [`ExpertSlab::repack`] wherever it writes the store —
+//! after an optimizer step, after a rollback. The slab remembers the
+//! [`ExpertSpec`]s it was packed from, so a repack takes the store and
+//! nothing else. Everyone else (predictors, trainers, what-if forks) reads
+//! it by reference and owns only their own state.
+//!
 //! **Bit-identity.** Vertically stacking weight matrices does not change
 //! any per-row dot product: row `i` of `[W_z; W_k; W_h] · x` is exactly row
 //! `i mod hidden` of the corresponding unstacked GEMV, contracted in the
@@ -111,6 +120,9 @@ pub struct GateStash<'a> {
 /// The packed expert swarm; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct ExpertSlab {
+    /// The handles the slab was packed from, in expert order: what
+    /// [`repack`](Self::repack) re-reads and the backward folds into.
+    specs: Vec<ExpertSpec>,
     experts: usize,
     input_dim: usize,
     hidden_dim: usize,
@@ -146,17 +158,17 @@ pub struct ExpertSlab {
 impl ExpertSlab {
     /// Packs the current values of every expert's parameters out of
     /// `store` and plans shards for `threads` workers. The slab is a value
-    /// snapshot: it does not track later parameter updates (serving packs
-    /// once per loaded model, training [`repack`](Self::repack)s after
-    /// every optimizer step).
+    /// copy that remembers `specs`: whoever writes the parameters
+    /// [`repack`](Self::repack)s it afterwards (see the
+    /// [module docs](self) on ownership).
     ///
     /// `api_mask` off packs an all-ones mask; `attention` off packs no
     /// attention columns and [`heads`](Self::heads) concatenates zeros.
     ///
     /// # Panics
     ///
-    /// Panics if the experts do not share one `(input_dim, hidden_dim)` or
-    /// mix skip-path presence.
+    /// Panics with [`check`](Self::check)'s message if `specs` is not a
+    /// swarm the slab can hold.
     pub fn pack(
         store: &ParamStore,
         specs: &[ExpertSpec],
@@ -164,12 +176,16 @@ impl ExpertSlab {
         attention: bool,
         threads: usize,
     ) -> Self {
+        if let Err(why) = Self::check(store, specs, api_mask, attention) {
+            panic!("ExpertSlab: {why}");
+        }
         let e = specs.len();
         let d = specs.first().map_or(0, |s| s.cell.input_dim());
         let h = specs.first().map_or(0, |s| s.cell.hidden_dim());
         let has_skip = specs.first().is_some_and(|s| s.skip.is_some());
         let skip_len = if has_skip { e } else { 0 };
         let mut slab = Self {
+            specs: specs.to_vec(),
             experts: e,
             input_dim: d,
             hidden_dim: h,
@@ -188,37 +204,64 @@ impl ExpertSlab {
             skip_w: vec![0.0; skip_len * 3 * d],
             skip_b: vec![0.0; skip_len * 3],
         };
-        slab.repack(store, specs);
+        slab.repack(store);
         slab
     }
 
-    /// Refreshes every packed value in place from the current parameter
-    /// values; performs no heap allocation.
+    /// Whether `specs` name one swarm [`pack`](Self::pack) can read out of
+    /// `store`: the skip path on all experts or none, and every handle the
+    /// pack reads inside `store` with the element count the first expert's
+    /// `(input_dim, hidden_dim)` gives its role (`mask` and `alpha` are not
+    /// read when packed off). Handles read from a model file are outside
+    /// input; this is their check.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `specs` does not match the packed expert count, shape or
-    /// skip-path presence.
-    pub fn repack(&mut self, store: &ParamStore, specs: &[ExpertSpec]) {
-        assert_eq!(
-            specs.len(),
-            self.experts,
-            "ExpertSlab: expert count changed"
-        );
+    /// Returns what disagrees, naming the expert.
+    pub fn check(
+        store: &ParamStore,
+        specs: &[ExpertSpec],
+        api_mask: bool,
+        attention: bool,
+    ) -> Result<(), String> {
+        let Some(first) = specs.first() else {
+            return Ok(());
+        };
+        let (d, h) = (first.cell.input_dim(), first.cell.hidden_dim());
+        for (e, spec) in specs.iter().enumerate() {
+            if spec.skip.is_some() != first.skip.is_some() {
+                return Err(format!(
+                    "expert {e}: skip path must be uniform across experts"
+                ));
+            }
+            let gates = spec.cell.param_ids().into_iter();
+            let sized = gates
+                .zip([h * d, h * h, h].into_iter().cycle())
+                .chain([(spec.head.w, 6 * h), (spec.head.b, 3)])
+                .chain(api_mask.then_some((spec.mask, d)))
+                .chain(attention.then_some((spec.alpha, specs.len())))
+                .chain(spec.skip.into_iter().flat_map(|s| [(s.w, 3 * d), (s.b, 3)]));
+            for (id, want) in sized {
+                let got = (id.index() < store.len()).then(|| store.value(id).len());
+                if got != Some(want) {
+                    return Err(format!(
+                        "expert {e}: parameter #{} holds {got:?} values where {want} fit the \
+                         {d}-input, {h}-unit swarm (experts must share one shape)",
+                        id.index()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Refreshes every packed value in place from the current values of the
+    /// parameters the slab was packed from; performs no heap allocation.
+    pub fn repack(&mut self, store: &ParamStore) {
         let (e_total, d, h) = (self.experts, self.input_dim, self.hidden_dim);
         let mut shard = 0;
-        for (e, spec) in specs.iter().enumerate() {
+        for (e, spec) in self.specs.iter().enumerate() {
             let cell = &spec.cell;
-            assert_eq!(
-                (cell.input_dim(), cell.hidden_dim()),
-                (d, h),
-                "ExpertSlab: experts must share one shape"
-            );
-            assert_eq!(
-                spec.skip.is_some(),
-                self.has_skip,
-                "ExpertSlab: skip path must be uniform across experts"
-            );
             let value = |id| store.value(id).data();
             for (g, id) in [cell.wz, cell.wk, cell.wh].into_iter().enumerate() {
                 self.w[(e * 3 + g) * h * d..][..h * d].copy_from_slice(value(id));
@@ -255,6 +298,11 @@ impl ExpertSlab {
                 self.skip_b[e * 3..][..3].copy_from_slice(value(skip.b));
             }
         }
+    }
+
+    /// The handles the slab was packed from, in expert order.
+    pub fn specs(&self) -> &[ExpertSpec] {
+        &self.specs
     }
 
     /// Number of packed experts.
@@ -807,8 +855,8 @@ mod tests {
                 store.value_mut(id).data_mut()[0] += 0.5;
             }
         }
-        one.repack(&store, &specs);
-        two.repack(&store, &specs);
+        one.repack(&store);
+        two.repack(&store);
         let fresh = forward(&ExpertSlab::pack(&store, &specs, true, true, 4));
         assert_ne!(fresh, before);
         assert_eq!(forward(&one), fresh);
@@ -858,5 +906,46 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         specs[1].cell = GruCell::new(&mut store, "b", 3, 5, &mut rng);
         ExpertSlab::pack(&store, &specs, true, true, 1);
+    }
+
+    /// Handles that came from a file: each way they can disagree with the
+    /// store is an error naming the expert, and what a pack never reads
+    /// (mask and alpha when packed off) is not checked.
+    #[test]
+    fn check_refuses_handles_the_store_cannot_serve() {
+        let (mut store, specs) = swarm(3, 4, 5, true);
+        assert_eq!(ExpertSlab::check(&store, &specs, true, true), Ok(()));
+
+        let stray = ParamStore::new();
+        let err = ExpertSlab::check(&stray, &specs, true, true).unwrap_err();
+        assert!(err.contains("expert 0") && err.contains("None"), "{err}");
+
+        let mut mixed = specs.clone();
+        mixed[2].skip = None;
+        let err = ExpertSlab::check(&store, &mixed, true, true).unwrap_err();
+        assert!(err.contains("expert 2") && err.contains("skip"), "{err}");
+
+        let mut crossed = specs.clone();
+        crossed[1].head.w = specs[1].head.b;
+        let err = ExpertSlab::check(&store, &crossed, true, true).unwrap_err();
+        assert!(err.contains("expert 1") && err.contains("Some(3)"), "{err}");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut reshaped = specs.clone();
+        reshaped[2].cell = GruCell::new(&mut store, "b", 4, 6, &mut rng);
+        let err = ExpertSlab::check(&store, &reshaped, true, true).unwrap_err();
+        assert!(
+            err.contains("expert 2") && err.contains("one shape"),
+            "{err}"
+        );
+
+        let off = store.add("off", Tensor::zeros(0, 0));
+        let mut unmasked = specs.clone();
+        for spec in &mut unmasked {
+            (spec.mask, spec.alpha) = (off, off);
+        }
+        assert!(ExpertSlab::check(&store, &unmasked, true, false).is_err());
+        assert!(ExpertSlab::check(&store, &unmasked, false, true).is_err());
+        assert_eq!(ExpertSlab::check(&store, &unmasked, false, false), Ok(()));
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! The general autodiff tape records ~19 nodes per expert per timestep and
 //! walks them one by one in the reverse sweep. This module replaces that hot
-//! path with hand-derived truncated-BPTT over the packed [`ExpertSlab`]:
+//! path with hand-derived truncated-BPTT over the packed [`ExpertSlab`],
+//! which the trainer borrows per batch and never owns: the caller packs it
+//! next to the store, steps the optimizer and repacks (see the slab's
+//! ownership note), so the trainer is arenas plus the backward below.
 //!
 //! * **Forward** — the slab's own forward (`mask_into` → `step_range` →
 //!   `gather_hidden` → `heads`, the calls serving steps), run per timestep
@@ -229,15 +232,14 @@ impl ShardJob {
     }
 }
 
-/// The analytic trainer: owns the packed slab and every per-worker arena.
-/// One instance serves a whole `fit` — arenas are allocated at construction
-/// and reused by every batch of every epoch.
+/// The analytic trainer: every per-worker arena plus the backward over
+/// them. The packed slab it trains is its owner's (see
+/// [`crate::slab`]'s ownership note) and comes in with every
+/// [`run_batch`](Self::run_batch); the slab's shard plan is the trainer's
+/// worker partition. One instance serves a whole `fit` — arenas are
+/// allocated at construction and reused by every batch of every epoch.
 pub struct AnalyticTrainer {
     cfg: TrainerConfig,
-    specs: Vec<ExpertSpec>,
-    /// Every forward value, repacked from the store after each optimizer
-    /// step; its shard plan is the trainer's worker partition.
-    slab: ExpertSlab,
     jobs: Vec<ShardJob>,
     /// Per batch slot: `H_t` gathered across shards, `[t][element][expert]`.
     hmats: Vec<Vec<f32>>,
@@ -247,30 +249,28 @@ pub struct AnalyticTrainer {
 }
 
 impl AnalyticTrainer {
-    /// Builds the trainer: packs the slab (which plans expert shards over
-    /// `pool`'s worker count) and allocates every arena for
-    /// `cfg.batch_slots` persistent batch positions.
+    /// Builds the trainer for `slab`'s geometry (expert count, shape, skip
+    /// path, shard plan): allocates every arena for `cfg.batch_slots`
+    /// persistent batch positions.
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty or mixes skip-path presence.
-    pub fn new(
-        store: &ParamStore,
-        specs: Vec<ExpertSpec>,
-        cfg: TrainerConfig,
-        pool: &Pool,
-    ) -> Self {
-        let e = specs.len();
+    /// Panics if `slab` is empty or its shape is not `cfg`'s.
+    pub fn new(slab: &ExpertSlab, cfg: TrainerConfig) -> Self {
+        let e = slab.experts();
         assert!(e > 0, "AnalyticTrainer: no experts");
-        let slab = ExpertSlab::pack(store, &specs, cfg.api_mask, cfg.attention, pool.threads());
+        assert_eq!(
+            (slab.input_dim(), slab.hidden_dim()),
+            (cfg.input_dim, cfg.hidden_dim),
+            "AnalyticTrainer: slab shape differs from the configured one"
+        );
         let shard_count = slab.shards().len();
 
         let (h, t) = (cfg.hidden_dim, cfg.max_steps);
         let jobs = (0..cfg.batch_slots)
-            .flat_map(|_| (0..shard_count).map(|s| ShardJob::new(s, &slab, &cfg)))
+            .flat_map(|_| (0..shard_count).map(|s| ShardJob::new(s, slab, &cfg)))
             .collect();
         Self {
-            specs,
             jobs,
             hmats: (0..cfg.batch_slots).map(|_| vec![0.0; t * h * e]).collect(),
             g_att_all: (0..cfg.batch_slots)
@@ -283,7 +283,6 @@ impl AnalyticTrainer {
                     expert_sums: vec![0.0; e],
                 })
                 .collect(),
-            slab,
             cfg,
         }
     }
@@ -300,27 +299,22 @@ impl AnalyticTrainer {
         self.cfg.modulation
     }
 
-    /// Re-reads every parameter value out of `store` (an in-place
-    /// [`ExpertSlab::repack`]). Call after each optimizer step; performs no
-    /// allocations.
-    pub fn refresh(&mut self, store: &ParamStore) {
-        self.slab.repack(store, &self.specs);
-    }
-
-    /// Runs forward + backward for one optimizer batch of subsequence
-    /// `starts`, folding gradients into `store` in a fixed order (batch
-    /// position → shard → expert) so the result is bit-identical to the tape
-    /// path at any thread count. Returns per-slot statistics in batch order.
+    /// Runs forward + backward over `slab` for one optimizer batch of
+    /// subsequence `starts`, folding gradients into `store` (the one `slab`
+    /// was packed from) in a fixed order (batch position → shard → expert)
+    /// so the result is bit-identical to the tape path at any thread count.
+    /// Returns per-slot statistics in batch order.
     ///
     /// The caller owns the surrounding loop: `store.zero_grads()` before,
-    /// gradient clipping / optimizer step / [`AnalyticTrainer::refresh`]
-    /// after.
+    /// gradient clipping / optimizer step / [`ExpertSlab::repack`] after.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` exceeds the configured slot count.
+    /// Panics if `batch` exceeds the configured slot count, or `slab` is
+    /// not shaped and sharded like the one the trainer was built for.
     pub fn run_batch(
         &mut self,
+        slab: &ExpertSlab,
         store: &mut ParamStore,
         pool: &Pool,
         xs: &[Vec<f32>],
@@ -329,7 +323,13 @@ impl AnalyticTrainer {
     ) -> &[SlotStats] {
         let nb = batch.len();
         assert!(nb <= self.cfg.batch_slots, "run_batch: batch too large");
-        let e_total = self.specs.len();
+        let e_total = slab.experts();
+        let shard_count = slab.shards().len();
+        let planned = self.jobs.iter().map(|j| j.lo..j.lo + j.count);
+        assert!(
+            planned.eq(slab.shards().iter().cloned().cycle().take(self.jobs.len())),
+            "run_batch: not the shard plan the trainer was built for"
+        );
         let h = self.cfg.hidden_dim;
         let t_total = xs.len();
         // Backward seed of the batch-mean scale node: `1.0 · scale`.
@@ -337,14 +337,11 @@ impl AnalyticTrainer {
 
         let Self {
             cfg,
-            specs,
-            slab,
             jobs,
             hmats,
             g_att_all,
             stats,
         } = self;
-        let shard_count = slab.shards().len();
 
         for (b, &start) in batch.iter().enumerate() {
             let steps = (start + cfg.max_steps).min(t_total) - start;
@@ -412,7 +409,7 @@ impl AnalyticTrainer {
         // Serial fold + statistics, in the tape's subsequence order.
         for b in 0..nb {
             let b_jobs = &active[b * shard_count..(b + 1) * shard_count];
-            fold_gradients(store, specs, cfg, b_jobs);
+            fold_gradients(store, slab.specs(), cfg, b_jobs);
             slot_stats(&mut stats[b], cfg, slab, b_jobs);
         }
         if telemetry::enabled() {

@@ -11,7 +11,7 @@
 //! worker pools of 1 and 4 threads.
 
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{Adam, AnalyticTrainer, ExpertSpec, GruCell, Linear, TrainerConfig};
+use deeprest_nn::{Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
 use deeprest_tape::{BoundGruCell, BoundLinear, GradBuffer, Graph, Var};
 use deeprest_tensor::{ParamStore, Pool, Tensor};
 use proptest::prelude::*;
@@ -258,10 +258,17 @@ fn analytic_run(
         quantiles: quantiles_for(0.90),
         modulation: [1.0; 3],
     };
-    let mut trainer = AnalyticTrainer::new(store, setup.specs.clone(), cfg, &pool);
+    let slab = ExpertSlab::pack(
+        store,
+        &setup.specs,
+        setup.api_mask,
+        setup.attention,
+        threads,
+    );
+    let mut trainer = AnalyticTrainer::new(&slab, cfg);
     store.zero_grads();
     trainer
-        .run_batch(store, &pool, &setup.xs, &setup.targets, &setup.batch)
+        .run_batch(&slab, store, &pool, &setup.xs, &setup.targets, &setup.batch)
         .iter()
         .map(|s| (s.loss_sum, s.n_terms, s.expert_sums.clone()))
         .collect()

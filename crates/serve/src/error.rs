@@ -12,11 +12,14 @@ use crate::checkpoint::CheckpointError;
 /// A serving-pipeline failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// Ingesting an arrival failed before any pipeline state changed; the
-    /// arrival was not consumed. After a transient failure it may be
-    /// retried verbatim; a trace naming a symbol the pipeline's name table
-    /// does not hold needs the pipeline restored against the grown table.
+    /// Ingesting an arrival failed transiently, before any pipeline state
+    /// changed; the arrival was not consumed and may be retried verbatim.
     Ingest(String),
+    /// The arrival names a symbol the pipeline's name table does not hold.
+    /// No pipeline state changed, and no retry can succeed: the refusal is
+    /// a function of the arrival and the table. Drop the arrival, or
+    /// restore the pipeline against the grown table and offer it again.
+    UnknownSymbol(String),
     /// The inference step for one window kept failing (worker panic caught
     /// and retried from the pre-step snapshot, without success). The sealed
     /// window is retained and re-attempted on the next ingest or flush.
@@ -47,6 +50,9 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Ingest(msg) => write!(f, "ingest failed (arrival not consumed): {msg}"),
+            ServeError::UnknownSymbol(msg) => {
+                write!(f, "arrival refused (retrying cannot help): {msg}")
+            }
             ServeError::Step { window, message } => {
                 write!(f, "window {window} step failed after retries: {message}")
             }

@@ -2,9 +2,9 @@
 //! inference → causal sanity alerts, with JSON checkpoint/restore.
 //!
 //! Every per-window stage is written once, on [`WindowStages`], and takes
-//! the model and predictor as arguments: [`Pipeline`] drives one with a
-//! borrowed model and a live [`StreamPredictor`], `deeprest-adapt`'s
-//! `AdaptivePipeline` with an owned, mutable model — frozen, nothing else.
+//! the model and the stream's [`CarriedState`] as arguments: [`Pipeline`]
+//! drives one with a borrowed model, `deeprest-adapt`'s `AdaptivePipeline`
+//! with an owned, mutable model — frozen, nothing else.
 //!
 //! # Self-healing
 //!
@@ -14,7 +14,7 @@
 //!
 //! * a **contained panic** in the inference step (a poisoned kernel job, an
 //!   injected `pool.worker` fault) rolls the predictor back to the snapshot
-//!   and retries; because [`StreamPredictor::step`] is pure given (state,
+//!   and retries; because [`CarriedState::step`] is pure given (state,
 //!   features), a retry after a transient fault is bit-identical to a run
 //!   that never faulted;
 //! * **non-finite hidden state** after a step (persistent numeric poison)
@@ -38,7 +38,7 @@
 
 use std::panic::AssertUnwindSafe;
 
-use deeprest_core::stream::{panic_message, PointEstimate, StreamPredictor, StreamSnapshot};
+use deeprest_core::stream::{panic_message, CarriedState, PointEstimate, StreamSnapshot};
 use deeprest_core::{interpret, DeepRest, ExpertKey};
 use deeprest_fault as fault;
 use deeprest_metrics::MetricsRegistry;
@@ -277,10 +277,11 @@ impl WindowStages {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Ingest`]: the arrival was **not** consumed. Besides the
-    /// injected fault, that is a trace naming a symbol the stages' name
-    /// table does not hold (see [`new`](Self::new)); it is counted as
-    /// `serve.ingest.unknown_symbol`.
+    /// Either way the arrival was **not** consumed. [`ServeError::Ingest`]
+    /// is the injected transient fault: offer the arrival again.
+    /// [`ServeError::UnknownSymbol`] is a trace naming a symbol the stages'
+    /// name table does not hold (see [`new`](Self::new)), counted as
+    /// `serve.ingest.unknown_symbol`: offering it again refuses it again.
     pub fn push(&mut self, t: TimestampedTrace) -> Result<(), ServeError> {
         // Fault probe: `serve.ingest` fails the arrival before any state
         // changes, so the caller can retry it verbatim.
@@ -294,7 +295,7 @@ impl WindowStages {
         // containment: an out-of-table symbol has to stop here.
         if let Some(sym) = unknown_symbol(&t.trace, self.source.len()) {
             telemetry::counter("serve.ingest.unknown_symbol", 1);
-            return Err(ServeError::Ingest(format!(
+            return Err(ServeError::UnknownSymbol(format!(
                 "trace names symbol #{} but the pipeline's name table holds {} names (interned \
                  after the pipeline was built?); checkpoint() and restore() against the grown \
                  table to serve it",
@@ -350,17 +351,17 @@ impl WindowStages {
 
     /// Extracts the window's features and runs the inference step with
     /// panic containment and rollback-retry from the pre-step snapshot.
-    /// Returns the features with the raw estimates; on error `predictor` is
+    /// Returns the features with the raw estimates; on error `carried` is
     /// back at its pre-step state.
     ///
     /// # Errors
     ///
     /// [`ServeError::Step`] / [`ServeError::PoisonedState`] when the step
     /// kept failing through [`ServeConfig::step_retries`] retries.
-    pub fn step<'m>(
+    pub fn step(
         &self,
-        model: &'m DeepRest,
-        predictor: &mut StreamPredictor<'m>,
+        model: &DeepRest,
+        carried: &mut CarriedState,
         w: &SealedWindow,
     ) -> Result<(Vec<f32>, Vec<PointEstimate>), ServeError> {
         let x = model.window_features(&w.traces, &self.source);
@@ -368,18 +369,19 @@ impl WindowStages {
         // granularity: `step` is pure given (state, features), so retrying
         // from it after a transient fault is bit-identical to never having
         // faulted.
-        let snapshot = predictor.snapshot();
+        let snapshot = carried.snapshot();
         let mut attempt = 0;
         loop {
-            let failure = match std::panic::catch_unwind(AssertUnwindSafe(|| predictor.step(&x))) {
-                Ok(estimates) if predictor.hidden_is_finite() => return Ok((x, estimates)),
+            let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| carried.step(model, &x)));
+            let failure = match stepped {
+                Ok(estimates) if carried.hidden_is_finite() => return Ok((x, estimates)),
                 // Persistent numeric poison in the carried state: every
                 // future step would be garbage. Roll back and retry — the
                 // poison may have been transient (injected fault, cosmic-ray
                 // bitflip); if it persists, park the window.
                 Ok(_) => ServeError::PoisonedState {
                     window: w.index,
-                    experts: predictor.hidden_nonfinite_experts(),
+                    experts: carried.hidden_nonfinite_experts(),
                 },
                 Err(payload) => ServeError::Step {
                     window: w.index,
@@ -387,7 +389,7 @@ impl WindowStages {
                 },
             };
             telemetry::counter("serve.step.rolled_back", 1);
-            *predictor = StreamPredictor::restore(model, &snapshot).map_err(ServeError::Restore)?;
+            *carried = CarriedState::restore(model, &snapshot).map_err(ServeError::Restore)?;
             if attempt == self.config.step_retries {
                 return Err(failure);
             }
@@ -476,14 +478,10 @@ impl WindowStages {
     }
 
     /// The control-loop cadence: yields a [`ControlTick`] carrying
-    /// `snapshot()` when at least [`ServeConfig::control_interval`] (if
-    /// non-zero) windows have been sealed since the previous tick.
-    pub fn poll_control(
-        &mut self,
-        position: usize,
-        snapshot: impl FnOnce() -> StreamSnapshot,
-    ) -> Option<ControlTick> {
-        let interval = self.config.control_interval;
+    /// `carried`'s snapshot when at least [`ServeConfig::control_interval`]
+    /// (if non-zero) windows have been sealed since the previous tick.
+    pub fn poll_control(&mut self, carried: &CarriedState) -> Option<ControlTick> {
+        let (interval, position) = (self.config.control_interval, carried.position());
         if interval == 0 || position < self.last_control + interval {
             return None;
         }
@@ -493,17 +491,17 @@ impl WindowStages {
         }
         Some(ControlTick {
             window: position,
-            predictor: snapshot(),
+            predictor: carried.snapshot(),
         })
     }
 
-    /// Assembles a [`Checkpoint`] around the caller's predictor snapshot
-    /// and adapter envelope — parked windows and undelivered outputs
-    /// included, so a restore loses nothing.
-    pub fn checkpoint(&self, predictor: StreamSnapshot, adapter: Option<String>) -> Checkpoint {
+    /// Assembles a [`Checkpoint`] around the caller's carried state and
+    /// adapter envelope — parked windows and undelivered outputs included,
+    /// so a restore loses nothing.
+    pub fn checkpoint(&self, carried: &CarriedState, adapter: Option<String>) -> Checkpoint {
         Checkpoint {
             assembler: self.assembler.clone(),
-            predictor,
+            predictor: carried.snapshot(),
             sanity: self.sanity.state().clone(),
             pending: self.pending.clone(),
             ready: self.ready.clone(),
@@ -523,7 +521,7 @@ impl WindowStages {
 /// the full expected output sequence for cross-checking.
 pub struct Pipeline<'m> {
     model: &'m DeepRest,
-    predictor: StreamPredictor<'m>,
+    carried: CarriedState,
     stages: WindowStages,
 }
 
@@ -535,7 +533,7 @@ impl<'m> Pipeline<'m> {
     pub fn new(model: &'m DeepRest, source: &Interner, config: ServeConfig) -> Self {
         Self {
             model,
-            predictor: model.stream_predictor(),
+            carried: CarriedState::new(model),
             stages: WindowStages::new(model, source, config),
         }
     }
@@ -563,7 +561,7 @@ impl<'m> Pipeline<'m> {
 
     /// Number of windows sealed and estimated so far.
     pub fn position(&self) -> usize {
-        self.predictor.position()
+        self.carried.position()
     }
 
     /// How many traces arrived beyond the lateness bound (counted, never
@@ -578,10 +576,11 @@ impl<'m> Pipeline<'m> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Ingest`] means the arrival was **not** consumed: an
-    /// injected fault (retry it verbatim) or a trace naming a symbol
-    /// interned after the pipeline's name table was taken (restore against
-    /// the grown table first). Step errors
+    /// [`ServeError::Ingest`] and [`ServeError::UnknownSymbol`] mean the
+    /// arrival was **not** consumed: an injected fault (retry it verbatim),
+    /// or a trace naming a symbol interned after the pipeline's name table
+    /// was taken (retrying cannot help; restore against the grown table
+    /// first). Step errors
     /// ([`ServeError::Step`]/[`ServeError::PoisonedState`]) mean the
     /// arrival *was* consumed: the failing sealed window is parked and
     /// retried on the next call, so no window is lost or reordered.
@@ -603,7 +602,7 @@ impl<'m> Pipeline<'m> {
 
     fn drain(&mut self) -> Result<Vec<WindowOutput>, ServeError> {
         self.stages.drain(|stages, w| {
-            let (_, estimates) = stages.step(self.model, &mut self.predictor, w)?;
+            let (_, estimates) = stages.step(self.model, &mut self.carried, w)?;
             Ok(stages.score(w, estimates))
         })
     }
@@ -629,15 +628,14 @@ impl<'m> Pipeline<'m> {
     /// controller acts on the *current* state, stale intermediate ticks
     /// would only re-decide with older information.
     pub fn poll_control(&mut self) -> Option<ControlTick> {
-        self.stages
-            .poll_control(self.predictor.position(), || self.predictor.snapshot())
+        self.stages.poll_control(&self.carried)
     }
 
     /// Captures the pipeline's full streaming state for crash recovery —
     /// including windows parked by a step failure and outputs not yet
     /// handed to the caller, so a restore loses nothing.
     pub fn checkpoint(&self) -> Checkpoint {
-        self.stages.checkpoint(self.predictor.snapshot(), None)
+        self.stages.checkpoint(&self.carried, None)
     }
 
     /// Rebuilds a pipeline from a [`checkpoint`](Self::checkpoint),
@@ -657,7 +655,7 @@ impl<'m> Pipeline<'m> {
     ) -> Result<Self, String> {
         Ok(Self {
             model,
-            predictor: StreamPredictor::restore(model, &checkpoint.predictor)?,
+            carried: CarriedState::restore(model, &checkpoint.predictor)?,
             stages: WindowStages::restore(model, source, config, &checkpoint)?,
         })
     }

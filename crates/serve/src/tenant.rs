@@ -301,7 +301,7 @@ struct Tenant<'m> {
     pipeline: Pipeline<'m>,
     breaker: CircuitBreaker,
     stats: TenantStats,
-    /// An arrival whose ingest failed without being consumed
+    /// An arrival whose ingest failed transiently without being consumed
     /// ([`ServeError::Ingest`]); retried before the queue next round.
     retry: Option<TimestampedTrace>,
     round_arrivals: u32,
@@ -663,6 +663,10 @@ impl<'m> TenantRegistry<'m> {
                     );
                 }
                 Err(error) => {
+                    // Only the transient fault leaves an arrival worth
+                    // offering again. A refused one
+                    // (`ServeError::UnknownSymbol`) would be refused every
+                    // round, so it is drained like one whose window parked.
                     if matches!(error, ServeError::Ingest(_)) {
                         tenant.retry = backup;
                     } else {

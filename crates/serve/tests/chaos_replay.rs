@@ -367,7 +367,7 @@ fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
         }
         let before = pipeline.checkpoint().to_json().expect("checkpoint");
         match pipeline.ingest(stream[at].clone()) {
-            Err(ServeError::Ingest(msg)) => {
+            Err(ServeError::UnknownSymbol(msg)) => {
                 assert!(msg.contains("symbol #4"), "{msg}");
                 assert!(msg.contains("holds 3 names"), "{msg}");
                 assert!(msg.contains("restore()"), "{msg}");

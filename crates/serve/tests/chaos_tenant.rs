@@ -13,13 +13,13 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use common::{assert_outputs_bitwise_equal, stream_of, trained, WINDOW_SECS};
+use common::{assert_outputs_bitwise_equal, deploy_mid_stream, stream_of, trained, WINDOW_SECS};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_serve::overload::{BreakerConfig, BreakerPhase};
 use deeprest_serve::tenant::TenantOutput;
 use deeprest_serve::{
     CheckpointStore, MultiTenantCheckpoint, OverloadConfig, OverloadLevel, Pipeline, PriorityClass,
-    SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
+    SchedConfig, ServeConfig, ServeError, TenantConfig, TenantRegistry, WindowOutput,
 };
 use deeprest_telemetry::{self as telemetry, MemorySink};
 use deeprest_trace::window::TimestampedTrace;
@@ -359,6 +359,92 @@ fn sched_stall_delays_but_never_changes_outputs() {
     for t in 0..2 {
         assert_outputs_bitwise_equal(&outputs_of(&log.outputs, t), &expected);
         assert_eq!(registry.stats(t).shed, 0);
+    }
+}
+
+/// One tenant is sent a trace naming a component deployed after the
+/// registry took its name table. Its pipeline refuses the trace every time
+/// it is offered, so the registry has to consume it: drained and counted
+/// once (`serve.ingest.unknown_symbol`, one [`TenantError`]), the tenant's
+/// queue moving again by the next round, everything else it was sent served,
+/// the other tenant untouched — with a fault plan armed (when the registry
+/// keeps retry copies) and without.
+///
+/// [`TenantError`]: deeprest_serve::tenant::TenantError
+#[test]
+fn refused_arrival_is_drained_once_and_holds_nobody_up() {
+    let (model, interner, traces, _metrics) = trained(32);
+    let clean = stream_of(&traces);
+    let expected = solo_baseline(&model, &interner, &clean);
+    let mut dirty = clean.clone();
+    deploy_mid_stream(&interner, &mut dirty);
+    let streams = [clean.as_slice(), dirty.as_slice()];
+
+    for armed in [false, true] {
+        let mut registry = TenantRegistry::new(sched_config(), OverloadConfig::default());
+        for name in ["alpha", "bravo"] {
+            registry.add_tenant(
+                &model,
+                &interner,
+                serve_config(),
+                TenantConfig::new(name).with_queue_capacity(512),
+            );
+        }
+        let sink = Arc::new(MemorySink::new());
+        let mut run = || {
+            let mut cursors = vec![0usize; streams.len()];
+            let (mut outputs, mut errors, mut drained) = (Vec::new(), Vec::new(), 0);
+            // Whether the refusal was reported in the previous round.
+            let mut just_refused = false;
+            // Rounds until everything submitted has been drained, so that
+            // `drained` below counts every arrival.
+            while cursors.iter().zip(&streams).any(|(&c, s)| c < s.len())
+                || registry.queue_depth(0) + registry.queue_depth(1) > 0
+            {
+                submit_tick(&mut registry, &streams, &mut cursors);
+                let queued = registry.queue_depth(1);
+                let round = registry.run_round();
+                if just_refused {
+                    assert!(round.errors.is_empty(), "the refusal was reported again");
+                    assert!(
+                        registry.queue_depth(1) < queued,
+                        "the queue is still held up"
+                    );
+                }
+                just_refused = !round.errors.is_empty();
+                drained += round.drained;
+                outputs.extend(round.outputs);
+                errors.extend(round.errors);
+            }
+            let flushed = registry.flush();
+            assert!(flushed.errors.is_empty(), "flush must not error");
+            outputs.extend(flushed.outputs);
+            (outputs, errors, drained)
+        };
+        // A probe nothing on this path reaches: the plan is armed, it never
+        // fires.
+        let plan = Arc::new(FaultPlan::new(chaos_seed()).once("test.unreached", 0));
+        let (outputs, errors, drained) = telemetry::with_sink(sink.clone(), || match armed {
+            true => fault::with_plan(plan, run),
+            false => run(),
+        });
+
+        assert_eq!(errors.len(), 1, "armed={armed}: one refusal, reported once");
+        assert_eq!(errors[0].tenant, 1);
+        assert!(
+            matches!(errors[0].error, ServeError::UnknownSymbol(_)),
+            "armed={armed}: {:?}",
+            errors[0].error
+        );
+        assert_eq!(sink.counter("serve.ingest.unknown_symbol"), 1);
+        assert_eq!(
+            drained,
+            (clean.len() + dirty.len()) as u64,
+            "armed={armed}: every arrival drained, the refused one included"
+        );
+        for t in 0..2 {
+            assert_outputs_bitwise_equal(&outputs_of(&outputs, t), &expected);
+        }
     }
 }
 

@@ -5,15 +5,73 @@
 //! (`crates/adapt/tests/{frozen_equivalence,determinism}.rs`,
 //! `crates/core/src/oracle.rs`).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use deeprest::adapt::{AdaptConfig, AdaptivePipeline};
 use deeprest::core::{DeepRest, DeepRestConfig};
 use deeprest::metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
-use deeprest::serve::{Checkpoint, CollectSink, Pipeline, ServeConfig, WindowOutput};
+use deeprest::serve::{
+    Checkpoint, CollectSink, OverloadConfig, Pipeline, SchedConfig, ServeConfig, TenantConfig,
+    TenantRegistry, WindowOutput,
+};
 use deeprest::trace::window::{TimestampedTrace, WindowedTraces};
 use deeprest::trace::{Interner, SpanNode, Trace};
 use deeprest::workload::ApiTraffic;
 
 const WINDOWS: usize = 48;
+
+/// Keeps each thread's balance of bytes allocated minus bytes freed, so a
+/// test can size what a call left resident while the other tests of this
+/// binary run beside it.
+struct CountingAlloc;
+
+thread_local! {
+    static HELD: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(bytes: isize) {
+    HELD.with(|held| held.set(held.get() + bytes));
+}
+
+// SAFETY: defers every request to `System` unchanged; the balance is a
+// side effect only, a `Cell<isize>` in a const-initialised thread-local
+// with no destructor, so touching it neither allocates nor can fail.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as isize - layout.size() as isize);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the bytes it left allocated on the calling thread.
+fn left_allocated<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = HELD.with(Cell::get);
+    let out = f();
+    (out, HELD.with(Cell::get) - before)
+}
 
 struct Fixture {
     model: DeepRest,
@@ -275,9 +333,9 @@ fn one_pack_trains_and_serves_identically_across_threads_and_reload() {
         metrics.insert(MetricKey::new(&name, ResourceKind::Memory), mem);
     }
 
-    let run = |threads: usize, reload: bool| {
+    let fit = |threads: usize, hidden_dim: usize| {
         let config = DeepRestConfig {
-            hidden_dim: 8,
+            hidden_dim,
             epochs: 1,
             subseq_len: 12,
             batch_size: 3,
@@ -285,7 +343,10 @@ fn one_pack_trains_and_serves_identically_across_threads_and_reload() {
         }
         .with_seed(7)
         .with_threads(threads);
-        let (mut model, _) = DeepRest::fit(&traces, &metrics, &interner, config);
+        DeepRest::fit(&traces, &metrics, &interner, config).0
+    };
+    let run = |threads: usize, reload: bool| {
+        let mut model = fit(threads, 8);
         model.fit_incremental(&traces, &metrics, &interner, 1);
         if reload {
             model = owned(&model);
@@ -306,4 +367,28 @@ fn one_pack_trains_and_serves_identically_across_threads_and_reload() {
         reference,
         "model reloaded between fit and estimate"
     );
+
+    // One pack per model: a further stream of the same model — a second
+    // predictor, every tenant of a registry — holds its own carried state
+    // and its pipeline, and nothing the size of the pack (at 32 hidden
+    // units the pack is what `state_bytes` mostly counts).
+    let model = fit(4, 32);
+    let budget = model.stream_predictor().state_bytes() as isize / 4;
+    let (second, bytes) = left_allocated(|| model.stream_predictor());
+    assert!(
+        bytes < budget,
+        "a second predictor holds {bytes} B of a {budget} B budget"
+    );
+    assert_eq!(second.position(), 0);
+    let mut registry = TenantRegistry::new(SchedConfig::default(), OverloadConfig::default());
+    for t in 0..8 {
+        let config = TenantConfig::new(format!("tenant{t}")).with_queue_capacity(1);
+        let (_, bytes) =
+            left_allocated(|| registry.add_tenant(&model, &interner, serve_config(), config));
+        assert!(
+            bytes < budget,
+            "tenant {t} holds {bytes} B of a {budget} B budget"
+        );
+    }
+    assert_eq!(registry.tenant_count(), 8);
 }
