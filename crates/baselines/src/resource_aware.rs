@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use deeprest_metrics::{MetricKey, MinMaxScaler, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
 use deeprest_nn::{Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
+use deeprest_tensor::kernel::Support;
 use deeprest_tensor::{BufferPool, ParamStore, Pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,6 +154,7 @@ impl Forecaster {
         let h = self.slab.hidden_dim();
         let mut scratch = BufferPool::new();
         let (mut hidden, mut cat, mut y) = (vec![0.0f32; h], vec![0.0f32; 2 * h], [0.0f32; 3]);
+        let mut support = Support::with_capacity(INPUT_DIM);
         let mut prev_day = self.last_day.clone();
         let mut out = Vec::with_capacity(windows);
         while out.len() < windows {
@@ -163,10 +165,19 @@ impl Forecaster {
                     // `heads` never reads `H_t` (here the hidden state
                     // itself: one expert, one column).
                     let x = input(prev_day[w], w, wpd);
+                    support.fill(&x);
                     self.slab
-                        .step_range(0..1, &x, &mut hidden, &mut scratch, None);
-                    self.slab
-                        .heads(0, &hidden, &hidden, &x, &mut cat, &mut y, &mut scratch);
+                        .step_range(0..1, &x, &support, &mut hidden, &mut scratch, None);
+                    self.slab.heads(
+                        0,
+                        &hidden,
+                        &hidden,
+                        &x,
+                        &support,
+                        &mut cat,
+                        &mut y,
+                        &mut scratch,
+                    );
                     y[0]
                 })
                 .collect();

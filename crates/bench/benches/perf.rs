@@ -156,15 +156,57 @@ fn bench_matmul(c: &mut Criterion) {
             bench.iter(|| at.matmul_tn(&b_mat));
         });
     }
+    // The forward's input-side product `[W_z; W_k; W_h]·x̃` for a whole swarm
+    // (hidden 16, so 48 outputs) at the two shapes the end-to-end benchmark
+    // serves — 256 experts over 128 paths, 76 over 67 — on the input-major
+    // pack: over a window that exercises 8 paths, and over one that
+    // exercises all of them. `gemv_row_major` is the product the row-major
+    // pack ran at the same shape, whatever the window.
+    for &(k, batch) in &[(128usize, 256usize), (67, 76)] {
+        let m = 48usize;
+        let mut rng = StdRng::seed_from_u64(10);
+        let a = Tensor::rand_uniform(batch * k, m, -1.0, 1.0, &mut rng);
+        let dense = Tensor::rand_uniform(batch * k, 1, 0.1, 1.0, &mut rng);
+        let mut out = vec![0.0f32; batch * m];
+        for (name, live) in [("8", 8usize), ("full", k)] {
+            // `live` evenly spread paths exercised, the same in every item.
+            let exercised = |kk: usize| (kk * live) % k < live;
+            let x: Vec<f32> = (0..batch * k)
+                .map(|i| {
+                    if exercised(i % k) {
+                        dense.data()[i]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut support = kernel::Support::with_capacity(k);
+            support.fill(&x[..k]);
+            assert_eq!(support.nnz(), live);
+            let id = format!("{k}x{m}/{name}");
+            group.bench_with_input(BenchmarkId::new("gemv_t_support", &id), &id, |bench, _| {
+                bench.iter(|| {
+                    kernel::gemv_t_batch_into(&mut out, a.data(), k, m, &x, Some(&support), batch);
+                    out[0]
+                });
+            });
+        }
+        let id = format!("{m}x{k}");
+        group.bench_with_input(BenchmarkId::new("gemv_row_major", &id), &id, |bench, _| {
+            bench.iter(|| {
+                kernel::gemv_batch_into(&mut out, a.data(), m, k, dense.data(), batch);
+                out[0]
+            });
+        });
+    }
     group.finish();
 }
 
 fn bench_gemv(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemv");
     group.sample_size(30);
-    // The forward pass is GEMV-dominated: W·x gate products and the
-    // attention contraction H·α. Sweep square shapes plus the sparse
-    // dispatch case (a mostly-zero masked input vector).
+    // The row-major GEMV (the forward's head product, the tape's `matmul`
+    // by a column) across square shapes.
     for &n in &[32usize, 64, 128, 256] {
         let mut rng = StdRng::seed_from_u64(11);
         let a = Tensor::rand_uniform(n, n, -1.0, 1.0, &mut rng);
@@ -173,19 +215,6 @@ fn bench_gemv(c: &mut Criterion) {
             bench.iter(|| a.matmul(&x));
         });
     }
-    let mut rng = StdRng::seed_from_u64(12);
-    let a = Tensor::rand_uniform(128, 128, -1.0, 1.0, &mut rng);
-    let mut xv = vec![0.0f32; 128];
-    for (i, v) in xv.iter_mut().enumerate().take(16) {
-        // Blocky sparsity, as ablation masks produce: the first two 8-wide
-        // chunks live, the remaining 14/16 entirely zero — above the 3/4
-        // chunk dispatch threshold.
-        *v = 1.0 + i as f32 * 0.1;
-    }
-    let x = Tensor::vector(xv);
-    group.bench_with_input(BenchmarkId::new("sparse", 128), &128, |bench, _| {
-        bench.iter(|| a.matmul(&x));
-    });
     group.finish();
 }
 
@@ -339,6 +368,26 @@ fn bench_batched_serving(c: &mut Criterion) {
             let mut predictor = model.stream_predictor();
             b.iter(|| predictor.step(&x));
         });
+        // The same step on a window that exercises 8 of the application's
+        // paths (every window of `multi_expert` exercises all of them): the
+        // input-side gate product visits 8 rows per expert, not `dim`.
+        if experts >= 64 {
+            let every = x.len() / 8;
+            let sparse: Vec<f32> = (0..x.len())
+                .map(|i| {
+                    if i % every == 1 && i / every < 8 {
+                        x[i]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            assert_eq!(sparse.iter().filter(|&&v| v != 0.0).count(), 8);
+            group.bench_with_input(BenchmarkId::new("batched_step_sparse", &id), &id, |b, _| {
+                let mut predictor = model.stream_predictor();
+                b.iter(|| predictor.step(&sparse));
+            });
+        }
     }
     group.finish();
 }

@@ -33,7 +33,10 @@
 //! * `experts/core` — experts one core sustains at the scrape-window rate:
 //!   `experts × window_secs / (step_secs × threads)`;
 //! * `KiB/expert` — resident packed weights + carried state per expert
-//!   (gate slab, attention/head/skip packs, hidden vectors).
+//!   (gate slab, attention/head/skip packs, hidden vectors);
+//! * `nnz/d` — mean share of the feature vector that is non-zero over the
+//!   windows stepped: the step's input-side cost is proportional to it, so
+//!   a `windows/s` figure holds for traffic of that density.
 //!
 //! # `deeprest scale`
 //!
@@ -192,6 +195,8 @@ struct Row {
     /// masked inputs and the gathered hidden matrix.
     stream_bytes: usize,
     experts_per_core: f64,
+    /// Mean `nnz/d` of the windows the timed steps ran on.
+    density: f64,
     /// Multi-tenant sizing (only with `--tenants N`, N > 1): rounds/sec
     /// where one round advances every tenant's predictor by one window,
     /// and the tenants one core sustains at the window rate.
@@ -234,6 +239,11 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
     let wps = windows_per_sec(&xs, warm, steps, |x| {
         batched.step(x);
     });
+    let stepped = (0..steps).map(|k| &xs[k % xs.len()]);
+    let nonzero: usize = stepped
+        .map(|x| x.iter().filter(|&&v| v != 0.0).count())
+        .sum();
+    let density = nonzero as f64 / (steps * dim) as f64;
 
     let threads = model_threads(args);
     let step_secs = 1.0 / wps;
@@ -268,6 +278,7 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
         pack_bytes,
         stream_bytes,
         experts_per_core: experts as f64 * args.window_secs / (step_secs * threads as f64),
+        density,
         tenant_rounds_per_sec,
         tenants_per_core,
     }
@@ -307,9 +318,9 @@ fn run_capacity(raw: Vec<String>) {
             let (pack, stream) = (r.pack_bytes, r.stream_bytes);
             println!(
                 "{{\"experts\":{},\"shards\":{},\"batched_windows_per_sec\":{:.1},\
-                 \"experts_per_core\":{:.1},\"pack_bytes\":{pack},\"stream_bytes\":{stream}\
-                 {tenant_fields}}}",
-                r.experts, r.shards, r.windows_per_sec, r.experts_per_core
+                 \"experts_per_core\":{:.1},\"pack_bytes\":{pack},\"stream_bytes\":{stream},\
+                 \"nnz_per_d\":{:.3}{tenant_fields}}}",
+                r.experts, r.shards, r.windows_per_sec, r.experts_per_core, r.density
             );
         }
     } else {
@@ -319,15 +330,15 @@ fn run_capacity(raw: Vec<String>) {
             args.window_secs
         );
         println!(
-            "{:>8}  {:>6}  {:>12}  {:>12}  {:>10}  {:>10}",
-            "experts", "shards", "windows/s", "experts/core", "pack KiB", "KiB/stream"
+            "{:>8}  {:>6}  {:>12}  {:>12}  {:>10}  {:>10}  {:>6}",
+            "experts", "shards", "windows/s", "experts/core", "pack KiB", "KiB/stream", "nnz/d"
         );
         for r in &rows {
             let kib = |bytes: usize| bytes as f64 / 1024.0;
             let (pack, stream) = (kib(r.pack_bytes), kib(r.stream_bytes));
             println!(
-                "{:>8}  {:>6}  {:>12.1}  {:>12.3e}  {pack:>10.1}  {stream:>10.1}",
-                r.experts, r.shards, r.windows_per_sec, r.experts_per_core
+                "{:>8}  {:>6}  {:>12.1}  {:>12.3e}  {pack:>10.1}  {stream:>10.1}  {:>6.3}",
+                r.experts, r.shards, r.windows_per_sec, r.experts_per_core, r.density
             );
             if let (Some(rps), Some(per_core)) = (r.tenant_rounds_per_sec, r.tenants_per_core) {
                 let resident = kib(r.pack_bytes + args.tenants * r.stream_bytes);

@@ -219,8 +219,8 @@ impl Deserialize for DeepRest {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let parts = ModelParts::from_value(value)?;
         let refuse = |why: String| serde::Error::custom(format!("DeepRest: {why}"));
-        // The slab takes its shape from the first expert and `check` holds
-        // every other expert to it; streams take theirs from here.
+        // The slab takes its shape from the first expert and `try_pack`
+        // holds every other expert to it; streams take theirs from here.
         let shape = (parts.features.dim(), parts.config.hidden_dim);
         let first = parts.experts.first().map(|ex| &ex.gru);
         if first.map(|cell| (cell.input_dim(), cell.hidden_dim())) != Some(shape) {
@@ -228,15 +228,7 @@ impl Deserialize for DeepRest {
                 "the first expert is not shaped (features, hidden_dim) = {shape:?}"
             )));
         }
-        let (api_mask, attention) = (parts.config.api_mask, parts.config.attention);
-        ExpertSlab::check(
-            &parts.store,
-            &expert_specs(&parts.experts),
-            api_mask,
-            attention,
-        )
-        .map_err(refuse)?;
-        Ok(Self::assemble(parts))
+        Self::assemble(parts).map_err(refuse)
     }
 }
 
@@ -448,6 +440,9 @@ impl DeepRest {
             interner: interner.clone(),
             experts,
             store,
+        })
+        .unwrap_or_else(|why| {
+            panic!("DeepRest::fit: experts it just registered do not pack: {why}")
         });
         let ((epoch_losses, expert_losses), training_secs) = telemetry::timed("fit.train", || {
             model.train_epochs(&xs, &targets, model.config.epochs)
@@ -474,15 +469,20 @@ impl DeepRest {
     /// Puts a model together from its parts — fitted or read back — and
     /// packs its slab: the one place a model comes into being, so a model
     /// that exists has its pack.
-    fn assemble(parts: ModelParts) -> Self {
-        let slab = ExpertSlab::pack(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExpertSlab::try_pack`]'s message when the experts' handles
+    /// do not fit the store (parts read from a file can disagree).
+    fn assemble(parts: ModelParts) -> Result<Self, String> {
+        let slab = ExpertSlab::try_pack(
             &parts.store,
             &expert_specs(&parts.experts),
             parts.config.api_mask,
             parts.config.attention,
             pool_of(&parts.config).threads(),
-        );
-        Self {
+        )?;
+        Ok(Self {
             config: parts.config,
             features: parts.features,
             synthesizer: parts.synthesizer,
@@ -490,7 +490,7 @@ impl DeepRest {
             experts: parts.experts,
             store: parts.store,
             slab,
-        }
+        })
     }
 
     /// The worker pool this model fans training and prediction out over:

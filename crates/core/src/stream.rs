@@ -17,8 +17,9 @@
 //! training steps the very same calls. The model packs it when it comes
 //! into being and repacks it wherever it writes its parameters, so a stream
 //! owns no weights at all. What a stream owns is [`CarriedState`]: the
-//! hidden vectors (reset at chunk boundaries), this window's masked inputs
-//! and outputs, the `H_t` matrix, per-shard scratch and the position.
+//! hidden vectors (reset at chunk boundaries), this window's support,
+//! masked inputs and outputs, the `H_t` matrix, per-shard scratch and the
+//! position.
 //! Starting a stream, restoring one from a snapshot, forking a what-if off
 //! one and rolling one back therefore copy hidden vectors and nothing else,
 //! and any number of streams of one model share its pack.
@@ -37,7 +38,9 @@
 //!
 //! 1. per shard (parallel): `mask_into`, then `step_range` — three batched
 //!    GEMVs over the packed gate stacks advance the shard's hidden states in
-//!    place;
+//!    place, the input-side one over the window's support only (the columns
+//!    where `x` is non-zero, found once per window and shared by every
+//!    shard);
 //! 2. serial barrier: `gather_hidden` scatters the hidden columns into one
 //!    `(hidden, experts)` matrix;
 //! 3. per shard (parallel): `heads` — cross-expert attention for the whole
@@ -68,6 +71,7 @@
 
 use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
+use deeprest_tensor::kernel::Support;
 use deeprest_tensor::BufferPool;
 use deeprest_trace::{Interner, Trace};
 use serde::{Deserialize, Serialize};
@@ -153,6 +157,9 @@ pub struct CarriedState {
     /// The gathered `(hidden_dim, experts)` matrix of post-step hidden
     /// columns (the tape's `concat_cols`), rebuilt serially every window.
     hmat: Vec<f32>,
+    /// This window's support: the columns where `x` is non-zero. Holds
+    /// capacity for every column, so refilling it never allocates.
+    support: Support,
     hidden_dim: usize,
     position: usize,
 }
@@ -214,6 +221,7 @@ impl CarriedState {
         Self {
             shards,
             hmat: vec![0.0; h * model.experts.len()],
+            support: Support::with_capacity(d),
             hidden_dim: h,
             position: 0,
         }
@@ -277,15 +285,23 @@ impl CarriedState {
         // out of the phase fan-outs below and are handled the same way.
         fault::maybe_panic("stream.step");
 
-        let Self { shards, hmat, .. } = self;
+        let Self {
+            shards,
+            hmat,
+            support,
+            ..
+        } = self;
         let (slab, experts, pool) = (&model.slab, &model.experts, model.pool());
         let plan = slab.shards();
+        support.fill(x);
+        let support = &*support;
 
         pool.for_each_mut(shards, |i, s| {
             slab.mask_into(plan[i].clone(), x, &mut s.masked);
             slab.step_range(
                 plan[i].clone(),
                 &s.masked,
+                support,
                 &mut s.hidden,
                 &mut s.scratch,
                 None,
@@ -305,6 +321,7 @@ impl CarriedState {
                 hmat,
                 &s.hidden,
                 &s.masked,
+                support,
                 &mut cat,
                 &mut y,
                 &mut s.scratch,
@@ -340,6 +357,9 @@ impl CarriedState {
             telemetry::gauge("stream.step.kernel_ops", slab.kernel_ops() as f64);
             telemetry::gauge("stream.batch.shards", plan.len() as f64);
             telemetry::gauge("stream.batch.experts", e_count as f64);
+            // The density the step ran at: its input-side cost is
+            // proportional to this, not to the feature dimension.
+            telemetry::gauge("stream.step.nnz", support.nnz() as f64);
         }
         self.position += 1;
         out

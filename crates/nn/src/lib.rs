@@ -31,6 +31,7 @@
 //! ```
 //! use deeprest_nn::loss::quantiles_for;
 //! use deeprest_nn::{Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
+//! use deeprest_tensor::kernel::Support;
 //! use deeprest_tensor::{BufferPool, ParamStore, Pool, Tensor};
 //! use rand::SeedableRng;
 //!
@@ -70,9 +71,11 @@
 //! // Forward: one GRU step, then the three quantile outputs.
 //! let (mut hidden, mut cat, mut y) = (vec![0.0; h], vec![0.0; 2 * h], [0.0; 3]);
 //! let mut scratch = BufferPool::new();
-//! slab.step_range(0..1, &xs[0], &mut hidden, &mut scratch, None);
+//! let mut support = Support::with_capacity(d); // where this window is non-zero
+//! support.fill(&xs[0]);
+//! slab.step_range(0..1, &xs[0], &support, &mut hidden, &mut scratch, None);
 //! let hmat = hidden.clone(); // one expert: H_t is its own hidden column
-//! slab.heads(0, &hmat, &hidden, &xs[0], &mut cat, &mut y, &mut scratch);
+//! slab.heads(0, &hmat, &hidden, &xs[0], &support, &mut cat, &mut y, &mut scratch);
 //! assert!(y.iter().all(|v| v.is_finite()));
 //! ```
 

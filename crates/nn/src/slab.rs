@@ -4,28 +4,34 @@
 //! The tape formulation binds nine GRU parameters, a mask, an attention
 //! vector and a head per expert and issues a dozen small GEMVs per expert
 //! per window. [`ExpertSlab`] instead packs every expert's values out of
-//! the [`ParamStore`] into contiguous slabs laid out for the batched
-//! kernels:
+//! the [`ParamStore`] into contiguous slabs laid out the way the forward
+//! multiplies by them. A matrix the forward multiplies a vector by is packed
+//! **input-major** — one row per input, one column per output, the
+//! transpose of the store's row-major `(out, in)` tensor — so the product is
+//! a walk over inputs that can leave inputs out:
 //!
 //! ```text
-//! w          : per expert  [W_z; W_k; W_h]   one (3·hidden, input) stack
-//! u_zk       : per expert  [U_z; U_k]        one (2·hidden, hidden) stack
-//! u_h        : per expert  U_h               one (hidden, hidden) matrix
+//! w          : per expert  [W_z; W_k; W_h]ᵀ  (input, 3·hidden): row kk holds
+//!                                            column kk of all three gates
+//! u_zk       : per expert  [U_z; U_k]ᵀ       (hidden, 2·hidden)
+//! u_h        : per expert  U_hᵀ              (hidden, hidden)
 //! bias       : per expert  [b_z; b_k; b_h]   3·hidden values
 //! mask_sig   : per expert  σ(m)              input values (ones when unmasked)
 //! alpha_cols : per shard   (experts, count)  column c = α of expert lo + c,
 //!                                            self entry zeroed
-//! head_w/b   : per expert  (3, 2·hidden) + 3
-//! skip_w/b   : per expert  (3, input) + 3    (empty without the skip path)
+//! head_w/b   : per expert  (3, 2·hidden) + 3 row-major: three long rows
+//! skip_w/b   : per expert  Sᵀ (input, 3) + 3 (empty without the skip path)
 //! ```
 //!
 //! and plans the shards (contiguous expert ranges, one per worker) the
-//! attention columns are grouped by. One window of Eq. 1–4 is then three
-//! calls per shard, all over flat slices the caller owns:
+//! attention columns are grouped by. Each weight is held once; the backward
+//! reads its row-major operands from the store the slab was packed from
+//! (see [`crate::train`]). One window of Eq. 1–4 is then three calls per
+//! shard, all over flat slices the caller owns:
 //!
 //! 1. [`ExpertSlab::mask_into`] — `x̃ = σ(m) ⊙ x` for a range of experts;
 //! 2. [`ExpertSlab::step_range`] — one GRU step for the range as three
-//!    [`deeprest_tensor::kernel::gemv_batch_into`] calls plus two fused
+//!    [`deeprest_tensor::kernel::gemv_t_batch_into`] calls plus two fused
 //!    elementwise passes, optionally stashing `z`/`k`/`h̃` for a backward;
 //! 3. [`ExpertSlab::heads`] — cross-expert attention as **one** GEMM
 //!    against the shard's columns, concat, one batched head GEMV (plus one
@@ -38,6 +44,20 @@
 //! add is state (carried hidden vs. per-timestep stashes), never forward
 //! arithmetic.
 //!
+//! **The support.** `x` is a vector of invocation-path counts (Alg. 2), and
+//! a window exercises few of the application's paths, so most of it is
+//! exactly zero — and `x̃ = σ(m) ⊙ x` is zero wherever `x` is, for every
+//! expert, because a mask only scales. The two products that read `x̃`
+//! (`[W_z; W_k; W_h]·x̃` in the step, `S·x̃` in the heads) therefore take
+//! the window's *support*: the columns where `x ≠ 0`, a
+//! [`Support`] the caller [`fill`](Support::fill)s from `x` once per window
+//! and the whole swarm shares. They visit those rows of the input-major pack and no
+//! others, so their cost is `nnz`, not `input`; a dense window is a support
+//! that lists every column, and there is no other forward. The products
+//! that read a hidden state (`[U_z; U_k]·h`, `U_h·(k ⊙ h)`) take no support
+//! and skip nothing: a non-finite carried state must reach every output it
+//! reaches on the tape.
+//!
 //! **Ownership.** A slab is a value copy of the parameters, so it lives
 //! next to them: whoever owns the [`ParamStore`] owns its one slab
 //! (`deeprest-core`'s model; the resrc-aware baseline's forecaster), packs
@@ -47,23 +67,27 @@
 //! nothing else. Everyone else (predictors, trainers, what-if forks) reads
 //! it by reference and owns only their own state.
 //!
-//! **Bit-identity.** Vertically stacking weight matrices does not change
-//! any per-row dot product: row `i` of `[W_z; W_k; W_h] · x` is exactly row
-//! `i mod hidden` of the corresponding unstacked GEMV, contracted in the
-//! same kernel lane order against the same operand. Attention for `count`
+//! **Bit-identity.** Stacking the *columns* of input-major matrices does
+//! not change any output element: column `i` of `[W_z; W_k; W_h]ᵀ` against
+//! `x̃` is the contraction the unstacked row-major GEMV runs for row
+//! `i mod hidden` — term `kk` into lane `kk mod 8`, ascending, one fixed
+//! tree reduce (the kernel contract) — over the same operand values. A term
+//! the support leaves out is `w · ±0.0`, which cannot change a lane that
+//! started at `+0.0` when `w` is finite (the kernel module's signed-zero
+//! lemma), so the support moves no bit either. Attention for `count`
 //! experts as one GEMM produces, per output element, the bits of the
-//! per-expert GEMV (the kernel contract fixes every element's accumulation
-//! order regardless of how many columns ride in one call). The elementwise
-//! math reproduces the tape ops verbatim (`act((wx + uh) + b)` for the
-//! fused gates, `(z·h) + ((1-z)·h̃)` for the output mix, `k·h` for the
-//! reset product, `(W·cat + b) + (S·x̃ + b_s)` for the output), and a shard
-//! never splits a contraction, so the forward is bit-for-bit the tape's at
-//! any shard plan. Asserted by this module's tests, `tests/
+//! per-expert GEMV (the contract fixes every element's accumulation order
+//! regardless of how many columns ride in one call). The elementwise math
+//! reproduces the tape ops verbatim (`act((wx + uh) + b)` for the fused
+//! gates, `(z·h) + ((1-z)·h̃)` for the output mix, `k·h` for the reset
+//! product, `(W·cat + b) + (S·x̃ + b_s)` for the output), and a shard never
+//! splits a contraction, so the forward is bit-for-bit the tape's at any
+//! shard plan and any support. Asserted by this module's tests, `tests/
 //! prop_analytic_train.rs`, and `deeprest-core`'s `oracle` unit tests.
 
 use std::ops::Range;
 
-use deeprest_tensor::kernel::{gemm_into, gemv_batch_into};
+use deeprest_tensor::kernel::{gemm_into, gemv_batch_into, gemv_t_batch_into, Support};
 use deeprest_tensor::{BufferPool, ParamId, ParamStore};
 
 use crate::{GruCell, Linear};
@@ -105,6 +129,17 @@ pub fn plan_shards(experts: usize, threads: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Writes the row-major `(rows, cols)` matrix `src` transposed into columns
+/// `at..at + rows` of the row-major `(cols, width)` matrix `dst`.
+fn put_transposed(dst: &mut [f32], width: usize, at: usize, src: &[f32], rows: usize) {
+    let cols = dst.len() / width;
+    for (c, out) in dst.chunks_exact_mut(width).enumerate() {
+        for (r, o) in out[at..at + rows].iter_mut().enumerate() {
+            *o = src[r * cols + c];
+        }
+    }
+}
+
 /// Caller-owned arenas [`ExpertSlab::step_range`] records the gate
 /// activations into (`count · hidden_dim` each): update gate `z`, reset
 /// gate `k` and candidate `h̃` — what a closed-form backward consumes.
@@ -130,11 +165,11 @@ pub struct ExpertSlab {
     attention: bool,
     has_skip: bool,
     shards: Vec<Range<usize>>,
-    /// Per expert: `[W_z; W_k; W_h]`, row-major `(3·hidden, input)`.
+    /// Per expert: `[W_z; W_k; W_h]` input-major, `(input, 3·hidden)`.
     w: Vec<f32>,
-    /// Per expert: `[U_z; U_k]`, row-major `(2·hidden, hidden)`.
+    /// Per expert: `[U_z; U_k]` input-major, `(hidden, 2·hidden)`.
     u_zk: Vec<f32>,
-    /// Per expert: `U_h`, row-major `(hidden, hidden)`.
+    /// Per expert: `U_h` input-major, `(hidden, hidden)`.
     u_h: Vec<f32>,
     /// Per expert: `[b_z; b_k; b_h]`, `3·hidden` values.
     bias: Vec<f32>,
@@ -149,7 +184,8 @@ pub struct ExpertSlab {
     head_w: Vec<f32>,
     /// Per expert: 3 head biases.
     head_b: Vec<f32>,
-    /// Per expert: skip weights `(3, input)`; empty without the skip path.
+    /// Per expert: skip weights input-major, `(input, 3)`; empty without
+    /// the skip path.
     skip_w: Vec<f32>,
     /// Per expert: 3 skip biases; empty without the skip path.
     skip_b: Vec<f32>,
@@ -167,8 +203,8 @@ impl ExpertSlab {
     ///
     /// # Panics
     ///
-    /// Panics with [`check`](Self::check)'s message if `specs` is not a
-    /// swarm the slab can hold.
+    /// Panics with [`try_pack`](Self::try_pack)'s message if `specs` is not
+    /// a swarm the slab can hold.
     pub fn pack(
         store: &ParamStore,
         specs: &[ExpertSpec],
@@ -176,9 +212,29 @@ impl ExpertSlab {
         attention: bool,
         threads: usize,
     ) -> Self {
-        if let Err(why) = Self::check(store, specs, api_mask, attention) {
-            panic!("ExpertSlab: {why}");
-        }
+        Self::try_pack(store, specs, api_mask, attention, threads)
+            .unwrap_or_else(|why| panic!("ExpertSlab: {why}"))
+    }
+
+    /// [`pack`](Self::pack) for handles that are outside input (read from a
+    /// model file): checks them against `store` before reading through
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Returns what disagrees, naming the expert: the skip path on some
+    /// experts only, or a handle the pack reads that is outside `store` or
+    /// does not hold the element count the first expert's
+    /// `(input_dim, hidden_dim)` gives its role (`mask` and `alpha` are not
+    /// read when packed off).
+    pub fn try_pack(
+        store: &ParamStore,
+        specs: &[ExpertSpec],
+        api_mask: bool,
+        attention: bool,
+        threads: usize,
+    ) -> Result<Self, String> {
+        Self::check(store, specs, api_mask, attention)?;
         let e = specs.len();
         let d = specs.first().map_or(0, |s| s.cell.input_dim());
         let h = specs.first().map_or(0, |s| s.cell.hidden_dim());
@@ -205,20 +261,11 @@ impl ExpertSlab {
             skip_b: vec![0.0; skip_len * 3],
         };
         slab.repack(store);
-        slab
+        Ok(slab)
     }
 
-    /// Whether `specs` name one swarm [`pack`](Self::pack) can read out of
-    /// `store`: the skip path on all experts or none, and every handle the
-    /// pack reads inside `store` with the element count the first expert's
-    /// `(input_dim, hidden_dim)` gives its role (`mask` and `alpha` are not
-    /// read when packed off). Handles read from a model file are outside
-    /// input; this is their check.
-    ///
-    /// # Errors
-    ///
-    /// Returns what disagrees, naming the expert.
-    pub fn check(
+    /// [`try_pack`](Self::try_pack)'s check, before anything is read.
+    fn check(
         store: &ParamStore,
         specs: &[ExpertSpec],
         api_mask: bool,
@@ -263,13 +310,21 @@ impl ExpertSlab {
         for (e, spec) in self.specs.iter().enumerate() {
             let cell = &spec.cell;
             let value = |id| store.value(id).data();
+            let w = &mut self.w[e * 3 * h * d..(e + 1) * 3 * h * d];
             for (g, id) in [cell.wz, cell.wk, cell.wh].into_iter().enumerate() {
-                self.w[(e * 3 + g) * h * d..][..h * d].copy_from_slice(value(id));
+                put_transposed(w, 3 * h, g * h, value(id), h);
             }
+            let u_zk = &mut self.u_zk[e * 2 * h * h..(e + 1) * 2 * h * h];
             for (g, id) in [cell.uz, cell.uk].into_iter().enumerate() {
-                self.u_zk[(e * 2 + g) * h * h..][..h * h].copy_from_slice(value(id));
+                put_transposed(u_zk, 2 * h, g * h, value(id), h);
             }
-            self.u_h[e * h * h..][..h * h].copy_from_slice(value(cell.uh));
+            put_transposed(
+                &mut self.u_h[e * h * h..(e + 1) * h * h],
+                h,
+                0,
+                value(cell.uh),
+                h,
+            );
             for (g, id) in [cell.bz, cell.bk, cell.bh].into_iter().enumerate() {
                 self.bias[(e * 3 + g) * h..][..h].copy_from_slice(value(id));
             }
@@ -294,7 +349,13 @@ impl ExpertSlab {
             self.head_w[e * 6 * h..][..6 * h].copy_from_slice(value(spec.head.w));
             self.head_b[e * 3..][..3].copy_from_slice(value(spec.head.b));
             if let Some(skip) = &spec.skip {
-                self.skip_w[e * 3 * d..][..3 * d].copy_from_slice(value(skip.w));
+                put_transposed(
+                    &mut self.skip_w[e * 3 * d..(e + 1) * 3 * d],
+                    3,
+                    0,
+                    value(skip.w),
+                    3,
+                );
                 self.skip_b[e * 3..][..3].copy_from_slice(value(skip.b));
             }
         }
@@ -303,6 +364,26 @@ impl ExpertSlab {
     /// The handles the slab was packed from, in expert order.
     pub fn specs(&self) -> &[ExpertSpec] {
         &self.specs
+    }
+
+    /// Spot check that the slab was repacked after the last write to
+    /// `store`: one gate block (`W_z`) and one recurrent block (`U_h`) of
+    /// the first and of the last expert hold `store`'s values bit for bit.
+    /// Whoever reads forward values from the slab and their row-major
+    /// counterparts from the store (the analytic backward) rests on this.
+    pub fn is_current_for(&self, store: &ParamStore) -> bool {
+        let (d, h) = (self.input_dim, self.hidden_dim);
+        let ends = [0, self.experts.saturating_sub(1)];
+        ends.into_iter().take(self.experts).all(|e| {
+            let cell = &self.specs[e].cell;
+            let (wz, uh) = (store.value(cell.wz).data(), store.value(cell.uh).data());
+            let w = &self.w[e * 3 * h * d..(e + 1) * 3 * h * d];
+            let u = &self.u_h[e * h * h..(e + 1) * h * h];
+            (0..h).all(|i| {
+                (0..d).all(|kk| w[kk * 3 * h + i].to_bits() == wz[i * d + kk].to_bits())
+                    && (0..h).all(|j| u[j * h + i].to_bits() == uh[i * h + j].to_bits())
+            })
+        })
     }
 
     /// Number of packed experts.
@@ -375,7 +456,9 @@ impl ExpertSlab {
     /// Eq. 2 for `range`: advances the experts by one GRU step, in place.
     ///
     /// `xs` holds the experts' masked input vectors packed per expert
-    /// (`count · input_dim`); `hidden` their carried states
+    /// (`count · input_dim`) and `support` the window's support, filled
+    /// from the unmasked `x` (so every `x̃` is zero outside it); `hidden`
+    /// holds their carried states
     /// (`count · hidden_dim`), overwritten with the new states. With a
     /// `stash` the gate activations of the step land in the caller's
     /// arenas; without one they live in scratch. Scratch is drawn from
@@ -388,11 +471,14 @@ impl ExpertSlab {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on range, slab or arena length mismatch.
+    /// Panics on a support filled from a vector of another length than
+    /// `input_dim` and (in debug builds) on range, slab or arena length
+    /// mismatch.
     pub fn step_range(
         &self,
         range: Range<usize>,
         xs: &[f32],
+        support: &Support,
         hidden: &mut [f32],
         scratch: &mut BufferPool,
         stash: Option<GateStash<'_>>,
@@ -416,24 +502,27 @@ impl ExpertSlab {
             "ExpertSlab: bad gate arena"
         );
 
-        // wx = [W_z; W_k; W_h] · x̃ and uzk = [U_z; U_k] · h_{t-1} for every
+        // wx = [W_z; W_k; W_h] · x̃ over the support and
+        // uzk = [U_z; U_k] · h_{t-1} over every hidden unit, for every
         // expert in the range: two batched GEMVs over the packed stacks.
         let mut wx = scratch.take(count * 3 * h);
-        gemv_batch_into(
+        gemv_t_batch_into(
             &mut wx,
             &self.w[lo * 3 * h * d..range.end * 3 * h * d],
-            3 * h,
             d,
+            3 * h,
             xs,
+            Some(support),
             count,
         );
         let mut uzk = scratch.take(count * 2 * h);
-        gemv_batch_into(
+        gemv_t_batch_into(
             &mut uzk,
             &self.u_zk[lo * 2 * h * h..range.end * 2 * h * h],
-            2 * h,
             h,
+            2 * h,
             hidden,
+            None,
             count,
         );
 
@@ -457,12 +546,13 @@ impl ExpertSlab {
 
         // uh = U_h · (k ⊙ h_{t-1}): the third batched GEMV.
         let mut uh = scratch.take(count * h);
-        gemv_batch_into(
+        gemv_t_batch_into(
             &mut uh,
             &self.u_h[lo * h * h..range.end * h * h],
             h,
             h,
             &gated,
+            None,
             count,
         );
 
@@ -511,8 +601,8 @@ impl ExpertSlab {
     /// Writes `cat` (`count · 2·hidden_dim`, kept for the head backward)
     /// and the raw quantile outputs `y` (`count · 3`), associated exactly
     /// as the tape's add chain: `(W·cat + b) + (S·x̃ + b_s)`. `hidden` is
-    /// the shard's post-step state; `masked` is only read with the skip
-    /// path.
+    /// the shard's post-step state; `masked` and its `support` (as in
+    /// [`step_range`](Self::step_range)) are only read with the skip path.
     ///
     /// # Panics
     ///
@@ -524,6 +614,7 @@ impl ExpertSlab {
         hmat: &[f32],
         hidden: &[f32],
         masked: &[f32],
+        support: &Support,
         cat: &mut [f32],
         y: &mut [f32],
         scratch: &mut BufferPool,
@@ -567,12 +658,13 @@ impl ExpertSlab {
         }
         if self.has_skip {
             let mut lin = scratch.take(count * 3);
-            gemv_batch_into(
+            gemv_t_batch_into(
                 &mut lin,
                 &self.skip_w[lo * 3 * d..hi * 3 * d],
-                3,
                 d,
+                3,
                 masked,
+                Some(support),
                 count,
             );
             for ((yv, lv), b) in y.iter_mut().zip(&lin).zip(&self.skip_b[lo * 3..hi * 3]) {
@@ -580,26 +672,6 @@ impl ExpertSlab {
             }
             scratch.put(lin);
         }
-    }
-
-    /// Expert `e`'s packed `[W_z; W_k; W_h]` stack, row-major
-    /// `(3·hidden, input)` — the backward pass's view into the slab.
-    pub fn w_of(&self, e: usize) -> &[f32] {
-        let blk = 3 * self.hidden_dim * self.input_dim;
-        &self.w[e * blk..(e + 1) * blk]
-    }
-
-    /// Expert `e`'s packed `[U_z; U_k]` stack, row-major
-    /// `(2·hidden, hidden)`.
-    pub fn u_zk_of(&self, e: usize) -> &[f32] {
-        let blk = 2 * self.hidden_dim * self.hidden_dim;
-        &self.u_zk[e * blk..(e + 1) * blk]
-    }
-
-    /// Expert `e`'s `U_h`, row-major `(hidden, hidden)`.
-    pub fn u_h_of(&self, e: usize) -> &[f32] {
-        let blk = self.hidden_dim * self.hidden_dim;
-        &self.u_h[e * blk..(e + 1) * blk]
     }
 
     /// Expert `e`'s packed `σ(mask)` (`input` values).
@@ -611,16 +683,6 @@ impl ExpertSlab {
     pub fn head_w_of(&self, e: usize) -> &[f32] {
         let blk = 6 * self.hidden_dim;
         &self.head_w[e * blk..(e + 1) * blk]
-    }
-
-    /// Expert `e`'s skip weights, row-major `(3, input)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics without the skip path.
-    pub fn skip_w_of(&self, e: usize) -> &[f32] {
-        let blk = 3 * self.input_dim;
-        &self.skip_w[e * blk..(e + 1) * blk]
     }
 
     /// The attention weights shard `shard`'s experts put on expert
@@ -643,7 +705,7 @@ fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deeprest_tape::{BoundGruCell, Graph};
+    use deeprest_tape::{BoundGruCell, BoundLinear, Graph};
     use deeprest_tensor::Tensor;
     use rand::SeedableRng;
 
@@ -731,14 +793,17 @@ mod tests {
             vec![0.0f32; n * h],
         );
         let mut scratch = BufferPool::new();
+        let mut support = Support::with_capacity(d);
 
         for t in 0..4 {
             let x: Vec<f32> = (0..d).map(|i| ((t * d + i) as f32 * 0.3).sin()).collect();
+            support.fill(&x);
             let xslab = x.repeat(n);
             for (lo, hi) in [(0, 2), (2, n)] {
                 slab.step_range(
                     lo..hi,
                     &xslab[lo * d..hi * d],
+                    &support,
                     &mut h_plain[lo * h..hi * h],
                     &mut scratch,
                     None,
@@ -746,6 +811,7 @@ mod tests {
                 slab.step_range(
                     lo..hi,
                     &xslab[lo * d..hi * d],
+                    &support,
                     &mut h_stash[lo * h..hi * h],
                     &mut scratch,
                     Some(GateStash {
@@ -801,6 +867,188 @@ mod tests {
         }
     }
 
+    /// One window through the slab from the carried `hidden` (expert
+    /// order, advanced in place): mask → step → gather → heads, every shard
+    /// of the plan, with `x`'s own support. Returns the raw outputs.
+    fn slab_window(slab: &ExpertSlab, x: &[f32], hidden: &mut [f32]) -> Vec<f32> {
+        let (n, d, h) = (slab.experts(), slab.input_dim(), slab.hidden_dim());
+        let mut scratch = BufferPool::new();
+        let mut support = Support::default();
+        support.fill(x);
+        let mut masked = vec![0.0f32; n * d];
+        let mut hmat = vec![0.0f32; h * n];
+        for r in slab.shards() {
+            let (xs, hs) = (
+                &mut masked[r.start * d..r.end * d],
+                &mut hidden[r.start * h..r.end * h],
+            );
+            slab.mask_into(r.clone(), x, xs);
+            slab.step_range(r.clone(), xs, &support, hs, &mut scratch, None);
+            slab.gather_hidden(r.clone(), hs, &mut hmat);
+        }
+        let mut y = vec![0.0f32; n * 3];
+        for (s, r) in slab.shards().iter().enumerate() {
+            let mut cat = vec![0.0f32; r.len() * 2 * h];
+            slab.heads(
+                s,
+                &hmat,
+                &hidden[r.start * h..r.end * h],
+                &masked[r.start * d..r.end * d],
+                &support,
+                &mut cat,
+                &mut y[r.start * 3..r.end * 3],
+                &mut scratch,
+            );
+        }
+        y
+    }
+
+    /// The same window on the tape, op for op as the estimator's oracle
+    /// unrolls it (Eq. 1–4 over the store's row-major parameters, dense):
+    /// advances `hidden` and returns the raw outputs.
+    fn tape_window(
+        store: &ParamStore,
+        specs: &[ExpertSpec],
+        attention: bool,
+        x: &[f32],
+        hidden: &mut [Tensor],
+    ) -> Vec<f32> {
+        let g = &mut Graph::new();
+        let h = specs[0].cell.hidden_dim();
+        let xv = g.constant(Tensor::vector(x.to_vec()));
+        let masked: Vec<_> = specs
+            .iter()
+            .map(|spec| {
+                let m = g.param(store, spec.mask);
+                let sig = g.sigmoid(m);
+                g.mul(sig, xv)
+            })
+            .collect();
+        let next: Vec<_> = specs
+            .iter()
+            .zip(&masked)
+            .zip(hidden.iter())
+            .map(|((spec, &xm), prev)| {
+                let prev = g.constant_copy(prev);
+                BoundGruCell::bind(g, store, spec.cell.param_ids()).step(g, xm, prev)
+            })
+            .collect();
+        let hmat = g.concat_cols(&next);
+        let mut y = Vec::with_capacity(specs.len() * 3);
+        for (e, spec) in specs.iter().enumerate() {
+            let att = if attention {
+                let alpha = g.param(store, spec.alpha);
+                let alpha = g.mask_out(alpha, e);
+                g.matmul(hmat, alpha)
+            } else {
+                g.constant_zeros(h, 1)
+            };
+            let cat = g.concat_rows(&[att, next[e]]);
+            let mut out = BoundLinear::bind(g, store, spec.head.w, spec.head.b).forward(g, cat);
+            if let Some(skip) = &spec.skip {
+                let lin = BoundLinear::bind(g, store, skip.w, skip.b).forward(g, masked[e]);
+                out = g.add(out, lin);
+            }
+            y.extend_from_slice(g.value(out).data());
+        }
+        for (carried, &var) in hidden.iter_mut().zip(&next) {
+            carried.copy_from(g.value(var));
+        }
+        y
+    }
+
+    /// A count-like window: `nnz` non-zero entries of `d`, their positions
+    /// moving with `t`, a negative zero and a denormal among the rest.
+    fn sparse_window(d: usize, nnz: usize, t: usize) -> Vec<f32> {
+        let mut x = vec![0.0f32; d];
+        for j in 0..nnz.min(d) {
+            x[(j * d / nnz.max(1) + 5 * t) % d] = 1.0 + ((t + j) % 4) as f32;
+        }
+        if nnz < d {
+            x[(d / 2 + t) % d] = if x[(d / 2 + t) % d] == 0.0 {
+                -0.0
+            } else {
+                1.0e-41
+            };
+        }
+        x
+    }
+
+    /// Neither the support nor the input-major layout reaches a float:
+    /// whole windows through the slab — empty support, 1, 2 and 8 non-zero
+    /// paths, dense — carry the tape's bits in every hidden state and every
+    /// output, at ragged and aligned shapes, with and without the skip
+    /// path, on one shard and on two.
+    #[test]
+    fn forward_is_bit_identical_to_tape_at_any_support() {
+        let n = 10;
+        for (d, h, skip) in [
+            (67, 4, true),
+            (67, 16, false),
+            (128, 16, true),
+            (128, 4, false),
+        ] {
+            let (store, specs) = swarm(n, d, h, skip);
+            for threads in [1, 4] {
+                let slab = ExpertSlab::pack(&store, &specs, true, true, threads);
+                for nnz in [0, 1, 2, 8, d] {
+                    let mut carried = vec![0.0f32; n * h];
+                    let mut reference: Vec<Tensor> = (0..n).map(|_| Tensor::zeros(h, 1)).collect();
+                    for t in 0..3 {
+                        let x = sparse_window(d, nnz, t);
+                        let y = slab_window(&slab, &x, &mut carried);
+                        let want = tape_window(&store, &specs, true, &x, &mut reference);
+                        let tag =
+                            format!("d {d} h {h} skip {skip} threads {threads} nnz {nnz} t {t}");
+                        assert_eq!(bits(&y), bits(&want), "outputs, {tag}");
+                        let want_h: Vec<f32> =
+                            reference.iter().flat_map(|r| r.data().to_vec()).collect();
+                        assert_eq!(bits(&carried), bits(&want_h), "hidden, {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The hidden side is never skipped: one expert's carried state set to
+    /// NaN comes out NaN for that expert — state and outputs — and leaves
+    /// every other expert the tape's bits, under a sparse window.
+    #[test]
+    fn a_nan_hidden_state_poisons_exactly_its_expert_under_a_sparse_window() {
+        let (n, d, h, poisoned) = (10, 67, 16, 3);
+        let (store, specs) = swarm(n, d, h, true);
+        let x = sparse_window(d, 2, 1);
+        for threads in [1, 4] {
+            // Attention off: with it on, `H_t·α` carries the NaN column
+            // into every expert's outputs, on the tape as here.
+            let slab = ExpertSlab::pack(&store, &specs, true, false, threads);
+            let mut carried = vec![0.25f32; n * h];
+            carried[poisoned * h..(poisoned + 1) * h].fill(f32::NAN);
+            let mut reference: Vec<Tensor> = carried
+                .chunks(h)
+                .map(|c| Tensor::vector(c.to_vec()))
+                .collect();
+            let y = slab_window(&slab, &x, &mut carried);
+            let want = tape_window(&store, &specs, false, &x, &mut reference);
+            for e in 0..n {
+                let (got_h, got_y) = (&carried[e * h..(e + 1) * h], &y[e * 3..(e + 1) * 3]);
+                if e == poisoned {
+                    assert!(
+                        got_h.iter().chain(got_y).all(|v| v.is_nan()),
+                        "{got_h:?} {got_y:?}"
+                    );
+                } else {
+                    assert_eq!(bits(got_h), bits(reference[e].data()), "hidden, expert {e}");
+                    assert_eq!(
+                        bits(got_y),
+                        bits(&want[e * 3..(e + 1) * 3]),
+                        "y, expert {e}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Mask → step → gather → heads over a two-shard plan equals the
     /// one-shard plan bit for bit, and a repack tracks updated parameters
     /// exactly like a fresh pack.
@@ -810,33 +1058,7 @@ mod tests {
         let (mut store, specs) = swarm(n, d, h, true);
         let forward = |slab: &ExpertSlab| {
             let x: Vec<f32> = (0..d).map(|i| (i as f32 * 0.7).cos()).collect();
-            let mut scratch = BufferPool::new();
-            let mut masked = vec![0.0f32; n * d];
-            let mut hidden = vec![0.0f32; n * h];
-            let mut hmat = vec![0.0f32; h * n];
-            for r in slab.shards() {
-                let (xs, hs) = (
-                    &mut masked[r.start * d..r.end * d],
-                    &mut hidden[r.start * h..r.end * h],
-                );
-                slab.mask_into(r.clone(), &x, xs);
-                slab.step_range(r.clone(), xs, hs, &mut scratch, None);
-                slab.gather_hidden(r.clone(), hs, &mut hmat);
-            }
-            let mut y = vec![0.0f32; n * 3];
-            for (s, r) in slab.shards().iter().enumerate() {
-                let mut cat = vec![0.0f32; r.len() * 2 * h];
-                slab.heads(
-                    s,
-                    &hmat,
-                    &hidden[r.start * h..r.end * h],
-                    &masked[r.start * d..r.end * d],
-                    &mut cat,
-                    &mut y[r.start * 3..r.end * 3],
-                    &mut scratch,
-                );
-            }
-            bits(&y)
+            bits(&slab_window(slab, &x, &mut vec![0.0f32; n * h]))
         };
 
         let mut one = ExpertSlab::pack(&store, &specs, true, true, 1);
@@ -871,14 +1093,16 @@ mod tests {
         let (store, specs) = swarm(3, 4, 8, false);
         let slab = ExpertSlab::pack(&store, &specs, true, true, 1);
         let xs = vec![0.5f32; 3 * 4];
+        let mut all = Support::default();
+        all.fill(&xs[..4]);
         let mut hidden = vec![0.0f32; 3 * 8];
         let mut scratch = BufferPool::new();
         let sink = Arc::new(MemorySink::new());
         telemetry::with_sink(sink.clone(), || {
-            slab.step_range(0..3, &xs, &mut hidden, &mut scratch, None);
+            slab.step_range(0..3, &xs, &all, &mut hidden, &mut scratch, None);
             let warm = sink.counter("kernel.alloc");
             for _ in 0..10 {
-                slab.step_range(0..3, &xs, &mut hidden, &mut scratch, None);
+                slab.step_range(0..3, &xs, &all, &mut hidden, &mut scratch, None);
             }
             assert_eq!(
                 sink.counter("kernel.alloc"),

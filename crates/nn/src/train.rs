@@ -8,15 +8,20 @@
 //! ownership note), so the trainer is arenas plus the backward below.
 //!
 //! * **Forward** — the slab's own forward (`mask_into` → `step_range` →
-//!   `gather_hidden` → `heads`, the calls serving steps), run per timestep
-//!   over a whole shard of experts, with [`GateStash`] arenas handed to the
-//!   GRU step so the gate activations `z`, `k`, `h̃` (and the hidden states)
-//!   land in preallocated strided arenas instead of tape nodes. Nothing of
-//!   the forward is restated here.
+//!   `gather_hidden` → `heads`, the calls serving steps, each window with
+//!   its support), run per timestep over a whole shard of experts, with
+//!   [`GateStash`] arenas handed to the GRU step so the gate activations
+//!   `z`, `k`, `h̃` (and the hidden states) land in preallocated strided
+//!   arenas instead of tape nodes. Nothing of the forward is restated here.
 //! * **Backward** — closed-form GRU gate gradients consume the stashed
 //!   activations with batched GEMV/GEMM kernels (including the accumulate
 //!   variants `gemv_t_acc_into` / `gemm_nt_acc_into`), walking timesteps in
-//!   descending order exactly as the tape's reverse sweep would.
+//!   descending order exactly as the tape's reverse sweep would. Its
+//!   pull-backs (`Wᵀ·d`, `Uᵀ·d`, `Sᵀ·g`) multiply by the *row-major* gate,
+//!   recurrent and skip matrices, which is how the [`ParamStore`] holds
+//!   them; the slab holds the same values input-major for the forward. So
+//!   the forward reads the slab and the backward reads the store, and the
+//!   two agree because the slab is repacked after every store write.
 //!
 //! # Bit-identity with the tape oracle
 //!
@@ -49,7 +54,7 @@
 //! `crates/core/tests/determinism.rs` holds it end to end.
 
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::kernel::{gemm_nt_acc_into, gemv_t_acc_into, gemv_t_into};
+use deeprest_tensor::kernel::{gemm_nt_acc_into, gemv_t_acc_into, gemv_t_into, Support};
 use deeprest_tensor::{BufferPool, ParamStore, Pool};
 
 use crate::slab::{ExpertSlab, ExpertSpec, GateStash};
@@ -136,6 +141,8 @@ struct ShardJob {
     gskip_b: Vec<f32>,
     // Per-timestep work buffers.
     xbuf: Vec<f32>,
+    /// The current timestep's support (capacity `d`, so never regrown).
+    support: Support,
     hidden: Vec<f32>,
     cat: Vec<f32>,
     ybuf: Vec<f32>,
@@ -187,6 +194,7 @@ impl ShardJob {
             gskip_w: vec![0.0; skip_w_len],
             gskip_b: vec![0.0; skip_b_len],
             xbuf: vec![0.0; c * d],
+            support: Support::with_capacity(d),
             hidden: vec![0.0; c * h],
             cat: vec![0.0; c * 2 * h],
             ybuf: vec![0.0; c * 3],
@@ -305,13 +313,19 @@ impl AnalyticTrainer {
     /// so the result is bit-identical to the tape path at any thread count.
     /// Returns per-slot statistics in batch order.
     ///
+    /// Forward values come from `slab`, the backward's pull-back operands
+    /// from `store` (module docs), so `slab` must be current for `store`:
+    /// repacked since its last write. Debug builds refuse a stale slab
+    /// ([`ExpertSlab::is_current_for`]).
+    ///
     /// The caller owns the surrounding loop: `store.zero_grads()` before,
     /// gradient clipping / optimizer step / [`ExpertSlab::repack`] after.
     ///
     /// # Panics
     ///
     /// Panics if `batch` exceeds the configured slot count, or `slab` is
-    /// not shaped and sharded like the one the trainer was built for.
+    /// not shaped and sharded like the one the trainer was built for, or
+    /// (in debug builds) is stale for `store`.
     pub fn run_batch(
         &mut self,
         slab: &ExpertSlab,
@@ -329,6 +343,10 @@ impl AnalyticTrainer {
         assert!(
             planned.eq(slab.shards().iter().cloned().cycle().take(self.jobs.len())),
             "run_batch: not the shard plan the trainer was built for"
+        );
+        debug_assert!(
+            slab.is_current_for(store),
+            "run_batch: slab is stale for the store (repack after writing parameters)"
         );
         let h = self.cfg.hidden_dim;
         let t_total = xs.len();
@@ -400,9 +418,9 @@ impl AnalyticTrainer {
         // Phase C — recurrent backward: per expert, walk timesteps in
         // descending order applying the closed-form gate gradients.
         {
-            let g_att_all = &*g_att_all;
+            let (g_att_all, store) = (&*g_att_all, &*store);
             pool.for_each_mut(active, |i, job| {
-                gru_sweep(job, cfg, slab, &g_att_all[i / shard_count], xs);
+                gru_sweep(job, cfg, slab, store, &g_att_all[i / shard_count], xs);
             });
         }
 
@@ -427,9 +445,11 @@ fn forward_stash(job: &mut ShardJob, slab: &ExpertSlab, xs: &[Vec<f32>]) {
     for t in 0..job.steps {
         let at = t * span..(t + 1) * span;
         slab.mask_into(range.clone(), &xs[job.start + t], &mut job.xbuf);
+        job.support.fill(&xs[job.start + t]);
         slab.step_range(
             range.clone(),
             &job.xbuf,
+            &job.support,
             &mut job.hidden,
             &mut job.scratch,
             Some(GateStash {
@@ -463,12 +483,14 @@ fn heads_sweep(
         let hmat_t = &hmat_b[t * h * e_total..(t + 1) * h * e_total];
         if has_skip {
             slab.mask_into(lo..lo + count, &xs[job.start + t], &mut job.xbuf);
+            job.support.fill(&xs[job.start + t]);
         }
         slab.heads(
             job.shard,
             hmat_t,
             &job.h[t * count * h..(t + 1) * count * h],
             &job.xbuf,
+            &job.support,
             &mut job.cat,
             &mut job.ybuf,
             &mut job.scratch,
@@ -544,19 +566,23 @@ fn heads_sweep(
 
 /// Phase C body: the closed-form GRU backward for one job. Per expert,
 /// timesteps descend; every accumulation replays the tape's reverse-sweep
-/// operand order (see the module docs).
+/// operand order (see the module docs). The pull-backs read the row-major
+/// weight matrices out of `store`, which `slab` is current for.
 fn gru_sweep(
     job: &mut ShardJob,
     cfg: &TrainerConfig,
     slab: &ExpertSlab,
+    store: &ParamStore,
     g_att_b: &[f32],
     xs: &[Vec<f32>],
 ) {
     let (d, h) = (cfg.input_dim, cfg.hidden_dim);
     let (lo, count) = (job.lo, job.count);
     let e_total = slab.experts();
+    let value = |id| store.value(id).data();
     for c in 0..count {
         let e = lo + c;
+        let ExpertSpec { cell, skip, .. } = &slab.specs()[e];
         job.dh.fill(0.0);
         for t in (0..job.steps).rev() {
             let at = (t * count + c) * h;
@@ -583,10 +609,10 @@ fn gru_sweep(
                 }
             }
             // g_x̃: skip path first (output stage), GRU gates appended below.
-            if slab.has_skip() {
+            if let Some(skip) = skip {
                 gemv_t_into(
                     &mut job.gx,
-                    slab.skip_w_of(e),
+                    value(skip.w),
                     3,
                     d,
                     &job.g_y[(t * count + c) * 3..][..3],
@@ -623,39 +649,21 @@ fn gru_sweep(
                 &job.gated,
                 h,
             );
-            gemv_t_into(&mut job.ggated, slab.u_h_of(e), h, h, d_h);
-            gemv_t_acc_into(&mut job.gx, &slab.w_of(e)[2 * h * d..3 * h * d], h, d, d_h);
+            gemv_t_into(&mut job.ggated, value(cell.uh), h, h, d_h);
+            gemv_t_acc_into(&mut job.gx, value(cell.wh), h, d, d_h);
             // mul(k, h_prev) backward, then the k gate's σ'.
             for i in 0..h {
                 job.dhp[i] += job.ggated[i] * k[i];
                 job.dzkh[h + i] = ((job.ggated[i] * hp[i]) * k[i]) * (1.0 - k[i]);
             }
-            gemv_t_acc_into(
-                &mut job.dhp,
-                &slab.u_zk_of(e)[h * h..2 * h * h],
-                h,
-                h,
-                &job.dzkh[h..2 * h],
-            );
-            gemv_t_acc_into(
-                &mut job.gx,
-                &slab.w_of(e)[h * d..2 * h * d],
-                h,
-                d,
-                &job.dzkh[h..2 * h],
-            );
+            gemv_t_acc_into(&mut job.dhp, value(cell.uk), h, h, &job.dzkh[h..2 * h]);
+            gemv_t_acc_into(&mut job.gx, value(cell.wk), h, d, &job.dzkh[h..2 * h]);
             // z gate σ', then its U/W pullbacks.
             for ((dz, &zp), &zv) in job.dzkh[..h].iter_mut().zip(job.zpre.iter()).zip(z) {
                 *dz = (zp * zv) * (1.0 - zv);
             }
-            gemv_t_acc_into(
-                &mut job.dhp,
-                &slab.u_zk_of(e)[..h * h],
-                h,
-                h,
-                &job.dzkh[..h],
-            );
-            gemv_t_acc_into(&mut job.gx, &slab.w_of(e)[..h * d], h, d, &job.dzkh[..h]);
+            gemv_t_acc_into(&mut job.dhp, value(cell.uz), h, h, &job.dzkh[..h]);
+            gemv_t_acc_into(&mut job.gx, value(cell.wz), h, d, &job.dzkh[..h]);
             // Weight gradients: one stacked rank-1 update per family, with
             // per-gate rows in the slab's pack order.
             let x = &xs[job.start + t];
@@ -794,4 +802,54 @@ fn slot_stats(stats: &mut SlotStats, cfg: &TrainerConfig, slab: &ExpertSlab, b_j
         loss += mask_total * cpen;
     }
     stats.loss_sum = loss * n_terms as f32;
+}
+
+// The one test asserts a `debug_assert!`, so it exists in debug builds only.
+#[cfg(test)]
+#[cfg(debug_assertions)]
+mod tests {
+    use super::*;
+    use crate::loss::quantiles_for;
+    use crate::{GruCell, Linear};
+    use deeprest_tensor::Tensor;
+    use rand::SeedableRng;
+
+    /// The backward multiplies by the store's matrices and the forward by
+    /// the slab's, so a store written since the last repack would train on
+    /// two different sets of weights. Debug builds refuse it.
+    #[test]
+    #[should_panic(expected = "slab is stale for the store")]
+    fn run_batch_refuses_a_slab_packed_before_the_last_store_write() {
+        let (d, h) = (3, 4);
+        let mut store = ParamStore::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let off = store.add("off", Tensor::zeros(0, 0));
+        let spec = ExpertSpec {
+            mask: off,
+            cell: GruCell::new(&mut store, "gru", d, h, &mut rng),
+            alpha: off,
+            head: Linear::new(&mut store, "head", 2 * h, 3, &mut rng),
+            skip: None,
+        };
+        let cfg = TrainerConfig {
+            input_dim: d,
+            hidden_dim: h,
+            max_steps: 2,
+            batch_slots: 1,
+            api_mask: false,
+            attention: false,
+            penalty: None,
+            quantiles: quantiles_for(0.90),
+            modulation: [1.0; 3],
+        };
+        let pool = Pool::with_threads(1);
+        let slab = ExpertSlab::pack(&store, &[spec], false, false, 1);
+        let mut trainer = AnalyticTrainer::new(&slab, cfg);
+        let (xs, targets) = (vec![vec![1.0, 0.0, 2.0]; 2], vec![vec![0.5; 2]]);
+        // Current: runs.
+        trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[0]);
+        // One recurrent weight written and no repack: refused.
+        store.value_mut(spec.cell.uh).data_mut()[1] += 0.25;
+        trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[0]);
+    }
 }

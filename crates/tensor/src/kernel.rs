@@ -22,36 +22,101 @@
 //!
 //! # Sparse inputs and signed zero
 //!
-//! The GEMV kernel may skip terms whose `x[k]` operand is `0.0` (positive
-//! or negative zero). For finite inputs this is bit-exact, not merely
-//! approximate: a lane accumulator seeded at `+0.0` can never become `-0.0`
-//! (adding `-0.0` leaves any value unchanged, and exact cancellation yields
-//! `+0.0` under round-to-nearest), so adding `a * 0.0 == ±0.0` to a lane is
-//! a bitwise no-op. NaN and infinity operands are outside the kernel
-//! contract (they would turn `±0.0` products into NaN).
+//! One kernel leaves terms out: [`gemv_t_batch_into`] with a [`Support`],
+//! the terms outside of which its `x` operand is zero (positive or
+//! negative). For finite inputs that is bit-exact, not merely approximate: a
+//! lane accumulator seeded at `+0.0` can never become `-0.0` (adding `-0.0`
+//! leaves any value unchanged, and exact cancellation yields `+0.0` under
+//! round-to-nearest), so adding `a * 0.0 == ±0.0` to a lane is a bitwise
+//! no-op, and whether a zero term is visited or not cannot show in the
+//! result. NaN and infinity operands at a zero term are outside the kernel
+//! contract (they would turn the `±0.0` product into NaN). Every other
+//! kernel visits every term.
 
 /// Number of parallel accumulator lanes in every contraction kernel.
 pub const LANES: usize = 8;
 
-/// Minimum contraction length before the GEMV sparse path is considered;
-/// below this the zero-scan costs more than the skipped multiplies save.
-const SPARSE_MIN_COLS: usize = 16;
+/// Non-zero terms in one aligned `LANES`-chunk from which a [`Support`]
+/// walks the whole chunk: the unrolled chunk body costs about what three
+/// single terms do, each of which jumps to its accumulator (measured on
+/// `matmul/gemv_t_support/*`). Either way the bits are the same; the zero
+/// terms of a whole chunk multiply by the zeros they are.
+const WHOLE_CHUNK_MIN: usize = 3;
 
-/// Fraction (numerator/denominator of 3/4) of aligned `LANES`-wide chunks
-/// that must be entirely zero before the sparse GEMV path dispatches.
-/// Measured on the estimator's masked-feature vectors: ablation masks zero
-/// out entire API groups (contiguous runs), so masked inputs are either
-/// dense (training) or blockily zero (counterfactual queries) — chunk
-/// granularity matches what the sparse kernel can actually skip, and a high
-/// threshold keeps the dense path branch-free for the common case.
-const SPARSE_NUM: usize = 3;
-const SPARSE_DEN: usize = 4;
+/// Marks a [`Support`] walk entry as a whole aligned chunk (the rest of the
+/// entry is the chunk's first term) rather than a single term.
+const WHOLE_CHUNK: u32 = 1 << 31;
+
+/// Where a vector is non-zero, as the walk [`gemv_t_batch_into`] makes over
+/// it: built from the vector by [`fill`](Self::fill) and from nothing else,
+/// so every term it names exists in a vector of [`dim`](Self::dim) entries
+/// and terms ascend — what the AVX2 walk's unchecked reads rest on.
+///
+/// The walk lists, chunk by aligned `LANES`-chunk, either each non-zero
+/// term or — from [`WHOLE_CHUNK_MIN`] non-zero terms up — the chunk as a
+/// whole. Chunks that are entirely zero are not in it.
+#[derive(Clone, Debug, Default)]
+pub struct Support {
+    walk: Vec<u32>,
+    dim: usize,
+    nnz: usize,
+}
+
+impl Support {
+    /// An empty support with room for any vector of `dim` entries, so
+    /// [`fill`](Self::fill)ing it from one never allocates.
+    pub fn with_capacity(dim: usize) -> Self {
+        Self {
+            walk: Vec::with_capacity(dim),
+            dim: 0,
+            nnz: 0,
+        }
+    }
+
+    /// Rebuilds the support as that of `x`: the terms where `x != 0` (NaN
+    /// counts as non-zero). Any vector that is zero wherever `x` is shares
+    /// it — all experts' `σ(m) ⊙ x` do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has 2³¹ entries or more.
+    pub fn fill(&mut self, x: &[f32]) {
+        assert!(
+            x.len() < WHOLE_CHUNK as usize,
+            "kernel::Support: vector too long"
+        );
+        self.walk.clear();
+        self.dim = x.len();
+        self.nnz = 0;
+        for (c, chunk) in x.chunks(LANES).enumerate() {
+            let base = (c * LANES) as u32;
+            let live = chunk.iter().filter(|&&v| v != 0.0).count();
+            self.nnz += live;
+            if live >= WHOLE_CHUNK_MIN && chunk.len() == LANES {
+                self.walk.push(base | WHOLE_CHUNK);
+            } else {
+                let terms = (base..).zip(chunk).filter(|(_, &v)| v != 0.0);
+                self.walk.extend(terms.map(|(kk, _)| kk));
+            }
+        }
+    }
+
+    /// Length of the vector the support was filled from.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of non-zero entries of the vector the support was filled from.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+}
 
 /// Reduces the eight lane accumulators in the fixed tree order
 /// `((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))`.
 ///
 /// This exact association is part of the kernel contract; every dispatch
-/// path (portable, AVX2, sparse) funnels through it.
+/// path (portable, AVX2) funnels through it.
 #[inline(always)]
 fn reduce(acc: [f32; LANES]) -> f32 {
     let s01 = acc[0] + acc[1];
@@ -86,40 +151,6 @@ pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     reduce(acc)
 }
 
-/// Lane-blocked dot product that skips aligned `LANES`-wide chunks of `b`
-/// that are entirely zero (plus zero terms in the ragged tail).
-///
-/// Bit-identical to [`dot_portable`] for finite inputs: skipped terms
-/// contribute `a * ±0.0 == ±0.0`, which is a bitwise no-op on a lane
-/// accumulator that started at `+0.0` (see the module docs for the signed
-/// zero argument). Skipping at chunk granularity keeps the non-skipped
-/// work vectorizable — one branch per `LANES` terms instead of one per
-/// term, so blocky zero runs (masked-out feature groups) are elided at
-/// full speed while mixed chunks run the same lane loop as the dense
-/// kernel. Used by the sparse GEMV path.
-#[inline]
-pub fn dot_sparse(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "kernel::dot_sparse: length mismatch");
-    let mut acc = [0.0f32; LANES];
-    let main = a.len() - a.len() % LANES;
-    let (a_main, a_tail) = a.split_at(main);
-    let (b_main, b_tail) = b.split_at(main);
-    for (ca, cb) in a_main.chunks_exact(LANES).zip(b_main.chunks_exact(LANES)) {
-        if cb.iter().all(|&v| v == 0.0) {
-            continue;
-        }
-        for j in 0..LANES {
-            acc[j] += ca[j] * cb[j];
-        }
-    }
-    for (j, (&x, &y)) in a_tail.iter().zip(b_tail.iter()).enumerate() {
-        if y != 0.0 {
-            acc[j] += x * y;
-        }
-    }
-    reduce(acc)
-}
-
 /// Explicit AVX2 kernels, runtime-gated. Same lane assignment and reduction
 /// order as the portable path: eight vertical lanes accumulated with
 /// separate `_mm256_mul_ps` + `_mm256_add_ps` (no FMA — the portable scalar
@@ -129,10 +160,10 @@ pub fn dot_sparse(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{reduce, LANES};
+    use super::{reduce, LANES, WHOLE_CHUNK};
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256i, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     /// Whether the running CPU supports AVX2 (cached after first probe).
@@ -341,6 +372,117 @@ mod avx2 {
         let sum = _mm256_add_ps(_mm256_add_ps(s01, s23), _mm256_add_ps(s45, s67));
         _mm256_storeu_ps(vals.as_mut_ptr(), sum);
     }
+
+    /// [`gemm_tn_block`] for a single right-hand column `x`, over the terms
+    /// of a [`Support`](super::Support) walk:
+    /// `vals[ii] = sum_{kk in walk} a[kk * stride + ii] * x[kk]`.
+    ///
+    /// Term `kk` still lands in accumulator `kk % LANES`, in ascending
+    /// order, so the terms that are visited meet the same lane in the same
+    /// order as in the full walk. A whole-chunk entry runs the full walk's
+    /// unrolled body; a single term picks its accumulator by `match` (a
+    /// jump, but all eight stay in registers).
+    ///
+    /// `width` is the block's column count. `FULL` blocks have `LANES`;
+    /// the other instantiation is for the ragged last block of a matrix
+    /// whose width is no multiple of `LANES`, and reads its rows through a
+    /// mask so that nothing beyond column `width` — the next row, or past
+    /// the last row the end of the matrix — is touched. `vals[width..]`
+    /// come out zero.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `walk` to be the walk of a support whose `dim` is
+    /// `x.len()`, `width <= LANES` (`== LANES` when `FULL`), and `width`
+    /// floats readable at `a + kk * stride` for every `kk < x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemv_t_support_block<const FULL: bool>(
+        vals: &mut [f32; LANES],
+        a: *const f32,
+        stride: usize,
+        width: usize,
+        x: &[f32],
+        walk: &[u32],
+    ) {
+        // Lanes `0..width` of the mask are all ones (the sign bit selects).
+        const MASK: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        // SAFETY: `width <= LANES`, so the eight lanes read lie in `MASK`.
+        let mask = _mm256_loadu_si256(MASK.as_ptr().add(LANES - width) as *const __m256i);
+        let mut acc = (
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+            _mm256_setzero_ps(),
+        );
+        macro_rules! lane {
+            ($acc:expr, $kk:expr) => {
+                // SAFETY: a support only names terms of the vector it was
+                // filled from (a whole chunk lies inside it), and the
+                // caller guarantees that vector was as long as `x`: $kk is
+                // below `x.len()`, so `x[$kk]` exists and `width` floats —
+                // all the mask lets through — are readable at
+                // a + $kk * stride.
+                let xv = _mm256_set1_ps(*x.get_unchecked($kk));
+                let av = if FULL {
+                    _mm256_loadu_ps(a.add($kk * stride))
+                } else {
+                    _mm256_maskload_ps(a.add($kk * stride), mask)
+                };
+                $acc = _mm256_add_ps($acc, _mm256_mul_ps(av, xv));
+            };
+        }
+        for &entry in walk {
+            if entry & WHOLE_CHUNK != 0 {
+                let base = (entry & !WHOLE_CHUNK) as usize;
+                lane!(acc.0, base);
+                lane!(acc.1, base + 1);
+                lane!(acc.2, base + 2);
+                lane!(acc.3, base + 3);
+                lane!(acc.4, base + 4);
+                lane!(acc.5, base + 5);
+                lane!(acc.6, base + 6);
+                lane!(acc.7, base + 7);
+                continue;
+            }
+            let kk = entry as usize;
+            match kk % LANES {
+                0 => {
+                    lane!(acc.0, kk);
+                }
+                1 => {
+                    lane!(acc.1, kk);
+                }
+                2 => {
+                    lane!(acc.2, kk);
+                }
+                3 => {
+                    lane!(acc.3, kk);
+                }
+                4 => {
+                    lane!(acc.4, kk);
+                }
+                5 => {
+                    lane!(acc.5, kk);
+                }
+                6 => {
+                    lane!(acc.6, kk);
+                }
+                _ => {
+                    lane!(acc.7, kk);
+                }
+            }
+        }
+        let s01 = _mm256_add_ps(acc.0, acc.1);
+        let s23 = _mm256_add_ps(acc.2, acc.3);
+        let s45 = _mm256_add_ps(acc.4, acc.5);
+        let s67 = _mm256_add_ps(acc.6, acc.7);
+        let sum = _mm256_add_ps(_mm256_add_ps(s01, s23), _mm256_add_ps(s45, s67));
+        _mm256_storeu_ps(vals.as_mut_ptr(), sum);
+    }
 }
 
 /// AVX2 dot product when the path is compiled in *and* the CPU supports it;
@@ -367,36 +509,9 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dot_avx2(a, b).unwrap_or_else(|| dot_portable(a, b))
 }
 
-/// Returns `true` when `x` is zero-laden enough for the sparse GEMV path:
-/// at least [`SPARSE_MIN_COLS`] long with >= 3/4 of its aligned
-/// `LANES`-wide chunks entirely zero. Chunk (not element) granularity
-/// matches what [`dot_sparse`] can actually skip: scattered zeros inside
-/// live chunks save nothing, so they must not trigger the dispatch.
-#[inline]
-fn sparse_worthwhile(x: &[f32]) -> bool {
-    if x.len() < SPARSE_MIN_COLS {
-        return false;
-    }
-    let chunks = x.len() / LANES;
-    // The GEMV sparse path tracks live chunks in a u128 mask; longer
-    // vectors stay on the dense path rather than growing the mask.
-    if chunks == 0 || chunks > u128::BITS as usize {
-        return false;
-    }
-    let zero_chunks = x
-        .chunks_exact(LANES)
-        .filter(|c| c.iter().all(|&v| v == 0.0))
-        .count();
-    zero_chunks * SPARSE_DEN >= chunks * SPARSE_NUM
-}
-
-/// GEMV: `out[i] = a_row_i . x` for a row-major `(rows, cols)` matrix `a`.
-///
-/// Dispatches per call: if `x` is blockily zero (>= 3/4 of its aligned
-/// `LANES`-chunks entirely zero — the shape telemetry-measured ablation
-/// masks produce) the sparse dot kernel runs and a `kernel.sparse_hits`
-/// counter fires; otherwise the dense lane-blocked dot runs. Both paths
-/// produce identical bits for finite inputs.
+/// GEMV: `out[i] = a_row_i . x` for a row-major `(rows, cols)` matrix `a`:
+/// one lane-blocked [`dot`] per row (AVX2 when available, portable
+/// otherwise; identical bits).
 ///
 /// # Panics
 ///
@@ -405,42 +520,6 @@ pub fn gemv_into(out: &mut [f32], a: &[f32], rows: usize, cols: usize, x: &[f32]
     debug_assert_eq!(a.len(), rows * cols, "kernel::gemv: bad matrix length");
     debug_assert_eq!(out.len(), rows, "kernel::gemv: bad output length");
     debug_assert_eq!(x.len(), cols, "kernel::gemv: bad vector length");
-    if sparse_worthwhile(x) {
-        deeprest_telemetry::counter("kernel.sparse_hits", 1);
-        // `x` is shared by every row, so the zero scan happens once: bit c
-        // of `live` marks an aligned chunk with at least one nonzero.
-        // Rows then visit only live chunks (ascending, preserving the
-        // contract order; skipped chunks are bitwise no-ops — see the
-        // module docs) plus the ragged tail.
-        let main = cols - cols % LANES;
-        let mut live: u128 = 0;
-        for (c, chunk) in x[..main].chunks_exact(LANES).enumerate() {
-            if chunk.iter().any(|&v| v != 0.0) {
-                live |= 1u128 << c;
-            }
-        }
-        for (o, row) in out.iter_mut().zip(a.chunks_exact(cols)) {
-            let mut acc = [0.0f32; LANES];
-            let mut m = live;
-            while m != 0 {
-                let c = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let base = c * LANES;
-                let ca: &[f32; LANES] = row[base..base + LANES].try_into().unwrap();
-                let cb: &[f32; LANES] = x[base..base + LANES].try_into().unwrap();
-                for j in 0..LANES {
-                    acc[j] += ca[j] * cb[j];
-                }
-            }
-            for (j, (&rv, &xv)) in row[main..].iter().zip(x[main..].iter()).enumerate() {
-                if xv != 0.0 {
-                    acc[j] += rv * xv;
-                }
-            }
-            *o = reduce(acc);
-        }
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if avx2::available() {
@@ -615,8 +694,8 @@ pub fn gemm_nt_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n
         // `b` is a single `k`-length row shared by every output element, so
         // this is exactly [`gemv_into`]'s shape — the same `n == 1` fix
         // `gemm_tn` got its dedicated [`gemv_t_into`] path for. The GEMV
-        // dispatch (sparse / AVX2 / portable) is bit-identical to the
-        // per-element dot below for finite inputs.
+        // dispatch (AVX2 / portable) is bit-identical to the per-element
+        // dot below.
         gemv_into(out, a, m, k, b);
         return;
     }
@@ -861,6 +940,132 @@ fn gemv_t_impl(
     }
 }
 
+/// `out = a^T * x` over the terms of `support`'s walk, in `LANES`-wide
+/// blocks with a dynamic-width last one: the portable form of the support
+/// walk (term `kk` into lane `kk % LANES`, ascending, tree [`reduce`]).
+fn gemv_t_support_cols(out: &mut [f32], a: &[f32], m: usize, x: &[f32], support: &Support) {
+    let mut ib = 0;
+    while ib < m {
+        let w = LANES.min(m - ib);
+        let mut acc = [[0.0f32; LANES]; LANES];
+        for &entry in &support.walk {
+            let first = (entry & !WHOLE_CHUNK) as usize;
+            let terms = if entry & WHOLE_CHUNK != 0 { LANES } else { 1 };
+            for kk in first..first + terms {
+                let xv = x[kk];
+                let a_blk = &a[kk * m + ib..kk * m + ib + w];
+                for (o, &av) in acc[kk % LANES].iter_mut().zip(a_blk) {
+                    *o += av * xv;
+                }
+            }
+        }
+        for ii in 0..w {
+            out[ib + ii] = reduce(core::array::from_fn(|l| acc[l][ii]));
+        }
+        ib += w;
+    }
+}
+
+/// Portable support-driven transposed GEMV, one item: what
+/// [`gemv_t_batch_into`] computes with a support when AVX2 is absent.
+/// Exposed so the kernel-equivalence proptest can pit it against the
+/// dispatching entry.
+///
+/// # Panics
+///
+/// Panics on shape mismatch, `support.dim() != k` included.
+pub fn gemv_t_support_portable(
+    out: &mut [f32],
+    a: &[f32],
+    k: usize,
+    m: usize,
+    x: &[f32],
+    support: &Support,
+) {
+    assert_eq!(a.len(), k * m, "kernel::gemv_t_support: bad matrix length");
+    assert_eq!(x.len(), k, "kernel::gemv_t_support: bad vector length");
+    assert_eq!(out.len(), m, "kernel::gemv_t_support: bad output length");
+    assert_eq!(support.dim, k, "kernel::gemv_t_support: bad support");
+    gemv_t_support_cols(out, a, m, x, support);
+}
+
+/// Batched transposed GEMV over packed per-item slabs: item `i` of `batch`
+/// computes `out[i*m .. (i+1)*m] = a_i^T * x_i`, where `a_i` is the `i`-th
+/// row-major `(k, m)` matrix in the contiguous slab `a` (an *input-major*
+/// weight matrix: one row per input, one column per output) and `x_i` the
+/// `i`-th `k`-vector in `x`.
+///
+/// `support`, when given, is shared by every item and says where the `x_i`
+/// may be non-zero: each must be zero wherever the vector it was
+/// [`fill`](Support::fill)ed from is. The walk then visits the support's
+/// terms and no others. A term left out is `a * ±0.0`, a bitwise no-op on
+/// its lane for finite `a` (module docs), so the bits are those of the full
+/// walk; the cost falls from `k` rows of each `a_i` toward
+/// [`nnz`](Support::nnz). `None` walks every term and skips nothing — the
+/// form for operands whose non-finite values must propagate.
+///
+/// Either way each output element carries the bits of [`gemv_t_into`], and
+/// so of [`gemv_into`] on the materialized transpose: the batch form buys
+/// the contiguous slab layout, not a different accumulation order.
+///
+/// # Panics
+///
+/// Panics on slab length mismatch, or a support filled from a vector that
+/// was not `k` long.
+pub fn gemv_t_batch_into(
+    out: &mut [f32],
+    a: &[f32],
+    k: usize,
+    m: usize,
+    x: &[f32],
+    support: Option<&Support>,
+    batch: usize,
+) {
+    // Hard checks, once per call: the AVX2 block reads `a` and `x` through
+    // raw pointers at offsets these lengths and the support's `dim` bound.
+    assert_eq!(a.len(), batch * k * m, "kernel::gemv_t_batch: bad slab");
+    assert_eq!(x.len(), batch * k, "kernel::gemv_t_batch: bad operands");
+    assert_eq!(out.len(), batch * m, "kernel::gemv_t_batch: bad output");
+    assert!(
+        support.is_none_or(|s| s.dim == k),
+        "kernel::gemv_t_batch: support of another length"
+    );
+    for i in 0..batch {
+        let (o, a_i, x_i) = (
+            &mut out[i * m..(i + 1) * m],
+            &a[i * k * m..(i + 1) * k * m],
+            &x[i * k..(i + 1) * k],
+        );
+        let Some(support) = support else {
+            gemv_t_into(o, a_i, k, m, x_i);
+            continue;
+        };
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            let mut vals = [0.0f32; LANES];
+            for done in (0..m).step_by(LANES) {
+                let width = LANES.min(m - done);
+                // SAFETY: AVX2 verified at runtime. The support was filled
+                // from a vector as long as `x_i` (asserted above), and row
+                // `kk < k` of the `(k, m)` matrix `a_i` holds `width`
+                // floats from column `done` because `done + width <= m`.
+                #[allow(unsafe_code)]
+                unsafe {
+                    let (a_blk, walk) = (a_i.as_ptr().add(done), &support.walk[..]);
+                    if width == LANES {
+                        avx2::gemv_t_support_block::<true>(&mut vals, a_blk, m, width, x_i, walk);
+                    } else {
+                        avx2::gemv_t_support_block::<false>(&mut vals, a_blk, m, width, x_i, walk);
+                    }
+                }
+                o[done..done + width].copy_from_slice(&vals[..width]);
+            }
+            continue;
+        }
+        gemv_t_support_cols(o, a_i, m, x_i, support);
+    }
+}
+
 /// The output is produced in `LANES`-wide blocks of `a`'s columns; for each
 /// block the contraction walks `a` row-major (reading `LANES` consecutive
 /// elements of each row), carrying the same `[k-lane][column]` register tile
@@ -935,13 +1140,12 @@ pub fn gemm_tn_into(out: &mut [f32], a: &[f32], k: usize, m: usize, b: &[f32], n
 /// row-major `(rows, cols)` matrix in the contiguous weight slab `a` and
 /// `x_i` the `i`-th `cols`-vector in the contiguous operand slab `x`.
 ///
-/// This is the serving hot loop's entry point: one call advances a whole
-/// shard of experts against their packed gate weights. Each item runs the
-/// exact [`gemv_into`] dispatch (sparse / AVX2 / portable, decided per
-/// item on its own operand vector), so every output element carries the
-/// same bits as an unbatched call — the batch form buys the contiguous
-/// slab layout and a single bounds-checked entry, not a different
-/// accumulation order.
+/// The forward's head product runs on it: one call maps a whole shard's
+/// concatenated `[a ; h]` vectors through their packed head weights. Each
+/// item runs the exact [`gemv_into`] dispatch, so every output element
+/// carries the same bits as an unbatched call — the batch form buys the
+/// contiguous slab layout and a single bounds-checked entry, not a
+/// different accumulation order.
 ///
 /// # Panics
 ///
@@ -1036,61 +1240,75 @@ mod tests {
         }
     }
 
+    /// What the AVX2 walk's unchecked reads rest on: a support names only
+    /// terms of the vector it was filled from, ascending; a chunk enters it
+    /// whole from three non-zero terms, never when it is the ragged last
+    /// one, and not at all when it is all zeros (of either sign).
     #[test]
-    fn sparse_dot_is_bit_identical_to_dense() {
-        for n in [5, 16, 33, 100] {
-            let a = ramp(n, |i| i as f32 * 0.25 - 4.0);
-            let mut b = ramp(n, |i| (i as f32 * 0.4).sin());
-            // Zero out most entries, including negative zeros.
-            for (i, v) in b.iter_mut().enumerate() {
-                if i % 5 != 0 {
-                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+    fn support_walk_stays_inside_the_vector_it_was_filled_from() {
+        let mut x = vec![0.0f32; 8 * 4 + 5];
+        x[1] = 2.0; // chunk 0: two terms, listed one by one
+        x[6] = f32::NAN;
+        x[8..16].fill(-0.0); // chunk 1: zeros of the other sign, absent
+        for kk in [17, 19, 22] {
+            x[kk] = 1.0e-41; // chunk 2: three denormals, whole
+        }
+        x[24..32].fill(1.0); // chunk 3: dense, whole
+        x[32..37].fill(1.0); // ragged tail: five terms, never whole
+        let mut support = Support::with_capacity(x.len());
+        let room = support.walk.capacity();
+        support.fill(&x);
+        let whole = |base: u32| base | WHOLE_CHUNK;
+        assert_eq!(
+            support.walk,
+            [1, 6, whole(16), whole(24), 32, 33, 34, 35, 36]
+        );
+        assert_eq!((support.dim(), support.nnz()), (37, 2 + 3 + 8 + 5));
+        // Refilling reuses the storage and forgets the previous vector.
+        support.fill(&[0.0; 37]);
+        assert_eq!((support.walk.len(), support.nnz()), (0, 0));
+        support.fill(&[1.0; 37]);
+        assert_eq!(support.walk.len(), 4 + 5);
+        assert_eq!(support.walk.capacity(), room);
+    }
+
+    /// The lemma every skipped term rests on (module docs, "Sparse inputs
+    /// and signed zero"): a lane that starts at `+0.0` never holds `-0.0`,
+    /// whatever finite products it absorbs, and on such a lane adding a
+    /// skipped term's `w · ±0.0` changes no bit.
+    #[test]
+    fn a_lane_seeded_positive_zero_never_holds_negative_zero() {
+        let neg_zero = (-0.0f32).to_bits();
+        let weights = [1.5f32, -1.5, 0.0, -0.0, 1.0e30, f32::MIN_POSITIVE, -1.0e-41];
+        let operands = [0.0f32, -0.0, 2.0, -2.0, 1.0e-41, -f32::MIN_POSITIVE];
+        // Every lane value reachable in two terms from the seed, including
+        // exact cancellation (`p + -p`) and products that underflow to a
+        // signed zero.
+        let mut reachable = vec![0.0f32];
+        for _ in 0..2 {
+            for lane in reachable.clone() {
+                for w in weights {
+                    for x in operands {
+                        let next = lane + w * x;
+                        assert_ne!(next.to_bits(), neg_zero, "{lane} + {w} * {x}");
+                        reachable.push(next);
+                    }
                 }
             }
-            assert_eq!(
-                dot_sparse(&a, &b).to_bits(),
-                dot_portable(&a, &b).to_bits(),
-                "n={n}"
-            );
+            reachable.sort_by(f32::total_cmp);
+            reachable.dedup_by_key(|v| v.to_bits());
         }
-    }
-
-    #[test]
-    fn gemv_sparse_dispatch_matches_dense_bits() {
-        let rows = 7;
-        let cols = 40;
-        let a = ramp(rows * cols, |i| (i as f32 * 0.01 - 1.0).tanh());
-        let mut x = ramp(cols, |i| i as f32 - 17.0);
-        for (i, v) in x.iter_mut().enumerate() {
-            // Blocky sparsity: chunk 0 stays mixed (live and zero terms),
-            // chunks 1..5 are entirely zero -> 4/5 chunks above the 3/4
-            // dispatch threshold.
-            if i >= LANES || i % 3 == 1 {
-                *v = 0.0;
+        for lane in reachable {
+            for w in weights {
+                for zero in [0.0f32, -0.0] {
+                    assert_eq!(
+                        (lane + w * zero).to_bits(),
+                        lane.to_bits(),
+                        "{lane} + {w} * {zero}"
+                    );
+                }
             }
         }
-        assert!(sparse_worthwhile(&x));
-        let mut sparse = vec![0.0f32; rows];
-        gemv_into(&mut sparse, &a, rows, cols, &x);
-        let dense: Vec<f32> = a.chunks_exact(cols).map(|r| dot_portable(r, &x)).collect();
-        assert_eq!(
-            sparse.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn dense_vectors_stay_on_dense_path() {
-        assert!(!sparse_worthwhile(&ramp(64, |i| i as f32 + 1.0)));
-        // Short vectors never take the sparse path even when all-zero.
-        assert!(!sparse_worthwhile(&[0.0; SPARSE_MIN_COLS - 1]));
-        // Scattered zeros (7/8 elements zero but every chunk live) save
-        // nothing at chunk granularity, so they must not dispatch either.
-        let scattered = ramp(64, |i| if i % 8 == 0 { 1.0 } else { 0.0 });
-        assert!(!sparse_worthwhile(&scattered));
-        // Blocky zeros of the same density do.
-        let blocky = ramp(64, |i| if i < LANES { 1.0 } else { 0.0 });
-        assert!(sparse_worthwhile(&blocky));
     }
 
     #[test]
@@ -1140,8 +1358,7 @@ mod tests {
 
     #[test]
     fn gemv_batch_matches_unbatched_calls_bitwise() {
-        // Mix of dense and blockily-zero operand vectors so different items
-        // dispatch to different paths inside one batch.
+        // Dense and mostly-zero operand vectors in one batch.
         let (rows, cols, batch) = (9, 40, 5);
         let a = ramp(batch * rows * cols, |i| (i as f32 * 0.03).sin());
         let mut x = ramp(batch * cols, |i| (i as f32 * 0.19).cos());

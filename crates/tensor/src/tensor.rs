@@ -242,8 +242,7 @@ impl Tensor {
     /// ascending `k`) reduced in a fixed tree order, so the bits are
     /// identical on every ISA and dispatch path. A `cols == 1` right operand
     /// dispatches to the GEMV fast path (the estimator's products are almost
-    /// all matrix x vector), which may take a branch-free sparse kernel on
-    /// zero-laden vectors — still bit-identical for finite inputs.
+    /// all matrix x vector).
     ///
     /// # Panics
     ///

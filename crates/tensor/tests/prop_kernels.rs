@@ -1,24 +1,45 @@
 //! Property-based proof of the kernel layer's bit-identity contract.
 //!
 //! Every dispatch path of the lane-blocked kernels — portable
-//! autovectorized, explicit AVX2, and the zero-skipping sparse path — must
-//! produce *identical bits* for the same finite operands, across randomized
-//! shapes including ragged tails (`len % LANES != 0`) and zero-laden inputs
-//! (both `+0.0` and `-0.0`). This is what lets the GEMV/GEMM dispatchers
-//! pick a path per call without ever perturbing training, and what keeps
-//! `crates/core/tests/determinism.rs` honest on AVX2 hardware.
+//! autovectorized and explicit AVX2, and the support-driven transposed GEMV
+//! whatever terms it leaves out — must produce *identical bits* for the same
+//! finite operands, across randomized shapes including ragged tails
+//! (`len % LANES != 0`) and zero-laden inputs (both `+0.0` and `-0.0`). This
+//! is what lets the GEMV/GEMM dispatchers pick a path per call without ever
+//! perturbing training, and what keeps `crates/core/tests/determinism.rs`
+//! honest on AVX2 hardware.
 
 use deeprest_tensor::kernel::{
-    self, dot_avx2, dot_portable, dot_sparse, gemm_batch_into, gemm_into, gemm_nt_acc_into,
-    gemm_nt_into, gemm_tn_into, gemv_batch_into, gemv_into, gemv_t_acc_into, gemv_t_into,
+    self, dot_avx2, dot_portable, gemm_batch_into, gemm_into, gemm_nt_acc_into, gemm_nt_into,
+    gemm_tn_into, gemv_batch_into, gemv_into, gemv_t_acc_into, gemv_t_batch_into, gemv_t_into,
+    gemv_t_support_portable, Support,
 };
 use deeprest_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Finite values with a heavy dose of exact zeros of both signs, so the
-/// sparse skip path and the signed-zero argument are exercised constantly.
+/// signed-zero argument is exercised constantly.
 fn zero_laden() -> impl Strategy<Value = f32> {
     prop_oneof![Just(0.0f32), Just(-0.0f32), Just(0.0f32), -4.0f32..4.0,]
+}
+
+/// Count-vector-like operands for the support kernel: mostly exact zeros of
+/// both signs, a few denormals (non-zero, so they belong to the support),
+/// the rest ordinary values.
+fn mostly_zero() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(0.0f32),
+        Just(0.0f32),
+        Just(1.0e-41f32),
+        Just(-f32::MIN_POSITIVE / 2.0),
+        -4.0f32..4.0,
+    ]
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Same-length operand pairs with lengths sweeping well past several
@@ -46,16 +67,6 @@ proptest! {
         }
         // The public dispatcher must agree with whichever path it picked.
         prop_assert_eq!(kernel::dot(&a, &b).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn sparse_dot_is_bit_identical_to_portable(pairs in operand_pairs()) {
-        let (a, b) = split(pairs);
-        prop_assert_eq!(
-            dot_sparse(&a, &b).to_bits(),
-            dot_portable(&a, &b).to_bits(),
-            "len {}", a.len()
-        );
     }
 
     #[test]
@@ -258,5 +269,65 @@ proptest! {
             via_t.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "({}, {}, {})", m, k, n
         );
+    }
+    /// The support-driven transposed GEMV over an input-major `(k, m)`
+    /// matrix is, bit for bit, the row-major GEMV on the materialised
+    /// transpose — for ragged `k` and `m`, signed zeros and denormals in
+    /// `x`, and any support between the non-zeros of `x` and all of `0..k`
+    /// (`cover` 0: `x` zeroed and nothing in it; 1: exactly the non-zeros;
+    /// 2: every column; 3: a random superset). The dispatching entry equals
+    /// its portable form, one batched call equals one call per item, and no
+    /// support at all is the full walk.
+    #[test]
+    fn support_gemv_t_matches_gemv_on_materialized_transpose(
+        k in 1usize..41,
+        m in 1usize..29,
+        batch in 1usize..4,
+        cover in 0usize..4,
+        weights in proptest::collection::vec(zero_laden(), 3 * 40 * 28),
+        operands in proptest::collection::vec(mostly_zero(), 3 * 40),
+        extra in proptest::collection::vec(0u8..2, 40),
+    ) {
+        let a: Vec<f32> = weights[..batch * k * m].to_vec(); // batch × (k, m)
+        let mut x: Vec<f32> = operands[..batch * k].to_vec();
+        if cover == 0 {
+            x.fill(0.0);
+        }
+        // One support for the whole batch, filled from a vector that is
+        // non-zero wherever any item is — and, to widen it, elsewhere.
+        let live = |kk: usize| (0..batch).any(|i| x[i * k + kk] != 0.0);
+        let covered: Vec<f32> = (0..k)
+            .map(|kk| live(kk) || cover == 2 || (cover == 3 && extra[kk] == 1))
+            .map(|listed| if listed { 1.0 } else { 0.0 })
+            .collect();
+        let mut support = Support::with_capacity(k);
+        support.fill(&covered);
+        prop_assert_eq!(support.dim(), k);
+        prop_assert_eq!(support.nnz(), covered.iter().filter(|&&v| v != 0.0).count());
+
+        let mut batched = vec![f32::NAN; batch * m];
+        gemv_t_batch_into(&mut batched, &a, k, m, &x, Some(&support), batch);
+        let mut dense = vec![f32::NAN; batch * m];
+        gemv_t_batch_into(&mut dense, &a, k, m, &x, None, batch);
+        prop_assert_eq!(bits(&batched), bits(&dense), "support {:?} vs none", &support);
+
+        for i in 0..batch {
+            let (a_i, x_i) = (&a[i * k * m..(i + 1) * k * m], &x[i * k..(i + 1) * k]);
+            let got = bits(&batched[i * m..(i + 1) * m]);
+            let tag = format!("item {i} of ({k}, {m}, {batch}), {support:?}");
+
+            let at = Tensor::from_vec(k, m, a_i.to_vec()).transpose(); // (m, k)
+            let mut want = vec![f32::NAN; m];
+            gemv_into(&mut want, at.data(), m, k, x_i);
+            prop_assert_eq!(&got, &bits(&want), "{} vs row-major", &tag);
+
+            let mut portable = vec![f32::NAN; m];
+            gemv_t_support_portable(&mut portable, a_i, k, m, x_i, &support);
+            prop_assert_eq!(&got, &bits(&portable), "{} vs portable", &tag);
+
+            let mut single = vec![f32::NAN; m];
+            gemv_t_batch_into(&mut single, a_i, k, m, x_i, Some(&support), 1);
+            prop_assert_eq!(&got, &bits(&single), "{} vs unbatched", &tag);
+        }
     }
 }

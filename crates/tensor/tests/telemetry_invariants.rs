@@ -69,23 +69,3 @@ fn matmul_dispatch_counters_split_gemv_from_gemm() {
     assert_eq!(sink.counter("kernel.gemv"), 3);
     assert_eq!(sink.counter("kernel.gemm"), 2);
 }
-
-#[test]
-fn sparse_gemv_dispatch_is_counted() {
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        let a = Tensor::from_vec(2, 32, (0..64).map(|i| (i as f32 * 0.1).sin()).collect());
-        // Both nonzeros in the first 8-wide chunk: 3/4 of the aligned
-        // chunks are entirely zero, which meets the sparse threshold.
-        let mut xv = vec![0.0f32; 32];
-        xv[0] = 1.0;
-        xv[5] = -2.0;
-        let x = Tensor::vector(xv);
-        let _ = a.matmul(&x);
-        // A dense vector of the same shape must not take the sparse path.
-        let dense = Tensor::vector((0..32).map(|i| i as f32 + 1.0).collect());
-        let _ = a.matmul(&dense);
-    });
-    assert_eq!(sink.counter("kernel.sparse_hits"), 1);
-    assert_eq!(sink.counter("kernel.gemv"), 2);
-}
