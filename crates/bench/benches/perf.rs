@@ -131,9 +131,9 @@ fn bench_expert_inference(c: &mut Criterion) {
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
     group.sample_size(30);
-    // The shapes the estimator actually hits: (hidden, dim)·(dim, 1)
-    // gate products, square recurrent products, and the transposed-B /
-    // transposed-A products the backward pass runs per matmul node.
+    // Row-major products into a preallocated output: GEMV (`n = 1`) at a
+    // gate-stack and a square shape, GEMM at two square ones — the entries
+    // the attention product and the tape's `matmul` run.
     for &(m, k, n) in &[
         (32usize, 64usize, 1usize),
         (128, 128, 1),
@@ -143,17 +143,17 @@ fn bench_matmul(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(9);
         let a = Tensor::rand_uniform(m, k, -1.0, 1.0, &mut rng);
         let b_mat = Tensor::rand_uniform(k, n, -1.0, 1.0, &mut rng);
-        let bt = b_mat.transpose();
-        let at = a.transpose();
+        let mut out = vec![0.0f32; m * n];
         let id = format!("{m}x{k}x{n}");
         group.bench_with_input(BenchmarkId::new("nn", &id), &id, |bench, _| {
-            bench.iter(|| a.matmul(&b_mat));
-        });
-        group.bench_with_input(BenchmarkId::new("nt", &id), &id, |bench, _| {
-            bench.iter(|| a.matmul_nt(&bt));
-        });
-        group.bench_with_input(BenchmarkId::new("tn", &id), &id, |bench, _| {
-            bench.iter(|| at.matmul_tn(&b_mat));
+            bench.iter(|| {
+                if n == 1 {
+                    kernel::gemv_into(&mut out, a.data(), m, k, b_mat.data());
+                } else {
+                    kernel::gemm_into(&mut out, a.data(), m, k, b_mat.data(), n);
+                }
+                out[0]
+            });
         });
     }
     // The forward's input-side product `[W_z; W_k; W_h]·x̃` for a whole swarm
@@ -205,34 +205,17 @@ fn bench_matmul(c: &mut Criterion) {
 fn bench_gemv(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemv");
     group.sample_size(30);
-    // The row-major GEMV (the forward's head product, the tape's `matmul`
-    // by a column) across square shapes.
+    // The row-major GEMV (under the forward's head product) across square
+    // shapes, into a preallocated output.
     for &n in &[32usize, 64, 128, 256] {
         let mut rng = StdRng::seed_from_u64(11);
         let a = Tensor::rand_uniform(n, n, -1.0, 1.0, &mut rng);
         let x = Tensor::rand_uniform(n, 1, -1.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; n];
         group.bench_with_input(BenchmarkId::new("dense", n), &n, |bench, _| {
-            bench.iter(|| a.matmul(&x));
-        });
-    }
-    group.finish();
-}
-
-fn bench_matmul_into(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul_into");
-    group.sample_size(30);
-    // The allocation-free variant the graph runs in steady state: output
-    // written into a reused buffer.
-    for &(m, k, n) in &[(128usize, 128usize, 1usize), (64, 64, 64)] {
-        let mut rng = StdRng::seed_from_u64(13);
-        let a = Tensor::rand_uniform(m, k, -1.0, 1.0, &mut rng);
-        let b_mat = Tensor::rand_uniform(k, n, -1.0, 1.0, &mut rng);
-        let id = format!("{m}x{k}x{n}");
-        group.bench_with_input(BenchmarkId::new("nn", &id), &id, |bench, _| {
-            let mut out = Tensor::zeros(m, n);
             bench.iter(|| {
-                a.matmul_into(&b_mat, &mut out);
-                out.data()[0]
+                kernel::gemv_into(&mut out, a.data(), n, n, x.data());
+                out[0]
             });
         });
     }
@@ -395,9 +378,9 @@ fn bench_batched_serving(c: &mut Criterion) {
 fn bench_gemm_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_batch");
     group.sample_size(30);
-    // The batched kernels underneath the fused serving step, at the gate
-    // stack's shape (3·hidden rows by input dim, hidden 32): one strided
-    // call per expert slab vs `batch` dispatches from packed storage.
+    // The batched row-major GEMV under the forward's head product, at a
+    // gate-stack shape (3·hidden rows by input dim, hidden 32): `batch`
+    // dispatches from packed storage.
     let (rows, cols) = (96usize, 32usize);
     for &batch in &[16usize, 64] {
         let mut rng = StdRng::seed_from_u64(21);
@@ -412,19 +395,6 @@ fn bench_gemm_batch(c: &mut Criterion) {
             });
         });
     }
-    // Attention-shaped batch: `batch` independent (32, 64)·(64, 8) GEMMs.
-    let (m, k, n, batch) = (32usize, 64usize, 8usize, 4usize);
-    let mut rng = StdRng::seed_from_u64(22);
-    let a = Tensor::rand_uniform(batch * m, k, -1.0, 1.0, &mut rng);
-    let b_mat = Tensor::rand_uniform(batch * k, n, -1.0, 1.0, &mut rng);
-    let id = format!("{batch}x{m}x{k}x{n}");
-    group.bench_with_input(BenchmarkId::new("gemm", &id), &id, |bench, _| {
-        let mut out = vec![0.0f32; batch * m * n];
-        bench.iter(|| {
-            kernel::gemm_batch_into(&mut out, a.data(), m, k, b_mat.data(), n, batch);
-            out[0]
-        });
-    });
     group.finish();
 }
 
@@ -758,7 +728,6 @@ criterion_group!(
     bench_trace_synthesis,
     bench_matmul,
     bench_gemv,
-    bench_matmul_into,
     bench_expert_training_epoch,
     bench_joint_training_epoch,
     bench_expert_inference,

@@ -1255,6 +1255,65 @@ mod tests {
         }
     }
 
+    /// A parameter whose data does not fill its shape, and a store whose
+    /// names and values differ in count, are errors out of `from_json`, not
+    /// a short read at the pack or an index out of bounds later.
+    #[test]
+    fn from_json_refuses_parameters_that_do_not_fit() {
+        let (i, traces, metrics) = tiny_dataset(16);
+        let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+        let json = model.to_json().unwrap();
+        let first = model.store.ids().next().unwrap();
+        let (rows, cols) = model.store.value(first).shape();
+        let last = model.store.name(model.store.ids().last().unwrap());
+        for (good, bad, expect) in [
+            (
+                format!(r#""values":[{{"rows":{rows},"cols":{cols},"#),
+                format!(r#""values":[{{"rows":{},"cols":{cols},"#, rows + 1),
+                "do not fill shape",
+            ),
+            (format!(r#","{last}"]"#), "]".to_string(), "values but"),
+        ] {
+            assert!(json.contains(&good), "{good} not in {json}");
+            let err = DeepRest::from_json(&json.replace(&good, &bad)).expect_err(&bad);
+            assert!(err.to_string().contains(expect), "{bad}: {err}");
+        }
+    }
+
+    /// A file from before the store stopped writing gradients carries a
+    /// `grads` list beside `values`. It is skipped, so even a list one
+    /// short — which the next training step used to index out of bounds —
+    /// loads a model that estimates as the file's values do and trains.
+    #[test]
+    fn from_json_skips_the_gradients_an_older_file_carries() {
+        let (i, traces, metrics) = tiny_dataset(16);
+        let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+        let json = model.to_json().unwrap();
+        assert!(!json.contains(r#""grads""#), "gradients are not written");
+        let mut root: serde::Value = serde_json::from_str(&json).unwrap();
+        let serde::Value::Object(fields) = &mut root else {
+            panic!("a model is an object")
+        };
+        let store = fields.get("store").and_then(serde::Value::as_object);
+        let mut older = store.unwrap().clone();
+        let values = older.get("values").and_then(serde::Value::as_array);
+        let short = values.unwrap()[1..].to_vec();
+        older.insert("grads", serde::Value::Array(short));
+        fields.insert("store", serde::Value::Object(older));
+
+        let mut loaded = DeepRest::from_json(&serde_json::to_string(&root).unwrap()).unwrap();
+        let k = MetricKey::new("Frontend", ResourceKind::Cpu);
+        let (e1, e2) = (
+            model.estimate_from_traces(&traces, &i),
+            loaded.estimate_from_traces(&traces, &i),
+        );
+        assert_eq!(
+            e1.get(&k).unwrap().expected.values(),
+            e2.get(&k).unwrap().expected.values()
+        );
+        loaded.fit_incremental(&traces, &metrics, &i, 1);
+    }
+
     /// Model JSON is outside input: expert handles the store cannot serve
     /// are an error out of `from_json`, which packs, not a panic.
     #[test]

@@ -844,7 +844,7 @@ mod tests {
                 let (wx, uh, b) = gate(&mut g, [cell.wh, cell.uh, cell.bh], gated);
                 let ht_ref = g.gate_tanh(wx, uh, b);
                 let next = bound[e].step(&mut g, xv, hv);
-                href[e].copy_from(g.value(next));
+                href[e].clone_from(g.value(next));
 
                 let at = e * h..(e + 1) * h;
                 assert_eq!(
@@ -952,7 +952,7 @@ mod tests {
             y.extend_from_slice(g.value(out).data());
         }
         for (carried, &var) in hidden.iter_mut().zip(&next) {
-            carried.copy_from(g.value(var));
+            carried.clone_from(g.value(var));
         }
         y
     }

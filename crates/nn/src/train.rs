@@ -14,14 +14,15 @@
 //!   `z`, `k`, `h̃` (and the hidden states) land in preallocated strided
 //!   arenas instead of tape nodes. Nothing of the forward is restated here.
 //! * **Backward** — closed-form GRU gate gradients consume the stashed
-//!   activations with batched GEMV/GEMM kernels (including the accumulate
-//!   variants `gemv_t_acc_into` / `gemm_nt_acc_into`), walking timesteps in
-//!   descending order exactly as the tape's reverse sweep would. Its
-//!   pull-backs (`Wᵀ·d`, `Uᵀ·d`, `Sᵀ·g`) multiply by the *row-major* gate,
-//!   recurrent and skip matrices, which is how the [`ParamStore`] holds
-//!   them; the slab holds the same values input-major for the forward. So
-//!   the forward reads the slab and the backward reads the store, and the
-//!   two agree because the slab is repacked after every store write.
+//!   activations with transposed GEMVs (`gemv_t_into`, `gemv_t_acc_into`)
+//!   and rank-1 weight-gradient updates (`outer_acc_into`), walking
+//!   timesteps in descending order exactly as the tape's reverse sweep
+//!   would. Its pull-backs (`Wᵀ·d`, `Uᵀ·d`, `Sᵀ·g`) multiply by the
+//!   *row-major* gate, recurrent and skip matrices, which is how the
+//!   [`ParamStore`] holds them; the slab holds the same values input-major
+//!   for the forward. So the forward reads the slab and the backward reads
+//!   the store, and the two agree because the slab is repacked after every
+//!   store write.
 //!
 //! # Bit-identity with the tape oracle
 //!
@@ -31,8 +32,8 @@
 //! `#[cfg(test)]` `oracle.rs`), and this engine reproduces its accumulated
 //! gradients *bit for bit*:
 //!
-//! * Every contraction calls the same lane-blocked kernels on the same
-//!   operands the tape's `matmul`/`matmul_nt`/`matmul_tn` would, so each
+//! * Every contraction runs the lane-blocked contract on the operands the
+//!   tape's `matmul` and its backward (`g · bᵀ`, `aᵀ · g`) multiply, so each
 //!   partial gradient carries identical bits.
 //! * Per-parameter accumulation replays the tape's reverse-sweep order:
 //!   timesteps descending, and within a gradient slot the exact operand
@@ -54,7 +55,7 @@
 //! `crates/core/tests/determinism.rs` holds it end to end.
 
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::kernel::{gemm_nt_acc_into, gemv_t_acc_into, gemv_t_into, Support};
+use deeprest_tensor::kernel::{gemv_t_acc_into, gemv_t_into, outer_acc_into, Support};
 use deeprest_tensor::{BufferPool, ParamStore, Pool};
 
 use crate::slab::{ExpertSlab, ExpertSpec, GateStash};
@@ -517,25 +518,19 @@ fn heads_sweep(
             for (dst, &g) in job.ghead_b[c * 3..][..3].iter_mut().zip(gy) {
                 *dst += g;
             }
-            gemm_nt_acc_into(
+            outer_acc_into(
                 &mut job.ghead_w[c * 3 * two_h..(c + 1) * 3 * two_h],
                 gy,
-                3,
-                1,
                 &job.cat[c * two_h..(c + 1) * two_h],
-                two_h,
             );
             if has_skip {
                 for (dst, &g) in job.gskip_b[c * 3..][..3].iter_mut().zip(gy) {
                     *dst += g;
                 }
-                gemm_nt_acc_into(
+                outer_acc_into(
                     &mut job.gskip_w[c * 3 * d..(c + 1) * 3 * d],
                     gy,
-                    3,
-                    1,
                     &job.xbuf[c * d..(c + 1) * d],
-                    d,
                 );
             }
             // g_cat = Wᵀ·g_y; the top half feeds the attention backward,
@@ -641,14 +636,7 @@ fn gru_sweep(
             }
             let d_h = &job.dzkh[2 * h..3 * h];
             // U_h grad and the reset-product gradient.
-            gemm_nt_acc_into(
-                &mut job.gu_h[c * h * h..(c + 1) * h * h],
-                d_h,
-                h,
-                1,
-                &job.gated,
-                h,
-            );
+            outer_acc_into(&mut job.gu_h[c * h * h..(c + 1) * h * h], d_h, &job.gated);
             gemv_t_into(&mut job.ggated, value(cell.uh), h, h, d_h);
             gemv_t_acc_into(&mut job.gx, value(cell.wh), h, d, d_h);
             // mul(k, h_prev) backward, then the k gate's σ'.
@@ -668,21 +656,15 @@ fn gru_sweep(
             // per-gate rows in the slab's pack order.
             let x = &xs[job.start + t];
             slab.mask_into(e..e + 1, x, &mut job.xbuf[..d]);
-            gemm_nt_acc_into(
+            outer_acc_into(
                 &mut job.gw[c * 3 * h * d..(c + 1) * 3 * h * d],
                 &job.dzkh,
-                3 * h,
-                1,
                 &job.xbuf[..d],
-                d,
             );
-            gemm_nt_acc_into(
+            outer_acc_into(
                 &mut job.gu_zk[c * 2 * h * h..(c + 1) * 2 * h * h],
                 &job.dzkh[..2 * h],
-                2 * h,
-                1,
                 hp,
-                h,
             );
             for (o, &g) in job.gbias[c * 3 * h..(c + 1) * 3 * h]
                 .iter_mut()

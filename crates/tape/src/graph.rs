@@ -1,6 +1,6 @@
 //! The tape: nodes appended in topological order, swept once in reverse.
 
-use deeprest_tensor::{ParamId, ParamStore, Tensor};
+use deeprest_tensor::{kernel, ParamId, ParamStore, Tensor};
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +121,7 @@ impl Graph {
 
     /// Records a gradient-less leaf filled with `value`.
     pub fn constant_fill(&mut self, rows: usize, cols: usize, value: f32) -> Var {
-        self.constant(Tensor::full(rows, cols, value))
+        self.constant(full(rows, cols, value))
     }
 
     /// Records a trainable parameter leaf holding a copy of its current
@@ -133,39 +133,43 @@ impl Graph {
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let out = self.value(a).add(self.value(b));
+        let out = zip(self.value(a), self.value(b), |x, y| x + y);
         self.push(out, Op::Add(a, b))
     }
 
     /// Hadamard product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let out = self.value(a).mul(self.value(b));
+        let out = zip(self.value(a), self.value(b), mul);
         self.push(out, Op::Mul(a, b))
     }
 
     /// Matrix product, on the lane-blocked kernels of
-    /// [`deeprest_tensor::kernel`] (GEMV dispatch for vector right operands
-    /// included) — the contractions the packed forward is compared against.
+    /// [`deeprest_tensor::kernel`] (GEMV for vector right operands) — the
+    /// contractions the packed forward is compared against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions differ.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let out = self.value(a).matmul(self.value(b));
+        let out = matmul(self.value(a), self.value(b));
         self.push(out, Op::MatMul(a, b))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(sigmoid);
+        let out = map(self.value(a), sigmoid);
         self.push(out, Op::Sigmoid(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(f32::tanh);
+        let out = map(self.value(a), f32::tanh);
         self.push(out, Op::Tanh(a))
     }
 
     /// Scalar scaling `c * a`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let out = self.value(a).scale(c);
+        let out = scale(self.value(a), c);
         self.push(out, Op::Scale(a, c))
     }
 
@@ -190,7 +194,7 @@ impl Graph {
 
     /// Elementwise square.
     pub fn square(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(|x| x * x);
+        let out = map(self.value(a), |x| x * x);
         self.push(out, Op::Square(a))
     }
 
@@ -200,9 +204,17 @@ impl Graph {
     ///
     /// Panics if any input is not a column vector.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let values: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let out = Tensor::concat_rows(&values);
-        self.push(out, Op::ConcatRows(parts.to_vec()))
+        let mut data = Vec::new();
+        for &p in parts {
+            let part = self.value(p);
+            assert_eq!(
+                part.cols(),
+                1,
+                "Graph::concat_rows: inputs must be column vectors"
+            );
+            data.extend_from_slice(part.data());
+        }
+        self.push(Tensor::vector(data), Op::ConcatRows(parts.to_vec()))
     }
 
     /// Stacks column vectors side by side into a matrix, enabling the
@@ -212,20 +224,39 @@ impl Graph {
     ///
     /// Panics if inputs are not identically sized column vectors.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let values: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let out = Tensor::concat_cols(&values);
+        assert!(!parts.is_empty(), "Graph::concat_cols: no inputs");
+        let rows = self.value(parts[0]).rows();
+        let mut out = Tensor::zeros(rows, parts.len());
+        for (c, &p) in parts.iter().enumerate() {
+            let part = self.value(p);
+            assert_eq!(
+                part.shape(),
+                (rows, 1),
+                "Graph::concat_cols: inputs must be ({rows}, 1) column vectors"
+            );
+            for (r, &v) in part.data().iter().enumerate() {
+                out.set(r, c, v);
+            }
+        }
         self.push(out, Op::ConcatCols(parts.to_vec()))
     }
 
     /// Sum of all elements, yielding a scalar node.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let out = Tensor::scalar(self.value(a).sum());
+        let out = Tensor::scalar(self.value(a).data().iter().sum());
         self.push(out, Op::SumAll(a))
     }
 
-    /// Mean of all elements, yielding a scalar node.
+    /// Mean of all elements, yielding a scalar node (zero for an empty
+    /// input).
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let out = Tensor::scalar(self.value(a).mean());
+        let data = self.value(a).data();
+        let mean = if data.is_empty() {
+            0.0
+        } else {
+            data.iter().sum::<f32>() / data.len() as f32
+        };
+        let out = Tensor::scalar(mean);
         self.push(out, Op::MeanAll(a))
     }
 
@@ -269,8 +300,8 @@ impl Graph {
     }
 
     fn fused_gate(&self, a: Var, b: Var, c: Var, act: impl Fn(f32) -> f32) -> Tensor {
-        let sum = self.value(a).zip_map(self.value(b), |x, y| x + y);
-        sum.zip_map(self.value(c), |s, z| act(s + z))
+        let sum = zip(self.value(a), self.value(b), |x, y| x + y);
+        zip(&sum, self.value(c), |s, z| act(s + z))
     }
 
     /// Fused convex mix `z ⊙ a + (1 - z) ⊙ b` — the GRU output gate
@@ -284,9 +315,9 @@ impl Graph {
     /// Panics if the shapes differ.
     pub fn lerp(&mut self, z: Var, a: Var, b: Var) -> Var {
         let (tz, ta, tb) = (self.value(z), self.value(a), self.value(b));
-        let keep = tz.mul(ta);
-        let new = tz.zip_map(tb, |zi, bi| (1.0 - zi) * bi);
-        let out = keep.add(&new);
+        let keep = zip(tz, ta, mul);
+        let new = zip(tz, tb, |zi, bi| (1.0 - zi) * bi);
+        let out = zip(&keep, &new, |x, y| x + y);
         self.push(out, Op::Lerp { z, a, b })
     }
 
@@ -344,7 +375,7 @@ impl Graph {
     /// Panics if `pred` is not a column vector matching `quantiles` in
     /// length.
     pub fn pinball_fill(&mut self, pred: Var, y: f32, quantiles: &[f32]) -> Var {
-        let target = Tensor::full(self.value(pred).rows(), 1, y);
+        let target = full(self.value(pred).rows(), 1, y);
         self.pinball(pred, target, quantiles)
     }
 
@@ -397,27 +428,26 @@ impl Graph {
                     acc_ref(&mut slots, *b, &g);
                 }
                 Op::Mul(a, b) => {
-                    let (ga, gb) = (g.mul(val(*b)), g.mul(val(*a)));
+                    let (ga, gb) = (zip(&g, val(*b), mul), zip(&g, val(*a), mul));
                     acc(&mut slots, *a, ga);
                     acc(&mut slots, *b, gb);
                 }
                 Op::MatMul(a, b) => {
-                    // Transposed-operand kernels: bit-identical to
-                    // materializing the transpose, without the copy.
-                    let (ga, gb) = (g.matmul_nt(val(*b)), val(*a).matmul_tn(&g));
+                    let ga = matmul(&g, &transpose(val(*b)));
+                    let gb = matmul(&transpose(val(*a)), &g);
                     acc(&mut slots, *a, ga);
                     acc(&mut slots, *b, gb);
                 }
-                Op::Sigmoid(a) => acc(&mut slots, *a, g.zip_map(y, dsigmoid)),
-                Op::Tanh(a) => acc(&mut slots, *a, g.zip_map(y, dtanh)),
-                Op::Scale(a, c) => acc(&mut slots, *a, g.scale(*c)),
+                Op::Sigmoid(a) => acc(&mut slots, *a, zip(&g, y, dsigmoid)),
+                Op::Tanh(a) => acc(&mut slots, *a, zip(&g, y, dtanh)),
+                Op::Scale(a, c) => acc(&mut slots, *a, scale(&g, *c)),
                 Op::MaskOut(a, index) => {
                     let mut ga = g.clone();
                     ga.data_mut()[*index] = 0.0;
                     acc(&mut slots, *a, ga);
                 }
                 Op::Square(a) => {
-                    acc(&mut slots, *a, g.zip_map(val(*a), |gi, xi| 2.0 * gi * xi));
+                    acc(&mut slots, *a, zip(&g, val(*a), |gi, xi| 2.0 * gi * xi));
                 }
                 Op::ConcatRows(parts) => {
                     let mut offset = 0;
@@ -436,12 +466,12 @@ impl Graph {
                 }
                 Op::SumAll(a) => {
                     let (rows, cols) = val(*a).shape();
-                    acc(&mut slots, *a, Tensor::full(rows, cols, g.data()[0]));
+                    acc(&mut slots, *a, full(rows, cols, g.data()[0]));
                 }
                 Op::MeanAll(a) => {
                     let (rows, cols) = val(*a).shape();
                     let n = (rows * cols) as f32;
-                    acc(&mut slots, *a, Tensor::full(rows, cols, g.data()[0] / n));
+                    acc(&mut slots, *a, full(rows, cols, g.data()[0] / n));
                 }
                 Op::AddN(parts) => {
                     for p in parts {
@@ -451,13 +481,13 @@ impl Graph {
                 // Every summand of a fused pre-activation receives the same
                 // σ'/tanh' upstream term, exactly as the unfused chain.
                 Op::GateSigmoid(a, b, c) => {
-                    let d = g.zip_map(y, dsigmoid);
+                    let d = zip(&g, y, dsigmoid);
                     for v in [a, b, c] {
                         acc_ref(&mut slots, *v, &d);
                     }
                 }
                 Op::GateTanh(a, b, c) => {
-                    let d = g.zip_map(y, dtanh);
+                    let d = zip(&g, y, dtanh);
                     for v in [a, b, c] {
                         acc_ref(&mut slots, *v, &d);
                     }
@@ -466,10 +496,10 @@ impl Graph {
                     // dz = -(g ⊙ b) + g ⊙ a, built from the two products the
                     // unfused chain computes (sign flip is exact; addition
                     // commutes bitwise), so fused == unfused to the bit.
-                    let mut dz = g.mul(val(*b)).scale(-1.0);
-                    dz.add_assign(&g.mul(val(*a)));
-                    let da = g.mul(val(*z));
-                    let db = g.zip_map(val(*z), |gi, zi| gi * (1.0 - zi));
+                    let mut dz = scale(&zip(&g, val(*b), mul), -1.0);
+                    dz.add_assign(&zip(&g, val(*a), mul));
+                    let da = zip(&g, val(*z), mul);
+                    let db = zip(&g, val(*z), |gi, zi| gi * (1.0 - zi));
                     acc(&mut slots, *z, dz);
                     acc(&mut slots, *a, da);
                     acc(&mut slots, *b, db);
@@ -496,6 +526,74 @@ impl Graph {
             }
         }
     }
+}
+
+/// `a · b`: `kernel::gemv_into` when `b` is a column, `kernel::gemm_into`
+/// otherwise. Both carry the contract dot's bits per element, so a product
+/// on a materialised transpose (the backward's `g · bᵀ`, `aᵀ · g`) has the
+/// bits of every other way of contracting the same rows and columns.
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(
+        k,
+        b.rows(),
+        "Graph::matmul: inner dimensions differ ({:?} x {:?})",
+        a.shape(),
+        b.shape()
+    );
+    let mut out = vec![0.0; m * n];
+    if n == 1 {
+        kernel::gemv_into(&mut out, a.data(), m, k, b.data());
+    } else {
+        kernel::gemm_into(&mut out, a.data(), m, k, b.data(), n);
+    }
+    Tensor::from_vec(m, n, out)
+}
+
+fn transpose(a: &Tensor) -> Tensor {
+    let (rows, cols) = a.shape();
+    let data = (0..rows * cols)
+        .map(|i| a.data()[(i % rows) * cols + i / rows])
+        .collect();
+    Tensor::from_vec(cols, rows, data)
+}
+
+fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    Tensor::from_vec(a.rows(), a.cols(), a.data().iter().map(|&v| f(v)).collect())
+}
+
+/// `f` elementwise over two same-shaped tensors.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    assert_eq!(
+        a.shape(),
+        b.shape(),
+        "Graph: shape mismatch {:?} vs {:?}",
+        a.shape(),
+        b.shape()
+    );
+    let data = a
+        .data()
+        .iter()
+        .zip(b.data())
+        .map(|(&x, &y)| f(x, y))
+        .collect();
+    Tensor::from_vec(a.rows(), a.cols(), data)
+}
+
+fn scale(a: &Tensor, c: f32) -> Tensor {
+    map(a, |v| v * c)
+}
+
+fn full(rows: usize, cols: usize, value: f32) -> Tensor {
+    Tensor::from_vec(rows, cols, vec![value; rows * cols])
+}
+
+fn mul(x: f32, y: f32) -> f32 {
+    x * y
 }
 
 /// The logistic sigmoid in the exact expression the packed forward uses.

@@ -20,11 +20,19 @@
 //! * [`BoundGruCell`] and [`BoundLinear`] are the estimator's layers on the
 //!   tape; [`Graph::pinball_fill`] is its Eq. 6 loss term.
 //!
+//! The ops themselves are this crate's own: `deeprest_tensor::Tensor` is a
+//! parameter container, so elementwise ops, concatenation, reductions and
+//! transposes are written here, and [`Graph::matmul`] calls
+//! `deeprest_tensor::kernel`'s `gemv_into` (column right operand) or
+//! `gemm_into`. Its backward multiplies by materialised transposes,
+//! `g · bᵀ` and `aᵀ · g`; both kernels give every element the bits of the
+//! lane-blocked contract dot, so the transpose's layout cannot show in them.
+//!
 //! What the suites rely on, beyond correct gradients, is *order*: matrix
-//! products run on the same `deeprest_tensor::kernel` contractions as the
-//! packed forward, the fused gate ops associate exactly like
-//! `ExpertSlab::step_range`, and a gradient slot receives its contributions
-//! highest consumer first — the sequence the analytic backward replays.
+//! products run on the same lane-blocked contract as the packed forward,
+//! the fused gate ops associate exactly like `ExpertSlab::step_range`, and
+//! a gradient slot receives its contributions highest consumer first — the
+//! sequence the analytic backward replays.
 //!
 //! # Examples
 //!

@@ -1,7 +1,17 @@
 //! Deterministic lane-blocked SIMD kernels.
 //!
-//! Every contraction in the crate (dot products, GEMV, GEMM in all three
-//! transpose layouts) is built on one accumulation contract:
+//! The entries, and what ships calling them:
+//!
+//! | Entry | Computes | Shipped caller |
+//! |---|---|---|
+//! | [`gemv_t_batch_into`] | `a_iᵀ · x_i` per item, input-major, optionally over a [`Support`] | `ExpertSlab::step_range` (gate and recurrent products), `ExpertSlab::heads` (skip) |
+//! | [`gemv_batch_into`] | `a_i · x_i` per item, row-major | `ExpertSlab::heads` (quantile heads) |
+//! | [`gemm_into`] | `a · b` | `ExpertSlab::heads` (attention `H_t · α`) |
+//! | [`gemv_t_into`], [`gemv_t_acc_into`] | `aᵀ · x`, set or added | `AnalyticTrainer` (pull-backs) |
+//! | [`outer_acc_into`] | `out += a ⊗ b` | `AnalyticTrainer` (weight gradients) |
+//! | [`gemv_into`] | `a · x` | under [`gemv_batch_into`] |
+//!
+//! Every contraction is built on one accumulation contract:
 //!
 //! * Partial sums live in a fixed array of [`LANES`]` = 8` accumulators.
 //!   Term `k` of a contraction is added into lane `k % LANES`, in ascending
@@ -53,8 +63,8 @@ const WHOLE_CHUNK: u32 = 1 << 31;
 /// and terms ascend — what the AVX2 walk's unchecked reads rest on.
 ///
 /// The walk lists, chunk by aligned `LANES`-chunk, either each non-zero
-/// term or — from [`WHOLE_CHUNK_MIN`] non-zero terms up — the chunk as a
-/// whole. Chunks that are entirely zero are not in it.
+/// term or — from `WHOLE_CHUNK_MIN` (three) non-zero terms up — the chunk
+/// as a whole. Chunks that are entirely zero are not in it.
 #[derive(Clone, Debug, Default)]
 pub struct Support {
     walk: Vec<u32>,
@@ -130,10 +140,14 @@ fn reduce(acc: [f32; LANES]) -> f32 {
 /// cross-iteration dependency, so the compiler autovectorizes it to one
 /// vector multiply + add per chunk.
 ///
+/// Kept out of line: inlined into [`gemv_into`]'s fallback, it takes the
+/// registers the AVX2 row loop beside it keeps its state in, and that loop
+/// then spills per row (`gemm_batch/gemv/*` 9 % slower).
+///
 /// # Panics
 ///
 /// Panics (in debug builds) if the slices differ in length.
-#[inline]
+#[inline(never)]
 pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "kernel::dot: length mismatch");
     let mut acc = [0.0f32; LANES];
@@ -283,29 +297,20 @@ mod avx2 {
         _mm256_storeu_ps(out_blk.as_mut_ptr(), sum);
     }
 
-    /// One `LANES`-wide block of `a`'s columns contracted against column
-    /// `j` of `b` for `out = a^T * b`:
-    /// `vals[ii] = sum_kk a[kk * stride + ii] * b[kk * n + j]`, where `a`
-    /// points at the block's first column (strided view of the left
-    /// operand, or a packed slab with `stride == LANES`).
+    /// One `LANES`-wide block of `a`'s columns contracted against the
+    /// column `x` for `out = a^T * x`:
+    /// `vals[ii] = sum_kk a[kk * stride + ii] * x[kk]`, where `a` points at
+    /// the block's first column of the strided left operand.
     ///
-    /// Mirror of [`gemm_row_block`] with the broadcast on `b`'s side; the
-    /// caller scatters `vals` into `out`'s column-strided layout.
+    /// Mirror of [`gemm_row_block`] with the broadcast on `x`'s side.
     ///
     /// # Safety
     ///
-    /// Requires AVX2, `LANES` floats readable at `a + kk * stride` for
-    /// every `kk < k`, and `(k - 1) * n + j < b.len()` when `k > 0`.
+    /// Requires AVX2 and `LANES` floats readable at `a + kk * stride` for
+    /// every `kk < x.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_tn_block(
-        vals: &mut [f32; LANES],
-        a: *const f32,
-        stride: usize,
-        b: &[f32],
-        n: usize,
-        j: usize,
-        k: usize,
-    ) {
+    pub unsafe fn gemm_tn_block(vals: &mut [f32; LANES], a: *const f32, stride: usize, x: &[f32]) {
+        let k = x.len();
         let chunks = k / LANES;
         // Named accumulators for the same register-allocation reason as
         // [`gemm_row_block`].
@@ -321,10 +326,9 @@ mod avx2 {
         );
         macro_rules! lane {
             ($acc:expr, $kk:expr) => {
-                // SAFETY: $kk < k; the caller guarantees LANES floats are
-                // readable at a + $kk * stride, and that column j of `b`
-                // exists in every row.
-                let bv = _mm256_set1_ps(*b.get_unchecked($kk * n + j));
+                // SAFETY: $kk < k == x.len(), and the caller guarantees
+                // LANES floats are readable at a + $kk * stride.
+                let bv = _mm256_set1_ps(*x.get_unchecked($kk));
                 let av = _mm256_loadu_ps(a.add($kk * stride));
                 $acc = _mm256_add_ps($acc, _mm256_mul_ps(av, bv));
             };
@@ -373,8 +377,8 @@ mod avx2 {
         _mm256_storeu_ps(vals.as_mut_ptr(), sum);
     }
 
-    /// [`gemm_tn_block`] for a single right-hand column `x`, over the terms
-    /// of a [`Support`](super::Support) walk:
+    /// [`gemm_tn_block`] over the terms of a [`Support`](super::Support)
+    /// walk:
     /// `vals[ii] = sum_{kk in walk} a[kk * stride + ii] * x[kk]`.
     ///
     /// Term `kk` still lands in accumulator `kk % LANES`, in ascending
@@ -487,7 +491,7 @@ mod avx2 {
 
 /// AVX2 dot product when the path is compiled in *and* the CPU supports it;
 /// `None` otherwise. Exposed so the kernel-equivalence proptest can pit it
-/// directly against [`dot_portable`] regardless of what [`dot`] dispatches.
+/// directly against [`dot_portable`].
 #[inline]
 pub fn dot_avx2(a: &[f32], b: &[f32]) -> Option<f32> {
     #[cfg(target_arch = "x86_64")]
@@ -502,15 +506,8 @@ pub fn dot_avx2(a: &[f32], b: &[f32]) -> Option<f32> {
     None
 }
 
-/// Lane-blocked dot product: dispatches to the AVX2 path when available,
-/// the portable autovectorized path otherwise. Both produce identical bits.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    dot_avx2(a, b).unwrap_or_else(|| dot_portable(a, b))
-}
-
 /// GEMV: `out[i] = a_row_i . x` for a row-major `(rows, cols)` matrix `a`:
-/// one lane-blocked [`dot`] per row (AVX2 when available, portable
+/// one lane-blocked dot per row (AVX2 when available, [`dot_portable`]
 /// otherwise; identical bits).
 ///
 /// # Panics
@@ -538,9 +535,6 @@ pub fn gemv_into(out: &mut [f32], a: &[f32], rows: usize, cols: usize, x: &[f32]
     }
 }
 
-/// GEMM, no transposes: `out = a * b` with `a` `(m, k)`, `b` `(k, n)`, all
-/// row-major.
-///
 /// Largest contraction length the on-stack pack buffer covers; larger `k`
 /// falls back to strided loads.
 const PACK_MAX_K: usize = 512;
@@ -633,6 +627,8 @@ fn gemm_partial_cols(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], 
     }
 }
 
+/// GEMM: `out = a * b` with `a` `(m, k)`, `b` `(k, n)`, all row-major.
+///
 /// The output is produced in `LANES`-wide column blocks; each block carries
 /// a `[k-lane][column]` register tile so that every output element observes
 /// exactly the contract accumulation order (term `kk` in lane `kk % LANES`,
@@ -679,108 +675,39 @@ pub fn gemm_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: u
     gemm_partial_cols(out, a, m, k, b, n);
 }
 
-/// GEMM with transposed right operand: `out = a * b^T` with `a` `(m, k)`,
-/// `b` `(n, k)`, without materializing the transpose.
+/// Rank-1 update `out += a ⊗ b`: `out[i * n + j] += a[i] · b[j]` for the
+/// row-major `(a.len(), n)` matrix `out`, `n = b.len()`.
 ///
-/// Every output element is a dot of two contiguous rows, so this simply runs
-/// the dispatching [`dot`] kernel per element — the per-element accumulation
-/// order is identical to [`gemm_into`] on a materialized transpose, so the
-/// results are bit-for-bit the same.
-pub fn gemm_nt_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(a.len(), m * k, "kernel::gemm_nt: bad lhs length");
-    debug_assert_eq!(b.len(), n * k, "kernel::gemm_nt: bad rhs length");
-    debug_assert_eq!(out.len(), m * n, "kernel::gemm_nt: bad output length");
-    if n == 1 {
-        // `b` is a single `k`-length row shared by every output element, so
-        // this is exactly [`gemv_into`]'s shape — the same `n == 1` fix
-        // `gemm_tn` got its dedicated [`gemv_t_into`] path for. The GEMV
-        // dispatch (AVX2 / portable) is bit-identical to the per-element
-        // dot below.
-        gemv_into(out, a, m, k, b);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2::available() {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, b_row) in out_row.iter_mut().zip(b.chunks_exact(k.max(1))) {
-                    // SAFETY: AVX2 support was just verified at runtime.
-                    #[allow(unsafe_code)]
-                    {
-                        *o = unsafe { avx2::dot(a_row, b_row) };
-                    }
-                }
-            }
-            return;
-        }
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (o, b_row) in out_row.iter_mut().zip(b.chunks_exact(k.max(1))) {
-            *o = dot_portable(a_row, b_row);
+/// Each contribution carries the bits of a length-1 contract dot (and so of
+/// [`gemm_into`] with `k == 1`): `0.0 + a·b` in the zero-seeded lane, the
+/// tree reduce adding only `+0.0`s, which `(a·b) + 0.0` reproduces exactly,
+/// `-0.0 → +0.0` normalization included, without a dispatch per element.
+/// The analytic backward accumulates its per-timestep weight gradients
+/// (`d ⊗ x`) with it.
+///
+/// # Panics
+///
+/// Panics (in debug builds) on shape mismatch.
+pub fn outer_acc_into(out: &mut [f32], a: &[f32], b: &[f32]) {
+    debug_assert_eq!(
+        out.len(),
+        a.len() * b.len(),
+        "kernel::outer_acc: bad output length"
+    );
+    for (av, out_row) in a.iter().zip(out.chunks_exact_mut(b.len().max(1))) {
+        for (o, &bv) in out_row.iter_mut().zip(b) {
+            *o += (av * bv) + 0.0;
         }
     }
 }
 
-/// Accumulating `a * b^T`: `out[i*n + j] += a_row_i . b_row_j` with `a`
-/// `(m, k)` and `b` `(n, k)`, both row-major.
-///
-/// Each contribution runs the dispatching [`dot`] kernel on two contiguous
-/// rows — the exact per-element bits of [`gemm_nt_into`] — so
-/// `gemm_nt_acc_into(out, ..)` is bit-identical to `gemm_nt_into(tmp, ..)`
-/// followed by `out += tmp`, without the temporary. The analytic training
-/// backward uses this for outer-product weight gradients (`d ⊗ x^T` is the
-/// `k == 1` case) accumulated across timesteps.
-pub fn gemm_nt_acc_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(a.len(), m * k, "kernel::gemm_nt_acc: bad lhs length");
-    debug_assert_eq!(b.len(), n * k, "kernel::gemm_nt_acc: bad rhs length");
-    debug_assert_eq!(out.len(), m * n, "kernel::gemm_nt_acc: bad output length");
-    if k == 1 {
-        // Rank-1 outer product: a length-1 dot is `0.0 + a·b` (the
-        // zero-seeded lane accumulator absorbs the product and the tree
-        // reduce adds only `+0.0`s), so `(a·b) + 0.0` reproduces its bits
-        // exactly — including the `-0.0 → +0.0` normalization — without a
-        // kernel-dispatch call per output element. This path carries the
-        // analytic backward's per-timestep weight gradients, where the
-        // per-element `dot` overhead would dominate the whole sweep.
-        for (av, out_row) in a.iter().zip(out.chunks_exact_mut(n.max(1))) {
-            for (o, &bv) in out_row.iter_mut().zip(b.iter()) {
-                *o += (av * bv) + 0.0;
-            }
-        }
-        return;
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (o, b_row) in out_row.iter_mut().zip(b.chunks_exact(k.max(1))) {
-            *o += dot(a_row, b_row);
-        }
-    }
-}
-
-/// GEMM with transposed left operand: `out = a^T * b` with `a` `(k, m)`,
-/// `b` `(k, n)`, without materializing the transpose.
-///
-/// One `LANES`-wide block of `a`'s columns contracted against column `j`
-/// of `b`: `vals[ii] = sum_kk a[off + kk * stride + ii] * b[kk * n + j]`,
-/// following the contract accumulation order. `stride` is `m` for a
-/// strided view of the left operand or `LANES` for a packed slab.
+/// One `LANES`-wide block of `a`'s columns contracted against the column
+/// `x`: `vals[ii] = sum_kk a[off + kk * stride + ii] * x[kk]`, following
+/// the contract accumulation order, `stride` the row length of the strided
+/// left operand.
 #[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the raw-pointer AVX2 kernel signature
-fn gemm_tn_block(
-    vals: &mut [f32; LANES],
-    a: &[f32],
-    off: usize,
-    stride: usize,
-    b: &[f32],
-    n: usize,
-    j: usize,
-    k: usize,
-) {
+fn gemm_tn_block(vals: &mut [f32; LANES], a: &[f32], off: usize, stride: usize, x: &[f32]) {
+    let k = x.len();
     debug_assert!(k == 0 || off + (k - 1) * stride + LANES <= a.len());
     #[cfg(target_arch = "x86_64")]
     if avx2::available() {
@@ -788,7 +715,7 @@ fn gemm_tn_block(
         // states the in-bounds contract the callers uphold.
         #[allow(unsafe_code)]
         unsafe {
-            avx2::gemm_tn_block(vals, a.as_ptr().add(off), stride, b, n, j, k);
+            avx2::gemm_tn_block(vals, a.as_ptr().add(off), stride, x);
         }
         return;
     }
@@ -797,7 +724,7 @@ fn gemm_tn_block(
     for c in 0..chunks {
         for (l, acc_l) in acc.iter_mut().enumerate() {
             let kk = c * LANES + l;
-            let bv = b[kk * n + j];
+            let bv = x[kk];
             let base = off + kk * stride;
             let a_blk: &[f32; LANES] = a[base..base + LANES].try_into().unwrap();
             for ii in 0..LANES {
@@ -806,7 +733,7 @@ fn gemm_tn_block(
         }
     }
     for (l, kk) in (chunks * LANES..k).enumerate() {
-        let bv = b[kk * n + j];
+        let bv = x[kk];
         let base = off + kk * stride;
         let a_blk: &[f32; LANES] = a[base..base + LANES].try_into().unwrap();
         let acc_l = &mut acc[l];
@@ -819,54 +746,16 @@ fn gemm_tn_block(
     }
 }
 
-/// The final partial (`w < LANES`) block of `a`-column rows of
-/// `out = a^T * b`; dynamic-width, same accumulation order.
-fn gemm_tn_partial_rows(out: &mut [f32], a: &[f32], k: usize, m: usize, b: &[f32], n: usize) {
-    let ib = m - m % LANES;
-    if ib == m {
-        return;
-    }
-    let w = m - ib;
-    let chunks = k / LANES;
-    for j in 0..n {
-        let mut acc = [[0.0f32; LANES]; LANES];
-        for c in 0..chunks {
-            for (l, acc_l) in acc.iter_mut().enumerate() {
-                let kk = c * LANES + l;
-                let bv = b[kk * n + j];
-                let a_blk = &a[kk * m + ib..kk * m + ib + w];
-                for (ii, &av) in a_blk.iter().enumerate() {
-                    acc_l[ii] += av * bv;
-                }
-            }
-        }
-        for (l, kk) in (chunks * LANES..k).enumerate() {
-            let bv = b[kk * n + j];
-            let a_blk = &a[kk * m + ib..kk * m + ib + w];
-            for (ii, &av) in a_blk.iter().enumerate() {
-                acc[l][ii] += av * bv;
-            }
-        }
-        for ii in 0..w {
-            out[(ib + ii) * n + j] = reduce(core::array::from_fn(|l| acc[l][ii]));
-        }
-    }
-}
-
 /// Transposed GEMV: `out = a^T * x` with `a` `(k, m)` row-major and `x` a
 /// `k`-vector, without materializing the transpose.
 ///
-/// The packed `gemm_tn` path is a pessimization here: packing gathers a
-/// strided `LANES`-column slab of `a` that a single right-hand column then
-/// uses exactly once, so the copy is pure overhead (it roughly doubles the
-/// memory traffic and is the reason `matmul/tn/128x128x1` trailed
-/// `matmul/nn` ~3×). Instead each `LANES`-wide block of `a`'s columns is
-/// contracted directly from the strided operand — per row of `a` that is
-/// one contiguous `LANES`-float load, so the walk streams `a` row-major
-/// once per block. The accumulation order is the shared `gemm_tn_block`
-/// tile (term `kk` in lane `kk % LANES`, tree `reduce`), so the bits are
-/// identical to [`gemm_tn_into`]'s packed path and to [`gemm_into`] on a
-/// materialized transpose.
+/// Each `LANES`-wide block of `a`'s columns is contracted directly from the
+/// strided operand — per row of `a` that is one contiguous `LANES`-float
+/// load, so the walk streams `a` row-major once per block, and a single
+/// right-hand column reuses nothing a packed copy would buy. The
+/// accumulation order is the `gemm_tn_block` tile (term `kk` in lane
+/// `kk % LANES`, tree `reduce`), so the bits are those of [`gemv_into`] on
+/// a materialized transpose.
 pub fn gemv_t_into(out: &mut [f32], a: &[f32], k: usize, m: usize, x: &[f32]) {
     gemv_t_impl(out, a, k, m, x, |o, v| *o = v);
 }
@@ -885,10 +774,9 @@ pub fn gemv_t_acc_into(out: &mut [f32], a: &[f32], k: usize, m: usize, x: &[f32]
 
 /// Shared body of [`gemv_t_into`] / [`gemv_t_acc_into`]: computes each
 /// contract-ordered output element and hands it to `store` (plain
-/// assignment or `+=`). Full-width blocks run the shared
-/// [`gemm_tn_block`] tile; the ragged tail replays
-/// [`gemm_tn_partial_rows`]'s dynamic-width tile with `n == 1`, so element
-/// bits are independent of which `store` is used.
+/// assignment or `+=`). Full-width blocks run the [`gemm_tn_block`] tile,
+/// the ragged tail the same tile at dynamic width, so element bits are
+/// independent of which `store` is used.
 #[inline(always)]
 fn gemv_t_impl(
     out: &mut [f32],
@@ -904,7 +792,7 @@ fn gemv_t_impl(
     let mut vals = [0.0f32; LANES];
     let mut ib = 0;
     while ib + LANES <= m {
-        gemm_tn_block(&mut vals, a, ib, m, x, 1, 0, k);
+        gemm_tn_block(&mut vals, a, ib, m, x);
         for (o, &v) in out[ib..ib + LANES].iter_mut().zip(vals.iter()) {
             store(o, v);
         }
@@ -1066,75 +954,6 @@ pub fn gemv_t_batch_into(
     }
 }
 
-/// The output is produced in `LANES`-wide blocks of `a`'s columns; for each
-/// block the contraction walks `a` row-major (reading `LANES` consecutive
-/// elements of each row), carrying the same `[k-lane][column]` register tile
-/// as [`gemm_into`], so per-element bits match [`gemm_into`] on a
-/// materialized transpose. Blocks are walked block-outer / column-inner so
-/// one block's slab of `a` (`k * LANES` floats) stays cache-resident while
-/// `b`'s columns stream past it; large strided slabs are packed contiguously
-/// first, exactly as in [`gemm_into`]. The backward pass's `A^T * g` GEMV-T
-/// (`n == 1`) dispatches to the dedicated [`gemv_t_into`], which never packs
-/// (a single column reuses nothing, so packing is pure overhead).
-pub fn gemm_tn_into(out: &mut [f32], a: &[f32], k: usize, m: usize, b: &[f32], n: usize) {
-    debug_assert_eq!(a.len(), k * m, "kernel::gemm_tn: bad lhs length");
-    debug_assert_eq!(b.len(), k * n, "kernel::gemm_tn: bad rhs length");
-    debug_assert_eq!(out.len(), m * n, "kernel::gemm_tn: bad output length");
-    if n == 1 {
-        gemv_t_into(out, a, k, m, b);
-        return;
-    }
-    let mut vals = [0.0f32; LANES];
-    if k <= PACK_MAX_K && k * m >= PACK_MIN_ELEMS && m >= LANES {
-        // Both operands are strided here (`a` by `m`, `b`'s broadcast
-        // column walk by `n`), so both get packed: the `a` slab once per
-        // row block, the `b` slab per column block inside it.
-        let mut a_slab = [0.0f32; LANES * PACK_MAX_K];
-        let mut b_slab = [0.0f32; LANES * PACK_MAX_K];
-        let mut ib = 0;
-        while ib + LANES <= m {
-            for kk in 0..k {
-                let src: &[f32; LANES] = a[kk * m + ib..kk * m + ib + LANES].try_into().unwrap();
-                a_slab[kk * LANES..(kk + 1) * LANES].copy_from_slice(src);
-            }
-            let mut jb = 0;
-            while jb + LANES <= n {
-                for kk in 0..k {
-                    let src: &[f32; LANES] =
-                        b[kk * n + jb..kk * n + jb + LANES].try_into().unwrap();
-                    b_slab[kk * LANES..(kk + 1) * LANES].copy_from_slice(src);
-                }
-                for g in 0..LANES {
-                    gemm_tn_block(&mut vals, &a_slab, 0, LANES, &b_slab, LANES, g, k);
-                    for (ii, &v) in vals.iter().enumerate() {
-                        out[(ib + ii) * n + jb + g] = v;
-                    }
-                }
-                jb += LANES;
-            }
-            for j in jb..n {
-                gemm_tn_block(&mut vals, &a_slab, 0, LANES, b, n, j, k);
-                for (ii, &v) in vals.iter().enumerate() {
-                    out[(ib + ii) * n + j] = v;
-                }
-            }
-            ib += LANES;
-        }
-    } else {
-        let mut ib = 0;
-        while ib + LANES <= m {
-            for j in 0..n {
-                gemm_tn_block(&mut vals, a, ib, m, b, n, j, k);
-                for (ii, &v) in vals.iter().enumerate() {
-                    out[(ib + ii) * n + j] = v;
-                }
-            }
-            ib += LANES;
-        }
-    }
-    gemm_tn_partial_rows(out, a, k, m, b, n);
-}
-
 /// Batched GEMV over packed per-item slabs: item `i` of `batch` computes
 /// `out[i*rows .. (i+1)*rows] = a_i * x_i`, where `a_i` is the `i`-th
 /// row-major `(rows, cols)` matrix in the contiguous weight slab `a` and
@@ -1173,41 +992,6 @@ pub fn gemv_batch_into(
     }
 }
 
-/// Batched GEMM over packed per-item slabs: item `i` of `batch` computes
-/// `out_i = a_i * b_i` with `a_i` `(m, k)` and `b_i` `(k, n)`, all
-/// row-major and packed contiguously per item.
-///
-/// Each item runs the exact [`gemm_into`] tile walk, so per-element bits
-/// match the unbatched kernel; see [`gemv_batch_into`] for the contract
-/// argument.
-///
-/// # Panics
-///
-/// Panics (in debug builds) on slab length mismatch.
-pub fn gemm_batch_into(
-    out: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    batch: usize,
-) {
-    debug_assert_eq!(a.len(), batch * m * k, "kernel::gemm_batch: bad lhs slab");
-    debug_assert_eq!(b.len(), batch * k * n, "kernel::gemm_batch: bad rhs slab");
-    debug_assert_eq!(out.len(), batch * m * n, "kernel::gemm_batch: bad output");
-    for i in 0..batch {
-        gemm_into(
-            &mut out[i * m * n..(i + 1) * m * n],
-            &a[i * m * k..(i + 1) * m * k],
-            m,
-            k,
-            &b[i * k * n..(i + 1) * k * n],
-            n,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1233,7 +1017,6 @@ mod tests {
             let b = ramp(n, |i| (i as f32 * 0.11 + 1.0).cos());
             let want = dot_reference(&a, &b);
             assert_eq!(dot_portable(&a, &b).to_bits(), want.to_bits(), "n={n}");
-            assert_eq!(dot(&a, &b).to_bits(), want.to_bits(), "n={n} dispatch");
             if let Some(v) = dot_avx2(&a, &b) {
                 assert_eq!(v.to_bits(), want.to_bits(), "n={n} avx2");
             }
@@ -1312,30 +1095,8 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_per_element_dot() {
-        for (m, k, n) in [(1, 1, 1), (2, 3, 4), (7, 9, 11), (8, 16, 8), (5, 20, 13)] {
-            let a = ramp(m * k, |i| (i as f32 * 0.3).sin() * 2.0);
-            let b = ramp(k * n, |i| (i as f32 * 0.7).cos() - 0.2);
-            let mut out = vec![0.0f32; m * n];
-            gemm_into(&mut out, &a, m, k, &b, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let col: Vec<f32> = (0..k).map(|kk| b[kk * n + j]).collect();
-                    let want = dot_reference(&a[i * k..(i + 1) * k], &col);
-                    assert_eq!(
-                        out[i * n + j].to_bits(),
-                        want.to_bits(),
-                        "({m},{k},{n}) at ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gemv_t_matches_per_element_dot() {
-        // Includes shapes that would (k*m >= PACK_MIN_ELEMS) and would not
-        // have taken the packed gemm_tn path before the dedicated GEMV-T.
+        // Includes shapes past PACK_MIN_ELEMS: a single column never packs.
         for (k, m) in [(1, 1), (5, 3), (8, 16), (20, 13), (128, 128), (64, 70)] {
             let a = ramp(k * m, |i| (i as f32 * 0.23).sin() - 0.1);
             let x = ramp(k, |i| (i as f32 * 0.17).cos() + 0.3);
@@ -1346,13 +1107,6 @@ mod tests {
                 let want = dot_reference(&col, &x);
                 assert_eq!(out[i].to_bits(), want.to_bits(), "({k},{m}) at {i}");
             }
-            // The gemm_tn entry point must dispatch to the same bits.
-            let mut via_tn = vec![0.0f32; m];
-            gemm_tn_into(&mut via_tn, &a, k, m, &x, 1);
-            assert_eq!(
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                via_tn.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
         }
     }
 
@@ -1392,63 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_batch_matches_unbatched_calls_bitwise() {
-        let (m, k, n, batch) = (4, 7, 5, 3);
-        let a = ramp(batch * m * k, |i| (i as f32 * 0.11).sin() * 1.5);
-        let b = ramp(batch * k * n, |i| (i as f32 * 0.07).cos() - 0.4);
-        let mut batched = vec![0.0f32; batch * m * n];
-        gemm_batch_into(&mut batched, &a, m, k, &b, n, batch);
-        for i in 0..batch {
-            let mut single = vec![0.0f32; m * n];
-            gemm_into(
-                &mut single,
-                &a[i * m * k..(i + 1) * m * k],
-                m,
-                k,
-                &b[i * k * n..(i + 1) * k * n],
-                n,
-            );
-            assert_eq!(
-                batched[i * m * n..(i + 1) * m * n]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "item {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_nt_matches_per_element_dot() {
-        // Includes `n == 1` shapes, which dispatch to the dedicated GEMV
-        // path, and `k == 1` outer products (the backward's weight grads).
-        for (m, k, n) in [
-            (1, 1, 1),
-            (3, 5, 2),
-            (9, 7, 11),
-            (16, 8, 1),
-            (13, 20, 1),
-            (5, 1, 7),
-        ] {
-            let a = ramp(m * k, |i| (i as f32 * 0.29).sin() + 0.2);
-            let b = ramp(n * k, |i| (i as f32 * 0.17).cos() - 0.3);
-            let mut out = vec![0.0f32; m * n];
-            gemm_nt_into(&mut out, &a, m, k, &b, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let want = dot_reference(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                    assert_eq!(
-                        out[i * n + j].to_bits(),
-                        want.to_bits(),
-                        "({m},{k},{n}) at ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gemv_t_acc_matches_set_then_add_bitwise() {
         for (k, m) in [(1, 1), (5, 3), (8, 16), (20, 13), (64, 70)] {
             let a = ramp(k * m, |i| (i as f32 * 0.23).sin() - 0.1);
@@ -1467,50 +1164,6 @@ mod tests {
                 want,
                 "({k},{m})"
             );
-        }
-    }
-
-    #[test]
-    fn gemm_nt_acc_matches_set_then_add_bitwise() {
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (9, 7, 11), (16, 8, 1), (3, 1, 4)] {
-            let a = ramp(m * k, |i| (i as f32 * 0.29).sin() + 0.2);
-            let b = ramp(n * k, |i| (i as f32 * 0.17).cos() - 0.3);
-            let mut set = vec![0.0f32; m * n];
-            gemm_nt_into(&mut set, &a, m, k, &b, n);
-            let mut acc = ramp(m * n, |i| (i as f32 * 0.41).cos() * 0.5);
-            let want: Vec<u32> = acc
-                .iter()
-                .zip(set.iter())
-                .map(|(&p, &v)| (p + v).to_bits())
-                .collect();
-            gemm_nt_acc_into(&mut acc, &a, m, k, &b, n);
-            assert_eq!(
-                acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "({m},{k},{n})"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_tn_matches_per_element_dot() {
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (9, 7, 11), (16, 8, 1), (13, 20, 1)] {
-            let a = ramp(k * m, |i| (i as f32 * 0.21).sin() + 0.4);
-            let b = ramp(k * n, |i| (i as f32 * 0.13).cos() * 1.5);
-            let mut out = vec![0.0f32; m * n];
-            gemm_tn_into(&mut out, &a, k, m, &b, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let lhs: Vec<f32> = (0..k).map(|kk| a[kk * m + i]).collect();
-                    let rhs: Vec<f32> = (0..k).map(|kk| b[kk * n + j]).collect();
-                    let want = dot_reference(&lhs, &rhs);
-                    assert_eq!(
-                        out[i * n + j].to_bits(),
-                        want.to_bits(),
-                        "({m},{k},{n}) at ({i},{j})"
-                    );
-                }
-            }
         }
     }
 }

@@ -215,11 +215,12 @@ mod tests {
         assert!((vals[0] - 3.0).abs() < 1e-5);
         assert!((vals[1] - 1.0).abs() < 1e-5);
         for (c, &val) in vals.iter().enumerate() {
-            let v = Tensor::vector(vec![vecs.get(0, c), vecs.get(1, c)]);
-            let mv = m.matmul(&v);
-            let lv = v.scale(val);
+            let v = [vecs.get(0, c), vecs.get(1, c)];
+            let mut mv = [0.0; 2];
+            crate::kernel::gemv_into(&mut mv, m.data(), 2, 2, &v);
+            let lv = v.map(|x| x * val);
             for i in 0..2 {
-                assert!((mv.data()[i] - lv.data()[i]).abs() < 1e-4);
+                assert!((mv[i] - lv[i]).abs() < 1e-4);
             }
         }
     }

@@ -22,11 +22,46 @@ impl ParamId {
 /// [`ParamId`]s, a trainer accumulates gradients into the store
 /// ([`ParamStore::grad_add_slice`]) and an optimizer updates the values in
 /// place ([`ParamStore::par_update`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Serialised, a store is its values and names; every trainer zeroes the
+/// gradients before it reads them, so they are not written out and a
+/// loaded store starts them at zero.
+#[derive(Clone, Debug, Serialize)]
 pub struct ParamStore {
     values: Vec<Tensor>,
+    #[serde(skip)]
     grads: Vec<Tensor>,
     names: Vec<String>,
+}
+
+impl Deserialize for ParamStore {
+    /// Reads the values and names (a `grads` key from an older file is
+    /// skipped). Lists of different lengths are an error here, not an
+    /// out-of-bounds index at the first training step.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            values: Vec<Tensor>,
+            names: Vec<String>,
+        }
+        let Wire { values, names } = Wire::from_value(value)?;
+        if values.len() != names.len() {
+            return Err(serde::Error::custom(format!(
+                "ParamStore: {} values but {} names",
+                values.len(),
+                names.len()
+            )));
+        }
+        let grads = values
+            .iter()
+            .map(|v| Tensor::zeros(v.rows(), v.cols()))
+            .collect();
+        Ok(Self {
+            values,
+            grads,
+            names,
+        })
+    }
 }
 
 impl ParamStore {

@@ -104,12 +104,12 @@ mod tests {
         telemetry::with_sink(sink.clone(), || {
             let mut pool = BufferPool::new();
             // Warm-up: one allocation.
-            let t = pool.take_tensor(3, 2);
-            pool.put(t.into_data());
+            let t = pool.take(6);
+            pool.put(t);
             // Steady state: ten reuse cycles of the same shape.
             for _ in 0..10 {
-                let t = pool.take_tensor(3, 2);
-                pool.put(t.into_data());
+                let t = pool.take(6);
+                pool.put(t);
             }
         });
         assert_eq!(sink.counter("kernel.alloc"), 1);
@@ -121,13 +121,13 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         telemetry::with_sink(sink.clone(), || {
             let mut pool = BufferPool::new();
-            let t = pool.take_tensor(2, 1);
-            pool.put(t.into_data());
+            let t = pool.take(2);
+            pool.put(t);
             // A different size misses its bucket and allocates fresh; the
             // recycled size-2 buffer is untouched and still serves its own
             // size afterwards.
             let big = pool.take_tensor(64, 64);
-            pool.put(big.into_data());
+            assert_eq!(big.shape(), (64, 64));
             let _ = pool.take_tensor(2, 1);
         });
         assert_eq!(sink.counter("kernel.alloc"), 2);

@@ -10,11 +10,9 @@
 //! honest on AVX2 hardware.
 
 use deeprest_tensor::kernel::{
-    self, dot_avx2, dot_portable, gemm_batch_into, gemm_into, gemm_nt_acc_into, gemm_nt_into,
-    gemm_tn_into, gemv_batch_into, gemv_into, gemv_t_acc_into, gemv_t_batch_into, gemv_t_into,
-    gemv_t_support_portable, Support,
+    dot_avx2, dot_portable, gemm_into, gemv_batch_into, gemv_into, gemv_t_acc_into,
+    gemv_t_batch_into, gemv_t_into, gemv_t_support_portable, outer_acc_into, Support,
 };
-use deeprest_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Finite values with a heavy dose of exact zeros of both signs, so the
@@ -52,6 +50,48 @@ fn split(pairs: Vec<(f32, f32)>) -> (Vec<f32>, Vec<f32>) {
     pairs.into_iter().unzip()
 }
 
+/// The row-major `(cols, rows)` transpose of a row-major `(rows, cols)`
+/// matrix.
+fn transpose(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols * rows)
+        .map(|i| a[(i % rows) * cols + i / rows])
+        .collect()
+}
+
+/// Asserts `gemm_into`'s `(m, k) · (k, n)` product, element by element,
+/// equal to `dot_portable` of row `i` of `a` and column `j` of `b`.
+fn assert_gemm_is_per_element_dot(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    let mut out = vec![f32::NAN; m * n];
+    gemm_into(&mut out, a, m, k, b, n);
+    let bt = transpose(b, k, n); // (n, k): column j of `b` is row j
+    for i in 0..m {
+        for j in 0..n {
+            let want = dot_portable(&a[i * k..(i + 1) * k], &bt[j * k..(j + 1) * k]);
+            assert_eq!(
+                out[i * n + j].to_bits(),
+                want.to_bits(),
+                "({m}, {k}, {n}) at ({i}, {j})"
+            );
+        }
+    }
+}
+
+/// One shape past `PACK_MIN_ELEMS` (`k * n >= 64 * 64`, `n >= LANES`), so
+/// `gemm_into` packs its column slabs, with ragged `k` and `n` and signed
+/// zeros in both operands.
+#[test]
+fn packed_gemm_matches_per_element_dot() {
+    let (m, k, n) = (5, 67, 70);
+    let value = |i: usize| match i % 5 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => ((i * 37) % 11) as f32 * 0.3 - 1.5,
+    };
+    let a: Vec<f32> = (0..m * k).map(value).collect();
+    let b: Vec<f32> = (0..k * n).map(|i| value(i + 3)).collect();
+    assert_gemm_is_per_element_dot(&a, m, k, &b, n);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -65,8 +105,6 @@ proptest! {
                 "len {}: avx2 {} vs portable {}", a.len(), got, want
             );
         }
-        // The public dispatcher must agree with whichever path it picked.
-        prop_assert_eq!(kernel::dot(&a, &b).to_bits(), want.to_bits());
     }
 
     #[test]
@@ -90,25 +128,44 @@ proptest! {
         }
     }
 
+    /// Every element of `gemm_into` is the contract dot of its row and
+    /// column — for `k = 1` outer products, `n = 1` columns, ragged sizes
+    /// on both sides of a `LANES`-wide column block, and zero-laden
+    /// operands. A product on a materialised transpose is one more such
+    /// `gemm_into`, so this is also what the tape's backward rests on.
     #[test]
-    fn gemm_nt_matches_gemm_on_materialized_transpose(
+    fn gemm_matches_per_element_dot(
         m in 1usize..7,
-        k in 1usize..19,
-        n in 1usize..7,
-        seed in proptest::collection::vec(zero_laden(), 7 * 19 + 19 * 7),
+        k in 1usize..25,
+        n in 1usize..21,
+        seed in proptest::collection::vec(zero_laden(), 7 * 25 + 25 * 21),
     ) {
         let a: Vec<f32> = seed[..m * k].to_vec();
-        let b: Vec<f32> = seed[seed.len() - n * k..].to_vec(); // (n, k)
-        let bt = Tensor::from_vec(n, k, b.clone()).transpose(); // (k, n)
-        let mut direct = vec![0.0f32; m * n];
-        gemm_nt_into(&mut direct, &a, m, k, &b, n);
-        let mut via_t = vec![0.0f32; m * n];
-        gemm_into(&mut via_t, &a, m, k, bt.data(), n);
-        prop_assert_eq!(
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            via_t.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "({}, {}, {})", m, k, n
-        );
+        let b: Vec<f32> = seed[seed.len() - k * n..].to_vec();
+        assert_gemm_is_per_element_dot(&a, m, k, &b, n);
+    }
+
+    /// `outer_acc_into` adds to each element exactly what a `k = 1`
+    /// `gemm_into` computes for it.
+    #[test]
+    fn outer_acc_matches_rank_one_gemm_then_add(
+        m in 1usize..20,
+        n in 1usize..20,
+        seed in proptest::collection::vec(zero_laden(), 20 + 20 + 20 * 20),
+    ) {
+        let a: Vec<f32> = seed[..m].to_vec();
+        let b: Vec<f32> = seed[m..m + n].to_vec();
+        let prior: Vec<f32> = seed[seed.len() - m * n..].to_vec();
+        let mut product = vec![0.0f32; m * n];
+        gemm_into(&mut product, &a, m, 1, &b, n);
+        let want: Vec<u32> = prior
+            .iter()
+            .zip(&product)
+            .map(|(&p, &v)| (p + v).to_bits())
+            .collect();
+        let mut acc = prior;
+        outer_acc_into(&mut acc, &a, &b);
+        prop_assert_eq!(bits(&acc), want, "({}, {})", m, n);
     }
 
     #[test]
@@ -129,13 +186,6 @@ proptest! {
                 "({}, {}) at {}", k, m, i
             );
         }
-        // The gemm_tn entry point with n == 1 must dispatch here bit-exactly.
-        let mut via_tn = vec![0.0f32; m];
-        gemm_tn_into(&mut via_tn, &a, k, m, &x, 1);
-        prop_assert_eq!(
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            via_tn.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -169,37 +219,6 @@ proptest! {
     }
 
     #[test]
-    fn gemm_batch_matches_unbatched_bits(
-        m in 1usize..5,
-        k in 1usize..9,
-        n in 1usize..5,
-        batch in 1usize..4,
-        seed in proptest::collection::vec(zero_laden(), 4 * (5 * 9 + 9 * 5)),
-    ) {
-        let a: Vec<f32> = seed[..batch * m * k].to_vec();
-        let b: Vec<f32> = seed[seed.len() - batch * k * n..].to_vec();
-        let mut batched = vec![0.0f32; batch * m * n];
-        gemm_batch_into(&mut batched, &a, m, k, &b, n, batch);
-        for i in 0..batch {
-            let mut single = vec![0.0f32; m * n];
-            gemm_into(
-                &mut single,
-                &a[i * m * k..(i + 1) * m * k],
-                m,
-                k,
-                &b[i * k * n..(i + 1) * k * n],
-                n,
-            );
-            prop_assert_eq!(
-                batched[i * m * n..(i + 1) * m * n]
-                    .iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "item {} of ({}, {}, {}, {})", i, m, k, n, batch
-            );
-        }
-    }
-
-    #[test]
     fn gemv_t_acc_matches_set_then_add(
         k in 1usize..25,
         m in 1usize..35,
@@ -224,52 +243,6 @@ proptest! {
         );
     }
 
-    #[test]
-    fn gemm_nt_acc_matches_set_then_add(
-        m in 1usize..7,
-        k in 1usize..19,
-        n in 1usize..7,
-        seed in proptest::collection::vec(zero_laden(), 7 * 19 + 19 * 7 + 7 * 7),
-    ) {
-        let a: Vec<f32> = seed[..m * k].to_vec();
-        let b: Vec<f32> = seed[m * k..m * k + n * k].to_vec(); // (n, k)
-        let prior: Vec<f32> = seed[seed.len() - m * n..].to_vec();
-        let mut set = vec![0.0f32; m * n];
-        gemm_nt_into(&mut set, &a, m, k, &b, n);
-        let want: Vec<u32> = prior
-            .iter()
-            .zip(set.iter())
-            .map(|(&p, &v)| (p + v).to_bits())
-            .collect();
-        let mut acc = prior;
-        gemm_nt_acc_into(&mut acc, &a, m, k, &b, n);
-        prop_assert_eq!(
-            acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want,
-            "({}, {}, {})", m, k, n
-        );
-    }
-
-    #[test]
-    fn gemm_tn_matches_gemm_on_materialized_transpose(
-        m in 1usize..7,
-        k in 1usize..19,
-        n in 1usize..7,
-        seed in proptest::collection::vec(zero_laden(), 19 * 7 + 19 * 7),
-    ) {
-        let a: Vec<f32> = seed[..k * m].to_vec(); // (k, m)
-        let b: Vec<f32> = seed[seed.len() - k * n..].to_vec(); // (k, n)
-        let at = Tensor::from_vec(k, m, a.clone()).transpose(); // (m, k)
-        let mut direct = vec![0.0f32; m * n];
-        gemm_tn_into(&mut direct, &a, k, m, &b, n);
-        let mut via_t = vec![0.0f32; m * n];
-        gemm_into(&mut via_t, at.data(), m, k, &b, n);
-        prop_assert_eq!(
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            via_t.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "({}, {}, {})", m, k, n
-        );
-    }
     /// The support-driven transposed GEMV over an input-major `(k, m)`
     /// matrix is, bit for bit, the row-major GEMV on the materialised
     /// transpose — for ragged `k` and `m`, signed zeros and denormals in
@@ -316,9 +289,9 @@ proptest! {
             let got = bits(&batched[i * m..(i + 1) * m]);
             let tag = format!("item {i} of ({k}, {m}, {batch}), {support:?}");
 
-            let at = Tensor::from_vec(k, m, a_i.to_vec()).transpose(); // (m, k)
+            let at = transpose(a_i, k, m); // (m, k)
             let mut want = vec![f32::NAN; m];
-            gemv_into(&mut want, at.data(), m, k, x_i);
+            gemv_into(&mut want, &at, m, k, x_i);
             prop_assert_eq!(&got, &bits(&want), "{} vs row-major", &tag);
 
             let mut portable = vec![f32::NAN; m];

@@ -1,11 +1,10 @@
 //! Telemetry-backed invariants of the execution engine: behavior that used
-//! to be invisible (pool fan-out, kernel dispatch) asserted through the
-//! in-memory sink.
+//! to be invisible (pool fan-out) asserted through the in-memory sink.
 
 use std::sync::Arc;
 
 use deeprest_telemetry::{self as telemetry, MemorySink};
-use deeprest_tensor::{Pool, Tensor};
+use deeprest_tensor::Pool;
 
 #[test]
 fn pool_dispatch_counts_workers_and_chunks() {
@@ -49,23 +48,4 @@ fn map_reuse_dispatch_matches_ceil_rule() {
     });
     assert_eq!(sink.counter("pool.tasks"), 3);
     assert_eq!(sink.gauges("pool.chunk_size"), vec![4.0]);
-}
-
-#[test]
-fn matmul_dispatch_counters_split_gemv_from_gemm() {
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        let a = Tensor::from_vec(3, 4, (0..12).map(|i| i as f32).collect());
-        let x = Tensor::vector(vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Tensor::from_vec(4, 2, (0..8).map(|i| i as f32 * 0.5).collect());
-        let _ = a.matmul(&x); // (3,4)·(4,1): the GEMV fast path
-        let _ = a.matmul(&b); // (3,4)·(4,2): general GEMM
-        let row = Tensor::from_vec(1, 4, vec![0.5, 0.0, -0.5, 1.0]);
-        let _ = a.matmul_nt(&row); // (3,4)·(1,4)^T: GEMV-shaped
-        let g = Tensor::vector(vec![1.0, 0.0, -1.0]);
-        let _ = a.matmul_tn(&g); // Aᵀ·g with g a column: GEMV-shaped
-        let _ = g.matmul_nt(&x); // outer product (3,1)·(4,1)^T: GEMM-shaped
-    });
-    assert_eq!(sink.counter("kernel.gemv"), 3);
-    assert_eq!(sink.counter("kernel.gemm"), 2);
 }
