@@ -199,6 +199,24 @@ fn bench_matmul(c: &mut Criterion) {
             });
         });
     }
+    // The trainer's weight-gradient updates at hidden 32 over 67 paths, one
+    // 16-step subsequence each: `[d_z; d_k; d_h̃] ⊗ x̃` (96 × 67), `[d_z; d_k]
+    // ⊗ h_{t-1}` (64 × 32, a column range of the 96-wide `d_t` rows) and
+    // `d_h̃ ⊗ (k⊙h_{t-1})` (32 × 32).
+    let steps = 16usize;
+    for &(m, n, col) in &[(96usize, 67usize, 0usize), (64, 32, 0), (32, 32, 64)] {
+        let mut rng = StdRng::seed_from_u64(12);
+        let a = Tensor::rand_uniform(steps, 96, -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(steps, n, -1.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        let id = format!("{m}x{n}/t{steps}");
+        group.bench_with_input(BenchmarkId::new("outer_acc_steps", &id), &id, |bench, _| {
+            bench.iter(|| {
+                kernel::outer_acc_steps_into(&mut out, &a.data()[col..], 96, b.data(), steps);
+                out[0]
+            });
+        });
+    }
     group.finish();
 }
 

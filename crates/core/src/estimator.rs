@@ -310,12 +310,18 @@ impl DeepRest {
             "fit: traces and metrics must cover the same windows"
         );
 
-        let (features, feature_space_secs) =
-            telemetry::timed("fit.feature_space", || FeatureSpace::construct(traces));
+        // The walk that learns the feature space also counts every window.
+        let ((features, counts), feature_space_secs) =
+            telemetry::timed("fit.feature_space", || {
+                FeatureSpace::construct_counted(traces)
+            });
         let (synthesizer, synthesis_secs) =
             telemetry::timed("fit.synthesis", || TraceSynthesizer::learn(traces));
         let (xs, feature_extraction_secs) = telemetry::timed("fit.feature_extraction", || {
-            features.extract_all_normalized(traces)
+            counts
+                .into_iter()
+                .map(|x| features.normalize(x))
+                .collect::<Vec<_>>()
         });
         let dim = features.dim();
 

@@ -126,28 +126,45 @@ impl FeatureSpace {
     /// path. Also fits the per-feature normalization scale used by
     /// [`FeatureSpace::extract_normalized`].
     pub fn construct(traces: &WindowedTraces) -> Self {
+        Self::construct_counted(traces).0
+    }
+
+    /// [`construct`](Self::construct) and the raw count vector of every
+    /// learning window (what [`extract_all`](Self::extract_all) would return
+    /// for `traces`) from the one walk that learns the trie: each span of a
+    /// window adds `1.0` to its feature in the same pre-order the
+    /// extraction walks, so the counts are the extraction's to the bit.
+    pub(crate) fn construct_counted(traces: &WindowedTraces) -> (Self, Vec<Vec<f32>>) {
         let mut space = Self {
             table: PathTable::default(),
             trie: HashMap::new(),
         };
-        for trace in traces.iter_all() {
-            space.learn(&trace.root, ROOT, trace.api);
-        }
+        let mut counts: Vec<Vec<f32>> = (0..traces.len())
+            .map(|w| {
+                let mut x = Vec::new();
+                for trace in traces.window(w) {
+                    space.learn(&trace.root, ROOT, trace.api, &mut x);
+                }
+                x
+            })
+            .collect();
         // Fit normalization: max per-window count per feature.
         let mut scale = vec![0.0f32; space.dim()];
-        for window in 0..traces.len() {
-            let x = space.extract(traces.window(window));
+        for x in &mut counts {
+            x.resize(space.dim(), 0.0);
             for (s, v) in scale.iter_mut().zip(x.iter()) {
                 *s = s.max(*v);
             }
         }
         space.table.scale = scale.into_iter().map(|s| s.max(1.0)).collect();
-        space
+        (space, counts)
     }
 
     /// Enumerates the subtree under `node`, whose parent span is feature
-    /// `parent`: a path not in the trie yet becomes the next feature.
-    fn learn(&mut self, node: &SpanNode, parent: u32, api: Sym) {
+    /// `parent`: a path not in the trie yet becomes the next feature. Each
+    /// span counts once toward its feature in `x`, which grows to the
+    /// features learned so far.
+    fn learn(&mut self, node: &SpanNode, parent: u32, api: Sym, x: &mut Vec<f32>) {
         let packed = node.packed_id();
         let idx = match self.trie.get(&(parent, packed)) {
             Some(&idx) => idx,
@@ -167,8 +184,12 @@ impl FeatureSpace {
             }
         };
         *self.table.api_counts[idx as usize].entry(api).or_insert(0) += 1;
+        if x.len() < self.dim() {
+            x.resize(self.dim(), 0.0);
+        }
+        x[idx as usize] += 1.0;
         for child in &node.children {
-            self.learn(child, idx, api);
+            self.learn(child, idx, api, x);
         }
     }
 
@@ -601,10 +622,14 @@ mod tests {
             prop_assert!(hits as usize >= learned_spans);
             prop_assert!(space.extract_with(&windows[windows.len() - 1], &mut sym).iter().all(|&v| v == 0.0));
 
-            // Same-numbering traces take the identity map to the same place.
-            for w in 0..learning.len() {
+            // Same-numbering traces take the identity map to the same place,
+            // and the learning walk counted each window to the same bits.
+            let counted = FeatureSpace::construct_counted(&learning).1;
+            prop_assert_eq!(counted.len(), learning.len());
+            for (w, x) in counted.iter().enumerate() {
                 let want = reference_extract(&space, &model, &model, learning.window(w));
                 prop_assert_eq!(bits(&space.extract(learning.window(w))), bits(&want));
+                prop_assert_eq!(bits(x), bits(&want));
             }
         }
     }

@@ -14,15 +14,20 @@
 //!   `z`, `k`, `h̃` (and the hidden states) land in preallocated strided
 //!   arenas instead of tape nodes. Nothing of the forward is restated here.
 //! * **Backward** — closed-form GRU gate gradients consume the stashed
-//!   activations with transposed GEMVs (`gemv_t_into`, `gemv_t_acc_into`)
-//!   and rank-1 weight-gradient updates (`outer_acc_into`), walking
-//!   timesteps in descending order exactly as the tape's reverse sweep
-//!   would. Its pull-backs (`Wᵀ·d`, `Uᵀ·d`, `Sᵀ·g`) multiply by the
+//!   activations with transposed GEMVs (`gemv_t_into`, `gemv_t_acc_into`),
+//!   walking timesteps in descending order exactly as the tape's reverse
+//!   sweep would. Its pull-backs (`Wᵀ·d`, `Uᵀ·d`, `Sᵀ·g`) multiply by the
 //!   *row-major* gate, recurrent and skip matrices, which is how the
 //!   [`ParamStore`] holds them; the slab holds the same values input-major
 //!   for the forward. So the forward reads the slab and the backward reads
 //!   the store, and the two agree because the slab is repacked after every
-//!   store write.
+//!   store write. Only the recurrence is per step: each step's weight-
+//!   gradient operands (`d_t`, `x̃_t`, `h_{t-1}`, `k⊙h_{t-1}`, `g_y_t`,
+//!   `cat_t`) go to per-job arenas, and each weight gradient lands once
+//!   per subsequence as one rank-`T` update (`outer_acc_steps_into`); the
+//!   cross-expert attention pull-back, which reads only phase B's `g_att`
+//!   and `α`, is computed for every step before the sweep as `h`-wide
+//!   vector updates.
 //!
 //! # Bit-identity with the tape oracle
 //!
@@ -39,6 +44,15 @@
 //!   timesteps descending, and within a gradient slot the exact operand
 //!   order of the tape's node sequence (e.g. the carried-state gradient is
 //!   `g⊙z`, then `+ (U_hᵀd_h̃)⊙k`-path, then `+ U_kᵀd_k`, then `+ U_zᵀd_z`).
+//!   Moving an accumulation out of the step loop moves no addend: a weight
+//!   gradient element still receives its step products `t`-descending, one
+//!   add each, and each lane of the attention pull-back its source experts
+//!   in descending order.
+//! * The tape's kernels end every product of a rank-1 update (a `k = 1`
+//!   dot) and of the attention fan-in in `+ 0.0`. Both sums here start at
+//!   `+0.0` (zero-filled arenas, a zeroed accumulator) and so never hold
+//!   `-0.0`, which is the one value on which adding `p` and adding
+//!   `p + 0.0` differ: the engine adds `p` (`kernel`'s signed-zero lemma).
 //! * The tape normalizes `-0.0` partial sums when a zero-initialized
 //!   `GradBuffer` slot absorbs them; the engine's zero-initialized arenas
 //!   folded through [`deeprest_tensor::ParamStore::grad_add_slice`] perform
@@ -55,7 +69,7 @@
 //! `crates/core/tests/determinism.rs` holds it end to end.
 
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::kernel::{gemv_t_acc_into, gemv_t_into, outer_acc_into, Support};
+use deeprest_tensor::kernel::{gemv_t_acc_into, gemv_t_into, outer_acc_steps_into, Support};
 use deeprest_tensor::{BufferPool, ParamStore, Pool};
 
 use crate::slab::{ExpertSlab, ExpertSpec, GateStash};
@@ -120,15 +134,26 @@ struct ShardJob {
     /// Mask-penalty seed `(1·scale)·penalty` (0 when inactive).
     s3: f32,
     scratch: BufferPool,
-    // Forward stashes, strided `[t][expert][element]`.
+    // Forward and head stashes, strided `[t][expert][element]`.
     z: Vec<f32>,
     k: Vec<f32>,
     ht: Vec<f32>,
     h: Vec<f32>,
-    g_y: Vec<f32>,
     terms: Vec<f32>,
     g_att: Vec<f32>,
     g_hh: Vec<f32>,
+    // Rank-`T` operands that outlive one expert, `[expert][t][element]`
+    // (`t` strided by `max_steps`): the head gradient `g_y_t` and `cat_t`.
+    g_y: Vec<f32>,
+    cat_steps: Vec<f32>,
+    // One expert's phase-C operands, `[t][element]`: the gate gradients
+    // `d_t = [d_z; d_k; d_h̃]`, `x̃_t`, `h_{t-1}`, `k⊙h_{t-1}`, and the
+    // attention pull-back into the carried state.
+    d_steps: Vec<f32>,
+    x_steps: Vec<f32>,
+    hp_steps: Vec<f32>,
+    gated_steps: Vec<f32>,
+    att_steps: Vec<f32>,
     // Gradient arenas, one block per expert in the shard.
     gw: Vec<f32>,
     gu_zk: Vec<f32>,
@@ -148,14 +173,11 @@ struct ShardJob {
     cat: Vec<f32>,
     ybuf: Vec<f32>,
     gcat: Vec<f32>,
-    dzkh: Vec<f32>,
     zpre: Vec<f32>,
     ggated: Vec<f32>,
-    gated: Vec<f32>,
     gx: Vec<f32>,
     dh: Vec<f32>,
     dhp: Vec<f32>,
-    zeros_h: Vec<f32>,
 }
 
 impl ShardJob {
@@ -180,10 +202,16 @@ impl ShardJob {
             k: vec![0.0; t * c * h],
             ht: vec![0.0; t * c * h],
             h: vec![0.0; t * c * h],
-            g_y: vec![0.0; t * c * 3],
             terms: vec![0.0; t * c],
             g_att: vec![0.0; att_len],
             g_hh: vec![0.0; t * c * h],
+            g_y: vec![0.0; c * t * 3],
+            cat_steps: vec![0.0; c * t * 2 * h],
+            d_steps: vec![0.0; t * 3 * h],
+            x_steps: vec![0.0; t * d],
+            hp_steps: vec![0.0; t * h],
+            gated_steps: vec![0.0; t * h],
+            att_steps: vec![0.0; if cfg.attention { t * h } else { 0 }],
             gw: vec![0.0; c * 3 * h * d],
             gu_zk: vec![0.0; c * 2 * h * h],
             gu_h: vec![0.0; c * h * h],
@@ -200,14 +228,11 @@ impl ShardJob {
             cat: vec![0.0; c * 2 * h],
             ybuf: vec![0.0; c * 3],
             gcat: vec![0.0; 2 * h],
-            dzkh: vec![0.0; 3 * h],
             zpre: vec![0.0; h],
             ggated: vec![0.0; h],
-            gated: vec![0.0; h],
             gx: vec![0.0; d],
             dh: vec![0.0; h],
             dhp: vec![0.0; h],
-            zeros_h: vec![0.0; h],
         }
     }
 
@@ -372,6 +397,7 @@ impl AnalyticTrainer {
 
         // Phase A — forward: advance every shard through its subsequence,
         // stashing gate activations and hidden states per timestep.
+        let phase = telemetry::span("train.analytic.forward");
         pool.for_each_mut(active, |_, job| forward_stash(job, slab, xs));
 
         // Serial: gather the per-timestep hidden matrix `H_t` (rows =
@@ -388,9 +414,11 @@ impl AnalyticTrainer {
                 }
             }
         }
+        drop(phase);
 
         // Phase B — heads: attention, concat, quantile outputs, pinball
-        // terms and the full output-stage backward, timestep-descending.
+        // terms and the output stage's backward, timestep-descending.
+        let phase = telemetry::span("train.analytic.heads");
         {
             let hmats = &*hmats;
             pool.for_each_mut(active, |i, job| {
@@ -415,22 +443,27 @@ impl AnalyticTrainer {
                 }
             }
         }
+        drop(phase);
 
         // Phase C — recurrent backward: per expert, walk timesteps in
         // descending order applying the closed-form gate gradients.
+        let phase = telemetry::span("train.analytic.backward");
         {
             let (g_att_all, store) = (&*g_att_all, &*store);
             pool.for_each_mut(active, |i, job| {
                 gru_sweep(job, cfg, slab, store, &g_att_all[i / shard_count], xs);
             });
         }
+        drop(phase);
 
         // Serial fold + statistics, in the tape's subsequence order.
+        let phase = telemetry::span("train.analytic.fold");
         for b in 0..nb {
             let b_jobs = &active[b * shard_count..(b + 1) * shard_count];
             fold_gradients(store, slab.specs(), cfg, b_jobs);
             slot_stats(&mut stats[b], cfg, slab, b_jobs);
         }
+        drop(phase);
         if telemetry::enabled() {
             telemetry::counter("train.analytic.batches", 1);
         }
@@ -465,9 +498,10 @@ fn forward_stash(job: &mut ShardJob, slab: &ExpertSlab, xs: &[Vec<f32>]) {
 
 /// Phase B body: the output stage for one job, timestep-descending — the
 /// slab forward's [`ExpertSlab::heads`], then the pinball terms and the
-/// whole output-stage backward. Head and skip parameter gradients
-/// accumulate here; the attention-head and carried-state gradients are
-/// stashed for phase C.
+/// output stage's backward. Head parameter gradients accumulate here (the
+/// weights as one rank-`T` update per expert after the sweep); `g_y_t` is
+/// stashed for the skip path's gradients and the attention-head and
+/// carried-state gradients for phase C.
 fn heads_sweep(
     job: &mut ShardJob,
     cfg: &TrainerConfig,
@@ -476,7 +510,7 @@ fn heads_sweep(
     xs: &[Vec<f32>],
     targets: &[Vec<f32>],
 ) {
-    let (d, h) = (cfg.input_dim, cfg.hidden_dim);
+    let (h, t_max) = (cfg.hidden_dim, cfg.max_steps);
     let (lo, count) = (job.lo, job.count);
     let (e_total, has_skip) = (slab.experts(), slab.has_skip());
     let two_h = 2 * h;
@@ -500,7 +534,7 @@ fn heads_sweep(
             let e = lo + c;
             let target = targets[e][job.start + t];
             let mut term = 0.0f32;
-            let gy = &mut job.g_y[(t * count + c) * 3..][..3];
+            let gy = &mut job.g_y[(c * t_max + t) * 3..][..3];
             for (q, g) in gy.iter_mut().enumerate() {
                 let qv = cfg.quantiles[q];
                 let u = target - job.ybuf[c * 3 + q];
@@ -514,25 +548,12 @@ fn heads_sweep(
         }
         for c in 0..count {
             let e = lo + c;
-            let gy = &job.g_y[(t * count + c) * 3..][..3];
+            let gy = &job.g_y[(c * t_max + t) * 3..][..3];
             for (dst, &g) in job.ghead_b[c * 3..][..3].iter_mut().zip(gy) {
                 *dst += g;
             }
-            outer_acc_into(
-                &mut job.ghead_w[c * 3 * two_h..(c + 1) * 3 * two_h],
-                gy,
-                &job.cat[c * two_h..(c + 1) * two_h],
-            );
-            if has_skip {
-                for (dst, &g) in job.gskip_b[c * 3..][..3].iter_mut().zip(gy) {
-                    *dst += g;
-                }
-                outer_acc_into(
-                    &mut job.gskip_w[c * 3 * d..(c + 1) * 3 * d],
-                    gy,
-                    &job.xbuf[c * d..(c + 1) * d],
-                );
-            }
+            job.cat_steps[(c * t_max + t) * two_h..][..two_h]
+                .copy_from_slice(&job.cat[c * two_h..(c + 1) * two_h]);
             // g_cat = Wᵀ·g_y; the top half feeds the attention backward,
             // the bottom half joins the carried-state gradient in phase C.
             gemv_t_into(&mut job.gcat, slab.head_w_of(e), 3, two_h, gy);
@@ -551,6 +572,16 @@ fn heads_sweep(
             }
         }
     }
+    let steps = job.steps;
+    for c in 0..count {
+        outer_acc_steps_into(
+            &mut job.ghead_w[c * 3 * two_h..(c + 1) * 3 * two_h],
+            &job.g_y[c * t_max * 3..],
+            3,
+            &job.cat_steps[c * t_max * two_h..][..steps * two_h],
+            steps,
+        );
+    }
     if cfg.attention {
         // The tape's `mask_out` backward zeroes the self entry.
         for c in 0..count {
@@ -562,7 +593,11 @@ fn heads_sweep(
 /// Phase C body: the closed-form GRU backward for one job. Per expert,
 /// timesteps descend; every accumulation replays the tape's reverse-sweep
 /// operand order (see the module docs). The pull-backs read the row-major
-/// weight matrices out of `store`, which `slab` is current for.
+/// weight matrices out of `store`, which `slab` is current for. What does
+/// not depend on the recurrence is taken out of the step loop: `x̃_t`,
+/// `h_{t-1}` and the attention pull-back before it, and every weight
+/// gradient after it as one rank-`T` update per family, with per-gate rows
+/// in the slab's pack order.
 fn gru_sweep(
     job: &mut ShardJob,
     cfg: &TrainerConfig,
@@ -571,15 +606,26 @@ fn gru_sweep(
     g_att_b: &[f32],
     xs: &[Vec<f32>],
 ) {
-    let (d, h) = (cfg.input_dim, cfg.hidden_dim);
-    let (lo, count) = (job.lo, job.count);
-    let e_total = slab.experts();
+    let (d, h, t_max) = (cfg.input_dim, cfg.hidden_dim, cfg.max_steps);
+    let (lo, count, steps) = (job.lo, job.count, job.steps);
     let value = |id| store.value(id).data();
     for c in 0..count {
         let e = lo + c;
         let ExpertSpec { cell, skip, .. } = &slab.specs()[e];
+        for t in 0..steps {
+            let x = &xs[job.start + t];
+            slab.mask_into(e..e + 1, x, &mut job.x_steps[t * d..(t + 1) * d]);
+        }
+        job.hp_steps[..h].fill(0.0);
+        for t in 1..steps {
+            job.hp_steps[t * h..(t + 1) * h]
+                .copy_from_slice(&job.h[((t - 1) * count + c) * h..][..h]);
+        }
+        if cfg.attention {
+            attention_pullback(&mut job.att_steps[..steps * h], slab, g_att_b, e);
+        }
         job.dh.fill(0.0);
-        for t in (0..job.steps).rev() {
+        for t in (0..steps).rev() {
             let at = (t * count + c) * h;
             // Carried-state gradient entering step t: phase-C carry-over
             // (+0 at t = steps-1), then the head's `h` slice, then the
@@ -588,40 +634,24 @@ fn gru_sweep(
                 *o += g;
             }
             if cfg.attention {
-                // Column e of Σ_{e' desc} g_att[e'] ⊗ α_{e'}ᵀ. Each product
-                // passes through the kernels' `p + 0.0` tail in the tape
-                // (k = 1 dot), reproduced literally.
-                for (r, o) in job.dh.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (s, shard) in slab.shards().iter().enumerate().rev() {
-                        let alpha = slab.alpha_toward(s, e);
-                        for (e2, &a) in shard.clone().zip(alpha).rev() {
-                            let p = g_att_b[(t * e_total + e2) * h + r] * a;
-                            acc += p + 0.0;
-                        }
-                    }
-                    *o += acc;
+                for (o, &g) in job.dh.iter_mut().zip(&job.att_steps[t * h..(t + 1) * h]) {
+                    *o += g;
                 }
             }
             // g_x̃: skip path first (output stage), GRU gates appended below.
+            let gy = &job.g_y[(c * t_max + t) * 3..][..3];
             if let Some(skip) = skip {
-                gemv_t_into(
-                    &mut job.gx,
-                    value(skip.w),
-                    3,
-                    d,
-                    &job.g_y[(t * count + c) * 3..][..3],
-                );
+                gemv_t_into(&mut job.gx, value(skip.w), 3, d, gy);
+                for (dst, &g) in job.gskip_b[c * 3..][..3].iter_mut().zip(gy) {
+                    *dst += g;
+                }
             } else {
                 job.gx.fill(0.0);
             }
             let (z, k, htl) = (&job.z[at..at + h], &job.k[at..at + h], &job.ht[at..at + h]);
-            let hp: &[f32] = if t > 0 {
-                let hp_start = ((t - 1) * count + c) * h;
-                &job.h[hp_start..hp_start + h]
-            } else {
-                &job.zeros_h
-            };
+            let hp = &job.hp_steps[t * h..(t + 1) * h];
+            let (d_zk, d_h) = job.d_steps[t * 3 * h..(t + 1) * 3 * h].split_at_mut(2 * h);
+            let gated = &mut job.gated_steps[t * h..(t + 1) * h];
             // Elementwise gate backward, in the tape's per-node expressions:
             //   lerp: g_z_pre = (-(g·h̃)) + (g·h_prev); g_h_prev = g·z (set);
             //         g_h̃ = g·(1-z)
@@ -631,45 +661,28 @@ fn gru_sweep(
                 job.zpre[i] = (-(g * htl[i])) + (g * hp[i]);
                 job.dhp[i] = g * z[i];
                 let db = g * (1.0 - z[i]);
-                job.dzkh[2 * h + i] = db * (1.0 - htl[i] * htl[i]);
-                job.gated[i] = k[i] * hp[i];
+                d_h[i] = db * (1.0 - htl[i] * htl[i]);
+                gated[i] = k[i] * hp[i];
             }
-            let d_h = &job.dzkh[2 * h..3 * h];
-            // U_h grad and the reset-product gradient.
-            outer_acc_into(&mut job.gu_h[c * h * h..(c + 1) * h * h], d_h, &job.gated);
+            // The reset-product gradient.
             gemv_t_into(&mut job.ggated, value(cell.uh), h, h, d_h);
             gemv_t_acc_into(&mut job.gx, value(cell.wh), h, d, d_h);
             // mul(k, h_prev) backward, then the k gate's σ'.
+            let (d_z, d_k) = d_zk.split_at_mut(h);
             for i in 0..h {
                 job.dhp[i] += job.ggated[i] * k[i];
-                job.dzkh[h + i] = ((job.ggated[i] * hp[i]) * k[i]) * (1.0 - k[i]);
+                d_k[i] = ((job.ggated[i] * hp[i]) * k[i]) * (1.0 - k[i]);
             }
-            gemv_t_acc_into(&mut job.dhp, value(cell.uk), h, h, &job.dzkh[h..2 * h]);
-            gemv_t_acc_into(&mut job.gx, value(cell.wk), h, d, &job.dzkh[h..2 * h]);
+            gemv_t_acc_into(&mut job.dhp, value(cell.uk), h, h, d_k);
+            gemv_t_acc_into(&mut job.gx, value(cell.wk), h, d, d_k);
             // z gate σ', then its U/W pullbacks.
-            for ((dz, &zp), &zv) in job.dzkh[..h].iter_mut().zip(job.zpre.iter()).zip(z) {
+            for ((dz, &zp), &zv) in d_z.iter_mut().zip(&job.zpre).zip(z) {
                 *dz = (zp * zv) * (1.0 - zv);
             }
-            gemv_t_acc_into(&mut job.dhp, value(cell.uz), h, h, &job.dzkh[..h]);
-            gemv_t_acc_into(&mut job.gx, value(cell.wz), h, d, &job.dzkh[..h]);
-            // Weight gradients: one stacked rank-1 update per family, with
-            // per-gate rows in the slab's pack order.
-            let x = &xs[job.start + t];
-            slab.mask_into(e..e + 1, x, &mut job.xbuf[..d]);
-            outer_acc_into(
-                &mut job.gw[c * 3 * h * d..(c + 1) * 3 * h * d],
-                &job.dzkh,
-                &job.xbuf[..d],
-            );
-            outer_acc_into(
-                &mut job.gu_zk[c * 2 * h * h..(c + 1) * 2 * h * h],
-                &job.dzkh[..2 * h],
-                hp,
-            );
-            for (o, &g) in job.gbias[c * 3 * h..(c + 1) * 3 * h]
-                .iter_mut()
-                .zip(job.dzkh.iter())
-            {
+            gemv_t_acc_into(&mut job.dhp, value(cell.uz), h, h, d_z);
+            gemv_t_acc_into(&mut job.gx, value(cell.wz), h, d, d_z);
+            let d_t = &job.d_steps[t * 3 * h..(t + 1) * 3 * h];
+            for (o, &g) in job.gbias[c * 3 * h..(c + 1) * 3 * h].iter_mut().zip(d_t) {
                 *o += g;
             }
             if cfg.api_mask {
@@ -678,12 +691,26 @@ fn gru_sweep(
                 for ((gm, &gxv), &xv) in job.gmask[c * d..(c + 1) * d]
                     .iter_mut()
                     .zip(job.gx.iter())
-                    .zip(x.iter())
+                    .zip(&xs[job.start + t])
                 {
                     *gm += gxv * xv;
                 }
             }
             std::mem::swap(&mut job.dh, &mut job.dhp);
+        }
+        // Weight gradients: `[d_z; d_k; d_h̃] ⊗ x̃`, `[d_z; d_k] ⊗ h_{t-1}`,
+        // `d_h̃ ⊗ (k⊙h_{t-1})` and the skip path's `g_y ⊗ x̃`.
+        let (x_steps, hp_steps) = (&job.x_steps[..steps * d], &job.hp_steps[..steps * h]);
+        let gw = &mut job.gw[c * 3 * h * d..(c + 1) * 3 * h * d];
+        outer_acc_steps_into(gw, &job.d_steps, 3 * h, x_steps, steps);
+        let gu_zk = &mut job.gu_zk[c * 2 * h * h..(c + 1) * 2 * h * h];
+        outer_acc_steps_into(gu_zk, &job.d_steps, 3 * h, hp_steps, steps);
+        let gu_h = &mut job.gu_h[c * h * h..(c + 1) * h * h];
+        let gated_steps = &job.gated_steps[..steps * h];
+        outer_acc_steps_into(gu_h, &job.d_steps[2 * h..], 3 * h, gated_steps, steps);
+        if skip.is_some() {
+            let gskip_w = &mut job.gskip_w[c * 3 * d..(c + 1) * 3 * d];
+            outer_acc_steps_into(gskip_w, &job.g_y[c * t_max * 3..], 3, x_steps, steps);
         }
         if cfg.api_mask {
             // The mask-sigmoid node's σ' applies once, after all fan-in.
@@ -692,6 +719,27 @@ fn gru_sweep(
                 .zip(slab.mask_of(e))
             {
                 *g = (*g * s) * (1.0 - s);
+            }
+        }
+    }
+}
+
+/// The attention term of expert `e`'s carried-state gradient at every step
+/// of `att` (`[t][element]`): column `e` of `Σ_{e' desc} g_att[e'] ⊗ α_{e'}ᵀ`,
+/// `att[t][r] = Σ_{e' desc} g_att_t[e'][r] · α(e' → e)`. Each row takes one
+/// `h`-wide update per source expert, experts descending, so every lane
+/// sums its products in the tape's order, from `+0.0`.
+fn attention_pullback(att: &mut [f32], slab: &ExpertSlab, g_att_b: &[f32], e: usize) {
+    let (h, e_total) = (slab.hidden_dim(), slab.experts());
+    for (t, row) in att.chunks_exact_mut(h).enumerate() {
+        row.fill(0.0);
+        let g_att_t = &g_att_b[t * e_total * h..(t + 1) * e_total * h];
+        for (s, shard) in slab.shards().iter().enumerate().rev() {
+            let alpha = slab.alpha_toward(s, e);
+            for (e2, &a) in shard.clone().zip(alpha).rev() {
+                for (o, &g) in row.iter_mut().zip(&g_att_t[e2 * h..(e2 + 1) * h]) {
+                    *o += g * a;
+                }
             }
         }
     }
@@ -786,22 +834,102 @@ fn slot_stats(stats: &mut SlotStats, cfg: &TrainerConfig, slab: &ExpertSlab, b_j
     stats.loss_sum = loss * n_terms as f32;
 }
 
-// The one test asserts a `debug_assert!`, so it exists in debug builds only.
 #[cfg(test)]
-#[cfg(debug_assertions)]
 mod tests {
     use super::*;
-    use crate::loss::quantiles_for;
     use crate::{GruCell, Linear};
     use deeprest_tensor::Tensor;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The attention pull-back as the step loop computed it before it was
+    /// vectorised, kept as the reference: element `r` of step `t` is one
+    /// scalar chain over the source experts, descending, each product
+    /// passed through the tape's `p + 0.0` (a `k = 1` dot).
+    fn attention_pullback_scalar(
+        slab: &ExpertSlab,
+        g_att_b: &[f32],
+        e: usize,
+        t: usize,
+        r: usize,
+    ) -> f32 {
+        let (h, e_total) = (slab.hidden_dim(), slab.experts());
+        let mut acc = 0.0f32;
+        for (s, shard) in slab.shards().iter().enumerate().rev() {
+            let alpha = slab.alpha_toward(s, e);
+            for (e2, &a) in shard.clone().zip(alpha).rev() {
+                let p = g_att_b[(t * e_total + e2) * h + r] * a;
+                acc += p + 0.0;
+            }
+        }
+        acc
+    }
+
+    /// A value drawn with a heavy dose of zeros of both signs.
+    fn zero_laden(rng: &mut impl Rng) -> f32 {
+        match rng.gen_range(0..4) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    /// `h`-wide vector updates over all steps give every element the bits
+    /// of its scalar chain: ten experts in two shards, a hidden size no
+    /// vector width divides, `g_att` and `α` laden with `±0.0`, and for
+    /// expert 0 at step 0 a row whose every product is `-0.0` (the case the
+    /// dropped `+ 0.0` is about).
+    #[test]
+    fn vector_attention_pullback_matches_the_scalar_chains_bitwise() {
+        let (d, h, experts, steps) = (3, 5, 10, 4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut store = ParamStore::new();
+        let specs: Vec<ExpertSpec> = (0..experts)
+            .map(|i| {
+                let alpha: Vec<f32> = (0..experts).map(|_| zero_laden(&mut rng)).collect();
+                ExpertSpec {
+                    mask: store.add(format!("m{i}"), Tensor::zeros(d, 1)),
+                    cell: GruCell::new(&mut store, &format!("g{i}"), d, h, &mut rng),
+                    alpha: store.add(format!("a{i}"), Tensor::vector(alpha)),
+                    head: Linear::new(&mut store, &format!("h{i}"), 2 * h, 3, &mut rng),
+                    skip: None,
+                }
+            })
+            .collect();
+        let slab = ExpertSlab::pack(&store, &specs, true, true, 2);
+        assert_eq!(slab.shards().len(), 2);
+        let mut g_att: Vec<f32> = (0..steps * experts * h)
+            .map(|_| zero_laden(&mut rng))
+            .collect();
+        // Zeros of the sign opposite to each `α(e2 → 0)`: products `-0.0`.
+        for (s, shard) in slab.shards().iter().enumerate() {
+            for (e2, &a) in shard.clone().zip(slab.alpha_toward(s, 0)) {
+                g_att[e2 * h] = if a.is_sign_negative() { 0.0 } else { -0.0 };
+            }
+        }
+        let mut att = vec![f32::NAN; steps * h];
+        for e in 0..experts {
+            attention_pullback(&mut att, &slab, &g_att, e);
+            for t in 0..steps {
+                for r in 0..h {
+                    let want = attention_pullback_scalar(&slab, &g_att, e, t, r);
+                    assert_eq!(
+                        att[t * h + r].to_bits(),
+                        want.to_bits(),
+                        "e {e} t {t} r {r}"
+                    );
+                }
+            }
+        }
+    }
 
     /// The backward multiplies by the store's matrices and the forward by
     /// the slab's, so a store written since the last repack would train on
     /// two different sets of weights. Debug builds refuse it.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "slab is stale for the store")]
     fn run_batch_refuses_a_slab_packed_before_the_last_store_write() {
+        use crate::loss::quantiles_for;
         let (d, h) = (3, 4);
         let mut store = ParamStore::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);

@@ -348,6 +348,17 @@ fn multi_shard_plan_matches_tape_bitwise() {
     assert_identical(&setup, "multi-shard");
 }
 
+/// The property draws `d < 8` and `h < 4`, so every weight-gradient block
+/// it trains is narrower than one `4 × 8` tile of the rank-`T` update.
+/// Here `d = 11` and `h = 9` give full tiles and ragged edges in each
+/// block (`27 × 11`, `18 × 9`, `9 × 9`, `3 × 18`, `3 × 11`), over a ragged
+/// last subsequence (7 windows in 3s) and attention across two shards.
+#[test]
+fn blocks_past_the_update_tile_match_tape_bitwise() {
+    let setup = build(5, 11, 9, 10, 7, 3, true, true, true, 2e-3, false);
+    assert_identical(&setup, "past-the-tile");
+}
+
 /// Single-timestep subsequences (the tail of a short series) exercise the
 /// `t == 0` boundary of the backward sweep on both paths.
 #[test]

@@ -8,7 +8,7 @@
 //! | [`gemv_batch_into`] | `a_i · x_i` per item, row-major | `ExpertSlab::heads` (quantile heads) |
 //! | [`gemm_into`] | `a · b` | `ExpertSlab::heads` (attention `H_t · α`) |
 //! | [`gemv_t_into`], [`gemv_t_acc_into`] | `aᵀ · x`, set or added | `AnalyticTrainer` (pull-backs) |
-//! | [`outer_acc_into`] | `out += a ⊗ b` | `AnalyticTrainer` (weight gradients) |
+//! | [`outer_acc_steps_into`] | `out += Σ_t a_t ⊗ b_t`, `t` descending | `AnalyticTrainer` (weight gradients, one call per subsequence) |
 //! | [`gemv_into`] | `a · x` | under [`gemv_batch_into`] |
 //!
 //! Every contraction is built on one accumulation contract:
@@ -42,6 +42,10 @@
 //! result. NaN and infinity operands at a zero term are outside the kernel
 //! contract (they would turn the `±0.0` product into NaN). Every other
 //! kernel visits every term.
+//!
+//! The same lemma lets [`outer_acc_steps_into`] drop the `+ 0.0` a length-1
+//! contract dot ends in: on an accumulator that is not `-0.0`, adding a
+//! product and adding the product `+ 0.0` give the same bits.
 
 /// Number of parallel accumulator lanes in every contraction kernel.
 pub const LANES: usize = 8;
@@ -179,6 +183,19 @@ mod avx2 {
         __m256i, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
         _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
+
+    /// [`outer_acc_steps_into`](super::outer_acc_steps_into)'s portable
+    /// tiles compiled for AVX2: the same scalar multiplies and adds in the
+    /// same per-element order, which the compiler may widen but not fuse
+    /// (FMA is not enabled), so the same bits.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 support on the running CPU.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn outer_acc_steps(out: &mut [f32], ops: super::StepOperands) {
+        super::outer_steps_tiles(out, ops);
+    }
 
     /// Whether the running CPU supports AVX2 (cached after first probe).
     pub fn available() -> bool {
@@ -675,29 +692,176 @@ pub fn gemm_into(out: &mut [f32], a: &[f32], m: usize, k: usize, b: &[f32], n: u
     gemm_partial_cols(out, a, m, k, b, n);
 }
 
-/// Rank-1 update `out += a ⊗ b`: `out[i * n + j] += a[i] · b[j]` for the
-/// row-major `(a.len(), n)` matrix `out`, `n = b.len()`.
+/// Output rows of one [`outer_acc_steps_into`] tile.
+const TILE_ROWS: usize = 4;
+
+/// The operands of one [`outer_acc_steps_into`] call, shape-checked.
+#[derive(Clone, Copy)]
+struct StepOperands<'a> {
+    a: &'a [f32],
+    lda: usize,
+    b: &'a [f32],
+    n: usize,
+    steps: usize,
+}
+
+impl<'a> StepOperands<'a> {
+    /// Checks the operands against an output of `len` elements; `None`
+    /// when there is nothing to do.
+    fn checked(len: usize, a: &'a [f32], lda: usize, b: &'a [f32], steps: usize) -> Option<Self> {
+        if steps == 0 || len == 0 {
+            return None;
+        }
+        let n = b.len() / steps;
+        assert!(
+            n > 0 && b.len() == steps * n && len.is_multiple_of(n),
+            "kernel::outer_acc_steps: bad right operand or output"
+        );
+        let m = len / n;
+        assert!(
+            m <= lda && (steps - 1) * lda + m <= a.len(),
+            "kernel::outer_acc_steps: bad left operand"
+        );
+        Some(Self {
+            a,
+            lda,
+            b,
+            n,
+            steps,
+        })
+    }
+}
+
+/// Rank-`steps` update `out += Σ_t a_t ⊗ b_t`: for the row-major `(m, n)`
+/// matrix `out`, `out[i * n + j] += a_t[i] · b_t[j]` for `t = steps − 1`
+/// down to `0`, where `b_t = b[t * n..][..n]` (`n = b.len() / steps`) and
+/// `a_t = a[t * lda..][..m]` (`m = out.len() / n`) — `lda` lets `a_t` be a
+/// column range of a wider stash row.
 ///
-/// Each contribution carries the bits of a length-1 contract dot (and so of
-/// [`gemm_into`] with `k == 1`): `0.0 + a·b` in the zero-seeded lane, the
-/// tree reduce adding only `+0.0`s, which `(a·b) + 0.0` reproduces exactly,
-/// `-0.0 → +0.0` normalization included, without a dispatch per element.
-/// The analytic backward accumulates its per-timestep weight gradients
-/// (`d ⊗ x`) with it.
+/// Each element receives its `steps` products one after another, `t`
+/// descending, each a separate multiply and add, in a register tile held
+/// across all of them: `out` is read and written once per call, not once
+/// per step. For an `out` that holds no `-0.0` the result is bit-identical
+/// to `steps` successive rank-1 updates `out[i * n + j] += (a_t[i] ·
+/// b_t[j]) + 0.0` — the length-1 contract dot, so [`gemm_into`] with
+/// `k = 1` — because the `+ 0.0` only turns a `-0.0` product into `+0.0`,
+/// adding either to a value that is not `-0.0` gives the same bits, and
+/// such a sum never becomes `-0.0` (the module's signed-zero lemma). The
+/// analytic backward zero-fills its gradient arenas with `+0.0` and lands
+/// each weight gradient of a subsequence with one call.
+///
+/// The tiles are `TILE_ROWS × LANES` (leftover rows `1 × LANES`, the
+/// ragged column edge `TILE_ROWS × 1`). When AVX2 is available the same
+/// code runs compiled for AVX2 (without FMA, so nothing is fused).
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) on shape mismatch.
-pub fn outer_acc_into(out: &mut [f32], a: &[f32], b: &[f32]) {
-    debug_assert_eq!(
-        out.len(),
-        a.len() * b.len(),
-        "kernel::outer_acc: bad output length"
-    );
-    for (av, out_row) in a.iter().zip(out.chunks_exact_mut(b.len().max(1))) {
-        for (o, &bv) in out_row.iter_mut().zip(b) {
-            *o += (av * bv) + 0.0;
+/// Panics if `b.len()` is no multiple of `steps`, `out.len()` none of `n`,
+/// or `a` holds fewer than `steps` rows of `m` at stride `lda ≥ m`.
+pub fn outer_acc_steps_into(out: &mut [f32], a: &[f32], lda: usize, b: &[f32], steps: usize) {
+    let Some(ops) = StepOperands::checked(out.len(), a, lda, b, steps) else {
+        return;
+    };
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2::outer_acc_steps(out, ops);
         }
+        return;
+    }
+    outer_steps_tiles(out, ops);
+}
+
+/// Portable [`outer_acc_steps_into`]: what it computes when AVX2 is
+/// absent. Exposed so the kernel-equivalence proptest can pit it against
+/// the dispatching entry.
+///
+/// # Panics
+///
+/// As [`outer_acc_steps_into`].
+pub fn outer_acc_steps_portable(out: &mut [f32], a: &[f32], lda: usize, b: &[f32], steps: usize) {
+    if let Some(ops) = StepOperands::checked(out.len(), a, lda, b, steps) {
+        outer_steps_tiles(out, ops);
+    }
+}
+
+/// [`outer_acc_steps_into`]'s tiles over shape-checked operands: full
+/// `TILE_ROWS`-row blocks, then the leftover rows one at a time; in each,
+/// full `LANES`-column tiles, then the ragged columns one at a time.
+#[inline(always)]
+fn outer_steps_tiles(out: &mut [f32], ops: StepOperands) {
+    let (n, m) = (ops.n, out.len() / ops.n);
+    let (m_full, n_full) = (m - m % TILE_ROWS, n - n % LANES);
+    for i0 in (0..m_full).step_by(TILE_ROWS) {
+        for j0 in (0..n_full).step_by(LANES) {
+            outer_steps_tile::<TILE_ROWS>(out, ops, i0, j0);
+        }
+        for j in n_full..n {
+            outer_steps_column::<TILE_ROWS>(out, ops, i0, j);
+        }
+    }
+    for i in m_full..m {
+        for j0 in (0..n_full).step_by(LANES) {
+            outer_steps_tile::<1>(out, ops, i, j0);
+        }
+        for j in n_full..n {
+            outer_steps_column::<1>(out, ops, i, j);
+        }
+    }
+}
+
+/// The `ROWS × LANES` tile of [`outer_acc_steps_into`] at `(i0, j0)`.
+#[inline(always)]
+fn outer_steps_tile<const ROWS: usize>(out: &mut [f32], ops: StepOperands, i0: usize, j0: usize) {
+    let StepOperands {
+        a,
+        lda,
+        b,
+        n,
+        steps,
+    } = ops;
+    let mut acc = [[0.0f32; LANES]; ROWS];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        *acc_r = out[(i0 + r) * n + j0..][..LANES].try_into().unwrap();
+    }
+    for t in (0..steps).rev() {
+        let at: &[f32; ROWS] = a[t * lda + i0..][..ROWS].try_into().unwrap();
+        let bt: &[f32; LANES] = b[t * n + j0..][..LANES].try_into().unwrap();
+        for (acc_r, &av) in acc.iter_mut().zip(at) {
+            for (o, &bv) in acc_r.iter_mut().zip(bt) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[(i0 + r) * n + j0..][..LANES].copy_from_slice(acc_r);
+    }
+}
+
+/// Column `j` of rows `i0..i0 + ROWS` of [`outer_acc_steps_into`]: the
+/// rows are contiguous in `a_t`, so they take the vector and `b_t[j]` the
+/// broadcast.
+#[inline(always)]
+fn outer_steps_column<const ROWS: usize>(out: &mut [f32], ops: StepOperands, i0: usize, j: usize) {
+    let StepOperands {
+        a,
+        lda,
+        b,
+        n,
+        steps,
+    } = ops;
+    let mut acc: [f32; ROWS] = core::array::from_fn(|r| out[(i0 + r) * n + j]);
+    for t in (0..steps).rev() {
+        let at: &[f32; ROWS] = a[t * lda + i0..][..ROWS].try_into().unwrap();
+        let bv = b[t * n + j];
+        for (o, &av) in acc.iter_mut().zip(at) {
+            *o += av * bv;
+        }
+    }
+    for (r, &v) in acc.iter().enumerate() {
+        out[(i0 + r) * n + j] = v;
     }
 }
 

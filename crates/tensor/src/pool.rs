@@ -438,6 +438,13 @@ mod engine {
     /// publishes no data — job contents travel through the mutex — so
     /// `Relaxed` suffices.
     static EPOCH: AtomicUsize = AtomicUsize::new(0);
+    /// Helpers that have entered [`helper_main`], so are past their thread
+    /// start-up — which allocates (std keeps a copy of the thread's name for
+    /// its stack-overflow handler) on the new thread, whenever the OS first
+    /// schedules it. Bumped with `Release` as a helper's first act and read
+    /// with `Acquire` by the fan-out that spawned it, so that start-up
+    /// happens-before the fan-out returns.
+    static STARTED: AtomicUsize = AtomicUsize::new(0);
 
     pub(super) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         // Nothing panics while holding the pool's locks (chunk bodies run
@@ -523,8 +530,9 @@ mod engine {
     }
 
     /// Makes `job` claimable: grows the helper set to `n_chunks − 1` if it
-    /// never was that large, lists the job, and wakes as many parked
-    /// helpers as there are chunks for them.
+    /// never was that large, lists the job, wakes as many parked helpers as
+    /// there are chunks for them, and returns once every helper it spawned
+    /// is running.
     fn publish(job: &Job) {
         let mut reg = lock(&REGISTRY);
         let had = reg.helpers;
@@ -541,7 +549,7 @@ mod engine {
             }
             reg.helpers += 1;
         }
-        let spawned = reg.helpers - had;
+        let (helpers, spawned) = (reg.helpers, reg.helpers - had);
         reg.jobs.push(JobRef(job));
         EPOCH.fetch_add(1, Ordering::Relaxed);
         let wake = reg.sleepers.min(job.n_chunks - 1);
@@ -550,6 +558,12 @@ mod engine {
             WAKE.notify_one();
         }
         if spawned > 0 {
+            // A helper the OS has not scheduled yet would run its start-up
+            // during some later, warm fan-out; the growing one waits it out
+            // instead, so a warm pool allocates nothing on any thread.
+            while STARTED.load(Ordering::Acquire) < helpers {
+                std::thread::yield_now();
+            }
             telemetry::counter("pool.helpers_spawned", spawned as u64);
         }
     }
@@ -609,6 +623,7 @@ mod engine {
     }
 
     fn helper_main() {
+        STARTED.fetch_add(1, Ordering::Release);
         loop {
             // Read before scanning, so a publish during the scan is seen as
             // a change afterwards.

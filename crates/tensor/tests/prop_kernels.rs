@@ -11,7 +11,8 @@
 
 use deeprest_tensor::kernel::{
     dot_avx2, dot_portable, gemm_into, gemv_batch_into, gemv_into, gemv_t_acc_into,
-    gemv_t_batch_into, gemv_t_into, gemv_t_support_portable, outer_acc_into, Support,
+    gemv_t_batch_into, gemv_t_into, gemv_t_support_portable, outer_acc_steps_into,
+    outer_acc_steps_portable, Support,
 };
 use proptest::prelude::*;
 
@@ -92,6 +93,55 @@ fn packed_gemm_matches_per_element_dot() {
     assert_gemm_is_per_element_dot(&a, m, k, &b, n);
 }
 
+/// `steps` rank-1 updates of the row-major `(m, n)` matrix `prior`,
+/// `t = steps − 1` down to `0`: each adds the `k = 1` [`gemm_into`] of
+/// `a_t = a[t * lda..][..m]` and `b_t = b[t * n..][..n]` element by element.
+fn successive_rank_one(
+    prior: &[f32],
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    n: usize,
+    steps: usize,
+) -> Vec<f32> {
+    let m = prior.len() / n;
+    let mut out = prior.to_vec();
+    let mut product = vec![0.0f32; m * n];
+    for t in (0..steps).rev() {
+        gemm_into(&mut product, &a[t * lda..][..m], m, 1, &b[t * n..][..n], n);
+        for (o, &p) in out.iter_mut().zip(&product) {
+            *o += p;
+        }
+    }
+    out
+}
+
+/// The rank-`T` update against successive rank-1 updates where a NaN and
+/// an infinity enter: a full tile and a ragged edge, `T = 3`, a NaN in one
+/// step's left operand, `±∞` in another's right operand, and an `∞ · 0`
+/// product.
+#[test]
+fn outer_acc_steps_propagates_non_finite_values_like_rank_one_updates() {
+    let (m, n, steps) = (6, 11, 3);
+    let mut a: Vec<f32> = (0..steps * m).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
+    let mut b: Vec<f32> = (0..steps * n)
+        .map(|i| (i % 7) as f32 * 0.25 - 0.75)
+        .collect();
+    a[m + 2] = f32::NAN;
+    b[2 * n + 9] = f32::INFINITY;
+    b[2 * n + 3] = f32::NEG_INFINITY;
+    a[2 * m] = 0.0;
+    let prior: Vec<f32> = (0..m * n).map(|i| (i % 3) as f32 - 1.0).collect();
+    let want = successive_rank_one(&prior, &a, m, &b, n, steps);
+    let mut portable = prior.clone();
+    outer_acc_steps_portable(&mut portable, &a, m, &b, steps);
+    let mut got = prior;
+    outer_acc_steps_into(&mut got, &a, m, &b, steps);
+    assert!(want.iter().any(|v| v.is_nan()) && want.iter().any(|v| v.is_infinite()));
+    assert_eq!(bits(&got), bits(&want));
+    assert_eq!(bits(&got), bits(&portable));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -145,27 +195,36 @@ proptest! {
         assert_gemm_is_per_element_dot(&a, m, k, &b, n);
     }
 
-    /// `outer_acc_into` adds to each element exactly what a `k = 1`
-    /// `gemm_into` computes for it.
+    /// One rank-`T` update is, bit for bit, `T` successive rank-1 updates
+    /// `t`-descending, each adding to every element what a `k = 1`
+    /// `gemm_into` computes for it (`(a·b) + 0.0`) — for `T = 1` up, `m`
+    /// and `n` ragged against the `4 × 8` tile, `a_t` a column range of a
+    /// wider row, zero-laden operands of both signs, and a prior `out` that
+    /// holds no `-0.0` (the arenas the trainer zero-fills). The dispatching
+    /// entry (AVX2 where the CPU has it) equals the portable one.
     #[test]
-    fn outer_acc_matches_rank_one_gemm_then_add(
-        m in 1usize..20,
-        n in 1usize..20,
-        seed in proptest::collection::vec(zero_laden(), 20 + 20 + 20 * 20),
+    fn outer_acc_steps_matches_successive_rank_one_gemms(
+        m in 1usize..14,
+        n in 1usize..21,
+        pad in 0usize..3,
+        steps in 1usize..7,
+        seed in proptest::collection::vec(zero_laden(), 6 * 16 + 6 * 20 + 13 * 20),
     ) {
-        let a: Vec<f32> = seed[..m].to_vec();
-        let b: Vec<f32> = seed[m..m + n].to_vec();
-        let prior: Vec<f32> = seed[seed.len() - m * n..].to_vec();
-        let mut product = vec![0.0f32; m * n];
-        gemm_into(&mut product, &a, m, 1, &b, n);
-        let want: Vec<u32> = prior
+        let lda = m + pad;
+        let a: Vec<f32> = seed[..steps * lda].to_vec();
+        let b: Vec<f32> = seed[96..96 + steps * n].to_vec();
+        let prior: Vec<f32> = seed[seed.len() - m * n..]
             .iter()
-            .zip(&product)
-            .map(|(&p, &v)| (p + v).to_bits())
+            .map(|&v| if v == 0.0 { 0.0 } else { v })
             .collect();
-        let mut acc = prior;
-        outer_acc_into(&mut acc, &a, &b);
-        prop_assert_eq!(bits(&acc), want, "({}, {})", m, n);
+        let want = successive_rank_one(&prior, &a, lda, &b, n, steps);
+        let mut portable = prior.clone();
+        outer_acc_steps_portable(&mut portable, &a, lda, &b, steps);
+        let mut got = prior;
+        outer_acc_steps_into(&mut got, &a, lda, &b, steps);
+        let tag = format!("({m}, {n}) lda {lda} T {steps}");
+        prop_assert_eq!(bits(&got), bits(&want), "{} vs rank-1 updates", &tag);
+        prop_assert_eq!(bits(&got), bits(&portable), "{} vs portable", &tag);
     }
 
     #[test]
