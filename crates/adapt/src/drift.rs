@@ -145,11 +145,6 @@ impl DriftDetector {
         self.state.watching.iter().any(|&w| w)
     }
 
-    /// Number of experts currently in the watch state.
-    pub fn watch_count(&self) -> usize {
-        self.state.watching.iter().filter(|&&w| w).count()
-    }
-
     /// Empirical interval coverage of expert `e` so far, if observed.
     pub fn coverage(&self, e: usize) -> Option<f64> {
         let n = self.state.observed[e];

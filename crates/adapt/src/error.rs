@@ -22,13 +22,9 @@ pub enum AdaptError {
     Predictor(String),
     /// The sanity scorer's checkpointed state disagrees with the model.
     Sanity(String),
-    /// A drift-detector or calibrator state restore failed.
+    /// The checkpointed adaptation state (drift, calibration, replay or
+    /// the current segment) disagrees with the model's geometry.
     Adapter(String),
-    /// The checkpoint carries no adapter envelope (it was taken by a plain
-    /// `deeprest-serve` pipeline, not an adaptive one).
-    MissingAdapterState,
-    /// The adapter envelope or embedded model JSON failed to (de)serialize.
-    Codec(String),
 }
 
 impl std::fmt::Display for AdaptError {
@@ -38,13 +34,6 @@ impl std::fmt::Display for AdaptError {
             Self::Predictor(m) => write!(f, "predictor state mismatch: {m}"),
             Self::Sanity(m) => write!(f, "sanity state mismatch: {m}"),
             Self::Adapter(m) => write!(f, "adapter state mismatch: {m}"),
-            Self::MissingAdapterState => {
-                write!(
-                    f,
-                    "checkpoint has no adapter state (plain serve checkpoint)"
-                )
-            }
-            Self::Codec(m) => write!(f, "adapter state codec failure: {m}"),
         }
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! * **observe** — [`AdaptivePipeline`] drives the very
 //!   [`deeprest_serve::WindowStages`] a [`deeprest_serve::Pipeline`] drives
-//!   (windowing, the healed O(1) incremental step — via `detach`/`attach`
-//!   of the packed predictor state — quarantine, causal sanity alerts,
-//!   sink delivery), and seals every `segment_len` served-and-observed
+//!   (windowing, the healed O(1) incremental step, quarantine, causal
+//!   sanity alerts, sink delivery), and seals every `segment_len` served-and-observed
 //!   windows into a `(features, targets)` training segment from the
 //!   observations the scoring stage looked up;
 //! * **detect** — a per-expert CUSUM on raw δ-interval coverage misses
@@ -30,11 +29,12 @@
 //!   gradients of subsequent updates (arXiv 2508.01635), so adaptation
 //!   optimizes *calibration*, not just point accuracy.
 //!
-//! Checkpoints reuse the serve crate's [`Checkpoint`](deeprest_serve::Checkpoint)
-//! (and therefore `CheckpointStore`'s framed, CRC-checked persistence):
-//! the adaptation trajectory — adapted model included — travels in the
-//! `adapter` envelope, and a mid-adaptation restore continues
-//! bit-identically to the uninterrupted run.
+//! An [`AdaptiveCheckpoint`] is one serde tree: the serve crate's
+//! [`Checkpoint`](deeprest_serve::Checkpoint) for the shared stages, the
+//! adapted model and the [`AdapterState`] nest as values, so
+//! `CheckpointStore`'s framed, CRC-checked persistence writes it once, and
+//! a mid-adaptation restore continues bit-identically to the uninterrupted
+//! run.
 //!
 //! With [`AdaptConfig::enabled`] off a window runs the shared stages and
 //! nothing else: the pipeline is a plain serving pipeline over an owned
@@ -56,5 +56,5 @@ pub use calibrate::{CalibrationConfig, CalibrationState, Calibrator};
 pub use config::AdaptConfig;
 pub use drift::{DriftConfig, DriftDetector, DriftState};
 pub use error::{AdaptError, UpdateOutcome};
-pub use pipeline::{AdapterState, AdaptivePipeline};
+pub use pipeline::{AdapterState, AdaptiveCheckpoint, AdaptivePipeline, Staging};
 pub use replay::{ReplayBuffer, Segment};

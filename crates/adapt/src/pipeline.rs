@@ -27,11 +27,13 @@
 //!   rings.
 //!
 //! A [`checkpoint`](AdaptivePipeline::checkpoint) therefore captures the
-//! *entire* adaptation trajectory — adapted parameters (the momentum-free
-//! SGD's only state), replay buffer, drift statistics, calibration rings
-//! and counters — and a [`restore`](AdaptivePipeline::restore)d pipeline
-//! continues bit-identically to the uninterrupted run, even mid-segment
-//! between two updates.
+//! *entire* adaptation trajectory as one [`AdaptiveCheckpoint`] value — the
+//! serving stages' [`Checkpoint`], the adapted model (its parameters are
+//! the momentum-free SGD's only state) and the [`AdapterState`]: replay
+//! buffer, drift statistics, calibration rings, the current segment and
+//! the cadence's counters — and a [`restore`](AdaptivePipeline::restore)d
+//! pipeline continues bit-identically to the uninterrupted run, even
+//! mid-segment between two updates or with updates suspended.
 //!
 //! # Fail-safety
 //!
@@ -68,8 +70,43 @@ use crate::drift::{DriftDetector, DriftState};
 use crate::error::{AdaptError, UpdateOutcome};
 use crate::replay::{ReplayBuffer, Segment};
 
-/// The serializable adaptation state carried inside a serve
-/// [`Checkpoint`]'s `adapter` field, alongside the adapted model.
+/// Everything an [`AdaptivePipeline`] resumes from, as one serde tree:
+/// persist it with [`deeprest_serve::CheckpointStore`] or
+/// [`to_json`](Self::to_json), and every part is written once.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct AdaptiveCheckpoint {
+    /// The shared serving stages and the stream's carried state.
+    pub serve: Checkpoint,
+    /// The adapted model; its parameters are the optimizer's whole state
+    /// (momentum-free SGD). Loading it checks and packs it.
+    pub model: DeepRest,
+    /// The adaptation trajectory.
+    pub adapter: AdapterState,
+}
+
+impl AdaptiveCheckpoint {
+    /// Serializes the checkpoint to JSON.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying `serde_json` error on failure.
+    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+        serde_json::to_string(self)
+    }
+
+    /// Restores a checkpoint from [`to_json`](Self::to_json) output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying `serde_json` error on malformed input,
+    /// including a model that does not fit its own feature space.
+    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+        serde_json::from_str(json)
+    }
+}
+
+/// The adaptation trajectory: replay buffer, drift and calibration
+/// statistics, and the current segment with the update cadence.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AdapterState {
     /// Replay-buffer segments, oldest first.
@@ -78,6 +115,15 @@ pub struct AdapterState {
     pub drift: DriftState,
     /// Conformal-calibrator state.
     pub calibration: CalibrationState,
+    /// The current segment and the update cadence's counters.
+    pub staging: Staging,
+}
+
+/// The partially-filled current segment and the update cadence's
+/// counters: the part of [`AdapterState`] the pipeline keeps as it is
+/// checkpointed.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Staging {
     /// Features of the partially-filled current segment
     /// (`cur_len × feature_dim`, window-major; trailing slots stale).
     pub cur_xs: Vec<f32>,
@@ -104,22 +150,30 @@ pub struct AdapterState {
     pub updates_failed: u64,
     /// Whether model updates are suspended (overload rung 2); serving
     /// continues frozen.
-    #[serde(default)]
     pub updates_suspended: bool,
     /// Cadence firings skipped while suspended.
-    #[serde(default)]
     pub updates_skipped_suspended: u64,
 }
 
-/// The envelope serialized into [`Checkpoint::adapter`]: the adapted
-/// model (its parameters are the optimizer state — momentum-free SGD)
-/// plus the adaptation trajectory.
-#[derive(Serialize, Deserialize)]
-struct AdapterEnvelope {
-    /// Adapted model JSON ([`DeepRest::to_json`], bit-exact round-trip).
-    model: String,
-    /// Everything else.
-    state: AdapterState,
+impl Staging {
+    /// An empty segment of `seg_len` windows over `dim` features and
+    /// `experts` experts; arenas are fixed size and reused.
+    fn new(seg_len: usize, dim: usize, experts: usize) -> Self {
+        Self {
+            cur_xs: vec![0.0; seg_len * dim],
+            cur_targets: vec![0.0; experts * seg_len],
+            cur_len: 0,
+            cur_start: 0,
+            cur_observed: true,
+            prev_actual: vec![None; experts],
+            segments_sealed: 0,
+            segments_since_update: 0,
+            updates_run: 0,
+            updates_failed: 0,
+            updates_suspended: false,
+            updates_skipped_suspended: 0,
+        }
+    }
 }
 
 /// The owned model and everything that adapts it — all of the pipeline
@@ -133,19 +187,7 @@ struct Adapter {
     replay: ReplayBuffer,
     drift: DriftDetector,
     calib: Calibrator,
-    /// Current-segment staging arenas (fixed size, reused).
-    cur_xs: Vec<f32>,
-    cur_targets: Vec<f32>,
-    cur_len: usize,
-    cur_start: usize,
-    cur_observed: bool,
-    prev_actual: Vec<Option<f64>>,
-    segments_sealed: u64,
-    segments_since_update: u64,
-    updates_run: u64,
-    updates_failed: u64,
-    updates_suspended: bool,
-    updates_skipped_suspended: u64,
+    staging: Staging,
     last_update: Option<UpdateOutcome>,
     /// Replay-sampling arenas (capacity `replay_capacity`, reused).
     sample_scratch: Vec<usize>,
@@ -240,12 +282,12 @@ impl AdaptivePipeline {
 
     /// Successful updates applied so far.
     pub fn updates_run(&self) -> u64 {
-        self.adapter.updates_run
+        self.adapter.staging.updates_run
     }
 
     /// Update attempts rejected by a fault or rolled back.
     pub fn updates_failed(&self) -> u64 {
-        self.adapter.updates_failed
+        self.adapter.staging.updates_failed
     }
 
     /// Suspends model updates (the overload ladder's rung 2). Serving
@@ -255,8 +297,8 @@ impl AdaptivePipeline {
     /// accumulating; due firings are skipped and counted
     /// (`adapt.update.suspended`). Idempotent.
     pub fn suspend_updates(&mut self) {
-        if !self.adapter.updates_suspended {
-            self.adapter.updates_suspended = true;
+        if !self.adapter.staging.updates_suspended {
+            self.adapter.staging.updates_suspended = true;
             if telemetry::enabled() {
                 telemetry::counter("adapt.updates.suspend", 1);
             }
@@ -267,8 +309,8 @@ impl AdaptivePipeline {
     /// A deferred due update runs at the next segment seal, not here, so
     /// resuming is cheap and never blocks the caller. Idempotent.
     pub fn resume_updates(&mut self) {
-        if self.adapter.updates_suspended {
-            self.adapter.updates_suspended = false;
+        if self.adapter.staging.updates_suspended {
+            self.adapter.staging.updates_suspended = false;
             if telemetry::enabled() {
                 telemetry::counter("adapt.updates.resume", 1);
             }
@@ -277,13 +319,13 @@ impl AdaptivePipeline {
 
     /// Whether model updates are currently suspended.
     pub fn updates_suspended(&self) -> bool {
-        self.adapter.updates_suspended
+        self.adapter.staging.updates_suspended
     }
 
     /// Cadence firings skipped while suspended (typed counter, mirrored
     /// on `adapt.update.suspended`).
     pub fn updates_skipped_suspended(&self) -> u64 {
-        self.adapter.updates_skipped_suspended
+        self.adapter.staging.updates_skipped_suspended
     }
 
     /// Replay segments currently buffered.
@@ -328,43 +370,22 @@ impl AdaptivePipeline {
         self.stages.poll_control(&self.adapter.carried)
     }
 
-    /// Captures the full adaptive state as a standard serve
-    /// [`Checkpoint`]: the serving half in the regular fields (so
-    /// [`deeprest_serve::CheckpointStore`]'s framed, CRC-checked,
-    /// atomically-rotated persistence works unchanged) and the adaptation
-    /// half — adapted model included — in the `adapter` envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`AdaptError::Codec`] when serialization fails.
-    pub fn checkpoint(&self) -> Result<Checkpoint, AdaptError> {
+    /// Captures the full adaptive state: the shared stages' serve
+    /// [`Checkpoint`], the adapted model and the adaptation trajectory,
+    /// ready for [`deeprest_serve::CheckpointStore`]'s framed, CRC-checked,
+    /// atomically-rotated persistence.
+    pub fn checkpoint(&self) -> AdaptiveCheckpoint {
         let a = &self.adapter;
-        let envelope = AdapterEnvelope {
-            model: a
-                .model
-                .to_json()
-                .map_err(|e| AdaptError::Codec(e.to_string()))?,
-            state: AdapterState {
+        AdaptiveCheckpoint {
+            serve: self.stages.checkpoint(&a.carried),
+            model: a.model.clone(),
+            adapter: AdapterState {
                 replay: a.replay.segments().to_vec(),
                 drift: a.drift.state().clone(),
                 calibration: a.calib.state().clone(),
-                cur_xs: a.cur_xs.clone(),
-                cur_targets: a.cur_targets.clone(),
-                cur_len: a.cur_len,
-                cur_start: a.cur_start,
-                cur_observed: a.cur_observed,
-                prev_actual: a.prev_actual.clone(),
-                segments_sealed: a.segments_sealed,
-                segments_since_update: a.segments_since_update,
-                updates_run: a.updates_run,
-                updates_failed: a.updates_failed,
-                updates_suspended: a.updates_suspended,
-                updates_skipped_suspended: a.updates_skipped_suspended,
+                staging: a.staging.clone(),
             },
-        };
-        let adapter =
-            serde_json::to_string(&envelope).map_err(|e| AdaptError::Codec(e.to_string()))?;
-        Ok(self.stages.checkpoint(&a.carried, Some(adapter)))
+        }
     }
 
     /// Rebuilds an adaptive pipeline from a [`checkpoint`](Self::checkpoint),
@@ -374,59 +395,55 @@ impl AdaptivePipeline {
     ///
     /// # Errors
     ///
-    /// [`AdaptError::MissingAdapterState`] for plain serve checkpoints;
-    /// [`AdaptError::Codec`]/[`AdaptError::Predictor`]/
-    /// [`AdaptError::Sanity`]/[`AdaptError::Adapter`] when any piece of
-    /// state disagrees with the model geometry.
+    /// [`AdaptError::Predictor`]/[`AdaptError::Sanity`]/
+    /// [`AdaptError::Adapter`] when any piece of state disagrees with the
+    /// model geometry — a staged or replayed segment of the wrong shape
+    /// included.
     pub fn restore(
         source: &Interner,
         observations: MetricsRegistry,
         config: AdaptConfig,
-        checkpoint: &Checkpoint,
+        checkpoint: AdaptiveCheckpoint,
     ) -> Result<Self, AdaptError> {
-        let envelope = checkpoint
-            .adapter
-            .as_deref()
-            .ok_or(AdaptError::MissingAdapterState)?;
-        let envelope: AdapterEnvelope =
-            serde_json::from_str(envelope).map_err(|e| AdaptError::Codec(e.to_string()))?;
-        let model =
-            DeepRest::from_json(&envelope.model).map_err(|e| AdaptError::Codec(e.to_string()))?;
-        let mut stages = WindowStages::restore(&model, source, config.serve, checkpoint)
+        let AdaptiveCheckpoint {
+            serve,
+            model,
+            adapter: state,
+        } = checkpoint;
+        let mut stages = WindowStages::restore(&model, source, config.serve, &serve)
             .map_err(AdaptError::Sanity)?;
         stages.set_observations(observations);
 
         let mut adapter = Adapter::new(model, config);
-        let st = envelope.state;
-        let got = (st.cur_xs.len(), st.cur_targets.len(), st.prev_actual.len());
-        let a = &adapter;
-        let want = (a.cur_xs.len(), a.cur_targets.len(), a.prev_actual.len());
-        if got != want {
+        let shape = |s: &Staging| (s.cur_xs.len(), s.cur_targets.len(), s.prev_actual.len());
+        let (got, want) = (shape(&state.staging), shape(&adapter.staging));
+        if got != want || state.staging.cur_len >= config.update.segment_len {
             return Err(AdaptError::Adapter(format!(
-                "segment arenas (xs, targets, prev) = {got:?} do not match geometry {want:?}"
+                "current segment (xs, targets, prev) = {got:?} at {} windows does not match \
+                 geometry {want:?} of {}-window segments",
+                state.staging.cur_len, config.update.segment_len
             )));
         }
-        let experts = adapter.prev_actual.len();
+        let segment = (want.0, want.1);
+        for (i, s) in state.replay.iter().enumerate() {
+            let got = (s.xs.len(), s.targets.len());
+            if got != segment {
+                return Err(AdaptError::Adapter(format!(
+                    "replay segment {i} (xs, targets) = {got:?} does not match geometry {segment:?}"
+                )));
+            }
+        }
+        let experts = adapter.model.expert_count();
         let nominal = f64::from(adapter.model.config().delta);
-        adapter.carried = CarriedState::restore(&adapter.model, &checkpoint.predictor)
+        adapter.carried = CarriedState::restore(&adapter.model, &serve.predictor)
             .map_err(AdaptError::Predictor)?;
-        adapter.drift = DriftDetector::restore(nominal, config.drift, st.drift, experts)
+        adapter.drift = DriftDetector::restore(nominal, config.drift, state.drift, experts)
             .map_err(AdaptError::Adapter)?;
-        adapter.calib = Calibrator::restore(nominal, config.calibration, st.calibration, experts)
-            .map_err(AdaptError::Adapter)?;
-        adapter.replay = ReplayBuffer::restore(config.replay_capacity.max(1), st.replay);
-        adapter.cur_xs = st.cur_xs;
-        adapter.cur_targets = st.cur_targets;
-        adapter.cur_len = st.cur_len;
-        adapter.cur_start = st.cur_start;
-        adapter.cur_observed = st.cur_observed;
-        adapter.prev_actual = st.prev_actual;
-        adapter.segments_sealed = st.segments_sealed;
-        adapter.segments_since_update = st.segments_since_update;
-        adapter.updates_run = st.updates_run;
-        adapter.updates_failed = st.updates_failed;
-        adapter.updates_suspended = st.updates_suspended;
-        adapter.updates_skipped_suspended = st.updates_skipped_suspended;
+        adapter.calib =
+            Calibrator::restore(nominal, config.calibration, state.calibration, experts)
+                .map_err(AdaptError::Adapter)?;
+        adapter.replay = ReplayBuffer::restore(config.replay_capacity.max(1), state.replay);
+        adapter.staging = state.staging;
         Ok(Self { stages, adapter })
     }
 }
@@ -435,7 +452,6 @@ impl Adapter {
     fn new(model: DeepRest, config: AdaptConfig) -> Self {
         let experts = model.expert_count();
         let nominal = f64::from(model.config().delta);
-        let seg_len = config.update.segment_len;
         let dim = model.feature_space().dim();
         let capacity = config.replay_capacity.max(1);
         Self {
@@ -444,18 +460,7 @@ impl Adapter {
             replay: ReplayBuffer::new(capacity),
             drift: DriftDetector::new(nominal, config.drift, experts),
             calib: Calibrator::new(nominal, config.calibration, experts),
-            cur_xs: vec![0.0; seg_len * dim],
-            cur_targets: vec![0.0; experts * seg_len],
-            cur_len: 0,
-            cur_start: 0,
-            cur_observed: true,
-            prev_actual: vec![None; experts],
-            segments_sealed: 0,
-            segments_since_update: 0,
-            updates_run: 0,
-            updates_failed: 0,
-            updates_suspended: false,
-            updates_skipped_suspended: 0,
+            staging: Staging::new(config.update.segment_len, dim, experts),
             last_update: None,
             sample_scratch: Vec::with_capacity(capacity),
             sample_out: Vec::with_capacity(capacity),
@@ -494,18 +499,19 @@ impl Adapter {
         // segment, from what the scoring stage looked up.
         let seg_len = self.config.update.segment_len;
         let dim = self.model.feature_space().dim();
-        if self.cur_len < seg_len {
-            self.cur_xs[self.cur_len * dim..(self.cur_len + 1) * dim].copy_from_slice(&x);
+        let st = &mut self.staging;
+        if st.cur_len < seg_len {
+            st.cur_xs[st.cur_len * dim..(st.cur_len + 1) * dim].copy_from_slice(&x);
         }
         for (e, observed) in stages.observed().iter().enumerate() {
             let Some(actual) = *observed else {
-                self.cur_observed = false;
+                st.cur_observed = false;
                 continue;
             };
             // Cumulative resources are estimated as increments: put the
             // observation into the experts' output space before scoring
             // interval coverage (mirrors the sanity scorer's encoding).
-            let prev = self.prev_actual[e].unwrap_or(actual);
+            let prev = st.prev_actual[e].unwrap_or(actual);
             let in_space = if stages.is_delta()[e] {
                 (actual - prev).max(0.0)
             } else {
@@ -517,15 +523,15 @@ impl Adapter {
             if watching && !was && telemetry::enabled() {
                 telemetry::counter("adapt.drift.watch", 1);
             }
-            let t = self.cur_len.min(seg_len - 1);
-            self.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
-            self.prev_actual[e] = Some(actual);
+            let t = st.cur_len.min(seg_len - 1);
+            st.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
+            st.prev_actual[e] = Some(actual);
         }
 
         // Adapt: seal the segment when full; on the cadence, fold replay
         // plus the fresh segment back into the model.
-        self.cur_len += 1;
-        if self.cur_len == seg_len {
+        st.cur_len += 1;
+        if st.cur_len == seg_len {
             self.seal_segment(w.index + 1);
         }
         Ok(out)
@@ -534,36 +540,38 @@ impl Adapter {
     /// Seals the staged segment (window `next_start` begins the next one)
     /// and runs the update when the cadence is due.
     fn seal_segment(&mut self, next_start: usize) {
-        self.segments_sealed += 1;
-        if self.cur_observed {
-            self.segments_since_update += 1;
-            let due = self.segments_since_update
+        self.staging.segments_sealed += 1;
+        if self.staging.cur_observed {
+            self.staging.segments_since_update += 1;
+            let due = self.staging.segments_since_update
                 >= self
                     .config
                     .effective_update_every(self.drift.any_watching());
-            if due && self.updates_suspended {
+            if due && self.staging.updates_suspended {
                 // Overload rung 2: the cadence firing is skipped (counted,
                 // never silent) and the due-pressure is kept, so the first
                 // seal after resume runs the deferred update.
-                self.updates_skipped_suspended += 1;
+                self.staging.updates_skipped_suspended += 1;
                 if telemetry::enabled() {
                     telemetry::counter("adapt.update.suspended", 1);
                 }
             } else if due {
                 self.run_update();
-                self.segments_since_update = 0;
+                self.staging.segments_since_update = 0;
             }
             // The fresh segment enters the replay buffer *after* the
             // update sampled from it, so one update never stages the same
             // windows twice.
+            let st = &self.staging;
             self.replay
-                .push_copy(self.cur_start, &self.cur_xs, &self.cur_targets);
+                .push_copy(st.cur_start, &st.cur_xs, &st.cur_targets);
         } else if telemetry::enabled() {
             telemetry::counter("adapt.segment.dropped", 1);
         }
-        self.cur_len = 0;
-        self.cur_start = next_start;
-        self.cur_observed = true;
+        let st = &mut self.staging;
+        st.cur_len = 0;
+        st.cur_start = next_start;
+        st.cur_observed = true;
     }
 
     /// One cadence firing: deterministic replay sample + the fresh
@@ -571,7 +579,7 @@ impl Adapter {
     /// gradient modulation. Failures leave the model bit-identical to the
     /// pre-update state and are recorded, never thrown.
     fn run_update(&mut self) {
-        let draw = self.updates_run + self.updates_failed;
+        let draw = self.staging.updates_run + self.staging.updates_failed;
         self.replay.sample_into(
             self.config.sample_seed,
             draw,
@@ -583,18 +591,18 @@ impl Adapter {
         let sampled = self.sample_out.iter().map(|&i| &self.replay.segments()[i]);
         let segments: Vec<TrainSegment<'_>> = sampled
             .map(|s| segment(&s.xs, &s.targets))
-            .chain([segment(&self.cur_xs, &self.cur_targets)])
+            .chain([segment(&self.staging.cur_xs, &self.staging.cur_targets)])
             .collect();
 
         self.updater
             .set_modulation(self.calib.gradient_modulation());
         let outcome = self.updater.update(&mut self.model, &segments);
         if outcome.is_ok() {
-            self.updates_run += 1;
+            self.staging.updates_run += 1;
         } else {
             // Rejected before mutation or rolled back bit-for-bit, pack
             // included: the next window serves the pre-update model.
-            self.updates_failed += 1;
+            self.staging.updates_failed += 1;
             if telemetry::enabled() {
                 telemetry::counter("adapt.update.failed", 1);
             }

@@ -136,11 +136,6 @@ impl ReplayBuffer {
         out.extend_from_slice(&scratch[..k]);
         out.sort_unstable();
     }
-
-    /// Consumes the buffer into its segments (checkpointing).
-    pub fn into_segments(self) -> Vec<Segment> {
-        self.segments
-    }
 }
 
 /// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash.

@@ -312,7 +312,7 @@ fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
         for t in &stream[..at] {
             outputs.extend(pipeline.ingest(t.clone()).expect("known names"));
         }
-        let before = pipeline.checkpoint().expect("checkpoint");
+        let before = pipeline.checkpoint();
         match pipeline.ingest(stream[at].clone()) {
             Err(AdaptError::Serve(ServeError::UnknownSymbol(msg))) => {
                 assert!(msg.contains("symbol #4"), "{msg}");
@@ -321,7 +321,7 @@ fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
             Err(other) => panic!("expected a typed ingest error, got {other}"),
             Ok(_) => panic!("an unknown symbol must not be ingested"),
         }
-        let after = pipeline.checkpoint().expect("checkpoint");
+        let after = pipeline.checkpoint();
         assert_eq!(
             after.to_json().expect("json"),
             before.to_json().expect("json"),
@@ -329,7 +329,7 @@ fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
         );
 
         let mut pipeline =
-            AdaptivePipeline::restore(&grown, metrics.clone(), adapt_config(), &after)
+            AdaptivePipeline::restore(&grown, metrics.clone(), adapt_config(), after)
                 .expect("restore against the grown table");
         for t in &stream[at..] {
             outputs.extend(pipeline.ingest(t.clone()).expect("grown table"));

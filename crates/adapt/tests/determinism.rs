@@ -4,18 +4,18 @@
 //!   bit-identical across worker thread counts;
 //! * a mid-adaptation checkpoint/restore (mid-segment between updates, or
 //!   right behind one) resumes bit-identically to the uninterrupted run;
-//! * the adapter envelope survives `CheckpointStore`'s framed, CRC-checked
-//!   persistence unchanged.
+//! * an adaptive checkpoint survives `CheckpointStore`'s framed,
+//!   CRC-checked persistence unchanged.
 
 mod common;
 
 use common::{
-    adapt_config, assert_outputs_bitwise_equal, clone_model, dataset_with_drift, run_adaptive,
-    stream_of, train_config, trained,
+    adapt_config, assert_outputs_bitwise_equal, assert_params_bitwise_equal, clone_model,
+    dataset_with_drift, parameter_values, run_adaptive, stream_of, train_config, trained,
 };
-use deeprest_adapt::AdaptivePipeline;
+use deeprest_adapt::{AdaptError, AdaptiveCheckpoint, AdaptivePipeline};
 use deeprest_core::DeepRest;
-use deeprest_serve::{Checkpoint, CheckpointStore};
+use deeprest_serve::CheckpointStore;
 
 #[test]
 fn adaptation_is_bit_identical_across_thread_counts() {
@@ -105,13 +105,13 @@ fn mid_adaptation_checkpoint_resume_is_bit_identical() {
             first.updates_run() >= 1,
             "the cut must land after at least one applied update"
         );
-        let checkpoint = first.checkpoint().expect("checkpoint");
+        let checkpoint = first.checkpoint();
         let json = checkpoint.to_json().expect("serialize checkpoint");
         drop(first);
 
-        let restored_ckpt = Checkpoint::from_json(&json).expect("parse checkpoint");
+        let restored_ckpt = AdaptiveCheckpoint::from_json(&json).expect("parse checkpoint");
         let mut resumed =
-            AdaptivePipeline::restore(&interner, metrics.clone(), config, &restored_ckpt)
+            AdaptivePipeline::restore(&interner, metrics.clone(), config, restored_ckpt)
                 .expect("restore");
         for t in &stream[cut..] {
             outputs.extend(resumed.ingest(t.clone()).expect("resumed ingest"));
@@ -148,12 +148,12 @@ fn adapter_checkpoints_survive_the_framed_store() {
         outputs.extend(first.ingest(t.clone()).expect("ingest"));
     }
     store
-        .save(&first.checkpoint().expect("checkpoint"))
+        .save(&first.checkpoint())
         .expect("save adaptive checkpoint");
     drop(first);
 
     let loaded = store.load_latest().expect("load adaptive checkpoint");
-    let mut resumed = AdaptivePipeline::restore(&interner, metrics.clone(), config, &loaded)
+    let mut resumed = AdaptivePipeline::restore(&interner, metrics.clone(), config, loaded)
         .expect("restore from store");
     for t in &stream[cut..] {
         outputs.extend(resumed.ingest(t.clone()).expect("resumed ingest"));
@@ -165,22 +165,105 @@ fn adapter_checkpoints_survive_the_framed_store() {
 }
 
 #[test]
-fn restoring_a_plain_serve_checkpoint_is_a_typed_error() {
+fn misshapen_segments_are_refused_at_restore() {
     let (model, interner, traces, metrics) = trained(24);
     let stream = stream_of(&traces);
-    let mut serve = deeprest_serve::Pipeline::new(&model, &interner, common::serve_config())
-        .with_observations(metrics.clone());
-    for t in &stream {
-        serve.ingest(t.clone()).expect("ingest");
-    }
-    let plain = serve.checkpoint();
-    match AdaptivePipeline::restore(&interner, metrics, adapt_config(), &plain) {
-        Ok(_) => panic!("plain serve checkpoints carry no adapter state"),
-        Err(err) => assert!(matches!(
-            err,
-            deeprest_adapt::AdaptError::MissingAdapterState
-        )),
-    }
+    let config = adapt_config();
+    let (pipeline, _) = run_adaptive(model, &interner, &metrics, &stream, config);
+    let intact = pipeline.checkpoint();
+    assert!(
+        !intact.adapter.replay.is_empty(),
+        "needs a replay segment to shrink"
+    );
+    AdaptivePipeline::restore(&interner, metrics.clone(), config, intact.clone())
+        .expect("the intact checkpoint restores");
+
+    // Loaded, a short replay segment would fail every update that samples
+    // it, and a full current segment would never seal again; only
+    // `updates_failed`, or nothing, would say so.
+    let refused = |checkpoint: AdaptiveCheckpoint, expect: &str| {
+        let restored = AdaptivePipeline::restore(&interner, metrics.clone(), config, checkpoint);
+        match restored {
+            Err(AdaptError::Adapter(msg)) => assert!(msg.contains(expect), "{msg}"),
+            Err(other) => panic!("expected a typed adapter error, got {other}"),
+            Ok(_) => panic!("a misshapen {expect} must not restore"),
+        }
+    };
+    let mut short = intact.clone();
+    short.adapter.replay[0].xs.pop();
+    refused(short, "replay segment 0");
+    let mut full = intact;
+    full.adapter.staging.cur_len = config.update.segment_len;
+    refused(full, "current segment");
+}
+
+/// Overload rung 2 across a checkpoint: updates are suspended through at
+/// least one due cadence firing, the pipeline is checkpointed and restored
+/// while still suspended, and after resume the deferred update runs at the
+/// first segment seal — exactly as in the uninterrupted run.
+#[test]
+fn suspended_updates_survive_a_checkpoint_and_run_deferred_after_resume() {
+    const SUSPEND_AT: usize = 18;
+    const CUT_AT: usize = 34;
+    const RESUME_AT: usize = 36;
+    let (model, interner, traces, metrics) = trained(48);
+    let stream = stream_of(&traces);
+    // Drift watch off keeps the cadence at every second segment: updates
+    // fall due at windows 16, 32 and 48, so the freeze skips the one at 32
+    // and only its kept due-pressure makes the seal at 40 run an update.
+    let mut config = adapt_config();
+    config.drift.watch = f64::MAX;
+    let seg_len = config.update.segment_len;
+
+    let run = |cut: bool| {
+        let mut pipeline =
+            AdaptivePipeline::new(clone_model(&model), &interner, metrics.clone(), config);
+        let mut outputs = Vec::new();
+        let (mut pending_cut, mut resumed_with, mut deferred_ran) = (cut, None, false);
+        for t in &stream {
+            let position = pipeline.position();
+            if (SUSPEND_AT..RESUME_AT).contains(&position) {
+                pipeline.suspend_updates();
+            }
+            if pending_cut && position >= CUT_AT {
+                assert!(pipeline.updates_suspended() && pipeline.updates_skipped_suspended() >= 1);
+                let json = pipeline.checkpoint().to_json().expect("serialize");
+                let checkpoint = AdaptiveCheckpoint::from_json(&json).expect("parse");
+                pipeline =
+                    AdaptivePipeline::restore(&interner, metrics.clone(), config, checkpoint)
+                        .expect("restore while suspended");
+                assert!(pipeline.updates_suspended(), "suspension is checkpointed");
+                pending_cut = false;
+            }
+            if position >= RESUME_AT && pipeline.updates_suspended() {
+                pipeline.resume_updates();
+                resumed_with = Some(pipeline.updates_run());
+            }
+            outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
+            let sealed = pipeline.position() / seg_len > position / seg_len;
+            if let (Some(before), true, false) = (resumed_with, sealed, deferred_ran) {
+                assert_eq!(
+                    pipeline.updates_run(),
+                    before + 1,
+                    "the deferred update runs at the first seal after resume"
+                );
+                deferred_ran = true;
+            }
+        }
+        outputs.extend(pipeline.flush().expect("flush"));
+        assert!(!pending_cut, "the stream must reach the cut");
+        assert!(deferred_ran, "the stream must seal a segment after resume");
+        assert!(!pipeline.updates_suspended());
+        assert_eq!(pipeline.updates_failed(), 0);
+        let stats = (pipeline.updates_run(), pipeline.updates_skipped_suspended());
+        (outputs, stats, parameter_values(pipeline.model()))
+    };
+    let (expected, stats, params) = run(false);
+    assert!(stats.1 >= 1, "suspension must span a due update");
+    let (outputs, resumed_stats, resumed_params) = run(true);
+    assert_outputs_bitwise_equal(&outputs, &expected);
+    assert_eq!(resumed_stats, stats);
+    assert_params_bitwise_equal(&resumed_params, &params);
 }
 
 #[test]

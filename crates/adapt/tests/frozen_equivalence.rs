@@ -83,25 +83,3 @@ fn adaptation_changes_the_model_but_serves_every_window() {
         "successful updates must move the parameters"
     );
 }
-
-#[test]
-fn plain_serve_checkpoints_stay_byte_identical() {
-    // The serve `Checkpoint` gained an `adapter` field for this subsystem;
-    // it must be omitted from serialization when absent so pre-adaptation
-    // checkpoint bytes (and their CRCs) are unchanged.
-    let (model, interner, traces, metrics) = trained(24);
-    let stream = stream_of(&traces);
-    let mut pipeline =
-        Pipeline::new(&model, &interner, serve_config()).with_observations(metrics.clone());
-    for t in &stream {
-        pipeline.ingest(t.clone()).expect("ingest");
-    }
-    let json = pipeline.checkpoint().to_json().expect("serialize");
-    assert!(
-        !json.contains("adapter"),
-        "a plain serve checkpoint must not mention the adapter field"
-    );
-    // And it round-trips (None adapter) through the codec.
-    let back = deeprest_serve::Checkpoint::from_json(&json).expect("parse");
-    assert!(back.adapter.is_none());
-}

@@ -15,10 +15,9 @@ use common::{
     adapt_config, assert_outputs_bitwise_equal, assert_params_bitwise_equal, dataset_with_drift,
     parameter_values, run_adaptive, train_config,
 };
-use deeprest_adapt::{AdaptivePipeline, ReplayBuffer};
+use deeprest_adapt::{AdaptiveCheckpoint, AdaptivePipeline, ReplayBuffer};
 use deeprest_core::DeepRest;
 use deeprest_metrics::MetricsRegistry;
-use deeprest_serve::Checkpoint;
 use deeprest_trace::window::TimestampedTrace;
 use deeprest_trace::Interner;
 use proptest::prelude::*;
@@ -144,13 +143,12 @@ proptest! {
         }
         let json = first
             .checkpoint()
-            .expect("checkpoint")
             .to_json()
             .expect("serialize");
         drop(first);
-        let ckpt = Checkpoint::from_json(&json).expect("parse");
+        let ckpt = AdaptiveCheckpoint::from_json(&json).expect("parse");
         let mut resumed =
-            AdaptivePipeline::restore(&sh.interner, sh.metrics.clone(), config, &ckpt)
+            AdaptivePipeline::restore(&sh.interner, sh.metrics.clone(), config, ckpt)
                 .expect("restore");
         for t in &sh.stream[cut..] {
             outputs.extend(resumed.ingest(t.clone()).expect("resumed ingest"));

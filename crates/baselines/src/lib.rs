@@ -22,19 +22,19 @@
 #![warn(missing_docs)]
 
 //! A fourth, non-estimating baseline rides along for the closed-loop
-//! autoscaling comparison: [`ReactiveScaling`], an HPA-style threshold
-//! controller that reacts to observed utilization with no traffic
-//! foresight — the policy `deeprest-scale`'s proactive loop is measured
-//! against.
+//! autoscaling comparison: [`ReactiveConfig`] tunes the HPA-style
+//! threshold policy (`deeprest_scale::ReactiveBaseline`) that reacts to
+//! observed utilization with no traffic foresight — the policy
+//! `deeprest-scale`'s proactive loop is measured against.
 
 mod component_aware;
 mod interface;
-mod reactive_scaling;
+mod reactive;
 mod resource_aware;
 mod simple_scaling;
 
 pub use component_aware::ComponentAwareScaling;
 pub use interface::{day_profile, BaselineEstimator, LearnData, QueryData};
-pub use reactive_scaling::{ReactiveConfig, ReactiveScaling};
+pub use reactive::ReactiveConfig;
 pub use resource_aware::ResourceAwareDl;
 pub use simple_scaling::SimpleScaling;

@@ -97,12 +97,6 @@ impl EstimatorSet {
         }
         out
     }
-
-    /// DeepRest's full interval prediction for a traffic query (used by the
-    /// curve figures).
-    pub fn deeprest_intervals(&self, traffic: &ApiTraffic, seed: u64) -> deeprest_core::Estimates {
-        self.deeprest.estimate_traffic(traffic, seed)
-    }
 }
 
 fn display_name(internal: &str) -> String {
@@ -251,21 +245,6 @@ impl ExpCtx {
     ) -> SimOutput {
         let cfg = self.sim_cfg.clone().with_seed(self.sim_cfg.seed ^ 0x77);
         simulate_with(&self.app, traffic, &cfg, injectors)
-    }
-
-    /// Initial values for cumulative resources at query start (the last
-    /// observed learning value), used to integrate DeepRest's disk deltas.
-    pub fn cumulative_initials(&self) -> BTreeMap<MetricKey, f64> {
-        self.scope
-            .iter()
-            .filter(|k| k.resource.cumulative())
-            .filter_map(|k| {
-                self.learn
-                    .metrics
-                    .get(k)
-                    .map(|s| (k.clone(), s.values().last().copied().unwrap_or(0.0)))
-            })
-            .collect()
     }
 
     /// Ground-truth-aligned initials (disk size at the *query* run's start),

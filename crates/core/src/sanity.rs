@@ -99,19 +99,6 @@ pub struct SanityReport {
     pub estimates: Estimates,
 }
 
-impl SanityReport {
-    /// Windows flagged anomalous by the overall score.
-    pub fn anomalous_windows(&self, config: &SanityConfig) -> Vec<usize> {
-        self.overall
-            .values()
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s > config.score_threshold)
-            .map(|(t, _)| t)
-            .collect()
-    }
-}
-
 /// Runs an application sanity check: estimates expected utilization from the
 /// real `traces` and compares against the `actual` metrics.
 ///

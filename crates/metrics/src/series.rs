@@ -37,11 +37,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable access to the values.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Value at window `t`.
     pub fn get(&self, t: usize) -> f64 {
         self.values[t]

@@ -1,6 +1,8 @@
 //! The closed control loop: simulate a window, stream its traces through
 //! the serving pipeline, and on each control tick fork a what-if query off
-//! the live predictor to decide the next deployment.
+//! the live predictor to decide the next deployment. A [`ScaleCheckpoint`]
+//! holds the pipeline's [`Checkpoint`] as a value, so the loop's state is
+//! one serde tree, written once.
 
 use deeprest_core::{DeepRest, Estimates};
 use deeprest_fault as fault;
@@ -101,8 +103,8 @@ pub struct ScaleCheckpoint {
     pub window: usize,
     /// Simulator state.
     pub sim: SimStepperState,
-    /// Serving-pipeline checkpoint, JSON-framed.
-    pub serve: String,
+    /// Serving-pipeline checkpoint.
+    pub serve: Checkpoint,
     /// Controller state.
     pub controller: ControllerState,
     /// Forecast calibration EWMA.
@@ -161,13 +163,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         policy: P,
         config: ScaleLoopConfig,
     ) -> Self {
-        let apis: Vec<String> = scenario
-            .actual
-            .apis()
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
-        let stepper = SimStepper::new(&scenario.app, &apis, &scenario.sim);
+        let stepper = SimStepper::new(&scenario.app, &api_names(scenario), &scenario.sim);
         let serve_config = ServeConfig::default()
             .with_window_secs(scenario.sim.window_secs)
             .with_lateness_secs(config.lateness_secs)
@@ -206,20 +202,11 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
     }
 
     /// Captures the full dynamic state for bit-identical resume.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the serving checkpoint fails to serialize.
-    pub fn checkpoint(&self) -> Result<ScaleCheckpoint, String> {
-        let serve = self
-            .pipeline
-            .checkpoint()
-            .to_json()
-            .map_err(|e| format!("scale checkpoint: serve state: {e}"))?;
-        Ok(ScaleCheckpoint {
+    pub fn checkpoint(&self) -> ScaleCheckpoint {
+        ScaleCheckpoint {
             window: self.window,
             sim: self.stepper.checkpoint(),
-            serve,
+            serve: self.pipeline.checkpoint(),
             controller: self.controller.state(),
             calibration: self.calibration,
             violations: self.violations,
@@ -227,7 +214,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
             replica_windows: self.replica_windows.clone(),
             estimate_errors: self.estimate_errors,
             decisions: self.decisions.clone(),
-        })
+        }
     }
 
     /// Rebuilds a loop from a [`checkpoint`](Self::checkpoint);
@@ -245,20 +232,10 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         ckpt: ScaleCheckpoint,
     ) -> Result<Self, String> {
         let mut this = Self::new(model, scenario, policy, config);
-        let apis: Vec<String> = scenario
-            .actual
-            .apis()
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
+        let apis = api_names(scenario);
         this.stepper = SimStepper::restore(&scenario.app, &apis, &scenario.sim, ckpt.sim)?;
-        let serve = Checkpoint::from_json(&ckpt.serve)
-            .map_err(|e| format!("scale restore: serve state: {e}"))?;
-        let serve_config = ServeConfig::default()
-            .with_window_secs(scenario.sim.window_secs)
-            .with_lateness_secs(config.lateness_secs)
-            .with_control_interval(config.control_interval);
-        this.pipeline = Pipeline::restore(model, this.stepper.interner(), serve_config, serve)
+        let serve_config = *this.pipeline.config();
+        this.pipeline = Pipeline::restore(model, this.stepper.interner(), serve_config, ckpt.serve)
             .map_err(|e| format!("scale restore: pipeline: {e}"))?;
         this.controller.restore_state(ckpt.controller)?;
         this.window = ckpt.window;
@@ -435,4 +412,14 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
             telemetry::counter("scale.estimate.error", 1);
         }
     }
+}
+
+/// The scenario's API endpoints, in traffic column order.
+fn api_names(scenario: &Scenario) -> Vec<String> {
+    scenario
+        .actual
+        .apis()
+        .iter()
+        .map(|a| a.to_string())
+        .collect()
 }

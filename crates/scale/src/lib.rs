@@ -27,8 +27,9 @@
 //! Everything is seeded and deterministic: the same
 //! `(scenario, policy, config)` triple produces a bit-identical
 //! [`DecisionRecord`] sequence at any `DEEPREST_THREADS` setting, and a
-//! [`ScaleCheckpoint`] resumes mid-scenario without perturbing a single
-//! decision. The scenario-test harness (`tests/scenarios.rs`) pins the
+//! [`ScaleCheckpoint`] — one serde tree, the serving pipeline's
+//! [`deeprest_serve::Checkpoint`] nested in it as a value — resumes
+//! mid-scenario without perturbing a single decision. The scenario-test harness (`tests/scenarios.rs`) pins the
 //! traces as golden fixtures and asserts the headline claim: proactive
 //! beats reactive on SLO-violation windows at equal or lower provisioned
 //! cost.

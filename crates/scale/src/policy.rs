@@ -117,16 +117,13 @@ impl ScalePolicy for TargetUtilizationPolicy {
 /// The reactive threshold baseline: classic HPA control on *observed*
 /// per-replica utilization, with no traffic foresight.
 ///
-/// The decision formula is the one
-/// [`deeprest_baselines::ReactiveScaling`] implements and unit-tests —
-/// `ceil(current × observed / target)` inside a relative deadband — reused
-/// here in the controller-owned actuation discipline (the standalone
-/// baseline carries its own cooldown; under the [`crate::ScaleController`] the
-/// cooldown is applied once, centrally, so both policies face identical
-/// rate limits).
+/// The decision is HPA's formula — `ceil(current × observed / target)`,
+/// held inside a relative deadband — with no bounds or cooldown of its
+/// own: the [`crate::ScaleController`] applies those once, centrally, so
+/// both policies face identical rate limits.
 #[derive(Clone, Copy, Debug)]
 pub struct ReactiveBaseline {
-    /// Target/deadband tuning, shared with the standalone baseline.
+    /// Target/deadband tuning.
     pub config: ReactiveConfig,
 }
 

@@ -14,7 +14,11 @@
 //!    suspended (the registry fires its overload hook; see
 //!    `AdaptivePipeline::suspend_updates`) and serving continues on the
 //!    same [`WindowStages`](crate::WindowStages) with the model held
-//!    still, so it stays bit-exact.
+//!    still, so it stays bit-exact. Due cadence firings are skipped and
+//!    counted; the suspension and the kept due-pressure are part of the
+//!    adapter state in an `AdaptiveCheckpoint`, so a pipeline restored
+//!    mid-freeze is still frozen and, once resumed, runs the deferred
+//!    update at its first segment seal.
 //! 3. **Circuit breaker** (per tenant, [`CircuitBreaker`]) — a tenant
 //!    that stays over its admission quotas for
 //!    [`BreakerConfig::trip_rounds`] consecutive rounds is quarantined:

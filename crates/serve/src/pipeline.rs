@@ -124,13 +124,6 @@ pub struct Checkpoint {
     /// checkpoints.
     #[serde(default)]
     pub last_control: usize,
-    /// Opaque continual-learning adapter state attached by an embedding
-    /// `deeprest-adapt` pipeline (serialized envelope: adapted model JSON
-    /// plus replay/drift/calibration state). `None` for plain serving
-    /// checkpoints, and omitted from the JSON so pre-adaptation
-    /// checkpoints round-trip byte-identically.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub adapter: Option<String>,
 }
 
 impl Checkpoint {
@@ -212,7 +205,7 @@ impl WindowStages {
     }
 
     /// Rebuilds the stages from a [`checkpoint`](Self::checkpoint); its
-    /// predictor snapshot and adapter envelope are the caller's to restore.
+    /// predictor snapshot is the caller's to restore.
     ///
     /// # Errors
     ///
@@ -495,10 +488,10 @@ impl WindowStages {
         })
     }
 
-    /// Assembles a [`Checkpoint`] around the caller's carried state and
-    /// adapter envelope — parked windows and undelivered outputs included,
-    /// so a restore loses nothing.
-    pub fn checkpoint(&self, carried: &CarriedState, adapter: Option<String>) -> Checkpoint {
+    /// Assembles a [`Checkpoint`] around the caller's carried state —
+    /// parked windows and undelivered outputs included, so a restore loses
+    /// nothing.
+    pub fn checkpoint(&self, carried: &CarriedState) -> Checkpoint {
         Checkpoint {
             assembler: self.assembler.clone(),
             predictor: carried.snapshot(),
@@ -506,7 +499,6 @@ impl WindowStages {
             pending: self.pending.clone(),
             ready: self.ready.clone(),
             last_control: self.last_control,
-            adapter,
         }
     }
 }
@@ -635,7 +627,7 @@ impl<'m> Pipeline<'m> {
     /// including windows parked by a step failure and outputs not yet
     /// handed to the caller, so a restore loses nothing.
     pub fn checkpoint(&self) -> Checkpoint {
-        self.stages.checkpoint(&self.carried, None)
+        self.stages.checkpoint(&self.carried)
     }
 
     /// Rebuilds a pipeline from a [`checkpoint`](Self::checkpoint),

@@ -196,17 +196,6 @@ pub enum AdmitRejected {
 }
 
 impl AdmitRejected {
-    /// Recovers the rejected arrival.
-    pub fn into_trace(self) -> TimestampedTrace {
-        match self {
-            AdmitRejected::WindowQuota(t)
-            | AdmitRejected::ByteQuota(t)
-            | AdmitRejected::QueueFull(t)
-            | AdmitRejected::QueueClosed(t)
-            | AdmitRejected::Breaker { trace: t, .. } => t,
-        }
-    }
-
     /// Short reason tag (the telemetry suffix).
     pub fn reason(&self) -> &'static str {
         match self {
@@ -486,11 +475,6 @@ impl<'m> TenantRegistry<'m> {
     /// Tenant `t`'s serving pipeline (read-only).
     pub fn pipeline(&self, t: TenantId) -> &Pipeline<'m> {
         &self.tenants[t].pipeline
-    }
-
-    /// Tenant `t`'s admission configuration.
-    pub fn tenant_config(&self, t: TenantId) -> &TenantConfig {
-        &self.tenants[t].config
     }
 
     /// Submits one arrival for tenant `t`, applying admission control:

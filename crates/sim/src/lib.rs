@@ -140,16 +140,6 @@ impl AppSpec {
         self.apis.iter().find(|a| a.endpoint == endpoint)
     }
 
-    /// Component names in declaration order.
-    pub fn component_names(&self) -> Vec<&str> {
-        self.components.iter().map(|c| c.name.as_str()).collect()
-    }
-
-    /// Endpoint names in declaration order.
-    pub fn api_endpoints(&self) -> Vec<&str> {
-        self.apis.iter().map(|a| a.endpoint.as_str()).collect()
-    }
-
     /// The default API mix (endpoint, weight) from each API's declared
     /// weight, for workload construction.
     pub fn default_mix(&self) -> Vec<(String, f64)> {

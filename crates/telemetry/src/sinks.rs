@@ -69,11 +69,6 @@ impl MemorySink {
         self.lock().spans.get(name).copied().unwrap_or_default()
     }
 
-    /// Names of all spans observed so far.
-    pub fn span_names(&self) -> Vec<String> {
-        self.lock().spans.keys().cloned().collect()
-    }
-
     /// Total events delivered.
     pub fn event_count(&self) -> u64 {
         self.lock().events

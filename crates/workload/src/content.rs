@@ -32,11 +32,6 @@ impl SocialGraph {
         Self { followees }
     }
 
-    /// Number of users.
-    pub fn user_count(&self) -> usize {
-        self.followees.len()
-    }
-
     /// Followee count of user `u`.
     pub fn followees(&self, u: usize) -> u32 {
         self.followees[u % self.followees.len()]

@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use deeprest::adapt::{AdaptConfig, AdaptivePipeline};
+use deeprest::adapt::{AdaptConfig, AdaptiveCheckpoint, AdaptivePipeline};
 use deeprest::core::{DeepRest, DeepRestConfig};
 use deeprest::metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest::serve::{
@@ -219,12 +219,11 @@ fn adaptive_checkpoint_between_updates_resumes_bit_identically() {
             if cut == Some(i) {
                 let json = pipeline
                     .checkpoint()
-                    .expect("checkpoint")
                     .to_json()
                     .expect("serialize checkpoint");
-                let checkpoint = Checkpoint::from_json(&json).expect("parse checkpoint");
+                let checkpoint = AdaptiveCheckpoint::from_json(&json).expect("parse checkpoint");
                 pipeline =
-                    AdaptivePipeline::restore(&f.interner, f.observed.clone(), config, &checkpoint)
+                    AdaptivePipeline::restore(&f.interner, f.observed.clone(), config, checkpoint)
                         .expect("restore");
             }
             outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
