@@ -16,9 +16,13 @@
 //! The two directions are built differently. [`export`] serializes the
 //! `JaegerDoc` structs through serde. Import is the serving path's first
 //! stage and runs on every scrape window, so it has its own single-pass
-//! parser (the `ingest` submodule) that never builds a document tree; the
-//! serde derive of the same structs survives under `cfg(test)` as the oracle
-//! the parser is differenced against.
+//! parser (the `ingest` submodule) that never builds a document tree: one
+//! cursor that scans sixteen bytes at a time and matches the keys it reads
+//! as whole words, then a link that sorts and looks up ids on an integer key
+//! and interns each name once per document. Each import records a
+//! `trace.jaeger.parse` and a `trace.jaeger.link` telemetry span. The serde
+//! derive of the same structs survives under `cfg(test)` as the oracle the
+//! parser is differenced against.
 
 use std::collections::HashMap;
 
@@ -542,6 +546,39 @@ mod tests {
         });
         assert_eq!(sink.counter("trace.malformed_dropped"), 1);
         assert_eq!(sink.counter("trace.malformed_dropped.dangling_parent"), 1);
+    }
+
+    #[test]
+    fn an_import_times_its_parse_and_its_link_once_per_document() {
+        let (i, traces) = sample();
+        let json = export(&traces, &i);
+        let sink = std::sync::Arc::new(telemetry::MemorySink::new());
+        let plan = std::sync::Arc::new(deeprest_fault::FaultPlan::new(0).once("trace.parse", 2));
+        let spans = |name| sink.span_count(name);
+        telemetry::with_sink(sink.clone(), || {
+            deeprest_fault::with_plan(plan, || {
+                let mut names = Interner::new();
+                for _ in 0..2 {
+                    assert_eq!(import(&json, &mut names).expect("valid").len(), 2);
+                }
+                assert_eq!(
+                    (spans("trace.jaeger.parse"), spans("trace.jaeger.link")),
+                    (2, 2)
+                );
+                // Refused by the probe: neither span.
+                assert!(import(&json, &mut names).is_err());
+                assert_eq!(
+                    (spans("trace.jaeger.parse"), spans("trace.jaeger.link")),
+                    (2, 2)
+                );
+                // Fails to parse: a parse span and no link span.
+                assert!(import(&json[..json.len() - 1], &mut names).is_err());
+                assert_eq!(
+                    (spans("trace.jaeger.parse"), spans("trace.jaeger.link")),
+                    (3, 2)
+                );
+            });
+        });
     }
 
     #[test]

@@ -416,10 +416,39 @@ mod differential {
         out.push('"');
     }
 
-    fn render(out: &mut String, json: &Json, rng: &mut Rng) {
-        let gap = |out: &mut String, rng: &mut Rng| {
-            out.push_str(rng.pick(&["", "", " ", "\n\t", "\r\n  "]))
-        };
+    /// The whitespace `render` puts between tokens.
+    #[derive(Clone, Copy)]
+    enum Gaps {
+        /// At most three characters: what the mutation property renders.
+        Short,
+        /// Runs of 0–40 spaces, tabs, CRs and LFs in any mix.
+        Long,
+        /// None anywhere: minified.
+        None,
+        /// A pretty-printer's layout in other spellings: a newline and
+        /// `depth` units of indent before each entry and closing bracket, a
+        /// space after each `:`, nothing else.
+        Indent(&'static str, &'static str),
+    }
+
+    fn gap(out: &mut String, rng: &mut Rng, gaps: Gaps, depth: usize) {
+        match gaps {
+            Gaps::Short => out.push_str(rng.pick(&["", "", " ", "\n\t", "\r\n  "])),
+            Gaps::Long => {
+                for _ in 0..rng.below(41) {
+                    out.push([' ', ' ', ' ', '\t', '\r', '\n'][rng.below(6)]);
+                }
+            }
+            Gaps::None => {}
+            Gaps::Indent(newline, unit) => {
+                out.push_str(newline);
+                (0..depth).for_each(|_| out.push_str(unit));
+            }
+        }
+    }
+
+    fn render(out: &mut String, json: &Json, rng: &mut Rng, gaps: Gaps, depth: usize) {
+        let indent = matches!(gaps, Gaps::Indent(..) | Gaps::None);
         match json {
             Json::Raw(text) => out.push_str(text),
             Json::Str(s) => render_string(out, s, rng),
@@ -429,10 +458,12 @@ mod differential {
                     if i > 0 {
                         out.push(',');
                     }
-                    gap(out, rng);
-                    render(out, item, rng);
+                    gap(out, rng, gaps, depth + 1);
+                    render(out, item, rng, gaps, depth + 1);
                 }
-                gap(out, rng);
+                if !items.is_empty() || !indent {
+                    gap(out, rng, gaps, depth);
+                }
                 out.push(']');
             }
             Json::Obj(entries) => {
@@ -441,14 +472,21 @@ mod differential {
                     if i > 0 {
                         out.push(',');
                     }
-                    gap(out, rng);
+                    gap(out, rng, gaps, depth + 1);
                     render_string(out, key, rng);
-                    gap(out, rng);
+                    if !indent {
+                        gap(out, rng, gaps, depth + 1);
+                    }
                     out.push(':');
-                    gap(out, rng);
-                    render(out, value, rng);
+                    match gaps {
+                        Gaps::Indent(..) => out.push(' '),
+                        _ => gap(out, rng, gaps, depth + 1),
+                    }
+                    render(out, value, rng, gaps, depth + 1);
                 }
-                gap(out, rng);
+                if !entries.is_empty() || !indent {
+                    gap(out, rng, gaps, depth);
+                }
                 out.push('}');
             }
         }
@@ -456,12 +494,16 @@ mod differential {
 
     /// An exported document, damaged and re-spelled from `seed`.
     fn mutated(seed: u64) -> String {
+        mutated_with(seed, Gaps::Short)
+    }
+
+    fn mutated_with(seed: u64, gaps: Gaps) -> String {
         let mut rng = Rng(seed);
         let value: Value = serde_json::from_str(&exported(&mut rng)).expect("export is JSON");
         let mut json = from_value(&value);
         mutate(&mut json, &mut rng, &mut Vec::new());
         let mut out = String::new();
-        render(&mut out, &json, &mut rng);
+        render(&mut out, &json, &mut rng, gaps, 0);
         out
     }
 
@@ -643,6 +685,165 @@ mod differential {
             let mut names = seeded();
             assert!(matches!(import(doc, &mut names), Err(ImportError::Json(_))));
             assert_eq!(names.len(), seeded().len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Whitespace runs of every length up to 40, spaces mixed with tabs,
+        /// CRs and LFs, between every two tokens.
+        #[test]
+        fn long_whitespace_runs_import_alike(seed in any::<u64>()) {
+            assert_same(&mutated_with(seed, Gaps::Long));
+        }
+    }
+
+    /// The exporter's documents as it writes them, minified, and re-indented
+    /// with tabs, CRLFs and indents that take several words to skip.
+    #[test]
+    fn exports_minified_and_reindented_import_alike() {
+        for seed in 0..300 {
+            let mut rng = Rng(seed);
+            let pretty = exported(&mut rng);
+            let expected = assert_same(&pretty);
+            let json = from_value(&serde_json::from_str(&pretty).expect("export is JSON"));
+            for gaps in [
+                Gaps::None,
+                Gaps::Indent("\n", "\t"),
+                Gaps::Indent("\r\n", "    "),
+                Gaps::Indent("\n", "          "),
+            ] {
+                let mut out = String::new();
+                render(&mut out, &json, &mut rng, gaps, 0);
+                assert_eq!(assert_same(&out), expected, "{out}");
+            }
+        }
+    }
+
+    /// A `"` or `\` at every offset of a string, the string starting at
+    /// every offset of a word, as a kept name, a skipped key and the last
+    /// value of the document (whose closing quote is two bytes from the
+    /// end); and every cut through that last value.
+    #[test]
+    fn quotes_and_backslashes_at_every_offset_import_alike() {
+        for pad in 0..16 {
+            let pad = " ".repeat(pad);
+            for len in 0..34 {
+                for at in 0..=len + 1 {
+                    let mut name: String =
+                        (0..len).map(|i| char::from(b'a' + i as u8 % 26)).collect();
+                    if at <= len {
+                        name.insert_str(at, if at % 2 == 0 { "\\\"" } else { "\\\\" });
+                    }
+                    let json = format!(
+                        r#"{{"data":[{{"traceID":"t","spans":[{{"traceID":"t","spanID":"s","operationName":"{name}","processID":"p","{name}":0}}],"processes":{{"p":{{"serviceName":"S"}}}}}}]{pad},"x":{pad}"{name}"}}"#
+                    );
+                    assert!(assert_same(&json).traces.is_ok(), "{json}");
+                    if pad.is_empty() {
+                        for cut in json.len() - name.len() - 3..json.len() {
+                            assert_same(&json[..cut]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ids and names that tie on the link's integer key — one length, the
+    /// same first and last bytes, different bytes between — beside ids short
+    /// enough to fit it whole, the empty id, ids past 255 bytes, duplicate
+    /// span ids and process ids listed twice.
+    #[test]
+    fn ids_that_tie_on_the_key_import_alike() {
+        let tied = |middle: &str| format!("abcdefgh{middle}12345678");
+        let pool = [
+            tied("X"),
+            tied("Y"),
+            tied("XY"),
+            tied("YX"),
+            tied("XX"),
+            "abcdefg_12345678".to_owned(),
+            "abcdefgX12345678".to_owned(),
+            "x".repeat(300),
+            format!("{}y{}", "x".repeat(150), "x".repeat(149)),
+            String::new(),
+            "a".to_owned(),
+            "p".to_owned(),
+            "p1".to_owned(),
+            "abcdefg".to_owned(),
+        ];
+        let mut rng = Rng(11);
+        let pick = |rng: &mut Rng| pool[rng.below(pool.len())].as_str();
+        let mut linked = 0;
+        for _ in 0..3000 {
+            let processes: Vec<&str> = (0..1 + rng.below(4)).map(|_| pick(&mut rng)).collect();
+            let table: Vec<String> = processes
+                .iter()
+                .map(|&id| format!(r#""{id}":{{"serviceName":"{}"}}"#, pick(&mut rng)))
+                .collect();
+            let n = 1 + rng.below(8);
+            let ids: Vec<&str> = (0..n).map(|_| pick(&mut rng)).collect();
+            let spans: Vec<String> = (0..n)
+                .map(|s| {
+                    let parent = match rng.below(5) {
+                        0 => String::new(),
+                        1 => pick(&mut rng).to_owned(),
+                        _ => ids[rng.below(n)].to_owned(),
+                    };
+                    let references = match parent.is_empty() && s % 2 == 0 {
+                        true => String::new(),
+                        false => format!(r#","references":[{{"refType":"CHILD_OF","spanID":"{parent}"}}]"#),
+                    };
+                    let process = processes[rng.below(processes.len())];
+                    let operation = pick(&mut rng);
+                    format!(
+                        r#"{{"traceID":"t","spanID":"{}","operationName":"{operation}","processID":"{process}"{references}}}"#,
+                        ids[s]
+                    )
+                })
+                .collect();
+            let json = format!(
+                r#"{{"data":[{{"traceID":"t","spans":[{}],"processes":{{{}}}}}]}}"#,
+                spans.join(","),
+                table.join(",")
+            );
+            linked += assert_same(&json).traces.map_or(0, |t| t.len());
+        }
+        assert!(linked > 500, "only {linked} of 3000 traces linked");
+    }
+
+    /// `startTime` and `duration` at and past the edges of `u64`, and in
+    /// the lenient spellings the vendored grammar takes: the arrival time's
+    /// bits and the verdict match.
+    #[test]
+    fn times_at_the_edges_of_u64_import_alike() {
+        for start in [
+            "18446744073709551615",
+            "18446744073709551616",
+            "18446744073709551614",
+            "9999999999999999999",
+            "10000000000000000000",
+            "99999999999999999999",
+            "000000000000000000000001",
+            "-0",
+            "01",
+            "1.",
+            "0",
+            "-1",
+            "1e19",
+            "2.5e6",
+        ] {
+            for duration in ["0", "18446744073709551616", "-0", "1."] {
+                let json = format!(
+                    r#"{{"data":[{{"traceID":"t","spans":[
+                    {{"traceID":"t","spanID":"1","operationName":"o","processID":"p","startTime":{start},"duration":{duration}}},
+                    {{"traceID":"t","spanID":"2","operationName":"o","processID":"p","startTime":7,
+                      "references":[{{"refType":"CHILD_OF","spanID":"1"}}]}}
+                    ],"processes":{{"p":{{"serviceName":"S"}}}}}}]}}"#
+                );
+                assert_same(&json);
+            }
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Adversarial property tests for the Jaeger importer: documents mixing
 //! valid traces with deliberately corrupt ones (unknown processes,
 //! dangling parents, parent cycles, duplicate span ids, absurd
-//! timestamps) and documents truncated at arbitrary byte offsets.
+//! timestamps), documents truncated at arbitrary byte offsets, documents
+//! respaced with long runs of mixed whitespace, and span ids the link's
+//! integer key cannot tell apart.
 //!
 //! The contract under attack: the importer **never panics**, a malformed
 //! *document* is a typed [`ImportError`], and a malformed *trace* inside a
@@ -9,7 +11,7 @@
 //! imported completely and counted exactly.
 
 use deeprest_trace::jaeger::{import_timestamped_counted, ImportError};
-use deeprest_trace::Interner;
+use deeprest_trace::{Interner, Trace};
 use proptest::prelude::*;
 
 /// `import_timestamped_counted` on a document whose one trace carries
@@ -119,8 +121,105 @@ fn malformed_trace(idx: usize, kind: u8) -> String {
     }
 }
 
+/// `json` with a run of whitespace after every structural character and
+/// every string: `gaps` cycles through run lengths (0–40) and the bits that
+/// pick each byte of a run among space, tab, CR and LF.
+fn respaced(json: &str, gaps: &[(usize, u64)]) -> String {
+    let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+    let mut runs = gaps.iter().cycle();
+    for c in json.chars() {
+        out.push(c);
+        let ends_token = match (in_string, escaped, c) {
+            (true, true, _) => {
+                escaped = false;
+                false
+            }
+            (true, false, '\\') => {
+                escaped = true;
+                false
+            }
+            (_, _, '"') => {
+                in_string = !in_string;
+                !in_string
+            }
+            (false, _, c) => "{}[],:".contains(c),
+            _ => false,
+        };
+        if ends_token {
+            let &(len, bits) = runs.next().expect("gaps is not empty");
+            out.extend(
+                (0..len).map(|i| [' ', '\t', '\r', '\n'][(bits >> (2 * (i % 32)) & 3) as usize]),
+            );
+        }
+    }
+    out
+}
+
+/// What an import yields, in comparable form: the traces with their arrival
+/// times' bits, and the name table.
+fn imported(json: &str) -> (Vec<(u64, Trace)>, Vec<String>) {
+    let mut names = Interner::new();
+    let stats = import_timestamped_counted(json, &mut names).expect("valid document");
+    let traces = stats
+        .traces
+        .into_iter()
+        .map(|t| (t.at_secs.to_bits(), t.trace))
+        .collect();
+    (
+        traces,
+        names.iter().map(|(_, name)| name.to_owned()).collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whitespace between tokens changes nothing: runs of 0–40 spaces, tabs,
+    /// CRs and LFs in any mix after every structural character and string.
+    #[test]
+    fn whitespace_between_tokens_changes_nothing(
+        sizes in proptest::collection::vec(1usize..6, 1..4),
+        start in any::<u64>(),
+        gaps in proptest::collection::vec((0usize..41, any::<u64>()), 1..64),
+    ) {
+        let traces: Vec<String> =
+            sizes.iter().enumerate().map(|(i, &n)| valid_trace(i, n, start)).collect();
+        let json = format!(r#"{{"data":[{}]}}"#, traces.join(","));
+        prop_assert_eq!(imported(&respaced(&json, &gaps)), imported(&json));
+    }
+
+    /// Span ids of one length whose first and last eight bytes agree, told
+    /// apart only between, link by their bytes: a chain of them, listed in
+    /// any rotation, imports whole and in order.
+    #[test]
+    fn ids_alike_at_both_ends_link_by_their_bytes(
+        n in 2usize..12,
+        width in 2usize..6,
+        turn in any::<u64>(),
+    ) {
+        let id = |s: usize| format!("span-id-{s:0width$}-end-of-id");
+        let spans: Vec<String> = (0..n)
+            .map(|s| {
+                let parent = match s {
+                    0 => String::new(),
+                    s => format!(r#""references":[{{"refType":"CHILD_OF","spanID":"{}"}}],"#, id(s - 1)),
+                };
+                format!(r#"{{"traceID":"t","spanID":"{}","operationName":"op{s}",{parent}"processID":"p"}}"#, id(s))
+            })
+            .collect();
+        let mut listed = spans.clone();
+        listed.rotate_left(turn as usize % n);
+        let json = format!(
+            r#"{{"data":[{{"traceID":"t","spans":[{}],"processes":{{"p":{{"serviceName":"S"}}}}}}]}}"#,
+            listed.join(",")
+        );
+        let mut names = Interner::new();
+        let stats = import_timestamped_counted(&json, &mut names).expect("valid document");
+        prop_assert_eq!(stats.traces.len(), 1);
+        let mut operations = Vec::new();
+        stats.traces[0].trace.root.visit(&mut |s| operations.push(names.resolve(s.operation).to_owned()));
+        prop_assert_eq!(operations, (0..n).map(|s| format!("op{s}")).collect::<Vec<_>>());
+    }
 
     /// Valid and malformed traces interleaved arbitrarily: the valid
     /// subset imports completely, the corrupt subset is dropped and
