@@ -240,6 +240,43 @@ fn bench_gemv(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_activations(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel");
+    group.sample_size(30);
+    // The GRU's activations over 4,096 pre-activations spread across the
+    // gates' working range: the scalar ports one call at a time, then the
+    // fused gate entry with `-0.0` addends, which is the AVX2+FMA twin
+    // where the CPU has both and the scalar loop elsewhere.
+    let x: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.37).sin() * 6.0).collect();
+    let zeros = vec![-0.0f32; x.len()];
+    let mut out = vec![0.0f32; x.len()];
+    type Gate = fn(&mut [f32], &[f32], &[f32], &[f32]);
+    for (name, scalar, gate) in [
+        (
+            "sigmoid",
+            kernel::sigmoid as fn(f32) -> f32,
+            kernel::gate_sigmoid_into as Gate,
+        ),
+        ("tanh", kernel::tanh, kernel::gate_tanh_into),
+    ] {
+        group.bench_function(&format!("act/{name}/scalar"), |b| {
+            b.iter(|| {
+                for (o, &v) in out.iter_mut().zip(black_box(&x)) {
+                    *o = scalar(v);
+                }
+                out[0]
+            });
+        });
+        group.bench_function(&format!("act/{name}/gate"), |b| {
+            b.iter(|| {
+                gate(&mut out, black_box(&x), &zeros, &zeros);
+                out[0]
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_joint_training_epoch(c: &mut Criterion) {
     let mut group = c.benchmark_group("joint_training_epoch");
     group.sample_size(10);
@@ -746,6 +783,7 @@ criterion_group!(
     bench_trace_synthesis,
     bench_matmul,
     bench_gemv,
+    bench_activations,
     bench_expert_training_epoch,
     bench_joint_training_epoch,
     bench_expert_inference,

@@ -16,7 +16,7 @@ use deeprest_nn::{
     Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, Sgd, TrainerConfig,
 };
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{ParamId, ParamStore, Pool, Tensor};
+use deeprest_tensor::{kernel, ParamId, ParamStore, Pool, Tensor};
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::Interner;
 use deeprest_workload::ApiTraffic;
@@ -855,7 +855,7 @@ impl DeepRest {
                 .value(e.mask)
                 .data()
                 .iter()
-                .map(|&m| 1.0 / (1.0 + (-m).exp()))
+                .map(|&m| kernel::sigmoid(m))
                 .collect()
         })
     }

@@ -52,7 +52,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let m = mask_logits(16, &mut rng);
         for &v in m.data() {
-            let sig = 1.0 / (1.0 + (-v).exp());
+            let sig = deeprest_tensor::kernel::sigmoid(v);
             assert!((0.5..0.56).contains(&sig));
         }
     }

@@ -87,7 +87,10 @@
 
 use std::ops::Range;
 
-use deeprest_tensor::kernel::{gemm_into, gemv_batch_into, gemv_t_batch_into, Support};
+use deeprest_tensor::kernel::{
+    gate_sigmoid_into, gate_tanh_into, gemm_into, gemv_batch_into, gemv_t_batch_into, sigmoid,
+    Support,
+};
 use deeprest_tensor::{BufferPool, ParamId, ParamStore};
 
 use crate::{GruCell, Linear};
@@ -531,16 +534,14 @@ impl ExpertSlab {
         //   gated = k ⊙ h_{t-1}.
         let mut gated = scratch.take(count * h);
         for e in 0..count {
-            let wx_e = &wx[e * 3 * h..];
-            let uzk_e = &uzk[e * 2 * h..];
+            let unit = e * h..(e + 1) * h;
+            let (wx_e, uzk_e) = (&wx[e * 3 * h..], &uzk[e * 2 * h..]);
             let b_e = &self.bias[(lo + e) * 3 * h..];
-            let h_e = &hidden[e * h..(e + 1) * h];
-            for i in 0..h {
-                let zi = sigmoid((wx_e[i] + uzk_e[i]) + b_e[i]);
-                let ki = sigmoid((wx_e[h + i] + uzk_e[h + i]) + b_e[h + i]);
-                z[e * h + i] = zi;
-                k[e * h + i] = ki;
-                gated[e * h + i] = ki * h_e[i];
+            let (z_e, k_e) = (&mut z[unit.clone()], &mut k[unit.clone()]);
+            gate_sigmoid_into(z_e, &wx_e[..h], &uzk_e[..h], &b_e[..h]);
+            gate_sigmoid_into(k_e, &wx_e[h..2 * h], &uzk_e[h..2 * h], &b_e[h..2 * h]);
+            for ((g, &ki), &hp) in gated[unit.clone()].iter_mut().zip(&*k_e).zip(&hidden[unit]) {
+                *g = ki * hp;
             }
         }
 
@@ -558,14 +559,13 @@ impl ExpertSlab {
 
         // h̃ = tanh((wx_h + uh) + b_h); h = z ⊙ h_{t-1} + (1 - z) ⊙ h̃.
         for e in 0..count {
-            let wx_e = &wx[e * 3 * h..];
-            let b_e = &self.bias[(lo + e) * 3 * h..];
-            for i in 0..h {
-                let hti = ((wx_e[2 * h + i] + uh[e * h + i]) + b_e[2 * h + i]).tanh();
-                let zi = z[e * h + i];
-                let hp = hidden[e * h + i];
-                ht[e * h + i] = hti;
-                hidden[e * h + i] = (zi * hp) + ((1.0 - zi) * hti);
+            let unit = e * h..(e + 1) * h;
+            let wx_h = &wx[e * 3 * h..][2 * h..3 * h];
+            let b_h = &self.bias[(lo + e) * 3 * h..][2 * h..3 * h];
+            let ht_e = &mut ht[unit.clone()];
+            gate_tanh_into(ht_e, wx_h, &uh[unit.clone()], b_h);
+            for ((hp, &zi), &hti) in hidden[unit.clone()].iter_mut().zip(&z[unit]).zip(&*ht_e) {
+                *hp = (zi * *hp) + ((1.0 - zi) * hti);
             }
         }
 
@@ -693,13 +693,6 @@ impl ExpertSlab {
         let Range { start: lo, end: hi } = self.shards[shard];
         &self.alpha_cols[self.experts * lo + target * (hi - lo)..][..hi - lo]
     }
-}
-
-/// The tape's logistic sigmoid, verbatim (`Graph::sigmoid` /
-/// `Graph::gate_sigmoid` use this exact expression).
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

@@ -155,15 +155,15 @@ impl Graph {
         self.push(out, Op::MatMul(a, b))
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid: [`kernel::sigmoid`], the packed forward's.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let out = map(self.value(a), sigmoid);
+        let out = map(self.value(a), kernel::sigmoid);
         self.push(out, Op::Sigmoid(a))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent: [`kernel::tanh`], the packed forward's.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let out = map(self.value(a), f32::tanh);
+        let out = map(self.value(a), kernel::tanh);
         self.push(out, Op::Tanh(a))
     }
 
@@ -285,7 +285,7 @@ impl Graph {
     ///
     /// Panics if the shapes differ.
     pub fn gate_sigmoid(&mut self, a: Var, b: Var, c: Var) -> Var {
-        let out = self.fused_gate(a, b, c, sigmoid);
+        let out = self.fused_gate(a, b, c, kernel::sigmoid);
         self.push(out, Op::GateSigmoid(a, b, c))
     }
 
@@ -295,7 +295,7 @@ impl Graph {
     ///
     /// Panics if the shapes differ.
     pub fn gate_tanh(&mut self, a: Var, b: Var, c: Var) -> Var {
-        let out = self.fused_gate(a, b, c, f32::tanh);
+        let out = self.fused_gate(a, b, c, kernel::tanh);
         self.push(out, Op::GateTanh(a, b, c))
     }
 
@@ -594,11 +594,6 @@ fn full(rows: usize, cols: usize, value: f32) -> Tensor {
 
 fn mul(x: f32, y: f32) -> f32 {
     x * y
-}
-
-/// The logistic sigmoid in the exact expression the packed forward uses.
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// `g · σ'` from the activation's output `y`.

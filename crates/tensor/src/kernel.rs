@@ -10,6 +10,11 @@
 //! | [`gemv_t_into`], [`gemv_t_acc_into`] | `aᵀ · x`, set or added | `AnalyticTrainer` (pull-backs) |
 //! | [`outer_acc_steps_into`] | `out += Σ_t a_t ⊗ b_t`, `t` descending | `AnalyticTrainer` (weight gradients, one call per subsequence) |
 //! | [`gemv_into`] | `a · x` | under [`gemv_batch_into`] |
+//! | [`gate_sigmoid_into`], [`gate_tanh_into`] | `act((a + b) + c)` per element | `ExpertSlab::step_range` (`z`, `k`, `h̃`) |
+//! | [`sigmoid`], [`tanh`] | the scalar activations, ported from glibc 2.36 | every other σ and tanh: the mask σ at repack, `DeepRest::mask_weights`, the tape |
+//!
+//! The activations are their own module, `kernel/act.rs`; its docs say what
+//! the ports port and how the AVX2+FMA twin keeps their bits.
 //!
 //! Every contraction is built on one accumulation contract:
 //!
@@ -28,7 +33,10 @@
 //! without any `unsafe`; an optional runtime-detected AVX2 path uses
 //! explicit `_mm256_mul_ps`/`_mm256_add_ps` (never FMA, which would contract
 //! the multiply-add and change the bits) and is proven bit-identical to the
-//! portable kernel by proptest.
+//! portable kernel by proptest. The one exception is the `exp` under
+//! [`sigmoid`]: glibc's FMA build of `expf` fuses five multiply-adds, so the
+//! port fuses the same five (`f64::mul_add`, `vfmadd` in its twin) and no
+//! others. No contraction fuses anything.
 //!
 //! # Sparse inputs and signed zero
 //!
@@ -46,6 +54,10 @@
 //! The same lemma lets [`outer_acc_steps_into`] drop the `+ 0.0` a length-1
 //! contract dot ends in: on an accumulator that is not `-0.0`, adding a
 //! product and adding the product `+ 0.0` give the same bits.
+
+mod act;
+
+pub use act::{gate_sigmoid_into, gate_tanh_into, sigmoid, tanh};
 
 /// Number of parallel accumulator lanes in every contraction kernel.
 pub const LANES: usize = 8;
@@ -173,8 +185,9 @@ pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
 /// order as the portable path: eight vertical lanes accumulated with
 /// separate `_mm256_mul_ps` + `_mm256_add_ps` (no FMA — the portable scalar
 /// code does not contract the multiply-add, so neither may this path), then
-/// the shared scalar [`reduce`] tree. The only `unsafe` in the crate; the
-/// bit-identity contract is enforced by `tests/prop_kernels.rs`.
+/// the shared scalar [`reduce`] tree. The bit-identity contract is enforced
+/// by `tests/prop_kernels.rs`. The activations' twin (`act.rs`), which does
+/// fuse where the `expf` it ports does, keeps its own module beside this one.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
@@ -202,6 +215,14 @@ mod avx2 {
         use std::sync::OnceLock;
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+
+    /// Whether the running CPU supports AVX2 and FMA both (cached after
+    /// first probe): the activations' twin needs the two together.
+    pub fn fma_available() -> bool {
+        use std::sync::OnceLock;
+        static FMA: OnceLock<bool> = OnceLock::new();
+        *FMA.get_or_init(|| available() && std::arch::is_x86_feature_detected!("fma"))
     }
 
     /// AVX2 dot product; caller must have checked [`available`].

@@ -4,9 +4,10 @@
 //! heads, Eqs. 1-6 of the paper) is trained by gradient descent on
 //! hand-derived gradients. This crate holds what that model runs on:
 //!
-//! * [`kernel`] — lane-blocked GEMV/GEMM kernels over flat slices whose
-//!   results carry the same bits on every ISA and dispatch path; the packed
-//!   forward and the analytic backward in `deeprest-nn` are built on them.
+//! * [`kernel`] — lane-blocked GEMV/GEMM kernels over flat slices, and the
+//!   GRU's σ and tanh, whose results carry the same bits on every ISA and
+//!   dispatch path; the packed forward and the analytic backward in
+//!   `deeprest-nn` are built on them.
 //! * [`Tensor`] — a dense rank-2 `f32` parameter (column vectors are
 //!   `(n, 1)`) with the in-place updates optimizers apply.
 //! * [`ParamStore`] — owns trainable parameters and their accumulated
@@ -43,8 +44,9 @@
 //! ```
 
 // `deny` rather than `forbid`: two places carry scoped
-// `#[allow(unsafe_code)]`s — `kernel` (the runtime-detected AVX2 path and
-// its dispatch sites) and `pool::engine` (handing a stack-borrowed job to
+// `#[allow(unsafe_code)]`s — `kernel` (the runtime-detected AVX2 paths of
+// the contractions and of the activations, and their dispatch sites) and
+// `pool::engine` (handing a stack-borrowed job to
 // the persistent helper threads). Each `unsafe` there has its `// SAFETY:`
 // argument beside it.
 #![deny(unsafe_code)]
