@@ -410,7 +410,9 @@ impl AdaptivePipeline {
             model,
             adapter: state,
         } = checkpoint;
-        let mut stages = WindowStages::restore(&model, source, config.serve, &serve)
+        let carried =
+            CarriedState::restore(&model, &serve.predictor).map_err(AdaptError::Predictor)?;
+        let mut stages = WindowStages::restore(&model, source, config.serve, serve)
             .map_err(AdaptError::Sanity)?;
         stages.set_observations(observations);
 
@@ -435,8 +437,7 @@ impl AdaptivePipeline {
         }
         let experts = adapter.model.expert_count();
         let nominal = f64::from(adapter.model.config().delta);
-        adapter.carried = CarriedState::restore(&adapter.model, &serve.predictor)
-            .map_err(AdaptError::Predictor)?;
+        adapter.carried = carried;
         adapter.drift = DriftDetector::restore(nominal, config.drift, state.drift, experts)
             .map_err(AdaptError::Adapter)?;
         adapter.calib =

@@ -1,8 +1,8 @@
 //! `deeprest_serve` — online serving driver.
 //!
 //! Replays a recorded Jaeger document (or JSONL stream of documents), or a
-//! live `deeprest-sim` feed, through the streaming estimation pipeline:
-//! bounded ingest queue → watermark window sealing → O(1)-per-window
+//! live `deeprest-sim` feed, in event order through the streaming
+//! estimation pipeline: watermark window sealing → O(1)-per-window
 //! inference → live sanity alerts. Prints one line per sealed window plus
 //! every alert, and can cross-check the streamed outputs bit-for-bit
 //! against the batch path (`--assert-batch`).
@@ -31,10 +31,12 @@
 //!
 //! Multi-tenant replay (`--tenants N`) replays the same stream as `N`
 //! tenant applications through the `TenantRegistry` front end (per-tenant
-//! bounded queues, DRR fair scheduling, overload ladder). `--flood T`
-//! arms the `tenant.flood` probe against tenant `T` (10× amplification)
-//! and, combined with `--assert-batch`, proves isolation: every
-//! non-flooded tenant must still be bit-identical to the batch path.
+//! bounded queues of `--queue` arrivals that reject when full, or evict
+//! their oldest under `--drop-oldest`; DRR fair scheduling; overload
+//! ladder). `--flood T` arms the `tenant.flood` probe against tenant `T`
+//! (10× amplification) and, combined with `--assert-batch`, proves
+//! isolation: every non-flooded tenant must still be bit-identical to the
+//! batch path.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -43,8 +45,8 @@ use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_serve::{
-    batch_reference, replay, CheckpointStore, IngestQueue, OverflowPolicy, OverloadConfig,
-    Pipeline, SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
+    batch_reference, replay, CheckpointStore, OverflowPolicy, OverloadConfig, Pipeline,
+    SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
 };
 use deeprest_sim::anomaly::CryptojackingAttack;
 use deeprest_sim::apps;
@@ -169,13 +171,7 @@ fn main() {
 
     let config = ServeConfig::default()
         .with_window_secs(session.window_secs)
-        .with_lateness_secs(args.lateness_secs)
-        .with_queue_capacity(args.queue)
-        .with_overflow(if args.drop_oldest {
-            OverflowPolicy::DropOldest
-        } else {
-            OverflowPolicy::Block
-        });
+        .with_lateness_secs(args.lateness_secs);
 
     if args.tenants > 1 {
         run_multi_tenant(&session, config, &args);
@@ -187,35 +183,18 @@ fn main() {
         pipeline = pipeline.with_observations(obs);
     }
 
-    // Producer: push arrivals through the bounded queue, pacing by event
-    // time when --speed > 0 (e.g. 2.0 = twice real time; 0 = max speed).
-    let queue = Arc::new(IngestQueue::new(config.queue_capacity, config.overflow));
-    let producer = {
-        let queue = Arc::clone(&queue);
-        let stream = session.stream.clone();
-        let speed = args.speed;
-        std::thread::spawn(move || {
-            let mut prev = 0.0f64;
-            for t in stream {
-                if speed > 0.0 {
-                    let gap = (t.at_secs - prev).max(0.0) / speed;
-                    if gap > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(gap));
-                    }
-                    prev = t.at_secs;
-                }
-                // Blocks under Block policy, displaces (counted) under
-                // DropOldest; the only rejection is a closed queue.
-                if queue.push_typed(t).is_err() {
-                    break;
-                }
-            }
-            queue.close();
-        })
-    };
-
+    // Ingest in event order, pacing by event time when --speed > 0 (e.g.
+    // 2.0 = twice real time; 0 = max speed).
     let mut outputs: Vec<WindowOutput> = Vec::new();
-    while let Some(t) = queue.pop() {
+    let mut prev = 0.0f64;
+    for t in session.stream.iter().cloned() {
+        if args.speed > 0.0 {
+            let gap = (t.at_secs - prev).max(0.0) / args.speed;
+            if gap > 0.0 {
+                std::thread::sleep(std::time::Duration::from_secs_f64(gap));
+            }
+            prev = t.at_secs;
+        }
         for out in pipeline.ingest(t).expect("serving step failed") {
             print_window(&pipeline, &out, args.quiet);
             outputs.push(out);
@@ -225,15 +204,13 @@ fn main() {
         print_window(&pipeline, &out, args.quiet);
         outputs.push(out);
     }
-    producer.join().expect("producer thread");
 
     let alert_total: usize = outputs.iter().map(|o| o.alerts.len()).sum();
     println!(
-        "serve: {} windows, {} traces, {} late-dropped, {} queue-evicted, {} alerts",
+        "serve: {} windows, {} traces, {} late-dropped, {} alerts",
         outputs.len(),
         outputs.iter().map(|o| o.trace_count).sum::<usize>(),
         pipeline.late_dropped(),
-        queue.dropped_overflow(),
         alert_total
     );
 
@@ -262,11 +239,18 @@ fn write_checkpoint<T: serde::Serialize>(dir: &str, checkpoint: &T) {
 }
 
 /// Multi-tenant replay: the same stream as `--tenants N` tenant
-/// applications through the registry front end. With `--flood T` the
-/// `tenant.flood` probe amplifies tenant `T`'s submissions 10×; with
-/// `--assert-batch` every non-flooded tenant is cross-checked
-/// bit-for-bit against the batch path — the isolation contract, live.
+/// applications through the registry front end, each behind a queue of
+/// `--queue` arrivals (`--drop-oldest` evicts instead of rejecting when
+/// full). With `--flood T` the `tenant.flood` probe amplifies tenant `T`'s
+/// submissions 10×; with `--assert-batch` every non-flooded tenant is
+/// cross-checked bit-for-bit against the batch path — the isolation
+/// contract, live.
 fn run_multi_tenant(session: &Session, config: ServeConfig, args: &ServeArgs) {
+    let overflow = if args.drop_oldest {
+        OverflowPolicy::DropOldest
+    } else {
+        OverflowPolicy::Block
+    };
     let mut registry = TenantRegistry::new(SchedConfig::default(), OverloadConfig::default());
     for i in 0..args.tenants {
         registry.add_tenant(
@@ -274,8 +258,8 @@ fn run_multi_tenant(session: &Session, config: ServeConfig, args: &ServeArgs) {
             &session.source,
             config,
             TenantConfig::new(format!("tenant{i}"))
-                .with_queue_capacity(config.queue_capacity)
-                .with_overflow(config.overflow)
+                .with_queue_capacity(args.queue)
+                .with_overflow(overflow)
                 .with_window_quota(args.window_quota),
         );
     }

@@ -1,6 +1,5 @@
 //! Structured sanity alerts and pluggable delivery sinks.
 
-use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use deeprest_metrics::ResourceKind;
@@ -147,28 +146,6 @@ impl AlertSink for CollectSink {
     }
 }
 
-/// Writes each alert as one JSON line — pipe to a file or stdout for
-/// machine-readable alert streams.
-pub struct JsonLineSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> JsonLineSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        Self { out }
-    }
-}
-
-impl<W: Write> AlertSink for JsonLineSink<W> {
-    fn emit(&mut self, alert: &Alert) -> Result<(), SinkError> {
-        let line = serde_json::to_string(alert)
-            .map_err(|e| SinkError::new(format!("serialize alert: {e}")))?;
-        writeln!(self.out, "{line}").map_err(|e| SinkError::new(format!("write alert: {e}")))?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,23 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn json_line_sink_surfaces_write_errors() {
-        struct BrokenPipe;
-        impl Write for BrokenPipe {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let err = JsonLineSink::new(BrokenPipe)
-            .emit(&sample())
-            .expect_err("broken writer must surface a SinkError");
-        assert!(err.message.contains("write alert"), "{err}");
-    }
-
-    #[test]
     fn collect_sink_survives_poisoned_lock() {
         let sink = CollectSink::new();
         sink.clone().emit(&sample()).unwrap();
@@ -235,14 +195,5 @@ mod tests {
         assert_eq!(sink.len(), 1, "contents survive the poisoned lock");
         sink.clone().emit(&sample()).unwrap();
         assert_eq!(sink.take().len(), 2);
-    }
-
-    #[test]
-    fn json_line_sink_round_trips() {
-        let mut buf = Vec::new();
-        JsonLineSink::new(&mut buf).emit(&sample()).unwrap();
-        let line = String::from_utf8(buf).unwrap();
-        let back: Alert = serde_json::from_str(line.trim()).unwrap();
-        assert_eq!(back, sample());
     }
 }

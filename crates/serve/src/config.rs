@@ -3,8 +3,6 @@
 use deeprest_core::sanity::SanityConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::queue::OverflowPolicy;
-
 /// Configuration of the online serving pipeline.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ServeConfig {
@@ -14,10 +12,6 @@ pub struct ServeConfig {
     /// Watermark lateness bound: arrivals more than this far behind the
     /// newest observed event are counted in `serve.late_dropped`.
     pub lateness_secs: f64,
-    /// Capacity of the bounded ingest queue.
-    pub queue_capacity: usize,
-    /// What to do when the ingest queue is full.
-    pub overflow: OverflowPolicy,
     /// Thresholds of the online δ-interval sanity check.
     pub sanity: SanityConfig,
     /// Minimum normalized mask weight for an API to be listed as
@@ -56,8 +50,6 @@ impl Default for ServeConfig {
         Self {
             window_secs: 30.0,
             lateness_secs: 5.0,
-            queue_capacity: 1024,
-            overflow: OverflowPolicy::Block,
             sanity: SanityConfig::default(),
             api_threshold: 0.25,
             step_retries: 1,
@@ -81,20 +73,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_lateness_secs(mut self, secs: f64) -> Self {
         self.lateness_secs = secs;
-        self
-    }
-
-    /// Sets the ingest-queue capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the queue overflow policy.
-    #[must_use]
-    pub fn with_overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
         self
     }
 

@@ -7,12 +7,10 @@
 //! the trained batch estimator into a long-running, bounded-memory stream
 //! processor:
 //!
-//! * [`queue`] — bounded ingest queues decoupling collectors from the
-//!   pipeline, with blocking or drop-oldest backpressure and typed
-//!   accept/reject pushes: the plain [`BoundedQueue`], and the
-//!   [`IngestQueue`] that shares one with a producer thread. Single-tenant
-//!   embedders use one shared queue in front of one [`Pipeline`]; the
-//!   multi-tenant front end owns a plain one per tenant.
+//! * [`queue`] — the [`BoundedQueue`] each tenant of the multi-tenant
+//!   front end owns: hand-back or drop-oldest backpressure and typed
+//!   accept/reject pushes. A single [`Pipeline`] needs no queue; its
+//!   caller ingests arrivals in order.
 //! * [`tenant`] — the multi-tenant front end: a
 //!   [`TenantRegistry`] with per-tenant bounded queues, priority classes
 //!   and per-round byte/window quotas, drained by the deterministic
@@ -79,7 +77,7 @@ pub mod sanity;
 pub mod sched;
 pub mod tenant;
 
-pub use alert::{Alert, AlertSink, CollectSink, JsonLineSink, SinkError};
+pub use alert::{Alert, AlertSink, CollectSink, SinkError};
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use config::ServeConfig;
 pub use error::ServeError;
@@ -88,7 +86,7 @@ pub use pipeline::{
     batch_reference, contributing_apis, Checkpoint, ControlTick, ObservationSource, Pipeline,
     WindowOutput, WindowStages,
 };
-pub use queue::{Accepted, BoundedQueue, IngestQueue, OverflowPolicy, PushRejected};
+pub use queue::{Accepted, BoundedQueue, OverflowPolicy};
 pub use sched::{FairScheduler, SchedConfig};
 pub use tenant::{
     AdmitRejected, MultiTenantCheckpoint, PriorityClass, TenantConfig, TenantId, TenantRegistry,

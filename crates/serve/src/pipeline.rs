@@ -204,8 +204,9 @@ impl WindowStages {
         }
     }
 
-    /// Rebuilds the stages from a [`checkpoint`](Self::checkpoint); its
-    /// predictor snapshot is the caller's to restore.
+    /// Rebuilds the stages from a [`checkpoint`](Self::checkpoint), moving
+    /// its buffered state in. Its predictor snapshot is the caller's to
+    /// restore first; this ignores it.
     ///
     /// # Errors
     ///
@@ -214,14 +215,13 @@ impl WindowStages {
         model: &DeepRest,
         source: &Interner,
         config: ServeConfig,
-        checkpoint: &Checkpoint,
+        checkpoint: Checkpoint,
     ) -> Result<Self, String> {
         let mut stages = Self::new(model, source, config);
-        stages.sanity =
-            OnlineSanity::restore(config.sanity, checkpoint.sanity.clone(), stages.keys.len())?;
-        stages.assembler = checkpoint.assembler.clone();
-        stages.pending = checkpoint.pending.clone();
-        stages.ready = checkpoint.ready.clone();
+        stages.sanity = OnlineSanity::restore(config.sanity, checkpoint.sanity, stages.keys.len())?;
+        stages.assembler = checkpoint.assembler;
+        stages.pending = checkpoint.pending;
+        stages.ready = checkpoint.ready;
         stages.last_control = checkpoint.last_control;
         Ok(stages)
     }
@@ -645,10 +645,11 @@ impl<'m> Pipeline<'m> {
         config: ServeConfig,
         checkpoint: Checkpoint,
     ) -> Result<Self, String> {
+        let carried = CarriedState::restore(model, &checkpoint.predictor)?;
         Ok(Self {
             model,
-            carried: CarriedState::restore(model, &checkpoint.predictor)?,
-            stages: WindowStages::restore(model, source, config, &checkpoint)?,
+            carried,
+            stages: WindowStages::restore(model, source, config, checkpoint)?,
         })
     }
 

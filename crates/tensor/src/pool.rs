@@ -183,41 +183,6 @@ impl Pool {
         })
     }
 
-    /// Like [`Pool::map`] for side-effecting jobs with no result.
-    pub fn for_each<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.map(n, f);
-    }
-
-    /// Like [`Pool::map`], but each chunk first builds a reusable scratch
-    /// state with `init` (e.g. a tape arena) and threads it through every
-    /// index it owns. `f` must produce the same result for an index
-    /// regardless of the state's history — reset scratch state at the top
-    /// of `f` — so results stay thread-count invariant.
-    pub fn map_reuse<T, S, I, F>(&self, n: usize, init: I, f: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            fault::maybe_panic("pool.worker");
-            let mut state = init();
-            return (0..n).map(|i| f(&mut state, i)).collect();
-        }
-        let chunk = n.div_ceil(workers);
-        collect_chunks(n, workers, chunk, |lo, hi| {
-            let mut state = init();
-            (lo..hi).map(|i| f(&mut state, i)).collect()
-        })
-        // Re-raise with the original payload so callers that do contain
-        // panics (serve's step isolation) see the real message.
-        .unwrap_or_else(|failed| std::panic::resume_unwind(failed.payload))
-    }
-
     /// Applies `f` to every element of `items` in place, splitting the slice
     /// into contiguous chunks across the pool. Each element is visited
     /// exactly once with its global index; since elements are disjoint, the
@@ -245,8 +210,9 @@ impl Pool {
             }
         });
         if let Err(failed) = done {
-            // Same contract as `map_reuse`: the lowest failed chunk's own
-            // payload, not a generic "a worker panicked".
+            // Re-raise the lowest failed chunk's own payload, not a generic
+            // "a worker panicked", so callers that contain panics (serve's
+            // step isolation) see the real message.
             std::panic::resume_unwind(failed.payload);
         }
     }
@@ -743,19 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reuse_matches_map_at_any_width() {
-        let expected: Vec<usize> = (0..50).map(|i| i * 3).collect();
-        for threads in [1, 2, 7] {
-            let out = Pool::with_threads(threads).map_reuse(50, Vec::<usize>::new, |scratch, i| {
-                scratch.clear();
-                scratch.extend(0..3);
-                scratch.iter().sum::<usize>() * i
-            });
-            assert_eq!(out, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn for_each_mut_updates_disjoint_elements() {
         let mut items: Vec<usize> = (0..101).collect();
         Pool::with_threads(4).for_each_mut(&mut items, |i, v| *v += i);
@@ -765,22 +718,18 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_and_map_reuse_reraise_the_lowest_chunk_payload() {
-        let boom = |i: usize| {
-            if i % 4 == 3 {
-                panic!("element {i} is poisoned");
-            }
-        };
+    fn for_each_mut_reraises_the_lowest_chunk_payload() {
         let pool = Pool::with_threads(4);
         let mut items = vec![0u8; 16];
         let from_mut = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each_mut(&mut items, |i, _| boom(i));
+            pool.for_each_mut(&mut items, |i, _| {
+                if i % 4 == 3 {
+                    panic!("element {i} is poisoned");
+                }
+            });
         }))
         .expect_err("every chunk panics");
         assert_eq!(panic_message(from_mut.as_ref()), "element 3 is poisoned");
-        let from_reuse = std::panic::catch_unwind(|| pool.map_reuse(16, || (), |(), i| boom(i)))
-            .expect_err("every chunk panics");
-        assert_eq!(panic_message(from_reuse.as_ref()), "element 3 is poisoned");
     }
 
     #[test]
@@ -832,9 +781,7 @@ mod tests {
                 // Chunks meet at the barrier two at a time, so a helper
                 // runs at least one of them...
                 let meet = std::sync::Barrier::new(2);
-                pool.for_each(4, |_| {
-                    meet.wait();
-                });
+                pool.map(4, |_| meet.wait());
                 assert!(sink.counter("pool.chunks.helper") > 0);
                 // ...and advanced the caller's own hit counters when it
                 // did: the next fan-out starts at hit 4, so every one of
@@ -849,15 +796,5 @@ mod tests {
             8,
             "both fan-outs counted every chunk in the caller's sink"
         );
-    }
-
-    #[test]
-    fn for_each_visits_every_index() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let sum = AtomicUsize::new(0);
-        Pool::with_threads(3).for_each(100, |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
     }
 }

@@ -72,9 +72,7 @@ fn two_chunks_run_on_two_threads_at_once() {
     // threads can pass: the caller plus one helper are two busy threads.
     within_deadline("barrier fan-out", || {
         let meet = Barrier::new(2);
-        Pool::with_threads(2).for_each(2, |_| {
-            meet.wait();
-        });
+        Pool::with_threads(2).map(2, |_| meet.wait());
     });
 }
 
@@ -127,15 +125,6 @@ fn every_entry_point_matches_the_serial_pool() {
             let f = |i: usize| (i as f32 * 0.37).sin();
             assert_eq!(pool.map(n, f), serial.map(n, f), "map {threads}/{n}");
             assert_eq!(pool.try_map(n, f), serial.try_map(n, f));
-
-            let reuse = |pool: &Pool| {
-                pool.map_reuse(n, Vec::<f32>::new, |scratch, i| {
-                    scratch.clear();
-                    scratch.extend((0..=i).map(|k| k as f32));
-                    scratch.iter().sum::<f32>()
-                })
-            };
-            assert_eq!(reuse(&pool), reuse(&serial), "map_reuse {threads}/{n}");
 
             let mut parallel: Vec<f32> = (0..n).map(|i| i as f32).collect();
             let mut reference = parallel.clone();

@@ -30,22 +30,3 @@ fn serial_pool_dispatches_nothing() {
     assert_eq!(sink.counter("pool.tasks"), 0);
     assert_eq!(sink.span_count("pool.worker_busy"), 0);
 }
-
-#[test]
-fn map_reuse_dispatch_matches_ceil_rule() {
-    let sink = Arc::new(MemorySink::new());
-    telemetry::with_sink(sink.clone(), || {
-        // 12 items over 3 threads: 3 worker jobs of chunk 4.
-        let out = Pool::with_threads(3).map_reuse(
-            12,
-            || 0usize,
-            |s, i| {
-                *s += 1;
-                i
-            },
-        );
-        assert_eq!(out.len(), 12);
-    });
-    assert_eq!(sink.counter("pool.tasks"), 3);
-    assert_eq!(sink.gauges("pool.chunk_size"), vec![4.0]);
-}
