@@ -87,7 +87,7 @@ pub struct CalibrationState {
 
 /// Per-expert online conformal interval scaler.
 #[derive(Clone, Debug)]
-pub struct Calibrator {
+pub(crate) struct Calibrator {
     nominal: f64,
     cfg: CalibrationConfig,
     state: CalibrationState,
@@ -102,7 +102,7 @@ impl Calibrator {
     /// # Panics
     ///
     /// Panics unless `nominal ∈ (0, 1)` and `window > 0`.
-    pub fn new(nominal: f64, cfg: CalibrationConfig, experts: usize) -> Self {
+    pub(crate) fn new(nominal: f64, cfg: CalibrationConfig, experts: usize) -> Self {
         assert!(
             nominal > 0.0 && nominal < 1.0,
             "Calibrator: nominal coverage must be in (0, 1), got {nominal}"
@@ -130,7 +130,7 @@ impl Calibrator {
     ///
     /// Returns a message when the state's shape disagrees with `experts`
     /// or the configured ring capacity.
-    pub fn restore(
+    pub(crate) fn restore(
         nominal: f64,
         cfg: CalibrationConfig,
         state: CalibrationState,
@@ -165,7 +165,7 @@ impl Calibrator {
     /// `min_samples` scores accumulated, otherwise the conformal order
     /// statistic of the ring, boosted by `watch_boost` while `watching`,
     /// clamped to `[1, max_scale]`.
-    pub fn scale(&mut self, e: usize, watching: bool) -> f64 {
+    pub(crate) fn scale(&mut self, e: usize, watching: bool) -> f64 {
         let ring = &self.state.scores[e];
         if ring.len() < self.cfg.min_samples.max(1) {
             // Identity until evidence: keeps the cold pipeline bitwise
@@ -192,7 +192,7 @@ impl Calibrator {
 
     /// Applies a widening factor to one interval. `scale == 1.0` returns
     /// the input bit-for-bit (no arithmetic).
-    pub fn apply(est: &PointEstimate, scale: f64) -> PointEstimate {
+    pub(crate) fn apply(est: &PointEstimate, scale: f64) -> PointEstimate {
         if scale == 1.0 {
             return *est;
         }
@@ -208,7 +208,7 @@ impl Calibrator {
     /// [`scale`](Self::scale) for the same window so the statistic stays
     /// causal. Returns whether the observation fell inside the raw
     /// interval (the drift detector's input).
-    pub fn observe_raw(&mut self, e: usize, actual: f64, est: &PointEstimate) -> bool {
+    pub(crate) fn observe_raw(&mut self, e: usize, actual: f64, est: &PointEstimate) -> bool {
         let halfwidth = ((est.upper - est.lower) * 0.5).max(f64::EPSILON);
         let r = (est.lower - actual).max(actual - est.upper) / halfwidth;
         let ring = &mut self.state.scores[e];
@@ -234,7 +234,7 @@ impl Calibrator {
     /// clamped to `[1/max_modulation, max_modulation]`; the median is
     /// never modulated. With no observations every factor is exactly
     /// `1.0`, which the analytic backward treats as a bitwise no-op.
-    pub fn gradient_modulation(&self) -> [f32; 3] {
+    pub(crate) fn gradient_modulation(&self) -> [f32; 3] {
         let total: u64 = self.state.observed.iter().sum();
         if total == 0 {
             return [1.0; 3];
@@ -247,19 +247,8 @@ impl Calibrator {
         [1.0, clamp(lo_rate), clamp(hi_rate)]
     }
 
-    /// Empirical coverage of the raw intervals over everything observed.
-    pub fn raw_coverage(&self) -> Option<f64> {
-        let total: u64 = self.state.observed.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let misses: u64 =
-            self.state.lower_miss.iter().sum::<u64>() + self.state.upper_miss.iter().sum::<u64>();
-        Some(1.0 - misses as f64 / total as f64)
-    }
-
     /// The checkpointable state.
-    pub fn state(&self) -> &CalibrationState {
+    pub(crate) fn state(&self) -> &CalibrationState {
         &self.state
     }
 }
@@ -323,7 +312,6 @@ mod tests {
     fn no_observations_is_exact_unit_modulation() {
         let c = Calibrator::new(0.9, CalibrationConfig::default(), 2);
         assert_eq!(c.gradient_modulation(), [1.0; 3]);
-        assert_eq!(c.raw_coverage(), None);
     }
 
     #[test]

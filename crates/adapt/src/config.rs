@@ -53,7 +53,7 @@ impl Default for AdaptConfig {
 impl AdaptConfig {
     /// The effective segments-per-update cadence given the current drift
     /// state: halved (floor 1) while any expert is under watch.
-    pub fn effective_update_every(&self, any_watching: bool) -> u64 {
+    pub(crate) fn effective_update_every(&self, any_watching: bool) -> u64 {
         let base = self.update_every.max(1) as u64;
         if any_watching {
             (base / 2).max(1)

@@ -58,7 +58,7 @@ pub struct DriftState {
 
 /// Running interval-coverage CUSUM over every expert.
 #[derive(Clone, Debug)]
-pub struct DriftDetector {
+pub(crate) struct DriftDetector {
     nominal: f64,
     cfg: DriftConfig,
     state: DriftState,
@@ -71,7 +71,7 @@ impl DriftDetector {
     /// # Panics
     ///
     /// Panics unless `nominal` is in `(0, 1)`.
-    pub fn new(nominal: f64, cfg: DriftConfig, experts: usize) -> Self {
+    pub(crate) fn new(nominal: f64, cfg: DriftConfig, experts: usize) -> Self {
         assert!(
             nominal > 0.0 && nominal < 1.0,
             "DriftDetector: nominal coverage must be in (0, 1), got {nominal}"
@@ -93,7 +93,7 @@ impl DriftDetector {
     /// # Errors
     ///
     /// Returns a message when the state's expert count disagrees.
-    pub fn restore(
+    pub(crate) fn restore(
         nominal: f64,
         cfg: DriftConfig,
         state: DriftState,
@@ -117,7 +117,7 @@ impl DriftDetector {
     /// Feeds one window's coverage outcome for expert `e` (`covered` =
     /// the observation fell inside the *raw, uncalibrated* interval) and
     /// returns whether the expert is in the watch state afterwards.
-    pub fn observe(&mut self, e: usize, covered: bool) -> bool {
+    pub(crate) fn observe(&mut self, e: usize, covered: bool) -> bool {
         let miss = if covered { 0.0 } else { 1.0 };
         self.state.observed[e] += 1;
         if !covered {
@@ -136,23 +136,17 @@ impl DriftDetector {
     }
 
     /// Whether expert `e` is currently in the watch state.
-    pub fn watching(&self, e: usize) -> bool {
+    pub(crate) fn watching(&self, e: usize) -> bool {
         self.state.watching[e]
     }
 
     /// Whether any expert is in the watch state.
-    pub fn any_watching(&self) -> bool {
+    pub(crate) fn any_watching(&self) -> bool {
         self.state.watching.iter().any(|&w| w)
     }
 
-    /// Empirical interval coverage of expert `e` so far, if observed.
-    pub fn coverage(&self, e: usize) -> Option<f64> {
-        let n = self.state.observed[e];
-        (n > 0).then(|| 1.0 - self.state.misses[e] as f64 / n as f64)
-    }
-
     /// The checkpointable state.
-    pub fn state(&self) -> &DriftState {
+    pub(crate) fn state(&self) -> &DriftState {
         &self.state
     }
 }
@@ -170,8 +164,7 @@ mod tests {
         }
         assert!(!d.watching(0));
         assert!(d.state().cusum[0] < 0.5);
-        let c = d.coverage(0).unwrap();
-        assert!((c - 0.9).abs() < 1e-9);
+        assert_eq!((d.state.observed[0], d.state.misses[0]), (100, 10));
     }
 
     #[test]

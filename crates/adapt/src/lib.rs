@@ -15,7 +15,7 @@
 //!   windows into a `(features, targets)` training segment from the
 //!   observations the scoring stage looked up;
 //! * **detect** — a per-expert CUSUM on raw δ-interval coverage misses
-//!   ([`DriftDetector`]) flags drifting experts windows before the sanity
+//!   (`DriftDetector`) flags drifting experts windows before the sanity
 //!   check would alert;
 //! * **adapt** — on a segment-counted cadence (escalated under drift
 //!   watch) a fresh segment plus a seeded deterministic replay sample
@@ -23,7 +23,7 @@
 //!   training engine ([`deeprest_core::adapt::OnlineUpdater`]) — one
 //!   momentum-free SGD step, bit-identical across thread counts, rolled
 //!   back bit-for-bit on any fault;
-//! * **recalibrate** — an online conformal scaler ([`Calibrator`]) widens
+//! * **recalibrate** — an online conformal scaler (`Calibrator`) widens
 //!   each expert's intervals by the order statistic of its recent
 //!   nonconformity scores, and per-tail miss rates modulate the pinball
 //!   gradients of subsequent updates (arXiv 2508.01635), so adaptation
@@ -42,19 +42,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must fail with typed errors, not unwrap-panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod calibrate;
+pub(crate) mod calibrate;
 mod config;
-pub mod drift;
+pub(crate) mod drift;
 mod error;
 mod pipeline;
-pub mod replay;
+pub(crate) mod replay;
 
-pub use calibrate::{CalibrationConfig, CalibrationState, Calibrator};
+pub use calibrate::{CalibrationConfig, CalibrationState};
 pub use config::AdaptConfig;
-pub use drift::{DriftConfig, DriftDetector, DriftState};
+pub use drift::{DriftConfig, DriftState};
 pub use error::{AdaptError, UpdateOutcome};
 pub use pipeline::{AdapterState, AdaptiveCheckpoint, AdaptivePipeline, Staging};
 pub use replay::{ReplayBuffer, Segment};

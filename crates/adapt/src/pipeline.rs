@@ -57,7 +57,7 @@ use deeprest_core::adapt::{OnlineUpdater, TrainSegment};
 use deeprest_core::stream::{CarriedState, PointEstimate};
 use deeprest_core::{DeepRest, ExpertKey};
 use deeprest_metrics::MetricsRegistry;
-use deeprest_serve::{AlertSink, Checkpoint, ControlTick, WindowOutput, WindowStages};
+use deeprest_serve::{AlertSink, Checkpoint, WindowOutput, WindowStages};
 use deeprest_telemetry as telemetry;
 use deeprest_trace::stream::SealedWindow;
 use deeprest_trace::window::TimestampedTrace;
@@ -230,10 +230,9 @@ impl AdaptivePipeline {
         self
     }
 
-    /// The live (possibly adapted) model — read-only; feed its
-    /// [`estimate_what_if`](DeepRest::estimate_what_if) with
-    /// [`poll_control`](Self::poll_control) snapshots for what-if queries
-    /// that reflect everything learned so far.
+    /// The live (possibly adapted) model — read-only; its
+    /// [`estimate_what_if`](DeepRest::estimate_what_if) answers reflect
+    /// everything learned so far.
     pub fn model(&self) -> &DeepRest {
         &self.adapter.model
     }
@@ -259,19 +258,9 @@ impl AdaptivePipeline {
         self.stages.pending_windows()
     }
 
-    /// The configuration the pipeline runs with.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.adapter.config
-    }
-
     /// Per-expert drift watch flags (in [`keys`](Self::keys) order).
     pub fn drift_watching(&self) -> &[bool] {
         &self.adapter.drift.state().watching
-    }
-
-    /// Empirical raw-interval coverage over everything observed, if any.
-    pub fn raw_coverage(&self) -> Option<f64> {
-        self.adapter.calib.raw_coverage()
     }
 
     /// Outcome of the most recent update attempt (`None` before the first
@@ -361,13 +350,6 @@ impl AdaptivePipeline {
     fn drain(&mut self) -> Result<Vec<WindowOutput>, AdaptError> {
         self.stages
             .drain(|stages, w| self.adapter.window(stages, w))
-    }
-
-    /// Polls the control-loop hook — same cadence semantics as
-    /// [`deeprest_serve::Pipeline::poll_control`], but the snapshot forks
-    /// the *adapted* model's live state.
-    pub fn poll_control(&mut self) -> Option<ControlTick> {
-        self.stages.poll_control(&self.adapter.carried)
     }
 
     /// Captures the full adaptive state: the shared stages' serve

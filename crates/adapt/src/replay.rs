@@ -48,7 +48,7 @@ impl ReplayBuffer {
 
     /// Rebuilds a buffer from checkpointed segments (truncates to
     /// `capacity` oldest-first if the checkpoint somehow overflows).
-    pub fn restore(capacity: usize, mut segments: Vec<Segment>) -> Self {
+    pub(crate) fn restore(capacity: usize, mut segments: Vec<Segment>) -> Self {
         assert!(capacity > 0, "ReplayBuffer: capacity must be > 0");
         if segments.len() > capacity {
             segments.drain(..segments.len() - capacity);
@@ -65,11 +65,6 @@ impl ReplayBuffer {
     /// Whether the buffer holds no segments.
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
-    }
-
-    /// Maximum number of buffered segments.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The buffered segments, oldest first.

@@ -48,7 +48,13 @@ fn frozen_pipeline_matches_serve_bitwise() {
     assert_eq!(pipeline.updates_run(), 0);
     assert_eq!(pipeline.updates_failed(), 0);
     assert_eq!(pipeline.replay_len(), 0);
-    assert!(pipeline.raw_coverage().is_none());
+    assert!(pipeline
+        .checkpoint()
+        .adapter
+        .calibration
+        .observed
+        .iter()
+        .all(|&n| n == 0));
     assert_eq!(
         pipeline.model().to_json().expect("adapted model"),
         model.to_json().expect("trained model"),

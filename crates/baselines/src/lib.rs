@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! A fourth, non-estimating baseline rides along for the closed-loop
 //! autoscaling comparison: [`ReactiveConfig`] tunes the HPA-style

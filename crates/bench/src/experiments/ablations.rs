@@ -12,14 +12,14 @@ use super::mix_with;
 use crate::{filter_metrics, focus_scope, report, Args, ExpCtx};
 
 /// Runs the ablation study.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (its learning data is reused; each
 /// variant trains its own model).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     report::banner(
         "ablations",
         "architecture ablations: unseen same-scale, composition-shift and 3x-scale queries",

@@ -7,7 +7,7 @@ use deeprest_workload::WorkloadSpec;
 use crate::{report, Args};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     report::banner(
         "fig09",
         "7-day application-learning API traffic (two peaks per day)",

@@ -10,13 +10,13 @@ use super::{mix_with, qualitative};
 use crate::{Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     let mix = mix_with(&ctx.app, &[("/composePost", 0.55)]);
     let traffic = qualitative::one_day_query(ctx, mix, 2.0, TrafficShape::TwoPeak);
     qualitative::run_query(

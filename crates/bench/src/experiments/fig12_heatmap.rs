@@ -19,13 +19,13 @@ const COMPONENTS: [&str; 4] = [
 ];
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     report::banner(
         "fig12",
         "estimation quality heatmaps (4 components x 5 resources x 4 estimators)",

@@ -9,7 +9,7 @@ use super::mix_with;
 use crate::{report, Args};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     report::banner("fig13", "example query traffic for the three scenarios");
     let app = apps::social_network();
     let base = |users: f64| {

@@ -6,13 +6,13 @@ use super::sweeps::{run_cpu_sweep, Setting, REPEATS};
 use crate::{Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     let settings: Vec<Setting> = [1.0, 2.0, 3.0]
         .iter()
         .map(|&scale| Setting {

@@ -6,13 +6,13 @@ use super::sweeps::{run_cpu_sweep, Setting, REPEATS};
 use crate::{Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     // Seen: the learning mix. Unseen: the paper's example of 10% compose /
     // 85% read / 5% upload, with small per-repeat perturbations.
     let seen = Setting {

@@ -9,7 +9,7 @@ use crate::{Args, ExpCtx};
 
 /// Runs the experiment (trains a second, flat-learning context for the
 /// reverse direction).
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let two_peak_ctx = ExpCtx::social(args);
     run_with(args, &two_peak_ctx);
 
@@ -18,7 +18,7 @@ pub fn run(args: &Args) {
 }
 
 /// The "2-peak/day -> flat" direction against a two-peak-trained context.
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     let settings = [Setting {
         label: "2-peak/day -> flat".to_owned(),
         queries: (0..REPEATS)
@@ -40,7 +40,7 @@ pub fn run_with(args: &Args, ctx: &ExpCtx) {
 }
 
 /// The "flat -> 2-peak/day" direction against a flat-trained context.
-pub fn run_reverse_with(args: &Args, flat_ctx: &ExpCtx) {
+pub(crate) fn run_reverse_with(args: &Args, flat_ctx: &ExpCtx) {
     let settings = [Setting {
         label: "flat -> 2-peak/day".to_owned(),
         queries: (0..REPEATS)

@@ -7,13 +7,13 @@ use deeprest_metrics::{MetricKey, ResourceKind, TimeSeries};
 use crate::{report, Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::hotel(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared hotel context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     report::banner(
         "fig17",
         "hotel reservation: FrontendService CPU with 3x more users than ever",

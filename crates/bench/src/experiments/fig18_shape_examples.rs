@@ -9,13 +9,13 @@ use super::qualitative;
 use crate::{Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     let traffic = qualitative::one_day_query(ctx, ctx.app.default_mix(), 1.0, TrafficShape::Flat);
     qualitative::run_query(
         args,

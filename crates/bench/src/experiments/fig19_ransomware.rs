@@ -13,13 +13,13 @@ use super::checkdays::{build_check_traffic, flagged_days, pattern_detector_flags
 use crate::{report, Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     report::banner(
         "fig19",
         "sanity check: ransomware on PostStorageMongoDB (attack on day 6, 12:00-13:30)",

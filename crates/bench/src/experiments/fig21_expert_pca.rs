@@ -15,7 +15,7 @@ use deeprest_workload::WorkloadSpec;
 use crate::{filter_metrics, report, Args};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     report::banner(
         "fig21",
         "PCA of expert GRU parameters (MongoDB experts cluster)",

@@ -10,13 +10,13 @@ use deeprest_metrics::{MetricKey, ResourceKind};
 use crate::{report, Args, ExpCtx};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     let ctx = ExpCtx::social(args);
     run_with(args, &ctx);
 }
 
 /// Runs against a prepared context (shared with `run_all`).
-pub fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     report::banner(
         "fig22",
         "learned API-aware masks: API -> resource dependencies",

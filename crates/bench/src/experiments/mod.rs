@@ -1,26 +1,26 @@
 //! One module per reproduced table/figure; each exposes `run(&Args)`.
 //!
 //! [`EXPERIMENTS`] maps the ids `deeprest experiment <id>` accepts to those
-//! entry points; `all` is [`run_all`], every experiment in paper order.
+//! entry points; `all` is `run_all`, every experiment in paper order.
 
-pub mod ablations;
-pub mod fig09_learning_traffic;
-pub mod fig10_compose_dominated;
-pub mod fig11_read_dominated;
-pub mod fig12_heatmap;
-pub mod fig13_query_traffic;
-pub mod fig14_unseen_scale;
-pub mod fig15_unseen_composition;
-pub mod fig16_unseen_shape;
-pub mod fig17_hotel_3x;
-pub mod fig18_shape_examples;
-pub mod fig19_ransomware;
-pub mod fig20_cryptojacking;
-pub mod fig21_expert_pca;
-pub mod fig22_masks;
-pub mod scalability;
-pub mod table1_synthesizer;
-pub mod transfer;
+pub(crate) mod ablations;
+pub(crate) mod fig09_learning_traffic;
+pub(crate) mod fig10_compose_dominated;
+pub(crate) mod fig11_read_dominated;
+pub(crate) mod fig12_heatmap;
+pub(crate) mod fig13_query_traffic;
+pub(crate) mod fig14_unseen_scale;
+pub(crate) mod fig15_unseen_composition;
+pub(crate) mod fig16_unseen_shape;
+pub(crate) mod fig17_hotel_3x;
+pub(crate) mod fig18_shape_examples;
+pub(crate) mod fig19_ransomware;
+pub(crate) mod fig20_cryptojacking;
+pub(crate) mod fig21_expert_pca;
+pub(crate) mod fig22_masks;
+pub(crate) mod scalability;
+pub(crate) mod table1_synthesizer;
+pub(crate) mod transfer;
 
 mod checkdays;
 mod qualitative;
@@ -34,7 +34,7 @@ use deeprest_workload::TrafficShape;
 use crate::{Args, ExpCtx};
 
 /// An experiment's entry point.
-pub type Run = fn(&Args);
+pub(crate) type Run = fn(&Args);
 
 /// Every id `deeprest experiment <id>` accepts with its entry point, in
 /// paper order; the last, `all`, regenerates everything behind
@@ -70,7 +70,7 @@ fn spanned(id: &str, f: impl FnOnce()) {
 
 /// Runs every experiment in paper order, reusing trained contexts where the
 /// experiments share a learning phase.
-pub fn run_all(args: &Args) {
+pub(crate) fn run_all(args: &Args) {
     let started = std::time::Instant::now();
     let threads = args.threads.unwrap_or_else(|| Pool::global().threads());
 
@@ -160,7 +160,7 @@ pub fn run_all(args: &Args) {
 /// # Panics
 ///
 /// Panics if the overrides exceed mass 1.0 or name unknown endpoints.
-pub fn mix_with(app: &AppSpec, overrides: &[(&str, f64)]) -> Vec<(String, f64)> {
+pub(crate) fn mix_with(app: &AppSpec, overrides: &[(&str, f64)]) -> Vec<(String, f64)> {
     let override_mass: f64 = overrides.iter().map(|(_, w)| w).sum();
     assert!(
         override_mass <= 1.0 + 1e-9,

@@ -19,7 +19,7 @@ use deeprest_trace::{Interner, SpanNode, Trace};
 use crate::{report, Args};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     report::banner(
         "scalability",
         "model size, training and inference cost (§6)",

@@ -15,7 +15,7 @@ use super::mix_with;
 use crate::{report, Args};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     report::banner("table1", "trace synthesizer quality (six query settings)");
     let app = apps::social_network();
     let sim_cfg = SimConfig::default().with_seed(args.seed ^ 0xa5a5);

@@ -14,7 +14,7 @@ use deeprest_workload::WorkloadSpec;
 use crate::{filter_metrics, focus_scope, report, Args};
 
 /// Runs the experiment.
-pub fn run(args: &Args) {
+pub(crate) fn run(args: &Args) {
     report::banner(
         "transfer",
         "transfer learning: social network -> hotel reservation warm start",

@@ -17,7 +17,7 @@ use crate::Args;
 
 /// The Fig. 8 focus scope: every tracked resource of the six focus
 /// components (18 experts).
-pub fn focus_scope(app: &AppSpec) -> Vec<MetricKey> {
+pub(crate) fn focus_scope(app: &AppSpec) -> Vec<MetricKey> {
     apps::FOCUS_COMPONENTS
         .iter()
         .filter_map(|c| app.component(c).map(|spec| (c, spec.stateful)))
@@ -32,7 +32,7 @@ pub fn focus_scope(app: &AppSpec) -> Vec<MetricKey> {
 
 /// Restricts a registry to the given keys (baselines train per-series; the
 /// focus scope keeps experiment runs minutes-scale).
-pub fn filter_metrics(metrics: &MetricsRegistry, scope: &[MetricKey]) -> MetricsRegistry {
+pub(crate) fn filter_metrics(metrics: &MetricsRegistry, scope: &[MetricKey]) -> MetricsRegistry {
     let mut out = MetricsRegistry::new();
     for key in scope {
         if let Some(series) = metrics.get(key) {
@@ -43,7 +43,7 @@ pub fn filter_metrics(metrics: &MetricsRegistry, scope: &[MetricKey]) -> Metrics
 }
 
 /// The four estimators of §5.1, driven uniformly.
-pub struct EstimatorSet {
+pub(crate) struct EstimatorSet {
     /// The trained DeepRest model.
     pub deeprest: DeepRest,
     /// Training diagnostics for DeepRest.
@@ -53,21 +53,13 @@ pub struct EstimatorSet {
     comp_aware: ComponentAwareScaling,
 }
 
-/// Display names in the paper's presentation order.
-pub const ESTIMATOR_NAMES: [&str; 4] = [
-    "DeepRest",
-    "resrc-aware DL",
-    "simple scaling",
-    "component-aware",
-];
-
 impl EstimatorSet {
     /// Runs a resource-allocation query (mode 1: traffic only) through all
     /// four estimators. Returns per-estimator metric estimates in
     /// [`ESTIMATOR_NAMES`] order. For cumulative resources DeepRest's delta
     /// predictions are integrated from `initials` (the disk size at query
     /// start, known to the operator).
-    pub fn estimate_traffic(
+    pub(crate) fn estimate_traffic(
         &self,
         traffic: &ApiTraffic,
         initials: &BTreeMap<MetricKey, f64>,
@@ -110,15 +102,13 @@ fn display_name(internal: &str) -> String {
 
 /// A fully prepared experiment: application, learning phase and trained
 /// estimators.
-pub struct ExpCtx {
+pub(crate) struct ExpCtx {
     /// Experiment options.
     pub args: Args,
     /// The simulated application.
     pub app: AppSpec,
     /// Simulator configuration (derived from the master seed).
     pub sim_cfg: SimConfig,
-    /// The 7-day application-learning traffic (Fig. 9).
-    pub learn_traffic: ApiTraffic,
     /// Traces + metrics of the learning phase.
     pub learn: SimOutput,
     /// Metric keys in scope (focus set or all).
@@ -130,18 +120,18 @@ pub struct ExpCtx {
 impl ExpCtx {
     /// Prepares the social network experiment context (two-peak learning
     /// traffic, the paper's default).
-    pub fn social(args: &Args) -> Self {
+    pub(crate) fn social(args: &Args) -> Self {
         Self::build(apps::social_network(), args, TrafficShape::TwoPeak)
     }
 
     /// Prepares the social network context with a custom learning-phase
     /// traffic shape (the Fig. 16 "flat → 2-peak" direction).
-    pub fn social_shaped(args: &Args, shape: TrafficShape) -> Self {
+    pub(crate) fn social_shaped(args: &Args, shape: TrafficShape) -> Self {
         Self::build(apps::social_network(), args, shape)
     }
 
     /// Prepares the hotel reservation experiment context.
-    pub fn hotel(args: &Args) -> Self {
+    pub(crate) fn hotel(args: &Args) -> Self {
         Self::build(apps::hotel_reservation(), args, TrafficShape::TwoPeak)
     }
 
@@ -198,7 +188,6 @@ impl ExpCtx {
             args: args.clone(),
             app,
             sim_cfg,
-            learn_traffic,
             learn,
             scope,
             estimators: EstimatorSet {
@@ -213,7 +202,7 @@ impl ExpCtx {
 
     /// The pool repeated independent queries fan out over: `--threads` when
     /// given, the process-wide default otherwise.
-    pub fn pool(&self) -> deeprest_tensor::Pool {
+    pub(crate) fn pool(&self) -> deeprest_tensor::Pool {
         match self.args.threads {
             Some(n) => deeprest_tensor::Pool::with_threads(n),
             None => deeprest_tensor::Pool::global(),
@@ -221,7 +210,7 @@ impl ExpCtx {
     }
 
     /// Generates query traffic with the learning mix but overridden knobs.
-    pub fn query_workload(&self) -> WorkloadSpec {
+    pub(crate) fn query_workload(&self) -> WorkloadSpec {
         WorkloadSpec::new(self.args.users, self.app.default_mix())
             .with_days(1)
             .with_windows_per_day(self.args.windows_per_day)
@@ -231,14 +220,14 @@ impl ExpCtx {
     /// Runs query traffic through the real application to obtain the ground
     /// truth (the paper "collects the actual measurements by running the
     /// query traffic in the application").
-    pub fn ground_truth(&self, traffic: &ApiTraffic) -> SimOutput {
+    pub(crate) fn ground_truth(&self, traffic: &ApiTraffic) -> SimOutput {
         let cfg = self.sim_cfg.clone().with_seed(self.sim_cfg.seed ^ 0x77);
         simulate(&self.app, traffic, &cfg)
     }
 
     /// Ground truth with anomaly injectors active (sanity-check
     /// experiments).
-    pub fn ground_truth_with(
+    pub(crate) fn ground_truth_with(
         &self,
         traffic: &ApiTraffic,
         injectors: &[&dyn Injector],
@@ -249,7 +238,7 @@ impl ExpCtx {
 
     /// Ground-truth-aligned initials (disk size at the *query* run's start),
     /// for MAPE evaluation against a specific ground-truth run.
-    pub fn initials_from(&self, truth: &SimOutput) -> BTreeMap<MetricKey, f64> {
+    pub(crate) fn initials_from(&self, truth: &SimOutput) -> BTreeMap<MetricKey, f64> {
         self.scope
             .iter()
             .filter(|k| k.resource.cumulative())
@@ -264,7 +253,7 @@ impl ExpCtx {
 
     /// MAPE of every estimator against ground truth for one resource.
     /// Returns `(estimator, mape)` pairs in [`ESTIMATOR_NAMES`] order.
-    pub fn mape_table(
+    pub(crate) fn mape_table(
         &self,
         estimates: &[(String, BTreeMap<MetricKey, TimeSeries>)],
         truth: &SimOutput,

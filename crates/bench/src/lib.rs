@@ -28,11 +28,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod args;
+pub(crate) mod args;
 pub mod experiments;
-pub mod harness;
-pub mod report;
+pub(crate) mod harness;
+pub(crate) mod report;
 
 pub use args::Args;
-pub use harness::{filter_metrics, focus_scope, EstimatorSet, ExpCtx};
+pub(crate) use harness::{filter_metrics, focus_scope, ExpCtx};

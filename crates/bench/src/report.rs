@@ -7,7 +7,7 @@ use std::path::Path;
 use deeprest_metrics::TimeSeries;
 
 /// Prints an experiment banner.
-pub fn banner(id: &str, title: &str) {
+pub(crate) fn banner(id: &str, title: &str) {
     println!("================================================================");
     println!("{id}: {title}");
     println!("================================================================");
@@ -15,7 +15,7 @@ pub fn banner(id: &str, title: &str) {
 
 /// Prints one labelled sparkline "curve" (our terminal stand-in for the
 /// paper's line plots), with min/mean/max annotations.
-pub fn curve(label: &str, series: &TimeSeries, width: usize) {
+pub(crate) fn curve(label: &str, series: &TimeSeries, width: usize) {
     println!(
         "  {label:<26} {}  [min {:8.2}  mean {:8.2}  max {:8.2}]",
         series.sparkline(width),
@@ -26,7 +26,7 @@ pub fn curve(label: &str, series: &TimeSeries, width: usize) {
 }
 
 /// Prints a MAPE comparison row set: one row per estimator.
-pub fn mape_rows(target: &str, rows: &[(String, f64)]) {
+pub(crate) fn mape_rows(target: &str, rows: &[(String, f64)]) {
     println!("  {target}");
     let best = rows.iter().map(|(_, m)| *m).fold(f64::INFINITY, f64::min);
     for (name, mape) in rows {
@@ -41,7 +41,7 @@ pub fn mape_rows(target: &str, rows: &[(String, f64)]) {
 
 /// A ready-to-serialize experiment record.
 #[derive(serde::Serialize)]
-pub struct ExperimentRecord<'a, T: serde::Serialize> {
+pub(crate) struct ExperimentRecord<'a, T: serde::Serialize> {
     /// Experiment id, e.g. `fig14`.
     pub id: &'a str,
     /// Human title.
@@ -54,7 +54,7 @@ pub struct ExperimentRecord<'a, T: serde::Serialize> {
 ///
 /// Failures are reported to stderr but never abort the experiment (results
 /// were already printed).
-pub fn dump_json<T: serde::Serialize>(out_dir: &str, id: &str, title: &str, results: &T) {
+pub(crate) fn dump_json<T: serde::Serialize>(out_dir: &str, id: &str, title: &str, results: &T) {
     let record = ExperimentRecord { id, title, results };
     let path = Path::new(out_dir).join(format!("{id}.json"));
     let write = || -> std::io::Result<()> {
@@ -75,7 +75,7 @@ pub fn dump_json<T: serde::Serialize>(out_dir: &str, id: &str, title: &str, resu
 /// Renders a grid of MAPE values as the Fig. 12-style heatmap, one row per
 /// resource, one column per component, with a coarse glyph scale:
 /// `#` ≤10%, `+` ≤20%, `o` ≤40%, `x` ≤80%, `X` >80%, `.` not applicable.
-pub fn heatmap(
+pub(crate) fn heatmap(
     title: &str,
     components: &[&str],
     resources: &[&str],

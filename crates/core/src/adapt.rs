@@ -64,7 +64,7 @@ impl Default for UpdateConfig {
 
 impl UpdateConfig {
     /// Total subsequence slots per update (replay + fresh).
-    pub fn segment_slots(&self) -> usize {
+    pub(crate) fn segment_slots(&self) -> usize {
         self.replay_slots + 1
     }
 }
@@ -205,20 +205,10 @@ impl OnlineUpdater {
         }
     }
 
-    /// The configured update geometry.
-    pub fn config(&self) -> &UpdateConfig {
-        &self.cfg
-    }
-
     /// Replaces the per-quantile gradient modulation used by subsequent
     /// updates (`[1.0; 3]` restores the exact unmodulated backward).
     pub fn set_modulation(&mut self, modulation: [f32; 3]) {
         self.trainer.set_modulation(modulation);
-    }
-
-    /// The currently configured per-quantile gradient modulation.
-    pub fn modulation(&self) -> [f32; 3] {
-        self.trainer.modulation()
     }
 
     /// Applies one incremental optimizer step on `segments` (replay +

@@ -101,20 +101,6 @@ impl Default for DeepRestConfig {
 }
 
 impl DeepRestConfig {
-    /// The paper's §5.1 configuration: 128 hidden units, SGD at 0.001,
-    /// 30 epochs, batch size 32.
-    pub fn paper() -> Self {
-        Self {
-            hidden_dim: 128,
-            optimizer: OptimizerKind::Sgd {
-                lr: 0.001,
-                momentum: 0.0,
-            },
-            batch_size: 32,
-            ..Self::default()
-        }
-    }
-
     /// Builder: sets the hidden dimension.
     pub fn with_hidden(mut self, hidden_dim: usize) -> Self {
         self.hidden_dim = hidden_dim;
@@ -155,22 +141,6 @@ impl DeepRestConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_config_matches_section_5_1() {
-        let c = DeepRestConfig::paper();
-        assert_eq!(c.hidden_dim, 128);
-        assert_eq!(c.epochs, 30);
-        assert_eq!(c.batch_size, 32);
-        assert_eq!(
-            c.optimizer,
-            OptimizerKind::Sgd {
-                lr: 0.001,
-                momentum: 0.0
-            }
-        );
-        assert_eq!(c.delta, 0.90);
-    }
 
     #[test]
     fn stale_keys_are_ignored_and_not_written_back() {

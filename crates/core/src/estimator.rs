@@ -849,7 +849,7 @@ impl DeepRest {
 
     /// The learned API-aware mask of one expert, after the sigmoid
     /// (values in `(0, 1)`; Eq. 1 / Fig. 22).
-    pub fn mask_weights(&self, key: &ExpertKey) -> Option<Vec<f32>> {
+    pub(crate) fn mask_weights(&self, key: &ExpertKey) -> Option<Vec<f32>> {
         self.expert(key).map(|e| {
             self.store
                 .value(e.mask)
@@ -862,7 +862,7 @@ impl DeepRest {
 
     /// The application-independent GRU parameters (`U_*`, `b_*`) of one
     /// expert, flattened.
-    pub fn gru_independent_params(&self, key: &ExpertKey) -> Option<Vec<f32>> {
+    pub(crate) fn gru_independent_params(&self, key: &ExpertKey) -> Option<Vec<f32>> {
         self.expert(key).map(|e| {
             e.gru
                 .application_independent_params()
@@ -876,7 +876,7 @@ impl DeepRest {
     /// (`θ - θ₀`) — the vectors the Fig. 21 PCA projects. Subtracting the
     /// random initialization isolates what training taught each expert;
     /// experts that learned to remember/forget similarly end up close.
-    pub fn gru_learned_update(&self, key: &ExpertKey) -> Option<Vec<f32>> {
+    pub(crate) fn gru_learned_update(&self, key: &ExpertKey) -> Option<Vec<f32>> {
         let expert = self.expert(key)?;
         let current = self.gru_independent_params(key)?;
         Some(
@@ -888,23 +888,8 @@ impl DeepRest {
         )
     }
 
-    /// The learned attention weights of one expert over the others
-    /// (Eq. 3), as `(source expert, |α|)` pairs; the self entry is omitted.
-    pub fn attention_weights(&self, key: &ExpertKey) -> Option<Vec<(ExpertKey, f32)>> {
-        let idx = self.experts.iter().position(|e| &e.key == key)?;
-        let alpha = self.store.value(self.experts[idx].alpha);
-        Some(
-            self.experts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != idx)
-                .map(|(i, e)| (e.key.clone(), alpha.data()[i]))
-                .collect(),
-        )
-    }
-
     /// Total trainable scalar parameters across all experts.
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
@@ -1469,17 +1454,13 @@ mod tests {
     }
 
     #[test]
-    fn mask_and_attention_accessors_work() {
+    fn mask_and_gru_accessors_work() {
         let (i, traces, metrics) = tiny_dataset(64);
         let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(2));
         let k = MetricKey::new("Frontend", ResourceKind::Cpu);
         let mask = model.mask_weights(&k).unwrap();
         assert_eq!(mask.len(), model.feature_space().dim());
         assert!(mask.iter().all(|&w| (0.0..=1.0).contains(&w)));
-
-        let att = model.attention_weights(&k).unwrap();
-        assert_eq!(att.len(), 1); // The other expert.
-        assert_eq!(att[0].0, MetricKey::new("Frontend", ResourceKind::Memory));
 
         let gru = model.gru_independent_params(&k).unwrap();
         assert_eq!(gru.len(), 3 * 12 * 12 + 3 * 12);

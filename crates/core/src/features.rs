@@ -124,7 +124,7 @@ impl FeatureSpace {
     /// Algorithm 1: constructs the feature space from the application-
     /// learning traces, one feature per distinct root-prefix invocation
     /// path. Also fits the per-feature normalization scale used by
-    /// [`FeatureSpace::extract_normalized`].
+    /// `FeatureSpace::extract_normalized`.
     pub fn construct(traces: &WindowedTraces) -> Self {
         Self::construct_counted(traces).0
     }
@@ -250,7 +250,7 @@ impl FeatureSpace {
     }
 
     /// Extracts and normalizes one window (see [`FeatureSpace::extract`]).
-    pub fn extract_normalized(&self, window: &[Trace]) -> Vec<f32> {
+    pub(crate) fn extract_normalized(&self, window: &[Trace]) -> Vec<f32> {
         self.normalize(self.extract(window))
     }
 
@@ -268,21 +268,9 @@ impl FeatureSpace {
             .collect()
     }
 
-    /// The invocation path behind feature `idx` (packed ids root-first).
-    pub fn path(&self, idx: usize) -> &[u64] {
-        &self.table.paths[idx]
-    }
-
     /// The APIs that produced feature `idx` during learning, with counts.
     pub fn apis_for(&self, idx: usize) -> &BTreeMap<Sym, u64> {
         &self.table.api_counts[idx]
-    }
-
-    /// Whether the component appears anywhere in path `idx`.
-    pub fn path_touches_component(&self, idx: usize, component: Sym) -> bool {
-        self.table.paths[idx]
-            .iter()
-            .any(|&packed| Sym::unpack(packed).0 == component)
     }
 
     /// Human-readable rendering of feature `idx` for reports.
@@ -377,7 +365,10 @@ mod tests {
         // Find the store path (depth 2, attributed to /uploadMedia only).
         let mongo = i.get("MediaMongoDB").unwrap();
         let store_paths: Vec<usize> = (0..space.dim())
-            .filter(|&idx| space.path(idx).len() == 2 && space.path_touches_component(idx, mongo))
+            .filter(|&idx| {
+                let path = &space.table.paths[idx];
+                path.len() == 2 && path.iter().any(|&p| Sym::unpack(p).0 == mongo)
+            })
             .collect();
         assert_eq!(store_paths.len(), 2);
         for idx in store_paths {

@@ -87,16 +87,6 @@ impl TraceSynthesizer {
         Self { per_api }
     }
 
-    /// APIs the synthesizer knows about.
-    pub fn known_apis(&self) -> Vec<Sym> {
-        self.per_api.iter().map(|(api, _)| *api).collect()
-    }
-
-    /// Number of distinct trace shapes learned for `api`.
-    pub fn shape_count(&self, api: Sym) -> usize {
-        self.distribution(api).map_or(0, |d| d.keys.len())
-    }
-
     fn distribution(&self, api: Sym) -> Option<&ApiDistribution> {
         self.per_api.iter().find(|(a, _)| *a == api).map(|(_, d)| d)
     }
@@ -154,7 +144,7 @@ impl TraceSynthesizer {
     /// # Panics
     ///
     /// Panics if an endpoint is unknown to the interner.
-    pub fn resolve_endpoints(traffic: &ApiTraffic, interner: &Interner) -> Vec<Sym> {
+    pub(crate) fn resolve_endpoints(traffic: &ApiTraffic, interner: &Interner) -> Vec<Sym> {
         traffic
             .apis()
             .iter()
@@ -178,7 +168,7 @@ impl TraceSynthesizer {
     /// # Panics
     ///
     /// Panics if an API was never observed during learning.
-    pub fn synthesize_window(
+    pub(crate) fn synthesize_window(
         &self,
         window_requests: &[f64],
         api_syms: &[Sym],
@@ -228,8 +218,11 @@ mod tests {
         let (i, traces) = learning_traces();
         let synth = TraceSynthesizer::learn(&traces);
         let api = i.get("/read").unwrap();
-        assert_eq!(synth.known_apis(), vec![api]);
-        assert_eq!(synth.shape_count(api), 2);
+        assert_eq!(
+            synth.per_api.iter().map(|(a, _)| *a).collect::<Vec<_>>(),
+            vec![api]
+        );
+        assert_eq!(synth.distribution(api).map(|d| d.keys.len()), Some(2));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Golden-file test for the trace-ingestion front half of the pipeline: a
 //! checked-in miniature Jaeger document (two APIs of a mini social network)
-//! with its expected path-to-feature map, per-window count vectors and
-//! execution topology. Guards `trace::jaeger` + `trace::topology` +
-//! `core::features` against silent drift — if path enumeration order,
-//! dedup, or count semantics change, these assertions name exactly what
-//! moved.
+//! with its expected path-to-feature map and per-window count vectors.
+//! Guards `trace::jaeger` + `core::features` against silent drift — if
+//! path enumeration order, dedup, or count semantics change, these
+//! assertions name exactly what moved.
 
 use deeprest_core::FeatureSpace;
 use deeprest_trace::window::WindowedTraces;
-use deeprest_trace::{jaeger, ExecutionTopology, Interner, Trace};
+use deeprest_trace::{jaeger, Interner, Trace};
 use serde::Deserialize;
 
 const DOC: &str = include_str!("fixtures/mini_jaeger.json");
@@ -19,7 +18,6 @@ struct Expected {
     window_sizes: Vec<usize>,
     apis: Vec<String>,
     features: Vec<ExpectedFeature>,
-    topology: ExpectedTopology,
 }
 
 #[derive(Deserialize)]
@@ -27,14 +25,6 @@ struct ExpectedFeature {
     path: String,
     apis: Vec<String>,
     counts: Vec<f32>,
-}
-
-#[derive(Deserialize)]
-struct ExpectedTopology {
-    node_count: usize,
-    edge_count: usize,
-    roots: Vec<String>,
-    components: Vec<String>,
 }
 
 fn load() -> (Interner, Vec<Trace>, Expected) {
@@ -102,29 +92,4 @@ fn feature_space_matches_the_golden_path_map() {
             want.path
         );
     }
-}
-
-#[test]
-fn execution_topology_matches_the_golden_graph() {
-    let (interner, traces, expected) = load();
-    let topo = ExecutionTopology::from_traces(&traces);
-    assert_eq!(topo.node_count(), expected.topology.node_count);
-    assert_eq!(topo.edge_count(), expected.topology.edge_count);
-
-    let roots: Vec<String> = topo
-        .roots()
-        .iter()
-        .map(|&id| {
-            let (c, o) = topo.node(id);
-            format!("{}:{}", interner.resolve(c), interner.resolve(o))
-        })
-        .collect();
-    assert_eq!(roots, expected.topology.roots);
-
-    let components: Vec<String> = topo
-        .components()
-        .iter()
-        .map(|&c| interner.resolve(c).to_owned())
-        .collect();
-    assert_eq!(components, expected.topology.components);
 }

@@ -192,7 +192,8 @@ proptest! {
         let (i, traces) = windows_from(&choices, 8);
         let synth = TraceSynthesizer::learn(&traces);
         let mut rng = StdRng::seed_from_u64(seed);
-        for api in synth.known_apis() {
+        let apis: std::collections::BTreeSet<_> = traces.iter_all().map(|t| t.api).collect();
+        for api in apis {
             let learned: std::collections::HashSet<Vec<u64>> = traces
                 .iter_all()
                 .filter(|t| t.api == api)

@@ -36,7 +36,7 @@
 //!
 //! # Schedules
 //!
-//! A [`FaultSpec`] arms one probe site for a *hit window*: the probe's
+//! A `FaultSpec` arms one probe site for a *hit window*: the probe's
 //! `from_hit..until_hit` invocations (per-site hit counters start at 0 when
 //! the plan is armed). Within the window an optional probability `p`
 //! (seeded, hash-based, deterministic for a given `(seed, site, hit)`)
@@ -48,7 +48,7 @@
 //! # Spec strings
 //!
 //! `DEEPREST_FAULTS` (consulted on the first probe, like
-//! `DEEPREST_TELEMETRY`) and [`parse_plan`] accept a `;`-separated list of
+//! `DEEPREST_TELEMETRY`) and `parse_plan` accept a `;`-separated list of
 //! `site=FROM..UNTIL[~PROB][@PAYLOAD]` clauses:
 //!
 //! | spec                          | meaning                                      |
@@ -69,6 +69,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,7 +83,7 @@ pub const PAYLOAD_ALL: u64 = u64::MAX;
 /// One armed injection point: a probe site, a hit window, an optional
 /// firing probability and a site-specific payload.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FaultSpec {
+pub(crate) struct FaultSpec {
     /// Probe site this spec arms (e.g. `stream.hidden`, `pool.worker`).
     pub site: String,
     /// First probe hit (0-based) the spec fires on.
@@ -95,7 +96,7 @@ pub struct FaultSpec {
     pub payload: u64,
 }
 
-/// A seeded, deterministic set of [`FaultSpec`]s. Build with the
+/// A seeded, deterministic set of `FaultSpec`s. Build with the
 /// fluent methods ([`once`](Self::once), [`always`](Self::always),
 /// [`window`](Self::window), [`prob`](Self::prob)), then arm it on the
 /// calling thread over a closure with [`with_plan`], or process-wide with
@@ -113,16 +114,6 @@ impl FaultPlan {
             seed,
             specs: Vec::new(),
         }
-    }
-
-    /// The plan's probability seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan's specs.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
     }
 
     /// Arms `site` for exactly probe hit `hit`.
@@ -187,7 +178,7 @@ impl FaultPlan {
 /// # Errors
 ///
 /// Returns a description of the first malformed clause.
-pub fn parse_plan(spec: &str, seed: u64) -> Result<FaultPlan, String> {
+pub(crate) fn parse_plan(spec: &str, seed: u64) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::new(seed);
     for clause in spec.split(';') {
         let clause = clause.trim();
@@ -295,7 +286,7 @@ fn enabled_slow() -> bool {
 /// Consults `DEEPREST_FAULTS` once and arms the parsed plan process-wide.
 /// Called lazily by the first probe; calling it eagerly is harmless.
 /// Returns whether a process-wide plan is armed.
-pub fn init_from_env() -> bool {
+pub(crate) fn init_from_env() -> bool {
     ENV_INIT.call_once(|| {
         if STATE.load(Ordering::Relaxed) & ENV_PENDING == 0 {
             return;
@@ -616,13 +607,13 @@ mod tests {
     #[test]
     fn spec_string_round_trip() {
         let plan = parse_plan("a=2..4; b=0..~0.25; c=5..6@40; d=..", 9).expect("valid spec");
-        assert_eq!(plan.specs().len(), 4);
-        assert_eq!(plan.specs()[0].from_hit, 2);
-        assert_eq!(plan.specs()[0].until_hit, 4);
-        assert_eq!(plan.specs()[1].prob, 0.25);
-        assert_eq!(plan.specs()[2].payload, 40);
-        assert_eq!(plan.specs()[3].from_hit, 0);
-        assert_eq!(plan.specs()[3].until_hit, u64::MAX);
+        assert_eq!(plan.specs.len(), 4);
+        assert_eq!(plan.specs[0].from_hit, 2);
+        assert_eq!(plan.specs[0].until_hit, 4);
+        assert_eq!(plan.specs[1].prob, 0.25);
+        assert_eq!(plan.specs[2].payload, 40);
+        assert_eq!(plan.specs[3].from_hit, 0);
+        assert_eq!(plan.specs[3].until_hit, u64::MAX);
 
         assert!(parse_plan("nonsense", 0).is_err());
         assert!(parse_plan("a=1..2~zzz", 0).is_err());

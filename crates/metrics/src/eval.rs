@@ -29,62 +29,6 @@ pub fn mape(actual: &TimeSeries, estimated: &TimeSeries) -> f64 {
     100.0 * total / actual.len() as f64
 }
 
-/// Symmetric MAPE (bounded to `[0, 200]`), robust to near-zero actuals.
-///
-/// # Panics
-///
-/// Panics if the series lengths differ.
-pub fn smape(actual: &TimeSeries, estimated: &TimeSeries) -> f64 {
-    assert_eq!(actual.len(), estimated.len(), "smape: length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for (a, e) in actual.values().iter().zip(estimated.values().iter()) {
-        let denom = (a.abs() + e.abs()).max(1e-12);
-        total += 2.0 * (a - e).abs() / denom;
-    }
-    100.0 * total / actual.len() as f64
-}
-
-/// Root mean squared error.
-///
-/// # Panics
-///
-/// Panics if the series lengths differ.
-pub fn rmse(actual: &TimeSeries, estimated: &TimeSeries) -> f64 {
-    assert_eq!(actual.len(), estimated.len(), "rmse: length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = actual
-        .values()
-        .iter()
-        .zip(estimated.values().iter())
-        .map(|(a, e)| (a - e) * (a - e))
-        .sum();
-    (sum / actual.len() as f64).sqrt()
-}
-
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the series lengths differ.
-pub fn mae(actual: &TimeSeries, estimated: &TimeSeries) -> f64 {
-    assert_eq!(actual.len(), estimated.len(), "mae: length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = actual
-        .values()
-        .iter()
-        .zip(estimated.values().iter())
-        .map(|(a, e)| (a - e).abs())
-        .sum();
-    sum / actual.len() as f64
-}
-
 /// Fraction of windows whose actual value lies inside `[lower, upper]`.
 ///
 /// A well-calibrated δ-confidence interval should cover ≈ δ of benign
@@ -126,7 +70,7 @@ pub fn interval_coverage(actual: &TimeSeries, lower: &TimeSeries, upper: &TimeSe
 /// # Panics
 ///
 /// Panics if the series lengths differ.
-pub fn mean_interval_width(lower: &TimeSeries, upper: &TimeSeries) -> f64 {
+pub(crate) fn mean_interval_width(lower: &TimeSeries, upper: &TimeSeries) -> f64 {
     assert_eq!(
         lower.len(),
         upper.len(),
@@ -161,15 +105,8 @@ pub struct CalibrationReport {
 impl CalibrationReport {
     /// Signed calibration gap in coverage points: positive when the
     /// interval over-covers, negative when it under-covers.
-    pub fn gap_points(&self) -> f64 {
+    pub(crate) fn gap_points(&self) -> f64 {
         100.0 * (self.coverage - self.nominal)
-    }
-
-    /// `true` when empirical coverage is within `tolerance_points`
-    /// percentage points of nominal (the drift-scenario acceptance bar
-    /// uses 5 points).
-    pub fn within(&self, tolerance_points: f64) -> bool {
-        self.gap_points().abs() <= tolerance_points
     }
 }
 
@@ -188,7 +125,7 @@ impl core::fmt::Display for CalibrationReport {
 
 /// Computes the [`CalibrationReport`] of a δ-interval series: empirical
 /// coverage via [`interval_coverage`] and the width it cost via
-/// [`mean_interval_width`].
+/// `mean_interval_width`.
 ///
 /// # Panics
 ///
@@ -259,18 +196,6 @@ pub struct AnomalousRange {
     pub start: usize,
     /// One past the last window of the run.
     pub end: usize,
-}
-
-impl AnomalousRange {
-    /// Number of windows in the run.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Returns `true` for a degenerate empty range.
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
 }
 
 /// Extracts contiguous runs where `scores` exceeds `threshold`; runs shorter
@@ -365,22 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn smape_is_bounded() {
-        let a = ts(&[0.0, 0.0]);
-        let e = ts(&[5.0, 100.0]);
-        let s = smape(&a, &e);
-        assert!(s <= 200.0 + 1e-9);
-    }
-
-    #[test]
-    fn rmse_and_mae_known_values() {
-        let a = ts(&[0.0, 0.0]);
-        let e = ts(&[3.0, 4.0]);
-        assert!((rmse(&a, &e) - (12.5f64).sqrt()).abs() < 1e-9);
-        assert!((mae(&a, &e) - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn coverage_counts_inside_windows() {
         let a = ts(&[1.0, 5.0, 9.0, 20.0]);
         let lo = ts(&[0.0; 4]);
@@ -405,8 +314,6 @@ mod tests {
         assert_eq!(r.coverage, 0.75);
         assert_eq!(r.mean_width, 10.0);
         assert!((r.gap_points() + 15.0).abs() < 1e-9);
-        assert!(!r.within(5.0));
-        assert!(r.within(15.1));
     }
 
     #[test]
@@ -416,7 +323,7 @@ mod tests {
         let lo = ts(&[0.0; 10]);
         let hi = ts(&[1.0; 10]);
         let r = interval_calibration(&a, &lo, &hi, 0.90);
-        assert!(r.within(1e-9), "gap {}", r.gap_points());
+        assert!(r.gap_points().abs() <= 1e-9, "gap {}", r.gap_points());
     }
 
     #[test]

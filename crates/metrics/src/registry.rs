@@ -59,11 +59,6 @@ impl MetricsRegistry {
         self.series.get(&MetricKey::new(component, resource))
     }
 
-    /// Mutable lookup, inserting an empty series when missing.
-    pub fn entry(&mut self, key: MetricKey) -> &mut TimeSeries {
-        self.series.entry(key).or_default()
-    }
-
     /// Number of metric streams.
     pub fn len(&self) -> usize {
         self.series.len()
@@ -146,15 +141,5 @@ mod tests {
             &[2.0, 3.0]
         );
         assert_eq!(sliced.window_count(), Some(2));
-    }
-
-    #[test]
-    fn entry_creates_empty_series() {
-        let mut r = MetricsRegistry::new();
-        r.entry(MetricKey::new("x", ResourceKind::Memory)).push(9.0);
-        assert_eq!(
-            r.get_parts("x", ResourceKind::Memory).unwrap().values(),
-            &[9.0]
-        );
     }
 }

@@ -33,7 +33,7 @@ impl ResourceKind {
     ];
 
     /// The kinds tracked for every component.
-    pub const STATELESS: [ResourceKind; 2] = [ResourceKind::Cpu, ResourceKind::Memory];
+    pub(crate) const STATELESS: [ResourceKind; 2] = [ResourceKind::Cpu, ResourceKind::Memory];
 
     /// Returns `true` when this resource only exists on stateful components
     /// (marked black in Fig. 12 for stateless ones).

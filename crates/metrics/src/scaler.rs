@@ -37,16 +37,6 @@ impl MinMaxScaler {
         Self { min, max }
     }
 
-    /// Fitted minimum.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Fitted maximum.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Maps a raw value into normalized space.
     pub fn transform(&self, v: f64) -> f64 {
         (v - self.min) / (self.max - self.min)
@@ -55,16 +45,6 @@ impl MinMaxScaler {
     /// Maps a normalized value back to raw space.
     pub fn inverse(&self, v: f64) -> f64 {
         v * (self.max - self.min) + self.min
-    }
-
-    /// Transforms a whole slice.
-    pub fn transform_all(&self, values: &[f64]) -> Vec<f64> {
-        values.iter().map(|&v| self.transform(v)).collect()
-    }
-
-    /// Inverse-transforms a whole slice.
-    pub fn inverse_all(&self, values: &[f64]) -> Vec<f64> {
-        values.iter().map(|&v| self.inverse(v)).collect()
     }
 }
 
@@ -104,12 +84,5 @@ mod tests {
         let s = MinMaxScaler::fit(&[0.0, 10.0]);
         assert_eq!(s.transform(30.0), 3.0);
         assert_eq!(s.inverse(3.0), 30.0);
-    }
-
-    #[test]
-    fn transform_all_matches_pointwise() {
-        let s = MinMaxScaler::fit(&[0.0, 4.0]);
-        assert_eq!(s.transform_all(&[0.0, 2.0, 4.0]), vec![0.0, 0.5, 1.0]);
-        assert_eq!(s.inverse_all(&[0.0, 0.5, 1.0]), vec![0.0, 2.0, 4.0]);
     }
 }

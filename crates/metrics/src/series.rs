@@ -111,23 +111,6 @@ impl TimeSeries {
         }
     }
 
-    /// Applies exponential smoothing with coefficient `alpha ∈ (0, 1]`:
-    /// `s_t = alpha·v_t + (1-alpha)·s_{t-1}`. Models the queueing carryover
-    /// the simulator's resource dynamics exhibit.
-    pub fn ewma(&self, alpha: f64) -> TimeSeries {
-        let mut out = Vec::with_capacity(self.values.len());
-        let mut prev = None::<f64>;
-        for &v in &self.values {
-            let s = match prev {
-                None => v,
-                Some(p) => alpha * v + (1.0 - alpha) * p,
-            };
-            out.push(s);
-            prev = Some(s);
-        }
-        TimeSeries { values: out }
-    }
-
     /// Centered moving average with an odd window of `width` (clamped at the
     /// edges). Used to stabilize anomaly scores before event extraction.
     pub fn moving_average(&self, width: usize) -> TimeSeries {
@@ -202,16 +185,6 @@ mod tests {
         let b = TimeSeries::from_values(vec![10.0, 20.0]);
         assert_eq!(a.add(&b).values(), &[11.0, 22.0]);
         assert_eq!(a.scale(3.0).values(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    fn ewma_smooths_spikes() {
-        let s = TimeSeries::from_values(vec![0.0, 10.0, 0.0, 0.0]);
-        let sm = s.ewma(0.5);
-        assert_eq!(sm.values()[0], 0.0);
-        assert_eq!(sm.values()[1], 5.0);
-        assert_eq!(sm.values()[2], 2.5);
-        assert!(sm.values()[3] < sm.values()[2]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property-based tests for the evaluation metrics and scalers.
 
 use deeprest_metrics::eval::{
-    anomalous_ranges, count_vector_accuracy, interval_coverage, interval_deviation, mae, mape,
-    rmse, smape,
+    anomalous_ranges, count_vector_accuracy, interval_coverage, interval_deviation, mape,
 };
 use deeprest_metrics::{MinMaxScaler, TimeSeries};
 use proptest::prelude::*;
@@ -17,9 +16,6 @@ proptest! {
     #[test]
     fn error_metrics_are_zero_iff_perfect(s in series(1..50)) {
         prop_assert_eq!(mape(&s, &s), 0.0);
-        prop_assert_eq!(smape(&s, &s), 0.0);
-        prop_assert_eq!(rmse(&s, &s), 0.0);
-        prop_assert_eq!(mae(&s, &s), 0.0);
     }
 
     #[test]
@@ -29,8 +25,6 @@ proptest! {
         let a: TimeSeries = pair.iter().map(|&(x, _)| x).collect();
         let e: TimeSeries = pair.iter().map(|&(_, y)| y).collect();
         prop_assert!(mape(&a, &e) >= 0.0);
-        prop_assert!(smape(&a, &e) <= 200.0 + 1e-9);
-        prop_assert!(rmse(&a, &e) >= mae(&a, &e) - 1e-12, "RMSE >= MAE");
     }
 
     #[test]
@@ -66,14 +60,14 @@ proptest! {
         let mut prev_end = 0;
         for r in &ranges {
             prop_assert!(r.start >= prev_end, "ranges must be sorted/disjoint");
-            prop_assert!(r.len() >= min_len);
+            prop_assert!(r.end - r.start >= min_len);
             for &score in &scores[r.start..r.end] {
                 prop_assert!(score > threshold);
             }
             prev_end = r.end;
         }
         // Completeness: every qualifying run is reported.
-        let flagged: usize = ranges.iter().map(|r| r.len()).sum();
+        let flagged: usize = ranges.iter().map(|r| r.end - r.start).sum();
         let above = scores.iter().filter(|&&v| v > threshold).count();
         prop_assert!(flagged <= above);
     }

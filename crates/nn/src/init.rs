@@ -9,13 +9,17 @@ use rand::Rng;
 ///
 /// Keeps activation variance roughly constant through sigmoid/tanh layers,
 /// which is what the GRU gates of Eq. 2 use.
-pub fn xavier_uniform<R: Rng + ?Sized>(fan_out: usize, fan_in: usize, rng: &mut R) -> Tensor {
+pub(crate) fn xavier_uniform<R: Rng + ?Sized>(
+    fan_out: usize,
+    fan_in: usize,
+    rng: &mut R,
+) -> Tensor {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::rand_uniform(fan_out, fan_in, -limit, limit, rng)
 }
 
 /// Zero initialization, the conventional choice for bias vectors.
-pub fn zeros(rows: usize, cols: usize) -> Tensor {
+pub(crate) fn zeros(rows: usize, cols: usize) -> Tensor {
     Tensor::zeros(rows, cols)
 }
 

@@ -81,14 +81,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod gru;
 pub mod init;
 mod linear;
 pub mod loss;
 mod optim;
-pub mod slab;
-pub mod train;
+pub(crate) mod slab;
+pub(crate) mod train;
 
 pub use gru::GruCell;
 pub use linear::Linear;

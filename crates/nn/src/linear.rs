@@ -41,16 +41,6 @@ impl Linear {
             out_dim,
         }
     }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
 }
 
 #[cfg(test)]

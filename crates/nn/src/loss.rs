@@ -15,15 +15,6 @@ pub fn quantiles_for(delta: f32) -> [f32; 3] {
     [0.5, (1.0 - delta) / 2.0, delta + (1.0 - delta) / 2.0]
 }
 
-/// Scalar pinball loss value (no autodiff), for evaluation code.
-pub fn pinball_value(delta: f32, quantile: f32) -> f32 {
-    if delta >= 0.0 {
-        quantile * delta
-    } else {
-        (quantile - 1.0) * delta
-    }
-}
-
 /// Modulated pinball subgradient `∂ℓ/∂ŷ` for residual `u = y - ŷ`:
 /// `-q` below the target, `1-q` above it, scaled by a per-quantile
 /// `modulation` factor (the online-adaptation gradient modulation of
@@ -33,7 +24,7 @@ pub fn pinball_value(delta: f32, quantile: f32) -> f32 {
 /// offline training through this helper stays bit-identical to the
 /// unmodulated pinball backward.
 #[inline]
-pub fn pinball_grad(u: f32, quantile: f32, modulation: f32) -> f32 {
+pub(crate) fn pinball_grad(u: f32, quantile: f32, modulation: f32) -> f32 {
     modulation * if u >= 0.0 { -quantile } else { 1.0 - quantile }
 }
 
@@ -42,6 +33,15 @@ mod tests {
     use super::*;
     use deeprest_tape::Graph;
     use deeprest_tensor::{ParamStore, Tensor};
+
+    /// Scalar pinball loss value, the reference the gradients integrate.
+    fn pinball_value(delta: f32, quantile: f32) -> f32 {
+        if delta >= 0.0 {
+            quantile * delta
+        } else {
+            (quantile - 1.0) * delta
+        }
+    }
 
     #[test]
     fn quantiles_match_paper_delta_090() {

@@ -123,7 +123,7 @@ pub struct ExpertSpec {
 /// The shard plan: `experts` split into contiguous, non-empty ranges, one
 /// per worker but never more than one per started group of 8 experts
 /// (`MIN_EXPERTS_PER_SHARD`).
-pub fn plan_shards(experts: usize, threads: usize) -> Vec<Range<usize>> {
+pub(crate) fn plan_shards(experts: usize, threads: usize) -> Vec<Range<usize>> {
     let shards = threads.min(experts.div_ceil(MIN_EXPERTS_PER_SHARD)).max(1);
     let chunk = experts.div_ceil(shards).max(1);
     (0..experts)
@@ -155,7 +155,7 @@ pub struct GateStash<'a> {
     pub ht: &'a mut [f32],
 }
 
-/// The packed expert swarm; see the [module docs](self).
+/// The packed expert swarm; see the `slab` module docs.
 #[derive(Clone, Debug)]
 pub struct ExpertSlab {
     /// The handles the slab was packed from, in expert order: what
@@ -199,7 +199,7 @@ impl ExpertSlab {
     /// `store` and plans shards for `threads` workers. The slab is a value
     /// copy that remembers `specs`: whoever writes the parameters
     /// [`repack`](Self::repack)s it afterwards (see the
-    /// [module docs](self) on ownership).
+    /// module docs on ownership).
     ///
     /// `api_mask` off packs an all-ones mask; `attention` off packs no
     /// attention columns and [`heads`](Self::heads) concatenates zeros.
@@ -374,7 +374,7 @@ impl ExpertSlab {
     /// the first and of the last expert hold `store`'s values bit for bit.
     /// Whoever reads forward values from the slab and their row-major
     /// counterparts from the store (the analytic backward) rests on this.
-    pub fn is_current_for(&self, store: &ParamStore) -> bool {
+    pub(crate) fn is_current_for(&self, store: &ParamStore) -> bool {
         let (d, h) = (self.input_dim, self.hidden_dim);
         let ends = [0, self.experts.saturating_sub(1)];
         ends.into_iter().take(self.experts).all(|e| {
@@ -390,12 +390,12 @@ impl ExpertSlab {
     }
 
     /// Number of packed experts.
-    pub fn experts(&self) -> usize {
+    pub(crate) fn experts(&self) -> usize {
         self.experts
     }
 
     /// Input dimensionality shared by all packed experts.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.input_dim
     }
 
@@ -405,7 +405,7 @@ impl ExpertSlab {
     }
 
     /// Whether the experts carry the linear skip path.
-    pub fn has_skip(&self) -> bool {
+    pub(crate) fn has_skip(&self) -> bool {
         self.has_skip
     }
 
@@ -470,7 +470,7 @@ impl ExpertSlab {
     ///
     /// Exactly three batched GEMV calls; bit-identical to `count`
     /// invocations of the tape's `BoundGruCell::step` (see the
-    /// [module docs](self)).
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -675,12 +675,12 @@ impl ExpertSlab {
     }
 
     /// Expert `e`'s packed `σ(mask)` (`input` values).
-    pub fn mask_of(&self, e: usize) -> &[f32] {
+    pub(crate) fn mask_of(&self, e: usize) -> &[f32] {
         &self.mask_sig[e * self.input_dim..(e + 1) * self.input_dim]
     }
 
     /// Expert `e`'s head weights, row-major `(3, 2·hidden)`.
-    pub fn head_w_of(&self, e: usize) -> &[f32] {
+    pub(crate) fn head_w_of(&self, e: usize) -> &[f32] {
         let blk = 6 * self.hidden_dim;
         &self.head_w[e * blk..(e + 1) * blk]
     }
@@ -689,7 +689,7 @@ impl ExpertSlab {
     /// `target` (`count` values, self entry zero) — row `target` of the
     /// shard's packed columns, which is how the attention backward reads
     /// `α` without a second, row-major pack.
-    pub fn alpha_toward(&self, shard: usize, target: usize) -> &[f32] {
+    pub(crate) fn alpha_toward(&self, shard: usize, target: usize) -> &[f32] {
         let Range { start: lo, end: hi } = self.shards[shard];
         &self.alpha_cols[self.experts * lo + target * (hi - lo)..][..hi - lo]
     }

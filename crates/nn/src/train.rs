@@ -268,7 +268,7 @@ impl ShardJob {
 
 /// The analytic trainer: every per-worker arena plus the backward over
 /// them. The packed slab it trains is its owner's (see
-/// [`crate::slab`]'s ownership note) and comes in with every
+/// `crate::slab`'s ownership note) and comes in with every
 /// [`run_batch`](Self::run_batch); the slab's shard plan is the trainer's
 /// worker partition. One instance serves a whole `fit` — arenas are
 /// allocated at construction and reused by every batch of every epoch.
@@ -328,11 +328,6 @@ impl AnalyticTrainer {
         self.cfg.modulation = modulation;
     }
 
-    /// The currently configured per-quantile gradient modulation.
-    pub fn modulation(&self) -> [f32; 3] {
-        self.cfg.modulation
-    }
-
     /// Runs forward + backward over `slab` for one optimizer batch of
     /// subsequence `starts`, folding gradients into `store` (the one `slab`
     /// was packed from) in a fixed order (batch position → shard → expert)
@@ -342,7 +337,7 @@ impl AnalyticTrainer {
     /// Forward values come from `slab`, the backward's pull-back operands
     /// from `store` (module docs), so `slab` must be current for `store`:
     /// repacked since its last write. Debug builds refuse a stale slab
-    /// ([`ExpertSlab::is_current_for`]).
+    /// (`ExpertSlab::is_current_for`).
     ///
     /// The caller owns the surrounding loop: `store.zero_grads()` before,
     /// gradient clipping / optimizer step / [`ExpertSlab::repack`] after.

@@ -191,11 +191,6 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         }
     }
 
-    /// The decision trace so far.
-    pub fn decisions(&self) -> &[DecisionRecord] {
-        &self.decisions
-    }
-
     /// Next window index.
     pub fn position(&self) -> usize {
         self.window

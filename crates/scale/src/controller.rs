@@ -87,13 +87,8 @@ impl ScaleController {
         &self.state.targets
     }
 
-    /// The controller's tuning.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
     /// Snapshot of the dynamic state for checkpointing.
-    pub fn state(&self) -> ControllerState {
+    pub(crate) fn state(&self) -> ControllerState {
         self.state.clone()
     }
 
@@ -102,7 +97,7 @@ impl ScaleController {
     /// # Errors
     ///
     /// Returns a message when the state's component count disagrees.
-    pub fn restore_state(&mut self, state: ControllerState) -> Result<(), String> {
+    pub(crate) fn restore_state(&mut self, state: ControllerState) -> Result<(), String> {
         let n = self.maxes.len();
         if state.targets.len() != n
             || state.cooldown_until.len() != n

@@ -18,7 +18,7 @@
 //!
 //! The [`TargetUtilizationPolicy`] then sizes each component to keep
 //! predicted per-replica utilization at target — *before* the traffic
-//! arrives, covering the scale-up lag. The [`ReactiveBaseline`] is the
+//! arrives, covering the scale-up lag. The `ReactiveBaseline` is the
 //! comparison: the same actuation discipline ([`ScaleController`]:
 //! bounds, cooldown, scale-down hysteresis) but driven by observed
 //! saturation only, so it pays every surge with violation windows during
@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod closed_loop;
@@ -45,7 +46,9 @@ mod scenario;
 
 pub use closed_loop::{DecisionRecord, ScaleCheckpoint, ScaleLoop, ScaleLoopConfig, ScaleReport};
 pub use controller::{ControllerConfig, ControllerState, ScaleController};
-pub use policy::{PolicyContext, ReactiveBaseline, ScalePolicy, TargetUtilizationPolicy};
+pub use policy::PolicyContext;
+pub(crate) use policy::ReactiveBaseline;
+pub use policy::{ScalePolicy, TargetUtilizationPolicy};
 pub use scenario::{demo_app, Scenario, ScenarioKind};
 
 use deeprest_core::DeepRest;
@@ -59,7 +62,7 @@ pub const PROACTIVE_TARGET_UTILIZATION: f64 = 0.6;
 /// ~50% threshold-autoscaler operating point. Without foresight, standing
 /// headroom is the only defense against reaction lag, and that headroom is
 /// exactly what the proactive policy's cost advantage comes from.
-pub const REACTIVE_TARGET_UTILIZATION: f64 = 0.5;
+pub(crate) const REACTIVE_TARGET_UTILIZATION: f64 = 0.5;
 
 /// Runs `scenario` under the proactive utilization-target policy.
 ///

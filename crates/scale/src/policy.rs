@@ -122,14 +122,14 @@ impl ScalePolicy for TargetUtilizationPolicy {
 /// own: the [`crate::ScaleController`] applies those once, centrally, so
 /// both policies face identical rate limits.
 #[derive(Clone, Copy, Debug)]
-pub struct ReactiveBaseline {
+pub(crate) struct ReactiveBaseline {
     /// Target/deadband tuning.
     pub config: ReactiveConfig,
 }
 
 impl ReactiveBaseline {
     /// A baseline steering toward the given per-replica utilization.
-    pub fn new(target_utilization: f64) -> Self {
+    pub(crate) fn new(target_utilization: f64) -> Self {
         Self {
             config: ReactiveConfig {
                 target_utilization,

@@ -19,7 +19,7 @@ pub struct SinkError {
 
 impl SinkError {
     /// Creates a sink error from any message.
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
         }
@@ -127,16 +127,6 @@ impl CollectSink {
     pub fn take(&self) -> Vec<Alert> {
         std::mem::take(&mut *self.lock())
     }
-
-    /// Number of alerts emitted so far.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Returns `true` when no alert has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl AlertSink for CollectSink {
@@ -176,9 +166,9 @@ mod tests {
         let mut handle = sink.clone();
         handle.emit(&sample()).unwrap();
         handle.emit(&sample()).unwrap();
-        assert_eq!(sink.len(), 2);
+        assert_eq!(sink.lock().len(), 2);
         assert_eq!(sink.take().len(), 2);
-        assert!(sink.is_empty());
+        assert!(sink.lock().is_empty());
     }
 
     #[test]
@@ -192,7 +182,7 @@ mod tests {
         });
         assert!(poisoner.join().is_err());
         assert!(sink.alerts.is_poisoned());
-        assert_eq!(sink.len(), 1, "contents survive the poisoned lock");
+        assert_eq!(sink.lock().len(), 1, "contents survive the poisoned lock");
         sink.clone().emit(&sample()).unwrap();
         assert_eq!(sink.take().len(), 2);
     }

@@ -32,9 +32,9 @@ use deeprest_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 /// File magic identifying a framed DeepRest checkpoint.
-pub const MAGIC: [u8; 4] = *b"DRCK";
+pub(crate) const MAGIC: [u8; 4] = *b"DRCK";
 /// Current frame format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 /// Frame header length: magic (4) + version (4) + payload length (8) +
 /// CRC32 (4).
 const HEADER_LEN: usize = 20;
@@ -128,7 +128,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Wraps `payload` in a `DRCK` frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
@@ -145,7 +145,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// Returns a typed [`CheckpointError`] for every way `bytes` can fail to
 /// be a complete, untampered frame; truncation at any offset is caught by
 /// the length check or the checksum.
-pub fn decode_frame(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
+pub(crate) fn decode_frame(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     if bytes.len() < HEADER_LEN {
         return Err(CheckpointError::TooShort { len: bytes.len() });
     }
@@ -199,7 +199,7 @@ impl CheckpointStore {
     }
 
     /// Path of the previous (one-older) checkpoint file.
-    pub fn prev_path(&self) -> PathBuf {
+    pub(crate) fn prev_path(&self) -> PathBuf {
         self.dir.join("prev.drck")
     }
 

@@ -29,7 +29,8 @@ pub struct ServeConfig {
     #[serde(default)]
     pub sink_attempts: u32,
     /// Base backoff between sink delivery attempts, in milliseconds;
-    /// doubles per attempt, capped at [`ServeConfig::sink_timeout_ms`].
+    /// doubles per attempt, capped at what is left of
+    /// [`ServeConfig::sink_timeout_ms`].
     #[serde(default)]
     pub sink_backoff_ms: u64,
     /// Total wall-clock budget for delivering one alert to one sink

@@ -7,7 +7,7 @@
 //! the trained batch estimator into a long-running, bounded-memory stream
 //! processor:
 //!
-//! * [`queue`] — the [`BoundedQueue`] each tenant of the multi-tenant
+//! * `queue` — the `BoundedQueue` each tenant of the multi-tenant
 //!   front end owns: hand-back or drop-oldest backpressure and typed
 //!   accept/reject pushes. A single [`Pipeline`] needs no queue; its
 //!   caller ingests arrivals in order.
@@ -61,6 +61,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must fail with typed errors, not unwrap-panics; the few
 // justified sites carry a scoped allow with the invariant spelled out.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -71,7 +72,7 @@ mod config;
 mod error;
 pub mod overload;
 mod pipeline;
-pub mod queue;
+pub(crate) mod queue;
 pub mod replay;
 pub mod sanity;
 pub mod sched;
@@ -81,13 +82,13 @@ pub use alert::{Alert, AlertSink, CollectSink, SinkError};
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use config::ServeConfig;
 pub use error::ServeError;
-pub use overload::{OverloadConfig, OverloadController, OverloadLevel};
+pub use overload::{OverloadConfig, OverloadLevel};
 pub use pipeline::{
     batch_reference, contributing_apis, Checkpoint, ControlTick, ObservationSource, Pipeline,
     WindowOutput, WindowStages,
 };
-pub use queue::{Accepted, BoundedQueue, OverflowPolicy};
+pub use queue::{Accepted, OverflowPolicy};
 pub use sched::{FairScheduler, SchedConfig};
 pub use tenant::{
-    AdmitRejected, MultiTenantCheckpoint, PriorityClass, TenantConfig, TenantId, TenantRegistry,
+    AdmitRejected, MultiTenantCheckpoint, PriorityClass, TenantConfig, TenantRegistry,
 };

@@ -19,7 +19,7 @@
 //!    adapter state in an `AdaptiveCheckpoint`, so a pipeline restored
 //!    mid-freeze is still frozen and, once resumed, runs the deferred
 //!    update at its first segment seal.
-//! 3. **Circuit breaker** (per tenant, [`CircuitBreaker`]) — a tenant
+//! 3. **Circuit breaker** (per tenant, `CircuitBreaker`) — a tenant
 //!    that stays over its admission quotas for
 //!    [`BreakerConfig::trip_rounds`] consecutive rounds is quarantined:
 //!    all its arrivals are rejected for a capped-exponential backoff,
@@ -48,7 +48,7 @@ pub enum OverloadLevel {
 
 impl OverloadLevel {
     /// Numeric rung for the `serve.overload.level` gauge.
-    pub fn rung(self) -> u8 {
+    pub(crate) fn rung(self) -> u8 {
         match self {
             OverloadLevel::Normal => 0,
             OverloadLevel::Shed => 1,
@@ -115,14 +115,14 @@ impl Default for OverloadConfig {
 ///
 /// Pure state machine: one [`observe`](OverloadController::observe) call
 /// per scheduling round, no clocks.
-pub struct OverloadController {
+pub(crate) struct OverloadController {
     config: OverloadConfig,
     level: OverloadLevel,
 }
 
 impl OverloadController {
     /// Creates a controller at [`OverloadLevel::Normal`].
-    pub fn new(config: OverloadConfig) -> Self {
+    pub(crate) fn new(config: OverloadConfig) -> Self {
         Self {
             config,
             level: OverloadLevel::Normal,
@@ -130,17 +130,17 @@ impl OverloadController {
     }
 
     /// The controller's tuning.
-    pub fn config(&self) -> &OverloadConfig {
+    pub(crate) fn config(&self) -> &OverloadConfig {
         &self.config
     }
 
     /// Current rung.
-    pub fn level(&self) -> OverloadLevel {
+    pub(crate) fn level(&self) -> OverloadLevel {
         self.level
     }
 
     /// Restores a checkpointed rung.
-    pub fn restore(config: OverloadConfig, level: OverloadLevel) -> Self {
+    pub(crate) fn restore(config: OverloadConfig, level: OverloadLevel) -> Self {
         Self { config, level }
     }
 
@@ -148,7 +148,7 @@ impl OverloadController {
     /// and returns the (possibly new) rung. Escalation is immediate;
     /// de-escalation needs the depth to fall to
     /// [`OverloadConfig::recover_fraction`] of the rung's entry threshold.
-    pub fn observe(&mut self, depth: usize) -> OverloadLevel {
+    pub(crate) fn observe(&mut self, depth: usize) -> OverloadLevel {
         let enter = |threshold: usize| threshold > 0 && depth >= threshold;
         let recover = |threshold: usize| {
             let floor = (threshold as f64 * self.config.recover_fraction) as usize;
@@ -222,14 +222,14 @@ pub struct BreakerState {
 
 /// Per-tenant circuit breaker driven by scheduling-round counts.
 #[derive(Clone, Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     state: BreakerState,
 }
 
 impl CircuitBreaker {
     /// Creates a closed breaker.
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         Self {
             config,
             state: BreakerState {
@@ -240,29 +240,29 @@ impl CircuitBreaker {
     }
 
     /// Restores a checkpointed breaker.
-    pub fn restore(config: BreakerConfig, state: BreakerState) -> Self {
+    pub(crate) fn restore(config: BreakerConfig, state: BreakerState) -> Self {
         Self { config, state }
     }
 
     /// Serializable state for checkpointing.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Current phase.
-    pub fn phase(&self) -> BreakerPhase {
+    pub(crate) fn phase(&self) -> BreakerPhase {
         self.state.phase
     }
 
     /// Round at which an open breaker starts probing (meaningful only
     /// while [`BreakerPhase::Open`]).
-    pub fn reopen_round(&self) -> u64 {
+    pub(crate) fn reopen_round(&self) -> u64 {
         self.state.reopen_round
     }
 
     /// Whether an arrival is admitted during `round`. An `Open` breaker
     /// whose backoff has elapsed flips to `HalfOpen` here (the probe).
-    pub fn admits(&mut self, round: u64, tenant: &str) -> bool {
+    pub(crate) fn admits(&mut self, round: u64, tenant: &str) -> bool {
         match self.state.phase {
             BreakerPhase::Closed | BreakerPhase::HalfOpen => true,
             BreakerPhase::Open => {
@@ -282,7 +282,7 @@ impl CircuitBreaker {
 
     /// End-of-round bookkeeping: `over_quota` says whether the tenant hit
     /// any admission-quota rejection this round.
-    pub fn note_round(&mut self, round: u64, over_quota: bool, tenant: &str) {
+    pub(crate) fn note_round(&mut self, round: u64, over_quota: bool, tenant: &str) {
         if self.config.trip_rounds == 0 {
             return;
         }

@@ -473,7 +473,7 @@ impl WindowStages {
     /// The control-loop cadence: yields a [`ControlTick`] carrying
     /// `carried`'s snapshot when at least [`ServeConfig::control_interval`]
     /// (if non-zero) windows have been sealed since the previous tick.
-    pub fn poll_control(&mut self, carried: &CarriedState) -> Option<ControlTick> {
+    pub(crate) fn poll_control(&mut self, carried: &CarriedState) -> Option<ControlTick> {
         let (interval, position) = (self.config.control_interval, carried.position());
         if interval == 0 || position < self.last_control + interval {
             return None;
@@ -549,11 +549,6 @@ impl<'m> Pipeline<'m> {
     /// Expert keys, in the order `estimates`/`scores` are reported.
     pub fn keys(&self) -> &[ExpertKey] {
         self.stages.keys()
-    }
-
-    /// Number of windows sealed and estimated so far.
-    pub fn position(&self) -> usize {
-        self.carried.position()
     }
 
     /// How many traces arrived beyond the lateness bound (counted, never
@@ -679,12 +674,11 @@ fn deliver_with_retry(config: &ServeConfig, sink: &mut dyn AlertSink, alert: &Al
     let mut backoff_ms = config.sink_backoff_ms.max(1);
     for attempt in 0..attempts {
         if attempt > 0 {
-            if started.elapsed() >= budget {
+            let left = budget.saturating_sub(started.elapsed());
+            if left.is_zero() {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(
-                backoff_ms.min(config.sink_timeout_ms.max(1)),
-            ));
+            std::thread::sleep(left.min(std::time::Duration::from_millis(backoff_ms)));
             backoff_ms = backoff_ms.saturating_mul(2);
             telemetry::counter("serve.sink.retry", 1);
         }
@@ -805,4 +799,43 @@ pub fn batch_reference(
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct FailingSink;
+
+    impl AlertSink for FailingSink {
+        fn emit(&mut self, _: &Alert) -> Result<(), SinkError> {
+            Err(SinkError::new("always down"))
+        }
+    }
+
+    #[test]
+    fn alert_delivery_stays_within_its_budget() {
+        let config = ServeConfig {
+            sink_attempts: 10,
+            sink_backoff_ms: 64,
+            sink_timeout_ms: 100,
+            ..ServeConfig::default()
+        };
+        let alert = Alert {
+            component: "c".into(),
+            resource: deeprest_metrics::ResourceKind::Cpu,
+            window: 0,
+            score: 1.0,
+            deviation_pct: 50.0,
+            contributing_apis: Vec::new(),
+        };
+        let started = std::time::Instant::now();
+        deliver_with_retry(&config, &mut FailingSink, &alert);
+        let elapsed = started.elapsed();
+        // Sleeps of 64 ms then the 36 ms left; the old cap slept 64 + 100.
+        assert!(
+            elapsed < std::time::Duration::from_millis(140),
+            "{elapsed:?}"
+        );
+    }
 }

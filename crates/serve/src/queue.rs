@@ -21,7 +21,7 @@ pub enum OverflowPolicy {
     /// caller decides what to do with it.
     Block,
     /// Evict the oldest buffered item to admit the new one; evictions are
-    /// counted in [`BoundedQueue::dropped_overflow`].
+    /// counted, and the count is checkpointed with the queue.
     DropOldest,
 }
 
@@ -41,7 +41,7 @@ pub enum Accepted {
 /// A bounded FIFO with an overflow policy, typed admission outcomes and an
 /// eviction counter. Never holds more than `capacity` items.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     buf: VecDeque<T>,
     capacity: usize,
     policy: OverflowPolicy,
@@ -54,7 +54,7 @@ impl<T> BoundedQueue<T> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
+    pub(crate) fn new(capacity: usize, policy: OverflowPolicy) -> Self {
         assert!(capacity > 0, "BoundedQueue: capacity must be positive");
         Self {
             buf: VecDeque::with_capacity(capacity.min(4096)),
@@ -69,7 +69,7 @@ impl<T> BoundedQueue<T> {
     /// A full [`OverflowPolicy::Block`] queue hands the item back
     /// (backpressure, not a drop); a full [`OverflowPolicy::DropOldest`]
     /// queue evicts (and counts) its oldest item.
-    pub fn try_push(&mut self, item: T) -> Result<Accepted, T> {
+    pub(crate) fn try_push(&mut self, item: T) -> Result<Accepted, T> {
         let mut accepted = Accepted::Enqueued;
         if self.is_full() {
             match self.policy {
@@ -91,39 +91,28 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Dequeues the oldest item, if any.
-    pub fn try_pop(&mut self) -> Option<T> {
+    pub(crate) fn try_pop(&mut self) -> Option<T> {
         self.buf.pop_front()
     }
 
     /// Current number of buffered items.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Returns `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Whether a push would overflow.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.buf.len() >= self.capacity
     }
 
     /// The buffered items, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.buf.iter()
-    }
-
-    /// How many items the `DropOldest` policy evicted to admit newer ones
-    /// (telemetry: `serve.queue.dropped.overflow`).
-    pub fn dropped_overflow(&self) -> u64 {
-        self.dropped_overflow
     }
 
     /// Clones the buffered items (through `f`, oldest first) plus the
     /// eviction counter, for checkpointing.
-    pub fn snapshot_with<U: Serialize + Deserialize>(
+    pub(crate) fn snapshot_with<U: Serialize + Deserialize>(
         &self,
         f: impl FnMut(&T) -> U,
     ) -> QueueSnapshot<U> {
@@ -136,7 +125,7 @@ impl<T> BoundedQueue<T> {
     /// Rebuilds a queue from a snapshot, restoring buffered items (through
     /// `f`, oldest first) and the eviction counter. Items beyond `capacity`
     /// are evicted oldest-first and counted, exactly as live overflow would.
-    pub fn from_snapshot_with<U: Serialize + Deserialize>(
+    pub(crate) fn from_snapshot_with<U: Serialize + Deserialize>(
         capacity: usize,
         policy: OverflowPolicy,
         snapshot: QueueSnapshot<U>,
@@ -191,7 +180,7 @@ mod tests {
             }
             assert!(q.len() <= 3, "queue exceeded its bound");
         }
-        assert_eq!(q.dropped_overflow(), 7);
+        assert_eq!(q.dropped_overflow, 7);
         // The newest three survive.
         assert_eq!(
             [q.try_pop(), q.try_pop(), q.try_pop()],
@@ -203,7 +192,7 @@ mod tests {
         let mut q = BoundedQueue::new(1, OverflowPolicy::Block);
         assert_eq!(q.try_push(1), Ok(Accepted::Enqueued));
         assert_eq!(q.try_push(2), Err(2));
-        assert_eq!(q.dropped_overflow(), 0);
+        assert_eq!(q.dropped_overflow, 0);
         assert_eq!(q.try_pop(), Some(1));
         assert_eq!(q.try_push(2), Ok(Accepted::Enqueued));
 
@@ -211,7 +200,7 @@ mod tests {
         let mut q = BoundedQueue::new(1, OverflowPolicy::DropOldest);
         assert_eq!(q.try_push(1), Ok(Accepted::Enqueued));
         assert_eq!(q.try_push(2), Ok(Accepted::Displaced { evicted: 1 }));
-        assert_eq!(q.dropped_overflow(), 1);
+        assert_eq!(q.dropped_overflow, 1);
         assert_eq!(q.try_pop(), Some(2));
     }
 
@@ -226,7 +215,7 @@ mod tests {
         assert_eq!(snap.dropped_overflow, 2);
         let mut restored =
             BoundedQueue::from_snapshot_with(3, OverflowPolicy::DropOldest, snap, |v| v);
-        assert_eq!(restored.dropped_overflow(), 2);
+        assert_eq!(restored.dropped_overflow, 2);
         assert_eq!(restored.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
         assert_eq!(restored.try_pop(), Some(2));
         assert_eq!(restored.len(), 2);

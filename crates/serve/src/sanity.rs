@@ -150,7 +150,7 @@ impl OnlineSanity {
     }
 
     /// The scorer's serializable state (for checkpoints).
-    pub fn state(&self) -> &SanityState {
+    pub(crate) fn state(&self) -> &SanityState {
         &self.state
     }
 
@@ -160,7 +160,7 @@ impl OnlineSanity {
     ///
     /// Returns a message when the state's resource count disagrees with
     /// `expert_count`.
-    pub fn restore(
+    pub(crate) fn restore(
         config: SanityConfig,
         state: SanityState,
         expert_count: usize,

@@ -100,7 +100,7 @@ impl FairScheduler {
     }
 
     /// The scheduler's tuning.
-    pub fn config(&self) -> &SchedConfig {
+    pub(crate) fn config(&self) -> &SchedConfig {
         &self.config
     }
 
@@ -123,7 +123,7 @@ impl FairScheduler {
     }
 
     /// Serializable state for checkpointing.
-    pub fn state(&self) -> SchedState {
+    pub(crate) fn state(&self) -> SchedState {
         SchedState {
             deficits: self.deficits.clone(),
             round: self.round,
@@ -131,7 +131,7 @@ impl FairScheduler {
     }
 
     /// Rebuilds a scheduler from checkpointed state.
-    pub fn restore(config: SchedConfig, state: SchedState) -> Self {
+    pub(crate) fn restore(config: SchedConfig, state: SchedState) -> Self {
         Self {
             config,
             deficits: state.deficits,
@@ -172,7 +172,7 @@ impl FairScheduler {
     /// # Panics
     ///
     /// As [`plan_round`](Self::plan_round).
-    pub fn plan_round_into(
+    pub(crate) fn plan_round_into(
         &mut self,
         costs: &[Vec<u64>],
         weights: &[u64],

@@ -1,12 +1,12 @@
 //! Multi-tenant admission control and serving.
 //!
 //! A [`TenantRegistry`] fronts one serving process for many tenant
-//! applications. Each tenant gets its own [`BoundedQueue`], a
+//! applications. Each tenant gets its own `BoundedQueue`, a
 //! [`PriorityClass`], and per-round admission quotas (arrivals and
 //! estimated bytes); a deterministic deficit-round-robin
 //! [`FairScheduler`] drains the queues into
 //! the per-tenant pipelines in a reproducible order, and an
-//! [`OverloadController`] walks the degradation ladder when the aggregate
+//! `OverloadController` walks the degradation ladder when the aggregate
 //! backlog grows (see [`crate::overload`] for the ladder).
 //!
 //! # Isolation guarantee
@@ -48,7 +48,7 @@ use crate::sched::{FairScheduler, RoundPlan, SchedConfig, SchedState};
 
 /// Index of a tenant within its registry (assigned by
 /// [`TenantRegistry::add_tenant`], dense from 0).
-pub type TenantId = usize;
+pub(crate) type TenantId = usize;
 
 /// How many copies of each submission the `tenant.flood` probe injects
 /// (the flooded tenant arrives at this multiple of its real rate).
@@ -59,13 +59,8 @@ pub const FLOOD_AMPLIFICATION: u64 = 10;
 pub const EST_SPAN_BYTES: u64 = 96;
 
 /// Scheduling cost of one arrival, in cost units (spans, minimum 1).
-pub fn arrival_cost(arrival: &TimestampedTrace) -> u64 {
+pub(crate) fn arrival_cost(arrival: &TimestampedTrace) -> u64 {
     (arrival.trace.span_count() as u64).max(1)
-}
-
-/// Estimated wire size of one arrival, for the byte quota.
-pub fn arrival_bytes(arrival: &TimestampedTrace) -> u64 {
-    arrival_cost(arrival) * EST_SPAN_BYTES
 }
 
 /// Scheduling priority of a tenant. Higher classes get proportionally
@@ -83,7 +78,7 @@ pub enum PriorityClass {
 
 impl PriorityClass {
     /// DRR quantum multiplier.
-    pub fn weight(self) -> u64 {
+    pub(crate) fn weight(self) -> u64 {
         match self {
             PriorityClass::Critical => 4,
             PriorityClass::Standard => 2,
@@ -92,7 +87,7 @@ impl PriorityClass {
     }
 
     /// Shed order: lower ranks are shed first.
-    pub fn shed_rank(self) -> u8 {
+    pub(crate) fn shed_rank(self) -> u8 {
         match self {
             PriorityClass::BestEffort => 0,
             PriorityClass::Standard => 1,
@@ -116,7 +111,7 @@ pub struct TenantConfig {
     pub overflow: OverflowPolicy,
     /// Max arrivals admitted per scheduling round; `0` means unlimited.
     pub window_quota: u32,
-    /// Max estimated bytes ([`arrival_bytes`]) admitted per scheduling
+    /// Max estimated bytes (spans × [`EST_SPAN_BYTES`]) admitted per scheduling
     /// round; `0` means unlimited.
     pub byte_quota: u64,
 }
@@ -161,13 +156,6 @@ impl TenantConfig {
         self.window_quota = arrivals;
         self
     }
-
-    /// Sets the per-round byte quota (`0` = unlimited).
-    #[must_use]
-    pub fn with_byte_quota(mut self, bytes: u64) -> Self {
-        self.byte_quota = bytes;
-        self
-    }
 }
 
 /// Why a submission was rejected. The arrival is handed back in every
@@ -191,18 +179,6 @@ pub enum AdmitRejected {
     /// The tenant's queue is full under [`OverflowPolicy::Block`]
     /// (admission is non-blocking; this is backpressure, not a drop).
     QueueFull(TimestampedTrace),
-}
-
-impl AdmitRejected {
-    /// Short reason tag (the telemetry suffix).
-    pub fn reason(&self) -> &'static str {
-        match self {
-            AdmitRejected::WindowQuota(_) => "window_quota",
-            AdmitRejected::ByteQuota(_) => "byte_quota",
-            AdmitRejected::Breaker { .. } => "breaker",
-            AdmitRejected::QueueFull(_) => "queue_full",
-        }
-    }
 }
 
 /// Cumulative per-tenant accounting; every admission outcome and every
@@ -340,28 +316,6 @@ pub struct MultiTenantCheckpoint {
     pub level: OverloadLevel,
 }
 
-impl MultiTenantCheckpoint {
-    /// Serializes to JSON (the payload the CRC-framed store persists).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `serde_json` failure (practically impossible for this
-    /// type).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Parses a checkpoint from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse failure when `json` is not a serialized
-    /// [`MultiTenantCheckpoint`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
-
 /// Multi-tenant serving front end: per-tenant bounded queues and quotas,
 /// deterministic DRR fair scheduling, and graceful degradation under
 /// overload (see the module docs).
@@ -407,7 +361,7 @@ impl<'m> TenantRegistry<'m> {
     }
 
     /// Registers a tenant application backed by its own trained `model`
-    /// and name table, returning its dense [`TenantId`].
+    /// and name table, returning its dense `TenantId`.
     pub fn add_tenant(
         &mut self,
         model: &'m DeepRest,
@@ -467,11 +421,6 @@ impl<'m> TenantRegistry<'m> {
     /// Tenant `t`'s current queue depth (including a pending retry).
     pub fn queue_depth(&self, t: TenantId) -> usize {
         self.tenants[t].depth()
-    }
-
-    /// Tenant `t`'s serving pipeline (read-only).
-    pub fn pipeline(&self, t: TenantId) -> &Pipeline<'m> {
-        &self.tenants[t].pipeline
     }
 
     /// Submits one arrival for tenant `t`, applying admission control:
@@ -972,12 +921,13 @@ mod tests {
         assert!(checkpoint.tenants[0].queue.dropped_overflow > 0);
         assert!(checkpoint.tenants.iter().all(|t| !t.queue.items.is_empty()));
 
-        let json = checkpoint.to_json().unwrap();
+        let json = serde_json::to_string(&checkpoint).unwrap();
         let old = with_retired_keys(&json);
         assert_eq!(old.matches(RETIRED_QUEUE_KEY).count(), 3);
         assert_eq!(old.matches(r#""serve":{"queue_capacity""#).count(), 3);
-        let loaded = MultiTenantCheckpoint::from_json(&old).expect("retired keys are ignored");
-        assert_eq!(loaded.to_json().unwrap(), json);
+        let loaded: MultiTenantCheckpoint =
+            serde_json::from_str(&old).expect("retired keys are ignored");
+        assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
 
         let models = || vec![(&model, &names); 3];
         let resume = |checkpoint| {
@@ -985,7 +935,7 @@ mod tests {
                 TenantRegistry::restore(models(), sched, overload, checkpoint).expect("restores");
             run_out(&mut registry, tail)
         };
-        let expected = resume(MultiTenantCheckpoint::from_json(&json).unwrap());
+        let expected = resume(serde_json::from_str(&json).unwrap());
         assert!(!expected.is_empty());
         assert_eq!(resume(loaded), expected);
 

@@ -471,10 +471,12 @@ fn mid_overload_checkpoint_resume_is_bit_exact() {
         &model,
         &interner,
         serve_config(),
-        TenantConfig::new("bravo")
-            .with_priority(PriorityClass::BestEffort)
-            .with_queue_capacity(40)
-            .with_byte_quota(12 * deeprest_serve::tenant::EST_SPAN_BYTES),
+        TenantConfig {
+            byte_quota: 12 * deeprest_serve::tenant::EST_SPAN_BYTES,
+            ..TenantConfig::new("bravo")
+                .with_priority(PriorityClass::BestEffort)
+                .with_queue_capacity(40)
+        },
     );
     registry.add_tenant(
         &model,
@@ -523,8 +525,8 @@ fn mid_overload_checkpoint_resume_is_bit_exact() {
     store.save(&checkpoint).expect("save");
     let loaded: MultiTenantCheckpoint = store.load_latest().expect("load");
     assert_eq!(
-        loaded.to_json().expect("loaded json"),
-        checkpoint.to_json().expect("saved json"),
+        serde_json::to_string(&loaded).expect("loaded json"),
+        serde_json::to_string(&checkpoint).expect("saved json"),
         "the store must round-trip the checkpoint byte-exactly"
     );
     let mut restored = TenantRegistry::restore(

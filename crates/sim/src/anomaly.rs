@@ -142,46 +142,6 @@ impl Injector for CryptojackingAttack {
     }
 }
 
-/// A slow memory leak (a software bug rather than an attack; §6 lists memory
-/// leakage as another unwanted incident sanity checks can surface).
-#[derive(Clone, Debug)]
-pub struct MemoryLeak {
-    /// The leaking component.
-    pub victim: String,
-    /// First leaking window.
-    pub start_window: usize,
-    /// MiB leaked per window (accumulates).
-    pub mib_per_window: f64,
-}
-
-impl MemoryLeak {
-    /// A leak of `mib_per_window` MiB per window from `start_window` on.
-    pub fn new(victim: impl Into<String>, start_window: usize, mib_per_window: f64) -> Self {
-        Self {
-            victim: victim.into(),
-            start_window,
-            mib_per_window,
-        }
-    }
-}
-
-impl Injector for MemoryLeak {
-    fn name(&self) -> &str {
-        "memory-leak"
-    }
-
-    fn adjust(&self, window: usize, component: &str, resource: ResourceKind, value: f64) -> f64 {
-        if window >= self.start_window
-            && component == self.victim
-            && resource == ResourceKind::Memory
-        {
-            value + self.mib_per_window * (window - self.start_window + 1) as f64
-        } else {
-            value
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,14 +177,5 @@ mod tests {
         assert_eq!(attack.adjust(1_000, "Store", ResourceKind::Cpu, 10.0), 40.0);
         assert_eq!(attack.adjust(5, "Store", ResourceKind::Memory, 10.0), 10.0);
         assert_eq!(attack.adjust(5, "Other", ResourceKind::Cpu, 10.0), 10.0);
-    }
-
-    #[test]
-    fn memory_leak_accumulates() {
-        let leak = MemoryLeak::new("Svc", 2, 1.5);
-        assert_eq!(leak.adjust(1, "Svc", ResourceKind::Memory, 100.0), 100.0);
-        assert_eq!(leak.adjust(2, "Svc", ResourceKind::Memory, 100.0), 101.5);
-        assert_eq!(leak.adjust(11, "Svc", ResourceKind::Memory, 100.0), 115.0);
-        assert_eq!(leak.adjust(5, "Svc", ResourceKind::Cpu, 10.0), 10.0);
     }
 }

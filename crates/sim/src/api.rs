@@ -74,17 +74,22 @@ impl CallNode {
     }
 
     /// Builder: adds a conditional child call.
-    pub fn child_if(self, condition: Condition, node: CallNode) -> Self {
+    pub(crate) fn child_if(self, condition: Condition, node: CallNode) -> Self {
         self.child_edge(node, condition, Repeat::Once)
     }
 
     /// Builder: adds a repeated child call.
-    pub fn child_repeat(self, repeat: Repeat, node: CallNode) -> Self {
+    pub(crate) fn child_repeat(self, repeat: Repeat, node: CallNode) -> Self {
         self.child_edge(node, Condition::Always, repeat)
     }
 
     /// Builder: adds a fully specified child edge.
-    pub fn child_edge(mut self, node: CallNode, condition: Condition, repeat: Repeat) -> Self {
+    pub(crate) fn child_edge(
+        mut self,
+        node: CallNode,
+        condition: Condition,
+        repeat: Repeat,
+    ) -> Self {
         self.children.push(CallEdge {
             node,
             condition,
@@ -93,17 +98,8 @@ impl CallNode {
         self
     }
 
-    /// Number of nodes in the static tree (not counting repetitions).
-    pub fn node_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(|e| e.node.node_count())
-            .sum::<usize>()
-    }
-
     /// Visits every node in the static tree.
-    pub fn visit(&self, f: &mut impl FnMut(&CallNode)) {
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&CallNode)) {
         f(self);
         for e in &self.children {
             e.node.visit(f);
@@ -142,19 +138,19 @@ impl ApiSpec {
     }
 
     /// Builder: marks the endpoint as carrying media payloads.
-    pub fn with_media(mut self) -> Self {
+    pub(crate) fn with_media(mut self) -> Self {
         self.carries_media = true;
         self
     }
 
     /// Builder: marks the endpoint as carrying post text.
-    pub fn with_text(mut self) -> Self {
+    pub(crate) fn with_text(mut self) -> Self {
         self.carries_text = true;
         self
     }
 
     /// Builder: marks the endpoint as fan-out-driven.
-    pub fn with_fanout(mut self) -> Self {
+    pub(crate) fn with_fanout(mut self) -> Self {
         self.uses_fanout = true;
         self
     }
@@ -176,7 +172,6 @@ mod tests {
                     ),
             )
             .child_if(Condition::Prob(0.5), CallNode::new("Cache", "get"));
-        assert_eq!(tree.node_count(), 5);
         assert_eq!(tree.children.len(), 2);
         let compose = &tree.children[0].node;
         assert_eq!(compose.children[0].condition, Condition::HasUrl);

@@ -60,14 +60,8 @@ impl ComponentSpec {
     }
 
     /// Builder: CPU cores.
-    pub fn with_cores(mut self, cores: f64) -> Self {
+    pub(crate) fn with_cores(mut self, cores: f64) -> Self {
         self.cores = cores;
-        self
-    }
-
-    /// Builder: idle CPU percent.
-    pub fn with_cpu_baseline(mut self, pct: f64) -> Self {
-        self.cpu_baseline_pct = pct;
         self
     }
 
@@ -79,7 +73,7 @@ impl ComponentSpec {
     }
 
     /// Builder: initial disk size (MiB).
-    pub fn with_disk(mut self, initial_mib: f64) -> Self {
+    pub(crate) fn with_disk(mut self, initial_mib: f64) -> Self {
         self.disk_initial_mib = initial_mib;
         self
     }
@@ -110,10 +104,8 @@ mod tests {
     fn builders_apply() {
         let c = ComponentSpec::stateless("FrontendNGINX")
             .with_cores(2.0)
-            .with_cpu_baseline(3.0)
             .with_memory(32.0, 48.0);
         assert_eq!(c.cores, 2.0);
-        assert_eq!(c.cpu_baseline_pct, 3.0);
         assert_eq!(c.mem_baseline_mib, 32.0);
         assert_eq!(c.mem_cache_max_mib, 48.0);
     }

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// as the content of a request" (§1); drivers tie operation costs to the
 /// sampled request payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CostDriver {
+pub(crate) enum CostDriver {
     /// Fixed cost per invocation.
     Constant,
     /// Scales with the media payload size (per KiB).
@@ -21,7 +21,7 @@ pub enum CostDriver {
 
 /// One additive cost contribution: `driver_value × coefficients`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CostTerm {
+pub(crate) struct CostTerm {
     /// What this term scales with.
     pub driver: CostDriver,
     /// CPU milliseconds.
@@ -38,7 +38,7 @@ pub struct CostTerm {
 
 impl CostTerm {
     /// A zeroed term for the given driver.
-    pub fn zero(driver: CostDriver) -> Self {
+    pub(crate) fn zero(driver: CostDriver) -> Self {
         Self {
             driver,
             cpu_ms: 0.0,
@@ -59,7 +59,7 @@ pub struct OperationCost {
 
 /// The totals of one operation invocation under a concrete payload.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CostSample {
+pub(crate) struct CostSample {
     /// CPU milliseconds consumed.
     pub cpu_ms: f64,
     /// Write operations issued.
@@ -109,7 +109,7 @@ impl ProvisionCost {
 /// The payload attributes of one request, produced by the engine from the
 /// content models.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Payload {
+pub(crate) struct Payload {
     /// Media size, KiB (0 when the request carries no media).
     pub media_kib: f64,
     /// Post text length, characters.
@@ -146,13 +146,13 @@ impl OperationCost {
     }
 
     /// Builder: adds a fully custom term.
-    pub fn with_term(mut self, term: CostTerm) -> Self {
+    pub(crate) fn with_term(mut self, term: CostTerm) -> Self {
         self.terms.push(term);
         self
     }
 
     /// Builder: adds media-size-scaled costs (per KiB of media).
-    pub fn per_media_kib(mut self, cpu_ms: f64, write_kib: f64) -> Self {
+    pub(crate) fn per_media_kib(mut self, cpu_ms: f64, write_kib: f64) -> Self {
         let mut t = CostTerm::zero(CostDriver::MediaKib);
         t.cpu_ms = cpu_ms;
         t.write_kib = write_kib;
@@ -162,7 +162,7 @@ impl OperationCost {
     }
 
     /// Builder: adds text-length-scaled CPU (per 100 characters).
-    pub fn per_text(mut self, cpu_ms: f64) -> Self {
+    pub(crate) fn per_text(mut self, cpu_ms: f64) -> Self {
         let mut t = CostTerm::zero(CostDriver::TextHectochars);
         t.cpu_ms = cpu_ms;
         self.terms.push(t);
@@ -170,7 +170,7 @@ impl OperationCost {
     }
 
     /// Builder: adds fan-out-scaled costs (per follower).
-    pub fn per_fanout(mut self, cpu_ms: f64, write_ops: f64, write_kib: f64) -> Self {
+    pub(crate) fn per_fanout(mut self, cpu_ms: f64, write_ops: f64, write_kib: f64) -> Self {
         let mut t = CostTerm::zero(CostDriver::Fanout);
         t.cpu_ms = cpu_ms;
         t.write_ops = write_ops;
@@ -180,7 +180,7 @@ impl OperationCost {
     }
 
     /// Evaluates the model against a payload.
-    pub fn sample(&self, payload: &Payload) -> CostSample {
+    pub(crate) fn sample(&self, payload: &Payload) -> CostSample {
         let mut out = CostSample::default();
         for t in &self.terms {
             let scale = match t.driver {
@@ -199,15 +199,10 @@ impl OperationCost {
     }
 
     /// Returns `true` when any term can produce disk writes.
-    pub fn has_writes(&self) -> bool {
+    pub(crate) fn has_writes(&self) -> bool {
         self.terms
             .iter()
             .any(|t| t.write_ops > 0.0 || t.write_kib > 0.0)
-    }
-
-    /// The declared terms.
-    pub fn terms(&self) -> &[CostTerm] {
-        &self.terms
     }
 }
 

@@ -72,12 +72,6 @@ impl SimConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder: sets the window length.
-    pub fn with_window_secs(mut self, secs: f64) -> Self {
-        self.window_secs = secs;
-        self
-    }
 }
 
 /// Everything one simulation run produces: the Jaeger-substitute traces, the
@@ -317,11 +311,6 @@ impl SimStepper {
         }
     }
 
-    /// The application this stepper simulates.
-    pub fn app(&self) -> &AppSpec {
-        &self.app
-    }
-
     /// The name table for produced trace symbols.
     pub fn interner(&self) -> &Interner {
         &self.interner
@@ -330,22 +319,6 @@ impl SimStepper {
     /// Consumes the stepper, returning the interner (batch-run exit path).
     fn into_interner(self) -> Interner {
         self.interner
-    }
-
-    /// Next window index.
-    pub fn position(&self) -> usize {
-        self.window
-    }
-
-    /// Currently *effective* replica counts, component-declaration order.
-    pub fn replicas(&self) -> &[u32] {
-        &self.replicas
-    }
-
-    /// Scheduled replica targets (equal to [`replicas`](Self::replicas)
-    /// when no scale-up is in flight).
-    pub fn target_replicas(&self) -> &[u32] {
-        &self.target_replicas
     }
 
     /// Schedules a replica-count change for component `i`. Scale-*downs*
@@ -703,8 +676,13 @@ mod tests {
 
     fn tiny_app() -> AppSpec {
         let mut app = AppSpec::new("tiny");
-        app.add_component(ComponentSpec::stateless("Frontend").with_cpu_baseline(0.5));
-        app.add_component(ComponentSpec::stateful("Store").with_cpu_baseline(0.5));
+        for mut c in [
+            ComponentSpec::stateless("Frontend"),
+            ComponentSpec::stateful("Store"),
+        ] {
+            c.cpu_baseline_pct = 0.5;
+            app.add_component(c);
+        }
         app.set_cost("Frontend", "read", OperationCost::cpu(4.0));
         app.set_cost("Frontend", "write", OperationCost::cpu(6.0));
         app.set_cost(
@@ -951,9 +929,9 @@ mod tests {
         let mut s = SimStepper::new(&app, traffic.apis(), &SimConfig::default());
         s.set_target_replicas(0, 100);
         s.set_target_replicas(1, 100);
-        assert_eq!(s.target_replicas(), &[8, 3]);
+        assert_eq!(s.target_replicas, [8, 3]);
         s.set_target_replicas(0, 0);
-        assert_eq!(s.target_replicas()[0], 1);
+        assert_eq!(s.target_replicas[0], 1);
     }
 
     #[test]
@@ -980,7 +958,7 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         let state: SimStepperState = serde_json::from_str(&json).unwrap();
         let mut resumed = SimStepper::restore(&app, traffic.apis(), &cfg, state).unwrap();
-        assert_eq!(resumed.position(), 12);
+        assert_eq!(resumed.window, 12);
         for (t, want) in expected.iter().enumerate().skip(12) {
             let obs = resumed.step(traffic.window(t), &[]);
             assert_eq!(

@@ -18,8 +18,8 @@
 //!   amplification, cache-driven memory dynamics, monotone disk growth and
 //!   measurement noise (the Prometheus substitute).
 //! * [`anomaly`] injects unjustifiable resource consumption — ransomware and
-//!   cryptojacking attacks (§5.4), plus a memory-leak injector — into the
-//!   produced metrics without touching the API traffic.
+//!   cryptojacking attacks (§5.4) — into the produced metrics without
+//!   touching the API traffic.
 //! * [`apps`] ships the two benchmark applications with the paper's exact
 //!   component/resource counts: [`apps::social_network`] (11 APIs, 29
 //!   components, 76 resources) and [`apps::hotel_reservation`] (4 APIs, 18
@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod anomaly;
 mod api;
@@ -37,7 +38,8 @@ pub mod engine;
 
 pub use api::{ApiSpec, CallEdge, CallNode, Condition, Repeat};
 pub use component::ComponentSpec;
-pub use cost::{CostDriver, CostTerm, OperationCost, ProvisionCost};
+pub(crate) use cost::{CostDriver, CostTerm};
+pub use cost::{OperationCost, ProvisionCost};
 pub use engine::{
     ComponentRow, SimConfig, SimOutput, SimStepper, SimStepperState, StepObservation,
 };
@@ -125,7 +127,7 @@ impl AppSpec {
     }
 
     /// Cost model lookup.
-    pub fn cost(&self, component: &str, operation: &str) -> Option<&OperationCost> {
+    pub(crate) fn cost(&self, component: &str, operation: &str) -> Option<&OperationCost> {
         self.costs
             .get(&(component.to_owned(), operation.to_owned()))
     }

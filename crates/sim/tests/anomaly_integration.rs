@@ -3,7 +3,7 @@
 //! traffic and traces untouched.
 
 use deeprest_metrics::ResourceKind;
-use deeprest_sim::anomaly::{CryptojackingAttack, MemoryLeak, RansomwareAttack};
+use deeprest_sim::anomaly::{CryptojackingAttack, RansomwareAttack};
 use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, simulate_with, SimConfig};
 use deeprest_workload::WorkloadSpec;
@@ -116,29 +116,11 @@ fn cryptojacking_raises_cpu_persistently_from_start() {
 }
 
 #[test]
-fn memory_leak_grows_linearly() {
-    let (app, traffic, cfg) = setup();
-    let leak = MemoryLeak::new("ComposePostService", 10, 2.0);
-    let out = simulate_with(&app, &traffic, &cfg, &[&leak]);
-    let mem = out
-        .metrics
-        .get_parts("ComposePostService", ResourceKind::Memory)
-        .unwrap();
-    // ~2 MiB per window accumulate: by the last window ~76 MiB extra.
-    let early = mem.slice(0..10).mean();
-    let late = mem.get(47);
-    assert!(
-        late > early + 60.0,
-        "leak not visible: early {early:.1} vs late {late:.1}"
-    );
-}
-
-#[test]
 fn multiple_injectors_compose() {
     let (app, traffic, cfg) = setup();
     let crypto = CryptojackingAttack::new("PostStorageMongoDB", 0, 10.0);
-    let leak = MemoryLeak::new("PostStorageMongoDB", 0, 1.0);
-    let out = simulate_with(&app, &traffic, &cfg, &[&crypto, &leak]);
+    let ransomware = RansomwareAttack::new("PostStorageMongoDB", 0, 48);
+    let out = simulate_with(&app, &traffic, &cfg, &[&crypto, &ransomware]);
     let clean = simulate(&app, &traffic, &cfg);
     let dc = out
         .metrics

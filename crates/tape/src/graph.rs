@@ -83,16 +83,6 @@ impl Graph {
         Self::default()
     }
 
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` when no nodes are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Current value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
@@ -313,7 +303,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn lerp(&mut self, z: Var, a: Var, b: Var) -> Var {
+    pub(crate) fn lerp(&mut self, z: Var, a: Var, b: Var) -> Var {
         let (tz, ta, tb) = (self.value(z), self.value(a), self.value(b));
         let keep = zip(tz, ta, mul);
         let new = zip(tz, tb, |zi, bi| (1.0 - zi) * bi);
@@ -648,11 +638,6 @@ impl GradBuffer {
             })
             .collect();
         Self { grads }
-    }
-
-    /// The accumulated gradient for `id`.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.grads[id.index()]
     }
 
     /// Resets every slot to zero, keeping allocations.
@@ -1017,9 +1002,13 @@ mod tests {
         let a = g.param(&store, ids[0]);
         let sq = g.square(a);
         let l = g.sum_all(sq);
-        let nodes_before = g.len();
+        let nodes_before = g.nodes.len();
         g.backward(l, &mut store);
-        assert_eq!(g.len(), nodes_before, "backward must not grow the tape");
+        assert_eq!(
+            g.nodes.len(),
+            nodes_before,
+            "backward must not grow the tape"
+        );
     }
 
     #[test]
@@ -1046,7 +1035,7 @@ mod tests {
         assert_eq!(store.grad(ids[0]).data(), direct.data());
 
         buf.zero();
-        assert_eq!(buf.grad(ids[0]).data(), &[0.0, 0.0]);
+        assert_eq!(buf.grads[ids[0].index()].data(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **Sinks** — a pluggable [`Sink`] receives events: the implicit no-op
 //!   sink (telemetry disabled, the default), [`MemorySink`] (aggregates
 //!   in memory; powers invariant tests like "a warm slab step draws every
-//!   buffer from the pool"), and [`JsonlSink`] (appends one JSON object per event to
+//!   buffer from the pool"), and `JsonlSink` (appends one JSON object per event to
 //!   a file — the `telemetry.jsonl` the bench harness emits).
 //! * **Selection** — a probe delivers to the sink scoped on its thread by
 //!   [`with_sink`], and otherwise to the process-wide default, which comes
@@ -73,10 +73,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod sinks;
 
-pub use sinks::{JsonlSink, MemorySink};
+pub(crate) use sinks::JsonlSink;
+pub use sinks::MemorySink;
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -87,7 +89,7 @@ use std::time::Instant;
 /// A telemetry event name: a dotted lowercase path such as
 /// `pool.worker_busy` or `train.loss.Frontend:cpu`. Static names avoid
 /// allocation; dynamic names (per-expert series) pass owned strings.
-pub type Name = Cow<'static, str>;
+pub(crate) type Name = Cow<'static, str>;
 
 /// One telemetry event, delivered to the installed [`Sink`].
 #[derive(Clone, Debug, PartialEq)]
@@ -113,17 +115,6 @@ pub enum Event {
         /// Observed value.
         value: f64,
     },
-}
-
-impl Event {
-    /// The event's name, regardless of kind.
-    pub fn name(&self) -> &str {
-        match self {
-            Event::Span { name, .. } | Event::Counter { name, .. } | Event::Gauge { name, .. } => {
-                name
-            }
-        }
-    }
 }
 
 /// Receives telemetry events. Implementations must be cheap and
@@ -177,7 +168,7 @@ fn enabled_slow() -> bool {
 /// Consults `DEEPREST_TELEMETRY` once and installs the selected sink as
 /// the process-wide default. Called lazily by the first probe; calling it
 /// eagerly is harmless. Returns whether a process-wide sink is installed.
-pub fn init_from_env() -> bool {
+pub(crate) fn init_from_env() -> bool {
     ENV_INIT.call_once(|| {
         // An explicit set_sink/install may have raced ahead of the first
         // probe; never override it.
@@ -210,7 +201,7 @@ pub fn set_sink(sink: Option<Arc<dyn Sink>>) {
 
 /// The sink an event emitted on this thread reaches: the thread's scope if
 /// it is in one (read without a lock), the process-wide default otherwise.
-pub fn current_sink() -> Option<Arc<dyn Sink>> {
+pub(crate) fn current_sink() -> Option<Arc<dyn Sink>> {
     capture()
         .0
         .or_else(|| SINK.read().unwrap_or_else(PoisonError::into_inner).clone())

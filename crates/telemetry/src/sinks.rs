@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
 use crate::{Event, Sink};
@@ -54,11 +54,6 @@ impl MemorySink {
         self.lock().gauges.get(name).cloned().unwrap_or_default()
     }
 
-    /// The most recent value of a gauge.
-    pub fn last_gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).and_then(|v| v.last().copied())
-    }
-
     /// Completion count of a span name.
     pub fn span_count(&self, name: &str) -> u64 {
         self.lock().spans.get(name).map_or(0, |s| s.count)
@@ -72,11 +67,6 @@ impl MemorySink {
     /// Total events delivered.
     pub fn event_count(&self) -> u64 {
         self.lock().events
-    }
-
-    /// Discards all recorded state.
-    pub fn clear(&self) {
-        *self.lock() = MemoryState::default();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MemoryState> {
@@ -124,9 +114,8 @@ impl Sink for MemorySink {
 /// without dropping the sink (the globally installed sink never drops) —
 /// a buffered writer would lose its tail and could split a line across
 /// flush boundaries.
-pub struct JsonlSink {
+pub(crate) struct JsonlSink {
     writer: Mutex<Numbered>,
-    path: PathBuf,
 }
 
 struct Numbered {
@@ -141,23 +130,17 @@ impl JsonlSink {
     /// # Errors
     ///
     /// Returns the underlying I/O error when the path is not writable.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+    pub(crate) fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = std::fs::File::create(&path)?;
+        let file = std::fs::File::create(path)?;
         Ok(Self {
             writer: Mutex::new(Numbered { out: file, seq: 0 }),
-            path,
         })
-    }
-
-    /// The file this sink writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -253,7 +236,6 @@ mod tests {
         });
         assert_eq!(sink.counter("c"), 5);
         assert_eq!(sink.gauges("g"), vec![2.0, 3.0]);
-        assert_eq!(sink.last_gauge("g"), Some(3.0));
         assert_eq!(
             sink.span_stats("s"),
             SpanStats {
@@ -262,8 +244,6 @@ mod tests {
             }
         );
         assert_eq!(sink.event_count(), 6);
-        sink.clear();
-        assert_eq!(sink.event_count(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! Every contraction is built on one accumulation contract:
 //!
-//! * Partial sums live in a fixed array of [`LANES`]` = 8` accumulators.
+//! * Partial sums live in a fixed array of `LANES = 8` accumulators.
 //!   Term `k` of a contraction is added into lane `k % LANES`, in ascending
 //!   `k` order within each lane. Ragged tails (`len % LANES != 0`) fill
 //!   lanes `0..len % LANES` in the same positions the main loop would have
@@ -60,7 +60,7 @@ mod act;
 pub use act::{gate_sigmoid_into, gate_tanh_into, sigmoid, tanh};
 
 /// Number of parallel accumulator lanes in every contraction kernel.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Non-zero terms in one aligned `LANES`-chunk from which a [`Support`]
 /// walks the whole chunk: the unrolled chunk body costs about what three
@@ -211,7 +211,7 @@ mod avx2 {
     }
 
     /// Whether the running CPU supports AVX2 (cached after first probe).
-    pub fn available() -> bool {
+    pub(crate) fn available() -> bool {
         use std::sync::OnceLock;
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
@@ -219,7 +219,7 @@ mod avx2 {
 
     /// Whether the running CPU supports AVX2 and FMA both (cached after
     /// first probe): the activations' twin needs the two together.
-    pub fn fma_available() -> bool {
+    pub(crate) fn fma_available() -> bool {
         use std::sync::OnceLock;
         static FMA: OnceLock<bool> = OnceLock::new();
         *FMA.get_or_init(|| available() && std::arch::is_x86_feature_detected!("fma"))
@@ -231,7 +231,7 @@ mod avx2 {
     ///
     /// Requires AVX2 support on the running CPU.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         let chunks = a.len() / LANES;
         let mut acc = _mm256_setzero_ps();
@@ -266,7 +266,12 @@ mod avx2 {
     /// Requires AVX2, `out_blk.len() >= LANES`, and `LANES` floats readable
     /// at `b + kk * stride` for every `kk < a_row.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_row_block(out_blk: &mut [f32], a_row: &[f32], b: *const f32, stride: usize) {
+    pub(crate) unsafe fn gemm_row_block(
+        out_blk: &mut [f32],
+        a_row: &[f32],
+        b: *const f32,
+        stride: usize,
+    ) {
         let k = a_row.len();
         let chunks = k / LANES;
         // Eight named accumulators: an indexed `[__m256; LANES]` tile is
@@ -347,7 +352,12 @@ mod avx2 {
     /// Requires AVX2 and `LANES` floats readable at `a + kk * stride` for
     /// every `kk < x.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_tn_block(vals: &mut [f32; LANES], a: *const f32, stride: usize, x: &[f32]) {
+    pub(crate) unsafe fn gemm_tn_block(
+        vals: &mut [f32; LANES],
+        a: *const f32,
+        stride: usize,
+        x: &[f32],
+    ) {
         let k = x.len();
         let chunks = k / LANES;
         // Named accumulators for the same register-allocation reason as
@@ -438,7 +448,7 @@ mod avx2 {
     /// `x.len()`, `width <= LANES` (`== LANES` when `FULL`), and `width`
     /// floats readable at `a + kk * stride` for every `kk < x.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_t_support_block<const FULL: bool>(
+    pub(crate) unsafe fn gemv_t_support_block<const FULL: bool>(
         vals: &mut [f32; LANES],
         a: *const f32,
         stride: usize,

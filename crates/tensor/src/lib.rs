@@ -51,12 +51,13 @@
 // argument beside it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod kernel;
 pub mod linalg;
 mod param;
 pub mod pool;
-pub mod scratch;
+pub(crate) mod scratch;
 mod tensor;
 
 pub use param::{ParamId, ParamStore};

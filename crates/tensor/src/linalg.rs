@@ -18,7 +18,7 @@ use crate::Tensor;
 /// # Panics
 ///
 /// Panics if `m` is not square.
-pub fn symmetric_eigen(m: &Tensor) -> (Vec<f32>, Tensor) {
+pub(crate) fn symmetric_eigen(m: &Tensor) -> (Vec<f32>, Tensor) {
     let n = m.rows();
     assert_eq!(n, m.cols(), "symmetric_eigen: matrix must be square");
     let mut a = m.clone();

@@ -29,7 +29,7 @@ use deeprest_telemetry as telemetry;
 
 use crate::tensor::Tensor;
 
-/// Size-bucketed free lists of `f32` buffers. See the [module docs](self).
+/// Size-bucketed free lists of `f32` buffers. See the `scratch` module docs.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: BTreeMap<usize, Vec<Vec<f32>>>,
@@ -67,11 +67,6 @@ impl BufferPool {
             self.free.entry(buf.len()).or_default().push(buf);
         }
     }
-
-    /// Number of buffers currently recycled and idle.
-    pub fn idle(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +83,7 @@ mod tests {
         buf[0] = 7.0;
         let ptr = buf.as_ptr();
         pool.put(buf);
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.free.values().map(Vec::len).sum::<usize>(), 1);
         let again = pool.take(4);
         assert_eq!(
             again,

@@ -18,7 +18,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Salted 64-bit FNV-1a digest of `name`.
-pub fn fnv1a64(name: &str, salt: u64) -> u64 {
+pub(crate) fn fnv1a64(name: &str, salt: u64) -> u64 {
     let mut hash = FNV_OFFSET ^ salt;
     for byte in name.as_bytes() {
         hash ^= u64::from(*byte);

@@ -9,8 +9,6 @@
 //! * [`Interner`] / [`Sym`] — cheap interned names for components,
 //!   operations and API endpoints.
 //! * [`SpanNode`] / [`Trace`] — the span tree of one API request.
-//! * [`ExecutionTopology`] — the execution topology graph of Fig. 5, where
-//!   each node is a `(component, operation)` pair observed in traces.
 //! * [`hashing`] — privacy-preserving name hashing: component/operation/API
 //!   names are replaced with opaque digests before DeepRest ingests them, as
 //!   required by the paper's privacy-preserving design principle (§3).
@@ -25,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must fail typed, not panic: ingestion feeds the online
 // serving loop, where one malformed span must cost one trace, not the
 // process. Invariant-documenting exceptions carry a scoped allow.
@@ -35,9 +34,7 @@ mod interner;
 pub mod jaeger;
 mod span;
 pub mod stream;
-mod topology;
 pub mod window;
 
 pub use interner::{Interner, Sym};
 pub use span::{SpanNode, Trace};
-pub use topology::{ExecutionTopology, TopoNodeId};

@@ -54,11 +54,6 @@ impl SpanNode {
             .sum::<usize>()
     }
 
-    /// Depth of the subtree (a leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(SpanNode::depth).max().unwrap_or(0)
-    }
-
     /// Pre-order traversal visiting every span.
     pub fn visit(&self, f: &mut impl FnMut(&SpanNode)) {
         f(self);
@@ -196,11 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn span_count_and_depth() {
+    fn span_count_counts_every_span() {
         let mut i = Interner::new();
         let t = fig3_trace(&mut i);
         assert_eq!(t.span_count(), 5);
-        assert_eq!(t.root.depth(), 4);
     }
 
     #[test]

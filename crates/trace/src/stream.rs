@@ -89,37 +89,17 @@ impl WindowAssembler {
         }
     }
 
-    /// Window length in seconds.
-    pub fn window_secs(&self) -> f64 {
-        self.window_secs
-    }
-
-    /// The lateness bound in seconds.
-    pub fn lateness_secs(&self) -> f64 {
-        self.lateness_secs
-    }
-
     /// The current event-time watermark: the maximum observed arrival time
     /// minus the lateness bound. Windows ending at or before the watermark
     /// are sealed. `None` before the first arrival.
-    pub fn watermark_secs(&self) -> Option<f64> {
+    pub(crate) fn watermark_secs(&self) -> Option<f64> {
         self.max_event_secs.map(|m| m - self.lateness_secs)
-    }
-
-    /// Index of the next window to seal: every window below this is final.
-    pub fn sealed_through(&self) -> usize {
-        self.next_seal
     }
 
     /// How many traces arrived too late (or with invalid timestamps) and
     /// were dropped.
     pub fn late_dropped(&self) -> u64 {
         self.late_dropped
-    }
-
-    /// Number of traces buffered in not-yet-sealed windows.
-    pub fn buffered(&self) -> usize {
-        self.open.iter().map(|w| w.entries.len()).sum()
     }
 
     /// Feeds one arrival. Returns every window the advancing watermark
@@ -236,7 +216,7 @@ mod tests {
         assert_eq!(sealed[0].traces.len(), 1);
         assert!(sealed[1].traces.is_empty());
         assert!(sealed[2].traces.is_empty());
-        assert_eq!(asm.sealed_through(), 3);
+        assert_eq!(asm.next_seal, 3);
     }
 
     #[test]
@@ -333,6 +313,10 @@ mod tests {
         }
     }
 
+    fn buffered(asm: &WindowAssembler) -> usize {
+        asm.open.iter().map(|w| w.entries.len()).sum()
+    }
+
     #[test]
     fn flush_seals_buffered_windows() {
         let mut i = Interner::new();
@@ -340,10 +324,10 @@ mod tests {
         let mut asm = WindowAssembler::new(5.0, 10.0);
         asm.push(at(1.0, &t));
         asm.push(at(7.0, &t));
-        assert_eq!(asm.buffered(), 2);
+        assert_eq!(buffered(&asm), 2);
         let sealed = asm.flush();
         assert_eq!(sealed.len(), 2);
-        assert_eq!(asm.buffered(), 0);
+        assert_eq!(buffered(&asm), 0);
         // A post-flush arrival into a flushed window is late.
         asm.push(at(1.5, &t));
         assert_eq!(asm.late_dropped(), 1);

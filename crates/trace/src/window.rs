@@ -71,19 +71,6 @@ impl WindowedTraces {
             windows: self.windows[range].to_vec(),
         }
     }
-
-    /// Concatenates another windowed collection after this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window lengths differ.
-    pub fn extend(&mut self, other: WindowedTraces) {
-        assert_eq!(
-            self.window_secs, other.window_secs,
-            "WindowedTraces::extend: window length mismatch"
-        );
-        self.windows.extend(other.windows);
-    }
 }
 
 /// The index of the window that covers an arrival stamped `at_secs`, or
@@ -178,20 +165,5 @@ mod tests {
         let tail = w.slice(7..10);
         assert_eq!(tail.len(), 3);
         assert_eq!(tail.trace_count(), 3);
-    }
-
-    #[test]
-    fn extend_appends_windows() {
-        let mut a = WindowedTraces::with_windows(5.0, 2);
-        let b = WindowedTraces::with_windows(5.0, 3);
-        a.extend(b);
-        assert_eq!(a.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "window length mismatch")]
-    fn extend_rejects_mismatched_windows() {
-        let mut a = WindowedTraces::with_windows(5.0, 1);
-        a.extend(WindowedTraces::with_windows(10.0, 1));
     }
 }

@@ -32,16 +32,6 @@ impl SocialGraph {
         Self { followees }
     }
 
-    /// Followee count of user `u`.
-    pub fn followees(&self, u: usize) -> u32 {
-        self.followees[u % self.followees.len()]
-    }
-
-    /// Mean followee count.
-    pub fn mean_followees(&self) -> f64 {
-        self.followees.iter().map(|&f| f64::from(f)).sum::<f64>() / self.followees.len() as f64
-    }
-
     /// Samples a random user's followee count (the fan-out a home-timeline
     /// read or a post fan-out write touches).
     pub fn sample_fanout<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
@@ -133,7 +123,7 @@ mod tests {
     #[test]
     fn graph_is_heavy_tailed() {
         let g = SocialGraph::generate(5_000, 1);
-        let mean = g.mean_followees();
+        let mean = g.followees.iter().map(|&f| f64::from(f)).sum::<f64>() / 5_000.0;
         let max = g.followees.iter().copied().max().unwrap();
         // Heavy tail: max dwarfs the mean.
         assert!(f64::from(max) > 10.0 * mean, "max {max} mean {mean}");

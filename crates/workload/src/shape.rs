@@ -64,19 +64,6 @@ impl TrafficShape {
         };
         normalize_mean(raw)
     }
-
-    /// Number of local maxima in the day profile, a shape signature used by
-    /// tests and the shape-change experiments.
-    pub fn peak_count(&self, windows_per_day: usize) -> usize {
-        let p = self.profile(windows_per_day);
-        let mut count = 0;
-        for w in 1..p.len().saturating_sub(1) {
-            if p[w] > p[w - 1] && p[w] > p[w + 1] && p[w] > 1.2 {
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 fn gaussian(t: f64, center: f64, width: f64) -> f64 {
@@ -117,11 +104,19 @@ mod tests {
         }
     }
 
+    /// Number of local maxima above 1.2 in a day profile.
+    fn peak_count(shape: &TrafficShape, windows_per_day: usize) -> usize {
+        let p = shape.profile(windows_per_day);
+        (1..p.len().saturating_sub(1))
+            .filter(|&w| p[w] > p[w - 1] && p[w] > p[w + 1] && p[w] > 1.2)
+            .count()
+    }
+
     #[test]
     fn two_peak_has_two_peaks_and_flat_has_none() {
-        assert_eq!(TrafficShape::TwoPeak.peak_count(96), 2);
-        assert_eq!(TrafficShape::Flat.peak_count(96), 0);
-        assert_eq!(TrafficShape::SinglePeak.peak_count(96), 1);
+        assert_eq!(peak_count(&TrafficShape::TwoPeak, 96), 2);
+        assert_eq!(peak_count(&TrafficShape::Flat, 96), 0);
+        assert_eq!(peak_count(&TrafficShape::SinglePeak, 96), 1);
     }
 
     #[test]

@@ -214,7 +214,7 @@ mod tests {
     fn window_and_day_counts() {
         let t = spec().with_days(3).with_windows_per_day(48).generate();
         assert_eq!(t.window_count(), 144);
-        assert_eq!(t.days(), 3);
+        assert_eq!(t.windows_per_day(), 48);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl ApiTraffic {
         self.windows_per_day
     }
 
-    /// Number of whole days covered.
-    pub fn days(&self) -> usize {
-        self.requests.len() / self.windows_per_day
-    }
-
     /// Expected requests for each API in window `t`.
     pub fn window(&self, t: usize) -> &[f64] {
         &self.requests[t]
@@ -167,7 +162,6 @@ mod tests {
     fn accessors() {
         let t = sample();
         assert_eq!(t.window_count(), 4);
-        assert_eq!(t.days(), 2);
         assert_eq!(t.total_at(0), 4.0);
         assert_eq!(
             t.api_series("/readTimeline").values(),

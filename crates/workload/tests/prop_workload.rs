@@ -35,7 +35,6 @@ proptest! {
     ) {
         let t = spec(users, seed, shape, days).generate();
         prop_assert_eq!(t.window_count(), days * 24);
-        prop_assert_eq!(t.days(), days);
         for w in 0..t.window_count() {
             prop_assert!(t.window(w).iter().all(|&v| v >= 0.0));
         }
