@@ -1,6 +1,5 @@
-//! DeepRest online continual learning: the `deeprest-serve` streaming
-//! stages over an owned, mutable model, plus an adapt step after each
-//! window.
+//! DeepRest online continual learning: a `deeprest-serve` pipeline
+//! driver that owns its model and adapts it after each window.
 //!
 //! The paper's estimator is trained once and then served frozen; under
 //! workload drift its intervals go stale — coverage degrades, the sanity
@@ -8,12 +7,13 @@
 //! offline retrain. This crate closes the loop **online**, deterministically,
 //! as four cooperating stages around an owned, mutable model:
 //!
-//! * **observe** — [`AdaptivePipeline`] drives the very
-//!   [`deeprest_serve::WindowStages`] a [`deeprest_serve::Pipeline`] drives
-//!   (windowing, the healed O(1) incremental step, quarantine, causal
-//!   sanity alerts, sink delivery), and seals every `segment_len` served-and-observed
-//!   windows into a `(features, targets)` training segment from the
-//!   observations the scoring stage looked up;
+//! * **observe** — [`Adapter`] is a [`deeprest_serve::Driver`], so an
+//!   [`AdaptivePipeline`] is the one [`deeprest_serve::Pipeline`] with its
+//!   shared stages (windowing, the healed O(1) incremental step,
+//!   quarantine, causal sanity alerts, sink delivery); it seals every
+//!   `segment_len` served-and-observed windows into a `(features,
+//!   targets)` training segment from the observations the scoring stage
+//!   looked up;
 //! * **detect** — a per-expert CUSUM on raw δ-interval coverage misses
 //!   (`DriftDetector`) flags drifting experts windows before the sanity
 //!   check would alert;
@@ -36,8 +36,14 @@
 //! a mid-adaptation restore continues bit-identically to the uninterrupted
 //! run.
 //!
+//! The same model and state are the adapter's
+//! [`Driver::checkpoint`](deeprest_serve::Driver::checkpoint) tree, so a
+//! `TenantRegistry` holding an adaptive tenant
+//! (`add_pipeline(Pipeline::from(adaptive), ..)`) checkpoints and resumes it
+//! bit-exactly too, and suspends its updates at overload rung 2.
+//!
 //! With [`AdaptConfig::enabled`] off a window runs the shared stages and
-//! nothing else: the pipeline is a plain serving pipeline over an owned
+//! nothing else: the pipeline serves what a frozen one does over an owned
 //! model, bit for bit.
 
 #![forbid(unsafe_code)]
@@ -49,13 +55,13 @@
 pub(crate) mod calibrate;
 mod config;
 pub(crate) mod drift;
-mod error;
 mod pipeline;
 pub(crate) mod replay;
 
 pub use calibrate::{CalibrationConfig, CalibrationState};
 pub use config::AdaptConfig;
 pub use drift::{DriftConfig, DriftState};
-pub use error::{AdaptError, UpdateOutcome};
-pub use pipeline::{AdapterState, AdaptiveCheckpoint, AdaptivePipeline, Staging};
+pub use pipeline::{
+    Adapter, AdapterState, AdaptiveCheckpoint, AdaptivePipeline, Staging, UpdateOutcome,
+};
 pub use replay::{ReplayBuffer, Segment};

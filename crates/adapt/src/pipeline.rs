@@ -1,18 +1,25 @@
-//! The adaptive serving pipeline: observe → detect → adapt → recalibrate.
+//! The adaptive driver: observe → detect → adapt → recalibrate.
 //!
-//! [`AdaptivePipeline`] runs the very stages [`deeprest_serve::Pipeline`]
-//! runs — one [`WindowStages`] does the windowing, healed inference step,
-//! quarantine, sanity scoring and alert delivery for both — around a model
-//! that is **owned and mutable**. The stream's
-//! [`CarriedState`] sits beside the model, by value, across the pipeline's
-//! own updates: it holds hidden vectors and no weights, the model repacks
-//! its slab inside every update, and each window's step is handed the model
-//! as it is then. This module adds only what is adaptive:
-//! it widens the raw intervals by the conformal scale before scoring, feeds
+//! [`Adapter`] is a [`Driver`] of `deeprest-serve`'s one [`Pipeline`]: the
+//! pipeline's [`WindowStages`] do the windowing, healed inference step,
+//! quarantine, sanity scoring and alert delivery exactly as they do for a
+//! frozen model, around a model the adapter **owns and mutates**. The
+//! stream's [`CarriedState`] sits beside the model, by value, across the
+//! adapter's own updates: it holds hidden vectors and no weights, the model
+//! repacks its slab inside every update, and each window's step is handed
+//! the model as it is then. The adapter adds only what is adaptive: it
+//! widens the raw intervals by the conformal scale before scoring, feeds
 //! drift and calibration statistics and stages `(features, targets)`
 //! segments from what the scoring stage observed, and on a fixed cadence
 //! folds them (mixed with deterministic replay samples) back into the
 //! model through [`OnlineUpdater`].
+//!
+//! [`AdaptivePipeline`] is a `Pipeline<Adapter>` with the constructor that
+//! hands it the model, the typed [`AdaptiveCheckpoint`], and three
+//! counters; everything else is the pipeline's, through `Deref`, and the
+//! adapter's own accessors are on [`Pipeline::driver`]. To serve it as one
+//! tenant among others, pass `Pipeline::from(adaptive)` to
+//! `TenantRegistry::add_pipeline`.
 //!
 //! # Determinism
 //!
@@ -33,42 +40,56 @@
 //! buffer, drift statistics, calibration rings, the current segment and
 //! the cadence's counters — and a [`restore`](AdaptivePipeline::restore)d
 //! pipeline continues bit-identically to the uninterrupted run, even
-//! mid-segment between two updates or with updates suspended.
+//! mid-segment between two updates or with updates suspended. In a
+//! registry checkpoint the same model and state are the tenant's
+//! [`Driver::checkpoint`] tree.
 //!
 //! # Fail-safety
 //!
 //! Serving failures are the shared stages': a contained step panic rolls
-//! back and retries, a persistently failing window is parked behind
-//! [`AdaptError::Serve`] with nothing adaptive touched. Update failures
-//! never reach serving: an injected `adapt.update` fault rejects the step
-//! before any mutation, and a poisoned parameter after the step
+//! back and retries, a persistently failing window is parked behind a
+//! [`ServeError`] with nothing adaptive touched. Update failures never
+//! reach serving: an injected `adapt.update` fault rejects the step before
+//! any mutation, and a poisoned parameter after the step
 //! (`adapt.update.poison`, or a genuine numeric blow-up) rolls the store
 //! and its pack back bit-for-bit. Either way the pipeline keeps serving
 //! from the pre-update parameters; the outcome is recorded in
-//! [`last_update`](AdaptivePipeline::last_update), not thrown.
+//! [`Adapter::last_update`], not thrown.
 //!
-//! # Frozen mode
+//! # Suspension and frozen mode
 //!
-//! With [`AdaptConfig::enabled`] off a window runs the shared stages and
-//! returns: the pipeline *is* a plain [`deeprest_serve::Pipeline`] over an
-//! owned model.
+//! [`Driver::suspend`] is overload rung 2: serving continues with the model
+//! held still — bit-exact, like [`AdaptConfig::frozen`] — while segment
+//! staging, replay-buffer growth and cadence due-pressure keep
+//! accumulating; due firings are skipped and counted
+//! (`adapt.update.suspended`), and the first seal after resuming runs the
+//! deferred update. With [`AdaptConfig::enabled`] off a window runs the
+//! shared stages and returns: the pipeline serves exactly what a frozen
+//! one does, over an owned model.
 
-use deeprest_core::adapt::{OnlineUpdater, TrainSegment};
-use deeprest_core::stream::{CarriedState, PointEstimate};
-use deeprest_core::{DeepRest, ExpertKey};
+use std::ops::{Deref, DerefMut};
+
+use deeprest_core::adapt::{OnlineUpdater, TrainSegment, UpdateError, UpdateStats};
+use deeprest_core::stream::{CarriedState, PointEstimate, StreamSnapshot};
+use deeprest_core::DeepRest;
 use deeprest_metrics::MetricsRegistry;
-use deeprest_serve::{AlertSink, Checkpoint, WindowOutput, WindowStages};
+use deeprest_serve::{Checkpoint, Driver, Pipeline, ServeError, WindowOutput, WindowStages};
 use deeprest_telemetry as telemetry;
 use deeprest_trace::stream::SealedWindow;
-use deeprest_trace::window::TimestampedTrace;
 use deeprest_trace::Interner;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::calibrate::{CalibrationState, Calibrator};
 use crate::config::AdaptConfig;
 use crate::drift::{DriftDetector, DriftState};
-use crate::error::{AdaptError, UpdateOutcome};
 use crate::replay::{ReplayBuffer, Segment};
+
+/// The outcome recorded after each cadence firing. Update failures are
+/// deliberately not part of ingest's error surface: a failed or poisoned
+/// update rolls the model back and serving continues on the pre-update
+/// parameters.
+pub type UpdateOutcome = Result<UpdateStats, UpdateError>;
 
 /// Everything an [`AdaptivePipeline`] resumes from, as one serde tree:
 /// persist it with [`deeprest_serve::CheckpointStore`] or
@@ -176,9 +197,9 @@ impl Staging {
     }
 }
 
-/// The owned model and everything that adapts it — all of the pipeline
-/// that is not the shared serving stages.
-struct Adapter {
+/// The adaptive [`Driver`]: an owned model and everything that adapts it
+/// — all of an adaptive pipeline that is not the shared serving stages.
+pub struct Adapter {
     model: DeepRest,
     config: AdaptConfig,
     /// The stream's hidden state and position, stepped against `model`.
@@ -194,12 +215,16 @@ struct Adapter {
     sample_out: Vec<usize>,
 }
 
-/// Owning, self-adapting counterpart of [`deeprest_serve::Pipeline`] —
-/// see the module docs.
-pub struct AdaptivePipeline {
-    stages: WindowStages,
-    adapter: Adapter,
+/// [`Adapter`]'s [`Driver::checkpoint`] tree, as it is read back.
+#[derive(Deserialize)]
+struct AdapterTree {
+    model: DeepRest,
+    adapter: AdapterState,
 }
+
+/// A [`Pipeline`] over an [`Adapter`] that owns its model — see the module
+/// docs.
+pub struct AdaptivePipeline(Pipeline<Adapter>);
 
 impl AdaptivePipeline {
     /// Creates an adaptive pipeline owning `model`. `source` is the name
@@ -214,142 +239,23 @@ impl AdaptivePipeline {
         observations: MetricsRegistry,
         config: AdaptConfig,
     ) -> Self {
-        let mut stages = WindowStages::new(&model, source, config.serve);
-        stages.set_observations(observations);
-        Self {
-            stages,
-            adapter: Adapter::new(model, config),
-        }
-    }
-
-    /// Attaches an alert sink; every fired alert is delivered to every
-    /// sink (and also returned in [`WindowOutput::alerts`]).
-    #[must_use]
-    pub fn with_sink(mut self, sink: impl AlertSink + 'static) -> Self {
-        self.stages.add_sink(sink);
-        self
-    }
-
-    /// The live (possibly adapted) model — read-only; its
-    /// [`estimate_what_if`](DeepRest::estimate_what_if) answers reflect
-    /// everything learned so far.
-    pub fn model(&self) -> &DeepRest {
-        &self.adapter.model
-    }
-
-    /// Expert keys, in the order estimates and scores are reported.
-    pub fn keys(&self) -> &[ExpertKey] {
-        self.stages.keys()
-    }
-
-    /// Number of windows sealed and served so far.
-    pub fn position(&self) -> usize {
-        self.adapter.carried.position()
-    }
-
-    /// How many traces arrived beyond the lateness bound (counted, never
-    /// silently lost).
-    pub fn late_dropped(&self) -> u64 {
-        self.stages.late_dropped()
-    }
-
-    /// Number of sealed windows parked behind a step failure.
-    pub fn pending_windows(&self) -> usize {
-        self.stages.pending_windows()
-    }
-
-    /// Per-expert drift watch flags (in [`keys`](Self::keys) order).
-    pub fn drift_watching(&self) -> &[bool] {
-        &self.adapter.drift.state().watching
-    }
-
-    /// Outcome of the most recent update attempt (`None` before the first
-    /// cadence firing). Failures here never interrupt serving.
-    pub fn last_update(&self) -> Option<&UpdateOutcome> {
-        self.adapter.last_update.as_ref()
+        let adapter = Adapter::new(model, config);
+        Self(Pipeline::with_driver(adapter, source, config.serve).with_observations(observations))
     }
 
     /// Successful updates applied so far.
     pub fn updates_run(&self) -> u64 {
-        self.adapter.staging.updates_run
+        self.driver().updates_run()
     }
 
     /// Update attempts rejected by a fault or rolled back.
     pub fn updates_failed(&self) -> u64 {
-        self.adapter.staging.updates_failed
+        self.driver().updates_failed()
     }
 
-    /// Suspends model updates (the overload ladder's rung 2). Serving
-    /// continues with the model frozen — bit-exact, like
-    /// [`AdaptConfig::frozen`](crate::AdaptConfig) — while segment
-    /// staging, replay-buffer growth and cadence due-pressure keep
-    /// accumulating; due firings are skipped and counted
-    /// (`adapt.update.suspended`). Idempotent.
-    pub fn suspend_updates(&mut self) {
-        if !self.adapter.staging.updates_suspended {
-            self.adapter.staging.updates_suspended = true;
-            if telemetry::enabled() {
-                telemetry::counter("adapt.updates.suspend", 1);
-            }
-        }
-    }
-
-    /// Resumes model updates after [`suspend_updates`](Self::suspend_updates).
-    /// A deferred due update runs at the next segment seal, not here, so
-    /// resuming is cheap and never blocks the caller. Idempotent.
-    pub fn resume_updates(&mut self) {
-        if self.adapter.staging.updates_suspended {
-            self.adapter.staging.updates_suspended = false;
-            if telemetry::enabled() {
-                telemetry::counter("adapt.updates.resume", 1);
-            }
-        }
-    }
-
-    /// Whether model updates are currently suspended.
-    pub fn updates_suspended(&self) -> bool {
-        self.adapter.staging.updates_suspended
-    }
-
-    /// Cadence firings skipped while suspended (typed counter, mirrored
-    /// on `adapt.update.suspended`).
-    pub fn updates_skipped_suspended(&self) -> u64 {
-        self.adapter.staging.updates_skipped_suspended
-    }
-
-    /// Replay segments currently buffered.
-    pub fn replay_len(&self) -> usize {
-        self.adapter.replay.len()
-    }
-
-    /// Feeds one arrival; returns the outputs of every window the
-    /// advancing watermark sealed, same contract as
-    /// [`deeprest_serve::Pipeline::ingest`].
-    ///
-    /// # Errors
-    ///
-    /// [`AdaptError::Serve`] with exactly the plain pipeline's semantics:
-    /// an ingest fault leaves the arrival unconsumed, a step failure parks
-    /// the window for the next call. Update failures are contained (see
-    /// [`last_update`](Self::last_update)).
-    pub fn ingest(&mut self, t: TimestampedTrace) -> Result<Vec<WindowOutput>, AdaptError> {
-        self.stages.push(t)?;
-        self.drain()
-    }
-
-    /// Seals and processes everything still buffered (end of stream).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ingest`](Self::ingest).
-    pub fn flush(&mut self) -> Result<Vec<WindowOutput>, AdaptError> {
-        self.stages.seal_all();
-        self.drain()
-    }
-
-    fn drain(&mut self) -> Result<Vec<WindowOutput>, AdaptError> {
-        self.stages
-            .drain(|stages, w| self.adapter.window(stages, w))
+    /// Per-expert drift watch flags (in [`Pipeline::keys`] order).
+    pub fn drift_watching(&self) -> &[bool] {
+        self.driver().drift_watching()
     }
 
     /// Captures the full adaptive state: the shared stages' serve
@@ -357,77 +263,54 @@ impl AdaptivePipeline {
     /// ready for [`deeprest_serve::CheckpointStore`]'s framed, CRC-checked,
     /// atomically-rotated persistence.
     pub fn checkpoint(&self) -> AdaptiveCheckpoint {
-        let a = &self.adapter;
+        let adapter = self.driver();
         AdaptiveCheckpoint {
-            serve: self.stages.checkpoint(&a.carried),
-            model: a.model.clone(),
-            adapter: AdapterState {
-                replay: a.replay.segments().to_vec(),
-                drift: a.drift.state().clone(),
-                calibration: a.calib.state().clone(),
-                staging: a.staging.clone(),
-            },
+            serve: self.0.checkpoint(),
+            model: adapter.model.clone(),
+            adapter: adapter.state(),
         }
     }
 
-    /// Rebuilds an adaptive pipeline from a [`checkpoint`](Self::checkpoint),
-    /// resuming bit-identically — mid-segment, between updates, with the
-    /// replay and calibration trajectory intact. The observation source is
-    /// not part of the checkpoint; pass it again.
+    /// Rebuilds an adaptive pipeline from a [`checkpoint`](Self::checkpoint)
+    /// — [`new`](Self::new) over the checkpointed model, then the state
+    /// loaded into it — resuming bit-identically: mid-segment, between
+    /// updates, with the replay and calibration trajectory intact. The
+    /// observation source is not part of the checkpoint; pass it again.
     ///
     /// # Errors
     ///
-    /// [`AdaptError::Predictor`]/[`AdaptError::Sanity`]/
-    /// [`AdaptError::Adapter`] when any piece of state disagrees with the
-    /// model geometry — a staged or replayed segment of the wrong shape
-    /// included.
+    /// A message when any piece of state disagrees with the model geometry
+    /// — a staged or replayed segment of the wrong shape included.
     pub fn restore(
         source: &Interner,
         observations: MetricsRegistry,
         config: AdaptConfig,
         checkpoint: AdaptiveCheckpoint,
-    ) -> Result<Self, AdaptError> {
-        let AdaptiveCheckpoint {
-            serve,
-            model,
-            adapter: state,
-        } = checkpoint;
-        let carried =
-            CarriedState::restore(&model, &serve.predictor).map_err(AdaptError::Predictor)?;
-        let mut stages = WindowStages::restore(&model, source, config.serve, serve)
-            .map_err(AdaptError::Sanity)?;
-        stages.set_observations(observations);
+    ) -> Result<Self, String> {
+        let mut pipeline = Self::new(checkpoint.model, source, observations, config);
+        pipeline.driver_mut().restore(checkpoint.adapter)?;
+        pipeline.0.load(checkpoint.serve, None)?;
+        Ok(pipeline)
+    }
+}
 
-        let mut adapter = Adapter::new(model, config);
-        let shape = |s: &Staging| (s.cur_xs.len(), s.cur_targets.len(), s.prev_actual.len());
-        let (got, want) = (shape(&state.staging), shape(&adapter.staging));
-        if got != want || state.staging.cur_len >= config.update.segment_len {
-            return Err(AdaptError::Adapter(format!(
-                "current segment (xs, targets, prev) = {got:?} at {} windows does not match \
-                 geometry {want:?} of {}-window segments",
-                state.staging.cur_len, config.update.segment_len
-            )));
-        }
-        let segment = (want.0, want.1);
-        for (i, s) in state.replay.iter().enumerate() {
-            let got = (s.xs.len(), s.targets.len());
-            if got != segment {
-                return Err(AdaptError::Adapter(format!(
-                    "replay segment {i} (xs, targets) = {got:?} does not match geometry {segment:?}"
-                )));
-            }
-        }
-        let experts = adapter.model.expert_count();
-        let nominal = f64::from(adapter.model.config().delta);
-        adapter.carried = carried;
-        adapter.drift = DriftDetector::restore(nominal, config.drift, state.drift, experts)
-            .map_err(AdaptError::Adapter)?;
-        adapter.calib =
-            Calibrator::restore(nominal, config.calibration, state.calibration, experts)
-                .map_err(AdaptError::Adapter)?;
-        adapter.replay = ReplayBuffer::restore(config.replay_capacity.max(1), state.replay);
-        adapter.staging = state.staging;
-        Ok(Self { stages, adapter })
+impl Deref for AdaptivePipeline {
+    type Target = Pipeline<Adapter>;
+
+    fn deref(&self) -> &Pipeline<Adapter> {
+        &self.0
+    }
+}
+
+impl DerefMut for AdaptivePipeline {
+    fn deref_mut(&mut self) -> &mut Pipeline<Adapter> {
+        &mut self.0
+    }
+}
+
+impl From<AdaptivePipeline> for Pipeline<Adapter> {
+    fn from(pipeline: AdaptivePipeline) -> Self {
+        pipeline.0
     }
 }
 
@@ -452,72 +335,83 @@ impl Adapter {
         }
     }
 
-    /// One sealed window: the shared serving stages, then — only when
-    /// adaptation is enabled — recalibration before scoring and the
-    /// observe/seal/update step after it.
-    fn window(
-        &mut self,
-        stages: &mut WindowStages,
-        w: &SealedWindow,
-    ) -> Result<WindowOutput, AdaptError> {
-        let (x, raw) = stages.step(&self.model, &mut self.carried, w)?;
-        if !self.config.enabled {
-            return Ok(stages.score(w, raw));
-        }
+    /// Per-expert drift watch flags (in [`Pipeline::keys`] order).
+    pub fn drift_watching(&self) -> &[bool] {
+        &self.drift.state().watching
+    }
 
-        // Recalibrate: widen each expert's interval by its conformal
-        // scale (computed from *past* windows only — causal). Scale 1.0
-        // is a bitwise no-op, so a cold pipeline reproduces the raw
-        // estimates exactly.
-        let estimates: Vec<PointEstimate> = (0..raw.len())
-            .map(|e| {
-                let s = self.calib.scale(e, self.drift.watching(e));
-                Calibrator::apply(&raw[e], s)
-            })
-            .collect();
-        let out = stages.score(w, estimates);
+    /// Outcome of the most recent update attempt (`None` before the first
+    /// cadence firing). Failures here never interrupt serving.
+    pub fn last_update(&self) -> Option<&UpdateOutcome> {
+        self.last_update.as_ref()
+    }
 
-        // Observe: feed the drift CUSUM and calibration rings from the
-        // raw intervals, and stage training targets for the current
-        // segment, from what the scoring stage looked up.
-        let seg_len = self.config.update.segment_len;
-        let dim = self.model.feature_space().dim();
-        let st = &mut self.staging;
-        if st.cur_len < seg_len {
-            st.cur_xs[st.cur_len * dim..(st.cur_len + 1) * dim].copy_from_slice(&x);
+    /// Successful updates applied so far.
+    pub fn updates_run(&self) -> u64 {
+        self.staging.updates_run
+    }
+
+    /// Update attempts rejected by a fault or rolled back.
+    pub fn updates_failed(&self) -> u64 {
+        self.staging.updates_failed
+    }
+
+    /// Whether model updates are suspended ([`Driver::suspend`]).
+    pub fn updates_suspended(&self) -> bool {
+        self.staging.updates_suspended
+    }
+
+    /// Cadence firings skipped while suspended (typed counter, mirrored
+    /// on `adapt.update.suspended`).
+    pub fn updates_skipped_suspended(&self) -> u64 {
+        self.staging.updates_skipped_suspended
+    }
+
+    /// Replay segments currently buffered.
+    pub fn replay_len(&self) -> usize {
+        self.replay.len()
+    }
+
+    /// The adaptation trajectory, as checkpointed.
+    fn state(&self) -> AdapterState {
+        AdapterState {
+            replay: self.replay.segments().to_vec(),
+            drift: self.drift.state().clone(),
+            calibration: self.calib.state().clone(),
+            staging: self.staging.clone(),
         }
-        for (e, observed) in stages.observed().iter().enumerate() {
-            let Some(actual) = *observed else {
-                st.cur_observed = false;
-                continue;
-            };
-            // Cumulative resources are estimated as increments: put the
-            // observation into the experts' output space before scoring
-            // interval coverage (mirrors the sanity scorer's encoding).
-            let prev = st.prev_actual[e].unwrap_or(actual);
-            let in_space = if stages.is_delta()[e] {
-                (actual - prev).max(0.0)
-            } else {
-                actual
-            };
-            let covered = self.calib.observe_raw(e, in_space, &raw[e]);
-            let was = self.drift.watching(e);
-            let watching = self.drift.observe(e, covered);
-            if watching && !was && telemetry::enabled() {
-                telemetry::counter("adapt.drift.watch", 1);
+    }
+
+    /// Moves a checkpointed trajectory into a fresh adapter, refusing any
+    /// piece whose shape disagrees with the model — a staged or replayed
+    /// segment included.
+    fn restore(&mut self, state: AdapterState) -> Result<(), String> {
+        let config = self.config;
+        let shape = |s: &Staging| (s.cur_xs.len(), s.cur_targets.len(), s.prev_actual.len());
+        let (got, want) = (shape(&state.staging), shape(&self.staging));
+        if got != want || state.staging.cur_len >= config.update.segment_len {
+            return Err(format!(
+                "current segment (xs, targets, prev) = {got:?} at {} windows does not match \
+                 geometry {want:?} of {}-window segments",
+                state.staging.cur_len, config.update.segment_len
+            ));
+        }
+        let segment = (want.0, want.1);
+        for (i, s) in state.replay.iter().enumerate() {
+            let got = (s.xs.len(), s.targets.len());
+            if got != segment {
+                return Err(format!(
+                    "replay segment {i} (xs, targets) = {got:?} does not match geometry {segment:?}"
+                ));
             }
-            let t = st.cur_len.min(seg_len - 1);
-            st.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
-            st.prev_actual[e] = Some(actual);
         }
-
-        // Adapt: seal the segment when full; on the cadence, fold replay
-        // plus the fresh segment back into the model.
-        st.cur_len += 1;
-        if st.cur_len == seg_len {
-            self.seal_segment(w.index + 1);
-        }
-        Ok(out)
+        let experts = self.model.expert_count();
+        let nominal = f64::from(self.model.config().delta);
+        self.drift = DriftDetector::restore(nominal, config.drift, state.drift, experts)?;
+        self.calib = Calibrator::restore(nominal, config.calibration, state.calibration, experts)?;
+        self.replay = ReplayBuffer::restore(config.replay_capacity.max(1), state.replay);
+        self.staging = state.staging;
+        Ok(())
     }
 
     /// Seals the staged segment (window `next_start` begins the next one)
@@ -591,5 +485,116 @@ impl Adapter {
             }
         }
         self.last_update = Some(outcome);
+    }
+}
+
+impl Driver for Adapter {
+    fn model(&self) -> &DeepRest {
+        &self.model
+    }
+
+    fn carried(&self) -> &CarriedState {
+        &self.carried
+    }
+
+    /// One sealed window: the shared serving stages, then — only when
+    /// adaptation is enabled — recalibration before scoring and the
+    /// observe/seal/update step after it.
+    fn window(
+        &mut self,
+        stages: &mut WindowStages,
+        w: &SealedWindow,
+    ) -> Result<WindowOutput, ServeError> {
+        let (x, raw) = stages.step(&self.model, &mut self.carried, w)?;
+        if !self.config.enabled {
+            return Ok(stages.score(w, raw));
+        }
+
+        // Recalibrate: widen each expert's interval by its conformal
+        // scale (computed from *past* windows only — causal). Scale 1.0
+        // is a bitwise no-op, so a cold pipeline reproduces the raw
+        // estimates exactly.
+        let estimates: Vec<PointEstimate> = (0..raw.len())
+            .map(|e| {
+                let s = self.calib.scale(e, self.drift.watching(e));
+                Calibrator::apply(&raw[e], s)
+            })
+            .collect();
+        let out = stages.score(w, estimates);
+
+        // Observe: feed the drift CUSUM and calibration rings from the
+        // raw intervals, and stage training targets for the current
+        // segment, from what the scoring stage looked up.
+        let seg_len = self.config.update.segment_len;
+        let dim = self.model.feature_space().dim();
+        let st = &mut self.staging;
+        if st.cur_len < seg_len {
+            st.cur_xs[st.cur_len * dim..(st.cur_len + 1) * dim].copy_from_slice(&x);
+        }
+        for (e, observed) in stages.observed().iter().enumerate() {
+            let Some(actual) = *observed else {
+                st.cur_observed = false;
+                continue;
+            };
+            // Cumulative resources are estimated as increments: put the
+            // observation into the experts' output space before scoring
+            // interval coverage (mirrors the sanity scorer's encoding).
+            let prev = st.prev_actual[e].unwrap_or(actual);
+            let in_space = if stages.is_delta()[e] {
+                (actual - prev).max(0.0)
+            } else {
+                actual
+            };
+            let covered = self.calib.observe_raw(e, in_space, &raw[e]);
+            let was = self.drift.watching(e);
+            let watching = self.drift.observe(e, covered);
+            if watching && !was && telemetry::enabled() {
+                telemetry::counter("adapt.drift.watch", 1);
+            }
+            let t = st.cur_len.min(seg_len - 1);
+            st.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
+            st.prev_actual[e] = Some(actual);
+        }
+
+        // Adapt: seal the segment when full; on the cadence, fold replay
+        // plus the fresh segment back into the model.
+        st.cur_len += 1;
+        if st.cur_len == seg_len {
+            self.seal_segment(w.index + 1);
+        }
+        Ok(out)
+    }
+
+    /// Suspends model updates (`true`) or resumes them (`false`). A
+    /// deferred due update runs at the next segment seal, not here, so
+    /// resuming is cheap and never blocks the caller.
+    fn suspend(&mut self, frozen: bool) {
+        if self.staging.updates_suspended != frozen {
+            self.staging.updates_suspended = frozen;
+            if telemetry::enabled() {
+                let name = if frozen {
+                    "adapt.updates.suspend"
+                } else {
+                    "adapt.updates.resume"
+                };
+                telemetry::counter(name, 1);
+            }
+        }
+    }
+
+    /// The adapted model and the [`AdapterState`].
+    fn checkpoint(&self) -> Option<Value> {
+        Some(serde_json::json!({ "model": self.model, "adapter": self.state() }))
+    }
+
+    fn load(&mut self, predictor: &StreamSnapshot, state: Option<Value>) -> Result<(), String> {
+        if let Some(tree) = state {
+            let AdapterTree { model, adapter } =
+                AdapterTree::from_value(&tree).map_err(|e| e.to_string())?;
+            *self = Self::new(model, self.config);
+            self.restore(adapter)?;
+        }
+        self.carried = CarriedState::restore(&self.model, predictor)?;
+        Ok(())
     }
 }

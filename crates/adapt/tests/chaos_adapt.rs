@@ -26,7 +26,7 @@ use common::{
     adapt_config, assert_outputs_bitwise_equal, assert_params_bitwise_equal, clone_model,
     parameter_values, run_adaptive, stream_of, trained,
 };
-use deeprest_adapt::{AdaptError, AdaptivePipeline};
+use deeprest_adapt::AdaptivePipeline;
 use deeprest_core::adapt::UpdateError;
 use deeprest_core::DeepRest;
 use deeprest_fault::{self as fault, FaultPlan};
@@ -58,7 +58,7 @@ fn injected_update_fault_never_corrupts_serving() {
     assert_eq!(pipeline.updates_run(), 0);
     assert!(pipeline.updates_failed() >= 2, "the cadence kept firing");
     assert!(matches!(
-        pipeline.last_update(),
+        pipeline.driver().last_update(),
         Some(Err(UpdateError::Injected))
     ));
     assert!(sink.counter("adapt.update.injected") >= 2);
@@ -115,7 +115,7 @@ fn poisoned_update_rolls_back_bit_identical_to_pre_update_state() {
 
     assert_eq!(pipeline.updates_run(), 0);
     assert!(pipeline.updates_failed() >= 2);
-    match pipeline.last_update() {
+    match pipeline.driver().last_update() {
         Some(Err(UpdateError::PoisonedRolledBack { tensors })) => {
             assert!(*tensors > 0, "PAYLOAD_ALL must poison parameter tensors")
         }
@@ -157,7 +157,7 @@ fn adaptation_resumes_after_a_transient_update_fault() {
         pipeline.updates_run() >= 1,
         "updates must resume once the fault clears"
     );
-    assert!(matches!(pipeline.last_update(), Some(Ok(_))));
+    assert!(matches!(pipeline.driver().last_update(), Some(Ok(_))));
     assert_eq!(outputs.len(), 48);
     assert_ne!(
         pipeline.model().to_json().expect("model"),
@@ -252,14 +252,14 @@ fn adaptive_windows_heal_and_park_like_plain_ones() {
                     assert!(outputs.is_empty(), "no window can step under the fault");
                     false
                 }
-                Err(AdaptError::Serve(ServeError::Step { window, message })) => {
+                Err(ServeError::Step { window, message }) => {
                     assert_eq!(window, 0);
                     assert_eq!(message, "deeprest-fault: injected panic at stream.step");
                     true
                 }
                 Err(other) => panic!("unexpected error: {other}"),
             })
-            .expect("a persistent step fault must surface as AdaptError::Serve")
+            .expect("a persistent step fault must surface as ServeError::Step")
     });
     assert_eq!(
         pipeline.pending_windows(),
@@ -314,7 +314,7 @@ fn name_interned_after_the_pipeline_was_built_is_typed_and_restorable() {
         }
         let before = pipeline.checkpoint();
         match pipeline.ingest(stream[at].clone()) {
-            Err(AdaptError::Serve(ServeError::UnknownSymbol(msg))) => {
+            Err(ServeError::UnknownSymbol(msg)) => {
                 assert!(msg.contains("symbol #4"), "{msg}");
                 assert!(msg.contains("holds 3 names"), "{msg}");
             }

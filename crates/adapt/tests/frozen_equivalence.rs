@@ -47,7 +47,7 @@ fn frozen_pipeline_matches_serve_bitwise() {
     // parameters are bit-identical to the trained ones.
     assert_eq!(pipeline.updates_run(), 0);
     assert_eq!(pipeline.updates_failed(), 0);
-    assert_eq!(pipeline.replay_len(), 0);
+    assert_eq!(pipeline.driver().replay_len(), 0);
     assert!(pipeline
         .checkpoint()
         .adapter
@@ -82,7 +82,10 @@ fn adaptation_changes_the_model_but_serves_every_window() {
         pipeline.updates_run()
     );
     assert_eq!(pipeline.updates_failed(), 0);
-    assert!(pipeline.replay_len() >= 4, "complete segments enter replay");
+    assert!(
+        pipeline.driver().replay_len() >= 4,
+        "complete segments enter replay"
+    );
     assert_ne!(
         pipeline.model().to_json().expect("adapted model"),
         model.to_json().expect("trained model"),

@@ -45,7 +45,7 @@ use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_serve::{
-    batch_reference, replay, CheckpointStore, OverflowPolicy, OverloadConfig, Pipeline,
+    batch_reference, replay, CheckpointStore, Frozen, OverflowPolicy, OverloadConfig, Pipeline,
     SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
 };
 use deeprest_sim::anomaly::CryptojackingAttack;
@@ -413,7 +413,7 @@ fn print_calibration(session: &Session, outputs: &[WindowOutput]) {
     }
 }
 
-fn print_window(pipeline: &Pipeline<'_>, out: &WindowOutput, quiet: bool) {
+fn print_window(pipeline: &Pipeline<Frozen<'_>>, out: &WindowOutput, quiet: bool) {
     if !quiet {
         let est: Vec<String> = pipeline
             .keys()

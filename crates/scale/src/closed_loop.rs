@@ -6,7 +6,7 @@
 
 use deeprest_core::{DeepRest, Estimates};
 use deeprest_fault as fault;
-use deeprest_serve::{Checkpoint, Pipeline, ServeConfig};
+use deeprest_serve::{Checkpoint, Frozen, Pipeline, ServeConfig};
 use deeprest_sim::{ProvisionCost, SimStepper, SimStepperState};
 use deeprest_telemetry as telemetry;
 use deeprest_trace::window::TimestampedTrace;
@@ -143,7 +143,7 @@ pub struct ScaleLoop<'m, P: ScalePolicy> {
     config: ScaleLoopConfig,
     policy: P,
     stepper: SimStepper,
-    pipeline: Pipeline<'m>,
+    pipeline: Pipeline<Frozen<'m>>,
     controller: ScaleController,
     window: usize,
     calibration: f64,
@@ -229,8 +229,8 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         let mut this = Self::new(model, scenario, policy, config);
         let apis = api_names(scenario);
         this.stepper = SimStepper::restore(&scenario.app, &apis, &scenario.sim, ckpt.sim)?;
-        let serve_config = *this.pipeline.config();
-        this.pipeline = Pipeline::restore(model, this.stepper.interner(), serve_config, ckpt.serve)
+        this.pipeline
+            .load(ckpt.serve, None)
             .map_err(|e| format!("scale restore: pipeline: {e}"))?;
         this.controller.restore_state(ckpt.controller)?;
         this.window = ckpt.window;

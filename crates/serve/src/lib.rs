@@ -17,14 +17,15 @@
 //!   deficit-round-robin [`sched::FairScheduler`] and protected by the
 //!   [`overload`] degradation ladder (counted shedding → frozen
 //!   adaptation → per-tenant circuit breakers).
-//! * [`WindowStages`] — the serving loop's stages, each written once:
-//!   watermark-based window sealing (via
-//!   [`deeprest_trace::stream::WindowAssembler`]), per-window feature
-//!   extraction, stateful O(1)-per-window inference (via
-//!   [`deeprest_core::stream::StreamPredictor`]) with rollback-retry, the
-//!   causal sanity check with alert delivery, the control-tick cadence.
-//!   [`Pipeline`] drives them over a borrowed model; `deeprest-adapt`'s
-//!   `AdaptivePipeline` drives the same stages over an owned, mutable one.
+//! * [`Pipeline`] — the one serving pipeline: [`WindowStages`], the
+//!   serving loop's stages, each written once (watermark-based window
+//!   sealing via [`deeprest_trace::stream::WindowAssembler`], per-window
+//!   feature extraction, stateful O(1)-per-window inference via
+//!   [`deeprest_core::stream::StreamPredictor`] with rollback-retry, the
+//!   causal sanity check with alert delivery, the control-tick cadence),
+//!   around a [`Driver`] that owns the model and the carried state.
+//!   [`Frozen`] serves a borrowed model as trained; `deeprest-adapt`'s
+//!   `Adapter` owns one and adapts it. A [`TenantRegistry`] holds either.
 //! * [`sanity`] — the causal (online) re-derivation of the batch
 //!   δ-interval sanity score.
 //! * [`Alert`] / [`AlertSink`] — structured live alerts (component,
@@ -84,8 +85,8 @@ pub use config::ServeConfig;
 pub use error::ServeError;
 pub use overload::{OverloadConfig, OverloadLevel};
 pub use pipeline::{
-    batch_reference, contributing_apis, Checkpoint, ControlTick, ObservationSource, Pipeline,
-    WindowOutput, WindowStages,
+    batch_reference, contributing_apis, Checkpoint, ControlTick, Driver, Frozen, ObservationSource,
+    Pipeline, WindowOutput, WindowStages,
 };
 pub use queue::{Accepted, OverflowPolicy};
 pub use sched::{FairScheduler, SchedConfig};

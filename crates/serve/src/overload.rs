@@ -10,15 +10,15 @@
 //!    A tenant below its watermark — i.e. one the scheduler is keeping up
 //!    with — is never shed, which is what keeps non-flooding tenants'
 //!    outputs bit-identical to an unloaded run.
-//! 2. **Freeze** ([`OverloadLevel::Frozen`]) — adaptive model updates are
-//!    suspended (the registry fires its overload hook; see
-//!    `AdaptivePipeline::suspend_updates`) and serving continues on the
-//!    same [`WindowStages`](crate::WindowStages) with the model held
-//!    still, so it stays bit-exact. Due cadence firings are skipped and
-//!    counted; the suspension and the kept due-pressure are part of the
-//!    adapter state in an `AdaptiveCheckpoint`, so a pipeline restored
-//!    mid-freeze is still frozen and, once resumed, runs the deferred
-//!    update at its first segment seal.
+//! 2. **Freeze** ([`OverloadLevel::Frozen`]) — every round the registry
+//!    calls [`Driver::suspend`](crate::Driver::suspend) on each tenant, so
+//!    an adaptive tenant stops updating its model while it keeps serving
+//!    on the same [`WindowStages`](crate::WindowStages), and resumes once
+//!    the ladder drops below this rung. Due cadence firings are skipped
+//!    and counted; the suspension and the kept due-pressure are part of
+//!    the adapter's checkpointed state, so a tenant restored mid-freeze is
+//!    still frozen and, once resumed, runs the deferred update at its
+//!    first segment seal.
 //! 3. **Circuit breaker** (per tenant, `CircuitBreaker`) — a tenant
 //!    that stays over its admission quotas for
 //!    [`BreakerConfig::trip_rounds`] consecutive rounds is quarantined:
@@ -148,25 +148,18 @@ impl OverloadController {
     /// and returns the (possibly new) rung. Escalation is immediate;
     /// de-escalation needs the depth to fall to
     /// [`OverloadConfig::recover_fraction`] of the rung's entry threshold.
+    /// A disabled rung (threshold `0`) is neither entered nor held.
     pub(crate) fn observe(&mut self, depth: usize) -> OverloadLevel {
         let enter = |threshold: usize| threshold > 0 && depth >= threshold;
-        let recover = |threshold: usize| {
-            let floor = (threshold as f64 * self.config.recover_fraction) as usize;
-            depth <= floor
+        // Holding a rung until its recovery floor, even though the depth
+        // is back under its threshold, is the hysteresis.
+        let hold = |threshold: usize| {
+            threshold > 0 && depth > (threshold as f64 * self.config.recover_fraction) as usize
         };
-        let next = if enter(self.config.freeze_depth) {
+        let (freeze, shed) = (self.config.freeze_depth, self.config.shed_depth);
+        let next = if enter(freeze) || (self.level == OverloadLevel::Frozen && hold(freeze)) {
             OverloadLevel::Frozen
-        } else if enter(self.config.shed_depth) {
-            // Holding Frozen until its recovery floor, even though the
-            // depth is back under freeze_depth, is the hysteresis.
-            if self.level == OverloadLevel::Frozen && !recover(self.config.freeze_depth) {
-                OverloadLevel::Frozen
-            } else {
-                OverloadLevel::Shed
-            }
-        } else if self.level == OverloadLevel::Frozen && !recover(self.config.freeze_depth) {
-            OverloadLevel::Frozen
-        } else if self.level >= OverloadLevel::Shed && !recover(self.config.shed_depth) {
+        } else if enter(shed) || (self.level >= OverloadLevel::Shed && hold(shed)) {
             OverloadLevel::Shed
         } else {
             OverloadLevel::Normal
@@ -361,6 +354,18 @@ mod tests {
             ..OverloadConfig::default()
         });
         assert_eq!(c.observe(usize::MAX), OverloadLevel::Normal);
+    }
+
+    #[test]
+    fn a_disabled_shed_rung_is_not_held_after_a_freeze() {
+        let mut c = OverloadController::new(OverloadConfig {
+            shed_depth: 0,
+            freeze_depth: 20,
+            recover_fraction: 0.5,
+            ..OverloadConfig::default()
+        });
+        assert_eq!(c.observe(25), OverloadLevel::Frozen);
+        assert_eq!(c.observe(5), OverloadLevel::Normal);
     }
 
     #[test]

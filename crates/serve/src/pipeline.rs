@@ -1,10 +1,12 @@
 //! The online estimation pipeline: watermark windowing → incremental
 //! inference → causal sanity alerts, with JSON checkpoint/restore.
 //!
-//! Every per-window stage is written once, on [`WindowStages`], and takes
-//! the model and the stream's [`CarriedState`] as arguments: [`Pipeline`]
-//! drives one with a borrowed model, `deeprest-adapt`'s `AdaptivePipeline`
-//! with an owned, mutable model — frozen, nothing else.
+//! There is one pipeline, [`Pipeline<D>`](Pipeline). Every per-window stage
+//! is written once, on [`WindowStages`], and takes the model and the
+//! stream's [`CarriedState`] as arguments; what varies is the [`Driver`]
+//! that owns both and runs each sealed window through the stages. The
+//! [`Frozen`] driver serves a borrowed model as trained; `deeprest-adapt`'s
+//! `Adapter` owns a model and adapts it between windows.
 //!
 //! # Self-healing
 //!
@@ -47,6 +49,7 @@ use deeprest_trace::stream::{SealedWindow, WindowAssembler};
 use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
 use deeprest_trace::{Interner, Sym, Trace};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::alert::{Alert, AlertSink, SinkError};
 use crate::error::ServeError;
@@ -147,7 +150,7 @@ impl Checkpoint {
 }
 
 /// The model-independent streaming state and the stages that advance it:
-/// what [`Pipeline`] and `deeprest-adapt`'s `AdaptivePipeline` both drive.
+/// what every [`Pipeline`] holds beside its [`Driver`].
 pub struct WindowStages {
     /// The name table incoming traces were produced with (symbols are
     /// translated into the model's space per window).
@@ -178,10 +181,8 @@ pub struct WindowStages {
 impl WindowStages {
     /// Fresh stages for a stream into `model`. `source` is the name table
     /// the incoming traces use, cloned as it is now: a trace carrying a
-    /// name interned later is refused by [`push`](Self::push). To serve a
-    /// table that has grown, take a [`checkpoint`](Self::checkpoint) and
-    /// [`restore`](Self::restore) it against the grown table.
-    pub fn new(model: &DeepRest, source: &Interner, config: ServeConfig) -> Self {
+    /// name interned later is refused by [`push`](Self::push).
+    fn new(model: &DeepRest, source: &Interner, config: ServeConfig) -> Self {
         let keys = model.expert_keys();
         Self {
             source: source.clone(),
@@ -204,59 +205,10 @@ impl WindowStages {
         }
     }
 
-    /// Rebuilds the stages from a [`checkpoint`](Self::checkpoint), moving
-    /// its buffered state in. Its predictor snapshot is the caller's to
-    /// restore first; this ignores it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the sanity state disagrees with the model.
-    pub fn restore(
-        model: &DeepRest,
-        source: &Interner,
-        config: ServeConfig,
-        checkpoint: Checkpoint,
-    ) -> Result<Self, String> {
-        let mut stages = Self::new(model, source, config);
-        stages.sanity = OnlineSanity::restore(config.sanity, checkpoint.sanity, stages.keys.len())?;
-        stages.assembler = checkpoint.assembler;
-        stages.pending = checkpoint.pending;
-        stages.ready = checkpoint.ready;
-        stages.last_control = checkpoint.last_control;
-        Ok(stages)
-    }
-
-    /// Sets the observed-utilization source the sanity check scores
-    /// against. Without one the stages only predict (no scores, no alerts).
-    pub fn set_observations(&mut self, obs: impl ObservationSource + 'static) {
-        self.observations = Some(Box::new(obs));
-    }
-
-    /// Adds an alert sink; every fired [`Alert`] is delivered to every sink
-    /// (and also returned in [`WindowOutput::alerts`]).
-    pub fn add_sink(&mut self, sink: impl AlertSink + 'static) {
-        self.sinks.push(Box::new(sink));
-    }
-
-    /// Expert keys, in the order `estimates`/`scores` are reported.
-    pub fn keys(&self) -> &[ExpertKey] {
-        &self.keys
-    }
-
-    /// Per-expert flags (in [`keys`](Self::keys) order): whether the expert
+    /// Per-expert flags (in [`Pipeline::keys`] order): whether the expert
     /// estimates a cumulative resource as per-window increments.
     pub fn is_delta(&self) -> &[bool] {
         &self.is_delta
-    }
-
-    /// How many traces arrived beyond the lateness bound.
-    pub fn late_dropped(&self) -> u64 {
-        self.assembler.late_dropped()
-    }
-
-    /// Number of sealed windows parked behind a step failure.
-    pub fn pending_windows(&self) -> usize {
-        self.pending.len()
     }
 
     /// Per expert, what [`score`](Self::score) observed for the last window;
@@ -275,7 +227,7 @@ impl WindowStages {
     /// [`ServeError::UnknownSymbol`] is a trace naming a symbol the stages'
     /// name table does not hold (see [`new`](Self::new)), counted as
     /// `serve.ingest.unknown_symbol`: offering it again refuses it again.
-    pub fn push(&mut self, t: TimestampedTrace) -> Result<(), ServeError> {
+    fn push(&mut self, t: TimestampedTrace) -> Result<(), ServeError> {
         // Fault probe: `serve.ingest` fails the arrival before any state
         // changes, so the caller can retry it verbatim.
         if fault::fail_point("serve.ingest") {
@@ -305,33 +257,34 @@ impl WindowStages {
         if late > 0 && telemetry::enabled() {
             telemetry::counter("serve.late_dropped", late);
         }
-        self.pending.extend(sealed);
+        self.enqueue(sealed);
         Ok(())
     }
 
-    /// Seals everything still buffered (end of stream) into pending.
-    pub fn seal_all(&mut self) {
-        self.pending.extend(self.assembler.flush());
+    /// Makes freshly sealed windows pending, counting each once: a window
+    /// parked and retried is not sealed again.
+    fn enqueue(&mut self, sealed: Vec<SealedWindow>) {
+        if !sealed.is_empty() && telemetry::enabled() {
+            telemetry::counter("serve.window.sealed", sealed.len() as u64);
+        }
+        self.pending.extend(sealed);
     }
 
-    /// Runs `process` over the pending windows in order and hands back every
+    /// Runs `driver` over the pending windows in order and hands back every
     /// output produced so far, including any an earlier error return buffered.
     ///
     /// # Errors
     ///
-    /// The first error `process` returns; the failing window goes back to
+    /// The first error the driver returns; the failing window goes back to
     /// the front, so a later call retries it bit-identically.
-    pub fn drain<E>(
+    fn drain<D: Driver + ?Sized>(
         &mut self,
-        mut process: impl FnMut(&mut Self, &SealedWindow) -> Result<WindowOutput, E>,
-    ) -> Result<Vec<WindowOutput>, E> {
+        driver: &mut D,
+    ) -> Result<Vec<WindowOutput>, ServeError> {
         while !self.pending.is_empty() {
             let w = self.pending.remove(0);
             let _span = telemetry::span("serve.predict");
-            if telemetry::enabled() {
-                telemetry::counter("serve.window.sealed", 1);
-            }
-            match process(self, &w) {
+            match driver.window(self, &w) {
                 Ok(out) => self.ready.push(out),
                 Err(err) => {
                     self.pending.insert(0, w);
@@ -469,72 +422,147 @@ impl WindowStages {
             alerts,
         }
     }
+}
 
-    /// The control-loop cadence: yields a [`ControlTick`] carrying
-    /// `carried`'s snapshot when at least [`ServeConfig::control_interval`]
-    /// (if non-zero) windows have been sealed since the previous tick.
-    pub(crate) fn poll_control(&mut self, carried: &CarriedState) -> Option<ControlTick> {
-        let (interval, position) = (self.config.control_interval, carried.position());
-        if interval == 0 || position < self.last_control + interval {
-            return None;
-        }
-        self.last_control = position;
-        if telemetry::enabled() {
-            telemetry::counter("serve.control.tick", 1);
-        }
-        Some(ControlTick {
-            window: position,
-            predictor: carried.snapshot(),
-        })
+/// What a [`Pipeline`] runs each sealed window through: a model, the
+/// stream's carried state against it, and whatever else the driver keeps.
+/// Object safe: a `Pipeline<dyn Driver>` is any pipeline, and one
+/// [`TenantRegistry`](crate::TenantRegistry) serves frozen and adaptive
+/// tenants side by side.
+pub trait Driver {
+    /// The model windows are stepped against, as adapted so far.
+    fn model(&self) -> &DeepRest;
+
+    /// The stream's hidden state and position.
+    fn carried(&self) -> &CarriedState;
+
+    /// Runs one sealed window through the shared `stages`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Step`]/[`ServeError::PoisonedState`] from
+    /// [`WindowStages::step`]: the pipeline parks the window and retries it
+    /// on the next call.
+    fn window(
+        &mut self,
+        stages: &mut WindowStages,
+        w: &SealedWindow,
+    ) -> Result<WindowOutput, ServeError>;
+
+    /// Overload rung 2: `true` holds the model still while serving goes on,
+    /// `false` lets it move again. Called every scheduling round, so it must
+    /// be idempotent; a no-op for a driver whose model never moves.
+    fn suspend(&mut self, _frozen: bool) {}
+
+    /// The driver's own state beyond its carried state, as a serde tree;
+    /// `None` when it keeps none.
+    fn checkpoint(&self) -> Option<Value> {
+        None
     }
 
-    /// Assembles a [`Checkpoint`] around the caller's carried state —
-    /// parked windows and undelivered outputs included, so a restore loses
-    /// nothing.
-    pub fn checkpoint(&self, carried: &CarriedState) -> Checkpoint {
-        Checkpoint {
-            assembler: self.assembler.clone(),
-            predictor: carried.snapshot(),
-            sanity: self.sanity.state().clone(),
-            pending: self.pending.clone(),
-            ready: self.ready.clone(),
-            last_control: self.last_control,
+    /// Restores the carried state from `predictor` and, when `state` is
+    /// given, the driver's own state as [`checkpoint`](Self::checkpoint)
+    /// wrote it.
+    ///
+    /// # Errors
+    ///
+    /// A message when either disagrees with the model.
+    fn load(&mut self, predictor: &StreamSnapshot, state: Option<Value>) -> Result<(), String>;
+}
+
+/// The frozen driver: a borrowed model, served as trained.
+pub struct Frozen<'m> {
+    model: &'m DeepRest,
+    carried: CarriedState,
+}
+
+impl Driver for Frozen<'_> {
+    fn model(&self) -> &DeepRest {
+        self.model
+    }
+
+    fn carried(&self) -> &CarriedState {
+        &self.carried
+    }
+
+    fn window(
+        &mut self,
+        stages: &mut WindowStages,
+        w: &SealedWindow,
+    ) -> Result<WindowOutput, ServeError> {
+        let (_, estimates) = stages.step(self.model, &mut self.carried, w)?;
+        Ok(stages.score(w, estimates))
+    }
+
+    fn load(&mut self, predictor: &StreamSnapshot, state: Option<Value>) -> Result<(), String> {
+        if state.is_some() {
+            return Err("a frozen pipeline has no driver state to load".to_owned());
         }
+        self.carried = CarriedState::restore(self.model, predictor)?;
+        Ok(())
     }
 }
 
-/// The online serving pipeline around one trained model.
+/// The online serving pipeline: one [`WindowStages`] and the [`Driver`]
+/// that steps each sealed window through them.
 ///
 /// Feed timestamped traces with [`ingest`](Pipeline::ingest); each sealed
 /// window costs one incremental inference step (O(1) in stream history,
 /// allocation-free after warm-up) and yields a [`WindowOutput`]. For the
-/// same sealed windows the estimates are bit-identical to the batch
-/// [`DeepRest::estimate_from_traces`] path — [`batch_reference`] re-derives
-/// the full expected output sequence for cross-checking.
-pub struct Pipeline<'m> {
-    model: &'m DeepRest,
-    carried: CarriedState,
+/// same sealed windows a [`Frozen`] pipeline's estimates are bit-identical
+/// to the batch [`DeepRest::estimate_from_traces`] path —
+/// [`batch_reference`] re-derives the full expected output sequence for
+/// cross-checking.
+pub struct Pipeline<D: ?Sized> {
     stages: WindowStages,
+    driver: D,
 }
 
-impl<'m> Pipeline<'m> {
-    /// Creates a pipeline streaming into `model`. `source` is the name
-    /// table the incoming traces use, cloned as it is now; to serve names
-    /// interned later, [`checkpoint`](Self::checkpoint) and
+impl<'m> Pipeline<Frozen<'m>> {
+    /// Creates a frozen pipeline streaming into `model`. `source` is the
+    /// name table the incoming traces use, cloned as it is now; to serve
+    /// names interned later, [`checkpoint`](Self::checkpoint) and
     /// [`restore`](Self::restore) against the grown table.
     pub fn new(model: &'m DeepRest, source: &Interner, config: ServeConfig) -> Self {
-        Self {
-            model,
-            carried: CarriedState::new(model),
-            stages: WindowStages::new(model, source, config),
-        }
+        let carried = CarriedState::new(model);
+        Self::with_driver(Frozen { model, carried }, source, config)
+    }
+
+    /// Rebuilds a frozen pipeline from a [`checkpoint`](Self::checkpoint):
+    /// [`new`](Self::new), then [`load`](Self::load). Observation sources
+    /// and alert sinks are not part of the checkpoint — re-attach them with
+    /// the `with_*` builders.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the checkpoint's shape disagrees with the
+    /// model (it was taken against a different model).
+    pub fn restore(
+        model: &'m DeepRest,
+        source: &Interner,
+        config: ServeConfig,
+        checkpoint: Checkpoint,
+    ) -> Result<Self, String> {
+        let mut pipeline = Self::new(model, source, config);
+        pipeline.load(checkpoint, None)?;
+        Ok(pipeline)
+    }
+}
+
+impl<D: Driver> Pipeline<D> {
+    /// Creates a pipeline around `driver`, whose model fixes the expert
+    /// keys and the alerts' contributing APIs. `source` is the name table
+    /// the incoming traces use, cloned as it is now.
+    pub fn with_driver(driver: D, source: &Interner, config: ServeConfig) -> Self {
+        let stages = WindowStages::new(driver.model(), source, config);
+        Self { stages, driver }
     }
 
     /// Attaches the observed-utilization source the sanity check scores
     /// against. Without one the pipeline only predicts (no alerts).
     #[must_use]
     pub fn with_observations(mut self, obs: impl ObservationSource + 'static) -> Self {
-        self.stages.set_observations(obs);
+        self.stages.observations = Some(Box::new(obs));
         self
     }
 
@@ -542,19 +570,43 @@ impl<'m> Pipeline<'m> {
     /// sink (and also returned in [`WindowOutput::alerts`]).
     #[must_use]
     pub fn with_sink(mut self, sink: impl AlertSink + 'static) -> Self {
-        self.stages.add_sink(sink);
+        self.stages.sinks.push(Box::new(sink));
         self
+    }
+}
+
+impl<D: Driver + ?Sized> Pipeline<D> {
+    /// The driver.
+    pub fn driver(&self) -> &D {
+        &self.driver
+    }
+
+    /// The driver, mutably.
+    pub fn driver_mut(&mut self) -> &mut D {
+        &mut self.driver
+    }
+
+    /// The model windows are stepped against, as adapted so far; its
+    /// [`estimate_what_if`](DeepRest::estimate_what_if) answers reflect
+    /// everything learned.
+    pub fn model(&self) -> &DeepRest {
+        self.driver.model()
     }
 
     /// Expert keys, in the order `estimates`/`scores` are reported.
     pub fn keys(&self) -> &[ExpertKey] {
-        self.stages.keys()
+        &self.stages.keys
+    }
+
+    /// Number of windows sealed and served so far.
+    pub fn position(&self) -> usize {
+        self.driver.carried().position()
     }
 
     /// How many traces arrived beyond the lateness bound (counted, never
     /// silently lost).
     pub fn late_dropped(&self) -> u64 {
-        self.stages.late_dropped()
+        self.stages.assembler.late_dropped()
     }
 
     /// Feeds one arrival; returns the outputs of every window the
@@ -573,7 +625,7 @@ impl<'m> Pipeline<'m> {
     /// retried on the next call, so no window is lost or reordered.
     pub fn ingest(&mut self, t: TimestampedTrace) -> Result<Vec<WindowOutput>, ServeError> {
         self.stages.push(t)?;
-        self.drain()
+        self.stages.drain(&mut self.driver)
     }
 
     /// Seals and processes everything still buffered (end of stream).
@@ -583,20 +635,14 @@ impl<'m> Pipeline<'m> {
     /// Same step-error semantics as [`ingest`](Self::ingest): the failing
     /// window stays parked and is retried on the next call.
     pub fn flush(&mut self) -> Result<Vec<WindowOutput>, ServeError> {
-        self.stages.seal_all();
-        self.drain()
-    }
-
-    fn drain(&mut self) -> Result<Vec<WindowOutput>, ServeError> {
-        self.stages.drain(|stages, w| {
-            let (_, estimates) = stages.step(self.model, &mut self.carried, w)?;
-            Ok(stages.score(w, estimates))
-        })
+        let sealed = self.stages.assembler.flush();
+        self.stages.enqueue(sealed);
+        self.stages.drain(&mut self.driver)
     }
 
     /// Number of sealed windows parked behind a step failure.
     pub fn pending_windows(&self) -> usize {
-        self.stages.pending_windows()
+        self.stages.pending.len()
     }
 
     /// Per-expert quarantine flags (in [`keys`](Self::keys) order): `true`
@@ -615,37 +661,57 @@ impl<'m> Pipeline<'m> {
     /// controller acts on the *current* state, stale intermediate ticks
     /// would only re-decide with older information.
     pub fn poll_control(&mut self) -> Option<ControlTick> {
-        self.stages.poll_control(&self.carried)
+        let stages = &mut self.stages;
+        let carried = self.driver.carried();
+        let (interval, position) = (stages.config.control_interval, carried.position());
+        if interval == 0 || position < stages.last_control + interval {
+            return None;
+        }
+        stages.last_control = position;
+        if telemetry::enabled() {
+            telemetry::counter("serve.control.tick", 1);
+        }
+        Some(ControlTick {
+            window: position,
+            predictor: carried.snapshot(),
+        })
     }
 
-    /// Captures the pipeline's full streaming state for crash recovery —
+    /// Captures the stages and the carried state for crash recovery —
     /// including windows parked by a step failure and outputs not yet
-    /// handed to the caller, so a restore loses nothing.
+    /// handed to the caller, so a restore loses nothing. The driver's own
+    /// state is [`Driver::checkpoint`].
     pub fn checkpoint(&self) -> Checkpoint {
-        self.stages.checkpoint(&self.carried)
+        let stages = &self.stages;
+        Checkpoint {
+            assembler: stages.assembler.clone(),
+            predictor: self.driver.carried().snapshot(),
+            sanity: stages.sanity.state().clone(),
+            pending: stages.pending.clone(),
+            ready: stages.ready.clone(),
+            last_control: stages.last_control,
+        }
     }
 
-    /// Rebuilds a pipeline from a [`checkpoint`](Self::checkpoint),
-    /// resuming exactly where it left off (buffered arrivals included).
-    /// Observation sources and alert sinks are not part of the checkpoint —
-    /// re-attach them with the `with_*` builders.
+    /// Loads a [`checkpoint`](Self::checkpoint), and the driver's own
+    /// `state` when given, into a pipeline built as the checkpointed one
+    /// was: it resumes exactly where that one left off (buffered arrivals
+    /// included).
     ///
     /// # Errors
     ///
     /// Returns a message when the checkpoint's shape disagrees with the
     /// model (it was taken against a different model).
-    pub fn restore(
-        model: &'m DeepRest,
-        source: &Interner,
-        config: ServeConfig,
-        checkpoint: Checkpoint,
-    ) -> Result<Self, String> {
-        let carried = CarriedState::restore(model, &checkpoint.predictor)?;
-        Ok(Self {
-            model,
-            carried,
-            stages: WindowStages::restore(model, source, config, checkpoint)?,
-        })
+    pub fn load(&mut self, checkpoint: Checkpoint, state: Option<Value>) -> Result<(), String> {
+        self.driver.load(&checkpoint.predictor, state)?;
+        let stages = &mut self.stages;
+        let experts = stages.keys.len();
+        stages.sanity = OnlineSanity::restore(stages.config.sanity, checkpoint.sanity, experts)?;
+        stages.assembler = checkpoint.assembler;
+        stages.pending = checkpoint.pending;
+        stages.ready = checkpoint.ready;
+        stages.last_control = checkpoint.last_control;
+        Ok(())
     }
 
     /// The configuration the pipeline runs with.

@@ -9,6 +9,14 @@
 //! `OverloadController` walks the degradation ladder when the aggregate
 //! backlog grows (see [`crate::overload`] for the ladder).
 //!
+//! A tenant is a [`Pipeline`] of any [`Driver`]:
+//! [`add_tenant`](TenantRegistry::add_tenant) serves a model frozen,
+//! [`add_pipeline`](TenantRegistry::add_pipeline) takes any pipeline (an
+//! adaptive one from `deeprest-adapt` included). Every round the registry
+//! tells each driver whether the ladder is at rung 2, and a checkpoint
+//! carries each driver's own state, so an adaptive tenant resumes with its
+//! adapted model.
+//!
 //! # Isolation guarantee
 //!
 //! A tenant that stays within its quotas is *isolated* from every other
@@ -36,13 +44,14 @@ use deeprest_telemetry as telemetry;
 use deeprest_trace::window::TimestampedTrace;
 use deeprest_trace::Interner;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::overload::{
     BreakerPhase, BreakerState, CircuitBreaker, OverloadConfig, OverloadController, OverloadLevel,
 };
-use crate::pipeline::{Checkpoint, Pipeline, WindowOutput};
+use crate::pipeline::{Checkpoint, Driver, Pipeline, WindowOutput};
 use crate::queue::{Accepted, BoundedQueue, OverflowPolicy, QueueSnapshot};
 use crate::sched::{FairScheduler, RoundPlan, SchedConfig, SchedState};
 
@@ -260,7 +269,7 @@ struct Tenant<'m> {
     config: TenantConfig,
     /// Owned exclusively by the registry: no lock, no condvar.
     queue: BoundedQueue<Queued>,
-    pipeline: Pipeline<'m>,
+    pipeline: Box<Pipeline<dyn Driver + 'm>>,
     breaker: CircuitBreaker,
     stats: TenantStats,
     /// An arrival whose ingest failed transiently without being consumed
@@ -286,6 +295,10 @@ pub struct TenantCheckpoint {
     pub serve: ServeConfig,
     /// The tenant pipeline's full streaming state.
     pub pipeline: Checkpoint,
+    /// The driver's own state ([`Driver::checkpoint`]): an adaptive
+    /// tenant's model and adapter state. Absent for a frozen tenant.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub driver: Option<Value>,
     /// Queued arrivals and drop counters.
     pub queue: QueueSnapshot<TimestampedTrace>,
     /// Pending ingest retry, if any.
@@ -332,7 +345,6 @@ pub struct TenantRegistry<'m> {
     tenants: Vec<Tenant<'m>>,
     sched: FairScheduler,
     overload: OverloadController,
-    hook: Option<Box<dyn FnMut(OverloadLevel) + Send>>,
     /// DRR weights in tenant-id order (priority classes are fixed at
     /// registration, so this is computed once, not per round).
     weights: Vec<u64>,
@@ -352,7 +364,6 @@ impl<'m> TenantRegistry<'m> {
             tenants: Vec::new(),
             sched: FairScheduler::new(sched),
             overload: OverloadController::new(overload),
-            hook: None,
             weights: Vec::new(),
             cost_scratch: Vec::new(),
             plan_scratch: RoundPlan::default(),
@@ -360,8 +371,8 @@ impl<'m> TenantRegistry<'m> {
         }
     }
 
-    /// Registers a tenant application backed by its own trained `model`
-    /// and name table, returning its dense `TenantId`.
+    /// Registers a tenant application served frozen from its own trained
+    /// `model` and name table, returning its dense `TenantId`.
     pub fn add_tenant(
         &mut self,
         model: &'m DeepRest,
@@ -369,11 +380,22 @@ impl<'m> TenantRegistry<'m> {
         serve: ServeConfig,
         config: TenantConfig,
     ) -> TenantId {
+        self.add_pipeline(Pipeline::new(model, source, serve), config)
+    }
+
+    /// Registers a tenant application served by `pipeline`, whatever its
+    /// driver (an adaptive one is suspended at [`OverloadLevel::Frozen`]),
+    /// returning its dense `TenantId`.
+    pub fn add_pipeline(
+        &mut self,
+        pipeline: Pipeline<impl Driver + 'm>,
+        config: TenantConfig,
+    ) -> TenantId {
         let id = self.sched.register_tenant();
         self.weights.push(config.priority.weight());
         self.tenants.push(Tenant {
             queue: BoundedQueue::new(config.queue_capacity.max(1), config.overflow),
-            pipeline: Pipeline::new(model, source, serve),
+            pipeline: Box::new(pipeline),
             breaker: CircuitBreaker::new(self.overload.config().breaker),
             stats: TenantStats::default(),
             retry: None,
@@ -383,14 +405,6 @@ impl<'m> TenantRegistry<'m> {
             config,
         });
         id
-    }
-
-    /// Registers a hook fired on every degradation-ladder transition —
-    /// the integration point for suspending/resuming `AdaptivePipeline`
-    /// updates (rung 2): suspend at [`OverloadLevel::Frozen`], resume
-    /// below it.
-    pub fn set_overload_hook(&mut self, hook: impl FnMut(OverloadLevel) + Send + 'static) {
-        self.hook = Some(Box::new(hook));
     }
 
     /// Number of registered tenants.
@@ -499,7 +513,8 @@ impl<'m> TenantRegistry<'m> {
     }
 
     /// Runs one scheduling round: re-evaluates the overload ladder, sheds
-    /// over-watermark tenants if at rung 1+, then drains queues in DRR
+    /// over-watermark tenants if at rung 1+, suspends every tenant's
+    /// adaptation at rung 2 (resumes it below), then drains queues in DRR
     /// order into the per-tenant pipelines. Pipeline failures are
     /// contained to their tenant and reported in the outcome; the round
     /// keeps serving everyone else.
@@ -512,18 +527,19 @@ impl<'m> TenantRegistry<'m> {
 
         // 1. Ladder.
         let depth: usize = self.tenants.iter().map(Tenant::depth).sum();
-        let previous = self.overload.level();
         let level = self.overload.observe(depth);
-        if level != previous {
-            if let Some(hook) = &mut self.hook {
-                hook(level);
-            }
-        }
         outcome.level = level;
 
         // 2. Rung 1: shed over-watermark tenants, lowest priority first.
+        // Rung 2: hold every tenant's model still.
         if level >= OverloadLevel::Shed {
             outcome.shed = self.shed();
+        }
+        for tenant in &mut self.tenants {
+            tenant
+                .pipeline
+                .driver_mut()
+                .suspend(level >= OverloadLevel::Frozen);
         }
 
         // 3. Processing budget, possibly shrunk by the stall probe.
@@ -692,7 +708,7 @@ impl<'m> TenantRegistry<'m> {
 
     /// Captures the full front-end state — every tenant's pipeline, queued
     /// arrivals, breaker and stats, plus scheduler deficits and the ladder
-    /// rung — for bit-exact resume via [`TenantRegistry::restore`].
+    /// rung — for bit-exact resume via [`load`](Self::load).
     pub fn checkpoint(&self) -> MultiTenantCheckpoint {
         MultiTenantCheckpoint {
             tenants: self
@@ -702,6 +718,7 @@ impl<'m> TenantRegistry<'m> {
                     config: tenant.config.clone(),
                     serve: *tenant.pipeline.config(),
                     pipeline: tenant.pipeline.checkpoint(),
+                    driver: tenant.pipeline.driver().checkpoint(),
                     queue: tenant.queue.snapshot_with(|q| q.arrival.clone()),
                     retry: tenant.retry.clone(),
                     breaker: tenant.breaker.state(),
@@ -716,78 +733,53 @@ impl<'m> TenantRegistry<'m> {
         }
     }
 
-    /// Rebuilds a registry from a checkpoint. `models` supplies each
-    /// tenant's trained model and name table in tenant-id order (models
-    /// are not part of the checkpoint, mirroring
-    /// [`Pipeline::restore`]).
+    /// Loads a [`checkpoint`](Self::checkpoint) into a registry built as
+    /// the checkpointed one was — the same tenants, registered in the same
+    /// order with the same drivers — so that every tenant resumes
+    /// bit-exactly, an adaptive one with its adapted model and adapter
+    /// state.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Restore`] when `models` disagrees with the
-    /// checkpoint's tenant count or any pipeline state disagrees with its
-    /// model.
-    pub fn restore(
-        models: Vec<(&'m DeepRest, &Interner)>,
-        sched: SchedConfig,
-        overload: OverloadConfig,
-        checkpoint: MultiTenantCheckpoint,
-    ) -> Result<Self, ServeError> {
-        if models.len() != checkpoint.tenants.len() {
+    /// [`ServeError::Restore`] when the checkpoint's tenant count disagrees
+    /// with the registry's or any tenant's state disagrees with its
+    /// pipeline; the registry is then partly loaded and should be dropped.
+    pub fn load(&mut self, checkpoint: MultiTenantCheckpoint) -> Result<(), ServeError> {
+        let tenants = self.tenants.len();
+        let (saved, deficits) = (checkpoint.tenants.len(), checkpoint.sched.deficits.len());
+        if saved != tenants || deficits != tenants {
             return Err(ServeError::Restore(format!(
-                "checkpoint has {} tenants but {} models were supplied",
-                checkpoint.tenants.len(),
-                models.len()
+                "checkpoint has {saved} tenants and {deficits} scheduler deficits but the \
+                 registry has {tenants} tenants"
             )));
         }
-        if checkpoint.sched.deficits.len() != checkpoint.tenants.len() {
-            return Err(ServeError::Restore(format!(
-                "checkpoint has {} tenants but {} scheduler deficits",
-                checkpoint.tenants.len(),
-                checkpoint.sched.deficits.len()
-            )));
-        }
-        let breaker_config = overload.breaker;
-        let mut tenants = Vec::with_capacity(checkpoint.tenants.len());
-        for ((model, source), tc) in models.into_iter().zip(checkpoint.tenants) {
-            let pipeline = Pipeline::restore(model, source, tc.serve, tc.pipeline)
+        let breaker = self.overload.config().breaker;
+        for (tenant, tc) in self.tenants.iter_mut().zip(checkpoint.tenants) {
+            tenant
+                .pipeline
+                .load(tc.pipeline, tc.driver)
                 .map_err(ServeError::Restore)?;
             // Costs are derived state: recomputed from the restored arrivals
             // rather than persisted.
-            let queue = BoundedQueue::from_snapshot_with(
-                tc.config.queue_capacity.max(1),
-                tc.config.overflow,
+            tenant.queue = BoundedQueue::from_snapshot_with(
+                tenant.config.queue_capacity.max(1),
+                tenant.config.overflow,
                 tc.queue,
                 |arrival| Queued {
                     cost: arrival_cost(&arrival),
                     arrival,
                 },
             );
-            tenants.push(Tenant {
-                queue,
-                pipeline,
-                breaker: CircuitBreaker::restore(breaker_config, tc.breaker),
-                stats: tc.stats,
-                retry: tc.retry,
-                round_arrivals: tc.round_arrivals,
-                round_bytes: tc.round_bytes,
-                round_over_quota: tc.round_over_quota,
-                config: tc.config,
-            });
+            tenant.breaker = CircuitBreaker::restore(breaker, tc.breaker);
+            tenant.stats = tc.stats;
+            tenant.retry = tc.retry;
+            tenant.round_arrivals = tc.round_arrivals;
+            tenant.round_bytes = tc.round_bytes;
+            tenant.round_over_quota = tc.round_over_quota;
         }
-        let weights: Vec<u64> = tenants
-            .iter()
-            .map(|tenant| tenant.config.priority.weight())
-            .collect();
-        Ok(Self {
-            tenants,
-            sched: FairScheduler::restore(sched, checkpoint.sched),
-            overload: OverloadController::restore(overload, checkpoint.level),
-            hook: None,
-            weights,
-            cost_scratch: Vec::new(),
-            plan_scratch: RoundPlan::default(),
-            skip_scratch: Vec::new(),
-        })
+        self.sched = FairScheduler::restore(*self.sched.config(), checkpoint.sched);
+        self.overload = OverloadController::restore(*self.overload.config(), checkpoint.level);
+        Ok(())
     }
 }
 
@@ -896,11 +888,15 @@ mod tests {
         let serve = ServeConfig::default().with_window_secs(1.0);
         let sched = SchedConfig::default();
         let overload = OverloadConfig::default();
-        let mut registry = TenantRegistry::new(sched, overload);
-        for t in 0..3 {
-            let config = TenantConfig::new(format!("t{t}")).with_queue_capacity(16);
-            registry.add_tenant(&model, &names, serve, config);
-        }
+        let build = || {
+            let mut registry = TenantRegistry::new(sched, overload);
+            for t in 0..3 {
+                let config = TenantConfig::new(format!("t{t}")).with_queue_capacity(16);
+                registry.add_tenant(&model, &names, serve, config);
+            }
+            registry
+        };
+        let mut registry = build();
         // Flood tenant 0 through half the stream, then queue one more slice
         // without draining it.
         let (head, tail) = stream.split_at(stream.len() / 2);
@@ -929,10 +925,9 @@ mod tests {
             serde_json::from_str(&old).expect("retired keys are ignored");
         assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
 
-        let models = || vec![(&model, &names); 3];
         let resume = |checkpoint| {
-            let mut registry =
-                TenantRegistry::restore(models(), sched, overload, checkpoint).expect("restores");
+            let mut registry = build();
+            registry.load(checkpoint).expect("loads");
             run_out(&mut registry, tail)
         };
         let expected = resume(serde_json::from_str(&json).unwrap());

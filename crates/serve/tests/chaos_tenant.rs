@@ -11,7 +11,7 @@
 
 mod common;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use common::{assert_outputs_bitwise_equal, deploy_mid_stream, stream_of, trained, WINDOW_SECS};
 use deeprest_fault::{self as fault, FaultPlan};
@@ -232,12 +232,6 @@ fn flooded_tenant_is_isolated_and_degradation_is_counted() {
             .with_queue_capacity(512),
     );
 
-    let ladder = Arc::new(Mutex::new(Vec::new()));
-    let ladder_log = Arc::clone(&ladder);
-    registry.set_overload_hook(move |level| {
-        ladder_log.lock().expect("hook lock").push(level);
-    });
-
     // Flood tenant `bravo` for the first 10 rounds (24 submissions per
     // round across the three tenants).
     let plan = Arc::new(
@@ -292,23 +286,23 @@ fn flooded_tenant_is_isolated_and_degradation_is_counted() {
     assert_eq!(sink.counter("serve.tenant.bravo.shed"), stats.shed);
 
     // The ladder walked both rungs, recovered at least once, and the
-    // hook (the adapt suspend/resume integration point) saw the freeze
-    // and the recovery from it.
+    // rounds (which tell every driver whether to suspend adaptation) saw
+    // the freeze and the recovery from it.
     assert!(log.levels.contains(&OverloadLevel::Shed));
     assert!(log.levels.contains(&OverloadLevel::Frozen));
     assert!(sink.counter("serve.overload.entered.shed") >= 1);
     assert!(sink.counter("serve.overload.entered.frozen") >= 1);
     assert!(sink.counter("serve.overload.recovered") >= 1);
-    let ladder = ladder.lock().expect("ladder lock").clone();
-    let frozen_at = ladder
+    let frozen_at = log
+        .levels
         .iter()
         .position(|&l| l == OverloadLevel::Frozen)
-        .expect("hook must see Frozen");
+        .expect("a round must run Frozen");
     assert!(
-        ladder[frozen_at..]
+        log.levels[frozen_at..]
             .iter()
             .any(|&l| l < OverloadLevel::Frozen),
-        "hook must see the recovery that resumes adaptation"
+        "a round must run the recovery that resumes adaptation"
     );
 
     // The breaker opened (twice: the probe re-admission failed mid-flood
@@ -458,34 +452,38 @@ fn mid_overload_checkpoint_resume_is_bit_exact() {
         backoff_rounds: 16,
         backoff_cap: 64,
     };
-    let mut registry = TenantRegistry::new(sched_config(), tight_overload(breaker));
-    registry.add_tenant(
-        &model,
-        &interner,
-        serve_config(),
-        TenantConfig::new("alpha")
-            .with_priority(PriorityClass::Critical)
-            .with_queue_capacity(512),
-    );
-    registry.add_tenant(
-        &model,
-        &interner,
-        serve_config(),
-        TenantConfig {
-            byte_quota: 12 * deeprest_serve::tenant::EST_SPAN_BYTES,
-            ..TenantConfig::new("bravo")
-                .with_priority(PriorityClass::BestEffort)
-                .with_queue_capacity(40)
-        },
-    );
-    registry.add_tenant(
-        &model,
-        &interner,
-        serve_config(),
-        TenantConfig::new("charlie")
-            .with_priority(PriorityClass::Standard)
-            .with_queue_capacity(512),
-    );
+    let build = || {
+        let mut registry = TenantRegistry::new(sched_config(), tight_overload(breaker));
+        registry.add_tenant(
+            &model,
+            &interner,
+            serve_config(),
+            TenantConfig::new("alpha")
+                .with_priority(PriorityClass::Critical)
+                .with_queue_capacity(512),
+        );
+        registry.add_tenant(
+            &model,
+            &interner,
+            serve_config(),
+            TenantConfig {
+                byte_quota: 12 * deeprest_serve::tenant::EST_SPAN_BYTES,
+                ..TenantConfig::new("bravo")
+                    .with_priority(PriorityClass::BestEffort)
+                    .with_queue_capacity(40)
+            },
+        );
+        registry.add_tenant(
+            &model,
+            &interner,
+            serve_config(),
+            TenantConfig::new("charlie")
+                .with_priority(PriorityClass::Standard)
+                .with_queue_capacity(512),
+        );
+        registry
+    };
+    let mut registry = build();
 
     // Phase 1: flood tenant 1 for 4 rounds (96 submissions), keep running
     // to round 8 so the flood window is fully spent, then stop with the
@@ -517,7 +515,8 @@ fn mid_overload_checkpoint_resume_is_bit_exact() {
     );
     assert!(registry.queue_depth(0) > 0, "arrivals must still be queued");
 
-    // Persist through the CRC-framed store and restore a second registry.
+    // Persist through the CRC-framed store and load it into a second
+    // registry built the same way.
     let dir = std::env::temp_dir().join(format!("deeprest-tenant-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(&dir);
@@ -529,13 +528,8 @@ fn mid_overload_checkpoint_resume_is_bit_exact() {
         serde_json::to_string(&checkpoint).expect("saved json"),
         "the store must round-trip the checkpoint byte-exactly"
     );
-    let mut restored = TenantRegistry::restore(
-        vec![(&model, &interner); 3],
-        sched_config(),
-        tight_overload(breaker),
-        loaded,
-    )
-    .expect("restore");
+    let mut restored = build();
+    restored.load(loaded).expect("load");
     assert_eq!(restored.round(), registry.round());
     assert_eq!(restored.breaker_phase(1), BreakerPhase::Open);
     assert_eq!(restored.overload_level(), registry.overload_level());

@@ -1,6 +1,7 @@
 //! Serving-loop observability and cost invariants:
 //!
-//! * the pipeline emits the documented counters, gauges, and spans;
+//! * the pipeline emits the documented counters, gauges, and spans, and
+//!   counts a window sealed once however often a step failure retries it;
 //! * steady-state serving performs **zero** kernel allocations after
 //!   warm-up (the PR-3 training/prediction invariant, extended online);
 //! * per-window inference is O(1) in stream history — the batched step
@@ -11,6 +12,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{stream_of, trained, WINDOW_SECS};
+use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_serve::{Pipeline, ServeConfig};
 use deeprest_telemetry::{self as telemetry, MemorySink};
 
@@ -48,6 +50,42 @@ fn serving_emits_documented_telemetry() {
     // The batched step also reports its shard fan-out every window.
     assert_eq!(sink.gauges("stream.batch.shards").len(), traces.len());
     assert_eq!(sink.gauges("stream.batch.experts").len(), traces.len());
+}
+
+/// Windows parked behind step failures are retried on later ingests:
+/// `serve.predict` spans every attempt, `serve.window.sealed` every window
+/// once.
+#[test]
+fn a_retried_window_is_sealed_once() {
+    let (model, interner, traces, metrics) = trained(32);
+    let stream = stream_of(&traces);
+    let (armed, lifted) = stream.split_at(stream.len() / 2);
+
+    let sink = Arc::new(MemorySink::new());
+    let (outputs, failed) = telemetry::with_sink(sink.clone(), || {
+        let mut pipeline =
+            Pipeline::new(&model, &interner, serve_config()).with_observations(metrics.clone());
+        let (mut outputs, mut failed) = (Vec::new(), 0);
+        let plan = Arc::new(FaultPlan::new(17).window("stream.step", 0, 40));
+        fault::with_plan(plan, || {
+            for t in armed {
+                match pipeline.ingest(t.clone()) {
+                    Ok(out) => outputs.extend(out),
+                    Err(_) => failed += 1,
+                }
+            }
+        });
+        for t in lifted {
+            outputs.extend(pipeline.ingest(t.clone()).unwrap());
+        }
+        outputs.extend(pipeline.flush().unwrap());
+        (outputs, failed)
+    });
+
+    assert!(failed > 0, "the fault must park windows");
+    assert_eq!(outputs.len(), traces.len());
+    assert_eq!(sink.counter("serve.window.sealed"), traces.len() as u64);
+    assert!(sink.span_count("serve.predict") > traces.len() as u64);
 }
 
 #[test]

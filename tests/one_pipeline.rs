@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use deeprest::adapt::{AdaptConfig, AdaptiveCheckpoint, AdaptivePipeline};
+use deeprest::adapt::{AdaptConfig, Adapter, AdaptiveCheckpoint, AdaptivePipeline};
 use deeprest::core::{DeepRest, DeepRestConfig};
 use deeprest::metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest::serve::{
@@ -179,12 +179,12 @@ fn frozen_adaptive_pipeline_is_the_plain_pipeline() {
     let mut plain = Pipeline::new(&f.model, &f.interner, serve_config())
         .with_observations(f.observed.clone())
         .with_sink(plain_sink.clone());
-    let mut frozen = AdaptivePipeline::new(
+    let mut frozen = Pipeline::<Adapter>::from(AdaptivePipeline::new(
         owned(&f.model),
         &f.interner,
         f.observed.clone(),
         adapt_config().frozen(),
-    )
+    ))
     .with_sink(frozen_sink.clone());
     let (mut expected, mut outputs) = (Vec::new(), Vec::new());
     for t in &f.stream {
@@ -201,7 +201,7 @@ fn frozen_adaptive_pipeline_is_the_plain_pipeline() {
     );
     assert_eq!(bits(&outputs), bits(&expected));
     assert_eq!(frozen_sink.snapshot(), plain_sink.snapshot());
-    assert_eq!(frozen.updates_run(), 0);
+    assert_eq!(frozen.driver().updates_run(), 0);
 }
 
 #[test]
