@@ -3,13 +3,13 @@
 //!
 //! # `deeprest experiment`
 //!
-//! Reproduces one table/figure of the paper, or all of them in paper
-//! order; prints paper-style rows and dumps JSON into `--out` (flags: see
-//! the `deeprest_bench` crate docs):
+//! Reproduces one table/figure of the paper, or all of them in the order
+//! of the experiment table; prints paper-style rows and dumps JSON into
+//! `--out` (flags: see the `deeprest_bench` crate docs):
 //!
 //! ```text
 //! deeprest experiment fig12 --seed 17 --out target/experiments
-//! deeprest experiment all                 # everything behind EXPERIMENTS.md
+//! deeprest experiment all                 # everything, plus EXPERIMENTS.json
 //! ```
 //!
 //! # `deeprest capacity`
@@ -59,7 +59,7 @@
 
 use std::time::Instant;
 
-use deeprest_bench::experiments::EXPERIMENTS;
+use deeprest_bench::experiments;
 use deeprest_bench::Args;
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
@@ -504,17 +504,17 @@ fn run_scale(raw: Vec<String>) {
 
 fn run_experiment(mut args: impl Iterator<Item = String>) {
     let id = args.next().unwrap_or_default();
-    let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == id) else {
-        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let ids = experiments::ids();
+    if !ids.contains(&id.as_str()) {
         eprintln!(
             "deeprest experiment: unknown id `{id}`; valid ids: {}",
             ids.join(" ")
         );
         std::process::exit(2);
-    };
+    }
     let args = Args::parse_from(args);
     args.install_telemetry();
-    run(&args);
+    experiments::run(&id, &args);
 }
 
 fn main() {

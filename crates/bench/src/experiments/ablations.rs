@@ -9,21 +9,12 @@ use deeprest_metrics::eval::{interval_coverage, mape};
 use deeprest_metrics::{MetricKey, ResourceKind};
 
 use super::mix_with;
-use crate::{filter_metrics, focus_scope, report, Args, ExpCtx};
+use crate::{filter_metrics, focus_scope, ExpCtx};
 
-/// Runs the ablation study.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (its learning data is reused; each
-/// variant trains its own model).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
-    report::banner(
-        "ablations",
-        "architecture ablations: unseen same-scale, composition-shift and 3x-scale queries",
-    );
+/// Runs the ablation study on the context's learning data; each variant
+/// trains its own model.
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     let scope = focus_scope(&ctx.app);
     let metrics = filter_metrics(&ctx.learn.metrics, &scope);
 
@@ -133,5 +124,5 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
         }));
     }
     println!("  coverage target: the delta=0.90 interval should cover ~90% of windows on the in-scale day");
-    report::dump_json(&args.out, "ablations", "architecture ablations", &json);
+    serde_json::Value::Array(json)
 }

@@ -7,11 +7,7 @@ use deeprest_workload::WorkloadSpec;
 use crate::{report, Args};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    report::banner(
-        "fig09",
-        "7-day application-learning API traffic (two peaks per day)",
-    );
+pub(crate) fn run(args: &Args) -> serde_json::Value {
     let app = apps::social_network();
     let traffic = WorkloadSpec::new(args.users, app.default_mix())
         .with_days(args.days)
@@ -37,13 +33,8 @@ pub(crate) fn run(args: &Args) {
         println!("    {api:<20} {:5.1}%", frac * 100.0);
     }
 
-    report::dump_json(
-        &args.out,
-        "fig09",
-        "application-learning traffic",
-        &serde_json::json!({
-            "total": traffic.total_series().values(),
-            "composition": composition,
-        }),
-    );
+    serde_json::json!({
+        "total": traffic.total_series().values(),
+        "composition": composition,
+    })
 }

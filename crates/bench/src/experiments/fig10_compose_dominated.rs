@@ -7,23 +7,11 @@
 use deeprest_workload::TrafficShape;
 
 use super::{mix_with, qualitative};
-use crate::{Args, ExpCtx};
+use crate::ExpCtx;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
     let mix = mix_with(&ctx.app, &[("/composePost", 0.55)]);
     let traffic = qualitative::one_day_query(ctx, mix, 2.0, TrafficShape::TwoPeak);
-    qualitative::run_query(
-        args,
-        ctx,
-        "fig10",
-        "/composePost-dominated query (2x volume, growth on composePost)",
-        &traffic,
-    );
+    qualitative::run_query(ctx, &traffic)
 }

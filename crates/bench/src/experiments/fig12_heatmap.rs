@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use deeprest_metrics::{MetricKey, ResourceKind};
 
 use super::mix_with;
-use crate::{report, Args, ExpCtx};
+use crate::{report, ExpCtx};
 
 const COMPONENTS: [&str; 4] = [
     "FrontendNGINX",
@@ -19,17 +19,8 @@ const COMPONENTS: [&str; 4] = [
 ];
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
-    report::banner(
-        "fig12",
-        "estimation quality heatmaps (4 components x 5 resources x 4 estimators)",
-    );
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     // Mixed unseen query: 1.5x volume with a composition shift.
     let mix = mix_with(
         &ctx.app,
@@ -86,5 +77,5 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
                 .collect::<BTreeMap<String, f64>>(),
         );
     }
-    report::dump_json(&args.out, "fig12", "estimation quality heatmaps", &json);
+    serde_json::to_value(&json)
 }

@@ -9,8 +9,7 @@ use super::mix_with;
 use crate::{report, Args};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    report::banner("fig13", "example query traffic for the three scenarios");
+pub(crate) fn run(args: &Args) -> serde_json::Value {
     let app = apps::social_network();
     let base = |users: f64| {
         WorkloadSpec::new(users, app.default_mix())
@@ -46,15 +45,10 @@ pub(crate) fn run(args: &Args) {
     report::curve("two-peak (learned)", &seen.total_series(), 96);
     report::curve("flat (query)", &flat.total_series(), 96);
 
-    report::dump_json(
-        &args.out,
-        "fig13",
-        "example query traffic",
-        &serde_json::json!({
-            "scales": [1.0, 2.0, 3.0],
-            "seen_total": seen.total_series().values(),
-            "flat_total": flat.total_series().values(),
-            "unseen_mix_composition": unseen.composition(),
-        }),
-    );
+    serde_json::json!({
+        "scales": [1.0, 2.0, 3.0],
+        "seen_total": seen.total_series().values(),
+        "flat_total": flat.total_series().values(),
+        "unseen_mix_composition": unseen.composition(),
+    })
 }

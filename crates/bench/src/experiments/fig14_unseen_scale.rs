@@ -3,16 +3,11 @@
 //! queries with minor variations.
 
 use super::sweeps::{run_cpu_sweep, Setting, REPEATS};
-use crate::{Args, ExpCtx};
+use crate::ExpCtx;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     let settings: Vec<Setting> = [1.0, 2.0, 3.0]
         .iter()
         .map(|&scale| Setting {
@@ -29,11 +24,5 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
                 .collect(),
         })
         .collect();
-    run_cpu_sweep(
-        args,
-        ctx,
-        "fig14",
-        "CPU estimation with unseen scales of application users",
-        &settings,
-    );
+    run_cpu_sweep(ctx, &settings)
 }

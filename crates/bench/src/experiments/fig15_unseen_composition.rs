@@ -3,16 +3,11 @@
 
 use super::mix_with;
 use super::sweeps::{run_cpu_sweep, Setting, REPEATS};
-use crate::{Args, ExpCtx};
+use crate::ExpCtx;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     // Seen: the learning mix. Unseen: the paper's example of 10% compose /
     // 85% read / 5% upload, with small per-repeat perturbations.
     let seen = Setting {
@@ -45,11 +40,5 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
             })
             .collect(),
     };
-    run_cpu_sweep(
-        args,
-        ctx,
-        "fig15",
-        "CPU estimation with unseen API compositions",
-        &[seen, unseen],
-    );
+    run_cpu_sweep(ctx, &[seen, unseen])
 }

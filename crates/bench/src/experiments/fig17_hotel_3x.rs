@@ -4,20 +4,11 @@
 
 use deeprest_metrics::{MetricKey, ResourceKind, TimeSeries};
 
-use crate::{report, Args, ExpCtx};
+use crate::{report, ExpCtx};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::hotel(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared hotel context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
-    report::banner(
-        "fig17",
-        "hotel reservation: FrontendService CPU with 3x more users than ever",
-    );
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     let traffic = ctx
         .query_workload()
         .with_users(args.users * 3.0)
@@ -51,17 +42,12 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
     let rows = ctx.mape_table(&estimates, &truth, &key);
     report::mape_rows("FrontendService CPU", &rows);
 
-    report::dump_json(
-        &args.out,
-        "fig17",
-        "hotel reservation 3x users",
-        &serde_json::json!({
-            "actual": actual.values(),
-            "estimates": estimates
-                .iter()
-                .map(|(n, m)| (n.clone(), m[&key].values().to_vec()))
-                .collect::<std::collections::BTreeMap<_, _>>(),
-            "mape": rows,
-        }),
-    );
+    serde_json::json!({
+        "actual": actual.values(),
+        "estimates": estimates
+            .iter()
+            .map(|(n, m)| (n.clone(), m[&key].values().to_vec()))
+            .collect::<std::collections::BTreeMap<_, _>>(),
+        "mape": rows,
+    })
 }

@@ -6,22 +6,10 @@
 use deeprest_workload::TrafficShape;
 
 use super::qualitative;
-use crate::{Args, ExpCtx};
+use crate::ExpCtx;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
     let traffic = qualitative::one_day_query(ctx, ctx.app.default_mix(), 1.0, TrafficShape::Flat);
-    qualitative::run_query(
-        args,
-        ctx,
-        "fig18",
-        "2-peak/day -> flat query traffic (same daily volume, flat shape)",
-        &traffic,
-    );
+    qualitative::run_query(ctx, &traffic)
 }

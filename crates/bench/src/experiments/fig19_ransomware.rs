@@ -10,20 +10,11 @@ use deeprest_metrics::{MetricKey, ResourceKind};
 use deeprest_sim::anomaly::RansomwareAttack;
 
 use super::checkdays::{build_check_traffic, flagged_days, pattern_detector_flags, DayKind};
-use crate::{report, Args, ExpCtx};
+use crate::{report, ExpCtx};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
-    report::banner(
-        "fig19",
-        "sanity check: ransomware on PostStorageMongoDB (attack on day 6, 12:00-13:30)",
-    );
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     let wpd = args.windows_per_day;
     let days = [
         DayKind::Normal,     // day 0 (the paper's 07/13)
@@ -104,16 +95,11 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
         }
     }
 
-    report::dump_json(
-        &args.out,
-        "fig19",
-        "ransomware sanity check",
-        &serde_json::json!({
-            "attack_windows": [attack_start, attack_end],
-            "deeprest_flagged_days": deeprest_days,
-            "pattern_detector_flagged_days": pattern_days,
-            "overall_score": sanity.overall.values(),
-            "events": sanity.events,
-        }),
-    );
+    serde_json::json!({
+        "attack_windows": [attack_start, attack_end],
+        "deeprest_flagged_days": deeprest_days,
+        "pattern_detector_flagged_days": pattern_days,
+        "overall_score": sanity.overall.values(),
+        "events": sanity.events,
+    })
 }

@@ -9,20 +9,11 @@ use deeprest_metrics::{MetricKey, ResourceKind};
 use deeprest_sim::anomaly::CryptojackingAttack;
 
 use super::checkdays::{build_check_traffic, flagged_days, pattern_detector_flags, DayKind};
-use crate::{report, Args, ExpCtx};
+use crate::{report, ExpCtx};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
-    report::banner(
-        "fig20",
-        "sanity check: cryptojacking on PostStorageMongoDB (mining from day 5 noon)",
-    );
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
+    let args = &ctx.args;
     let wpd = args.windows_per_day;
     let days = [
         DayKind::Normal,     // day 0
@@ -95,16 +86,11 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
         }
     }
 
-    report::dump_json(
-        &args.out,
-        "fig20",
-        "cryptojacking sanity check",
-        &serde_json::json!({
-            "mining_start_window": mining_start,
-            "deeprest_flagged_days": deeprest_days,
-            "pattern_detector_flagged_days": pattern_days,
-            "overall_score": sanity.overall.values(),
-            "events": sanity.events,
-        }),
-    );
+    serde_json::json!({
+        "mining_start_window": mining_start,
+        "deeprest_flagged_days": deeprest_days,
+        "pattern_detector_flagged_days": pattern_days,
+        "overall_score": sanity.overall.values(),
+        "events": sanity.events,
+    })
 }

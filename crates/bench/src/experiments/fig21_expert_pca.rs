@@ -12,14 +12,10 @@ use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, SimConfig};
 use deeprest_workload::WorkloadSpec;
 
-use crate::{filter_metrics, report, Args};
+use crate::{filter_metrics, Args};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    report::banner(
-        "fig21",
-        "PCA of expert GRU parameters (MongoDB experts cluster)",
-    );
+pub(crate) fn run(args: &Args) -> serde_json::Value {
     let app = apps::social_network();
     let traffic = WorkloadSpec::new(args.users, app.default_mix())
         .with_days(args.days)
@@ -110,16 +106,11 @@ pub(crate) fn run(args: &Args) {
         "  => experts that learned similar remember/forget dynamics cluster. In this\n     substrate the dominant grouping is the resource type (CPU experts are the\n     tightest); the paper's MongoDB grouping reflects its 5-second-window store\n     dynamics — see EXPERIMENTS.md for the discussion."
     );
 
-    report::dump_json(
-        &args.out,
-        "fig21",
-        "expert PCA",
-        &serde_json::json!({
-            "explained_variance_ratio": pca.explained_variance_ratio,
-            "projections": pca.projections,
-            "mongo_mean_pairwise_distance": mongo_dist,
-            "all_mean_pairwise_distance": all_dist,
-            "by_resource_mean_pairwise_distance": by_resource,
-        }),
-    );
+    serde_json::json!({
+        "explained_variance_ratio": pca.explained_variance_ratio,
+        "projections": pca.projections,
+        "mongo_mean_pairwise_distance": mongo_dist,
+        "all_mean_pairwise_distance": all_dist,
+        "by_resource_mean_pairwise_distance": by_resource,
+    })
 }

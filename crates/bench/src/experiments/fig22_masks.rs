@@ -7,20 +7,10 @@
 use deeprest_core::interpret;
 use deeprest_metrics::{MetricKey, ResourceKind};
 
-use crate::{report, Args, ExpCtx};
+use crate::ExpCtx;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    let ctx = ExpCtx::social(args);
-    run_with(args, &ctx);
-}
-
-/// Runs against a prepared context (shared with `run_all`).
-pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
-    report::banner(
-        "fig22",
-        "learned API-aware masks: API -> resource dependencies",
-    );
+pub(crate) fn run(ctx: &ExpCtx) -> serde_json::Value {
     let model = &ctx.estimators.deeprest;
 
     let targets = [
@@ -47,5 +37,5 @@ pub(crate) fn run_with(args: &Args, ctx: &ExpCtx) {
             "weights": attribution.weights,
         }));
     }
-    report::dump_json(&args.out, "fig22", "API-aware mask interpretation", &json);
+    serde_json::Value::Array(json)
 }

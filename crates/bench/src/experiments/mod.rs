@@ -1,7 +1,11 @@
-//! One module per reproduced table/figure; each exposes `run(&Args)`.
+//! One module per reproduced table/figure; each exposes one entry
+//! function that returns its record's results.
 //!
-//! [`EXPERIMENTS`] maps the ids `deeprest experiment <id>` accepts to those
-//! entry points; `all` is `run_all`, every experiment in paper order.
+//! The `EXPERIMENTS` table is the only list of ids. [`run`] does what every
+//! experiment shares: it builds each learning phase an entry names at most
+//! once, opens the `bench.<id>` span, prints the banner and writes
+//! `<out>/<id>.json`; after `all`, it also writes `<out>/EXPERIMENTS.json`,
+//! the record CI checks the paper tables against.
 
 pub(crate) mod ablations;
 pub(crate) mod fig09_learning_traffic;
@@ -26,131 +30,233 @@ mod checkdays;
 mod qualitative;
 mod sweeps;
 
+use std::thread::ScopedJoinHandle;
+use std::time::Instant;
+
 use deeprest_sim::AppSpec;
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::Pool;
-use deeprest_workload::TrafficShape;
+use serde_json::Value;
 
-use crate::{Args, ExpCtx};
+use crate::{report, Args, ExpCtx, Phase};
 
-/// An experiment's entry point.
-pub(crate) type Run = fn(&Args);
-
-/// Every id `deeprest experiment <id>` accepts with its entry point, in
-/// paper order; the last, `all`, regenerates everything behind
-/// EXPERIMENTS.md in one run.
-pub const EXPERIMENTS: &[(&str, Run)] = &[
-    ("fig09", fig09_learning_traffic::run),
-    ("fig10", fig10_compose_dominated::run),
-    ("fig11", fig11_read_dominated::run),
-    ("fig12", fig12_heatmap::run),
-    ("fig13", fig13_query_traffic::run),
-    ("table1", table1_synthesizer::run),
-    ("fig14", fig14_unseen_scale::run),
-    ("fig15", fig15_unseen_composition::run),
-    ("fig16", fig16_unseen_shape::run),
-    ("fig17", fig17_hotel_3x::run),
-    ("fig18", fig18_shape_examples::run),
-    ("fig19", fig19_ransomware::run),
-    ("fig20", fig20_cryptojacking::run),
-    ("fig21", fig21_expert_pca::run),
-    ("fig22", fig22_masks::run),
-    ("ablations", ablations::run),
-    ("transfer", transfer::run),
-    ("scalability", scalability::run),
-    ("all", run_all),
-];
-
-/// Runs one experiment under a `bench.<id>` span, so an enabled JSONL sink
-/// yields a per-figure wall-clock manifest.
-fn spanned(id: &str, f: impl FnOnce()) {
-    let _span = telemetry::span(format!("bench.{id}"));
-    f();
+/// What an experiment reads, and its entry function.
+enum Entry {
+    /// Builds what it needs, if anything, from the options.
+    Own(fn(&Args) -> Value),
+    /// Reads the trained context of one learning phase.
+    Trained(Phase, fn(&ExpCtx) -> Value),
+    /// Like [`Entry::Own`], but its record holds wall-clock time, so it
+    /// stays out of `EXPERIMENTS.json`.
+    Timed(fn(&Args) -> Value),
 }
 
-/// Runs every experiment in paper order, reusing trained contexts where the
-/// experiments share a learning phase.
-pub(crate) fn run_all(args: &Args) {
-    let started = std::time::Instant::now();
-    let threads = args.threads.unwrap_or_else(|| Pool::global().threads());
+/// `(id, title, entry)` for every id `deeprest experiment <id>` accepts,
+/// in the order `all` runs them: the workload-only figures, then those on
+/// the social network's two-peak phase, then the other two phases, then
+/// the studies that train their own models.
+const EXPERIMENTS: &[(&str, &str, Entry)] = &[
+    (
+        "fig09",
+        "application-learning traffic",
+        Entry::Own(fig09_learning_traffic::run),
+    ),
+    (
+        "fig13",
+        "example query traffic",
+        Entry::Own(fig13_query_traffic::run),
+    ),
+    (
+        "table1",
+        "trace synthesizer quality",
+        Entry::Own(table1_synthesizer::run),
+    ),
+    (
+        "fig10",
+        "/composePost-dominated query (2x volume, growth on composePost)",
+        Entry::Trained(Phase::Social, fig10_compose_dominated::run),
+    ),
+    (
+        "fig11",
+        "/readTimeline-dominated query (2x volume, growth on readTimeline)",
+        Entry::Trained(Phase::Social, fig11_read_dominated::run),
+    ),
+    (
+        "fig12",
+        "estimation quality heatmaps",
+        Entry::Trained(Phase::Social, fig12_heatmap::run),
+    ),
+    (
+        "fig14",
+        "CPU estimation with unseen scales of application users",
+        Entry::Trained(Phase::Social, fig14_unseen_scale::run),
+    ),
+    (
+        "fig15",
+        "CPU estimation with unseen API compositions",
+        Entry::Trained(Phase::Social, fig15_unseen_composition::run),
+    ),
+    (
+        "fig16a",
+        "CPU estimation with unseen traffic shape (2-peak -> flat)",
+        Entry::Trained(Phase::Social, fig16_unseen_shape::run),
+    ),
+    (
+        "fig18",
+        "2-peak/day -> flat query traffic (same daily volume, flat shape)",
+        Entry::Trained(Phase::Social, fig18_shape_examples::run),
+    ),
+    (
+        "fig19",
+        "ransomware sanity check",
+        Entry::Trained(Phase::Social, fig19_ransomware::run),
+    ),
+    (
+        "fig20",
+        "cryptojacking sanity check",
+        Entry::Trained(Phase::Social, fig20_cryptojacking::run),
+    ),
+    (
+        "fig22",
+        "API-aware mask interpretation",
+        Entry::Trained(Phase::Social, fig22_masks::run),
+    ),
+    (
+        "ablations",
+        "architecture ablations",
+        Entry::Trained(Phase::Social, ablations::run),
+    ),
+    (
+        "fig16b",
+        "CPU estimation with unseen traffic shape (flat -> 2-peak)",
+        Entry::Trained(Phase::SocialFlat, fig16_unseen_shape::run),
+    ),
+    (
+        "fig17",
+        "hotel reservation 3x users",
+        Entry::Trained(Phase::Hotel, fig17_hotel_3x::run),
+    ),
+    ("fig21", "expert PCA", Entry::Own(fig21_expert_pca::run)),
+    (
+        "transfer",
+        "transfer learning warm start",
+        Entry::Own(transfer::run),
+    ),
+    (
+        "scalability",
+        "model size / training / inference scaling",
+        Entry::Timed(scalability::run),
+    ),
+];
 
-    // Workload-only figures need no training.
-    spanned("fig09", || fig09_learning_traffic::run(args));
-    spanned("fig13", || fig13_query_traffic::run(args));
-    spanned("table1", || table1_synthesizer::run(args));
+/// The ids `deeprest experiment` accepts, in the order `all` runs them,
+/// then `all`.
+pub fn ids() -> Vec<&'static str> {
+    EXPERIMENTS
+        .iter()
+        .map(|(id, _, _)| *id)
+        .chain(["all"])
+        .collect()
+}
 
-    // The three learning phases (social two-peak, social flat for fig16b,
-    // hotel for fig17) are independent, so they train concurrently; the
-    // experiments themselves still run — and print — in paper order, and
-    // every context is bit-identical to a serial run.
-    std::thread::scope(|scope| {
-        let (flat_task, hotel_task) = if threads > 1 {
-            (
-                Some(scope.spawn(|| ExpCtx::social_shaped(args, TrafficShape::Flat))),
-                Some(scope.spawn(|| ExpCtx::hotel(args))),
-            )
-        } else {
-            (None, None)
-        };
-
-        // One social-network context serves most experiments.
-        println!("\n[training the social-network estimators ...]");
-        let ctx = ExpCtx::social(args);
-        println!(
-            "[DeepRest: {} experts, feature dim {}, {:.1}s training]",
-            ctx.estimators.report.expert_count,
-            ctx.estimators.report.feature_dim,
-            ctx.estimators.report.train_seconds
+/// Runs the experiment `id`, or every experiment when `id` is `all`, and
+/// writes each record to `<args.out>/<id>.json`. `all` also writes every
+/// record without wall-clock time, one per line in table order, to
+/// `<args.out>/EXPERIMENTS.json`.
+///
+/// # Panics
+///
+/// Panics on an id [`ids`] does not list.
+pub fn run(id: &str, args: &Args) {
+    let started = Instant::now();
+    let selected = if id == "all" {
+        EXPERIMENTS
+    } else {
+        let at = EXPERIMENTS
+            .iter()
+            .position(|(known, _, _)| *known == id)
+            .unwrap_or_else(|| panic!("unknown experiment id `{id}`"));
+        &EXPERIMENTS[at..=at]
+    };
+    let records = run_in_order(args, selected);
+    if id == "all" {
+        report::write(
+            &args.out,
+            "EXPERIMENTS.json",
+            &format!("[\n{}\n]\n", records.join(",\n")),
         );
-        spanned("fig10", || fig10_compose_dominated::run_with(args, &ctx));
-        spanned("fig11", || fig11_read_dominated::run_with(args, &ctx));
-        spanned("fig12", || fig12_heatmap::run_with(args, &ctx));
-        spanned("fig14", || fig14_unseen_scale::run_with(args, &ctx));
-        spanned("fig15", || fig15_unseen_composition::run_with(args, &ctx));
-        spanned("fig16", || fig16_unseen_shape::run_with(args, &ctx));
-        spanned("fig18", || fig18_shape_examples::run_with(args, &ctx));
-        spanned("fig19", || fig19_ransomware::run_with(args, &ctx));
-        spanned("fig20", || fig20_cryptojacking::run_with(args, &ctx));
-        spanned("fig22", || fig22_masks::run_with(args, &ctx));
-        spanned("ablations", || ablations::run_with(args, &ctx));
-
-        // The flat-learning direction of Fig. 16 needs its own context.
-        let flat_ctx = match flat_task {
-            Some(task) => task.join().expect("flat-context training panicked"),
-            None => {
-                println!("\n[training the flat-learning context for fig16b ...]");
-                ExpCtx::social_shaped(args, TrafficShape::Flat)
-            }
-        };
-        spanned("fig16b", || {
-            fig16_unseen_shape::run_reverse_with(args, &flat_ctx);
-        });
-
-        // Hotel reservation (Fig. 17).
-        let hotel_ctx = match hotel_task {
-            Some(task) => task.join().expect("hotel-context training panicked"),
-            None => {
-                println!("\n[training the hotel-reservation estimators ...]");
-                ExpCtx::hotel(args)
-            }
-        };
-        spanned("fig17", || fig17_hotel_3x::run_with(args, &hotel_ctx));
-    });
-
-    // Wider-swarm, transfer and synthetic-dimension studies train their own
-    // models.
-    spanned("fig21", || fig21_expert_pca::run(args));
-    spanned("transfer", || transfer::run(args));
-    spanned("scalability", || scalability::run(args));
-
+    }
     // Drain buffered telemetry (the JSONL sink) before reporting completion.
     telemetry::flush();
+    if id == "all" {
+        println!(
+            "\nall experiments completed in {:.1} s; JSON dumps in {}",
+            started.elapsed().as_secs_f64(),
+            args.out
+        );
+    }
+}
 
-    println!(
-        "\nall experiments completed in {:.1} minutes; JSON dumps in {}",
-        started.elapsed().as_secs_f64() / 60.0,
-        args.out
-    );
+/// Runs `selected` in order and returns the one-line records of those
+/// without wall-clock time.
+fn run_in_order(args: &Args, selected: &[(&str, &str, Entry)]) -> Vec<String> {
+    let mut phases: Vec<Phase> = Vec::new();
+    for (_, _, entry) in selected {
+        if let Entry::Trained(phase, _) = entry {
+            if !phases.contains(phase) {
+                phases.push(*phase);
+            }
+        }
+    }
+    let threads = args.threads.unwrap_or_else(|| Pool::global().threads());
+    std::thread::scope(|scope| {
+        // With threads to spare, every phase after the first trains
+        // alongside it; the experiments still run, and print, in table
+        // order, and each context is bit-identical to a serial build.
+        let mut training: Vec<(Phase, ScopedJoinHandle<'_, ExpCtx>)> = if threads > 1 {
+            phases
+                .iter()
+                .skip(1)
+                .map(|&phase| (phase, scope.spawn(move || ExpCtx::new(phase, args))))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut trained: Vec<ExpCtx> = Vec::new();
+        let mut records = Vec::new();
+        for (id, title, entry) in selected {
+            if let Entry::Trained(phase, _) = entry {
+                if !trained.iter().any(|ctx| ctx.phase == *phase) {
+                    let ctx = match training.iter().position(|(p, _)| p == phase) {
+                        Some(at) => training
+                            .swap_remove(at)
+                            .1
+                            .join()
+                            .expect("training panicked"),
+                        None => {
+                            println!("\n[training the {phase:?} estimators ...]");
+                            ExpCtx::new(*phase, args)
+                        }
+                    };
+                    trained.push(ctx);
+                }
+            }
+            let _span = telemetry::span(format!("bench.{id}"));
+            report::banner(id, title);
+            let results = match entry {
+                Entry::Own(run) | Entry::Timed(run) => run(args),
+                Entry::Trained(phase, run) => run(trained
+                    .iter()
+                    .find(|ctx| ctx.phase == *phase)
+                    .expect("trained above")),
+            };
+            let record = report::dump_json(&args.out, id, title, &results);
+            if !matches!(entry, Entry::Timed(_)) {
+                records.push(record);
+            }
+        }
+        records
+    })
 }
 
 /// Builds a query API mix: the named endpoints get the given absolute

@@ -4,7 +4,7 @@
 use deeprest_metrics::{MetricKey, ResourceKind};
 use deeprest_workload::{ApiTraffic, TrafficShape};
 
-use crate::{report, Args, ExpCtx};
+use crate::{report, ExpCtx};
 
 /// The two spotlight resources of Figs. 10/11/18.
 pub(crate) fn spotlight_keys() -> [MetricKey; 2] {
@@ -16,9 +16,8 @@ pub(crate) fn spotlight_keys() -> [MetricKey; 2] {
 
 /// Runs one qualitative comparison: prints the query traffic, then per
 /// spotlight resource the actual curve, each estimator's curve, and the
-/// MAPE table; dumps everything as JSON.
-pub(crate) fn run_query(args: &Args, ctx: &ExpCtx, id: &str, title: &str, traffic: &ApiTraffic) {
-    report::banner(id, title);
+/// MAPE table; returns everything as the record's results.
+pub(crate) fn run_query(ctx: &ExpCtx, traffic: &ApiTraffic) -> serde_json::Value {
     println!("  query traffic ({} windows):", traffic.window_count());
     for api in ["/composePost", "/readUserTimeline", "/uploadMedia"] {
         if traffic.api_index(api).is_some() {
@@ -31,7 +30,7 @@ pub(crate) fn run_query(args: &Args, ctx: &ExpCtx, id: &str, title: &str, traffi
     let initials = ctx.initials_from(&truth);
     let estimates = ctx
         .estimators
-        .estimate_traffic(traffic, &initials, args.seed ^ 0x51);
+        .estimate_traffic(traffic, &initials, ctx.args.seed ^ 0x51);
 
     let mut json = serde_json::Map::new();
     for key in spotlight_keys() {
@@ -56,7 +55,7 @@ pub(crate) fn run_query(args: &Args, ctx: &ExpCtx, id: &str, title: &str, traffi
             }),
         );
     }
-    report::dump_json(&args.out, id, title, &json);
+    serde_json::Value::Object(json)
 }
 
 /// Builds a one-day query with the given mix/scale/shape on top of the

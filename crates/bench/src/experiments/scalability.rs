@@ -16,15 +16,10 @@ use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::{Interner, SpanNode, Trace};
 
-use crate::{report, Args};
+use crate::Args;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    report::banner(
-        "scalability",
-        "model size, training and inference cost (§6)",
-    );
-
+pub(crate) fn run(args: &Args) -> serde_json::Value {
     // Synthetic single-component dataset with a controllable feature count:
     // `dim` distinct operations = `dim` invocation paths.
     let build = |dim: usize, windows: usize| -> (Interner, WindowedTraces, MetricsRegistry) {
@@ -115,15 +110,10 @@ pub(crate) fn run(args: &Args) {
         "    (scalar CPU backend: cost grows with dim; the paper's sublinearity is a GPU effect)"
     );
 
-    report::dump_json(
-        &args.out,
-        "scalability",
-        "model size / training / inference scaling",
-        &serde_json::json!({
-            "per_expert_kb": model.model_size_bytes() as f64 / rep.expert_count as f64 / 1000.0,
-            "train_seconds_per_expert": rep.train_seconds / rep.expert_count as f64,
-            "inference_ms_per_expert_day": infer_ms / rep.expert_count as f64,
-            "dim_scaling": json_dims,
-        }),
-    );
+    serde_json::json!({
+        "per_expert_kb": model.model_size_bytes() as f64 / rep.expert_count as f64 / 1000.0,
+        "train_seconds_per_expert": rep.train_seconds / rep.expert_count as f64,
+        "inference_ms_per_expert_day": infer_ms / rep.expert_count as f64,
+        "dim_scaling": json_dims,
+    })
 }

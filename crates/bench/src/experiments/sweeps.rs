@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use deeprest_metrics::{MetricKey, ResourceKind};
 use deeprest_workload::ApiTraffic;
 
-use crate::{report, Args, ExpCtx};
+use crate::{report, ExpCtx};
 
 /// The four components of Figs. 14-16.
 pub(crate) const SWEEP_COMPONENTS: [&str; 4] = [
@@ -29,16 +29,9 @@ pub(crate) struct Setting {
     pub queries: Vec<ApiTraffic>,
 }
 
-/// Runs a sweep (possibly against a context trained on a non-default shape)
-/// and prints worst-case CPU MAPE tables.
-pub(crate) fn run_cpu_sweep(
-    args: &Args,
-    ctx: &ExpCtx,
-    id: &str,
-    title: &str,
-    settings: &[Setting],
-) {
-    report::banner(id, title);
+/// Runs a sweep (possibly against a context trained on a non-default shape),
+/// prints worst-case CPU MAPE tables and returns them.
+pub(crate) fn run_cpu_sweep(ctx: &ExpCtx, settings: &[Setting]) -> serde_json::Value {
     let mut json = Vec::new();
 
     for setting in settings {
@@ -53,7 +46,7 @@ pub(crate) fn run_cpu_sweep(
                 let estimates = ctx.estimators.estimate_traffic(
                     traffic,
                     &initials,
-                    args.seed ^ (rep as u64 + 0x1400),
+                    ctx.args.seed ^ (rep as u64 + 0x1400),
                 );
                 let mut rows = Vec::new();
                 for comp in SWEEP_COMPONENTS {
@@ -84,5 +77,5 @@ pub(crate) fn run_cpu_sweep(
             "worst_case_cpu_mape": worst,
         }));
     }
-    report::dump_json(&args.out, id, title, &json);
+    serde_json::Value::Array(json)
 }

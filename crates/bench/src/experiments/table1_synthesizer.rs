@@ -12,11 +12,10 @@ use deeprest_sim::engine::{simulate, SimConfig};
 use deeprest_workload::{ApiTraffic, TrafficShape, WorkloadSpec};
 
 use super::mix_with;
-use crate::{report, Args};
+use crate::Args;
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    report::banner("table1", "trace synthesizer quality (six query settings)");
+pub(crate) fn run(args: &Args) -> serde_json::Value {
     let app = apps::social_network();
     let sim_cfg = SimConfig::default().with_seed(args.seed ^ 0xa5a5);
 
@@ -114,7 +113,7 @@ pub(crate) fn run(args: &Args) {
         println!("  {label:<28} {accuracy:13.2}%");
         json.push(serde_json::json!({ "scenario": label, "accuracy_pct": accuracy }));
     }
-    report::dump_json(&args.out, "table1", "trace synthesizer quality", &json);
+    serde_json::Value::Array(json)
 }
 
 /// Sums consecutive `bucket`-sized groups of per-window count vectors.

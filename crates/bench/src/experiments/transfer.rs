@@ -11,15 +11,10 @@ use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, SimConfig};
 use deeprest_workload::WorkloadSpec;
 
-use crate::{filter_metrics, focus_scope, report, Args};
+use crate::{filter_metrics, focus_scope, Args};
 
 /// Runs the experiment.
-pub(crate) fn run(args: &Args) {
-    report::banner(
-        "transfer",
-        "transfer learning: social network -> hotel reservation warm start",
-    );
-
+pub(crate) fn run(args: &Args) -> serde_json::Value {
     // Source: social network focus model.
     let social = apps::social_network();
     let social_traffic = WorkloadSpec::new(args.users, social.default_mix())
@@ -110,13 +105,8 @@ pub(crate) fn run(args: &Args) {
             "difference is marginal at this budget — Adam adapts quickly from any init; see EXPERIMENTS.md"
         }
     );
-    report::dump_json(
-        &args.out,
-        "transfer",
-        "transfer learning warm start",
-        &serde_json::json!({
-            "cold_epoch_losses": cold.epoch_losses,
-            "warm_epoch_losses": warm.epoch_losses,
-        }),
-    );
+    serde_json::json!({
+        "cold_epoch_losses": cold.epoch_losses,
+        "warm_epoch_losses": warm.epoch_losses,
+    })
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use deeprest_baselines::{
     BaselineEstimator, ComponentAwareScaling, LearnData, QueryData, ResourceAwareDl, SimpleScaling,
 };
-use deeprest_core::{DeepRest, DeepRestConfig, OptimizerKind, TrainReport};
+use deeprest_core::{DeepRest, DeepRestConfig, OptimizerKind};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_sim::anomaly::Injector;
 use deeprest_sim::engine::{simulate, simulate_with, SimConfig, SimOutput};
@@ -46,8 +46,6 @@ pub(crate) fn filter_metrics(metrics: &MetricsRegistry, scope: &[MetricKey]) -> 
 pub(crate) struct EstimatorSet {
     /// The trained DeepRest model.
     pub deeprest: DeepRest,
-    /// Training diagnostics for DeepRest.
-    pub report: TrainReport,
     resrc_dl: ResourceAwareDl,
     simple: SimpleScaling,
     comp_aware: ComponentAwareScaling,
@@ -100,11 +98,25 @@ fn display_name(internal: &str) -> String {
     }
 }
 
+/// A learning phase: the application and the shape of its learning days.
+/// Each one the experiments read is trained once per run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Social network, two-peak days (the paper's default).
+    Social,
+    /// Social network, flat days (Fig. 16's "flat -> 2-peak" direction).
+    SocialFlat,
+    /// Hotel reservation, two-peak days (Fig. 17).
+    Hotel,
+}
+
 /// A fully prepared experiment: application, learning phase and trained
 /// estimators.
 pub(crate) struct ExpCtx {
     /// Experiment options.
     pub args: Args,
+    /// The learning phase this context trained on.
+    pub phase: Phase,
     /// The simulated application.
     pub app: AppSpec,
     /// Simulator configuration (derived from the master seed).
@@ -118,24 +130,14 @@ pub(crate) struct ExpCtx {
 }
 
 impl ExpCtx {
-    /// Prepares the social network experiment context (two-peak learning
-    /// traffic, the paper's default).
-    pub(crate) fn social(args: &Args) -> Self {
-        Self::build(apps::social_network(), args, TrafficShape::TwoPeak)
-    }
-
-    /// Prepares the social network context with a custom learning-phase
-    /// traffic shape (the Fig. 16 "flat → 2-peak" direction).
-    pub(crate) fn social_shaped(args: &Args, shape: TrafficShape) -> Self {
-        Self::build(apps::social_network(), args, shape)
-    }
-
-    /// Prepares the hotel reservation experiment context.
-    pub(crate) fn hotel(args: &Args) -> Self {
-        Self::build(apps::hotel_reservation(), args, TrafficShape::TwoPeak)
-    }
-
-    fn build(app: AppSpec, args: &Args, shape: TrafficShape) -> Self {
+    /// Simulates `phase`'s learning days and trains the four estimators on
+    /// them.
+    pub(crate) fn new(phase: Phase, args: &Args) -> Self {
+        let (app, shape) = match phase {
+            Phase::Social => (apps::social_network(), TrafficShape::TwoPeak),
+            Phase::SocialFlat => (apps::social_network(), TrafficShape::Flat),
+            Phase::Hotel => (apps::hotel_reservation(), TrafficShape::TwoPeak),
+        };
         let learn_traffic = WorkloadSpec::new(args.users, app.default_mix())
             .with_days(args.days)
             .with_windows_per_day(args.windows_per_day)
@@ -147,7 +149,7 @@ impl ExpCtx {
 
         let scope: Vec<MetricKey> = if args.full {
             learn.metrics.keys().cloned().collect()
-        } else if app.name == "hotel-reservation" {
+        } else if phase == Phase::Hotel {
             hotel_focus_scope(&app)
         } else {
             focus_scope(&app)
@@ -168,8 +170,7 @@ impl ExpCtx {
                 momentum: 0.0,
             });
         }
-        let (deeprest, report) =
-            DeepRest::fit(&learn.traces, &scoped_metrics, &learn.interner, config);
+        let (deeprest, _) = DeepRest::fit(&learn.traces, &scoped_metrics, &learn.interner, config);
 
         let learn_data = LearnData {
             traffic: &learn_traffic,
@@ -186,13 +187,13 @@ impl ExpCtx {
 
         Self {
             args: args.clone(),
+            phase,
             app,
             sim_cfg,
             learn,
             scope,
             estimators: EstimatorSet {
                 deeprest,
-                report,
                 resrc_dl,
                 simple,
                 comp_aware,

@@ -1,13 +1,15 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§5-§6).
 //!
-//! Each figure/table is an id of `deeprest experiment <id>` (the table in
-//! [`experiments`]; see DESIGN.md's per-experiment index). All experiments
-//! share this harness: it builds the
-//! simulated application, generates the 7-day application-learning workload
-//! (Fig. 9), trains DeepRest and the three baselines, runs queries through
-//! all four estimators uniformly, and prints paper-style rows plus ASCII
-//! sparkline "figures". Every id accepts:
+//! Each figure/table is an id of `deeprest experiment <id>`, and
+//! [`experiments`] holds the table of ids. An experiment module exposes one
+//! entry function that returns its record's results; the one runner
+//! ([`experiments::run`]) builds the learning phase the entry names (the
+//! simulated application, its learning days and the four trained
+//! estimators of an `ExpCtx`), prints the banner and writes
+//! `<out>/<id>.json`. `all` runs every id and also writes
+//! `<out>/EXPERIMENTS.json`, the record CI checks the committed copy
+//! against. Every id accepts:
 //!
 //! ```text
 //! --seed N             master seed                        (default 17)
@@ -36,4 +38,4 @@ pub(crate) mod harness;
 pub(crate) mod report;
 
 pub use args::Args;
-pub(crate) use harness::{filter_metrics, focus_scope, ExpCtx};
+pub(crate) use harness::{filter_metrics, focus_scope, ExpCtx, Phase};

@@ -1,7 +1,6 @@
 //! Terminal and JSON reporting for the experiments.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 
 use deeprest_metrics::TimeSeries;
@@ -41,35 +40,42 @@ pub(crate) fn mape_rows(target: &str, rows: &[(String, f64)]) {
 
 /// A ready-to-serialize experiment record.
 #[derive(serde::Serialize)]
-pub(crate) struct ExperimentRecord<'a, T: serde::Serialize> {
+struct ExperimentRecord<'a, T: serde::Serialize> {
     /// Experiment id, e.g. `fig14`.
-    pub id: &'a str,
+    id: &'a str,
     /// Human title.
-    pub title: &'a str,
+    title: &'a str,
     /// Arbitrary result payload.
-    pub results: T,
+    results: T,
 }
 
-/// Writes an experiment record as pretty JSON under `out_dir/<id>.json`.
-///
-/// Failures are reported to stderr but never abort the experiment (results
-/// were already printed).
-pub(crate) fn dump_json<T: serde::Serialize>(out_dir: &str, id: &str, title: &str, results: &T) {
+/// Writes an experiment record as pretty JSON under `out_dir/<id>.json`
+/// and returns it as one line of compact JSON.
+pub(crate) fn dump_json<T: serde::Serialize>(
+    out_dir: &str,
+    id: &str,
+    title: &str,
+    results: &T,
+) -> String {
     let record = ExperimentRecord { id, title, results };
-    let path = Path::new(out_dir).join(format!("{id}.json"));
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(out_dir)?;
-        let mut f = std::fs::File::create(&path)?;
-        let json = serde_json::to_string_pretty(&record).map_err(std::io::Error::other)?;
-        f.write_all(json.as_bytes())
-    };
-    match write() {
-        Ok(()) => {
-            deeprest_telemetry::counter("bench.figure_dumps", 1);
-            println!("  [results written to {}]", path.display());
-        }
+    let pretty = serde_json::to_string_pretty(&record).expect("JSON rendering is infallible");
+    if write(out_dir, &format!("{id}.json"), &pretty) {
+        deeprest_telemetry::counter("bench.figure_dumps", 1);
+    }
+    serde_json::to_string(&record).expect("JSON rendering is infallible")
+}
+
+/// Writes `text` to `out_dir/name` and reports where, returning whether it
+/// succeeded. A failure is reported to stderr but never aborts the run
+/// (results were already printed).
+pub(crate) fn write(out_dir: &str, name: &str, text: &str) -> bool {
+    let path = Path::new(out_dir).join(name);
+    let written = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, text));
+    match &written {
+        Ok(()) => println!("  [results written to {}]", path.display()),
         Err(e) => eprintln!("  [warning: could not write {}: {e}]", path.display()),
     }
+    written.is_ok()
 }
 
 /// Renders a grid of MAPE values as the Fig. 12-style heatmap, one row per

@@ -57,7 +57,8 @@ pub struct DeepRestConfig {
     /// saturating gates cap what pure Eq. 4 can emit beyond the training
     /// range; the skip restores the mostly-linear count→utilization
     /// relationship so unseen-scale queries (2x/3x users, Fig. 14)
-    /// extrapolate. Ablatable via `ablate_skip` in the bench crate.
+    /// extrapolate. `deeprest experiment ablations` switches it off in its
+    /// "- linear skip path" variant.
     pub linear_skip: bool,
     /// L1 pressure on the sigmoid mask weights. A small value lets the
     /// optimizer suppress invocation paths irrelevant to a resource, which
