@@ -1,6 +1,6 @@
 //! Adaptive-pipeline configuration.
 
-use deeprest_core::adapt::UpdateConfig;
+use deeprest_core::train::UpdateConfig;
 use deeprest_serve::ServeConfig;
 use serde::{Deserialize, Serialize};
 

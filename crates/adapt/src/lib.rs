@@ -13,14 +13,15 @@
 //!   quarantine, causal sanity alerts, sink delivery); it seals every
 //!   `segment_len` served-and-observed windows into a `(features,
 //!   targets)` training segment from the observations the scoring stage
-//!   looked up;
+//!   scored (increments of a cumulative resource, as the experts learn
+//!   them);
 //! * **detect** — a per-expert CUSUM on raw δ-interval coverage misses
 //!   (`DriftDetector`) flags drifting experts windows before the sanity
 //!   check would alert;
 //! * **adapt** — on a segment-counted cadence (escalated under drift
 //!   watch) a fresh segment plus a seeded deterministic replay sample
 //!   ([`ReplayBuffer`]) is folded into the live model through the analytic
-//!   training engine ([`deeprest_core::adapt::OnlineUpdater`]) — one
+//!   training engine ([`deeprest_core::train::OnlineUpdater`]) — one
 //!   momentum-free SGD step, bit-identical across thread counts, rolled
 //!   back bit-for-bit on any fault;
 //! * **recalibrate** — an online conformal scaler (`Calibrator`) widens

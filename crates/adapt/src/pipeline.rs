@@ -10,9 +10,10 @@
 //! the model as it is then. The adapter adds only what is adaptive: it
 //! widens the raw intervals by the conformal scale before scoring, feeds
 //! drift and calibration statistics and stages `(features, targets)`
-//! segments from what the scoring stage observed, and on a fixed cadence
-//! folds them (mixed with deterministic replay samples) back into the
-//! model through [`OnlineUpdater`].
+//! segments from what the scoring stage scored (already in the experts'
+//! output space: [`WindowStages::observed`]), and on a fixed cadence folds
+//! them (mixed with deterministic replay samples) back into the model
+//! through `deeprest_core::train`'s [`OnlineUpdater`].
 //!
 //! [`AdaptivePipeline`] is a `Pipeline<Adapter>` with the constructor that
 //! hands it the model, the typed [`AdaptiveCheckpoint`], and three
@@ -69,8 +70,8 @@
 
 use std::ops::{Deref, DerefMut};
 
-use deeprest_core::adapt::{OnlineUpdater, TrainSegment, UpdateError, UpdateStats};
 use deeprest_core::stream::{CarriedState, PointEstimate, StreamSnapshot};
+use deeprest_core::train::{OnlineUpdater, TrainSegment, UpdateError, UpdateStats};
 use deeprest_core::DeepRest;
 use deeprest_metrics::MetricsRegistry;
 use deeprest_serve::{Checkpoint, Driver, Pipeline, ServeError, WindowOutput, WindowStages};
@@ -158,9 +159,6 @@ pub struct Staging {
     /// Whether every expert was observed in every window of the current
     /// segment so far (incomplete segments are dropped, not trained on).
     pub cur_observed: bool,
-    /// Last raw observation per expert (delta-encoding base); `None`
-    /// until first observed.
-    pub prev_actual: Vec<Option<f64>>,
     /// Total segments sealed (complete or dropped).
     pub segments_sealed: u64,
     /// Complete segments sealed since the last update attempt.
@@ -186,7 +184,6 @@ impl Staging {
             cur_len: 0,
             cur_start: 0,
             cur_observed: true,
-            prev_actual: vec![None; experts],
             segments_sealed: 0,
             segments_since_update: 0,
             updates_run: 0,
@@ -387,18 +384,18 @@ impl Adapter {
     /// segment included.
     fn restore(&mut self, state: AdapterState) -> Result<(), String> {
         let config = self.config;
-        let shape = |s: &Staging| (s.cur_xs.len(), s.cur_targets.len(), s.prev_actual.len());
-        let (got, want) = (shape(&state.staging), shape(&self.staging));
-        if got != want || state.staging.cur_len >= config.update.segment_len {
+        let shape = |xs: &[f32], targets: &[f32]| (xs.len(), targets.len());
+        let segment = shape(&self.staging.cur_xs, &self.staging.cur_targets);
+        let got = shape(&state.staging.cur_xs, &state.staging.cur_targets);
+        if got != segment || state.staging.cur_len >= config.update.segment_len {
             return Err(format!(
-                "current segment (xs, targets, prev) = {got:?} at {} windows does not match \
-                 geometry {want:?} of {}-window segments",
+                "current segment (xs, targets) = {got:?} at {} windows does not match \
+                 geometry {segment:?} of {}-window segments",
                 state.staging.cur_len, config.update.segment_len
             ));
         }
-        let segment = (want.0, want.1);
         for (i, s) in state.replay.iter().enumerate() {
-            let got = (s.xs.len(), s.targets.len());
+            let got = shape(&s.xs, &s.targets);
             if got != segment {
                 return Err(format!(
                     "replay segment {i} (xs, targets) = {got:?} does not match geometry {segment:?}"
@@ -531,29 +528,21 @@ impl Driver for Adapter {
         if st.cur_len < seg_len {
             st.cur_xs[st.cur_len * dim..(st.cur_len + 1) * dim].copy_from_slice(&x);
         }
+        // The scorer's observations are in the experts' output space
+        // already (increments of a cumulative resource).
         for (e, observed) in stages.observed().iter().enumerate() {
-            let Some(actual) = *observed else {
+            let Some(observed) = *observed else {
                 st.cur_observed = false;
                 continue;
             };
-            // Cumulative resources are estimated as increments: put the
-            // observation into the experts' output space before scoring
-            // interval coverage (mirrors the sanity scorer's encoding).
-            let prev = st.prev_actual[e].unwrap_or(actual);
-            let in_space = if stages.is_delta()[e] {
-                (actual - prev).max(0.0)
-            } else {
-                actual
-            };
-            let covered = self.calib.observe_raw(e, in_space, &raw[e]);
+            let covered = self.calib.observe_raw(e, observed, &raw[e]);
             let was = self.drift.watching(e);
             let watching = self.drift.observe(e, covered);
             if watching && !was && telemetry::enabled() {
                 telemetry::counter("adapt.drift.watch", 1);
             }
             let t = st.cur_len.min(seg_len - 1);
-            st.cur_targets[e * seg_len + t] = self.model.normalize_target(e, actual, prev);
-            st.prev_actual[e] = Some(actual);
+            st.cur_targets[e * seg_len + t] = self.model.encode_target(e, observed);
         }
 
         // Adapt: seal the segment when full; on the cadence, fold replay

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// One sealed training subsequence: `segment_len` consecutive windows of
 /// features plus per-expert normalized targets, both flat, in the layout
-/// [`deeprest_core::adapt::TrainSegment`] borrows.
+/// [`deeprest_core::train::TrainSegment`] borrows.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Segment {
     /// Stream index of the segment's first window.

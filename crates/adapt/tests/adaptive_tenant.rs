@@ -9,7 +9,7 @@
 //!   registry built the same way, the run continues bit-identically to the
 //!   uninterrupted one, the resume included.
 //!
-//! The CI overload-smoke job runs this suite at `DEEPREST_THREADS` 1 and 4.
+//! CI's smoke command table runs this suite at `DEEPREST_THREADS` 1 and 4.
 
 mod common;
 

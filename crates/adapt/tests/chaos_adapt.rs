@@ -27,7 +27,7 @@ use common::{
     parameter_values, run_adaptive, stream_of, trained,
 };
 use deeprest_adapt::AdaptivePipeline;
-use deeprest_core::adapt::UpdateError;
+use deeprest_core::train::UpdateError;
 use deeprest_core::DeepRest;
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::MetricsRegistry;

@@ -5,16 +5,17 @@
 //! * a mid-adaptation checkpoint/restore (mid-segment between updates, or
 //!   right behind one) resumes bit-identically to the uninterrupted run;
 //! * an adaptive checkpoint survives `CheckpointStore`'s framed,
-//!   CRC-checked persistence unchanged.
+//!   CRC-checked persistence unchanged, and one with a retired key loads.
 
 mod common;
 
 use common::{
     adapt_config, assert_outputs_bitwise_equal, assert_params_bitwise_equal, clone_model,
-    dataset_with_drift, parameter_values, run_adaptive, stream_of, train_config, trained,
+    dataset_with_drift, load, parameter_values, run_adaptive, stream_of, train_config, trained,
 };
 use deeprest_adapt::{AdaptiveCheckpoint, AdaptivePipeline};
 use deeprest_core::DeepRest;
+use deeprest_metrics::{MetricKey, ResourceKind, TimeSeries};
 use deeprest_serve::{CheckpointStore, Driver};
 
 #[test]
@@ -197,6 +198,73 @@ fn misshapen_segments_are_refused_at_restore() {
     let mut full = intact;
     full.adapter.staging.cur_len = config.update.segment_len;
     refused(full, "current segment");
+}
+
+/// Before the adapter read its observations from the scoring stage, its
+/// checkpoints carried a second copy of every expert's last raw observation
+/// as `staging.prev_actual`. Such a checkpoint still loads, resumes to the
+/// outputs and parameters of the uninterrupted run, and is written back
+/// without the key.
+#[test]
+fn checkpoints_with_the_retired_prev_actual_key_still_load() {
+    let windows = 48;
+    let (interner, traces, mut metrics) = dataset_with_drift(windows, 16, 16, 0.4);
+    // A cumulative resource, trained and scored on its increments: the
+    // series the retired key was the base of. It drops once (a reset).
+    let mut disk = 100.0;
+    let disk = (0..windows).map(|t| {
+        disk += if t == 30 { -5.0 } else { 0.1 * load(t) as f64 };
+        disk
+    });
+    let key = MetricKey::new("Frontend", ResourceKind::DiskUsage);
+    metrics.insert(key, disk.collect::<TimeSeries>());
+    let (model, _) = DeepRest::fit(&traces, &metrics, &interner, train_config());
+    let stream = stream_of(&traces);
+    let config = adapt_config();
+    let (reference, expected) =
+        run_adaptive(clone_model(&model), &interner, &metrics, &stream, config);
+
+    let cut = stream.len() * 2 / 3;
+    let mut first = AdaptivePipeline::new(clone_model(&model), &interner, metrics.clone(), config);
+    let mut outputs = Vec::new();
+    for t in &stream[..cut] {
+        outputs.extend(first.ingest(t.clone()).expect("ingest"));
+    }
+    assert!(
+        first.updates_run() >= 1,
+        "the cut must land after an update"
+    );
+    let json = first.checkpoint().to_json().expect("serialize checkpoint");
+
+    // What the previous release wrote: the last scored window's raw
+    // observation per expert, between `cur_observed` and `segments_sealed`.
+    let last = outputs.last().expect("scored windows").window;
+    let observed: Vec<String> = first
+        .keys()
+        .iter()
+        .map(|k| serde_json::to_string(&metrics.get(k).expect("series").get(last)).unwrap())
+        .collect();
+    let retired = format!(r#""prev_actual":[{}],"#, observed.join(","));
+    assert_eq!(json.matches(r#","segments_sealed":"#).count(), 1);
+    let old = json.replace(
+        r#","segments_sealed":"#,
+        &format!(r#",{retired}"segments_sealed":"#),
+    );
+    let loaded = AdaptiveCheckpoint::from_json(&old).expect("the retired key is ignored");
+    assert_eq!(loaded.to_json().expect("re-serialize"), json);
+    drop(first);
+
+    let mut resumed =
+        AdaptivePipeline::restore(&interner, metrics.clone(), config, loaded).expect("restore");
+    for t in &stream[cut..] {
+        outputs.extend(resumed.ingest(t.clone()).expect("resumed ingest"));
+    }
+    outputs.extend(resumed.flush().expect("resumed flush"));
+    assert_outputs_bitwise_equal(&outputs, &expected);
+    assert_params_bitwise_equal(
+        &parameter_values(resumed.model()),
+        &parameter_values(reference.model()),
+    );
 }
 
 /// Overload rung 2 across a checkpoint: updates are suspended through at

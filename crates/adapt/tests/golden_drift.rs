@@ -235,7 +235,7 @@ fn gradual_drift_frozen_degrades_adaptive_stays_calibrated() {
     );
 
     // Pin the whole summary: any bit drift in the trajectory shows up here
-    // (the CI drift-smoke job re-runs this under 1 and 4 worker threads).
+    // (CI's smoke command table re-runs this at 1, 2 and 4 worker threads).
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")

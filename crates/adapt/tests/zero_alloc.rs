@@ -9,7 +9,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{clone_model, trained};
-use deeprest_core::adapt::{OnlineUpdater, TrainSegment, UpdateConfig};
+use deeprest_core::train::{OnlineUpdater, TrainSegment, UpdateConfig};
 use deeprest_telemetry::{self as telemetry, MemorySink};
 
 /// Builds deterministic staged segments straight from the fixture's

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deeprest_adapt::{AdaptConfig, AdaptivePipeline};
-use deeprest_core::adapt::{OnlineUpdater, TrainSegment, UpdateConfig};
+use deeprest_core::train::{OnlineUpdater, TrainSegment, UpdateConfig};
 use deeprest_core::{DeepRest, DeepRestConfig, FeatureSpace, TraceSynthesizer};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};

@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_fault::{self as fault, FaultPlan};
-use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
+use deeprest_metrics::{increments, MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_serve::{
     batch_reference, replay, CheckpointStore, Frozen, OverflowPolicy, OverloadConfig, Pipeline,
     SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
@@ -361,31 +361,25 @@ fn print_calibration(session: &Session, outputs: &[WindowOutput]) {
     let (mut actual, mut lower, mut upper) = (Vec::new(), Vec::new(), Vec::new());
     for (e, key) in keys.iter().enumerate() {
         // Cumulative resources are estimated as per-window increments, so
-        // their observations are delta-encoded before comparison (first
-        // increment zero) — the output-space encoding the scorer uses.
-        let is_delta = session.model.expert_is_delta(key).unwrap_or(false);
+        // their observations are compared as increments (first increment
+        // zero) — the output-space encoding the scorer uses.
+        let Some(series) = registry.get(key) else {
+            continue;
+        };
+        let observed = match session.model.expert_is_delta(key).unwrap_or(false) {
+            true => increments(series.values()),
+            false => series.values().to_vec(),
+        };
         let (mut a, mut lo, mut up) = (Vec::new(), Vec::new(), Vec::new());
         for out in outputs {
-            let Some(series) = registry.get(key) else {
+            let Some(&v) = observed.get(out.window) else {
                 continue;
             };
-            if out.window >= series.len() {
-                continue;
-            }
             let p = &out.estimates[e];
             if !(p.lower.is_finite() && p.upper.is_finite()) {
                 continue;
             }
-            let v = series.get(out.window);
-            a.push(if is_delta {
-                if out.window == 0 {
-                    0.0
-                } else {
-                    (v - series.get(out.window - 1)).max(0.0)
-                }
-            } else {
-                v
-            });
+            a.push(v);
             lo.push(p.lower);
             up.push(p.upper);
         }

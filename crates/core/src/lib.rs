@@ -19,7 +19,16 @@
 //!   per resource, each an API-aware sigmoid mask over path features, a GRU
 //!   recurrent core, cross-component attention over the other experts'
 //!   hidden states, and a three-quantile head trained with pinball loss
-//!   (§4.3, δ-confidence intervals).
+//!   (§4.3, δ-confidence intervals). Cumulative resources (disk usage) are
+//!   learned and estimated as per-window increments.
+//! * [`train`] — every writer of the parameters: [`DeepRest::fit`],
+//!   [`DeepRest::fit_transferred`], [`DeepRest::fit_incremental`] and the
+//!   online update step [`train::OnlineUpdater`] that the continual-learning
+//!   loop (`deeprest-adapt`) drives. One batch step and one target encoding
+//!   serve them all.
+//! * The queries — [`DeepRest::estimate_from_traces`] (Mode 2),
+//!   [`DeepRest::estimate_traffic`] (Mode 1) and
+//!   [`DeepRest::estimate_what_if`] — return [`Estimates`].
 //! * [`stream`] — stepwise (streaming) inference: a [`stream::StreamPredictor`]
 //!   carries per-expert GRU hidden state across windows so online serving
 //!   costs one GRU step + attention + head per window. It is the crate's
@@ -42,18 +51,23 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod adapt;
 mod config;
+#[cfg(test)]
 mod estimator;
 mod features;
 pub mod interpret;
+mod model;
 #[cfg(test)]
 mod oracle;
+mod query;
 pub mod sanity;
 pub mod stream;
 mod synthesizer;
+pub mod train;
 
 pub use config::{DeepRestConfig, OptimizerKind};
-pub use estimator::{DeepRest, Estimates, ExpertKey, PhaseSeconds, PredictedSeries, TrainReport};
 pub use features::FeatureSpace;
+pub use model::{DeepRest, ExpertKey};
+pub use query::{Estimates, PredictedSeries};
 pub use synthesizer::TraceSynthesizer;
+pub use train::{PhaseSeconds, TrainReport};

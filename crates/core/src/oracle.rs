@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 
 use deeprest_metrics::{MetricsRegistry, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{Adam, Sgd};
 use deeprest_tape::{BoundGruCell, BoundLinear, GradBuffer, Graph, Var};
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::Tensor;
@@ -30,11 +29,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::{DeepRest, DeepRestConfig, Estimates, OptimizerKind, PredictedSeries};
-
-/// Per-epoch mean losses plus the per-expert split, as `TrainReport` and
-/// `fit_incremental` report them.
-type Losses = (Vec<f32>, BTreeMap<String, Vec<f32>>);
+use crate::train::{Losses, Optimizer};
+use crate::{DeepRest, DeepRestConfig, Estimates, PredictedSeries};
 
 impl DeepRest {
     /// [`DeepRest::fit`] with the tape as the training engine: the same
@@ -76,12 +72,7 @@ impl DeepRest {
     /// batch position owns a persistent [`JobSlot`] whose [`GradBuffer`] is
     /// reused every batch; the buffers are folded into the shared store in
     /// subsequence order, so training is bit-identical at any thread count.
-    fn train_tape(
-        &mut self,
-        xs: &[Vec<f32>],
-        targets: &[Vec<f32>],
-        epochs: usize,
-    ) -> (Vec<f32>, BTreeMap<String, Vec<f32>>) {
+    fn train_tape(&mut self, xs: &[Vec<f32>], targets: &[Vec<f32>], epochs: usize) -> Losses {
         let t = xs.len();
         let len = self.config.subseq_len.max(2);
         let starts: Vec<usize> = (0..t).step_by(len).collect();
@@ -89,22 +80,7 @@ impl DeepRest {
         let pool = self.pool();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e37_79b9);
 
-        let mut sgd;
-        let mut adam;
-        enum Opt<'a> {
-            S(&'a mut Sgd),
-            A(&'a mut Adam),
-        }
-        let mut opt = match self.config.optimizer {
-            OptimizerKind::Sgd { lr, momentum } => {
-                sgd = Sgd::new(lr, momentum);
-                Opt::S(&mut sgd)
-            }
-            OptimizerKind::Adam { lr } => {
-                adam = Adam::new(lr);
-                Opt::A(&mut adam)
-            }
-        };
+        let mut opt = Optimizer::new(self.config.optimizer);
 
         let xs_tensors: Vec<Tensor> = xs.iter().map(|x| Tensor::vector(x.clone())).collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
@@ -187,10 +163,7 @@ impl DeepRest {
                     }
                 }
                 self.store.clip_grad_norm(self.config.grad_clip);
-                match &mut opt {
-                    Opt::S(o) => o.step_with(&mut self.store, &pool),
-                    Opt::A(o) => o.step_with(&mut self.store, &pool),
-                }
+                opt.step_with(&mut self.store, &pool);
             }
             epoch_losses.push(epoch_loss / epoch_terms.max(1) as f32);
             // Each training step contributes exactly one pinball term per

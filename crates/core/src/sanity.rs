@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use deeprest_metrics::eval::{anomalous_ranges, interval_deviation};
-use deeprest_metrics::{MetricKey, MetricsRegistry, TimeSeries};
+use deeprest_metrics::{increments, MetricKey, MetricsRegistry, TimeSeries};
 use deeprest_trace::window::WindowedTraces;
 use serde::{Deserialize, Serialize};
 
@@ -135,7 +135,7 @@ pub fn check(
         // Cumulative resources are compared on per-window increments, where
         // anomalies show up without integration drift.
         let observed: TimeSeries = if pred.is_delta {
-            delta_series(series)
+            TimeSeries::from_values(increments(series.values()))
         } else {
             series.clone()
         };
@@ -220,19 +220,6 @@ fn merge(acc: &mut Option<TimeSeries>, dev: &TimeSeries) {
         Some(s) => *s = s.add(dev),
         None => *acc = Some(dev.clone()),
     }
-}
-
-fn delta_series(series: &TimeSeries) -> TimeSeries {
-    let mut prev = series.values().first().copied().unwrap_or(0.0);
-    series
-        .values()
-        .iter()
-        .map(|&v| {
-            let d = (v - prev).max(0.0);
-            prev = v;
-            d
-        })
-        .collect()
 }
 
 #[cfg(test)]

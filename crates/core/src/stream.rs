@@ -82,8 +82,8 @@ use serde::{Deserialize, Serialize};
 /// decoder.
 pub use deeprest_tensor::pool::panic_message;
 
-use crate::estimator::Expert;
 use crate::features::translating;
+use crate::model::Expert;
 use crate::DeepRest;
 
 /// One window's `(expected, lower, upper)` estimate for one expert, after

@@ -21,6 +21,6 @@ mod scaler;
 mod series;
 
 pub use registry::{MetricKey, MetricsRegistry};
-pub use resource::ResourceKind;
+pub use resource::{increment, increments, ResourceKind};
 pub use scaler::MinMaxScaler;
 pub use series::TimeSeries;

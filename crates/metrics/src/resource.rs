@@ -82,6 +82,23 @@ impl ResourceKind {
     }
 }
 
+/// The increment of a cumulative resource's `value` over the last value
+/// seen, which `last` then becomes: the online form of [`increments`].
+/// Disk usage only grows, so its experts learn and are scored on
+/// per-window increments. A drop (a counter reset) counts as 0, and so does
+/// the first window (`last` is `None`).
+pub fn increment(last: &mut Option<f64>, value: f64) -> f64 {
+    let prev = last.replace(value).unwrap_or(value);
+    (value - prev).max(0.0)
+}
+
+/// The per-window increments of a cumulative series: [`increment`] stepped
+/// over `values` from a first window with no predecessor.
+pub fn increments(values: &[f64]) -> Vec<f64> {
+    let mut last = None;
+    values.iter().map(|&v| increment(&mut last, v)).collect()
+}
+
 impl std::fmt::Display for ResourceKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -118,6 +135,47 @@ mod tests {
         for kind in ResourceKind::ALL {
             assert_eq!(kind.cumulative(), kind == ResourceKind::DiskUsage);
         }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Pins the rule the estimator, the batch and online sanity checks, the
+    /// adapter and the serving CLI each wrote out before: window `t`'s
+    /// increment is `max(v[t] - v[t - 1], 0)`, and window 0's is
+    /// `max(v[0] - v[0], 0)`. `f64::max` may return either zero for a
+    /// `-0.0` difference, so the reference applies the same operations in
+    /// their indexed form rather than expecting literal bits.
+    #[test]
+    fn increments_follow_the_indexed_rule_bit_for_bit() {
+        let indexed = |values: &[f64]| -> Vec<f64> {
+            let diff = |t: usize| values[t] - values[t.saturating_sub(1)];
+            (0..values.len()).map(|t| f64::max(diff(t), 0.0)).collect()
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let cases: [&[f64]; 9] = [
+            &[],
+            &[7.5],
+            &[-3.0],
+            &[1.0, 4.0, 2.5, 2.5, 9.0],
+            &[10.0, 12.0, 0.0, 1.0],
+            &[0.0, -0.0, 0.0, -0.0, -0.0],
+            &[-0.0, 1.0, nan, 2.0, nan, nan],
+            &[nan, 3.0, 5.0],
+            &[inf, inf, -inf, 1.0, -inf, inf, 2.0],
+        ];
+        for values in cases {
+            let series = increments(values);
+            assert_eq!(bits(&series), bits(&indexed(values)), "{values:?}");
+            let mut last = None;
+            let stepped: Vec<f64> = values.iter().map(|&v| increment(&mut last, v)).collect();
+            assert_eq!(bits(&stepped), bits(&series), "{values:?}");
+            assert_eq!(last.map(f64::to_bits), values.last().map(|v| v.to_bits()));
+        }
+        // A counter reset counts as no growth; the first window has none.
+        assert_eq!(increments(&[10.0, 12.0, 0.0, 1.0]), [0.0, 2.0, 0.0, 1.0]);
+        assert_eq!(increments(&[f64::NAN, 3.0, 5.0]), [0.0, 0.0, 2.0]);
     }
 
     #[test]

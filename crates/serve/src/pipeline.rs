@@ -174,7 +174,7 @@ pub struct WindowStages {
     /// Experts currently quarantined for non-finite outputs; cleared
     /// automatically when an expert's outputs are finite again.
     quarantined: Vec<bool>,
-    /// What the scoring stage looked up for the last scored window.
+    /// What the scoring stage scored for the last window, per expert.
     observed: Vec<Option<f64>>,
 }
 
@@ -205,14 +205,12 @@ impl WindowStages {
         }
     }
 
-    /// Per-expert flags (in [`Pipeline::keys`] order): whether the expert
-    /// estimates a cumulative resource as per-window increments.
-    pub fn is_delta(&self) -> &[bool] {
-        &self.is_delta
-    }
-
-    /// Per expert, what [`score`](Self::score) observed for the last window;
-    /// `None` where it scored nothing (quarantined, no measurement, no source).
+    /// Per expert, what [`score`](Self::score) scored for the last window,
+    /// in the expert's output space (the increment of a cumulative
+    /// resource; see [`ScoreOutcome::observed`]); `None` where it scored
+    /// nothing (quarantined, no measurement, no source).
+    ///
+    /// [`ScoreOutcome::observed`]: crate::sanity::ScoreOutcome::observed
     pub fn observed(&self) -> &[Option<f64>] {
         &self.observed
     }
@@ -382,18 +380,17 @@ impl WindowStages {
         if let Some(obs) = &mut self.observations {
             scores.reserve(self.keys.len());
             for (e, key) in self.keys.iter().enumerate() {
-                self.observed[e] = if self.quarantined[e] {
-                    None
-                } else {
-                    obs.observe(key, w.index)
+                let actual = match self.quarantined[e] {
+                    true => None,
+                    false => obs.observe(key, w.index),
                 };
-                let Some(actual) = self.observed[e] else {
+                let (sanity, is_delta) = (&mut self.sanity, self.is_delta[e]);
+                let outcome = actual.map(|a| sanity.observe(e, a, &estimates[e], is_delta));
+                self.observed[e] = outcome.map(|o| o.observed);
+                let Some(outcome) = outcome else {
                     scores.push(f64::NAN);
                     continue;
                 };
-                let outcome = self
-                    .sanity
-                    .observe(e, actual, &estimates[e], self.is_delta[e]);
                 scores.push(outcome.score);
                 if outcome.alerting {
                     let alert = Alert {

@@ -12,13 +12,15 @@
 //! * smoothing is a trailing mean over the last three raw scores instead
 //!   of the centered 3-window average.
 //!
-//! Everything else matches the batch path bit for bit: delta-encoding of
-//! cumulative resources, the squared normalized deviation, and the
-//! score-threshold / minimum-run-length event rule. The deviation from
-//! batch semantics is documented in DESIGN.md §9.
+//! Everything else matches the batch path bit for bit: cumulative
+//! resources scored on their increments, the squared normalized
+//! deviation, and the score-threshold / minimum-run-length event rule.
+//! DESIGN.md's serving section documents the deviation from batch
+//! semantics.
 
 use deeprest_core::sanity::SanityConfig;
 use deeprest_core::stream::PointEstimate;
+use deeprest_metrics::increment;
 use serde::{Deserialize, Serialize};
 
 /// How many trailing raw scores the causal smoother averages — the online
@@ -57,10 +59,14 @@ pub struct ScoreOutcome {
     /// Whether the score has been above threshold for at least the
     /// configured minimum run length — the "fire an alert now" signal.
     pub alerting: bool,
-    /// Percent deviation of the (delta-encoded) observation from the
+    /// Percent deviation of [`observed`](Self::observed) from the
     /// expected value in this window; `0.0` when the expected value is
     /// numerically zero.
     pub deviation_pct: f64,
+    /// The observation in the expert's output space, as it was scored: the
+    /// per-window increment ([`deeprest_metrics::increment`]) of a
+    /// cumulative resource, the raw value otherwise.
+    pub observed: f64,
 }
 
 /// Causal per-resource anomaly scorer.
@@ -98,11 +104,9 @@ impl OnlineSanity {
         let st = &mut self.state.keys[expert];
 
         // Cumulative resources: compare per-window increments, exactly as
-        // the batch path's delta_series (first increment is zero).
+        // the batch check does (first increment is zero).
         let a = if is_delta {
-            let prev = st.prev_actual.unwrap_or(actual);
-            st.prev_actual = Some(actual);
-            (actual - prev).max(0.0)
+            increment(&mut st.prev_actual, actual)
         } else {
             actual
         };
@@ -146,6 +150,7 @@ impl OnlineSanity {
             score,
             alerting,
             deviation_pct,
+            observed: a,
         }
     }
 

@@ -7,7 +7,7 @@
 //! Fault schedules come from the `deeprest-fault` crate and are fully
 //! deterministic, and each is armed on its test's own thread (and the
 //! chunks that thread fans out), so the cases run side by side. The CI
-//! chaos-smoke job re-runs this suite under a seed matrix via
+//! smoke command table re-runs this suite under a seed matrix via
 //! `DEEPREST_CHAOS_SEED`.
 
 mod common;
@@ -27,7 +27,7 @@ use deeprest_serve::{
 use deeprest_telemetry::{self as telemetry, MemorySink};
 use deeprest_trace::window::TimestampedTrace;
 
-/// Seed of the fault schedules; the CI chaos-smoke job sweeps a small
+/// Seed of the fault schedules; CI's smoke command table sweeps a small
 /// matrix through `DEEPREST_CHAOS_SEED`.
 fn chaos_seed() -> u64 {
     std::env::var("DEEPREST_CHAOS_SEED")

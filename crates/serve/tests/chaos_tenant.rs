@@ -5,7 +5,7 @@
 //! (never silent), and a mid-overload checkpoint must resume bit-exactly
 //! through the CRC-framed store.
 //!
-//! The CI overload-smoke job re-runs this suite under a seed matrix via
+//! CI's smoke command table re-runs this suite under a seed matrix via
 //! `DEEPREST_CHAOS_SEED` (the flood/stall schedules here use
 //! deterministic windows, so every seed must pass identically).
 
@@ -24,7 +24,7 @@ use deeprest_serve::{
 use deeprest_telemetry::{self as telemetry, MemorySink};
 use deeprest_trace::window::TimestampedTrace;
 
-/// Seed of the fault schedules; the CI overload-smoke job sweeps a small
+/// Seed of the fault schedules; CI's smoke command table sweeps a small
 /// matrix through `DEEPREST_CHAOS_SEED`.
 fn chaos_seed() -> u64 {
     std::env::var("DEEPREST_CHAOS_SEED")

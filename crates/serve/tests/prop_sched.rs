@@ -8,8 +8,8 @@
 //! * **purity** — a plan is a function of (queue contents, deficits,
 //!   round counter, config) and nothing else: two schedulers fed the same
 //!   inputs emit identical plans forever. This is the determinism
-//!   argument for `DEEPREST_THREADS` independence — the CI overload-smoke
-//!   job re-runs this suite under a thread matrix, and the pinned golden
+//!   argument for `DEEPREST_THREADS` independence — CI's smoke command
+//!   table re-runs this suite under a thread matrix, and the pinned golden
 //!   drain order below must come out identical under every setting;
 //! * **work conservation** — a plan never drains more than the budget,
 //!   never plans an arrival twice, and a stalled round conserves the
@@ -173,7 +173,7 @@ proptest! {
     }
 }
 
-/// The pinned golden drain order. The CI overload-smoke job re-runs this
+/// The pinned golden drain order. CI's smoke command table re-runs this
 /// exact test under `DEEPREST_THREADS=1` and `=4`; the scheduler never
 /// consults the thread count (or any ambient state), so the order must be
 /// this constant under every setting.

@@ -1,4 +1,4 @@
-//! Online continual learning under concept drift (§14 of DESIGN.md).
+//! Online continual learning under concept drift (§10 of DESIGN.md).
 //!
 //! The traffic stays healthy — the same periodic request load all day —
 //! but the resource cost *per request* slowly drifts away from the regime
