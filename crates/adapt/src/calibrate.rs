@@ -12,7 +12,7 @@
 //!
 //! (`r ≤ 0` inside the interval, `r = 1` a full half-width outside) and
 //! widens the *current* interval by the conformal order statistic of past
-//! scores: `scale = 1 + max(0, Q_δ(r))`, clamped to `max_scale`, applied
+//! scores: `scale = 1 + max(0, Q_δ(r))`, clamped to `MAX_SCALE`, applied
 //! asymmetrically around the expected value:
 //!
 //! ```text
@@ -25,7 +25,7 @@
 //! (window `t`'s scale uses only scores from windows `< t`).
 //!
 //! **Bitwise-identity contract**: while the ring holds fewer than
-//! `min_samples` scores, and whenever the computed scale is exactly `1.0`,
+//! `MIN_SAMPLES` scores, and whenever the computed scale is exactly `1.0`,
 //! [`Calibrator::apply`] returns its input untouched — no arithmetic — so
 //! a disabled or freshly-started adaptive pipeline reproduces the frozen
 //! model's outputs bit for bit.
@@ -40,35 +40,23 @@
 use deeprest_core::stream::PointEstimate;
 use serde::{Deserialize, Serialize};
 
-/// Tuning of the online conformal calibrator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct CalibrationConfig {
-    /// Ring capacity: how many recent nonconformity scores per expert the
-    /// order statistic is computed over.
-    pub window: usize,
-    /// Minimum ring occupancy before any widening is applied (below this
-    /// the scale is identically `1.0`).
-    pub min_samples: usize,
-    /// Upper clamp on the widening factor.
-    pub max_scale: f64,
-    /// Extra multiplicative widening while the expert's drift detector is
-    /// in the watch state (the "widen first, adapt second" response).
-    pub watch_boost: f64,
-    /// Clamp on the per-quantile gradient modulation factors.
-    pub max_modulation: f32,
-}
+/// Ring capacity: how many recent nonconformity scores per expert the
+/// order statistic is computed over.
+const WINDOW: usize = 64;
 
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        Self {
-            window: 64,
-            min_samples: 16,
-            max_scale: 3.0,
-            watch_boost: 1.25,
-            max_modulation: 2.0,
-        }
-    }
-}
+/// Minimum ring occupancy before any widening is applied (below this the
+/// scale is identically `1.0`).
+const MIN_SAMPLES: usize = 16;
+
+/// Upper clamp on the widening factor.
+const MAX_SCALE: f64 = 3.0;
+
+/// Extra multiplicative widening while the expert's drift detector is in
+/// the watch state (the "widen first, adapt second" response).
+const WATCH_BOOST: f64 = 1.25;
+
+/// Clamp on the per-quantile gradient modulation factors.
+const MAX_MODULATION: f32 = 2.0;
 
 /// Serializable calibrator state.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -89,9 +77,8 @@ pub struct CalibrationState {
 #[derive(Clone, Debug)]
 pub(crate) struct Calibrator {
     nominal: f64,
-    cfg: CalibrationConfig,
     state: CalibrationState,
-    /// Sort arena for the order statistic (capacity `window`, reused).
+    /// Sort arena for the order statistic (capacity [`WINDOW`], reused).
     scratch: Vec<f64>,
 }
 
@@ -101,26 +88,22 @@ impl Calibrator {
     ///
     /// # Panics
     ///
-    /// Panics unless `nominal ∈ (0, 1)` and `window > 0`.
-    pub(crate) fn new(nominal: f64, cfg: CalibrationConfig, experts: usize) -> Self {
+    /// Panics unless `nominal ∈ (0, 1)`.
+    pub(crate) fn new(nominal: f64, experts: usize) -> Self {
         assert!(
             nominal > 0.0 && nominal < 1.0,
             "Calibrator: nominal coverage must be in (0, 1), got {nominal}"
         );
-        assert!(cfg.window > 0, "Calibrator: window must be > 0");
         Self {
             nominal,
-            cfg,
             state: CalibrationState {
-                scores: (0..experts)
-                    .map(|_| Vec::with_capacity(cfg.window))
-                    .collect(),
+                scores: (0..experts).map(|_| Vec::with_capacity(WINDOW)).collect(),
                 cursor: vec![0; experts],
                 lower_miss: vec![0; experts],
                 upper_miss: vec![0; experts],
                 observed: vec![0; experts],
             },
-            scratch: Vec::with_capacity(cfg.window),
+            scratch: Vec::with_capacity(WINDOW),
         }
     }
 
@@ -129,10 +112,9 @@ impl Calibrator {
     /// # Errors
     ///
     /// Returns a message when the state's shape disagrees with `experts`
-    /// or the configured ring capacity.
+    /// or the ring capacity [`WINDOW`].
     pub(crate) fn restore(
         nominal: f64,
-        cfg: CalibrationConfig,
         state: CalibrationState,
         experts: usize,
     ) -> Result<Self, String> {
@@ -148,33 +130,28 @@ impl Calibrator {
             ));
         }
         for (e, ring) in state.scores.iter().enumerate() {
-            if ring.len() > cfg.window {
+            if ring.len() > WINDOW {
                 return Err(format!(
-                    "expert {e} ring holds {} scores, capacity is {}",
-                    ring.len(),
-                    cfg.window
+                    "expert {e} ring holds {} scores, capacity is {WINDOW}",
+                    ring.len()
                 ));
             }
         }
-        let mut c = Self::new(nominal, cfg, experts);
+        let mut c = Self::new(nominal, experts);
         c.state = state;
         Ok(c)
     }
 
     /// The widening factor for expert `e`'s *next* interval: `1.0` until
-    /// `min_samples` scores accumulated, otherwise the conformal order
-    /// statistic of the ring, boosted by `watch_boost` while `watching`,
-    /// clamped to `[1, max_scale]`.
+    /// [`MIN_SAMPLES`] scores accumulated, otherwise the conformal order
+    /// statistic of the ring, boosted by [`WATCH_BOOST`] while `watching`,
+    /// clamped to `[1, MAX_SCALE]`.
     pub(crate) fn scale(&mut self, e: usize, watching: bool) -> f64 {
         let ring = &self.state.scores[e];
-        if ring.len() < self.cfg.min_samples.max(1) {
+        if ring.len() < MIN_SAMPLES {
             // Identity until evidence: keeps the cold pipeline bitwise
             // equal to the frozen model.
-            return if watching {
-                self.cfg.watch_boost.max(1.0)
-            } else {
-                1.0
-            };
+            return if watching { WATCH_BOOST } else { 1.0 };
         }
         self.scratch.clear();
         self.scratch.extend_from_slice(ring);
@@ -185,9 +162,9 @@ impl Calibrator {
         let q = self.scratch[rank.min(n) - 1];
         let mut scale = 1.0 + q.max(0.0);
         if watching {
-            scale *= self.cfg.watch_boost.max(1.0);
+            scale *= WATCH_BOOST;
         }
-        scale.clamp(1.0, self.cfg.max_scale.max(1.0))
+        scale.clamp(1.0, MAX_SCALE)
     }
 
     /// Applies a widening factor to one interval. `scale == 1.0` returns
@@ -212,12 +189,12 @@ impl Calibrator {
         let halfwidth = ((est.upper - est.lower) * 0.5).max(f64::EPSILON);
         let r = (est.lower - actual).max(actual - est.upper) / halfwidth;
         let ring = &mut self.state.scores[e];
-        if ring.len() < self.cfg.window {
+        if ring.len() < WINDOW {
             ring.push(r);
         } else {
             ring[self.state.cursor[e]] = r;
         }
-        self.state.cursor[e] = (self.state.cursor[e] + 1) % self.cfg.window;
+        self.state.cursor[e] = (self.state.cursor[e] + 1) % WINDOW;
         self.state.observed[e] += 1;
         if actual < est.lower {
             self.state.lower_miss[e] += 1;
@@ -231,7 +208,7 @@ impl Calibrator {
     /// the next online update (the order of
     /// `deeprest_nn::loss::quantiles_for`): each tail's factor is its
     /// empirical miss rate over the nominal tail mass `(1 − δ)/2`,
-    /// clamped to `[1/max_modulation, max_modulation]`; the median is
+    /// clamped to `[1/MAX_MODULATION, MAX_MODULATION]`; the median is
     /// never modulated. With no observations every factor is exactly
     /// `1.0`, which the analytic backward treats as a bitwise no-op.
     pub(crate) fn gradient_modulation(&self) -> [f32; 3] {
@@ -242,7 +219,7 @@ impl Calibrator {
         let tail = (1.0 - self.nominal) * 0.5;
         let lo_rate = self.state.lower_miss.iter().sum::<u64>() as f64 / total as f64;
         let hi_rate = self.state.upper_miss.iter().sum::<u64>() as f64 / total as f64;
-        let max = f64::from(self.cfg.max_modulation.max(1.0));
+        let max = f64::from(MAX_MODULATION);
         let clamp = |rate: f64| -> f32 { ((rate / tail).clamp(1.0 / max, max)) as f32 };
         [1.0, clamp(lo_rate), clamp(hi_rate)]
     }
@@ -267,8 +244,8 @@ mod tests {
 
     #[test]
     fn identity_until_min_samples() {
-        let mut c = Calibrator::new(0.9, CalibrationConfig::default(), 1);
-        for _ in 0..CalibrationConfig::default().min_samples - 1 {
+        let mut c = Calibrator::new(0.9, 1);
+        for _ in 0..MIN_SAMPLES - 1 {
             c.observe_raw(0, 5.0, &est(0.0, 5.0, 10.0));
         }
         assert_eq!(c.scale(0, false), 1.0);
@@ -279,7 +256,7 @@ mod tests {
 
     #[test]
     fn persistent_misses_widen_then_cover() {
-        let mut c = Calibrator::new(0.9, CalibrationConfig::default(), 1);
+        let mut c = Calibrator::new(0.9, 1);
         // Raw interval [4, 6], truth at 8: one full halfwidth outside.
         for _ in 0..32 {
             let inside = c.observe_raw(0, 8.0, &est(4.0, 5.0, 6.0));
@@ -297,7 +274,7 @@ mod tests {
 
     #[test]
     fn modulation_boosts_missed_tail_only() {
-        let mut c = Calibrator::new(0.9, CalibrationConfig::default(), 1);
+        let mut c = Calibrator::new(0.9, 1);
         for _ in 0..20 {
             // Always above the upper limit.
             c.observe_raw(0, 9.0, &est(4.0, 5.0, 6.0));
@@ -310,18 +287,14 @@ mod tests {
 
     #[test]
     fn no_observations_is_exact_unit_modulation() {
-        let c = Calibrator::new(0.9, CalibrationConfig::default(), 2);
+        let c = Calibrator::new(0.9, 2);
         assert_eq!(c.gradient_modulation(), [1.0; 3]);
     }
 
     #[test]
     fn restore_rejects_overfull_ring() {
-        let cfg = CalibrationConfig {
-            window: 4,
-            ..CalibrationConfig::default()
-        };
-        let mut state = Calibrator::new(0.9, cfg, 1).state.clone();
-        state.scores[0] = vec![0.0; 5];
-        assert!(Calibrator::restore(0.9, cfg, state, 1).is_err());
+        let mut state = Calibrator::new(0.9, 1).state.clone();
+        state.scores[0] = vec![0.0; WINDOW + 1];
+        assert!(Calibrator::restore(0.9, state, 1).is_err());
     }
 }

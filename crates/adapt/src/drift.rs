@@ -6,40 +6,38 @@
 //! CUSUM on the centered miss excess:
 //!
 //! ```text
-//! s ← max(0, s + miss − (1 − δ) − slack)
+//! s ← max(0, s + miss − (1 − δ) − SLACK)
 //! ```
 //!
-//! `s` stays near zero while coverage is nominal (the `slack` absorbs
+//! `s` stays near zero while coverage is nominal (the `SLACK` absorbs
 //! sampling noise) and ramps linearly once the miss rate exceeds
-//! `1 − δ + slack`. Crossing `watch` puts the expert in the **watch**
+//! `1 − δ + SLACK`. Crossing `watch` puts the expert in the **watch**
 //! state — the adaptive pipeline widens its intervals and escalates the
-//! update cadence — and decaying back below `clear` releases it. This is
+//! update cadence — and decaying back below `CLEAR` releases it. This is
 //! the early-warning tier: it reacts to a run of interval misses windows
 //! before the deviation is large enough for `OnlineSanity` to alert.
 
 use serde::{Deserialize, Serialize};
 
-/// Thresholds of the coverage CUSUM.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+/// Tolerated miss-rate excess over the nominal `1 − δ` before the
+/// statistic accumulates (absorbs sampling noise).
+const SLACK: f64 = 0.05;
+
+/// CUSUM level (below `watch`) that leaves the watch state again.
+const CLEAR: f64 = 0.5;
+
+/// Threshold of the coverage CUSUM.
+#[derive(Clone, Copy, Debug)]
 pub struct DriftConfig {
-    /// Tolerated miss-rate excess over the nominal `1 − δ` before the
-    /// statistic accumulates (absorbs sampling noise).
-    pub slack: f64,
     /// CUSUM level that enters the watch state. With each missed window
-    /// contributing `≈ δ − slack` to the statistic, a run of roughly
+    /// contributing `≈ δ − SLACK` to the statistic, a run of roughly
     /// `watch / δ` consecutive misses trips it.
     pub watch: f64,
-    /// CUSUM level (below `watch`) that leaves the watch state again.
-    pub clear: f64,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        Self {
-            slack: 0.05,
-            watch: 2.0,
-            clear: 0.5,
-        }
+        Self { watch: 2.0 }
     }
 }
 
@@ -123,13 +121,13 @@ impl DriftDetector {
         if !covered {
             self.state.misses[e] += 1;
         }
-        let drift = miss - (1.0 - self.nominal) - self.cfg.slack;
+        let drift = miss - (1.0 - self.nominal) - SLACK;
         let s = (self.state.cusum[e] + drift).max(0.0);
         self.state.cusum[e] = s;
         let was = self.state.watching[e];
         if !was && s >= self.cfg.watch {
             self.state.watching[e] = true;
-        } else if was && s <= self.cfg.clear {
+        } else if was && s <= CLEAR {
             self.state.watching[e] = false;
         }
         self.state.watching[e]

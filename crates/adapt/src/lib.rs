@@ -11,7 +11,7 @@
 //!   [`AdaptivePipeline`] is the one [`deeprest_serve::Pipeline`] with its
 //!   shared stages (windowing, the healed O(1) incremental step,
 //!   quarantine, causal sanity alerts, sink delivery); it seals every
-//!   `segment_len` served-and-observed windows into a `(features,
+//!   `SEGMENT_LEN` served-and-observed windows into a `(features,
 //!   targets)` training segment from the observations the scoring stage
 //!   scored (increments of a cumulative resource, as the experts learn
 //!   them);
@@ -59,7 +59,7 @@ pub(crate) mod drift;
 mod pipeline;
 pub(crate) mod replay;
 
-pub use calibrate::{CalibrationConfig, CalibrationState};
+pub use calibrate::CalibrationState;
 pub use config::AdaptConfig;
 pub use drift::{DriftConfig, DriftState};
 pub use pipeline::{

@@ -71,7 +71,9 @@
 use std::ops::{Deref, DerefMut};
 
 use deeprest_core::stream::{CarriedState, PointEstimate, StreamSnapshot};
-use deeprest_core::train::{OnlineUpdater, TrainSegment, UpdateError, UpdateStats};
+use deeprest_core::train::{
+    OnlineUpdater, TrainSegment, UpdateError, UpdateStats, REPLAY_SLOTS, SEGMENT_LEN,
+};
 use deeprest_core::DeepRest;
 use deeprest_metrics::MetricsRegistry;
 use deeprest_serve::{Checkpoint, Driver, Pipeline, ServeError, WindowOutput, WindowStages};
@@ -85,6 +87,9 @@ use crate::calibrate::{CalibrationState, Calibrator};
 use crate::config::AdaptConfig;
 use crate::drift::{DriftDetector, DriftState};
 use crate::replay::{ReplayBuffer, Segment};
+
+/// Replay-buffer capacity in segments.
+const REPLAY_CAPACITY: usize = 16;
 
 /// The outcome recorded after each cadence firing. Update failures are
 /// deliberately not part of ingest's error surface: a failed or poisoned
@@ -149,7 +154,7 @@ pub struct Staging {
     /// Features of the partially-filled current segment
     /// (`cur_len × feature_dim`, window-major; trailing slots stale).
     pub cur_xs: Vec<f32>,
-    /// Targets of the current segment (`experts × segment_len`,
+    /// Targets of the current segment (`experts × SEGMENT_LEN`,
     /// expert-major; columns ≥ `cur_len` stale).
     pub cur_targets: Vec<f32>,
     /// Windows accumulated into the current segment.
@@ -175,12 +180,12 @@ pub struct Staging {
 }
 
 impl Staging {
-    /// An empty segment of `seg_len` windows over `dim` features and
+    /// An empty segment of [`SEGMENT_LEN`] windows over `dim` features and
     /// `experts` experts; arenas are fixed size and reused.
-    fn new(seg_len: usize, dim: usize, experts: usize) -> Self {
+    fn new(dim: usize, experts: usize) -> Self {
         Self {
-            cur_xs: vec![0.0; seg_len * dim],
-            cur_targets: vec![0.0; experts * seg_len],
+            cur_xs: vec![0.0; SEGMENT_LEN * dim],
+            cur_targets: vec![0.0; experts * SEGMENT_LEN],
             cur_len: 0,
             cur_start: 0,
             cur_observed: true,
@@ -207,7 +212,7 @@ pub struct Adapter {
     calib: Calibrator,
     staging: Staging,
     last_update: Option<UpdateOutcome>,
-    /// Replay-sampling arenas (capacity `replay_capacity`, reused).
+    /// Replay-sampling arenas (capacity [`REPLAY_CAPACITY`], reused).
     sample_scratch: Vec<usize>,
     sample_out: Vec<usize>,
 }
@@ -316,17 +321,16 @@ impl Adapter {
         let experts = model.expert_count();
         let nominal = f64::from(model.config().delta);
         let dim = model.feature_space().dim();
-        let capacity = config.replay_capacity.max(1);
         Self {
             carried: CarriedState::new(&model),
-            updater: OnlineUpdater::new(&model, config.update),
-            replay: ReplayBuffer::new(capacity),
+            updater: OnlineUpdater::new(&model),
+            replay: ReplayBuffer::new(REPLAY_CAPACITY),
             drift: DriftDetector::new(nominal, config.drift, experts),
-            calib: Calibrator::new(nominal, config.calibration, experts),
-            staging: Staging::new(config.update.segment_len, dim, experts),
+            calib: Calibrator::new(nominal, experts),
+            staging: Staging::new(dim, experts),
             last_update: None,
-            sample_scratch: Vec::with_capacity(capacity),
-            sample_out: Vec::with_capacity(capacity),
+            sample_scratch: Vec::with_capacity(REPLAY_CAPACITY),
+            sample_out: Vec::with_capacity(REPLAY_CAPACITY),
             config,
             model,
         }
@@ -383,15 +387,14 @@ impl Adapter {
     /// piece whose shape disagrees with the model — a staged or replayed
     /// segment included.
     fn restore(&mut self, state: AdapterState) -> Result<(), String> {
-        let config = self.config;
         let shape = |xs: &[f32], targets: &[f32]| (xs.len(), targets.len());
         let segment = shape(&self.staging.cur_xs, &self.staging.cur_targets);
         let got = shape(&state.staging.cur_xs, &state.staging.cur_targets);
-        if got != segment || state.staging.cur_len >= config.update.segment_len {
+        if got != segment || state.staging.cur_len >= SEGMENT_LEN {
             return Err(format!(
                 "current segment (xs, targets) = {got:?} at {} windows does not match \
-                 geometry {segment:?} of {}-window segments",
-                state.staging.cur_len, config.update.segment_len
+                 geometry {segment:?} of {SEGMENT_LEN}-window segments",
+                state.staging.cur_len
             ));
         }
         for (i, s) in state.replay.iter().enumerate() {
@@ -404,9 +407,9 @@ impl Adapter {
         }
         let experts = self.model.expert_count();
         let nominal = f64::from(self.model.config().delta);
-        self.drift = DriftDetector::restore(nominal, config.drift, state.drift, experts)?;
-        self.calib = Calibrator::restore(nominal, config.calibration, state.calibration, experts)?;
-        self.replay = ReplayBuffer::restore(config.replay_capacity.max(1), state.replay);
+        self.drift = DriftDetector::restore(nominal, self.config.drift, state.drift, experts)?;
+        self.calib = Calibrator::restore(nominal, state.calibration, experts)?;
+        self.replay = ReplayBuffer::restore(REPLAY_CAPACITY, state.replay);
         self.staging = state.staging;
         Ok(())
     }
@@ -457,7 +460,7 @@ impl Adapter {
         self.replay.sample_into(
             self.config.sample_seed,
             draw,
-            self.config.update.replay_slots,
+            REPLAY_SLOTS,
             &mut self.sample_scratch,
             &mut self.sample_out,
         );
@@ -522,10 +525,9 @@ impl Driver for Adapter {
         // Observe: feed the drift CUSUM and calibration rings from the
         // raw intervals, and stage training targets for the current
         // segment, from what the scoring stage looked up.
-        let seg_len = self.config.update.segment_len;
         let dim = self.model.feature_space().dim();
         let st = &mut self.staging;
-        if st.cur_len < seg_len {
+        if st.cur_len < SEGMENT_LEN {
             st.cur_xs[st.cur_len * dim..(st.cur_len + 1) * dim].copy_from_slice(&x);
         }
         // The scorer's observations are in the experts' output space
@@ -541,14 +543,14 @@ impl Driver for Adapter {
             if watching && !was && telemetry::enabled() {
                 telemetry::counter("adapt.drift.watch", 1);
             }
-            let t = st.cur_len.min(seg_len - 1);
-            st.cur_targets[e * seg_len + t] = self.model.encode_target(e, observed);
+            let t = st.cur_len.min(SEGMENT_LEN - 1);
+            st.cur_targets[e * SEGMENT_LEN + t] = self.model.encode_target(e, observed);
         }
 
         // Adapt: seal the segment when full; on the cadence, fold replay
         // plus the fresh segment back into the model.
         st.cur_len += 1;
-        if st.cur_len == seg_len {
+        if st.cur_len == SEGMENT_LEN {
             self.seal_segment(w.index + 1);
         }
         Ok(out)

@@ -12,16 +12,16 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One sealed training subsequence: `segment_len` consecutive windows of
+/// One sealed training subsequence: `SEGMENT_LEN` consecutive windows of
 /// features plus per-expert normalized targets, both flat, in the layout
 /// [`deeprest_core::train::TrainSegment`] borrows.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Segment {
     /// Stream index of the segment's first window.
     pub start_window: usize,
-    /// Features, `segment_len × feature_dim`, window-major.
+    /// Features, `SEGMENT_LEN × feature_dim`, window-major.
     pub xs: Vec<f32>,
-    /// Normalized targets, `experts × segment_len`, expert-major.
+    /// Normalized targets, `experts × SEGMENT_LEN`, expert-major.
     pub targets: Vec<f32>,
 }
 

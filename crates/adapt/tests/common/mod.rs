@@ -9,7 +9,7 @@ use deeprest_adapt::{AdaptConfig, AdaptivePipeline};
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_serve::{ServeConfig, WindowOutput};
-use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
+use deeprest_trace::window::{stamp, TimestampedTrace, WindowedTraces};
 use deeprest_trace::{Interner, SpanNode, Trace};
 
 /// Scrape-window length of the shared dataset.
@@ -100,17 +100,12 @@ pub fn clone_model(model: &DeepRest) -> DeepRest {
 /// Flattens windowed traces into an in-order arrival stream, spacing the
 /// traces of window `t` evenly inside `[t, t+1) * window_secs`.
 pub fn stream_of(windowed: &WindowedTraces) -> Vec<TimestampedTrace> {
-    let mut out = Vec::new();
-    for (t, window) in windowed.windows.iter().enumerate() {
-        let n = window.len().max(1) as f64;
-        for (j, trace) in window.iter().enumerate() {
-            out.push(TimestampedTrace {
-                at_secs: (t as f64 + (j as f64 + 0.5) / n) * windowed.window_secs,
-                trace: trace.clone(),
-            });
-        }
-    }
-    out
+    windowed
+        .windows
+        .iter()
+        .enumerate()
+        .flat_map(|(t, traces)| stamp(t, traces.iter().cloned(), windowed.window_secs))
+        .collect()
 }
 
 /// The serving half every adapt test runs with.

@@ -14,6 +14,7 @@ use common::{
     dataset_with_drift, load, parameter_values, run_adaptive, stream_of, train_config, trained,
 };
 use deeprest_adapt::{AdaptiveCheckpoint, AdaptivePipeline};
+use deeprest_core::train::SEGMENT_LEN;
 use deeprest_core::DeepRest;
 use deeprest_metrics::{MetricKey, ResourceKind, TimeSeries};
 use deeprest_serve::{CheckpointStore, Driver};
@@ -196,15 +197,16 @@ fn misshapen_segments_are_refused_at_restore() {
     short.adapter.replay[0].xs.pop();
     refused(short, "replay segment 0");
     let mut full = intact;
-    full.adapter.staging.cur_len = config.update.segment_len;
+    full.adapter.staging.cur_len = SEGMENT_LEN;
     refused(full, "current segment");
 }
 
 /// Before the adapter read its observations from the scoring stage, its
 /// checkpoints carried a second copy of every expert's last raw observation
-/// as `staging.prev_actual`. Such a checkpoint still loads, resumes to the
-/// outputs and parameters of the uninterrupted run, and is written back
-/// without the key.
+/// as `staging.prev_actual`, and before the gradient clip was a constant
+/// the model's config carried it as `grad_clip`. Such a checkpoint still
+/// loads, resumes to the outputs and parameters of the uninterrupted run,
+/// and is written back without either key.
 #[test]
 fn checkpoints_with_the_retired_prev_actual_key_still_load() {
     let windows = 48;
@@ -246,10 +248,13 @@ fn checkpoints_with_the_retired_prev_actual_key_still_load() {
         .collect();
     let retired = format!(r#""prev_actual":[{}],"#, observed.join(","));
     assert_eq!(json.matches(r#","segments_sealed":"#).count(), 1);
-    let old = json.replace(
-        r#","segments_sealed":"#,
-        &format!(r#",{retired}"segments_sealed":"#),
-    );
+    assert_eq!(json.matches(r#","api_mask":"#).count(), 1);
+    let old = json
+        .replace(
+            r#","segments_sealed":"#,
+            &format!(r#",{retired}"segments_sealed":"#),
+        )
+        .replace(r#","api_mask":"#, r#","grad_clip":5.0,"api_mask":"#);
     let loaded = AdaptiveCheckpoint::from_json(&old).expect("the retired key is ignored");
     assert_eq!(loaded.to_json().expect("re-serialize"), json);
     drop(first);
@@ -283,7 +288,6 @@ fn suspended_updates_survive_a_checkpoint_and_run_deferred_after_resume() {
     // and only its kept due-pressure makes the seal at 40 run an update.
     let mut config = adapt_config();
     config.drift.watch = f64::MAX;
-    let seg_len = config.update.segment_len;
 
     let run = |cut: bool| {
         let mut pipeline =
@@ -316,7 +320,7 @@ fn suspended_updates_survive_a_checkpoint_and_run_deferred_after_resume() {
                 resumed_with = Some(pipeline.updates_run());
             }
             outputs.extend(pipeline.ingest(t.clone()).expect("ingest"));
-            let sealed = pipeline.position() / seg_len > position / seg_len;
+            let sealed = pipeline.position() / SEGMENT_LEN > position / SEGMENT_LEN;
             if let (Some(before), true, false) = (resumed_with, sealed, deferred_ran) {
                 assert_eq!(
                     pipeline.updates_run(),

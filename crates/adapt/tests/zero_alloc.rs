@@ -9,18 +9,18 @@ mod common;
 use std::sync::Arc;
 
 use common::{clone_model, trained};
-use deeprest_core::train::{OnlineUpdater, TrainSegment, UpdateConfig};
+use deeprest_core::train::{OnlineUpdater, TrainSegment, SEGMENT_LEN};
 use deeprest_telemetry::{self as telemetry, MemorySink};
 
 /// Builds deterministic staged segments straight from the fixture's
 /// feature/target spaces (contents don't matter for the alloc invariant).
-fn staged(model: &deeprest_core::DeepRest, cfg: &UpdateConfig, salt: f32) -> (Vec<f32>, Vec<f32>) {
+fn staged(model: &deeprest_core::DeepRest, salt: f32) -> (Vec<f32>, Vec<f32>) {
     let dim = model.feature_space().dim();
     let experts = model.expert_count();
-    let xs: Vec<f32> = (0..cfg.segment_len * dim)
+    let xs: Vec<f32> = (0..SEGMENT_LEN * dim)
         .map(|i| (i as f32 * 0.01 + salt).sin() * 0.5)
         .collect();
-    let targets: Vec<f32> = (0..experts * cfg.segment_len)
+    let targets: Vec<f32> = (0..experts * SEGMENT_LEN)
         .map(|i| (i as f32 * 0.07 + salt).cos() * 0.3 + 0.5)
         .collect();
     (xs, targets)
@@ -29,12 +29,11 @@ fn staged(model: &deeprest_core::DeepRest, cfg: &UpdateConfig, salt: f32) -> (Ve
 #[test]
 fn warm_update_steps_allocate_nothing() {
     let (trained_model, _, _, _) = trained(48);
-    let cfg = UpdateConfig::default();
     let mut model = clone_model(&trained_model);
-    let mut updater = OnlineUpdater::new(&model, cfg);
+    let mut updater = OnlineUpdater::new(&model);
 
-    let seg_a = staged(&model, &cfg, 0.1);
-    let seg_b = staged(&model, &cfg, 0.9);
+    let seg_a = staged(&model, 0.1);
+    let seg_b = staged(&model, 0.9);
     let segments = [
         TrainSegment {
             xs: &seg_a.0,

@@ -6,14 +6,14 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deeprest_adapt::{AdaptConfig, AdaptivePipeline};
-use deeprest_core::train::{OnlineUpdater, TrainSegment, UpdateConfig};
+use deeprest_core::train::{OnlineUpdater, TrainSegment, SEGMENT_LEN};
 use deeprest_core::{DeepRest, DeepRestConfig, FeatureSpace, TraceSynthesizer};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
 use deeprest_nn::{AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
 use deeprest_scale::{
-    ScaleLoop, ScaleLoopConfig, Scenario, ScenarioKind, TargetUtilizationPolicy,
+    ScaleLoop, Scenario, ScenarioKind, TargetUtilizationPolicy, CONTROL_INTERVAL,
     PROACTIVE_TARGET_UTILIZATION,
 };
 use deeprest_serve::{
@@ -22,7 +22,7 @@ use deeprest_serve::{
 use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, SimConfig};
 use deeprest_tensor::{kernel, linalg, ParamStore, Pool, Tensor};
-use deeprest_trace::window::{TimestampedTrace, WindowedTraces};
+use deeprest_trace::window::{stamp, WindowedTraces};
 use deeprest_trace::{jaeger, Interner, SpanNode, Trace};
 use deeprest_workload::{ApiTraffic, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -562,15 +562,14 @@ fn bench_adapt(c: &mut Criterion) {
     // the extra cost an adaptation window pays over a plain serving window.
     // Steady state performs zero kernel allocations (the adapt crate's
     // zero_alloc test), so this measures pure compute.
-    let cfg = UpdateConfig::default();
-    let mut updater = OnlineUpdater::new(&model, cfg);
+    let mut updater = OnlineUpdater::new(&model);
     let dim = model.feature_space().dim();
     let experts = model.expert_count();
     let stage = |salt: f32| {
-        let xs: Vec<f32> = (0..cfg.segment_len * dim)
+        let xs: Vec<f32> = (0..SEGMENT_LEN * dim)
             .map(|i| (i as f32 * 0.01 + salt).sin() * 0.5)
             .collect();
-        let targets: Vec<f32> = (0..experts * cfg.segment_len)
+        let targets: Vec<f32> = (0..experts * SEGMENT_LEN)
             .map(|i| (i as f32 * 0.07 + salt).cos() * 0.3 + 0.5)
             .collect();
         (xs, targets)
@@ -608,17 +607,9 @@ fn bench_adapt(c: &mut Criterion) {
         let mut t = 0usize;
         b.iter(|| {
             let window = &traces.windows[t % traces.windows.len()];
-            let n = window.len().max(1) as f64;
             let mut sealed = 0usize;
-            for (j, trace) in window.iter().enumerate() {
-                let at_secs = t as f64 + (j as f64 + 0.5) / n;
-                sealed += pipeline
-                    .ingest(TimestampedTrace {
-                        at_secs,
-                        trace: trace.clone(),
-                    })
-                    .expect("serve ingest")
-                    .len();
+            for arrival in stamp(t, window.iter().cloned(), serve_cfg.window_secs) {
+                sealed += pipeline.ingest(arrival).expect("serve ingest").len();
             }
             t += 1;
             sealed
@@ -639,17 +630,9 @@ fn bench_adapt(c: &mut Criterion) {
         let mut t = 0usize;
         b.iter(|| {
             let window = &traces.windows[t % traces.windows.len()];
-            let n = window.len().max(1) as f64;
             let mut sealed = 0usize;
-            for (j, trace) in window.iter().enumerate() {
-                let at_secs = t as f64 + (j as f64 + 0.5) / n;
-                sealed += pipeline
-                    .ingest(TimestampedTrace {
-                        at_secs,
-                        trace: trace.clone(),
-                    })
-                    .expect("frozen ingest")
-                    .len();
+            for arrival in stamp(t, window.iter().cloned(), serve_cfg.window_secs) {
+                sealed += pipeline.ingest(arrival).expect("frozen ingest").len();
             }
             t += 1;
             sealed
@@ -689,13 +672,7 @@ fn bench_multi_tenant_step(c: &mut Criterion) {
             let mut t = 0usize;
             b.iter(|| {
                 let window = &traces.windows[t % traces.windows.len()];
-                let n = window.len().max(1) as f64;
-                for (j, trace) in window.iter().enumerate() {
-                    let at_secs = t as f64 + (j as f64 + 0.5) / n;
-                    let arrival = TimestampedTrace {
-                        at_secs,
-                        trace: trace.clone(),
-                    };
+                for arrival in stamp(t, window.iter().cloned(), serve_cfg.window_secs) {
                     // Clone per extra tenant only: the last submit moves
                     // the arrival, so `1t` pays exactly one clone per
                     // trace — the same as `window_step_serve`.
@@ -758,17 +735,16 @@ fn bench_scale_control_interval(c: &mut Criterion) {
     group.sample_size(20);
     let scenario = Scenario::new(ScenarioKind::Surge);
     let model = scenario.train();
-    let config = ScaleLoopConfig::default();
     let policy = TargetUtilizationPolicy {
         target_utilization: PROACTIVE_TARGET_UTILIZATION,
     };
     group.bench_function("control_interval", |b| {
-        let mut lp = ScaleLoop::new(&model, &scenario, policy, config);
+        let mut lp = ScaleLoop::new(&model, &scenario, policy);
         b.iter(|| {
-            for _ in 0..config.control_interval {
+            for _ in 0..CONTROL_INTERVAL {
                 if !lp.step().expect("scale step") {
                     // Scenario exhausted: restart the loop and keep going.
-                    lp = ScaleLoop::new(&model, &scenario, policy, config);
+                    lp = ScaleLoop::new(&model, &scenario, policy);
                     lp.step().expect("scale step after restart");
                 }
             }

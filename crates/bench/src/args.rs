@@ -1,5 +1,56 @@
 //! Minimal command-line argument parsing shared by all experiments.
 
+use std::fmt::Debug;
+use std::str::FromStr;
+
+/// A command line read flag by flag: iterating yields the next argument,
+/// and [`value`](Self::value) or [`parse`](Self::parse) take the one after
+/// a flag as its value, panicking with the flag's name when it is missing
+/// or does not parse. [`Args::parse_from`] and the `deeprest` and
+/// `deeprest_serve` parsers read their flags through it.
+pub struct Flags<I>(I);
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    /// Reads `args` (without the program name).
+    pub fn new(args: impl IntoIterator<IntoIter = I>) -> Self {
+        Self(args.into_iter())
+    }
+
+    /// The value of `flag`: the next argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "missing value for `flag`" when no argument is left.
+    pub fn value(&mut self, flag: &str) -> String {
+        self.0
+            .next()
+            .unwrap_or_else(|| panic!("missing value for {flag}"))
+    }
+
+    /// The value of `flag` parsed as `T`, which `kind` names in the panic
+    /// message.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the value is missing or does not parse.
+    pub fn parse<T: FromStr>(&mut self, flag: &str, kind: &str) -> T
+    where
+        T::Err: Debug,
+    {
+        self.value(flag)
+            .parse()
+            .unwrap_or_else(|e| panic!("{flag} {kind}: {e:?}"))
+    }
+}
+
+impl<I: Iterator<Item = String>> Iterator for Flags<I> {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+}
+
 /// Parsed experiment options.
 #[derive(Clone, Debug)]
 pub struct Args {
@@ -75,30 +126,22 @@ impl Args {
     /// Panics on unknown flags or unparsable values.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = Self::default();
-        let mut iter = args.into_iter();
-        while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
-                "--seed" => out.seed = value("--seed").parse().expect("--seed u64"),
-                "--users" => out.users = value("--users").parse().expect("--users f64"),
-                "--days" => out.days = value("--days").parse().expect("--days usize"),
+                "--seed" => out.seed = flags.parse("--seed", "u64"),
+                "--users" => out.users = flags.parse("--users", "f64"),
+                "--days" => out.days = flags.parse("--days", "usize"),
                 "--windows-per-day" => {
-                    out.windows_per_day = value("--windows-per-day")
-                        .parse()
-                        .expect("--windows-per-day usize");
+                    out.windows_per_day = flags.parse("--windows-per-day", "usize");
                 }
-                "--hidden" => out.hidden = value("--hidden").parse().expect("--hidden usize"),
-                "--epochs" => out.epochs = value("--epochs").parse().expect("--epochs usize"),
+                "--hidden" => out.hidden = flags.parse("--hidden", "usize"),
+                "--epochs" => out.epochs = flags.parse("--epochs", "usize"),
                 "--full" => out.full = true,
                 "--paper-sgd" => out.paper_sgd = true,
-                "--threads" => {
-                    out.threads = Some(value("--threads").parse().expect("--threads usize"));
-                }
-                "--telemetry" => out.telemetry = Some(value("--telemetry")),
-                "--out" => out.out = value("--out"),
+                "--threads" => out.threads = Some(flags.parse("--threads", "usize")),
+                "--telemetry" => out.telemetry = Some(flags.value("--telemetry")),
+                "--out" => out.out = flags.value("--out"),
                 other => panic!("unknown flag {other}; see crate docs for usage"),
             }
         }

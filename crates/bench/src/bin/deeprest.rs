@@ -60,12 +60,11 @@
 use std::time::Instant;
 
 use deeprest_bench::experiments;
-use deeprest_bench::Args;
+use deeprest_bench::{Args, Flags};
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
-use deeprest_scale::{
-    run_proactive, run_reactive, ScaleLoopConfig, ScaleReport, Scenario, ScenarioKind,
-};
+use deeprest_scale::{run_proactive, run_reactive, ScaleReport, Scenario, ScenarioKind};
+use deeprest_tensor::Pool;
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::{Interner, SpanNode, Trace};
 
@@ -105,30 +104,23 @@ impl CapacityArgs {
     fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = Self::default();
         let mut experts_given = false;
-        let mut iter = args.into_iter();
-        while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
                 "--experts" => {
                     experts_given = true;
-                    out.experts = value("--experts")
+                    out.experts = flags
+                        .value("--experts")
                         .split(',')
                         .map(|s| s.trim().parse().expect("--experts comma-separated usize"))
                         .collect();
                 }
                 "--quick" => out.quick = true,
                 "--json" => out.json = true,
-                "--threads" => {
-                    out.threads = Some(value("--threads").parse().expect("--threads usize"));
-                }
-                "--window-secs" => {
-                    out.window_secs = value("--window-secs").parse().expect("--window-secs f64");
-                }
-                "--tenants" => out.tenants = value("--tenants").parse().expect("--tenants usize"),
-                "--seed" => out.seed = value("--seed").parse().expect("--seed u64"),
+                "--threads" => out.threads = Some(flags.parse("--threads", "usize")),
+                "--window-secs" => out.window_secs = flags.parse("--window-secs", "f64"),
+                "--tenants" => out.tenants = flags.parse("--tenants", "usize"),
+                "--seed" => out.seed = flags.parse("--seed", "u64"),
                 other => panic!("unknown flag {other}; see `deeprest` docs for usage"),
             }
         }
@@ -284,18 +276,12 @@ fn capacity_row(args: &CapacityArgs, experts: usize) -> Row {
     }
 }
 
-/// Worker threads the run is using: the flag, the env var, or all cores —
-/// the same resolution order as the tensor pool.
+/// Worker threads the run is using: those of the pool the model trains
+/// and steps on (`--threads`, else the process-wide pool).
 fn model_threads(args: &CapacityArgs) -> usize {
-    if let Some(n) = args.threads {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("DEEPREST_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    args.threads
+        .map_or_else(Pool::global, Pool::with_threads)
+        .threads()
 }
 
 fn run_capacity(raw: Vec<String>) {
@@ -375,13 +361,11 @@ impl Default for ScaleArgs {
 impl ScaleArgs {
     fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = Self::default();
-        let mut iter = args.into_iter();
-        while let Some(flag) = iter.next() {
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
                 "--scenario" => {
-                    let name = iter
-                        .next()
-                        .unwrap_or_else(|| panic!("missing value for --scenario"));
+                    let name = flags.value("--scenario");
                     if name == "all" {
                         out.scenarios = ScenarioKind::all().to_vec();
                     } else {
@@ -444,7 +428,6 @@ fn run_scale(raw: Vec<String>) {
     let args = ScaleArgs::parse(raw);
     // Every scenario shares the same app and training sweep; train once.
     let model = Scenario::new(ScenarioKind::Surge).train();
-    let config = ScaleLoopConfig::default();
     if !args.json {
         println!("deeprest scale — closed-loop proactive vs reactive replay");
         println!(
@@ -455,9 +438,9 @@ fn run_scale(raw: Vec<String>) {
     let mut failures = Vec::new();
     for &kind in &args.scenarios {
         let scenario = Scenario::new(kind);
-        let proactive = run_proactive(&model, &scenario, config)
+        let proactive = run_proactive(&model, &scenario)
             .unwrap_or_else(|e| panic!("{}: proactive run failed: {e}", kind.name()));
-        let reactive = run_reactive(&model, &scenario, config)
+        let reactive = run_reactive(&model, &scenario)
             .unwrap_or_else(|e| panic!("{}: reactive run failed: {e}", kind.name()));
         scale_row(&args, kind, &proactive);
         scale_row(&args, kind, &reactive);

@@ -41,6 +41,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use deeprest_bench::Flags;
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{increments, MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
@@ -52,7 +53,7 @@ use deeprest_sim::anomaly::CryptojackingAttack;
 use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, simulate_with, SimConfig};
 use deeprest_trace::stream::WindowAssembler;
-use deeprest_trace::window::{partition, TimestampedTrace, WindowedTraces};
+use deeprest_trace::window::{partition, stamp, TimestampedTrace, WindowedTraces};
 use deeprest_trace::Interner;
 use deeprest_workload::WorkloadSpec;
 
@@ -105,39 +106,27 @@ impl Default for ServeArgs {
 impl ServeArgs {
     fn parse() -> Self {
         let mut out = Self::default();
-        let mut iter = std::env::args().skip(1);
-        while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
+        let mut flags = Flags::new(std::env::args().skip(1));
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
-                "--replay" => out.replay = Some(value("--replay")),
+                "--replay" => out.replay = Some(flags.value("--replay")),
                 "--sim" => out.sim = true,
-                "--model" => out.model = Some(value("--model")),
-                "--spread" => out.spread = Some(value("--spread").parse().expect("--spread f64")),
-                "--speed" => out.speed = value("--speed").parse().expect("--speed f64"),
-                "--window-secs" => {
-                    out.window_secs = value("--window-secs").parse().expect("--window-secs f64");
-                }
-                "--lateness-secs" => {
-                    out.lateness_secs = value("--lateness-secs")
-                        .parse()
-                        .expect("--lateness-secs f64");
-                }
-                "--queue" => out.queue = value("--queue").parse().expect("--queue usize"),
+                "--model" => out.model = Some(flags.value("--model")),
+                "--spread" => out.spread = Some(flags.parse("--spread", "f64")),
+                "--speed" => out.speed = flags.parse("--speed", "f64"),
+                "--window-secs" => out.window_secs = flags.parse("--window-secs", "f64"),
+                "--lateness-secs" => out.lateness_secs = flags.parse("--lateness-secs", "f64"),
+                "--queue" => out.queue = flags.parse("--queue", "usize"),
                 "--drop-oldest" => out.drop_oldest = true,
-                "--epochs" => out.epochs = value("--epochs").parse().expect("--epochs usize"),
-                "--hidden" => out.hidden = value("--hidden").parse().expect("--hidden usize"),
-                "--seed" => out.seed = value("--seed").parse().expect("--seed u64"),
+                "--epochs" => out.epochs = flags.parse("--epochs", "usize"),
+                "--hidden" => out.hidden = flags.parse("--hidden", "usize"),
+                "--seed" => out.seed = flags.parse("--seed", "u64"),
                 "--assert-batch" => out.assert_batch = true,
-                "--checkpoint" => out.checkpoint = Some(value("--checkpoint")),
+                "--checkpoint" => out.checkpoint = Some(flags.value("--checkpoint")),
                 "--quiet" => out.quiet = true,
-                "--tenants" => out.tenants = value("--tenants").parse().expect("--tenants usize"),
-                "--flood" => out.flood = Some(value("--flood").parse().expect("--flood usize")),
-                "--window-quota" => {
-                    out.window_quota = value("--window-quota").parse().expect("--window-quota u32");
-                }
+                "--tenants" => out.tenants = flags.parse("--tenants", "usize"),
+                "--flood" => out.flood = Some(flags.parse("--flood", "usize")),
+                "--window-quota" => out.window_quota = flags.parse("--window-quota", "u32"),
                 other => panic!("unknown flag {other}; see `deeprest_serve` docs for usage"),
             }
         }
@@ -610,15 +599,9 @@ fn sim_session(args: &ServeArgs) -> Session {
 /// Spreads each window's traces evenly inside the window, producing an
 /// in-order arrival stream whose batch partition equals the input.
 fn windowed_to_stream(w: &WindowedTraces) -> Vec<TimestampedTrace> {
-    let mut out = Vec::new();
-    for (t, window) in w.windows.iter().enumerate() {
-        let n = window.len().max(1) as f64;
-        for (j, trace) in window.iter().enumerate() {
-            out.push(TimestampedTrace {
-                at_secs: (t as f64 + (j as f64 + 0.5) / n) * w.window_secs,
-                trace: trace.clone(),
-            });
-        }
-    }
-    out
+    w.windows
+        .iter()
+        .enumerate()
+        .flat_map(|(t, traces)| stamp(t, traces.iter().cloned(), w.window_secs))
+        .collect()
 }

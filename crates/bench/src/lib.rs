@@ -37,5 +37,5 @@ pub mod experiments;
 pub(crate) mod harness;
 pub(crate) mod report;
 
-pub use args::Args;
+pub use args::{Args, Flags};
 pub(crate) use harness::{filter_metrics, focus_scope, ExpCtx, Phase};

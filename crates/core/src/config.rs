@@ -45,8 +45,6 @@ pub struct DeepRestConfig {
     /// Subsequences per optimizer step (paper uses batch size 32 at 5-second
     /// scrape windows; benchmark-scale runs have far fewer subsequences).
     pub batch_size: usize,
-    /// Global gradient-norm clip.
-    pub grad_clip: f32,
     /// Enables the API-aware mask of Eq. 1 (ablation switch; the paper's
     /// architecture always has it).
     pub api_mask: bool,
@@ -89,7 +87,6 @@ impl Default for DeepRestConfig {
             optimizer: OptimizerKind::Adam { lr: 0.005 },
             subseq_len: 48,
             batch_size: 8,
-            grad_clip: 5.0,
             api_mask: true,
             attention: true,
             linear_skip: true,
@@ -145,15 +142,16 @@ mod tests {
 
     #[test]
     fn stale_keys_are_ignored_and_not_written_back() {
-        // Configs (and model JSON) written while the training engine and
-        // the telemetry sink were user-set options carry a `"backend"` or
-        // a `"telemetry"` key; they must still load, and a round trip must
-        // drop the key.
+        // Configs (and model JSON) written while the training engine, the
+        // telemetry sink and the gradient clip were user-set options carry
+        // a `"backend"`, a `"telemetry"` or a `"grad_clip"` key; they must
+        // still load, and a round trip must drop the key.
         let current = serde_json::to_string(&DeepRestConfig::default()).unwrap();
         for stale in [
             "\"backend\":\"Tape\"",
             "\"telemetry\":null",
             "\"telemetry\":\"jsonl:t.jsonl\"",
+            "\"grad_clip\":5.0",
         ] {
             assert!(!current.contains(&stale[..stale.find(':').unwrap()]));
             let old = current.replacen('{', &format!("{{{stale},"), 1);

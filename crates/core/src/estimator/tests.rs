@@ -383,7 +383,7 @@ fn from_json_refuses_experts_it_cannot_pack() {
 /// for bit.
 #[test]
 fn the_pack_is_the_parameters_after_every_writer() {
-    use crate::train::{OnlineUpdater, TrainSegment, UpdateConfig, UpdateError};
+    use crate::train::{OnlineUpdater, TrainSegment, UpdateError, SEGMENT_LEN};
     use deeprest_fault::{self as fault, FaultPlan};
     use std::sync::Arc;
 
@@ -394,13 +394,12 @@ fn the_pack_is_the_parameters_after_every_writer() {
     // with `poison` armed or not.
     let update = |poison: bool| {
         let mut model = fit();
-        let cfg = UpdateConfig::default();
-        let (xs, targets) = first_segment(&model, &data, cfg.segment_len);
+        let (xs, targets) = first_segment(&model, &data, SEGMENT_LEN);
         let segments = [TrainSegment {
             xs: &xs,
             targets: &targets,
         }];
-        let mut updater = OnlineUpdater::new(&model, cfg);
+        let mut updater = OnlineUpdater::new(&model);
         let plan = FaultPlan::new(3).once("adapt.update.poison", 0);
         let outcome = match poison {
             true => fault::with_plan(Arc::new(plan), || updater.update(&mut model, &segments)),
@@ -452,13 +451,12 @@ fn the_pack_is_the_parameters_after_every_writer() {
 #[test]
 fn state_carried_across_an_update_agrees_with_a_fork_taken_after_it() {
     use crate::stream::CarriedState;
-    use crate::train::{OnlineUpdater, TrainSegment, UpdateConfig};
+    use crate::train::{OnlineUpdater, TrainSegment, SEGMENT_LEN};
 
     let data = tiny_dataset(64);
     let (i, traces, metrics) = &data;
     let (mut model, _) = DeepRest::fit(traces, metrics, i, quick_config().with_epochs(2));
-    let cfg = UpdateConfig::default();
-    let (xs, targets) = first_segment(&model, &data, cfg.segment_len);
+    let (xs, targets) = first_segment(&model, &data, SEGMENT_LEN);
     let mut carried = CarriedState::new(&model);
     for x in xs.chunks(model.features.dim()) {
         carried.step(&model, x);
@@ -468,7 +466,7 @@ fn state_carried_across_an_update_agrees_with_a_fork_taken_after_it() {
         xs: &xs,
         targets: &targets,
     };
-    OnlineUpdater::new(&model, cfg)
+    OnlineUpdater::new(&model)
         .update(&mut model, &[segment])
         .expect("update");
     assert_ne!(model.to_json().unwrap(), before, "the update must move θ");

@@ -162,7 +162,7 @@ impl DeepRest {
                         *acc += s;
                     }
                 }
-                self.store.clip_grad_norm(self.config.grad_clip);
+                self.store.clip_grad_norm(crate::train::GRAD_CLIP);
                 opt.step_with(&mut self.store, &pool);
             }
             epoch_losses.push(epoch_loss / epoch_terms.max(1) as f32);

@@ -392,13 +392,12 @@ impl DeepRest {
     /// `batch` into `xs`/`targets`), the step every writer of the
     /// parameters trains through: zero the gradients, run the batch's
     /// forward and backward on `trainer`, clip the global gradient norm at
-    /// `clip`, step `opt`, and repack the slab from the written store.
+    /// [`GRAD_CLIP`], step `opt`, and repack the slab from the written store.
     /// Returns the batch's per-subsequence loss statistics.
     fn train_batch<'t>(
         &mut self,
         trainer: &'t mut AnalyticTrainer,
         opt: &mut Optimizer,
-        clip: f32,
         xs: &[Vec<f32>],
         targets: &[Vec<f32>],
         batch: &[usize],
@@ -406,7 +405,7 @@ impl DeepRest {
         let pool = self.pool();
         self.store.zero_grads();
         let stats = trainer.run_batch(&self.slab, &mut self.store, &pool, xs, targets, batch);
-        self.store.clip_grad_norm(clip);
+        self.store.clip_grad_norm(GRAD_CLIP);
         opt.step_with(&mut self.store, &pool);
         self.slab.repack(&self.store);
         stats
@@ -445,8 +444,7 @@ impl DeepRest {
             let mut epoch_expert_sums = vec![0.0f32; e_count];
 
             for batch in order.chunks(self.config.batch_size.max(1)) {
-                let clip = self.config.grad_clip;
-                let stats = self.train_batch(&mut trainer, &mut opt, clip, xs, targets, batch);
+                let stats = self.train_batch(&mut trainer, &mut opt, xs, targets, batch);
                 for slot in stats {
                     epoch_loss += slot.loss_sum;
                     epoch_terms += slot.n_terms;
@@ -539,48 +537,33 @@ impl DeepRest {
     }
 }
 
-/// Tuning of the online update step.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct UpdateConfig {
-    /// Windows per training subsequence — also the replay-buffer segment
-    /// length. Each staged segment gets a fresh hidden state, matching the
-    /// truncated-BPTT regime of offline training.
-    pub segment_len: usize,
-    /// Replay segments folded into each update alongside the fresh
-    /// segment, so `segment_slots() = replay_slots + 1`.
-    pub replay_slots: usize,
-    /// SGD learning rate (momentum is fixed at zero — see the module docs
-    /// for why statelessness matters).
-    pub lr: f32,
-    /// Global gradient-norm clip applied before the step.
-    pub grad_clip: f32,
-}
+/// Global gradient-norm clip applied before every optimizer step, offline
+/// and online alike.
+pub(crate) const GRAD_CLIP: f32 = 5.0;
 
-impl Default for UpdateConfig {
-    fn default() -> Self {
-        Self {
-            segment_len: 8,
-            replay_slots: 3,
-            lr: 0.002,
-            grad_clip: 5.0,
-        }
-    }
-}
+/// Windows per online training subsequence — also the replay-buffer
+/// segment length. Each staged segment gets a fresh hidden state, matching
+/// the truncated-BPTT regime of offline training.
+pub const SEGMENT_LEN: usize = 8;
 
-impl UpdateConfig {
-    /// Total subsequence slots per update (replay + fresh).
-    fn segment_slots(&self) -> usize {
-        self.replay_slots + 1
-    }
-}
+/// Replay segments folded into each online update alongside the fresh
+/// segment.
+pub const REPLAY_SLOTS: usize = 3;
 
-/// One staged training subsequence: `segment_len` windows of features and
+/// Total subsequence slots per online update (replay + fresh).
+const SEGMENT_SLOTS: usize = REPLAY_SLOTS + 1;
+
+/// SGD learning rate of the online update (momentum is fixed at zero — see
+/// the module docs for why statelessness matters).
+const UPDATE_LR: f32 = 0.002;
+
+/// One staged training subsequence: `SEGMENT_LEN` windows of features and
 /// per-expert normalized targets, both flat.
 #[derive(Clone, Copy, Debug)]
 pub struct TrainSegment<'a> {
-    /// Features, `segment_len × feature_dim`, window-major.
+    /// Features, `SEGMENT_LEN × feature_dim`, window-major.
     pub xs: &'a [f32],
-    /// Normalized targets, `experts × segment_len`, expert-major.
+    /// Normalized targets, `experts × SEGMENT_LEN`, expert-major.
     pub targets: &'a [f32],
 }
 
@@ -620,7 +603,7 @@ pub enum UpdateError {
     TooManySegments {
         /// Segments handed in.
         got: usize,
-        /// Configured `segment_slots()`.
+        /// Slots per update: [`REPLAY_SLOTS`] + 1.
         slots: usize,
     },
 }
@@ -656,7 +639,6 @@ pub struct OnlineUpdater {
     trainer: AnalyticTrainer,
     /// Plain SGD with zero momentum: stateless.
     opt: Optimizer,
-    cfg: UpdateConfig,
     experts: usize,
     dim: usize,
     /// Staging arena: one `dim`-sized row per window across all slots.
@@ -676,36 +658,30 @@ impl OnlineUpdater {
     /// Builds the updater against `model`'s current expert swarm.
     ///
     /// The trainer configuration mirrors the model's own (`api_mask`,
-    /// `attention`, mask-L1 penalty, δ-quantiles); only the optimizer and
-    /// batch geometry come from `cfg`.
+    /// `attention`, mask-L1 penalty, δ-quantiles); the optimizer and batch
+    /// geometry are the online constants ([`SEGMENT_LEN`], [`REPLAY_SLOTS`]).
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.segment_len` is zero or the model has no experts.
-    pub fn new(model: &DeepRest, cfg: UpdateConfig) -> Self {
-        assert!(
-            cfg.segment_len > 0,
-            "OnlineUpdater: segment_len must be > 0"
-        );
+    /// Panics if the model has no experts.
+    pub fn new(model: &DeepRest) -> Self {
         let experts = model.experts.len();
         assert!(experts > 0, "OnlineUpdater: model has no experts");
         let dim = model.features.dim();
-        let slots = cfg.segment_slots();
-        let total = slots * cfg.segment_len;
+        let total = SEGMENT_SLOTS * SEGMENT_LEN;
         let ids: Vec<ParamId> = model.store.ids().collect();
         let backup = ids
             .iter()
             .map(|&id| vec![0.0f32; model.store.value(id).data().len()])
             .collect();
         Self {
-            trainer: model.trainer(cfg.segment_len, slots),
-            opt: Optimizer::Sgd(Sgd::new(cfg.lr, 0.0)),
-            cfg,
+            trainer: model.trainer(SEGMENT_LEN, SEGMENT_SLOTS),
+            opt: Optimizer::Sgd(Sgd::new(UPDATE_LR, 0.0)),
             experts,
             dim,
             xs: vec![vec![0.0; dim]; total],
             targets: vec![vec![0.0; total]; experts],
-            batch: Vec::with_capacity(slots),
+            batch: Vec::with_capacity(SEGMENT_SLOTS),
             backup,
             ids,
         }
@@ -732,36 +708,34 @@ impl OnlineUpdater {
         segments: &[TrainSegment<'_>],
     ) -> Result<UpdateStats, UpdateError> {
         let _span = telemetry::span("adapt.update");
-        let slots = self.cfg.segment_slots();
-        if segments.len() > slots {
+        if segments.len() > SEGMENT_SLOTS {
             return Err(UpdateError::TooManySegments {
                 got: segments.len(),
-                slots,
+                slots: SEGMENT_SLOTS,
             });
         }
-        let seg_len = self.cfg.segment_len;
         for (s, seg) in segments.iter().enumerate() {
-            if seg.xs.len() != seg_len * self.dim {
+            if seg.xs.len() != SEGMENT_LEN * self.dim {
                 return Err(UpdateError::SegmentShape {
                     segment: s,
                     detail: format!(
                         "xs has {} floats, expected {} ({} windows × {} features)",
                         seg.xs.len(),
-                        seg_len * self.dim,
-                        seg_len,
+                        SEGMENT_LEN * self.dim,
+                        SEGMENT_LEN,
                         self.dim
                     ),
                 });
             }
-            if seg.targets.len() != self.experts * seg_len {
+            if seg.targets.len() != self.experts * SEGMENT_LEN {
                 return Err(UpdateError::SegmentShape {
                     segment: s,
                     detail: format!(
                         "targets has {} floats, expected {} ({} experts × {} windows)",
                         seg.targets.len(),
-                        self.experts * seg_len,
+                        self.experts * SEGMENT_LEN,
                         self.experts,
-                        seg_len
+                        SEGMENT_LEN
                     ),
                 });
             }
@@ -776,28 +750,29 @@ impl OnlineUpdater {
 
         // Stage the arenas (plain memcpy into preallocated rows).
         for (s, seg) in segments.iter().enumerate() {
-            for t in 0..seg_len {
-                self.xs[s * seg_len + t].copy_from_slice(&seg.xs[t * self.dim..(t + 1) * self.dim]);
+            for t in 0..SEGMENT_LEN {
+                self.xs[s * SEGMENT_LEN + t]
+                    .copy_from_slice(&seg.xs[t * self.dim..(t + 1) * self.dim]);
             }
             for e in 0..self.experts {
-                self.targets[e][s * seg_len..(s + 1) * seg_len]
-                    .copy_from_slice(&seg.targets[e * seg_len..(e + 1) * seg_len]);
+                self.targets[e][s * SEGMENT_LEN..(s + 1) * SEGMENT_LEN]
+                    .copy_from_slice(&seg.targets[e * SEGMENT_LEN..(e + 1) * SEGMENT_LEN]);
             }
         }
         self.batch.clear();
-        self.batch.extend((0..segments.len()).map(|s| s * seg_len));
+        self.batch
+            .extend((0..segments.len()).map(|s| s * SEGMENT_LEN));
 
         // Pre-step snapshot: rollback target for poisoned updates.
         for (buf, &id) in self.backup.iter_mut().zip(self.ids.iter()) {
             buf.copy_from_slice(model.store.value(id).data());
         }
 
-        let staged = segments.len() * seg_len;
+        let staged = segments.len() * SEGMENT_LEN;
         let (mut loss_sum, mut terms) = (0.0f32, 0usize);
         let stats = model.train_batch(
             &mut self.trainer,
             &mut self.opt,
-            self.cfg.grad_clip,
             &self.xs[..staged],
             &self.targets,
             &self.batch,

@@ -7,55 +7,36 @@
 use deeprest_core::{DeepRest, Estimates};
 use deeprest_fault as fault;
 use deeprest_serve::{Checkpoint, Frozen, Pipeline, ServeConfig};
-use deeprest_sim::{ProvisionCost, SimStepper, SimStepperState};
+use deeprest_sim::{window_cost, SimStepper, SimStepperState};
 use deeprest_telemetry as telemetry;
-use deeprest_trace::window::TimestampedTrace;
+use deeprest_trace::window::stamp;
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{ControllerConfig, ControllerState, ScaleController};
 use crate::policy::{PolicyContext, ScalePolicy};
 use crate::scenario::Scenario;
 
-/// Control-loop tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct ScaleLoopConfig {
-    /// Windows between control ticks.
-    pub control_interval: usize,
-    /// Announced-traffic windows each what-if query looks ahead. Must
-    /// cover `control_interval + scale_lag` or a surge can land inside the
-    /// blind spot between ticks.
-    pub horizon: usize,
-    /// Seed for what-if trace sampling (combined with the tick window, so
-    /// every tick draws a fresh but reproducible stream).
-    pub what_if_seed: u64,
-    /// Per-replica saturation above which a window counts as an SLO
-    /// violation.
-    pub slo_saturation: f64,
-    /// EWMA weight of the newest observed/announced volume ratio in the
-    /// forecast calibration.
-    pub calibration_alpha: f64,
-    /// Watermark lateness of the embedded serving pipeline, seconds.
-    pub lateness_secs: f64,
-    /// Provisioned-capacity pricing for the cost objective.
-    pub provision: ProvisionCost,
-    /// Actuation discipline (bounds, cooldown, hysteresis).
-    pub controller: ControllerConfig,
-}
+/// Windows between control ticks.
+pub const CONTROL_INTERVAL: usize = 4;
 
-impl Default for ScaleLoopConfig {
-    fn default() -> Self {
-        Self {
-            control_interval: 4,
-            horizon: 8,
-            what_if_seed: 11,
-            slo_saturation: 0.9,
-            calibration_alpha: 0.4,
-            lateness_secs: 1.0,
-            provision: ProvisionCost::default(),
-            controller: ControllerConfig::default(),
-        }
-    }
-}
+/// Announced-traffic windows each what-if query looks ahead. Must cover
+/// `CONTROL_INTERVAL + scale_lag` or a surge can land inside the blind spot
+/// between ticks.
+const HORIZON: usize = 8;
+
+/// Seed for what-if trace sampling (combined with the tick window, so every
+/// tick draws a fresh but reproducible stream).
+const WHAT_IF_SEED: u64 = 11;
+
+/// Per-replica saturation above which a window counts as an SLO violation.
+const SLO_SATURATION: f64 = 0.9;
+
+/// EWMA weight of the newest observed/announced volume ratio in the
+/// forecast calibration.
+const CALIBRATION_ALPHA: f64 = 0.4;
+
+/// Watermark lateness of the embedded serving pipeline, seconds.
+const LATENESS_SECS: f64 = 1.0;
 
 /// One control decision, as recorded in the decision trace (and the golden
 /// fixtures).
@@ -95,8 +76,8 @@ pub struct ScaleReport {
 }
 
 /// Resumable state of a [`ScaleLoop`]: everything dynamic, serializable to
-/// JSON. Together with the (model, scenario, policy, config) used at
-/// construction this resumes bit-identically.
+/// JSON. Together with the (model, scenario, policy) used at construction
+/// this resumes bit-identically.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScaleCheckpoint {
     /// Next window index.
@@ -135,12 +116,11 @@ pub struct ScaleCheckpoint {
 /// Scaling decisions never consume simulator RNG draws, so the sampled
 /// request stream is identical for every policy — the comparison measures
 /// policies, not luck. Everything downstream is seeded: the same
-/// `(scenario, policy, config)` triple yields a bit-identical
+/// `(scenario, policy)` pair yields a bit-identical
 /// [`DecisionRecord`] sequence at any thread count.
 pub struct ScaleLoop<'m, P: ScalePolicy> {
     model: &'m DeepRest,
     scenario: &'m Scenario,
-    config: ScaleLoopConfig,
     policy: P,
     stepper: SimStepper,
     pipeline: Pipeline<Frozen<'m>>,
@@ -157,26 +137,20 @@ pub struct ScaleLoop<'m, P: ScalePolicy> {
 impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
     /// Builds the loop at window 0 with every component at the lower
     /// replica bound.
-    pub fn new(
-        model: &'m DeepRest,
-        scenario: &'m Scenario,
-        policy: P,
-        config: ScaleLoopConfig,
-    ) -> Self {
+    pub fn new(model: &'m DeepRest, scenario: &'m Scenario, policy: P) -> Self {
         let stepper = SimStepper::new(&scenario.app, &api_names(scenario), &scenario.sim);
         let serve_config = ServeConfig::default()
             .with_window_secs(scenario.sim.window_secs)
-            .with_lateness_secs(config.lateness_secs)
-            .with_control_interval(config.control_interval);
+            .with_lateness_secs(LATENESS_SECS)
+            .with_control_interval(CONTROL_INTERVAL);
         // The stepper pre-interns every app name deterministically, so its
         // interner is the pipeline's source symbol space.
         let pipeline = Pipeline::new(model, stepper.interner(), serve_config);
-        let controller = ScaleController::new(&scenario.app, config.controller);
+        let controller = ScaleController::new(&scenario.app, ControllerConfig::default());
         let n = scenario.app.components.len();
         Self {
             model,
             scenario,
-            config,
             policy,
             stepper,
             pipeline,
@@ -213,7 +187,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
     }
 
     /// Rebuilds a loop from a [`checkpoint`](Self::checkpoint);
-    /// `model`, `scenario`, `policy` and `config` must match the original
+    /// `model`, `scenario` and `policy` must match the original
     /// construction.
     ///
     /// # Errors
@@ -223,10 +197,9 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         model: &'m DeepRest,
         scenario: &'m Scenario,
         policy: P,
-        config: ScaleLoopConfig,
         ckpt: ScaleCheckpoint,
     ) -> Result<Self, String> {
-        let mut this = Self::new(model, scenario, policy, config);
+        let mut this = Self::new(model, scenario, policy);
         let apis = api_names(scenario);
         this.stepper = SimStepper::restore(&scenario.app, &apis, &scenario.sim, ckpt.sim)?;
         this.pipeline
@@ -263,12 +236,9 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         let mut violated = false;
         for (i, row) in obs.rows.iter().enumerate() {
             let spec = &self.scenario.app.components[i];
-            self.cost += self
-                .config
-                .provision
-                .window_cost(spec, row.replicas, window_secs);
+            self.cost += window_cost(spec, row.replicas, window_secs);
             self.replica_windows[i] += u64::from(row.replicas);
-            if row.saturation > self.config.slo_saturation {
+            if row.saturation > SLO_SATURATION {
                 violated = true;
             }
         }
@@ -285,17 +255,15 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         let actual_total: f64 = actual.window(t).iter().sum();
         if announced_total > 1e-9 {
             let sample = actual_total / announced_total;
-            let a = self.config.calibration_alpha.clamp(0.0, 1.0);
-            self.calibration = a * sample + (1.0 - a) * self.calibration;
+            self.calibration =
+                CALIBRATION_ALPHA * sample + (1.0 - CALIBRATION_ALPHA) * self.calibration;
         }
 
         // Stream the window's traces into the serving pipeline, spread
         // evenly inside the window.
-        let n = obs.traces.len().max(1) as f64;
-        for (j, trace) in obs.traces.into_iter().enumerate() {
-            let at_secs = (t as f64 + (j as f64 + 0.5) / n) * window_secs;
+        for arrival in stamp(t, obs.traces, window_secs) {
             self.pipeline
-                .ingest(TimestampedTrace { at_secs, trace })
+                .ingest(arrival)
                 .map_err(|e| format!("scale loop: ingest at window {t}: {e}"))?;
         }
 
@@ -383,7 +351,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
             self.estimate_error();
             return None;
         }
-        let end = (window + self.config.horizon).min(announced.window_count());
+        let end = (window + HORIZON).min(announced.window_count());
         if window >= end {
             return None;
         }
@@ -391,7 +359,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         // Clamp the calibration so a corrupt ratio cannot explode the
         // query into territory the model never saw.
         let scaled = horizon.scale(self.calibration.clamp(0.25, 4.0));
-        let seed = self.config.what_if_seed ^ (window as u64).wrapping_mul(0x9e37_79b9);
+        let seed = WHAT_IF_SEED ^ (window as u64).wrapping_mul(0x9e37_79b9);
         match self.model.estimate_what_if(snap, &scaled, seed) {
             Ok(estimates) => Some(estimates),
             Err(_) => {

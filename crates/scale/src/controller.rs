@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use deeprest_sim::AppSpec;
 
 /// Controller tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
     /// Lower replica bound for every component (clamped to at least 1).
     pub min_replicas: u32,

@@ -25,7 +25,7 @@
 //! the reaction lag and with congestion-amplified overshoot afterwards.
 //!
 //! Everything is seeded and deterministic: the same
-//! `(scenario, policy, config)` triple produces a bit-identical
+//! `(scenario, policy)` pair produces a bit-identical
 //! [`DecisionRecord`] sequence at any `DEEPREST_THREADS` setting, and a
 //! [`ScaleCheckpoint`] — one serde tree, the serving pipeline's
 //! [`deeprest_serve::Checkpoint`] nested in it as a value — resumes
@@ -44,7 +44,7 @@ mod controller;
 mod policy;
 mod scenario;
 
-pub use closed_loop::{DecisionRecord, ScaleCheckpoint, ScaleLoop, ScaleLoopConfig, ScaleReport};
+pub use closed_loop::{DecisionRecord, ScaleCheckpoint, ScaleLoop, ScaleReport, CONTROL_INTERVAL};
 pub use controller::{ControllerConfig, ControllerState, ScaleController};
 pub use policy::PolicyContext;
 pub(crate) use policy::ReactiveBaseline;
@@ -69,15 +69,11 @@ pub(crate) const REACTIVE_TARGET_UTILIZATION: f64 = 0.5;
 /// # Errors
 ///
 /// Propagates loop failures (see [`ScaleLoop::step`]).
-pub fn run_proactive(
-    model: &DeepRest,
-    scenario: &Scenario,
-    config: ScaleLoopConfig,
-) -> Result<ScaleReport, String> {
+pub fn run_proactive(model: &DeepRest, scenario: &Scenario) -> Result<ScaleReport, String> {
     let policy = TargetUtilizationPolicy {
         target_utilization: PROACTIVE_TARGET_UTILIZATION,
     };
-    ScaleLoop::new(model, scenario, policy, config).run_to_end()
+    ScaleLoop::new(model, scenario, policy).run_to_end()
 }
 
 /// Runs `scenario` under the reactive threshold baseline.
@@ -85,11 +81,7 @@ pub fn run_proactive(
 /// # Errors
 ///
 /// Propagates loop failures (see [`ScaleLoop::step`]).
-pub fn run_reactive(
-    model: &DeepRest,
-    scenario: &Scenario,
-    config: ScaleLoopConfig,
-) -> Result<ScaleReport, String> {
+pub fn run_reactive(model: &DeepRest, scenario: &Scenario) -> Result<ScaleReport, String> {
     let policy = ReactiveBaseline::new(REACTIVE_TARGET_UTILIZATION);
-    ScaleLoop::new(model, scenario, policy, config).run_to_end()
+    ScaleLoop::new(model, scenario, policy).run_to_end()
 }

@@ -12,8 +12,8 @@ use std::sync::{Arc, OnceLock};
 use deeprest_core::DeepRest;
 use deeprest_fault::FaultPlan;
 use deeprest_scale::{
-    demo_app, ControllerConfig, ScaleController, ScaleLoop, ScaleLoopConfig, Scenario,
-    ScenarioKind, TargetUtilizationPolicy, PROACTIVE_TARGET_UTILIZATION,
+    demo_app, ControllerConfig, ScaleController, ScaleLoop, Scenario, ScenarioKind,
+    TargetUtilizationPolicy, PROACTIVE_TARGET_UTILIZATION,
 };
 use proptest::prelude::*;
 
@@ -112,12 +112,11 @@ type Decision = (Vec<u32>, Vec<u32>, bool);
 /// returns `(decisions, estimate_errors)`.
 fn run_under_plan(plan: FaultPlan, windows: usize) -> (Vec<Decision>, u64) {
     let scenario = Scenario::new(ScenarioKind::Surge);
-    let config = ScaleLoopConfig::default();
     let policy = TargetUtilizationPolicy {
         target_utilization: PROACTIVE_TARGET_UTILIZATION,
     };
     deeprest_fault::with_plan(Arc::new(plan), || {
-        let mut lp = ScaleLoop::new(model(), &scenario, policy, config);
+        let mut lp = ScaleLoop::new(model(), &scenario, policy);
         while lp.position() < windows {
             assert!(lp.step().expect("step must not fail under estimate faults"));
         }

@@ -22,8 +22,8 @@ use std::sync::OnceLock;
 
 use deeprest_core::DeepRest;
 use deeprest_scale::{
-    run_proactive, run_reactive, DecisionRecord, ScaleCheckpoint, ScaleLoop, ScaleLoopConfig,
-    ScaleReport, Scenario, ScenarioKind, TargetUtilizationPolicy, PROACTIVE_TARGET_UTILIZATION,
+    run_proactive, run_reactive, DecisionRecord, ScaleCheckpoint, ScaleLoop, ScaleReport, Scenario,
+    ScenarioKind, TargetUtilizationPolicy, PROACTIVE_TARGET_UTILIZATION,
 };
 use serde::{Deserialize, Serialize};
 
@@ -80,9 +80,8 @@ fn reports(kind: ScenarioKind) -> &'static (ScaleReport, ScaleReport) {
         .expect("kind is one of all()");
     REPORTS[idx].get_or_init(|| {
         let scenario = Scenario::new(kind);
-        let config = ScaleLoopConfig::default();
-        let proactive = run_proactive(model(), &scenario, config).expect("proactive run");
-        let reactive = run_reactive(model(), &scenario, config).expect("reactive run");
+        let proactive = run_proactive(model(), &scenario).expect("proactive run");
+        let reactive = run_reactive(model(), &scenario).expect("reactive run");
         (proactive, reactive)
     })
 }
@@ -205,19 +204,18 @@ fn diurnal_and_drift_proactive_never_worse_on_slo() {
 #[test]
 fn checkpoint_resume_is_bit_exact() {
     let scenario = Scenario::new(ScenarioKind::Surge);
-    let config = ScaleLoopConfig::default();
     let policy = TargetUtilizationPolicy {
         target_utilization: PROACTIVE_TARGET_UTILIZATION,
     };
 
     // The uninterrupted reference run.
-    let reference = ScaleLoop::new(model(), &scenario, policy, config)
+    let reference = ScaleLoop::new(model(), &scenario, policy)
         .run_to_end()
         .expect("reference run");
 
     // Interrupted run: checkpoint mid-surge (window 38 is inside the
     // hold, between control ticks), round-trip through JSON, resume.
-    let mut first = ScaleLoop::new(model(), &scenario, policy, config);
+    let mut first = ScaleLoop::new(model(), &scenario, policy);
     while first.position() < 38 {
         assert!(first.step().expect("step before checkpoint"));
     }
@@ -229,7 +227,7 @@ fn checkpoint_resume_is_bit_exact() {
     // is ignored, not an error: the resume below stays bit-exact.
     let json = json.replacen('{', r#"{"adapter":"stale","#, 1);
     let restored: ScaleCheckpoint = serde_json::from_str(&json).expect("parse checkpoint");
-    let resumed = ScaleLoop::restore(model(), &scenario, policy, config, restored)
+    let resumed = ScaleLoop::restore(model(), &scenario, policy, restored)
         .expect("restore")
         .run_to_end()
         .expect("resumed run");

@@ -58,7 +58,7 @@ impl OverloadLevel {
 }
 
 /// Per-tenant circuit-breaker tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
     /// Consecutive over-quota rounds before the breaker opens; `0`
     /// disables the breaker.
@@ -79,8 +79,13 @@ impl Default for BreakerConfig {
     }
 }
 
+/// Hysteresis: a rung is left only when the aggregate depth falls to
+/// `RECOVER_FRACTION × ` that rung's entry threshold, so the ladder does not
+/// flap at the boundary.
+const RECOVER_FRACTION: f64 = 0.5;
+
 /// Overload-controller tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OverloadConfig {
     /// Aggregate queued arrivals (all tenants) at/above which the ladder
     /// enters [`OverloadLevel::Shed`]; `0` disables shedding.
@@ -88,13 +93,6 @@ pub struct OverloadConfig {
     /// Aggregate queued arrivals at/above which the ladder enters
     /// [`OverloadLevel::Frozen`]; `0` disables freezing.
     pub freeze_depth: usize,
-    /// Fraction of a tenant's queue capacity above which the tenant is
-    /// sheddable while the ladder is at `Shed` or higher.
-    pub shed_watermark: f64,
-    /// Hysteresis: a rung is left only when the aggregate depth falls to
-    /// `recover_fraction × ` that rung's entry threshold, so the ladder
-    /// does not flap at the boundary.
-    pub recover_fraction: f64,
     /// Per-tenant circuit-breaker tuning.
     pub breaker: BreakerConfig,
 }
@@ -104,8 +102,6 @@ impl Default for OverloadConfig {
         Self {
             shed_depth: 1024,
             freeze_depth: 4096,
-            shed_watermark: 0.5,
-            recover_fraction: 0.5,
             breaker: BreakerConfig::default(),
         }
     }
@@ -147,14 +143,14 @@ impl OverloadController {
     /// Re-evaluates the ladder for this round's aggregate queue `depth`
     /// and returns the (possibly new) rung. Escalation is immediate;
     /// de-escalation needs the depth to fall to
-    /// [`OverloadConfig::recover_fraction`] of the rung's entry threshold.
+    /// [`RECOVER_FRACTION`] of the rung's entry threshold.
     /// A disabled rung (threshold `0`) is neither entered nor held.
     pub(crate) fn observe(&mut self, depth: usize) -> OverloadLevel {
         let enter = |threshold: usize| threshold > 0 && depth >= threshold;
         // Holding a rung until its recovery floor, even though the depth
         // is back under its threshold, is the hysteresis.
         let hold = |threshold: usize| {
-            threshold > 0 && depth > (threshold as f64 * self.config.recover_fraction) as usize
+            threshold > 0 && depth > (threshold as f64 * RECOVER_FRACTION) as usize
         };
         let (freeze, shed) = (self.config.freeze_depth, self.config.shed_depth);
         let next = if enter(freeze) || (self.level == OverloadLevel::Frozen && hold(freeze)) {
@@ -331,7 +327,6 @@ mod tests {
         let mut c = OverloadController::new(OverloadConfig {
             shed_depth: 10,
             freeze_depth: 20,
-            recover_fraction: 0.5,
             ..OverloadConfig::default()
         });
         assert_eq!(c.observe(5), OverloadLevel::Normal);
@@ -361,7 +356,6 @@ mod tests {
         let mut c = OverloadController::new(OverloadConfig {
             shed_depth: 0,
             freeze_depth: 20,
-            recover_fraction: 0.5,
             ..OverloadConfig::default()
         });
         assert_eq!(c.observe(25), OverloadLevel::Frozen);

@@ -26,7 +26,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Fair-scheduler tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SchedConfig {
     /// Base deficit top-up per round, in cost units (spans); a tenant's
     /// actual top-up is `weight × quantum`. Values below 1 behave as 1.

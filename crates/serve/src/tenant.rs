@@ -67,6 +67,10 @@ pub const FLOOD_AMPLIFICATION: u64 = 10;
 /// the byte quota's units without serializing every arrival.
 pub const EST_SPAN_BYTES: u64 = 96;
 
+/// Fraction of a tenant's queue capacity above which the tenant is
+/// sheddable while the ladder is at `Shed` or higher.
+const SHED_WATERMARK: f64 = 0.5;
+
 /// Scheduling cost of one arrival, in cost units (spans, minimum 1).
 pub(crate) fn arrival_cost(arrival: &TimestampedTrace) -> u64 {
     (arrival.trace.span_count() as u64).max(1)
@@ -647,13 +651,12 @@ impl<'m> TenantRegistry<'m> {
     }
 
     fn shed(&mut self) -> u64 {
-        let watermark = self.overload.config().shed_watermark;
         let mut order: Vec<TenantId> = (0..self.tenants.len()).collect();
         order.sort_by_key(|&t| (self.tenants[t].config.priority.shed_rank(), t));
         let mut shed = 0u64;
         for t in order {
             let tenant = &mut self.tenants[t];
-            let keep = ((tenant.config.queue_capacity as f64) * watermark).floor() as usize;
+            let keep = ((tenant.config.queue_capacity as f64) * SHED_WATERMARK).floor() as usize;
             while tenant.queue.len() > keep {
                 if tenant.queue.try_pop().is_none() {
                     break;

@@ -146,8 +146,6 @@ fn tight_overload(breaker: BreakerConfig) -> OverloadConfig {
     OverloadConfig {
         shed_depth: 24,
         freeze_depth: 32,
-        shed_watermark: 0.5,
-        recover_fraction: 0.5,
         breaker,
     }
 }

@@ -72,38 +72,23 @@ pub(crate) struct CostSample {
     pub mem_mib: f64,
 }
 
-/// Provisioned-capacity pricing: what one replica of a component costs to
-/// keep running, regardless of utilization. The autoscaler's cost objective
-/// charges for what is *provisioned*, not what is used — over-provisioning
-/// is exactly the waste DeepRest's estimates are meant to avoid.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ProvisionCost {
-    /// Cost units per core-hour of allocated CPU.
-    pub core_hour: f64,
-    /// Cost units per GiB-hour of allocated memory (baseline + cache cap).
-    pub mem_gib_hour: f64,
-}
+/// Cost units per core-hour of allocated CPU. Roughly cloud-VM-shaped
+/// relative pricing: a core costs about 8x a GiB of memory.
+const CORE_HOUR: f64 = 0.04;
 
-impl Default for ProvisionCost {
-    fn default() -> Self {
-        // Roughly cloud-VM-shaped relative pricing: a core costs about
-        // 8x a GiB of memory.
-        Self {
-            core_hour: 0.04,
-            mem_gib_hour: 0.005,
-        }
-    }
-}
+/// Cost units per GiB-hour of allocated memory (baseline + cache cap).
+const MEM_GIB_HOUR: f64 = 0.005;
 
-impl ProvisionCost {
-    /// Cost of running `replicas` copies of `spec` for one window of
-    /// `window_secs` seconds.
-    pub fn window_cost(&self, spec: &crate::ComponentSpec, replicas: u32, window_secs: f64) -> f64 {
-        let hours = window_secs / 3600.0;
-        let mem_gib = (spec.mem_baseline_mib + spec.mem_cache_max_mib) / 1024.0;
-        let per_replica = spec.cores * self.core_hour * hours + mem_gib * self.mem_gib_hour * hours;
-        per_replica * f64::from(replicas)
-    }
+/// Provisioned-capacity cost of running `replicas` copies of `spec` for one
+/// window of `window_secs` seconds: what a replica costs to keep running,
+/// regardless of utilization. The autoscaler's cost objective charges for
+/// what is *provisioned*, not what is used — over-provisioning is exactly
+/// the waste DeepRest's estimates are meant to avoid.
+pub fn window_cost(spec: &crate::ComponentSpec, replicas: u32, window_secs: f64) -> f64 {
+    let hours = window_secs / 3600.0;
+    let mem_gib = (spec.mem_baseline_mib + spec.mem_cache_max_mib) / 1024.0;
+    let per_replica = spec.cores * CORE_HOUR * hours + mem_gib * MEM_GIB_HOUR * hours;
+    per_replica * f64::from(replicas)
 }
 
 /// The payload attributes of one request, produced by the engine from the

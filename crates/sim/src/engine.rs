@@ -16,11 +16,30 @@ use crate::anomaly::Injector;
 use crate::cost::Payload;
 use crate::{AppSpec, CallNode, Condition, Repeat};
 
-/// Simulation knobs. Defaults reproduce the dynamics the paper's estimation
-/// problem depends on: queueing amplification near saturation (so doubling
-/// traffic can more-than-double CPU), temporal carryover (so utilization
-/// depends on past windows), cache-driven memory (the paper's noted hard
-/// case) and measurement noise.
+/// CPU utilization fraction where queueing effects kick in.
+const QUEUE_KNEE: f64 = 0.50;
+
+/// Strength of the superlinear CPU amplification beyond the knee.
+const QUEUE_GAIN: f64 = 1.4;
+
+/// EWMA weight of the *current* window for CPU (the remainder carries over
+/// from the previous window — queued work finishing late).
+const SMOOTHING: f64 = 0.75;
+
+/// Per-window decay of each component's cache working set.
+const CACHE_DECAY: f64 = 0.985;
+
+/// Fraction of per-request transient memory visible in the window average.
+const TRANSIENT_MEM_FACTOR: f64 = 0.35;
+
+/// Number of simulated application users backing the social graph.
+const GRAPH_USERS: usize = 2_000;
+
+/// Simulation knobs. Defaults, with the constants above, reproduce the
+/// dynamics the paper's estimation problem depends on: queueing
+/// amplification near saturation (so doubling traffic can more-than-double
+/// CPU), temporal carryover (so utilization depends on past windows),
+/// cache-driven memory (the paper's noted hard case) and measurement noise.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Scrape window length in seconds.
@@ -29,20 +48,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Multiplicative measurement-noise magnitude.
     pub noise: f64,
-    /// CPU utilization fraction where queueing effects kick in.
-    pub queue_knee: f64,
-    /// Strength of the superlinear CPU amplification beyond the knee.
-    pub queue_gain: f64,
-    /// EWMA weight of the *current* window for CPU (the remainder carries
-    /// over from the previous window — queued work finishing late).
-    pub smoothing: f64,
-    /// Per-window decay of each component's cache working set.
-    pub cache_decay: f64,
-    /// Fraction of per-request transient memory visible in the window
-    /// average.
-    pub transient_mem_factor: f64,
-    /// Number of simulated application users backing the social graph.
-    pub graph_users: usize,
     /// Windows a replica *increase* takes to become effective (container
     /// pull + start + warm-up). Decreases apply immediately. Only exercised
     /// through [`SimStepper::set_target_replicas`].
@@ -55,12 +60,6 @@ impl Default for SimConfig {
             window_secs: 30.0,
             seed: 42,
             noise: 0.02,
-            queue_knee: 0.50,
-            queue_gain: 1.4,
-            smoothing: 0.75,
-            cache_decay: 0.985,
-            transient_mem_factor: 0.35,
-            graph_users: 2_000,
             scale_lag_windows: 2,
         }
     }
@@ -297,7 +296,7 @@ impl SimStepper {
             interner,
             api_order,
             api_syms,
-            graph: SocialGraph::generate(config.graph_users, config.seed ^ 0x5f5f),
+            graph: SocialGraph::generate(GRAPH_USERS, config.seed ^ 0x5f5f),
             payload_model: PayloadModel::default(),
             cpu_prev: vec![0.0; n],
             cache_state: vec![0.0; n],
@@ -464,19 +463,18 @@ impl SimStepper {
             let busy_pct = 100.0 * a.cpu_ms / (config.window_secs * 1_000.0 * comp.cores * r);
             let raw = comp.cpu_baseline_pct + busy_pct;
             let rho = (raw / 100.0).min(1.5);
-            let amplified = raw * (1.0 + config.queue_gain * (rho - config.queue_knee).max(0.0));
-            let smoothed =
-                config.smoothing * amplified + (1.0 - config.smoothing) * self.cpu_prev[i];
+            let amplified = raw * (1.0 + QUEUE_GAIN * (rho - QUEUE_KNEE).max(0.0));
+            let smoothed = SMOOTHING * amplified + (1.0 - SMOOTHING) * self.cpu_prev[i];
             self.cpu_prev[i] = smoothed;
             let mut cpu = (smoothed * noise_factor(&mut self.rng, config.noise)).clamp(0.0, 100.0);
 
             // Memory: per-replica baseline + decaying cache working set
             // (capacity scales with replicas) + transients.
-            self.cache_state[i] = (self.cache_state[i] * config.cache_decay + a.cache_mib)
-                .min(comp.mem_cache_max_mib * r);
+            self.cache_state[i] =
+                (self.cache_state[i] * CACHE_DECAY + a.cache_mib).min(comp.mem_cache_max_mib * r);
             let mut mem = (comp.mem_baseline_mib * r
                 + self.cache_state[i]
-                + config.transient_mem_factor * a.mem_mib)
+                + TRANSIENT_MEM_FACTOR * a.mem_mib)
                 * noise_factor(&mut self.rng, config.noise);
 
             let mut iops = a.write_ops / config.window_secs;
@@ -997,9 +995,8 @@ mod tests {
     #[test]
     fn provision_cost_scales_with_replicas() {
         let spec = ComponentSpec::stateless("Svc").with_cores(2.0);
-        let price = crate::ProvisionCost::default();
-        let one = price.window_cost(&spec, 1, 3600.0);
-        let four = price.window_cost(&spec, 4, 3600.0);
+        let one = crate::window_cost(&spec, 1, 3600.0);
+        let four = crate::window_cost(&spec, 4, 3600.0);
         assert!(one > 0.0);
         assert!((four - 4.0 * one).abs() < 1e-12);
     }

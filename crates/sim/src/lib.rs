@@ -38,8 +38,8 @@ pub mod engine;
 
 pub use api::{ApiSpec, CallEdge, CallNode, Condition, Repeat};
 pub use component::ComponentSpec;
+pub use cost::{window_cost, OperationCost};
 pub(crate) use cost::{CostDriver, CostTerm};
-pub use cost::{OperationCost, ProvisionCost};
 pub use engine::{
     ComponentRow, SimConfig, SimOutput, SimStepper, SimStepperState, StepObservation,
 };

@@ -102,6 +102,23 @@ pub fn partition(
     out
 }
 
+/// Stamps window `t`'s traces with arrival times spread evenly inside it:
+/// the `j`-th of `n` arrives at `(t + (j + 0.5) / n) · window_secs`. The
+/// inverse of [`partition`]: partitioning every window's stamped arrivals
+/// gives the windows back, in order.
+pub fn stamp<I>(t: usize, traces: I, window_secs: f64) -> impl Iterator<Item = TimestampedTrace>
+where
+    I: IntoIterator<Item = Trace>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let traces = traces.into_iter();
+    let n = traces.len().max(1) as f64;
+    traces.enumerate().map(move |(j, trace)| TimestampedTrace {
+        at_secs: (t as f64 + (j as f64 + 0.5) / n) * window_secs,
+        trace,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +166,32 @@ mod tests {
         assert_eq!(w.window(1).len(), 1);
         assert_eq!(w.window(2).len(), 1);
         assert_eq!(w.trace_count(), 4);
+    }
+
+    #[test]
+    fn partition_of_stamped_windows_gives_them_back() {
+        let mut i = Interner::new();
+        let api = i.intern("/x");
+        let c = i.intern("C");
+        let mut distinct = (0..).map(|k| {
+            let op = i.intern(&format!("op{k}"));
+            Trace::new(api, SpanNode::leaf(c, op))
+        });
+        let window_secs = 0.3;
+        let counts = [3, 0, 1, 0, 0, 7, 2, 0];
+        let windows: Vec<Vec<Trace>> = counts
+            .iter()
+            .map(|&n| distinct.by_ref().take(n).collect())
+            .collect();
+        let stamped: Vec<_> = windows
+            .iter()
+            .enumerate()
+            .flat_map(|(t, w)| stamp(t, w.iter().cloned(), window_secs))
+            .collect();
+        assert!(stamped.windows(2).all(|p| p[0].at_secs < p[1].at_secs));
+        let back = partition(stamped, window_secs, counts.len());
+        assert_eq!(back.window_secs, window_secs);
+        assert_eq!(back.windows, windows);
     }
 
     #[test]

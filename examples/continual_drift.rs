@@ -17,7 +17,7 @@ use deeprest::core::{DeepRest, DeepRestConfig};
 use deeprest::metrics::eval::interval_calibration;
 use deeprest::metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest::serve::{ServeConfig, WindowOutput};
-use deeprest::trace::window::{TimestampedTrace, WindowedTraces};
+use deeprest::trace::window::{stamp, TimestampedTrace, WindowedTraces};
 use deeprest::trace::{Interner, SpanNode, Trace};
 
 /// Periodic request load of window `t` — the traffic never changes.
@@ -63,17 +63,11 @@ fn dataset(
 
 /// Flattens windowed traces into the arrival stream a collector delivers.
 fn as_stream(w: &WindowedTraces) -> Vec<TimestampedTrace> {
-    let mut out = Vec::new();
-    for (t, window) in w.windows.iter().enumerate() {
-        let n = window.len().max(1) as f64;
-        for (j, trace) in window.iter().enumerate() {
-            out.push(TimestampedTrace {
-                at_secs: (t as f64 + (j as f64 + 0.5) / n) * w.window_secs,
-                trace: trace.clone(),
-            });
-        }
-    }
-    out
+    w.windows
+        .iter()
+        .enumerate()
+        .flat_map(|(t, traces)| stamp(t, traces.iter().cloned(), w.window_secs))
+        .collect()
 }
 
 /// Streams every arrival through one pipeline and returns it with its

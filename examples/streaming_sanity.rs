@@ -16,23 +16,17 @@ use deeprest::serve::{Pipeline, ServeConfig};
 use deeprest::sim::anomaly::CryptojackingAttack;
 use deeprest::sim::apps;
 use deeprest::sim::engine::{simulate, simulate_with, SimConfig};
-use deeprest::trace::window::{TimestampedTrace, WindowedTraces};
+use deeprest::trace::window::{stamp, TimestampedTrace, WindowedTraces};
 use deeprest::workload::WorkloadSpec;
 
 /// Flattens a finished simulated day into the arrival stream a collector
 /// would have delivered: each window's traces spaced evenly inside it.
 fn as_stream(w: &WindowedTraces) -> Vec<TimestampedTrace> {
-    let mut out = Vec::new();
-    for (t, window) in w.windows.iter().enumerate() {
-        let n = window.len().max(1) as f64;
-        for (j, trace) in window.iter().enumerate() {
-            out.push(TimestampedTrace {
-                at_secs: (t as f64 + (j as f64 + 0.5) / n) * w.window_secs,
-                trace: trace.clone(),
-            });
-        }
-    }
-    out
+    w.windows
+        .iter()
+        .enumerate()
+        .flat_map(|(t, traces)| stamp(t, traces.iter().cloned(), w.window_secs))
+        .collect()
 }
 
 fn main() {

@@ -297,13 +297,12 @@ fn privacy_hashed_traces_train_equally_well() {
 /// bit.
 #[test]
 fn proactive_autoscaler_beats_reactive_through_facade() {
-    use deeprest::scale::{run_proactive, run_reactive, ScaleLoopConfig, Scenario, ScenarioKind};
+    use deeprest::scale::{run_proactive, run_reactive, Scenario, ScenarioKind};
 
     let scenario = Scenario::new(ScenarioKind::Surge);
     let model = scenario.train();
-    let config = ScaleLoopConfig::default();
-    let proactive = run_proactive(&model, &scenario, config).unwrap();
-    let reactive = run_reactive(&model, &scenario, config).unwrap();
+    let proactive = run_proactive(&model, &scenario).unwrap();
+    let reactive = run_reactive(&model, &scenario).unwrap();
 
     assert!(
         proactive.slo_violation_windows < reactive.slo_violation_windows,
@@ -319,7 +318,7 @@ fn proactive_autoscaler_beats_reactive_through_facade() {
     );
     assert_eq!(proactive.estimate_errors, 0);
 
-    let rerun = run_proactive(&model, &scenario, config).unwrap();
+    let rerun = run_proactive(&model, &scenario).unwrap();
     assert_eq!(
         proactive.decisions, rerun.decisions,
         "decision trace replays"

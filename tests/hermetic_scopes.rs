@@ -339,8 +339,6 @@ fn within_quota_tenant_equals_its_solo_run_under_a_flood() {
     let overload = OverloadConfig {
         shed_depth: 24,
         freeze_depth: 32,
-        shed_watermark: 0.5,
-        recover_fraction: 0.5,
         breaker: BreakerConfig {
             trip_rounds: 3,
             backoff_rounds: 4,
