@@ -297,6 +297,63 @@ fn from_json_refuses_tables_it_cannot_index() {
     }
 }
 
+/// A synthesizer the queries could not draw from is refused by
+/// `from_json`, naming the API, not at the first query: a key that is no
+/// tree, an empty distribution, and counts that miss their total.
+#[test]
+fn from_json_refuses_a_synthesizer_it_cannot_draw_from() {
+    let (i, traces, metrics) = tiny_dataset(16);
+    let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+    let json = model.to_json().unwrap();
+    let (n, up) = (traces.iter_all().count(), u64::MAX);
+    let good = format!(r#"{{"keys":[[1,{up}]],"counts":[{n}],"total":{n}}}"#);
+    for (bad, expect) in [
+        (
+            format!(r#"{{"keys":[[1]],"counts":[{n}],"total":{n}}}"#),
+            "key 0 is not a canonical tree key",
+        ),
+        (
+            r#"{"keys":[],"counts":[],"total":0}"#.to_string(),
+            "the distribution is empty",
+        ),
+        (
+            format!(r#"{{"keys":[[1,{up}]],"counts":[{n}],"total":{}}}"#, n + 1),
+            "the counts do not sum to total",
+        ),
+    ] {
+        assert!(json.contains(&good), "{good} not in {json}");
+        let err = DeepRest::from_json(&json.replace(&good, &bad)).expect_err(&bad);
+        let err = err.to_string();
+        assert!(
+            err.contains("API /read") && err.contains(expect),
+            "{bad}: {err}"
+        );
+    }
+}
+
+/// Each query from traffic records its synthesis as one
+/// `estimate.synthesize` span, so a traced run can split it from the
+/// prediction.
+#[test]
+fn each_traffic_query_records_one_synthesis_span() {
+    use deeprest_telemetry::{self as telemetry, MemorySink};
+    use std::sync::Arc;
+
+    let (i, traces, metrics) = tiny_dataset(16);
+    let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+    let traffic = ApiTraffic::new(vec!["/read".into()], 8, vec![vec![5.5]; 4]);
+    let cold = model.stream_predictor().snapshot();
+    let sink = Arc::new(MemorySink::new());
+    telemetry::with_sink(sink.clone(), || {
+        model.estimate_traffic(&traffic, 3);
+        assert_eq!(sink.span_count("estimate.synthesize"), 1);
+        assert_eq!(sink.span_count("estimate.predict"), 1);
+        model.estimate_what_if(&cold, &traffic, 3).unwrap();
+        assert_eq!(sink.span_count("estimate.synthesize"), 2);
+        assert_eq!(sink.span_count("estimate.what_if"), 1);
+    });
+}
+
 /// A parameter whose data does not fill its shape, and a store whose
 /// names and values differ in count, are errors out of `from_json`, not
 /// a short read at the pack or an index out of bounds later.

@@ -217,6 +217,38 @@ impl FeatureSpace {
         }
     }
 
+    /// Algorithm 2 for one tree given as its canonical key (see
+    /// [`SpanNode::canonical_key`]) rather than as nodes: the walk of
+    /// `count`, one trie probe per span and a miss pruning the subtree, made
+    /// over the key's tokens where they lie. `hit` receives the feature of
+    /// every span that counts, in pre-order. Returns `None` for a key
+    /// [`SpanNode::from_canonical_key`] refuses, after reporting the hits
+    /// before the fault.
+    ///
+    /// The open spans are an explicit stack, not recursion, so a key read
+    /// from a file cannot overflow the thread's stack however deep it nests.
+    pub(crate) fn count_key(&self, key: &[u64], hit: &mut impl FnMut(u32)) -> Option<()> {
+        // Per open span, the feature it hit (`None`: it or an ancestor
+        // missed, so its subtree is only stepped over).
+        let mut open: Vec<Option<u32>> = Vec::new();
+        for (pos, &token) in key.iter().enumerate() {
+            if token == SpanNode::KEY_UP {
+                open.pop()?;
+                if open.is_empty() {
+                    return (pos + 1 == key.len()).then_some(());
+                }
+            } else {
+                let parent = open.last().map_or(Some(ROOT), |&p| p);
+                let idx = parent.and_then(|p| self.trie.get(&(p, token)).copied());
+                if let Some(idx) = idx {
+                    hit(idx);
+                }
+                open.push(idx);
+            }
+        }
+        None
+    }
+
     /// Algorithm 2 on traces read through the symbol map `sym`: the raw
     /// count vector `x_t` of one window.
     pub(crate) fn extract_with<F: FnMut(Sym) -> Sym>(
@@ -456,6 +488,22 @@ mod tests {
         sym(stray);
     }
 
+    #[test]
+    fn a_key_nested_past_any_stack_is_walked() {
+        let (_, traces) = media_traces();
+        let space = FeatureSpace::construct(&traces);
+        let upload = traces.window(0)[0].root.packed_id();
+        let depth = 1 << 20;
+        let mut key = vec![upload; depth];
+        key.extend(vec![SpanNode::KEY_UP; depth]);
+        let mut hits = Vec::new();
+        assert_eq!(space.count_key(&key, &mut |f| hits.push(f)), Some(()));
+        // The root path counts; `upload` under `upload` is no path.
+        assert_eq!(hits.len(), 1);
+        key.pop();
+        assert_eq!(space.count_key(&key, &mut |_| {}), None);
+    }
+
     // The extraction this module replaced — copy every tree into the
     // model's numbering, then hash the whole root prefix of every span —
     // kept as the reference the one-walk extraction is proven against.
@@ -621,6 +669,46 @@ mod tests {
                 let want = reference_extract(&space, &model, &model, learning.window(w));
                 prop_assert_eq!(bits(&space.extract(learning.window(w))), bits(&want));
                 prop_assert_eq!(bits(x), bits(&want));
+            }
+        }
+
+        /// The walk over a canonical key hits what the walk over its tree
+        /// hits, pruned paths included, and refuses exactly the keys
+        /// `SpanNode::from_canonical_key` refuses: cut short, an ascend
+        /// spliced in, a token left over.
+        #[test]
+        fn the_key_walk_counts_what_the_tree_walk_counts(
+            learned in proptest::collection::vec(arb_shape(SEEN), 1..6),
+            queried in proptest::collection::vec(arb_shape(NAMES.len()), 1..6),
+            cut in 0usize..64,
+            at in 0usize..64,
+        ) {
+            let mut model = Interner::new();
+            let syms: Vec<Sym> = NAMES.iter().map(|n| model.intern(n)).collect();
+            let api = model.intern("/api");
+            let mut learning = WindowedTraces::with_windows(1.0, 1);
+            for shape in &learned {
+                learning.windows[0].push(Trace::new(api, shape.in_numbering(&syms)));
+            }
+            let space = FeatureSpace::construct(&learning);
+            let walk = |key: &[u64]| {
+                let mut x = vec![0.0f32; space.dim()];
+                space.count_key(key, &mut |f| x[f as usize] += 1.0).map(|()| x)
+            };
+
+            for shape in learned.iter().chain(&queried) {
+                let key = shape.in_numbering(&syms).canonical_key();
+                let mut short = key.clone();
+                short.truncate(cut % key.len());
+                let mut spliced = key.clone();
+                spliced.insert(at % (key.len() + 1), SpanNode::KEY_UP);
+                let mut long = key.clone();
+                long.push(key[0]);
+                for key in [key, short, spliced, long] {
+                    let tree = SpanNode::from_canonical_key(&key);
+                    let want = tree.map(|root| space.extract(&[Trace::new(api, root)]));
+                    prop_assert_eq!(walk(&key), want, "{:?}", key);
+                }
             }
         }
     }

@@ -19,6 +19,7 @@ use deeprest_tensor::{kernel, ParamId, ParamStore, Pool};
 use deeprest_trace::Interner;
 use serde::{Deserialize, Serialize};
 
+use crate::synthesizer::CountTable;
 use crate::{DeepRestConfig, FeatureSpace, TraceSynthesizer};
 
 /// The identity of one expert: the `(component, resource)` it estimates.
@@ -72,6 +73,12 @@ pub struct DeepRest {
     /// so it always is the parameters.
     #[serde(skip)]
     pub(crate) slab: ExpertSlab,
+    /// Every learned tree's feature counts, which the estimation queries
+    /// add up instead of counting synthetic traces. Derived from
+    /// `synthesizer` and `features`, which nothing writes after assembly,
+    /// so it is never written out.
+    #[serde(skip)]
+    pub(crate) counts: CountTable,
 }
 
 /// What a [`DeepRest`] is made of and written out as: everything but the
@@ -122,15 +129,20 @@ fn expert_specs(experts: &[Expert]) -> Vec<ExpertSpec> {
 }
 
 impl DeepRest {
-    /// Puts a model together from its parts — fitted or read back — and
-    /// packs its slab: the one place a model comes into being, so a model
-    /// that exists has its pack.
+    /// Puts a model together from its parts — fitted or read back — packs
+    /// its slab and counts its synthesizer's trees: the one place a model
+    /// comes into being, so a model that exists has both.
     ///
     /// # Errors
     ///
     /// Returns [`ExpertSlab::try_pack`]'s message when the experts' handles
-    /// do not fit the store (parts read from a file can disagree).
+    /// do not fit the store (parts read from a file can disagree), and
+    /// [`TraceSynthesizer::count_table`]'s when the synthesizer cannot be
+    /// drawn from.
     pub(crate) fn assemble(parts: ModelParts) -> Result<Self, String> {
+        let counts = parts
+            .synthesizer
+            .count_table(&parts.features, &parts.interner)?;
         let slab = ExpertSlab::try_pack(
             &parts.store,
             &expert_specs(&parts.experts),
@@ -146,6 +158,7 @@ impl DeepRest {
             experts: parts.experts,
             store: parts.store,
             slab,
+            counts,
         })
     }
 
@@ -268,7 +281,9 @@ impl DeepRest {
     ///
     /// Returns the underlying `serde_json` error on malformed input,
     /// including a feature or name table that cannot be indexed (see
-    /// [`FeatureSpace`]'s and [`Interner`]'s `Deserialize`).
+    /// [`FeatureSpace`]'s and [`Interner`]'s `Deserialize`) and a
+    /// synthesizer that cannot be drawn from (an empty API distribution,
+    /// tree counts that do not sum to their total, or a malformed tree key).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }

@@ -11,12 +11,10 @@ use deeprest_telemetry as telemetry;
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::Interner;
 use deeprest_workload::ApiTraffic;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::stream::{StreamPredictor, StreamSnapshot};
-use crate::{DeepRest, ExpertKey, TraceSynthesizer};
+use crate::{DeepRest, ExpertKey};
 
 /// Estimation for one resource: expected value plus the δ-confidence
 /// interval, per window.
@@ -115,18 +113,15 @@ impl DeepRest {
     }
 
     /// Mode 1 (§3, Fig. 4): estimates the resources needed to serve
-    /// *hypothetical* API traffic. The traffic is first converted to
-    /// synthetic traces by the trace synthesizer.
+    /// *hypothetical* API traffic. The trace synthesizer draws the traffic's
+    /// requests, and each window's features are the drawn trees' counts.
     ///
     /// # Panics
     ///
     /// Panics if the traffic references an endpoint never observed during
     /// application learning.
     pub fn estimate_traffic(&self, traffic: &ApiTraffic, seed: u64) -> Estimates {
-        let synthetic = self.synthesizer.synthesize(traffic, &self.interner, seed);
-        // Synthetic traces are already in the model's numbering.
-        let xs = self.features.extract_all_normalized(&synthetic);
-        self.predict(&xs)
+        self.predict(&self.synthesized_rows(traffic, seed))
     }
 
     /// What-if continuation of a live stream: estimates the resources the
@@ -140,7 +135,7 @@ impl DeepRest {
     /// start", while this answers "what would it cost *now*, given
     /// everything the live stream has already seen". The snapshot is only
     /// read — forking many hypotheses off one live stream is cheap and
-    /// leaves serving untouched. Synthetic trace sampling is seeded by
+    /// leaves serving untouched. Synthetic request sampling is seeded by
     /// `seed`, so the same `(snapshot, traffic, seed)` triple reproduces the
     /// estimate bit-identically at any thread count.
     ///
@@ -162,15 +157,21 @@ impl DeepRest {
     ) -> Result<Estimates, String> {
         let _span = telemetry::span("estimate.what_if");
         let predictor = StreamPredictor::restore(self, snap)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let api_syms = TraceSynthesizer::resolve_endpoints(traffic, &self.interner);
-        let rows = (0..traffic.window_count()).map(|w| {
-            let traces = self
-                .synthesizer
-                .synthesize_window(traffic.window(w), &api_syms, &mut rng);
-            self.features.extract_normalized(&traces)
-        });
-        Ok(self.run_stream(predictor, rows))
+        let rows = self.synthesized_rows(traffic, seed);
+        Ok(self.run_stream(predictor, rows.iter()))
+    }
+
+    /// The normalized feature rows of hypothetical traffic: the synthesizer's
+    /// draws for `seed`, added up from the model's count table (see
+    /// `synthesizer.rs`), so no synthetic trace is built.
+    fn synthesized_rows(&self, traffic: &ApiTraffic, seed: u64) -> Vec<Vec<f32>> {
+        let _span = telemetry::span("estimate.synthesize");
+        let rows = self
+            .synthesizer
+            .count_rows(&self.counts, traffic, &self.interner, seed);
+        rows.into_iter()
+            .map(|x| self.features.normalize(x))
+            .collect()
     }
 
     /// [`window_features`](Self::window_features) of every window: the batch

@@ -94,6 +94,32 @@ fn tiny_fit(hidden: usize, epochs: usize, seed: u64, adam: bool) -> DeepRest {
     DeepRest::fit(&traces, &metrics, &i, config).0
 }
 
+/// Fits a miniature model on the shape family (two APIs, two shapes each,
+/// four windows of `choices` each): one component's CPU follows each
+/// window's span count.
+fn shape_fit(choices: &[usize], seed: u64) -> DeepRest {
+    let (i, traces) = windows_from(choices, 4);
+    let spans = |t: usize| {
+        traces
+            .window(t)
+            .iter()
+            .map(Trace::span_count)
+            .sum::<usize>()
+    };
+    let cpu: TimeSeries = (0..traces.len()).map(|t| 1.0 + spans(t) as f64).collect();
+    let mut metrics = MetricsRegistry::new();
+    metrics.insert(MetricKey::new("Frontend", ResourceKind::Cpu), cpu);
+    let config = DeepRestConfig {
+        hidden_dim: 4,
+        epochs: 1,
+        subseq_len: 4,
+        batch_size: 2,
+        ..DeepRestConfig::default()
+    }
+    .with_seed(seed);
+    DeepRest::fit(&traces, &metrics, &i, config).0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -134,6 +160,45 @@ proptest! {
             prop_assert_eq!(ps.expected.values(), pr.expected.values());
             prop_assert_eq!(ps.lower.values(), pr.lower.values());
             prop_assert_eq!(ps.upper.values(), pr.upper.values());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A traffic query adds up drawn trees' counts instead of building
+    /// traces; it must answer what estimating the traces the synthesizer
+    /// builds from the same seed answers, bit for bit.
+    #[test]
+    fn estimate_traffic_is_the_estimate_of_the_synthesized_traces(
+        choices in proptest::collection::vec(0usize..4, 4..24),
+        volumes in proptest::collection::vec((0.0f64..9.0, 0.0f64..9.0), 1..10),
+        seed in any::<u64>(),
+    ) {
+        let model = shape_fit(&choices, seed);
+        // Only the APIs learning saw can be queried: /a draws shapes 0 and
+        // 1, /b shapes 2 and 3.
+        let learned = |api: usize| choices.iter().any(|&c| c / 2 == api);
+        let apis: Vec<usize> = (0..2).filter(|&api| learned(api)).collect();
+        let traffic = ApiTraffic::new(
+            apis.iter().map(|&api| ["/a", "/b"][api].to_string()).collect(),
+            4,
+            volumes
+                .iter()
+                .map(|&(a, b)| apis.iter().map(|&api| [a, b][api]).collect())
+                .collect(),
+        );
+        let synthetic = model.synthesizer().synthesize(&traffic, model.interner(), seed);
+        let want = model.estimate_from_traces(&synthetic, model.interner());
+        let got = model.estimate_traffic(&traffic, seed);
+        prop_assert_eq!(got.len(), want.len());
+        let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((kg, pg), (kw, pw)) in got.iter().zip(want.iter()) {
+            prop_assert_eq!(kg, kw);
+            prop_assert_eq!(bits(&pg.expected), bits(&pw.expected));
+            prop_assert_eq!(bits(&pg.lower), bits(&pw.lower));
+            prop_assert_eq!(bits(&pg.upper), bits(&pw.upper));
         }
     }
 }

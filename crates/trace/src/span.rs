@@ -22,6 +22,11 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
+    /// The token that closes each subtree in a
+    /// [`canonical_key`](Self::canonical_key), for walkers that read a key
+    /// without rebuilding its tree.
+    pub const KEY_UP: u64 = KEY_UP;
+
     /// Creates a leaf span.
     pub fn leaf(component: Sym, operation: Sym) -> Self {
         Self {
