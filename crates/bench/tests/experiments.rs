@@ -187,7 +187,7 @@ fn fig20_deeprest_detects_the_mining_and_the_pattern_detector_misses_its_start()
 }
 
 #[test]
-#[ignore = "Fig. 20 raises one benign event, windows 287-291 (days 2-3, peak score 0.037 against the miner's 0.176): ROADMAP item 16"]
+#[ignore = "Fig. 20 raises one benign event, windows 288-292 (day 3, peak score 0.023 against the miner's 0.163): ROADMAP item 22"]
 fn fig20_deeprest_raises_no_benign_false_alarm() {
     let fig20 = full("fig20");
     let mining_day = at(&fig20, &["mining_start_window"]).as_u64().unwrap() / WINDOWS_PER_DAY;
@@ -199,7 +199,7 @@ fn fig20_deeprest_raises_no_benign_false_alarm() {
 }
 
 #[test]
-#[ignore = "Fig. 22's four attributions are nearly the same: /composePost tops every row and /uploadMedia is last, MediaMongoDB memory included: ROADMAP item 17"]
+#[ignore = "Fig. 22's four attributions are nearly the same: /composePost tops every row and /uploadMedia is last, MediaMongoDB memory included: ROADMAP item 20"]
 fn fig22_media_store_memory_is_attributed_to_upload_media() {
     let fig22 = full("fig22");
     let media = fig22
@@ -243,7 +243,7 @@ fn ablations_removing_the_mask_worsens_every_mape_column() {
 }
 
 #[test]
-#[ignore = "the full model's delta = 0.90 interval covers 96.1 % of the in-scale day, 6.1 points over nominal: ROADMAP item 3"]
+#[ignore = "the full model's delta = 0.90 interval covers 96.1 % of the in-scale day, 6.1 points over nominal: ROADMAP item 21"]
 fn ablations_full_model_coverage_is_within_five_points_of_nominal() {
     let coverage = num(at(&ablation("full model"), &["same_scale_coverage"]));
     assert!(

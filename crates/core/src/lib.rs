@@ -36,7 +36,10 @@
 //!   fresh predictor over their rows.
 //! * [`sanity`] — application sanity checks (§5.4): per-window deviation
 //!   from the expected interval, ensembled across resources, turned into
-//!   interpretable alerts; detects ransomware and cryptojacking.
+//!   interpretable alerts; detects ransomware and cryptojacking. Its one
+//!   scorer, [`sanity::OnlineSanity`], is causal: the batch
+//!   [`sanity::check`] feeds each series through it, and `deeprest-serve`
+//!   feeds it live.
 //! * [`interpret`] — model interpretation (§6): learned API-aware masks
 //!   reveal API→resource dependencies (Fig. 22); PCA over the GRU's
 //!   application-independent parameters clusters experts (Fig. 21).

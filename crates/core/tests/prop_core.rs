@@ -1,6 +1,9 @@
 //! Property-based tests for the DeepRest core pipeline: feature extraction
-//! (Alg. 1-2), the trace synthesizer, and model serialization.
+//! (Alg. 1-2), the trace synthesizer, model serialization and the sanity
+//! scorer.
 
+use deeprest_core::sanity::{self, OnlineSanity, SanityConfig};
+use deeprest_core::stream::PointEstimate;
 use deeprest_core::{DeepRest, DeepRestConfig, FeatureSpace, OptimizerKind, TraceSynthesizer};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_trace::window::WindowedTraces;
@@ -94,21 +97,30 @@ fn tiny_fit(hidden: usize, epochs: usize, seed: u64, adam: bool) -> DeepRest {
     DeepRest::fit(&traces, &metrics, &i, config).0
 }
 
-/// Fits a miniature model on the shape family (two APIs, two shapes each,
-/// four windows of `choices` each): one component's CPU follows each
-/// window's span count.
-fn shape_fit(choices: &[usize], seed: u64) -> DeepRest {
+/// The shape family's learning data (two APIs, two shapes each, four
+/// windows of `choices` each): one component's CPU follows each window's
+/// span count.
+fn shape_data(choices: &[usize]) -> (Interner, WindowedTraces, MetricsRegistry) {
     let (i, traces) = windows_from(choices, 4);
-    let spans = |t: usize| {
-        traces
-            .window(t)
-            .iter()
-            .map(Trace::span_count)
-            .sum::<usize>()
-    };
-    let cpu: TimeSeries = (0..traces.len()).map(|t| 1.0 + spans(t) as f64).collect();
+    let cpu: TimeSeries = (0..traces.len())
+        .map(|t| 1.0 + span_count(&traces, t) as f64)
+        .collect();
     let mut metrics = MetricsRegistry::new();
     metrics.insert(MetricKey::new("Frontend", ResourceKind::Cpu), cpu);
+    (i, traces, metrics)
+}
+
+fn span_count(traces: &WindowedTraces, t: usize) -> usize {
+    traces.window(t).iter().map(Trace::span_count).sum()
+}
+
+/// Fits a miniature model on the shape family's data.
+fn shape_fit_on(
+    traces: &WindowedTraces,
+    metrics: &MetricsRegistry,
+    i: &Interner,
+    seed: u64,
+) -> DeepRest {
     let config = DeepRestConfig {
         hidden_dim: 4,
         epochs: 1,
@@ -117,7 +129,13 @@ fn shape_fit(choices: &[usize], seed: u64) -> DeepRest {
         ..DeepRestConfig::default()
     }
     .with_seed(seed);
-    DeepRest::fit(&traces, &metrics, &i, config).0
+    DeepRest::fit(traces, metrics, i, config).0
+}
+
+/// Fits a miniature model on [`shape_data`].
+fn shape_fit(choices: &[usize], seed: u64) -> DeepRest {
+    let (i, traces, metrics) = shape_data(choices);
+    shape_fit_on(&traces, &metrics, &i, seed)
 }
 
 proptest! {
@@ -293,6 +311,94 @@ proptest! {
             let n = out.window(t).len() as f64;
             // Stochastic rounding keeps counts within 1 of the expectation.
             prop_assert!((n - expected).abs() <= 1.0, "window {}: {} vs {}", t, n, expected);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The batch check is the causal scorer, started from the trained
+    /// ranges, fed each expert's series window by window.
+    #[test]
+    fn the_batch_check_is_the_scorer_over_each_series(
+        choices in proptest::collection::vec(0usize..4, 8..24),
+        bump in 0.0f64..20.0,
+        seed in any::<u64>(),
+    ) {
+        let (i, traces, mut metrics) = shape_data(&choices);
+        // A cumulative resource too, so the increment path is scored.
+        let disk: TimeSeries = (0..traces.len())
+            .scan(0.0, |acc, t| {
+                *acc += span_count(&traces, t) as f64;
+                Some(*acc)
+            })
+            .collect();
+        metrics.insert(MetricKey::new("Frontend", ResourceKind::DiskUsage), disk);
+        let model = shape_fit_on(&traces, &metrics, &i, seed);
+
+        // The observations rise by `bump` from the second half on.
+        let half = traces.len() / 2;
+        let mut actual = MetricsRegistry::new();
+        for (key, series) in metrics.iter() {
+            let bumped = series
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(t, v)| if t >= half { v + bump } else { *v })
+                .collect();
+            actual.insert(key.clone(), bumped);
+        }
+        let config = SanityConfig::default();
+        let report = sanity::check(&model, &traces, &i, &actual, &config);
+
+        let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scorer = OnlineSanity::for_model(config, &model);
+        let mut sum = TimeSeries::zeros(traces.len());
+        for (e, key) in model.expert_keys().iter().enumerate() {
+            let pred = report.estimates.get(key).expect("every expert is estimated");
+            let scores: TimeSeries = actual
+                .get(key)
+                .expect("every expert is observed")
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(t, &a)| {
+                    let point = PointEstimate {
+                        expected: pred.expected.get(t),
+                        lower: pred.lower.get(t),
+                        upper: pred.upper.get(t),
+                    };
+                    scorer.observe(e, a, &point, pred.is_delta).score
+                })
+                .collect();
+            prop_assert_eq!(bits(&report.per_resource[key]), bits(&scores));
+        }
+        for score in report.per_resource.values() {
+            sum = sum.add(score);
+        }
+        let mean = sum.scale(1.0 / report.per_resource.len() as f64);
+        prop_assert_eq!(bits(&report.overall), bits(&mean));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Inside the interval the scorer scores exactly zero; above it, every
+    /// window scores above zero.
+    #[test]
+    fn deviation_is_zero_exactly_inside(
+        s in proptest::collection::vec(0.0f64..100.0, 2..50),
+    ) {
+        let band = |v: f64| PointEstimate { expected: v, lower: v - 0.5, upper: v + 0.5 };
+        let mut inside = OnlineSanity::new(SanityConfig::default(), 1);
+        for &v in &s {
+            prop_assert_eq!(inside.observe(0, v, &band(v), false).score, 0.0);
+        }
+        let mut above = OnlineSanity::new(SanityConfig::default(), 1);
+        for &v in &s {
+            prop_assert!(above.observe(0, v + 10.0, &band(v), false).score > 0.0);
         }
     }
 }

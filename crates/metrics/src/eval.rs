@@ -147,48 +147,6 @@ pub fn interval_calibration(
     }
 }
 
-/// Per-window deviation of the actual measurement from the expected interval
-/// (the paper quantifies this "by L2 distance" and renders it as a 1-D
-/// heatmap, Fig. 19b). Inside the interval the score is zero; outside it is
-/// the squared distance to the nearest interval edge, normalized by the
-/// interval's own scale so scores are comparable across resources.
-///
-/// # Panics
-///
-/// Panics if the series lengths differ.
-pub fn interval_deviation(
-    actual: &TimeSeries,
-    lower: &TimeSeries,
-    upper: &TimeSeries,
-) -> TimeSeries {
-    assert_eq!(
-        actual.len(),
-        lower.len(),
-        "interval_deviation: length mismatch"
-    );
-    assert_eq!(
-        actual.len(),
-        upper.len(),
-        "interval_deviation: length mismatch"
-    );
-    let scale = (upper.max() - lower.min()).abs().max(1e-9);
-    actual
-        .values()
-        .iter()
-        .zip(lower.values().iter().zip(upper.values().iter()))
-        .map(|(a, (l, u))| {
-            let d = if a < l {
-                (l - a) / scale
-            } else if a > u {
-                (a - u) / scale
-            } else {
-                0.0
-            };
-            d * d
-        })
-        .collect()
-}
-
 /// A contiguous run of windows whose anomaly score exceeds a threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnomalousRange {
@@ -331,19 +289,6 @@ mod tests {
     fn calibration_rejects_bad_nominal() {
         let a = ts(&[1.0]);
         let _ = interval_calibration(&a, &a, &a, 1.0);
-    }
-
-    #[test]
-    fn deviation_is_zero_inside_interval() {
-        let a = ts(&[5.0, 15.0, -5.0]);
-        let lo = ts(&[0.0; 3]);
-        let hi = ts(&[10.0; 3]);
-        let d = interval_deviation(&a, &lo, &hi);
-        assert_eq!(d.get(0), 0.0);
-        assert!(d.get(1) > 0.0);
-        assert!(d.get(2) > 0.0);
-        // Symmetric overshoot magnitude gives symmetric score.
-        assert!((d.get(1) - d.get(2)).abs() < 1e-12);
     }
 
     #[test]

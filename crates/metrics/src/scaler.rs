@@ -46,6 +46,11 @@ impl MinMaxScaler {
     pub fn inverse(&self, v: f64) -> f64 {
         v * (self.max - self.min) + self.min
     }
+
+    /// The fitted raw range, `(min, max)`.
+    pub fn range(&self) -> (f64, f64) {
+        (self.min, self.max)
+    }
 }
 
 #[cfg(test)]
@@ -69,6 +74,14 @@ mod tests {
         let t = s.transform(5.0);
         assert!(t.is_finite());
         assert!((s.inverse(t) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn range_is_the_fitted_span() {
+        assert_eq!(MinMaxScaler::fit(&[20.0, 10.0, 30.0]).range(), (10.0, 30.0));
+        // Degenerate fits report the range they scale by.
+        assert_eq!(MinMaxScaler::fit(&[5.0, 5.0]).range(), (5.0, 6.0));
+        assert_eq!(MinMaxScaler::fit(&[]).range(), (0.0, 1.0));
     }
 
     #[test]

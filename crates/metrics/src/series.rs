@@ -111,20 +111,6 @@ impl TimeSeries {
         }
     }
 
-    /// Centered moving average with an odd window of `width` (clamped at the
-    /// edges). Used to stabilize anomaly scores before event extraction.
-    pub fn moving_average(&self, width: usize) -> TimeSeries {
-        let half = width.max(1) / 2;
-        let n = self.values.len();
-        (0..n)
-            .map(|t| {
-                let lo = t.saturating_sub(half);
-                let hi = (t + half + 1).min(n);
-                self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-            })
-            .collect()
-    }
-
     /// ASCII sparkline for terminal reports (one char per window, resampled
     /// to at most `width` chars).
     pub fn sparkline(&self, width: usize) -> String {
@@ -185,16 +171,6 @@ mod tests {
         let b = TimeSeries::from_values(vec![10.0, 20.0]);
         assert_eq!(a.add(&b).values(), &[11.0, 22.0]);
         assert_eq!(a.scale(3.0).values(), &[3.0, 6.0]);
-    }
-
-    #[test]
-    fn moving_average_smooths_and_preserves_length() {
-        let s = TimeSeries::from_values(vec![0.0, 9.0, 0.0, 0.0, 9.0, 0.0]);
-        let m = s.moving_average(3);
-        assert_eq!(m.len(), 6);
-        assert_eq!(m.values()[1], 3.0);
-        assert_eq!(m.values()[0], 4.5); // Edge window is clamped to 2 values.
-        assert!((m.mean() - s.mean()).abs() < 1.0);
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!   around a [`Driver`] that owns the model and the carried state.
 //!   [`Frozen`] serves a borrowed model as trained; `deeprest-adapt`'s
 //!   `Adapter` owns one and adapts it. A [`TenantRegistry`] holds either.
-//! * [`sanity`] — the causal (online) re-derivation of the batch
-//!   δ-interval sanity score.
+//! * [`sanity`] — `deeprest_core::sanity`, re-exported: its
+//!   [`OnlineSanity`](sanity::OnlineSanity) is the one δ-interval scorer,
+//!   the same one the batch check runs. The pipeline starts it from empty
+//!   interval spans ([`OnlineSanity::new`](sanity::OnlineSanity::new)).
 //! * [`Alert`] / [`AlertSink`] — structured live alerts (component,
 //!   resource, window, score, contributing APIs) with pluggable delivery.
 //! * [`Checkpoint`] / [`CheckpointStore`] — checkpoint/restore of the full
@@ -75,13 +77,13 @@ pub mod overload;
 mod pipeline;
 pub(crate) mod queue;
 pub mod replay;
-pub mod sanity;
 pub mod sched;
 pub mod tenant;
 
 pub use alert::{Alert, AlertSink, CollectSink, SinkError};
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use config::ServeConfig;
+pub use deeprest_core::sanity;
 pub use error::ServeError;
 pub use overload::{OverloadConfig, OverloadLevel};
 pub use pipeline::{
