@@ -2,7 +2,7 @@
 
 use deeprest_serve::ServeConfig;
 
-use crate::drift::DriftConfig;
+use crate::coverage::DriftConfig;
 
 /// Configuration of the online continual-learning pipeline: the serving
 /// half (windowing, sanity, control cadence) plus the adaptation half

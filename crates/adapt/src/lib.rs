@@ -16,19 +16,22 @@
 //!   scored (increments of a cumulative resource, as the experts learn
 //!   them);
 //! * **detect** — a per-expert CUSUM on raw δ-interval coverage misses
-//!   (`DriftDetector`) flags drifting experts windows before the sanity
-//!   check would alert;
+//!   flags drifting experts windows before the sanity check would alert;
 //! * **adapt** — on a segment-counted cadence (escalated under drift
 //!   watch) a fresh segment plus a seeded deterministic replay sample
 //!   ([`ReplayBuffer`]) is folded into the live model through the analytic
 //!   training engine ([`deeprest_core::train::OnlineUpdater`]) — one
 //!   momentum-free SGD step, bit-identical across thread counts, rolled
 //!   back bit-for-bit on any fault;
-//! * **recalibrate** — an online conformal scaler (`Calibrator`) widens
-//!   each expert's intervals by the order statistic of its recent
-//!   nonconformity scores, and per-tail miss rates modulate the pinball
-//!   gradients of subsequent updates (arXiv 2508.01635), so adaptation
-//!   optimizes *calibration*, not just point accuracy.
+//! * **recalibrate** — an online conformal scaler widens each expert's
+//!   intervals by the order statistic of its recent nonconformity scores,
+//!   and per-tail miss rates modulate the pinball gradients of subsequent
+//!   updates (arXiv 2508.01635), so adaptation optimizes *calibration*,
+//!   not just point accuracy.
+//!
+//! Detect and recalibrate read one per-expert coverage tracker
+//! (`Coverage`), which scores each observation against its raw interval
+//! once per window.
 //!
 //! An [`AdaptiveCheckpoint`] is one serde tree: the serve crate's
 //! [`Checkpoint`](deeprest_serve::Checkpoint) for the shared stages, the
@@ -53,15 +56,13 @@
 // Library code must fail with typed errors, not unwrap-panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub(crate) mod calibrate;
 mod config;
-pub(crate) mod drift;
+mod coverage;
 mod pipeline;
 pub(crate) mod replay;
 
-pub use calibrate::CalibrationState;
 pub use config::AdaptConfig;
-pub use drift::{DriftConfig, DriftState};
+pub use coverage::{CalibrationState, DriftConfig, DriftState};
 pub use pipeline::{
     Adapter, AdapterState, AdaptiveCheckpoint, AdaptivePipeline, Staging, UpdateOutcome,
 };

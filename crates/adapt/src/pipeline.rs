@@ -9,11 +9,11 @@
 //! repacks its slab inside every update, and each window's step is handed
 //! the model as it is then. The adapter adds only what is adaptive: it
 //! widens the raw intervals by the conformal scale before scoring, feeds
-//! drift and calibration statistics and stages `(features, targets)`
-//! segments from what the scoring stage scored (already in the experts'
-//! output space: [`WindowStages::observed`]), and on a fixed cadence folds
-//! them (mixed with deterministic replay samples) back into the model
-//! through `deeprest_core::train`'s [`OnlineUpdater`].
+//! each raw interval's coverage to its tracker and stages `(features,
+//! targets)` segments from what the scoring stage scored (already in the
+//! experts' output space: [`WindowStages::observed`]), and on a fixed
+//! cadence folds them (mixed with deterministic replay samples) back into
+//! the model through `deeprest_core::train`'s [`OnlineUpdater`].
 //!
 //! [`AdaptivePipeline`] is a `Pipeline<Adapter>` with the constructor that
 //! hands it the model, the typed [`AdaptiveCheckpoint`], and three
@@ -83,9 +83,8 @@ use deeprest_trace::Interner;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::calibrate::{CalibrationState, Calibrator};
 use crate::config::AdaptConfig;
-use crate::drift::{DriftDetector, DriftState};
+use crate::coverage::{CalibrationState, Coverage, DriftState};
 use crate::replay::{ReplayBuffer, Segment};
 
 /// Replay-buffer capacity in segments.
@@ -138,9 +137,9 @@ impl AdaptiveCheckpoint {
 pub struct AdapterState {
     /// Replay-buffer segments, oldest first.
     pub replay: Vec<Segment>,
-    /// Drift-detector state.
+    /// The coverage tracker's drift-watch half: CUSUM and watch flags.
     pub drift: DriftState,
-    /// Conformal-calibrator state.
+    /// The coverage tracker's calibration half: score rings and counts.
     pub calibration: CalibrationState,
     /// The current segment and the update cadence's counters.
     pub staging: Staging,
@@ -208,8 +207,7 @@ pub struct Adapter {
     carried: CarriedState,
     updater: OnlineUpdater,
     replay: ReplayBuffer,
-    drift: DriftDetector,
-    calib: Calibrator,
+    coverage: Coverage,
     staging: Staging,
     last_update: Option<UpdateOutcome>,
     /// Replay-sampling arenas (capacity [`REPLAY_CAPACITY`], reused).
@@ -325,8 +323,7 @@ impl Adapter {
             carried: CarriedState::new(&model),
             updater: OnlineUpdater::new(&model),
             replay: ReplayBuffer::new(REPLAY_CAPACITY),
-            drift: DriftDetector::new(nominal, config.drift, experts),
-            calib: Calibrator::new(nominal, experts),
+            coverage: Coverage::new(nominal, config.drift, experts),
             staging: Staging::new(dim, experts),
             last_update: None,
             sample_scratch: Vec::with_capacity(REPLAY_CAPACITY),
@@ -338,7 +335,7 @@ impl Adapter {
 
     /// Per-expert drift watch flags (in [`Pipeline::keys`] order).
     pub fn drift_watching(&self) -> &[bool] {
-        &self.drift.state().watching
+        self.coverage.watching()
     }
 
     /// Outcome of the most recent update attempt (`None` before the first
@@ -375,10 +372,11 @@ impl Adapter {
 
     /// The adaptation trajectory, as checkpointed.
     fn state(&self) -> AdapterState {
+        let (drift, calibration) = self.coverage.state();
         AdapterState {
             replay: self.replay.segments().to_vec(),
-            drift: self.drift.state().clone(),
-            calibration: self.calib.state().clone(),
+            drift,
+            calibration,
             staging: self.staging.clone(),
         }
     }
@@ -397,6 +395,12 @@ impl Adapter {
                 state.staging.cur_len
             ));
         }
+        if state.replay.len() > REPLAY_CAPACITY {
+            return Err(format!(
+                "replay holds {} segments, capacity is {REPLAY_CAPACITY}",
+                state.replay.len()
+            ));
+        }
         for (i, s) in state.replay.iter().enumerate() {
             let got = shape(&s.xs, &s.targets);
             if got != segment {
@@ -405,10 +409,7 @@ impl Adapter {
                 ));
             }
         }
-        let experts = self.model.expert_count();
-        let nominal = f64::from(self.model.config().delta);
-        self.drift = DriftDetector::restore(nominal, self.config.drift, state.drift, experts)?;
-        self.calib = Calibrator::restore(nominal, state.calibration, experts)?;
+        self.coverage.restore(state.drift, state.calibration)?;
         self.replay = ReplayBuffer::restore(REPLAY_CAPACITY, state.replay);
         self.staging = state.staging;
         Ok(())
@@ -423,7 +424,7 @@ impl Adapter {
             let due = self.staging.segments_since_update
                 >= self
                     .config
-                    .effective_update_every(self.drift.any_watching());
+                    .effective_update_every(self.coverage.watching().iter().any(|&w| w));
             if due && self.staging.updates_suspended {
                 // Overload rung 2: the cadence firing is skipped (counted,
                 // never silent) and the due-pressure is kept, so the first
@@ -472,7 +473,7 @@ impl Adapter {
             .collect();
 
         self.updater
-            .set_modulation(self.calib.gradient_modulation());
+            .set_modulation(self.coverage.gradient_modulation());
         let outcome = self.updater.update(&mut self.model, &segments);
         if outcome.is_ok() {
             self.staging.updates_run += 1;
@@ -515,16 +516,13 @@ impl Driver for Adapter {
         // is a bitwise no-op, so a cold pipeline reproduces the raw
         // estimates exactly.
         let estimates: Vec<PointEstimate> = (0..raw.len())
-            .map(|e| {
-                let s = self.calib.scale(e, self.drift.watching(e));
-                Calibrator::apply(&raw[e], s)
-            })
+            .map(|e| Coverage::apply(&raw[e], self.coverage.scale(e)))
             .collect();
         let out = stages.score(w, estimates);
 
-        // Observe: feed the drift CUSUM and calibration rings from the
-        // raw intervals, and stage training targets for the current
-        // segment, from what the scoring stage looked up.
+        // Observe: score each raw interval's coverage (the conformal ring,
+        // the tail misses and the drift CUSUM), and stage training targets
+        // for the current segment, from what the scoring stage looked up.
         let dim = self.model.feature_space().dim();
         let st = &mut self.staging;
         if st.cur_len < SEGMENT_LEN {
@@ -537,10 +535,7 @@ impl Driver for Adapter {
                 st.cur_observed = false;
                 continue;
             };
-            let covered = self.calib.observe_raw(e, observed, &raw[e]);
-            let was = self.drift.watching(e);
-            let watching = self.drift.observe(e, covered);
-            if watching && !was && telemetry::enabled() {
+            if self.coverage.observe(e, observed, &raw[e]) && telemetry::enabled() {
                 telemetry::counter("adapt.drift.watch", 1);
             }
             let t = st.cur_len.min(SEGMENT_LEN - 1);

@@ -46,14 +46,19 @@ impl ReplayBuffer {
         }
     }
 
-    /// Rebuilds a buffer from checkpointed segments (truncates to
-    /// `capacity` oldest-first if the checkpoint somehow overflows).
+    /// Rebuilds a buffer from checkpointed segments, oldest first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or the segments do not fit it; the
+    /// adapter refuses a longer list before it gets here.
     pub(crate) fn restore(capacity: usize, mut segments: Vec<Segment>) -> Self {
-        assert!(capacity > 0, "ReplayBuffer: capacity must be > 0");
-        if segments.len() > capacity {
-            segments.drain(..segments.len() - capacity);
-        }
-        segments.reserve(capacity.saturating_sub(segments.len()));
+        assert!(
+            capacity > 0 && segments.len() <= capacity,
+            "ReplayBuffer: {} segments do not fit capacity {capacity}",
+            segments.len()
+        );
+        segments.reserve(capacity - segments.len());
         Self { capacity, segments }
     }
 

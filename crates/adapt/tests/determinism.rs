@@ -196,17 +196,23 @@ fn misshapen_segments_are_refused_at_restore() {
     let mut short = intact.clone();
     short.adapter.replay[0].xs.pop();
     refused(short, "replay segment 0");
-    let mut full = intact;
+    let mut full = intact.clone();
     full.adapter.staging.cur_len = SEGMENT_LEN;
     refused(full, "current segment");
+    // One segment more than the buffer's 16 slots.
+    let mut long = intact;
+    long.adapter.replay = vec![long.adapter.replay[0].clone(); 17];
+    refused(long, "replay holds 17 segments");
 }
 
 /// Before the adapter read its observations from the scoring stage, its
 /// checkpoints carried a second copy of every expert's last raw observation
-/// as `staging.prev_actual`, and before the gradient clip was a constant
-/// the model's config carried it as `grad_clip`. Such a checkpoint still
-/// loads, resumes to the outputs and parameters of the uninterrupted run,
-/// and is written back without either key.
+/// as `staging.prev_actual`, before the gradient clip was a constant the
+/// model's config carried it as `grad_clip`, and before one tracker scored
+/// coverage the drift state repeated the calibration's counts as
+/// `drift.observed` and `drift.misses`. Such a checkpoint still loads,
+/// resumes to the outputs and parameters of the uninterrupted run, and is
+/// written back without any of these keys.
 #[test]
 fn checkpoints_with_the_retired_prev_actual_key_still_load() {
     let windows = 48;
@@ -236,7 +242,8 @@ fn checkpoints_with_the_retired_prev_actual_key_still_load() {
         first.updates_run() >= 1,
         "the cut must land after an update"
     );
-    let json = first.checkpoint().to_json().expect("serialize checkpoint");
+    let checkpoint = first.checkpoint();
+    let json = checkpoint.to_json().expect("serialize checkpoint");
 
     // What the previous release wrote: the last scored window's raw
     // observation per expert, between `cur_observed` and `segments_sealed`.
@@ -247,14 +254,29 @@ fn checkpoints_with_the_retired_prev_actual_key_still_load() {
         .map(|k| serde_json::to_string(&metrics.get(k).expect("series").get(last)).unwrap())
         .collect();
     let retired = format!(r#""prev_actual":[{}],"#, observed.join(","));
+    // And per expert the windows observed and the raw-interval misses.
+    let calibration = &checkpoint.adapter.calibration;
+    let misses: Vec<u64> = calibration
+        .lower_miss
+        .iter()
+        .zip(&calibration.upper_miss)
+        .map(|(lo, hi)| lo + hi)
+        .collect();
+    let counts = format!(
+        r#""observed":{},"misses":{},"#,
+        serde_json::to_string(&calibration.observed).unwrap(),
+        serde_json::to_string(&misses).unwrap()
+    );
     assert_eq!(json.matches(r#","segments_sealed":"#).count(), 1);
     assert_eq!(json.matches(r#","api_mask":"#).count(), 1);
+    assert_eq!(json.matches(r#""drift":{"#).count(), 1);
     let old = json
         .replace(
             r#","segments_sealed":"#,
             &format!(r#",{retired}"segments_sealed":"#),
         )
-        .replace(r#","api_mask":"#, r#","grad_clip":5.0,"api_mask":"#);
+        .replace(r#","api_mask":"#, r#","grad_clip":5.0,"api_mask":"#)
+        .replace(r#""drift":{"#, &format!(r#""drift":{{{counts}"#));
     let loaded = AdaptiveCheckpoint::from_json(&old).expect("the retired key is ignored");
     assert_eq!(loaded.to_json().expect("re-serialize"), json);
     drop(first);

@@ -299,7 +299,8 @@ fn from_json_refuses_tables_it_cannot_index() {
 
 /// A synthesizer the queries could not draw from is refused by
 /// `from_json`, naming the API, not at the first query: a key that is no
-/// tree, an empty distribution, and counts that miss their total.
+/// tree, an empty distribution, counts that miss their total, and a key
+/// nested deeper than a tree walk may go.
 #[test]
 fn from_json_refuses_a_synthesizer_it_cannot_draw_from() {
     let (i, traces, metrics) = tiny_dataset(16);
@@ -319,6 +320,14 @@ fn from_json_refuses_a_synthesizer_it_cannot_draw_from() {
         (
             format!(r#"{{"keys":[[1,{up}]],"counts":[{n}],"total":{}}}"#, n + 1),
             "the counts do not sum to total",
+        ),
+        (
+            format!(
+                r#"{{"keys":[[{}{}]],"counts":[{n}],"total":{n}}}"#,
+                "1,".repeat(1 << 20),
+                vec![up.to_string(); 1 << 20].join(",")
+            ),
+            "key 0 is not a canonical tree key of at most 512 levels",
         ),
     ] {
         assert!(json.contains(&good), "{good} not in {json}");

@@ -225,8 +225,9 @@ impl FeatureSpace {
     /// [`SpanNode::from_canonical_key`] refuses, after reporting the hits
     /// before the fault.
     ///
-    /// The open spans are an explicit stack, not recursion, so a key read
-    /// from a file cannot overflow the thread's stack however deep it nests.
+    /// The open spans are an explicit stack, not recursion, bounded like
+    /// the tree walks by [`SpanNode::MAX_DEPTH`]: a key read from a file
+    /// that nests deeper is refused here, so no query rebuilds its tree.
     pub(crate) fn count_key(&self, key: &[u64], hit: &mut impl FnMut(u32)) -> Option<()> {
         // Per open span, the feature it hit (`None`: it or an ancestor
         // missed, so its subtree is only stepped over).
@@ -237,6 +238,8 @@ impl FeatureSpace {
                 if open.is_empty() {
                     return (pos + 1 == key.len()).then_some(());
                 }
+            } else if open.len() == SpanNode::MAX_DEPTH {
+                return None;
             } else {
                 let parent = open.last().map_or(Some(ROOT), |&p| p);
                 let idx = parent.and_then(|p| self.trie.get(&(p, token)).copied());
@@ -493,15 +496,25 @@ mod tests {
         let (_, traces) = media_traces();
         let space = FeatureSpace::construct(&traces);
         let upload = traces.window(0)[0].root.packed_id();
-        let depth = 1 << 20;
-        let mut key = vec![upload; depth];
-        key.extend(vec![SpanNode::KEY_UP; depth]);
+        let nested = |depth: usize| {
+            let mut key = vec![upload; depth];
+            key.extend(vec![SpanNode::KEY_UP; depth]);
+            key
+        };
+        let mut key = nested(SpanNode::MAX_DEPTH);
         let mut hits = Vec::new();
         assert_eq!(space.count_key(&key, &mut |f| hits.push(f)), Some(()));
         // The root path counts; `upload` under `upload` is no path.
         assert_eq!(hits.len(), 1);
         key.pop();
         assert_eq!(space.count_key(&key, &mut |_| {}), None);
+        // Deeper than any tree walk may go: refused, as the tree rebuild
+        // refuses it, before it reaches the stack.
+        for depth in [SpanNode::MAX_DEPTH + 1, 1 << 20] {
+            let key = nested(depth);
+            assert_eq!(SpanNode::from_canonical_key(&key), None);
+            assert_eq!(space.count_key(&key, &mut |_| {}), None);
+        }
     }
 
     // The extraction this module replaced — copy every tree into the

@@ -180,8 +180,8 @@ impl TraceSynthesizer {
     ///
     /// Names the API when one of its distributions cannot be drawn from
     /// (empty, or counts that do not sum to `total`) or holds a key that is
-    /// not a canonical tree key. A model read from a file is refused here,
-    /// not at its first query.
+    /// not a canonical tree key of at most [`SpanNode::MAX_DEPTH`] levels.
+    /// A model read from a file is refused here, not at its first query.
     pub(crate) fn count_table(
         &self,
         features: &FeatureSpace,
@@ -204,7 +204,12 @@ impl TraceSynthesizer {
             table.first.push(table.trees.len());
             for (k, key) in dist.keys.iter().enumerate() {
                 let walked = features.count_key(key, &mut |f| dense[f as usize] += 1);
-                walked.ok_or_else(|| refuse(&format!("key {k} is not a canonical tree key")))?;
+                walked.ok_or_else(|| {
+                    refuse(&format!(
+                        "key {k} is not a canonical tree key of at most {} levels",
+                        SpanNode::MAX_DEPTH
+                    ))
+                })?;
                 let hit = (0..).zip(&mut dense).filter(|(_, count)| **count > 0);
                 table
                     .trees

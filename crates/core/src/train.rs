@@ -168,8 +168,9 @@ impl DeepRest {
     ///
     /// # Panics
     ///
-    /// Panics if `traces` and `metrics` disagree on window count, or the
-    /// scope references unknown metrics.
+    /// Panics if `traces` and `metrics` disagree on window count, the
+    /// scope references unknown metrics, or a trace nests more than
+    /// [`SpanNode::MAX_DEPTH`](deeprest_trace::SpanNode::MAX_DEPTH) levels.
     pub fn fit(
         traces: &WindowedTraces,
         metrics: &MetricsRegistry,
@@ -344,7 +345,7 @@ impl DeepRest {
             store,
         })
         .unwrap_or_else(|why| {
-            panic!("DeepRest::fit: experts it just registered do not pack: {why}")
+            panic!("DeepRest::fit: the model it just learned does not assemble: {why}")
         });
         let ((epoch_losses, expert_losses), training_secs) = telemetry::timed("fit.train", || {
             model.train_epochs(&xs, &targets, model.config.epochs)

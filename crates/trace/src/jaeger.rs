@@ -38,12 +38,6 @@ mod ingest;
 #[cfg(test)]
 mod oracle;
 
-/// Maximum span-tree depth accepted on import. Real microservice call
-/// trees are a few dozen levels at most; anything deeper is either a
-/// reference cycle routed through duplicate span ids or an adversarial
-/// document, and would otherwise risk unbounded recursion in the tree build.
-const MAX_SPAN_DEPTH: usize = 512;
-
 /// Top-level Jaeger API response shape.
 #[derive(Debug, Serialize)]
 #[cfg_attr(test, derive(Deserialize))]
@@ -114,8 +108,8 @@ pub enum ImportError {
     DanglingParent(String),
     /// A trace has no root span (or a reference cycle).
     NoRoot(String),
-    /// A span tree exceeds `MAX_SPAN_DEPTH` (cycle through duplicate ids
-    /// or an adversarial document).
+    /// A span tree exceeds [`SpanNode::MAX_DEPTH`] (cycle through
+    /// duplicate ids or an adversarial document).
     TooDeep(String),
     /// Duplicate span ids inflate the tree beyond the trace's span count.
     Oversized(String),
@@ -131,7 +125,8 @@ impl std::fmt::Display for ImportError {
             ImportError::TooDeep(id) => {
                 write!(
                     f,
-                    "trace {id} exceeds the span depth bound {MAX_SPAN_DEPTH}"
+                    "trace {id} exceeds the span depth bound {}",
+                    SpanNode::MAX_DEPTH
                 )
             }
             ImportError::Oversized(id) => {

@@ -43,7 +43,7 @@ use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
 use serde_json::{Error, Number};
 
-use super::{ImportError, MAX_SPAN_DEPTH};
+use super::ImportError;
 use crate::window::TimestampedTrace;
 use crate::{Interner, SpanNode, Sym, Trace};
 
@@ -1003,7 +1003,7 @@ impl Linked<'_> {
         budget: &mut usize,
     ) -> Result<SpanNode, ImportError> {
         let trace_id = || self.doc.text(self.trace.id).to_owned();
-        if depth >= MAX_SPAN_DEPTH {
+        if depth >= SpanNode::MAX_DEPTH {
             return Err(ImportError::TooDeep(trace_id()));
         }
         if *budget == 0 {

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use serde::Deserialize;
 use serde_json::{Error, Value};
 
-use super::{ImportError, JaegerDoc, JaegerSpan, JaegerTrace, MAX_SPAN_DEPTH};
+use super::{ImportError, JaegerDoc, JaegerSpan, JaegerTrace};
 use crate::window::TimestampedTrace;
 use crate::{Interner, SpanNode, Trace};
 
@@ -100,7 +100,7 @@ fn build(
     depth: usize,
     budget: &mut usize,
 ) -> Result<SpanNode, ImportError> {
-    if depth >= MAX_SPAN_DEPTH {
+    if depth >= SpanNode::MAX_DEPTH {
         return Err(ImportError::TooDeep(jt.trace_id.clone()));
     }
     if *budget == 0 {
@@ -654,7 +654,7 @@ mod differential {
 
     #[test]
     fn a_chain_deeper_than_the_span_bound_is_too_deep_for_both() {
-        let spans: Vec<String> = (0..MAX_SPAN_DEPTH + 2)
+        let spans: Vec<String> = (0..SpanNode::MAX_DEPTH + 2)
             .map(|s| {
                 let parent = if s == 0 {
                     String::new()

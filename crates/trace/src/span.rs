@@ -27,6 +27,14 @@ impl SpanNode {
     /// without rebuilding its tree.
     pub const KEY_UP: u64 = KEY_UP;
 
+    /// The most levels of spans a tree read from outside the program may
+    /// nest: the Jaeger import, [`from_canonical_key`](Self::from_canonical_key)
+    /// and the feature space's key walk all refuse deeper. Real microservice
+    /// call trees are a few dozen levels at most; anything deeper is a
+    /// reference cycle routed through duplicate span ids or an adversarial
+    /// input, and would otherwise risk unbounded recursion in a tree walk.
+    pub const MAX_DEPTH: usize = 512;
+
     /// Creates a leaf span.
     pub fn leaf(component: Sym, operation: Sym) -> Self {
         Self {
@@ -89,10 +97,11 @@ impl SpanNode {
     /// Reconstructs a span tree from a canonical key.
     ///
     /// Returns `None` when the key is malformed (not produced by
-    /// [`SpanNode::canonical_key`]).
+    /// [`SpanNode::canonical_key`]) or nests more than
+    /// [`MAX_DEPTH`](Self::MAX_DEPTH) levels.
     pub fn from_canonical_key(key: &[u64]) -> Option<SpanNode> {
         let mut pos = 0;
-        let root = Self::parse_key(key, &mut pos)?;
+        let root = Self::parse_key(key, &mut pos, 0)?;
         if pos == key.len() {
             Some(root)
         } else {
@@ -100,9 +109,9 @@ impl SpanNode {
         }
     }
 
-    fn parse_key(key: &[u64], pos: &mut usize) -> Option<SpanNode> {
+    fn parse_key(key: &[u64], pos: &mut usize, depth: usize) -> Option<SpanNode> {
         let packed = *key.get(*pos)?;
-        if packed == KEY_UP {
+        if packed == KEY_UP || depth >= Self::MAX_DEPTH {
             return None;
         }
         *pos += 1;
@@ -118,7 +127,7 @@ impl SpanNode {
                         children,
                     });
                 }
-                _ => children.push(Self::parse_key(key, pos)?),
+                _ => children.push(Self::parse_key(key, pos, depth + 1)?),
             }
         }
     }
