@@ -5,12 +5,12 @@ use deeprest_serve::ServeConfig;
 use crate::coverage::DriftConfig;
 
 /// Configuration of the online continual-learning pipeline: the serving
-/// half (windowing, sanity, control cadence) plus the adaptation half
+/// half (windowing, sanity, step retries) plus the adaptation half
 /// (cadence, replay sampling, drift threshold).
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptConfig {
-    /// Serving configuration (windowing, sanity thresholds, step retries,
-    /// control cadence) of the shared `deeprest-serve` stages.
+    /// Serving configuration (windowing, sanity thresholds, step retries)
+    /// of the shared `deeprest-serve` stages.
     pub serve: ServeConfig,
     /// Master switch. `false` freezes the model: no updates, no interval
     /// calibration, no drift tracking — the pipeline reproduces the

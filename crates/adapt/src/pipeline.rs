@@ -4,10 +4,10 @@
 //! pipeline's [`WindowStages`] do the windowing, healed inference step,
 //! quarantine, sanity scoring and alert delivery exactly as they do for a
 //! frozen model, around a model the adapter **owns and mutates**. The
-//! stream's [`CarriedState`] sits beside the model, by value, across the
-//! adapter's own updates: it holds hidden vectors and no weights, the model
-//! repacks its slab inside every update, and each window's step is handed
-//! the model as it is then. The adapter adds only what is adaptive: it
+//! stream's [`CarriedState`](deeprest_core::stream::CarriedState) is the
+//! stages', not the adapter's: it holds hidden vectors and no weights, the
+//! model repacks its slab inside every update, and each window's step is
+//! handed the model as it is then. The adapter adds only what is adaptive: it
 //! widens the raw intervals by the conformal scale before scoring, feeds
 //! each raw interval's coverage to its tracker and stages `(features,
 //! targets)` segments from what the scoring stage scored (already in the
@@ -70,7 +70,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use deeprest_core::stream::{CarriedState, PointEstimate, StreamSnapshot};
+use deeprest_core::stream::PointEstimate;
 use deeprest_core::train::{
     OnlineUpdater, TrainSegment, UpdateError, UpdateStats, REPLAY_SLOTS, SEGMENT_LEN,
 };
@@ -203,8 +203,6 @@ impl Staging {
 pub struct Adapter {
     model: DeepRest,
     config: AdaptConfig,
-    /// The stream's hidden state and position, stepped against `model`.
-    carried: CarriedState,
     updater: OnlineUpdater,
     replay: ReplayBuffer,
     coverage: Coverage,
@@ -320,7 +318,6 @@ impl Adapter {
         let nominal = f64::from(model.config().delta);
         let dim = model.feature_space().dim();
         Self {
-            carried: CarriedState::new(&model),
             updater: OnlineUpdater::new(&model),
             replay: ReplayBuffer::new(REPLAY_CAPACITY),
             coverage: Coverage::new(nominal, config.drift, experts),
@@ -494,10 +491,6 @@ impl Driver for Adapter {
         &self.model
     }
 
-    fn carried(&self) -> &CarriedState {
-        &self.carried
-    }
-
     /// One sealed window: the shared serving stages, then — only when
     /// adaptation is enabled — recalibration before scoring and the
     /// observe/seal/update step after it.
@@ -506,7 +499,7 @@ impl Driver for Adapter {
         stages: &mut WindowStages,
         w: &SealedWindow,
     ) -> Result<WindowOutput, ServeError> {
-        let (x, raw) = stages.step(&self.model, &mut self.carried, w)?;
+        let (x, raw) = stages.step(&self.model, w)?;
         if !self.config.enabled {
             return Ok(stages.score(w, raw));
         }
@@ -573,14 +566,10 @@ impl Driver for Adapter {
         Some(serde_json::json!({ "model": self.model, "adapter": self.state() }))
     }
 
-    fn load(&mut self, predictor: &StreamSnapshot, state: Option<Value>) -> Result<(), String> {
-        if let Some(tree) = state {
-            let AdapterTree { model, adapter } =
-                AdapterTree::from_value(&tree).map_err(|e| e.to_string())?;
-            *self = Self::new(model, self.config);
-            self.restore(adapter)?;
-        }
-        self.carried = CarriedState::restore(&self.model, predictor)?;
-        Ok(())
+    fn load(&mut self, state: Value) -> Result<(), String> {
+        let AdapterTree { model, adapter } =
+            AdapterTree::from_value(&state).map_err(|e| e.to_string())?;
+        *self = Self::new(model, self.config);
+        self.restore(adapter)
     }
 }

@@ -14,7 +14,6 @@ use deeprest_nn::loss::quantiles_for;
 use deeprest_nn::{AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
 use deeprest_scale::{
     ScaleLoop, Scenario, ScenarioKind, TargetUtilizationPolicy, CONTROL_INTERVAL,
-    PROACTIVE_TARGET_UTILIZATION,
 };
 use deeprest_serve::{
     OverloadConfig, Pipeline, SchedConfig, ServeConfig, TenantConfig, TenantRegistry,
@@ -540,11 +539,6 @@ fn bench_pca(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full proactive control interval of the closed autoscaling loop:
-/// `control_interval` simulated windows, their trace ingests into the
-/// serving pipeline, and the control tick's what-if estimate + decision.
-/// This is the recurring per-interval cost an operator pays to run the
-/// autoscaler.
 /// Online-adaptation benches: the warm incremental-update step, plus the
 /// frozen adaptive pipeline's steady-state per-window cost next to the
 /// plain serving pipeline it wraps. Pinning both window entries in
@@ -730,14 +724,17 @@ fn bench_jaeger_import(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scale_control_interval(c: &mut Criterion) {
+/// One full proactive control interval of the closed autoscaling loop:
+/// `CONTROL_INTERVAL` simulated windows, their trace ingests into the
+/// serving pipeline, and the control tick's what-if estimate + decision.
+/// This is the recurring per-interval cost an operator pays to run the
+/// autoscaler.
+fn bench_scale_control_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
     group.sample_size(20);
     let scenario = Scenario::new(ScenarioKind::Surge);
     let model = scenario.train();
-    let policy = TargetUtilizationPolicy {
-        target_utilization: PROACTIVE_TARGET_UTILIZATION,
-    };
+    let policy = TargetUtilizationPolicy;
     group.bench_function("control_interval", |b| {
         let mut lp = ScaleLoop::new(&model, &scenario, policy);
         b.iter(|| {
@@ -773,6 +770,6 @@ criterion_group!(
     bench_adapt,
     bench_multi_tenant_step,
     bench_jaeger_import,
-    bench_scale_control_interval
+    bench_scale_control_tick
 );
 criterion_main!(benches);

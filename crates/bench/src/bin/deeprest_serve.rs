@@ -54,7 +54,7 @@ use deeprest_sim::apps;
 use deeprest_sim::engine::{simulate, simulate_with, SimConfig};
 use deeprest_trace::stream::WindowAssembler;
 use deeprest_trace::window::{partition, stamp, TimestampedTrace, WindowedTraces};
-use deeprest_trace::Interner;
+use deeprest_trace::{jaeger, Interner};
 use deeprest_workload::WorkloadSpec;
 
 struct ServeArgs {
@@ -482,7 +482,7 @@ fn replay_session(args: &ServeArgs) -> Session {
     let loaded = if path.ends_with(".jsonl") {
         replay::load_jsonl(&text, &mut interner)
     } else {
-        replay::load_document(&text, &mut interner)
+        jaeger::import_timestamped(&text, &mut interner)
     }
     .unwrap_or_else(|e| panic!("deeprest_serve: cannot import {path}: {e}"));
     let stream = match args.spread {

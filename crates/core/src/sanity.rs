@@ -28,15 +28,12 @@ use crate::stream::PointEstimate;
 use crate::{DeepRest, Estimates};
 
 /// Sanity-check thresholds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SanityConfig {
     /// Overall anomaly-score threshold above which a window is anomalous.
     pub score_threshold: f64,
     /// Minimum run length (windows) for an event (debounces noise).
     pub min_event_windows: usize,
-    /// Only deviations at least this large (percent, absolute value) are
-    /// listed as findings in an alert.
-    pub finding_threshold_pct: f64,
 }
 
 impl Default for SanityConfig {
@@ -44,7 +41,6 @@ impl Default for SanityConfig {
         Self {
             score_threshold: 0.01,
             min_event_windows: 3,
-            finding_threshold_pct: 15.0,
         }
     }
 }
@@ -108,6 +104,10 @@ pub struct SanityReport {
     /// The model's expected-utilization estimates (kept for plotting).
     pub estimates: Estimates,
 }
+
+/// Only deviations at least this large (percent, absolute value) are listed
+/// as findings in a [`check`] event.
+const FINDING_THRESHOLD_PCT: f64 = 15.0;
 
 /// Runs an application sanity check: estimates expected utilization from the
 /// real `traces` and feeds each expert's series, window by window, through
@@ -185,7 +185,7 @@ pub fn check(
                         return None;
                     }
                     let pct = 100.0 * (obs_mean - exp_mean) / exp_mean;
-                    (pct.abs() >= config.finding_threshold_pct).then(|| Finding {
+                    (pct.abs() >= FINDING_THRESHOLD_PCT).then(|| Finding {
                         component: key.component.clone(),
                         resource: key.resource,
                         deviation_pct: pct,
@@ -451,7 +451,6 @@ mod tests {
         SanityConfig {
             score_threshold: 0.01,
             min_event_windows: 2,
-            finding_threshold_pct: 15.0,
         }
     }
 

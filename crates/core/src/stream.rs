@@ -25,10 +25,12 @@
 //! and any number of streams of one model share its pack.
 //!
 //! A [`CarriedState`] is stepped against a model handed in at the step, so
-//! an owner of a *mutable* model (`deeprest-adapt`'s pipeline) keeps it by
-//! value across its own updates: the next step reads whatever parameters
-//! the model holds then. [`StreamPredictor`] is the same state bound to a
-//! borrowed model, for everyone whose model stands still.
+//! it outlives updates to a *mutable* model: `deeprest-serve`'s pipeline
+//! keeps it in its window stages, apart from the driver that owns the model
+//! (`deeprest-adapt`'s adapter updates it between windows), and the next
+//! step reads whatever parameters the model holds then. [`StreamPredictor`]
+//! is the same state bound to a borrowed model, for everyone whose model
+//! stands still.
 //!
 //! # Batched stepping
 //!

@@ -1,8 +1,11 @@
 //! The closed control loop: simulate a window, stream its traces through
 //! the serving pipeline, and on each control tick fork a what-if query off
-//! the live predictor to decide the next deployment. A [`ScaleCheckpoint`]
-//! holds the pipeline's [`Checkpoint`] as a value, so the loop's state is
-//! one serde tree, written once.
+//! the live predictor to decide the next deployment. The loop keeps its own
+//! cadence: a tick fires once the pipeline's position is
+//! [`CONTROL_INTERVAL`] windows past the last decision's, so the decision
+//! trace is also the tick record. A [`ScaleCheckpoint`] holds the
+//! pipeline's [`Checkpoint`] as a value, so the loop's state is one serde
+//! tree, written once.
 
 use deeprest_core::{DeepRest, Estimates};
 use deeprest_fault as fault;
@@ -16,7 +19,7 @@ use crate::controller::{ControllerConfig, ControllerState, ScaleController};
 use crate::policy::{PolicyContext, ScalePolicy};
 use crate::scenario::Scenario;
 
-/// Windows between control ticks.
+/// Sealed windows between control ticks.
 pub const CONTROL_INTERVAL: usize = 4;
 
 /// Announced-traffic windows each what-if query looks ahead. Must cover
@@ -106,11 +109,11 @@ pub struct ScaleCheckpoint {
 ///
 /// Each [`step`](Self::step) simulates one traffic window on the current
 /// deployment, ingests the produced traces into the embedded serving
-/// pipeline, and — when the pipeline yields a control tick — runs the
-/// policy: the proactive policy forks a [what-if
-/// query](DeepRest::estimate_what_if) off the tick's predictor snapshot
-/// against the calibrated announced forecast; the reactive baseline looks
-/// only at observed saturation. The controller's applied targets feed back
+/// pipeline, and — when a control tick is due — runs the policy: the
+/// proactive policy forks a [what-if query](DeepRest::estimate_what_if)
+/// off the pipeline's [snapshot](Pipeline::snapshot) against the
+/// calibrated announced forecast; the reactive baseline looks only at
+/// observed saturation. The controller's applied targets feed back
 /// into the simulator, whose scale-up lag models container start-up.
 ///
 /// Scaling decisions never consume simulator RNG draws, so the sampled
@@ -141,8 +144,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         let stepper = SimStepper::new(&scenario.app, &api_names(scenario), &scenario.sim);
         let serve_config = ServeConfig::default()
             .with_window_secs(scenario.sim.window_secs)
-            .with_lateness_secs(LATENESS_SECS)
-            .with_control_interval(CONTROL_INTERVAL);
+            .with_lateness_secs(LATENESS_SECS);
         // The stepper pre-interns every app name deterministically, so its
         // interner is the pipeline's source symbol space.
         let pipeline = Pipeline::new(model, stepper.interner(), serve_config);
@@ -192,7 +194,8 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
     ///
     /// # Errors
     ///
-    /// Returns a message when any sub-state fails to restore.
+    /// Returns a message when any sub-state fails to restore or does not
+    /// fit the scenario's components.
     pub fn restore(
         model: &'m DeepRest,
         scenario: &'m Scenario,
@@ -200,6 +203,13 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
         ckpt: ScaleCheckpoint,
     ) -> Result<Self, String> {
         let mut this = Self::new(model, scenario, policy);
+        if ckpt.replica_windows.len() != this.replica_windows.len() {
+            return Err(format!(
+                "scale restore: replica_windows holds {} components, the scenario has {}",
+                ckpt.replica_windows.len(),
+                this.replica_windows.len()
+            ));
+        }
         let apis = api_names(scenario);
         this.stepper = SimStepper::restore(&scenario.app, &apis, &scenario.sim, ckpt.sim)?;
         this.pipeline
@@ -267,17 +277,23 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
                 .map_err(|e| format!("scale loop: ingest at window {t}: {e}"))?;
         }
 
-        if let Some(tick) = self.pipeline.poll_control() {
+        // One tick per decision: the last decision's window is the last
+        // tick's position. At most one is due per window even if the
+        // pipeline sealed several: the controller acts on the current
+        // state.
+        let position = self.pipeline.position();
+        let last = self.decisions.last().map_or(0, |d| d.window);
+        if position >= last + CONTROL_INTERVAL {
             let _span = telemetry::span("scale.control_tick");
             let estimates = if self.policy.needs_estimates() {
-                self.what_if(tick.window, &tick.predictor)
+                self.what_if(position, &self.pipeline.snapshot())
             } else {
                 None
             };
             let held = self.policy.needs_estimates() && estimates.is_none();
             let ctx = PolicyContext {
                 app: &self.scenario.app,
-                window: tick.window,
+                window: position,
                 current: self.controller.targets(),
                 observed: &obs.rows,
                 estimates: estimates.as_ref(),
@@ -295,7 +311,7 @@ impl<'m, P: ScalePolicy> ScaleLoop<'m, P> {
                 );
             }
             self.decisions.push(DecisionRecord {
-                window: tick.window,
+                window: position,
                 desired,
                 applied,
                 held,

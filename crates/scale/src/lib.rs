@@ -9,8 +9,11 @@
 //!   role of the cluster — it serves each traffic window on the current
 //!   deployment, with container start-up lag on scale-ups;
 //! * the serving pipeline ([`deeprest_serve::Pipeline`]) ingests the live
-//!   trace stream and yields a [`deeprest_serve::ControlTick`] — a
-//!   read-only predictor snapshot — every control interval;
+//!   trace stream; the loop reads only its
+//!   [`position`](deeprest_serve::Pipeline::position) and, every
+//!   [`CONTROL_INTERVAL`] sealed windows (a cadence the loop keeps itself:
+//!   the last decision's window is the last tick), its read-only
+//!   [`snapshot`](deeprest_serve::Pipeline::snapshot);
 //! * [`DeepRest::estimate_what_if`](deeprest_core::DeepRest::estimate_what_if)
 //!   forks the upcoming *announced* traffic (calibrated by the live
 //!   observed/announced volume ratio) off that snapshot, predicting each
@@ -56,7 +59,7 @@ use deeprest_core::DeepRest;
 /// The proactive policy's per-replica utilization target. Planning on a
 /// forecast lets it run hot: capacity is in place *before* demand arrives,
 /// so the target only needs to absorb forecast error, not reaction lag.
-pub const PROACTIVE_TARGET_UTILIZATION: f64 = 0.6;
+pub(crate) const PROACTIVE_TARGET_UTILIZATION: f64 = 0.6;
 
 /// The reactive baseline's per-replica utilization target — the canonical
 /// ~50% threshold-autoscaler operating point. Without foresight, standing
@@ -70,10 +73,7 @@ pub(crate) const REACTIVE_TARGET_UTILIZATION: f64 = 0.5;
 ///
 /// Propagates loop failures (see [`ScaleLoop::step`]).
 pub fn run_proactive(model: &DeepRest, scenario: &Scenario) -> Result<ScaleReport, String> {
-    let policy = TargetUtilizationPolicy {
-        target_utilization: PROACTIVE_TARGET_UTILIZATION,
-    };
-    ScaleLoop::new(model, scenario, policy).run_to_end()
+    ScaleLoop::new(model, scenario, TargetUtilizationPolicy).run_to_end()
 }
 
 /// Runs `scenario` under the reactive threshold baseline.

@@ -15,6 +15,8 @@ use deeprest_core::Estimates;
 use deeprest_metrics::ResourceKind;
 use deeprest_sim::{AppSpec, ComponentRow};
 
+use crate::PROACTIVE_TARGET_UTILIZATION;
+
 /// Everything a policy may look at when deciding, for one control tick.
 pub struct PolicyContext<'a> {
     /// The application being scaled (component order defines the decision
@@ -50,7 +52,7 @@ pub trait ScalePolicy {
 
 /// The proactive utilization-target policy: sizes each component so the
 /// *predicted* per-replica CPU utilization over the upcoming horizon stays
-/// at `target_utilization`.
+/// at `PROACTIVE_TARGET_UTILIZATION` (60 %).
 ///
 /// The model predicts CPU in 1-replica percent (the deployment it was
 /// trained on); spreading that demand over `r` replicas divides it by `r`,
@@ -61,19 +63,7 @@ pub trait ScalePolicy {
 /// capacity planning) and sizing on it over-provisions several-fold; the
 /// utilization target itself carries the safety headroom.
 #[derive(Clone, Copy, Debug)]
-pub struct TargetUtilizationPolicy {
-    /// Per-replica CPU utilization the policy provisions for (fraction,
-    /// e.g. `0.35`).
-    pub target_utilization: f64,
-}
-
-impl Default for TargetUtilizationPolicy {
-    fn default() -> Self {
-        Self {
-            target_utilization: 0.5,
-        }
-    }
-}
+pub struct TargetUtilizationPolicy;
 
 impl ScalePolicy for TargetUtilizationPolicy {
     fn name(&self) -> &'static str {
@@ -89,7 +79,7 @@ impl ScalePolicy for TargetUtilizationPolicy {
             // No estimate: hold the current deployment.
             return ctx.current.to_vec();
         };
-        let target_pct = (self.target_utilization.max(1e-6)) * 100.0;
+        let target_pct = PROACTIVE_TARGET_UTILIZATION * 100.0;
         ctx.app
             .components
             .iter()
@@ -193,7 +183,7 @@ mod tests {
     #[test]
     fn proactive_holds_without_estimates() {
         let app = app();
-        let mut p = TargetUtilizationPolicy::default();
+        let mut p = TargetUtilizationPolicy;
         let ctx = PolicyContext {
             app: &app,
             window: 4,

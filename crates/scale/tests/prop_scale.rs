@@ -13,7 +13,7 @@ use deeprest_core::DeepRest;
 use deeprest_fault::FaultPlan;
 use deeprest_scale::{
     demo_app, ControllerConfig, ScaleController, ScaleLoop, Scenario, ScenarioKind,
-    TargetUtilizationPolicy, PROACTIVE_TARGET_UTILIZATION,
+    TargetUtilizationPolicy,
 };
 use proptest::prelude::*;
 
@@ -112,9 +112,7 @@ type Decision = (Vec<u32>, Vec<u32>, bool);
 /// returns `(decisions, estimate_errors)`.
 fn run_under_plan(plan: FaultPlan, windows: usize) -> (Vec<Decision>, u64) {
     let scenario = Scenario::new(ScenarioKind::Surge);
-    let policy = TargetUtilizationPolicy {
-        target_utilization: PROACTIVE_TARGET_UTILIZATION,
-    };
+    let policy = TargetUtilizationPolicy;
     deeprest_fault::with_plan(Arc::new(plan), || {
         let mut lp = ScaleLoop::new(model(), &scenario, policy);
         while lp.position() < windows {

@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 use deeprest_core::DeepRest;
 use deeprest_scale::{
     run_proactive, run_reactive, DecisionRecord, ScaleCheckpoint, ScaleLoop, ScaleReport, Scenario,
-    ScenarioKind, TargetUtilizationPolicy, PROACTIVE_TARGET_UTILIZATION,
+    ScenarioKind, TargetUtilizationPolicy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -204,9 +204,7 @@ fn diurnal_and_drift_proactive_never_worse_on_slo() {
 #[test]
 fn checkpoint_resume_is_bit_exact() {
     let scenario = Scenario::new(ScenarioKind::Surge);
-    let policy = TargetUtilizationPolicy {
-        target_utilization: PROACTIVE_TARGET_UTILIZATION,
-    };
+    let policy = TargetUtilizationPolicy;
 
     // The uninterrupted reference run.
     let reference = ScaleLoop::new(model(), &scenario, policy)
@@ -249,4 +247,22 @@ fn checkpoint_resume_is_bit_exact() {
         "mean replicas must match bitwise"
     );
     assert_eq!(reference.estimate_errors, resumed.estimate_errors);
+}
+
+/// A checkpoint whose per-component replica sums do not cover the
+/// scenario's components is refused at restore, not by a panic at the next
+/// step's accounting.
+#[test]
+fn restore_refuses_misshapen_replica_windows() {
+    let scenario = Scenario::new(ScenarioKind::Surge);
+    let mut lp = ScaleLoop::new(model(), &scenario, TargetUtilizationPolicy);
+    while lp.position() < 38 {
+        assert!(lp.step().expect("step before checkpoint"));
+    }
+    let mut ckpt = lp.checkpoint();
+    ckpt.replica_windows.pop();
+    let err = ScaleLoop::restore(model(), &scenario, TargetUtilizationPolicy, ckpt)
+        .err()
+        .expect("a short replica_windows is refused");
+    assert!(err.contains("replica_windows"), "{err}");
 }

@@ -1,10 +1,9 @@
 //! Serving-pipeline configuration.
 
 use deeprest_core::sanity::SanityConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the online serving pipeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Scrape-window length in seconds; must match the windows the model
     /// was trained on for the estimates to be meaningful.
@@ -21,29 +20,19 @@ pub struct ServeConfig {
     /// How many times a failed inference step (contained panic or
     /// transient state poison) is retried from the pre-step snapshot
     /// before the window is parked and a typed error returned.
-    #[serde(default)]
     pub step_retries: u32,
     /// How many delivery attempts each alert gets per sink (first try
     /// included) before the alert is counted dropped for that sink;
     /// values below 1 behave as 1.
-    #[serde(default)]
     pub sink_attempts: u32,
     /// Base backoff between sink delivery attempts, in milliseconds;
     /// doubles per attempt, capped at what is left of
     /// [`ServeConfig::sink_timeout_ms`].
-    #[serde(default)]
     pub sink_backoff_ms: u64,
     /// Total wall-clock budget for delivering one alert to one sink
     /// (attempts plus backoffs), in milliseconds. A sink that stalls past
     /// this budget loses the alert (counted), never the window.
-    #[serde(default)]
     pub sink_timeout_ms: u64,
-    /// Control-loop cadence: [`crate::Pipeline::poll_control`] yields a
-    /// [`crate::ControlTick`] every this many sealed windows. `0` (the
-    /// default, and the value in pre-autoscaling checkpoints) disables
-    /// control ticks.
-    #[serde(default)]
-    pub control_interval: usize,
 }
 
 impl Default for ServeConfig {
@@ -57,7 +46,6 @@ impl Default for ServeConfig {
             sink_attempts: 3,
             sink_backoff_ms: 1,
             sink_timeout_ms: 250,
-            control_interval: 0,
         }
     }
 }
@@ -81,13 +69,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_sanity(mut self, sanity: SanityConfig) -> Self {
         self.sanity = sanity;
-        self
-    }
-
-    /// Sets the control-loop cadence (windows per control tick; 0 disables).
-    #[must_use]
-    pub fn with_control_interval(mut self, windows: usize) -> Self {
-        self.control_interval = windows;
         self
     }
 }

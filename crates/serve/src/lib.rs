@@ -18,14 +18,16 @@
 //!   [`overload`] degradation ladder (counted shedding → frozen
 //!   adaptation → per-tenant circuit breakers).
 //! * [`Pipeline`] — the one serving pipeline: [`WindowStages`], the
-//!   serving loop's stages, each written once (watermark-based window
-//!   sealing via [`deeprest_trace::stream::WindowAssembler`], per-window
-//!   feature extraction, stateful O(1)-per-window inference via
-//!   [`deeprest_core::stream::StreamPredictor`] with rollback-retry, the
-//!   causal sanity check with alert delivery, the control-tick cadence),
-//!   around a [`Driver`] that owns the model and the carried state.
-//!   [`Frozen`] serves a borrowed model as trained; `deeprest-adapt`'s
-//!   `Adapter` owns one and adapts it. A [`TenantRegistry`] holds either.
+//!   stream's state and the serving loop's stages, each written once
+//!   (watermark-based window sealing via
+//!   [`deeprest_trace::stream::WindowAssembler`], per-window feature
+//!   extraction, stateful O(1)-per-window inference on the stream's
+//!   [`CarriedState`](deeprest_core::stream::CarriedState) with
+//!   rollback-retry, the causal sanity check with alert delivery), around a
+//!   [`Driver`] that owns the model. [`Frozen`] serves a borrowed model as
+//!   trained; `deeprest-adapt`'s `Adapter` owns one and adapts it. A
+//!   [`TenantRegistry`] holds either. An autoscaler forks its what-if
+//!   queries off [`Pipeline::snapshot`] on its own cadence.
 //! * [`sanity`] — `deeprest_core::sanity`, re-exported: its
 //!   [`OnlineSanity`](sanity::OnlineSanity) is the one δ-interval scorer,
 //!   the same one the batch check runs. The pipeline starts it from empty
@@ -42,8 +44,9 @@
 //! * [`ServeError`] — the typed failure surface of the pipeline: ingest
 //!   faults (arrival retryable), parked-window step failures, poisoned
 //!   predictor state, checkpoint defects.
-//! * [`replay`] — loading recorded Jaeger documents/JSONL as arrival
-//!   streams.
+//! * [`replay`] — loading recorded JSONL streams of Jaeger documents as
+//!   arrival streams (one document is
+//!   [`deeprest_trace::jaeger::import_timestamped`]).
 //!
 //! The stages are *self-healing*: contained step panics and transient
 //! numeric poison roll back to the pre-step snapshot and retry
@@ -87,8 +90,8 @@ pub use deeprest_core::sanity;
 pub use error::ServeError;
 pub use overload::{OverloadConfig, OverloadLevel};
 pub use pipeline::{
-    batch_reference, contributing_apis, Checkpoint, ControlTick, Driver, Frozen, ObservationSource,
-    Pipeline, WindowOutput, WindowStages,
+    batch_reference, contributing_apis, Checkpoint, Driver, Frozen, ObservationSource, Pipeline,
+    WindowOutput, WindowStages,
 };
 pub use queue::{Accepted, OverflowPolicy};
 pub use sched::{FairScheduler, SchedConfig};

@@ -2,11 +2,12 @@
 //! inference → causal sanity alerts, with JSON checkpoint/restore.
 //!
 //! There is one pipeline, [`Pipeline<D>`](Pipeline). Every per-window stage
-//! is written once, on [`WindowStages`], and takes the model and the
-//! stream's [`CarriedState`] as arguments; what varies is the [`Driver`]
-//! that owns both and runs each sealed window through the stages. The
-//! [`Frozen`] driver serves a borrowed model as trained; `deeprest-adapt`'s
-//! `Adapter` owns a model and adapts it between windows.
+//! is written once, on [`WindowStages`], which also own the stream: the
+//! windowing, the stream's [`CarriedState`] and the sanity scorer. What
+//! varies is the [`Driver`]: it owns the model, hands it to each stage, and
+//! runs each sealed window through the stages. The [`Frozen`] driver serves
+//! a borrowed model as trained; `deeprest-adapt`'s `Adapter` owns a model
+//! and adapts it between windows.
 //!
 //! # Self-healing
 //!
@@ -90,20 +91,6 @@ pub struct WindowOutput {
     pub alerts: Vec<Alert>,
 }
 
-/// One firing of the control-loop hook: everything an autoscaling
-/// controller needs to run what-if queries against the live stream at this
-/// point — the window the tick fired at and a fork-safe snapshot of the
-/// predictor's carried state (feed it to
-/// [`DeepRest::estimate_what_if`](deeprest_core::DeepRest::estimate_what_if)).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ControlTick {
-    /// Stream position (sealed-window count) when the tick fired.
-    pub window: usize,
-    /// Snapshot of the live predictor state at that position; read-only
-    /// fork point — what-if queries leave the pipeline untouched.
-    pub predictor: StreamSnapshot,
-}
-
 /// Serializable pipeline state: together with the model JSON this is
 /// everything needed to resume a stream after a crash with bit-identical
 /// continuation (buffered unsealed arrivals included).
@@ -123,10 +110,6 @@ pub struct Checkpoint {
     /// intervened). Absent in pre-hardening checkpoints.
     #[serde(default)]
     pub ready: Vec<WindowOutput>,
-    /// Stream position of the last control tick. Absent in pre-autoscaling
-    /// checkpoints.
-    #[serde(default)]
-    pub last_control: usize,
 }
 
 impl Checkpoint {
@@ -149,13 +132,17 @@ impl Checkpoint {
     }
 }
 
-/// The model-independent streaming state and the stages that advance it:
-/// what every [`Pipeline`] holds beside its [`Driver`].
+/// The stream's state and the stages that advance it: what every
+/// [`Pipeline`] holds beside its [`Driver`]. Each stage is handed the model
+/// the driver holds at that window.
 pub struct WindowStages {
     /// The name table incoming traces were produced with (symbols are
     /// translated into the model's space per window).
     source: Interner,
     assembler: WindowAssembler,
+    /// The stream's hidden state and position, stepped against whichever
+    /// model the driver holds at each window.
+    carried: CarriedState,
     sanity: OnlineSanity,
     keys: Vec<ExpertKey>,
     is_delta: Vec<bool>,
@@ -169,8 +156,6 @@ pub struct WindowStages {
     pending: Vec<SealedWindow>,
     /// Outputs produced but not yet returned to the caller.
     ready: Vec<WindowOutput>,
-    /// Stream position at the last control tick.
-    last_control: usize,
     /// Experts currently quarantined for non-finite outputs; cleared
     /// automatically when an expert's outputs are finite again.
     quarantined: Vec<bool>,
@@ -187,6 +172,7 @@ impl WindowStages {
         Self {
             source: source.clone(),
             assembler: WindowAssembler::new(config.window_secs, config.lateness_secs),
+            carried: CarriedState::new(model),
             sanity: OnlineSanity::new(config.sanity, keys.len()),
             is_delta: keys
                 .iter()
@@ -198,7 +184,6 @@ impl WindowStages {
             config,
             pending: Vec::new(),
             ready: Vec::new(),
-            last_control: 0,
             quarantined: vec![false; keys.len()],
             observed: vec![None; keys.len()],
             keys,
@@ -295,20 +280,20 @@ impl WindowStages {
 
     /// Extracts the window's features and runs the inference step with
     /// panic containment and rollback-retry from the pre-step snapshot.
-    /// Returns the features with the raw estimates; on error `carried` is
-    /// back at its pre-step state.
+    /// Returns the features with the raw estimates; on error the carried
+    /// state is back at its pre-step state.
     ///
     /// # Errors
     ///
     /// [`ServeError::Step`] / [`ServeError::PoisonedState`] when the step
     /// kept failing through [`ServeConfig::step_retries`] retries.
     pub fn step(
-        &self,
+        &mut self,
         model: &DeepRest,
-        carried: &mut CarriedState,
         w: &SealedWindow,
     ) -> Result<(Vec<f32>, Vec<PointEstimate>), ServeError> {
         let x = model.window_features(&w.traces, &self.source);
+        let carried = &mut self.carried;
         // The pre-step snapshot *is* the last-known-good state at window
         // granularity: `step` is pure given (state, features), so retrying
         // from it after a transient fault is bit-identical to never having
@@ -421,17 +406,14 @@ impl WindowStages {
     }
 }
 
-/// What a [`Pipeline`] runs each sealed window through: a model, the
-/// stream's carried state against it, and whatever else the driver keeps.
-/// Object safe: a `Pipeline<dyn Driver>` is any pipeline, and one
+/// What a [`Pipeline`] runs each sealed window through: a model, and
+/// whatever else the driver keeps beside it. Object safe: a
+/// `Pipeline<dyn Driver>` is any pipeline, and one
 /// [`TenantRegistry`](crate::TenantRegistry) serves frozen and adaptive
 /// tenants side by side.
 pub trait Driver {
     /// The model windows are stepped against, as adapted so far.
     fn model(&self) -> &DeepRest;
-
-    /// The stream's hidden state and position.
-    fn carried(&self) -> &CarriedState;
 
     /// Runs one sealed window through the shared `stages`.
     ///
@@ -451,35 +433,29 @@ pub trait Driver {
     /// be idempotent; a no-op for a driver whose model never moves.
     fn suspend(&mut self, _frozen: bool) {}
 
-    /// The driver's own state beyond its carried state, as a serde tree;
-    /// `None` when it keeps none.
+    /// The driver's own state, as a serde tree; `None` when it keeps none.
     fn checkpoint(&self) -> Option<Value> {
         None
     }
 
-    /// Restores the carried state from `predictor` and, when `state` is
-    /// given, the driver's own state as [`checkpoint`](Self::checkpoint)
-    /// wrote it.
+    /// Restores the driver's own state as [`checkpoint`](Self::checkpoint)
+    /// wrote it. A driver that keeps none refuses any.
     ///
     /// # Errors
     ///
-    /// A message when either disagrees with the model.
-    fn load(&mut self, predictor: &StreamSnapshot, state: Option<Value>) -> Result<(), String>;
+    /// A message when the state disagrees with the model, or the driver
+    /// keeps no state.
+    fn load(&mut self, _state: Value) -> Result<(), String> {
+        Err("the pipeline's driver has no state to load".to_owned())
+    }
 }
 
 /// The frozen driver: a borrowed model, served as trained.
-pub struct Frozen<'m> {
-    model: &'m DeepRest,
-    carried: CarriedState,
-}
+pub struct Frozen<'m>(&'m DeepRest);
 
 impl Driver for Frozen<'_> {
     fn model(&self) -> &DeepRest {
-        self.model
-    }
-
-    fn carried(&self) -> &CarriedState {
-        &self.carried
+        self.0
     }
 
     fn window(
@@ -487,16 +463,8 @@ impl Driver for Frozen<'_> {
         stages: &mut WindowStages,
         w: &SealedWindow,
     ) -> Result<WindowOutput, ServeError> {
-        let (_, estimates) = stages.step(self.model, &mut self.carried, w)?;
+        let (_, estimates) = stages.step(self.0, w)?;
         Ok(stages.score(w, estimates))
-    }
-
-    fn load(&mut self, predictor: &StreamSnapshot, state: Option<Value>) -> Result<(), String> {
-        if state.is_some() {
-            return Err("a frozen pipeline has no driver state to load".to_owned());
-        }
-        self.carried = CarriedState::restore(self.model, predictor)?;
-        Ok(())
     }
 }
 
@@ -521,8 +489,7 @@ impl<'m> Pipeline<Frozen<'m>> {
     /// names interned later, [`checkpoint`](Self::checkpoint) and
     /// [`restore`](Self::restore) against the grown table.
     pub fn new(model: &'m DeepRest, source: &Interner, config: ServeConfig) -> Self {
-        let carried = CarriedState::new(model);
-        Self::with_driver(Frozen { model, carried }, source, config)
+        Self::with_driver(Frozen(model), source, config)
     }
 
     /// Rebuilds a frozen pipeline from a [`checkpoint`](Self::checkpoint):
@@ -597,7 +564,14 @@ impl<D: Driver + ?Sized> Pipeline<D> {
 
     /// Number of windows sealed and served so far.
     pub fn position(&self) -> usize {
-        self.driver.carried().position()
+        self.stages.carried.position()
+    }
+
+    /// A fork-safe snapshot of the stream's carried state: hand it to
+    /// [`DeepRest::estimate_what_if`] to ask what upcoming traffic would
+    /// need from here on; the query leaves the pipeline untouched.
+    pub fn snapshot(&self) -> StreamSnapshot {
+        self.stages.carried.snapshot()
     }
 
     /// How many traces arrived beyond the lateness bound (counted, never
@@ -650,30 +624,6 @@ impl<D: Driver + ?Sized> Pipeline<D> {
         &self.stages.quarantined
     }
 
-    /// Polls the control-loop hook: yields a [`ControlTick`] when at least
-    /// [`ServeConfig::control_interval`] windows have been sealed since the
-    /// previous tick (and the interval is non-zero). Call after every
-    /// [`ingest`](Self::ingest)/[`flush`](Self::flush); at most one tick is
-    /// due per call even if several intervals elapsed at once — the
-    /// controller acts on the *current* state, stale intermediate ticks
-    /// would only re-decide with older information.
-    pub fn poll_control(&mut self) -> Option<ControlTick> {
-        let stages = &mut self.stages;
-        let carried = self.driver.carried();
-        let (interval, position) = (stages.config.control_interval, carried.position());
-        if interval == 0 || position < stages.last_control + interval {
-            return None;
-        }
-        stages.last_control = position;
-        if telemetry::enabled() {
-            telemetry::counter("serve.control.tick", 1);
-        }
-        Some(ControlTick {
-            window: position,
-            predictor: carried.snapshot(),
-        })
-    }
-
     /// Captures the stages and the carried state for crash recovery —
     /// including windows parked by a step failure and outputs not yet
     /// handed to the caller, so a restore loses nothing. The driver's own
@@ -682,38 +632,35 @@ impl<D: Driver + ?Sized> Pipeline<D> {
         let stages = &self.stages;
         Checkpoint {
             assembler: stages.assembler.clone(),
-            predictor: self.driver.carried().snapshot(),
+            predictor: stages.carried.snapshot(),
             sanity: stages.sanity.state().clone(),
             pending: stages.pending.clone(),
             ready: stages.ready.clone(),
-            last_control: stages.last_control,
         }
     }
 
     /// Loads a [`checkpoint`](Self::checkpoint), and the driver's own
     /// `state` when given, into a pipeline built as the checkpointed one
     /// was: it resumes exactly where that one left off (buffered arrivals
-    /// included).
+    /// included). The driver's state goes first, so the carried state is
+    /// restored against the model the driver holds after it.
     ///
     /// # Errors
     ///
     /// Returns a message when the checkpoint's shape disagrees with the
     /// model (it was taken against a different model).
     pub fn load(&mut self, checkpoint: Checkpoint, state: Option<Value>) -> Result<(), String> {
-        self.driver.load(&checkpoint.predictor, state)?;
+        if let Some(state) = state {
+            self.driver.load(state)?;
+        }
         let stages = &mut self.stages;
+        stages.carried = CarriedState::restore(self.driver.model(), &checkpoint.predictor)?;
         let experts = stages.keys.len();
         stages.sanity = OnlineSanity::restore(stages.config.sanity, checkpoint.sanity, experts)?;
         stages.assembler = checkpoint.assembler;
         stages.pending = checkpoint.pending;
         stages.ready = checkpoint.ready;
-        stages.last_control = checkpoint.last_control;
         Ok(())
-    }
-
-    /// The configuration the pipeline runs with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.stages.config
     }
 }
 

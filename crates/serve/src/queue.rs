@@ -15,7 +15,7 @@ use deeprest_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 /// What a push does when the queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Reject the push and hand the item back: lossless backpressure, the
     /// caller decides what to do with it.

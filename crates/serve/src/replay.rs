@@ -1,22 +1,10 @@
-//! Replay helpers: turn recorded Jaeger documents (or JSONL streams of
-//! them) into the timestamped arrival stream the pipeline ingests.
+//! Replay helpers: turn recorded JSONL streams of Jaeger documents into the
+//! timestamped arrival stream the pipeline ingests, and re-time arrivals.
+//! One document is [`jaeger::import_timestamped`].
 
 use deeprest_trace::jaeger::{self, ImportError};
 use deeprest_trace::window::TimestampedTrace;
 use deeprest_trace::Interner;
-
-/// Loads one Jaeger-API-shaped JSON document, keeping per-trace arrival
-/// times (the earliest span `startTime`).
-///
-/// # Errors
-///
-/// Returns the underlying [`ImportError`] on malformed input.
-pub fn load_document(
-    json: &str,
-    interner: &mut Interner,
-) -> Result<Vec<TimestampedTrace>, ImportError> {
-    jaeger::import_timestamped(json, interner)
-}
 
 /// Loads a JSONL stream: each non-empty line is one Jaeger document (the
 /// natural shape of a `/api/traces` poller appending batches to a log).
@@ -92,7 +80,7 @@ mod tests {
     fn spread_assigns_even_schedule() {
         let (_, json) = doc();
         let mut i = Interner::new();
-        let traces = load_document(&json, &mut i).expect("valid");
+        let traces = jaeger::import_timestamped(&json, &mut i).expect("valid");
         let spread = spread_evenly(traces, 2.5);
         let at: Vec<f64> = spread.iter().map(|t| t.at_secs).collect();
         assert_eq!(at, vec![0.0, 2.5]);

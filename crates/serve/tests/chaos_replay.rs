@@ -405,11 +405,11 @@ fn replay_parse_fault_is_a_typed_error() {
     let plan = Arc::new(FaultPlan::new(chaos_seed()).once("trace.parse", 0));
     fault::with_plan(plan, || {
         let mut fresh = deeprest_trace::Interner::new();
-        let err = deeprest_serve::replay::load_document(&json, &mut fresh)
+        let err = deeprest_trace::jaeger::import_timestamped(&json, &mut fresh)
             .expect_err("injected parse fault must be a typed error");
         assert_eq!(err.kind(), "json");
         // And with the fault spent, the same document loads fine.
-        let traces = deeprest_serve::replay::load_document(&json, &mut fresh)
+        let traces = deeprest_trace::jaeger::import_timestamped(&json, &mut fresh)
             .expect("fault is spent, document is valid");
         assert_eq!(traces.len(), 1);
     });

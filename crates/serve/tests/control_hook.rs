@@ -1,5 +1,5 @@
-//! The control-loop hook: `poll_control` cadence, snapshot fork safety,
-//! and checkpoint/restore of the control position.
+//! The control-loop hook: a what-if query forked off the live stream's
+//! snapshot leaves serving untouched.
 
 mod common;
 
@@ -7,76 +7,37 @@ use common::{stream_of, trained, WINDOW_SECS};
 use deeprest_serve::{Pipeline, ServeConfig};
 use deeprest_workload::ApiTraffic;
 
-fn serve_config(interval: usize) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig::default()
         .with_window_secs(WINDOW_SECS)
         .with_lateness_secs(2.0)
-        .with_control_interval(interval)
-}
-
-#[test]
-fn ticks_fire_on_the_configured_cadence() {
-    let (model, interner, traces, _) = trained(64);
-    let mut pipeline = Pipeline::new(&model, &interner, serve_config(4));
-    let mut ticks = Vec::new();
-    for t in stream_of(&traces) {
-        pipeline.ingest(t).unwrap();
-        if let Some(tick) = pipeline.poll_control() {
-            ticks.push(tick);
-        }
-    }
-    pipeline.flush().unwrap();
-    if let Some(tick) = pipeline.poll_control() {
-        ticks.push(tick);
-    }
-    // Ticks land at multiples of the interval; each carries the predictor
-    // snapshot at exactly that position.
-    assert!(ticks.len() >= 10, "got {} ticks", ticks.len());
-    for tick in &ticks {
-        assert_eq!(tick.window % 4, 0);
-        assert_eq!(tick.predictor.position, tick.window);
-    }
-    let windows: Vec<usize> = ticks.iter().map(|t| t.window).collect();
-    let mut dedup = windows.clone();
-    dedup.dedup();
-    assert_eq!(windows, dedup, "no duplicate ticks for one position");
-}
-
-#[test]
-fn zero_interval_disables_ticks() {
-    let (model, interner, traces, _) = trained(32);
-    let mut pipeline = Pipeline::new(&model, &interner, serve_config(0));
-    for t in stream_of(&traces) {
-        pipeline.ingest(t).unwrap();
-        assert!(pipeline.poll_control().is_none());
-    }
 }
 
 #[test]
 fn tick_snapshot_answers_what_if_queries_without_disturbing_serving() {
     let (model, interner, traces, _) = trained(64);
 
-    // Reference run: no control polling at all.
-    let mut reference = Pipeline::new(&model, &interner, serve_config(0));
+    // Reference run: no snapshots at all.
+    let mut reference = Pipeline::new(&model, &interner, serve_config());
     let mut expected = Vec::new();
     for t in stream_of(&traces) {
         expected.extend(reference.ingest(t).unwrap());
     }
     expected.extend(reference.flush().unwrap());
 
-    // Live run: poll every 8 windows and fork a what-if query per tick.
-    let mut live = Pipeline::new(&model, &interner, serve_config(8));
+    // Live run: snapshot every 8 positions and fork a what-if query off each.
+    let mut live = Pipeline::new(&model, &interner, serve_config());
     let hypothesis = ApiTraffic::new(vec!["/read".into()], 8, vec![vec![12.0]; 6]);
     let mut outputs = Vec::new();
     let mut what_ifs = Vec::new();
+    let mut last = 0;
     for t in stream_of(&traces) {
         outputs.extend(live.ingest(t).unwrap());
-        if let Some(tick) = live.poll_control() {
-            what_ifs.push(
-                model
-                    .estimate_what_if(&tick.predictor, &hypothesis, 5)
-                    .unwrap(),
-            );
+        if live.position() >= last + 8 {
+            last = live.position();
+            let snapshot = live.snapshot();
+            assert_eq!(snapshot.position, last);
+            what_ifs.push(model.estimate_what_if(&snapshot, &hypothesis, 5).unwrap());
         }
     }
     outputs.extend(live.flush().unwrap());
@@ -84,40 +45,4 @@ fn tick_snapshot_answers_what_if_queries_without_disturbing_serving() {
     assert!(what_ifs.len() >= 6);
     // Forked queries leave the serving outputs bit-identical.
     common::assert_outputs_bitwise_equal(&outputs, &expected);
-}
-
-#[test]
-fn restore_resumes_the_control_cadence() {
-    let (model, interner, traces, _) = trained(64);
-    let stream = stream_of(&traces);
-    let split = stream.len() / 2;
-
-    let mut full = Pipeline::new(&model, &interner, serve_config(8));
-    let mut full_ticks = Vec::new();
-    for t in &stream {
-        full.ingest(t.clone()).unwrap();
-        if let Some(tick) = full.poll_control() {
-            full_ticks.push(tick);
-        }
-    }
-
-    let mut first = Pipeline::new(&model, &interner, serve_config(8));
-    let mut ticks = Vec::new();
-    for t in &stream[..split] {
-        first.ingest(t.clone()).unwrap();
-        if let Some(tick) = first.poll_control() {
-            ticks.push(tick);
-        }
-    }
-    let json = first.checkpoint().to_json().unwrap();
-    let checkpoint = deeprest_serve::Checkpoint::from_json(&json).unwrap();
-    let mut resumed = Pipeline::restore(&model, &interner, serve_config(8), checkpoint).unwrap();
-    for t in &stream[split..] {
-        resumed.ingest(t.clone()).unwrap();
-        if let Some(tick) = resumed.poll_control() {
-            ticks.push(tick);
-        }
-    }
-
-    assert_eq!(ticks, full_ticks, "control ticks diverged across restore");
 }

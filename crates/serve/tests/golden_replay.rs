@@ -11,11 +11,11 @@ use std::collections::BTreeMap;
 use common::{assert_outputs_bitwise_equal, stream_of, trained, WINDOW_SECS};
 use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_metrics::{MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
-use deeprest_serve::replay::{load_document, spread_evenly};
+use deeprest_serve::replay::spread_evenly;
 use deeprest_serve::{batch_reference, Checkpoint, CollectSink, Pipeline, ServeConfig};
 use deeprest_trace::stream::{SealedWindow, WindowAssembler};
 use deeprest_trace::window::{partition, TimestampedTrace, WindowedTraces};
-use deeprest_trace::Interner;
+use deeprest_trace::{jaeger, Interner};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -65,7 +65,7 @@ fn synthetic_metrics(windows: &WindowedTraces, interner: &Interner) -> MetricsRe
 fn jaeger_fixture_replay_matches_batch_bitwise() {
     let json = std::fs::read_to_string(FIXTURE).expect("fixture readable");
     let mut interner = Interner::new();
-    let traces = load_document(&json, &mut interner).expect("fixture imports");
+    let traces = jaeger::import_timestamped(&json, &mut interner).expect("fixture imports");
     let stream = spread_evenly(traces, 0.4);
 
     let config = serve_config();
