@@ -118,6 +118,18 @@ pub struct StreamSnapshot {
     pub hidden: Vec<Vec<f32>>,
 }
 
+/// A rollback point of a [`CarriedState`]: its position and every hidden
+/// value in one flat buffer, in expert order.
+/// [`save`](CarriedState::save) overwrites it in place, so a caller that
+/// keeps one and saves before every step allocates nothing once it is warm.
+/// Only [`rollback`](CarriedState::rollback) reads it; a checkpoint or a
+/// fork takes a [`StreamSnapshot`].
+#[derive(Debug, Default)]
+pub struct RollbackPoint {
+    position: usize,
+    hidden: Vec<f32>,
+}
+
 /// The carried state of one of the slab's shards (same index, same expert
 /// range). Shards never read each other's state; the only cross-shard
 /// dataflow is the serial hidden gather between the two parallel phases.
@@ -282,7 +294,8 @@ impl CarriedState {
 
         // Fault probe: `stream.step` panics mid-step, after the hidden
         // state may already have been mutated — callers that survive it
-        // must roll back to a pre-step snapshot (serve's step_healed does).
+        // must roll back to a pre-step rollback point (serve's
+        // `WindowStages::step` does).
         // Worker panics (the pool's `pool.worker` probe included) propagate
         // out of the phase fan-outs below and are handled the same way.
         fault::maybe_panic("stream.step");
@@ -422,13 +435,47 @@ impl CarriedState {
                  hidden_dim {hidden_dim}"
             ));
         }
+        let hidden = snap.hidden.concat();
+        Self::rollback(
+            model,
+            &RollbackPoint {
+                position: snap.position,
+                hidden,
+            },
+        )
+    }
+
+    /// Overwrites `point` with this state's position and hidden values.
+    pub fn save(&self, point: &mut RollbackPoint) {
+        point.position = self.position;
+        point.hidden.clear();
+        for s in &self.shards {
+            point.hidden.extend_from_slice(&s.hidden);
+        }
+    }
+
+    /// Rebuilds the state [`save`](Self::save)d in `point`, laid out for
+    /// `model`'s shard plan: fresh buffers, the hidden values copied back.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `point` holds another number of hidden
+    /// values than `model` carries — it was saved against another model.
+    pub fn rollback(model: &DeepRest, point: &RollbackPoint) -> Result<Self, String> {
         let mut state = Self::new(model);
-        state.position = snap.position;
-        let mut carried = snap.hidden.iter();
+        let carried: usize = state.shards.iter().map(|s| s.hidden.len()).sum();
+        if point.hidden.len() != carried {
+            return Err(format!(
+                "rollback point holds {} hidden values, the model carries {carried}",
+                point.hidden.len()
+            ));
+        }
+        state.position = point.position;
+        let mut from = point.hidden.as_slice();
         for s in &mut state.shards {
-            for (c, src) in (0..s.out.len()).zip(&mut carried) {
-                s.hidden[c * hidden_dim..(c + 1) * hidden_dim].copy_from_slice(src);
-            }
+            let (head, rest) = from.split_at(s.hidden.len());
+            s.hidden.copy_from_slice(head);
+            from = rest;
         }
         Ok(state)
     }
@@ -588,6 +635,34 @@ mod tests {
         for (t, x) in xs.iter().enumerate().skip(29) {
             assert_eq!(resumed.step(x), reference[t], "divergence at window {t}");
         }
+    }
+
+    /// A rollback point, saved over again and again, puts the state back
+    /// where the last save found it, bit for bit, and refuses another
+    /// model's shape.
+    #[test]
+    fn a_rollback_point_puts_the_state_back_bitwise() {
+        let (i, traces, model) = trained(64);
+        let xs: Vec<Vec<f32>> = traces
+            .windows
+            .iter()
+            .map(|w| model.window_features(w, &i))
+            .collect();
+        let mut state = CarriedState::new(&model);
+        let mut point = RollbackPoint::default();
+        for x in &xs[..29] {
+            state.save(&mut point);
+            state.step(&model, x);
+        }
+        state.save(&mut point);
+        let saved = state.snapshot();
+        let next = state.step(&model, &xs[29]);
+        let mut back = CarriedState::rollback(&model, &point).unwrap();
+        assert_eq!(back.snapshot(), saved);
+        assert_eq!(back.step(&model, &xs[29]), next);
+
+        point.hidden.pop();
+        assert!(CarriedState::rollback(&model, &point).is_err());
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!
 //! The stages treat their own failures the way they treat anomalies: detect,
 //! contain, keep serving. Each sealed window is processed against a pre-step
-//! snapshot of the predictor state (the in-process last-known-good):
+//! rollback point of the predictor state (the in-process last-known-good):
 //!
 //! * a **contained panic** in the inference step (a poisoned kernel job, an
-//!   injected `pool.worker` fault) rolls the predictor back to the snapshot
+//!   injected `pool.worker` fault) rolls the predictor back to that point
 //!   and retries; because [`CarriedState::step`] is pure given (state,
 //!   features), a retry after a transient fault is bit-identical to a run
 //!   that never faulted;
@@ -41,7 +41,9 @@
 
 use std::panic::AssertUnwindSafe;
 
-use deeprest_core::stream::{panic_message, CarriedState, PointEstimate, StreamSnapshot};
+use deeprest_core::stream::{
+    panic_message, CarriedState, PointEstimate, RollbackPoint, StreamSnapshot,
+};
 use deeprest_core::{interpret, DeepRest, ExpertKey};
 use deeprest_fault as fault;
 use deeprest_metrics::MetricsRegistry;
@@ -143,6 +145,9 @@ pub struct WindowStages {
     /// The stream's hidden state and position, stepped against whichever
     /// model the driver holds at each window.
     carried: CarriedState,
+    /// Where [`step`](Self::step) saves `carried` before each attempt; kept
+    /// so that saving allocates nothing.
+    rollback: RollbackPoint,
     sanity: OnlineSanity,
     keys: Vec<ExpertKey>,
     is_delta: Vec<bool>,
@@ -173,6 +178,7 @@ impl WindowStages {
             source: source.clone(),
             assembler: WindowAssembler::new(config.window_secs, config.lateness_secs),
             carried: CarriedState::new(model),
+            rollback: RollbackPoint::default(),
             sanity: OnlineSanity::new(config.sanity, keys.len()),
             is_delta: keys
                 .iter()
@@ -279,7 +285,7 @@ impl WindowStages {
     }
 
     /// Extracts the window's features and runs the inference step with
-    /// panic containment and rollback-retry from the pre-step snapshot.
+    /// panic containment and rollback-retry from the pre-step rollback point.
     /// Returns the features with the raw estimates; on error the carried
     /// state is back at its pre-step state.
     ///
@@ -294,11 +300,11 @@ impl WindowStages {
     ) -> Result<(Vec<f32>, Vec<PointEstimate>), ServeError> {
         let x = model.window_features(&w.traces, &self.source);
         let carried = &mut self.carried;
-        // The pre-step snapshot *is* the last-known-good state at window
-        // granularity: `step` is pure given (state, features), so retrying
-        // from it after a transient fault is bit-identical to never having
-        // faulted.
-        let snapshot = carried.snapshot();
+        // The pre-step rollback point *is* the last-known-good state at
+        // window granularity: `step` is pure given (state, features), so
+        // retrying from it after a transient fault is bit-identical to never
+        // having faulted.
+        carried.save(&mut self.rollback);
         let mut attempt = 0;
         loop {
             let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| carried.step(model, &x)));
@@ -318,7 +324,8 @@ impl WindowStages {
                 },
             };
             telemetry::counter("serve.step.rolled_back", 1);
-            *carried = CarriedState::restore(model, &snapshot).map_err(ServeError::Restore)?;
+            *carried =
+                CarriedState::rollback(model, &self.rollback).map_err(ServeError::Restore)?;
             if attempt == self.config.step_retries {
                 return Err(failure);
             }

@@ -13,23 +13,22 @@
 //! at its earliest span start). Durations, tags, logs and anything else are
 //! validated as JSON and skipped. [`export`] writes zeros for both times.
 //!
-//! The two directions are built differently. [`export`] serializes the
-//! `JaegerDoc` structs through serde. Import is the serving path's first
-//! stage and runs on every scrape window, so it has its own single-pass
-//! parser (the `ingest` submodule) that never builds a document tree: one
-//! cursor that scans sixteen bytes at a time and matches the keys it reads
-//! as whole words, then a link that sorts and looks up ids on an integer key
+//! Both directions are hand-written, one pass each. [`export`] walks each
+//! trace iteratively and appends the document text to one `String` sized
+//! up front, with no per-span string, vector or map. Import is the serving
+//! path's first stage and runs on every scrape window, so its single-pass
+//! parser (the `ingest` submodule) never builds a document tree: one cursor
+//! that scans sixteen bytes at a time and matches the keys it reads as
+//! whole words, then a link that sorts and looks up ids on an integer key
 //! and interns each name once per document. Each import records a
 //! `trace.jaeger.parse` and a `trace.jaeger.link` telemetry span. The serde
-//! derive of the same structs survives under `cfg(test)` as the oracle the
-//! parser is differenced against.
+//! structs both replaced survive under `cfg(test)` as their oracles: the
+//! parser must import what the serde import did, and the writer must write
+//! the bytes the serde export wrote.
 
-use std::collections::HashMap;
+use std::fmt::Write;
 
 use deeprest_telemetry as telemetry;
-#[cfg(test)]
-use serde::Deserialize;
-use serde::Serialize;
 
 use crate::window::TimestampedTrace;
 use crate::{Interner, SpanNode, Sym, Trace};
@@ -37,57 +36,6 @@ use crate::{Interner, SpanNode, Sym, Trace};
 mod ingest;
 #[cfg(test)]
 mod oracle;
-
-/// Top-level Jaeger API response shape.
-#[derive(Debug, Serialize)]
-#[cfg_attr(test, derive(Deserialize))]
-struct JaegerDoc {
-    data: Vec<JaegerTrace>,
-}
-
-#[derive(Debug, Serialize)]
-#[cfg_attr(test, derive(Deserialize))]
-struct JaegerTrace {
-    #[serde(rename = "traceID")]
-    trace_id: String,
-    spans: Vec<JaegerSpan>,
-    processes: HashMap<String, JaegerProcess>,
-}
-
-#[derive(Debug, Serialize)]
-#[cfg_attr(test, derive(Deserialize))]
-struct JaegerSpan {
-    #[serde(rename = "traceID")]
-    trace_id: String,
-    #[serde(rename = "spanID")]
-    span_id: String,
-    #[serde(rename = "operationName")]
-    operation_name: String,
-    #[serde(default)]
-    references: Vec<JaegerRef>,
-    #[serde(rename = "processID")]
-    process_id: String,
-    #[serde(rename = "startTime", default)]
-    start_time: u64,
-    #[serde(default)]
-    duration: u64,
-}
-
-#[derive(Debug, Serialize)]
-#[cfg_attr(test, derive(Deserialize))]
-struct JaegerRef {
-    #[serde(rename = "refType")]
-    ref_type: String,
-    #[serde(rename = "spanID")]
-    span_id: String,
-}
-
-#[derive(Debug, Serialize)]
-#[cfg_attr(test, derive(Deserialize))]
-struct JaegerProcess {
-    #[serde(rename = "serviceName")]
-    service_name: String,
-}
 
 /// An error importing Jaeger JSON.
 ///
@@ -158,97 +106,165 @@ pub struct ImportStats {
 /// synthetic parent span `(service "__api__", operation = endpoint)` wraps
 /// each real root: the import side recovers the endpoint from it without a
 /// side channel, and span names are left unaltered.
+///
+/// The text is indented by two spaces a level. Trace `i` has the id
+/// `t{i:08x}`; its span `.s0` is the `__api__` span, and `.s1`, `.s2`, …
+/// number the real spans in pre-order. Process `p0` is `__api__` and `p1`,
+/// `p2`, … are the components in the order the walk first meets them;
+/// `processes` lists them in the string order of their ids (`p0`, `p1`,
+/// `p10`, …, `p2`).
 pub fn export(traces: &[Trace], interner: &Interner) -> String {
-    let mut doc = JaegerDoc { data: Vec::new() };
-    for (ti, trace) in traces.iter().enumerate() {
-        let trace_id = format!("t{ti:08x}");
-        let mut spans = Vec::new();
-        let mut processes = HashMap::new();
-        let api_pid = "p0".to_owned();
-        processes.insert(
-            api_pid.clone(),
-            JaegerProcess {
-                service_name: "__api__".to_owned(),
-            },
-        );
-        let api_span_id = format!("{trace_id}.s0");
-        spans.push(JaegerSpan {
-            trace_id: trace_id.clone(),
-            span_id: api_span_id.clone(),
-            operation_name: interner.resolve(trace.api).to_owned(),
-            references: Vec::new(),
-            process_id: api_pid,
-            start_time: 0,
-            duration: 0,
-        });
-
-        let mut proc_ids: HashMap<Sym, String> = HashMap::new();
-        let mut counter = 1usize;
-        flatten(
-            &trace.root,
-            &api_span_id,
-            &trace_id,
-            interner,
-            &mut counter,
-            &mut proc_ids,
-            &mut processes,
-            &mut spans,
-        );
-        doc.data.push(JaegerTrace {
-            trace_id,
-            spans,
-            processes,
+    let name = |sym| interner.resolve(sym);
+    let mut path = Vec::new();
+    // Sized by one walk over the names, counting a process per span, so
+    // that writing never grows the text unless a name needs escapes.
+    let mut bytes = DOC_BYTES;
+    for trace in traces {
+        bytes += TRACE_BYTES + name(trace.api).len();
+        walk(&trace.root, &mut path, |s, _, _| {
+            bytes += SPAN_BYTES + name(s.operation).len() + name(s.component).len();
         });
     }
-    // Serializing our own plain structs cannot fail; the expect documents
-    // that invariant rather than guarding a runtime condition.
-    #[allow(clippy::expect_used)]
-    serde_json::to_string_pretty(&doc).expect("JaegerDoc is plain data and always serializes")
+    let mut out = String::with_capacity(bytes);
+    // A trace's pid of each component by symbol (0: not met yet), and its
+    // components in pid order from `p1`.
+    let mut pids = vec![0; interner.len()];
+    let mut components: Vec<Sym> = Vec::new();
+    let mut id = String::with_capacity(17);
+    out.push_str("{\n  \"data\": [");
+    for (ti, trace) in traces.iter().enumerate() {
+        id.clear();
+        let _ = write!(id, "t{ti:08x}");
+        out.push_str(if ti == 0 { "\n    {" } else { ",\n    {" });
+        out.push_str("\n      \"traceID\": \"");
+        out.push_str(&id);
+        out.push_str("\",\n      \"spans\": [");
+        span(&mut out, &id, 0, name(trace.api), None, 0);
+        walk(&trace.root, &mut path, |s, n, parent| {
+            let pid = &mut pids[s.component.index()];
+            if *pid == 0 {
+                components.push(s.component);
+                *pid = components.len();
+            }
+            out.push(',');
+            span(&mut out, &id, n, name(s.operation), Some(parent), *pid);
+        });
+        out.push_str("\n      ],\n      \"processes\": {\n        \"p0\": {");
+        out.push_str("\n          \"serviceName\": \"__api__\"\n        }");
+        in_string_order(0, components.len() + 1, &mut |pid| {
+            out.push_str(",\n        \"p");
+            decimal(&mut out, pid);
+            out.push_str("\": {\n          \"serviceName\": ");
+            escaped(&mut out, name(components[pid - 1]));
+            out.push_str("\n        }");
+        });
+        out.push_str("\n      }\n    }");
+        components.drain(..).for_each(|c| pids[c.index()] = 0);
+    }
+    out.push_str(if traces.is_empty() { "" } else { "\n  " });
+    out.push_str("]\n}");
+    out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn flatten(
-    node: &SpanNode,
-    parent_span_id: &str,
-    trace_id: &str,
-    interner: &Interner,
-    counter: &mut usize,
-    proc_ids: &mut HashMap<Sym, String>,
-    processes: &mut HashMap<String, JaegerProcess>,
-    spans: &mut Vec<JaegerSpan>,
+/// Upper bounds of the text around the names, in bytes: of the document,
+/// of one trace with its `__api__` span and process, and of one more span
+/// with a process of its own. They hold for trace indices below 2³², span
+/// and process numbers of up to six digits, and names without escapes.
+const DOC_BYTES: usize = 20;
+const TRACE_BYTES: usize = 390;
+const SPAN_BYTES: usize = 420;
+
+/// Appends span `n` of trace `id`, the `__api__` span when it has no
+/// parent.
+fn span(out: &mut String, id: &str, n: usize, operation: &str, parent: Option<usize>, pid: usize) {
+    out.push_str("\n        {\n          \"traceID\": \"");
+    out.push_str(id);
+    out.push_str("\",\n          \"spanID\": \"");
+    out.push_str(id);
+    out.push_str(".s");
+    decimal(out, n);
+    out.push_str("\",\n          \"operationName\": ");
+    escaped(out, operation);
+    match parent {
+        None => out.push_str(",\n          \"references\": [],"),
+        Some(parent) => {
+            out.push_str(",\n          \"references\": [\n            {");
+            out.push_str("\n              \"refType\": \"CHILD_OF\",");
+            out.push_str("\n              \"spanID\": \"");
+            out.push_str(id);
+            out.push_str(".s");
+            decimal(out, parent);
+            out.push_str("\"\n            }\n          ],");
+        }
+    }
+    out.push_str("\n          \"processID\": \"p");
+    decimal(out, pid);
+    out.push_str("\",\n          \"startTime\": 0,\n          \"duration\": 0\n        }");
+}
+
+fn decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// Appends `s` as a JSON string, escaped as `serde_json` escapes: `"`, `\`
+/// and the characters below U+0020, nothing else.
+fn escaped(out: &mut String, s: &str) {
+    out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if c < ' ' => {
+                    let _ = write!(out, "\\u{:04x}", u32::from(c));
+                }
+                c => out.push(c),
+            }
+        }
+    }
+    out.push('"');
+}
+
+/// Calls `visit(span, n, parent)` for every span under and including
+/// `root`, in pre-order: `n` numbers the spans from 1 and `parent` is the
+/// parent's number (0 for `root`). `path` is the walk's stack of children
+/// still to visit, handed in so that one allocation serves a whole document.
+fn walk<'t>(
+    root: &'t SpanNode,
+    path: &mut Vec<(std::slice::Iter<'t, SpanNode>, usize)>,
+    mut visit: impl FnMut(&'t SpanNode, usize, usize),
 ) {
-    let span_id = format!("{trace_id}.s{counter}");
-    *counter += 1;
-    let next_pid = proc_ids.len() + 1;
-    let pid = proc_ids
-        .entry(node.component)
-        .or_insert_with(|| {
-            let pid = format!("p{next_pid}");
-            processes.insert(
-                pid.clone(),
-                JaegerProcess {
-                    service_name: interner.resolve(node.component).to_owned(),
-                },
-            );
-            pid
-        })
-        .clone();
-    spans.push(JaegerSpan {
-        trace_id: trace_id.to_owned(),
-        span_id: span_id.clone(),
-        operation_name: interner.resolve(node.operation).to_owned(),
-        references: vec![JaegerRef {
-            ref_type: "CHILD_OF".to_owned(),
-            span_id: parent_span_id.to_owned(),
-        }],
-        process_id: pid,
-        start_time: 0,
-        duration: 0,
-    });
-    for child in &node.children {
-        flatten(
-            child, &span_id, trace_id, interner, counter, proc_ids, processes, spans,
-        );
+    path.push((std::slice::from_ref(root).iter(), 0));
+    let mut n = 0;
+    while let Some((children, parent)) = path.last_mut() {
+        let parent = *parent;
+        let Some(child) = children.next() else {
+            path.pop();
+            continue;
+        };
+        n += 1;
+        visit(child, n, parent);
+        path.push((child.children.iter(), n));
+    }
+}
+
+/// Calls `visit` on every number below `count` whose decimal spelling
+/// extends `k`'s, in string order: from `k = 0`, on all of `1..count`
+/// ordered as their spellings (`1`, `10`, `100`, …, `11`, …, `2`).
+fn in_string_order(k: usize, count: usize, visit: &mut impl FnMut(usize)) {
+    for next in (k * 10..k * 10 + 10).filter(|&n| n > 0 && n < count) {
+        visit(next);
+        in_string_order(next, count, visit);
     }
 }
 

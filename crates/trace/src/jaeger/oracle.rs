@@ -1,20 +1,71 @@
-//! The serde import this crate shipped before the pull parser, kept as the
-//! oracle: `serde_json::from_str` into the owned `JaegerDoc`, then one hash
-//! map of child lists per trace. Test-only, and without the fault probes and
-//! the telemetry (the differenced properties arm neither).
+//! The serde shapes this crate shipped before its own reader and writer,
+//! kept as their oracles. Test-only.
 //!
-//! One input is refused here that the old import took: the stand-in serde
-//! also reads a map from an array of `[key, value]` pairs, a `processes`
-//! encoding Jaeger never writes and the parser does not accept.
+//! The import oracle is the serde import the pull parser replaced:
+//! `serde_json::from_str` into the owned `JaegerDoc`, then one hash map of
+//! child lists per trace, without the fault probes and the telemetry (the
+//! differenced properties arm neither). One input is refused here that the
+//! old import took: the stand-in serde also reads a map from an array of
+//! `[key, value]` pairs, a `processes` encoding Jaeger never writes and the
+//! parser does not accept.
+//!
+//! The export oracle is the serde export the one-pass writer replaced: the
+//! same structs built per span and written by `serde_json::to_string_pretty`.
 
 use std::collections::{HashMap, HashSet};
 
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use serde_json::{Error, Value};
 
-use super::{ImportError, JaegerDoc, JaegerSpan, JaegerTrace};
+use super::ImportError;
 use crate::window::TimestampedTrace;
-use crate::{Interner, SpanNode, Trace};
+use crate::{Interner, SpanNode, Sym, Trace};
+
+/// Top-level Jaeger API response shape.
+#[derive(Debug, Serialize, Deserialize)]
+struct JaegerDoc {
+    data: Vec<JaegerTrace>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct JaegerTrace {
+    #[serde(rename = "traceID")]
+    trace_id: String,
+    spans: Vec<JaegerSpan>,
+    processes: HashMap<String, JaegerProcess>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct JaegerSpan {
+    #[serde(rename = "traceID")]
+    trace_id: String,
+    #[serde(rename = "spanID")]
+    span_id: String,
+    #[serde(rename = "operationName")]
+    operation_name: String,
+    #[serde(default)]
+    references: Vec<JaegerRef>,
+    #[serde(rename = "processID")]
+    process_id: String,
+    #[serde(rename = "startTime", default)]
+    start_time: u64,
+    #[serde(default)]
+    duration: u64,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct JaegerRef {
+    #[serde(rename = "refType")]
+    ref_type: String,
+    #[serde(rename = "spanID")]
+    span_id: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct JaegerProcess {
+    #[serde(rename = "serviceName")]
+    service_name: String,
+}
 
 /// Every trace of the document in order, imported or with the reason it was
 /// dropped.
@@ -123,6 +174,126 @@ fn build(
     Ok(node)
 }
 
+/// The document as the serde export wrote it: one `JaegerSpan` per span
+/// (the `__api__` span first), processes keyed by id in a hash map, and
+/// the whole tree pretty-printed.
+pub(super) fn export(traces: &[Trace], interner: &Interner) -> String {
+    let mut doc = JaegerDoc { data: Vec::new() };
+    for (ti, trace) in traces.iter().enumerate() {
+        let trace_id = format!("t{ti:08x}");
+        let mut spans = Vec::new();
+        let mut processes = HashMap::new();
+        let api_pid = "p0".to_owned();
+        processes.insert(
+            api_pid.clone(),
+            JaegerProcess {
+                service_name: "__api__".to_owned(),
+            },
+        );
+        let api_span_id = format!("{trace_id}.s0");
+        spans.push(JaegerSpan {
+            trace_id: trace_id.clone(),
+            span_id: api_span_id.clone(),
+            operation_name: interner.resolve(trace.api).to_owned(),
+            references: Vec::new(),
+            process_id: api_pid,
+            start_time: 0,
+            duration: 0,
+        });
+
+        let mut proc_ids: HashMap<Sym, String> = HashMap::new();
+        let mut counter = 1usize;
+        flatten(
+            &trace.root,
+            &api_span_id,
+            &trace_id,
+            interner,
+            &mut counter,
+            &mut proc_ids,
+            &mut processes,
+            &mut spans,
+        );
+        doc.data.push(JaegerTrace {
+            trace_id,
+            spans,
+            processes,
+        });
+    }
+    serde_json::to_string_pretty(&doc).expect("JaegerDoc is plain data and always serializes")
+}
+
+#[allow(clippy::too_many_arguments)]
+fn flatten(
+    node: &SpanNode,
+    parent_span_id: &str,
+    trace_id: &str,
+    interner: &Interner,
+    counter: &mut usize,
+    proc_ids: &mut HashMap<Sym, String>,
+    processes: &mut HashMap<String, JaegerProcess>,
+    spans: &mut Vec<JaegerSpan>,
+) {
+    let span_id = format!("{trace_id}.s{counter}");
+    *counter += 1;
+    let next_pid = proc_ids.len() + 1;
+    let pid = proc_ids
+        .entry(node.component)
+        .or_insert_with(|| {
+            let pid = format!("p{next_pid}");
+            processes.insert(
+                pid.clone(),
+                JaegerProcess {
+                    service_name: interner.resolve(node.component).to_owned(),
+                },
+            );
+            pid
+        })
+        .clone();
+    spans.push(JaegerSpan {
+        trace_id: trace_id.to_owned(),
+        span_id: span_id.clone(),
+        operation_name: interner.resolve(node.operation).to_owned(),
+        references: vec![JaegerRef {
+            ref_type: "CHILD_OF".to_owned(),
+            span_id: parent_span_id.to_owned(),
+        }],
+        process_id: pid,
+        start_time: 0,
+        duration: 0,
+    });
+    for child in &node.children {
+        flatten(
+            child, &span_id, trace_id, interner, counter, proc_ids, processes, spans,
+        );
+    }
+}
+
+/// SplitMix64: the generator both test modules draw documents from.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// True once in `n`.
+    fn one_in(&mut self, n: usize) -> bool {
+        self.below(n) == 0
+    }
+
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len())]
+    }
+}
+
 /// The pull parser differenced against the oracle above: generated
 /// documents, mutated, must import to the same traces, the same drops for
 /// the same reasons, and the same name table — or fail alike.
@@ -200,31 +371,6 @@ mod differential {
     }
 
     // -- generation -----------------------------------------------------------
-
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        /// True once in `n`.
-        fn one_in(&mut self, n: usize) -> bool {
-            self.below(n) == 0
-        }
-
-        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-            items[self.below(items.len())]
-        }
-    }
 
     const SERVICES: &[&str] = &[
         "FrontendNGINX",
@@ -844,6 +990,152 @@ mod differential {
                 );
                 assert_same(&json);
             }
+        }
+    }
+}
+
+/// The one-pass writer differenced against the serde export above: every
+/// document must come out byte for byte as serde wrote it.
+mod writer {
+    use proptest::prelude::*;
+
+    use super::super::{export as write, in_string_order};
+    use super::*;
+
+    /// Names that take each of the writer's escapes, none, or `__api__`.
+    const NAMES: &[&str] = &[
+        "FrontendNGINX",
+        "/compose/post",
+        "say \"hi\"",
+        "back\\slash",
+        "\t\n\r\u{8}\u{c}",
+        "\u{0}\u{1}\u{1b}\u{1f} ",
+        "del\u{7f}",
+        "Média \"Service\"",
+        "日本",
+        "π/ρ😀",
+        "__api__",
+        "",
+    ];
+
+    fn name(rng: &mut Rng, names: &mut Interner) -> Sym {
+        match rng.below(NAMES.len() + 6) {
+            k if k < NAMES.len() => names.intern(NAMES[k]),
+            k => names.intern(&format!("Svc{k}")),
+        }
+    }
+
+    fn random_tree(rng: &mut Rng, names: &mut Interner, depth: usize) -> SpanNode {
+        let component = name(rng, names);
+        let operation = name(rng, names);
+        let fanout = if depth >= 4 { 0 } else { rng.below(4) };
+        let children = (0..fanout)
+            .map(|_| random_tree(rng, names, depth + 1))
+            .collect();
+        SpanNode::with_children(component, operation, children)
+    }
+
+    /// Up to five random traces (zero is the empty document), named by a
+    /// table that also holds names no trace uses.
+    fn traces(seed: u64) -> (Interner, Vec<Trace>) {
+        let mut rng = Rng(seed);
+        let mut names = Interner::new();
+        names.intern("unused");
+        let traces = (0..rng.below(6))
+            .map(|_| {
+                let api = name(&mut rng, &mut names);
+                Trace::new(api, random_tree(&mut rng, &mut names, 0))
+            })
+            .collect();
+        (names, traces)
+    }
+
+    fn assert_same(traces: &[Trace], names: &Interner) -> String {
+        let (old, new) = (export(traces, names), write(traces, names));
+        assert_eq!(old, new, "serde (left) and writer (right) differ");
+        new
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn random_documents_write_as_serde_wrote_them(seed in any::<u64>()) {
+            let (names, traces) = traces(seed);
+            assert_same(&traces, &names);
+        }
+    }
+
+    /// The generator reaches what the property is for: the empty document,
+    /// traces of eleven components and more, and a component named like
+    /// the synthetic span's.
+    #[test]
+    fn the_generator_reaches_every_case() {
+        let (mut empty, mut wide, mut api_named) = (false, false, false);
+        for seed in 0..400 {
+            let (names, traces) = traces(seed);
+            empty |= traces.is_empty();
+            for trace in &traces {
+                let mut components = std::collections::HashSet::new();
+                trace.root.visit(&mut |s| {
+                    components.insert(s.component);
+                    api_named |= names.resolve(s.component) == "__api__";
+                });
+                wide |= components.len() >= 11;
+            }
+        }
+        assert!(empty && wide && api_named, "{empty} {wide} {api_named}");
+    }
+
+    #[test]
+    fn edge_documents_write_as_serde_wrote_them() {
+        let mut names = Interner::new();
+        assert_eq!(assert_same(&[], &names), "{\n  \"data\": []\n}");
+        // Every character below U+0020, U+007F and non-ASCII, in one name.
+        let all: String = (0u8..0x20)
+            .map(char::from)
+            .chain(['\u{7f}', 'é', '😀'])
+            .collect();
+        let odd = names.intern(&all);
+        let api = names.intern("__api__");
+        // A chain through fourteen components, and back through the first.
+        let mut node = SpanNode::leaf(api, odd);
+        for k in 0..13 {
+            let component = names.intern(&format!("C{k}"));
+            node = SpanNode::with_children(component, odd, vec![node]);
+        }
+        let first = node.component;
+        let chain = Trace::new(odd, SpanNode::with_children(first, api, vec![node]));
+        let leaf = Trace::new(api, SpanNode::leaf(odd, odd));
+        let json = assert_same(&[chain.clone(), leaf, chain], &names);
+        assert!(json.contains("\"p14\": {") && json.ends_with("\n  ]\n}"));
+    }
+
+    #[test]
+    fn process_ids_list_in_string_order() {
+        for count in 1..1200 {
+            let mut ids: Vec<usize> = (0..count).collect();
+            ids.sort_by_key(usize::to_string);
+            let mut order = vec![0];
+            in_string_order(0, count, &mut |k| order.push(k));
+            assert_eq!(order, ids, "{count}");
+        }
+    }
+
+    /// The writer sizes its text once: no document of names without
+    /// escapes outgrows it (growing would double it), and none is sized a
+    /// third larger than it came out (a few bytes, for the empty one).
+    #[test]
+    fn the_text_is_sized_once() {
+        for seed in 0..200 {
+            let (names, traces) = traces(seed);
+            let mut plain = Interner::new();
+            for k in 0..names.len() {
+                plain.intern(&format!("Name{k}"));
+            }
+            let json = write(&traces, &plain);
+            let slack = if traces.is_empty() { 4 } else { json.len() / 3 };
+            assert!(json.capacity() <= json.len() + slack, "{seed}");
         }
     }
 }

@@ -89,13 +89,6 @@ impl WindowAssembler {
         }
     }
 
-    /// The current event-time watermark: the maximum observed arrival time
-    /// minus the lateness bound. Windows ending at or before the watermark
-    /// are sealed. `None` before the first arrival.
-    pub(crate) fn watermark_secs(&self) -> Option<f64> {
-        self.max_event_secs.map(|m| m - self.lateness_secs)
-    }
-
     /// How many traces arrived too late (or with invalid timestamps) and
     /// were dropped.
     pub fn late_dropped(&self) -> u64 {
@@ -131,9 +124,11 @@ impl WindowAssembler {
         self.seal_ready()
     }
 
-    /// Seals every window the current watermark has passed.
+    /// Seals every window the current event-time watermark has passed: the
+    /// watermark is the maximum observed arrival time minus the lateness
+    /// bound, and there is none before the first arrival.
     fn seal_ready(&mut self) -> Vec<SealedWindow> {
-        let Some(watermark) = self.watermark_secs() else {
+        let Some(watermark) = self.max_event_secs.map(|m| m - self.lateness_secs) else {
             return Vec::new();
         };
         if watermark <= 0.0 {
@@ -154,12 +149,7 @@ impl WindowAssembler {
                 Some(w) if w.index == index => self.open.remove(0).entries,
                 _ => Vec::new(),
             };
-            // Deterministic contents regardless of arrival order. Stamps
-            // are finite and `>= 0.0`, which admits `-0.0`: adding `+0.0`
-            // turns it into `+0.0` and leaves every other stamp alone, and
-            // for non-negative finite floats the bit pattern sorts as the
-            // value does.
-            entries.sort_by_cached_key(|e| ((e.at_secs + 0.0).to_bits(), e.trace.canonical_key()));
+            sort_sealed(&mut entries);
             out.push(SealedWindow {
                 index,
                 traces: entries.into_iter().map(|e| e.trace).collect(),
@@ -180,6 +170,21 @@ impl WindowAssembler {
             }
             None => Vec::new(),
         }
+    }
+}
+
+/// Puts a window's entries in their sealed order, whatever order they
+/// arrived in: by stamp, and by canonical key among equal stamps. Stamps
+/// are finite and `>= 0.0`, which admits `-0.0`: adding `+0.0` turns it
+/// into `+0.0` and leaves every other stamp alone, and for non-negative
+/// finite floats the bit pattern sorts as the value does. The key, a walk
+/// and a vector per trace, is built only inside a run of tied stamps
+/// (`sort_by_cached_key` returns at once on a run of one).
+fn sort_sealed(entries: &mut [TimestampedTrace]) {
+    let stamp = |e: &TimestampedTrace| (e.at_secs + 0.0).to_bits();
+    entries.sort_by_key(stamp);
+    for tied in entries.chunk_by_mut(|a, b| stamp(a) == stamp(b)) {
+        tied.sort_by_cached_key(|e| e.trace.canonical_key());
     }
 }
 
@@ -310,6 +315,57 @@ mod tests {
             let kx: Vec<_> = x.traces.iter().map(Trace::canonical_key).collect();
             let ky: Vec<_> = y.traces.iter().map(Trace::canonical_key).collect();
             assert_eq!(kx, ky);
+        }
+    }
+
+    /// `n` entries whose stamps and trees tie often: stamps from a few
+    /// values, `-0.0` and `+0.0` among them, and every stamp `0.0` (as an
+    /// exported document's are) one case in four; trees from two symbols.
+    /// APIs are drawn apart from the trees, so entries that tie on stamp
+    /// and key still differ and show the order they were left in.
+    fn tied_entries(seed: u64, names: &mut Interner) -> Vec<TimestampedTrace> {
+        const STAMPS: [f64; 5] = [0.0, -0.0, 0.5, 1.25, 3.0];
+        let mut state = seed;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let syms = [names.intern("A"), names.intern("B")];
+        let apis = [names.intern("/x"), names.intern("/y"), names.intern("/z")];
+        let exported = below(4) == 0;
+        (0..below(40))
+            .map(|_| {
+                let leaf = |k: u64| SpanNode::leaf(syms[k as usize], syms[0]);
+                let kids = (0..below(3)).map(|_| leaf(below(2))).collect();
+                let root = SpanNode::with_children(syms[below(2) as usize], syms[1], kids);
+                let at_secs = if exported {
+                    0.0
+                } else {
+                    STAMPS[below(5) as usize]
+                };
+                at(at_secs, &Trace::new(apis[below(3) as usize], root))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        /// Keys built only for tied stamps give the order a key for every
+        /// entry gave.
+        #[test]
+        fn sealed_order_is_the_stamp_then_key_order(seed in proptest::prelude::any::<u64>()) {
+            let mut names = Interner::new();
+            let mut entries = tied_entries(seed, &mut names);
+            let mut expected = entries.clone();
+            expected.sort_by_cached_key(|e| ((e.at_secs + 0.0).to_bits(), e.trace.canonical_key()));
+            sort_sealed(&mut entries);
+            let bits = |v: &[TimestampedTrace]| -> Vec<(u64, Trace)> {
+                v.iter().map(|e| (e.at_secs.to_bits(), e.trace.clone())).collect()
+            };
+            assert_eq!(bits(&entries), bits(&expected));
         }
     }
 

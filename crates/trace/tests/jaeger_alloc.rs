@@ -1,5 +1,5 @@
 //! A warm Jaeger import allocates for the trees it returns and for nothing
-//! else.
+//! else, and an export allocates a constant few buffers whatever it writes.
 //!
 //! This binary holds exactly one `#[test]`: the allocation counter below is
 //! process-wide, so a second test — or the harness printing its result —
@@ -87,5 +87,18 @@ fn a_warm_import_allocates_once_per_parent_span_and_a_constant() {
     assert!(
         allocated <= parents + PER_DOCUMENT,
         "{allocated} allocations importing {spans} spans with {parents} parents"
+    );
+
+    // The text, sized once; the pid index, the walk's stack, the trace's
+    // components and the trace id, each grown at most a few times by the
+    // widest trace: nothing per span, name or trace.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let again = jaeger::export(&traces, &names);
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(again, json);
+    const PER_EXPORT: usize = 8;
+    assert!(
+        allocated <= PER_EXPORT,
+        "{allocated} allocations exporting {spans} spans"
     );
 }
