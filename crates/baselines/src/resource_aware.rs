@@ -4,7 +4,9 @@ use std::collections::BTreeMap;
 
 use deeprest_metrics::{MetricKey, MinMaxScaler, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
+use deeprest_nn::{
+    Adam, AnalyticTrainer, Batch, ExpertSlab, ExpertSpec, GruCell, Linear, Optimizer, TrainerConfig,
+};
 use deeprest_tensor::kernel::Support;
 use deeprest_tensor::{BufferPool, ParamStore, Pool, Tensor};
 use rand::rngs::StdRng;
@@ -128,14 +130,15 @@ impl ResourceAwareDl {
         let pool = Pool::with_threads(1);
         let mut slab = ExpertSlab::pack(&store, &[spec], false, false, pool.threads());
         let mut trainer = AnalyticTrainer::new(&slab, config);
-        let mut opt = Adam::new(self.lr);
+        let mut opt = Optimizer::from(Adam::new(self.lr));
         for _epoch in 0..self.epochs {
             for start in (0..steps).step_by(wpd) {
-                store.zero_grads();
-                trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[start]);
-                store.clip_grad_norm(5.0);
-                opt.step(&mut store);
-                slab.repack(&store);
+                let batch = Batch {
+                    xs: &xs,
+                    targets: &targets,
+                    starts: &[start],
+                };
+                trainer.step(&mut slab, &mut store, &mut opt, &pool, batch);
             }
         }
         Forecaster {

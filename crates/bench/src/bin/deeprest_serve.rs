@@ -37,6 +37,12 @@
 //! (10× amplification) and, combined with `--assert-batch`, proves
 //! isolation: every non-flooded tenant must still be bit-identical to the
 //! batch path.
+//!
+//! A single-tenant run counts what it could not serve instead of stopping
+//! at it: an arrival the pipeline refused transiently is offered again, one
+//! naming an unknown symbol is skipped, and a window whose step failed stays
+//! parked and is retried by the next call. The count goes to stderr, and
+//! the exit status is 3 when anything went unserved (0 otherwise).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,8 +52,8 @@ use deeprest_core::{DeepRest, DeepRestConfig};
 use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{increments, MetricKey, MetricsRegistry, ResourceKind, TimeSeries};
 use deeprest_serve::{
-    batch_reference, replay, CheckpointStore, Frozen, OverflowPolicy, OverloadConfig, Pipeline,
-    SchedConfig, ServeConfig, TenantConfig, TenantRegistry, WindowOutput,
+    batch_reference, replay, CheckpointStore, Driver, Frozen, OverflowPolicy, OverloadConfig,
+    Pipeline, SchedConfig, ServeConfig, ServeError, TenantConfig, TenantRegistry, WindowOutput,
 };
 use deeprest_sim::anomaly::CryptojackingAttack;
 use deeprest_sim::apps;
@@ -175,6 +181,7 @@ fn main() {
     // Ingest in event order, pacing by event time when --speed > 0 (e.g.
     // 2.0 = twice real time; 0 = max speed).
     let mut outputs: Vec<WindowOutput> = Vec::new();
+    let mut unserved = Unserved::default();
     let mut prev = 0.0f64;
     for t in session.stream.iter().cloned() {
         if args.speed > 0.0 {
@@ -184,12 +191,12 @@ fn main() {
             }
             prev = t.at_secs;
         }
-        for out in pipeline.ingest(t).expect("serving step failed") {
+        for out in offer(&mut pipeline, t, &mut unserved) {
             print_window(&pipeline, &out, args.quiet);
             outputs.push(out);
         }
     }
-    for out in pipeline.flush().expect("serving flush failed") {
+    for out in drain(&mut pipeline, &mut unserved) {
         print_window(&pipeline, &out, args.quiet);
         outputs.push(out);
     }
@@ -214,6 +221,77 @@ fn main() {
     if args.assert_batch {
         assert_against_batch(&session, &config, &outputs);
     }
+    eprintln!(
+        "deeprest_serve: {} windows unserved, {} arrivals skipped, {} step failures retried",
+        unserved.windows, unserved.arrivals, unserved.step_failures
+    );
+    if unserved.windows + unserved.arrivals > 0 {
+        std::process::exit(3);
+    }
+}
+
+/// How many times an arrival the pipeline refused transiently is offered,
+/// and how many times the end-of-stream flush is attempted, before what
+/// they carry is counted as unserved.
+const ATTEMPTS: usize = 16;
+
+/// What a single-tenant run could not serve, and the step failures it
+/// retried past.
+#[derive(Default)]
+struct Unserved {
+    /// Windows still parked behind a failing step at the end.
+    windows: usize,
+    /// Arrivals skipped: an unknown symbol, or refused `ATTEMPTS` times.
+    arrivals: usize,
+    /// Step errors met (each parked a window that a later call retried).
+    step_failures: usize,
+}
+
+/// Offers one arrival and returns the outputs the call yielded. An
+/// [`ServeError::Ingest`] did not consume the arrival, so it is offered
+/// again; an unknown symbol can never be accepted, so the arrival is
+/// skipped; a step error consumed it and parked its window, which the next
+/// call retries.
+fn offer<D: Driver>(
+    pipeline: &mut Pipeline<D>,
+    t: TimestampedTrace,
+    unserved: &mut Unserved,
+) -> Vec<WindowOutput> {
+    for _ in 0..ATTEMPTS {
+        match pipeline.ingest(t.clone()) {
+            Ok(outputs) => return outputs,
+            Err(ServeError::Ingest(_)) => continue,
+            Err(ServeError::UnknownSymbol(_)) => break,
+            Err(ServeError::Step { .. } | ServeError::PoisonedState { .. }) => {
+                unserved.step_failures += 1;
+                return Vec::new();
+            }
+            Err(other) => panic!("serving failed: {other}"),
+        }
+    }
+    unserved.arrivals += 1;
+    Vec::new()
+}
+
+/// Seals and serves what is still buffered at the end of the stream,
+/// retrying a flush whose step failed; windows still parked after
+/// `ATTEMPTS` flushes are counted as unserved.
+fn drain<D: Driver>(pipeline: &mut Pipeline<D>, unserved: &mut Unserved) -> Vec<WindowOutput> {
+    let mut outputs = Vec::new();
+    for _ in 0..ATTEMPTS {
+        match pipeline.flush() {
+            Ok(drained) => {
+                outputs.extend(drained);
+                break;
+            }
+            Err(ServeError::Step { .. } | ServeError::PoisonedState { .. }) => {
+                unserved.step_failures += 1;
+            }
+            Err(other) => panic!("serving flush failed: {other}"),
+        }
+    }
+    unserved.windows = pipeline.pending_windows();
+    outputs
 }
 
 /// Persists `checkpoint` through the CRC-framed store under `dir` and

@@ -615,3 +615,70 @@ fn delta_encoding_for_cumulative_resources() {
         .windows(2)
         .all(|w| w[1] >= w[0]));
 }
+
+/// `components` services, each behind its own API with its own count
+/// pattern, and a CPU and a memory series each: `2 · components` experts.
+fn swarm_dataset(windows: usize, components: usize) -> (Interner, WindowedTraces, MetricsRegistry) {
+    let mut i = Interner::new();
+    let op = i.intern("handle");
+    let mut traces = WindowedTraces::with_windows(1.0, windows);
+    let mut metrics = MetricsRegistry::new();
+    for k in 0..components {
+        let (name, api) = (format!("Service{k}"), format!("/api{k}"));
+        let (component, api) = (i.intern(&name), i.intern(&api));
+        let (mut cpu, mut mem) = (TimeSeries::zeros(0), TimeSeries::zeros(0));
+        for t in 0..windows {
+            let count = 2 + (t + 3 * k) % 7;
+            for _ in 0..count {
+                traces.windows[t].push(Trace::new(api, SpanNode::leaf(component, op)));
+            }
+            cpu.push(1.0 + count as f64);
+            mem.push(32.0 + 0.5 * count as f64);
+        }
+        metrics.insert(MetricKey::new(&name, ResourceKind::Cpu), cpu);
+        metrics.insert(MetricKey::new(&name, ResourceKind::Memory), mem);
+    }
+    (i, traces, metrics)
+}
+
+/// `optim.grad` poisons gradients by hit number, and with a plan armed the
+/// fused optimizer step passes it serially in parameter order: the same
+/// hits strike the same tensors at any pool width. A fit of a two-shard
+/// swarm under a probabilistic plan trains the same parameters at 1 and at
+/// 4 threads and counts the same injections.
+#[test]
+fn fault_schedules_keep_their_hits_at_any_width() {
+    use deeprest_fault::{self as fault, FaultPlan};
+    use deeprest_telemetry::{self as telemetry, MemorySink};
+    use std::sync::Arc;
+
+    let (i, traces, metrics) = swarm_dataset(48, 6);
+    let fit = |threads: usize| {
+        let sink = Arc::new(MemorySink::new());
+        let plan = Arc::new(FaultPlan::new(5).prob("optim.grad", 0.5));
+        let config = quick_config().with_epochs(3).with_threads(threads);
+        let model = telemetry::with_sink(sink.clone(), || {
+            fault::with_plan(plan, || DeepRest::fit(&traces, &metrics, &i, config).0)
+        });
+        let store = &model.store;
+        let bits: Vec<Vec<u32>> = store
+            .ids()
+            .map(|id| store.value(id).data().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (
+            bits,
+            model.slab.shards().len(),
+            sink.counter("fault.injected"),
+        )
+    };
+    let (serial, one_shard, hits) = fit(1);
+    let (wide, shards, wide_hits) = fit(4);
+    assert_eq!(
+        (one_shard, shards),
+        (1, 2),
+        "12 experts: one shard, then two"
+    );
+    assert!(hits > 0, "the plan never struck");
+    assert_eq!(hits, wide_hits, "the schedule lost or gained hits");
+    assert!(serial == wide, "parameters differ between 1 and 4 threads");
+}

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 
 use deeprest_metrics::{MetricsRegistry, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
+use deeprest_nn::{Optimizer, GRAD_CLIP};
 use deeprest_tape::{BoundGruCell, BoundLinear, GradBuffer, Graph, Var};
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::Tensor;
@@ -29,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::train::{Losses, Optimizer};
+use crate::train::Losses;
 use crate::{DeepRest, DeepRestConfig, Estimates, PredictedSeries};
 
 impl DeepRest {
@@ -80,7 +81,7 @@ impl DeepRest {
         let pool = self.pool();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e37_79b9);
 
-        let mut opt = Optimizer::new(self.config.optimizer);
+        let mut opt = Optimizer::from(self.config.optimizer);
 
         let xs_tensors: Vec<Tensor> = xs.iter().map(|x| Tensor::vector(x.clone())).collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
@@ -162,7 +163,7 @@ impl DeepRest {
                         *acc += s;
                     }
                 }
-                self.store.clip_grad_norm(crate::train::GRAD_CLIP);
+                self.store.clip_grad_norm(GRAD_CLIP);
                 opt.step_with(&mut self.store, &pool);
             }
             epoch_losses.push(epoch_loss / epoch_terms.max(1) as f32);

@@ -7,12 +7,13 @@
 //! They share two decisions, each made once here:
 //!
 //! * **One batch step.** Every optimizer step is
-//!   `DeepRest::train_batch`: `zero_grads → run_batch → clip → step →
-//!   repack` on the tape-free [`AnalyticTrainer`] over the model's own
-//!   packed slab, so whoever steps the model next reads the parameters as
-//!   they are (the updater repacks once more when it rolls back).
-//!   Gradients fold in subsequence order, so training is bit-identical at
-//!   any thread count, and every arena is preallocated.
+//!   `DeepRest::train_batch`, the tape-free [`AnalyticTrainer::step`]
+//!   over the model's own packed slab (backward, gradients written into
+//!   the store, the clip at [`deeprest_nn::GRAD_CLIP`], the optimizer, the
+//!   repack), so whoever steps the model next reads the parameters as they
+//!   are (the updater repacks once more when it rolls back). Gradients
+//!   fold in subsequence order, so training is bit-identical at any thread
+//!   count, and every arena is preallocated.
 //! * **One target encoding.** A measurement becomes a training target in the
 //!   expert's output space — per-window increments of a cumulative resource
 //!   ([`deeprest_metrics::increments`]), the value itself otherwise — scaled
@@ -42,9 +43,11 @@ use std::time::Instant;
 use deeprest_fault as fault;
 use deeprest_metrics::{increments, MetricsRegistry, MinMaxScaler, TimeSeries};
 use deeprest_nn::loss::quantiles_for;
-use deeprest_nn::{Adam, AnalyticTrainer, GruCell, Linear, Sgd, SlotStats, TrainerConfig};
+use deeprest_nn::{
+    Adam, AnalyticTrainer, Batch, GruCell, Linear, Optimizer, Sgd, SlotStats, TrainerConfig,
+};
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{ParamId, ParamStore, Pool, Tensor};
+use deeprest_tensor::{ParamStore, Tensor};
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::Interner;
 use rand::rngs::StdRng;
@@ -101,24 +104,12 @@ pub struct TrainReport {
 /// [`TrainReport::epoch_losses`] / [`TrainReport::expert_losses`] hold them.
 pub(crate) type Losses = (Vec<f32>, BTreeMap<String, Vec<f32>>);
 
-/// The optimizer a training run steps with.
-pub(crate) enum Optimizer {
-    Sgd(Sgd),
-    Adam(Adam),
-}
-
-impl Optimizer {
-    pub(crate) fn new(kind: OptimizerKind) -> Self {
+/// The optimizer a training run with this configuration steps with.
+impl From<OptimizerKind> for Optimizer {
+    fn from(kind: OptimizerKind) -> Self {
         match kind {
-            OptimizerKind::Sgd { lr, momentum } => Self::Sgd(Sgd::new(lr, momentum)),
-            OptimizerKind::Adam { lr } => Self::Adam(Adam::new(lr)),
-        }
-    }
-
-    pub(crate) fn step_with(&mut self, store: &mut ParamStore, pool: &Pool) {
-        match self {
-            Self::Sgd(o) => o.step_with(store, pool),
-            Self::Adam(o) => o.step_with(store, pool),
+            OptimizerKind::Sgd { lr, momentum } => Sgd::new(lr, momentum).into(),
+            OptimizerKind::Adam { lr } => Adam::new(lr).into(),
         }
     }
 }
@@ -389,27 +380,18 @@ impl DeepRest {
         AnalyticTrainer::new(&self.slab, config)
     }
 
-    /// One optimizer step on one batch of subsequences (the starts in
-    /// `batch` into `xs`/`targets`), the step every writer of the
-    /// parameters trains through: zero the gradients, run the batch's
-    /// forward and backward on `trainer`, clip the global gradient norm at
-    /// [`GRAD_CLIP`], step `opt`, and repack the slab from the written store.
-    /// Returns the batch's per-subsequence loss statistics.
+    /// One optimizer step on one batch of subsequences, the step every
+    /// writer of the parameters trains through: [`AnalyticTrainer::step`]
+    /// on the model's slab and store at the model's pool width. Returns the
+    /// batch's per-subsequence loss statistics.
     fn train_batch<'t>(
         &mut self,
         trainer: &'t mut AnalyticTrainer,
         opt: &mut Optimizer,
-        xs: &[Vec<f32>],
-        targets: &[Vec<f32>],
-        batch: &[usize],
+        batch: Batch<'_>,
     ) -> &'t [SlotStats] {
         let pool = self.pool();
-        self.store.zero_grads();
-        let stats = trainer.run_batch(&self.slab, &mut self.store, &pool, xs, targets, batch);
-        self.store.clip_grad_norm(GRAD_CLIP);
-        opt.step_with(&mut self.store, &pool);
-        self.slab.repack(&self.store);
-        stats
+        trainer.step(&mut self.slab, &mut self.store, opt, &pool, batch)
     }
 
     /// Joint training over all experts (quantile loss, Eq. 6): `epochs`
@@ -426,7 +408,7 @@ impl DeepRest {
         let len = self.config.subseq_len.max(2);
         let starts: Vec<usize> = (0..t).step_by(len).collect();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e37_79b9);
-        let mut opt = Optimizer::new(self.config.optimizer);
+        let mut opt = Optimizer::from(self.config.optimizer);
 
         let e_count = self.experts.len();
         let expert_names: Vec<String> = self.experts.iter().map(|e| format!("{}", e.key)).collect();
@@ -444,8 +426,13 @@ impl DeepRest {
             let mut epoch_terms = 0usize;
             let mut epoch_expert_sums = vec![0.0f32; e_count];
 
-            for batch in order.chunks(self.config.batch_size.max(1)) {
-                let stats = self.train_batch(&mut trainer, &mut opt, xs, targets, batch);
+            for starts in order.chunks(self.config.batch_size.max(1)) {
+                let batch = Batch {
+                    xs,
+                    targets,
+                    starts,
+                };
+                let stats = self.train_batch(&mut trainer, &mut opt, batch);
                 for slot in stats {
                     epoch_loss += slot.loss_sum;
                     epoch_terms += slot.n_terms;
@@ -537,10 +524,6 @@ impl DeepRest {
         self.experts[expert].encode(observed)
     }
 }
-
-/// Global gradient-norm clip applied before every optimizer step, offline
-/// and online alike.
-pub(crate) const GRAD_CLIP: f32 = 5.0;
 
 /// Windows per online training subsequence — also the replay-buffer
 /// segment length. Each staged segment gets a fresh hidden state, matching
@@ -638,7 +621,8 @@ impl std::error::Error for UpdateError {}
 /// serve from the model (or checkpoint it) between updates.
 pub struct OnlineUpdater {
     trainer: AnalyticTrainer,
-    /// Plain SGD with zero momentum: stateless.
+    /// Plain SGD with zero momentum (stateless), keeping each step's
+    /// starting values for a bit-exact rollback.
     opt: Optimizer,
     experts: usize,
     dim: usize,
@@ -648,11 +632,6 @@ pub struct OnlineUpdater {
     targets: Vec<Vec<f32>>,
     /// Subsequence starts of the staged batch.
     batch: Vec<usize>,
-    /// Pre-step parameter snapshot for bit-exact rollback.
-    backup: Vec<Vec<f32>>,
-    /// Parameter ids, collected once (iterating `store.ids()` holds an
-    /// immutable borrow that would conflict with in-place mutation).
-    ids: Vec<ParamId>,
 }
 
 impl OnlineUpdater {
@@ -670,21 +649,14 @@ impl OnlineUpdater {
         assert!(experts > 0, "OnlineUpdater: model has no experts");
         let dim = model.features.dim();
         let total = SEGMENT_SLOTS * SEGMENT_LEN;
-        let ids: Vec<ParamId> = model.store.ids().collect();
-        let backup = ids
-            .iter()
-            .map(|&id| vec![0.0f32; model.store.value(id).data().len()])
-            .collect();
         Self {
             trainer: model.trainer(SEGMENT_LEN, SEGMENT_SLOTS),
-            opt: Optimizer::Sgd(Sgd::new(UPDATE_LR, 0.0)),
+            opt: Optimizer::from(Sgd::new(UPDATE_LR, 0.0)).with_rollback(),
             experts,
             dim,
             xs: vec![vec![0.0; dim]; total],
             targets: vec![vec![0.0; total]; experts],
             batch: Vec::with_capacity(SEGMENT_SLOTS),
-            backup,
-            ids,
         }
     }
 
@@ -764,20 +736,16 @@ impl OnlineUpdater {
         self.batch
             .extend((0..segments.len()).map(|s| s * SEGMENT_LEN));
 
-        // Pre-step snapshot: rollback target for poisoned updates.
-        for (buf, &id) in self.backup.iter_mut().zip(self.ids.iter()) {
-            buf.copy_from_slice(model.store.value(id).data());
-        }
-
         let staged = segments.len() * SEGMENT_LEN;
         let (mut loss_sum, mut terms) = (0.0f32, 0usize);
-        let stats = model.train_batch(
-            &mut self.trainer,
-            &mut self.opt,
-            &self.xs[..staged],
-            &self.targets,
-            &self.batch,
-        );
+        let batch = Batch {
+            xs: &self.xs[..staged],
+            targets: &self.targets,
+            starts: &self.batch,
+        };
+        // The optimizer's pass keeps each tensor's pre-step values (the
+        // rollback target) and counts the tensors it left non-finite.
+        let stats = model.train_batch(&mut self.trainer, &mut self.opt, batch);
         for slot in stats {
             loss_sum += slot.loss_sum;
             terms += slot.n_terms;
@@ -785,20 +753,23 @@ impl OnlineUpdater {
 
         // Post-step validation: an injected parameter poison (or a numeric
         // blow-up that slipped past the optimizer's gradient sanitizer)
-        // must never reach serving. Roll back bit-for-bit.
-        let mut poisoned = 0usize;
-        for &id in &self.ids {
-            let data = model.store.value_mut(id).data_mut();
-            fault::poison_f32s("adapt.update.poison", data);
-            if data.iter().any(|v| !v.is_finite()) {
-                poisoned += 1;
+        // must never reach serving. Roll back bit-for-bit. An armed plan
+        // counts `adapt.update.poison` hits in parameter order, so the probe
+        // and the count run serially after the step.
+        let poisoned = if fault::enabled() {
+            let mut poisoned = 0usize;
+            for value in model.store.values_grads_mut().0 {
+                let data = value.data_mut();
+                fault::poison_f32s("adapt.update.poison", data);
+                poisoned += usize::from(data.iter().any(|v| !v.is_finite()));
             }
-        }
+            poisoned
+        } else {
+            self.opt.nonfinite()
+        };
         if poisoned > 0 {
             // Back to the snapshot, and the pack follows the store.
-            for (buf, &id) in self.backup.iter().zip(self.ids.iter()) {
-                model.store.value_mut(id).data_mut().copy_from_slice(buf);
-            }
+            self.opt.roll_back(&mut model.store);
             model.slab.repack(&model.store);
             telemetry::counter("adapt.rollback", 1);
             return Err(UpdateError::PoisonedRolledBack { tensors: poisoned });

@@ -5,7 +5,9 @@
 //!
 //! * [`Linear`] — fully connected layer (the paper's `V^{c,r}` head, Eq. 4).
 //! * [`GruCell`] — gated recurrent unit parameters for Eq. 2.
-//! * [`Sgd`] / [`Adam`] — optimizers ([`Sgd`] with lr 0.001 matches §5.1).
+//! * [`Sgd`] / [`Adam`] — optimizers ([`Sgd`] with lr 0.001 matches §5.1),
+//!   each step one fused pass per tensor; [`Optimizer`] is either, as a
+//!   training step applies it.
 //! * [`init`] — Xavier/Glorot initialization with explicit seeding.
 //! * [`loss`] — quantile-regression helpers for Eqs. 5-6.
 //! * [`ExpertSlab`] — the packed forward of Eqs. 1–4 over a whole swarm of
@@ -19,9 +21,11 @@
 //! [`ExpertSlab`] — one value copy laid out for the batched kernels, kept
 //! next to the store and repacked wherever the store is written — then step
 //! it over caller-owned slices; to train, hand the same slab to an
-//! [`AnalyticTrainer`], which accumulates gradients into the store for an
-//! optimizer to apply. The reverse-mode tape both are proven bit-identical
-//! to lives in the dev-only `deeprest-tape` crate.
+//! [`AnalyticTrainer`], whose [`step`](AnalyticTrainer::step) is the one
+//! training step: forward and backward, gradients written into the store,
+//! the clip at [`GRAD_CLIP`], the optimizer and the repack. The
+//! reverse-mode tape both are proven bit-identical to lives in the
+//! dev-only `deeprest-tape` crate.
 //!
 //! # Examples
 //!
@@ -30,7 +34,10 @@
 //!
 //! ```
 //! use deeprest_nn::loss::quantiles_for;
-//! use deeprest_nn::{Adam, AnalyticTrainer, ExpertSlab, ExpertSpec, GruCell, Linear, TrainerConfig};
+//! use deeprest_nn::{
+//!     Adam, AnalyticTrainer, Batch, ExpertSlab, ExpertSpec, GruCell, Linear, Optimizer,
+//!     TrainerConfig,
+//! };
 //! use deeprest_tensor::kernel::Support;
 //! use deeprest_tensor::{BufferPool, ParamStore, Pool, Tensor};
 //! use rand::SeedableRng;
@@ -63,10 +70,11 @@
 //! let pool = Pool::with_threads(1);
 //! let mut slab = ExpertSlab::pack(&store, &[spec], false, false, pool.threads());
 //! let mut trainer = AnalyticTrainer::new(&slab, config);
-//! let stats = trainer.run_batch(&slab, &mut store, &pool, &xs, &targets, &[0]);
+//! let mut opt = Optimizer::from(Adam::new(0.01));
+//! let batch = Batch { xs: &xs, targets: &targets, starts: &[0] };
+//! // Forward, backward, clip, Adam, and the slab repacked from the store.
+//! let stats = trainer.step(&mut slab, &mut store, &mut opt, &pool, batch);
 //! assert_eq!(stats[0].n_terms, 5);
-//! Adam::new(0.01).step(&mut store);
-//! slab.repack(&store);
 //!
 //! // Forward: one GRU step, then the three quantile outputs.
 //! let (mut hidden, mut cat, mut y) = (vec![0.0; h], vec![0.0; 2 * h], [0.0; 3]);
@@ -93,6 +101,16 @@ pub(crate) mod train;
 
 pub use gru::GruCell;
 pub use linear::Linear;
-pub use optim::{Adam, Sgd};
+pub use optim::{Adam, Optimizer, Sgd, GRAD_CLIP};
 pub use slab::{ExpertSlab, ExpertSpec};
-pub use train::{AnalyticTrainer, SlotStats, TrainerConfig};
+pub use train::{AnalyticTrainer, Batch, SlotStats, TrainerConfig};
+
+/// Splits the first `n` items off `rest` (all of it when shorter): how a
+/// pass over parallel per-parameter or per-expert arrays cuts them into
+/// the disjoint runs it fans out.
+fn split_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let all = std::mem::take(rest);
+    let (front, back) = all.split_at_mut(n.min(all.len()));
+    *rest = back;
+    front
+}

@@ -1,8 +1,32 @@
-//! First-order optimizers over a [`ParamStore`].
+//! First-order optimizers over a [`ParamStore`], each step one fused pass
+//! per tensor.
+//!
+//! A step visits each tensor once — the gradient clip's rescale, the
+//! non-finite check, the moment updates and the value update back to back
+//! while the tensor is in cache — and fans contiguous runs of tensors of
+//! about equal size out over the pool. Each element's operations are the
+//! per-tensor passes' roundings in their order (the `cfg(test)` reference
+//! in this file), and no element depends on another, so the bits are the
+//! same at any pool width.
+//!
+//! One probe cannot ride along: `optim.grad` poisons gradients by hit
+//! number, and a plan's hits are counted in the order the probe is passed.
+//! When a plan is armed the rescale and the probe run first, serially and
+//! in parameter order as they always did, and the fused pass then finds
+//! the gradients rescaled.
 
 use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
 use deeprest_tensor::{BufferPool, ParamStore, Pool, Tensor};
+
+use crate::split_front;
+
+/// The bound every training step clips the global gradient norm to,
+/// offline and online alike.
+pub const GRAD_CLIP: f32 = 5.0;
+
+/// Most runs one fused pass fans out as; a wider pool takes longer runs.
+const MAX_RUNS: usize = 16;
 
 /// Emits the per-step telemetry shared by all optimizers. The gradient
 /// norm is a full pass over every gradient tensor, so it is only computed
@@ -14,30 +38,182 @@ fn record_step(store: &ParamStore) {
     }
 }
 
-/// Drops non-finite gradients before they can poison parameter state.
-///
-/// A NaN/Inf gradient — whether from a numeric blow-up or an injected
-/// `optim.grad` fault — would propagate into every subsequent update of
-/// that tensor (and, through momentum or Adam moments, persist forever).
-/// The guard works at per-tensor granularity: any tensor containing a
-/// non-finite element is zeroed for this step, which makes the update a
-/// no-op for plain SGD and a pure decay for momentum/Adam state, both of
-/// which stay finite. Healthy gradients are untouched, so fault-free
-/// training remains bit-identical. Returns the number of zeroed tensors
-/// (also published as the `optim.skipped_nonfinite` telemetry counter).
-fn sanitize_grads(store: &mut ParamStore) -> u64 {
-    let mut skipped = 0u64;
-    for grad in store.grads_mut() {
-        fault::poison_f32s("optim.grad", grad.data_mut());
-        if grad.data().iter().any(|g| !g.is_finite()) {
-            grad.fill_zero();
-            skipped += 1;
+/// One rule's per-element update, with its constants for this step.
+#[derive(Clone, Copy)]
+enum Update {
+    Sgd {
+        lr: f32,
+    },
+    Momentum {
+        lr: f32,
+        momentum: f32,
+    },
+    Adam {
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        eps: f32,
+        bc1: f32,
+        bc2: f32,
+    },
+}
+
+impl Update {
+    /// The whole step of one tensor: rescale by the clip's `scale` (if
+    /// any) while folding finiteness over every element; zero the gradient
+    /// when any element is non-finite (a plain SGD step is then a no-op,
+    /// momentum and Adam state a pure decay, all finite); keep the values;
+    /// update. `first` is Sgd's velocity or Adam's first moment (empty for
+    /// plain SGD), `second` Adam's second moment (empty otherwise), and
+    /// `before` where the values from before the step go, when they are
+    /// kept. Returns whether the gradient was zeroed and whether a kept
+    /// tensor holds a non-finite value after the step.
+    fn tensor(
+        self,
+        scale: Option<f32>,
+        value: &mut [f32],
+        grad: &mut [f32],
+        (first, second): (&mut [f32], &mut [f32]),
+        before: Option<&mut Vec<f32>>,
+    ) -> (bool, bool) {
+        // Not `all`: a fold the compiler can run eight lanes wide.
+        let finite = match scale {
+            Some(s) => grad.iter_mut().fold(true, |ok, g| {
+                *g *= s;
+                ok & g.is_finite()
+            }),
+            None => grad.iter().fold(true, |ok, g| ok & g.is_finite()),
+        };
+        if !finite {
+            grad.fill(0.0);
         }
+        let kept = before.map(|b| b.copy_from_slice(value)).is_some();
+        match self {
+            Self::Sgd { lr } => {
+                for (x, &g) in value.iter_mut().zip(grad.iter()) {
+                    *x += (-lr) * g;
+                }
+            }
+            Self::Momentum { lr, momentum } => {
+                for ((x, v), &g) in value.iter_mut().zip(first).zip(grad.iter()) {
+                    *v = (*v * momentum) + g;
+                    *x += (-lr) * *v;
+                }
+            }
+            Self::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+                bc1,
+                bc2,
+            } => {
+                let (one_minus_beta1, one_minus_beta2) = (1.0 - beta1, 1.0 - beta2);
+                let state = first.iter_mut().zip(second);
+                for ((x, (m, v)), &g) in value.iter_mut().zip(state).zip(grad.iter()) {
+                    *m = (*m * beta1) + (one_minus_beta1 * g);
+                    *v = (*v * beta2) + (one_minus_beta2 * (g * g));
+                    *x -= (lr * (*m / bc1)) / ((*v / bc2).sqrt() + eps);
+                }
+            }
+        }
+        let nonfinite = kept && !value.iter().fold(true, |ok, x| ok & x.is_finite());
+        (!finite, nonfinite)
     }
+}
+
+/// A contiguous run of parameters, everything the fused pass writes for
+/// them, and what it counted.
+#[derive(Default)]
+struct Run<'a> {
+    values: &'a mut [Tensor],
+    grads: &'a mut [Tensor],
+    first: &'a mut [Tensor],
+    second: &'a mut [Tensor],
+    before: &'a mut [Vec<f32>],
+    skipped: u64,
+    nonfinite: usize,
+}
+
+/// Tensor `j` of a rule's state, or nothing when the rule keeps none.
+fn state_of(state: &mut [Tensor], j: usize) -> &mut [f32] {
+    state.get_mut(j).map_or(&mut [], Tensor::data_mut)
+}
+
+/// One step of `update` over every parameter of `store`, state tensors
+/// (`first`, `second`; empty when the rule keeps none) and kept values
+/// (`before`; empty when none are kept) parallel to it: the clip's `scale`,
+/// the `optim.grad` probe, the finite check and the update, one fused pass
+/// per tensor fanned out in runs of about equal element count. Returns the
+/// number of tensors holding a non-finite value after the step (counted
+/// only where values are kept).
+fn fused_step(
+    store: &mut ParamStore,
+    pool: &Pool,
+    update: Update,
+    scale: Option<f32>,
+    state: (&mut [Tensor], &mut [Tensor]),
+    before: &mut [Vec<f32>],
+) -> usize {
+    // The probe counts hits in the order it is passed, so an armed plan
+    // sees it serially, in parameter order, after the rescale.
+    let scale = if fault::enabled() {
+        for grad in store.values_grads_mut().1 {
+            if let Some(s) = scale {
+                grad.scale_assign(s);
+            }
+            fault::poison_f32s("optim.grad", grad.data_mut());
+        }
+        None
+    } else {
+        scale
+    };
+
+    let (total, n) = (store.scalar_count(), store.len());
+    let (values, grads) = store.values_grads_mut();
+    let parts = pool.threads().min(MAX_RUNS).min(n).max(1);
+    let mut runs: [Run<'_>; MAX_RUNS] = Default::default();
+    let (mut values, mut grads) = (values, grads);
+    let (mut first, mut second, mut before) = (state.0, state.1, before);
+    let (mut at, mut acc) = (0, 0);
+    for (r, run) in runs[..parts].iter_mut().enumerate() {
+        let start = at;
+        while at < n && (r + 1 == parts || acc * parts < total * (r + 1)) {
+            acc += values[at - start].len();
+            at += 1;
+        }
+        let len = at - start;
+        *run = Run {
+            values: split_front(&mut values, len),
+            grads: split_front(&mut grads, len),
+            first: split_front(&mut first, len),
+            second: split_front(&mut second, len),
+            before: split_front(&mut before, len),
+            skipped: 0,
+            nonfinite: 0,
+        };
+    }
+    pool.for_each_mut(&mut runs[..parts], |_, run| {
+        for j in 0..run.values.len() {
+            let (skipped, nonfinite) = update.tensor(
+                scale,
+                run.values[j].data_mut(),
+                run.grads[j].data_mut(),
+                (state_of(run.first, j), state_of(run.second, j)),
+                run.before.get_mut(j),
+            );
+            run.skipped += u64::from(skipped);
+            run.nonfinite += usize::from(nonfinite);
+        }
+    });
+    let runs = &runs[..parts];
+    let skipped = runs.iter().map(|r| r.skipped).sum::<u64>();
+    let nonfinite = runs.iter().map(|r| r.nonfinite).sum();
     if skipped > 0 {
         telemetry::counter("optim.skipped_nonfinite", skipped);
     }
-    skipped
+    record_step(store);
+    nonfinite
 }
 
 /// Stochastic gradient descent with optional classical momentum.
@@ -85,26 +261,28 @@ impl Sgd {
         self.step_with(store, &Pool::with_threads(1));
     }
 
-    /// Like [`Sgd::step`], fanning the per-parameter updates out across
-    /// `pool`. Each parameter's update touches only its own tensors, so the
+    /// Like [`Sgd::step`], fanning the per-tensor passes out across
+    /// `pool`. Each tensor's update touches only its own elements, so the
     /// result is bit-identical to the serial [`Sgd::step`] at any width.
     pub fn step_with(&mut self, store: &mut ParamStore, pool: &Pool) {
+        self.apply(store, pool, None, &mut []);
+    }
+
+    fn apply(
+        &mut self,
+        store: &mut ParamStore,
+        pool: &Pool,
+        scale: Option<f32>,
+        before: &mut [Vec<f32>],
+    ) -> usize {
         self.ensure_state(store);
-        sanitize_grads(store);
-        record_step(store);
-        let lr = self.lr;
-        if self.momentum > 0.0 {
-            let momentum = self.momentum;
-            let grads = store.grads();
-            pool.for_each_mut(&mut self.velocity, |i, v| {
-                v.scale_assign(momentum);
-                v.add_assign(&grads[i]);
-            });
-            let velocity = &self.velocity;
-            store.par_update(pool, |i, value, _| value.axpy(-lr, &velocity[i]));
+        let (lr, momentum) = (self.lr, self.momentum);
+        let (update, velocity): (_, &mut [Tensor]) = if momentum > 0.0 {
+            (Update::Momentum { lr, momentum }, &mut self.velocity)
         } else {
-            store.par_update(pool, |_, value, grad| value.axpy(-lr, grad));
-        }
+            (Update::Sgd { lr }, &mut [])
+        };
+        fused_step(store, pool, update, scale, (velocity, &mut []), before)
     }
 
     fn ensure_state(&mut self, store: &ParamStore) {
@@ -172,45 +350,38 @@ impl Adam {
         self.step_with(store, &Pool::with_threads(1));
     }
 
-    /// Like [`Adam::step`], fanning the per-parameter moment and value
-    /// updates out across `pool`. Updates are elementwise-independent, so
-    /// the result is bit-identical to the serial path at any width.
+    /// Like [`Adam::step`], fanning the per-tensor passes out across
+    /// `pool`. Updates are elementwise-independent, so the result is
+    /// bit-identical to the serial path at any width.
     pub fn step_with(&mut self, store: &mut ParamStore, pool: &Pool) {
+        self.apply(store, pool, None, &mut []);
+    }
+
+    fn apply(
+        &mut self,
+        store: &mut ParamStore,
+        pool: &Pool,
+        scale: Option<f32>,
+        before: &mut [Vec<f32>],
+    ) -> usize {
         self.ensure_state(store);
-        sanitize_grads(store);
-        record_step(store);
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        let (beta1, beta2) = (self.beta1, self.beta2);
-        {
-            let grads = store.grads();
-            pool.for_each_mut(&mut self.m, |i, m| {
-                m.scale_assign(beta1);
-                m.axpy(1.0 - beta1, &grads[i]);
-            });
-            pool.for_each_mut(&mut self.v, |i, v| {
-                v.scale_assign(beta2);
-                // Fused g² update: rounds (g·g) first and then the scaled
-                // add, exactly like the former materialize-then-axpy pair,
-                // so the bits match while the per-step `grad_sq` tensor
-                // allocation disappears.
-                let one_minus_beta2 = 1.0 - beta2;
-                for (v, &g) in v.data_mut().iter_mut().zip(grads[i].data().iter()) {
-                    *v += one_minus_beta2 * (g * g);
-                }
-            });
-        }
-        let (m, v) = (&self.m, &self.v);
-        let (lr, eps) = (self.lr, self.eps);
-        store.par_update(pool, |idx, value, _| {
-            let (m, v) = (&m[idx], &v[idx]);
-            for i in 0..value.len() {
-                let m_hat = m.data()[i] / bc1;
-                let v_hat = v.data()[i] / bc2;
-                value.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-        });
+        let update = Update::Adam {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t),
+            bc2: 1.0 - self.beta2.powi(self.t),
+        };
+        fused_step(
+            store,
+            pool,
+            update,
+            scale,
+            (&mut self.m, &mut self.v),
+            before,
+        )
     }
 
     fn ensure_state(&mut self, store: &ParamStore) {
@@ -223,9 +394,233 @@ impl Adam {
     }
 }
 
+/// The update rule a training step applies
+/// ([`AnalyticTrainer::step`](crate::AnalyticTrainer::step)), the scratch
+/// of its gradient clip and — for a caller that must be able to undo a
+/// step — the values from before the last one.
+#[derive(Debug)]
+pub struct Optimizer {
+    rule: Rule,
+    /// One gradient norm per parameter: the clip's first pass.
+    norms: Vec<f32>,
+    /// Every tensor's values before the last step, when kept
+    /// ([`with_rollback`](Self::with_rollback)).
+    before: Option<Vec<Vec<f32>>>,
+    /// Tensors holding a non-finite value after the last step.
+    nonfinite: usize,
+}
+
+#[derive(Debug)]
+enum Rule {
+    Sgd(Sgd),
+    Adam(Adam),
+}
+
+impl From<Sgd> for Optimizer {
+    fn from(sgd: Sgd) -> Self {
+        Self::of(Rule::Sgd(sgd))
+    }
+}
+
+impl From<Adam> for Optimizer {
+    fn from(adam: Adam) -> Self {
+        Self::of(Rule::Adam(adam))
+    }
+}
+
+impl Optimizer {
+    fn of(rule: Rule) -> Self {
+        Self {
+            rule,
+            norms: Vec::new(),
+            before: None,
+            nonfinite: 0,
+        }
+    }
+
+    /// Keeps every tensor's values from before each step, copied in the
+    /// step's own pass, so that [`roll_back`](Self::roll_back) can undo it,
+    /// and counts the tensors the step left non-finite
+    /// ([`nonfinite`](Self::nonfinite)).
+    pub fn with_rollback(mut self) -> Self {
+        self.before = Some(Vec::new());
+        self
+    }
+
+    /// One unclipped step of the rule, as its own `step_with`.
+    pub fn step_with(&mut self, store: &mut ParamStore, pool: &Pool) {
+        self.apply(store, pool, None);
+    }
+
+    /// Clips the global gradient norm at `max_norm` and steps, one fused
+    /// pass per tensor: the bits of [`ParamStore::clip_grad_norm`] followed
+    /// by [`step_with`](Self::step_with). The per-tensor norms are computed
+    /// across `pool` and summed in parameter order. Returns the pre-clip
+    /// norm.
+    pub(crate) fn step_clipped(
+        &mut self,
+        store: &mut ParamStore,
+        pool: &Pool,
+        max_norm: f32,
+    ) -> f32 {
+        self.norms.resize(store.len(), 0.0);
+        let norm = store.grad_norm_with(pool, &mut self.norms);
+        let scale = (norm > max_norm && norm > 0.0).then(|| max_norm / norm);
+        self.apply(store, pool, scale);
+        norm
+    }
+
+    fn apply(&mut self, store: &mut ParamStore, pool: &Pool, scale: Option<f32>) {
+        let before: &mut [Vec<f32>] = match &mut self.before {
+            Some(before) => {
+                if before.len() != store.len() {
+                    let (values, _) = store.values_grads_mut();
+                    *before = values.iter().map(|v| vec![0.0; v.len()]).collect();
+                }
+                before
+            }
+            None => &mut [],
+        };
+        self.nonfinite = match &mut self.rule {
+            Rule::Sgd(sgd) => sgd.apply(store, pool, scale, before),
+            Rule::Adam(adam) => adam.apply(store, pool, scale, before),
+        };
+    }
+
+    /// Parameter tensors holding a non-finite value after the last step;
+    /// counted only with [`with_rollback`](Self::with_rollback).
+    pub fn nonfinite(&self) -> usize {
+        self.nonfinite
+    }
+
+    /// Writes the values kept before the last step back into `store`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the optimizer keeps a rollback and has stepped `store`.
+    pub fn roll_back(&self, store: &mut ParamStore) {
+        let before = self
+            .before
+            .as_ref()
+            .filter(|b| b.len() == store.len())
+            .expect("Optimizer::roll_back: no step of this store was kept");
+        let (values, _) = store.values_grads_mut();
+        for (value, kept) in values.iter_mut().zip(before) {
+            value.data_mut().copy_from_slice(kept);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-tensor passes the fused step replaced, kept as its
+    /// reference: the gradient clip, then the optimizers' sanitize (probe,
+    /// then a short-circuit finite check per tensor) and their separate
+    /// passes over velocity or moments and values.
+    mod reference {
+        use super::*;
+
+        pub(super) fn clip_grad_norm(store: &mut ParamStore, max_norm: f32) -> f32 {
+            let norm = store
+                .grads()
+                .iter()
+                .map(|g| {
+                    let n = g.norm();
+                    n * n
+                })
+                .sum::<f32>()
+                .sqrt();
+            if norm > max_norm && norm > 0.0 {
+                let scale = max_norm / norm;
+                for g in store.values_grads_mut().1 {
+                    g.scale_assign(scale);
+                }
+            }
+            norm
+        }
+
+        fn sanitize_grads(store: &mut ParamStore) {
+            for grad in store.values_grads_mut().1 {
+                fault::poison_f32s("optim.grad", grad.data_mut());
+                if grad.data().iter().any(|g| !g.is_finite()) {
+                    grad.fill_zero();
+                }
+            }
+        }
+
+        fn zeros_like(store: &ParamStore) -> Vec<Tensor> {
+            store
+                .grads()
+                .iter()
+                .map(|g| Tensor::zeros(g.rows(), g.cols()))
+                .collect()
+        }
+
+        pub(super) fn sgd(
+            store: &mut ParamStore,
+            velocity: &mut Vec<Tensor>,
+            lr: f32,
+            momentum: f32,
+        ) {
+            if velocity.is_empty() {
+                *velocity = zeros_like(store);
+            }
+            sanitize_grads(store);
+            let (values, grads) = store.values_grads_mut();
+            if momentum > 0.0 {
+                for (v, g) in velocity.iter_mut().zip(grads.iter()) {
+                    v.scale_assign(momentum);
+                    v.add_assign(g);
+                }
+                for (value, v) in values.iter_mut().zip(velocity.iter()) {
+                    value.axpy(-lr, v);
+                }
+            } else {
+                for (value, g) in values.iter_mut().zip(grads.iter()) {
+                    value.axpy(-lr, g);
+                }
+            }
+        }
+
+        pub(super) fn adam(
+            store: &mut ParamStore,
+            (m, v, t): (&mut Vec<Tensor>, &mut Vec<Tensor>, &mut i32),
+            lr: f32,
+        ) {
+            let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+            if m.is_empty() {
+                *m = zeros_like(store);
+                *v = zeros_like(store);
+            }
+            sanitize_grads(store);
+            *t += 1;
+            let bc1 = 1.0 - beta1.powi(*t);
+            let bc2 = 1.0 - beta2.powi(*t);
+            let (values, grads) = store.values_grads_mut();
+            for (m, g) in m.iter_mut().zip(grads.iter()) {
+                m.scale_assign(beta1);
+                m.axpy(1.0 - beta1, g);
+            }
+            for (v, g) in v.iter_mut().zip(grads.iter()) {
+                v.scale_assign(beta2);
+                let one_minus_beta2 = 1.0 - beta2;
+                for (v, &g) in v.data_mut().iter_mut().zip(g.data().iter()) {
+                    *v += one_minus_beta2 * (g * g);
+                }
+            }
+            for ((value, m), v) in values.iter_mut().zip(m.iter()).zip(v.iter()) {
+                for i in 0..value.len() {
+                    let m_hat = m.data()[i] / bc1;
+                    let v_hat = v.data()[i] / bc2;
+                    value.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+        }
+    }
 
     /// Minimizes `f(θ) = (θ - 3)²` and checks convergence.
     fn converges(mut step: impl FnMut(&mut ParamStore)) -> f32 {
@@ -258,6 +653,208 @@ mod tests {
         let mut opt = Adam::new(0.05);
         let theta = converges(|s| opt.step(s));
         assert!((theta - 3.0).abs() < 1e-2, "got {theta}");
+    }
+
+    fn bits(tensors: &[Tensor]) -> Vec<Vec<u32>> {
+        tensors
+            .iter()
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// A gradient element drawn with a heavy dose of the values the fused
+    /// pass must treat exactly like the reference: zeros of both signs, NaN
+    /// and infinities.
+    fn laden(rng: &mut impl Rng, specials: bool) -> f32 {
+        match rng.gen_range(0..16) {
+            0 => 0.0,
+            1 => -0.0,
+            2 if specials => f32::NAN,
+            3 if specials => f32::INFINITY,
+            4 if specials => f32::NEG_INFINITY,
+            _ => rng.gen_range(-3.0f32..3.0),
+        }
+    }
+
+    /// A store of `tensors` parameters of ragged sizes (some empty).
+    fn store_of(rng: &mut impl Rng, tensors: usize) -> ParamStore {
+        let mut store = ParamStore::new();
+        for p in 0..tensors {
+            let (rows, cols) = (rng.gen_range(0..9), rng.gen_range(1..5));
+            let values = (0..rows * cols)
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect();
+            store.add(format!("p{p}"), Tensor::from_vec(rows, cols, values));
+        }
+        store
+    }
+
+    fn set_grads(store: &mut ParamStore, rng: &mut impl Rng, specials: bool) {
+        for grad in store.values_grads_mut().1 {
+            // Most tensors finite, so updates happen; some poisoned.
+            let poisoned = specials && rng.gen_range(0..3) == 0;
+            for g in grad.data_mut() {
+                *g = laden(rng, poisoned);
+            }
+        }
+    }
+
+    /// The rule a case draws, as a fused optimizer and a reference step.
+    #[derive(Clone, Copy, Debug)]
+    enum Drawn {
+        Sgd,
+        Momentum,
+        Adam,
+    }
+
+    /// Optimizer state as bits: velocity, or both moments and the step.
+    fn state_bits(opt: &Optimizer) -> Vec<Vec<Vec<u32>>> {
+        match &opt.rule {
+            Rule::Sgd(sgd) => vec![bits(&sgd.velocity)],
+            Rule::Adam(adam) => vec![bits(&adam.m), bits(&adam.v), vec![vec![adam.t as u32]]],
+        }
+    }
+
+    /// Steps one store through the fused clip-and-step and a copy through
+    /// the reference passes, three times, asserting values, gradients,
+    /// optimizer state, the kept values and the non-finite count bit-equal
+    /// after each step.
+    fn assert_fused_matches_reference(
+        seed: u64,
+        tensors: usize,
+        rule: Drawn,
+        clip: f32,
+        threads: usize,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut fused = store_of(&mut rng, tensors);
+        let mut reference = fused.clone();
+        let pool = Pool::with_threads(threads);
+        let (lr, momentum) = (0.05, 0.9);
+        let mut opt = match rule {
+            Drawn::Sgd => Optimizer::from(Sgd::new(lr, 0.0)),
+            Drawn::Momentum => Optimizer::from(Sgd::new(lr, momentum)),
+            Drawn::Adam => Optimizer::from(Adam::new(lr)),
+        }
+        .with_rollback();
+        let (mut m, mut v, mut t) = (Vec::new(), Vec::new(), 0);
+        for step in 0..3 {
+            set_grads(&mut fused, &mut rng, step != 1);
+            for (r, f) in reference.values_grads_mut().1.iter_mut().zip(fused.grads()) {
+                r.data_mut().copy_from_slice(f.data());
+            }
+            let pre = bits(fused.values_grads_mut().0);
+            let norm = opt.step_clipped(&mut fused, &pool, clip);
+            let want = reference::clip_grad_norm(&mut reference, clip);
+            match rule {
+                Drawn::Sgd => reference::sgd(&mut reference, &mut m, lr, 0.0),
+                Drawn::Momentum => reference::sgd(&mut reference, &mut m, lr, momentum),
+                Drawn::Adam => reference::adam(&mut reference, (&mut m, &mut v, &mut t), lr),
+            }
+            let case = format!("seed {seed} {rule:?} clip {clip} threads {threads} step {step}");
+            assert_eq!(norm.to_bits(), want.to_bits(), "{case}: norm");
+            assert_eq!(
+                bits(fused.values_grads_mut().0),
+                bits(reference.values_grads_mut().0),
+                "{case}: values"
+            );
+            assert_eq!(
+                bits(fused.grads()),
+                bits(reference.grads()),
+                "{case}: grads"
+            );
+            // Plain SGD keeps no state the step reads.
+            let want_state = match rule {
+                Drawn::Sgd => state_bits(&opt),
+                Drawn::Momentum => vec![bits(&m)],
+                Drawn::Adam => vec![bits(&m), bits(&v), vec![vec![t as u32]]],
+            };
+            assert_eq!(state_bits(&opt), want_state, "{case}: state");
+            let kept: Vec<Vec<u32>> = opt
+                .before
+                .as_ref()
+                .unwrap()
+                .iter()
+                .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            assert_eq!(kept, pre, "{case}: kept values");
+            let nonfinite = reference
+                .values_grads_mut()
+                .0
+                .iter()
+                .filter(|v| v.data().iter().any(|x| !x.is_finite()))
+                .count();
+            assert_eq!(opt.nonfinite(), nonfinite, "{case}: non-finite count");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused clip-and-step is the reference chain bit for bit, for
+        /// every rule, with the clip active (a bound below any drawn norm)
+        /// and inactive, at pool widths 1, 2 and 4.
+        #[test]
+        fn fused_step_matches_the_per_tensor_passes(
+            seed in any::<u64>(),
+            tensors in 1usize..24,
+            rule in 0usize..3,
+            active in any::<bool>(),
+        ) {
+            let rule = [Drawn::Sgd, Drawn::Momentum, Drawn::Adam][rule];
+            let clip = if active { 0.25 } else { 1e30 };
+            for threads in [1, 2, 4] {
+                assert_fused_matches_reference(seed, tensors, rule, clip, threads);
+            }
+        }
+    }
+
+    /// With a plan armed, the `optim.grad` probe still sees every tensor
+    /// in parameter order after the rescale: the same hits poison the same
+    /// elements as in the reference chain.
+    #[test]
+    fn an_armed_probe_poisons_what_it_poisoned_before() {
+        let plan = std::sync::Arc::new(deeprest_fault::FaultPlan::new(5).prob("optim.grad", 0.3));
+        for (seed, rule) in [(1, Drawn::Sgd), (2, Drawn::Momentum), (3, Drawn::Adam)] {
+            for threads in [1, 2, 4] {
+                // One plan scope per path: each starts its hit count at 0.
+                let fused = deeprest_fault::with_plan(plan.clone(), || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let mut store = store_of(&mut rng, 12);
+                    set_grads(&mut store, &mut rng, false);
+                    let mut opt = match rule {
+                        Drawn::Sgd => Optimizer::from(Sgd::new(0.05, 0.0)),
+                        Drawn::Momentum => Optimizer::from(Sgd::new(0.05, 0.9)),
+                        Drawn::Adam => Optimizer::from(Adam::new(0.05)),
+                    };
+                    opt.step_clipped(&mut store, &Pool::with_threads(threads), 0.5);
+                    store
+                });
+                let mut reference = deeprest_fault::with_plan(plan.clone(), || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let mut store = store_of(&mut rng, 12);
+                    set_grads(&mut store, &mut rng, false);
+                    reference::clip_grad_norm(&mut store, 0.5);
+                    let (mut m, mut v, mut t) = (Vec::new(), Vec::new(), 0);
+                    match rule {
+                        Drawn::Sgd => reference::sgd(&mut store, &mut m, 0.05, 0.0),
+                        Drawn::Momentum => reference::sgd(&mut store, &mut m, 0.05, 0.9),
+                        Drawn::Adam => reference::adam(&mut store, (&mut m, &mut v, &mut t), 0.05),
+                    }
+                    store
+                });
+                let mut fused = fused;
+                assert_eq!(
+                    bits(fused.values_grads_mut().0),
+                    bits(reference.values_grads_mut().0)
+                );
+                assert_eq!(bits(fused.grads()), bits(reference.grads()));
+                assert!(reference
+                    .grads()
+                    .iter()
+                    .any(|g| g.data().iter().all(|&v| v == 0.0) && !g.is_empty()));
+            }
+        }
     }
 
     #[test]
@@ -338,6 +935,23 @@ mod tests {
             // still finite.
             assert_eq!(store.value(p).data()[0], 1.0);
         });
+    }
+
+    /// A kept step rolls back to the values it started from, and a step
+    /// whose values overflow is counted.
+    #[test]
+    fn a_kept_step_rolls_back_and_counts_non_finite_values() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::vector(vec![1.0, f32::MAX]));
+        let b = store.add("b", Tensor::scalar(2.0));
+        *store.grad_mut(a) = Tensor::vector(vec![0.5, -f32::MAX]);
+        *store.grad_mut(b) = Tensor::scalar(1.0);
+        let mut opt = Optimizer::from(Sgd::new(10.0, 0.0)).with_rollback();
+        opt.step_with(&mut store, &Pool::with_threads(2));
+        assert_eq!(opt.nonfinite(), 1, "f32::MAX + 10·f32::MAX overflows");
+        opt.roll_back(&mut store);
+        assert_eq!(store.value(a).data(), &[1.0, f32::MAX]);
+        assert_eq!(store.value(b).data(), &[2.0]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! walks them one by one in the reverse sweep. This module replaces that hot
 //! path with hand-derived truncated-BPTT over the packed [`ExpertSlab`],
 //! which the trainer borrows per batch and never owns: the caller packs it
-//! next to the store, steps the optimizer and repacks (see the slab's
-//! ownership note), so the trainer is arenas plus the backward below.
+//! next to the store (see the slab's ownership note), and
+//! [`AnalyticTrainer::step`] is the one training step over the two — the
+//! backward below, then the gradient clip, the optimizer and the repack.
 //!
 //! * **Forward** — the slab's own forward (`mask_into` → `step_range` →
 //!   `gather_hidden` → `heads`, the calls serving steps, each window with
@@ -26,8 +27,15 @@
 //!   `cat_t`) go to per-job arenas, and each weight gradient lands once
 //!   per subsequence as one rank-`T` update (`outer_acc_steps_into`); the
 //!   cross-expert attention pull-back, which reads only phase B's `g_att`
-//!   and `α`, is computed for every step before the sweep as `h`-wide
-//!   vector updates.
+//!   and `α`, is computed for a whole shard and every step before the
+//!   sweep, one rank-`E` update per step (the source experts as the
+//!   update's steps) against a row-major copy of `α`. The input pull-back
+//!   `g_x̃` feeds only the mask gradient `g_x̃ ⊙ x`, so it is computed with
+//!   the mask on and only on the blocks of the window's support.
+//! * **The step** — after the backward, every pass is one pass per tensor
+//!   or per shard fanned out over the pool: the fold writes each gradient
+//!   from its arena blocks, the clip's per-tensor norms, the optimizer's
+//!   fused update ([`crate::Optimizer`]), and the repack by shard.
 //!
 //! # Bit-identity with the tape oracle
 //!
@@ -54,24 +62,31 @@
 //!   `-0.0`, which is the one value on which adding `p` and adding
 //!   `p + 0.0` differ: the engine adds `p` (`kernel`'s signed-zero lemma).
 //! * The tape normalizes `-0.0` partial sums when a zero-initialized
-//!   `GradBuffer` slot absorbs them; the engine's zero-initialized arenas
-//!   folded through [`deeprest_tensor::ParamStore::grad_add_slice`] perform
-//!   the same normalization, and a zero's sign is the only thing that can
-//!   differ mid-chain (IEEE-754 `x + ±0.0 = x` for `x ≠ 0`).
+//!   `GradBuffer` slot absorbs them; the fold writes the first batch
+//!   position's arena value `+ 0.0` (the bits of adding it to a zeroed
+//!   gradient) and adds the others in batch order, which performs the same
+//!   normalization, and a zero's sign is the only thing that can differ
+//!   mid-chain (IEEE-754 `x + ±0.0 = x` for `x ≠ 0`).
 //! * Sharding never splits a contraction: experts are data-parallel except
-//!   for the attention term, whose cross-expert sums are computed per expert
-//!   from a serially gathered global arena in a fixed expert-descending
-//!   order. Gradients are therefore identical at any thread count, and the
-//!   serial fold (batch position → shard → expert) matches the tape's
-//!   per-subsequence `absorb` order.
+//!   for the attention term, whose cross-expert sums are computed per
+//!   target from a serially gathered global arena in a fixed
+//!   expert-descending order. Gradients are therefore identical at any
+//!   thread count, and the fold (every element takes the batch positions
+//!   in order) matches the tape's per-subsequence `absorb` order.
 //!
 //! `tests/prop_analytic_train.rs` proves the equivalence property-based;
 //! `crates/core/tests/determinism.rs` holds it end to end.
 
+use std::ops::Range;
+
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::kernel::{gemv_t_acc_into, gemv_t_into, outer_acc_steps_into, Support};
+use deeprest_tensor::kernel::{
+    gemv_t_acc_into, gemv_t_into, gemv_t_live_acc_into, gemv_t_live_into, outer_acc_steps_into,
+    Support,
+};
 use deeprest_tensor::{BufferPool, ParamStore, Pool};
 
+use crate::optim::{Optimizer, GRAD_CLIP};
 use crate::slab::{ExpertSlab, ExpertSpec, GateStash};
 
 /// Static configuration of an [`AnalyticTrainer`].
@@ -147,12 +162,13 @@ struct ShardJob {
     g_y: Vec<f32>,
     cat_steps: Vec<f32>,
     // One expert's phase-C operands, `[t][element]`: the gate gradients
-    // `d_t = [d_z; d_k; d_h̃]`, `x̃_t`, `h_{t-1}`, `k⊙h_{t-1}`, and the
-    // attention pull-back into the carried state.
+    // `d_t = [d_z; d_k; d_h̃]`, `x̃_t`, `h_{t-1}` and `k⊙h_{t-1}`.
     d_steps: Vec<f32>,
     x_steps: Vec<f32>,
     hp_steps: Vec<f32>,
     gated_steps: Vec<f32>,
+    /// The attention pull-back into every expert's carried state,
+    /// `[t][expert][element]`.
     att_steps: Vec<f32>,
     // Gradient arenas, one block per expert in the shard.
     gw: Vec<f32>,
@@ -167,8 +183,9 @@ struct ShardJob {
     gskip_b: Vec<f32>,
     // Per-timestep work buffers.
     xbuf: Vec<f32>,
-    /// The current timestep's support (capacity `d`, so never regrown).
-    support: Support,
+    /// Each timestep's support, filled by the forward (capacity `d`, so
+    /// never regrown) and read again by the heads and the input pull-back.
+    supports: Vec<Support>,
     hidden: Vec<f32>,
     cat: Vec<f32>,
     ybuf: Vec<f32>,
@@ -211,7 +228,7 @@ impl ShardJob {
             x_steps: vec![0.0; t * d],
             hp_steps: vec![0.0; t * h],
             gated_steps: vec![0.0; t * h],
-            att_steps: vec![0.0; if cfg.attention { t * h } else { 0 }],
+            att_steps: vec![0.0; att_len],
             gw: vec![0.0; c * 3 * h * d],
             gu_zk: vec![0.0; c * 2 * h * h],
             gu_h: vec![0.0; c * h * h],
@@ -223,7 +240,7 @@ impl ShardJob {
             gskip_w: vec![0.0; skip_w_len],
             gskip_b: vec![0.0; skip_b_len],
             xbuf: vec![0.0; c * d],
-            support: Support::with_capacity(d),
+            supports: (0..t).map(|_| Support::with_capacity(d)).collect(),
             hidden: vec![0.0; c * h],
             cat: vec![0.0; c * 2 * h],
             ybuf: vec![0.0; c * 3],
@@ -266,12 +283,116 @@ impl ShardJob {
     }
 }
 
+/// A gradient arena of [`ShardJob`], one block per expert of the shard.
+#[derive(Clone, Copy, Debug)]
+enum Arena {
+    Mask,
+    W,
+    Uzk,
+    Uh,
+    Bias,
+    Alpha,
+    HeadW,
+    HeadB,
+    SkipW,
+    SkipB,
+}
+
+impl ShardJob {
+    fn arena(&self, arena: Arena) -> &[f32] {
+        match arena {
+            Arena::Mask => &self.gmask,
+            Arena::W => &self.gw,
+            Arena::Uzk => &self.gu_zk,
+            Arena::Uh => &self.gu_h,
+            Arena::Bias => &self.gbias,
+            Arena::Alpha => &self.galpha,
+            Arena::HeadW => &self.ghead_w,
+            Arena::HeadB => &self.ghead_b,
+            Arena::SkipW => &self.gskip_w,
+            Arena::SkipB => &self.gskip_b,
+        }
+    }
+}
+
+/// Where a parameter's gradient comes from: one block of one arena of the
+/// shard that holds its expert, at every batch position.
+#[derive(Clone, Copy, Debug)]
+struct FoldSource {
+    shard: usize,
+    arena: Arena,
+    at: usize,
+}
+
+/// The fold plan of `slab`'s swarm, indexed by parameter: each parameter
+/// the backward trains, and the arena block it is folded from.
+///
+/// # Panics
+///
+/// Panics if two roles of the swarm share one parameter.
+fn fold_plan(slab: &ExpertSlab, cfg: &TrainerConfig) -> Vec<Option<FoldSource>> {
+    let (d, h, e_total) = (cfg.input_dim, cfg.hidden_dim, slab.experts());
+    let mut plan = Vec::new();
+    for (shard, range) in slab.shards().iter().enumerate() {
+        for (c, spec) in slab.specs()[range.clone()].iter().enumerate() {
+            let cell = &spec.cell;
+            let mut roles = vec![
+                (cell.wz, Arena::W, c * 3 * h * d),
+                (cell.wk, Arena::W, c * 3 * h * d + h * d),
+                (cell.wh, Arena::W, c * 3 * h * d + 2 * h * d),
+                (cell.uz, Arena::Uzk, c * 2 * h * h),
+                (cell.uk, Arena::Uzk, c * 2 * h * h + h * h),
+                (cell.uh, Arena::Uh, c * h * h),
+                (cell.bz, Arena::Bias, c * 3 * h),
+                (cell.bk, Arena::Bias, c * 3 * h + h),
+                (cell.bh, Arena::Bias, c * 3 * h + 2 * h),
+                (spec.head.w, Arena::HeadW, c * 6 * h),
+                (spec.head.b, Arena::HeadB, c * 3),
+            ];
+            if cfg.api_mask {
+                roles.push((spec.mask, Arena::Mask, c * d));
+            }
+            if cfg.attention {
+                roles.push((spec.alpha, Arena::Alpha, c * e_total));
+            }
+            if let Some(skip) = &spec.skip {
+                roles.push((skip.w, Arena::SkipW, c * 3 * d));
+                roles.push((skip.b, Arena::SkipB, c * 3));
+            }
+            for (id, arena, at) in roles {
+                let i = id.index();
+                if plan.len() <= i {
+                    plan.resize(i + 1, None);
+                }
+                assert!(
+                    plan[i].is_none(),
+                    "AnalyticTrainer: parameter #{i} has two roles"
+                );
+                plan[i] = Some(FoldSource { shard, arena, at });
+            }
+        }
+    }
+    plan
+}
+
+/// One optimizer batch: subsequence `starts` into per-window feature rows
+/// `xs` and per-expert target series `targets`.
+#[derive(Clone, Copy, Debug)]
+pub struct Batch<'a> {
+    /// Feature rows, one per window.
+    pub xs: &'a [Vec<f32>],
+    /// Normalized targets, one series per expert.
+    pub targets: &'a [Vec<f32>],
+    /// Subsequence starts, one per batch position, in fold order.
+    pub starts: &'a [usize],
+}
+
 /// The analytic trainer: every per-worker arena plus the backward over
 /// them. The packed slab it trains is its owner's (see
 /// `crate::slab`'s ownership note) and comes in with every
-/// [`run_batch`](Self::run_batch); the slab's shard plan is the trainer's
-/// worker partition. One instance serves a whole `fit` — arenas are
-/// allocated at construction and reused by every batch of every epoch.
+/// [`step`](Self::step); the slab's shard plan is the trainer's worker
+/// partition. One instance serves a whole `fit` — arenas are allocated at
+/// construction and reused by every batch of every epoch.
 pub struct AnalyticTrainer {
     cfg: TrainerConfig,
     jobs: Vec<ShardJob>,
@@ -279,6 +400,14 @@ pub struct AnalyticTrainer {
     hmats: Vec<Vec<f32>>,
     /// Per batch slot: attention-head gradients `[t][expert][element]`.
     g_att_all: Vec<Vec<f32>>,
+    /// `α` row-major, `(experts, experts)`: row `e` is expert `e`'s
+    /// attention over every expert, self entry zeroed (the tape's
+    /// `mask_out`). Refreshed from the store every batch; empty without
+    /// attention.
+    alpha: Vec<f32>,
+    /// Per parameter index: the arena block its gradient is folded from
+    /// (`None`: not trained by the backward, so its gradient is zero).
+    plan: Vec<Option<FoldSource>>,
     stats: Vec<SlotStats>,
 }
 
@@ -310,6 +439,8 @@ impl AnalyticTrainer {
             g_att_all: (0..cfg.batch_slots)
                 .map(|_| vec![0.0; if cfg.attention { t * e * h } else { 0 }])
                 .collect(),
+            alpha: vec![0.0; if cfg.attention { e * e } else { 0 }],
+            plan: fold_plan(slab, &cfg),
             stats: (0..cfg.batch_slots)
                 .map(|_| SlotStats {
                     loss_sum: 0.0,
@@ -328,19 +459,48 @@ impl AnalyticTrainer {
         self.cfg.modulation = modulation;
     }
 
+    /// One optimizer step on one batch, the step every writer of a swarm's
+    /// parameters trains through: forward and backward over `slab`, the
+    /// batch's gradients written into `store` (the one `slab` was packed
+    /// from), the global gradient norm clipped at [`GRAD_CLIP`], `opt`'s
+    /// update, and `slab` repacked from the written store, so whoever
+    /// steps the swarm next reads the parameters as they are. Each pass
+    /// after the backward is one pass per tensor (or per shard), fanned
+    /// out across `pool`; every element's arithmetic is the serial chain's,
+    /// so the step is bit-identical at any width. A warm step allocates
+    /// nothing. Returns per-slot statistics in batch order.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_batch`](Self::run_batch).
+    pub fn step(
+        &mut self,
+        slab: &mut ExpertSlab,
+        store: &mut ParamStore,
+        opt: &mut Optimizer,
+        pool: &Pool,
+        batch: Batch<'_>,
+    ) -> &[SlotStats] {
+        let nb = self.backward(slab, store, pool, batch);
+        opt.step_clipped(store, pool, GRAD_CLIP);
+        slab.repack(store);
+        &self.stats[..nb]
+    }
+
     /// Runs forward + backward over `slab` for one optimizer batch of
-    /// subsequence `starts`, folding gradients into `store` (the one `slab`
-    /// was packed from) in a fixed order (batch position → shard → expert)
-    /// so the result is bit-identical to the tape path at any thread count.
-    /// Returns per-slot statistics in batch order.
+    /// subsequence `starts` and writes the batch's gradients into `store`
+    /// (the one `slab` was packed from) in a fixed order (batch position →
+    /// shard → expert), so the result is bit-identical to the tape path at
+    /// any thread count. Every gradient the backward does not train is
+    /// zeroed. Returns per-slot statistics in batch order.
     ///
     /// Forward values come from `slab`, the backward's pull-back operands
     /// from `store` (module docs), so `slab` must be current for `store`:
     /// repacked since its last write. Debug builds refuse a stale slab
     /// (`ExpertSlab::is_current_for`).
     ///
-    /// The caller owns the surrounding loop: `store.zero_grads()` before,
-    /// gradient clipping / optimizer step / [`ExpertSlab::repack`] after.
+    /// [`step`](Self::step) is this followed by the clip, the optimizer
+    /// and the repack.
     ///
     /// # Panics
     ///
@@ -354,9 +514,31 @@ impl AnalyticTrainer {
         pool: &Pool,
         xs: &[Vec<f32>],
         targets: &[Vec<f32>],
-        batch: &[usize],
+        starts: &[usize],
     ) -> &[SlotStats] {
-        let nb = batch.len();
+        let batch = Batch {
+            xs,
+            targets,
+            starts,
+        };
+        let nb = self.backward(slab, store, pool, batch);
+        &self.stats[..nb]
+    }
+
+    /// [`run_batch`](Self::run_batch)'s body; returns the batch size.
+    fn backward(
+        &mut self,
+        slab: &ExpertSlab,
+        store: &mut ParamStore,
+        pool: &Pool,
+        batch: Batch<'_>,
+    ) -> usize {
+        let Batch {
+            xs,
+            targets,
+            starts,
+        } = batch;
+        let nb = starts.len();
         assert!(nb <= self.cfg.batch_slots, "run_batch: batch too large");
         let e_total = slab.experts();
         let shard_count = slab.shards().len();
@@ -379,10 +561,12 @@ impl AnalyticTrainer {
             jobs,
             hmats,
             g_att_all,
+            alpha,
+            plan,
             stats,
         } = self;
 
-        for (b, &start) in batch.iter().enumerate() {
+        for (b, &start) in starts.iter().enumerate() {
             let steps = (start + cfg.max_steps).min(t_total) - start;
             for s in 0..shard_count {
                 jobs[b * shard_count + s].arm(start, steps, s1, e_total, cfg);
@@ -422,7 +606,8 @@ impl AnalyticTrainer {
         }
 
         // Serial: publish every shard's attention-head gradients into the
-        // per-batch-position global arena for the cross-expert backward.
+        // per-batch-position global arena for the cross-expert backward,
+        // and refresh the row-major `α` the pull-back multiplies by.
         if cfg.attention {
             for b in 0..nb {
                 let dst = &mut g_att_all[b];
@@ -437,6 +622,7 @@ impl AnalyticTrainer {
                     }
                 }
             }
+            copy_alpha(alpha, store, slab.specs());
         }
         drop(phase);
 
@@ -444,25 +630,48 @@ impl AnalyticTrainer {
         // descending order applying the closed-form gate gradients.
         let phase = telemetry::span("train.analytic.backward");
         {
-            let (g_att_all, store) = (&*g_att_all, &*store);
+            let (g_att_all, store, alpha) = (&*g_att_all, &*store, &alpha[..]);
             pool.for_each_mut(active, |i, job| {
-                gru_sweep(job, cfg, slab, store, &g_att_all[i / shard_count], xs);
+                gru_sweep(
+                    job,
+                    cfg,
+                    slab,
+                    store,
+                    alpha,
+                    &g_att_all[i / shard_count],
+                    xs,
+                );
             });
         }
         drop(phase);
 
-        // Serial fold + statistics, in the tape's subsequence order.
+        // The fold, one pass per gradient tensor across the pool, then the
+        // statistics, serially in the tape's subsequence order.
         let phase = telemetry::span("train.analytic.fold");
-        for b in 0..nb {
-            let b_jobs = &active[b * shard_count..(b + 1) * shard_count];
-            fold_gradients(store, slab.specs(), cfg, b_jobs);
-            slot_stats(&mut stats[b], cfg, slab, b_jobs);
+        {
+            let (active, plan) = (&*active, &plan[..]);
+            pool.for_each_mut(store.values_grads_mut().1, |i, grad| {
+                fold(
+                    grad.data_mut(),
+                    plan.get(i).copied().flatten(),
+                    active,
+                    shard_count,
+                );
+            });
+        }
+        for (b, slot) in stats.iter_mut().enumerate().take(nb) {
+            slot_stats(
+                slot,
+                cfg,
+                slab,
+                &active[b * shard_count..(b + 1) * shard_count],
+            );
         }
         drop(phase);
         if telemetry::enabled() {
             telemetry::counter("train.analytic.batches", 1);
         }
-        &self.stats[..nb]
+        nb
     }
 }
 
@@ -474,11 +683,11 @@ fn forward_stash(job: &mut ShardJob, slab: &ExpertSlab, xs: &[Vec<f32>]) {
     for t in 0..job.steps {
         let at = t * span..(t + 1) * span;
         slab.mask_into(range.clone(), &xs[job.start + t], &mut job.xbuf);
-        job.support.fill(&xs[job.start + t]);
+        job.supports[t].fill(&xs[job.start + t]);
         slab.step_range(
             range.clone(),
             &job.xbuf,
-            &job.support,
+            &job.supports[t],
             &mut job.hidden,
             &mut job.scratch,
             Some(GateStash {
@@ -513,14 +722,13 @@ fn heads_sweep(
         let hmat_t = &hmat_b[t * h * e_total..(t + 1) * h * e_total];
         if has_skip {
             slab.mask_into(lo..lo + count, &xs[job.start + t], &mut job.xbuf);
-            job.support.fill(&xs[job.start + t]);
         }
         slab.heads(
             job.shard,
             hmat_t,
             &job.h[t * count * h..(t + 1) * count * h],
             &job.xbuf,
-            &job.support,
+            &job.supports[t],
             &mut job.cat,
             &mut job.ybuf,
             &mut job.scratch,
@@ -589,21 +797,34 @@ fn heads_sweep(
 /// timesteps descend; every accumulation replays the tape's reverse-sweep
 /// operand order (see the module docs). The pull-backs read the row-major
 /// weight matrices out of `store`, which `slab` is current for. What does
-/// not depend on the recurrence is taken out of the step loop: `x̃_t`,
-/// `h_{t-1}` and the attention pull-back before it, and every weight
-/// gradient after it as one rank-`T` update per family, with per-gate rows
-/// in the slab's pack order.
+/// not depend on the recurrence is taken out of the step loop: the
+/// attention pull-back of the whole job before it, `x̃_t` and `h_{t-1}` per
+/// expert, and every weight gradient after it as one rank-`T` update per
+/// family, with per-gate rows in the slab's pack order.
+///
+/// The input pull-back `g_x̃` (skip path, then `W_hᵀ`, `W_kᵀ`, `W_zᵀ`)
+/// feeds nothing but the mask gradient `g ⊙ x`, so it is computed only
+/// with the mask on, and then only on the blocks of the window's support:
+/// a block where `x` is zero adds `±0.0` to a mask gradient that never
+/// holds `-0.0`, which moves no bit (the kernel module's lemma; a
+/// non-finite `g_x̃` at a zero of `x` is outside the contract, as in the
+/// forward).
 fn gru_sweep(
     job: &mut ShardJob,
     cfg: &TrainerConfig,
     slab: &ExpertSlab,
     store: &ParamStore,
+    alpha: &[f32],
     g_att_b: &[f32],
     xs: &[Vec<f32>],
 ) {
     let (d, h, t_max) = (cfg.input_dim, cfg.hidden_dim, cfg.max_steps);
     let (lo, count, steps) = (job.lo, job.count, job.steps);
     let value = |id| store.value(id).data();
+    if cfg.attention {
+        let att = &mut job.att_steps[..steps * count * h];
+        attention_pullback(att, alpha, g_att_b, lo..lo + count, slab.experts(), h);
+    }
     for c in 0..count {
         let e = lo + c;
         let ExpertSpec { cell, skip, .. } = &slab.specs()[e];
@@ -616,9 +837,6 @@ fn gru_sweep(
             job.hp_steps[t * h..(t + 1) * h]
                 .copy_from_slice(&job.h[((t - 1) * count + c) * h..][..h]);
         }
-        if cfg.attention {
-            attention_pullback(&mut job.att_steps[..steps * h], slab, g_att_b, e);
-        }
         job.dh.fill(0.0);
         for t in (0..steps).rev() {
             let at = (t * count + c) * h;
@@ -629,19 +847,15 @@ fn gru_sweep(
                 *o += g;
             }
             if cfg.attention {
-                for (o, &g) in job.dh.iter_mut().zip(&job.att_steps[t * h..(t + 1) * h]) {
+                for (o, &g) in job.dh.iter_mut().zip(&job.att_steps[at..at + h]) {
                     *o += g;
                 }
             }
-            // g_x̃: skip path first (output stage), GRU gates appended below.
             let gy = &job.g_y[(c * t_max + t) * 3..][..3];
-            if let Some(skip) = skip {
-                gemv_t_into(&mut job.gx, value(skip.w), 3, d, gy);
+            if skip.is_some() {
                 for (dst, &g) in job.gskip_b[c * 3..][..3].iter_mut().zip(gy) {
                     *dst += g;
                 }
-            } else {
-                job.gx.fill(0.0);
             }
             let (z, k, htl) = (&job.z[at..at + h], &job.k[at..at + h], &job.ht[at..at + h]);
             let hp = &job.hp_steps[t * h..(t + 1) * h];
@@ -661,7 +875,6 @@ fn gru_sweep(
             }
             // The reset-product gradient.
             gemv_t_into(&mut job.ggated, value(cell.uh), h, h, d_h);
-            gemv_t_acc_into(&mut job.gx, value(cell.wh), h, d, d_h);
             // mul(k, h_prev) backward, then the k gate's σ'.
             let (d_z, d_k) = d_zk.split_at_mut(h);
             for i in 0..h {
@@ -669,27 +882,29 @@ fn gru_sweep(
                 d_k[i] = ((job.ggated[i] * hp[i]) * k[i]) * (1.0 - k[i]);
             }
             gemv_t_acc_into(&mut job.dhp, value(cell.uk), h, h, d_k);
-            gemv_t_acc_into(&mut job.gx, value(cell.wk), h, d, d_k);
             // z gate σ', then its U/W pullbacks.
             for ((dz, &zp), &zv) in d_z.iter_mut().zip(&job.zpre).zip(z) {
                 *dz = (zp * zv) * (1.0 - zv);
             }
             gemv_t_acc_into(&mut job.dhp, value(cell.uz), h, h, d_z);
-            gemv_t_acc_into(&mut job.gx, value(cell.wz), h, d, d_z);
             let d_t = &job.d_steps[t * 3 * h..(t + 1) * 3 * h];
             for (o, &g) in job.gbias[c * 3 * h..(c + 1) * 3 * h].iter_mut().zip(d_t) {
                 *o += g;
             }
             if cfg.api_mask {
-                // mul(mask_sig, x) backward: g ⊙ x, timestep-descending on
-                // top of the penalty pre-fill.
-                for ((gm, &gxv), &xv) in job.gmask[c * d..(c + 1) * d]
-                    .iter_mut()
-                    .zip(job.gx.iter())
-                    .zip(&xs[job.start + t])
-                {
-                    *gm += gxv * xv;
-                }
+                let (d_zk, d_h) = d_t.split_at(2 * h);
+                let (d_z, d_k) = d_zk.split_at(h);
+                mask_pullback(
+                    &mut job.gmask[c * d..(c + 1) * d],
+                    &mut job.gx,
+                    (&xs[job.start + t], &job.supports[t]),
+                    skip.map(|skip| (value(skip.w), gy)),
+                    [
+                        (value(cell.wh), d_h),
+                        (value(cell.wk), d_k),
+                        (value(cell.wz), d_z),
+                    ],
+                );
             }
             std::mem::swap(&mut job.dh, &mut job.dhp);
         }
@@ -719,66 +934,102 @@ fn gru_sweep(
     }
 }
 
-/// The attention term of expert `e`'s carried-state gradient at every step
-/// of `att` (`[t][element]`): column `e` of `Σ_{e' desc} g_att[e'] ⊗ α_{e'}ᵀ`,
-/// `att[t][r] = Σ_{e' desc} g_att_t[e'][r] · α(e' → e)`. Each row takes one
-/// `h`-wide update per source expert, experts descending, so every lane
-/// sums its products in the tape's order, from `+0.0`.
-fn attention_pullback(att: &mut [f32], slab: &ExpertSlab, g_att_b: &[f32], e: usize) {
-    let (h, e_total) = (slab.hidden_dim(), slab.experts());
-    for (t, row) in att.chunks_exact_mut(h).enumerate() {
-        row.fill(0.0);
-        let g_att_t = &g_att_b[t * e_total * h..(t + 1) * e_total * h];
-        for (s, shard) in slab.shards().iter().enumerate().rev() {
-            let alpha = slab.alpha_toward(s, e);
-            for (e2, &a) in shard.clone().zip(alpha).rev() {
-                for (o, &g) in row.iter_mut().zip(&g_att_t[e2 * h..(e2 + 1) * h]) {
-                    *o += g * a;
-                }
+/// One expert-step's input pull-back, folded into its mask gradient
+/// (`mul(mask_sig, x)`'s backward, timestep-descending on top of the
+/// penalty pre-fill): `g_x̃ = Sᵀ·g_y + W_hᵀ·d_h̃ + W_kᵀ·d_k + W_zᵀ·d_z` in
+/// that order (`skip` is `(S, g_y)` with the skip path), then `gmask +=
+/// g_x̃ ⊙ x`, both only on the blocks of `x`'s support `live`. `gx` is
+/// scratch: outside those blocks it holds whatever it held.
+///
+/// `g_x̃` feeds nothing but this product, which is `±0.0` wherever `x` is
+/// zero, and `gmask` never holds `-0.0` (it starts at `+0.0` or at the
+/// penalty's positive seed), so leaving a zero block out moves no bit of
+/// `gmask` (the kernel module's lemma). A non-finite `g_x̃` at a zero of
+/// `x` is outside the contract, as in the forward.
+fn mask_pullback(
+    gmask: &mut [f32],
+    gx: &mut [f32],
+    (x, live): (&[f32], &Support),
+    skip: Option<(&[f32], &[f32])>,
+    gates: [(&[f32], &[f32]); 3],
+) {
+    let d = x.len();
+    match skip {
+        Some((w, gy)) => gemv_t_live_into(gx, w, gy.len(), d, gy, live),
+        None => {
+            for block in live.blocks() {
+                gx[block].fill(0.0);
             }
+        }
+    }
+    for (w, g) in gates {
+        gemv_t_live_acc_into(gx, w, g.len(), d, g, live);
+    }
+    for block in live.blocks() {
+        for ((gm, &gxv), &xv) in gmask[block.clone()]
+            .iter_mut()
+            .zip(&gx[block.clone()])
+            .zip(&x[block])
+        {
+            *gm += gxv * xv;
         }
     }
 }
 
-/// Folds one batch position's arenas into the store, expert-ascending with
-/// per-expert parameters in registration order — one add per parameter per
-/// batch position, exactly like the tape's `absorb`.
-fn fold_gradients(
-    store: &mut ParamStore,
-    specs: &[ExpertSpec],
-    cfg: &TrainerConfig,
-    b_jobs: &[ShardJob],
+/// Copies every expert's `α` out of `store` into the rows of the
+/// row-major `(experts, experts)` matrix `alpha`, self entries zeroed (the
+/// tape's `mask_out`).
+fn copy_alpha(alpha: &mut [f32], store: &ParamStore, specs: &[ExpertSpec]) {
+    for (e, (row, spec)) in alpha.chunks_exact_mut(specs.len()).zip(specs).enumerate() {
+        row.copy_from_slice(store.value(spec.alpha).data());
+        row[e] = 0.0;
+    }
+}
+
+/// The attention term of the carried-state gradient of experts `targets`
+/// at every step of `att` (`[t][target][element]`): block `t` is
+/// `Σ_{e' desc} α_{e'}[targets] ⊗ g_att_t[e']`, one rank-`E` update
+/// ([`outer_acc_steps_into`], the source experts as its steps, taken
+/// descending) of a zeroed block, whose left operand is columns `targets`
+/// of the row-major `alpha`. Every element sums its products
+/// `α(e' → e) · g_att_t[e'][r]` in the tape's order, from `+0.0`.
+fn attention_pullback(
+    att: &mut [f32],
+    alpha: &[f32],
+    g_att_b: &[f32],
+    targets: Range<usize>,
+    e_total: usize,
+    h: usize,
 ) {
-    let (d, h) = (cfg.input_dim, cfg.hidden_dim);
-    for job in b_jobs {
-        for c in 0..job.count {
-            let spec = &specs[job.lo + c];
-            if cfg.api_mask {
-                store.grad_add_slice(spec.mask, &job.gmask[c * d..(c + 1) * d]);
-            }
-            let cell = &spec.cell;
-            let gw = &job.gw[c * 3 * h * d..(c + 1) * 3 * h * d];
-            store.grad_add_slice(cell.wz, &gw[..h * d]);
-            store.grad_add_slice(cell.wk, &gw[h * d..2 * h * d]);
-            store.grad_add_slice(cell.wh, &gw[2 * h * d..]);
-            let gu = &job.gu_zk[c * 2 * h * h..(c + 1) * 2 * h * h];
-            store.grad_add_slice(cell.uz, &gu[..h * h]);
-            store.grad_add_slice(cell.uk, &gu[h * h..]);
-            store.grad_add_slice(cell.uh, &job.gu_h[c * h * h..(c + 1) * h * h]);
-            let gb = &job.gbias[c * 3 * h..(c + 1) * 3 * h];
-            store.grad_add_slice(cell.bz, &gb[..h]);
-            store.grad_add_slice(cell.bk, &gb[h..2 * h]);
-            store.grad_add_slice(cell.bh, &gb[2 * h..]);
-            if cfg.attention {
-                let e_total = specs.len();
-                store.grad_add_slice(spec.alpha, &job.galpha[c * e_total..(c + 1) * e_total]);
-            }
-            store.grad_add_slice(spec.head.w, &job.ghead_w[c * 6 * h..(c + 1) * 6 * h]);
-            store.grad_add_slice(spec.head.b, &job.ghead_b[c * 3..(c + 1) * 3]);
-            if let Some(skip) = &spec.skip {
-                store.grad_add_slice(skip.w, &job.gskip_w[c * 3 * d..(c + 1) * 3 * d]);
-                store.grad_add_slice(skip.b, &job.gskip_b[c * 3..(c + 1) * 3]);
-            }
+    for (t, block) in att.chunks_exact_mut(targets.len() * h).enumerate() {
+        block.fill(0.0);
+        let g_att_t = &g_att_b[t * e_total * h..(t + 1) * e_total * h];
+        outer_acc_steps_into(block, &alpha[targets.start..], e_total, g_att_t, e_total);
+    }
+}
+
+/// Writes one gradient tensor from its arena block at every batch
+/// position of `jobs`, in batch order: the first position's value `+ 0.0`
+/// (the bits of adding it to a zeroed gradient), then one add per further
+/// position — the tape's `absorb` order. A tensor the backward does not
+/// train is zeroed.
+fn fold(grad: &mut [f32], source: Option<FoldSource>, jobs: &[ShardJob], shard_count: usize) {
+    let Some(FoldSource { shard, arena, at }) = source else {
+        grad.fill(0.0);
+        return;
+    };
+    let mut slots = jobs.iter().skip(shard).step_by(shard_count);
+    let Some(first) = slots.next() else {
+        grad.fill(0.0);
+        return;
+    };
+    let len = grad.len();
+    for (g, &v) in grad.iter_mut().zip(&first.arena(arena)[at..at + len]) {
+        *g = v + 0.0;
+    }
+    for job in slots {
+        for (g, &v) in grad.iter_mut().zip(&job.arena(arena)[at..at + len]) {
+            *g += v;
         }
     }
 }
@@ -868,49 +1119,137 @@ mod tests {
         }
     }
 
-    /// `h`-wide vector updates over all steps give every element the bits
-    /// of its scalar chain: ten experts in two shards, a hidden size no
-    /// vector width divides, `g_att` and `α` laden with `±0.0`, and for
-    /// expert 0 at step 0 a row whose every product is `-0.0` (the case the
-    /// dropped `+ 0.0` is about).
+    /// The rank-`E` pull-back gives every element the bits of its scalar
+    /// chain: ten experts in two shards, and twenty-three in three (8, 8
+    /// and 7 targets over 23 source steps, counts no tile width divides),
+    /// a hidden size no vector width divides, `g_att` and `α` laden with
+    /// `±0.0`, and for expert 0 at step 0 a row whose every product is
+    /// `-0.0` (the case the dropped `+ 0.0` is about).
     #[test]
     fn vector_attention_pullback_matches_the_scalar_chains_bitwise() {
-        let (d, h, experts, steps) = (3, 5, 10, 4);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let mut store = ParamStore::new();
-        let specs: Vec<ExpertSpec> = (0..experts)
-            .map(|i| {
-                let alpha: Vec<f32> = (0..experts).map(|_| zero_laden(&mut rng)).collect();
-                ExpertSpec {
-                    mask: store.add(format!("m{i}"), Tensor::zeros(d, 1)),
-                    cell: GruCell::new(&mut store, &format!("g{i}"), d, h, &mut rng),
-                    alpha: store.add(format!("a{i}"), Tensor::vector(alpha)),
-                    head: Linear::new(&mut store, &format!("h{i}"), 2 * h, 3, &mut rng),
-                    skip: None,
+        for (experts, threads) in [(10, 2), (23, 3)] {
+            let (d, h, steps) = (3, 5, 4);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let mut store = ParamStore::new();
+            let specs: Vec<ExpertSpec> = (0..experts)
+                .map(|i| {
+                    let alpha: Vec<f32> = (0..experts).map(|_| zero_laden(&mut rng)).collect();
+                    ExpertSpec {
+                        mask: store.add(format!("m{i}"), Tensor::zeros(d, 1)),
+                        cell: GruCell::new(&mut store, &format!("g{i}"), d, h, &mut rng),
+                        alpha: store.add(format!("a{i}"), Tensor::vector(alpha)),
+                        head: Linear::new(&mut store, &format!("h{i}"), 2 * h, 3, &mut rng),
+                        skip: None,
+                    }
+                })
+                .collect();
+            let slab = ExpertSlab::pack(&store, &specs, true, true, threads);
+            assert_eq!(slab.shards().len(), threads);
+            let mut g_att: Vec<f32> = (0..steps * experts * h)
+                .map(|_| zero_laden(&mut rng))
+                .collect();
+            // Zeros of the sign opposite to each `α(e2 → 0)`: products `-0.0`.
+            for (s, shard) in slab.shards().iter().enumerate() {
+                for (e2, &a) in shard.clone().zip(slab.alpha_toward(s, 0)) {
+                    g_att[e2 * h] = if a.is_sign_negative() { 0.0 } else { -0.0 };
                 }
-            })
-            .collect();
-        let slab = ExpertSlab::pack(&store, &specs, true, true, 2);
-        assert_eq!(slab.shards().len(), 2);
-        let mut g_att: Vec<f32> = (0..steps * experts * h)
-            .map(|_| zero_laden(&mut rng))
-            .collect();
-        // Zeros of the sign opposite to each `α(e2 → 0)`: products `-0.0`.
-        for (s, shard) in slab.shards().iter().enumerate() {
-            for (e2, &a) in shard.clone().zip(slab.alpha_toward(s, 0)) {
-                g_att[e2 * h] = if a.is_sign_negative() { 0.0 } else { -0.0 };
+            }
+            let mut alpha = vec![f32::NAN; experts * experts];
+            copy_alpha(&mut alpha, &store, &specs);
+            for shard in slab.shards() {
+                let count = shard.len();
+                let mut att = vec![f32::NAN; steps * count * h];
+                attention_pullback(&mut att, &alpha, &g_att, shard.clone(), experts, h);
+                for (c, e) in shard.clone().enumerate() {
+                    for t in 0..steps {
+                        for r in 0..h {
+                            let want = attention_pullback_scalar(&slab, &g_att, e, t, r);
+                            assert_eq!(
+                                att[(t * count + c) * h + r].to_bits(),
+                                want.to_bits(),
+                                "{experts} experts: e {e} t {t} r {r}"
+                            );
+                        }
+                    }
+                }
             }
         }
-        let mut att = vec![f32::NAN; steps * h];
-        for e in 0..experts {
-            attention_pullback(&mut att, &slab, &g_att, e);
-            for t in 0..steps {
-                for r in 0..h {
-                    let want = attention_pullback_scalar(&slab, &g_att, e, t, r);
+    }
+
+    /// [`mask_pullback`] as the step loop computed it before it walked the
+    /// support: every output of every product, and every term of `g ⊙ x`.
+    fn mask_pullback_full(
+        gmask: &mut [f32],
+        gx: &mut [f32],
+        x: &[f32],
+        skip: Option<(&[f32], &[f32])>,
+        gates: [(&[f32], &[f32]); 3],
+    ) {
+        let d = x.len();
+        match skip {
+            Some((w, gy)) => gemv_t_into(gx, w, gy.len(), d, gy),
+            None => gx.fill(0.0),
+        }
+        for (w, g) in gates {
+            gemv_t_acc_into(gx, w, g.len(), d, g);
+        }
+        for ((gm, &gxv), &xv) in gmask.iter_mut().zip(gx.iter()).zip(x) {
+            *gm += gxv * xv;
+        }
+    }
+
+    /// The input pull-back over the support leaves the mask gradient with
+    /// the full walk's bits: supports that are empty (zeros of both signs),
+    /// single-term, dense, and live only in a ragged last block, with and
+    /// without the skip path, gate gradients laden with `±0.0`, and mask
+    /// gradients that start at `+0.0` or at a positive penalty seed.
+    #[test]
+    fn input_pullback_over_the_support_matches_the_full_walk_bitwise() {
+        let (d, h) = (13, 5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let mut draw = |n: usize| -> Vec<f32> { (0..n).map(|_| zero_laden(&mut rng)).collect() };
+        let (skip_w, gy) = (draw(3 * d), draw(3));
+        let (w, g): (Vec<Vec<f32>>, Vec<Vec<f32>>) = (0..3).map(|_| (draw(h * d), draw(h))).unzip();
+        let mut single = vec![0.0f32; d];
+        single[4] = 2.5;
+        let mut ragged = vec![-0.0f32; d];
+        ragged[9] = 1.0;
+        ragged[12] = -3.0;
+        let windows = [
+            (
+                "empty",
+                (0..d)
+                    .map(|j| if j % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+            ),
+            ("single", single),
+            (
+                "dense",
+                (0..d).map(|j| 0.5 + j as f32).collect::<Vec<f32>>(),
+            ),
+            ("ragged", ragged),
+        ];
+        let mut live = Support::with_capacity(d);
+        for (name, x) in &windows {
+            live.fill(x);
+            for with_skip in [false, true] {
+                for seed in [0.0f32, 0.125] {
+                    let skip = with_skip.then_some((&skip_w[..], &gy[..]));
+                    let gates = [
+                        (&w[0][..], &g[0][..]),
+                        (&w[1][..], &g[1][..]),
+                        (&w[2][..], &g[2][..]),
+                    ];
+                    let (mut got, mut want) = (vec![seed; d], vec![seed; d]);
+                    for _ in 0..2 {
+                        mask_pullback(&mut got, &mut vec![f32::NAN; d], (x, &live), skip, gates);
+                        mask_pullback_full(&mut want, &mut vec![0.0; d], x, skip, gates);
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
-                        att[t * h + r].to_bits(),
-                        want.to_bits(),
-                        "e {e} t {t} r {r}"
+                        bits(&got),
+                        bits(&want),
+                        "{name}, skip {with_skip}, seed {seed}"
                     );
                 }
             }

@@ -8,6 +8,7 @@
 //! | [`gemv_batch_into`] | `a_i · x_i` per item, row-major | `ExpertSlab::heads` (quantile heads) |
 //! | [`gemm_into`] | `a · b` | `ExpertSlab::heads` (attention `H_t · α`) |
 //! | [`gemv_t_into`], [`gemv_t_acc_into`] | `aᵀ · x`, set or added | `AnalyticTrainer` (pull-backs) |
+//! | [`gemv_t_live_into`], [`gemv_t_live_acc_into`] | the same on the output blocks a [`Support`] holds terms in | `AnalyticTrainer` (the input pull-back, which only feeds `g ⊙ x`) |
 //! | [`outer_acc_steps_into`] | `out += Σ_t a_t ⊗ b_t`, `t` descending | `AnalyticTrainer` (weight gradients, one call per subsequence) |
 //! | [`gemv_into`] | `a · x` | under [`gemv_batch_into`] |
 //! | [`gate_sigmoid_into`], [`gate_tanh_into`] | `act((a + b) + c)` per element | `ExpertSlab::step_range` (`z`, `k`, `h̃`) |
@@ -57,6 +58,8 @@
 
 mod act;
 
+use std::ops::Range;
+
 pub use act::{gate_sigmoid_into, gate_tanh_into, sigmoid, tanh};
 
 /// Number of parallel accumulator lanes in every contraction kernel.
@@ -86,6 +89,8 @@ pub struct Support {
     walk: Vec<u32>,
     dim: usize,
     nnz: usize,
+    /// Aligned `LANES`-chunks holding at least one term.
+    blocks: usize,
 }
 
 impl Support {
@@ -96,6 +101,7 @@ impl Support {
             walk: Vec::with_capacity(dim),
             dim: 0,
             nnz: 0,
+            blocks: 0,
         }
     }
 
@@ -114,10 +120,12 @@ impl Support {
         self.walk.clear();
         self.dim = x.len();
         self.nnz = 0;
+        self.blocks = 0;
         for (c, chunk) in x.chunks(LANES).enumerate() {
             let base = (c * LANES) as u32;
             let live = chunk.iter().filter(|&&v| v != 0.0).count();
             self.nnz += live;
+            self.blocks += usize::from(live > 0);
             if live >= WHOLE_CHUNK_MIN && chunk.len() == LANES {
                 self.walk.push(base | WHOLE_CHUNK);
             } else {
@@ -135,6 +143,26 @@ impl Support {
     /// Number of non-zero entries of the vector the support was filled from.
     pub fn nnz(&self) -> usize {
         self.nnz
+    }
+
+    /// The aligned `LANES`-wide blocks of the vector that hold a term,
+    /// ascending, each as the index range it covers (the last block of a
+    /// vector whose length is no multiple of `LANES` is shorter).
+    pub fn blocks(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut last = usize::MAX;
+        self.walk.iter().filter_map(move |&entry| {
+            let block = (entry & !WHOLE_CHUNK) as usize / LANES;
+            (block != last).then(|| {
+                last = block;
+                block * LANES..((block + 1) * LANES).min(self.dim)
+            })
+        })
+    }
+
+    /// Whether every block of the vector holds a term, so that a walk over
+    /// [`blocks`](Self::blocks) visits all of it.
+    fn every_block_live(&self) -> bool {
+        self.blocks == self.dim.div_ceil(LANES)
     }
 }
 
@@ -967,6 +995,70 @@ pub fn gemv_t_acc_into(out: &mut [f32], a: &[f32], k: usize, m: usize, x: &[f32]
     gemv_t_impl(out, a, k, m, x, |o, v| *o += v);
 }
 
+/// [`gemv_t_into`] over the output blocks `live` names: every aligned
+/// `LANES`-wide block of `out` that holds a term of `live` (a support
+/// filled from an `m`-vector) gets exactly the bits [`gemv_t_into`] gives
+/// it, and every other element of `out` is left as it was. A block's
+/// elements are computed together from all `k` terms, so which blocks are
+/// visited changes no bit of the ones that are. When every block is live
+/// this is the full walk.
+///
+/// The analytic backward's input pull-back only feeds `g ⊙ x`, which is
+/// `±0.0` wherever `x` is zero, so it computes the blocks of `x`'s support.
+///
+/// # Panics
+///
+/// Panics on shape mismatch, `live.dim() != m` included.
+pub fn gemv_t_live_into(out: &mut [f32], a: &[f32], k: usize, m: usize, x: &[f32], live: &Support) {
+    gemv_t_live(out, a, k, m, x, live, |o, v| *o = v);
+}
+
+/// Accumulating [`gemv_t_live_into`]: `out[i] += (a^T * x)[i]` on the
+/// blocks `live` names, each contribution the bits of [`gemv_t_acc_into`].
+///
+/// # Panics
+///
+/// As [`gemv_t_live_into`].
+pub fn gemv_t_live_acc_into(
+    out: &mut [f32],
+    a: &[f32],
+    k: usize,
+    m: usize,
+    x: &[f32],
+    live: &Support,
+) {
+    gemv_t_live(out, a, k, m, x, live, |o, v| *o += v);
+}
+
+/// Shared body of [`gemv_t_live_into`] / [`gemv_t_live_acc_into`].
+#[inline(always)]
+fn gemv_t_live(
+    out: &mut [f32],
+    a: &[f32],
+    k: usize,
+    m: usize,
+    x: &[f32],
+    live: &Support,
+    store: impl Fn(&mut f32, f32),
+) {
+    // Hard checks: the AVX2 tile reads `a` through a raw pointer.
+    assert_eq!(a.len(), k * m, "kernel::gemv_t_live: bad matrix length");
+    assert_eq!(x.len(), k, "kernel::gemv_t_live: bad vector length");
+    assert_eq!(out.len(), m, "kernel::gemv_t_live: bad output length");
+    assert_eq!(live.dim, m, "kernel::gemv_t_live: bad support");
+    if live.every_block_live() {
+        gemv_t_impl(out, a, k, m, x, store);
+        return;
+    }
+    for block in live.blocks() {
+        if block.len() == LANES {
+            gemv_t_block(out, a, m, x, block.start, &store);
+        } else {
+            gemv_t_tail(out, a, k, m, x, block.start, &store);
+        }
+    }
+}
+
 /// Shared body of [`gemv_t_into`] / [`gemv_t_acc_into`]: computes each
 /// contract-ordered output element and hands it to `store` (plain
 /// assignment or `+=`). Full-width blocks run the [`gemm_tn_block`] tile,
@@ -984,42 +1076,70 @@ fn gemv_t_impl(
     debug_assert_eq!(a.len(), k * m, "kernel::gemv_t: bad matrix length");
     debug_assert_eq!(x.len(), k, "kernel::gemv_t: bad vector length");
     debug_assert_eq!(out.len(), m, "kernel::gemv_t: bad output length");
-    let mut vals = [0.0f32; LANES];
     let mut ib = 0;
     while ib + LANES <= m {
-        gemm_tn_block(&mut vals, a, ib, m, x);
-        for (o, &v) in out[ib..ib + LANES].iter_mut().zip(vals.iter()) {
-            store(o, v);
-        }
+        gemv_t_block(out, a, m, x, ib, &store);
         ib += LANES;
     }
     if ib < m {
-        let w = m - ib;
-        let chunks = k / LANES;
-        let mut acc = [[0.0f32; LANES]; LANES];
-        for c in 0..chunks {
-            for (l, acc_l) in acc.iter_mut().enumerate() {
-                let kk = c * LANES + l;
-                let xv = x[kk];
-                let a_blk = &a[kk * m + ib..kk * m + ib + w];
-                for (ii, &av) in a_blk.iter().enumerate() {
-                    acc_l[ii] += av * xv;
-                }
-            }
-        }
-        for (l, kk) in (chunks * LANES..k).enumerate() {
+        gemv_t_tail(out, a, k, m, x, ib, &store);
+    }
+}
+
+/// The full `LANES`-wide output block at `ib` of a transposed GEMV.
+#[inline(always)]
+fn gemv_t_block(
+    out: &mut [f32],
+    a: &[f32],
+    m: usize,
+    x: &[f32],
+    ib: usize,
+    store: &impl Fn(&mut f32, f32),
+) {
+    let mut vals = [0.0f32; LANES];
+    gemm_tn_block(&mut vals, a, ib, m, x);
+    for (o, &v) in out[ib..ib + LANES].iter_mut().zip(vals.iter()) {
+        store(o, v);
+    }
+}
+
+/// The ragged last output block, `ib..m`, of a transposed GEMV: the
+/// [`gemm_tn_block`] contract at dynamic width.
+#[inline(always)]
+fn gemv_t_tail(
+    out: &mut [f32],
+    a: &[f32],
+    k: usize,
+    m: usize,
+    x: &[f32],
+    ib: usize,
+    store: &impl Fn(&mut f32, f32),
+) {
+    let w = m - ib;
+    let chunks = k / LANES;
+    let mut acc = [[0.0f32; LANES]; LANES];
+    for c in 0..chunks {
+        for (l, acc_l) in acc.iter_mut().enumerate() {
+            let kk = c * LANES + l;
             let xv = x[kk];
             let a_blk = &a[kk * m + ib..kk * m + ib + w];
             for (ii, &av) in a_blk.iter().enumerate() {
-                acc[l][ii] += av * xv;
+                acc_l[ii] += av * xv;
             }
         }
-        for ii in 0..w {
-            store(
-                &mut out[ib + ii],
-                reduce(core::array::from_fn(|l| acc[l][ii])),
-            );
+    }
+    for (l, kk) in (chunks * LANES..k).enumerate() {
+        let xv = x[kk];
+        let a_blk = &a[kk * m + ib..kk * m + ib + w];
+        for (ii, &av) in a_blk.iter().enumerate() {
+            acc[l][ii] += av * xv;
         }
+    }
+    for ii in 0..w {
+        store(
+            &mut out[ib + ii],
+            reduce(core::array::from_fn(|l| acc[l][ii])),
+        );
     }
 }
 
@@ -1337,6 +1457,49 @@ mod tests {
                 single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "item {i}"
             );
+        }
+    }
+
+    #[test]
+    fn live_blocks_get_the_full_walks_bits_and_nothing_else_is_written() {
+        for (k, m) in [(5, 3), (8, 16), (20, 13), (16, 70)] {
+            let a = ramp(k * m, |i| (i as f32 * 0.23).sin() - 0.1);
+            let x = ramp(k, |i| (i as f32 * 0.17).cos() + 0.3);
+            let base = ramp(m, |i| (i as f32 * 0.31).sin() * 0.7);
+            let (mut set, mut acc) = (vec![0.0f32; m], base.clone());
+            gemv_t_into(&mut set, &a, k, m, &x);
+            gemv_t_acc_into(&mut acc, &a, k, m, &x);
+            // Empty, one term in the first block, the ragged last block
+            // only, every block.
+            let last = m - 1;
+            for live_at in [vec![], vec![1], vec![last], (0..m).collect::<Vec<_>>()] {
+                let v: Vec<f32> = (0..m)
+                    .map(|i| f32::from(u8::from(live_at.contains(&i))))
+                    .collect();
+                let mut live = Support::with_capacity(m);
+                live.fill(&v);
+                let in_live = |i: usize| live.blocks().any(|b| b.contains(&i));
+                let mut got_set = vec![f32::NAN; m];
+                gemv_t_live_into(&mut got_set, &a, k, m, &x, &live);
+                let mut got_acc = base.clone();
+                gemv_t_live_acc_into(&mut got_acc, &a, k, m, &x, &live);
+                for i in 0..m {
+                    let (want_set, want_acc) = match in_live(i) {
+                        true => (set[i], acc[i]),
+                        false => (f32::NAN, base[i]),
+                    };
+                    assert_eq!(
+                        got_set[i].to_bits(),
+                        want_set.to_bits(),
+                        "({k},{m}) {live_at:?} set {i}"
+                    );
+                    assert_eq!(
+                        got_acc[i].to_bits(),
+                        want_acc.to_bits(),
+                        "({k},{m}) {live_at:?} acc {i}"
+                    );
+                }
+            }
         }
     }
 

@@ -39,7 +39,7 @@
 //! assert_eq!(y, [-2.0]);
 //!
 //! // A trainer writes dL/dw into the store; the optimizer reads it back.
-//! store.grad_add_slice(w, &x); // d(w·x)/dw = x^T
+//! store.grad_mut(w).data_mut().copy_from_slice(&x); // d(w·x)/dw = x^T
 //! assert_eq!(store.grad(w).data(), &[2.0, 3.0]);
 //! ```
 

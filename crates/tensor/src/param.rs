@@ -19,9 +19,9 @@ impl ParamId {
 ///
 /// Parameters persist for the lifetime of a model while everything a
 /// training step computes is transient, so they live here: layers hold
-/// [`ParamId`]s, a trainer accumulates gradients into the store
-/// ([`ParamStore::grad_add_slice`]) and an optimizer updates the values in
-/// place ([`ParamStore::par_update`]).
+/// [`ParamId`]s, a trainer writes gradients into the store and an optimizer
+/// updates the values in place, one pass per tensor
+/// ([`ParamStore::values_grads_mut`]).
 ///
 /// Serialised, a store is its values and names; every trainer zeroes the
 /// gradients before it reads them, so they are not written out and a
@@ -137,14 +137,26 @@ impl ParamStore {
 
     /// Global L2 norm over all gradients.
     pub fn grad_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(|g| {
-                let n = g.norm();
-                n * n
-            })
-            .sum::<f32>()
-            .sqrt()
+        global_norm(self.grads.iter().map(Tensor::norm))
+    }
+
+    /// [`grad_norm`](Self::grad_norm) with the per-tensor norms computed
+    /// across `pool` into `norms` (one slot per parameter). The norms are
+    /// summed in parameter order, so the result has the serial bits at any
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `norms` does not hold one slot per parameter.
+    pub fn grad_norm_with(&self, pool: &crate::pool::Pool, norms: &mut [f32]) -> f32 {
+        assert_eq!(
+            norms.len(),
+            self.grads.len(),
+            "ParamStore::grad_norm_with: bad norms"
+        );
+        let grads = &self.grads;
+        pool.for_each_mut(norms, |i, n| *n = grads[i].norm());
+        global_norm(norms.iter().copied())
     }
 
     /// Mutable access to every accumulated gradient, in parameter order.
@@ -153,29 +165,6 @@ impl ParamStore {
     /// materializing a list of ids (which would allocate every step).
     pub fn grads_mut(&mut self) -> &mut [Tensor] {
         &mut self.grads
-    }
-
-    /// Adds a raw gradient slice elementwise into the slot for `id`.
-    ///
-    /// The analytic training engine accumulates gradients in flat per-shard
-    /// arenas; this is its fold entry point. Callers must fold arenas in a
-    /// fixed order (batch position, then shard, then expert) independent of
-    /// the thread schedule, so accumulated gradients are bit-for-bit
-    /// identical at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` does not match the parameter's element count.
-    pub fn grad_add_slice(&mut self, id: ParamId, data: &[f32]) {
-        let g = self.grads[id.0].data_mut();
-        assert_eq!(
-            g.len(),
-            data.len(),
-            "ParamStore::grad_add_slice: length mismatch"
-        );
-        for (gi, &di) in g.iter_mut().zip(data.iter()) {
-            *gi += di;
-        }
     }
 
     /// Scales all gradients so the global norm is at most `max_norm`.
@@ -198,18 +187,16 @@ impl ParamStore {
         &self.grads
     }
 
-    /// Applies `f(index, value, grad)` to every parameter, fanning the
-    /// disjoint per-parameter updates out across `pool`. Used by optimizers;
-    /// updates are elementwise-independent, so the result is identical at
-    /// any thread count.
-    pub fn par_update(
-        &mut self,
-        pool: &crate::pool::Pool,
-        f: impl Fn(usize, &mut Tensor, &Tensor) + Sync,
-    ) {
-        let grads = &self.grads;
-        pool.for_each_mut(&mut self.values, |i, v| f(i, v, &grads[i]));
+    /// Every value and every gradient, both in parameter order: what an
+    /// optimizer's one pass per tensor writes.
+    pub fn values_grads_mut(&mut self) -> (&mut [Tensor], &mut [Tensor]) {
+        (&mut self.values, &mut self.grads)
     }
+}
+
+/// `sqrt(Σ n²)` over per-tensor norms, summed in the order given.
+fn global_norm(norms: impl Iterator<Item = f32>) -> f32 {
+    norms.map(|n| n * n).sum::<f32>().sqrt()
 }
 
 impl Default for ParamStore {
