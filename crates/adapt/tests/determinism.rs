@@ -9,6 +9,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{
     adapt_config, assert_outputs_bitwise_equal, assert_params_bitwise_equal, clone_model,
     dataset_with_drift, load, parameter_values, run_adaptive, stream_of, train_config, trained,
@@ -16,6 +18,7 @@ use common::{
 use deeprest_adapt::{AdaptiveCheckpoint, AdaptivePipeline};
 use deeprest_core::train::SEGMENT_LEN;
 use deeprest_core::DeepRest;
+use deeprest_fault::{self as fault, FaultPlan};
 use deeprest_metrics::{MetricKey, ResourceKind, TimeSeries};
 use deeprest_serve::{CheckpointStore, Driver};
 
@@ -167,6 +170,33 @@ fn adapter_checkpoints_survive_the_framed_store() {
     assert_outputs_bitwise_equal(&outputs, &expected);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restore rebuilds the model and packs its slab, and the pack is no
+/// fault site: under a plan that panics every pool worker, parsing and
+/// restoring an adaptive checkpoint still return, with the state saved.
+#[test]
+fn restore_is_no_pool_fault_site() {
+    let (model, interner, traces, metrics) = trained(48);
+    let stream = stream_of(&traces);
+    let config = adapt_config();
+    let mut pipeline = AdaptivePipeline::new(model, &interner, metrics.clone(), config);
+    for t in &stream[..stream.len() / 2] {
+        pipeline.ingest(t.clone()).expect("ingest");
+    }
+    assert!(
+        pipeline.updates_run() >= 1,
+        "the checkpoint must hold an update"
+    );
+    let json = pipeline.checkpoint().to_json().expect("json");
+
+    let plan = Arc::new(FaultPlan::new(0).always("pool.worker"));
+    let restored = fault::with_plan(plan, || {
+        let checkpoint = AdaptiveCheckpoint::from_json(&json).expect("parse");
+        AdaptivePipeline::restore(&interner, metrics.clone(), config, checkpoint)
+    })
+    .expect("restore");
+    assert_eq!(restored.checkpoint().to_json().expect("json"), json);
 }
 
 #[test]

@@ -257,10 +257,15 @@ fn offer<D: Driver>(
     t: TimestampedTrace,
     unserved: &mut Unserved,
 ) -> Vec<WindowOutput> {
+    let mut next = Some(t);
     for _ in 0..ATTEMPTS {
-        match pipeline.ingest(t.clone()) {
+        let Some(t) = next.take() else { break };
+        // Only an injected fault fails an ingest without consuming the
+        // arrival; keep a copy to offer again only while a plan is armed.
+        let backup = fault::enabled().then(|| t.clone());
+        match pipeline.ingest(t) {
             Ok(outputs) => return outputs,
-            Err(ServeError::Ingest(_)) => continue,
+            Err(ServeError::Ingest(_)) => next = backup,
             Err(ServeError::UnknownSymbol(_)) => break,
             Err(ServeError::Step { .. } | ServeError::PoisonedState { .. }) => {
                 unserved.step_failures += 1;

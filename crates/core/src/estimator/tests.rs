@@ -268,6 +268,22 @@ fn model_survives_json_round_trip() {
     }
 }
 
+/// Loading a model packs its slab, and the pack is no fault site: under a
+/// plan that panics every pool worker, `from_json` still returns the
+/// model, not a panic.
+#[test]
+fn from_json_is_no_pool_fault_site() {
+    use deeprest_fault::{self as fault, FaultPlan};
+    use std::sync::Arc;
+
+    let (i, traces, metrics) = tiny_dataset(48);
+    let (model, _) = DeepRest::fit(&traces, &metrics, &i, quick_config().with_epochs(1));
+    let json = model.to_json().unwrap();
+    let plan = Arc::new(FaultPlan::new(0).always("pool.worker"));
+    let back = fault::with_plan(plan, || DeepRest::from_json(&json)).expect("loads");
+    assert_eq!(back.to_json().unwrap(), json);
+}
+
 #[test]
 fn from_json_refuses_tables_it_cannot_index() {
     let (i, traces, metrics) = tiny_dataset(16);

@@ -47,7 +47,7 @@ use deeprest_nn::{
     Adam, AnalyticTrainer, Batch, GruCell, Linear, Optimizer, Sgd, SlotStats, TrainerConfig,
 };
 use deeprest_telemetry as telemetry;
-use deeprest_tensor::{ParamStore, Tensor};
+use deeprest_tensor::{ParamId, ParamStore, Tensor};
 use deeprest_trace::window::WindowedTraces;
 use deeprest_trace::Interner;
 use rand::rngs::StdRng;
@@ -621,8 +621,7 @@ impl std::error::Error for UpdateError {}
 /// serve from the model (or checkpoint it) between updates.
 pub struct OnlineUpdater {
     trainer: AnalyticTrainer,
-    /// Plain SGD with zero momentum (stateless), keeping each step's
-    /// starting values for a bit-exact rollback.
+    /// Plain SGD with zero momentum: stateless.
     opt: Optimizer,
     experts: usize,
     dim: usize,
@@ -632,6 +631,11 @@ pub struct OnlineUpdater {
     targets: Vec<Vec<f32>>,
     /// Subsequence starts of the staged batch.
     batch: Vec<usize>,
+    /// Pre-step parameter snapshot for bit-exact rollback.
+    backup: Vec<Vec<f32>>,
+    /// Parameter ids, collected once (iterating `store.ids()` holds an
+    /// immutable borrow that would conflict with in-place mutation).
+    ids: Vec<ParamId>,
 }
 
 impl OnlineUpdater {
@@ -649,14 +653,21 @@ impl OnlineUpdater {
         assert!(experts > 0, "OnlineUpdater: model has no experts");
         let dim = model.features.dim();
         let total = SEGMENT_SLOTS * SEGMENT_LEN;
+        let ids: Vec<ParamId> = model.store.ids().collect();
+        let backup = ids
+            .iter()
+            .map(|&id| vec![0.0f32; model.store.value(id).data().len()])
+            .collect();
         Self {
             trainer: model.trainer(SEGMENT_LEN, SEGMENT_SLOTS),
-            opt: Optimizer::from(Sgd::new(UPDATE_LR, 0.0)).with_rollback(),
+            opt: Optimizer::from(Sgd::new(UPDATE_LR, 0.0)),
             experts,
             dim,
             xs: vec![vec![0.0; dim]; total],
             targets: vec![vec![0.0; total]; experts],
             batch: Vec::with_capacity(SEGMENT_SLOTS),
+            backup,
+            ids,
         }
     }
 
@@ -736,6 +747,11 @@ impl OnlineUpdater {
         self.batch
             .extend((0..segments.len()).map(|s| s * SEGMENT_LEN));
 
+        // Pre-step snapshot: rollback target for poisoned updates.
+        for (buf, &id) in self.backup.iter_mut().zip(self.ids.iter()) {
+            buf.copy_from_slice(model.store.value(id).data());
+        }
+
         let staged = segments.len() * SEGMENT_LEN;
         let (mut loss_sum, mut terms) = (0.0f32, 0usize);
         let batch = Batch {
@@ -743,8 +759,6 @@ impl OnlineUpdater {
             targets: &self.targets,
             starts: &self.batch,
         };
-        // The optimizer's pass keeps each tensor's pre-step values (the
-        // rollback target) and counts the tensors it left non-finite.
         let stats = model.train_batch(&mut self.trainer, &mut self.opt, batch);
         for slot in stats {
             loss_sum += slot.loss_sum;
@@ -753,23 +767,20 @@ impl OnlineUpdater {
 
         // Post-step validation: an injected parameter poison (or a numeric
         // blow-up that slipped past the optimizer's gradient sanitizer)
-        // must never reach serving. Roll back bit-for-bit. An armed plan
-        // counts `adapt.update.poison` hits in parameter order, so the probe
-        // and the count run serially after the step.
-        let poisoned = if fault::enabled() {
-            let mut poisoned = 0usize;
-            for value in model.store.values_grads_mut().0 {
-                let data = value.data_mut();
-                fault::poison_f32s("adapt.update.poison", data);
-                poisoned += usize::from(data.iter().any(|v| !v.is_finite()));
+        // must never reach serving. Roll back bit-for-bit.
+        let mut poisoned = 0usize;
+        for &id in &self.ids {
+            let data = model.store.value_mut(id).data_mut();
+            fault::poison_f32s("adapt.update.poison", data);
+            if data.iter().any(|v| !v.is_finite()) {
+                poisoned += 1;
             }
-            poisoned
-        } else {
-            self.opt.nonfinite()
-        };
+        }
         if poisoned > 0 {
             // Back to the snapshot, and the pack follows the store.
-            self.opt.roll_back(&mut model.store);
+            for (buf, &id) in self.backup.iter().zip(self.ids.iter()) {
+                model.store.value_mut(id).data_mut().copy_from_slice(buf);
+            }
             model.slab.repack(&model.store);
             telemetry::counter("adapt.rollback", 1);
             return Err(UpdateError::PoisonedRolledBack { tensors: poisoned });

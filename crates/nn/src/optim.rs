@@ -9,11 +9,11 @@
 //! in this file), and no element depends on another, so the bits are the
 //! same at any pool width.
 //!
-//! One probe cannot ride along: `optim.grad` poisons gradients by hit
+//! One probe needs an order: `optim.grad` poisons gradients by hit
 //! number, and a plan's hits are counted in the order the probe is passed.
-//! When a plan is armed the rescale and the probe run first, serially and
-//! in parameter order as they always did, and the fused pass then finds
-//! the gradients rescaled.
+//! When a plan is armed the pass runs as one run, in parameter order, and
+//! each tensor meets the probe after its rescale and before its finite
+//! check, as it always did.
 
 use deeprest_fault as fault;
 use deeprest_telemetry as telemetry;
@@ -60,34 +60,36 @@ enum Update {
 
 impl Update {
     /// The whole step of one tensor: rescale by the clip's `scale` (if
-    /// any) while folding finiteness over every element; zero the gradient
+    /// any) while folding finiteness over every element, then let an armed
+    /// plan's `optim.grad` probe poison the gradient; zero the gradient
     /// when any element is non-finite (a plain SGD step is then a no-op,
-    /// momentum and Adam state a pure decay, all finite); keep the values;
-    /// update. `first` is Sgd's velocity or Adam's first moment (empty for
-    /// plain SGD), `second` Adam's second moment (empty otherwise), and
-    /// `before` where the values from before the step go, when they are
-    /// kept. Returns whether the gradient was zeroed and whether a kept
-    /// tensor holds a non-finite value after the step.
+    /// momentum and Adam state a pure decay, all finite); update. `first`
+    /// is Sgd's velocity or Adam's first moment (empty for plain SGD),
+    /// `second` Adam's second moment (empty otherwise). Returns whether the
+    /// gradient was zeroed.
     fn tensor(
         self,
         scale: Option<f32>,
         value: &mut [f32],
         grad: &mut [f32],
         (first, second): (&mut [f32], &mut [f32]),
-        before: Option<&mut Vec<f32>>,
-    ) -> (bool, bool) {
+    ) -> bool {
         // Not `all`: a fold the compiler can run eight lanes wide.
-        let finite = match scale {
+        let all_finite = |grad: &[f32]| grad.iter().fold(true, |ok, g| ok & g.is_finite());
+        let mut finite = match scale {
             Some(s) => grad.iter_mut().fold(true, |ok, g| {
                 *g *= s;
                 ok & g.is_finite()
             }),
-            None => grad.iter().fold(true, |ok, g| ok & g.is_finite()),
+            None => all_finite(grad),
         };
+        if fault::enabled() {
+            fault::poison_f32s("optim.grad", grad);
+            finite = finite && all_finite(grad);
+        }
         if !finite {
             grad.fill(0.0);
         }
-        let kept = before.map(|b| b.copy_from_slice(value)).is_some();
         match self {
             Self::Sgd { lr } => {
                 for (x, &g) in value.iter_mut().zip(grad.iter()) {
@@ -117,8 +119,7 @@ impl Update {
                 }
             }
         }
-        let nonfinite = kept && !value.iter().fold(true, |ok, x| ok & x.is_finite());
-        (!finite, nonfinite)
+        !finite
     }
 }
 
@@ -130,9 +131,7 @@ struct Run<'a> {
     grads: &'a mut [Tensor],
     first: &'a mut [Tensor],
     second: &'a mut [Tensor],
-    before: &'a mut [Vec<f32>],
     skipped: u64,
-    nonfinite: usize,
 }
 
 /// Tensor `j` of a rule's state, or nothing when the rule keeps none.
@@ -140,41 +139,28 @@ fn state_of(state: &mut [Tensor], j: usize) -> &mut [f32] {
     state.get_mut(j).map_or(&mut [], Tensor::data_mut)
 }
 
-/// One step of `update` over every parameter of `store`, state tensors
-/// (`first`, `second`; empty when the rule keeps none) and kept values
-/// (`before`; empty when none are kept) parallel to it: the clip's `scale`,
-/// the `optim.grad` probe, the finite check and the update, one fused pass
-/// per tensor fanned out in runs of about equal element count. Returns the
-/// number of tensors holding a non-finite value after the step (counted
-/// only where values are kept).
+/// One step of `update` over every parameter of `store` and the state
+/// tensors (`first`, `second`; empty when the rule keeps none) parallel to
+/// it: the clip's `scale`, the finite check and the update, one fused pass
+/// per tensor fanned out in runs of about equal element count.
 fn fused_step(
     store: &mut ParamStore,
     pool: &Pool,
     update: Update,
     scale: Option<f32>,
     state: (&mut [Tensor], &mut [Tensor]),
-    before: &mut [Vec<f32>],
-) -> usize {
-    // The probe counts hits in the order it is passed, so an armed plan
-    // sees it serially, in parameter order, after the rescale.
-    let scale = if fault::enabled() {
-        for grad in store.values_grads_mut().1 {
-            if let Some(s) = scale {
-                grad.scale_assign(s);
-            }
-            fault::poison_f32s("optim.grad", grad.data_mut());
-        }
-        None
-    } else {
-        scale
-    };
-
+) {
     let (total, n) = (store.scalar_count(), store.len());
-    let (values, grads) = store.values_grads_mut();
-    let parts = pool.threads().min(MAX_RUNS).min(n).max(1);
+    // An armed plan counts `optim.grad` hits in the order the probe is
+    // passed: one run, in parameter order, on this thread.
+    let parts = if fault::enabled() {
+        1
+    } else {
+        pool.threads().min(MAX_RUNS).min(n).max(1)
+    };
+    let (mut values, mut grads) = store.values_grads_mut();
+    let (mut first, mut second) = state;
     let mut runs: [Run<'_>; MAX_RUNS] = Default::default();
-    let (mut values, mut grads) = (values, grads);
-    let (mut first, mut second, mut before) = (state.0, state.1, before);
     let (mut at, mut acc) = (0, 0);
     for (r, run) in runs[..parts].iter_mut().enumerate() {
         let start = at;
@@ -188,32 +174,25 @@ fn fused_step(
             grads: split_front(&mut grads, len),
             first: split_front(&mut first, len),
             second: split_front(&mut second, len),
-            before: split_front(&mut before, len),
             skipped: 0,
-            nonfinite: 0,
         };
     }
     pool.for_each_mut(&mut runs[..parts], |_, run| {
         for j in 0..run.values.len() {
-            let (skipped, nonfinite) = update.tensor(
+            let skipped = update.tensor(
                 scale,
                 run.values[j].data_mut(),
                 run.grads[j].data_mut(),
                 (state_of(run.first, j), state_of(run.second, j)),
-                run.before.get_mut(j),
             );
             run.skipped += u64::from(skipped);
-            run.nonfinite += usize::from(nonfinite);
         }
     });
-    let runs = &runs[..parts];
-    let skipped = runs.iter().map(|r| r.skipped).sum::<u64>();
-    let nonfinite = runs.iter().map(|r| r.nonfinite).sum();
+    let skipped = runs[..parts].iter().map(|r| r.skipped).sum::<u64>();
     if skipped > 0 {
         telemetry::counter("optim.skipped_nonfinite", skipped);
     }
     record_step(store);
-    nonfinite
 }
 
 /// Stochastic gradient descent with optional classical momentum.
@@ -265,16 +244,10 @@ impl Sgd {
     /// `pool`. Each tensor's update touches only its own elements, so the
     /// result is bit-identical to the serial [`Sgd::step`] at any width.
     pub fn step_with(&mut self, store: &mut ParamStore, pool: &Pool) {
-        self.apply(store, pool, None, &mut []);
+        self.apply(store, pool, None);
     }
 
-    fn apply(
-        &mut self,
-        store: &mut ParamStore,
-        pool: &Pool,
-        scale: Option<f32>,
-        before: &mut [Vec<f32>],
-    ) -> usize {
+    fn apply(&mut self, store: &mut ParamStore, pool: &Pool, scale: Option<f32>) {
         self.ensure_state(store);
         let (lr, momentum) = (self.lr, self.momentum);
         let (update, velocity): (_, &mut [Tensor]) = if momentum > 0.0 {
@@ -282,7 +255,7 @@ impl Sgd {
         } else {
             (Update::Sgd { lr }, &mut [])
         };
-        fused_step(store, pool, update, scale, (velocity, &mut []), before)
+        fused_step(store, pool, update, scale, (velocity, &mut []));
     }
 
     fn ensure_state(&mut self, store: &ParamStore) {
@@ -354,16 +327,10 @@ impl Adam {
     /// `pool`. Updates are elementwise-independent, so the result is
     /// bit-identical to the serial path at any width.
     pub fn step_with(&mut self, store: &mut ParamStore, pool: &Pool) {
-        self.apply(store, pool, None, &mut []);
+        self.apply(store, pool, None);
     }
 
-    fn apply(
-        &mut self,
-        store: &mut ParamStore,
-        pool: &Pool,
-        scale: Option<f32>,
-        before: &mut [Vec<f32>],
-    ) -> usize {
+    fn apply(&mut self, store: &mut ParamStore, pool: &Pool, scale: Option<f32>) {
         self.ensure_state(store);
         self.t += 1;
         let update = Update::Adam {
@@ -374,14 +341,7 @@ impl Adam {
             bc1: 1.0 - self.beta1.powi(self.t),
             bc2: 1.0 - self.beta2.powi(self.t),
         };
-        fused_step(
-            store,
-            pool,
-            update,
-            scale,
-            (&mut self.m, &mut self.v),
-            before,
-        )
+        fused_step(store, pool, update, scale, (&mut self.m, &mut self.v));
     }
 
     fn ensure_state(&mut self, store: &ParamStore) {
@@ -395,19 +355,13 @@ impl Adam {
 }
 
 /// The update rule a training step applies
-/// ([`AnalyticTrainer::step`](crate::AnalyticTrainer::step)), the scratch
-/// of its gradient clip and — for a caller that must be able to undo a
-/// step — the values from before the last one.
+/// ([`AnalyticTrainer::step`](crate::AnalyticTrainer::step)) and the
+/// scratch of its gradient clip.
 #[derive(Debug)]
 pub struct Optimizer {
     rule: Rule,
     /// One gradient norm per parameter: the clip's first pass.
     norms: Vec<f32>,
-    /// Every tensor's values before the last step, when kept
-    /// ([`with_rollback`](Self::with_rollback)).
-    before: Option<Vec<Vec<f32>>>,
-    /// Tensors holding a non-finite value after the last step.
-    nonfinite: usize,
 }
 
 #[derive(Debug)]
@@ -433,18 +387,7 @@ impl Optimizer {
         Self {
             rule,
             norms: Vec::new(),
-            before: None,
-            nonfinite: 0,
         }
-    }
-
-    /// Keeps every tensor's values from before each step, copied in the
-    /// step's own pass, so that [`roll_back`](Self::roll_back) can undo it,
-    /// and counts the tensors the step left non-finite
-    /// ([`nonfinite`](Self::nonfinite)).
-    pub fn with_rollback(mut self) -> Self {
-        self.before = Some(Vec::new());
-        self
     }
 
     /// One unclipped step of the rule, as its own `step_with`.
@@ -471,42 +414,9 @@ impl Optimizer {
     }
 
     fn apply(&mut self, store: &mut ParamStore, pool: &Pool, scale: Option<f32>) {
-        let before: &mut [Vec<f32>] = match &mut self.before {
-            Some(before) => {
-                if before.len() != store.len() {
-                    let (values, _) = store.values_grads_mut();
-                    *before = values.iter().map(|v| vec![0.0; v.len()]).collect();
-                }
-                before
-            }
-            None => &mut [],
-        };
-        self.nonfinite = match &mut self.rule {
-            Rule::Sgd(sgd) => sgd.apply(store, pool, scale, before),
-            Rule::Adam(adam) => adam.apply(store, pool, scale, before),
-        };
-    }
-
-    /// Parameter tensors holding a non-finite value after the last step;
-    /// counted only with [`with_rollback`](Self::with_rollback).
-    pub fn nonfinite(&self) -> usize {
-        self.nonfinite
-    }
-
-    /// Writes the values kept before the last step back into `store`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the optimizer keeps a rollback and has stepped `store`.
-    pub fn roll_back(&self, store: &mut ParamStore) {
-        let before = self
-            .before
-            .as_ref()
-            .filter(|b| b.len() == store.len())
-            .expect("Optimizer::roll_back: no step of this store was kept");
-        let (values, _) = store.values_grads_mut();
-        for (value, kept) in values.iter_mut().zip(before) {
-            value.data_mut().copy_from_slice(kept);
+        match &mut self.rule {
+            Rule::Sgd(sgd) => sgd.apply(store, pool, scale),
+            Rule::Adam(adam) => adam.apply(store, pool, scale),
         }
     }
 }
@@ -716,9 +626,8 @@ mod tests {
     }
 
     /// Steps one store through the fused clip-and-step and a copy through
-    /// the reference passes, three times, asserting values, gradients,
-    /// optimizer state, the kept values and the non-finite count bit-equal
-    /// after each step.
+    /// the reference passes, three times, asserting values, gradients and
+    /// optimizer state bit-equal after each step.
     fn assert_fused_matches_reference(
         seed: u64,
         tensors: usize,
@@ -735,15 +644,13 @@ mod tests {
             Drawn::Sgd => Optimizer::from(Sgd::new(lr, 0.0)),
             Drawn::Momentum => Optimizer::from(Sgd::new(lr, momentum)),
             Drawn::Adam => Optimizer::from(Adam::new(lr)),
-        }
-        .with_rollback();
+        };
         let (mut m, mut v, mut t) = (Vec::new(), Vec::new(), 0);
         for step in 0..3 {
             set_grads(&mut fused, &mut rng, step != 1);
             for (r, f) in reference.values_grads_mut().1.iter_mut().zip(fused.grads()) {
                 r.data_mut().copy_from_slice(f.data());
             }
-            let pre = bits(fused.values_grads_mut().0);
             let norm = opt.step_clipped(&mut fused, &pool, clip);
             let want = reference::clip_grad_norm(&mut reference, clip);
             match rule {
@@ -770,21 +677,6 @@ mod tests {
                 Drawn::Adam => vec![bits(&m), bits(&v), vec![vec![t as u32]]],
             };
             assert_eq!(state_bits(&opt), want_state, "{case}: state");
-            let kept: Vec<Vec<u32>> = opt
-                .before
-                .as_ref()
-                .unwrap()
-                .iter()
-                .map(|b| b.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            assert_eq!(kept, pre, "{case}: kept values");
-            let nonfinite = reference
-                .values_grads_mut()
-                .0
-                .iter()
-                .filter(|v| v.data().iter().any(|x| !x.is_finite()))
-                .count();
-            assert_eq!(opt.nonfinite(), nonfinite, "{case}: non-finite count");
         }
     }
 
@@ -935,23 +827,6 @@ mod tests {
             // still finite.
             assert_eq!(store.value(p).data()[0], 1.0);
         });
-    }
-
-    /// A kept step rolls back to the values it started from, and a step
-    /// whose values overflow is counted.
-    #[test]
-    fn a_kept_step_rolls_back_and_counts_non_finite_values() {
-        let mut store = ParamStore::new();
-        let a = store.add("a", Tensor::vector(vec![1.0, f32::MAX]));
-        let b = store.add("b", Tensor::scalar(2.0));
-        *store.grad_mut(a) = Tensor::vector(vec![0.5, -f32::MAX]);
-        *store.grad_mut(b) = Tensor::scalar(1.0);
-        let mut opt = Optimizer::from(Sgd::new(10.0, 0.0)).with_rollback();
-        opt.step_with(&mut store, &Pool::with_threads(2));
-        assert_eq!(opt.nonfinite(), 1, "f32::MAX + 10·f32::MAX overflows");
-        opt.roll_back(&mut store);
-        assert_eq!(store.value(a).data(), &[1.0, f32::MAX]);
-        assert_eq!(store.value(b).data(), &[2.0]);
     }
 
     #[test]

@@ -91,9 +91,9 @@ use deeprest_tensor::kernel::{
     gate_sigmoid_into, gate_tanh_into, gemm_into, gemv_batch_into, gemv_t_batch_into, sigmoid,
     Support,
 };
-use deeprest_tensor::{BufferPool, ParamId, ParamStore, Pool};
+use deeprest_tensor::{BufferPool, ParamId, ParamStore};
 
-use crate::{split_front, GruCell, Linear};
+use crate::{GruCell, Linear};
 
 /// One shard per started group of this many experts (capped by the worker
 /// count): below it the per-window fan-out overhead outweighs the parallel
@@ -139,93 +139,6 @@ fn put_transposed(dst: &mut [f32], width: usize, at: usize, src: &[f32], rows: u
     for (c, out) in dst.chunks_exact_mut(width).enumerate() {
         for (r, o) in out[at..at + rows].iter_mut().enumerate() {
             *o = src[r * cols + c];
-        }
-    }
-}
-
-/// Most groups of shards a repack fans out as.
-const MAX_REPACK_PARTS: usize = 16;
-
-/// The packed blocks of a run of whole shards, experts `lo..` — what one
-/// worker of [`ExpertSlab::repack`] writes.
-#[derive(Default)]
-struct Packs<'a> {
-    lo: usize,
-    shards: &'a [Range<usize>],
-    w: &'a mut [f32],
-    u_zk: &'a mut [f32],
-    u_h: &'a mut [f32],
-    bias: &'a mut [f32],
-    mask_sig: &'a mut [f32],
-    alpha_cols: &'a mut [f32],
-    head_w: &'a mut [f32],
-    head_b: &'a mut [f32],
-    skip_w: &'a mut [f32],
-    skip_b: &'a mut [f32],
-}
-
-impl Packs<'_> {
-    /// Packs every expert of these shards from `store`. `alpha_cols` is
-    /// empty without attention and the skip blocks without the skip path.
-    fn repack(
-        &mut self,
-        store: &ParamStore,
-        specs: &[ExpertSpec],
-        dims: (usize, usize, usize),
-        api_mask: bool,
-    ) {
-        let (e_total, d, h) = dims;
-        let value = |id| store.value(id).data();
-        for shard in self.shards {
-            for e in shard.clone() {
-                let (spec, c) = (&specs[e], e - self.lo);
-                let cell = &spec.cell;
-                let w = &mut self.w[c * 3 * h * d..(c + 1) * 3 * h * d];
-                for (g, id) in [cell.wz, cell.wk, cell.wh].into_iter().enumerate() {
-                    put_transposed(w, 3 * h, g * h, value(id), h);
-                }
-                let u_zk = &mut self.u_zk[c * 2 * h * h..(c + 1) * 2 * h * h];
-                for (g, id) in [cell.uz, cell.uk].into_iter().enumerate() {
-                    put_transposed(u_zk, 2 * h, g * h, value(id), h);
-                }
-                put_transposed(
-                    &mut self.u_h[c * h * h..(c + 1) * h * h],
-                    h,
-                    0,
-                    value(cell.uh),
-                    h,
-                );
-                for (g, id) in [cell.bz, cell.bk, cell.bh].into_iter().enumerate() {
-                    self.bias[(c * 3 + g) * h..][..h].copy_from_slice(value(id));
-                }
-                if api_mask {
-                    for (o, &m) in self.mask_sig[c * d..][..d].iter_mut().zip(value(spec.mask)) {
-                        *o = sigmoid(m);
-                    }
-                }
-                if !self.alpha_cols.is_empty() {
-                    let (count, cc) = (shard.len(), e - shard.start);
-                    let at = e_total * (shard.start - self.lo);
-                    let cols = &mut self.alpha_cols[at..at + e_total * count];
-                    for (k, &a) in value(spec.alpha).iter().enumerate() {
-                        cols[k * count + cc] = a;
-                    }
-                    // The tape's `mask_out`: an expert never attends to itself.
-                    cols[e * count + cc] = 0.0;
-                }
-                self.head_w[c * 6 * h..][..6 * h].copy_from_slice(value(spec.head.w));
-                self.head_b[c * 3..][..3].copy_from_slice(value(spec.head.b));
-                if let Some(skip) = &spec.skip {
-                    put_transposed(
-                        &mut self.skip_w[c * 3 * d..(c + 1) * 3 * d],
-                        3,
-                        0,
-                        value(skip.w),
-                        3,
-                    );
-                    self.skip_b[c * 3..][..3].copy_from_slice(value(skip.b));
-                }
-            }
         }
     }
 }
@@ -394,76 +307,61 @@ impl ExpertSlab {
 
     /// Refreshes every packed value in place from the current values of the
     /// parameters the slab was packed from; performs no heap allocation.
-    ///
-    /// Every packed array is per expert and every shard's block of each is
-    /// contiguous, so the shards repack side by side, as many at once as
-    /// the plan has shards (the width the slab was packed for); each value
-    /// is a copy, so the result does not depend on the width.
     pub fn repack(&mut self, store: &ParamStore) {
-        let Self {
-            specs,
-            experts,
-            input_dim: d,
-            hidden_dim: h,
-            api_mask,
-            attention,
-            has_skip,
-            shards,
-            w,
-            u_zk,
-            u_h,
-            bias,
-            mask_sig,
-            alpha_cols,
-            head_w,
-            head_b,
-            skip_w,
-            skip_b,
-        } = self;
-        let (e_total, d, h) = (*experts, *d, *h);
-        let (alpha_len, skip_len) = (if *attention { e_total } else { 0 }, usize::from(*has_skip));
-        // Whole shards per part, so that no part is empty.
-        let per_part = shards.len().div_ceil(MAX_REPACK_PARTS).max(1);
-        let parts = shards.len().div_ceil(per_part);
-        let mut rest = Packs {
-            lo: 0,
-            shards,
-            w,
-            u_zk,
-            u_h,
-            bias,
-            mask_sig,
-            alpha_cols,
-            head_w,
-            head_b,
-            skip_w,
-            skip_b,
-        };
-        let mut packs: [Packs<'_>; MAX_REPACK_PARTS] = Default::default();
-        for pack in &mut packs[..parts] {
-            let (mine, later) = rest.shards.split_at(per_part.min(rest.shards.len()));
-            let n = mine.last().map_or(0, |r| r.end) - rest.lo;
-            *pack = Packs {
-                lo: rest.lo,
-                shards: mine,
-                w: split_front(&mut rest.w, n * 3 * h * d),
-                u_zk: split_front(&mut rest.u_zk, n * 2 * h * h),
-                u_h: split_front(&mut rest.u_h, n * h * h),
-                bias: split_front(&mut rest.bias, n * 3 * h),
-                mask_sig: split_front(&mut rest.mask_sig, n * d),
-                alpha_cols: split_front(&mut rest.alpha_cols, n * alpha_len),
-                head_w: split_front(&mut rest.head_w, n * 6 * h),
-                head_b: split_front(&mut rest.head_b, n * 3),
-                skip_w: split_front(&mut rest.skip_w, n * skip_len * 3 * d),
-                skip_b: split_front(&mut rest.skip_b, n * skip_len * 3),
-            };
-            rest.lo += n;
-            rest.shards = later;
+        let (e_total, d, h) = (self.experts, self.input_dim, self.hidden_dim);
+        let mut shard = 0;
+        for (e, spec) in self.specs.iter().enumerate() {
+            let cell = &spec.cell;
+            let value = |id| store.value(id).data();
+            let w = &mut self.w[e * 3 * h * d..(e + 1) * 3 * h * d];
+            for (g, id) in [cell.wz, cell.wk, cell.wh].into_iter().enumerate() {
+                put_transposed(w, 3 * h, g * h, value(id), h);
+            }
+            let u_zk = &mut self.u_zk[e * 2 * h * h..(e + 1) * 2 * h * h];
+            for (g, id) in [cell.uz, cell.uk].into_iter().enumerate() {
+                put_transposed(u_zk, 2 * h, g * h, value(id), h);
+            }
+            put_transposed(
+                &mut self.u_h[e * h * h..(e + 1) * h * h],
+                h,
+                0,
+                value(cell.uh),
+                h,
+            );
+            for (g, id) in [cell.bz, cell.bk, cell.bh].into_iter().enumerate() {
+                self.bias[(e * 3 + g) * h..][..h].copy_from_slice(value(id));
+            }
+            if self.api_mask {
+                for (o, &m) in self.mask_sig[e * d..][..d].iter_mut().zip(value(spec.mask)) {
+                    *o = sigmoid(m);
+                }
+            }
+            if self.attention {
+                while self.shards[shard].end <= e {
+                    shard += 1;
+                }
+                let Range { start: lo, end: hi } = self.shards[shard];
+                let (count, c) = (hi - lo, e - lo);
+                let cols = &mut self.alpha_cols[e_total * lo..e_total * hi];
+                for (k, &a) in value(spec.alpha).iter().enumerate() {
+                    cols[k * count + c] = a;
+                }
+                // The tape's `mask_out`: an expert never attends to itself.
+                cols[e * count + c] = 0.0;
+            }
+            self.head_w[e * 6 * h..][..6 * h].copy_from_slice(value(spec.head.w));
+            self.head_b[e * 3..][..3].copy_from_slice(value(spec.head.b));
+            if let Some(skip) = &spec.skip {
+                put_transposed(
+                    &mut self.skip_w[e * 3 * d..(e + 1) * 3 * d],
+                    3,
+                    0,
+                    value(skip.w),
+                    3,
+                );
+                self.skip_b[e * 3..][..3].copy_from_slice(value(skip.b));
+            }
         }
-        let (specs, api_mask) = (&specs[..], *api_mask);
-        Pool::with_threads(parts).for_each_mut(&mut packs[..parts], |_, pack| {
-            pack.repack(store, specs, (e_total, d, h), api_mask);
-        });
     }
 
     /// The handles the slab was packed from, in expert order.
@@ -1179,23 +1077,6 @@ mod tests {
         assert_ne!(fresh, before);
         assert_eq!(forward(&one), fresh);
         assert_eq!(forward(&two), fresh);
-    }
-
-    /// A plan of more shards than a repack fans out as (25 here) repacks
-    /// every expert, in groups of whole shards.
-    #[test]
-    fn repack_groups_a_plan_wider_than_its_fan_out() {
-        let (n, d, h) = (200, 3, 2);
-        let (mut store, specs) = swarm(n, d, h, true);
-        let mut wide = ExpertSlab::pack(&store, &specs, true, true, 25);
-        assert_eq!(wide.shards().len(), 25);
-        for spec in &specs {
-            store.value_mut(spec.alpha).data_mut()[1] += 0.25;
-            store.value_mut(spec.head.w).data_mut()[0] -= 0.5;
-        }
-        wide.repack(&store);
-        let fresh = ExpertSlab::pack(&store, &specs, true, true, 25);
-        assert_eq!(format!("{wide:?}"), format!("{fresh:?}"));
     }
 
     #[test]

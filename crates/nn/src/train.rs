@@ -32,10 +32,10 @@
 //!   update's steps) against a row-major copy of `α`. The input pull-back
 //!   `g_x̃` feeds only the mask gradient `g_x̃ ⊙ x`, so it is computed with
 //!   the mask on and only on the blocks of the window's support.
-//! * **The step** — after the backward, every pass is one pass per tensor
-//!   or per shard fanned out over the pool: the fold writes each gradient
-//!   from its arena blocks, the clip's per-tensor norms, the optimizer's
-//!   fused update ([`crate::Optimizer`]), and the repack by shard.
+//! * **The step** — after the backward, the fold writes each gradient
+//!   from its arena blocks, then the clip's per-tensor norms and the
+//!   optimizer's fused update ([`crate::Optimizer`]), each one pass per
+//!   tensor fanned out over the pool, and the serial repack.
 //!
 //! # Bit-identity with the tape oracle
 //!
@@ -465,7 +465,7 @@ impl AnalyticTrainer {
     /// from), the global gradient norm clipped at [`GRAD_CLIP`], `opt`'s
     /// update, and `slab` repacked from the written store, so whoever
     /// steps the swarm next reads the parameters as they are. Each pass
-    /// after the backward is one pass per tensor (or per shard), fanned
+    /// after the backward but the repack is one pass per tensor, fanned
     /// out across `pool`; every element's arithmetic is the serial chain's,
     /// so the step is bit-identical at any width. A warm step allocates
     /// nothing. Returns per-slot statistics in batch order.
