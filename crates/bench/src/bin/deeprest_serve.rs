@@ -42,7 +42,9 @@
 //! at it: an arrival the pipeline refused transiently is offered again, one
 //! naming an unknown symbol is skipped, and a window whose step failed stays
 //! parked and is retried by the next call. The count goes to stderr, and
-//! the exit status is 3 when anything went unserved (0 otherwise).
+//! the exit status is 3 when anything went unserved (0 otherwise). A
+//! multi-tenant run retries its final flush the same way and exits 3 when
+//! a tenant's flush still fails, naming each tenant's unserved windows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -336,7 +338,7 @@ fn run_multi_tenant(session: &Session, config: ServeConfig, args: &ServeArgs) {
         );
     }
 
-    let outputs = match args.flood {
+    let (outputs, unflushed) = match args.flood {
         Some(flooded) => {
             let plan = Arc::new(
                 FaultPlan::new(args.seed)
@@ -388,14 +390,25 @@ fn run_multi_tenant(session: &Session, config: ServeConfig, args: &ServeArgs) {
             assert_against_batch(session, &config, &mine);
         }
     }
+    for &t in &unflushed {
+        eprintln!(
+            "deeprest_serve: tenant {t}: {} windows unserved",
+            registry.pending_windows(t)
+        );
+    }
+    if !unflushed.is_empty() {
+        std::process::exit(3);
+    }
 }
 
 /// Feeds every tenant the stream in 8-arrival slices, one slice per
-/// scheduling round, then flushes.
+/// scheduling round, then flushes, up to `ATTEMPTS` times while a tenant's
+/// flush fails. Returns the outputs and the tenants whose last flush still
+/// failed.
 fn drive_registry(
     registry: &mut TenantRegistry<'_>,
     stream: &[TimestampedTrace],
-) -> Vec<deeprest_serve::tenant::TenantOutput> {
+) -> (Vec<deeprest_serve::tenant::TenantOutput>, Vec<usize>) {
     const CHUNK: usize = 8;
     let tenants = registry.tenant_count();
     let mut outputs = Vec::new();
@@ -414,12 +427,21 @@ fn drive_registry(
         }
         outputs.extend(round.outputs);
     }
-    let flushed = registry.flush();
-    for err in &flushed.errors {
-        eprintln!("tenant {} error: {}", err.tenant, err.error);
+    let mut unflushed = Vec::new();
+    for _ in 0..ATTEMPTS {
+        let flushed = registry.flush();
+        for err in &flushed.errors {
+            eprintln!("tenant {} error: {}", err.tenant, err.error);
+        }
+        outputs.extend(flushed.outputs);
+        unflushed = flushed.errors.iter().map(|err| err.tenant).collect();
+        unflushed.sort_unstable();
+        unflushed.dedup();
+        if unflushed.is_empty() {
+            break;
+        }
     }
-    outputs.extend(flushed.outputs);
-    outputs
+    (outputs, unflushed)
 }
 
 /// Reports δ-interval calibration (PICP + mean width) of the replayed

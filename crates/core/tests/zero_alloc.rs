@@ -57,6 +57,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// A sink that keeps nothing it is given.
+struct Discard;
+
+impl telemetry::Sink for Discard {
+    fn record(&self, _: telemetry::Event) {}
+}
+
 /// `f`'s result and the bytes it left allocated on the calling thread.
 fn left_allocated<T>(f: impl FnOnce() -> T) -> (T, isize) {
     let before = HELD.with(Cell::get);
@@ -215,14 +222,19 @@ fn warm_steps_allocate_nothing_as_the_support_changes() {
             window(&|_| true),
             window(&|p| p == 19),
         ];
-        // Warm-up on the empty window: the narrowest support there is.
-        let mut stream = model.stream_predictor();
-        stream.step(&windows[0]);
-        for x in &windows {
-            let (estimates, left) = left_allocated(|| stream.step(x));
-            let returned = std::mem::size_of_val(&estimates[..]) as isize;
-            assert_eq!(left, returned, "threads = {threads}, window {x:?}");
-        }
+        // Under a sink that keeps nothing, so that a process-wide sink
+        // (`DEEPREST_TELEMETRY=memory`) does not keep the probes' records
+        // on the counted thread: the probes still fire.
+        telemetry::with_sink(Arc::new(Discard), || {
+            // Warm-up on the empty window: the narrowest support there is.
+            let mut stream = model.stream_predictor();
+            stream.step(&windows[0]);
+            for x in &windows {
+                let (estimates, left) = left_allocated(|| stream.step(x));
+                let returned = std::mem::size_of_val(&estimates[..]) as isize;
+                assert_eq!(left, returned, "threads = {threads}, window {x:?}");
+            }
+        });
         // The same again under a sink (whose own records allocate, hence
         // the separate pass): no arena miss after the first step.
         let sink = Arc::new(MemorySink::new());

@@ -17,7 +17,7 @@
 //! lock, no process-wide state, so tests at default parallelism each run
 //! under their own plan and an unscoped thread beside them is never
 //! struck. A scope covers the thread that opened it and the chunks it fans
-//! out over `deeprest_tensor::pool`, which hands the publishing thread's
+//! out over this crate's [`pool`], which hands the publishing thread's
 //! scope to its helpers with [`capture`] / [`Scope::enter`]; the caller and
 //! its helpers share one set of hit counters, fresh per `with_plan`. A
 //! thread spawned by hand inside a scope does **not** inherit it. A probe
@@ -66,8 +66,20 @@
 //! default floods all) and `sched.stall` caps one scheduling round's
 //! processing budget at the payload (0 items under the default),
 //! modeling budget exhaustion — see `deeprest_serve::tenant`.
+//!
+//! # The worker pool
+//!
+//! [`pool`] is the workspace's deterministic persistent thread pool. It
+//! lives here, the lowest crate that both the kernels (`deeprest-tensor`,
+//! which re-exports it as `deeprest_tensor::pool`) and the Jaeger import
+//! (`deeprest-trace`) depend on, and beside the scopes it hands to its
+//! helpers.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the pool's private `engine` module carries
+// the crate's one scoped `#[allow(unsafe_code)]` (handing a stack-borrowed
+// job to the persistent helper threads), with a `// SAFETY:` argument
+// beside each use.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
@@ -76,6 +88,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Once, PoisonError, RwLock};
 
 use deeprest_telemetry as telemetry;
+
+pub mod pool;
 
 /// Payload value meaning "applies to every index" (the default).
 pub const PAYLOAD_ALL: u64 = u64::MAX;

@@ -51,7 +51,7 @@ use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use deeprest_fault as fault;
+use crate as fault;
 use deeprest_telemetry as telemetry;
 
 use engine::{fan_out, fan_out_mut, lock, ChunkPanic};
@@ -279,7 +279,7 @@ mod engine {
     use std::thread::Thread;
     use std::time::{Duration, Instant};
 
-    use deeprest_fault as fault;
+    use crate as fault;
     use deeprest_telemetry as telemetry;
 
     /// How long an idle helper (and a caller waiting for its last chunks)
@@ -758,8 +758,8 @@ mod tests {
 
     #[test]
     fn try_map_contains_injected_worker_faults() {
-        let plan = std::sync::Arc::new(deeprest_fault::FaultPlan::new(0).once("pool.worker", 0));
-        deeprest_fault::with_plan(plan, || {
+        let plan = std::sync::Arc::new(crate::FaultPlan::new(0).once("pool.worker", 0));
+        crate::with_plan(plan, || {
             let err = Pool::with_threads(1)
                 .try_map(8, |i| i)
                 .expect_err("armed pool.worker must fail the call");
@@ -774,10 +774,10 @@ mod tests {
         use std::sync::Arc;
         let sink = Arc::new(deeprest_telemetry::MemorySink::new());
         // Hits 0..4 pass, every later one fires.
-        let plan = Arc::new(deeprest_fault::FaultPlan::new(0).window("pool.worker", 4, u64::MAX));
+        let plan = Arc::new(crate::FaultPlan::new(0).window("pool.worker", 4, u64::MAX));
         let pool = Pool::with_threads(4);
         deeprest_telemetry::with_sink(sink.clone(), || {
-            deeprest_fault::with_plan(plan, || {
+            crate::with_plan(plan, || {
                 // Chunks meet at the barrier two at a time, so a helper
                 // runs at least one of them...
                 let meet = std::sync::Barrier::new(2);

@@ -439,6 +439,11 @@ impl<'m> TenantRegistry<'m> {
         self.tenants[t].depth()
     }
 
+    /// Tenant `t`'s sealed windows parked behind a step failure.
+    pub fn pending_windows(&self, t: TenantId) -> usize {
+        self.tenants[t].pipeline.pending_windows()
+    }
+
     /// Submits one arrival for tenant `t`, applying admission control:
     /// circuit breaker, per-round quotas, then the tenant's bounded queue.
     /// Rejections hand the arrival back and are always counted.

@@ -29,7 +29,7 @@
 //! (tests at default parallelism) each measure under their own sink while
 //! unscoped threads beside them keep the process-wide default. A scope
 //! covers the thread that opened it and the chunks it fans out over
-//! `deeprest_tensor::pool`, which hands the publishing thread's scope to
+//! `deeprest_fault::pool`, which hands the publishing thread's scope to
 //! its helpers with [`capture`] / [`Scope::enter`] for exactly the chunks
 //! of that fan-out (nested fan-outs included). A thread spawned by hand
 //! inside a scope does **not** inherit it; capture and enter explicitly.

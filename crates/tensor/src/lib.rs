@@ -13,7 +13,7 @@
 //! * [`ParamStore`] — owns trainable parameters and their accumulated
 //!   gradients; optimizers update it in place.
 //! * [`Pool`] — persistent chunk-claiming workers for data-parallel
-//!   fan-outs; [`BufferPool`] — recycled scratch buffers that keep warm
+//!   fan-outs (defined in `deeprest-fault`, re-exported here); [`BufferPool`] — recycled scratch buffers that keep warm
 //!   steps allocation-free.
 //! * [`linalg`] — small dense linear-algebra utilities (Jacobi eigensolver,
 //!   Gram-trick PCA) used to reproduce the paper's Fig. 21 expert-parameter
@@ -43,12 +43,10 @@
 //! assert_eq!(store.grad(w).data(), &[2.0, 3.0]);
 //! ```
 
-// `deny` rather than `forbid`: two places carry scoped
-// `#[allow(unsafe_code)]`s — `kernel` (the runtime-detected AVX2 paths of
-// the contractions and of the activations, and their dispatch sites) and
-// `pool::engine` (handing a stack-borrowed job to
-// the persistent helper threads). Each `unsafe` there has its `// SAFETY:`
-// argument beside it.
+// `deny` rather than `forbid`: `kernel` carries scoped
+// `#[allow(unsafe_code)]`s (the runtime-detected AVX2 paths of the
+// contractions and of the activations, and their dispatch sites). Each
+// `unsafe` there has its `// SAFETY:` argument beside it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -56,7 +54,7 @@
 pub mod kernel;
 pub mod linalg;
 mod param;
-pub mod pool;
+pub use deeprest_fault::pool;
 pub(crate) mod scratch;
 mod tensor;
 

@@ -20,7 +20,9 @@
 //! parser (the `ingest` submodule) never builds a document tree: one cursor
 //! that scans sixteen bytes at a time and matches the keys it reads as
 //! whole words, then a link that sorts and looks up ids on an integer key
-//! and interns each name once per document. Each import records a
+//! and reads each name once per run. A large document's trace list is
+//! parsed and linked as contiguous runs across the worker pool, with the
+//! result of one thread at every width. Each import records a
 //! `trace.jaeger.parse` and a `trace.jaeger.link` telemetry span. The serde
 //! structs both replaced survive under `cfg(test)` as their oracles: the
 //! parser must import what the serde import did, and the writer must write

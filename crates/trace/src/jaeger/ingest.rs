@@ -22,11 +22,24 @@
 //! [`Fail`]: a static reason and a byte offset, `Copy` and two words, which
 //! becomes a `serde_json::Error` once, at the document boundary.
 //!
+//! A large document's `data` list is parsed as *k* contiguous [`Run`]s, one
+//! per pool thread, each into its own arena. The cuts between runs are
+//! guessed from the text (the `{` after a `,` and the list's own
+//! indentation) and checked as the parse goes: run *i* stops where the next
+//! element would begin exactly at cut *i + 1*, and only then is run *i + 1*
+//! kept, because it took the very steps one parser would have taken from
+//! there. A run that passes its cut without landing on it parses on to the
+//! list's end and the later runs are discarded. The serial import is the
+//! *k* = 1 case of the same code.
+//!
 //! Nothing touches the [`Interner`] until the whole document has parsed, so
 //! a document-level error leaves it as it was. Only then does [`link`] turn
 //! each trace's records into a span tree: ids are sorted and looked up on an
-//! integer [`IdKey`], bytes compared only when two keys tie, and names reach
-//! the interner through a per-document memo.
+//! integer [`IdKey`], bytes compared only when two keys tie, and names are
+//! read through a per-run memo. Each run links against the shared table,
+//! read-only, on the pool; a trace that meets a name the table lacks is
+//! linked again afterwards, in document order, interning as it goes, so
+//! names get their symbols in first-seen order.
 //!
 //! The accept set is that of the serde derive this replaced (kept under
 //! `cfg(test)` as the oracle in `jaeger/oracle.rs`): keys in any order, a
@@ -37,9 +50,10 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::ops::Range;
 
-use deeprest_fault as fault;
+use deeprest_fault::{self as fault, pool::Pool};
 use deeprest_telemetry as telemetry;
 use serde_json::{Error, Number};
 
@@ -127,6 +141,15 @@ struct Arena {
     processes: Vec<ProcessRec>,
 }
 
+impl Arena {
+    fn clear(&mut self) {
+        self.decoded.clear();
+        self.traces.clear();
+        self.spans.clear();
+        self.processes.clear();
+    }
+}
+
 /// Per-trace link tables, all indexed by a span's position in its trace.
 #[derive(Debug, Default)]
 struct LinkTables {
@@ -140,18 +163,62 @@ struct LinkTables {
     kids: Vec<(usize, usize)>,
     /// Process positions sorted by id, then position.
     process_by_id: IdIndex,
-    /// The names the document has interned, direct-mapped on their keys.
+    /// The names the run has looked up, direct-mapped on their keys.
     names: Vec<Option<(Id, Sym)>>,
 }
 
 /// Slots of [`LinkTables::names`].
 const NAME_SLOTS: usize = 256;
 
+/// The shortest run worth a thread: a `data` list is cut into at most one
+/// run per this many bytes. A fan-out costs tens of microseconds, the parse
+/// and link of this much text a few hundred.
+const MIN_RUN_BYTES: usize = 64 << 10;
+
+/// One contiguous run of the `data` list's elements, parsed into its own
+/// arena and linked with its own tables.
+#[derive(Debug)]
+struct Run {
+    /// Where its first element begins.
+    start: usize,
+    /// Where the next run's first element begins; `usize::MAX` for the last.
+    cut: usize,
+    arena: Arena,
+    tables: LinkTables,
+    end: Result<End, Fail>,
+    /// Each trace of the arena, linked against the shared name table.
+    linked: Vec<Result<TimestampedTrace, Unlinked<Miss>>>,
+}
+
+impl Default for Run {
+    fn default() -> Self {
+        Run {
+            start: 0,
+            cut: usize::MAX,
+            arena: Arena::default(),
+            tables: LinkTables::default(),
+            end: Ok(End::default()),
+            linked: Vec::new(),
+        }
+    }
+}
+
+/// How a run's parse ended: whether every element had the Jaeger shape,
+/// whether the next element begins exactly at the run's cut, and where the
+/// parse stopped (past the list's `]` when it did not land).
+#[derive(Clone, Copy, Debug, Default)]
+struct End {
+    shaped: bool,
+    landed: bool,
+    pos: usize,
+}
+
 /// Everything an import reuses from one document to the next.
 #[derive(Debug, Default)]
 struct Scratch {
-    arena: Arena,
-    tables: LinkTables,
+    /// The root object's own strings (keys and values other than `data`).
+    root: Arena,
+    runs: Vec<Run>,
 }
 
 thread_local! {
@@ -175,6 +242,17 @@ pub(super) fn import_doc(
     interner: &mut Interner,
     dropped: impl FnMut(ImportError),
 ) -> Result<Vec<TimestampedTrace>, ImportError> {
+    import_on_pool(json, interner, Pool::global(), dropped)
+}
+
+/// [`import_doc`] with the runs fanned out over `pool`: every width gives
+/// the same result.
+fn import_on_pool(
+    json: &str,
+    interner: &mut Interner,
+    pool: Pool,
+    dropped: impl FnMut(ImportError),
+) -> Result<Vec<TimestampedTrace>, ImportError> {
     // Fault probe: `trace.parse` forces the document-level parse error path.
     if fault::fail_point("trace.parse") {
         return Err(ImportError::Json(Error::custom(
@@ -184,7 +262,7 @@ pub(super) fn import_doc(
     // Taken, not borrowed: a sink or probe that imports re-entrantly, or a
     // panic below, costs this thread its warm scratch and nothing else.
     let mut scratch = SCRATCH.take();
-    let result = import_on(json, interner, &mut scratch, dropped);
+    let result = import_on(json, interner, pool, &mut scratch, dropped);
     if json.len() <= SCRATCH_KEEP_BYTES {
         SCRATCH.set(scratch);
     }
@@ -194,27 +272,91 @@ pub(super) fn import_doc(
 fn import_on(
     json: &str,
     interner: &mut Interner,
+    pool: Pool,
     scratch: &mut Scratch,
     mut dropped: impl FnMut(ImportError),
 ) -> Result<Vec<TimestampedTrace>, ImportError> {
-    {
+    let runs = {
         let _parse = telemetry::span("trace.jaeger.parse");
-        Parser::parse(json, &mut scratch.arena).map_err(ImportError::Json)?;
-    }
+        parse(json, &mut scratch.root, &mut scratch.runs, pool).map_err(ImportError::Json)?
+    };
     let _link = telemetry::span("trace.jaeger.link");
-    let arena = &scratch.arena;
-    let doc = Doc { json, arena };
-    let tables = &mut scratch.tables;
-    tables.names.clear();
-    tables.names.resize(NAME_SLOTS, None);
-    let mut traces = Vec::with_capacity(arena.traces.len());
-    for trace in &arena.traces {
-        match link(&doc, trace, tables, interner) {
-            Ok(t) => traces.push(t),
-            Err(err) => dropped(err),
+    let runs = &mut scratch.runs[..runs];
+    let names = &*interner;
+    each(pool, runs, |run| run.link(json, names));
+    let mut traces = Vec::with_capacity(runs.iter().map(|r| r.arena.traces.len()).sum());
+    for run in runs {
+        let doc = Doc {
+            json,
+            arena: &run.arena,
+        };
+        for (trace, linked) in run.arena.traces.iter().zip(run.linked.drain(..)) {
+            let linked = match linked {
+                Ok(t) => Ok(t),
+                Err(Unlinked::Dropped(err)) => Err(err),
+                // A name the shared table lacked: linked again, in document
+                // order, interning as it goes, so that it interns exactly
+                // what one pass over the document would have.
+                Err(Unlinked::Miss(Miss)) => {
+                    link(&doc, trace, &mut run.tables, &mut *interner).map_err(ImportError::from)
+                }
+            };
+            match linked {
+                Ok(t) => traces.push(t),
+                Err(err) => dropped(err),
+            }
         }
     }
     Ok(traces)
+}
+
+/// Runs `f` on every run: a single run on the calling thread, so that a
+/// serial import publishes no fan-out and is no `pool.worker` fault site.
+fn each(pool: Pool, runs: &mut [Run], f: impl Fn(&mut Run) + Sync) {
+    match runs {
+        [] => {}
+        [run] => f(run),
+        runs => pool.for_each_mut(runs, |_, run| f(run)),
+    }
+}
+
+impl Run {
+    /// Parses trace elements, with the depth they have in the `data` list,
+    /// from `start` on, up to the list's `]` or the cut.
+    fn parse(&mut self, json: &str) {
+        self.arena.clear();
+        let mut p = Parser {
+            json,
+            bytes: json.as_bytes(),
+            pos: self.start,
+            depth: 2,
+            arena: &mut self.arena,
+        };
+        self.end = p.elements(self.cut);
+    }
+
+    /// Links every trace of the run against `names`, read-only.
+    fn link(&mut self, json: &str, names: &Interner) {
+        let doc = Doc {
+            json,
+            arena: &self.arena,
+        };
+        self.tables.names.clear();
+        self.tables.names.resize(NAME_SLOTS, None);
+        self.linked.clear();
+        for trace in &self.arena.traces {
+            // Fault probe: `trace.span` marks this trace malformed.
+            let linked = if fault::fail_point("trace.span") {
+                Err(Unlinked::Dropped(ImportError::NoRoot(format!(
+                    "{} (injected trace.span fault)",
+                    doc.text(trace.id)
+                ))))
+            } else {
+                link(&doc, trace, &mut self.tables, names)
+            };
+            self.linked.push(linked);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -299,49 +441,136 @@ struct Parser<'a> {
     arena: &'a mut Arena,
 }
 
-impl<'a> Parser<'a> {
-    fn parse(json: &'a str, arena: &'a mut Arena) -> Result<(), Error> {
-        arena.decoded.clear();
-        let mut p = Parser {
-            json,
-            bytes: json.as_bytes(),
-            pos: 0,
-            depth: 0,
-            arena,
-        };
-        p.skip_ws();
-        let shaped = p.document()?;
-        if p.pos != p.bytes.len() {
-            return Err(p.fail(&"trailing characters").into());
+/// Parses the document: the root object into `root`, the elements of its
+/// `data` list into `runs`. Returns how many runs hold the elements of the
+/// last `data` list.
+fn parse(json: &str, root: &mut Arena, runs: &mut Vec<Run>, pool: Pool) -> Result<usize, Error> {
+    root.clear();
+    let mut p = Parser {
+        json,
+        bytes: json.as_bytes(),
+        pos: 0,
+        depth: 0,
+        arena: root,
+    };
+    p.skip_ws();
+    let mut data = None;
+    let mut more = p.record()?;
+    while more {
+        if p.key()? == DATA {
+            data = p.data(runs, pool)?;
+        } else {
+            p.skip_value()?;
         }
-        if !shaped {
-            return Err(Error::custom(
-                "not a Jaeger document: a required field is missing or has the wrong type",
-            ));
-        }
-        Ok(())
+        more = p.next(b'}')?;
     }
+    if p.pos != p.bytes.len() {
+        return Err(p.fail(&"trailing characters").into());
+    }
+    data.ok_or_else(|| {
+        Error::custom("not a Jaeger document: a required field is missing or has the wrong type")
+    })
+}
 
+/// The `{` of the first `,` + `sep` + `{` whose comma is at or after `from`.
+fn find_cut(bytes: &[u8], from: usize, sep: &[u8]) -> Option<usize> {
+    let mut at = from;
+    loop {
+        at += bytes.get(at..)?.iter().position(|&b| b == b',')?;
+        let open = at + 1 + sep.len();
+        if bytes[at + 1..].starts_with(sep) && bytes.get(open) == Some(&b'{') {
+            return Some(open);
+        }
+        at += 1;
+    }
+}
+
+impl<'a> Parser<'a> {
     // -- the Jaeger shape ---------------------------------------------------
     //
     // Each of these consumes exactly one JSON value and answers whether it
     // had the expected shape; `Err` is reserved for text that is not JSON.
 
-    fn document(&mut self) -> Result<bool, Fail> {
-        let mut data = false;
-        let mut more = self.record()?;
-        while more {
-            if self.key()? == DATA {
-                self.arena.traces.clear();
-                self.arena.spans.clear();
-                self.arena.processes.clear();
-                data = self.list_of(Self::trace)?;
-            } else {
-                self.skip_value()?;
-            }
-            more = self.next(b'}')?;
+    /// The root's `data` list, its elements parsed into `runs`: the number
+    /// of runs that hold them when every element has the Jaeger shape.
+    ///
+    /// Cut *i* of *k* is the `{` of the first `,` + `sep` + `{` at or after
+    /// *i*/*k* of the text from the first element on, `sep` being the
+    /// whitespace between `[` and that element. One run (*k* = 1) when
+    /// there is no such whitespace (in compact text the pattern also joins
+    /// spans), when a run would be shorter than [`MIN_RUN_BYTES`], or when a
+    /// fault plan is armed (so that `trace.span` hits keep their order).
+    fn data(&mut self, runs: &mut Vec<Run>, pool: Pool) -> Result<Option<usize>, Fail> {
+        if self.peek()? != b'[' {
+            self.skip_value()?;
+            return Ok(None);
         }
-        Ok(data)
+        let open = self.pos;
+        if !self.enter(b']')? {
+            return Ok(Some(0));
+        }
+        let (first, len) = (self.pos, self.bytes.len());
+        let sep = &self.bytes[open + 1..first];
+        let k = match sep.is_empty() || fault::enabled() {
+            true => 1,
+            false => pool.threads().min((len - first) / MIN_RUN_BYTES).max(1),
+        };
+        if runs.len() < k {
+            runs.resize_with(k, Run::default);
+        }
+        runs[0].start = first;
+        let mut n = 1;
+        while n < k {
+            let from = (first + (len - first) / k * n).max(runs[n - 1].start);
+            let Some(cut) = find_cut(self.bytes, from, sep) else {
+                break;
+            };
+            runs[n - 1].cut = cut;
+            runs[n].start = cut;
+            n += 1;
+        }
+        runs[n - 1].cut = usize::MAX;
+        let json = self.json;
+        each(pool, &mut runs[..n], |run| run.parse(json));
+        // Run i + 1 counts only when run i landed on its cut. The last run
+        // has no cut, so the walk stops at a run that closed the list.
+        let (mut valid, mut shaped) = (0, true);
+        for run in &runs[..n] {
+            let end = run.end?;
+            shaped &= end.shaped;
+            valid += 1;
+            if !end.landed {
+                self.pos = end.pos;
+                self.depth -= 1;
+                break;
+            }
+        }
+        Ok(shaped.then_some(valid))
+    }
+
+    /// Trace elements of the `data` list from `pos` on, up to the list's
+    /// `]`, or up to `cut` when the next element begins exactly there. Once
+    /// an element ends past `cut`, `cut` began no element and the run
+    /// parses on to the list's end.
+    fn elements(&mut self, cut: usize) -> Result<End, Fail> {
+        let mut shaped = true;
+        loop {
+            shaped &= self.trace()?;
+            if !self.next(b']')? {
+                return Ok(End {
+                    shaped,
+                    landed: false,
+                    pos: self.pos,
+                });
+            }
+            if self.pos == cut {
+                return Ok(End {
+                    shaped,
+                    landed: true,
+                    pos: self.pos,
+                });
+            }
+        }
     }
 
     fn trace(&mut self) -> Result<bool, Fail> {
@@ -864,36 +1093,80 @@ impl IdIndex {
     }
 }
 
-/// One trace being linked: its records, its filled-in tables (the
-/// document's name memo among them) and the interner.
-struct Linked<'a> {
+/// Where a link reads its symbols.
+trait Names {
+    /// What a name the table lacks costs.
+    type Miss;
+    fn sym(&mut self, name: &str) -> Result<Sym, Self::Miss>;
+}
+
+/// The name table is missing a name a read-only link needed.
+#[derive(Debug)]
+struct Miss;
+
+/// The shared table, read-only: a name it lacks is a [`Miss`].
+impl Names for &Interner {
+    type Miss = Miss;
+    fn sym(&mut self, name: &str) -> Result<Sym, Miss> {
+        self.get(name).ok_or(Miss)
+    }
+}
+
+/// The caller's table, interning: never misses.
+impl Names for &mut Interner {
+    type Miss = Infallible;
+    fn sym(&mut self, name: &str) -> Result<Sym, Infallible> {
+        Ok(self.intern(name))
+    }
+}
+
+/// Why a trace did not link: a defect that drops it, or a name the table
+/// lacked.
+#[derive(Debug)]
+enum Unlinked<M> {
+    Dropped(ImportError),
+    Miss(M),
+}
+
+impl<M> From<ImportError> for Unlinked<M> {
+    fn from(err: ImportError) -> Self {
+        Unlinked::Dropped(err)
+    }
+}
+
+impl From<Unlinked<Infallible>> for ImportError {
+    fn from(unlinked: Unlinked<Infallible>) -> Self {
+        match unlinked {
+            Unlinked::Dropped(err) => err,
+            Unlinked::Miss(never) => match never {},
+        }
+    }
+}
+
+/// One trace being linked: its records, its filled-in tables (the run's
+/// name memo among them) and the name table.
+struct Linked<'a, N> {
     doc: &'a Doc<'a>,
     trace: &'a TraceRec,
     spans: &'a [SpanRec],
     processes: &'a [ProcessRec],
     tables: &'a mut LinkTables,
-    interner: &'a mut Interner,
+    names: N,
 }
 
 /// Links one trace into a span tree; any defect fails only this trace.
 ///
-/// The checks, their order and the points at which names are interned are
-/// the old `import_one`'s: a trace that is dropped half-way has interned
-/// exactly the names it had then.
-fn link(
+/// The checks, their order and the points at which names are read are the
+/// old `import_one`'s: a trace that is dropped half-way has interned
+/// exactly the names it had then, and a read-only link stops at the first
+/// name the table lacks.
+fn link<N: Names>(
     doc: &Doc<'_>,
     trace: &TraceRec,
     tables: &mut LinkTables,
-    interner: &mut Interner,
-) -> Result<TimestampedTrace, ImportError> {
+    names: N,
+) -> Result<TimestampedTrace, Unlinked<N::Miss>> {
     let trace_id = || doc.text(trace.id).to_owned();
-    // Fault probe: `trace.span` marks this trace malformed.
-    if fault::fail_point("trace.span") {
-        return Err(ImportError::NoRoot(format!(
-            "{} (injected trace.span fault)",
-            trace_id()
-        )));
-    }
     let spans = &doc.arena.spans[trace.spans.clone()];
     let processes = &doc.arena.processes[trace.processes.clone()];
 
@@ -920,7 +1193,7 @@ fn link(
             continue;
         };
         let Some(g) = tables.by_id.find(wanted, false, doc) else {
-            return Err(ImportError::DanglingParent(doc.text(span.id).to_owned()));
+            return Err(ImportError::DanglingParent(doc.text(span.id).to_owned()).into());
         };
         tables.kids.push((g, s));
     }
@@ -933,7 +1206,7 @@ fn link(
         spans,
         processes,
         tables,
-        interner,
+        names,
     };
     // Endpoint convention: synthetic __api__ root or the root itself.
     let real_root = match doc.bytes(linked.service(root)?) {
@@ -943,7 +1216,7 @@ fn link(
             .map(|k| linked.tables.kids[k].1),
         _ => Some(root),
     };
-    let api = linked.sym(spans[root].operation);
+    let api = linked.sym(spans[root].operation)?;
     let real_root = real_root.ok_or_else(|| ImportError::NoRoot(trace_id()))?;
     // Duplicate span ids can make the child lists expand the same subtree
     // under several parents; a tree that honestly mirrors the document can
@@ -957,7 +1230,7 @@ fn link(
     })
 }
 
-impl Linked<'_> {
+impl<N: Names> Linked<'_, N> {
     /// Where `span`'s children are in [`LinkTables::kids`].
     fn children(&self, span: usize) -> Range<usize> {
         let (g, kids) = (self.tables.group[span], &self.tables.kids);
@@ -978,20 +1251,25 @@ impl Linked<'_> {
     }
 
     /// The symbol of `name`. The memo is direct-mapped on the name's key: a
-    /// hit skips hashing the whole name into the interner's map, and a
+    /// hit skips hashing the whole name into the table's map, and a
     /// collision replaces the slot, so each lookup costs one slot whatever
-    /// the document holds. Every name still reaches [`Interner::intern`] on
-    /// its first use, so the symbols and their numbering are its own.
-    fn sym(&mut self, name: Text) -> Sym {
+    /// the run holds. Every name still reaches the table on its first use,
+    /// so the symbols and their numbering are its own; a symbol, once
+    /// given, never changes, so what a read-only link memoised still holds
+    /// when the same tables link again, interning.
+    fn sym(&mut self, name: Text) -> Result<Sym, Unlinked<N::Miss>> {
         let name = self.doc.id(name);
         let mix = (name.0 .0 as u64 ^ (name.0 .0 >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let slot = &mut self.tables.names[(mix >> 32) as usize % NAME_SLOTS];
         match *slot {
-            Some((known, sym)) if self.doc.cmp_ids(known, name).is_eq() => sym,
+            Some((known, sym)) if self.doc.cmp_ids(known, name).is_eq() => Ok(sym),
             _ => {
-                let sym = self.interner.intern(self.doc.text(name.1));
+                let sym = self
+                    .names
+                    .sym(self.doc.text(name.1))
+                    .map_err(Unlinked::Miss)?;
                 *slot = Some((name, sym));
-                sym
+                Ok(sym)
             }
         }
     }
@@ -1001,18 +1279,18 @@ impl Linked<'_> {
         span: usize,
         depth: usize,
         budget: &mut usize,
-    ) -> Result<SpanNode, ImportError> {
+    ) -> Result<SpanNode, Unlinked<N::Miss>> {
         let trace_id = || self.doc.text(self.trace.id).to_owned();
         if depth >= SpanNode::MAX_DEPTH {
-            return Err(ImportError::TooDeep(trace_id()));
+            return Err(ImportError::TooDeep(trace_id()).into());
         }
         if *budget == 0 {
-            return Err(ImportError::Oversized(trace_id()));
+            return Err(ImportError::Oversized(trace_id()).into());
         }
         *budget -= 1;
         let component = self.service(span)?;
-        let component = self.sym(component);
-        let operation = self.sym(self.spans[span].operation);
+        let component = self.sym(component)?;
+        let operation = self.sym(self.spans[span].operation)?;
         let kids = self.children(span);
         let mut children = Vec::with_capacity(kids.len());
         for k in kids {
@@ -1021,3 +1299,6 @@ impl Linked<'_> {
         Ok(SpanNode::with_children(component, operation, children))
     }
 }
+
+#[cfg(test)]
+mod tests;
